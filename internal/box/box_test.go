@@ -1,6 +1,7 @@
 package box
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -327,5 +328,49 @@ func TestMixerPoolSharedAcrossIncomingStreams(t *testing.T) {
 	}
 	if dst.AudioStats().LateTicks > 0 {
 		t.Fatalf("3 plain streams overloaded the audio board (%d late ticks)", dst.AudioStats().LateTicks)
+	}
+}
+
+func TestCameraStartedAfterIdleFramesSeesTheSamePicture(t *testing.T) {
+	// An idle capture board skips the camera's frames without rendering
+	// them. A stream opened after N such frames must carry exactly the
+	// segments it carries from a board that rendered every one of them —
+	// here a board kept busy by a stream too slow to take any frame.
+	const idleFrames = 7
+	firstSegments := func(keepRendering bool) [][]byte {
+		rt := occam.NewRuntime()
+		defer rt.Shutdown()
+		net := atm.New(rt)
+		bx := New(rt, net, Config{Name: "cam"})
+		sink := net.AddHost("sink")
+		l := net.AddLink("l", atm.LinkConfig{Bandwidth: 100_000_000})
+		net.OpenCircuit(300, bx.Host(), sink, l)
+		var got [][]byte
+		rt.Go("sink", nil, occam.High, func(p *occam.Proc) {
+			for {
+				m := sink.Rx.Recv(p)
+				got = append(got, append([]byte(nil), m.W.Bytes()...))
+				m.W.Release()
+			}
+		})
+		rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+			bx.SetRoute(p, Route{Stream: 2, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{300}})
+			if keepRendering {
+				bx.StartCamera(p, CameraStream{Stream: 9, Rect: video.Rect{W: 16, H: 16}, Rate: video.Rate{Num: 1, Den: 1 << 20}})
+			}
+			p.SleepUntil(occam.Time(idleFrames*video.FramePeriod - time.Millisecond))
+			bx.StartCamera(p, CameraStream{Stream: 2, Rect: video.Rect{X: 8, W: 96, H: 64}, Rate: video.Rate{Num: 1, Den: 1}})
+		})
+		run(t, rt, (idleFrames+3)*video.FramePeriod)
+		return got
+	}
+	skipped, rendered := firstSegments(false), firstSegments(true)
+	if len(skipped) < 4 || len(skipped) != len(rendered) {
+		t.Fatalf("%d segments after idle frames, %d from the rendering board, want equal and ≥ 4", len(skipped), len(rendered))
+	}
+	for i := range skipped {
+		if !bytes.Equal(skipped[i], rendered[i]) {
+			t.Fatalf("segment %d differs between the idle and the rendering board", i)
+		}
 	}
 }

@@ -98,9 +98,15 @@ func (b *Box) runCapture(p *occam.Proc) {
 				delete(streams, cmd.Stop)
 			}
 		}
-		// The camera updates the framestore.
-		img := b.camera.NextFrame()
-		b.framestore.WriteLines(img, 0, b.cfg.CameraH)
+		// The camera updates the framestore. With no stream open
+		// nothing can read it before the next frame overwrites it, so
+		// the picture is not rendered at all — the camera still moves
+		// on, and a stream opened later sees the frame it would have.
+		if len(streams) == 0 {
+			b.camera.SkipFrame()
+			continue
+		}
+		b.framestore.WriteLines(b.camera.NextFrame(), 0, b.cfg.CameraH)
 
 		for _, id := range orderedStreamIDs(streams) {
 			cs := streams[id]

@@ -7,15 +7,20 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
 // Tracker accumulates duration samples and reports order statistics.
+// It stores the samples as a multiset: virtual-time delays take few
+// distinct values, and a stream that plays for hours must not cost a
+// word per block played.
 type Tracker struct {
-	name    string
-	samples []time.Duration
-	sorted  bool
+	name   string
+	counts map[time.Duration]int // sample value → occurrences
+	n      int
+	sum    time.Duration
+	keys   []time.Duration // distinct values ascending; stale when shorter than counts
 }
 
 // NewTracker returns an empty tracker.
@@ -23,69 +28,79 @@ func NewTracker(name string) *Tracker { return &Tracker{name: name} }
 
 // Add records one sample.
 func (t *Tracker) Add(d time.Duration) {
-	t.samples = append(t.samples, d)
-	t.sorted = false
+	if t.counts == nil {
+		t.counts = make(map[time.Duration]int)
+	}
+	t.counts[d]++
+	t.n++
+	t.sum += d
 }
 
 // Count returns the number of samples.
-func (t *Tracker) Count() int { return len(t.samples) }
+func (t *Tracker) Count() int { return t.n }
 
 // Min returns the smallest sample (0 if empty).
 func (t *Tracker) Min() time.Duration {
-	if len(t.samples) == 0 {
+	if t.n == 0 {
 		return 0
 	}
-	t.sortSamples()
-	return t.samples[0]
+	return t.sortedKeys()[0]
 }
 
 // Max returns the largest sample (0 if empty).
 func (t *Tracker) Max() time.Duration {
-	if len(t.samples) == 0 {
+	if t.n == 0 {
 		return 0
 	}
-	t.sortSamples()
-	return t.samples[len(t.samples)-1]
+	return t.sortedKeys()[len(t.keys)-1]
 }
 
 // Mean returns the average sample (0 if empty).
 func (t *Tracker) Mean() time.Duration {
-	if len(t.samples) == 0 {
+	if t.n == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, s := range t.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(t.samples))
+	return t.sum / time.Duration(t.n)
 }
 
 // Percentile returns the p'th percentile (0 ≤ p ≤ 100) by the
 // nearest-rank method.
 func (t *Tracker) Percentile(p float64) time.Duration {
-	if len(t.samples) == 0 {
+	if t.n == 0 {
 		return 0
 	}
-	t.sortSamples()
-	rank := int(p / 100 * float64(len(t.samples)-1))
+	rank := int(p / 100 * float64(t.n-1))
 	if rank < 0 {
 		rank = 0
 	}
-	if rank >= len(t.samples) {
-		rank = len(t.samples) - 1
+	if rank >= t.n {
+		rank = t.n - 1
 	}
-	return t.samples[rank]
+	// Walk to the sample at position rank of the sorted samples.
+	keys, i := t.sortedKeys(), 0
+	for rank >= t.counts[keys[i]] {
+		rank -= t.counts[keys[i]]
+		i++
+	}
+	return keys[i]
 }
 
 // Jitter returns max − min: the peak-to-peak delay variation, the
 // quantity the clawback buffer has to absorb.
 func (t *Tracker) Jitter() time.Duration { return t.Max() - t.Min() }
 
-func (t *Tracker) sortSamples() {
-	if !t.sorted {
-		sort.Slice(t.samples, func(i, j int) bool { return t.samples[i] < t.samples[j] })
-		t.sorted = true
+// sortedKeys returns the distinct sample values in ascending order,
+// rebuilding the list if a new value has arrived since the last call
+// (distinct values are only ever added).
+func (t *Tracker) sortedKeys() []time.Duration {
+	if len(t.keys) != len(t.counts) {
+		t.keys = t.keys[:0]
+		for v := range t.counts {
+			t.keys = append(t.keys, v)
+		}
+		slices.Sort(t.keys)
 	}
+	return t.keys
 }
 
 // String summarises the tracker in a table-row-friendly form.

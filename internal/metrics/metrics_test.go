@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -150,5 +153,65 @@ func TestAudioQualityEmpty(t *testing.T) {
 	var q AudioQuality
 	if q.Verdict() != Clean {
 		t.Fatal("empty quality not clean")
+	}
+}
+
+// sliceTracker is the reference the multiset Tracker must agree with:
+// keep every sample, sort, index.
+type sliceTracker []time.Duration
+
+func (s sliceTracker) sorted() []time.Duration {
+	out := append([]time.Duration(nil), s...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func (s sliceTracker) mean() time.Duration {
+	var sum time.Duration
+	for _, d := range s {
+		sum += d
+	}
+	return sum / time.Duration(len(s))
+}
+
+func (s sliceTracker) percentile(p float64) time.Duration {
+	rank := int(p / 100 * float64(len(s)-1))
+	rank = max(0, min(rank, len(s)-1))
+	return s.sorted()[rank]
+}
+
+func TestTrackerAgreesWithSortedSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draws := map[string]func() time.Duration{
+		"random":   func() time.Duration { return time.Duration(rng.Int63n(int64(time.Second))) - 100*time.Millisecond },
+		"repeated": func() time.Duration { return time.Duration(2+rng.Intn(5)*rng.Intn(2)) * time.Millisecond },
+	}
+	for name, draw := range draws {
+		tr := NewTracker(name)
+		var ref sliceTracker
+		for i := 0; i < 3000; i++ {
+			d := draw()
+			tr.Add(d)
+			ref = append(ref, d)
+			if i%500 != 499 && i > 3 { // query between adds, and on tiny sets
+				continue
+			}
+			s := ref.sorted()
+			if tr.Count() != len(ref) || tr.Min() != s[0] || tr.Max() != s[len(s)-1] ||
+				tr.Mean() != ref.mean() || tr.Jitter() != s[len(s)-1]-s[0] {
+				t.Fatalf("%s after %d: n=%d min=%v max=%v mean=%v jitter=%v, reference n=%d min=%v max=%v mean=%v",
+					name, i+1, tr.Count(), tr.Min(), tr.Max(), tr.Mean(), tr.Jitter(), len(ref), s[0], s[len(s)-1], ref.mean())
+			}
+			for _, p := range []float64{-5, 0, 0.1, 1, 25, 50, 75, 90, 99, 99.9, 100, 140} {
+				if got, want := tr.Percentile(p), ref.percentile(p); got != want {
+					t.Fatalf("%s after %d: p%v = %v, reference %v", name, i+1, p, got, want)
+				}
+			}
+			want := fmt.Sprintf("%s: n=%d min=%v mean=%v p99=%v max=%v",
+				name, len(ref), s[0], ref.mean(), ref.percentile(99), s[len(s)-1])
+			if tr.String() != want {
+				t.Fatalf("String() = %q, reference %q", tr.String(), want)
+			}
+		}
 	}
 }

@@ -10,9 +10,10 @@ package occam
 // Pandora-style fan-in (many producers into a switch input).
 //
 // Waiter and alternation-registration records are recycled on
-// per-channel free lists: the runtime serialises all user code under
-// one lock, so the lists need no further synchronisation, and a data
-// channel at steady state allocates nothing per transfer.
+// per-channel free lists: the runtime runs one process at a time and
+// every channel operation holds its lock, so the lists need no further
+// synchronisation, and a data channel at steady state allocates nothing
+// per transfer.
 type Chan[T any] struct {
 	rt    *Runtime
 	name  string

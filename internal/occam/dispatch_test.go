@@ -1,0 +1,334 @@
+package occam
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+)
+
+func TestProcessPanicSurfacesFromRunUntil(t *testing.T) {
+	faults := map[string]func(rt *Runtime, p *Proc){
+		"in user code": func(rt *Runtime, p *Proc) { panic("boom") },
+		// Raised with the runtime lock held; RunUntil must still get it back.
+		"inside a primitive": func(rt *Runtime, p *Proc) {
+			tm := NewTimer(rt, func(Sched) {})
+			tm.Schedule(p.Now().Add(time.Second))
+			tm.Schedule(p.Now().Add(time.Second))
+		},
+	}
+	for name, fault := range faults {
+		t.Run(name, func(t *testing.T) {
+			rt := NewRuntime()
+			defer rt.Shutdown()
+			ch := NewChan[int](rt, "never")
+			rt.Go("bystander", nil, Low, func(p *Proc) { ch.Recv(p) })
+			rt.Go("faulty", nil, Low, func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				fault(rt, p)
+			})
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				rt.Run()
+			}()
+			if msg, _ := got.(string); !strings.Contains(msg, `process "faulty" panicked`) {
+				t.Fatalf("Run panicked with %v, want the faulty process named", got)
+			}
+			// The runtime is left consistent: the faulty process is
+			// gone, the clock readable, and a further run finds the
+			// bystander still blocked.
+			if rt.NumProcs() != 1 || rt.Now() != Time(time.Millisecond) {
+				t.Fatalf("after the panic: %d procs at %v, want 1 at 1ms", rt.NumProcs(), rt.Now())
+			}
+			if err := rt.RunUntil(Time(2 * time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func TestShutdownReleasesEveryGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rt := NewRuntime()
+	ch := NewChan[int](rt, "never")
+	for i := 0; i < 4; i++ {
+		rt.Go("parked", nil, Low, func(p *Proc) { ch.Recv(p) })
+	}
+	rt.Go("sleeper", nil, High, func(p *Proc) {
+		for {
+			p.Sleep(time.Millisecond)
+		}
+	})
+	sig := NewSignal(rt, "sig")
+	rt.Go("woken", nil, Low, func(p *Proc) { sig.Wait(p) })
+	if err := rt.RunUntil(Time(3 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	// Runnable and started: readied from outside the run.
+	sig.Raise()
+	// Runnable but never started: created after the run, so in the run
+	// queue with their bodies not yet entered.
+	started := false
+	for i := 0; i < 3; i++ {
+		rt.Go("unstarted", nil, Low, func(p *Proc) { started = true })
+	}
+	if n := runtime.NumGoroutine(); n <= before {
+		t.Fatalf("%d goroutines with live processes, %d before: the test cannot see a leak", n, before)
+	}
+
+	rt.Shutdown()
+	rt.Shutdown() // idempotent
+	if started {
+		t.Error("Shutdown ran the body of a process that had never been scheduled")
+	}
+	// Not "!=": the previous test's runner goroutine may still have
+	// been exiting when before was read.
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Shutdown, %d before NewRuntime", n, before)
+	}
+	if rt.NumProcs() != 0 {
+		t.Errorf("%d procs alive after Shutdown", rt.NumProcs())
+	}
+	if err := rt.RunUntil(Time(time.Second)); err == nil {
+		t.Error("RunUntil after Shutdown returned nil")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Go after Shutdown did not panic")
+		}
+	}()
+	rt.Go("late", nil, Low, func(p *Proc) {})
+}
+
+// schedulePin runs a fixed small network that crosses every scheduling
+// path — two priorities, a contended Consume queue, an Alt with an
+// After guard, a self-re-arming passive Timer, a Signal, a process
+// started from inside another, and a bounded run followed by an
+// unbounded one — and returns its full Trace log followed by the
+// switch count.
+func schedulePin(t *testing.T) string {
+	rt := NewRuntime()
+	defer rt.Shutdown()
+	var log []string
+	rt.Trace = func(s string) { log = append(log, s) }
+
+	cpu := NewNode(rt, "cpu")
+	data := NewChan[int](rt, "data")
+	tick := NewSignal(rt, "tick")
+
+	fired := 0
+	var tm *Timer
+	tm = NewTimer(rt, func(s Sched) {
+		fired++
+		s.Raise(tick)
+		if fired < 4 {
+			s.Schedule(tm, s.Now().Add(700*time.Microsecond))
+		}
+	})
+
+	rt.Go("hi", cpu, High, func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Consume(300 * time.Microsecond)
+			data.Send(p, i)
+			p.Sleep(time.Millisecond)
+		}
+	})
+	for _, name := range []string{"lo.a", "lo.b"} {
+		rt.Go(name, cpu, Low, func(p *Proc) {
+			for i := 0; i < 2; i++ {
+				p.Consume(500 * time.Microsecond)
+				data.Send(p, 10+i)
+				p.Yield()
+			}
+		})
+	}
+	rt.Go("sink", nil, High, func(p *Proc) {
+		var v int
+		for got := 0; got < 8; {
+			if p.Alt(Recv(data, &v), After(p.Now().Add(400*time.Microsecond))) == 0 {
+				got++
+			}
+		}
+	})
+	rt.Go("waiter", nil, Low, func(p *Proc) {
+		tm.Schedule(p.Now().Add(250 * time.Microsecond))
+		for i := 0; i < 4; i++ {
+			tick.Wait(p)
+			if i == 1 {
+				rt.Go("child", cpu, High, func(p *Proc) {
+					p.Consume(100 * time.Microsecond)
+					data.Send(p, 99)
+				})
+			}
+		}
+	})
+
+	if err := rt.RunUntil(Time(2 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	log = append(log, "-- limit --")
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(log, "\n") + fmt.Sprintf("\nswitches %d\n", rt.Switches())
+}
+
+// TestSchedulePin holds the scheduler to the schedule recorded from
+// the channel-and-goroutine runtime this one replaced (PR 11's commit):
+// which process runs when, and how many switches that takes, are part
+// of the simulation's results and must not move with the mechanism.
+func TestSchedulePin(t *testing.T) {
+	want, err := os.ReadFile("testdata/schedule_pin.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := schedulePin(t); got != string(want) {
+		t.Errorf("schedule differs from testdata/schedule_pin.golden; got:\n%s", got)
+	}
+}
+
+func TestRunQueueRingIsFIFOAcrossWrapAndGrowth(t *testing.T) {
+	procs := make([]*Proc, 100)
+	for i := range procs {
+		procs[i] = &Proc{seq: uint64(i)}
+	}
+	var q runq
+	next, want := 0, 0
+	push := func(k int) {
+		for ; k > 0; k-- {
+			q.push(procs[next])
+			next++
+		}
+	}
+	pop := func(k int) {
+		for ; k > 0; k-- {
+			if p := q.pop(); p != procs[want] {
+				t.Fatalf("popped proc %d, want %d", p.seq, want)
+			}
+			want++
+		}
+	}
+	push(12)
+	pop(10) // head near the end of the initial 16-slot ring
+	push(10)
+	if len(q.buf) != 16 || q.head+q.n <= len(q.buf) {
+		t.Fatalf("ring of %d with head %d, n %d: not wrapped", len(q.buf), q.head, q.n)
+	}
+	pop(5)
+	push(40) // grows twice while wrapped
+	if len(q.buf) != 64 {
+		t.Fatalf("ring grew to %d, want 64", len(q.buf))
+	}
+	pop(q.n)
+	push(33)
+	pop(33)
+	if q.n != 0 {
+		t.Fatalf("%d left in an emptied ring", q.n)
+	}
+	for i, p := range q.buf {
+		if p != nil {
+			t.Fatalf("slot %d of an emptied ring still holds proc %d", i, p.seq)
+		}
+	}
+}
+
+func TestHighQueueDrainsBeforeLow(t *testing.T) {
+	rt := NewRuntime()
+	var order []string
+	for i := 0; i < 40; i++ { // enough of each to grow both rings
+		pri, tag := Low, "L"
+		if i%2 == 1 {
+			pri, tag = High, "H"
+		}
+		name := fmt.Sprintf("%s%02d", tag, i)
+		rt.Go(name, nil, pri, func(p *Proc) { order = append(order, name) })
+	}
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string(nil), order...)
+	sort.Strings(want) // "H.." before "L..", creation order within each
+	if strings.Join(order, " ") != strings.Join(want, " ") {
+		t.Fatalf("run order %v", order)
+	}
+}
+
+func TestTimerHeapPopsInOrderAndRecyclesUnpinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rt := NewRuntime()
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	var want []key
+	pinned := map[*timerEv]bool{}
+	check := func() {
+		for i, ev := range rt.timers {
+			if ev.index != i {
+				t.Fatalf("event at heap position %d records index %d", i, ev.index)
+			}
+			if i > 0 && ev.before(rt.timers[(i-1)/4]) {
+				t.Fatalf("heap position %d fires before its parent", i)
+			}
+		}
+	}
+	popAll := func() (got []key, cancelled int) {
+		for len(rt.timers) > 0 {
+			ev := rt.timers.pop()
+			check()
+			got = append(got, key{ev.at, ev.seq})
+			if ev.cancelled {
+				cancelled++
+			}
+			rt.freeTimerEv(ev)
+		}
+		return got, cancelled
+	}
+	less := func(a, b key) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+
+	for round := 0; round < 3; round++ {
+		want = want[:0]
+		nPinned, nCancelled := 0, 0
+		for i := 0; i < 500; i++ {
+			// Few distinct instants, so seq breaks many ties.
+			ev := rt.addTimer(Time(rng.Intn(40)), nil, nil)
+			switch rng.Intn(4) {
+			case 0:
+				ev.pinned = true
+				pinned[ev] = true
+				nPinned++
+			case 1:
+				ev.cancelled = true
+				nCancelled++
+			}
+			want = append(want, key{ev.at, ev.seq})
+			check()
+		}
+		if len(rt.evFree) != 0 {
+			t.Fatalf("round %d: %d recycled events left unused by 500 pushes", round, len(rt.evFree))
+		}
+		sort.Slice(want, func(i, j int) bool { return less(want[i], want[j]) })
+		got, cancelled := popAll()
+		if len(got) != len(want) || cancelled != nCancelled {
+			t.Fatalf("popped %d events (%d cancelled), want %d (%d)", len(got), cancelled, len(want), nCancelled)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("pop %d is %v, want %v", i, got[i], want[i])
+			}
+		}
+		if len(rt.evFree) != 500-nPinned {
+			t.Fatalf("round %d: %d events on the free list, want the %d unpinned", round, len(rt.evFree), 500-nPinned)
+		}
+		for _, ev := range rt.evFree {
+			if pinned[ev] {
+				t.Fatal("a pinned event was recycled")
+			}
+		}
+	}
+}

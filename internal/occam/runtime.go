@@ -1,9 +1,9 @@
 package occam
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +29,7 @@ func (p Priority) String() string {
 	return "low"
 }
 
-// errKilled unwinds process goroutines during Runtime.Shutdown.
+// errKilled unwinds process coroutines during Runtime.Shutdown.
 var errKilled = errors.New("occam: runtime shut down")
 
 // ErrDeadlock is returned (wrapped in a DeadlockError) by Run when no
@@ -67,17 +67,23 @@ const (
 	stCPU
 )
 
-// Proc is an Occam process: a goroutine scheduled by the virtual-time
-// Runtime. All blocking primitives take the Proc as receiver and may
-// only be called from the process's own goroutine while it is the
-// currently scheduled process.
+// Proc is an Occam process: a coroutine resumed by the virtual-time
+// Runtime's dispatch loop. All blocking primitives take the Proc as
+// receiver and may only be called from the process's own body while it
+// is the currently scheduled process.
 type Proc struct {
 	rt   *Runtime
 	node *Node
 	name string
 	pri  Priority
-	wake chan struct{}
 	seq  uint64
+
+	// The iter.Pull coroutine running the process body: the dispatch
+	// loop calls resume, park calls yield to switch back to it, and
+	// Shutdown calls stop.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 
 	// Blocked-state diagnostics (see statusText).
 	stKind statusKind
@@ -143,35 +149,114 @@ type timerEv struct {
 	grant     *Node // non-nil: a CPU grant for p completes on this node
 	pinned    bool  // an Alt guard holds a pointer; never recycle
 	cancelled bool
-	index     int
+	index     int // position in the timer heap while queued
 }
 
+// before reports whether ev fires ahead of o: earlier time first, then
+// insertion order.
+func (ev *timerEv) before(o *timerEv) bool {
+	return ev.at < o.at || (ev.at == o.at && ev.seq < o.seq)
+}
+
+// timerHeap is a 4-ary min-heap of pending timer events ordered by
+// (at, seq). Four children per node halve the depth of the binary heap
+// for the same compares per level, and the monomorphic sift loops keep
+// the hot path free of interface calls and boxing.
 type timerHeap []*timerEv
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *timerHeap) Push(x any) {
-	ev := x.(*timerEv)
-	ev.index = len(*h)
+// push inserts ev.
+func (h *timerHeap) push(ev *timerEv) {
 	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
-func (h *timerHeap) Pop() any {
+
+// pop removes and returns the earliest event. The heap must not be
+// empty.
+func (h *timerHeap) pop() *timerEv {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	n := len(old) - 1
+	top, last := old[0], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		h.down(0, last)
+	}
+	return top
+}
+
+// up places ev at position i or above, moving later parents down.
+func (h timerHeap) up(i int, ev *timerEv) {
+	for i > 0 {
+		parent := (i - 1) / 4
+		pe := h[parent]
+		if !ev.before(pe) {
+			break
+		}
+		h[i] = pe
+		pe.index = i
+		i = parent
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down places ev at position i or below, moving earlier children up.
+func (h timerHeap) down(i int, ev *timerEv) {
+	n := len(h)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min, me := first, h[first]
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if ce := h[c]; ce.before(me) {
+				min, me = c, ce
+			}
+		}
+		if !me.before(ev) {
+			break
+		}
+		h[i] = me
+		me.index = i
+		i = min
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// runq is a FIFO run queue: a power-of-two ring, so push and pop are
+// O(1) however many processes become ready at one instant.
+type runq struct {
+	buf  []*Proc // len is zero or a power of two
+	head int     // position of the first queued process
+	n    int     // queued processes
+}
+
+func (q *runq) push(p *Proc) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.n++
+}
+
+// pop removes and returns the first queued process. The queue must not
+// be empty.
+func (q *runq) pop() *Proc {
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return p
+}
+
+// grow doubles a full ring, unwrapping it to start at position zero.
+func (q *runq) grow() {
+	buf := make([]*Proc, max(2*len(q.buf), 16))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // Runtime is a deterministic virtual-time scheduler for Occam
@@ -179,21 +264,32 @@ func (h *timerHeap) Pop() any {
 // every process is blocked the clock jumps to the next timer event.
 // Create with NewRuntime, start processes with Go, then drive the
 // simulation with Run or RunUntil.
+//
+// Processes are coroutines of the goroutine that calls RunUntil (see
+// the package comment): its dispatch loop resumes one process, which
+// runs until it parks and switches straight back, naming the process it
+// popped as the one to resume next.
+//
+// mu guards every field below. With one process running at a time it
+// is never contended; it is what makes Now, Switches, NumProcs, Done
+// and the Node readers safe to call from a goroutine other than the
+// one inside RunUntil. It travels with the baton: a primitive locks it,
+// park switches away still holding it, and the process resumed next
+// finds it held and releases it on returning to user code, so a switch
+// costs one lock and one unlock in all.
 type Runtime struct {
 	mu       sync.Mutex
 	now      Time
 	seq      uint64
-	runqHigh []*Proc
-	runqLow  []*Proc
+	runqHigh runq
+	runqLow  runq
 	timers   timerHeap
 	evFree   []*timerEv // recycled timer events
 	limit    Time
 	procs    map[*Proc]struct{}
 	killed   bool
-	rootCh   chan struct{}
-	rootWait bool
-	running  bool // inside Run
-	wg       sync.WaitGroup
+	running  bool  // inside RunUntil
+	handoff  *Proc // popped by the process that just parked or exited; the dispatch loop resumes it next
 
 	// Trace, if non-nil, receives a line for every scheduling event.
 	// For debugging; nil in normal use.
@@ -205,9 +301,8 @@ type Runtime struct {
 // NewRuntime returns an empty runtime at time zero.
 func NewRuntime() *Runtime {
 	return &Runtime{
-		procs:  make(map[*Proc]struct{}),
-		rootCh: make(chan struct{}, 1),
-		limit:  Forever,
+		procs: make(map[*Proc]struct{}),
+		limit: Forever,
 	}
 }
 
@@ -249,83 +344,67 @@ func (rt *Runtime) Go(name string, node *Node, pri Priority, fn func(p *Proc)) *
 		node: node,
 		name: name,
 		pri:  pri,
-		wake: make(chan struct{}, 1),
 		seq:  rt.seq,
 	}
-	rt.procs[p] = struct{}{}
-	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// Every switch, either way, happens with mu held: the body
+		// drops it here and retakes it on the way out.
+		rt.mu.Unlock()
 		defer func() {
-			if r := recover(); r != nil {
-				if r == errKilled {
-					// Clean shutdown unwind: deregister the process.
-					rt.mu.Lock()
-					delete(rt.procs, p)
-					rt.mu.Unlock()
-					return
+			r := recover() // nil: fn returned
+			rt.mu.Lock()
+			delete(rt.procs, p)
+			switch r {
+			case nil:
+				// Pick the successor; returning switches to the
+				// dispatch loop.
+				if rt.Trace != nil {
+					rt.trace("exit %s", p.name)
 				}
+				rt.handoff = rt.pick()
+			case errKilled:
+				// The clean Shutdown unwind.
+			default:
+				// Carries on out of resume, in the goroutine running
+				// RunUntil.
 				panic(fmt.Sprintf("occam: process %q panicked: %v", p.name, r))
 			}
 		}()
-		<-p.wake // wait to be scheduled for the first time
-		rt.mu.Lock()
-		if rt.killed {
-			rt.mu.Unlock()
-			panic(errKilled)
-		}
-		rt.mu.Unlock()
 		fn(p)
-		rt.exit(p)
-	}()
+	})
+	rt.procs[p] = struct{}{}
 	rt.ready(p)
 	return p
-}
-
-// exit removes a finished process and hands the CPU to the scheduler.
-func (rt *Runtime) exit(p *Proc) {
-	rt.mu.Lock()
-	delete(rt.procs, p)
-	if rt.Trace != nil {
-		rt.trace("exit %s", p.name)
-	}
-	rt.schedule()
-	rt.mu.Unlock()
 }
 
 // ready appends p to the run queue for its priority. Caller holds mu.
 func (rt *Runtime) ready(p *Proc) {
 	p.stKind = stRunnable
 	if p.pri == High {
-		rt.runqHigh = append(rt.runqHigh, p)
+		rt.runqHigh.push(p)
 	} else {
-		rt.runqLow = append(rt.runqLow, p)
+		rt.runqLow.push(p)
 	}
 }
 
 // popRunnable removes and returns the next process to run, or nil.
 // Caller holds mu.
 func (rt *Runtime) popRunnable() *Proc {
-	if len(rt.runqHigh) > 0 {
-		p := rt.runqHigh[0]
-		copy(rt.runqHigh, rt.runqHigh[1:])
-		rt.runqHigh = rt.runqHigh[:len(rt.runqHigh)-1]
-		return p
+	if rt.runqHigh.n > 0 {
+		return rt.runqHigh.pop()
 	}
-	if len(rt.runqLow) > 0 {
-		p := rt.runqLow[0]
-		copy(rt.runqLow, rt.runqLow[1:])
-		rt.runqLow = rt.runqLow[:len(rt.runqLow)-1]
-		return p
+	if rt.runqLow.n > 0 {
+		return rt.runqLow.pop()
 	}
 	return nil
 }
 
-// schedule hands the CPU to the next runnable process, advancing the
-// clock through timer events as needed. If nothing can run before the
-// limit it wakes the root (Run). Caller holds mu and is giving up the
-// CPU (it is blocked, exiting, or is the root).
-func (rt *Runtime) schedule() {
+// pick chooses the next process to run, advancing the clock through
+// timer events as needed, and counts the switch to it. It returns nil
+// when nothing can run before the limit. Caller holds mu and is giving
+// up the CPU (it is parking, exiting, or is the dispatch loop).
+func (rt *Runtime) pick() *Proc {
 	for {
 		if p := rt.popRunnable(); p != nil {
 			rt.switches++
@@ -333,46 +412,42 @@ func (rt *Runtime) schedule() {
 			if rt.Trace != nil {
 				rt.trace("run %s", p.name)
 			}
-			p.wake <- struct{}{}
-			return
+			return p
 		}
 		if !rt.advanceClock() {
-			return
+			return nil
 		}
 	}
 }
 
-// advanceClock is schedule's nothing-runnable step: it discards
-// cancelled timers, advances the clock to the next event and fires
-// everything due at that instant. It returns false when there is
-// nothing left to run before the limit (the root has been woken) and
-// true when timers fired, so the caller should re-check the run queue.
-// Caller holds mu.
+// advanceClock is pick's nothing-runnable step: it discards cancelled
+// timers, advances the clock to the next event and fires everything
+// due at that instant. It returns false when there is nothing left to
+// run before the limit and true when timers fired, so the caller
+// should re-check the run queue. Caller holds mu.
 func (rt *Runtime) advanceClock() bool {
-	for rt.timers.Len() > 0 && rt.timers[0].cancelled {
-		rt.freeTimerEv(heap.Pop(&rt.timers).(*timerEv))
+	for len(rt.timers) > 0 && rt.timers[0].cancelled {
+		rt.freeTimerEv(rt.timers.pop())
 	}
-	if rt.timers.Len() == 0 {
+	if len(rt.timers) == 0 {
 		// Quiescent with no future event: completion, or the end
 		// of a bounded run, or deadlock.
 		if rt.limit != Forever && rt.limit > rt.now {
 			rt.now = rt.limit
 		}
-		rt.wakeRoot()
 		return false
 	}
 	next := rt.timers[0]
 	if next.at > rt.limit {
 		rt.now = rt.limit
-		rt.wakeRoot()
 		return false
 	}
 	if next.at > rt.now {
 		rt.now = next.at
 	}
 	// Fire every timer due at this instant, in insertion order.
-	for rt.timers.Len() > 0 && rt.timers[0].at <= rt.now {
-		ev := heap.Pop(&rt.timers).(*timerEv)
+	for len(rt.timers) > 0 && rt.timers[0].at <= rt.now {
+		ev := rt.timers.pop()
 		if ev.cancelled {
 			rt.freeTimerEv(ev)
 			continue
@@ -396,13 +471,6 @@ func (rt *Runtime) advanceClock() bool {
 	return true
 }
 
-func (rt *Runtime) wakeRoot() {
-	if rt.rootWait {
-		rt.rootWait = false
-		rt.rootCh <- struct{}{}
-	}
-}
-
 func (rt *Runtime) trace(format string, args ...any) {
 	if rt.Trace != nil {
 		rt.Trace(fmt.Sprintf("[%v] ", rt.now) + fmt.Sprintf(format, args...))
@@ -423,7 +491,7 @@ func (rt *Runtime) addTimer(at Time, p *Proc, fn func()) *timerEv {
 	} else {
 		ev = &timerEv{at: at, seq: rt.seq, p: p, fn: fn}
 	}
-	heap.Push(&rt.timers, ev)
+	rt.timers.push(ev)
 	return ev
 }
 
@@ -449,40 +517,19 @@ func (rt *Runtime) park(p *Proc, kind statusKind, name string) {
 	if rt.Trace != nil {
 		rt.trace("park %s: %s", p.name, p.statusText())
 	}
-	// Inline schedule() with a self-handoff fast path: when the next
-	// process to run is the one parking (its own timer fired during the
-	// clock advance, or it was readied before parking), skip the wake
-	// channel round-trip entirely — the paced-loop case (sleep, wake,
-	// sleep...) costs two heap operations and no channel traffic.
-	for {
-		next := rt.popRunnable()
-		if next == nil {
-			if rt.advanceClock() {
-				continue
-			}
-			break // nothing to run before the limit; root woken
-		}
-		rt.switches++
-		next.stKind = stRunning
-		if rt.Trace != nil {
-			rt.trace("run %s", next.name)
-		}
-		if next == p {
-			if rt.killed {
-				panic(errKilled)
-			}
-			return
-		}
-		next.wake <- struct{}{}
-		break
+	// Self-handoff fast path: when the next process to run is the one
+	// parking (its own timer fired during the clock advance, or it was
+	// readied before parking), skip the coroutine switch entirely — the
+	// paced-loop case (sleep, wake, sleep...) costs two heap operations.
+	next := rt.pick()
+	if next != p {
+		rt.handoff = next
+		p.yield(struct{}{}) // mu passes to the dispatch loop, and comes back with the resume
+		p.stKind = stRunning
 	}
-	rt.mu.Unlock()
-	<-p.wake
-	rt.mu.Lock()
 	if rt.killed {
 		panic(errKilled)
 	}
-	p.stKind = stRunning
 }
 
 // Run drives the simulation until every process has exited or the
@@ -501,29 +548,34 @@ func (rt *Runtime) RunFor(d time.Duration) error {
 // *DeadlockError). It may be called repeatedly with increasing t.
 func (rt *Runtime) RunUntil(t Time) error {
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.running {
-		rt.mu.Unlock()
 		panic("occam: RunUntil re-entered")
 	}
 	if rt.killed {
-		rt.mu.Unlock()
 		return errors.New("occam: runtime has been shut down")
 	}
 	rt.running = true
 	rt.limit = t
-	rt.rootWait = true
-	rt.schedule()
-	rt.mu.Unlock()
-	<-rt.rootCh
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.running = false
-	rt.limit = Forever
+	defer func() {
+		rt.running = false
+		rt.limit = Forever
+	}()
+	// The dispatch loop. mu goes with every switch: the resumed process
+	// releases it while it runs user code and holds it again when it
+	// comes back, having parked or exited and left in handoff the
+	// process it picked to follow it (nil: nothing can run before the
+	// limit). A panicking process comes back the same way, as a panic
+	// out of resume.
+	for p := rt.pick(); p != nil; p, rt.handoff = rt.handoff, nil {
+		p.resume()
+	}
 	// A deadlock is only an error for an unbounded run: a bounded run
 	// that goes quiescent early (server processes parked waiting for
 	// input that will arrive in a later RunUntil) is a normal outcome.
-	if t == Forever && len(rt.procs) > 0 && rt.timers.Len() == 0 &&
-		len(rt.runqHigh) == 0 && len(rt.runqLow) == 0 {
+	// An unbounded run only stops with the run queues and the timer
+	// heap empty, so any process left is blocked for good.
+	if t == Forever && len(rt.procs) > 0 {
 		return &DeadlockError{Now: rt.now, Procs: rt.procDump()}
 	}
 	return nil
@@ -547,24 +599,27 @@ func (rt *Runtime) Done() bool {
 	return len(rt.procs) == 0
 }
 
-// Shutdown terminates all processes (unwinding their goroutines) and
-// waits for them to exit. The runtime cannot be used afterwards. It is
-// safe to call from the root goroutine after Run returns.
+// Shutdown terminates all processes, unwinding the coroutines of those
+// that have started and discarding those that have not, so none of
+// their goroutines outlives it. The runtime cannot be used afterwards.
+// Call it from the root goroutine after Run returns.
 func (rt *Runtime) Shutdown() {
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.killed {
-		rt.mu.Unlock()
 		return
 	}
-	rt.killed = true
-	for p := range rt.procs {
-		select {
-		case p.wake <- struct{}{}:
-		default: // already has a pending wake
-		}
+	if rt.running {
+		panic("occam: Shutdown during RunUntil")
 	}
-	rt.mu.Unlock()
-	rt.wg.Wait()
+	rt.killed = true
+	procs := rt.procs
+	rt.procs = nil
+	// A stopped process's yield returns into park, which panics with
+	// errKilled and unwinds the body.
+	for p := range procs {
+		p.stop()
+	}
 }
 
 // Sleep blocks the process for d of virtual time.

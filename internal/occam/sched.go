@@ -1,7 +1,5 @@
 package occam
 
-import "container/heap"
-
 // Scheduler-context primitives: the machinery that lets a subsystem be
 // *passive* — driven by timer callbacks and woken processes instead of
 // by dedicated processes of its own. A message pipeline built from
@@ -13,19 +11,28 @@ import "container/heap"
 //
 // Two execution contexts exist and must not be confused:
 //
-//   - process context: ordinary user code, running without the
-//     scheduler lock. It may call every blocking primitive, and arms
-//     Timers with Timer.Schedule and raises Signals with Signal.Raise.
+//   - process context: ordinary user code in a process body — a
+//     coroutine the dispatch loop in RunUntil has switched into. It runs
+//     without the runtime lock, may call every blocking primitive, and
+//     arms Timers with Timer.Schedule and raises Signals with
+//     Signal.Raise.
 //   - scheduler context: a Timer callback, running *inside* the
-//     scheduler with the runtime lock held. It must not block and must
-//     not call anything that re-enters the runtime (Proc methods,
-//     channel operations, Runtime.Now). It receives a Sched capability
-//     and goes through that for everything: Sched.Now, Sched.Schedule,
+//     scheduler with the runtime lock held. The scheduler has no
+//     goroutine of its own: its code runs in whichever context is giving
+//     up the CPU — the process that is parking or exiting, which picks
+//     its own successor, or the dispatch loop — so a callback may find
+//     itself on any process's stack. It must not block and must not
+//     call anything that re-enters the runtime (Proc methods, channel
+//     operations, Runtime.Now). It receives a Sched capability and goes
+//     through that for everything: Sched.Now, Sched.Schedule,
 //     Sched.Raise.
 //
-// Both contexts are serialised with all process code by the runtime
-// lock, so callback code may touch the same plain data structures
-// processes touch, with no extra locking.
+// Only one of the dispatch loop and the processes is ever executing,
+// so callback code may touch the same plain data structures processes
+// touch, with no extra locking. The runtime lock is not what
+// serialises them; it guards the scheduler's own state so that
+// Runtime.Now, Switches, NumProcs and the Node readers may be called
+// from a goroutine outside the simulation.
 
 // Sched is the capability handle passed to Timer callbacks. It proves
 // the caller is in scheduler context (runtime lock held) and exposes
@@ -72,8 +79,8 @@ func NewTimer(rt *Runtime, fn func(s Sched)) *Timer {
 func (tm *Timer) Schedule(t Time) {
 	rt := tm.rt
 	rt.mu.Lock()
+	defer rt.mu.Unlock() // scheduleLocked panics on an armed timer
 	tm.scheduleLocked(t)
-	rt.mu.Unlock()
 }
 
 // Active reports whether the timer is armed. Call from process
@@ -92,7 +99,7 @@ func (tm *Timer) scheduleLocked(t Time) {
 	tm.ev.at, tm.ev.seq = t, rt.seq
 	tm.ev.cancelled = false
 	tm.active = true
-	heap.Push(&rt.timers, &tm.ev)
+	rt.timers.push(&tm.ev)
 }
 
 // Signal is a single-waiter level-triggered wakeup: the bridge from
@@ -101,10 +108,10 @@ func (tm *Timer) scheduleLocked(t Time) {
 // next Wait returns immediately (raises do not accumulate past one).
 // Exactly one process may wait at a time.
 type Signal struct {
-	rt   *Runtime
-	nm   string
-	p    *Proc
-	set  bool
+	rt  *Runtime
+	nm  string
+	p   *Proc
+	set bool
 }
 
 // NewSignal returns a signal. The name shows up in deadlock dumps as

@@ -2,10 +2,15 @@
 // Inmos transputer / Occam 2 execution environment that the Pandora
 // system was built on (paper §3.1).
 //
-// Processes are goroutines scheduled one at a time by a virtual-time
+// Processes are coroutines resumed one at a time by a virtual-time
 // scheduler, so every run is exactly reproducible and experiments that
 // span minutes of stream time complete in milliseconds of wall time.
-// The primitives mirror Occam:
+// The goroutine that calls Runtime.RunUntil is the only one that runs:
+// its dispatch loop switches into a process, the process switches back
+// when it blocks, and the Go scheduler is never involved — the
+// transputer's cheap context switch (§3.1) is a direct coroutine
+// switch here. A panic in a process surfaces from RunUntil in that
+// caller. The primitives mirror Occam:
 //
 //   - rendezvous channels (Chan) with blocking Send/Recv,
 //   - prioritised alternation (Proc.Alt, the PRI ALT construct),

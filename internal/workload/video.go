@@ -8,21 +8,35 @@ import "repro/internal/video"
 type Camera struct {
 	w, h  int
 	frame int
+	buf   video.Frame // NextFrame's picture, rendered over each time
 }
 
 // NewCamera returns a camera of the given dimensions.
 func NewCamera(w, h int) *Camera { return &Camera{w: w, h: h} }
 
-// NextFrame produces the next frame.
+// NextFrame produces the next frame in a buffer the camera owns: the
+// picture is valid until the following NextFrame.
 func (c *Camera) NextFrame() *video.Frame {
-	f := c.FrameAt(c.frame)
+	c.buf.Reuse(c.w, c.h)
+	c.render(&c.buf, c.frame)
 	c.frame++
-	return f
+	return &c.buf
 }
+
+// SkipFrame passes over the next frame without rendering it, for a
+// camera nobody is reading: later frames come out as if it had been
+// produced.
+func (c *Camera) SkipFrame() { c.frame++ }
 
 // FrameAt produces frame number n deterministically.
 func (c *Camera) FrameAt(n int) *video.Frame {
 	f := video.NewFrame(c.w, c.h)
+	c.render(f, n)
+	return f
+}
+
+// render draws frame number n over every pixel of f.
+func (c *Camera) render(f *video.Frame, n int) {
 	for y := 0; y < c.h; y++ {
 		for x := 0; x < c.w; x++ {
 			f.Set(x, y, byte((x*2+y+n*3)&0xFF))
@@ -38,5 +52,4 @@ func (c *Camera) FrameAt(n int) *video.Frame {
 			f.Set(x, y, 250)
 		}
 	}
-	return f
 }
