@@ -5,13 +5,13 @@
 // and pass buffer *indices* through the rest of the system — data is
 // copied "once into memory, and once out for each output device".
 //
-// The allocator is an Occam process. Its defining behaviour, straight
-// from the paper: "If there are no buffers available, then the
-// allocator will not listen for any requests, and the requesting
-// processes will be descheduled by the usual channel synchronisation
-// mechanism until the allocator is ready to receive again. The
-// allocator reports this (serious) fault on its report channel so
-// that it can be logged."
+// In the paper the allocator is an Occam process; here it is passive
+// (see Pool) and keeps that process's defining behaviour: "If there
+// are no buffers available, then the allocator will not listen for any
+// requests, and the requesting processes will be descheduled by the
+// usual channel synchronisation mechanism until the allocator is ready
+// to receive again. The allocator reports this (serious) fault on its
+// report channel so that it can be logged."
 //
 // Reference-count protocol (§3.4): a process must inform the
 // allocator when it finishes with a buffer without passing it on
@@ -100,7 +100,8 @@ type waiter struct {
 // descheduled" — by parking requesters on signals in FIFO order; the
 // Release that frees a buffer grants it to the longest-waiting
 // requester and wakes it. Only the report protocol (command/report
-// channels, like all other Pandora processes) keeps a process.
+// channels, like all other Pandora processes) keeps a process, and
+// only for a pool that was given a report channel.
 type Pool struct {
 	rt      *occam.Runtime
 	bufs    []*Buffer
@@ -121,8 +122,9 @@ type Pool struct {
 	source      string
 }
 
-// New creates a pool of n buffers and starts the report process on
-// node. reports may be nil.
+// New creates a pool of n buffers. With a report channel it also
+// starts the report process on node; with nil nobody collects reports,
+// so there is no process and RequestReport is a no-op.
 func New(rt *occam.Runtime, node *occam.Node, n int, reports *occam.Chan[Report]) *Pool {
 	if n <= 0 {
 		panic("allocator: pool size must be positive")
@@ -132,14 +134,16 @@ func New(rt *occam.Runtime, node *occam.Node, n int, reports *occam.Chan[Report]
 		bufs:    make([]*Buffer, n),
 		refs:    make([]int, n),
 		free:    make([]int, 0, n),
-		cmd:     occam.NewChan[struct{}](rt, "alloc.cmd"),
 		reports: reports,
 	}
 	for i := n - 1; i >= 0; i-- {
 		pl.bufs[i] = &Buffer{Index: i}
 		pl.free = append(pl.free, i)
 	}
-	rt.Go("allocator", node, occam.High, pl.run)
+	if reports != nil {
+		pl.cmd = occam.NewChan[struct{}](rt, "alloc.cmd")
+		rt.Go("allocator", node, occam.High, pl.run)
+	}
 	return pl
 }
 
@@ -161,9 +165,7 @@ func (pl *Pool) Observe(reg *obs.Registry, owner string) {
 func (pl *Pool) run(p *occam.Proc) {
 	for {
 		pl.cmd.Recv(p)
-		if pl.reports != nil {
-			pl.reports.Send(p, Report{Free: len(pl.free), Total: len(pl.bufs)})
-		}
+		pl.reports.Send(p, Report{Free: len(pl.free), Total: len(pl.bufs)})
 	}
 }
 
@@ -265,8 +267,12 @@ func (pl *Pool) Release(p *occam.Proc, b *Buffer) {
 	}
 }
 
-// RequestReport asks the allocator to emit a status report.
+// RequestReport asks the allocator to emit a status report. It
+// returns at once on a pool built without a report channel.
 func (pl *Pool) RequestReport(p *occam.Proc) {
+	if pl.reports == nil {
+		return
+	}
 	pl.cmd.Send(p, struct{}{})
 }
 

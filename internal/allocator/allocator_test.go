@@ -186,6 +186,25 @@ func TestStatusReport(t *testing.T) {
 	}
 }
 
+func TestRequestReportWithoutChannelReturnsAtOnce(t *testing.T) {
+	// A pool nobody collects reports from runs no report process, so a
+	// request must not rendezvous with one.
+	rt := occam.NewRuntime()
+	pl := New(rt, nil, 3, nil)
+	if n := rt.NumProcs(); n != 0 {
+		t.Fatalf("pool without a report channel started %d processes", n)
+	}
+	returned := false
+	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
+		pl.RequestReport(p)
+		returned = true
+	})
+	run(t, rt, time.Second)
+	if !returned {
+		t.Fatal("RequestReport blocked on a pool without a report channel")
+	}
+}
+
 func TestRetainThenMultiReleaseOrdering(t *testing.T) {
 	// The §3.4 protocol under wire payloads: a buffer fanned out to
 	// three holders survives the first two releases with its payload

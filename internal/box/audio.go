@@ -25,8 +25,7 @@ import (
 
 func (b *Box) startAudio() {
 	rt, name := b.rt, b.cfg.Name
-	b.micOutBuf = decouple.New[wireMsg](rt, b.audioNode, name+".micbuf", 8, nil,
-		decouple.WithReady(), decouple.WithObs(b.cfg.Obs))
+	b.micOutBuf = decouple.New[wireMsg](rt, name+".micbuf", 8, b.cfg.Obs)
 
 	outPri, inPri := occam.High, occam.Low
 	if b.cfg.RepositoryPriority {
@@ -43,7 +42,6 @@ func (b *Box) startAudio() {
 // segments for the server writer. Segments are stamped "as close as
 // possible to the data source" (§3.2).
 func (b *Box) runMicReader(p *occam.Proc) {
-	sender := decouple.NewSender(b.micOutBuf)
 	// The accumulating segment is built in place: blocks are filled
 	// directly into the tail of a reused sample buffer (for sources
 	// implementing workload.BlockFiller) and the Audio header is reset
@@ -60,31 +58,18 @@ func (b *Box) runMicReader(p *occam.Proc) {
 		seq     uint32
 		perSeg  = b.cfg.BlocksPerSegment
 	)
-	// The guard slice is hoisted: Recv overwrites cmd/ready wholesale
-	// on every fire, so the variables can be reused across iterations.
+	// The guard slice is hoisted: Recv overwrites cmd wholesale on
+	// every fire, so the variable can be reused across iterations.
 	var (
 		cmd    audioCmd
-		ready  bool
-		guards = []occam.Guard{
-			occam.Recv(b.audioCmds, &cmd),
-			sender.ReadyGuard(&ready),
-			occam.Skip(),
-		}
+		guards = []occam.Guard{occam.Recv(b.audioCmds, &cmd), occam.Skip()}
 	)
 	for n := int64(0); ; n++ {
 		p.SleepUntil(occam.Time(n * int64(segment.BlockDuration)))
 		// Commands are taken between blocks (principle 4): "A command
 		// will be received as soon as the process has finished
 		// dealing with any current segment."
-		for {
-			which := p.Alt(guards...)
-			if which == 2 {
-				break
-			}
-			if which == 1 {
-				sender.Update(ready)
-				continue
-			}
+		for p.Alt(guards...) == 0 {
 			switch {
 			case cmd.StartMic != nil:
 				stream, active, seq = *cmd.StartMic, true, 0
@@ -144,7 +129,7 @@ func (b *Box) runMicReader(p *occam.Proc) {
 			w := b.wires.Encode(aseg.Reset(seq, stampAt, adata))
 			seq++
 			nblocks = 0
-			if !sender.Deliver(p, wireMsg{Stream: stream, W: w}) {
+			if !b.micOutBuf.Deliver(p, wireMsg{Stream: stream, W: w}) {
 				// Back pressure reached the source: throw away data
 				// here, closest to the codec (§3.7.1).
 				w.Release()
@@ -161,7 +146,7 @@ func (b *Box) runMicReader(p *occam.Proc) {
 // 20 Mbit/s link to the server.
 func (b *Box) runServerWriter(p *occam.Proc) {
 	for {
-		msg := b.micOutBuf.Out.Recv(p)
+		msg := b.micOutBuf.Recv(p)
 		b.audioToServer.Send(p, msg, msg.W.Len()+segment.StreamNumberSize)
 	}
 }

@@ -11,6 +11,10 @@
 // interaction with the host" (§1.2). Reports from every process are
 // multiplexed to a host log.
 //
+// A stage is a process only if it spends virtual time or must block
+// independently of its caller: 13 per box. The decoupling buffers
+// between them, the buffer allocator and the host log are passive.
+//
 // Ownership: each box owns one segment.WirePool. Sources (mic,
 // camera) encode into it; the server switch Retains once per extra
 // output before fanning a wire out; every sink (speaker mixer,
@@ -237,15 +241,14 @@ type Box struct {
 
 	host *atm.Host
 
-	// Reports multiplexed to the host (§1.2).
-	Reports *occam.Chan[Report]
-	Log     *HostLog
+	// Log collects the reports multiplexed to the host (§1.2).
+	Log *HostLog
 
 	// Server board.
 	pool      *allocator.Pool
 	toSwitch  *occam.Chan[*allocator.Buffer]
 	switchCmd *occam.Chan[SwitchCommand]
-	outBufs   [numOutputs + 1]*decouple.Process[*allocator.Buffer]
+	outBufs   [numOutputs + 1]*decouple.Buffer[*allocator.Buffer]
 	swStats   SwitchStats
 	netVCI    map[uint32][]uint32 // stream → outgoing VCIs
 	// shedNet parks a relay stream's forwarded fan-out while the
@@ -284,7 +287,7 @@ type Box struct {
 	audioCmds *occam.Chan[audioCmd]
 	mix       *mixer.Mixer
 	muter     *muting.Muter
-	micOutBuf *decouple.Process[wireMsg]
+	micOutBuf *decouple.Buffer[wireMsg]
 	audioStat AudioStats
 
 	// Capture board.
@@ -350,7 +353,7 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		captureNode: occam.NewNode(rt, cfg.Name+".captureT"),
 		mixerNode:   occam.NewNode(rt, cfg.Name+".mixerT"),
 		host:        net.AddHost(cfg.Name),
-		Reports:     occam.NewChan[Report](rt, cfg.Name+".reports"),
+		Log:         &HostLog{},
 		toSwitch:    occam.NewChan[*allocator.Buffer](rt, cfg.Name+".toswitch"),
 		switchCmd:   occam.NewChan[SwitchCommand](rt, cfg.Name+".switchcmd"),
 		netVCI:      make(map[uint32][]uint32),
@@ -367,7 +370,6 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 	}
 	b.swStats.PerStreamDrops = make(map[uint32]uint64)
 	b.displayStat.FrameLat = metrics.NewTracker(cfg.Name + ".frameLat")
-	b.Log = NewHostLog(rt, b.Reports)
 	b.pool = allocator.New(rt, b.serverNode, cfg.PoolBuffers, nil)
 	b.pool.Observe(cfg.Obs, cfg.Name)
 	b.trace = cfg.Obs.Tracer()

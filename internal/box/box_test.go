@@ -2,6 +2,7 @@ package box
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,6 +30,44 @@ func run(t *testing.T, rt *occam.Runtime, d time.Duration) {
 	t.Helper()
 	if err := rt.RunUntil(occam.Time(d)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBoxProcessCensus(t *testing.T) {
+	// A stage owns a process only if it spends virtual time or must
+	// block independently of its caller. These are the thirteen that
+	// do; a relay process added back (a buffer pump, a log collector, an
+	// idle allocator) fails here by name.
+	want := []string{
+		"pandora.audioIn", "pandora.audioOut", "pandora.audioRx", "pandora.blockHandler",
+		"pandora.capture", "pandora.captureIn", "pandora.display", "pandora.displayOut",
+		"pandora.micReader", "pandora.netIn", "pandora.netOut", "pandora.serverWriter",
+		"pandora.switch",
+	}
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	// Every process parks within its first millisecond; the scheduler
+	// trace names it when it does.
+	seen := make(map[string]bool)
+	rt.Trace = func(line string) {
+		if _, rest, ok := strings.Cut(line, "] park "); ok {
+			name, _, _ := strings.Cut(rest, ":")
+			seen[name] = true
+		}
+	}
+	New(rt, atm.New(rt), Config{})
+	if n := rt.NumProcs(); n != len(want) {
+		t.Errorf("box.New started %d processes, want %d", n, len(want))
+	}
+	run(t, rt, time.Millisecond)
+	for _, name := range want {
+		if !seen[name] {
+			t.Errorf("process %s missing", name)
+		}
+		delete(seen, name)
+	}
+	for name := range seen {
+		t.Errorf("unexpected process %s", name)
 	}
 }
 

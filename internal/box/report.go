@@ -34,42 +34,31 @@ const reportMinPeriod = 100 * time.Millisecond
 // stream, with per-kind rate limiting.
 type Reporter struct {
 	process string
-	sink    *occam.Chan[Report]
+	log     *HostLog
 	last    map[string]occam.Time
 }
 
-func newReporter(process string, sink *occam.Chan[Report]) *Reporter {
-	return &Reporter{process: process, sink: sink, last: make(map[string]occam.Time)}
+func newReporter(process string, log *HostLog) *Reporter {
+	return &Reporter{process: process, log: log, last: make(map[string]occam.Time)}
 }
 
 // Report emits a report of the given kind, suppressing repeats of the
-// same kind within the minimum period. Delivery uses TrySend so a
-// slow host log can never stall a time-critical process.
+// same kind within the minimum period. Logging is an append — zero
+// virtual time — so it can never stall a time-critical process.
 func (r *Reporter) Report(p *occam.Proc, kind, format string, args ...any) {
 	now := p.Now()
 	if t, ok := r.last[kind]; ok && now.Sub(t) < reportMinPeriod {
 		return
 	}
 	r.last[kind] = now
-	r.sink.TrySend(p, Report{At: now, Process: r.process, Text: fmt.Sprintf(format, args...)})
+	r.log.lines = append(r.log.lines, Report{At: now, Process: r.process, Text: fmt.Sprintf(format, args...)})
 }
 
-// HostLog is the host-side collector: it drains the box's report
-// channel continuously and keeps the log in memory, like the log file
-// on the workstation (§3.8).
+// HostLog is the host-side collector: the box's multiplexed reports
+// kept in memory, like the log file on the workstation (§3.8). The
+// zero value is an empty log.
 type HostLog struct {
 	lines []Report
-}
-
-// NewHostLog starts a collector process draining reports.
-func NewHostLog(rt *occam.Runtime, reports *occam.Chan[Report]) *HostLog {
-	l := &HostLog{}
-	rt.Go("host.log", nil, occam.High, func(p *occam.Proc) {
-		for {
-			l.lines = append(l.lines, reports.Recv(p))
-		}
-	})
-	return l
 }
 
 // Lines returns the collected log.

@@ -51,17 +51,18 @@ func slotName(slot int) string {
 func (b *Box) startServer() {
 	rt, name := b.rt, b.cfg.Name
 	mk := func(slot int, nm string, capacity int) {
-		opts := []decouple.Option{decouple.WithReady(), decouple.WithObs(b.cfg.Obs)}
+		buf := decouple.New[*allocator.Buffer](rt, name+"."+nm, capacity, b.cfg.Obs)
 		if ws := b.cfg.SinkStalls[slotName(slot)]; len(ws) > 0 {
-			opts = append(opts, decouple.WithStall(faultinject.Stalls(ws)))
+			buf.SetStall(faultinject.Stalls(ws))
 		}
-		b.outBufs[slot] = decouple.New[*allocator.Buffer](
-			rt, b.serverNode, name+"."+nm, capacity, nil, opts...)
+		b.outBufs[slot] = buf
 	}
 	mk(bufSpeaker, "spkbuf", switchBufferSegments)
 	mk(bufNetAudio, "netAbuf", netAudioBufferSegments)
 	mk(bufNetVideo, "netVbuf", netVideoBufferSegments)
 	mk(bufDisplay, "dispbuf", switchBufferSegments)
+	// One process drains both network buffers (runNetOut).
+	b.outBufs[bufNetVideo].ShareWake(b.outBufs[bufNetAudio])
 
 	rt.Go(name+".switch", b.serverNode, occam.High, b.runSwitch)
 	rt.Go(name+".audioIn", b.serverNode, occam.High, b.runAudioIn)
@@ -92,43 +93,30 @@ func (b *Box) appendBufSlots(slots []int, o Output, w segment.Wire) []int {
 }
 
 // runSwitch is the server data switch: PRI ALT with commands first
-// (principle 4), then ready-channel updates, then data.
+// (principle 4), then data.
 func (b *Box) runSwitch(p *occam.Proc) {
-	rep := newReporter(b.cfg.Name+".switch", b.Reports)
+	rep := newReporter(b.cfg.Name+".switch", b.Log)
 	routes := make(map[uint32]*Route)
 	shed := make(map[uint32]bool) // overload-controller suspensions
-	senders := make([]*decouple.Sender[*allocator.Buffer], numOutBufs)
-	for i := range senders {
-		senders[i] = decouple.NewSender(b.outBufs[i])
-	}
 	// Principle-3 state per output buffer: how many of the oldest
 	// streams are currently being degraded, and when the last forced
 	// (buffer-full) drop happened.
 	degrade := make([]int, numOutBufs)
 	lastForced := make([]occam.Time, numOutBufs)
 
-	// The guard slice is built once and reused: the sender ready
-	// guards track their own conditions across iterations.
+	// The guard slice is built once and reused across iterations.
 	var (
-		cmd   SwitchCommand
-		buf   *allocator.Buffer
-		ready [numOutBufs]bool
+		cmd SwitchCommand
+		buf *allocator.Buffer
 	)
-	guards := make([]occam.Guard, 0, numOutBufs+2)
-	guards = append(guards, occam.Recv(b.switchCmd, &cmd))
-	for i, s := range senders {
-		guards = append(guards, s.ReadyGuard(&ready[i]))
-	}
-	guards = append(guards, occam.Recv(b.toSwitch, &buf))
+	guards := []occam.Guard{occam.Recv(b.switchCmd, &cmd), occam.Recv(b.toSwitch, &buf)}
 	slots := make([]int, 0, numOutBufs)
 
 	for {
-		switch idx := p.Alt(guards...); {
-		case idx == 0:
+		switch p.Alt(guards...) {
+		case 0:
 			b.handleSwitchCommand(p, rep, routes, shed, cmd)
-		case idx <= numOutBufs:
-			senders[idx-1].Update(ready[idx-1])
-		default:
+		case 1:
 			r := routes[buf.Stream]
 			if r == nil {
 				b.swStats.NoRoute++
@@ -173,7 +161,7 @@ func (b *Box) runSwitch(p *occam.Proc) {
 						"age-degrade "+slotName(slot))
 					continue
 				}
-				if !senders[slot].Deliver(p, buf) {
+				if !b.outBufs[slot].Deliver(p, buf) {
 					// Buffer full: "the switch simply omits to send it
 					// any more segments... records how many segments
 					// have been dropped in this way, and periodically
@@ -385,9 +373,8 @@ func (b *Box) runCaptureIn(p *occam.Proc) {
 // output device's single copy (§3.4: "once out for each output
 // device"), after which the buffer index is free to recycle.
 func (b *Box) runAudioOut(p *occam.Proc) {
-	out := b.outBufs[bufSpeaker].Out
 	for {
-		buf := out.Recv(p)
+		buf := b.outBufs[bufSpeaker].Recv(p)
 		size := buf.Payload.Len() + segment.StreamNumberSize
 		p.Consume(time.Duration(size) * serverCopyPerKB / 1024)
 		w := b.wires.Copy(buf.Payload.Bytes())
@@ -399,9 +386,8 @@ func (b *Box) runAudioOut(p *occam.Proc) {
 // runDisplayOut moves display-bound video over the fifo to the mixer
 // board (copy out at the display device, as in runAudioOut).
 func (b *Box) runDisplayOut(p *occam.Proc) {
-	out := b.outBufs[bufDisplay].Out
 	for {
-		buf := out.Recv(p)
+		buf := b.outBufs[bufDisplay].Recv(p)
 		size := buf.Payload.Len()
 		p.Consume(time.Duration(size) * serverCopyPerKB / 1024)
 		w := b.wires.Copy(buf.Payload.Bytes())
@@ -461,57 +447,60 @@ func reassemble(m map[uint32]*chunkedVideo, msg atm.Message) (segment.Wire, bool
 // segment is one network message, so "video segments can hold up
 // following audio segments" (§4.2) on the shared first link.
 func (b *Box) runNetOut(p *occam.Proc) {
-	rep := newReporter(b.cfg.Name+".netOut", b.Reports)
-	audioOut := b.outBufs[bufNetAudio].Out
-	videoOut := b.outBufs[bufNetVideo].Out
-	var buf *allocator.Buffer
-	guards := []occam.Guard{
-		occam.Recv(audioOut, &buf), // principle 2: audio first
-		occam.Recv(videoOut, &buf),
-	}
+	rep := newReporter(b.cfg.Name+".netOut", b.Log)
+	audio, video := b.outBufs[bufNetAudio], b.outBufs[bufNetVideo]
 	for {
-		p.Alt(guards...)
-		vcis, ok := b.netVCI[buf.Stream]
+		buf, ok := audio.TryRecv(p) // principle 2: audio first
 		if !ok {
-			vcis = []uint32{buf.Stream}
+			buf, ok = video.TryRecv(p)
 		}
-		if len(vcis) == 0 {
-			// A reparented or subtree-shed relay with nothing downstream:
-			// an explicitly empty fan-out means send nowhere (distinct
-			// from the never-routed VCI-identity default above).
-			b.pool.Release(p, buf)
+		if !ok {
+			audio.Wait(p) // video shares audio's wake signal
 			continue
 		}
-		// Splitting to several network destinations sends one descriptor
-		// per VCI; a slow destination only affects its own circuit
-		// (principle 5 — drops happen inside the network, never here).
-		isVideo := buf.Payload.Type() == segment.TypeVideo
-		if isVideo && b.cfg.InterleaveNetwork {
+		b.netSend(p, rep, buf)
+		b.pool.Release(p, buf)
+	}
+}
+
+// netSend transmits one segment to every network destination of its
+// stream; the caller still holds the server buffer.
+func (b *Box) netSend(p *occam.Proc, rep *Reporter, buf *allocator.Buffer) {
+	vcis, ok := b.netVCI[buf.Stream]
+	if !ok {
+		vcis = []uint32{buf.Stream}
+	}
+	if len(vcis) == 0 {
+		// A reparented or subtree-shed relay with nothing downstream:
+		// an explicitly empty fan-out means send nowhere (distinct
+		// from the never-routed VCI-identity default above).
+		return
+	}
+	// Splitting to several network destinations sends one descriptor
+	// per VCI; a slow destination only affects its own circuit
+	// (principle 5 — drops happen inside the network, never here).
+	kind := "audio"
+	if buf.Payload.Type() == segment.TypeVideo {
+		kind = "video"
+		if b.cfg.InterleaveNetwork {
 			for _, vci := range vcis {
 				b.sendChunked(p, rep, vci, b.wires.Copy(buf.Payload.Bytes()))
 			}
-		} else {
-			// Copy out of the server buffer once (the network
-			// interface's single copy, §3.4); every VCI then shares the
-			// wire under its own reference. Non-interleaved video
-			// occupies the interface for the whole segment, holding up
-			// any audio waiting in its buffer (§4.2).
-			w := b.wires.Copy(buf.Payload.Bytes())
-			w.Retain(len(vcis) - 1)
-			for _, vci := range vcis {
-				b.netTransmit(p, w.Len())
-				err := b.host.Send(p, atm.Message{VCI: vci, Size: w.Len(), W: w})
-				if err != nil {
-					w.Release() // the circuit never took the reference
-					if isVideo {
-						rep.Report(p, "nocircuit", "video stream %d: %v", buf.Stream, err)
-					} else {
-						rep.Report(p, "nocircuit", "audio stream %d: %v", buf.Stream, err)
-					}
-				}
-			}
+			return
 		}
-		b.pool.Release(p, buf)
+	}
+	// Copy out of the server buffer once (the network interface's
+	// single copy, §3.4); every VCI then shares the wire under its own
+	// reference. Non-interleaved video occupies the interface for the
+	// whole segment, holding up any audio waiting in its buffer (§4.2).
+	w := b.wires.Copy(buf.Payload.Bytes())
+	w.Retain(len(vcis) - 1)
+	for _, vci := range vcis {
+		b.netTransmit(p, w.Len())
+		if err := b.host.Send(p, atm.Message{VCI: vci, Size: w.Len(), W: w}); err != nil {
+			w.Release() // the circuit never took the reference
+			rep.Report(p, "nocircuit", "%s stream %d: %v", kind, buf.Stream, err)
+		}
 	}
 }
 
@@ -522,32 +511,15 @@ func (b *Box) runNetOut(p *occam.Proc) {
 func (b *Box) sendChunked(p *occam.Proc, rep *Reporter, vci uint32, w segment.Wire) {
 	total := (w.Len() + netChunkSize - 1) / netChunkSize
 	w.Retain(total - 1)
-	audioOut := b.outBufs[bufNetAudio].Out
 	for i := 0; i < total; i++ {
 		// Drain any waiting audio first (principle 2 at chunk
 		// granularity).
 		for {
-			var abuf *allocator.Buffer
-			if p.Alt(occam.Recv(audioOut, &abuf), occam.Skip()) == 1 {
+			abuf, ok := b.outBufs[bufNetAudio].TryRecv(p)
+			if !ok {
 				break
 			}
-			avcis, ok := b.netVCI[abuf.Stream]
-			if !ok {
-				avcis = []uint32{abuf.Stream}
-			}
-			if len(avcis) == 0 {
-				b.pool.Release(p, abuf)
-				continue
-			}
-			aw := b.wires.Copy(abuf.Payload.Bytes())
-			aw.Retain(len(avcis) - 1)
-			for _, avci := range avcis {
-				b.netTransmit(p, aw.Len())
-				if err := b.host.Send(p, atm.Message{VCI: avci, Size: aw.Len(), W: aw}); err != nil {
-					aw.Release()
-					rep.Report(p, "nocircuit", "audio stream %d: %v", abuf.Stream, err)
-				}
-			}
+			b.netSend(p, rep, abuf)
 			b.pool.Release(p, abuf)
 		}
 		size := netChunkSize

@@ -178,7 +178,7 @@ func orderedStreamIDs(m map[uint32]*CameraStream) []uint32 {
 // whole frames, and copies each completed frame to the display at a
 // scan-safe moment.
 func (b *Box) runDisplay(p *occam.Proc) {
-	rep := newReporter(b.cfg.Name+".display", b.Reports)
+	rep := newReporter(b.cfg.Name+".display", b.Log)
 	scan := video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod}
 	assemblers := make(map[uint32]*video.Assembler)
 	var seg segment.Video // reused header view into each wire

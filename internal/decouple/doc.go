@@ -4,21 +4,24 @@
 // "the poor performance of one output device does not affect streams
 // to other output devices" (principle 5).
 //
-// A buffer is an Occam process network (Process): a queue process
-// owning the Ring plus an output pump that keeps one item offered to
-// the consumer. Buffers respond to commands (resize "without any loss
-// of data", report) and generate Reports carrying their length, limit
-// and pointer positions. An optional ready channel (WithReady, figure
-// 3.6) gives upstream an immediate TRUE/FALSE after every input so it
-// can throw data away instead of blocking; Sender is the client side
-// of that protocol, counting refusals on
-// decouple_refused_total{buffer=...}.
+// A Buffer is passive: the Ring plus one staged head item, with no
+// process of its own. Queueing spends no virtual time, so it runs
+// inline in the producer and the consumer; a consumer that finds the
+// buffer empty, and a Send that finds it full, park on a signal the
+// other side raises. The ready protocol of figure 3.6 — an immediate
+// TRUE/FALSE after every input, so upstream can throw data away
+// instead of blocking — is Deliver's return value, with refusals
+// counted on decouple_refused_total{buffer=...}; Send is the plain
+// blocking buffer. Buffers respond to commands (Resize "without any
+// loss of data", Report carrying length, limit and pointer positions)
+// as direct calls, which makes them immediate (principle 4).
 //
-// Observability (WithObs) registers the live occupancy and limit as
-// decouple_queued/decouple_limit gauges and the lifetime activity as
-// decouple_pushed_total/decouple_popped_total counters — the depth
-// signals the overload controller in internal/degrade watches.
-// Fault injection (WithStall) simulates a stuck sink channel: the
-// output pump sleeps out configured outage windows while the queue
-// fills, counted on decouple_stalled_total.
+// Observability: the registry passed to New receives the live
+// occupancy and limit as decouple_queued/decouple_limit gauges and the
+// lifetime activity as decouple_pushed_total/decouple_popped_total
+// counters — the depth signals the overload controller in
+// internal/degrade watches. Fault injection (SetStall) simulates a
+// stuck sink channel: the head item is withheld for the configured
+// outage windows while the queue fills, counted on
+// decouple_stalled_total.
 package decouple

@@ -343,6 +343,14 @@ func TestE20ReadyNeverBlocks(t *testing.T) {
 	if d.Seconds() < 0.5 {
 		t.Fatalf("plain producer blocked only %v", d)
 	}
+	// The run outlasts the producer by far, so the buffer has drained:
+	// every item offered was delivered or dropped, none stranded.
+	for row := range tab.Rows {
+		offered, delivered, dropped := atoi(t, cell(tab, row, 1)), atoi(t, cell(tab, row, 2)), atoi(t, cell(tab, row, 3))
+		if offered != delivered+dropped {
+			t.Fatalf("%s: offered %d != delivered %d + dropped %d", cell(tab, row, 0), offered, delivered, dropped)
+		}
+	}
 }
 
 func TestA1HeadOfLineBlocking(t *testing.T) {

@@ -319,30 +319,17 @@ func E20() *Table {
 func e20Run(ready bool) (offered, delivered int, dropped uint64, blocked time.Duration) {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
-	var opts []decouple.Option
-	if ready {
-		opts = append(opts, decouple.WithReady())
-	}
-	d := decouple.New[int](rt, nil, "buf", 4, nil, opts...)
-	var sender *decouple.Sender[int]
-	if ready {
-		sender = decouple.NewSender(d)
-	}
+	d := decouple.New[int](rt, "buf", 4, nil)
 	const n = 500
 	rt.Go("producer", nil, occam.Low, func(p *occam.Proc) {
 		for i := 0; i < n; i++ {
 			p.Sleep(2 * time.Millisecond)
 			offered++
 			if ready {
-				var rdy bool
-				// Drain any pending TRUE first.
-				if p.Alt(sender.ReadyGuard(&rdy), occam.Skip()) == 0 {
-					sender.Update(rdy)
-				}
-				sender.Deliver(p, i)
+				d.Deliver(p, i)
 			} else {
 				before := p.Now()
-				d.In.Send(p, i)
+				d.Send(p, i)
 				blocked += time.Duration(p.Now() - before)
 			}
 		}
@@ -350,7 +337,7 @@ func e20Run(ready bool) (offered, delivered int, dropped uint64, blocked time.Du
 	got := 0
 	rt.Go("slowConsumer", nil, occam.Low, func(p *occam.Proc) {
 		for {
-			d.Out.Recv(p)
+			d.Recv(p)
 			got++
 			p.Sleep(10 * time.Millisecond) // 5x slower than the producer
 		}
@@ -358,10 +345,7 @@ func e20Run(ready bool) (offered, delivered int, dropped uint64, blocked time.Du
 	if err := rt.RunUntil(occam.Time(20 * time.Second)); err != nil {
 		panic(err)
 	}
-	if ready {
-		dropped = sender.Dropped()
-	}
-	return offered, got, dropped, blocked
+	return offered, got, d.Dropped(), blocked
 }
 
 // A1 compares the paper's buffer placement (downstream of the switch,
@@ -399,50 +383,42 @@ func a1Run(downstream bool) (fastN, slowN int) {
 	if downstream {
 		// Paper: switch first, then one buffer per output with ready
 		// protocol.
-		bufF := decouple.New[item](rt, nil, "bf", 8, nil, decouple.WithReady())
-		bufS := decouple.New[item](rt, nil, "bs", 8, nil, decouple.WithReady())
+		bufF := decouple.New[item](rt, "bf", 8, nil)
+		bufS := decouple.New[item](rt, "bs", 8, nil)
 		rt.Go("switch", nil, occam.High, func(p *occam.Proc) {
-			sf, ss := decouple.NewSender(bufF), decouple.NewSender(bufS)
 			for i := 0; ; i++ {
 				p.Sleep(time.Millisecond)
 				it := item{dst: i % 2}
-				var rdy bool
-				if p.Alt(sf.ReadyGuard(&rdy), occam.Skip()) == 0 {
-					sf.Update(rdy)
-				}
-				if p.Alt(ss.ReadyGuard(&rdy), occam.Skip()) == 0 {
-					ss.Update(rdy)
-				}
 				if it.dst == 0 {
-					sf.Deliver(p, it)
+					bufF.Deliver(p, it)
 				} else {
-					ss.Deliver(p, it)
+					bufS.Deliver(p, it)
 				}
 			}
 		})
 		rt.Go("fwdF", nil, occam.High, func(p *occam.Proc) {
 			for {
-				fastOut.Send(p, bufF.Out.Recv(p))
+				fastOut.Send(p, bufF.Recv(p))
 			}
 		})
 		rt.Go("fwdS", nil, occam.High, func(p *occam.Proc) {
 			for {
-				slowOut.Send(p, bufS.Out.Recv(p))
+				slowOut.Send(p, bufS.Recv(p))
 			}
 		})
 	} else {
 		// Ablation: one shared buffer before the switch; the switch
 		// blocks sending to the slow output.
-		shared := decouple.New[item](rt, nil, "shared", 8, nil)
+		shared := decouple.New[item](rt, "shared", 8, nil)
 		rt.Go("producer", nil, occam.High, func(p *occam.Proc) {
 			for i := 0; ; i++ {
 				p.Sleep(time.Millisecond)
-				shared.In.Send(p, item{dst: i % 2})
+				shared.Send(p, item{dst: i % 2})
 			}
 		})
 		rt.Go("switch", nil, occam.High, func(p *occam.Proc) {
 			for {
-				it := shared.Out.Recv(p)
+				it := shared.Recv(p)
 				if it.dst == 0 {
 					fastOut.Send(p, it) // blocks when fast consumer busy
 				} else {

@@ -182,7 +182,7 @@ func (b *Boards) Down(board string, now occam.Time) bool {
 }
 
 // Stalls converts outage windows into the stall callback a decoupling
-// buffer takes via decouple.WithStall: a stuck sink channel (a wedged
+// buffer takes via decouple.Buffer.SetStall: a stuck sink channel (a wedged
 // output device) that resumes when the window closes.
 func Stalls(windows []Window) func(now occam.Time) occam.Time {
 	ws := append([]Window(nil), windows...)

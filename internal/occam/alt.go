@@ -11,7 +11,7 @@ type altState struct {
 }
 
 // Guard is one alternative of a PRI ALT. Construct guards with Recv,
-// After, Timeout, Skip, When and NewCond.
+// After, Timeout, Skip and When.
 type Guard interface {
 	// poll attempts to fire the guard immediately (mu held).
 	poll(p *Proc) bool
@@ -30,9 +30,7 @@ type Guard interface {
 // one fires.
 //
 // Guards are reusable: a hot loop may build its guard slice once and
-// pass the same slice (and guard values) to every Alt. Conditional
-// guards that change per iteration should use NewCond and Set rather
-// than reconstructing When wrappers.
+// pass the same slice (and guard values) to every Alt.
 func (p *Proc) Alt(guards ...Guard) int {
 	if len(guards) == 0 {
 		panic("occam: Alt with no guards")
@@ -203,35 +201,5 @@ func (w *whenGuard) enable(a *altState, idx int) {
 func (w *whenGuard) disable() {
 	if w.cond {
 		w.g.disable()
-	}
-}
-
-// Cond is a conditional guard whose condition can be updated between
-// Alt calls — the reusable form of When for hot loops that hoist their
-// guard slice out of the loop and flip conditions each iteration.
-type Cond struct {
-	cond bool
-	g    Guard
-}
-
-// NewCond returns a conditional wrapper around g, initially false.
-func NewCond(g Guard) *Cond { return &Cond{g: g} }
-
-// Set updates the condition checked by the next Alt.
-func (c *Cond) Set(cond bool) { c.cond = cond }
-
-func (c *Cond) poll(p *Proc) bool {
-	return c.cond && c.g.poll(p)
-}
-
-func (c *Cond) enable(a *altState, idx int) {
-	if c.cond {
-		c.g.enable(a, idx)
-	}
-}
-
-func (c *Cond) disable() {
-	if c.cond {
-		c.g.disable()
 	}
 }
