@@ -6,80 +6,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/experiment"
 )
 
-// benchRecord is one experiment's cost in BENCH_e2e.json: the wall
-// time and heap traffic of one full experiment run (the same work a
-// bench_test.go iteration does).
-type benchRecord struct {
-	ID          string `json:"id"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  uint64 `json:"bytes_per_op"`
-	AllocsPerOp uint64 `json:"allocs_per_op"`
-}
-
-// benchFile is the BENCH_e2e.json schema. Micro holds the per-op cost
-// of the isolated fast-path workloads (one op = one segment through
-// the crossbar, one datagram through the batcher — matching
-// BenchmarkFabricCrossbar and BenchmarkUDPTransBatch). PreRefactor
-// records the allocs/op of the boxed-`any` data path before the
-// single-copy segment.Wire refactor, so the trajectory stays visible;
-// CI compares fresh E2/E3 numbers against Experiments as the committed
-// baseline.
-type benchFile struct {
-	Schema      string            `json:"schema"`
-	Experiments []benchRecord     `json:"experiments"`
-	Micro       []benchRecord     `json:"micro"`
-	PreRefactor map[string]uint64 `json:"pre_refactor_allocs_per_op"`
-}
-
-// microRecords measures the fast-path micro workloads at a fixed
-// iteration count, reporting per-op figures like testing.B would.
-func microRecords() []benchRecord {
-	type micro struct {
-		id    string
-		iters int
-		fn    func(iters int)
-	}
-	micros := []micro{
-		{"FabricCrossbar", 200_000, func(n int) { experiment.MicroFabricCrossbar(n) }},
-		{"UDPTransBatch", 100_000, func(n int) {
-			if _, _, err := experiment.MicroUDPTransBatch(n); err != nil {
-				fmt.Fprintf(os.Stderr, "micro UDPTransBatch: %v\n", err)
-			}
-		}},
-	}
-	var out []benchRecord
-	for _, m := range micros {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		m.fn(m.iters)
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		out = append(out, benchRecord{
-			ID:          m.id,
-			NsPerOp:     wall.Nanoseconds() / int64(m.iters),
-			BytesPerOp:  (after.TotalAlloc - before.TotalAlloc) / uint64(m.iters),
-			AllocsPerOp: (after.Mallocs - before.Mallocs) / uint64(m.iters),
-		})
-	}
-	return out
-}
-
 func main() {
 	run := flag.String("run", "", "only run experiments whose ID contains this substring")
-	benchJSON := flag.String("bench-json", "", "write per-experiment ns/op, B/op, allocs/op to this file (e.g. BENCH_e2e.json)")
 	flag.Parse()
 
 	type exp struct {
@@ -121,28 +58,13 @@ func main() {
 	fmt.Println()
 	start := time.Now()
 	ran := 0
-	var records []benchRecord
 	for _, e := range experiments {
 		if *run != "" && !strings.Contains(e.id, *run) {
 			continue
 		}
-		var before, after runtime.MemStats
-		if *benchJSON != "" {
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-		}
 		t0 := time.Now()
 		tab := e.fn()
 		wall := time.Since(t0)
-		if *benchJSON != "" {
-			runtime.ReadMemStats(&after)
-			records = append(records, benchRecord{
-				ID:          e.id,
-				NsPerOp:     wall.Nanoseconds(),
-				BytesPerOp:  after.TotalAlloc - before.TotalAlloc,
-				AllocsPerOp: after.Mallocs - before.Mallocs,
-			})
-		}
 		fmt.Print(tab)
 		fmt.Printf("  (%.2fs wall)\n\n", wall.Seconds())
 		ran++
@@ -152,34 +74,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%d experiments in %.1fs\n", ran, time.Since(start).Seconds())
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, records); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// preRefactorAllocs are the allocs/op of BenchmarkE2LinkCapacity and
-// BenchmarkE3OneWayLatency measured immediately before the single-copy
-// segment.Wire refactor (boxed `any` payloads re-marshalled per hop),
-// kept so BENCH_e2e.json records the trajectory.
-var preRefactorAllocs = map[string]uint64{
-	"E2": 1_590_988,
-	"E3": 744_148,
-}
-
-func writeBenchJSON(path string, records []benchRecord) error {
-	out := benchFile{
-		Schema:      "pandora-bench-e2e/v1",
-		Experiments: records,
-		Micro:       microRecords(),
-		PreRefactor: preRefactorAllocs,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,6 +2,6 @@
 // and Video Streams in a Distributed Environment" (Jones & Hopper,
 // SOSP 1993) — the Pandora networked multimedia system. See README.md
 // for the architecture and DESIGN.md for the full system inventory
-// and experiment index. The benchmarks in bench_test.go regenerate
-// every table and figure of the paper's evaluation.
+// and experiment index. cmd/pandora-bench regenerates every table and
+// figure of the paper's evaluation; bench/ measures what that costs.
 package repro

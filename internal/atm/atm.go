@@ -66,35 +66,6 @@ type Message struct {
 	FaultDelay time.Duration
 }
 
-// FaultAction is a fault hook's verdict on one message arriving at a
-// link queue. The zero value passes the message through untouched.
-type FaultAction struct {
-	// Drop discards the message (burst cell loss); Reason labels the
-	// trace event.
-	Drop   bool
-	Reason string
-	// Corrupt flags the message so the receiver discards it on
-	// delivery (it still consumes network resources on the way).
-	Corrupt bool
-	// Duplicate enqueues a second copy of the message (misbehaving
-	// switch fabric), subject to the normal queue bound.
-	Duplicate bool
-	// Delay is extra transmission delay for this message (jitter).
-	Delay time.Duration
-}
-
-// FaultHook is a deterministic fault process attached to a link with
-// SetFault. OnMessage is consulted once per arriving message;
-// StallUntil is consulted before each transmission and returns the
-// virtual time until which the transmitter is stuck (zero or a past
-// time means no stall). Implementations live in internal/faultinject;
-// they make decisions only, so the same seed always yields the same
-// schedule — the link owns the counters and trace events.
-type FaultHook interface {
-	OnMessage(now occam.Time, vci uint32, size int) FaultAction
-	StallUntil(now occam.Time) occam.Time
-}
-
 // port is anything that can accept a Message: the next link on the
 // path or the destination host.
 type port interface {
@@ -206,12 +177,7 @@ type Link struct {
 	trace      *obs.Tracer
 	reg        *obs.Registry
 
-	fault       FaultHook
-	faultDrops  *obs.Counter
-	faultCorr   *obs.Counter
-	faultDups   *obs.Counter
-	faultDelays *obs.Counter
-	faultStalls *obs.Counter
+	fault *FaultGate
 
 	queue   []Message
 	txm     Message // message in transmission
@@ -226,20 +192,16 @@ type Link struct {
 // NewLink creates a link and starts its delivery process.
 func NewLink(rt *occam.Runtime, name string, cfg LinkConfig) *Link {
 	l := &Link{
-		rt:          rt,
-		nm:          name,
-		cfg:         cfg.withDefaults(),
-		rng:         workload.NewRNG(cfg.Seed),
-		next:        make(map[uint32]port),
-		forwarded:   obs.NewCounter(),
-		queueDrops:  obs.NewCounter(),
-		lossDrops:   obs.NewCounter(),
-		bytes:       obs.NewCounter(),
-		faultDrops:  obs.NewCounter(),
-		faultCorr:   obs.NewCounter(),
-		faultDups:   obs.NewCounter(),
-		faultDelays: obs.NewCounter(),
-		faultStalls: obs.NewCounter(),
+		rt:         rt,
+		nm:         name,
+		cfg:        cfg.withDefaults(),
+		rng:        workload.NewRNG(cfg.Seed),
+		next:       make(map[uint32]port),
+		forwarded:  obs.NewCounter(),
+		queueDrops: obs.NewCounter(),
+		lossDrops:  obs.NewCounter(),
+		bytes:      obs.NewCounter(),
+		fault:      NewFaultGate("atm."+name, "link-stall"),
 	}
 	l.txTimer = occam.NewTimer(rt, l.txDone)
 	l.dlvSig = occam.NewSignal(rt, name+".deliver")
@@ -272,8 +234,9 @@ func (l *Link) observe(reg *obs.Registry) {
 	reg.GaugeFunc("atm_link_queue_depth", func() float64 { return float64(len(l.queue)) }, lb)
 	reg.GaugeFunc("atm_link_queue_limit", func() float64 { return float64(l.cfg.QueueLimit) }, lb)
 	l.trace = reg.Tracer()
+	l.fault.Trace(l.trace)
 	l.reg = reg
-	if l.fault != nil {
+	if l.fault.hook != nil {
 		l.observeFault()
 	}
 }
@@ -281,45 +244,22 @@ func (l *Link) observe(reg *obs.Registry) {
 // observeFault registers the fault counters. They appear in snapshots
 // only once a hook is attached, so fault-free runs keep clean output.
 func (l *Link) observeFault() {
-	lb := obs.L("link", l.nm)
-	l.reg.RegisterCounter("atm_link_fault_drops_total", l.faultDrops, lb)
-	l.reg.RegisterCounter("atm_link_fault_corruptions_total", l.faultCorr, lb)
-	l.reg.RegisterCounter("atm_link_fault_duplicates_total", l.faultDups, lb)
-	l.reg.RegisterCounter("atm_link_fault_delays_total", l.faultDelays, lb)
-	l.reg.RegisterCounter("atm_link_fault_stalls_total", l.faultStalls, lb)
+	l.fault.Register(l.reg, "atm_link_fault_", obs.L("link", l.nm))
 }
 
 // SetFault attaches a fault process to the link (nil detaches). Every
 // subsequent message consults the hook on arrival, and the transmitter
-// consults StallUntil before each send. Each injected fault increments
-// an atm_link_fault_* counter and — except per-message jitter, which
-// would flood the ring — emits an EvFault trace event.
+// consults StallUntil before each send; see FaultGate for the counters
+// and trace events each injected fault leaves.
 func (l *Link) SetFault(h FaultHook) {
-	l.fault = h
+	l.fault.SetHook(h)
 	if l.reg != nil && h != nil {
 		l.observeFault()
 	}
 }
 
-// FaultStats reports the injected-fault counters.
-type FaultStats struct {
-	Drops       uint64
-	Corruptions uint64
-	Duplicates  uint64
-	Delays      uint64
-	Stalls      uint64
-}
-
 // FaultStats returns a copy of the injected-fault counters.
-func (l *Link) FaultStats() FaultStats {
-	return FaultStats{
-		Drops:       l.faultDrops.Value(),
-		Corruptions: l.faultCorr.Value(),
-		Duplicates:  l.faultDups.Value(),
-		Delays:      l.faultDelays.Value(),
-		Stalls:      l.faultStalls.Value(),
-	}
-}
+func (l *Link) FaultStats() FaultStats { return l.fault.Stats() }
 
 // route sets the next hop for a VCI. Re-routing the same VCI to a
 // different port would cross-wire one circuit's traffic into another's
@@ -357,29 +297,9 @@ func (l *Link) acceptSched(s occam.Sched, m Message) {
 // into transmission. It returns (transmission end, true) when the
 // caller must arm the transmit timer in its own context.
 func (l *Link) admit(now occam.Time, m Message) (occam.Time, bool) {
-	dup := false
-	if l.fault != nil {
-		act := l.fault.OnMessage(now, m.VCI, m.Size)
-		if act.Drop {
-			reason := act.Reason
-			if reason == "" {
-				reason = "injected-loss"
-			}
-			l.faultDrops.Inc()
-			l.trace.EmitAt(now, obs.EvFault, "atm."+l.nm, m.VCI, reason)
-			m.W.Release()
-			return 0, false
-		}
-		if act.Corrupt {
-			m.Corrupt = true
-			l.faultCorr.Inc()
-			l.trace.EmitAt(now, obs.EvFault, "atm."+l.nm, m.VCI, "injected-corruption")
-		}
-		if act.Delay > 0 {
-			m.FaultDelay += act.Delay
-			l.faultDelays.Inc()
-		}
-		dup = act.Duplicate
+	ok, dup := l.fault.Admit(now, &m)
+	if !ok {
+		return 0, false
 	}
 	if l.cfg.LossRate > 0 && l.rng.Bool(l.cfg.LossRate) {
 		l.lossDrops.Inc()
@@ -395,12 +315,9 @@ func (l *Link) admit(now occam.Time, m Message) (occam.Time, bool) {
 	}
 	l.queue = append(l.queue, m)
 	if dup && len(l.queue) < l.cfg.QueueLimit {
-		// The duplicate is a second full message: it carries its
-		// own wire reference and respects the queue bound.
-		m.W.Retain(1)
+		// The duplicate respects the queue bound like any message.
+		l.fault.Duplicated(now, &m)
 		l.queue = append(l.queue, m)
-		l.faultDups.Inc()
-		l.trace.EmitAt(now, obs.EvFault, "atm."+l.nm, m.VCI, "injected-duplicate")
 	}
 	if l.txBusy {
 		return 0, false
@@ -420,13 +337,7 @@ func (l *Link) popTx(now occam.Time) occam.Time {
 	l.queue = l.queue[:len(l.queue)-1]
 	l.txm = m
 	l.txBusy = true
-	if l.fault != nil {
-		if until := l.fault.StallUntil(now); until > now {
-			l.faultStalls.Inc()
-			l.trace.EmitAt(now, obs.EvFault, "atm."+l.nm, m.VCI, "link-stall")
-			now = until
-		}
-	}
+	now = l.fault.StallUntil(now, m.VCI)
 	tx := time.Duration(int64(m.Size) * 8 * int64(time.Second) / l.cfg.Bandwidth)
 	return now + occam.Time(tx+l.cfg.Propagation+m.FaultDelay)
 }

@@ -397,7 +397,7 @@ func (b *Balancer) ReleaseCall() {
 
 // Manage registers an open tree stream as a migration candidate.
 func (b *Balancer) Manage(st *core.Stream) {
-	if st != nil && st.Tree != nil {
+	if st != nil {
 		b.managed = append(b.managed, st)
 	}
 }

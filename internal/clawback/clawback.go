@@ -147,7 +147,6 @@ type Config struct {
 	// Fault, if non-nil, is a fault-injection hook consulted on every
 	// arriving block; returning true discards the block as injected
 	// corruption at the destination codec (DropFault).
-	// faultinject.BlockCorruption's Hit method is a suitable value.
 	Fault func() bool
 	// Obs, if non-nil, registers the buffer's counters (labelled with
 	// Owner) and traces drops. A nil registry costs nothing.

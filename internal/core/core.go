@@ -49,8 +49,9 @@ type Stream struct {
 	Video bool
 	// Tree is the stream's distribution plan: who feeds whom. Streams
 	// opened by SendAudio/SendVideo carry the flat plan (every
-	// destination fed by the source); SendAudioTree carries real
-	// replication trees. Repository streams (RecordAudio) have none.
+	// destination fed by the source), a RecordAudio stream the flat plan
+	// whose one member is the repository; SendAudioTree carries real
+	// replication trees. Never nil.
 	Tree *TreePlan
 }
 
@@ -301,12 +302,6 @@ func (s *System) SendVideo(p *occam.Proc, from string, cs box.CameraStream, to .
 	return s.sendTree(p, TreeConfig{}, from, cs, true, to)
 }
 
-// SendVideoTree opens a one-way video stream distributed over
-// replication trees (see SendAudioTree).
-func (s *System) SendVideoTree(p *occam.Proc, cfg TreeConfig, from string, cs box.CameraStream, to ...string) *Stream {
-	return s.sendTree(p, cfg, from, cs, true, to)
-}
-
 // AudioCall opens audio in both directions — the video phone's audio
 // path (§4.1).
 func (s *System) AudioCall(p *occam.Proc, a, b string) (ab, ba *Stream) {
@@ -332,94 +327,17 @@ func (s *System) Conference(p *occam.Proc, members ...string) []*Stream {
 }
 
 // AddAudioDestination splits an open stream to one more destination
-// without disturbing the existing copies (principle 6). Tree-planned
-// streams graft the newcomer via Pull; plan-less repository streams
-// keep the historical source-side split.
+// without disturbing the existing copies (principle 6): the newcomer
+// is grafted onto the stream's plan via Pull.
 func (s *System) AddAudioDestination(p *occam.Proc, st *Stream, dst string) {
-	if st.Tree != nil {
-		s.Pull(p, st, dst)
-		return
-	}
-	vci := s.allocVCI()
-	st.VCIs[dst] = vci
-	s.openCircuit(p, vci, st.From, dst, st.Video)
-	if db, ok := s.boxes[dst]; ok {
-		out := box.OutSpeaker
-		if st.Video {
-			out = box.OutDisplay
-		}
-		db.SetRoute(p, box.Route{Stream: vci, Outputs: []box.Output{out}})
-	}
-	s.reRoute(p, st)
-}
-
-// RemoveDestination drops one destination from a stream; the other
-// copies are unaffected (principle 6). On a tree plan an interior
-// box's subtree is re-homed first, so its descendants keep playing.
-func (s *System) RemoveDestination(p *occam.Proc, st *Stream, dst string) {
-	vci, ok := st.VCIs[dst]
-	if !ok {
-		return
-	}
-	if st.Tree != nil {
-		s.removeTreeDestination(p, st, dst)
-		return
-	}
-	delete(st.VCIs, dst)
-	s.reRoute(p, st)
-	s.closeCircuit(vci, st.From, dst)
-}
-
-// reRoute re-installs the source route to match st.VCIs. The switch
-// applies it between segments, so the data flows undisturbed.
-func (s *System) reRoute(p *occam.Proc, st *Stream) {
-	var vcis []uint32
-	for _, v := range st.VCIs {
-		vcis = append(vcis, v)
-	}
-	src := s.boxes[st.From]
-	out := box.OutNetwork
-	src.SetRoute(p, box.Route{
-		Stream:  st.Local,
-		Outputs: []box.Output{out},
-		NetVCIs: vcis,
-		Opened:  occam.Time(1), // keep the original age (principle 3)
-		Video:   st.Video,
-	})
-}
-
-// Close shuts a stream down entirely.
-func (s *System) Close(p *occam.Proc, st *Stream) {
-	if st.Tree != nil {
-		s.closeTree(p, st)
-		return
-	}
-	src := s.boxes[st.From]
-	if st.Video {
-		src.StopCamera(p, st.Local)
-	} else {
-		src.StopMic(p)
-	}
-	src.CloseRoute(p, st.Local)
-	for dst, vci := range st.VCIs {
-		if db, ok := s.boxes[dst]; ok {
-			db.CloseRoute(p, vci)
-		}
-		s.closeCircuit(vci, st.From, dst)
-	}
+	s.Pull(p, st, dst)
 }
 
 // RecordAudio opens a one-way audio stream from a box's microphone to
-// a repository.
+// a repository: a flat plan whose one member is the repository, which
+// takes delivery straight off the circuit.
 func (s *System) RecordAudio(p *occam.Proc, from, repo string) *Stream {
-	src := s.boxes[from]
-	st := &Stream{From: from, Local: s.allocStream(from), VCIs: make(map[string]uint32)}
-	vci := s.allocVCI()
-	st.VCIs[repo] = vci
-	s.openCircuit(p, vci, from, repo, false)
-	src.SetRoute(p, box.Route{Stream: st.Local, Outputs: []box.Output{box.OutNetwork}, NetVCIs: []uint32{vci}})
-	src.StartMic(p, st.Local)
-	return st
+	return s.SendAudio(p, from, repo)
 }
 
 // PlayTo plays a repository recording to a box's speaker and returns

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/atm"
 	"repro/internal/box"
+	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/video"
 	"repro/internal/workload"
@@ -200,5 +202,133 @@ func TestMultiHopPathWorks(t *testing.T) {
 	}
 	if got := s.Box("lon").Mixer().Stats(st.VCIs["lon"]); got.Segments < 200 {
 		t.Fatalf("multi-hop delivered %d segments", got.Segments)
+	}
+}
+
+// circuitsOpen counts circuits opened and not yet closed, from the
+// atm trace (one EvStreamOpen per OpenCircuit, one EvStreamClose per
+// CloseCircuit).
+func circuitsOpen(s *System) int {
+	n := 0
+	for _, e := range s.Obs.Tracer().Events() {
+		switch {
+		case e.Kind == obs.EvStreamOpen && strings.HasPrefix(e.Detail, "circuit to "):
+			n++
+		case e.Kind == obs.EvStreamClose && e.Detail == "circuit closed":
+			n--
+		}
+	}
+	return n
+}
+
+// TestRecordingIsAPlannedStream: a repository stream carries a flat
+// plan like any other, so splitting it to a box and dropping the box
+// again goes through the one delivery path and leaves the recording
+// without a gap (principle 6); Close returns every circuit and wire.
+func TestRecordingIsAPlannedStream(t *testing.T) {
+	s := NewSystem()
+	defer s.Shutdown()
+	s.AddBox(box.Config{Name: "a", Mic: workload.NewTone(440, 9000)})
+	s.AddBox(box.Config{Name: "b"})
+	s.AddRepository("repo")
+	s.Connect("a", "repo", fastLink())
+	s.Connect("a", "b", fastLink())
+	var st *Stream
+	s.Control(func(p *occam.Proc) { st = s.RecordAudio(p, "a", "repo") })
+	if err := s.RunFor(300 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Tree.Members(); len(got) != 1 || got[0] != "repo" {
+		t.Fatalf("plan members %v, want [repo]", got)
+	}
+	if got := st.Tree.SourceCopies(); got != 1 {
+		t.Fatalf("source sends %d copies, want 1", got)
+	}
+	recorded := func() int { return len(s.Repository("repo").Recording(st.VCIs["repo"]).Segments) }
+	step := func(what string, ctl func(p *occam.Proc)) {
+		t.Helper()
+		before := recorded()
+		s.Control(ctl)
+		if err := s.RunFor(300 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if got := recorded() - before; got < 70 {
+			t.Fatalf("%s: repository took %d segments in 300 ms", what, got)
+		}
+	}
+	step("split to b", func(p *occam.Proc) { s.AddAudioDestination(p, st, "b") })
+	heard := s.Box("b").Mixer().Stats(st.VCIs["b"]).Segments
+	if heard < 70 {
+		t.Fatalf("b heard %d segments while it was a destination", heard)
+	}
+	step("drop b", func(p *occam.Proc) { s.RemoveDestination(p, st, "b") })
+	if lost := s.Repository("repo").Recording(st.VCIs["repo"]).LostSegments; lost != 0 {
+		t.Fatalf("reconfiguration cost the recording %d segments", lost)
+	}
+	if got := st.Tree.Members(); len(got) != 1 || got[0] != "repo" {
+		t.Fatalf("plan members %v after the drop, want [repo]", got)
+	}
+
+	s.Control(func(p *occam.Proc) { s.Close(p, st) })
+	if err := s.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if n := circuitsOpen(s); n != 0 {
+		t.Fatalf("%d circuits left open after Close", n)
+	}
+	for _, n := range []string{"a", "b"} {
+		if leaked := s.Box(n).WirePoolLeaked(); leaked != 0 {
+			t.Fatalf("%s leaked %d wires after Close", n, leaked)
+		}
+	}
+}
+
+// sendOrder is a fault hook that injects nothing and logs the VCI of
+// every message offered to the links it is attached to.
+type sendOrder struct{ vcis []uint32 }
+
+func (o *sendOrder) OnMessage(_ occam.Time, vci uint32, _ int) atm.FaultAction {
+	o.vcis = append(o.vcis, vci)
+	return atm.FaultAction{}
+}
+func (o *sendOrder) StallUntil(occam.Time) occam.Time { return 0 }
+
+// TestRemoveDestinationKeepsPlacementOrder: dropping one of three
+// destinations re-installs the source route with the remaining VCIs in
+// placement order — every segment goes to d1 then d3 — on every run.
+func TestRemoveDestinationKeepsPlacementOrder(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		s := NewSystem()
+		s.AddBox(box.Config{Name: "src", Mic: workload.NewTone(440, 9000)})
+		dsts := []string{"d1", "d2", "d3"}
+		log := &sendOrder{}
+		for _, d := range dsts {
+			s.AddBox(box.Config{Name: d})
+			s.Connect("src", d, fastLink())
+			s.Path("src", d)[0].SetFault(log)
+		}
+		var st *Stream
+		s.Control(func(p *occam.Proc) {
+			st = s.SendAudio(p, "src", dsts...)
+			p.Sleep(100 * time.Millisecond)
+			s.RemoveDestination(p, st, "d2")
+		})
+		if err := s.RunFor(150 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		log.vcis = nil
+		if err := s.RunFor(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		s.Shutdown()
+		want := []uint32{st.VCIs["d1"], st.VCIs["d3"]}
+		if len(log.vcis) < 40 {
+			t.Fatalf("run %d: only %d messages after the drop", run, len(log.vcis))
+		}
+		for i, vci := range log.vcis {
+			if vci != want[i%2] {
+				t.Fatalf("run %d: message %d went to VCI %d, want the order %v", run, i, vci, want)
+			}
+		}
 	}
 }

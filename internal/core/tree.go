@@ -273,8 +273,14 @@ func (s *System) planAttach(plan *TreePlan, dst string) *treeNode {
 	t := plan.nextIdx % plan.cfg.Trees
 	plan.nextIdx++
 	n := &treeNode{name: dst, tree: t}
+	cands := plan.placed[t]
+	if plan.cfg.Fanout <= 0 {
+		// A flat plan has no eligible relay; skipping the scan keeps a
+		// tannoy to n destinations O(n).
+		cands = nil
+	}
 	var elig []*treeNode
-	for _, cand := range plan.placed[t] {
+	for _, cand := range cands {
 		// Only boxes re-split; a repository member is always a leaf.
 		if _, isBox := s.boxes[cand.name]; !isBox {
 			continue
@@ -312,7 +318,7 @@ func (t *TreePlan) feederName(n *treeNode) string {
 // route to match its place in the tree: local playout plus, when it
 // has children, one forwarded copy per child VCI — the local re-split
 // of principle 5. reinstall keeps the route's original age
-// (principle 3), exactly like reRoute.
+// (principle 3).
 func (s *System) installNode(p *occam.Proc, st *Stream, n *treeNode, reinstall bool) {
 	db, ok := s.boxes[n.name]
 	if !ok {
@@ -341,25 +347,24 @@ func (s *System) installNode(p *occam.Proc, st *Stream, n *treeNode, reinstall b
 	}
 }
 
-// reRouteSource re-installs the source route to one copy per tree
-// root, in placement order, keeping the original age (principle 3).
-func (s *System) reRouteSource(p *occam.Proc, st *Stream) {
-	plan := st.Tree
-	var vcis []uint32
-	for _, n := range plan.order {
+// installSource installs (or re-installs) the source route: one copy
+// per tree root, in placement order. reinstall keeps the route's
+// original age (principle 3), as in installNode.
+func (s *System) installSource(p *occam.Proc, st *Stream, reinstall bool) {
+	r := box.Route{Stream: st.Local, Outputs: []box.Output{box.OutNetwork}, Video: st.Video}
+	for _, n := range st.Tree.order {
 		if n.parent == nil {
-			vcis = append(vcis, n.vci)
+			r.NetVCIs = append(r.NetVCIs, n.vci)
 		}
 	}
-	src := s.boxes[plan.from]
-	src.SetRoute(p, box.Route{
-		Stream:  st.Local,
-		Outputs: []box.Output{box.OutNetwork},
-		NetVCIs: vcis,
-		Opened:  occam.Time(1),
-		Video:   st.Video,
-	})
-	if len(vcis) == 0 {
+	if reinstall {
+		r.Opened = occam.Time(1)
+	}
+	src := s.boxes[st.From]
+	src.SetRoute(p, r)
+	if len(r.NetVCIs) == 0 && reinstall {
+		// SetRoute leaves the fan-out list alone when handed none: a
+		// source whose last root was taken away must stop copying.
 		src.SetNetCopies(p, st.Local, nil)
 	}
 }
@@ -381,41 +386,20 @@ func (s *System) sendTree(p *occam.Proc, cfg TreeConfig, from string, cs box.Cam
 	st := &Stream{From: from, Local: s.allocStream(from), Video: video, VCIs: make(map[string]uint32)}
 	plan := newTreePlan(from, cfg)
 	st.Tree = plan
-	if plan.cfg.Fanout <= 0 {
-		// Flat plan: every destination a direct child of the source, with
-		// the exact VCI-allocation and route-install sequence of the
-		// original per-viewer tannoy.
-		for _, dst := range to {
-			n := &treeNode{name: dst, vci: s.allocVCI()}
-			plan.placed[0] = append(plan.placed[0], n)
-			plan.order = append(plan.order, n)
-			plan.nodes[dst] = n
-			plan.nextIdx++
-			st.VCIs[dst] = n.vci
-			s.openCircuit(p, n.vci, from, dst, video)
-			s.installNode(p, st, n, false)
-		}
-	} else {
-		for _, dst := range to {
-			n := s.planAttach(plan, dst)
-			n.vci = s.allocVCI()
-			st.VCIs[dst] = n.vci
-			s.openCircuit(p, n.vci, plan.feederName(n), dst, video)
-		}
-		// Routes go in after every child VCI exists, destination order.
-		for _, n := range plan.order {
-			s.installNode(p, st, n, false)
-		}
+	for _, dst := range to {
+		n := s.planAttach(plan, dst)
+		n.vci = s.allocVCI()
+		st.VCIs[dst] = n.vci
+		s.openCircuit(p, n.vci, plan.feederName(n), dst, video)
+	}
+	// Routes go in after every child VCI exists, destination order.
+	for _, n := range plan.order {
+		s.installNode(p, st, n, false)
+	}
+	if plan.cfg.Fanout > 0 {
 		s.observeTree(st)
 	}
-	var rootVCIs []uint32
-	for _, n := range plan.order {
-		if n.parent == nil {
-			rootVCIs = append(rootVCIs, n.vci)
-		}
-	}
-	route := box.Route{Stream: st.Local, Outputs: []box.Output{box.OutNetwork}, NetVCIs: rootVCIs, Video: video}
-	src.SetRoute(p, route)
+	s.installSource(p, st, false)
 	if video {
 		cs.Stream = st.Local
 		src.StartCamera(p, cs)
@@ -448,7 +432,7 @@ func (s *System) Pull(p *occam.Proc, st *Stream, dsts ...string) {
 		s.openCircuit(p, n.vci, plan.feederName(n), dst, st.Video)
 		s.installNode(p, st, n, false)
 		if n.parent == nil {
-			s.reRouteSource(p, st)
+			s.installSource(p, st, true)
 		} else {
 			s.installNode(p, st, n.parent, true)
 		}
@@ -468,9 +452,6 @@ func (s *System) Pull(p *occam.Proc, st *Stream, dsts ...string) {
 // and a new one opens. Returns how many orphans were re-homed.
 func (s *System) RepairTree(p *occam.Proc, st *Stream, failed string) int {
 	plan := st.Tree
-	if plan == nil {
-		return 0
-	}
 	fn := plan.nodes[failed]
 	if fn == nil || len(fn.children) == 0 {
 		return 0
@@ -512,7 +493,7 @@ func (s *System) RepairTree(p *occam.Proc, st *Stream, failed string) int {
 		o.former = append(o.former, fn)
 		o.parent = parent
 		if parent == nil {
-			s.reRouteSource(p, st)
+			s.installSource(p, st, true)
 		} else {
 			parent.children = append(parent.children, o)
 			s.installNode(p, st, parent, true)
@@ -524,10 +505,10 @@ func (s *System) RepairTree(p *occam.Proc, st *Stream, failed string) int {
 	return len(orphans)
 }
 
-// closeTree tears a tree stream down: stop the media source, remove
+// Close shuts a stream down entirely: stop the media source, remove
 // the source route, then every destination's route and its feeding
 // circuit, in placement order.
-func (s *System) closeTree(p *occam.Proc, st *Stream) {
+func (s *System) Close(p *occam.Proc, st *Stream) {
 	src := s.boxes[st.From]
 	if st.Video {
 		src.StopCamera(p, st.Local)
@@ -544,10 +525,11 @@ func (s *System) closeTree(p *occam.Proc, st *Stream) {
 	}
 }
 
-// removeTreeDestination detaches one destination. A leaf just
-// disconnects; an interior box first has its children re-homed (the
-// repair machinery, minus the fault) so its subtree keeps playing.
-func (s *System) removeTreeDestination(p *occam.Proc, st *Stream, dst string) {
+// RemoveDestination drops one destination from a stream; the other
+// copies are unaffected (principle 6). A leaf just disconnects; an
+// interior box first has its children re-homed (the repair machinery,
+// minus the fault) so its subtree keeps playing.
+func (s *System) RemoveDestination(p *occam.Proc, st *Stream, dst string) {
 	plan := st.Tree
 	n := plan.nodes[dst]
 	if n == nil {
@@ -557,21 +539,17 @@ func (s *System) removeTreeDestination(p *occam.Proc, st *Stream, dst string) {
 		s.RepairTree(p, st, dst)
 	}
 	feeder := plan.feederName(n)
-	if n.parent == nil {
-		// Remove from the roots and re-route the source.
-		delete(plan.nodes, dst)
-		plan.drop(n)
-		s.reRouteSource(p, st)
+	delete(plan.nodes, dst)
+	plan.drop(n)
+	if parent := n.parent; parent == nil {
+		s.installSource(p, st, true)
 	} else {
-		parent := n.parent
 		for i, c := range parent.children {
 			if c == n {
 				parent.children = append(parent.children[:i], parent.children[i+1:]...)
 				break
 			}
 		}
-		delete(plan.nodes, dst)
-		plan.drop(n)
 		s.installNode(p, st, parent, true)
 	}
 	delete(st.VCIs, dst)

@@ -2,8 +2,7 @@
 // of the paper's evaluation (§3.7.2, §4) plus the ablations listed in
 // DESIGN.md. Each experiment is a pure function of its parameters on
 // the deterministic virtual-time substrate, so every run prints the
-// same numbers. cmd/pandora-bench prints all of them; bench_test.go
-// wraps each in a testing.B benchmark.
+// same numbers. cmd/pandora-bench prints all of them.
 //
 // Ownership: experiments observe, they do not hold. Any code here
 // that sees a segment.Wire (delivery digests, fingerprints) reads its

@@ -190,12 +190,8 @@ func (f *Fabric) Attach(h *atm.Host) *Port {
 		egDrops:   obs.NewCounter(),
 		unrouted:  obs.NewCounter(),
 		shedDrops: obs.NewCounter(),
-		faultDrop: obs.NewCounter(),
-		faultCorr: obs.NewCounter(),
-		faultDup:  obs.NewCounter(),
-		faultDel:  obs.NewCounter(),
-		faultStal: obs.NewCounter(),
 	}
+	pt.fault = atm.NewFaultGate(pt.nm, "port-stall")
 	pt.crossTimer = occam.NewTimer(f.rt, pt.crossDone)
 	pt.txWake = occam.NewTimer(f.rt, func(s occam.Sched) { s.Raise(pt.txSig) })
 	pt.txSig = occam.NewSignal(f.rt, pt.nm+".txwake")
@@ -372,7 +368,7 @@ type Port struct {
 	txSig   *occam.Signal
 
 	shed  map[uint32]bool
-	fault atm.FaultHook
+	fault *atm.FaultGate
 
 	// inByVCI counts messages the attached host offered at this port's
 	// ingress, per VCI — the per-hop copy accounting: the number of
@@ -398,21 +394,14 @@ type Port struct {
 	egDrops   *obs.Counter
 	unrouted  *obs.Counter
 	shedDrops *obs.Counter
-	faultDrop *obs.Counter
-	faultCorr *obs.Counter
-	faultDup  *obs.Counter
-	faultDel  *obs.Counter
-	faultStal *obs.Counter
 }
 
 // Name returns the port name (the obs "port" label value).
 func (pt *Port) Name() string { return pt.nm }
 
-// HostName returns the attached host's name.
-func (pt *Port) HostName() string { return pt.host.Name() }
-
 // Stats returns a copy of the port's counters.
 func (pt *Port) Stats() PortStats {
+	fs := pt.fault.Stats()
 	return PortStats{
 		Forwarded:    pt.forwarded.Value(),
 		Bytes:        pt.bytes.Value(),
@@ -421,11 +410,11 @@ func (pt *Port) Stats() PortStats {
 		EgressDrops:  pt.egDrops.Value(),
 		Unrouted:     pt.unrouted.Value(),
 		ShedDrops:    pt.shedDrops.Value(),
-		FaultDrops:   pt.faultDrop.Value(),
-		FaultCorrupt: pt.faultCorr.Value(),
-		FaultDups:    pt.faultDup.Value(),
-		FaultDelays:  pt.faultDel.Value(),
-		FaultStalls:  pt.faultStal.Value(),
+		FaultDrops:   fs.Drops,
+		FaultCorrupt: fs.Corruptions,
+		FaultDups:    fs.Duplicates,
+		FaultDelays:  fs.Delays,
+		FaultStalls:  fs.Stalls,
 	}
 }
 
@@ -467,22 +456,12 @@ func (pt *Port) IngressCopies() map[uint32]uint64 {
 	return out
 }
 
-// StreamDigests returns each delivered stream's (digest, count) at
-// this port — DeliveryDigest broken out per VCI.
-func (pt *Port) StreamDigests() map[uint32][2]uint64 {
-	out := make(map[uint32][2]uint64, len(pt.perVCI))
-	for vci, d := range pt.perVCI {
-		out[vci] = [2]uint64{d.digest, d.count}
-	}
-	return out
-}
-
 // SetFault attaches a fault process to the port's egress (nil
 // detaches): every message routed *to* this port consults the hook on
 // egress arrival, and the transmitter consults StallUntil before each
 // cell train — so an injected fault, like real port trouble, stays on
 // its own port.
-func (pt *Port) SetFault(h atm.FaultHook) { pt.fault = h }
+func (pt *Port) SetFault(h atm.FaultHook) { pt.fault.SetHook(h) }
 
 // observe registers the port's instruments under the obs "port" label.
 func (pt *Port) observe(reg *obs.Registry) {
@@ -494,11 +473,8 @@ func (pt *Port) observe(reg *obs.Registry) {
 	reg.RegisterCounter("fabric_port_egress_drops_total", pt.egDrops, lb)
 	reg.RegisterCounter("fabric_port_unrouted_total", pt.unrouted, lb)
 	reg.RegisterCounter("fabric_port_shed_drops_total", pt.shedDrops, lb)
-	reg.RegisterCounter("fabric_port_fault_drops_total", pt.faultDrop, lb)
-	reg.RegisterCounter("fabric_port_fault_corruptions_total", pt.faultCorr, lb)
-	reg.RegisterCounter("fabric_port_fault_duplicates_total", pt.faultDup, lb)
-	reg.RegisterCounter("fabric_port_fault_delays_total", pt.faultDel, lb)
-	reg.RegisterCounter("fabric_port_fault_stalls_total", pt.faultStal, lb)
+	pt.fault.Register(reg, "fabric_port_fault_", lb)
+	pt.fault.Trace(reg.Tracer())
 	reg.GaugeFunc("fabric_port_ingress_depth", func() float64 { return float64(len(pt.inq)) }, lb)
 	reg.GaugeFunc("fabric_port_ingress_limit", func() float64 { return float64(pt.fab.cfg.IngressLimit) }, lb)
 	reg.GaugeFunc("fabric_port_queue_depth", func() float64 { return float64(pt.egCells) }, lb)
@@ -579,29 +555,9 @@ func (pt *Port) egArrive(s occam.Sched, m atm.Message) {
 		m.W.Release()
 		return
 	}
-	dup := false
-	if pt.fault != nil {
-		act := pt.fault.OnMessage(now, m.VCI, m.Size)
-		if act.Drop {
-			reason := act.Reason
-			if reason == "" {
-				reason = "injected-loss"
-			}
-			pt.faultDrop.Inc()
-			pt.fab.trace.EmitAt(now, obs.EvFault, pt.nm, m.VCI, reason)
-			m.W.Release()
-			return
-		}
-		if act.Corrupt {
-			m.Corrupt = true
-			pt.faultCorr.Inc()
-			pt.fab.trace.EmitAt(now, obs.EvFault, pt.nm, m.VCI, "injected-corruption")
-		}
-		if act.Delay > 0 {
-			m.FaultDelay += act.Delay
-			pt.faultDel.Inc()
-		}
-		dup = act.Duplicate
+	ok, dup := pt.fault.Admit(now, &m)
+	if !ok {
+		return
 	}
 	n := cells(m.Size)
 	if pt.egCells+n > pt.fab.cfg.EgressCellLimit {
@@ -613,13 +569,10 @@ func (pt *Port) egArrive(s occam.Sched, m atm.Message) {
 	pt.egq = append(pt.egq, m)
 	pt.egCells += n
 	if dup && pt.egCells+n <= pt.fab.cfg.EgressCellLimit {
-		// The duplicate is a second full message with its own wire
-		// reference, under the same cell bound.
-		m.W.Retain(1)
+		// The duplicate comes under the same cell bound.
+		pt.fault.Duplicated(now, &m)
 		pt.egq = append(pt.egq, m)
 		pt.egCells += n
-		pt.faultDup.Inc()
-		pt.fab.trace.EmitAt(now, obs.EvFault, pt.nm, m.VCI, "injected-duplicate")
 	}
 	if !pt.txBusy && len(pt.egq) > 0 {
 		// Idle transmitter: this arrival starts a cell train now. Slice
@@ -657,13 +610,7 @@ func (pt *Port) slice() {
 // train, plus propagation and the largest injected per-message delay.
 func (pt *Port) trainEnd(now occam.Time) occam.Time {
 	cfg := pt.fab.cfg
-	if pt.fault != nil {
-		if until := pt.fault.StallUntil(now); until > now {
-			pt.faultStal.Inc()
-			pt.fab.trace.EmitAt(now, obs.EvFault, pt.nm, 0, "port-stall")
-			now = until
-		}
-	}
+	now = pt.fault.StallUntil(now, 0)
 	var (
 		totalCells int
 		maxDelay   time.Duration

@@ -18,7 +18,6 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -195,22 +194,6 @@ func Stalls(windows []Window) func(now occam.Time) occam.Time {
 		return 0
 	}
 }
-
-// BlockCorruption is a destination-side corruption process for
-// clawback buffers (clawback.Config.Fault): each arriving block is
-// independently discarded with the given rate.
-type BlockCorruption struct {
-	rng  *workload.RNG
-	rate float64
-}
-
-// NewBlockCorruption returns a block-corruption process.
-func NewBlockCorruption(rate float64, seed uint64) *BlockCorruption {
-	return &BlockCorruption{rng: workload.NewRNG(seed), rate: rate}
-}
-
-// Hit reports whether the current block is corrupted.
-func (c *BlockCorruption) Hit() bool { return c.rng.Bool(c.rate) }
 
 // Spec is a parsed pandora-sim -faults specification: which canned
 // faults to inject, all derived deterministically from one seed.
@@ -492,54 +475,4 @@ func ParseWindow(v string) (Window, error) {
 		return Window{}, fmt.Errorf("window %q ends before it starts", v)
 	}
 	return Window{From: from, To: to}, nil
-}
-
-// FormatSpec renders a spec back into the ParseSpec grammar, always in
-// the parameterised forms, such that ParseSpec(FormatSpec(s), s.Seed)
-// reproduces s (for specs whose Link.Seed is zero — the template seed
-// is never used; LinkFault derives per-link seeds from Spec.Seed).
-func FormatSpec(s Spec) string {
-	var toks []string
-	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	win := func(w Window) string { return w.From.String() + "-" + w.To.String() }
-	l := s.Link
-	if l.BurstEnter > 0 {
-		tok := "burst=" + num(l.BurstEnter)
-		if l.BurstLen > 0 {
-			tok += "/" + strconv.Itoa(l.BurstLen)
-		}
-		toks = append(toks, tok)
-	}
-	if l.Corrupt > 0 {
-		toks = append(toks, "corrupt="+num(l.Corrupt))
-	}
-	if l.Duplicate > 0 {
-		toks = append(toks, "dup="+num(l.Duplicate))
-	}
-	if l.JitterMean > 0 || l.JitterStddev > 0 {
-		toks = append(toks, "jitter="+l.JitterMean.String()+"/"+l.JitterStddev.String())
-	}
-	if l.StallEvery > 0 && l.StallFor > 0 {
-		toks = append(toks, "stall="+l.StallEvery.String()+"/"+l.StallFor.String())
-	}
-	for _, w := range l.Stalls {
-		toks = append(toks, "stallwin="+win(w))
-	}
-	for _, w := range s.SinkStalls {
-		toks = append(toks, "sink="+win(w))
-	}
-	boards := make([]string, 0, len(s.Crashes))
-	for b := range s.Crashes {
-		boards = append(boards, b)
-	}
-	sort.Strings(boards)
-	for _, b := range boards {
-		for _, w := range s.Crashes[b] {
-			toks = append(toks, "crash="+b+":"+win(w))
-		}
-	}
-	if s.Target != "" {
-		toks = append(toks, "target="+s.Target)
-	}
-	return strings.Join(toks, ",")
 }

@@ -1,8 +1,6 @@
 // Package metrics provides the measurement instruments used by the
-// experiments: latency/jitter trackers, time-series recorders for
-// figure-style output, and audio quality accounting that maps the
-// paper's qualitative loss statements (§3.8) onto measurable event
-// rates.
+// experiments: latency/jitter trackers and time-series recorders for
+// figure-style output.
 package metrics
 
 import (
@@ -157,71 +155,4 @@ func (s *Series) Downsample(n int) []Point {
 		out = append(out, s.Points[int(float64(i)*step)])
 	}
 	return out
-}
-
-// AudioQuality accumulates the §3.8 event classes for one stream and
-// scores them against the paper's audibility statements.
-type AudioQuality struct {
-	Blocks         uint64 // blocks played
-	SilentInserts  uint64 // 2 ms silences (clawback underruns)
-	DroppedBlocks  uint64 // blocks lost or discarded
-	ReplayedBlocks uint64 // concealment replays
-	ConsecutiveBad uint64 // worst run of bad (silent/replayed) blocks
-	currentBadRun  uint64
-}
-
-// Good records n good blocks.
-func (q *AudioQuality) Good(n uint64) {
-	q.Blocks += n
-	q.currentBadRun = 0
-}
-
-// Bad records one degraded block of the given kind.
-func (q *AudioQuality) Bad(silent, dropped, replayed bool) {
-	q.Blocks++
-	if silent {
-		q.SilentInserts++
-	}
-	if dropped {
-		q.DroppedBlocks++
-	}
-	if replayed {
-		q.ReplayedBlocks++
-	}
-	q.currentBadRun++
-	if q.currentBadRun > q.ConsecutiveBad {
-		q.ConsecutiveBad = q.currentBadRun
-	}
-}
-
-// Verdict classifies the stream against the paper's observations:
-// occasional 2 ms drops are "rarely noticeable in speech"; repeated
-// drops sound "gravelly"; frequent replays sound "garbled".
-type Verdict string
-
-// Verdicts, ordered from best to worst.
-const (
-	Clean      Verdict = "clean"
-	Occasional Verdict = "occasional"
-	Gravelly   Verdict = "gravelly"
-	Garbled    Verdict = "garbled"
-)
-
-// Verdict scores the accumulated events.
-func (q *AudioQuality) Verdict() Verdict {
-	if q.Blocks == 0 {
-		return Clean
-	}
-	bad := q.SilentInserts + q.DroppedBlocks + q.ReplayedBlocks
-	rate := float64(bad) / float64(q.Blocks)
-	switch {
-	case rate == 0:
-		return Clean
-	case rate < 0.01 && q.ConsecutiveBad <= 2:
-		return Occasional
-	case rate < 0.10:
-		return Gravelly
-	default:
-		return Garbled
-	}
 }

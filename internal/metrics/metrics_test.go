@@ -99,63 +99,6 @@ func TestSeriesDownsample(t *testing.T) {
 	}
 }
 
-func TestAudioQualityVerdicts(t *testing.T) {
-	var clean AudioQuality
-	clean.Good(10000)
-	if v := clean.Verdict(); v != Clean {
-		t.Fatalf("clean verdict %v", v)
-	}
-
-	var occ AudioQuality
-	occ.Good(9999)
-	occ.Bad(false, true, false)
-	if v := occ.Verdict(); v != Occasional {
-		t.Fatalf("occasional verdict %v", v)
-	}
-
-	var grav AudioQuality
-	for i := 0; i < 100; i++ {
-		grav.Good(30)
-		grav.Bad(false, true, false)
-	}
-	if v := grav.Verdict(); v != Gravelly {
-		t.Fatalf("gravelly verdict %v (rate ~3%%)", v)
-	}
-
-	var garb AudioQuality
-	for i := 0; i < 100; i++ {
-		garb.Good(2)
-		garb.Bad(false, false, true)
-		garb.Bad(false, false, true)
-	}
-	if v := garb.Verdict(); v != Garbled {
-		t.Fatalf("garbled verdict %v", v)
-	}
-}
-
-func TestAudioQualityBadRuns(t *testing.T) {
-	var q AudioQuality
-	q.Good(5000)
-	q.Bad(true, false, false)
-	q.Bad(true, false, false)
-	q.Bad(true, false, false)
-	q.Good(5000)
-	if q.ConsecutiveBad != 3 {
-		t.Fatalf("ConsecutiveBad = %d", q.ConsecutiveBad)
-	}
-	// A long bad run pushes an otherwise-low rate past Occasional.
-	if q.Verdict() == Occasional {
-		t.Fatal("3-block run rated occasional")
-	}
-}
-
-func TestAudioQualityEmpty(t *testing.T) {
-	var q AudioQuality
-	if q.Verdict() != Clean {
-		t.Fatal("empty quality not clean")
-	}
-}
-
 // sliceTracker is the reference the multiset Tracker must agree with:
 // keep every sample, sort, index.
 type sliceTracker []time.Duration

@@ -434,6 +434,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{At: r.Now(), Samples: make([]Sample, 0, len(r.entries))}
+	ids := make([]string, 0, len(r.entries))
 	for _, e := range r.entries {
 		sm := Sample{Name: e.name, Labels: e.labels, Kind: e.kind}
 		switch e.kind {
@@ -456,9 +457,27 @@ func (r *Registry) Snapshot() Snapshot {
 			sm.Buckets = append([]uint64(nil), e.hist.counts...)
 		}
 		s.Samples = append(s.Samples, sm)
+		ids = append(ids, sm.ID())
 	}
-	sort.Slice(s.Samples, func(i, j int) bool { return s.Samples[i].ID() < s.Samples[j].ID() })
+	sort.Sort(&byID{s.Samples, ids})
 	return s
+}
+
+// byID sorts samples by their rendered ID. The IDs are rendered once
+// per snapshot into a scratch slice that is dropped with the sorter:
+// rendering inside the comparator costs a Sprintf per label per
+// comparison, and caching the strings on the registry entries would
+// keep them live for the whole run.
+type byID struct {
+	samples []Sample
+	ids     []string
+}
+
+func (b *byID) Len() int           { return len(b.samples) }
+func (b *byID) Less(i, j int) bool { return b.ids[i] < b.ids[j] }
+func (b *byID) Swap(i, j int) {
+	b.samples[i], b.samples[j] = b.samples[j], b.samples[i]
+	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
 }
 
 // Get returns the sample with the exact name and labels.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -207,5 +208,34 @@ func TestTracerRing(t *testing.T) {
 	}
 	if !strings.Contains(ev[3].String(), "drop") {
 		t.Fatalf("event String lacks kind: %q", ev[3].String())
+	}
+}
+
+// TestSnapshotOrderIsByID: Snapshot sorts on IDs rendered once; the
+// order must be the one a sort on Sample.ID() itself gives, including
+// where one family name is a prefix of another, where label values
+// sort differently from their quoted rendering, and across kinds.
+func TestSnapshotOrderIsByID(t *testing.T) {
+	r := New(&fakeClock{})
+	for _, box := range []string{"b10", "b2", "b", `b"q`, "a-b.0", "a"} {
+		r.Counter("link_drops_total", L("link", box))
+		r.Counter("link_drops", L("link", box))
+		r.Gauge("link", L("link", box), L("vci", "1001"))
+		r.Gauge("link", L("link", box), L("vci", "11"))
+		r.Histogram("link_latency_ms", nil, L("vci", "7"), L("link", box))
+		r.CounterFunc("link_drops_total_by_fn", func() uint64 { return 0 }, L("link", box))
+	}
+	r.Counter("link")
+	r.Gauge("z_unlabelled")
+	got := r.Snapshot().Samples
+	want := append([]Sample(nil), got...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].ID() < want[j].ID() })
+	if len(got) != 6*6+2 {
+		t.Fatalf("%d samples", len(got))
+	}
+	for i := range got {
+		if got[i].ID() != want[i].ID() {
+			t.Fatalf("sample %d is %s, a sort by ID puts %s there", i, got[i].ID(), want[i].ID())
+		}
 	}
 }

@@ -97,9 +97,6 @@ func (r *Runner) cleanTwin() (*Runner, error) {
 // survivors-identical excludes them along with the crashed boxes
 // themselves.
 func (r *Runner) deliveredThroughCrash(st *core.Stream, dst string, crashed map[string]bool) bool {
-	if st.Tree == nil {
-		return false
-	}
 	for box := range crashed {
 		if st.Tree.EverUnder(dst, box) {
 			return true
@@ -338,7 +335,7 @@ func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 		return n == int(a.Value), fmt.Sprintf("%d migrations off %s (want %d)", n, a.Arg, int(a.Value))
 	case "spread":
 		st, ok := r.Streams[a.Arg]
-		if !ok || st.Tree == nil {
+		if !ok {
 			return false, fmt.Sprintf("no tree stream %q", a.Arg)
 		}
 		n := st.Tree.FeederBoxes()

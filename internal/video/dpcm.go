@@ -319,17 +319,3 @@ func (ip *Interpolator) Forget(stream uint32) {
 		ip.hasLoaded = false
 	}
 }
-
-// InterpolateVertical reconstructs a skipped line as the average of
-// its neighbours — the "interpolate... vertically" capability whose
-// first line needs the previous segment's last line.
-func InterpolateVertical(prev, next []byte) []byte {
-	if prev == nil {
-		return append([]byte(nil), next...)
-	}
-	out := make([]byte, len(next))
-	for i := range out {
-		out[i] = byte((int(prev[i]) + int(next[i])) / 2)
-	}
-	return out
-}
