@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -43,53 +44,61 @@ import (
 // runScenarioFile executes one scenario spec file and prints its
 // assertion summary — the output the CI smoke job diffs against golden
 // files, so it contains nothing wall-clock dependent.
-func runScenarioFile(path string) int {
+func runScenarioFile(path string, stdout, stderr io.Writer) int {
 	sc, err := scenario.Load(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	sum, err := scenario.Execute(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Print(sum.String())
+	fmt.Fprint(stdout, sum.String())
 	if !sum.Pass {
 		return 1
 	}
 	return 0
 }
 
-func main() {
-	boxes := flag.Int("boxes", 3, "number of boxes in the conference")
-	seconds := flag.Int("seconds", 5, "virtual seconds to simulate")
-	bandwidth := flag.Int64("bandwidth", 100_000_000, "link bandwidth, bits/s")
-	loss := flag.Float64("loss", 0, "link loss rate (0..1)")
-	withVideo := flag.Bool("video", false, "also send video between the first two boxes")
-	muting := flag.Bool("muting", false, "enable echo muting on every box")
-	stats := flag.Bool("stats", false, "print the full observability counter table")
-	prom := flag.Bool("prom", false, "print counters in Prometheus text format")
-	traceN := flag.Int("trace", 0, "print the last N trace events")
-	faults := flag.String("faults", "", "inject faults: comma list of loss, corrupt, dup, jitter, stall, sink, crash, all; add target=<prefix> to restrict link faults to matching links or fabric ports")
-	faultSeed := flag.Uint64("fault-seed", 1, "master seed for the injected fault schedules")
-	degradeOn := flag.Bool("degrade", false, "run the overload degradation controller on every box (and fabric port with -fabric)")
-	balanceOn := flag.Bool("balance", false, "run the balancer control plane: scoreboard sampling, load-aware placement, admission, migration; prints a post-run placement summary")
-	balanceBudget := flag.Int("balance-budget", 0, "with -balance: max concurrently admitted calls (0 = unlimited)")
-	fabricOn := flag.Bool("fabric", false, "mesh the conference through one cell-switched fabric instead of pairwise links")
-	scenarioPath := flag.String("scenario", "", "run a declarative scenario spec file instead of the flag-built conference")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams as parameters, so the
+// golden test can call it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pandora-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	boxes := fs.Int("boxes", 3, "number of boxes in the conference")
+	seconds := fs.Int("seconds", 5, "virtual seconds to simulate")
+	bandwidth := fs.Int64("bandwidth", 100_000_000, "link bandwidth, bits/s")
+	loss := fs.Float64("loss", 0, "link loss rate (0..1)")
+	withVideo := fs.Bool("video", false, "also send video between the first two boxes")
+	muting := fs.Bool("muting", false, "enable echo muting on every box")
+	stats := fs.Bool("stats", false, "print the full observability counter table")
+	prom := fs.Bool("prom", false, "print counters in Prometheus text format")
+	traceN := fs.Int("trace", 0, "print the last N trace events")
+	faults := fs.String("faults", "", "inject faults: comma list of loss, corrupt, dup, jitter, stall, sink, crash, all; add target=<prefix> to restrict link faults to matching links or fabric ports")
+	faultSeed := fs.Uint64("fault-seed", 1, "master seed for the injected fault schedules")
+	degradeOn := fs.Bool("degrade", false, "run the overload degradation controller on every box (and fabric port with -fabric)")
+	balanceOn := fs.Bool("balance", false, "run the balancer control plane: scoreboard sampling, load-aware placement, admission, migration; prints a post-run placement summary")
+	balanceBudget := fs.Int("balance-budget", 0, "with -balance: max concurrently admitted calls (0 = unlimited)")
+	fabricOn := fs.Bool("fabric", false, "mesh the conference through one cell-switched fabric instead of pairwise links")
+	scenarioPath := fs.String("scenario", "", "run a declarative scenario spec file instead of the flag-built conference")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *scenarioPath != "" {
-		os.Exit(runScenarioFile(*scenarioPath))
+		return runScenarioFile(*scenarioPath, stdout, stderr)
 	}
 	if *boxes < 2 {
-		fmt.Fprintln(os.Stderr, "need at least 2 boxes")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "need at least 2 boxes")
+		return 1
 	}
 	spec, err := faultinject.ParseSpec(*faults, *faultSeed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	s := core.NewSystem()
@@ -153,7 +162,7 @@ func main() {
 	var streams []*core.Stream
 	s.Control(func(p *occam.Proc) {
 		if bal != nil && !bal.AdmitCall() {
-			fmt.Println("balancer: conference rejected by admission budget")
+			fmt.Fprintln(stdout, "balancer: conference rejected by admission budget")
 			return
 		}
 		streams = s.Conference(p, names...)
@@ -165,13 +174,13 @@ func main() {
 		}
 	})
 
-	fmt.Printf("simulating %d boxes for %ds of stream time...\n", *boxes, *seconds)
+	fmt.Fprintf(stdout, "simulating %d boxes for %ds of stream time...\n", *boxes, *seconds)
 	wall := time.Now()
 	if err := s.RunFor(time.Duration(*seconds) * time.Second); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Printf("done in %.2fs wall (%.0fx faster than real time)\n\n",
+	fmt.Fprintf(stdout, "done in %.2fs wall (%.0fx faster than real time)\n\n",
 		time.Since(wall).Seconds(), float64(*seconds)/time.Since(wall).Seconds())
 
 	for _, st := range streams {
@@ -184,7 +193,7 @@ func main() {
 			vci := st.VCIs[dst]
 			m := s.Box(dst).Mixer().Stats(vci)
 			lat := s.Box(dst).PlayoutLatency(vci)
-			fmt.Printf("%s → %s: %6d segs, lost %4d, concealed %4d, silences %4d, latency mean %6.2fms p99 %6.2fms\n",
+			fmt.Fprintf(stdout, "%s → %s: %6d segs, lost %4d, concealed %4d, silences %4d, latency mean %6.2fms p99 %6.2fms\n",
 				st.From, dst, m.Segments, m.LostSegments, m.Concealed,
 				m.Clawback.SilenceInserted,
 				float64(lat.Mean())/1e6, float64(lat.Percentile(99))/1e6)
@@ -192,18 +201,18 @@ func main() {
 	}
 	if *withVideo {
 		d := s.Box(names[1]).DisplayStats()
-		fmt.Printf("video %s → %s: %d frames, %d decode errors, frame latency mean %v\n",
+		fmt.Fprintf(stdout, "video %s → %s: %d frames, %d decode errors, frame latency mean %v\n",
 			names[0], names[1], d.Frames, d.DecodeErrs, d.FrameLat.Mean())
 	}
 	for _, n := range names {
 		a := s.Box(n).AudioStats()
 		if a.LateTicks > 0 || a.MicDrops > 0 {
-			fmt.Printf("%s overloaded: %d late ticks, %d mic drops\n", n, a.LateTicks, a.MicDrops)
+			fmt.Fprintf(stdout, "%s overloaded: %d late ticks, %d mic drops\n", n, a.LateTicks, a.MicDrops)
 		}
 	}
 
 	if spec.Active() {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		var total atm.FaultStats
 		for _, l := range s.Net.Links() {
 			fs := l.FaultStats()
@@ -221,12 +230,12 @@ func main() {
 			total.Delays += fs.FaultDelays
 			total.Stalls += fs.FaultStalls
 		}
-		fmt.Printf("injected link faults: drop %d, corrupt %d, dup %d, delay %d, stall %d\n",
+		fmt.Fprintf(stdout, "injected link faults: drop %d, corrupt %d, dup %d, delay %d, stall %d\n",
 			total.Drops, total.Corruptions, total.Duplicates, total.Delays, total.Stalls)
 		for _, n := range names {
 			sw := s.Box(n).SwitchStats()
 			if sw.CorruptDrops > 0 {
-				fmt.Printf("%s discarded %d corrupt segments at reassembly\n", n, sw.CorruptDrops)
+				fmt.Fprintf(stdout, "%s discarded %d corrupt segments at reassembly\n", n, sw.CorruptDrops)
 			}
 		}
 	}
@@ -237,9 +246,9 @@ func main() {
 				continue
 			}
 			sw := s.Box(n).SwitchStats()
-			fmt.Printf("\n%s degradation (%d segments stopped at the switch):\n", n, sw.ShedDrops)
+			fmt.Fprintf(stdout, "\n%s degradation (%d segments stopped at the switch):\n", n, sw.ShedDrops)
 			for _, act := range acts {
-				fmt.Printf("  %s\n", act)
+				fmt.Fprintf(stdout, "  %s\n", act)
 			}
 		}
 		if fab != nil {
@@ -248,50 +257,51 @@ func main() {
 				if len(acts) == 0 {
 					continue
 				}
-				fmt.Printf("\n%s degradation (%d messages shed at the port):\n", pt.Name(), pt.Stats().ShedDrops)
+				fmt.Fprintf(stdout, "\n%s degradation (%d messages shed at the port):\n", pt.Name(), pt.Stats().ShedDrops)
 				for _, act := range acts {
-					fmt.Printf("  %s\n", act)
+					fmt.Fprintf(stdout, "  %s\n", act)
 				}
 			}
 		}
 	}
 
 	if bal != nil {
-		fmt.Println("\nbalancer placement summary:")
-		fmt.Printf("  admission: %d admitted, %d rejected (budget %d)\n",
+		fmt.Fprintln(stdout, "\nbalancer placement summary:")
+		fmt.Fprintf(stdout, "  admission: %d admitted, %d rejected (budget %d)\n",
 			bal.Admitted(), bal.Rejected(), *balanceBudget)
 		for _, sc := range bal.Scores() {
 			if sc.Eff == 0 && sc.Placements == 0 {
 				continue
 			}
-			fmt.Printf("  %s: score %.3f (raw %.3f, queue %.0f%%), %d placements\n",
+			fmt.Fprintf(stdout, "  %s: score %.3f (raw %.3f, queue %.0f%%), %d placements\n",
 				sc.Name, sc.Eff, sc.Raw, 100*sc.Queue, sc.Placements)
 		}
 		for _, m := range bal.Migrations() {
-			fmt.Printf("  %s\n", m)
+			fmt.Fprintf(stdout, "  %s\n", m)
 		}
 	}
 
 	if *stats {
-		fmt.Println()
-		fmt.Print(s.Obs.Snapshot().Table())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, s.Obs.Snapshot().Table())
 	}
 	if *prom {
-		fmt.Println()
-		fmt.Print(s.Obs.Snapshot().Prometheus())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, s.Obs.Snapshot().Prometheus())
 	}
 	if *traceN > 0 {
 		evs := s.Obs.Tracer().Events()
 		if dropped := s.Obs.Tracer().Total() - uint64(len(evs)); dropped > 0 {
-			fmt.Printf("\n(%d older events evicted from the %d-event ring)\n",
+			fmt.Fprintf(stdout, "\n(%d older events evicted from the %d-event ring)\n",
 				dropped, s.Obs.Tracer().Cap())
 		}
 		if len(evs) > *traceN {
 			evs = evs[len(evs)-*traceN:]
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, e := range evs {
-			fmt.Println(e)
+			fmt.Fprintln(stdout, e)
 		}
 	}
+	return 0
 }

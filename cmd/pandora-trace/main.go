@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -28,35 +29,44 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	series := flag.String("series", "clawback", "which series to dump: clawback | muting | events")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams as parameters, so the
+// golden test can call it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pandora-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	series := fs.String("series", "clawback", "which series to dump: clawback | muting | events")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	switch *series {
 	case "clawback":
 		_, s := experiment.E5()
-		fmt.Println("# seconds\tjitter-correction-ms")
+		fmt.Fprintln(stdout, "# seconds\tjitter-correction-ms")
 		for _, p := range s.Points {
-			fmt.Printf("%.1f\t%.1f\n", p.At.Seconds(), p.Value)
+			fmt.Fprintf(stdout, "%.1f\t%.1f\n", p.At.Seconds(), p.Value)
 		}
 	case "muting":
 		_, s := experiment.E8()
-		fmt.Println("# ms\tmute-factor")
+		fmt.Fprintln(stdout, "# ms\tmute-factor")
 		for _, p := range s.Points {
-			fmt.Printf("%.1f\t%.2f\n", p.At.Seconds()*1000, p.Value)
+			fmt.Fprintf(stdout, "%.1f\t%.2f\n", p.At.Seconds()*1000, p.Value)
 		}
 	case "events":
-		dumpEvents()
+		return dumpEvents(stdout, stderr)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown series %q\n", *series)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unknown series %q\n", *series)
+		return 1
 	}
+	return 0
 }
 
 // dumpEvents runs a two-box audio call over a congested link long
 // enough to exercise drops and overload transitions, then prints the
 // obs event ring as TSV.
-func dumpEvents() {
+func dumpEvents(stdout, stderr io.Writer) int {
 	s := core.NewSystem()
 	defer s.Shutdown()
 	for i, name := range []string{"alice", "bob"} {
@@ -78,12 +88,13 @@ func dumpEvents() {
 		s.Close(p, ab)
 	})
 	if err := s.RunFor(4 * time.Second); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Println("# seconds\tkind\tsource\tstream\tdetail")
+	fmt.Fprintln(stdout, "# seconds\tkind\tsource\tstream\tdetail")
 	for _, e := range s.Obs.Tracer().Events() {
-		fmt.Printf("%.6f\t%s\t%s\t%d\t%s\n",
+		fmt.Fprintf(stdout, "%.6f\t%s\t%s\t%d\t%s\n",
 			time.Duration(e.At).Seconds(), e.Kind, e.Source, e.Stream, e.Detail)
 	}
+	return 0
 }

@@ -51,8 +51,8 @@ func main() {
 
 	fmt.Println("four-way conference, 30 s of stream time:")
 	for _, st := range streams {
-		for dst, vci := range st.VCIs {
-			m := sys.Box(dst).Mixer().Stats(vci)
+		for _, dst := range st.Tree.Members() {
+			m := sys.Box(dst).Mixer().Stats(st.VCIs[dst])
 			fmt.Printf("  %-8s → %-8s  %5d segments, %d lost\n",
 				st.From, dst, m.Segments, m.LostSegments)
 		}

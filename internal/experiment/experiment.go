@@ -78,6 +78,47 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
+// Experiment names one table of the evaluation and the function that
+// regenerates it.
+type Experiment struct {
+	ID  string
+	Run func() *Table
+}
+
+// All lists every experiment in printing order — the one list
+// cmd/pandora-bench prints and TestTablesGolden pins.
+func All() []Experiment {
+	return []Experiment{
+		{"E1", E1},
+		{"E2", E2},
+		{"E3", E3},
+		{"E4", E4},
+		{"E5", func() *Table { t, _ := E5(); return t }},
+		{"E6", E6},
+		{"E7", E7},
+		{"E8", func() *Table { t, _ := E8(); return t }},
+		{"E9", E9},
+		{"E10", E10},
+		{"E11", E11},
+		{"E12", E12},
+		{"E13", E13},
+		{"E14", E14},
+		{"E15", E15},
+		{"E16", E16},
+		{"E17", E17},
+		{"E18", E18},
+		{"E19", E19},
+		{"E20", E20},
+		{"E21", func() *Table { t, _ := E21(); return t }},
+		{"E22", func() *Table { t, _ := E22(); return t }},
+		{"E23", func() *Table { t, _ := E23(); return t }},
+		{"E24", func() *Table { t, _ := E24(); return t }},
+		{"A1", A1},
+		{"A2", A2},
+		{"A3", A3},
+	}
+}
+
 // startScenario compiles an embedded scenario spec and spawns its
 // system without advancing time; then, when non-nil, runs in the
 // timeline control process after the last event (measurement probes).
