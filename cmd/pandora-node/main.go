@@ -42,35 +42,6 @@ import (
 	"repro/internal/workload"
 )
 
-// boxConfigFromSpec maps one scenario box onto a node's box.Config —
-// the same field mapping the in-process scenario runner applies, minus
-// the simulation-only fault hooks.
-func boxConfigFromSpec(bs scenario.Box) box.Config {
-	cfg := box.Config{
-		Name:              bs.Name,
-		BlocksPerSegment:  bs.Blocks,
-		CameraW:           bs.CameraW,
-		CameraH:           bs.CameraH,
-		NetInterfaceBits:  bs.NetIfBits,
-		InterleaveNetwork: bs.Interleave,
-		SharedNetBuffer:   bs.SharedNet,
-		Features: box.Features{
-			JitterCorrection: bs.Jitter,
-			Muting:           bs.Muting,
-			Interface:        bs.Interface,
-		},
-	}
-	if bs.Mic != nil {
-		switch bs.Mic.Kind {
-		case "tone":
-			cfg.Mic = workload.NewTone(int(bs.Mic.A), int32(bs.Mic.B))
-		case "speech":
-			cfg.Mic = workload.NewSpeech(bs.Mic.A, int32(bs.Mic.B))
-		}
-	}
-	return cfg
-}
-
 // vciBase numbers node i's outgoing audio stream vciBase+i on every
 // peer, so the mesh needs no signalling: the peer list order IS the
 // VCI assignment.
@@ -225,7 +196,7 @@ func main() {
 	}
 	total := time.Duration(*seconds) * time.Second
 	if spec != nil {
-		cfg = boxConfigFromSpec(spec.Boxes[*index])
+		cfg = spec.Boxes[*index].Config()
 		name = cfg.Name
 		if cfg.Mic == nil {
 			cfg.Mic = workload.NewSpeech(uint64(*seed)+uint64(*index)+1, 12000)

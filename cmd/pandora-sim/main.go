@@ -29,21 +29,13 @@ import (
 	"time"
 
 	"repro/internal/atm"
-	"repro/internal/balancer"
-	"repro/internal/box"
-	"repro/internal/core"
-	"repro/internal/degrade"
-	"repro/internal/fabric"
 	"repro/internal/faultinject"
-	"repro/internal/occam"
 	"repro/internal/scenario"
-	"repro/internal/video"
-	"repro/internal/workload"
 )
 
 // runScenarioFile executes one scenario spec file and prints its
-// assertion summary — the output the CI smoke job diffs against golden
-// files, so it contains nothing wall-clock dependent.
+// assertion summary — the text scenarios/golden/ pins, so it contains
+// nothing wall-clock dependent.
 func runScenarioFile(path string, stdout, stderr io.Writer) int {
 	sc, err := scenario.Load(path)
 	if err != nil {
@@ -95,95 +87,85 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "need at least 2 boxes")
 		return 1
 	}
-	spec, err := faultinject.ParseSpec(*faults, *faultSeed)
-	if err != nil {
+	// A bad -faults token is a usage error reported in ParseSpec's own
+	// words, before any scenario exists to name.
+	if _, err := faultinject.ParseSpec(*faults, *faultSeed); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
-	s := core.NewSystem()
-	defer s.Shutdown()
-	var names []string
-	for i := 0; i < *boxes; i++ {
-		name := fmt.Sprintf("box%d", i)
-		names = append(names, name)
-		cfg := box.Config{
-			Name: name,
-			Mic:  workload.NewSpeech(uint64(i+1), 12000),
-			Features: box.Features{
-				JitterCorrection: true,
-				Muting:           *muting,
-			},
-		}
-		if i == 0 {
-			// Crash and sink-stall faults target the first box; link
-			// faults (below) hit every link.
-			cfg.BoardFaults = spec.Boards()
-			if len(spec.SinkStalls) > 0 {
-				cfg.SinkStalls = map[string][]faultinject.Window{
-					"net-video": spec.SinkStalls,
-					"net-audio": spec.SinkStalls,
-				}
-			}
-		}
-		s.AddBox(cfg)
+	// The flags describe a scenario like any spec file does: N boxes in
+	// one conference over a full mesh of links or one fabric.
+	length := time.Duration(*seconds) * time.Second
+	sc := &scenario.Scenario{
+		Name: "sim",
+		// Validate wants a positive length; -seconds 0 (build the system,
+		// snapshot at t+0) stays a usable probe because RunFor below takes
+		// the flag's value, not this field.
+		Duration: max(length, time.Nanosecond),
+		Faults:   *faults,
+		Seed:     *faultSeed,
 	}
-	var fab *fabric.Fabric
+	names := make([]string, *boxes)
+	for i := range names {
+		names[i] = fmt.Sprintf("box%d", i)
+		sc.Boxes = append(sc.Boxes, scenario.Box{
+			Name:   names[i],
+			Mic:    &scenario.Mic{Kind: "speech", A: uint64(i + 1), B: 12000},
+			Jitter: true,
+			Muting: *muting,
+		})
+	}
 	if *fabricOn {
-		fab = s.AddFabric("fab", fabric.Config{PortBandwidth: *bandwidth})
-		for _, n := range names {
-			s.AttachFabric("fab", n)
-		}
+		sc.Fabrics = []scenario.Fabric{{Name: "fab", PortBandwidth: *bandwidth, Attach: names}}
 	} else {
-		for i := 0; i < *boxes; i++ {
-			for j := i + 1; j < *boxes; j++ {
-				s.Connect(names[i], names[j], atm.LinkConfig{
+		for i := range names {
+			for j := i + 1; j < len(names); j++ {
+				sc.Links = append(sc.Links, scenario.Link{From: names[i], To: names[j], Hops: []scenario.Hop{{
 					Bandwidth: *bandwidth,
-					LossRate:  *loss,
+					Loss:      *loss,
 					Seed:      uint64(i*100 + j),
-				})
+				}}})
 			}
 		}
 	}
-
-	if spec.Active() {
-		s.InjectLinkFaults(spec)
-	}
-	var ctrls map[string]*degrade.Controller
 	if *degradeOn {
-		ctrls = s.EnableDegradation(degrade.Config{})
+		sc.Degrade = &scenario.Degrade{}
 	}
-	var bal *balancer.Balancer
 	if *balanceOn {
-		bal = balancer.New(s, balancer.Config{Budget: *balanceBudget})
-		bal.Start()
+		sc.Balance = &scenario.Balance{Budget: *balanceBudget}
 	}
-
-	var streams []*core.Stream
-	s.Control(func(p *occam.Proc) {
-		if bal != nil && !bal.AdmitCall() {
-			fmt.Fprintln(stdout, "balancer: conference rejected by admission budget")
-			return
-		}
-		streams = s.Conference(p, names...)
-		if *withVideo {
-			s.SendVideo(p, names[0], box.CameraStream{
-				Rect: video.Rect{W: 128, H: 64},
-				Rate: video.Rate{Num: 2, Den: 5},
-			}, names[1])
-		}
-	})
+	sc.Events = []scenario.Event{{Op: "conference", From: names[0], To: names[1:], Ref: "conf"}}
+	if *withVideo {
+		sc.Events = append(sc.Events, scenario.Event{
+			Op: "video", From: names[0], To: names[1:2],
+			W: 128, H: 64, RateNum: 2, RateDen: 5,
+		})
+	}
+	r, err := scenario.NewRunner(sc)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer r.Close()
+	r.Start(nil)
+	s := r.Sys
+	fab := s.Fabric("fab") // nil without -fabric
 
 	fmt.Fprintf(stdout, "simulating %d boxes for %ds of stream time...\n", *boxes, *seconds)
 	wall := time.Now()
-	if err := s.RunFor(time.Duration(*seconds) * time.Second); err != nil {
+	if err := r.RunFor(length); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "done in %.2fs wall (%.0fx faster than real time)\n\n",
 		time.Since(wall).Seconds(), float64(*seconds)/time.Since(wall).Seconds())
 
-	for _, st := range streams {
+	for i := range names {
+		st, ok := r.Streams[fmt.Sprintf("conf[%d]", i)]
+		if !ok {
+			break // -seconds 0: the timeline has not run
+		}
 		dsts := make([]string, 0, len(st.VCIs))
 		for dst := range st.VCIs {
 			dsts = append(dsts, dst)
@@ -211,7 +193,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if spec.Active() {
+	if r.FaultSpec.Active() {
 		fmt.Fprintln(stdout)
 		var total atm.FaultStats
 		for _, l := range s.Net.Links() {
@@ -241,7 +223,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *degradeOn {
 		for _, n := range names {
-			acts := ctrls[n].Actions()
+			acts := r.Ctrls[n].Actions()
 			if len(acts) == 0 {
 				continue
 			}
@@ -253,7 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if fab != nil {
 			for _, pt := range fab.Ports() {
-				acts := ctrls[pt.Name()].Actions()
+				acts := r.Ctrls[pt.Name()].Actions()
 				if len(acts) == 0 {
 					continue
 				}
@@ -265,7 +247,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if bal != nil {
+	if bal := r.Bal; bal != nil {
 		fmt.Fprintln(stdout, "\nbalancer placement summary:")
 		fmt.Fprintf(stdout, "  admission: %d admitted, %d rejected (budget %d)\n",
 			bal.Admitted(), bal.Rejected(), *balanceBudget)

@@ -21,12 +21,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/atm"
-	"repro/internal/box"
-	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/occam"
-	"repro/internal/workload"
+	"repro/internal/scenario"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -63,36 +59,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// dumpEvents runs a two-box audio call over a congested link long
-// enough to exercise drops and overload transitions, then prints the
-// obs event ring as TSV.
+// eventsSpec is a two-box audio call over a slow, lossy link, long
+// enough that the trace shows drops and overload transitions and not
+// just opens.
+const eventsSpec = `scenario trace-events
+duration 4s
+box alice mic=speech:1:12000 jitter
+box bob mic=speech:2:12000 jitter
+link alice bob bw=2M loss=0.02 lseed=7
+at 0s call alice bob as c
+at 3s close c[0]
+`
+
+// dumpEvents runs eventsSpec and prints the obs event ring as TSV.
 func dumpEvents(stdout, stderr io.Writer) int {
-	s := core.NewSystem()
-	defer s.Shutdown()
-	for i, name := range []string{"alice", "bob"} {
-		s.AddBox(box.Config{
-			Name:     name,
-			Mic:      workload.NewSpeech(uint64(i+1), 12000),
-			Features: box.Features{JitterCorrection: true},
-		})
+	r, err := scenario.NewRunner(scenario.MustParse(eventsSpec))
+	if err != nil {
+		panic(err) // eventsSpec is a constant
 	}
-	// A slow, lossy link so the trace shows drops, not just opens.
-	s.Connect("alice", "bob", atm.LinkConfig{
-		Bandwidth: 2_000_000,
-		LossRate:  0.02,
-		Seed:      7,
-	})
-	s.Control(func(p *occam.Proc) {
-		ab, _ := s.AudioCall(p, "alice", "bob")
-		p.Sleep(3 * time.Second)
-		s.Close(p, ab)
-	})
-	if err := s.RunFor(4 * time.Second); err != nil {
+	defer r.Close()
+	if err := r.Run(); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	fmt.Fprintln(stdout, "# seconds\tkind\tsource\tstream\tdetail")
-	for _, e := range s.Obs.Tracer().Events() {
+	for _, e := range r.Sys.Obs.Tracer().Events() {
 		fmt.Fprintf(stdout, "%.6f\t%s\t%s\t%d\t%s\n",
 			time.Duration(e.At).Seconds(), e.Kind, e.Source, e.Stream, e.Detail)
 	}

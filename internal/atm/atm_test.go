@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
 )
@@ -16,12 +16,12 @@ func audioWire(pl *segment.WirePool, seq uint32) segment.Wire {
 }
 
 // drain starts a process that records arrival latencies on a host.
-func drain(rt *occam.Runtime, h *Host, lat *metrics.Tracker, count *int) {
+func drain(rt *occam.Runtime, h *Host, lat *obs.Histogram, count *int) {
 	rt.Go(h.nm+".drain", nil, occam.High, func(p *occam.Proc) {
 		for {
 			m := h.Rx.Recv(p)
 			if lat != nil {
-				lat.Add(p.Now().Sub(m.Sent))
+				lat.Observe(p.Now().Sub(m.Sent))
 			}
 			if count != nil {
 				*count++
@@ -87,7 +87,7 @@ func TestTransmissionAndPropagationDelay(t *testing.T) {
 	// 1000 bytes at 8 Mbit/s = 1 ms, plus 500 µs propagation.
 	l := net.AddLink("ab", LinkConfig{Bandwidth: 8_000_000, Propagation: 500 * time.Microsecond})
 	net.OpenCircuit(1, a, b, l)
-	lat := metrics.NewTracker("lat")
+	lat := obs.NewHistogram(nil)
 	drain(rt, b, lat, nil)
 	rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
 		a.Send(p, Message{VCI: 1, Size: 1000})
@@ -112,12 +112,12 @@ func TestCrossTrafficCausesJitter(t *testing.T) {
 		l := net.AddLink("shared", LinkConfig{Bandwidth: 10_000_000})
 		net.OpenCircuit(1, a, b, l)
 		net.OpenCircuit(2, a, b, l)
-		lat := metrics.NewTracker("audio")
+		lat := obs.NewHistogram(nil)
 		rt.Go("rx", nil, occam.High, func(p *occam.Proc) {
 			for {
 				m := b.Rx.Recv(p)
 				if m.VCI == 1 {
-					lat.Add(p.Now().Sub(m.Sent))
+					lat.Observe(p.Now().Sub(m.Sent))
 				}
 			}
 		})
@@ -164,7 +164,7 @@ func TestMultiHopPath(t *testing.T) {
 		}))
 	}
 	net.OpenCircuit(5, a, b, hops...)
-	lat := metrics.NewTracker("lat")
+	lat := obs.NewHistogram(nil)
 	drain(rt, b, lat, nil)
 	rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
 		a.Send(p, Message{VCI: 5, Size: 1000}) // 0.8 ms per hop

@@ -54,11 +54,6 @@ type Config struct {
 	// Budget bounds concurrently admitted calls; further calls are
 	// rejected until one closes. 0 means no admission control.
 	Budget int
-	// Hysteresis is the score band: a box's effective score follows
-	// its raw score only when the raw score moves further than this
-	// from the last adopted value (default 0.10), so rankings do not
-	// flap with queue jitter.
-	Hysteresis float64
 	// MigrateHighWater is the fabric egress-queue occupancy ratio at
 	// or above which a relay box's subtrees are migrated away
 	// (default 0.85).
@@ -68,49 +63,17 @@ type Config struct {
 	Cooldown time.Duration
 	// MaxMigrations bounds migrations per run (0 = unlimited).
 	MaxMigrations int
-
-	// Score weights; zero selects the default. The formula is
-	//
-	//	score = WQueue·queue + WIngress·ingress
-	//	      + WSheds·min(1, sheds/4) + WFaults·min(1, faults)
-	//	      + WCopies·min(1, copies/16) + WPlace·min(1, placements/16)
-	//
-	// with queue/ingress the port occupancy ratios. Defaults: 1.0,
-	// 0.5, 0.5, 0.25, 0.25, 0.125 — queue pressure dominates, the
-	// rest break ties toward quiet, rarely-chosen boxes.
-	WQueue, WIngress, WSheds, WFaults, WCopies, WPlace float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 40 * time.Millisecond
 	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 0.10
-	}
 	if c.MigrateHighWater <= 0 {
 		c.MigrateHighWater = 0.85
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Second
-	}
-	if c.WQueue == 0 {
-		c.WQueue = 1.0
-	}
-	if c.WIngress == 0 {
-		c.WIngress = 0.5
-	}
-	if c.WSheds == 0 {
-		c.WSheds = 0.5
-	}
-	if c.WFaults == 0 {
-		c.WFaults = 0.25
-	}
-	if c.WCopies == 0 {
-		c.WCopies = 0.25
-	}
-	if c.WPlace == 0 {
-		c.WPlace = 0.125
 	}
 	return c
 }
@@ -134,17 +97,38 @@ type Sample struct {
 	Placements float64
 }
 
-// Score folds a sample into the weighted raw load score.
-func (c Config) Score(s Sample) float64 {
-	return c.WQueue*s.Queue + c.WIngress*s.Ingress +
-		c.WSheds*clamp01(s.Sheds/4) + c.WFaults*clamp01(s.Faults) +
-		c.WCopies*clamp01(s.Copies/16) + c.WPlace*clamp01(s.Placements/16)
+// The score weights: queue pressure dominates, the rest break ties
+// toward quiet, rarely-chosen boxes.
+const (
+	wQueue   = 1.0
+	wIngress = 0.5
+	wSheds   = 0.5
+	wFaults  = 0.25
+	wCopies  = 0.25
+	wPlace   = 0.125
+)
+
+// hysteresis is the score band: a box's effective score follows its
+// raw score only when the raw score moves further than this from the
+// last adopted value, so rankings do not flap with queue jitter.
+const hysteresis = 0.10
+
+// Score folds a sample into the weighted raw load score, with
+// queue/ingress the port occupancy ratios:
+//
+//	score = wQueue·queue + wIngress·ingress
+//	      + wSheds·min(1, sheds/4) + wFaults·min(1, faults)
+//	      + wCopies·min(1, copies/16) + wPlace·min(1, placements/16)
+func Score(s Sample) float64 {
+	return wQueue*s.Queue + wIngress*s.Ingress +
+		wSheds*clamp01(s.Sheds/4) + wFaults*clamp01(s.Faults) +
+		wCopies*clamp01(s.Copies/16) + wPlace*clamp01(s.Placements/16)
 }
 
 // applyHysteresis returns the next effective score: raw is adopted
 // only when it moved out of the band around the previous value.
-func (c Config) applyHysteresis(eff, raw float64) float64 {
-	if raw > eff+c.Hysteresis || raw < eff-c.Hysteresis {
+func applyHysteresis(eff, raw float64) float64 {
+	if raw > eff+hysteresis || raw < eff-hysteresis {
 		return raw
 	}
 	return eff
@@ -274,8 +258,8 @@ func (b *Balancer) tick() {
 		bd := b.boards[name]
 		s := bd.sampleNow()
 		bd.lastQueue = s.Queue
-		bd.raw = b.cfg.Score(s)
-		bd.eff = b.cfg.applyHysteresis(bd.eff, bd.raw)
+		bd.raw = Score(s)
+		bd.eff = applyHysteresis(bd.eff, bd.raw)
 	}
 }
 
@@ -337,7 +321,7 @@ func val(p *obs.Probe) float64 {
 // RankBoxes implements core.Placer: a stable sort of the candidates
 // by effective score, least loaded first, so score ties keep
 // placement order (first-fit). The winner's placement count rises —
-// the WPlace term that spreads otherwise-identical boxes.
+// the wPlace term that spreads otherwise-identical boxes.
 func (b *Balancer) RankBoxes(cands []string) []string {
 	ranked := append([]string(nil), cands...)
 	sort.SliceStable(ranked, func(i, j int) bool {

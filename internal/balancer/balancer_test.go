@@ -10,20 +10,19 @@ import (
 )
 
 func TestScoreWeights(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if got := cfg.Score(Sample{}); got != 0 {
+	if got := Score(Sample{}); got != 0 {
 		t.Fatalf("idle sample scored %v, want 0", got)
 	}
 	// Queue pressure dominates: a full egress queue outweighs every
 	// secondary signal at its default weight.
-	hot := cfg.Score(Sample{Queue: 1.0})
-	warm := cfg.Score(Sample{Ingress: 1.0, Sheds: 4, Copies: 16, Placements: 16})
+	hot := Score(Sample{Queue: 1.0})
+	warm := Score(Sample{Ingress: 1.0, Sheds: 4, Copies: 16, Placements: 16})
 	if hot <= warm/2 {
 		t.Fatalf("full queue scored %v vs %v for all secondary signals", hot, warm)
 	}
 	// Monotone in each input.
 	base := Sample{Queue: 0.5, Ingress: 0.5, Sheds: 1, Faults: 0, Copies: 2, Placements: 2}
-	b := cfg.Score(base)
+	b := Score(base)
 	for name, s := range map[string]Sample{
 		"queue":      {Queue: 0.6, Ingress: 0.5, Sheds: 1, Copies: 2, Placements: 2},
 		"ingress":    {Queue: 0.5, Ingress: 0.6, Sheds: 1, Copies: 2, Placements: 2},
@@ -32,37 +31,36 @@ func TestScoreWeights(t *testing.T) {
 		"copies":     {Queue: 0.5, Ingress: 0.5, Sheds: 1, Copies: 4, Placements: 2},
 		"placements": {Queue: 0.5, Ingress: 0.5, Sheds: 1, Copies: 2, Placements: 4},
 	} {
-		if got := cfg.Score(s); got <= b {
+		if got := Score(s); got <= b {
 			t.Errorf("raising %s did not raise the score: %v <= %v", name, got, b)
 		}
 	}
 	// Secondary terms saturate at their clamps.
-	if cfg.Score(Sample{Sheds: 100}) != cfg.Score(Sample{Sheds: 4}) {
+	if Score(Sample{Sheds: 100}) != Score(Sample{Sheds: 4}) {
 		t.Errorf("sheds term did not saturate")
 	}
-	if cfg.Score(Sample{Copies: 100}) != cfg.Score(Sample{Copies: 16}) {
+	if Score(Sample{Copies: 100}) != Score(Sample{Copies: 16}) {
 		t.Errorf("copies term did not saturate")
 	}
 }
 
 func TestHysteresisBand(t *testing.T) {
-	cfg := Config{Hysteresis: 0.1}.withDefaults()
 	eff := 0.5
 	// Jitter inside the band is ignored in both directions.
 	for _, raw := range []float64{0.45, 0.55, 0.5, 0.41, 0.59} {
-		if got := cfg.applyHysteresis(eff, raw); got != eff {
+		if got := applyHysteresis(eff, raw); got != eff {
 			t.Fatalf("raw %v inside band moved eff to %v", raw, got)
 		}
 	}
 	// Moves beyond the band are adopted.
-	if got := cfg.applyHysteresis(eff, 0.75); got != 0.75 {
+	if got := applyHysteresis(eff, 0.75); got != 0.75 {
 		t.Fatalf("raw 0.75 outside band gave %v", got)
 	}
-	if got := cfg.applyHysteresis(eff, 0.2); got != 0.2 {
+	if got := applyHysteresis(eff, 0.2); got != 0.2 {
 		t.Fatalf("raw 0.2 outside band gave %v", got)
 	}
 	// From zero, the first real load reading is adopted.
-	if got := cfg.applyHysteresis(0, 0.9); got != 0.9 {
+	if got := applyHysteresis(0, 0.9); got != 0.9 {
 		t.Fatalf("cold start gave %v", got)
 	}
 }
@@ -171,7 +169,7 @@ func TestPlaceCallPicksLeastLoadedReachable(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Interval != 40*time.Millisecond || cfg.Hysteresis != 0.10 ||
+	if cfg.Interval != 40*time.Millisecond ||
 		cfg.MigrateHighWater != 0.85 || cfg.Cooldown != 2*time.Second {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}

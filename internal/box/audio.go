@@ -21,20 +21,16 @@ import (
 // (micReader, serverWriter) runs at High priority on the audio
 // transputer, the incoming mixing at Low, so under CPU overload
 // "incoming data streams [are] degraded before outgoing data
-// streams". A repository box reverses this (§2.1).
+// streams".
 
 func (b *Box) startAudio() {
 	rt, name := b.rt, b.cfg.Name
 	b.micOutBuf = decouple.New[wireMsg](rt, name+".micbuf", 8, b.cfg.Obs)
 
-	outPri, inPri := occam.High, occam.Low
-	if b.cfg.RepositoryPriority {
-		outPri, inPri = occam.Low, occam.High
-	}
-	rt.Go(name+".micReader", b.audioNode, outPri, b.runMicReader)
-	rt.Go(name+".serverWriter", b.audioNode, outPri, b.runServerWriter)
+	rt.Go(name+".micReader", b.audioNode, occam.High, b.runMicReader)
+	rt.Go(name+".serverWriter", b.audioNode, occam.High, b.runServerWriter)
 	rt.Go(name+".audioRx", b.audioNode, occam.High, b.runAudioRx)
-	rt.Go(name+".blockHandler", b.audioNode, inPri, b.runBlockHandler)
+	rt.Go(name+".blockHandler", b.audioNode, occam.Low, b.runBlockHandler)
 }
 
 // runMicReader is the outgoing side of the block handler: every 2 ms

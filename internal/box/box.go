@@ -27,7 +27,6 @@
 package box
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -36,7 +35,6 @@ import (
 	"repro/internal/decouple"
 	"repro/internal/degrade"
 	"repro/internal/faultinject"
-	"repro/internal/metrics"
 	"repro/internal/mixer"
 	"repro/internal/muting"
 	"repro/internal/obs"
@@ -128,22 +126,13 @@ type Config struct {
 	Mic workload.AudioSource
 	// CameraW/H size the camera field (default 128×64).
 	CameraW, CameraH int
-	// PoolBuffers sizes the server's segment buffer pool.
-	PoolBuffers int
 	// Features enables the optional audio-board work.
 	Features Features
-	// MutingConfig overrides muting defaults when Features.Muting.
-	MutingConfig muting.Config
-	// ClawbackTarget overrides the clawback lower target in blocks.
-	ClawbackTarget int
 	// InterleaveNetwork enables the A4 ablation: video segments are
 	// chunked at the network output so audio can interleave between
 	// chunks (the paper's code did NOT do this — "segment
 	// transmissions are not interleaved", §4.2).
 	InterleaveNetwork bool
-	// RepositoryPriority reverses principle 1 for repository boxes
-	// (incoming recorded streams take precedence — see §2.1).
-	RepositoryPriority bool
 	// SharedNetBuffer is the A2 ablation: audio and video share one
 	// decoupling buffer before the network output instead of the
 	// split of figure 3.7, so audio loses its priority (principle 2).
@@ -188,9 +177,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CameraH <= 0 {
 		c.CameraH = 64
-	}
-	if c.PoolBuffers <= 0 {
-		c.PoolBuffers = 64
 	}
 	if c.NetInterfaceBits <= 0 {
 		c.NetInterfaceBits = 100_000_000
@@ -300,7 +286,7 @@ type Box struct {
 	displayStat DisplayStats
 
 	// Instruments.
-	playout     map[uint32]*metrics.Tracker
+	playout     map[uint32]*obs.Histogram
 	playoutHist *obs.Histogram
 	trace       *obs.Tracer
 }
@@ -338,7 +324,7 @@ type DisplayStats struct {
 	Segments   uint64
 	Frames     uint64
 	DecodeErrs uint64
-	FrameLat   *metrics.Tracker
+	FrameLat   *obs.Histogram
 }
 
 // New builds a box, registers it as host cfg.Name on net, and starts
@@ -365,12 +351,12 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		camera:      workload.NewCamera(cfg.CameraW, cfg.CameraH),
 		framestore:  video.NewFramestore(cfg.CameraW, cfg.CameraH),
 		interp:      video.NewInterpolator(),
-		playout:     make(map[uint32]*metrics.Tracker),
+		playout:     make(map[uint32]*obs.Histogram),
 		wires:       segment.NewWirePool(),
 	}
 	b.swStats.PerStreamDrops = make(map[uint32]uint64)
-	b.displayStat.FrameLat = metrics.NewTracker(cfg.Name + ".frameLat")
-	b.pool = allocator.New(rt, b.serverNode, cfg.PoolBuffers, nil)
+	b.displayStat.FrameLat = obs.NewHistogram(nil)
+	b.pool = allocator.New(rt, b.serverNode, poolBuffers, nil)
 	b.pool.Observe(cfg.Obs, cfg.Name)
 	b.trace = cfg.Obs.Tracer()
 	b.observe()
@@ -381,14 +367,9 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 	b.captureToServer = occam.NewLink[wireMsg](rt, cfg.Name+".c2s", fifoBandwidth)
 	b.serverToMixer = occam.NewLink[wireMsg](rt, cfg.Name+".s2m", fifoBandwidth)
 
-	// Clawback configuration for the destination mixer.
-	mcfg := mixer.Config{Obs: cfg.Obs, Name: cfg.Name}
-	if cfg.ClawbackTarget > 0 {
-		mcfg.Clawback.TargetBlocks = cfg.ClawbackTarget
-	}
-	b.mix = mixer.New(mcfg)
+	b.mix = mixer.New(mixer.Config{Obs: cfg.Obs, Name: cfg.Name})
 	b.mix.OnPlayout = b.recordPlayout
-	b.muter = muting.New(cfg.MutingConfig)
+	b.muter = muting.New(muting.Config{})
 
 	b.startServer()
 	b.startAudio()
@@ -477,12 +458,14 @@ func (b *Box) AudioStats() AudioStats { return b.audioStat }
 // DisplayStats returns the display counters.
 func (b *Box) DisplayStats() DisplayStats { return b.displayStat }
 
-// PlayoutLatency returns the tracker of capture→playout latencies for
-// a stream arriving at this box's speaker.
-func (b *Box) PlayoutLatency(stream uint32) *metrics.Tracker {
+// PlayoutLatency returns the distribution of capture→playout latencies
+// of a stream arriving at this box's speaker. It is unregistered: the
+// registry carries one audio_playout_latency_ms histogram per box, not
+// one per stream.
+func (b *Box) PlayoutLatency(stream uint32) *obs.Histogram {
 	t, ok := b.playout[stream]
 	if !ok {
-		t = metrics.NewTracker(fmt.Sprintf("%s.playout.%d", b.cfg.Name, stream))
+		t = obs.NewHistogram(nil)
 		b.playout[stream] = t
 	}
 	return t
@@ -496,8 +479,8 @@ func (b *Box) recordPlayout(stream uint32, stamp, now int64) {
 	// output: add the codec output fifo ("2ms in the buffering from
 	// the codec", §4.2) after the mixing pop.
 	lat := time.Duration(now-stamp) + segment.BlockDuration
-	b.PlayoutLatency(stream).Add(lat)
-	b.playoutHist.Observe(float64(lat) / float64(time.Millisecond))
+	b.PlayoutLatency(stream).Observe(lat)
+	b.playoutHist.Observe(lat)
 }
 
 // --- Control interface (host commands, §1.2) ---
@@ -664,5 +647,6 @@ func (b *Box) DegradeRestore(p *occam.Proc, id uint32) {
 	b.mix.SetShed(id, false)
 }
 
-// DegradeRepositoryOrder implements degrade.Target.
-func (b *Box) DegradeRepositoryOrder() bool { return b.cfg.RepositoryPriority }
+// DegradeRepositoryOrder implements degrade.Target: a box is not a
+// repository (§2.1), so incoming streams degrade first.
+func (b *Box) DegradeRepositoryOrder() bool { return false }

@@ -63,6 +63,8 @@ const (
 	// fifoBandwidth is the video fifo path: "Video 100 Mbit/s Fifo".
 	fifoBandwidth = 100_000_000
 
+	// poolBuffers sizes the server's segment buffer pool.
+	poolBuffers = 64
 	// switchBufferSegments sizes the decoupling buffers downstream of
 	// the switch.
 	switchBufferSegments = 16

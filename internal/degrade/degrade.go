@@ -62,24 +62,26 @@ type Target interface {
 	DegradeRepositoryOrder() bool
 }
 
+// The watermarks of the control loop, as ratios of a watched queue's
+// limit. The gap between them is the hysteresis that keeps a stream
+// from being shed and restored on alternate ticks.
+const (
+	// highWater is the pressure at or above which streams are shed.
+	highWater = 0.75
+	// lowWater is the pressure below which restores begin.
+	lowWater = 0.25
+)
+
 // Config parameterises a Controller. Zero values select defaults.
 type Config struct {
 	// Interval is the control-loop period (default 20 ms).
 	Interval time.Duration
-	// HighWater is the pressure ratio at or above which streams are
-	// shed (default 0.75).
-	HighWater float64
-	// LowWater is the ratio below which restores begin (default 0.25).
-	LowWater float64
-	// Hold is how long pressure must stay below LowWater — and the
+	// Hold is how long pressure must stay below lowWater — and the
 	// minimum spacing between restores (default 400 ms).
 	Hold time.Duration
 	// ShedEvery is the minimum spacing between sheds, so the ladder
 	// descends one stream at a time (default 100 ms).
 	ShedEvery time.Duration
-	// MaxShed bounds concurrently shed streams (0 = all but none —
-	// no limit).
-	MaxShed int
 	// Links names the atm links (the obs "link" label values) whose
 	// output-queue pressure counts toward this box's video pressure —
 	// congestion there is relieved by shedding video at this box.
@@ -95,12 +97,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 20 * time.Millisecond
-	}
-	if c.HighWater <= 0 {
-		c.HighWater = 0.75
-	}
-	if c.LowWater <= 0 {
-		c.LowWater = 0.25
 	}
 	if c.Hold <= 0 {
 		c.Hold = 400 * time.Millisecond
@@ -256,12 +252,12 @@ func (c *Controller) run(p *occam.Proc) {
 		c.pAudio.Set(audio)
 		now := p.Now()
 		switch {
-		case video >= c.cfg.HighWater || audio >= c.cfg.HighWater:
+		case video >= highWater || audio >= highWater:
 			c.lastHigh = now
 			if now.Sub(c.lastShed) >= c.cfg.ShedEvery {
 				c.shedOne(p, now, video, audio)
 			}
-		case video < c.cfg.LowWater && audio < c.cfg.LowWater &&
+		case video < lowWater && audio < lowWater &&
 			len(c.stack) > 0 &&
 			now.Sub(c.lastHigh) >= c.cfg.Hold &&
 			now.Sub(c.lastRestore) >= c.cfg.Hold:
@@ -305,15 +301,12 @@ func (c *Controller) rank(s StreamInfo) int {
 // candidates are considered only under direct audio pressure, and even
 // then every video stream goes first.
 func (c *Controller) shedOne(p *occam.Proc, now occam.Time, video, audio float64) {
-	if c.cfg.MaxShed > 0 && len(c.shed) >= c.cfg.MaxShed {
-		return
-	}
 	var cands []StreamInfo
 	for _, s := range c.target.DegradeStreams() {
 		if _, already := c.shed[s.ID]; already {
 			continue
 		}
-		if !s.Video && audio < c.cfg.HighWater {
+		if !s.Video && audio < highWater {
 			continue // audio is only shed under audio pressure
 		}
 		cands = append(cands, s)

@@ -149,26 +149,3 @@ func TestLinkPressureShedsVideo(t *testing.T) {
 		t.Fatalf("link-pressure sheds = %v, want %v (video only)", ft.shed, want)
 	}
 }
-
-// TestMaxShedBound: the controller never sheds past MaxShed.
-func TestMaxShedBound(t *testing.T) {
-	rt := occam.NewRuntime()
-	reg := obs.New(rt)
-	ft := &fakeTarget{name: "t", streams: []degrade.StreamInfo{
-		{ID: 1, Video: true, Incoming: true, Opened: 1},
-		{ID: 2, Video: true, Incoming: true, Opened: 2},
-		{ID: 3, Video: true, Incoming: true, Opened: 3},
-	}}
-	setVideo, _ := pressures(reg, "t")
-	cfg := quickCfg
-	cfg.MaxShed = 1
-	degrade.New(rt, ft, cfg, reg)
-
-	setVideo(10)
-	if err := rt.RunFor(200 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if want := []uint32{1}; !reflect.DeepEqual(ft.shed, want) {
-		t.Fatalf("sheds with MaxShed=1 = %v, want %v", ft.shed, want)
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/clawback"
-	"repro/internal/metrics"
 	"repro/internal/segment"
 	"repro/internal/workload"
 )
@@ -16,7 +15,7 @@ const blockNS = int64(segment.BlockDuration)
 // driveBuffer plays `secs` seconds of 2 ms ticks into buf: each tick
 // one block arrives delayed by jitter(i) and one block is popped.
 // occupancy(i) is sampled into the series every second.
-func driveBuffer(buf baseline.Buffer, secs int, jitter func(i int) time.Duration, series *metrics.Series) {
+func driveBuffer(buf baseline.Buffer, secs int, jitter func(i int) time.Duration, series *Series) {
 	type pending struct {
 		at int64
 		it clawback.Item
@@ -41,14 +40,14 @@ func driveBuffer(buf baseline.Buffer, secs int, jitter func(i int) time.Duration
 // about one minute to adjust to the change from 20ms jitter
 // correction to 4ms." The output is the figure-style series of
 // jitter-correction delay vs time.
-func E5() (*Table, *metrics.Series) {
+func E5() (*Table, *Series) {
 	t := &Table{
 		ID:     "E5",
 		Title:  "Clawback adaptation after a jitter episode",
 		Paper:  "20 ms → 4 ms at 2 ms per 8 s ≈ one minute (§3.7.2)",
 		Header: []string{"time", "jitter correction"},
 	}
-	series := metrics.NewSeries("clawback delay (ms)")
+	series := NewSeries("clawback delay (ms)")
 	buf := baseline.Clawback{Buffer: clawback.New(clawback.Config{})}
 	// 30 s of 20 ms jitter, then quiet for 100 s.
 	jitter := func(i int) time.Duration {
@@ -200,7 +199,7 @@ func E14() *Table {
 	}
 	var now int64
 	runOne := func(name string, buf baseline.Buffer, needsTS string) result {
-		series := metrics.NewSeries(name)
+		series := NewSeries(name)
 		driveBuffer(buf, 120, burst, series)
 		var sum float64
 		var n int

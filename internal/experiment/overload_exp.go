@@ -10,8 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// OverloadResult is E21's machine-readable outcome, used by the tests
-// and by scripts/fault_smoke.go.
+// OverloadResult is E21's machine-readable outcome, used by the tests.
 type OverloadResult struct {
 	AudioShed int      // controller sheds of audio streams (must be 0)
 	VideoShed int      // controller sheds of video streams

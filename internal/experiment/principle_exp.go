@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/decouple"
-	"repro/internal/metrics"
 	"repro/internal/mulaw"
 	"repro/internal/muting"
 	"repro/internal/occam"
@@ -18,7 +17,7 @@ import (
 
 // E8 regenerates figure 4.1: the muting factor timeline around a
 // threshold crossing, at 2 ms block granularity.
-func E8() (*Table, *metrics.Series) {
+func E8() (*Table, *Series) {
 	t := &Table{
 		ID:     "E8",
 		Title:  "Muting function (figure 4.1)",
@@ -26,7 +25,7 @@ func E8() (*Table, *metrics.Series) {
 		Header: []string{"time since crossing", "factor"},
 	}
 	m := muting.New(muting.Config{})
-	series := metrics.NewSeries("mute factor")
+	series := NewSeries("mute factor")
 	loud := make([]byte, segment.BlockSamples)
 	for i := range loud {
 		loud[i] = mulaw.Encode(20000)
@@ -49,7 +48,7 @@ func E8() (*Table, *metrics.Series) {
 }
 
 // sparkline renders a tiny text plot of a series.
-func sparkline(s *metrics.Series, n int) string {
+func sparkline(s *Series, n int) string {
 	pts := s.Downsample(n)
 	if len(pts) == 0 {
 		return ""

@@ -95,12 +95,13 @@ type Config struct {
 	// fewer scheduler wake-ups under backlog but coarsen delivery
 	// timing by one train's transmission time.
 	BatchCells int
-	// XbarSpeedup is the crossbar's service rate as a multiple of
-	// PortBandwidth (default 8): the shared backplane is faster than
-	// any one port, so sustained congestion collects at egress queues,
-	// as in a real output-queued switch.
-	XbarSpeedup int
 }
+
+// xbarSpeedup is the crossbar's service rate as a multiple of
+// PortBandwidth: the shared backplane is faster than any one port, so
+// sustained congestion collects at egress queues, as in a real
+// output-queued switch.
+const xbarSpeedup = 8
 
 func (c Config) withDefaults() Config {
 	if c.PortBandwidth <= 0 {
@@ -114,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchCells <= 0 {
 		c.BatchCells = 256
-	}
-	if c.XbarSpeedup <= 0 {
-		c.XbarSpeedup = 8
 	}
 	return c
 }
@@ -486,7 +484,7 @@ func (pt *Port) TransportName() string { return "fabric:" + pt.nm }
 
 // crossDur returns how long m occupies this port's crossbar shard.
 func (pt *Port) crossDur(m atm.Message) time.Duration {
-	bw := pt.fab.cfg.PortBandwidth * int64(pt.fab.cfg.XbarSpeedup)
+	bw := pt.fab.cfg.PortBandwidth * xbarSpeedup
 	return time.Duration(int64(cells(m.Size)) * cellWire * 8 * int64(time.Second) / bw)
 }
 

@@ -237,20 +237,6 @@ func (s Spec) LinkFault(name string) *Link {
 	return NewLink(cfg)
 }
 
-// Boards returns the spec's crash schedule, or nil when none.
-func (s Spec) Boards() *Boards {
-	if len(s.Crashes) == 0 {
-		return nil
-	}
-	b := NewBoards()
-	for board, ws := range s.Crashes {
-		for _, w := range ws {
-			b.Crash(board, w.From, w.To)
-		}
-	}
-	return b
-}
-
 // DeriveSeed folds a name into a master seed (FNV-1a), giving each
 // named component an independent deterministic RNG stream.
 func DeriveSeed(seed uint64, name string) uint64 {

@@ -110,7 +110,7 @@ func TestParseSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Active() || s.Link.BurstEnter == 0 || s.Link.JitterStddev == 0 || s.Boards() == nil {
+	if !s.Active() || s.Link.BurstEnter == 0 || s.Link.JitterStddev == 0 || len(s.Crashes) == 0 {
 		t.Fatalf("spec not assembled: %+v", s)
 	}
 	if s.LinkFault("a-b.0") == nil {

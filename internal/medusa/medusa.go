@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"repro/internal/atm"
-	"repro/internal/metrics"
 	"repro/internal/mixer"
+	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
 	"repro/internal/video"
@@ -135,7 +135,7 @@ func (m *MicUnit) run(p *occam.Proc) {
 type SpeakerUnit struct {
 	host *atm.Host
 	mix  *mixer.Mixer
-	lat  map[uint32]*metrics.Tracker
+	lat  map[uint32]*obs.Histogram
 }
 
 // NewSpeakerUnit creates a speaker unit named name on net.
@@ -143,7 +143,7 @@ func NewSpeakerUnit(rt *occam.Runtime, net *atm.Network, name string) *SpeakerUn
 	s := &SpeakerUnit{
 		host: net.AddHost(name),
 		mix:  mixer.New(mixer.Config{}),
-		lat:  make(map[uint32]*metrics.Tracker),
+		lat:  make(map[uint32]*obs.Histogram),
 	}
 	s.mix.OnPlayout = func(stream uint32, stamp, now int64) {
 		if stamp <= 0 {
@@ -151,10 +151,10 @@ func NewSpeakerUnit(rt *occam.Runtime, net *atm.Network, name string) *SpeakerUn
 		}
 		t, ok := s.lat[stream]
 		if !ok {
-			t = metrics.NewTracker(name)
+			t = obs.NewHistogram(nil)
 			s.lat[stream] = t
 		}
-		t.Add(time.Duration(now-stamp) + segment.BlockDuration)
+		t.Observe(time.Duration(now-stamp) + segment.BlockDuration)
 	}
 	rt.Go(name+".rx", nil, occam.High, s.runRx)
 	rt.Go(name+".tick", nil, occam.Low, s.runTick)
@@ -167,11 +167,11 @@ func (s *SpeakerUnit) Host() *atm.Host { return s.host }
 // Mixer exposes the destination mixer for statistics.
 func (s *SpeakerUnit) Mixer() *mixer.Mixer { return s.mix }
 
-// Latency returns the playout latency tracker for a stream.
-func (s *SpeakerUnit) Latency(vci uint32) *metrics.Tracker {
+// Latency returns the playout latency distribution of a stream.
+func (s *SpeakerUnit) Latency(vci uint32) *obs.Histogram {
 	t, ok := s.lat[vci]
 	if !ok {
-		t = metrics.NewTracker("empty")
+		t = obs.NewHistogram(nil)
 	}
 	return t
 }
@@ -290,7 +290,7 @@ type DisplayUnit struct {
 	w, h       int
 	Frames     uint64
 	DecodeErrs uint64
-	FrameLat   *metrics.Tracker
+	FrameLat   *obs.Histogram
 
 	// Per-unit decode scratch: the line codec and the segment image
 	// (blitted into the assembler's own frame by Add).
@@ -306,7 +306,7 @@ func NewDisplayUnit(rt *occam.Runtime, net *atm.Network, name string, w, h int) 
 		assemblers: make(map[uint32]*video.Assembler),
 		w:          w,
 		h:          h,
-		FrameLat:   metrics.NewTracker(name + ".frameLat"),
+		FrameLat:   obs.NewHistogram(nil),
 	}
 	rt.Go(name+".display", nil, occam.High, d.run)
 	return d
@@ -343,7 +343,7 @@ func (d *DisplayUnit) run(p *occam.Proc) {
 		msg.W.Release() // img and the assembler hold their own copies
 		if frame != nil {
 			d.Frames++
-			d.FrameLat.Add(p.Now().Sub(segment.TimestampTime(seg.Timestamp)))
+			d.FrameLat.Observe(p.Now().Sub(segment.TimestampTime(seg.Timestamp)))
 		}
 	}
 }

@@ -29,8 +29,10 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/occam"
 )
@@ -111,48 +113,123 @@ func (g *Gauge) Value() float64 { return g.v }
 // millisecond-scale latencies (the headline mic→speaker figure is 8 ms).
 var DefaultLatencyBucketsMs = []float64{2, 4, 6, 8, 10, 15, 20, 30, 50, 100, 200, 500}
 
-// Histogram accumulates observations into fixed buckets. Bounds are
+// Histogram is an exact distribution of durations: a value → count
+// multiset (virtual-time delays take few distinct values, and a stream
+// that plays for hours must not cost a word per block played), from
+// which it reports order statistics directly and, in a Snapshot,
+// bucket counts against fixed millisecond bounds. Bounds are
 // upper-inclusive; one implicit overflow bucket catches the rest.
 type Histogram struct {
 	bounds []float64
-	counts []uint64 // len(bounds)+1; last is overflow
-	sum    float64
+	counts map[time.Duration]uint64 // sample value → occurrences
 	n      uint64
+	sum    time.Duration
+	// sumMs is the exported sum: milliseconds as a float, added up one
+	// observation at a time so it reads the same whatever order the
+	// multiset is later walked in.
+	sumMs float64
+	keys  []time.Duration // distinct values ascending; stale when shorter than counts
 }
 
 // NewHistogram returns an unregistered histogram with the given bucket
-// upper bounds (nil selects DefaultLatencyBucketsMs). Bounds must be
-// sorted ascending.
+// upper bounds in milliseconds (nil selects DefaultLatencyBucketsMs).
+// Bounds must be sorted ascending.
 func NewHistogram(bounds []float64) *Histogram {
 	if bounds == nil {
 		bounds = DefaultLatencyBucketsMs
 	}
 	return &Histogram{
 		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
+		counts: make(map[time.Duration]uint64),
 	}
 }
 
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
+func (h *Histogram) Observe(d time.Duration) {
+	h.counts[d]++
 	h.n++
+	h.sum += d
+	h.sumMs += millis(d)
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
+func (h *Histogram) Count() int { return int(h.n) }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the average observation (0 if empty).
-func (h *Histogram) Mean() float64 {
+// Min returns the smallest sample (0 if empty).
+func (h *Histogram) Min() time.Duration {
 	if h.n == 0 {
 		return 0
 	}
-	return h.sum / float64(h.n)
+	return h.sortedKeys()[0]
+}
+
+// Max returns the largest sample (0 if empty).
+func (h *Histogram) Max() time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	return h.sortedKeys()[len(h.keys)-1]
+}
+
+// Mean returns the average sample, rounded down to the nanosecond
+// (0 if empty).
+func (h *Histogram) Mean() time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	return h.sum / time.Duration(h.n)
+}
+
+// Percentile returns the p'th percentile (0 ≤ p ≤ 100) by the
+// nearest-rank method.
+func (h *Histogram) Percentile(p float64) time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	rank := int(p / 100 * float64(h.n-1))
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= int(h.n) {
+		rank = int(h.n) - 1
+	}
+	// Walk to the sample at position rank of the sorted samples.
+	left, keys, i := uint64(rank), h.sortedKeys(), 0
+	for left >= h.counts[keys[i]] {
+		left -= h.counts[keys[i]]
+		i++
+	}
+	return keys[i]
+}
+
+// Jitter returns max − min: the peak-to-peak delay variation, the
+// quantity the clawback buffer has to absorb.
+func (h *Histogram) Jitter() time.Duration { return h.Max() - h.Min() }
+
+// sortedKeys returns the distinct sample values in ascending order,
+// rebuilding the list if a new value has arrived since the last call
+// (distinct values are only ever added).
+func (h *Histogram) sortedKeys() []time.Duration {
+	if len(h.keys) != len(h.counts) {
+		h.keys = h.keys[:0]
+		for v := range h.counts {
+			h.keys = append(h.keys, v)
+		}
+		slices.Sort(h.keys)
+	}
+	return h.keys
+}
+
+// buckets counts the samples per bound: element i those ≤ bounds[i]
+// milliseconds and above the bound before, the last the overflow.
+func (h *Histogram) buckets() []uint64 {
+	out := make([]uint64, len(h.bounds)+1)
+	for v, c := range h.counts {
+		out[sort.SearchFloat64s(h.bounds, millis(v))] += c
+	}
+	return out
 }
 
 // entry is one registered instrument.
@@ -395,8 +472,9 @@ type Sample struct {
 	// Value is the counter count or gauge level.
 	Value float64
 
-	// Histogram state (KindHistogram only). Buckets[i] counts
-	// observations ≤ Bounds[i]; the final extra element is overflow.
+	// Histogram state (KindHistogram only). Sum and Bounds are in
+	// milliseconds. Buckets[i] counts observations ≤ Bounds[i]; the
+	// final extra element is overflow.
 	Count   uint64
 	Sum     float64
 	Bounds  []float64
@@ -452,9 +530,9 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		case KindHistogram:
 			sm.Count = e.hist.n
-			sm.Sum = e.hist.sum
+			sm.Sum = e.hist.sumMs
 			sm.Bounds = e.hist.bounds
-			sm.Buckets = append([]uint64(nil), e.hist.counts...)
+			sm.Buckets = e.hist.buckets()
 		}
 		s.Samples = append(s.Samples, sm)
 		ids = append(ids, sm.ID())

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/occam"
 )
@@ -71,7 +73,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	g := r.Gauge("g")
 	g.Set(2)
 	h := r.Histogram("h", nil)
-	h.Observe(1)
+	h.Observe(time.Millisecond)
 	r.CounterFunc("cf", func() uint64 { return 0 })
 	r.GaugeFunc("gf", func() float64 { return 0 })
 	r.RegisterCounter("rc", c)
@@ -104,23 +106,20 @@ func TestRegisterExistingCounter(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{1, 10})
-	for _, v := range []float64{0.5, 5, 50} {
-		h.Observe(v)
-	}
-	if h.Count() != 3 || h.Sum() != 55.5 {
-		t.Fatalf("count=%d sum=%g, want 3/55.5", h.Count(), h.Sum())
-	}
-	if h.counts[0] != 1 || h.counts[1] != 1 || h.counts[2] != 1 {
-		t.Fatalf("bucket counts = %v, want [1 1 1]", h.counts)
-	}
-
 	r := New(&fakeClock{})
-	rh := r.Histogram("lat_ms", []float64{1, 10}, L("box", "a"))
-	rh.Observe(5)
+	h := r.Histogram("lat_ms", []float64{1, 10}, L("box", "a"))
+	for _, d := range []time.Duration{500 * time.Microsecond, 5 * time.Millisecond, 50 * time.Millisecond} {
+		h.Observe(d)
+	}
+	if h.Count() != 3 || h.Mean() != 18500*time.Microsecond {
+		t.Fatalf("count=%d mean=%v, want 3/18.5ms", h.Count(), h.Mean())
+	}
 	sm, ok := r.Snapshot().Get("lat_ms", L("box", "a"))
-	if !ok || sm.Count != 1 || sm.Sum != 5 {
-		t.Fatalf("histogram sample = %+v ok=%v", sm, ok)
+	if !ok || sm.Count != 3 || sm.Sum != 55.5 {
+		t.Fatalf("histogram sample = %+v ok=%v, want count 3 sum 55.5", sm, ok)
+	}
+	if want := []uint64{1, 1, 1}; !reflect.DeepEqual(sm.Buckets, want) {
+		t.Fatalf("bucket counts = %v, want %v", sm.Buckets, want)
 	}
 }
 
@@ -133,13 +132,13 @@ func TestDelta(t *testing.T) {
 
 	c.Add(5)
 	g.Set(1)
-	h.Observe(3)
+	h.Observe(3 * time.Millisecond)
 	prev := r.Snapshot()
 
 	clk.t = occam.Time(2e9)
 	c.Add(7)
 	g.Set(9)
-	h.Observe(4)
+	h.Observe(4 * time.Millisecond)
 	d := r.Snapshot().Delta(prev)
 
 	if d.Since != prev.At || d.At != occam.Time(2e9) {
@@ -161,7 +160,7 @@ func TestExporters(t *testing.T) {
 	r := New(clk)
 	r.Counter("a_total", L("link", "l0")).Add(2)
 	r.Gauge("depth").Set(3)
-	r.Histogram("lat_ms", []float64{1, 10}).Observe(5)
+	r.Histogram("lat_ms", []float64{1, 10}).Observe(5 * time.Millisecond)
 
 	table := r.Snapshot().Table()
 	for _, want := range []string{"snapshot at t+1s", `a_total{link="l0"}`, "counter", "2", "depth", "gauge", "n=1"} {

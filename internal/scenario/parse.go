@@ -35,7 +35,7 @@ func Load(path string) (*Scenario, error) {
 //	         [interleave] [sharednet] [jitter] [muting] [interface]
 //	         [crash=BOARD:FROM-TO]... [sinkstall=FROM-TO]...
 //	link A B bw=BITS [prop=DUR] [queue=N] [loss=P] [lseed=N] [/ HOP]...
-//	fabric NAME [portbw=BITS] [prop=DUR] [ingress=N] [egress=N] [batch=N] [speedup=N]
+//	fabric NAME [portbw=BITS] [prop=DUR] [egress=N]
 //	attach FABRIC NODE...
 //	feed BOX n=N base=VCI
 //	cross A B hop=I vci=N seed=N gap=DUR size=MIN+JITTER
@@ -396,21 +396,12 @@ func (sc *Scenario) parseFabric(fields []string) error {
 				return fmt.Errorf("prop wants a non-negative duration, got %q", val)
 			}
 			f.Propagation = d
-		case "ingress", "egress", "batch", "speedup":
+		case "egress":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 1 {
-				return fmt.Errorf("%s wants a positive integer, got %q", key, val)
+				return fmt.Errorf("egress wants a positive integer, got %q", val)
 			}
-			switch key {
-			case "ingress":
-				f.IngressLimit = n
-			case "egress":
-				f.EgressCellLimit = n
-			case "batch":
-				f.BatchCells = n
-			case "speedup":
-				f.Speedup = n
-			}
+			f.EgressCellLimit = n
 		default:
 			return fmt.Errorf("unknown fabric clause %q", key)
 		}

@@ -71,33 +71,11 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 	r.Sys = s
 
 	for i, bs := range sc.Boxes {
-		cfg := box.Config{
-			Name:              bs.Name,
-			BlocksPerSegment:  bs.Blocks,
-			CameraW:           bs.CameraW,
-			CameraH:           bs.CameraH,
-			NetInterfaceBits:  bs.NetIfBits,
-			InterleaveNetwork: bs.Interleave,
-			SharedNetBuffer:   bs.SharedNet,
-			Features: box.Features{
-				JitterCorrection: bs.Jitter,
-				Muting:           bs.Muting,
-				Interface:        bs.Interface,
-			},
-		}
-		if bs.Mic != nil {
-			switch bs.Mic.Kind {
-			case "tone":
-				cfg.Mic = workload.NewTone(int(bs.Mic.A), int32(bs.Mic.B))
-			case "speech":
-				cfg.Mic = workload.NewSpeech(bs.Mic.A, int32(bs.Mic.B))
-			}
-		}
+		cfg := bs.Config()
 		crashes := bs.Crashes
 		stalls := bs.SinkStalls
 		if i == 0 {
-			// The spec-level fault phase targets the first box, exactly
-			// as pandora-sim -faults does.
+			// The spec-level fault phase targets the first box.
 			if crashes == nil && len(r.FaultSpec.Crashes) > 0 {
 				crashes = r.FaultSpec.Crashes
 			}
@@ -106,14 +84,9 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 			}
 		}
 		if len(crashes) > 0 {
-			b := faultinject.NewBoards()
-			boards := make([]string, 0, len(crashes))
-			for board := range crashes {
-				boards = append(boards, board)
-			}
-			sort.Strings(boards)
-			for _, board := range boards {
-				for _, w := range crashes[board] {
+			b := faultinject.NewBoards() // keyed by board: map order is immaterial
+			for board, ws := range crashes {
+				for _, w := range ws {
 					b.Crash(board, w.From, w.To)
 				}
 			}
@@ -146,10 +119,7 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 		s.AddFabric(f.Name, fabric.Config{
 			PortBandwidth:   f.PortBandwidth,
 			Propagation:     f.Propagation,
-			IngressLimit:    f.IngressLimit,
 			EgressCellLimit: f.EgressCellLimit,
-			BatchCells:      f.BatchCells,
-			XbarSpeedup:     f.Speedup,
 		})
 		for _, n := range f.Attach {
 			s.AttachFabric(f.Name, n)

@@ -7,9 +7,10 @@
 // degradation phase, and the assertions that make the run a test
 // (byte-identical delivery sets, shed-order policy, obs gauge and
 // wire-pool leak bounds). The Runner executes a spec on core.System;
-// the experiment suite, pandora-sim -scenario and pandora-node all
-// drive it from the same spec type, so a workload is written once as
-// data instead of once per binary as wiring.
+// the experiment suite, pandora-sim (a spec file, or the spec its flags
+// describe), pandora-trace and pandora-node (Box.Config) all work from
+// the same spec type, so a workload is written once as data instead of
+// once per binary as wiring.
 //
 // Ownership: scenario never touches segment wires. Its generator
 // processes (feeds, cross traffic) encode from their own pools and
@@ -26,7 +27,9 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/box"
 	"repro/internal/faultinject"
+	"repro/internal/workload"
 )
 
 // Mic describes a box's microphone source: "tone" with A=frequency,
@@ -56,6 +59,36 @@ type Box struct {
 	SinkStalls []faultinject.Window
 }
 
+// Config maps the box onto the box.Config the Runner and pandora-node
+// build it from. Crashes and SinkStalls are not mapped: they are
+// simulation-only fault hooks, and the Runner merges them with the
+// spec-level fault phase before it sets them.
+func (b Box) Config() box.Config {
+	cfg := box.Config{
+		Name:              b.Name,
+		BlocksPerSegment:  b.Blocks,
+		CameraW:           b.CameraW,
+		CameraH:           b.CameraH,
+		NetInterfaceBits:  b.NetIfBits,
+		InterleaveNetwork: b.Interleave,
+		SharedNetBuffer:   b.SharedNet,
+		Features: box.Features{
+			JitterCorrection: b.Jitter,
+			Muting:           b.Muting,
+			Interface:        b.Interface,
+		},
+	}
+	if b.Mic != nil {
+		switch b.Mic.Kind {
+		case "tone":
+			cfg.Mic = workload.NewTone(int(b.Mic.A), int32(b.Mic.B))
+		case "speech":
+			cfg.Mic = workload.NewSpeech(b.Mic.A, int32(b.Mic.B))
+		}
+	}
+	return cfg
+}
+
 // Hop is one link of a (possibly multi-hop) path.
 type Hop struct {
 	Bandwidth   int64
@@ -76,10 +109,7 @@ type Fabric struct {
 	Name            string
 	PortBandwidth   int64
 	Propagation     time.Duration
-	IngressLimit    int
 	EgressCellLimit int
-	BatchCells      int
-	Speedup         int
 	Attach          []string
 }
 
@@ -203,7 +233,7 @@ type Scenario struct {
 	// Faults is a fault phase in the faultinject.ParseSpec grammar,
 	// verbatim; Seed is its master seed. Link faults go to every link
 	// and fabric port (subject to target=), sink stalls and board
-	// crashes to the first box, exactly as pandora-sim -faults does.
+	// crashes to the first box.
 	Faults  string
 	Degrade *Degrade
 	Balance *Balance
@@ -480,17 +510,8 @@ func (sc *Scenario) Format() string {
 		if f.Propagation > 0 {
 			fmt.Fprintf(&sb, " prop=%s", f.Propagation)
 		}
-		if f.IngressLimit > 0 {
-			fmt.Fprintf(&sb, " ingress=%d", f.IngressLimit)
-		}
 		if f.EgressCellLimit > 0 {
 			fmt.Fprintf(&sb, " egress=%d", f.EgressCellLimit)
-		}
-		if f.BatchCells > 0 {
-			fmt.Fprintf(&sb, " batch=%d", f.BatchCells)
-		}
-		if f.Speedup > 0 {
-			fmt.Fprintf(&sb, " speedup=%d", f.Speedup)
 		}
 		sb.WriteString("\n")
 		if len(f.Attach) > 0 {

@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/box"
+	"repro/internal/workload"
 )
 
 // representative covers every directive and clause the grammar has:
@@ -22,7 +25,7 @@ box c
 box d
 link a b bw=100M prop=50us queue=8 loss=0.002 lseed=9 / bw=8M prop=3ms / bw=64k
 link c d bw=2500k
-fabric fab portbw=155M prop=2us ingress=64 egress=4096 batch=4 speedup=2
+fabric fab portbw=155M prop=2us egress=4096
 attach fab a b c d
 feed a n=6 base=100
 cross a b hop=1 vci=9000 seed=7 gap=12ms size=2000+4000
@@ -77,6 +80,35 @@ func roundTrip(t *testing.T, name, text string) {
 
 func TestRoundTripRepresentative(t *testing.T) {
 	roundTrip(t, "representative", representative)
+}
+
+// TestBoxConfig maps every box line of the representative spec — which
+// spells every box key the grammar has — onto box.Config: each key
+// lands in its field, absent keys stay zero for box's own defaults,
+// and the crash/sinkstall windows are left to the Runner.
+func TestBoxConfig(t *testing.T) {
+	want := []box.Config{
+		{
+			Name: "a", Mic: workload.NewTone(400, 10000), CameraW: 256, CameraH: 128,
+			BlocksPerSegment: 3, NetInterfaceBits: 3_500_000, InterleaveNetwork: true,
+			Features: box.Features{JitterCorrection: true, Muting: true, Interface: true},
+		},
+		{Name: "b", Mic: workload.NewSpeech(7, 12000), SharedNetBuffer: true},
+		{Name: "c"},
+		{Name: "d"},
+	}
+	sc := MustParse(representative)
+	if len(sc.Boxes) != len(want) {
+		t.Fatalf("%d boxes parsed, want %d", len(sc.Boxes), len(want))
+	}
+	for i, b := range sc.Boxes {
+		if got := b.Config(); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("box %s: Config() = %+v, want %+v", b.Name, got, want[i])
+		}
+	}
+	if b := sc.Boxes[1]; len(b.Crashes) != 2 || len(b.SinkStalls) != 1 {
+		t.Fatalf("box b lost its fault windows: %+v", b)
+	}
 }
 
 // suiteFiles returns the shipped scenario suite files.
@@ -148,6 +180,10 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s tree a -> b trees=0", "positive"},
 		{"scenario x\nduration 1s\nassert made-up-kind", "unknown assert kind"},
 		{"duration 1s", "missing name"},
+		// Former fabric knobs, now constants of internal/fabric.
+		{"scenario x\nduration 1s\nfabric f ingress=64", `line 3 ("fabric f ingress=64"): unknown fabric clause "ingress"`},
+		{"scenario x\nduration 1s\nfabric f batch=4", `line 3 ("fabric f batch=4"): unknown fabric clause "batch"`},
+		{"scenario x\nduration 1s\nfabric f\nfabric g speedup=2", `line 4 ("fabric g speedup=2"): unknown fabric clause "speedup"`},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.text); err == nil || !strings.Contains(err.Error(), c.want) {
