@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -254,5 +256,24 @@ assert wires-drain
 	}
 	if second := run(); second != first {
 		t.Fatalf("two runs differ:\n%s\nvs\n%s", first, second)
+	}
+}
+
+// TestFlashcrowdExpansion pins what scenarios/flashcrowd.scn means:
+// the SHA-256 of its parsed form's Format(), recorded from the 1 071-
+// line longhand file (a thousand `box vNNNN` lines, forty 25-name pull
+// lines) before ranges and waves shrank it. The short file is the long
+// file.
+func TestFlashcrowdExpansion(t *testing.T) {
+	const want = "a566c0ff6d17dda9be47fbef8f73ebbb80679cc6ecb80ed804a2b9bc10a1e3c5"
+	sc, err := Load("../../scenarios/flashcrowd.scn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Boxes) != 1001 || len(sc.Events) != 41 {
+		t.Fatalf("%d boxes, %d events; want 1001 and 41", len(sc.Boxes), len(sc.Events))
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(sc.Format()))); got != want {
+		t.Fatalf("Format() SHA-256 = %s, want %s", got, want)
 	}
 }
