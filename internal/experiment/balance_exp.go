@@ -2,11 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
-	"repro/internal/balancer"
-	"repro/internal/core"
+	"repro/internal/scenario"
+	"repro/scenarios"
 )
 
 // BalanceResult is E24's machine-readable outcome, asserted by the
@@ -46,161 +44,19 @@ type BalanceResult struct {
 	Fingerprint string
 }
 
-// e24Run is one faulted-or-clean balancer churn run.
-type e24Run struct {
-	names   []string
-	members []string
-	st      *core.Stream
-	// digests/segs are keyed "ref→dst": tree deliveries plus both legs
-	// of every admitted call.
-	digests map[string]uint64
-	segs    map[string]uint64
-
-	rejected   uint64
-	admitted   uint64
-	migrations []balancer.Migration
-	audioSheds int
-	videoSheds int
-	adopters   []string // parent of each member re-homed by the repair
-	rehomed    int
-	hotRelays  int // hot box's children after migration (0 = fully drained)
-	spread     int
-	asserts    bool
-	sumText    string
-}
-
 const (
 	e24Hot   = "n00" // tree root relay the video flood congests
 	e24Crash = "n01" // interior box whose server board crashes
 )
 
-// e24Spec builds the scenario text. One fabric with deliberately tight
-// ports (2 Mbit/s, 512-cell egress queues): audio is comfortable, but
-// the full-rate video aimed at the root relay saturates its port and
-// gives the balancer something to migrate away from. The degrade layer
-// runs too, tuned slower than the balancer, so the control-plane
-// ordering is observable: reject (admission) before migrate before
-// shed-video, and audio is never shed at all.
-func e24Spec(seed uint64, faulted bool) (string, []string, []string) {
-	var members []string
-	for i := 0; i < 10; i++ {
-		members = append(members, fmt.Sprintf("n%02d", i))
-	}
-	calls := []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6"}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "scenario e24\nseed %d\nduration 3s\n", seed)
-	sb.WriteString("box src mic=speech:1:12000\n")
-	sb.WriteString("box vsrc camera=128x128\n")
-	for _, n := range members {
-		attrs := ""
-		if n == e24Hot {
-			// The flood target needs a display sized for the video frames.
-			attrs = " camera=128x128"
-		}
-		if faulted && n == e24Crash {
-			// Kill the server board mid-stream: the box keeps its local
-			// playout hardware but stops relaying to its subtree.
-			attrs += " crash=server:1400ms-2200ms"
-		}
-		fmt.Fprintf(&sb, "box %s%s\n", n, attrs)
-	}
-	for i, c := range calls {
-		fmt.Fprintf(&sb, "box %s mic=speech:%d:12000\n", c, i+2)
-	}
-	sb.WriteString("fabric fab portbw=1M egress=512\n")
-	sb.WriteString("attach fab src vsrc " + strings.Join(members, " ") + " " + strings.Join(calls, " ") + "\n")
-	sb.WriteString("degrade shed=200ms hold=600ms\n")
-	sb.WriteString("balance budget=2 interval=20ms migrate=0.4 cooldown=5s maxmig=1\n")
-	fmt.Fprintf(&sb, "at 0s tree src -> %s k=3 trees=1 as t\n", strings.Join(members, ","))
-	// Four calls against a budget of two: k1 and k2 are admitted (k2's
-	// callee is balancer-placed), k3 and k4 are refused outright.
-	sb.WriteString("at 200ms call c0 c1 as k1\n")
-	sb.WriteString("at 300ms call c2 ? as k2\n")
-	sb.WriteString("at 400ms call c3 c4 as k3\n")
-	sb.WriteString("at 500ms call c5 c6 as k4\n")
-	// The flood: a full-rate video aimed at the root relay congests its
-	// egress port in both twins; the balancer migrates the relay's tree
-	// children off it well before the degrade ladder sheds the video.
-	sb.WriteString("at 700ms video vsrc -> n00 rect=0,0,128,128 rate=1/1 as v\n")
-	// The repair fires while the crashed box is down — in the clean
-	// twin too, so both runs converge on the identical topology.
-	fmt.Fprintf(&sb, "at 1600ms repair t %s\n", e24Crash)
-	sb.WriteString("assert survivors-identical\n")
-	sb.WriteString("assert rejected 2\n")
-	fmt.Fprintf(&sb, "assert migrations %s 1\n", e24Hot)
-	sb.WriteString("assert spread t 4\n")
-	sb.WriteString("assert copies-max src 2\n")
-	sb.WriteString("assert no-audio-shed\n")
-	sb.WriteString("assert min-segments t 50\n")
-	names := append([]string{"src", "vsrc"}, append(append([]string{}, members...), calls...)...)
-	return sb.String(), names, members
-}
-
-func e24Churn(seed uint64, faulted bool) *e24Run {
-	spec, names, members := e24Spec(seed, faulted)
-	r := &e24Run{
-		names:   names,
-		members: members,
-		digests: make(map[string]uint64),
-		segs:    make(map[string]uint64),
-	}
-	run := runScenario(spec)
-	defer run.Close()
-	sum, err := run.Evaluate()
-	if err != nil {
+// e24Run plays scenarios/balance.scn — the one copy of E24's spec; its
+// comments say why each line is there — at the experiment's seed.
+func e24Run(seed uint64) *scenario.Runner {
+	sc := scenario.MustParse(scenarios.Balance)
+	sc.Seed = seed
+	r := must(scenario.NewRunner(sc))
+	if err := r.Run(); err != nil {
 		panic(err)
-	}
-	r.asserts = sum.Pass
-	r.sumText = sum.String()
-	r.st = run.Streams["t"]
-
-	// Deliveries: every named audio stream, keyed ref→dst.
-	refs := make([]string, 0, len(run.Streams))
-	for ref := range run.Streams {
-		refs = append(refs, ref)
-	}
-	sort.Strings(refs)
-	for _, ref := range refs {
-		st := run.Streams[ref]
-		if st.Video {
-			continue
-		}
-		for dst, vci := range st.VCIs {
-			m := run.Sys.Box(dst).Mixer().Stats(vci)
-			key := ref + "→" + dst
-			r.digests[key] = m.Digest
-			r.segs[key] = m.Segments
-		}
-	}
-
-	bal := run.Bal
-	r.rejected = bal.Rejected()
-	r.admitted = bal.Admitted()
-	r.migrations = bal.Migrations()
-	plan := r.st.Tree
-	r.hotRelays = plan.Relays(e24Hot)
-	r.spread = plan.FeederBoxes()
-	for _, m := range plan.RehomedFrom(e24Crash) {
-		r.adopters = append(r.adopters, plan.Parent(m))
-	}
-	r.rehomed = len(plan.RehomedFrom(e24Crash))
-	ctrls := make([]string, 0, len(run.Ctrls))
-	for name := range run.Ctrls {
-		ctrls = append(ctrls, name)
-	}
-	sort.Strings(ctrls)
-	for _, name := range ctrls {
-		for _, act := range run.Ctrls[name].Actions() {
-			if act.Restore {
-				continue
-			}
-			if act.Video {
-				r.videoSheds++
-			} else {
-				r.audioSheds++
-			}
-		}
 	}
 	return r
 }
@@ -225,36 +81,39 @@ func E24Balance(seed uint64) (*Table, *BalanceResult) {
 		Paper:  "reconfiguration applies between segments; overload is refused, not served badly (§4.1 principle 6, §4.4)",
 		Header: []string{"measure", "value"},
 	}
-	clean := e24Churn(seed, false)
-	fl := e24Churn(seed, true)
-	plan := fl.st.Tree
+	fl := e24Run(seed)
+	defer fl.Close()
+	clean := must(fl.CleanTwin())
+	plan := fl.Streams["t"].Tree
+	migs, cleanMigs := fl.Bal.Migrations(), clean.Bal.Migrations()
 
 	res := &BalanceResult{
-		Boxes:        len(fl.names),
-		Viewers:      len(fl.members),
-		Budget:       2,
-		Admitted:     fl.admitted,
-		Rejected:     fl.rejected,
-		Migrations:   len(fl.migrations),
-		AudioSheds:   fl.audioSheds,
-		VideoSheds:   fl.videoSheds,
+		Boxes:        len(fl.Spec.Boxes),
+		Viewers:      len(plan.Members()),
+		Budget:       fl.Spec.Balance.Budget,
+		Admitted:     fl.Bal.Admitted(),
+		Rejected:     fl.Bal.Rejected(),
+		Migrations:   len(migs),
 		FirstFitPick: e24Hot,
-		Rehomed:      fl.rehomed,
-		Spread:       fl.spread,
-		AssertsPass:  fl.asserts && clean.asserts,
+		Rehomed:      len(plan.RehomedFrom(e24Crash)),
+		Spread:       plan.FeederBoxes(),
+		AssertsPass:  must(fl.Evaluate()).Pass && must(clean.Evaluate()).Pass,
 	}
-	if len(fl.migrations) > 0 {
-		res.MigratedOff = fl.migrations[0].Box
+	res.AudioSheds, res.VideoSheds, _ = fl.Sheds()
+	queuePct := 0.0
+	if len(migs) > 0 {
+		res.MigratedOff = migs[0].Box
+		queuePct = 100 * migs[0].Queue
 	}
-	res.MigrationOk = len(fl.migrations) == 1 && res.MigratedOff == e24Hot &&
-		len(clean.migrations) == 1 && clean.migrations[0].Box == e24Hot
+	res.MigrationOk = len(migs) == 1 && res.MigratedOff == e24Hot &&
+		len(cleanMigs) == 1 && cleanMigs[0].Box == e24Hot
 	// The repair's adopters: first-fit would pick the hot box (it has
 	// spare fanout after the migration and sits first in placement
 	// order); the balancer must route every orphan elsewhere.
-	res.RepairAdopters = append([]string{}, fl.adopters...)
-	res.AdoptersCool = fl.hotRelays == 0 && len(fl.adopters) > 0
-	for _, a := range fl.adopters {
-		if a == e24Hot {
+	res.AdoptersCool = plan.Relays(e24Hot) == 0 && res.Rehomed > 0
+	for _, m := range plan.RehomedFrom(e24Crash) {
+		res.RepairAdopters = append(res.RepairAdopters, plan.Parent(m))
+		if plan.Parent(m) == e24Hot {
 			res.AdoptersCool = false
 		}
 	}
@@ -262,27 +121,13 @@ func E24Balance(seed uint64) (*Table, *BalanceResult) {
 	// box: the crashed box's own playout and its one-time subtree are
 	// excluded, everything else — tree members and call legs — must
 	// match the fault-free twin exactly.
-	res.Identical = true
-	keys := make([]string, 0, len(fl.digests))
-	for k := range fl.digests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		dst := k[strings.LastIndex(k, "→")+len("→"):]
-		if dst == e24Crash || plan.EverUnder(dst, e24Crash) {
-			res.Excluded++
-			continue
-		}
-		res.Survivors++
-		if fl.digests[k] != clean.digests[k] || fl.segs[k] != clean.segs[k] {
-			res.Identical = false
-		}
-	}
-	res.Fingerprint = balanceFingerprint(fl)
+	var mismatched int
+	res.Survivors, mismatched, res.Excluded = fl.Survivors(clean)
+	res.Identical = mismatched == 0
+	res.Fingerprint = must(fl.Fingerprint())
 
 	t.Add("admission", fmt.Sprintf("budget %d: %d admitted, %d rejected outright", res.Budget, res.Admitted, res.Rejected))
-	t.Add("migration", fmt.Sprintf("%d off %s mid-stream (queue %.0f%% at trigger)", res.Migrations, res.MigratedOff, migQueuePct(fl)))
+	t.Add("migration", fmt.Sprintf("%d off %s mid-stream (queue %.0f%% at trigger)", res.Migrations, res.MigratedOff, queuePct))
 	t.Add("shed ordering", fmt.Sprintf("%d video sheds, %d audio sheds (reject > migrate > shed-video > shed-audio)", res.VideoSheds, res.AudioSheds))
 	t.Add("repair adopters", fmt.Sprintf("%v avoid hot %s (first-fit would re-adopt it)", res.RepairAdopters, e24Hot))
 	t.Add("feeder spread", fmt.Sprintf("%d distinct boxes feed the tree after repair", res.Spread))
@@ -290,30 +135,4 @@ func E24Balance(seed uint64) (*Table, *BalanceResult) {
 		res.Identical, res.Survivors, res.Excluded, e24Crash))
 	t.Remark("the control plane sheds load by moving and refusing work; the data plane never pays for it in audio bytes")
 	return t, res
-}
-
-func migQueuePct(r *e24Run) float64 {
-	if len(r.migrations) == 0 {
-		return 0
-	}
-	return 100 * r.migrations[0].Queue
-}
-
-// balanceFingerprint renders a finished run as one deterministic string.
-func balanceFingerprint(r *e24Run) string {
-	var sb strings.Builder
-	keys := make([]string, 0, len(r.digests))
-	for k := range r.digests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s: segs=%d digest=%016x\n", k, r.segs[k], r.digests[k])
-	}
-	fmt.Fprintf(&sb, "rejected=%d admitted=%d\n", r.rejected, r.admitted)
-	for _, m := range r.migrations {
-		fmt.Fprintf(&sb, "migration %s\n", m)
-	}
-	sb.WriteString(r.sumText)
-	return sb.String()
 }

@@ -46,20 +46,21 @@ func TestE24BalancerControlPlane(t *testing.T) {
 // seed: the balancer's sampling, placement, admission and migration
 // decisions must replay to the byte.
 func TestE24DeterministicReplay(t *testing.T) {
-	a := e24Churn(7, true)
-	b := e24Churn(7, true)
-	if a.sumText != b.sumText {
-		t.Errorf("assert summaries diverged:\n%s\nvs\n%s", a.sumText, b.sumText)
+	a, b := e24Run(7), e24Run(7)
+	defer a.Close()
+	defer b.Close()
+	if sa, sb := must(a.Evaluate()).String(), must(b.Evaluate()).String(); sa != sb {
+		t.Errorf("assert summaries diverged:\n%s\nvs\n%s", sa, sb)
 	}
-	fa, fb := balanceFingerprint(a), balanceFingerprint(b)
+	fa, fb := must(a.Fingerprint()), must(b.Fingerprint())
 	if fa == "" {
 		t.Fatal("empty fingerprint")
 	}
 	if fa != fb {
 		t.Errorf("replay diverged:\n%s\nvs\n%s", fa, fb)
 	}
-	if len(a.migrations) != 1 {
-		t.Errorf("seed 7: %d migrations, want 1", len(a.migrations))
+	if n := len(a.Bal.Migrations()); n != 1 {
+		t.Errorf("seed 7: %d migrations, want 1", n)
 	}
 }
 
@@ -70,11 +71,12 @@ func TestE24DeterministicReplay(t *testing.T) {
 // (every update runs inside the virtual-time runtime), so this is the
 // test that proves the serialization actually holds.
 func TestE24ScoreboardChurnRace(t *testing.T) {
-	r := e24Churn(11, true)
-	if len(r.migrations) != 1 {
-		t.Errorf("seed 11: %d migrations, want 1", len(r.migrations))
+	r := e24Run(11)
+	defer r.Close()
+	if n := len(r.Bal.Migrations()); n != 1 {
+		t.Errorf("seed 11: %d migrations, want 1", n)
 	}
-	if !r.asserts {
-		t.Errorf("seed 11 asserts failed:\n%s", r.sumText)
+	if sum := must(r.Evaluate()); !sum.Pass {
+		t.Errorf("seed 11 asserts failed:\n%s", sum)
 	}
 }

@@ -141,6 +141,15 @@ func runScenario(text string) *scenario.Runner {
 	return r
 }
 
+// must unwraps a finished run's twin, summary or fingerprint: like the
+// specs they come from, a failure there is a bug, so it panics.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func ms(v float64) string { return fmt.Sprintf("%.2fms", v) }
 
 func pct(num, den uint64) string {

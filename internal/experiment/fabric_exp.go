@@ -1,14 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/core"
-	"repro/internal/degrade"
-	"repro/internal/fabric"
-)
+import "fmt"
 
 // FabricResult is E22's machine-readable outcome, asserted by the
 // tests.
@@ -31,97 +23,57 @@ type FabricResult struct {
 	ForwardedBytes uint64
 	CleanBytes     uint64
 	InjectedFaults uint64
-	// Fingerprint renders every port's counters and delivery digest
-	// plus the congested port's controller log: two runs with the same
-	// seed must produce byte-identical fingerprints.
+	// Fingerprint is the faulted run's scenario.Runner.Fingerprint: two
+	// runs with the same seed must produce byte-identical fingerprints.
 	Fingerprint string
 }
 
-// e22Run is one 16-box fabric conference. Three staggered video bands
-// all aim at the last box, and when faulted is set the fault schedule
-// (burst loss, jitter, two stall outages) targets that box's fabric
-// port alone.
-type e22Run struct {
-	names    []string
-	congPort string
-	vids     []*core.Stream
-	digests  map[string]uint64 // port name → delivery digest
-	counts   map[string]uint64 // port name → deliveries
-	acts     []degrade.Action  // congested port's controller log
-	allActs  map[string][]degrade.Action
-	stats    fabric.PortStats
-	congFlt  fabric.PortStats
-}
+const (
+	e22Boxes = 16
+	e22Sink  = "n15"     // where every video band converges
+	e22Port  = "fab.p15" // its fabric port: ports are numbered in attach order
+)
 
-const e22Boxes = 16
-
-func e22Conference(seed uint64, faulted bool) *e22Run {
-	r := &e22Run{
-		digests: make(map[string]uint64),
-		counts:  make(map[string]uint64),
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "scenario e22\nseed %d\nduration 5s\n", seed)
-	for i := 0; i < e22Boxes; i++ {
-		name := fmt.Sprintf("n%02d", i)
-		r.names = append(r.names, name)
-		cam := ""
-		if i < 3 || i == e22Boxes-1 {
-			// Video sources, and the sink whose display assembles the
-			// three 256-wide bands.
-			cam = " camera=256x192"
-		}
-		fmt.Fprintf(&sb, "box %s mic=speech:%d:12000 jitter%s\n", name, i+1, cam)
-	}
-	// A deliberately small egress bound: two virtual-second outages on
-	// one port are enough to drive its queue past the controller's high
-	// water without troubling the other fifteen.
-	sb.WriteString("fabric fab egress=4096\n")
-	sb.WriteString("attach fab " + strings.Join(r.names, " ") + "\n")
-	sink := r.names[e22Boxes-1]
-	// Ports are numbered in attach order, so the sink's is the last.
-	r.congPort = fmt.Sprintf("fab.p%02d", e22Boxes-1)
-	if faulted {
-		fmt.Fprintf(&sb, "faults burst=0.005/4,jitter=200us/400us,stallwin=1s-1600ms,stallwin=3s-3600ms,target=%s\n", r.congPort)
-	}
-	sb.WriteString("degrade shed=120ms hold=600ms\n")
-	sb.WriteString("at 0s conference " + strings.Join(r.names, " ") + "\n")
-	// Three full-rate video bands from three different boxes, opened
-	// 200 ms apart so ages differ, all converging on the last box's
-	// port — the port the fault schedule then congests.
-	for i := 0; i < 3; i++ {
-		fmt.Fprintf(&sb, "at %dms video %s -> %s rect=0,%d,256,64 rate=1/1 as v%d\n",
-			i*200, r.names[i], sink, i*64, i)
-	}
-	run := runScenario(sb.String())
-	defer run.Close()
-	s, ctrls := run.Sys, run.Ctrls
-	fab := s.Fabric("fab")
-	for i := 0; i < 3; i++ {
-		r.vids = append(r.vids, run.Streams[fmt.Sprintf("v%d", i)])
-	}
-
-	for _, n := range r.names {
-		pt := s.FabricPort(n)
-		d, c := pt.DeliveryDigest()
-		r.digests[pt.Name()] = d
-		r.counts[pt.Name()] = c
-	}
-	r.acts = ctrls[r.congPort].Actions()
-	r.allActs = make(map[string][]degrade.Action)
-	for _, n := range r.names {
-		pt := s.FabricPort(n).Name()
-		if acts := ctrls[pt].Actions(); len(acts) > 0 {
-			r.allActs[pt] = acts
-		}
-		if acts := ctrls[n].Actions(); len(acts) > 0 {
-			r.allActs[n] = acts
-		}
-	}
-	r.stats = fab.Stats()
-	r.congFlt = s.FabricPort(sink).Stats()
-	return r
-}
+// e22Spec is one 16-box fabric conference (%d: the seed). Three
+// staggered video bands all aim at the last box, and the fault schedule
+// targets that box's fabric port alone.
+const e22Spec = `
+scenario e22
+seed %d
+duration 5s
+# n00–n02 source the video bands; n15's display assembles the three
+# 256-wide bands.
+box n00 mic=speech:1:12000 jitter camera=256x192
+box n01 mic=speech:2:12000 jitter camera=256x192
+box n02 mic=speech:3:12000 jitter camera=256x192
+box n03 mic=speech:4:12000 jitter
+box n04 mic=speech:5:12000 jitter
+box n05 mic=speech:6:12000 jitter
+box n06 mic=speech:7:12000 jitter
+box n07 mic=speech:8:12000 jitter
+box n08 mic=speech:9:12000 jitter
+box n09 mic=speech:10:12000 jitter
+box n10 mic=speech:11:12000 jitter
+box n11 mic=speech:12:12000 jitter
+box n12 mic=speech:13:12000 jitter
+box n13 mic=speech:14:12000 jitter
+box n14 mic=speech:15:12000 jitter
+box n15 mic=speech:16:12000 jitter camera=256x192
+# A deliberately small egress bound: two virtual-second outages on one
+# port are enough to drive its queue past the controller's high water
+# without troubling the other fifteen.
+fabric fab egress=4096
+attach fab n[00..15]
+faults burst=0.005/4,jitter=200us/400us,stallwin=1s-1600ms,stallwin=3s-3600ms,target=fab.p15
+degrade shed=120ms hold=600ms
+at 0s conference n[00..15]
+# Three full-rate video bands from three different boxes, opened 200 ms
+# apart so ages differ, all converging on the last box's port — the
+# port the fault schedule then congests.
+at 0ms video n00 -> n15 rect=0,0,256,64 rate=1/1 as v0
+at 200ms video n01 -> n15 rect=0,64,256,64 rate=1/1 as v1
+at 400ms video n02 -> n15 rect=0,128,256,64 rate=1/1 as v2
+`
 
 // E22 runs the fabric experiment at the default seed.
 func E22() (*Table, *FabricResult) { return E22Fabric(42) }
@@ -129,7 +81,7 @@ func E22() (*Table, *FabricResult) { return E22Fabric(42) }
 // E22Fabric meshes a 16-box audio conference through the switching
 // fabric, aims three staggered video bands at one box, and injects a
 // fault schedule (burst loss, jitter, two stall outages) on that box's
-// port alone — then repeats the identical run fault-free. The faulted
+// port alone — then reads the run's fault-free twin. The faulted
 // port's controller sheds its video oldest-first and never audio,
 // while every other port's delivered byte sequence is identical
 // between the two runs: a slow output degrades only its own port,
@@ -141,65 +93,41 @@ func E22Fabric(seed uint64) (*Table, *FabricResult) {
 		Paper:  "a slow output degrades only its own port; video before audio, oldest first (§2.1, principle 5)",
 		Header: []string{"measure", "value"},
 	}
-	clean := e22Conference(seed, false)
-	fl := e22Conference(seed, true)
+	fl := runScenario(fmt.Sprintf(e22Spec, seed))
+	defer fl.Close()
+	clean := must(fl.CleanTwin())
 
 	res := &FabricResult{Boxes: e22Boxes}
-	for _, acts := range clean.allActs {
-		res.CleanSheds += len(acts)
-	}
-	for port, acts := range fl.allActs {
-		for _, act := range acts {
-			switch {
-			case act.Restore:
-				if port == fl.congPort {
-					res.Restores++
-				}
-			case act.Video:
-				if port == fl.congPort {
-					res.VideoShed++
-				}
-			default:
-				res.AudioShed++
-			}
-		}
-	}
-	res.OldestFirst = true
-	for _, act := range fl.acts {
-		if act.Restore {
-			break
-		}
-		if n := len(res.ShedOrder); n > 0 && res.ShedOrder[n-1] >= act.Stream {
-			// VCIs are allocated in open order, so oldest-first means
-			// strictly ascending VCIs in the initial ladder.
-			res.OldestFirst = false
-		}
-		res.ShedOrder = append(res.ShedOrder, act.Stream)
-	}
-	sinkName := fl.names[e22Boxes-1]
-	if len(res.ShedOrder) == 0 || res.ShedOrder[0] != fl.vids[0].VCIs[sinkName] {
+	cleanAudio, cleanVideo, cleanRestores := clean.Sheds()
+	res.CleanSheds = cleanAudio + cleanVideo + cleanRestores
+	res.AudioShed, _, _ = fl.Sheds()
+	_, res.VideoShed, res.Restores = fl.Sheds(e22Port)
+	res.ShedOrder, res.OldestFirst = fl.ShedLadder(e22Port)
+	if len(res.ShedOrder) == 0 || res.ShedOrder[0] != fl.Streams["v0"].VCIs[e22Sink] {
 		res.OldestFirst = false
 	}
 
 	res.PortIsolated = true
-	for port, d := range fl.digests {
-		if port == fl.congPort {
+	for _, b := range fl.Spec.Boxes {
+		if b.Name == e22Sink {
 			continue
 		}
-		if clean.digests[port] != d || clean.counts[port] != fl.counts[port] {
+		d, n := fl.Sys.FabricPort(b.Name).DeliveryDigest()
+		cd, cn := clean.Sys.FabricPort(b.Name).DeliveryDigest()
+		if d != cd || n != cn {
 			res.PortIsolated = false
 		}
 	}
-	res.ForwardedBytes = fl.stats.Bytes
-	res.CleanBytes = clean.stats.Bytes
-	cf := fl.congFlt
+	res.ForwardedBytes = fl.Sys.Fabric("fab").Stats().Bytes
+	res.CleanBytes = clean.Sys.Fabric("fab").Stats().Bytes
+	cf := fl.Sys.FabricPort(e22Sink).Stats()
 	res.InjectedFaults = cf.FaultDrops + cf.FaultCorrupt + cf.FaultDups + cf.FaultDelays + cf.FaultStalls
-	res.Fingerprint = fabricFingerprint(fl)
+	res.Fingerprint = must(fl.Fingerprint())
 
 	t.Add("boxes on the fabric", fmt.Sprintf("%d (%d audio streams, 3 video bands)",
 		e22Boxes, e22Boxes*(e22Boxes-1)))
 	t.Add("congested port", fmt.Sprintf("%s (faults: %d drops, %d delays, %d stalls)",
-		fl.congPort, cf.FaultDrops, cf.FaultDelays, cf.FaultStalls))
+		e22Port, cf.FaultDrops, cf.FaultDelays, cf.FaultStalls))
 	t.Add("video shed on congested port", fmt.Sprintf("%d (order %v, restores %d)",
 		res.VideoShed, res.ShedOrder, res.Restores))
 	t.Add("audio shed anywhere", fmt.Sprintf("%d", res.AudioShed))
@@ -210,34 +138,4 @@ func E22Fabric(seed uint64) (*Table, *FabricResult) {
 		100*float64(res.ForwardedBytes)/float64(res.CleanBytes)))
 	t.Remark("faulting one fabric port sheds that port's video oldest-first and leaves the other fifteen ports' delivery byte-identical")
 	return t, res
-}
-
-// fabricFingerprint renders a finished faulted run as one
-// deterministic string.
-func fabricFingerprint(r *e22Run) string {
-	var sb strings.Builder
-	ports := make([]string, 0, len(r.digests))
-	for port := range r.digests {
-		ports = append(ports, port)
-	}
-	sort.Strings(ports)
-	for _, port := range ports {
-		fmt.Fprintf(&sb, "port %s: delivered=%d digest=%016x\n",
-			port, r.counts[port], r.digests[port])
-	}
-	cf := r.congFlt
-	fmt.Fprintf(&sb, "congested %s: shed=%d egdrop=%d fault(drop=%d corrupt=%d dup=%d delay=%d stall=%d)\n",
-		r.congPort, cf.ShedDrops, cf.EgressDrops,
-		cf.FaultDrops, cf.FaultCorrupt, cf.FaultDups, cf.FaultDelays, cf.FaultStalls)
-	targets := make([]string, 0, len(r.allActs))
-	for name := range r.allActs {
-		targets = append(targets, name)
-	}
-	sort.Strings(targets)
-	for _, name := range targets {
-		for _, act := range r.allActs[name] {
-			fmt.Fprintf(&sb, "%s: %s\n", name, act.String())
-		}
-	}
-	return sb.String()
 }

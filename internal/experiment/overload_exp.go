@@ -2,12 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/atm"
-	"repro/internal/core"
-	"repro/internal/degrade"
-	"repro/internal/obs"
 )
 
 // OverloadResult is E21's machine-readable outcome, used by the tests.
@@ -27,9 +23,8 @@ type OverloadResult struct {
 	// WireNews is the total wire-buffer allocations across both boxes;
 	// recycling bounds it regardless of how many segments flow.
 	WireNews uint64
-	// Fingerprint renders every fault and degradation counter plus the
-	// controller action log: two runs with the same seed must produce
-	// byte-identical fingerprints.
+	// Fingerprint is the run's scenario.Runner.Fingerprint: two runs
+	// with the same seed must produce byte-identical fingerprints.
 	Fingerprint string
 }
 
@@ -68,41 +63,16 @@ at 400ms video a -> b rect=0,64,256,64 rate=1/1 as v1
 at 800ms video a -> b rect=0,128,256,64 rate=1/1 as v2
 `, seed))
 	defer r.Close()
-	s, ctrls := r.Sys, r.Ctrls
+	s := r.Sys
 	audio := r.Streams["audio"]
-	vids := []*core.Stream{r.Streams["v0"], r.Streams["v1"], r.Streams["v2"]}
 
 	res := &OverloadResult{}
 
 	// Controller decisions (only box "a" is under pressure, but count
 	// every box — audio sheds anywhere would break principle 2).
-	var aActs []degrade.Action
-	for _, name := range []string{"a", "b"} {
-		for _, act := range ctrls[name].Actions() {
-			switch {
-			case act.Restore:
-				res.Restores++
-			case act.Video:
-				res.VideoShed++
-			default:
-				res.AudioShed++
-			}
-		}
-	}
-	aActs = ctrls["a"].Actions()
-	res.OldestFirst = true
-	for _, act := range aActs {
-		if act.Restore {
-			break
-		}
-		if n := len(res.ShedOrder); n > 0 && res.ShedOrder[n-1] >= act.Stream {
-			// Stream ids are allocated in open order, so oldest-first
-			// means strictly ascending ids in the initial sequence.
-			res.OldestFirst = false
-		}
-		res.ShedOrder = append(res.ShedOrder, act.Stream)
-	}
-	if len(res.ShedOrder) == 0 || (len(vids) > 0 && res.ShedOrder[0] != vids[0].Local) {
+	res.AudioShed, res.VideoShed, res.Restores = r.Sheds()
+	res.ShedOrder, res.OldestFirst = r.ShedLadder("a")
+	if len(res.ShedOrder) == 0 || res.ShedOrder[0] != r.Streams["v0"].Local {
 		res.OldestFirst = false
 	}
 
@@ -128,7 +98,7 @@ at 800ms video a -> b rect=0,128,256,64 rate=1/1 as v2
 	aGets, aNews, _ := s.Box("a").WirePoolStats()
 	bGets, bNews, _ := s.Box("b").WirePoolStats()
 	res.WireNews = aNews + bNews
-	res.Fingerprint = overloadFingerprint(s, ctrls)
+	res.Fingerprint = must(r.Fingerprint())
 
 	swA := s.Box("a").SwitchStats()
 	t.Add("audio segments played", fmt.Sprintf("%d (lost %d, silence %.2f%%)",
@@ -142,25 +112,4 @@ at 800ms video a -> b rect=0,128,256,64 rate=1/1 as v2
 	t.Add("wire allocations", fmt.Sprintf("%d (of %d uses)", res.WireNews, aGets+bGets))
 	t.Remark("audio survives untouched while the overload controller sheds video, oldest stream first")
 	return t, res
-}
-
-// overloadFingerprint renders the fault and degradation state of a
-// finished run as one deterministic string.
-func overloadFingerprint(s *core.System, ctrls map[string]*degrade.Controller) string {
-	var sb strings.Builder
-	for _, l := range s.Net.Links() { // already sorted by name
-		st := l.FaultStats()
-		fmt.Fprintf(&sb, "link %s: drop=%d corrupt=%d dup=%d delay=%d stall=%d\n",
-			l.Name(), st.Drops, st.Corruptions, st.Duplicates, st.Delays, st.Stalls)
-	}
-	for _, name := range []string{"a", "b"} {
-		lb := obs.L("box", name)
-		shed, _ := s.Obs.Value("switch_shed_drops_total", lb)
-		corrupt, _ := s.Obs.Value("server_corrupt_drops_total", lb)
-		fmt.Fprintf(&sb, "box %s: shed_drops=%.0f corrupt_drops=%.0f\n", name, shed, corrupt)
-		for _, act := range ctrls[name].Actions() {
-			fmt.Fprintf(&sb, "  %s\n", act.String())
-		}
-	}
-	return sb.String()
 }

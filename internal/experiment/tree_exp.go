@@ -1,12 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // TreeResult is E23's machine-readable outcome, asserted by the tests.
 type TreeResult struct {
@@ -34,116 +28,47 @@ type TreeResult struct {
 	Excluded  int
 	Survivors int
 	Identical bool
-	// AssertsPass is the scenario layer's own copies-max verdict.
+	// AssertsPass is the scenario layer's own verdict, in both twins.
 	AssertsPass bool
 	Fingerprint string
 }
 
-// e23Run is one faulted-or-clean replication-tree tannoy: one source
+const e23Crash = "a02" // the interior box the fault schedule kills
+
+// e23Spec is the replication-tree tannoy (%d: the seed): one source
 // speaking to 102 viewers split over two fabrics joined by two bridge
 // links, distributed over two fanout-4 trees.
-type e23Run struct {
-	names   []string // every box, source first
-	members []string // tree members in open order
-	st      *core.Stream
-	digests map[string]uint64 // viewer → mixer digest
-	segs    map[string]uint64 // viewer → delivered segments
-	ingress map[string]int    // box → distinct tree VCIs its port ingressed
-	// boxCopies is the box layer's high-water of simultaneous forwarded
-	// copies, max over every box in the run.
-	boxCopies int
-	asserts   bool
-	sumText   string
-}
-
-const (
-	e23PerFabric = 51    // viewers per fabric
-	e23Crash     = "a02" // the interior box the fault schedule kills
-)
-
-// e23Spec builds the scenario text. The member order interleaves the
-// early bridge-side boxes (a00, a01, b00, b01) first so each tree
-// crosses the inter-fabric bridge exactly once, near its root.
-func e23Spec(seed uint64, faulted bool) (string, []string, []string) {
-	var aSide, bSide []string
-	for i := 0; i < e23PerFabric; i++ {
-		aSide = append(aSide, fmt.Sprintf("a%02d", i))
-		bSide = append(bSide, fmt.Sprintf("b%02d", i))
-	}
-	members := []string{aSide[0], aSide[1], bSide[0], bSide[1]}
-	members = append(members, aSide[2:]...)
-	members = append(members, bSide[2:]...)
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "scenario e23\nseed %d\nduration 3s\n", seed)
-	sb.WriteString("box src mic=speech:1:12000\n")
-	for _, n := range append(append([]string{}, aSide...), bSide...) {
-		crash := ""
-		if faulted && n == e23Crash {
-			// Kill the server board mid-stream: the box keeps its local
-			// playout hardware but stops relaying to its subtree.
-			crash = " crash=server:900ms-1800ms"
-		}
-		fmt.Fprintf(&sb, "box %s%s\n", n, crash)
-	}
-	// Two bridge links, one per tree: each tree's fabB root pulls its
-	// single cross-fabric copy over its own link.
-	sb.WriteString("link a00 b00 bw=155M\nlink a01 b01 bw=155M\n")
-	sb.WriteString("fabric fabA portbw=155M\nfabric fabB portbw=155M\n")
-	sb.WriteString("attach fabA src " + strings.Join(aSide, " ") + "\n")
-	sb.WriteString("attach fabB " + strings.Join(bSide, " ") + "\n")
-	fmt.Fprintf(&sb, "at 0s tree src -> %s k=4 trees=2 as t\n", strings.Join(members, ","))
-	// The repair fires while the crashed box is down — in the clean
-	// twin too, so both runs converge on the identical topology.
-	fmt.Fprintf(&sb, "at 1200ms repair t %s\n", e23Crash)
-	sb.WriteString("assert copies-max src 2\n")
-	fmt.Fprintf(&sb, "assert copies-max a00 4\nassert copies-max %s 4\n", e23Crash)
-	sb.WriteString("assert min-segments t 100\n")
-	names := append([]string{"src"}, append(aSide, bSide...)...)
-	return sb.String(), names, members
-}
-
-func e23Tannoy(seed uint64, faulted bool) *e23Run {
-	spec, names, members := e23Spec(seed, faulted)
-	r := &e23Run{
-		names:   names,
-		members: members,
-		digests: make(map[string]uint64),
-		segs:    make(map[string]uint64),
-		ingress: make(map[string]int),
-	}
-	run := runScenario(spec)
-	defer run.Close()
-	sum, err := run.Evaluate()
-	if err != nil {
-		panic(err)
-	}
-	r.asserts = sum.Pass
-	r.sumText = sum.String()
-	r.st = run.Streams["t"]
-	treeVCI := map[uint32]bool{r.st.Local: true}
-	for _, vci := range r.st.VCIs {
-		treeVCI[vci] = true
-	}
-	for _, n := range r.members {
-		m := run.Sys.Box(n).Mixer().Stats(r.st.VCIs[n])
-		r.digests[n] = m.Digest
-		r.segs[n] = m.Segments
-	}
-	for _, n := range r.names {
-		distinct := 0
-		for vci := range run.Sys.FabricPort(n).IngressCopies() {
-			if treeVCI[vci] {
-				distinct++
-			}
-		}
-		r.ingress[n] = distinct
-		if c := run.Sys.Box(n).MaxNetCopies(); c > r.boxCopies {
-			r.boxCopies = c
-		}
-	}
-	return r
-}
+const e23Spec = `
+scenario e23
+seed %d
+duration 3s
+box src mic=speech:1:12000
+box a[00..01]
+# Kill the server board mid-stream: the box keeps its local playout
+# hardware but stops relaying to its subtree.
+box a02 crash=server:900ms-1800ms
+box a[03..50]
+box b[00..50]
+# Two bridge links, one per tree: each tree's fabB root pulls its
+# single cross-fabric copy over its own link.
+link a00 b00 bw=155M
+link a01 b01 bw=155M
+fabric fabA portbw=155M
+fabric fabB portbw=155M
+attach fabA src a[00..50]
+attach fabB b[00..50]
+# The member order puts the bridge-side boxes first so each tree
+# crosses the inter-fabric bridge exactly once, near its root.
+at 0s tree src -> a00,a01,b00,b01,a[02..50],b[02..50] k=4 trees=2 as t
+# The repair fires while the crashed box is down — in the fault-free
+# twin too, so both runs converge on the identical topology.
+at 1200ms repair t a02
+assert survivors-identical
+assert copies-max src 2
+assert copies-max a00 4
+assert copies-max a02 4
+assert min-segments t 100
+`
 
 // E23 runs the replication-tree experiment at the default seed.
 func E23() (*Table, *TreeResult) { return E23Tree(42) }
@@ -163,46 +88,53 @@ func E23Tree(seed uint64) (*Table, *TreeResult) {
 		Paper:  "one copy per hop however many viewers; reconfiguration applies between segments (§4.1, principle 6)",
 		Header: []string{"measure", "value"},
 	}
-	clean := e23Tannoy(seed, false)
-	fl := e23Tannoy(seed, true)
-	plan := fl.st.Tree
+	fl := runScenario(fmt.Sprintf(e23Spec, seed))
+	defer fl.Close()
+	clean := must(fl.CleanTwin())
+	st := fl.Streams["t"]
+	plan := st.Tree
 	cfg := plan.Config()
 
 	res := &TreeResult{
-		Boxes:        len(fl.names),
-		Viewers:      len(fl.members),
+		Boxes:        len(fl.Spec.Boxes),
+		Viewers:      len(plan.Members()),
 		Trees:        cfg.Trees,
 		Fanout:       cfg.Fanout,
 		Depth:        plan.Depth(),
 		SourceCopies: plan.SourceCopies(),
 		MaxInterior:  plan.MaxInteriorCopies(),
 		Repairs:      plan.Repairs(),
-		AssertsPass:  fl.asserts && clean.asserts,
+		Rehomed:      len(plan.RehomedFrom(e23Crash)),
+		AssertsPass:  must(fl.Evaluate()).Pass && must(clean.Evaluate()).Pass,
+	}
+	// The per-hop copy invariant at the wire: distinct tree VCIs each
+	// fabric port ingressed over the whole run, beside the box layer's
+	// own high-water of simultaneous forwarded copies.
+	treeVCI := map[uint32]bool{st.Local: true}
+	for _, vci := range st.VCIs {
+		treeVCI[vci] = true
 	}
 	res.PerHopOK = true
-	for _, n := range fl.names {
-		if c := fl.ingress[n]; n == "src" {
-			if c > res.SourceCopies {
-				res.PerHopOK = false
+	for _, b := range fl.Spec.Boxes {
+		distinct := 0
+		for vci := range fl.Sys.FabricPort(b.Name).IngressCopies() {
+			if treeVCI[vci] {
+				distinct++
 			}
-		} else if c > cfg.Fanout {
+		}
+		bound := cfg.Fanout
+		if b.Name == "src" {
+			bound = res.SourceCopies
+		}
+		if distinct > bound {
 			res.PerHopOK = false
 		}
+		res.BoxCopiesMax = max(res.BoxCopiesMax, fl.Sys.Box(b.Name).MaxNetCopies())
 	}
-	res.Identical = true
-	for _, n := range fl.members {
-		if plan.EverUnder(n, e23Crash) || n == e23Crash {
-			res.Excluded++
-			continue
-		}
-		res.Survivors++
-		if fl.digests[n] != clean.digests[n] || fl.segs[n] != clean.segs[n] {
-			res.Identical = false
-		}
-	}
-	res.Rehomed = len(plan.RehomedFrom(e23Crash))
-	res.BoxCopiesMax = fl.boxCopies
-	res.Fingerprint = treeFingerprint(fl)
+	var mismatched int
+	res.Survivors, mismatched, res.Excluded = fl.Survivors(clean)
+	res.Identical = mismatched == 0
+	res.Fingerprint = must(fl.Fingerprint())
 
 	t.Add("viewers", fmt.Sprintf("%d over %d fabrics (2 bridge links)", res.Viewers, 2))
 	t.Add("trees", fmt.Sprintf("%d × fanout %d, depth %d", res.Trees, res.Fanout, res.Depth))
@@ -213,16 +145,4 @@ func E23Tree(seed uint64) (*Table, *TreeResult) {
 		res.Identical, res.Survivors, res.Viewers, res.Excluded, e23Crash))
 	t.Remark("two trees replace 102 source circuits with 2, and a mid-stream interior failure costs only its own subtrees")
 	return t, res
-}
-
-// treeFingerprint renders a finished run as one deterministic string.
-func treeFingerprint(r *e23Run) string {
-	var sb strings.Builder
-	members := append([]string{}, r.members...)
-	sort.Strings(members)
-	for _, n := range members {
-		fmt.Fprintf(&sb, "%s: segs=%d digest=%016x ingress=%d\n", n, r.segs[n], r.digests[n], r.ingress[n])
-	}
-	sb.WriteString(r.sumText)
-	return sb.String()
 }

@@ -33,25 +33,20 @@ func (s *Summary) String() string {
 	return sb.String()
 }
 
-// Evaluate runs every assertion against the finished run. It may run
-// the scenario's fault-free twin (for survivors-identical) — an
-// entire second system — so call it once, after RunFor has covered
-// the full duration.
+// Evaluate runs every assertion against the finished run. A spec
+// carrying survivors-identical runs (or reuses) the fault-free twin —
+// an entire second system — so call it after RunFor has covered the
+// full duration.
 func (r *Runner) Evaluate() (*Summary, error) {
 	sum := &Summary{Name: r.Spec.Name, Pass: true}
 	var clean *Runner
 	for _, a := range r.Spec.Asserts {
-		if a.Kind != "survivors-identical" || clean != nil {
-			continue
+		if a.Kind == "survivors-identical" && clean == nil {
+			var err error
+			if clean, err = r.CleanTwin(); err != nil {
+				return nil, err
+			}
 		}
-		c, err := r.cleanTwin()
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: fault-free twin: %w", r.Spec.Name, err)
-		}
-		clean = c
-		defer clean.Close()
-	}
-	for _, a := range r.Spec.Asserts {
 		ok, detail := r.check(a, clean)
 		status := "ok"
 		if !ok {
@@ -66,10 +61,15 @@ func (r *Runner) Evaluate() (*Summary, error) {
 	return sum, nil
 }
 
-// cleanTwin re-runs the scenario with every fault stripped: no link
-// faults, no board crashes, no sink stalls. Everything else — seeds,
-// timeline, degradation — is identical.
-func (r *Runner) cleanTwin() (*Runner, error) {
+// CleanTwin returns the scenario's fault-free twin, run to its full
+// duration: no link faults, no board crashes, no sink stalls, and none
+// of the asserts that are about faults. Everything else — seeds,
+// timeline, degradation, balancing — is identical. The twin is run
+// once and kept, so Evaluate and a caller share it; Close closes it.
+func (r *Runner) CleanTwin() (*Runner, error) {
+	if r.twin != nil {
+		return r.twin, nil
+	}
 	sc := *r.Spec
 	sc.Faults = ""
 	sc.Boxes = make([]Box, len(r.Spec.Boxes))
@@ -79,30 +79,128 @@ func (r *Runner) cleanTwin() (*Runner, error) {
 		sc.Boxes[i].SinkStalls = nil
 	}
 	sc.Asserts = nil
+	for _, a := range r.Spec.Asserts {
+		if a.Kind != "survivors-identical" && a.Kind != "faults-fired" {
+			sc.Asserts = append(sc.Asserts, a)
+		}
+	}
 	c, err := NewRunner(&sc)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario %s: fault-free twin: %w", r.Spec.Name, err)
 	}
+	r.twinRuns++
 	if err := c.Run(); err != nil {
 		c.Close()
-		return nil, err
+		return nil, fmt.Errorf("scenario %s: fault-free twin: %w", r.Spec.Name, err)
 	}
+	r.twin = c
 	return c, nil
 }
 
-// deliveredThroughCrash reports whether dst's copy of st ever flowed
-// through a crashed box: dst sat (or once sat, before a repair
-// re-homed it) in a subtree rooted at a crashed interior node. Such
-// destinations lost cells while the interior box was down, so
-// survivors-identical excludes them along with the crashed boxes
-// themselves.
-func (r *Runner) deliveredThroughCrash(st *core.Stream, dst string, crashed map[string]bool) bool {
-	for box := range crashed {
-		if st.Tree.EverUnder(dst, box) {
-			return true
+// Survivors compares the run with its fault-free twin clean, delivery by
+// delivery (named audio stream × destination, mixer digest and segment
+// count). A delivery is excluded when it touched a crashed box: the
+// source or destination crashed, or the destination ever sat — before
+// a repair re-homed it — in a tree subtree under a crashed relay, and
+// so lost cells while the relay was down. Of the rest, checked counts
+// the deliveries compared and mismatched those that differ.
+func (r *Runner) Survivors(clean *Runner) (checked, mismatched, excluded int) {
+	crashed := r.crashedBoxes()
+	for _, ref := range r.streamRefs() {
+		st := r.Streams[ref]
+		if st.Video {
+			continue
+		}
+		cst := clean.Streams[ref]
+		for _, dst := range sortedDsts(st) {
+			touched := crashed[st.From] || crashed[dst]
+			for box := range crashed {
+				touched = touched || st.Tree.EverUnder(dst, box)
+			}
+			if touched {
+				excluded++
+				continue
+			}
+			checked++
+			m := r.Sys.Box(dst).Mixer().Stats(st.VCIs[dst])
+			cm := clean.Sys.Box(dst).Mixer().Stats(cst.VCIs[dst])
+			if m.Digest != cm.Digest || m.Segments != cm.Segments {
+				mismatched++
+			}
 		}
 	}
-	return false
+	return checked, mismatched, excluded
+}
+
+// Sheds counts the degradation actions of the named controllers — of
+// every controller when none is named: audio sheds, video sheds, and
+// restores.
+func (r *Runner) Sheds(ctrls ...string) (audio, video, restores int) {
+	if len(ctrls) == 0 {
+		ctrls = r.ctrlNames()
+	}
+	for _, name := range ctrls {
+		for _, act := range r.Ctrls[name].Actions() {
+			switch {
+			case act.Restore:
+				restores++
+			case act.Video:
+				video++
+			default:
+				audio++
+			}
+		}
+	}
+	return audio, video, restores
+}
+
+// ShedLadder returns controller ctrl's initial shed ladder — the
+// streams it shed before its first restore, in order — and whether the
+// ladder is strictly ascending. Stream ids and VCIs are allocated in
+// open order, so ascending means oldest first (principle 3).
+func (r *Runner) ShedLadder(ctrl string) (order []uint32, ascending bool) {
+	ascending = true
+	for _, act := range r.Ctrls[ctrl].Actions() {
+		if act.Restore {
+			break
+		}
+		if n := len(order); n > 0 && order[n-1] >= act.Stream {
+			ascending = false
+		}
+		order = append(order, act.Stream)
+	}
+	return order, ascending
+}
+
+// Fingerprint renders everything a finished run determined — the obs
+// snapshot, every named audio delivery's mixer digest, each
+// controller's action log and the assertion summary — as one string.
+// Two runs of one spec give byte-identical fingerprints; a different
+// seed under faults does not.
+func (r *Runner) Fingerprint() (string, error) {
+	sum, err := r.Evaluate()
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	sb.WriteString(r.Sys.Obs.Snapshot().Table())
+	for _, ref := range r.streamRefs() {
+		st := r.Streams[ref]
+		if st.Video {
+			continue
+		}
+		for _, dst := range sortedDsts(st) {
+			m := r.Sys.Box(dst).Mixer().Stats(st.VCIs[dst])
+			fmt.Fprintf(&sb, "%s→%s: segs=%d digest=%016x\n", ref, dst, m.Segments, m.Digest)
+		}
+	}
+	for _, name := range r.ctrlNames() {
+		for _, act := range r.Ctrls[name].Actions() {
+			fmt.Fprintf(&sb, "%s: %s\n", name, act)
+		}
+	}
+	sb.WriteString(sum.String())
+	return sb.String(), nil
 }
 
 // crashedBoxes is the set of boxes with any board-crash window — the
@@ -128,75 +226,36 @@ func (r *Runner) streamRefs() []string {
 	return refs
 }
 
+// sortedDsts returns st's destinations in sorted order.
+func sortedDsts(st *core.Stream) []string {
+	dsts := make([]string, 0, len(st.VCIs))
+	for dst := range st.VCIs {
+		dsts = append(dsts, dst)
+	}
+	sort.Strings(dsts)
+	return dsts
+}
+
 func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 	switch a.Kind {
 	case "no-audio-shed":
-		n := 0
-		for _, name := range r.ctrlNames() {
-			for _, act := range r.Ctrls[name].Actions() {
-				if !act.Restore && !act.Video {
-					n++
-				}
-			}
-		}
+		n, _, _ := r.Sheds()
 		return n == 0, fmt.Sprintf("%d audio sheds", n)
 	case "video-shed":
 		min := 1
 		if a.HasValue {
 			min = int(a.Value)
 		}
-		n := 0
-		for _, name := range r.ctrlNames() {
-			for _, act := range r.Ctrls[name].Actions() {
-				if !act.Restore && act.Video {
-					n++
-				}
-			}
-		}
+		_, n, _ := r.Sheds()
 		return n >= min, fmt.Sprintf("%d video sheds (want ≥ %d)", n, min)
 	case "shed-order-oldest-first":
-		c, ok := r.Ctrls[a.Arg]
-		if !ok {
+		if _, ok := r.Ctrls[a.Arg]; !ok {
 			return false, fmt.Sprintf("no controller %q", a.Arg)
 		}
-		var order []uint32
-		ascending := true
-		for _, act := range c.Actions() {
-			if act.Restore {
-				break
-			}
-			if n := len(order); n > 0 && order[n-1] >= act.Stream {
-				ascending = false
-			}
-			order = append(order, act.Stream)
-		}
+		order, ascending := r.ShedLadder(a.Arg)
 		return ascending && len(order) > 0, fmt.Sprintf("initial shed ladder %v", order)
 	case "survivors-identical":
-		crashed := r.crashedBoxes()
-		checked, mismatched := 0, 0
-		for _, ref := range r.streamRefs() {
-			st := r.Streams[ref]
-			if st.Video || crashed[st.From] {
-				continue
-			}
-			cst := clean.Streams[ref]
-			dsts := make([]string, 0, len(st.VCIs))
-			for dst := range st.VCIs {
-				dsts = append(dsts, dst)
-			}
-			sort.Strings(dsts)
-			for _, dst := range dsts {
-				if crashed[dst] || r.deliveredThroughCrash(st, dst, crashed) {
-					continue
-				}
-				checked++
-				m := r.Sys.Box(dst).Mixer().Stats(st.VCIs[dst])
-				cm := clean.Sys.Box(dst).Mixer().Stats(cst.VCIs[dst])
-				if m.Digest != cm.Digest || m.Segments != cm.Segments {
-					mismatched++
-				}
-			}
-		}
+		checked, mismatched, _ := r.Survivors(clean)
 		return mismatched == 0 && checked > 0,
 			fmt.Sprintf("%d/%d surviving deliveries byte-identical with the fault-free twin", checked-mismatched, checked)
 	case "wires-drain":
@@ -231,11 +290,7 @@ func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 		if !ok {
 			return false, fmt.Sprintf("no stream %q", a.Arg)
 		}
-		dsts := make([]string, 0, len(st.VCIs))
-		for dst := range st.VCIs {
-			dsts = append(dsts, dst)
-		}
-		sort.Strings(dsts)
+		dsts := sortedDsts(st)
 		ok2 := true
 		var parts []string
 		var minSegs, maxLost uint64
@@ -304,11 +359,7 @@ func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 		}
 		// Board crashes count too: a crash window inside the run is a
 		// fired fault even when no link fault is configured.
-		crashes := 0
-		for box := range r.crashedBoxes() {
-			_ = box
-			crashes++
-		}
+		crashes := len(r.crashedBoxes())
 		return total > 0 || crashes > 0, fmt.Sprintf("%d link faults, %d crashed boxes", total, crashes)
 	case "circuits":
 		n := 0

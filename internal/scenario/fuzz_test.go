@@ -22,6 +22,14 @@ func FuzzScenarioParse(f *testing.F) {
 	}
 	f.Add("scenario x\nduration 1s\nbox a\n")
 	f.Add("scenario x\nduration 1s\nbox a mic=tone:1:2 crash=audio:1s-2s\n")
+	// Ranges and waves, valid and hostile: expansion must stay bounded
+	// and what it accepts must print as longhand that parses back.
+	f.Add("scenario x\nduration 1s\nbox s\nbox v[01..12] jitter\nfabric f\nattach f s v[01..12]\n" +
+		"at 0s tree s -> v01 k=2 as t\nat 1ms pull t v[02..12] wave=3/2ms\nat 0s conference v[01..03] as c\n")
+	f.Add("scenario x\nduration 1s\nbox v[0..4000000000]\n")
+	f.Add("scenario x\nduration 1s\nbox v[0000000000..4000000000]\n")
+	f.Add("scenario x\nduration 1s\nbox v[18446744073709551610..18446744073709551615]\nbox [9..1]\nbox x[1..2][1..2]\n")
+	f.Add("scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b,b[..] wave=0/0s as wave=1/1s\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		sc, err := Parse(text)
 		if err != nil {

@@ -39,14 +39,14 @@ func Load(path string) (*Scenario, error) {
 //	attach FABRIC NODE...
 //	feed BOX n=N base=VCI
 //	cross A B hop=I vci=N seed=N gap=DUR size=MIN+JITTER
-//	at DUR audio FROM -> TO[,TO...] [as REF]
-//	at DUR video FROM -> TO[,TO...] rect=X,Y,W,H rate=N/D [segs=K] [as REF]
-//	at DUR tree FROM -> TO[,TO...] [k=K] [trees=T] [as REF]
+//	at DUR audio FROM -> TO[,TO...] [wave=N/DUR] [as REF]
+//	at DUR video FROM -> TO[,TO...] rect=X,Y,W,H rate=N/D [segs=K] [wave=N/DUR] [as REF]
+//	at DUR tree FROM -> TO[,TO...] [k=K] [trees=T] [wave=N/DUR] [as REF]
 //	at DUR call A B [as REF]        (B may be ? — balancer-placed callee)
 //	at DUR conference M1 M2... [as REF]
 //	at DUR split REF DST
 //	at DUR drop REF DST
-//	at DUR pull REF DST[,DST...]
+//	at DUR pull REF DST[,DST...] [wave=N/DUR]
 //	at DUR repair REF BOX
 //	at DUR close REF
 //	at DUR netsend FROM -> TO stream=N vci=N
@@ -55,9 +55,20 @@ func Load(path string) (*Scenario, error) {
 //	balance [budget=N] [interval=DUR] [migrate=F] [cooldown=DUR] [maxmig=N]
 //	assert KIND [ARG] [VALUE]
 //
-// BITS accepts a plain count or a k/M suffix ("64k", "100M").
+//	range  PREFIX[LO..HI] stands for the names PREFIX+LO … PREFIX+HI, LO and
+//	       HI written with the same number of digits (v[0001..1000], c[0..6]).
+//	       Accepted as a box NAME (one box per name, same clauses), an attach
+//	       NODE, a conference member, and an element of a TO or DST list.
+//	wave   wave=N/DUR deals the TO or DST list N names at a time into
+//	       successive events DUR apart, the first at the line's own time.
+//
+// BITS accepts a plain count or a k/M suffix ("64k", "100M"). Ranges
+// and waves are shorthand only: Parse expands them into the longhand
+// lines above before reading them, so a Scenario never holds one and
+// Format prints the longhand.
 func Parse(text string) (*Scenario, error) {
 	sc := &Scenario{}
+	budget := maxExpandedNames
 	for no, raw := range strings.Split(text, "\n") {
 		line := raw
 		if i := strings.IndexByte(line, '#'); i >= 0 {
@@ -67,7 +78,11 @@ func Parse(text string) (*Scenario, error) {
 		if len(fields) == 0 {
 			continue
 		}
-		if err := sc.parseLine(fields, line); err != nil {
+		lines, err := expand(fields, &budget)
+		for i := 0; err == nil && i < len(lines); i++ {
+			err = sc.parseLine(lines[i], line)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("scenario line %d (%q): %w", no+1, strings.TrimSpace(line), err)
 		}
 	}

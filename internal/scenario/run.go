@@ -43,6 +43,8 @@ type Runner struct {
 
 	started  bool
 	admitted map[string]bool // refs of admitted (budget-holding) calls
+	twin     *Runner         // the fault-free twin, once CleanTwin has run it
+	twinRuns int             // twin systems simulated (a test pins it at one)
 }
 
 // NewRunner validates the spec and prepares a runner.
@@ -376,10 +378,13 @@ func (r *Runner) Run() error {
 	return r.RunFor(r.Spec.Duration)
 }
 
-// Close shuts the system down.
+// Close shuts the system down, and the fault-free twin's with it.
 func (r *Runner) Close() {
 	if r.Sys != nil {
 		r.Sys.Shutdown()
+	}
+	if r.twin != nil {
+		r.twin.Close()
 	}
 }
 

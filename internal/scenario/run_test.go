@@ -128,3 +128,55 @@ assert copies-max s 1
 		t.Fatalf("expected 2/2 surviving deliveries, got: %s", line)
 	}
 }
+
+// TestCleanTwinRunsOnce: a spec carrying survivors-identical whose
+// caller also reads the fault-free twin — before and after Evaluate,
+// as E23 and E24 do — simulates that twin exactly once, and the twin
+// keeps the spec's asserts except the ones about faults.
+func TestCleanTwinRunsOnce(t *testing.T) {
+	r, err := NewRunner(MustParse(`scenario twin-once
+duration 1s
+box s mic=tone:400:8000
+box v1
+box v2 crash=server:300ms-600ms
+box v3
+fabric fab portbw=155M
+attach fab s v[1..3]
+at 0s tree s -> v[1..3] k=2 as t
+assert survivors-identical
+assert faults-fired
+assert copies-max s 1
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := r.CleanTwin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := r.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Pass {
+		t.Errorf("scenario failed:\n%s", sum)
+	}
+	if _, err := r.Fingerprint(); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := r.CleanTwin(); after != before || r.twinRuns != 1 {
+		t.Errorf("%d twin runs (same twin returned: %v), want exactly one", r.twinRuns, after == before)
+	}
+	if got := before.Spec.Format(); strings.Contains(got, "crash=") || strings.Contains(got, "survivors-identical") ||
+		strings.Contains(got, "faults-fired") || !strings.Contains(got, "assert copies-max s 1") {
+		t.Errorf("twin spec keeps a fault or drops a fault-free assert:\n%s", got)
+	}
+	// s feeds v1, v1 feeds v2 and v3: the crashed leaf alone is excluded.
+	if checked, mismatched, excluded := r.Survivors(before); checked != 2 || mismatched != 0 || excluded != 1 {
+		t.Errorf("survivors: %d checked, %d mismatched, %d excluded; want 2, 0, 1", checked, mismatched, excluded)
+	}
+}

@@ -277,6 +277,18 @@ func (sc *Scenario) Validate() error {
 		}
 		return nil
 	}
+	// What core.System opens a direct circuit over: a declared link
+	// (either direction) or a shared fabric. A flat stream — every op but
+	// a tree with k > 0, whose members relay for one another — needs one
+	// from its source to each destination.
+	linked := map[[2]string]bool{}
+	fabOf := map[string]string{}
+	reach := func(where, a, b string) error {
+		if fa, ok := fabOf[a]; (ok && fa == fabOf[b]) || linked[[2]string{a, b}] {
+			return nil
+		}
+		return fmt.Errorf("scenario %s: %s: no path from %s to %s (they share neither a fabric nor a link)", sc.Name, where, a, b)
+	}
 	for _, l := range sc.Links {
 		if err := need("link", l.From); err != nil {
 			return err
@@ -287,6 +299,10 @@ func (sc *Scenario) Validate() error {
 		if len(l.Hops) == 0 {
 			return fmt.Errorf("scenario %s: link %s %s has no hops", sc.Name, l.From, l.To)
 		}
+		if l.From == l.To || linked[[2]string{l.From, l.To}] {
+			return fmt.Errorf("scenario %s: link %s %s: a pair of distinct boxes takes one link, in either order", sc.Name, l.From, l.To)
+		}
+		linked[[2]string{l.From, l.To}], linked[[2]string{l.To, l.From}] = true, true
 	}
 	fabs := map[string]bool{}
 	for _, f := range sc.Fabrics {
@@ -298,6 +314,10 @@ func (sc *Scenario) Validate() error {
 			if err := need("fabric "+f.Name, n); err != nil {
 				return err
 			}
+			if prev, dup := fabOf[n]; dup {
+				return fmt.Errorf("scenario %s: node %s attached to fabric %s and again to fabric %s", sc.Name, n, prev, f.Name)
+			}
+			fabOf[n] = f.Name
 		}
 	}
 	for _, f := range sc.Feeds {
@@ -330,9 +350,15 @@ func (sc *Scenario) Validate() error {
 			if len(ev.To) == 0 {
 				return fmt.Errorf("scenario %s: %s has no destination", sc.Name, where)
 			}
+			flat := ev.Op != "tree" || ev.K == 0
 			for _, d := range ev.To {
 				if err := need(where, d); err != nil {
 					return err
+				}
+				if flat {
+					if err := reach(where, ev.From, d); err != nil {
+						return err
+					}
 				}
 			}
 			if ev.Op == "video" && (ev.W <= 0 || ev.H <= 0 || ev.RateNum <= 0 || ev.RateDen <= 0) {
@@ -359,15 +385,22 @@ func (sc *Scenario) Validate() error {
 				}
 			} else if err := need(where, ev.To[0]); err != nil {
 				return err
+			} else if err := reach(where, ev.From, ev.To[0]); err != nil {
+				return err
 			}
 		case "conference":
 			members := append([]string{ev.From}, ev.To...)
 			if len(members) < 2 {
 				return fmt.Errorf("scenario %s: %s wants at least two members", sc.Name, where)
 			}
-			for _, m := range members {
+			for i, m := range members {
 				if err := need(where, m); err != nil {
 					return err
+				}
+				for _, peer := range members[:i] {
+					if err := reach(where, peer, m); err != nil {
+						return err
+					}
 				}
 			}
 		case "split", "drop", "repair":

@@ -186,6 +186,32 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nfabric f ingress=64", `line 3 ("fabric f ingress=64"): unknown fabric clause "ingress"`},
 		{"scenario x\nduration 1s\nfabric f batch=4", `line 3 ("fabric f batch=4"): unknown fabric clause "batch"`},
 		{"scenario x\nduration 1s\nfabric f\nfabric g speedup=2", `line 4 ("fabric g speedup=2"): unknown fabric clause "speedup"`},
+		// Topologies core.System would panic on while building or opening.
+		{"scenario x\nduration 1s\nbox a\nbox b\nfabric f\nfabric g\nattach f a b\nattach g b", "node b attached to fabric f and again to fabric g"},
+		{"scenario x\nduration 1s\nbox a\nfabric f\nattach f a a", "node a attached to fabric f and again to fabric f"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nlink a b bw=2M", "link a b: a pair of distinct boxes takes one link"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nlink b a bw=1M", "link b a: a pair of distinct boxes takes one link"},
+		{"scenario x\nduration 1s\nbox a\nlink a a bw=1M", "link a a: a pair of distinct boxes takes one link"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nbox c\nlink a b bw=1M\nat 0s audio a -> b,c", "no path from a to c"},
+		{"scenario x\nduration 1s\nbox a camera=64x64\nbox c\nat 0s video a -> c rect=0,0,64,64 rate=1/1", "no path from a to c"},
+		{"scenario x\nduration 1s\nbox a\nbox c\nfabric f\nattach f a\nat 0s call a c", "no path from a to c"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nbox c\nfabric f\nfabric g\nattach f a b\nattach g c\nat 0s conference a b c", "no path from a to c"},
+		{"scenario x\nduration 1s\nbox a\nbox c\nat 0s netsend a -> c stream=5 vci=9", "no path from a to c"},
+		{"scenario x\nduration 1s\nbox a\nbox c\nat 0s tree a -> c", "no path from a to c"},
+		// Ranges and waves are bounded input handling: errors, never allocations.
+		{"scenario x\nduration 1s\nbox v[5..1]", `line 3 ("box v[5..1]"): range "v[5..1]": upper bound below lower`},
+		{"scenario x\nduration 1s\nbox v[1..10]", "same number of digits"},
+		{"scenario x\nduration 1s\nbox v[0..4000000000]", "same number of digits"},
+		{"scenario x\nduration 1s\nbox v[a..b]", "bounds must be unsigned integers"},
+		{"scenario x\nduration 1s\nbox v[..3]", "bounds must be unsigned integers"},
+		{"scenario x\nduration 1s\nbox v[000000..999999]", "at most 100000 names"},
+		{"scenario x\nduration 1s\nbox v[00001..60000]\nfabric f\nattach f v[00001..60000]", `line 5 ("attach f v[00001..60000]"): range "v[00001..60000]": a spec's ranges may stand for at most 100000 names`},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b wave=0/1ms", "wave wants N/DUR"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b wave=2/0s", "wave wants N/DUR"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b wave=2/-1ms", "wave wants N/DUR"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b wave=2", "wave wants N/DUR"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat soon audio a -> b wave=2/1ms", `event time "soon"`},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s call a b wave=2/1ms", "call wants: A B"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.text); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -275,5 +301,64 @@ func TestFlashcrowdExpansion(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(sc.Format()))); got != want {
 		t.Fatalf("Format() SHA-256 = %s, want %s", got, want)
+	}
+}
+
+// TestExpansionEqualsLonghand spells every range and wave form, in
+// every position that accepts one, next to the longhand it stands for:
+// both must parse to the same Scenario.
+func TestExpansionEqualsLonghand(t *testing.T) {
+	const head = "scenario x\nduration 1s\n"
+	cases := []struct{ name, short, long string }{
+		{"box range shares the line's clauses",
+			"box b[08..11] jitter blocks=3",
+			"box b08 jitter blocks=3\nbox b09 jitter blocks=3\nbox b10 jitter blocks=3\nbox b11 jitter blocks=3"},
+		{"unpadded and single-name ranges",
+			"box c[0..2]\nbox d[7..7]",
+			"box c0\nbox c1\nbox c2\nbox d7"},
+		{"bounds at the top of uint64",
+			"box v[18446744073709551614..18446744073709551615]",
+			"box v18446744073709551614\nbox v18446744073709551615"},
+		{"attach nodes",
+			"box s\nbox a[1..3]\nfabric f\nattach f s a[1..2] a3",
+			"box s\nbox a1\nbox a2\nbox a3\nfabric f\nattach f s a1 a2 a3"},
+		{"conference members, ref kept",
+			"box a[1..3]\nfabric f\nattach f a[1..3]\nat 0s conference a[1..3] as conf",
+			"box a1\nbox a2\nbox a3\nfabric f\nattach f a1 a2 a3\nat 0s conference a1 a2 a3 as conf"},
+		{"audio destinations",
+			"box s\nbox a[1..3]\nfabric f\nattach f s a[1..3]\nat 0s audio s -> a3,a[1..2] as m",
+			"box s\nbox a1\nbox a2\nbox a3\nfabric f\nattach f s a1 a2 a3\nat 0s audio s -> a3,a1,a2 as m"},
+		{"video destinations",
+			"box s camera=64x64\nbox a[1..2]\nfabric f\nattach f s a[1..2]\nat 0s video s -> a[1..2] rect=0,0,64,64 rate=1/2 as v",
+			"box s camera=64x64\nbox a1\nbox a2\nfabric f\nattach f s a1 a2\nat 0s video s -> a1,a2 rect=0,0,64,64 rate=1/2 as v"},
+		{"tree destinations",
+			"box s\nbox a[1..3]\nfabric f\nattach f s a[1..3]\nat 0s tree s -> a[1..3] k=2 as t",
+			"box s\nbox a1\nbox a2\nbox a3\nfabric f\nattach f s a1 a2 a3\nat 0s tree s -> a1,a2,a3 k=2 as t"},
+		{"pull destinations",
+			"box s\nbox a[1..3]\nfabric f\nattach f s a[1..3]\nat 0s tree s -> a1 k=2 as t\nat 10ms pull t a[2..3]",
+			"box s\nbox a1\nbox a2\nbox a3\nfabric f\nattach f s a1 a2 a3\nat 0s tree s -> a1 k=2 as t\nat 10ms pull t a2,a3"},
+		{"pull in waves, ragged last wave",
+			"box s\nbox a[1..6]\nfabric f\nattach f s a[1..6]\nat 0s tree s -> a1 k=2 as t\nat 10ms pull t a[2..6] wave=2/25ms",
+			"box s\nbox a1\nbox a2\nbox a3\nbox a4\nbox a5\nbox a6\nfabric f\nattach f s a1 a2 a3 a4 a5 a6\nat 0s tree s -> a1 k=2 as t\nat 10ms pull t a2,a3\nat 35ms pull t a4,a5\nat 60ms pull t a6"},
+		{"wave over a longhand list, clauses kept",
+			"box s\nbox a1\nbox a2\nbox a3\nfabric f\nattach f s a1 a2 a3\nat 100ms tree s -> a1,a2,a3 wave=1/1ms k=2",
+			"box s\nbox a1\nbox a2\nbox a3\nfabric f\nattach f s a1 a2 a3\nat 100ms tree s -> a1 k=2\nat 101ms tree s -> a2 k=2\nat 102ms tree s -> a3 k=2"},
+		{"audio and video in waves",
+			"box s camera=64x64\nbox a[1..2]\nfabric f\nattach f s a[1..2]\nat 0s audio s -> a[1..2] wave=1/5ms\nat 0s video s -> a[1..2] rect=0,0,64,64 rate=1/2 wave=1/5ms",
+			"box s camera=64x64\nbox a1\nbox a2\nfabric f\nattach f s a1 a2\nat 0s audio s -> a1\nat 5ms audio s -> a2\nat 0s video s -> a1 rect=0,0,64,64 rate=1/2\nat 5ms video s -> a2 rect=0,0,64,64 rate=1/2"},
+		{"a wave wider than the list is one event; brackets without .. are a plain name",
+			"box s\nbox a[1]\nfabric f\nattach f s a[1]\nat 7ms audio s -> a[1] wave=9/1ms as m[0]",
+			"box s\nbox a[1]\nfabric f\nattach f s a[1]\nat 7ms audio s -> a[1] as m[0]"},
+	}
+	for _, c := range cases {
+		short, err := Parse(head + c.short)
+		if err != nil {
+			t.Errorf("%s: short form: %v", c.name, err)
+			continue
+		}
+		if long := MustParse(head + c.long); !reflect.DeepEqual(short, long) {
+			t.Errorf("%s: short form parsed to\n%s\nlonghand to\n%s", c.name, short.Format(), long.Format())
+		}
+		roundTrip(t, c.name, head+c.short)
 	}
 }

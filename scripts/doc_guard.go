@@ -7,14 +7,17 @@
 // reference. Packages that sit above the wire layer and drive route
 // changes (listed in ownershipRequired) must additionally spell out
 // their ownership rules in the package comment, so a reader never has
-// to reverse-engineer who releases what. Run from the repository
-// root:
+// to reverse-engineer who releases what. It also keeps the scenario
+// grammar written once: the indented block of scenario.Parse's doc
+// comment is the grammar, and README "Scenario files" must carry a
+// verbatim copy. Run from the repository root:
 //
 //	go run scripts/doc_guard.go
 package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -63,10 +66,72 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", dir)
 		}
 	}
-	if len(bad) > 0 || len(badOwn) > 0 {
+	drift := grammarDrift()
+	if drift != "" {
+		fmt.Fprintf(os.Stderr, "doc_guard: %s\n", drift)
+	}
+	if len(bad) > 0 || len(badOwn) > 0 || drift != "" {
 		os.Exit(1)
 	}
-	fmt.Println("doc_guard: every package has a package doc comment (and ownership rules where required)")
+	fmt.Println("doc_guard: every package has a package doc comment (and ownership rules where required); README's scenario grammar matches scenario.Parse's")
+}
+
+// grammarDrift compares the scenario grammar in scenario.Parse's doc
+// comment — from its first indented line to its last — with the first
+// fenced block of README's "Scenario files" section, and describes the
+// first difference ("" when they agree).
+func grammarDrift() string {
+	const src, readme = "internal/scenario/parse.go", "README.md"
+	file, err := parser.ParseFile(token.NewFileSet(), src, nil, parser.ParseComments)
+	if err != nil {
+		fatal("parsing %s: %v", src, err)
+	}
+	var want []string
+	for _, d := range file.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "Parse" || fn.Recv != nil {
+			continue
+		}
+		lines := strings.Split(fn.Doc.Text(), "\n")
+		first, last := -1, -1
+		for i, l := range lines {
+			if strings.HasPrefix(l, "\t") {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
+		}
+		for _, l := range lines[max(first, 0) : last+1] {
+			want = append(want, strings.TrimPrefix(l, "\t"))
+		}
+	}
+	if len(want) == 0 {
+		return src + ": scenario.Parse has no indented grammar block in its doc comment"
+	}
+	text, err := os.ReadFile(readme)
+	if err != nil {
+		fatal("%v", err)
+	}
+	_, section, _ := strings.Cut(string(text), "\n## Scenario files\n")
+	_, block, _ := strings.Cut(section, "\n```\n")
+	block, _, closed := strings.Cut(block, "\n```\n")
+	if !closed {
+		return readme + `: no fenced grammar block under "## Scenario files"`
+	}
+	got := strings.Split(block, "\n")
+	lineAt := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return ""
+	}
+	for i := range max(len(want), len(got)) {
+		if w, g := lineAt(want, i), lineAt(got, i); w != g {
+			return fmt.Sprintf("%s \"Scenario files\" grammar line %d differs from %s's Parse comment:\n  README: %q\n  Parse:  %q", readme, i+1, src, g, w)
+		}
+	}
+	return ""
 }
 
 // packageDirs returns every directory under root that contains at
