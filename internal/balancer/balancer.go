@@ -5,10 +5,11 @@
 // wire's per-VCI ingress copies), ranks boxes with a weighted load
 // score under hysteresis, and acts on the ranking three ways:
 //
-//   - placement: it installs itself as core's Placer, so tree
-//     attachment, late-join pulls and RepairTree adopter scans pick
-//     the least-loaded eligible box instead of the first fit, and
-//     `call A ?` timeline events pick the least-loaded callee;
+//   - placement: it installs itself as core's Placer, so every move
+//     of a tree member — attachment, late-join pull, repair, migration,
+//     interior removal — adopts the least-loaded eligible box instead
+//     of the first fit, and `call A ?` timeline events pick the
+//     least-loaded callee;
 //   - admission: new calls are admitted against a concurrency budget
 //     and rejected outright when it is exhausted — rejecting a call
 //     that cannot be served well comes before degrading ones that are
@@ -16,27 +17,26 @@
 //     shed-audio);
 //   - migration: when a relay box's fabric egress queue stays above
 //     the migrate high-water mark, its forwarded subtrees are
-//     re-homed onto less-loaded boxes mid-stream via core.RepairTree
-//     — a repair minus the fault, applied between segments
-//     (principle 6) over the fabric's existing VCI route updates.
+//     re-homed onto less-loaded boxes mid-stream via core.MigrateTree
+//     — the move a repair makes, with nothing failed and no repair
+//     booked — applied between segments (principle 6).
 //
 // Determinism: the balancer samples only on its own virtual-time
 // ticks, never reads the wall clock, and iterates boxes in sorted
-// name order; ranking is a stable sort on the banded score, so score
-// ties preserve placement order and a fully idle system places
-// exactly like first-fit. Replays with the same seed are therefore
+// name order; the pick is the first candidate with the lowest banded
+// score, so score ties preserve placement order and a fully idle
+// system places exactly like first-fit. Replays with the same seed are therefore
 // byte-identical.
 //
 // Ownership: the balancer never touches segment wires. It reads
-// gauges, installs placement rankings, and drives route changes only
-// through core's control API (RepairTree); every wire it causes to
+// gauges, answers placement picks, and drives route changes only
+// through core's control API (MigrateTree); every wire it causes to
 // move is moved — and refcounted — by core, fabric and box under
 // their own ownership rules.
 package balancer
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/box"
@@ -200,7 +200,7 @@ type Balancer struct {
 // system's Placer, and registers its own obs instruments
 // (balancer_score per box, balancer_rejected_total,
 // balancer_migrations_total, balancer_placements_total). Call Start
-// to begin sampling; placement ranking works immediately (all scores
+// to begin sampling; placement picks work immediately (all scores
 // zero until the first tick, so early placements equal first-fit).
 func New(sys *core.System, cfg Config) *Balancer {
 	b := &Balancer{
@@ -318,20 +318,22 @@ func val(p *obs.Probe) float64 {
 	return v
 }
 
-// RankBoxes implements core.Placer: a stable sort of the candidates
-// by effective score, least loaded first, so score ties keep
-// placement order (first-fit). The winner's placement count rises —
-// the wPlace term that spreads otherwise-identical boxes.
-func (b *Balancer) RankBoxes(cands []string) []string {
-	ranked := append([]string(nil), cands...)
-	sort.SliceStable(ranked, func(i, j int) bool {
-		return b.effOf(ranked[i]) < b.effOf(ranked[j])
-	})
-	if bd := b.boards[ranked[0]]; bd != nil {
+// Pick implements core.Placer: the candidate with the lowest effective
+// score, the first of equals, so score ties keep placement order
+// (first-fit). The winner's placement count rises — the wPlace term
+// that spreads otherwise-identical boxes.
+func (b *Balancer) Pick(cands []string) int {
+	best := 0
+	for i := range cands {
+		if b.effOf(cands[i]) < b.effOf(cands[best]) {
+			best = i
+		}
+	}
+	if bd := b.boards[cands[best]]; bd != nil {
 		bd.placements++
 		b.placed++
 	}
-	return ranked
+	return best
 }
 
 func (b *Balancer) effOf(name string) float64 {
@@ -356,7 +358,7 @@ func (b *Balancer) PlaceCall(from string) (string, bool) {
 	if len(cands) == 0 {
 		return "", false
 	}
-	return b.RankBoxes(cands)[0], true
+	return cands[b.Pick(cands)], true
 }
 
 // AdmitCall decides one new call (or conference, or stream-opening
@@ -389,7 +391,7 @@ func (b *Balancer) Manage(st *core.Stream) {
 // maybeMigrate performs at most one migration per tick: the first box
 // in sorted order whose egress occupancy sits at or above the
 // high-water mark, and that relays a managed stream, has that
-// stream's subtrees re-homed via core.RepairTree. The cooldown (and
+// stream's subtrees re-homed via core.MigrateTree. The cooldown (and
 // MaxMigrations cap) keeps reshapes apart so the fabric settles
 // between them — no ping-pong.
 func (b *Balancer) maybeMigrate(p *occam.Proc) {
@@ -409,7 +411,7 @@ func (b *Balancer) maybeMigrate(p *occam.Proc) {
 			if st.Tree.Relays(name) == 0 {
 				continue
 			}
-			moved := b.sys.RepairTree(p, st, name)
+			moved := b.sys.MigrateTree(p, st, name)
 			if moved == 0 {
 				continue
 			}

@@ -116,30 +116,34 @@ func TestAdmissionUnlimitedAndReleaseFloor(t *testing.T) {
 	}
 }
 
-func TestRankBoxesStableOnTies(t *testing.T) {
+func TestPickFirstOnTies(t *testing.T) {
 	s := balSys(t, "n0", "n1", "n2")
 	defer s.Shutdown()
 	b := New(s, Config{})
-	// All scores equal (zero): ranking must preserve input order, so
+	cands := []string{"n2", "n0", "n1"}
+	// All scores equal (zero): the pick must be the first candidate, so
 	// placement degenerates to first-fit on an idle system.
-	got := b.RankBoxes([]string{"n2", "n0", "n1"})
-	if got[0] != "n2" || got[1] != "n0" || got[2] != "n1" {
-		t.Fatalf("tied ranking reordered: %v", got)
+	if got := b.Pick(cands); got != 0 {
+		t.Fatalf("tied pick = %d (%s), want 0 (n2)", got, cands[got])
 	}
-	// A loaded first candidate sinks below idle ones.
+	// A loaded first candidate loses to the first of the idle ones.
 	b.boards["n2"].eff = 1.5
-	got = b.RankBoxes([]string{"n2", "n0", "n1"})
-	if got[0] != "n0" || got[2] != "n2" {
-		t.Fatalf("loaded box not demoted: %v", got)
+	if got := b.Pick(cands); got != 1 {
+		t.Fatalf("pick with n2 loaded = %d (%s), want 1 (n0)", got, cands[got])
+	}
+	// The lowest score wins wherever it stands.
+	b.boards["n0"].eff = 0.5
+	if got := b.Pick(cands); got != 2 {
+		t.Fatalf("pick with n2, n0 loaded = %d (%s), want 2 (n1)", got, cands[got])
 	}
 }
 
-func TestRankBoxesCountsPlacements(t *testing.T) {
+func TestPickCountsPlacements(t *testing.T) {
 	s := balSys(t, "a", "b")
 	defer s.Shutdown()
 	b := New(s, Config{})
-	b.RankBoxes([]string{"a", "b"})
-	b.RankBoxes([]string{"a", "b"})
+	b.Pick([]string{"a", "b"})
+	b.Pick([]string{"a", "b"})
 	if got := b.Placements("a"); got != 2 {
 		t.Fatalf("Placements(a) = %d, want 2", got)
 	}

@@ -78,7 +78,8 @@ type Route struct {
 	Outputs []Output
 	// NetVCIs are the outgoing VCIs for OutNetwork — one per network
 	// destination; splitting a stream to several boxes lists several
-	// (the tannoy configuration, §4.1).
+	// (the tannoy configuration, §4.1). The list is the stream's whole
+	// fan-out: the box sends on exactly these, so empty means nowhere.
 	NetVCIs []uint32
 	Opened  occam.Time // for principle 3: oldest degrade first
 	// Video marks the stream for the overload controller's
@@ -485,17 +486,21 @@ func (b *Box) recordPlayout(stream uint32, stamp, now int64) {
 
 // --- Control interface (host commands, §1.2) ---
 
-// SetRoute installs or replaces a stream's route in the switch.
+// SetRoute installs or replaces a stream's route in the switch, its
+// fan-out list included; the change applies between segments
+// (principle 6).
 func (b *Box) SetRoute(p *occam.Proc, r Route) {
 	if r.Opened == 0 {
 		r.Opened = p.Now()
 	}
-	if len(r.NetVCIs) > 0 {
+	if len(r.NetVCIs) == 0 {
+		delete(b.netVCI, r.Stream)
+	} else {
 		b.netVCI[r.Stream] = append([]uint32(nil), r.NetVCIs...)
-		delete(b.shedNet, r.Stream) // a new fan-out supersedes a parked one
-		if len(r.NetVCIs) > b.copiesHi {
-			b.copiesHi = len(r.NetVCIs)
-		}
+	}
+	delete(b.shedNet, r.Stream) // a new fan-out supersedes a parked one
+	if len(r.NetVCIs) > b.copiesHi {
+		b.copiesHi = len(r.NetVCIs)
 	}
 	info := routeInfo{video: r.Video, incoming: true, relay: r.Relay, opened: r.Opened}
 	for _, o := range r.Outputs {
@@ -518,19 +523,9 @@ func (b *Box) CloseRoute(p *occam.Proc, stream uint32) {
 	b.switchCmd.Send(p, SwitchCommand{Close: stream, HasClose: true})
 }
 
-// SetNetCopies replaces a stream's outgoing fan-out list without
-// touching its switch route — the tree planner's lever for mid-stream
-// reparenting (principle 6: the change applies between segments). An
-// empty list stops the stream's forwarded copies entirely; it does NOT
-// fall back to the VCI-identity default the way a never-routed stream
-// does.
-func (b *Box) SetNetCopies(p *occam.Proc, stream uint32, vcis []uint32) {
-	b.netVCI[stream] = append([]uint32{}, vcis...)
-	delete(b.shedNet, stream)
-	if len(vcis) > b.copiesHi {
-		b.copiesHi = len(vcis)
-	}
-}
+// NetCopies returns the VCIs the box currently sends stream's copies
+// on, in send order. The slice is the box's own: read it only.
+func (b *Box) NetCopies(stream uint32) []uint32 { return b.netVCI[stream] }
 
 // MaxNetCopies returns the most outgoing copies any single stream ever
 // fanned to at this box — the witness for the per-hop copy invariant
@@ -624,7 +619,7 @@ func (b *Box) DegradeShed(p *occam.Proc, id uint32) {
 		// its own playout — shedding at the switch would kill both.
 		if _, parked := b.shedNet[id]; !parked {
 			b.shedNet[id] = b.netVCI[id]
-			b.netVCI[id] = []uint32{}
+			delete(b.netVCI, id)
 			b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", id, "subtree shed")
 		}
 		return

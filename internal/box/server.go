@@ -466,15 +466,9 @@ func (b *Box) runNetOut(p *occam.Proc) {
 // netSend transmits one segment to every network destination of its
 // stream; the caller still holds the server buffer.
 func (b *Box) netSend(p *occam.Proc, rep *Reporter, buf *allocator.Buffer) {
-	vcis, ok := b.netVCI[buf.Stream]
-	if !ok {
-		vcis = []uint32{buf.Stream}
-	}
+	vcis := b.netVCI[buf.Stream]
 	if len(vcis) == 0 {
-		// A reparented or subtree-shed relay with nothing downstream:
-		// an explicitly empty fan-out means send nowhere (distinct
-		// from the never-routed VCI-identity default above).
-		return
+		return // every copy was moved away, or the subtree is shed
 	}
 	// Splitting to several network destinations sends one descriptor
 	// per VCI; a slow destination only affects its own circuit

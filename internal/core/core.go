@@ -27,7 +27,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/atm"
@@ -64,48 +63,58 @@ type System struct {
 	// runtime's virtual clock.
 	Obs *obs.Registry
 
-	boxes map[string]*box.Box
-	repos map[string]*repository.Repository
-	paths map[string][]*atm.Link // directional: "a->b"
+	// nodes is the one table of endpoints: every box and repository,
+	// with where it hangs off a fabric and the link paths that leave it.
+	nodes   map[string]*node
+	fabrics map[string]*fabric.Fabric
 
-	fabrics  map[string]*fabric.Fabric
-	fabPorts map[string]*fabric.Port   // node name → its fabric port
-	fabOf    map[string]*fabric.Fabric // node name → its fabric
-	fabMux   map[string]*bridgeMux     // node name → bridge transport mux
+	nextVCI uint32
+	placer  Placer
+}
 
-	nextVCI    uint32
-	nextStream map[string]uint32
+// node is one endpoint on the network — a box or a repository — and
+// everything the control plane knows about it.
+type node struct {
+	name string
+	box  *box.Box               // nil for a repository
+	repo *repository.Repository // nil for a box
+	host *atm.Host
 
-	placer Placer
+	// Set by AttachFabric: the node's fabric, its port there, and the
+	// mux that steers bridge VCIs past the port onto links.
+	fab  *fabric.Fabric
+	port *fabric.Port
+	mux  *bridgeMux
+
+	links      map[string][]*atm.Link // peer name → the directional path to it
+	nextStream uint32                 // last source-local stream number handed out
 }
 
 // Placer is the placement seam the balancer control plane installs
 // (internal/balancer implements it; core never imports the balancer).
-// When a placer is set, the tree planner and RepairTree pick the
-// best-ranked eligible candidate instead of the first in placement
-// order. A placer must be deterministic: given the same candidate
-// slice at the same virtual time it must return the same ranking, or
-// replays stop being byte-identical.
+// When a placer is set, every move — attach, pull, repair, migration,
+// interior removal — adopts the placer's pick among the eligible boxes
+// instead of the first in placement order. A placer must be
+// deterministic: given the same candidate slice at the same virtual
+// time it must return the same pick, or replays stop being
+// byte-identical.
 type Placer interface {
-	// RankBoxes orders cands best-first (least loaded first). The
-	// result must be a permutation of cands; the caller adopts
-	// element 0. Candidates arrive in placement order, so a placer
-	// that ranks stably degenerates to first-fit on score ties.
-	RankBoxes(cands []string) []string
+	// Pick returns the index of the best (least loaded) of cands, which
+	// is never empty. Candidates arrive in placement order, so a placer
+	// that keeps the first of equals degenerates to first-fit on ties.
+	Pick(cands []string) int
 }
 
 // SetPlacer installs (or, with nil, removes) the placement policy.
 func (s *System) SetPlacer(pl Placer) { s.placer = pl }
 
-// Connectable reports whether openCircuit(a→b) would succeed — the
-// balancer uses it to restrict call placement to reachable boxes.
-func (s *System) Connectable(a, b string) bool { return s.connectable(a, b) }
-
 // BoxNames returns every box name (repositories excluded), sorted.
 func (s *System) BoxNames() []string {
-	out := make([]string, 0, len(s.boxes))
-	for n := range s.boxes {
-		out = append(out, n)
+	out := make([]string, 0, len(s.nodes))
+	for name, n := range s.nodes {
+		if n.box != nil {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -115,21 +124,45 @@ func (s *System) BoxNames() []string {
 func NewSystem() *System {
 	rt := occam.NewRuntime()
 	s := &System{
-		RT:         rt,
-		Net:        atm.New(rt),
-		Obs:        obs.New(rt),
-		boxes:      make(map[string]*box.Box),
-		repos:      make(map[string]*repository.Repository),
-		paths:      make(map[string][]*atm.Link),
-		fabrics:    make(map[string]*fabric.Fabric),
-		fabPorts:   make(map[string]*fabric.Port),
-		fabOf:      make(map[string]*fabric.Fabric),
-		fabMux:     make(map[string]*bridgeMux),
-		nextVCI:    1000,
-		nextStream: make(map[string]uint32),
+		RT:      rt,
+		Net:     atm.New(rt),
+		Obs:     obs.New(rt),
+		nodes:   make(map[string]*node),
+		fabrics: make(map[string]*fabric.Fabric),
+		nextVCI: 1000,
 	}
 	s.Net.Observe(s.Obs)
 	return s
+}
+
+// addNode enters a new endpoint in the node table; names are unique
+// across boxes and repositories.
+func (s *System) addNode(name string) *node {
+	if _, dup := s.nodes[name]; dup {
+		panic("core: duplicate node " + name)
+	}
+	n := &node{name: name, links: make(map[string][]*atm.Link)}
+	s.nodes[name] = n
+	return n
+}
+
+// node returns the named endpoint; the control plane cannot act on a
+// name nobody added.
+func (s *System) node(name string) *node {
+	n, ok := s.nodes[name]
+	if !ok {
+		panic("core: unknown node " + name)
+	}
+	return n
+}
+
+// lookup is node for the read-only accessors: an unknown name reads as
+// an endpoint with nothing attached.
+func (s *System) lookup(name string) *node {
+	if n, ok := s.nodes[name]; ok {
+		return n
+	}
+	return &node{name: name}
 }
 
 // AddBox creates a Pandora box. cfg.Name must be unique and non-empty.
@@ -137,39 +170,28 @@ func (s *System) AddBox(cfg box.Config) *box.Box {
 	if cfg.Name == "" {
 		panic("core: box needs a name")
 	}
-	if _, dup := s.boxes[cfg.Name]; dup {
-		panic("core: duplicate box " + cfg.Name)
-	}
+	n := s.addNode(cfg.Name)
 	if cfg.Obs == nil {
 		cfg.Obs = s.Obs
 	}
-	b := box.New(s.RT, s.Net, cfg)
-	s.boxes[cfg.Name] = b
-	return b
+	n.box = box.New(s.RT, s.Net, cfg)
+	n.host = n.box.Host()
+	return n.box
 }
 
 // AddRepository creates a repository node.
 func (s *System) AddRepository(name string) *repository.Repository {
-	r := repository.New(s.RT, s.Net, name)
-	s.repos[name] = r
-	return r
+	n := s.addNode(name)
+	n.repo = repository.New(s.RT, s.Net, name)
+	n.host = n.repo.Host()
+	return n.repo
 }
 
-// Box returns a box by name.
-func (s *System) Box(name string) *box.Box { return s.boxes[name] }
+// Box returns a box by name (nil if unknown).
+func (s *System) Box(name string) *box.Box { return s.lookup(name).box }
 
-// Repository returns a repository by name.
-func (s *System) Repository(name string) *repository.Repository { return s.repos[name] }
-
-func (s *System) hostOf(name string) *atm.Host {
-	if b, ok := s.boxes[name]; ok {
-		return b.Host()
-	}
-	if r, ok := s.repos[name]; ok {
-		return r.Host()
-	}
-	panic("core: unknown node " + name)
-}
+// Repository returns a repository by name (nil if unknown).
+func (s *System) Repository(name string) *repository.Repository { return s.lookup(name).repo }
 
 // Connect joins two nodes with a symmetric pair of links.
 func (s *System) Connect(a, b string, cfg atm.LinkConfig) {
@@ -180,17 +202,15 @@ func (s *System) Connect(a, b string, cfg atm.LinkConfig) {
 // direction — the bridged multi-network paths of the SuperJanet
 // trials (§3.7.2). Each config becomes one hop.
 func (s *System) ConnectPath(a, b string, cfgs []atm.LinkConfig) {
+	na, nb := s.node(a), s.node(b)
 	var fwd, rev []*atm.Link
 	for i, cfg := range cfgs {
 		fwd = append(fwd, s.Net.AddLink(fmt.Sprintf("%s-%s.%d", a, b, i), cfg))
 		rev = append(rev, s.Net.AddLink(fmt.Sprintf("%s-%s.%d", b, a, i), cfg))
 	}
-	s.paths[a+"->"+b] = fwd
-	s.paths[b+"->"+a] = rev
+	na.links[b] = fwd
+	nb.links[a] = rev
 }
-
-// Path returns the links from a to b (nil if not connected).
-func (s *System) Path(a, b string) []*atm.Link { return s.paths[a+"->"+b] }
 
 // AddFabric creates a named switching fabric. Nodes join it with
 // AttachFabric; circuits between two attached nodes are then routed
@@ -211,23 +231,20 @@ func (s *System) AddFabric(name string, cfg fabric.Config) *fabric.Fabric {
 // the bridges that stitch fabrics together — keep working: a bridge
 // mux in front of the port steers bridge VCIs onto the links and
 // everything else into the fabric. Returns the node's port.
-func (s *System) AttachFabric(fabricName, node string) *fabric.Port {
+func (s *System) AttachFabric(fabricName, name string) *fabric.Port {
 	f, ok := s.fabrics[fabricName]
 	if !ok {
 		panic("core: unknown fabric " + fabricName)
 	}
-	if _, dup := s.fabOf[node]; dup {
-		panic("core: node " + node + " already fabric-attached")
+	n := s.node(name)
+	if n.fab != nil {
+		panic("core: node " + name + " already fabric-attached")
 	}
-	h := s.hostOf(node)
-	prev := h.Transport()
-	pt := f.Attach(h)
-	mux := &bridgeMux{port: pt, links: prev, bridge: make(map[uint32]bool)}
-	h.SetTransport(mux)
-	s.fabMux[node] = mux
-	s.fabPorts[node] = pt
-	s.fabOf[node] = f
-	return pt
+	prev := n.host.Transport()
+	n.fab, n.port = f, f.Attach(n.host)
+	n.mux = &bridgeMux{port: n.port, links: prev, bridge: make(map[uint32]bool)}
+	n.host.SetTransport(n.mux)
+	return n.port
 }
 
 // bridgeMux lets a fabric-attached node also drive point-to-point
@@ -250,15 +267,8 @@ func (m *bridgeMux) Send(p *occam.Proc, msg atm.Message) error {
 	return m.port.Send(p, msg)
 }
 
-// sameFabric reports whether both nodes hang off one fabric.
-func (s *System) sameFabric(a, b string) bool {
-	fa, oka := s.fabOf[a]
-	fb, okb := s.fabOf[b]
-	return oka && okb && fa == fb
-}
-
 // FabricPort returns node's fabric port (nil if not attached).
-func (s *System) FabricPort(node string) *fabric.Port { return s.fabPorts[node] }
+func (s *System) FabricPort(node string) *fabric.Port { return s.lookup(node).port }
 
 // Fabric returns a fabric by name (nil if unknown).
 func (s *System) Fabric(name string) *fabric.Fabric { return s.fabrics[name] }
@@ -278,11 +288,6 @@ func (s *System) Shutdown() { s.RT.Shutdown() }
 func (s *System) allocVCI() uint32 {
 	s.nextVCI++
 	return s.nextVCI
-}
-
-func (s *System) allocStream(boxName string) uint32 {
-	s.nextStream[boxName]++
-	return s.nextStream[boxName]
 }
 
 // SendAudio opens a one-way audio stream (the "shout" of §4.1) from
@@ -344,9 +349,10 @@ func (s *System) RecordAudio(p *occam.Proc, from, repo string) *Stream {
 // the VCI used (the stream number at the destination).
 func (s *System) PlayTo(p *occam.Proc, repoName string, rec *repository.Recording, to string) uint32 {
 	vci := s.allocVCI()
-	s.openCircuit(p, vci, repoName, to, false)
-	s.boxes[to].SetRoute(p, box.Route{Stream: vci, Outputs: []box.Output{box.OutSpeaker}})
-	s.repos[repoName].Playback(rec, vci)
+	repo, dst := s.node(repoName), s.node(to)
+	s.openCircuit(p, vci, repo, dst, false)
+	dst.box.SetRoute(p, box.Route{Stream: vci, Outputs: []box.Output{box.OutSpeaker}})
+	repo.repo.Playback(rec, vci)
 	return vci
 }
 
@@ -386,25 +392,13 @@ func (s *System) InjectLinkFaults(spec faultinject.Spec) {
 // fabric); those appear in the result keyed by port name. Returns the
 // controllers by box or port name.
 func (s *System) EnableDegradation(cfg degrade.Config) map[string]*degrade.Controller {
-	names := make([]string, 0, len(s.boxes))
-	for name := range s.boxes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := s.BoxNames()
 	out := make(map[string]*degrade.Controller, len(names))
 	for _, name := range names {
+		n := s.nodes[name]
 		bcfg := cfg
-		var links []string
-		for key, ls := range s.paths {
-			if strings.HasPrefix(key, name+"->") {
-				for _, l := range ls {
-					links = append(links, l.Name())
-				}
-			}
-		}
-		sort.Strings(links)
-		bcfg.Links = links
-		out[name] = degrade.New(s.RT, s.boxes[name], bcfg, s.Obs)
+		bcfg.Links = n.linkNames()
+		out[name] = degrade.New(s.RT, n.box, bcfg, s.Obs)
 	}
 	fabNames := make([]string, 0, len(s.fabrics))
 	for name := range s.fabrics {
@@ -419,41 +413,103 @@ func (s *System) EnableDegradation(cfg degrade.Config) map[string]*degrade.Contr
 	return out
 }
 
-// openCircuit installs the data path for one VCI. If both endpoints
-// hang off the same fabric the VCI goes into the fabric routing table
-// (toward the destination's port); otherwise it becomes a classic
-// point-to-point circuit over the configured link path — including
-// bridge links between two fabric-attached nodes on different
-// fabrics, which register the VCI in the sender's bridge mux.
-func (s *System) openCircuit(p *occam.Proc, vci uint32, from, to string, video bool) {
-	if s.sameFabric(from, to) {
-		s.fabOf[from].Route(p.Now(), vci, s.fabPorts[to], video)
+// edge is how one node reaches another: through the fabric both hang
+// off (a route toward the far port), or over a declared link path. The
+// zero edge means it cannot.
+type edge struct {
+	fab   *fabric.Fabric
+	links []*atm.Link
+}
+
+// edge resolves from→to — the one place that decides between fabric
+// route, link path and unreachable. A shared fabric wins over a link;
+// bridge links between fabrics are ordinary link paths.
+func (s *System) edge(from, to *node) (e edge, ok bool) {
+	if from.fab != nil && from.fab == to.fab {
+		return edge{fab: from.fab}, true
+	}
+	links, ok := from.links[to.name]
+	return edge{links: links}, ok
+}
+
+// mustEdge is edge for the verbs that are about to use it: asking for
+// a circuit between nodes nothing joins is the caller's bug.
+func (s *System) mustEdge(from, to *node) edge {
+	e, ok := s.edge(from, to)
+	if ok {
+		return e
+	}
+	on, off := from, to
+	if on.fab == nil {
+		on, off = to, from
+	}
+	if on.fab != nil {
+		panic(fmt.Sprintf("core: %s is on fabric %s but %s is not (and no bridge link is declared)", on.name, on.fab.Name(), off.name))
+	}
+	panic(fmt.Sprintf("core: no path %s -> %s", from.name, to.name))
+}
+
+// Connectable reports whether a circuit a→b can be opened: the two
+// share a fabric, or a directional link path is declared.
+func (s *System) Connectable(a, b string) bool {
+	_, ok := s.edge(s.lookup(a), s.lookup(b))
+	return ok
+}
+
+// Path returns the links a circuit from a to b crosses (nil when the
+// two share a fabric or nothing joins them).
+func (s *System) Path(a, b string) []*atm.Link {
+	e, _ := s.edge(s.lookup(a), s.lookup(b))
+	return e.links
+}
+
+// sameRoute reports whether a VCI routed a→to already serves b→to: the
+// fabric routes a VCI by value toward to's port, not by sender, so when
+// both senders reach to across its fabric the installed route is right
+// as it stands. Any other change of sender is a different circuit.
+func (s *System) sameRoute(a, b, to *node) bool {
+	return s.mustEdge(a, to).fab != nil && s.mustEdge(b, to).fab != nil
+}
+
+// linkNames lists every link of every path leaving n, sorted — what
+// the node's overload controller watches.
+func (n *node) linkNames() []string {
+	var names []string
+	for _, path := range n.links {
+		for _, l := range path {
+			names = append(names, l.Name())
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// openCircuit installs the data path for one VCI along the from→to
+// edge: into the fabric routing table (toward the destination's port),
+// or as a classic point-to-point circuit over the link path — bridge
+// links between fabric-attached nodes included, which register the VCI
+// in the sender's bridge mux.
+func (s *System) openCircuit(p *occam.Proc, vci uint32, from, to *node, video bool) {
+	e := s.mustEdge(from, to)
+	if e.fab != nil {
+		e.fab.Route(p.Now(), vci, to.port, video)
 		return
 	}
-	links, ok := s.paths[from+"->"+to]
-	if !ok {
-		if ff, okf := s.fabOf[from]; okf {
-			panic(fmt.Sprintf("core: %s is on fabric %s but %s is not (and no bridge link is declared)", from, ff.Name(), to))
-		}
-		if ft, okt := s.fabOf[to]; okt {
-			panic(fmt.Sprintf("core: %s is on fabric %s but %s is not (and no bridge link is declared)", to, ft.Name(), from))
-		}
-		panic(fmt.Sprintf("core: no path %s -> %s", from, to))
+	if from.mux != nil {
+		from.mux.bridge[vci] = true
 	}
-	if mux, ok := s.fabMux[from]; ok {
-		mux.bridge[vci] = true
-	}
-	s.Net.OpenCircuit(vci, s.hostOf(from), s.hostOf(to), links...)
+	s.Net.OpenCircuit(vci, from.host, to.host, e.links...)
 }
 
 // closeCircuit tears down what openCircuit installed.
-func (s *System) closeCircuit(vci uint32, from, to string) {
-	if s.sameFabric(from, to) {
-		s.fabOf[from].Unroute(vci)
+func (s *System) closeCircuit(vci uint32, from, to *node) {
+	e := s.mustEdge(from, to)
+	if e.fab != nil {
+		e.fab.Unroute(vci)
 		return
 	}
-	if mux, ok := s.fabMux[from]; ok {
-		delete(mux.bridge, vci)
+	if from.mux != nil {
+		delete(from.mux.bridge, vci)
 	}
-	s.Net.CloseCircuit(vci, s.hostOf(from), s.paths[from+"->"+to]...)
+	s.Net.CloseCircuit(vci, from.host, e.links...)
 }

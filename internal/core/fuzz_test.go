@@ -1,0 +1,176 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/atm"
+	"repro/internal/box"
+	"repro/internal/fabric"
+	"repro/internal/occam"
+	"repro/internal/workload"
+)
+
+// fuzzSystem builds FuzzTreeOps's fixed topology: src and a00..a10 on
+// fabric A, b00..b11 on fabric B, listed a00, b00, a01, b01, … so any
+// prefix spans both fabrics. src has a bridge link to every B box —
+// the source reaches everyone, so the unreachable panic stays out of
+// scope — and a00..a03 each have one to their B namesake, so relays
+// cross the bridge too.
+func fuzzSystem() (*System, []string) {
+	s := NewSystem()
+	s.AddBox(box.Config{Name: "src", Mic: workload.NewTone(440, 9000)})
+	s.AddFabric("A", fabric.Config{})
+	s.AddFabric("B", fabric.Config{})
+	s.AttachFabric("A", "src")
+	bridge := atm.LinkConfig{Bandwidth: 100_000_000}
+	var names []string
+	for i := 0; i < 12; i++ {
+		a, b := fmt.Sprintf("a%02d", i), fmt.Sprintf("b%02d", i)
+		s.AddBox(box.Config{Name: b})
+		s.AttachFabric("B", b)
+		s.Connect("src", b, bridge)
+		if i < 11 {
+			s.AddBox(box.Config{Name: a})
+			s.AttachFabric("A", a)
+			names = append(names, a)
+			if i < 4 {
+				s.Connect(a, b, bridge)
+			}
+		}
+		names = append(names, b)
+	}
+	return s, names
+}
+
+// checkPlan is the plan algebra every tree verb must leave intact.
+func checkPlan(st *Stream, k int) error {
+	plan := st.Tree
+	members := plan.Members()
+	if len(members) != len(st.VCIs) {
+		return fmt.Errorf("%d members but %d VCIs", len(members), len(st.VCIs))
+	}
+	seen := map[string]bool{}
+	for _, m := range members {
+		n := plan.nodes[m]
+		if n == nil || seen[m] || st.VCIs[m] != n.vci {
+			return fmt.Errorf("member %s: listed twice, unknown to the plan, or VCI %d not its node's", m, st.VCIs[m])
+		}
+		seen[m] = true
+		hops := 0
+		for c := n; c != plan.root; c = c.parent {
+			if c.parent == nil || !slices.Contains(c.parent.children, c) || hops > len(members) {
+				return fmt.Errorf("member %s is not reachable from the source (broken at %s)", m, c.name)
+			}
+			hops++
+		}
+		if len(n.children) > k {
+			return fmt.Errorf("%s feeds %d children, k=%d", m, len(n.children), k)
+		}
+		for _, c := range n.children {
+			if c.tree != n.tree {
+				return fmt.Errorf("%s (tree %d) relays for %s (tree %d): interior in two trees", m, n.tree, c.name, c.tree)
+			}
+		}
+	}
+	// What each box's switch fans out is what the plan says it feeds:
+	// a relay its children in adoption order, the source its own in
+	// placement order.
+	var rootFed []uint32
+	for _, n := range plan.order {
+		if n.parent == plan.root {
+			rootFed = append(rootFed, n.vci)
+		}
+		var want []uint32
+		for _, c := range n.children {
+			want = append(want, c.vci)
+		}
+		if got := n.box.NetCopies(n.vci); !slices.Equal(got, want) {
+			return fmt.Errorf("%s sends on %v, its children are %v", n.name, got, want)
+		}
+	}
+	if got := plan.root.box.NetCopies(plan.root.vci); !slices.Equal(got, rootFed) || len(rootFed) != plan.SourceCopies() {
+		return fmt.Errorf("source sends on %v, it feeds %v (%d children)", got, rootFed, plan.SourceCopies())
+	}
+	return nil
+}
+
+// FuzzTreeOps drives the plan through generated churn: data[0..2] pick
+// K ∈ 1..4, T ∈ 1..2 and how many boxes the tree opens with, then each
+// byte pair is one verb on one box — split, pull (two names), repair,
+// migrate, drop — 1 ms apart while audio flows. checkPlan must hold
+// after every verb, and once the stream is closed every wire is back in
+// its pool. Run longer with:
+//
+//	go test -fuzz=FuzzTreeOps -fuzztime=60s ./internal/core
+func FuzzTreeOps(f *testing.F) {
+	f.Add([]byte{1, 0, 2, 1, 0, 4, 0})                     // tree a00,b00 k=2; pull a00 again; drop a00
+	f.Add([]byte{1, 0, 7, 4, 0, 4, 1})                     // k=2, seven members; drop the root relay, then the next interior
+	f.Add([]byte{2, 1, 10, 2, 0, 3, 1, 2, 2, 0, 20, 4, 3}) // k=3 t=2: repair, migrate, repair, split, drop
+	f.Add([]byte{0, 1, 0, 1, 5, 1, 5, 3, 5, 2, 6, 4, 5})   // k=1 t=2 from an empty tree: chains, every verb
+	f.Add([]byte{3, 0, 23, 2, 0, 2, 1, 2, 2, 2, 3, 4, 0})  // everyone in; repair down the first relays
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		s, names := fuzzSystem()
+		defer s.Shutdown()
+		k, trees, n0 := 1+int(data[0]%4), 1+int(data[1]%2), int(data[2])%(len(names)+1)
+		ops := data[3:]
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		var (
+			st   *Stream
+			bad  error
+			done bool
+		)
+		s.Control(func(p *occam.Proc) {
+			defer func() { done = true }()
+			st = s.SendAudioTree(p, TreeConfig{Fanout: k, Trees: trees}, "src", names[:n0]...)
+			if bad = checkPlan(st, k); bad != nil {
+				return
+			}
+			for i := 0; i+1 < len(ops); i += 2 {
+				p.Sleep(time.Millisecond)
+				name := names[int(ops[i+1])%len(names)]
+				switch ops[i] % 5 {
+				case 0:
+					s.AddAudioDestination(p, st, name)
+				case 1:
+					s.Pull(p, st, name, names[int(ops[i+1]/2)%len(names)])
+				case 2:
+					s.RepairTree(p, st, name)
+				case 3:
+					s.MigrateTree(p, st, name)
+				case 4:
+					s.RemoveDestination(p, st, name)
+				}
+				if err := checkPlan(st, k); err != nil {
+					bad = fmt.Errorf("after op %d (verb %d on %s): %w", i/2, ops[i]%5, name, err)
+					return
+				}
+			}
+			p.Sleep(50 * time.Millisecond)
+			s.Close(p, st)
+		})
+		for i := 0; !done && i < 20; i++ {
+			if err := s.RunFor(50 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bad != nil || !done {
+			t.Fatalf("k=%d trees=%d opened with %d: done=%v: %v", k, trees, n0, done, bad)
+		}
+		if err := s.RunFor(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range append([]string{"src"}, names...) {
+			if leaked := s.Box(name).WirePoolLeaked(); leaked != 0 {
+				t.Fatalf("%s leaked %d wires after close", name, leaked)
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/box"
 	"repro/internal/obs"
@@ -39,44 +40,47 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-// treeNode is one destination's place in a distribution tree.
+// treeNode is one box's (or repository's) place in a stream's plan.
+// The source is a treeNode too — the plan's root, whose VCI is the
+// source-local stream number and whose children are the tree roots.
 type treeNode struct {
-	name     string
+	*node
 	vci      uint32
 	tree     int
-	parent   *treeNode // nil: fed directly by the source
+	parent   *treeNode // who feeds this node; nil only for the root
 	children []*treeNode
-	// former records every parent this node was re-homed away from by
-	// RepairTree — the "was this delivery ever routed through box X"
-	// history that byte-identity checks exclude.
+	// former records every parent this node was moved away from — by a
+	// repair, a migration or an interior removal alike. It is the "was
+	// this delivery ever routed through box X" history byte-identity
+	// checks exclude: a box that is merely hot today may crash later.
 	former []*treeNode
 }
 
 // TreePlan is the planner's record of one stream's distribution
-// tree(s): who feeds whom, over which VCIs, and what repairs have
+// tree(s): who feeds whom, over which VCIs, and what moves have
 // reshaped it. Streams opened flat (TreeConfig zero value) carry a
 // plan too — one where every destination is a direct child of the
 // source.
 type TreePlan struct {
 	cfg  TreeConfig
-	from string
+	root *treeNode // the source
 	// order is global placement order — also VCI-allocation order, so
 	// replays are deterministic.
 	order []*treeNode
-	// placed holds each tree's members in placement order; attachment
-	// scans it front to back, which keeps trees near-balanced and
-	// deterministic.
+	// placed holds each tree's members in placement order; the
+	// eligibility scan reads it front to back, which keeps trees
+	// near-balanced and deterministic.
 	placed  [][]*treeNode
-	nodes   map[string]*treeNode
-	nextIdx int // round-robin tree striping cursor (survives pulls)
+	nodes   map[string]*treeNode // members by name; the root is not one
+	nextIdx int                  // round-robin tree striping cursor (survives pulls)
 	repairs uint64
 }
 
-func newTreePlan(from string, cfg TreeConfig) *TreePlan {
+func newTreePlan(src *node, local uint32, cfg TreeConfig) *TreePlan {
 	cfg = cfg.withDefaults()
 	return &TreePlan{
 		cfg:    cfg,
-		from:   from,
+		root:   &treeNode{node: src, vci: local},
 		placed: make([][]*treeNode, cfg.Trees),
 		nodes:  make(map[string]*treeNode),
 	}
@@ -94,11 +98,11 @@ func (t *TreePlan) Members() []string {
 	return out
 }
 
-// Parent returns who currently feeds dst ("" when the source does, or
-// when dst is not a member).
+// Parent returns who currently feeds dst — the source's name for a
+// tree root — or "" when dst is not a member.
 func (t *TreePlan) Parent(dst string) string {
 	n := t.nodes[dst]
-	if n == nil || n.parent == nil {
+	if n == nil {
 		return ""
 	}
 	return n.parent.name
@@ -109,7 +113,7 @@ func (t *TreePlan) Parent(dst string) string {
 func (t *TreePlan) Depth() int {
 	max := 0
 	for _, n := range t.order {
-		d := 1
+		d := 0
 		for c := n; c.parent != nil; c = c.parent {
 			d++
 		}
@@ -135,17 +139,11 @@ func (t *TreePlan) MaxInteriorCopies() int {
 
 // SourceCopies returns how many copies the source itself sends — the
 // origin-pull headline: one per tree, however many viewers.
-func (t *TreePlan) SourceCopies() int {
-	n := 0
-	for _, c := range t.order {
-		if c.parent == nil {
-			n++
-		}
-	}
-	return n
-}
+func (t *TreePlan) SourceCopies() int { return len(t.root.children) }
 
 // Repairs returns how many RepairTree invocations reshaped the plan.
+// Migrations and interior removals move subtrees too but are not
+// repairs: nothing failed.
 func (t *TreePlan) Repairs() uint64 { return t.repairs }
 
 // Relays returns how many forwarded copies box currently carries for
@@ -163,15 +161,15 @@ func (t *TreePlan) Relays(box string) int {
 // currently feed at least one member — the placement spread the
 // scenario layer's `spread` assert measures.
 func (t *TreePlan) FeederBoxes() int {
-	feeders := map[string]bool{}
+	feeders := map[*treeNode]bool{}
 	for _, n := range t.order {
-		feeders[t.feederName(n)] = true
+		feeders[n.parent] = true
 	}
 	return len(feeders)
 }
 
-// RehomedFrom returns the members RepairTree ever re-parented away
-// from box, in placement order.
+// RehomedFrom returns the members ever moved away from box, in
+// placement order.
 func (t *TreePlan) RehomedFrom(box string) []string {
 	var out []string
 	for _, n := range t.order {
@@ -186,9 +184,9 @@ func (t *TreePlan) RehomedFrom(box string) []string {
 }
 
 // EverUnder reports whether dst's delivery path ever passed through
-// box — through its current parent chain or, after repairs, through
-// any former parent at any point in the run. Byte-identity assertions
-// use it to exclude deliveries a crashed relay could have disturbed.
+// box — through its current parent chain or, after moves, through any
+// former parent at any point in the run. Byte-identity assertions use
+// it to exclude deliveries a crashed relay could have disturbed.
 func (t *TreePlan) EverUnder(dst, box string) bool {
 	n := t.nodes[dst]
 	if n == nil {
@@ -228,145 +226,119 @@ func under(n, root *treeNode) bool {
 	return false
 }
 
-// connectable reports whether openCircuit(a→b) would succeed: the two
-// share a fabric, or a directional link path is declared.
-func (s *System) connectable(a, b string) bool {
-	if s.sameFabric(a, b) {
-		return true
-	}
-	_, ok := s.paths[a+"->"+b]
-	return ok
-}
-
-// pickCandidate chooses among the eligible candidate parents: the
-// installed placer's best-ranked box, or — with no placer — the first
-// in placement order (first-fit). elig holds distinct box names (tree
-// members are unique), so the ranked name maps back to one node.
-func (s *System) pickCandidate(elig []*treeNode) *treeNode {
-	if len(elig) == 0 {
-		return nil
-	}
-	if s.placer == nil {
-		return elig[0]
-	}
-	names := make([]string, len(elig))
-	for i, c := range elig {
-		names[i] = c.name
-	}
-	best := s.placer.RankBoxes(names)[0]
-	for _, c := range elig {
-		if c.name == best {
-			return c
-		}
-	}
-	return elig[0]
-}
-
-// planAttach places one more destination: round-robin onto the next
-// tree, then under an already-placed box in that tree with spare
-// fanout that can reach it (same fabric or a declared link — bridge
-// links between fabrics are found the same way). Without a placer the
-// first such box in placement order wins; with one, the least-loaded.
-// When nothing placed can host it, the destination pulls straight
-// from the source.
-func (s *System) planAttach(plan *TreePlan, dst string) *treeNode {
-	t := plan.nextIdx % plan.cfg.Trees
-	plan.nextIdx++
-	n := &treeNode{name: dst, tree: t}
-	cands := plan.placed[t]
+// choose picks who should feed n, a newcomer or an orphan with its
+// subtree intact: a member of n's tree that is a box (a repository is
+// always a leaf), has spare fanout, is neither the parent n is leaving
+// nor inside n's own subtree, and can reach n — same fabric or a
+// declared link, bridge links between fabrics included. Without a
+// placer the first such member in placement order wins; with one, the
+// placer's pick among all of them. When no member qualifies the source
+// feeds n itself.
+func (s *System) choose(plan *TreePlan, n *treeNode) *treeNode {
+	cands := plan.placed[n.tree]
 	if plan.cfg.Fanout <= 0 {
 		// A flat plan has no eligible relay; skipping the scan keeps a
 		// tannoy to n destinations O(n).
 		cands = nil
 	}
 	var elig []*treeNode
-	for _, cand := range cands {
-		// Only boxes re-split; a repository member is always a leaf.
-		if _, isBox := s.boxes[cand.name]; !isBox {
+	for _, c := range cands {
+		if len(c.children) >= plan.cfg.Fanout || c.box == nil || c == n.parent || under(c, n) {
 			continue
 		}
-		if len(cand.children) < plan.cfg.Fanout && s.connectable(cand.name, dst) {
-			elig = append(elig, cand)
-			if s.placer == nil {
-				break // first-fit needs no further scanning
-			}
+		if _, ok := s.edge(c.node, n.node); !ok {
+			continue
 		}
+		if s.placer == nil {
+			return c // first-fit needs no further scanning
+		}
+		elig = append(elig, c)
 	}
-	if cand := s.pickCandidate(elig); cand != nil {
-		n.parent = cand
-		cand.children = append(cand.children, n)
+	if len(elig) == 0 {
+		return plan.root
 	}
-	if n.parent == nil && !s.connectable(plan.from, dst) {
-		panic(fmt.Sprintf("core: tree: no box can reach %s from %s's tree %d (declare a link or shared fabric)",
-			dst, plan.from, t))
+	names := make([]string, len(elig))
+	for i, c := range elig {
+		names[i] = c.name
 	}
-	plan.placed[t] = append(plan.placed[t], n)
+	return elig[s.placer.Pick(names)]
+}
+
+// adopt gives n a feeder and moves its circuit there: choose, rewire,
+// link. A newcomer (no parent yet) has its circuit opened; an orphan
+// keeps the installed route when old and new feeder both reach it
+// across its fabric, and otherwise has the old circuit closed and the
+// new one opened. The caller reinstalls the new feeder's switch route.
+func (s *System) adopt(p *occam.Proc, st *Stream, n *treeNode) {
+	old, parent := n.parent, s.choose(st.Tree, n)
+	if old == nil {
+		s.openCircuit(p, n.vci, parent.node, n.node, st.Video)
+	} else {
+		if !s.sameRoute(old.node, parent.node, n.node) {
+			s.closeCircuit(n.vci, old.node, n.node)
+			s.openCircuit(p, n.vci, parent.node, n.node, st.Video)
+		}
+		n.former = append(n.former, old)
+	}
+	n.parent = parent
+	parent.children = append(parent.children, n)
+}
+
+// attach makes dst a member of the stream's plan — round-robin onto
+// the next tree, a fresh VCI, a feeder — and returns its node. A name
+// that is already a member is attached once: nil.
+func (s *System) attach(p *occam.Proc, st *Stream, dst string) *treeNode {
+	plan := st.Tree
+	if plan.nodes[dst] != nil {
+		return nil
+	}
+	n := &treeNode{node: s.node(dst), vci: s.allocVCI(), tree: plan.nextIdx % plan.cfg.Trees}
+	plan.nextIdx++
+	s.adopt(p, st, n)
+	plan.placed[n.tree] = append(plan.placed[n.tree], n)
 	plan.order = append(plan.order, n)
 	plan.nodes[dst] = n
+	st.VCIs[dst] = n.vci
 	return n
 }
 
-// feederName returns who opens the circuit to n.
-func (t *TreePlan) feederName(n *treeNode) string {
-	if n.parent == nil {
-		return t.from
-	}
-	return n.parent.name
-}
-
-// installNode installs (or re-installs) a destination box's switch
-// route to match its place in the tree: local playout plus, when it
-// has children, one forwarded copy per child VCI — the local re-split
-// of principle 5. reinstall keeps the route's original age
+// install installs (or re-installs) n's switch route to match its
+// place in the plan. A destination plays the stream locally and, when
+// it has children, forwards one copy per child VCI — the local
+// re-split of principle 5. The source only sends: one copy per child,
+// listed in placement order whatever order they were adopted in.
+// reinstall keeps the route at the front of the degrade order
 // (principle 3).
-func (s *System) installNode(p *occam.Proc, st *Stream, n *treeNode, reinstall bool) {
-	db, ok := s.boxes[n.name]
-	if !ok {
+func (s *System) install(p *occam.Proc, st *Stream, n *treeNode, reinstall bool) {
+	if n.box == nil {
 		return // repositories take delivery straight off the circuit
 	}
-	local := box.OutSpeaker
-	if st.Video {
-		local = box.OutDisplay
-	}
-	r := box.Route{Stream: n.vci, Outputs: []box.Output{local}, Video: st.Video}
-	if len(n.children) > 0 {
-		r.Outputs = append(r.Outputs, box.OutNetwork)
-		r.Relay = true
-		for _, c := range n.children {
-			r.NetVCIs = append(r.NetVCIs, c.vci)
+	r := box.Route{Stream: n.vci, Video: st.Video}
+	if n == st.Tree.root {
+		r.Outputs = []box.Output{box.OutNetwork}
+		for _, m := range st.Tree.order {
+			if m.parent == n {
+				r.NetVCIs = append(r.NetVCIs, m.vci)
+			}
+		}
+	} else {
+		local := box.OutSpeaker
+		if st.Video {
+			local = box.OutDisplay
+		}
+		r.Outputs = []box.Output{local}
+		if len(n.children) > 0 {
+			r.Outputs = append(r.Outputs, box.OutNetwork)
+			r.Relay = true
+			for _, c := range n.children {
+				r.NetVCIs = append(r.NetVCIs, c.vci)
+			}
 		}
 	}
 	if reinstall {
 		r.Opened = occam.Time(1)
 	}
-	db.SetRoute(p, r)
-	if len(n.children) == 0 && reinstall {
-		// SetRoute only replaces the fan-out list when it is non-empty;
-		// a node whose last child was taken away must stop copying.
-		db.SetNetCopies(p, n.vci, nil)
-	}
-}
-
-// installSource installs (or re-installs) the source route: one copy
-// per tree root, in placement order. reinstall keeps the route's
-// original age (principle 3), as in installNode.
-func (s *System) installSource(p *occam.Proc, st *Stream, reinstall bool) {
-	r := box.Route{Stream: st.Local, Outputs: []box.Output{box.OutNetwork}, Video: st.Video}
-	for _, n := range st.Tree.order {
-		if n.parent == nil {
-			r.NetVCIs = append(r.NetVCIs, n.vci)
-		}
-	}
-	if reinstall {
-		r.Opened = occam.Time(1)
-	}
-	src := s.boxes[st.From]
-	src.SetRoute(p, r)
-	if len(r.NetVCIs) == 0 && reinstall {
-		// SetRoute leaves the fan-out list alone when handed none: a
-		// source whose last root was taken away must stop copying.
-		src.SetNetCopies(p, st.Local, nil)
-	}
+	n.box.SetRoute(p, r)
 }
 
 // SendAudioTree opens a one-way audio stream distributed over
@@ -377,34 +349,32 @@ func (s *System) SendAudioTree(p *occam.Proc, cfg TreeConfig, from string, to ..
 }
 
 // sendTree is the shared planner apply for audio and video streams:
-// plan every destination, allocate VCIs and open parent→child circuits
-// in destination order, install destination routes (interior boxes
+// attach every destination (plan, VCI, feeder→child circuit) in
+// destination order, install destination routes (interior boxes
 // re-split), then the source route — one copy per tree — and start the
 // media source last, so every relay is routed before data flows.
 func (s *System) sendTree(p *occam.Proc, cfg TreeConfig, from string, cs box.CameraStream, video bool, to []string) *Stream {
-	src := s.boxes[from]
-	st := &Stream{From: from, Local: s.allocStream(from), Video: video, VCIs: make(map[string]uint32)}
-	plan := newTreePlan(from, cfg)
+	src := s.node(from)
+	src.nextStream++
+	st := &Stream{From: from, Local: src.nextStream, Video: video, VCIs: make(map[string]uint32)}
+	plan := newTreePlan(src, st.Local, cfg)
 	st.Tree = plan
 	for _, dst := range to {
-		n := s.planAttach(plan, dst)
-		n.vci = s.allocVCI()
-		st.VCIs[dst] = n.vci
-		s.openCircuit(p, n.vci, plan.feederName(n), dst, video)
+		s.attach(p, st, dst)
 	}
 	// Routes go in after every child VCI exists, destination order.
 	for _, n := range plan.order {
-		s.installNode(p, st, n, false)
+		s.install(p, st, n, false)
 	}
 	if plan.cfg.Fanout > 0 {
 		s.observeTree(st)
 	}
-	s.installSource(p, st, false)
+	s.install(p, st, plan.root, false)
 	if video {
 		cs.Stream = st.Local
-		src.StartCamera(p, cs)
+		src.box.StartCamera(p, cs)
 	} else {
-		src.StartMic(p, st.Local)
+		src.box.StartMic(p, st.Local)
 	}
 	return st
 }
@@ -419,158 +389,107 @@ func (s *System) observeTree(st *Stream) {
 	s.Obs.CounterFunc("tree_repairs_total", func() uint64 { return plan.repairs }, lb)
 }
 
-// Pull grafts late joiners onto an open tree stream: each destination
-// pulls one copy from the best already-carrying box (spare fanout,
+// Pull grafts late joiners onto an open stream: each destination pulls
+// one copy from the chosen already-carrying box (spare fanout,
 // reachable, scanned in placement order) — the source's own port never
-// gains another circuit unless nothing else can reach the joiner.
+// gains another circuit unless nothing else can reach the joiner. A
+// destination that is already a member is left as it is.
 func (s *System) Pull(p *occam.Proc, st *Stream, dsts ...string) {
-	plan := st.Tree
 	for _, dst := range dsts {
-		n := s.planAttach(plan, dst)
-		n.vci = s.allocVCI()
-		st.VCIs[dst] = n.vci
-		s.openCircuit(p, n.vci, plan.feederName(n), dst, st.Video)
-		s.installNode(p, st, n, false)
-		if n.parent == nil {
-			s.installSource(p, st, true)
-		} else {
-			s.installNode(p, st, n.parent, true)
+		if n := s.attach(p, st, dst); n != nil {
+			s.install(p, st, n, false)
+			s.install(p, st, n.parent, true)
 		}
 	}
 }
 
-// RepairTree re-homes the orphaned children of a failed interior box:
-// each orphan (its whole subtree intact) is re-parented onto the first
-// surviving box in its own tree with spare fanout that can reach it
-// (the least-loaded such box when a placer is installed), falling
-// back to the source. The balancer's migration loop calls this too —
-// a migration is a repair minus the fault: the "failed" box is merely
-// hot, keeps its own playout, and only stops relaying. Circuits are rewired mid-stream — on a
-// shared fabric the VCI already routes to the orphan's port, so the
-// new parent simply starts sending on it (principle 6: the change
-// applies between segments); across a bridge the old circuit closes
-// and a new one opens. Returns how many orphans were re-homed.
-func (s *System) RepairTree(p *occam.Proc, st *Stream, failed string) int {
-	plan := st.Tree
-	fn := plan.nodes[failed]
-	if fn == nil || len(fn.children) == 0 {
+// rehome moves every subtree from under from onto other feeders while
+// the stream plays: orphan the children, reinstall from once so it
+// stops forwarding, then adopt each orphan — its whole subtree intact —
+// and reinstall whoever took it. The change applies between segments
+// (principle 6). why says what is wrong with from, for the trace.
+// Returns how many subtrees moved; 0 when from is nil or a leaf.
+func (s *System) rehome(p *occam.Proc, st *Stream, from *treeNode, why string) int {
+	if from == nil || len(from.children) == 0 {
 		return 0
 	}
-	orphans := fn.children
-	fn.children = nil
-	s.installNode(p, st, fn, true) // stop the failed box's forwarded copies
+	orphans := from.children
+	from.children = nil
+	s.install(p, st, from, true)
 	for _, o := range orphans {
-		var elig []*treeNode
-		for _, cand := range plan.placed[o.tree] {
-			if cand == fn || under(cand, o) {
-				continue // never adopt into the orphan's own subtree
-			}
-			if _, isBox := s.boxes[cand.name]; !isBox {
-				continue
-			}
-			if len(cand.children) < plan.cfg.Fanout && s.connectable(cand.name, o.name) {
-				elig = append(elig, cand)
-				if s.placer == nil {
-					break
-				}
-			}
-		}
-		parent := s.pickCandidate(elig)
-		feeder := plan.from
-		if parent != nil {
-			feeder = parent.name
-		} else if !s.connectable(plan.from, o.name) {
-			panic(fmt.Sprintf("core: tree repair: no surviving box reaches %s (was under %s)", o.name, failed))
-		}
-		// The fabric routes a VCI by value, not by sender: when both the
-		// failed and the new feeder reach the orphan over the same
-		// fabric, the installed route is already right. Any other edge
-		// change closes the old circuit and opens the new.
-		if !(s.sameFabric(failed, o.name) && s.sameFabric(feeder, o.name)) {
-			s.closeCircuit(o.vci, failed, o.name)
-			s.openCircuit(p, o.vci, feeder, o.name, st.Video)
-		}
-		o.former = append(o.former, fn)
-		o.parent = parent
-		if parent == nil {
-			s.installSource(p, st, true)
-		} else {
-			parent.children = append(parent.children, o)
-			s.installNode(p, st, parent, true)
-		}
+		s.adopt(p, st, o)
+		s.install(p, st, o.parent, true)
 	}
-	plan.repairs++
 	s.Obs.Tracer().Emit(obs.EvRepair, "core.tree", st.Local,
-		fmt.Sprintf("re-homed %d subtrees around failed %s", len(orphans), failed))
+		fmt.Sprintf("re-homed %d subtrees around %s %s", len(orphans), why, from.name))
 	return len(orphans)
+}
+
+// RepairTree re-homes the orphaned children of a failed interior box
+// onto surviving boxes of their own tree, falling back to the source,
+// and books it as a repair. Returns how many orphans were re-homed; 0
+// (and no repair booked) when failed relays nothing for this stream.
+func (s *System) RepairTree(p *occam.Proc, st *Stream, failed string) int {
+	moved := s.rehome(p, st, st.Tree.nodes[failed], "failed")
+	if moved > 0 {
+		st.Tree.repairs++
+	}
+	return moved
+}
+
+// MigrateTree is the balancer's verb: hot is healthy but overloaded, so
+// it stops relaying this stream — its subtrees move exactly as a
+// repair moves them — and keeps its own playout. Nothing failed, so no
+// repair is booked. Returns how many subtrees moved.
+func (s *System) MigrateTree(p *occam.Proc, st *Stream, hot string) int {
+	return s.rehome(p, st, st.Tree.nodes[hot], "hot")
 }
 
 // Close shuts a stream down entirely: stop the media source, remove
 // the source route, then every destination's route and its feeding
 // circuit, in placement order.
 func (s *System) Close(p *occam.Proc, st *Stream) {
-	src := s.boxes[st.From]
+	plan := st.Tree
+	src := plan.root.box
 	if st.Video {
 		src.StopCamera(p, st.Local)
 	} else {
 		src.StopMic(p)
 	}
 	src.CloseRoute(p, st.Local)
-	plan := st.Tree
 	for _, n := range plan.order {
-		if db, ok := s.boxes[n.name]; ok {
-			db.CloseRoute(p, n.vci)
-		}
-		s.closeCircuit(n.vci, plan.feederName(n), n.name)
+		s.disconnect(p, n)
 	}
+}
+
+// disconnect removes n's switch route and the circuit that feeds it.
+func (s *System) disconnect(p *occam.Proc, n *treeNode) {
+	if n.box != nil {
+		n.box.CloseRoute(p, n.vci)
+	}
+	s.closeCircuit(n.vci, n.parent.node, n.node)
 }
 
 // RemoveDestination drops one destination from a stream; the other
 // copies are unaffected (principle 6). A leaf just disconnects; an
-// interior box first has its children re-homed (the repair machinery,
-// minus the fault) so its subtree keeps playing.
+// interior box first has its subtrees re-homed so they keep playing.
 func (s *System) RemoveDestination(p *occam.Proc, st *Stream, dst string) {
 	plan := st.Tree
 	n := plan.nodes[dst]
 	if n == nil {
 		return
 	}
-	if len(n.children) > 0 {
-		s.RepairTree(p, st, dst)
-	}
-	feeder := plan.feederName(n)
+	s.rehome(p, st, n, "departing")
 	delete(plan.nodes, dst)
-	plan.drop(n)
-	if parent := n.parent; parent == nil {
-		s.installSource(p, st, true)
-	} else {
-		for i, c := range parent.children {
-			if c == n {
-				parent.children = append(parent.children[:i], parent.children[i+1:]...)
-				break
-			}
-		}
-		s.installNode(p, st, parent, true)
-	}
 	delete(st.VCIs, dst)
-	if db, ok := s.boxes[dst]; ok {
-		db.CloseRoute(p, n.vci)
-	}
-	s.closeCircuit(n.vci, feeder, dst)
+	plan.order = without(plan.order, n)
+	plan.placed[n.tree] = without(plan.placed[n.tree], n)
+	n.parent.children = without(n.parent.children, n)
+	s.install(p, st, n.parent, true)
+	s.disconnect(p, n)
 }
 
-// drop removes n from the placement lists.
-func (t *TreePlan) drop(n *treeNode) {
-	for i, m := range t.order {
-		if m == n {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
-	}
-	for i, m := range t.placed[n.tree] {
-		if m == n {
-			t.placed[n.tree] = append(t.placed[n.tree][:i], t.placed[n.tree][i+1:]...)
-			break
-		}
-	}
+// without removes n from list, keeping the order of the rest.
+func without(list []*treeNode, n *treeNode) []*treeNode {
+	return slices.DeleteFunc(list, func(m *treeNode) bool { return m == n })
 }

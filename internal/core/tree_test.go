@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atm"
 	"repro/internal/box"
 	"repro/internal/fabric"
 	"repro/internal/occam"
@@ -129,7 +130,7 @@ func TestTreePullGraft(t *testing.T) {
 		if got := s.Box(v).Mixer().Stats(st.VCIs[v]); got.Segments < 30 {
 			t.Fatalf("late joiner %s got %d segments", v, got.Segments)
 		}
-		if st.Tree.Parent(v) == "" {
+		if st.Tree.Parent(v) == "src" {
 			t.Fatalf("late joiner %s fed by the source, should pull from a member", v)
 		}
 	}
@@ -150,7 +151,7 @@ func TestTreeRepairRehomes(t *testing.T) {
 	}
 	// v00 is the root; fail it and every other viewer re-homes.
 	root := viewers[0]
-	if st.Tree.Parent(root) != "" {
+	if st.Tree.Parent(root) != "src" {
 		t.Fatalf("%s is not the root", root)
 	}
 	var rehomed int
@@ -279,10 +280,161 @@ func TestTreeRemoveInteriorDestination(t *testing.T) {
 	if got := len(st.Tree.Members()); got != 9 {
 		t.Fatalf("%d members after removal, want 9", got)
 	}
+	if got := st.Tree.Repairs(); got != 0 {
+		t.Fatalf("a departure was booked as %d repairs; nothing failed", got)
+	}
 	for _, v := range viewers[1:] {
 		before := s.Box(v).Mixer().Stats(st.VCIs[v]).Segments
 		if before == 0 {
 			t.Fatalf("%s silent after interior removal", v)
+		}
+	}
+}
+
+// TestTreeMemberAttachedOnce: pulling a box that is already a member is
+// a no-op, so a later drop really removes it — no second node left
+// playing with nothing able to reach it.
+func TestTreeMemberAttachedOnce(t *testing.T) {
+	s, viewers := treeSystem(t, 2)
+	defer s.Shutdown()
+	a := viewers[0]
+	var st *Stream
+	var vci uint32
+	s.Control(func(p *occam.Proc) {
+		st = s.SendAudioTree(p, TreeConfig{Fanout: 2}, "src", viewers...)
+		vci = st.VCIs[a]
+		p.Sleep(100 * time.Millisecond)
+		s.Pull(p, st, a)
+		s.AddAudioDestination(p, st, a)
+		if got := st.VCIs[a]; got != vci || len(st.Tree.Members()) != 2 {
+			t.Errorf("second attach of %s: VCI %d → %d, members %v", a, vci, got, st.Tree.Members())
+		}
+		p.Sleep(100 * time.Millisecond)
+		s.RemoveDestination(p, st, a)
+	})
+	if err := s.RunFor(300 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, open := st.VCIs[a]; open || len(st.VCIs) != 1 {
+		t.Fatalf("VCIs after drop: %v, want only %s", st.VCIs, viewers[1])
+	}
+	if got := st.Tree.Members(); len(got) != 1 || got[0] != viewers[1] {
+		t.Fatalf("members after drop: %v, want [%s]", got, viewers[1])
+	}
+	before := s.Box(a).Mixer().Stats(vci).Segments
+	if before == 0 {
+		t.Fatalf("%s never played", a)
+	}
+	if err := s.RunFor(300 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.Box(a).Mixer().Stats(vci).Segments; after != before {
+		t.Fatalf("%s still playing after its drop: %d → %d segments", a, before, after)
+	}
+	s.Control(func(p *occam.Proc) { s.Close(p, st) })
+	if err := s.RunFor(300 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range append([]string{"src"}, viewers...) {
+		if leaked := s.Box(n).WirePoolLeaked(); leaked != 0 {
+			t.Fatalf("%s leaked %d wires after close", n, leaked)
+		}
+	}
+}
+
+// TestTreeMoveAcrossBridge re-homes subtrees whose edges are not all
+// one fabric. src and relay r sit on fabric A, b0..b2 on fabric B; r
+// reaches b0 and b1 over bridge links, and so does src. Repairing r
+// moves b0 from a link circuit onto fabric B (another far-side box
+// adopts it) and b1 from r's link onto src's — the close-old /
+// open-new and fall-back-to-source branches of adopt.
+func TestTreeMoveAcrossBridge(t *testing.T) {
+	const k = 2
+	s := NewSystem()
+	defer s.Shutdown()
+	s.AddBox(box.Config{Name: "src", Mic: workload.NewTone(440, 9000)})
+	s.AddFabric("A", fabric.Config{})
+	s.AddFabric("B", fabric.Config{})
+	s.AttachFabric("A", "src")
+	s.AddBox(box.Config{Name: "r"})
+	s.AttachFabric("A", "r")
+	far := []string{"b0", "b1", "b2"}
+	for _, name := range far {
+		s.AddBox(box.Config{Name: name})
+		s.AttachFabric("B", name)
+	}
+	bridge := atm.LinkConfig{Bandwidth: 100_000_000}
+	for _, name := range far[:2] {
+		s.Connect("r", name, bridge)
+		s.Connect("src", name, bridge)
+	}
+	all := append([]string{"src", "r"}, far...)
+
+	var st *Stream
+	s.Control(func(p *occam.Proc) {
+		st = s.SendAudioTree(p, TreeConfig{Fanout: k}, "src", append([]string{"r"}, far...)...)
+	})
+	if err := s.RunFor(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	plan := st.Tree
+	if plan.Parent("b0") != "r" || plan.Parent("b1") != "r" || plan.Parent("b2") != "b0" {
+		t.Fatalf("plan before repair: b0←%s b1←%s b2←%s, want r, r, b0",
+			plan.Parent("b0"), plan.Parent("b1"), plan.Parent("b2"))
+	}
+	s.Control(func(p *occam.Proc) {
+		if got := s.RepairTree(p, st, "r"); got != 2 {
+			t.Errorf("repair moved %d subtrees, want 2", got)
+		}
+	})
+	if err := s.RunFor(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Parent("b0") != "b1" || plan.Parent("b1") != "src" {
+		t.Fatalf("plan after repair: b0←%s b1←%s, want b1 (fabric B) and src (its bridge)",
+			plan.Parent("b0"), plan.Parent("b1"))
+	}
+	for _, m := range plan.Members() {
+		if !s.Connectable(plan.Parent(m), m) {
+			t.Fatalf("%s is fed by %s, which cannot reach it", m, plan.Parent(m))
+		}
+	}
+	// r's bridge circuits are gone: its mux no longer steers either VCI
+	// onto a link, and the links forward neither.
+	for _, name := range far[:2] {
+		vci := st.VCIs[name]
+		if s.node("r").mux.bridge[vci] {
+			t.Fatalf("r still bridges VCI %d to %s", vci, name)
+		}
+		before := s.Path("r", name)[0].Stats().Forwarded
+		if err := s.RunFor(50 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if after := s.Path("r", name)[0].Stats().Forwarded; after != before {
+			t.Fatalf("link r→%s still forwards after the repair: %d → %d", name, before, after)
+		}
+	}
+	for _, name := range all {
+		if c := s.Box(name).MaxNetCopies(); c > k {
+			t.Fatalf("%s fanned %d copies, k=%d", name, c, k)
+		}
+	}
+	for _, name := range far {
+		before := s.Box(name).Mixer().Stats(st.VCIs[name]).Segments
+		if err := s.RunFor(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if after := s.Box(name).Mixer().Stats(st.VCIs[name]).Segments; after < before+20 {
+			t.Fatalf("%s stalled after the repair: %d → %d segments", name, before, after)
+		}
+	}
+	s.Control(func(p *occam.Proc) { s.Close(p, st) })
+	if err := s.RunFor(300 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range all {
+		if leaked := s.Box(name).WirePoolLeaked(); leaked != 0 {
+			t.Fatalf("%s leaked %d wires after close", name, leaked)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package experiment
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestE24BalancerControlPlane asserts the full acceptance surface:
 // admission refuses exactly the over-budget calls, the hot relay is
@@ -78,5 +81,42 @@ func TestE24ScoreboardChurnRace(t *testing.T) {
 	}
 	if sum := must(r.Evaluate()); !sum.Pass {
 		t.Errorf("seed 11 asserts failed:\n%s", sum)
+	}
+}
+
+// TestE24BooksMatchWhatHappened: the run holds one migration (off hot
+// n00) and one repair (around crashed n01), and that is what the books
+// say — the migration is no repair, no trace calls n00 failed — while
+// the move history still covers the members of both.
+func TestE24BooksMatchWhatHappened(t *testing.T) {
+	r := e24Run(42)
+	defer r.Close()
+	snap := r.Sys.Obs.Snapshot()
+	if got := snap.Total("tree_repairs_total"); got != 1 {
+		t.Errorf("tree_repairs_total = %v, want 1", got)
+	}
+	if got := snap.Total("balancer_migrations_total"); got != 1 {
+		t.Errorf("balancer_migrations_total = %v, want 1", got)
+	}
+	var moves []string
+	for _, ev := range r.Sys.Obs.Tracer().Events() {
+		if ev.Source == "core.tree" {
+			moves = append(moves, ev.Detail)
+		}
+	}
+	if len(moves) != 2 || !strings.HasSuffix(moves[0], "hot "+e24Hot) || !strings.HasSuffix(moves[1], "failed "+e24Crash) {
+		t.Errorf("core.tree trace = %q, want a move off hot %s then one around failed %s", moves, e24Hot, e24Crash)
+	}
+	plan := r.Streams["t"].Tree
+	for _, from := range []string{e24Hot, e24Crash} {
+		moved := plan.RehomedFrom(from)
+		if len(moved) == 0 {
+			t.Errorf("no member recorded as moved away from %s", from)
+		}
+		for _, m := range moved {
+			if !plan.EverUnder(m, from) {
+				t.Errorf("EverUnder(%s, %s) lost the move", m, from)
+			}
+		}
 	}
 }
