@@ -29,7 +29,6 @@ func (b *Box) startAudio() {
 
 	rt.Go(name+".micReader", b.audioNode, occam.High, b.runMicReader)
 	rt.Go(name+".serverWriter", b.audioNode, occam.High, b.runServerWriter)
-	rt.Go(name+".audioRx", b.audioNode, occam.High, b.runAudioRx)
 	rt.Go(name+".blockHandler", b.audioNode, occam.Low, b.runBlockHandler)
 }
 
@@ -60,8 +59,17 @@ func (b *Box) runMicReader(p *occam.Proc) {
 		cmd    audioCmd
 		guards = []occam.Guard{occam.Recv(b.audioCmds, &cmd), occam.Skip()}
 	)
+	// A closed microphone's tick does nothing but poll for a command, so
+	// it sleeps through the ticks that would find none: the scheduler
+	// takes those turns, asking what the Recv guard below would.
+	cmdWaiting := b.audioCmds.Pending
 	for n := int64(0); ; n++ {
-		p.SleepUntil(occam.Time(n * int64(segment.BlockDuration)))
+		tick := occam.Time(n * int64(segment.BlockDuration))
+		if active {
+			p.SleepUntil(tick)
+		} else {
+			n = int64(p.SleepGrid(tick, segment.BlockDuration, cmdWaiting)) / int64(segment.BlockDuration)
+		}
 		// Commands are taken between blocks (principle 4): "A command
 		// will be received as soon as the process has finished
 		// dealing with any current segment."
@@ -147,19 +155,18 @@ func (b *Box) runServerWriter(p *occam.Proc) {
 	}
 }
 
-// runAudioRx receives speaker-bound segments from the server link and
-// feeds the per-stream clawback buffers. Input runs "without data
-// loss as far as the decoupling buffers" — any dropping is the
-// clawback buffers' decision.
-func (b *Box) runAudioRx(p *occam.Proc) {
-	for {
-		msg := b.serverToAudio.Recv(p)
-		if b.boardDown(p, "audio") {
-			msg.W.Release()
-			continue
-		}
-		b.mix.Deliver(msg.Stream, msg.W)
+// audioDeliver is the audio board's end of the link from the server:
+// it feeds an arrived speaker-bound segment to its stream's clawback
+// buffer. Input runs "without data loss as far as the decoupling
+// buffers" — any dropping is the clawback buffers' decision. It spends
+// no virtual time and waits on nothing, so the server's runAudioOut
+// calls it when the transfer completes.
+func (b *Box) audioDeliver(p *occam.Proc, msg wireMsg) {
+	if b.boardDown(p, "audio") {
+		msg.W.Release()
+		return
 	}
+	b.mix.Deliver(msg.Stream, msg.W)
 }
 
 // runBlockHandler is the incoming side: every 2 ms it mixes one block
@@ -193,18 +200,10 @@ func (b *Box) runBlockHandler(p *occam.Proc) {
 		if b.cfg.Features.Interface {
 			cost += audioInterfaceCost
 		}
-		// Consume in slice-sized chunks: the transputer's high
-		// priority processes preempt low priority ones, so a long
-		// mixing pass must not block the outgoing side for its whole
-		// duration.
-		for cost > 0 {
-			c := cost
-			if c > 400*time.Microsecond {
-				c = 400 * time.Microsecond
-			}
-			p.Consume(c)
-			cost -= c
-		}
+		// Consume in slices: the transputer's high priority processes
+		// preempt low priority ones, so a long mixing pass must not
+		// block the outgoing side for its whole duration.
+		p.ConsumeSliced(cost, audioMixSlice)
 		b.audioStat.TicksRun++
 		if p.Now() > deadline.Add(segment.BlockDuration) {
 			b.audioStat.LateTicks++

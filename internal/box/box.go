@@ -12,8 +12,9 @@
 // multiplexed to a host log.
 //
 // A stage is a process only if it spends virtual time or must block
-// independently of its caller: 13 per box. The decoupling buffers
-// between them, the buffer allocator and the host log are passive.
+// independently of its caller: 12 per box. The decoupling buffers
+// between them, the buffer allocator, the host log and the audio
+// board's end of the link from the server are passive.
 //
 // Ownership: each box owns one segment.WirePool. Sources (mic,
 // camera) encode into it; the server switch Retains once per extra

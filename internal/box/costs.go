@@ -37,6 +37,9 @@ const (
 	audioOutgoingCost = 200 * time.Microsecond
 	// audioInterfaceCost is the interface code's per-tick share.
 	audioInterfaceCost = 250 * time.Microsecond
+	// audioMixSlice is the longest the Low-priority mixing pass holds
+	// the audio transputer before a waiting High process gets it.
+	audioMixSlice = 400 * time.Microsecond
 
 	// serverSwitchCost is the server's per-segment switching work
 	// (table lookup and one descriptor send per destination). The

@@ -371,14 +371,17 @@ func (b *Box) runCaptureIn(p *occam.Proc) {
 // runAudioOut moves speaker-bound segments over the link to the audio
 // board: the copy out of the server buffer into a pooled wire is this
 // output device's single copy (§3.4: "once out for each output
-// device"), after which the buffer index is free to recycle.
+// device"), after which the buffer index is free to recycle. The audio
+// board's receiving end is passive (audioDeliver), so the link is
+// occupied for the transfer and the segment handed over by a call.
 func (b *Box) runAudioOut(p *occam.Proc) {
 	for {
 		buf := b.outBufs[bufSpeaker].Recv(p)
 		size := buf.Payload.Len() + segment.StreamNumberSize
 		p.Consume(time.Duration(size) * serverCopyPerKB / 1024)
 		w := b.wires.Copy(buf.Payload.Bytes())
-		b.serverToAudio.Send(p, wireMsg{Stream: buf.Stream, W: w}, size)
+		b.serverToAudio.Occupy(p, size)
+		b.audioDeliver(p, wireMsg{Stream: buf.Stream, W: w})
 		b.pool.Release(p, buf)
 	}
 }

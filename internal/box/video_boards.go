@@ -70,23 +70,26 @@ func (b *Box) runCapture(p *occam.Proc) {
 	segSeq := make(map[uint32]uint32)
 	lp := video.LineParams{Shift: 1}
 	// Per-board scratch, reused every band: the framestore read
-	// rectangle, the line codec, the compressed-line list, and the
-	// packed segment data (copied on into the wire by Encode).
+	// rectangle, the line codec, the compressed-line list, the packed
+	// segment data (copied on into the wire by Encode), and the open
+	// streams in id order.
 	var (
 		rect   video.Frame
 		codec  video.Codec
 		lines  [][]byte
 		packed []byte
+		ids    []uint32
+	)
+	// Hoisted as in runMicReader: Recv overwrites cmd on every fire.
+	var (
+		cmd    captureCmd
+		guards = []occam.Guard{occam.Recv(b.captureCmds, &cmd), occam.Skip()}
 	)
 
 	for frame := 0; ; frame++ {
 		p.SleepUntil(occam.Time(int64(frame) * int64(video.FramePeriod)))
 		// Commands between frames (principles 4 and 6).
-		for {
-			var cmd captureCmd
-			if p.Alt(occam.Recv(b.captureCmds, &cmd), occam.Skip()) == 1 {
-				break
-			}
+		for p.Alt(guards...) == 0 {
 			switch {
 			case cmd.Start != nil:
 				cs := *cmd.Start
@@ -108,7 +111,8 @@ func (b *Box) runCapture(p *occam.Proc) {
 		}
 		b.framestore.WriteLines(b.camera.NextFrame(), 0, b.cfg.CameraH)
 
-		for _, id := range orderedStreamIDs(streams) {
+		ids = orderedStreamIDs(ids[:0], streams)
+		for _, id := range ids {
 			cs := streams[id]
 			if !cs.Rate.Take(frame) {
 				continue
@@ -137,8 +141,11 @@ func (b *Box) runCapture(p *occam.Proc) {
 				codec.Reset()
 				for y := 0; y < y1-y0; y++ {
 					lines = append(lines, codec.CompressLine(rect.Row(y), lp))
-					p.Consume(captureSliceCost / video.DefaultSliceLines)
 				}
+				// One request for the band's lines: no other process
+				// runs on the capture transputer, so per-line requests
+				// would be granted back to back anyway.
+				p.Consume(time.Duration(y1-y0) * (captureSliceCost / video.DefaultSliceLines))
 				packed = packLines(packed[:0], lines)
 				seg := segment.NewVideo(
 					segSeq[id], p.Now(),
@@ -160,8 +167,9 @@ func (b *Box) runCapture(p *occam.Proc) {
 	}
 }
 
-func orderedStreamIDs(m map[uint32]*CameraStream) []uint32 {
-	ids := make([]uint32, 0, len(m))
+// orderedStreamIDs appends the open streams' ids to ids in ascending
+// order.
+func orderedStreamIDs(ids []uint32, m map[uint32]*CameraStream) []uint32 {
 	for id := range m {
 		ids = append(ids, id)
 	}

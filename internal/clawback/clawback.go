@@ -206,8 +206,13 @@ type Item struct {
 // block arrival, Pop every 2 ms. Not safe for concurrent use (in
 // Pandora each buffer lives inside one Occam process).
 type Buffer struct {
-	cfg   Config
-	queue []Item
+	cfg Config
+	// The queue is a power-of-two ring: a stream in steady state holds
+	// two to four blocks and turns one over every 2 ms, all in the same
+	// storage, which Drain keeps.
+	ring []Item
+	head int // position of the oldest queued block
+	n    int // queued blocks
 
 	aboveTarget int // consecutive above-target arrivals (single-rate)
 
@@ -268,12 +273,12 @@ func (b *Buffer) Stats() Stats {
 }
 
 // Len returns the current occupancy in blocks.
-func (b *Buffer) Len() int { return len(b.queue) }
+func (b *Buffer) Len() int { return b.n }
 
 // Occupancy returns the current occupancy as audio time — the jitter
 // correction delay this stream is experiencing.
 func (b *Buffer) Occupancy() time.Duration {
-	return time.Duration(len(b.queue)) * segment.BlockDuration
+	return time.Duration(b.n) * segment.BlockDuration
 }
 
 // Push offers an arriving 2 ms block to the buffer. It returns the
@@ -291,7 +296,7 @@ func (b *Buffer) PushItem(it Item) DropReason {
 		it.W.Release()
 		return DropFault
 	}
-	if len(b.queue) >= b.cfg.LimitBlocks {
+	if b.n >= b.cfg.LimitBlocks {
 		// "we throw away samples if the buffer is above its limit
 		// when they arrive."
 		b.limit.Inc()
@@ -320,15 +325,27 @@ func (b *Buffer) PushItem(it Item) DropReason {
 		it.W.Release()
 		return DropPool
 	}
-	b.queue = append(b.queue, it)
+	if b.n == len(b.ring) {
+		b.grow()
+	}
+	b.ring[(b.head+b.n)&(len(b.ring)-1)] = it
+	b.n++
 	b.accepted.Inc()
 	return DropNone
+}
+
+// grow doubles a full ring, unwrapping it to start at position zero.
+func (b *Buffer) grow() {
+	ring := make([]Item, max(2*len(b.ring), 8))
+	k := copy(ring, b.ring[b.head:])
+	copy(ring[k:], b.ring[:b.head])
+	b.ring, b.head = ring, 0
 }
 
 // pushSingleRate runs the fixed-rate clawback check and reports
 // whether the incoming block should be dropped.
 func (b *Buffer) pushSingleRate() bool {
-	if len(b.queue) > b.cfg.TargetBlocks {
+	if b.n > b.cfg.TargetBlocks {
 		b.aboveTarget++
 		if b.aboveTarget > b.cfg.ClawCount {
 			b.aboveTarget = 0
@@ -358,19 +375,19 @@ func (b *Buffer) pushSingleRate() bool {
 // decay locks on; the steady-state decay itself matches the paper
 // (half-life ≈ 0.7 × level).
 func (b *Buffer) pushMultiRate() bool {
-	if len(b.queue) < b.minBlocks {
-		b.minBlocks = len(b.queue)
+	if b.n < b.minBlocks {
+		b.minBlocks = b.n
 	}
 	b.sinceReset++
 	product := float64(b.minBlocks) * blockSeconds * float64(b.sinceReset)
 	if product >= b.cfg.Level {
 		b.sinceReset = 0
-		b.minBlocks = len(b.queue)
+		b.minBlocks = b.n
 		return true
 	}
 	if float64(b.sinceReset) >= b.cfg.Level/blockSeconds {
 		b.sinceReset = 0
-		b.minBlocks = len(b.queue)
+		b.minBlocks = b.n
 	}
 	return false
 }
@@ -385,18 +402,26 @@ func (b *Buffer) Pop() (blk []byte, ok bool) {
 
 // PopItem takes the next block with its source timestamp.
 func (b *Buffer) PopItem() (it Item, ok bool) {
-	if len(b.queue) == 0 {
+	if b.n == 0 {
 		b.silence.Inc()
 		return Item{}, false
 	}
-	it = b.queue[0]
-	b.queue[0] = Item{}
-	b.queue = b.queue[1:]
+	it = b.take()
+	b.popped.Inc()
+	return it, true
+}
+
+// take removes and returns the oldest queued block, giving its pool
+// slot back. The queue must not be empty.
+func (b *Buffer) take() Item {
+	it := b.ring[b.head]
+	b.ring[b.head] = Item{}
+	b.head = (b.head + 1) & (len(b.ring) - 1)
+	b.n--
 	if b.cfg.Pool != nil {
 		b.cfg.Pool.give()
 	}
-	b.popped.Inc()
-	return it, true
+	return it
 }
 
 // Drain releases every queued block back to the pool (stream
@@ -404,11 +429,7 @@ func (b *Buffer) PopItem() (it Item, ok bool) {
 // empty is used to deactivate the stream, removing the clawback
 // buffer altogether").
 func (b *Buffer) Drain() {
-	for i := range b.queue {
-		b.queue[i].W.Release()
-		if b.cfg.Pool != nil {
-			b.cfg.Pool.give()
-		}
+	for b.n > 0 {
+		b.take().W.Release()
 	}
-	b.queue = nil
 }

@@ -42,6 +42,67 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
+func TestQueueKeepsOrderAndStorageAcrossWrapGrowthAndDrain(t *testing.T) {
+	pool := NewPool(0)
+	b := New(Config{Pool: pool})
+	blocks := make([][]byte, 64)
+	for i := range blocks {
+		blocks[i] = block(byte(i))
+	}
+	next, want := 0, 0
+	push := func(k int) {
+		for ; k > 0; k-- {
+			if r := b.Push(blocks[next%len(blocks)]); r != DropNone {
+				t.Fatalf("push %d dropped: %v", next, r)
+			}
+			next++
+		}
+	}
+	pop := func(k int) {
+		for ; k > 0; k-- {
+			blk, ok := b.Pop()
+			if !ok || blk[0] != byte(want%len(blocks)) {
+				t.Fatalf("pop %d: ok=%v", want, ok)
+			}
+			want++
+		}
+	}
+	push(6)
+	pop(5) // head near the end of the first ring
+	push(5)
+	if b.head+b.n <= len(b.ring) {
+		t.Fatalf("ring of %d with head %d, n %d: not wrapped", len(b.ring), b.head, b.n)
+	}
+	push(20) // grows twice while wrapped
+	pop(b.Len())
+	if b.Len() != 0 || pool.Used() != 0 {
+		t.Fatalf("emptied: %d queued, %d pool blocks held", b.Len(), pool.Used())
+	}
+
+	// The steady state — a few blocks queued, one in and one out per
+	// tick — and a drain followed by a refill touch no new storage.
+	push(3)
+	if allocs := testing.AllocsPerRun(1000, func() { push(1); pop(1) }); allocs != 0 {
+		t.Errorf("a push and a pop allocate %.1f objects at steady state", allocs)
+	}
+	ring := &b.ring[0]
+	b.Drain()
+	if b.Len() != 0 || pool.Used() != 0 {
+		t.Fatalf("drained: %d queued, %d pool blocks held", b.Len(), pool.Used())
+	}
+	for i, it := range b.ring {
+		if it.Data != nil {
+			t.Fatalf("slot %d of a drained ring still holds a block", i)
+		}
+	}
+	want = next
+	push(4)
+	pop(4)
+	if &b.ring[0] != ring {
+		t.Error("Drain gave up the queue's storage")
+	}
+}
+
 func TestBufferRidesHigherAfterUnderrun(t *testing.T) {
 	// "When the samples do eventually arrive, the buffer will fill to
 	// one block more than it would have done."

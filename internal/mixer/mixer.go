@@ -19,7 +19,7 @@ package mixer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/clawback"
 	"repro/internal/mulaw"
@@ -107,9 +107,12 @@ type Mixer struct {
 	shed      map[uint32]bool
 	shedDrops *obs.Counter
 
-	// Per-tick scratch, reused: the returned block is valid until the
-	// next Tick.
+	// out is per-tick scratch, reused: the returned block is valid
+	// until the next Tick.
 	out []byte
+	// ids lists the keys of streams in ascending order, the order of
+	// mixing: map order must not leak into audio. A stream is inserted
+	// when created and never deleted.
 	ids []uint32
 
 	// OnPlayout, if set, is called for every block played with the
@@ -223,6 +226,8 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 	if !ok {
 		s = m.newStream(id)
 		m.streams[id] = s
+		at, _ := slices.BinarySearch(m.ids, id)
+		m.ids = slices.Insert(m.ids, at, id)
 		tr.Emit(obs.EvStreamOpen, m.source(), id, "stream created")
 	} else if !s.active {
 		// "If a block arrives for a stream that does not have a
@@ -309,8 +314,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 	m.ticks++
 	var sum [segment.BlockSamples]int32
-	// Iterate deterministically: map order must not leak into audio.
-	for _, id := range m.orderedIDs() {
+	for _, id := range m.ids {
 		s := m.streams[id]
 		if !s.active {
 			continue
@@ -383,16 +387,4 @@ func fnvFold(h uint64, bs ...byte) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// orderedIDs returns the stream ids in ascending order for
-// deterministic mixing, reusing the mixer's scratch slice.
-func (m *Mixer) orderedIDs() []uint32 {
-	ids := m.ids[:0]
-	for id := range m.streams {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	m.ids = ids
-	return ids
 }

@@ -365,3 +365,32 @@ func TestMixedCountTracksConsumption(t *testing.T) {
 		t.Fatalf("Ticks = %d", m.Ticks())
 	}
 }
+
+func TestStreamsMixInIDOrderWhateverOrderTheyArrivedIn(t *testing.T) {
+	m := New(Config{})
+	var order []uint32
+	m.OnPlayout = func(id uint32, _, _ int64) { order = append(order, id) }
+	for _, id := range []uint32{30, 10, 40, 20} {
+		m.Deliver(id, seg(0, 1000, 2))
+	}
+	m.Tick(0)
+	m.Deliver(5, seg(0, 1000, 1)) // a newcomer sorts ahead of the rest
+	m.Tick(0)
+	want := []uint32{10, 20, 30, 40, 5, 10, 20, 30, 40}
+	if len(order) != len(want) {
+		t.Fatalf("played %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("played %v, want %v", order, want)
+		}
+	}
+	// The order is kept, not rebuilt: a tick over empty buffers (the
+	// streams deactivate, and stay so) allocates nothing.
+	m.OnPlayout = nil
+	m.Tick(0)
+	m.Tick(0)
+	if allocs := testing.AllocsPerRun(100, func() { m.Tick(0) }); allocs != 0 {
+		t.Errorf("a tick allocates %.1f objects", allocs)
+	}
+}

@@ -214,8 +214,9 @@ func (c *Chan[T]) TrySend(p *Proc, v T) bool {
 	return false
 }
 
-// pending reports whether a sender is waiting. Caller holds mu.
-func (c *Chan[T]) pending() bool { return len(c.sendq) > 0 }
+// Pending reports whether a sender is waiting — what a Recv guard's
+// poll tests — to a caller in scheduler context.
+func (c *Chan[T]) Pending(Sched) bool { return len(c.sendq) > 0 }
 
 // removeAlt deletes every registration belonging to a, recycling the
 // records. Caller holds mu.

@@ -61,6 +61,17 @@ func (l *Link[T]) TransferTime(size int) time.Duration {
 // then for the transfer time, then until the receiver accepts the
 // value (link DMA plus rendezvous).
 func (l *Link[T]) Send(p *Proc, v T, size int) {
+	l.Occupy(p, size)
+	l.ch.Send(p, v)
+}
+
+// Occupy is the timed half of Send: it books the link for a transfer of
+// size bytes behind any earlier ones and blocks the sender until the
+// transfer is done. A sender whose receiver is a passive structure on
+// the far board — it spends no time and waits on nothing else — hands
+// the message over by a call once Occupy returns, instead of a
+// rendezvous with a process that would only make that call.
+func (l *Link[T]) Occupy(p *Proc, size int) {
 	if size < 0 {
 		panic("occam: negative link transfer size")
 	}
@@ -76,7 +87,6 @@ func (l *Link[T]) Send(p *Proc, v T, size int) {
 	l.transfers++
 	rt.mu.Unlock()
 	p.SleepUntil(done)
-	l.ch.Send(p, v)
 }
 
 // Recv receives the next message from the link, blocking until one

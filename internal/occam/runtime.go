@@ -96,6 +96,16 @@ type Proc struct {
 	// calls: a process runs at most one alternation at a time and
 	// every registration is removed before Alt returns.
 	alt altState
+
+	// Polled wait (sched.go): while wait is set the process is parked
+	// in SleepGrid or ConsumeSliced and pick takes its turns for it.
+	// The instant a grid sleep is armed for is stTime, the slice a
+	// grant is in progress for stDur.
+	wait      waitKind
+	gridEvery time.Duration
+	gridWake  func(Sched) bool
+	sliceLeft time.Duration // still to request once the grant in progress completes
+	sliceMax  time.Duration
 }
 
 // statusText composes the diagnostic description of what the process
@@ -313,7 +323,10 @@ func (rt *Runtime) Now() Time {
 	return rt.now
 }
 
-// Switches returns the number of context switches performed so far.
+// Switches returns the number of context switches the modelled
+// schedulers have performed so far: every turn a process was given,
+// whether the process was resumed for it or, parked in a polled wait,
+// had it taken by the scheduler.
 func (rt *Runtime) Switches() uint64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -401,9 +414,13 @@ func (rt *Runtime) popRunnable() *Proc {
 }
 
 // pick chooses the next process to run, advancing the clock through
-// timer events as needed, and counts the switch to it. It returns nil
-// when nothing can run before the limit. Caller holds mu and is giving
-// up the CPU (it is parking, exiting, or is the dispatch loop).
+// timer events as needed, and counts the switch to it. A process in a
+// polled wait has its turn taken here and, unless that turn ends the
+// wait, is not returned: the turn is counted and traced like any other
+// — Switches is a statistic of the modelled transputers — but nothing
+// is resumed. pick returns nil when nothing can run before the limit.
+// Caller holds mu and is giving up the CPU (it is parking, exiting, or
+// is the dispatch loop).
 func (rt *Runtime) pick() *Proc {
 	for {
 		if p := rt.popRunnable(); p != nil {
@@ -411,6 +428,9 @@ func (rt *Runtime) pick() *Proc {
 			p.stKind = stRunning
 			if rt.Trace != nil {
 				rt.trace("run %s", p.name)
+			}
+			if p.wait != waitNone && rt.pollTurn(p) {
+				continue
 			}
 			return p
 		}

@@ -1,5 +1,10 @@
 package occam
 
+import (
+	"fmt"
+	"time"
+)
+
 // Scheduler-context primitives: the machinery that lets a subsystem be
 // *passive* — driven by timer callbacks and woken processes instead of
 // by dedicated processes of its own. A message pipeline built from
@@ -16,16 +21,25 @@ package occam
 //     without the runtime lock, may call every blocking primitive, and
 //     arms Timers with Timer.Schedule and raises Signals with
 //     Signal.Raise.
-//   - scheduler context: a Timer callback, running *inside* the
-//     scheduler with the runtime lock held. The scheduler has no
-//     goroutine of its own: its code runs in whichever context is giving
-//     up the CPU — the process that is parking or exiting, which picks
-//     its own successor, or the dispatch loop — so a callback may find
-//     itself on any process's stack. It must not block and must not
-//     call anything that re-enters the runtime (Proc methods, channel
-//     operations, Runtime.Now). It receives a Sched capability and goes
-//     through that for everything: Sched.Now, Sched.Schedule,
-//     Sched.Raise.
+//   - scheduler context: a Timer callback or a SleepGrid predicate,
+//     running *inside* the scheduler with the runtime lock held. The
+//     scheduler has no goroutine of its own: its code runs in whichever
+//     context is giving up the CPU — the process that is parking or
+//     exiting, which picks its own successor, or the dispatch loop — so
+//     a callback may find itself on any process's stack. It must not
+//     block and must not call anything that re-enters the runtime (Proc
+//     methods, channel operations, Runtime.Now). It receives a Sched
+//     capability and goes through that for everything: Sched.Now,
+//     Sched.Schedule, Sched.Raise, and the accessors that take a Sched
+//     (Chan.Pending).
+//
+// A predicate has one obligation more than a callback: it stands for
+// process code that would have run at that turn and found nothing to
+// do, so it must be exactly that code's test — read-only, a function of
+// simulation state alone, true whenever the process would have done
+// anything but go back to sleep — and it is built once per process, not
+// per call. A predicate that panics surfaces from RunUntil with its
+// process named, having unwound whichever process it ran on.
 //
 // Only one of the dispatch loop and the processes is ever executing,
 // so callback code may touch the same plain data structures processes
@@ -152,4 +166,90 @@ func (s *Signal) raiseLocked() {
 		return
 	}
 	s.set = true
+}
+
+// Polled waits. A process whose loop is "block, wake, find nothing to
+// do, block again" pays two coroutine switches per lap to run no code
+// of its own. A polled wait parks it once and has pick take each of
+// those turns in scheduler context instead, in the same run-queue
+// position with the same timers, sequence numbers, switch count and
+// trace lines the loop would have produced; the coroutine is resumed
+// only by the turn that ends the wait. The state lives in the Proc, so
+// a wait allocates nothing. SleepGrid and ConsumeSliced (node.go) are
+// the two there are.
+
+type waitKind uint8
+
+const (
+	waitNone  waitKind = iota
+	waitGrid           // SleepGrid: a timer for stTime is pending
+	waitSlice          // ConsumeSliced: sliceLeft is still to be requested
+)
+
+// pollTurn takes the turn of p, just popped by pick in a polled wait,
+// and reports whether p is parked again. Caller holds mu.
+func (rt *Runtime) pollTurn(p *Proc) bool {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("occam: process %q panicked in its polled wait: %v", p.name, r))
+		}
+	}()
+	switch p.wait {
+	case waitGrid:
+		// The timer for stTime has fired: armGrid polls that instant.
+		if !rt.armGrid(p) {
+			return false
+		}
+		p.stKind = stSleep
+	case waitSlice:
+		p.node.requestSlice(p)
+		p.stKind = stCPU
+	}
+	if rt.Trace != nil {
+		rt.trace("park %s: %s", p.name, p.statusText())
+	}
+	return true
+}
+
+// SleepGrid sleeps until the first of the instants t, t+period,
+// t+2·period, … at which wake reports true, and returns that instant:
+//
+//	for ; ; t = t.Add(period) {
+//		p.SleepUntil(t)
+//		if wake() {
+//			return t
+//		}
+//	}
+//
+// with every turn but the last taken by the scheduler (a polled wait).
+// wake runs in scheduler context under the predicate rules above.
+func (p *Proc) SleepGrid(t Time, period time.Duration, wake func(Sched) bool) Time {
+	if period <= 0 {
+		panic("occam: SleepGrid with no period")
+	}
+	rt := p.rt
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	p.stTime, p.gridEvery, p.gridWake = t, period, wake
+	if rt.armGrid(p) {
+		rt.park(p, stSleep, "")
+	}
+	return p.stTime
+}
+
+// armGrid arms p's timer for its grid instant stTime, leaving p in the
+// grid wait, and reports true; or false, the wait over, if wake ends it
+// first: like SleepUntil, an instant already reached is not slept for
+// but polled at once. Caller holds mu.
+func (rt *Runtime) armGrid(p *Proc) bool {
+	for p.stTime <= rt.now {
+		if p.gridWake(Sched{rt}) {
+			p.wait = waitNone
+			return false
+		}
+		p.stTime = p.stTime.Add(p.gridEvery)
+	}
+	rt.addTimer(p.stTime, p, nil)
+	p.wait = waitGrid
+	return true
 }
