@@ -18,6 +18,11 @@
 // non-zero if any fails:
 //
 //	pandora-sim -scenario scenarios/churn.scn
+//
+// Either kind of run can be profiled: -cpuprofile FILE samples the
+// simulation alone, from after the system is built to before the
+// results print, and -memprofile FILE writes the heap as the run
+// leaves it. Neither changes a byte of the output.
 package main
 
 import (
@@ -25,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -33,16 +40,67 @@ import (
 	"repro/internal/scenario"
 )
 
+// profiled runs fn under the profiles asked for: CPU samples of fn
+// alone into cpuPath, then the heap as fn left it into memPath. An
+// empty path asks for nothing.
+func profiled(cpuPath, memPath string, fn func() error) error {
+	stop := func() error { return nil }
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		stop = func() error {
+			pprof.StopCPUProfile()
+			return f.Close()
+		}
+	}
+	err := fn()
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	if err != nil || memPath == "" {
+		return err
+	}
+	f, err := os.Create(memPath)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // a heap profile is as of the last collection
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // runScenarioFile executes one scenario spec file and prints its
 // assertion summary — the text scenarios/golden/ pins, so it contains
 // nothing wall-clock dependent.
-func runScenarioFile(path string, stdout, stderr io.Writer) int {
+func runScenarioFile(path, cpuProfile, memProfile string, stdout, stderr io.Writer) int {
 	sc, err := scenario.Load(path)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	sum, err := scenario.Execute(sc)
+	r, err := scenario.NewRunner(sc)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer r.Close()
+	r.Start(nil)
+	var sum *scenario.Summary
+	err = profiled(cpuProfile, memProfile, func() (err error) {
+		if err = r.RunFor(sc.Duration); err == nil {
+			sum, err = r.Evaluate()
+		}
+		return err
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -62,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pandora-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	boxes := fs.Int("boxes", 3, "number of boxes in the conference")
-	seconds := fs.Int("seconds", 5, "virtual seconds to simulate")
+	seconds := fs.Int("seconds", 5, "virtual seconds to simulate (0 or more)")
 	bandwidth := fs.Int64("bandwidth", 100_000_000, "link bandwidth, bits/s")
 	loss := fs.Float64("loss", 0, "link loss rate (0..1)")
 	withVideo := fs.Bool("video", false, "also send video between the first two boxes")
@@ -77,14 +135,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	balanceBudget := fs.Int("balance-budget", 0, "with -balance: max concurrently admitted calls (0 = unlimited)")
 	fabricOn := fs.Bool("fabric", false, "mesh the conference through one cell-switched fabric instead of pairwise links")
 	scenarioPath := fs.String("scenario", "", "run a declarative scenario spec file instead of the flag-built conference")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the simulation (set-up and printing excluded) to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile, taken as the simulation ends, to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *scenarioPath != "" {
-		return runScenarioFile(*scenarioPath, stdout, stderr)
+		return runScenarioFile(*scenarioPath, *cpuProfile, *memProfile, stdout, stderr)
 	}
 	if *boxes < 2 {
 		fmt.Fprintln(stderr, "need at least 2 boxes")
+		return 1
+	}
+	if *seconds < 0 {
+		fmt.Fprintln(stderr, "need a -seconds of 0 or more")
 		return 1
 	}
 	// A bad -faults token is a usage error reported in ParseSpec's own
@@ -154,7 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "simulating %d boxes for %ds of stream time...\n", *boxes, *seconds)
 	wall := time.Now()
-	if err := r.RunFor(length); err != nil {
+	if err := profiled(*cpuProfile, *memProfile, func() error { return r.RunFor(length) }); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}

@@ -12,7 +12,8 @@ import (
 
 // TestGolden pins the binary's whole output — stdout with the one
 // wall-clock line dropped, then stderr and the exit status — for
-// fourteen flag-mode invocations recorded at commit 0bc3240.
+// fourteen flag-mode invocations recorded at commit 0bc3240, and the
+// negative -seconds that used to run the clock backwards.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct{ name, args string }{
 		{"mesh", "-boxes 4 -seconds 1 -trace 100000"},
@@ -28,20 +29,47 @@ func TestGolden(t *testing.T) {
 		{"loss-crash-degrade", "-faults loss,crash -degrade -trace 40"},
 		{"one-box", "-boxes 1"},
 		{"seconds-0", "-seconds 0"},
+		{"seconds-negative", "-boxes 2 -seconds -1"},
 		{"faults-bogus", "-faults bogus"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			code := run(strings.Fields(tc.args), &stdout, &stderr)
-			var got strings.Builder
-			for _, l := range strings.SplitAfter(stdout.String(), "\n") {
-				if !strings.HasPrefix(l, "done in ") {
-					got.WriteString(l)
-				}
-			}
-			fmt.Fprintf(&got, "--- stderr ---\n%s--- exit %d ---\n", stderr.String(), code)
-			golden.Check(t, "testdata/"+tc.name+".golden", got.String())
+			golden.Check(t, "testdata/"+tc.name+".golden", output(tc.args))
 		})
+	}
+}
+
+// output runs the binary's main on args and returns everything it
+// showed but the one wall-clock line.
+func output(args string) string {
+	var stdout, stderr bytes.Buffer
+	code := run(strings.Fields(args), &stdout, &stderr)
+	var got strings.Builder
+	for _, l := range strings.SplitAfter(stdout.String(), "\n") {
+		if !strings.HasPrefix(l, "done in ") {
+			got.WriteString(l)
+		}
+	}
+	fmt.Fprintf(&got, "--- stderr ---\n%s--- exit %d ---\n", stderr.String(), code)
+	return got.String()
+}
+
+// TestProfileFlags: both kinds of run write both profiles and print
+// what they print without them; a profile that cannot be written is an
+// error, not a silent omission.
+func TestProfileFlags(t *testing.T) {
+	for _, args := range []string{"-boxes 2 -seconds 1 -stats", "-scenario ../../scenarios/churn.scn"} {
+		cpu, mem := t.TempDir()+"/cpu.pprof", t.TempDir()+"/mem.pprof"
+		if got, want := output(args+" -cpuprofile "+cpu+" -memprofile "+mem), output(args); got != want {
+			t.Errorf("%s: output with the profile flags differs:\n%s", args, got)
+		}
+		for _, path := range []string{cpu, mem} {
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%s: profile %s not written: %v", args, path, err)
+			}
+		}
+		if got := output(args + " -cpuprofile " + t.TempDir() + "/no/such/dir/cpu.pprof"); !strings.Contains(got, "no such file") || !strings.HasSuffix(got, "--- exit 1 ---\n") {
+			t.Errorf("%s: an unwritable profile gave:\n%s", args, got)
+		}
 	}
 }
 

@@ -96,10 +96,29 @@ func (g *recvGuard[T]) disable() {
 	}
 }
 
+// guardEv is the event a time guard owns: armed by enable, cancelled
+// by disable and then skipped when its instant comes — which may be
+// after the guard's next Alt, so each enable makes its own.
+type guardEv struct{ ev *timerEv }
+
+func (g *guardEv) arm(a *altState, idx int, at Time) {
+	rt := a.p.rt
+	g.ev = &timerEv{fn: func(Sched) {
+		if !a.fired {
+			a.fired = true
+			a.chosen = idx
+			rt.ready(a.p)
+		}
+	}}
+	rt.arm(g.ev, at)
+}
+
+func (g *guardEv) disable() { g.ev.cancelled = true }
+
 // timeGuard fires at an absolute virtual time (Occam "tim ? AFTER t").
 type timeGuard struct {
 	at Time
-	ev *timerEv
+	guardEv
 }
 
 // After returns a guard that fires once the virtual clock reaches t.
@@ -107,31 +126,12 @@ func After(at Time) Guard { return &timeGuard{at: at} }
 
 func (g *timeGuard) poll(p *Proc) bool { return p.rt.now >= g.at }
 
-func (g *timeGuard) enable(a *altState, idx int) {
-	rt := a.p.rt
-	g.ev = rt.addTimer(g.at, nil, func() {
-		if !a.fired {
-			a.fired = true
-			a.chosen = idx
-			rt.ready(a.p)
-		}
-	})
-	// The guard keeps the event pointer past the fire, so the
-	// runtime must not recycle it.
-	g.ev.pinned = true
-}
-
-func (g *timeGuard) disable() {
-	if g.ev != nil {
-		g.ev.cancelled = true
-		g.ev = nil
-	}
-}
+func (g *timeGuard) enable(a *altState, idx int) { g.arm(a, idx, g.at) }
 
 // timeoutGuard fires a duration after the Alt begins.
 type timeoutGuard struct {
-	d  Time
-	ev *timerEv
+	d Time
+	guardEv
 }
 
 // Timeout returns a guard that fires d after the alternation starts
@@ -140,24 +140,7 @@ func Timeout(d Time) Guard { return &timeoutGuard{d: d} }
 
 func (g *timeoutGuard) poll(p *Proc) bool { return g.d <= 0 }
 
-func (g *timeoutGuard) enable(a *altState, idx int) {
-	rt := a.p.rt
-	g.ev = rt.addTimer(rt.now+g.d, nil, func() {
-		if !a.fired {
-			a.fired = true
-			a.chosen = idx
-			rt.ready(a.p)
-		}
-	})
-	g.ev.pinned = true
-}
-
-func (g *timeoutGuard) disable() {
-	if g.ev != nil {
-		g.ev.cancelled = true
-		g.ev = nil
-	}
-}
+func (g *timeoutGuard) enable(a *altState, idx int) { g.arm(a, idx, a.p.rt.now+g.d) }
 
 // skipGuard always fires (Occam SKIP): as the last guard it makes the
 // alternation non-blocking.

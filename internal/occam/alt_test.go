@@ -222,6 +222,33 @@ func TestAltCancelsLosingTimer(t *testing.T) {
 	}
 }
 
+func TestTimeGuardReusedWhileItsCancelledTimerIsPending(t *testing.T) {
+	// A hoisted Timeout guard that loses every Alt but the last: each
+	// lost one leaves a cancelled event queued past the next Alt.
+	rt := NewRuntime()
+	ch := NewChan[int](rt, "c")
+	rt.Go("sender", nil, Low, func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Millisecond)
+			ch.Send(p, i)
+		}
+	})
+	var timedOut Time
+	rt.Go("alter", nil, Low, func(p *Proc) {
+		var v int
+		guards := []Guard{Recv(ch, &v), Timeout(Time(5 * time.Millisecond))}
+		for p.Alt(guards...) == 0 {
+		}
+		timedOut = p.Now()
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if timedOut != Time(8*time.Millisecond) {
+		t.Fatalf("timed out at %v, want 5 ms after the third receive at 3 ms", timedOut)
+	}
+}
+
 func TestAltRepeatedOnSameChannel(t *testing.T) {
 	// A server looping on Alt over the same channels must receive
 	// every message exactly once.

@@ -2,7 +2,6 @@ package occam
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -255,81 +254,6 @@ func TestHighQueueDrainsBeforeLow(t *testing.T) {
 	sort.Strings(want) // "H.." before "L..", creation order within each
 	if strings.Join(order, " ") != strings.Join(want, " ") {
 		t.Fatalf("run order %v", order)
-	}
-}
-
-func TestTimerHeapPopsInOrderAndRecyclesUnpinned(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	rt := NewRuntime()
-	type key struct {
-		at  Time
-		seq uint64
-	}
-	var want []key
-	pinned := map[*timerEv]bool{}
-	check := func() {
-		for i, ev := range rt.timers {
-			if ev.index != i {
-				t.Fatalf("event at heap position %d records index %d", i, ev.index)
-			}
-			if i > 0 && ev.before(rt.timers[(i-1)/4]) {
-				t.Fatalf("heap position %d fires before its parent", i)
-			}
-		}
-	}
-	popAll := func() (got []key, cancelled int) {
-		for len(rt.timers) > 0 {
-			ev := rt.timers.pop()
-			check()
-			got = append(got, key{ev.at, ev.seq})
-			if ev.cancelled {
-				cancelled++
-			}
-			rt.freeTimerEv(ev)
-		}
-		return got, cancelled
-	}
-	less := func(a, b key) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
-
-	for round := 0; round < 3; round++ {
-		want = want[:0]
-		nPinned, nCancelled := 0, 0
-		for i := 0; i < 500; i++ {
-			// Few distinct instants, so seq breaks many ties.
-			ev := rt.addTimer(Time(rng.Intn(40)), nil, nil)
-			switch rng.Intn(4) {
-			case 0:
-				ev.pinned = true
-				pinned[ev] = true
-				nPinned++
-			case 1:
-				ev.cancelled = true
-				nCancelled++
-			}
-			want = append(want, key{ev.at, ev.seq})
-			check()
-		}
-		if len(rt.evFree) != 0 {
-			t.Fatalf("round %d: %d recycled events left unused by 500 pushes", round, len(rt.evFree))
-		}
-		sort.Slice(want, func(i, j int) bool { return less(want[i], want[j]) })
-		got, cancelled := popAll()
-		if len(got) != len(want) || cancelled != nCancelled {
-			t.Fatalf("popped %d events (%d cancelled), want %d (%d)", len(got), cancelled, len(want), nCancelled)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pop %d is %v, want %v", i, got[i], want[i])
-			}
-		}
-		if len(rt.evFree) != 500-nPinned {
-			t.Fatalf("round %d: %d events on the free list, want the %d unpinned", round, len(rt.evFree), 500-nPinned)
-		}
-		for _, ev := range rt.evFree {
-			if pinned[ev] {
-				t.Fatal("a pinned event was recycled")
-			}
-		}
 	}
 }
 

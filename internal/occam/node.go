@@ -141,7 +141,6 @@ func (n *Node) grantNext() {
 	n.busy = true
 	n.busyFor += req.d
 	n.grants++
-	rt := n.rt
-	ev := rt.addTimer(rt.now.Add(req.d), req.p, nil)
-	ev.grant = n
+	req.p.ev.grant = n
+	n.rt.arm(&req.p.ev, n.rt.now.Add(req.d))
 }

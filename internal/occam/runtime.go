@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -97,6 +98,10 @@ type Proc struct {
 	// every registration is removed before Alt returns.
 	alt altState
 
+	// ev is the one wake-up or grant completion the process can be
+	// parked on at a time.
+	ev timerEv
+
 	// Polled wait (sched.go): while wait is set the process is parked
 	// in SleepGrid or ConsumeSliced and pick takes its turns for it.
 	// The instant a grid sleep is armed for is stTime, the slice a
@@ -149,90 +154,122 @@ func (p *Proc) Now() Time { return p.rt.Now() }
 
 // timerEv is a pending timer: it wakes a process, completes a CPU
 // grant, or runs fn in scheduler context (fn must only touch
-// runtime-internal state). Events not referenced from outside the heap
-// (pinned == false) are recycled on a free list after firing.
+// runtime-internal state). An event belongs to what waits on it — the
+// Proc it wakes, the Timer or the time guard whose fn it runs — so
+// arming allocates nothing, and it carries no key: its place in its
+// run is its place in the firing order.
 type timerEv struct {
-	at        Time
-	seq       uint64
+	next      *timerEv // armed after this one, in the same run; nil once taken
 	p         *Proc
-	fn        func()
+	fn        func(Sched)
 	grant     *Node // non-nil: a CPU grant for p completes on this node
-	pinned    bool  // an Alt guard holds a pointer; never recycle
+	armed     bool  // queued; cleared as the event is taken to fire
 	cancelled bool
-	index     int // position in the timer heap while queued
 }
 
-// before reports whether ev fires ahead of o: earlier time first, then
-// insertion order.
-func (ev *timerEv) before(o *timerEv) bool {
-	return ev.at < o.at || (ev.at == o.at && ev.seq < o.seq)
+// timerRun is the events armed back to back for one instant, a FIFO
+// through timerEv.next. seq is that of the arming that opened it: no
+// event outside a run is armed between two of its own, so none has a
+// key between theirs and the opening key orders the whole run.
+type timerRun struct {
+	at   Time
+	seq  uint64
+	head *timerEv
 }
 
-// timerHeap is a 4-ary min-heap of pending timer events ordered by
-// (at, seq). Four children per node halve the depth of the binary heap
-// for the same compares per level, and the monomorphic sift loops keep
-// the hot path free of interface calls and boxing.
-type timerHeap []*timerEv
-
-// push inserts ev.
-func (h *timerHeap) push(ev *timerEv) {
-	*h = append(*h, ev)
-	h.up(len(*h)-1, ev)
+// timerQueue holds the pending events in (at, seq) order as a 4-ary
+// min-heap of runs, keyed in place. An event joins a run only while
+// that run is the newest, which is what keeps other keys out of it;
+// most of a simulated system shares a few clock grids, so there are
+// far fewer runs than events. Four children per node halve the depth
+// of the binary heap for the same compares per level. The sifts run on
+// the stack of whichever process is parking: they stay leaves.
+type timerQueue struct {
+	runs   []timerRun
+	tail   *timerEv // last event of the newest run; nil once that run is taken whole
+	tailAt Time
 }
 
-// pop removes and returns the earliest event. The heap must not be
-// empty.
-func (h *timerHeap) pop() *timerEv {
-	old := *h
-	n := len(old) - 1
-	top, last := old[0], old[n]
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		h.down(0, last)
+// push queues ev for (at, seq); seq must be the highest yet.
+func (q *timerQueue) push(at Time, seq uint64, ev *timerEv) {
+	if q.tail != nil && q.tailAt == at {
+		q.tail.next = ev
+		q.tail = ev
+		return
 	}
-	return top
+	q.tail, q.tailAt = ev, at
+	q.runs = append(q.runs, timerRun{at, seq, ev})
+	q.up(len(q.runs) - 1)
 }
 
-// up places ev at position i or above, moving later parents down.
-func (h timerHeap) up(i int, ev *timerEv) {
+// take removes and returns the earliest event. The queue must not be
+// empty.
+func (q *timerQueue) take() *timerEv {
+	ev := q.runs[0].head
+	ev.armed = false
+	if next := ev.next; next != nil {
+		q.runs[0].head, ev.next = next, nil
+		return ev
+	}
+	if q.tail == ev {
+		q.tail = nil
+	}
+	q.pop()
+	return ev
+}
+
+// beforeMask is all ones if r fires ahead of the key (at, seq) —
+// earlier time first, then arming order — and zero if not: the borrow
+// out of (r.at, r.seq) − (at, seq) taken as one 128-bit subtraction, no
+// time being negative.
+func (r *timerRun) beforeMask(at Time, seq uint64) uint64 {
+	_, b := bits.Sub64(r.seq, seq, 0)
+	_, b = bits.Sub64(uint64(r.at), uint64(at), b)
+	return -b
+}
+
+// up moves run i above every later ancestor.
+func (q *timerQueue) up(i int) {
+	h := q.runs
 	for i > 0 {
 		parent := (i - 1) / 4
-		pe := h[parent]
-		if !ev.before(pe) {
+		if h[i].beforeMask(h[parent].at, h[parent].seq) == 0 {
 			break
 		}
-		h[i] = pe
-		pe.index = i
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	h[i] = ev
-	ev.index = i
 }
 
-// down places ev at position i or below, moving earlier children up.
-func (h timerHeap) down(i int, ev *timerEv) {
-	n := len(h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min, me := first, h[first]
+// pop removes the first run: the last takes its place and moves below
+// every earlier descendant.
+func (q *timerQueue) pop() {
+	n := len(q.runs) - 1
+	last := q.runs[n]
+	q.runs[n].head = nil
+	q.runs = q.runs[:n]
+	if n == 0 {
+		return
+	}
+	h, i := q.runs, 0
+	for first := 1; first < n; first = 4*i + 1 {
+		min, at, seq := first, h[first].at, h[first].seq
 		for c := first + 1; c < first+4 && c < n; c++ {
-			if ce := h[c]; ce.before(me) {
-				min, me = c, ce
-			}
+			// Which child is earliest is a coin toss to a branch
+			// predictor: select under a mask instead.
+			r := &h[c]
+			m := r.beforeMask(at, seq)
+			min ^= (min ^ c) & int(m)
+			at ^= (at ^ r.at) & Time(m)
+			seq ^= (seq ^ r.seq) & m
 		}
-		if !me.before(ev) {
+		if last.beforeMask(at, seq) != 0 {
 			break
 		}
-		h[i] = me
-		me.index = i
+		h[i] = h[min]
 		i = min
 	}
-	h[i] = ev
-	ev.index = i
+	h[i] = last
 }
 
 // runq is a FIFO run queue: a power-of-two ring, so push and pop are
@@ -293,8 +330,7 @@ type Runtime struct {
 	seq      uint64
 	runqHigh runq
 	runqLow  runq
-	timers   timerHeap
-	evFree   []*timerEv // recycled timer events
+	timers   timerQueue
 	limit    Time
 	procs    map[*Proc]struct{}
 	killed   bool
@@ -359,6 +395,7 @@ func (rt *Runtime) Go(name string, node *Node, pri Priority, fn func(p *Proc)) *
 		pri:  pri,
 		seq:  rt.seq,
 	}
+	p.ev.p = p
 	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		// Every switch, either way, happens with mu held: the body
@@ -446,10 +483,11 @@ func (rt *Runtime) pick() *Proc {
 // run before the limit and true when timers fired, so the caller
 // should re-check the run queue. Caller holds mu.
 func (rt *Runtime) advanceClock() bool {
-	for len(rt.timers) > 0 && rt.timers[0].cancelled {
-		rt.freeTimerEv(rt.timers.pop())
+	q := &rt.timers
+	for len(q.runs) > 0 && q.runs[0].head.cancelled {
+		q.take()
 	}
-	if len(rt.timers) == 0 {
+	if len(q.runs) == 0 {
 		// Quiescent with no future event: completion, or the end
 		// of a bounded run, or deadlock.
 		if rt.limit != Forever && rt.limit > rt.now {
@@ -457,36 +495,36 @@ func (rt *Runtime) advanceClock() bool {
 		}
 		return false
 	}
-	next := rt.timers[0]
-	if next.at > rt.limit {
+	next := q.runs[0].at
+	if next > rt.limit {
 		rt.now = rt.limit
 		return false
 	}
-	if next.at > rt.now {
-		rt.now = next.at
+	if next > rt.now {
+		rt.now = next
 	}
-	// Fire every timer due at this instant, in insertion order.
-	for len(rt.timers) > 0 && rt.timers[0].at <= rt.now {
-		ev := rt.timers.pop()
-		if ev.cancelled {
-			rt.freeTimerEv(ev)
-			continue
-		}
+	// Fire every timer due at this instant, in arming order: run by
+	// run, and an event armed for this instant as it drains either joins
+	// the last of its runs or opens one more. Each is out of the queue
+	// before it fires, so its owner may arm it again from the callback.
+	for len(q.runs) > 0 && q.runs[0].at <= rt.now {
+		ev := q.take()
 		switch {
+		case ev.cancelled:
 		case ev.grant != nil:
 			n := ev.grant
+			ev.grant = nil
 			n.busy = false
 			rt.ready(ev.p)
 			n.grantNext()
 		case ev.fn != nil:
-			ev.fn()
-		case ev.p != nil:
+			ev.fn(Sched{rt})
+		default:
 			if rt.Trace != nil {
 				rt.trace("timer wakes %s", ev.p.name)
 			}
 			rt.ready(ev.p)
 		}
-		rt.freeTimerEv(ev)
 	}
 	return true
 }
@@ -497,32 +535,22 @@ func (rt *Runtime) trace(format string, args ...any) {
 	}
 }
 
-// addTimer inserts a timer event. Caller holds mu.
-func (rt *Runtime) addTimer(at Time, p *Proc, fn func()) *timerEv {
+// arm queues ev, which must not be pending, to fire at time at
+// (clamped to now). Caller holds mu.
+func (rt *Runtime) arm(ev *timerEv, at Time) {
+	if ev.armed {
+		owner := "a Timer"
+		if ev.p != nil {
+			owner = "process " + ev.p.name
+		}
+		panic("occam: " + owner + " armed its event while it was still pending")
+	}
 	if at < rt.now {
 		at = rt.now
 	}
 	rt.seq++
-	var ev *timerEv
-	if n := len(rt.evFree); n > 0 {
-		ev = rt.evFree[n-1]
-		rt.evFree = rt.evFree[:n-1]
-		*ev = timerEv{at: at, seq: rt.seq, p: p, fn: fn}
-	} else {
-		ev = &timerEv{at: at, seq: rt.seq, p: p, fn: fn}
-	}
-	rt.timers.push(ev)
-	return ev
-}
-
-// freeTimerEv recycles a popped event unless an Alt guard may still
-// hold a pointer to it (pinned). Caller holds mu.
-func (rt *Runtime) freeTimerEv(ev *timerEv) {
-	if ev.pinned {
-		return
-	}
-	ev.p, ev.fn, ev.grant = nil, nil, nil
-	rt.evFree = append(rt.evFree, ev)
+	ev.armed, ev.cancelled = true, false
+	rt.timers.push(at, rt.seq, ev)
 }
 
 // park blocks the calling process until another process or a timer
@@ -540,7 +568,7 @@ func (rt *Runtime) park(p *Proc, kind statusKind, name string) {
 	// Self-handoff fast path: when the next process to run is the one
 	// parking (its own timer fired during the clock advance, or it was
 	// readied before parking), skip the coroutine switch entirely — the
-	// paced-loop case (sleep, wake, sleep...) costs two heap operations.
+	// paced-loop case (sleep, wake, sleep...) costs two queue operations.
 	next := rt.pick()
 	if next != p {
 		rt.handoff = next
@@ -565,7 +593,8 @@ func (rt *Runtime) RunFor(d time.Duration) error {
 // RunUntil drives the simulation until virtual time t. It returns when
 // the system is quiescent with no event before t (clock set to t),
 // when every process has exited (nil), or on deadlock (a
-// *DeadlockError). It may be called repeatedly with increasing t.
+// *DeadlockError). It may be called repeatedly with increasing t; a t
+// already past runs nothing, for the clock never goes back.
 func (rt *Runtime) RunUntil(t Time) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -574,6 +603,9 @@ func (rt *Runtime) RunUntil(t Time) error {
 	}
 	if rt.killed {
 		return errors.New("occam: runtime has been shut down")
+	}
+	if t < rt.now {
+		return nil
 	}
 	rt.running = true
 	rt.limit = t
@@ -594,7 +626,7 @@ func (rt *Runtime) RunUntil(t Time) error {
 	// that goes quiescent early (server processes parked waiting for
 	// input that will arrive in a later RunUntil) is a normal outcome.
 	// An unbounded run only stops with the run queues and the timer
-	// heap empty, so any process left is blocked for good.
+	// queue empty, so any process left is blocked for good.
 	if t == Forever && len(rt.procs) > 0 {
 		return &DeadlockError{Now: rt.now, Procs: rt.procDump()}
 	}
@@ -656,7 +688,7 @@ func (p *Proc) SleepUntil(t Time) {
 	if t <= rt.now {
 		return
 	}
-	rt.addTimer(t, p, nil)
+	rt.arm(&p.ev, t)
 	p.stTime = t
 	rt.park(p, stSleep, "")
 }

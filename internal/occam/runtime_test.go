@@ -127,6 +127,30 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 	}
 }
 
+func TestRunUntilAPastLimitLeavesTheClockAndTheTimersAlone(t *testing.T) {
+	rt := NewRuntime()
+	defer rt.Shutdown()
+	ms := Time(time.Millisecond)
+	var woke []Time
+	rt.Go("p", nil, Low, func(p *Proc) {
+		for _, at := range []Time{10 * ms, 12 * ms} {
+			p.SleepUntil(at)
+			woke = append(woke, p.Now())
+		}
+	})
+	for _, limit := range []Time{10 * ms, 5 * ms, 0} {
+		if err := rt.RunUntil(limit); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Now() != 10*ms || len(woke) != 1 || checkTimerQueue(t, &rt.timers) != 1 {
+			t.Fatalf("after RunUntil(%v): clock at %v, woken at %v", limit, rt.Now(), woke)
+		}
+	}
+	if err := rt.Run(); err != nil || rt.Now() != 12*ms || len(woke) != 2 {
+		t.Fatalf("ran on to %v, woken at %v: %v", rt.Now(), woke, err)
+	}
+}
+
 func TestRunForIsRelative(t *testing.T) {
 	rt := NewRuntime()
 	rt.Go("ticker", nil, Low, func(p *Proc) {

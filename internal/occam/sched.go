@@ -9,7 +9,7 @@ import (
 // *passive* — driven by timer callbacks and woken processes instead of
 // by dedicated processes of its own. A message pipeline built from
 // processes pays one park/wake cycle per rendezvous; built from a
-// Timer chain it pays one heap operation per paced step and nothing at
+// Timer chain it pays one queue operation per paced step and nothing at
 // all for the zero-time bookkeeping in between. The fabric's crossbar
 // and the ATM link transmitters use these to keep their virtual-time
 // behaviour while shedding almost all of their scheduling cost.
@@ -58,7 +58,7 @@ func (s Sched) Now() Time { return s.rt.now }
 
 // Schedule arms tm to fire at time t (clamped to now). Panics if tm is
 // already armed.
-func (s Sched) Schedule(tm *Timer, t Time) { tm.scheduleLocked(t) }
+func (s Sched) Schedule(tm *Timer, t Time) { tm.rt.arm(&tm.ev, t) }
 
 // Raise raises sig from scheduler context.
 func (s Sched) Raise(sig *Signal) { sig.raiseLocked() }
@@ -66,25 +66,18 @@ func (s Sched) Raise(sig *Signal) { sig.raiseLocked() }
 // Timer is a reusable scheduler-context callback: when armed, its
 // function runs at the scheduled virtual instant, interleaved with
 // process wake-ups in (time, arming-order) sequence. A Timer owns its
-// heap event, so re-arming allocates nothing. One Timer is one pending
+// event, so re-arming allocates nothing. One Timer is one pending
 // event: it must not be armed again until it has fired (the callback
 // itself may re-arm, which is how paced chains self-perpetuate).
 type Timer struct {
-	rt     *Runtime
-	ev     timerEv
-	active bool
+	rt *Runtime
+	ev timerEv
 }
 
 // NewTimer returns an unarmed timer whose callback is fn. fn runs in
 // scheduler context — see the package rules above.
 func NewTimer(rt *Runtime, fn func(s Sched)) *Timer {
-	tm := &Timer{rt: rt}
-	tm.ev.pinned = true // owned here; never recycled onto the free list
-	tm.ev.fn = func() {
-		tm.active = false
-		fn(Sched{rt})
-	}
-	return tm
+	return &Timer{rt: rt, ev: timerEv{fn: fn}}
 }
 
 // Schedule arms the timer to fire at time t (clamped to now). Call
@@ -93,28 +86,13 @@ func NewTimer(rt *Runtime, fn func(s Sched)) *Timer {
 func (tm *Timer) Schedule(t Time) {
 	rt := tm.rt
 	rt.mu.Lock()
-	defer rt.mu.Unlock() // scheduleLocked panics on an armed timer
-	tm.scheduleLocked(t)
+	defer rt.mu.Unlock() // arm panics on an armed timer
+	rt.arm(&tm.ev, t)
 }
 
 // Active reports whether the timer is armed. Call from process
 // context, or on scheduler-context state the caller already owns.
-func (tm *Timer) Active() bool { return tm.active }
-
-func (tm *Timer) scheduleLocked(t Time) {
-	rt := tm.rt
-	if tm.active {
-		panic("occam: Timer scheduled while already armed")
-	}
-	if t < rt.now {
-		t = rt.now
-	}
-	rt.seq++
-	tm.ev.at, tm.ev.seq = t, rt.seq
-	tm.ev.cancelled = false
-	tm.active = true
-	rt.timers.push(&tm.ev)
-}
+func (tm *Timer) Active() bool { return tm.ev.armed }
 
 // Signal is a single-waiter level-triggered wakeup: the bridge from
 // scheduler context back to a blocked process. Raise while a process
@@ -249,7 +227,7 @@ func (rt *Runtime) armGrid(p *Proc) bool {
 		}
 		p.stTime = p.stTime.Add(p.gridEvery)
 	}
-	rt.addTimer(p.stTime, p, nil)
+	rt.arm(&p.ev, p.stTime)
 	p.wait = waitGrid
 	return true
 }

@@ -388,8 +388,8 @@ func (r *Runner) Close() {
 	}
 }
 
-// Execute is the one-call form used by binaries: validate, run to
-// completion, evaluate assertions, return the summary.
+// Execute is the one-call form: validate, run to completion, evaluate
+// assertions, return the summary.
 func Execute(sc *Scenario) (*Summary, error) {
 	r, err := NewRunner(sc)
 	if err != nil {
