@@ -227,10 +227,12 @@ func (f *Fabric) Route(now occam.Time, vci uint32, to *Port, video bool) {
 	r := &route{out: to, video: video, opened: now}
 	f.routes[vci] = r
 	if vci < routeTabMax {
-		if int(vci) >= len(f.routeTab) {
-			tab := make([]*route, vci+1, (vci+1)*2)
+		if n := int(vci) + 1; n > cap(f.routeTab) {
+			tab := make([]*route, n, 2*n)
 			copy(tab, f.routeTab)
 			f.routeTab = tab
+		} else if n > len(f.routeTab) {
+			f.routeTab = f.routeTab[:n] // never written past len: still nil
 		}
 		f.routeTab[vci] = r
 	}

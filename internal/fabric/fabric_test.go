@@ -234,3 +234,32 @@ func TestFabricDeterministicReplay(t *testing.T) {
 		t.Fatalf("replay diverged: %#x vs %#x", a, b)
 	}
 }
+
+// TestRouteTableGrowsByDoubling pins the dense table's growth: rising
+// VCIs use the capacity the last growth left instead of reallocating
+// the table per route (n²/2 pointers of garbage for n circuits), and a
+// slot exposed by growing into spare capacity is unrouted.
+func TestRouteTableGrowsByDoubling(t *testing.T) {
+	r := newRig(t, 2, Config{})
+	const n = 4000
+	grown := 0
+	for vci := uint32(1); vci <= n; vci += 2 { // odd VCIs only: the even ones stay holes
+		before := cap(r.fab.routeTab)
+		r.fab.Route(0, vci, r.fab.Port(1), false)
+		if cap(r.fab.routeTab) != before {
+			grown++
+		}
+	}
+	if grown > 12 { // log2(4000)
+		t.Fatalf("routing %d rising VCIs reallocated the table %d times", n/2, grown)
+	}
+	for vci := uint32(1); vci <= n; vci++ {
+		if got := r.fab.lookup(vci) != nil; got != (vci%2 == 1) {
+			t.Fatalf("VCI %d: routed = %v", vci, got)
+		}
+	}
+	r.fab.Unroute(n - 1)
+	if r.fab.lookup(n-1) != nil {
+		t.Fatalf("VCI %d still routed after Unroute", n-1)
+	}
+}

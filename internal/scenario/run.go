@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/atm"
@@ -59,15 +62,36 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	return &Runner{Spec: sc, FaultSpec: fs, Streams: make(map[string]*core.Stream)}, nil
 }
 
+// building serialises Start's use of the process-wide collector
+// setting.
+var building sync.Mutex
+
 // Start builds the system and spawns every process, including the
 // timeline, without advancing virtual time. then, when non-nil, runs
 // inside the timeline control process after the last event — the hook
 // measurement probes use to share the timeline's schedule.
+//
+// The collector is off while the system is built and runs once when it
+// stands. Most of what a build allocates stays live, so the cycles the
+// pacer would start at each doubling of the heap free little, and where
+// the last of them lands is decided by timing: early, or in the run's
+// first instants with its goal set from a heap still full of the
+// builder's garbage — after which the Go runtime spends the run's first
+// second returning that garbage to the OS in the background. One
+// collection at a fixed point gives every run of a spec the same heap
+// goal to start from.
 func (r *Runner) Start(then func(p *occam.Proc)) {
 	if r.started {
 		panic("scenario: Start called twice")
 	}
 	r.started = true
+	building.Lock()
+	gcPercent := debug.SetGCPercent(-1)
+	defer func() {
+		debug.SetGCPercent(gcPercent)
+		building.Unlock()
+		runtime.GC()
+	}()
 	sc := r.Spec
 	s := core.NewSystem()
 	r.Sys = s

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -178,5 +180,36 @@ assert copies-max s 1
 	// s feeds v1, v1 feeds v2 and v3: the crashed leaf alone is excluded.
 	if checked, mismatched, excluded := r.Survivors(before); checked != 2 || mismatched != 0 || excluded != 1 {
 		t.Errorf("survivors: %d checked, %d mismatched, %d excluded; want 2, 0, 1", checked, mismatched, excluded)
+	}
+}
+
+// TestStartCollectsOnce pins the collector schedule of a build: none
+// while Start builds, however much it allocates, exactly one when the
+// system stands, and the caller's GC percent back in place.
+func TestStartCollectsOnce(t *testing.T) {
+	r, err := NewRunner(MustParse(`scenario build-gc
+duration 100ms
+box v[001..150]
+fabric f portbw=155M
+attach f v[001..150]
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const percent = 37
+	defer debug.SetGCPercent(debug.SetGCPercent(percent))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.Start(nil)
+	runtime.ReadMemStats(&after)
+	defer r.Close()
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb < 8 {
+		t.Fatalf("the build allocated %d MB: too little for the pacer to have started a cycle on its own", mb)
+	}
+	if n := after.NumGC - before.NumGC; n != 1 {
+		t.Errorf("%d collections across Start, want 1", n)
+	}
+	if got := debug.SetGCPercent(percent); got != percent {
+		t.Errorf("GC percent after Start = %d, want %d", got, percent)
 	}
 }
