@@ -11,7 +11,10 @@
 // requests, and the requesting processes will be descheduled by the
 // usual channel synchronisation mechanism until the allocator is ready
 // to receive again. The allocator reports this (serious) fault on its
-// report channel so that it can be logged."
+// report channel so that it can be logged." A request is GetInto, which
+// has the granting Release write the buffer where the requester said —
+// so a stackless requester (occam.GoStep) can be descheduled too — or
+// Get, its form for a caller with a stack to return the buffer on.
 //
 // Reference-count protocol (§3.4): a process must inform the
 // allocator when it finishes with a buffer without passing it on
@@ -81,16 +84,16 @@ type refChange struct {
 	Delta int
 }
 
-// waiter is one process blocked in Get while the pool is dry: the
-// signal it sleeps on, and the slot the granting Release fills before
-// raising it. Waiter records are recycled through a free list.
+// waiter is one process blocked in GetInto while the pool is dry: the
+// signal it sleeps on, and where the granting Release puts the buffer
+// before raising it.
 type waiter struct {
 	sig *occam.Signal
-	buf *Buffer
+	dst **Buffer
 }
 
 // Pool is the allocator handle. Create with New, then call
-// Get/Retain/Release from Occam processes.
+// Get or GetInto, Retain and Release from Occam processes.
 //
 // The allocator is passive: grants and reference-count changes are
 // zero-virtual-time bookkeeping, so they run inline in the calling
@@ -110,10 +113,10 @@ type Pool struct {
 	cmd     *occam.Chan[struct{}] // report request
 	reports *occam.Chan[Report]
 
-	// waiters are processes descheduled in Get, FIFO. waiterFree
-	// recycles waiter records (and their signals).
-	waiters    []*waiter
-	waiterFree []*waiter
+	// waiters are processes descheduled in GetInto, FIFO. sigFree
+	// recycles their signals.
+	waiters []waiter
+	sigFree []*occam.Signal
 
 	wasStarved  bool
 	starvations uint64
@@ -205,40 +208,52 @@ func (pl *Pool) applyRefChange(ch refChange) {
 	}
 }
 
-// Get obtains an empty buffer. While none are free the requesting
-// process is descheduled ("by the usual channel synchronisation
-// mechanism") until a Release frees one; blocked requesters are served
-// oldest first.
+// GetInto obtains an empty buffer into *dst. While none are free the
+// requesting process is descheduled ("by the usual channel
+// synchronisation mechanism") until a Release frees one; blocked
+// requesters are served oldest first. The Release that ends the wait
+// writes *dst itself, so a stackless process parked here finds its
+// buffer there at its next turn; dst must stay valid until then.
+func (pl *Pool) GetInto(p *occam.Proc, dst **Buffer) {
+	if len(pl.free) > 0 && len(pl.waiters) == 0 {
+		*dst = pl.grant(p)
+		return
+	}
+	var sig *occam.Signal
+	if n := len(pl.sigFree); n > 0 {
+		sig, pl.sigFree = pl.sigFree[n-1], pl.sigFree[:n-1]
+	} else {
+		sig = occam.NewSignal(pl.rt, "alloc.wait")
+	}
+	pl.waiters = append(pl.waiters, waiter{sig, dst})
+	sig.Wait(p)
+}
+
+// Get obtains an empty buffer: GetInto for a process with a stack to
+// return it on. Only a starved Get has a waiter to give an address to,
+// so only that one pays for a local the granting Release can reach.
 func (pl *Pool) Get(p *occam.Proc) *Buffer {
 	if len(pl.free) > 0 && len(pl.waiters) == 0 {
 		return pl.grant(p)
 	}
-	var w *waiter
-	if n := len(pl.waiterFree); n > 0 {
-		w = pl.waiterFree[n-1]
-		pl.waiterFree = pl.waiterFree[:n-1]
-	} else {
-		w = &waiter{sig: occam.NewSignal(pl.rt, "alloc.wait")}
-	}
-	pl.waiters = append(pl.waiters, w)
-	w.sig.Wait(p)
-	buf := w.buf
-	w.buf = nil
-	pl.waiterFree = append(pl.waiterFree, w)
+	p.NeedsStack("Pool.Get", "a dry pool")
+	var buf *Buffer
+	pl.GetInto(p, &buf)
 	return buf
 }
 
 // wakeWaiter hands a newly freed buffer to the longest-waiting
 // requester. The grant bookkeeping runs here, in the releasing
-// process, so the freed buffer cannot be stolen before the woken
-// requester runs.
+// process, and the buffer is in the requester's hands before it is
+// woken, so it cannot be stolen before the woken requester runs.
 func (pl *Pool) wakeWaiter(p *occam.Proc) {
 	w := pl.waiters[0]
 	copy(pl.waiters, pl.waiters[1:])
-	pl.waiters[len(pl.waiters)-1] = nil
+	pl.waiters[len(pl.waiters)-1] = waiter{}
 	pl.waiters = pl.waiters[:len(pl.waiters)-1]
-	w.buf = pl.grant(p)
+	*w.dst = pl.grant(p)
 	w.sig.Raise()
+	pl.sigFree = append(pl.sigFree, w.sig) // a raise that wakes leaves nothing latched
 }
 
 // Retain adds extra references before a buffer descriptor is sent to

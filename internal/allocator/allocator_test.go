@@ -2,6 +2,7 @@ package allocator
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -304,4 +305,84 @@ func TestSizeAndInvalidPool(t *testing.T) {
 		}
 	}()
 	New(occam.NewRuntime(), nil, 0, nil)
+}
+
+func TestStarvedRequestersAreGrantedInOrderAndCannotBeRobbed(t *testing.T) {
+	// The pool is dry when a coroutine's Get and then a stackless
+	// process's GetInto queue for it. Two Releases in one turn serve them
+	// in that order, and each buffer is in its requester's hands when the
+	// Release returns: a High thief woken in between, which runs before
+	// either requester does, finds nothing to take.
+	rt := occam.NewRuntime()
+	pl := New(rt, nil, 2, nil)
+	var (
+		a, b, first, second, stolen *Buffer
+		order                       []string
+	)
+	thiefSig := occam.NewSignal(rt, "thief")
+	rt.Go("hog", nil, occam.Low, func(p *occam.Proc) {
+		a, b = pl.Get(p), pl.Get(p)
+		p.Sleep(10 * time.Millisecond)
+		pl.Release(p, a)
+		if second != nil {
+			t.Error("the first Release served the second requester")
+		}
+		pl.Release(p, b)
+		if second != b {
+			t.Errorf("after the second Release the stackless requester holds %v, want buffer %d", second, b.Index)
+		}
+		thiefSig.Raise()
+	})
+	rt.Go("first", nil, occam.Low, func(p *occam.Proc) {
+		p.Sleep(time.Millisecond)
+		first = pl.Get(p)
+		order = append(order, "first")
+	})
+	asked := false
+	rt.GoStep("second", nil, occam.Low, func(p *occam.Proc) {
+		switch {
+		case p.Now() == 0:
+			p.Sleep(2 * time.Millisecond)
+		case !asked:
+			asked = true
+			pl.GetInto(p, &second)
+			if !p.Parked() {
+				t.Error("GetInto on a dry pool did not park")
+			}
+		default:
+			order = append(order, "second")
+		}
+	})
+	rt.Go("thief", nil, occam.High, func(p *occam.Proc) {
+		thiefSig.Wait(p)
+		order = append(order, "thief")
+		stolen = pl.Get(p)
+	})
+	run(t, rt, time.Second)
+	if first != a || second != b || stolen != nil {
+		t.Errorf("first holds %v, second %v, the thief %v; want buffers %d, %d and nothing", first, second, stolen, a.Index, b.Index)
+	}
+	if got := fmt.Sprint(order); got != "[thief first second]" {
+		t.Errorf("ran in order %s, want [thief first second]", got)
+	}
+}
+
+func TestGetWouldParkAStacklessProcessPanicsByName(t *testing.T) {
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	pl := New(rt, nil, 1, nil)
+	var held *Buffer
+	rt.GoStep("taker", nil, occam.Low, func(p *occam.Proc) {
+		held = pl.Get(p) // a free buffer: an ordinary call
+		pl.Get(p)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		rt.Run()
+	}()
+	want := `occam: process "taker" panicked: occam: Pool.Get on a dry pool would park stackless process "taker", which it could not return to`
+	if got != want || held == nil {
+		t.Errorf("Run panicked with %v holding %v\nwant %s, after one grant", got, held, want)
+	}
 }

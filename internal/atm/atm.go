@@ -161,8 +161,9 @@ type LinkStats struct {
 // each transmission is one occam.Timer event, and link-to-link
 // forwarding happens directly in the transmission-end callback. Only
 // delivery to a host — which must be able to block on the host's Rx —
-// runs in a process, one per link, woken by a Signal when a
-// transmission ends at a host hop.
+// runs in a process, one per link and stackless (occam.GoStep calling
+// stepDeliver), woken by a Signal when a transmission ends at a host
+// hop.
 type Link struct {
 	rt   *occam.Runtime
 	nm   string
@@ -187,6 +188,7 @@ type Link struct {
 	dlvm    Message // message awaiting host delivery
 	dlvHost *Host
 	dlvSig  *occam.Signal
+	dlvAt   int // where stepDeliver resumes
 }
 
 // NewLink creates a link and starts its delivery process.
@@ -205,7 +207,7 @@ func NewLink(rt *occam.Runtime, name string, cfg LinkConfig) *Link {
 	}
 	l.txTimer = occam.NewTimer(rt, l.txDone)
 	l.dlvSig = occam.NewSignal(rt, name+".deliver")
-	rt.Go(name+".tx", nil, occam.High, l.runDeliver)
+	rt.GoStep(name+".tx", nil, occam.High, l.stepDeliver)
 	return l
 }
 
@@ -379,19 +381,39 @@ func (l *Link) txDone(s occam.Sched) {
 	}
 }
 
-// runDeliver is the link's one process: it hands messages to their
-// destination host — the only hop that may block, on the host's Rx —
-// and restarts the transmitter when the delivery completes.
-func (l *Link) runDeliver(p *occam.Proc) {
+// Where stepDeliver resumes.
+const (
+	dlvIdle  = iota // wait for txDone to leave a message in dlvm
+	dlvOffer        // offer it to its host
+	dlvTaken        // the host has it: restart the transmitter
+)
+
+// stepDeliver is the link's one process, a stackless one: it hands
+// messages to their destination host — the only hop that may block, on
+// the host's Rx — and restarts the transmitter when the delivery
+// completes.
+func (l *Link) stepDeliver(p *occam.Proc) {
 	for {
-		l.dlvSig.Wait(p)
-		m, h := l.dlvm, l.dlvHost
-		l.dlvm, l.dlvHost = Message{}, nil
-		h.Deliver(p, m)
-		if len(l.queue) > 0 {
-			l.txTimer.Schedule(l.popTx(p.Now()))
-		} else {
-			l.txBusy = false
+		switch l.dlvAt {
+		case dlvIdle:
+			l.dlvAt = dlvOffer
+			if l.dlvSig.Wait(p); p.Parked() {
+				return
+			}
+		case dlvOffer:
+			m, h := l.dlvm, l.dlvHost
+			l.dlvm, l.dlvHost = Message{}, nil
+			l.dlvAt = dlvTaken
+			if h.Deliver(p, m); p.Parked() {
+				return
+			}
+		case dlvTaken:
+			if len(l.queue) > 0 {
+				l.txTimer.Schedule(l.popTx(p.Now()))
+			} else {
+				l.txBusy = false
+			}
+			l.dlvAt = dlvIdle
 		}
 	}
 }

@@ -27,131 +27,220 @@ func (b *Box) startAudio() {
 	rt, name := b.rt, b.cfg.Name
 	b.micOutBuf = decouple.New[wireMsg](rt, name+".micbuf", 8, b.cfg.Obs)
 
-	rt.Go(name+".micReader", b.audioNode, occam.High, b.runMicReader)
-	rt.Go(name+".serverWriter", b.audioNode, occam.High, b.runServerWriter)
-	rt.Go(name+".blockHandler", b.audioNode, occam.Low, b.runBlockHandler)
+	rt.GoStep(name+".micReader", b.audioNode, occam.High, newMicReader(b).step)
+	rt.GoStep(name+".serverWriter", b.audioNode, occam.High, (&serverWriter{b: b}).step)
+	rt.GoStep(name+".blockHandler", b.audioNode, occam.Low, (&blockHandler{b: b, n: 1}).step)
 }
 
-// runMicReader is the outgoing side of the block handler: every 2 ms
-// it takes the codec block, applies muting, and batches blocks into
+// The audio board's processes are stackless (occam.GoStep): each is a
+// struct holding what its loop would keep in locals, and at, the wait
+// its step function resumes after. A step sets at before it calls the
+// primitive that may wait, and returns if that parked the process.
+
+// micReader is the outgoing side of the block handler: every 2 ms it
+// takes the codec block, applies muting, and batches blocks into
 // segments for the server writer. Segments are stamped "as close as
 // possible to the data source" (§3.2).
-func (b *Box) runMicReader(p *occam.Proc) {
+type micReader struct {
+	b  *Box
+	at int // micSleep, micGridWoke, micWoke or micCharged
+	n  int64
+
 	// The accumulating segment is built in place: blocks are filled
 	// directly into the tail of a reused sample buffer (for sources
 	// implementing workload.BlockFiller) and the Audio header is reset
 	// around it per segment. WirePool.Encode copies the bytes out, so
 	// both are recycled immediately after the single encode.
-	filler, _ := b.cfg.Mic.(workload.BlockFiller)
-	var (
-		stream  uint32
-		active  bool
-		adata   []byte // accumulated samples of the segment being built
-		nblocks int
-		aseg    segment.Audio
-		stampAt occam.Time
-		seq     uint32
-		perSeg  = b.cfg.BlocksPerSegment
-	)
-	// The guard slice is hoisted: Recv overwrites cmd wholesale on
-	// every fire, so the variable can be reused across iterations.
-	var (
-		cmd    audioCmd
-		guards = []occam.Guard{occam.Recv(b.audioCmds, &cmd), occam.Skip()}
-	)
+	filler  workload.BlockFiller
+	stream  uint32
+	active  bool
+	adata   []byte // accumulated samples of the segment being built
+	nblocks int
+	aseg    segment.Audio
+	stampAt occam.Time
+	seq     uint32
+	perSeg  int
+
+	// The guard slice is built once: Recv overwrites cmd wholesale on
+	// every fire, so the variable can be reused across ticks.
+	cmd    audioCmd
+	guards []occam.Guard
 	// A closed microphone's tick does nothing but poll for a command, so
 	// it sleeps through the ticks that would find none: the scheduler
-	// takes those turns, asking what the Recv guard below would.
-	cmdWaiting := b.audioCmds.Pending
-	for n := int64(0); ; n++ {
-		tick := occam.Time(n * int64(segment.BlockDuration))
-		if active {
-			p.SleepUntil(tick)
-		} else {
-			n = int64(p.SleepGrid(tick, segment.BlockDuration, cmdWaiting)) / int64(segment.BlockDuration)
-		}
-		// Commands are taken between blocks (principle 4): "A command
-		// will be received as soon as the process has finished
-		// dealing with any current segment."
-		for p.Alt(guards...) == 0 {
-			switch {
-			case cmd.StartMic != nil:
-				stream, active, seq = *cmd.StartMic, true, 0
-				nblocks = 0
-				b.trace.Emit(obs.EvStreamOpen, b.cfg.Name+".mic", stream, "mic started")
-			case cmd.StopMic:
-				active = false
-				b.trace.Emit(obs.EvStreamClose, b.cfg.Name+".mic", stream, "mic stopped")
-			}
-			if cmd.SetBlocks > 0 && cmd.SetBlocks <= segment.MaxBlocksPerSegment {
-				perSeg = cmd.SetBlocks
-				nblocks = 0
-				b.trace.Emit(obs.EvReconfig, b.cfg.Name+".mic", stream,
-					"blocks-per-segment changed")
-			}
-		}
-		if !active {
-			continue
-		}
-		p.Consume(audioOutgoingCost)
-		if nblocks == 0 {
-			// Stamp at the first sample's entry to the codec — the
-			// start of this block's 2 ms sampling window — so
-			// measured latency is mouth-to-ear like the paper's 8 ms
-			// figure (§4.2). The codec samples on its own hardware
-			// clock, so the window start is the nominal tick, not the
-			// (contention-dependent) instant this process got
-			// scheduled; stamping nominally also charges any software
-			// delay at the source to the measured latency instead of
-			// hiding it.
-			stampAt = occam.Time((n - 1) * int64(segment.BlockDuration))
-			adata = adata[:0]
-		}
-		var blk []byte
-		if filler != nil {
-			if cap(adata) < len(adata)+segment.BlockSamples {
-				adata = append(adata, make([]byte, segment.BlockSamples)...)
+	// takes those turns, asking what the Recv guard would.
+	cmdWaiting func(occam.Sched) bool
+}
+
+const (
+	micSleep    = iota // about to sleep until tick n
+	micGridWoke        // a closed microphone's grid sleep has ended, at the tick it names
+	micWoke            // at tick n: commands, then the block's charge
+	micCharged         // the block's CPU is spent: take it
+)
+
+func newMicReader(b *Box) *micReader {
+	m := &micReader{b: b, perSeg: b.cfg.BlocksPerSegment, cmdWaiting: b.audioCmds.Pending}
+	m.filler, _ = b.cfg.Mic.(workload.BlockFiller)
+	m.guards = []occam.Guard{occam.Recv(b.audioCmds, &m.cmd), occam.Skip()}
+	return m
+}
+
+func (m *micReader) step(p *occam.Proc) {
+	for {
+		switch m.at {
+		case micSleep:
+			tick := occam.Time(m.n * int64(segment.BlockDuration))
+			if m.active {
+				m.at = micWoke
+				p.SleepUntil(tick)
 			} else {
-				adata = adata[:len(adata)+segment.BlockSamples]
+				m.at = micGridWoke
+				if tick = p.SleepGrid(tick, segment.BlockDuration, m.cmdWaiting); !p.Parked() {
+					m.n, m.at = int64(tick)/int64(segment.BlockDuration), micWoke
+				}
 			}
-			blk = adata[len(adata)-segment.BlockSamples:]
-			filler.FillBlock(blk)
-		} else {
-			blk = b.cfg.Mic.NextBlock()
-		}
-		if b.cfg.Features.Muting {
-			b.muter.ApplyMic(int64(p.Now()), blk)
-		}
-		if filler == nil {
-			adata = append(adata, blk...)
-		}
-		nblocks++
-		b.audioStat.MicBlocks++
-		if nblocks >= perSeg {
-			// The single encode at the capture source (§3.4): from here
-			// to the output device only the wire descriptor moves.
-			w := b.wires.Encode(aseg.Reset(seq, stampAt, adata))
-			seq++
-			nblocks = 0
-			if !b.micOutBuf.Deliver(p, wireMsg{Stream: stream, W: w}) {
-				// Back pressure reached the source: throw away data
-				// here, closest to the codec (§3.7.1).
-				w.Release()
-				b.audioStat.MicDrops++
-				b.trace.Emit(obs.EvDrop, b.cfg.Name+".mic", stream, "mic-backpressure")
-			} else {
-				b.audioStat.MicSegs++
+			if p.Parked() {
+				return
 			}
+		case micGridWoke:
+			// The turn that ends a grid sleep is taken at its instant.
+			m.n, m.at = int64(p.Now())/int64(segment.BlockDuration), micWoke
+		case micWoke:
+			// Commands are taken between blocks (principle 4): "A command
+			// will be received as soon as the process has finished
+			// dealing with any current segment."
+			for p.Alt(m.guards...) == 0 {
+				m.command()
+			}
+			if !m.active {
+				m.n, m.at = m.n+1, micSleep
+				continue
+			}
+			m.at = micCharged
+			if p.Consume(audioOutgoingCost); p.Parked() {
+				return
+			}
+		case micCharged:
+			m.block(p)
+			m.n, m.at = m.n+1, micSleep
 		}
 	}
 }
 
-// runServerWriter drains the audio board's decoupling buffer over the
+// command applies the audio command just received.
+func (m *micReader) command() {
+	b, cmd := m.b, &m.cmd
+	switch {
+	case cmd.StartMic != nil:
+		m.stream, m.active, m.seq = *cmd.StartMic, true, 0
+		m.nblocks = 0
+		b.trace.Emit(obs.EvStreamOpen, b.cfg.Name+".mic", m.stream, "mic started")
+	case cmd.StopMic:
+		m.active = false
+		b.trace.Emit(obs.EvStreamClose, b.cfg.Name+".mic", m.stream, "mic stopped")
+	}
+	if cmd.SetBlocks > 0 && cmd.SetBlocks <= segment.MaxBlocksPerSegment {
+		m.perSeg = cmd.SetBlocks
+		m.nblocks = 0
+		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".mic", m.stream,
+			"blocks-per-segment changed")
+	}
+}
+
+// block takes the codec block of tick n into the segment being built
+// and, when that completes it, hands the segment to the server writer.
+func (m *micReader) block(p *occam.Proc) {
+	b := m.b
+	if m.nblocks == 0 {
+		// Stamp at the first sample's entry to the codec — the
+		// start of this block's 2 ms sampling window — so
+		// measured latency is mouth-to-ear like the paper's 8 ms
+		// figure (§4.2). The codec samples on its own hardware
+		// clock, so the window start is the nominal tick, not the
+		// (contention-dependent) instant this process got
+		// scheduled; stamping nominally also charges any software
+		// delay at the source to the measured latency instead of
+		// hiding it.
+		m.stampAt = occam.Time((m.n - 1) * int64(segment.BlockDuration))
+		m.adata = m.adata[:0]
+	}
+	var blk []byte
+	if m.filler != nil {
+		if cap(m.adata) < len(m.adata)+segment.BlockSamples {
+			m.adata = append(m.adata, make([]byte, segment.BlockSamples)...)
+		} else {
+			m.adata = m.adata[:len(m.adata)+segment.BlockSamples]
+		}
+		blk = m.adata[len(m.adata)-segment.BlockSamples:]
+		m.filler.FillBlock(blk)
+	} else {
+		blk = b.cfg.Mic.NextBlock()
+	}
+	if b.cfg.Features.Muting {
+		b.muter.ApplyMic(int64(p.Now()), blk)
+	}
+	if m.filler == nil {
+		m.adata = append(m.adata, blk...)
+	}
+	m.nblocks++
+	b.audioStat.MicBlocks++
+	if m.nblocks < m.perSeg {
+		return
+	}
+	// The single encode at the capture source (§3.4): from here
+	// to the output device only the wire descriptor moves.
+	w := b.wires.Encode(m.aseg.Reset(m.seq, m.stampAt, m.adata))
+	m.seq++
+	m.nblocks = 0
+	if !b.micOutBuf.Deliver(p, wireMsg{Stream: m.stream, W: w}) {
+		// Back pressure reached the source: throw away data
+		// here, closest to the codec (§3.7.1).
+		w.Release()
+		b.audioStat.MicDrops++
+		b.trace.Emit(obs.EvDrop, b.cfg.Name+".mic", m.stream, "mic-backpressure")
+	} else {
+		b.audioStat.MicSegs++
+	}
+}
+
+// serverWriter drains the audio board's decoupling buffer over the
 // 20 Mbit/s link to the server.
-func (b *Box) runServerWriter(p *occam.Proc) {
+type serverWriter struct {
+	b   *Box
+	at  int // wrTake, wrSent or wrTaken
+	msg wireMsg
+}
+
+const (
+	wrTake  = iota // take the next segment, or wait for one
+	wrSent         // the link transfer is done: offer the segment to the server
+	wrTaken        // the server has it
+)
+
+func (s *serverWriter) step(p *occam.Proc) {
+	b := s.b
 	for {
-		msg := b.micOutBuf.Recv(p)
-		b.audioToServer.Send(p, msg, msg.W.Len()+segment.StreamNumberSize)
+		switch s.at {
+		case wrTake:
+			msg, ok := b.micOutBuf.TryRecv(p)
+			if !ok {
+				if b.micOutBuf.Wait(p); p.Parked() {
+					return
+				}
+				continue
+			}
+			s.msg, s.at = msg, wrSent
+			if b.audioToServer.Occupy(p, msg.W.Len()+segment.StreamNumberSize); p.Parked() {
+				return
+			}
+		case wrSent:
+			s.at = wrTaken
+			if b.audioToServer.Rendezvous(p, s.msg); p.Parked() {
+				return
+			}
+		case wrTaken:
+			s.msg, s.at = wireMsg{}, wrTake
+		}
 	}
 }
 
@@ -159,7 +248,7 @@ func (b *Box) runServerWriter(p *occam.Proc) {
 // it feeds an arrived speaker-bound segment to its stream's clawback
 // buffer. Input runs "without data loss as far as the decoupling
 // buffers" — any dropping is the clawback buffers' decision. It spends
-// no virtual time and waits on nothing, so the server's runAudioOut
+// no virtual time and waits on nothing, so the server's audioOut
 // calls it when the transfer completes.
 func (b *Box) audioDeliver(p *occam.Proc, msg wireMsg) {
 	if b.boardDown(p, "audio") {
@@ -169,44 +258,69 @@ func (b *Box) audioDeliver(p *occam.Proc, msg wireMsg) {
 	b.mix.Deliver(msg.Stream, msg.W)
 }
 
-// runBlockHandler is the incoming side: every 2 ms it mixes one block
+// blockHandler is the incoming side: every 2 ms it mixes one block
 // from each active stream's clawback buffer and plays it to the
 // codec, observing the output for the muting detector. CPU cost is
 // accounted per the §4.2 calibration; ticks that overrun the 2 ms
 // budget are the measure of audio-board overload (experiment E1).
-func (b *Box) runBlockHandler(p *occam.Proc) {
-	for n := int64(1); ; n++ {
-		deadline := occam.Time(n * int64(segment.BlockDuration))
-		p.SleepUntil(deadline)
-		start := p.Now()
-		if start > deadline+occam.Time(segment.BlockDuration) {
-			// We are more than a whole block late: account the
-			// missed ticks rather than replaying them all. This is
-			// principle 1's overload signal on the audio board.
-			missed := int64(start-deadline) / int64(segment.BlockDuration)
-			n += missed
-			b.audioStat.LateTicks += uint64(missed)
-			b.trace.Emit(obs.EvOverload, b.cfg.Name+".audio", 0, "mixing tick overran")
-		}
-		blk, mixed := b.mix.Tick(int64(p.Now()))
-		cost := audioTickBase + time.Duration(mixed)*audioMixCost
-		if b.cfg.Features.JitterCorrection {
-			cost += time.Duration(mixed) * audioClawCost
-		}
-		if b.cfg.Features.Muting {
-			cost += audioMuteCost
-			b.muter.ObserveSpeaker(int64(p.Now()), blk)
-		}
-		if b.cfg.Features.Interface {
-			cost += audioInterfaceCost
-		}
-		// Consume in slices: the transputer's high priority processes
-		// preempt low priority ones, so a long mixing pass must not
-		// block the outgoing side for its whole duration.
-		p.ConsumeSliced(cost, audioMixSlice)
-		b.audioStat.TicksRun++
-		if p.Now() > deadline.Add(segment.BlockDuration) {
-			b.audioStat.LateTicks++
+type blockHandler struct {
+	b        *Box
+	at       int // bhSleep, bhWoke or bhMixed
+	n        int64
+	deadline occam.Time
+}
+
+const (
+	bhSleep = iota // about to sleep until tick n
+	bhWoke         // at, or past, tick n: mix
+	bhMixed        // the mixing pass's CPU is spent: account the tick
+)
+
+func (h *blockHandler) step(p *occam.Proc) {
+	b := h.b
+	for {
+		switch h.at {
+		case bhSleep:
+			h.deadline, h.at = occam.Time(h.n*int64(segment.BlockDuration)), bhWoke
+			if p.SleepUntil(h.deadline); p.Parked() {
+				return
+			}
+		case bhWoke:
+			start := p.Now()
+			if start > h.deadline+occam.Time(segment.BlockDuration) {
+				// We are more than a whole block late: account the
+				// missed ticks rather than replaying them all. This is
+				// principle 1's overload signal on the audio board.
+				missed := int64(start-h.deadline) / int64(segment.BlockDuration)
+				h.n += missed
+				b.audioStat.LateTicks += uint64(missed)
+				b.trace.Emit(obs.EvOverload, b.cfg.Name+".audio", 0, "mixing tick overran")
+			}
+			blk, mixed := b.mix.Tick(int64(start))
+			cost := audioTickBase + time.Duration(mixed)*audioMixCost
+			if b.cfg.Features.JitterCorrection {
+				cost += time.Duration(mixed) * audioClawCost
+			}
+			if b.cfg.Features.Muting {
+				cost += audioMuteCost
+				b.muter.ObserveSpeaker(int64(start), blk)
+			}
+			if b.cfg.Features.Interface {
+				cost += audioInterfaceCost
+			}
+			// Consume in slices: the transputer's high priority processes
+			// preempt low priority ones, so a long mixing pass must not
+			// block the outgoing side for its whole duration.
+			h.at = bhMixed
+			if p.ConsumeSliced(cost, audioMixSlice); p.Parked() {
+				return
+			}
+		case bhMixed:
+			b.audioStat.TicksRun++
+			if p.Now() > h.deadline.Add(segment.BlockDuration) {
+				b.audioStat.LateTicks++
+			}
+			h.n, h.at = h.n+1, bhSleep
 		}
 	}
 }

@@ -2,6 +2,9 @@ package box
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -56,9 +59,16 @@ func TestBoxProcessCensus(t *testing.T) {
 			seen[name] = true
 		}
 	}
+	// A process keeps a stack only if its code needs one between
+	// turns: netOut and the four video-path processes are coroutines, a
+	// goroutine each; the seven on the audio path are step functions.
+	before := runtime.NumGoroutine()
 	New(rt, atm.New(rt), Config{})
 	if n := rt.NumProcs(); n != len(want) {
 		t.Errorf("box.New started %d processes, want %d", n, len(want))
+	}
+	if n := runtime.NumGoroutine() - before; n != 5 {
+		t.Errorf("box.New started %d goroutines, want 5", n)
 	}
 	run(t, rt, time.Millisecond)
 	for _, name := range want {
@@ -69,6 +79,76 @@ func TestBoxProcessCensus(t *testing.T) {
 	}
 	for name := range seen {
 		t.Errorf("unexpected process %s", name)
+	}
+}
+
+// countTurns counts, from now on, the turns the scheduler gives each
+// process, by name. Turns are not resumes — a step function's turn is a
+// call, a polled wait's is the scheduler's — but they name who ran.
+func countTurns(rt *occam.Runtime) map[string]int {
+	turns := make(map[string]int)
+	rt.Trace = func(line string) {
+		if _, name, ok := strings.Cut(line, "] run "); ok {
+			turns[name]++
+		}
+	}
+	return turns
+}
+
+// turnsByName lists the turns of every process but the named ones.
+func turnsByName(turns map[string]int, but ...string) string {
+	for _, name := range but {
+		delete(turns, name)
+	}
+	var lines []string
+	for name, n := range turns {
+		lines = append(lines, fmt.Sprintf("%s %d", name, n))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, ", ")
+}
+
+func TestIdleBoxResumesOnlyTheFieldTick(t *testing.T) {
+	// No route, microphone closed: the mixing tick and the closed
+	// microphone's poll still take their 2 ms turns, but as calls and
+	// scheduler turns. What the host switches stacks for in a virtual
+	// second is the capture board's 25 field ticks.
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	New(rt, atm.New(rt), Config{})
+	run(t, rt, time.Millisecond)
+	turns, before := countTurns(rt), rt.Resumes()
+	run(t, rt, time.Millisecond+time.Second)
+	if got, field := int(rt.Resumes()-before), turns["pandora.capture"]; got != field || field != 25 {
+		t.Errorf("an idle box's second cost %d coroutine resumes, with %d field ticks; want 25 of each. Turns of the rest: %s",
+			got, field, turnsByName(turns, "pandora.capture"))
+	}
+}
+
+func TestAudioCallResumesOnlyTheSendersNetOut(t *testing.T) {
+	// One way, a to b, for a virtual second: of the nine processes a
+	// segment meets between microphone and loudspeaker none is switched
+	// into. The sender's netOut — still a coroutine — is, once a segment
+	// (its sleep for the transmission ends in a turn it takes without
+	// leaving its stack), and each box's capture board at its field tick.
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	a, b, _ := twoBoxes(rt, Config{Mic: workload.NewTone(400, 12000)}, Config{}, 100)
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		a.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100}})
+		b.SetRoute(p, Route{Stream: 100, Outputs: []Output{OutSpeaker}})
+		a.StartMic(p, 1)
+	})
+	run(t, rt, 100*time.Millisecond)
+	turns, before, played := countTurns(rt), rt.Resumes(), b.Mixer().Stats(100).Segments
+	run(t, rt, 1100*time.Millisecond)
+	played = b.Mixer().Stats(100).Segments - played
+	got := int(rt.Resumes() - before)
+	field := turns["a.capture"] + turns["b.capture"]
+	if played != 250 || turns["a.netOut"] != 2*250 || got != 250+field {
+		t.Errorf("%d segments played for %d coroutine resumes, %d field ticks and %d turns of a.netOut; want 250 segments, one resume each beside the field ticks, and 500. "+
+			"A stage back on a coroutine adds its turns to the resumes; turns of the rest: %s",
+			played, got, field, turns["a.netOut"], turnsByName(turns, "a.capture", "b.capture", "a.netOut"))
 	}
 }
 

@@ -64,11 +64,14 @@ func (b *Box) startServer() {
 	// One process drains both network buffers (runNetOut).
 	b.outBufs[bufNetVideo].ShareWake(b.outBufs[bufNetAudio])
 
-	rt.Go(name+".switch", b.serverNode, occam.High, b.runSwitch)
-	rt.Go(name+".audioIn", b.serverNode, occam.High, b.runAudioIn)
-	rt.Go(name+".netIn", b.serverNode, occam.High, b.runNetIn)
+	// The audio path's handlers are stackless, written like the audio
+	// board's (audio.go); netOut, whose interleaved send nests one paced
+	// loop in another, and the video path's keep a stack between turns.
+	rt.GoStep(name+".switch", b.serverNode, occam.High, newDataSwitch(b).step)
+	rt.GoStep(name+".audioIn", b.serverNode, occam.High, (&audioIn{b: b}).step)
+	rt.GoStep(name+".netIn", b.serverNode, occam.High, newNetIn(b).step)
 	rt.Go(name+".captureIn", b.serverNode, occam.High, b.runCaptureIn)
-	rt.Go(name+".audioOut", b.serverNode, occam.High, b.runAudioOut)
+	rt.GoStep(name+".audioOut", b.serverNode, occam.High, (&audioOut{b: b}).step)
 	rt.Go(name+".netOut", b.serverNode, occam.High, b.runNetOut)
 	rt.Go(name+".displayOut", b.serverNode, occam.High, b.runDisplayOut)
 }
@@ -92,38 +95,69 @@ func (b *Box) appendBufSlots(slots []int, o Output, w segment.Wire) []int {
 	return slots
 }
 
-// runSwitch is the server data switch: PRI ALT with commands first
+// dataSwitch is the server data switch: PRI ALT with commands first
 // (principle 4), then data.
-func (b *Box) runSwitch(p *occam.Proc) {
-	rep := newReporter(b.cfg.Name+".switch", b.Log)
-	routes := make(map[uint32]*Route)
-	shed := make(map[uint32]bool) // overload-controller suspensions
+type dataSwitch struct {
+	b      *Box
+	at     int // swAlt or swCharged
+	rep    *Reporter
+	routes map[uint32]*Route
+	shed   map[uint32]bool // overload-controller suspensions
 	// Principle-3 state per output buffer: how many of the oldest
 	// streams are currently being degraded, and when the last forced
 	// (buffer-full) drop happened.
-	degrade := make([]int, numOutBufs)
-	lastForced := make([]occam.Time, numOutBufs)
+	degrade    []int
+	lastForced []occam.Time
 
-	// The guard slice is built once and reused across iterations.
-	var (
-		cmd SwitchCommand
-		buf *allocator.Buffer
-	)
-	guards := []occam.Guard{occam.Recv(b.switchCmd, &cmd), occam.Recv(b.toSwitch, &buf)}
-	slots := make([]int, 0, numOutBufs)
+	// The guard slice is built once and reused at every alternation.
+	cmd    SwitchCommand
+	buf    *allocator.Buffer
+	guards []occam.Guard
+	slots  []int
+	r      *Route // buf's route, while its switching is charged
+}
 
+const (
+	swAlt     = iota // at the alternation: about to wait, or woken by a guard
+	swCharged        // the switching CPU for buf is spent: fan it out
+)
+
+func newDataSwitch(b *Box) *dataSwitch {
+	sw := &dataSwitch{
+		b:          b,
+		rep:        newReporter(b.cfg.Name+".switch", b.Log),
+		routes:     make(map[uint32]*Route),
+		shed:       make(map[uint32]bool),
+		degrade:    make([]int, numOutBufs),
+		lastForced: make([]occam.Time, numOutBufs),
+		slots:      make([]int, 0, numOutBufs),
+	}
+	sw.guards = []occam.Guard{occam.Recv(b.switchCmd, &sw.cmd), occam.Recv(b.toSwitch, &sw.buf)}
+	return sw
+}
+
+func (sw *dataSwitch) step(p *occam.Proc) {
+	b := sw.b
 	for {
-		switch p.Alt(guards...) {
+		if sw.at == swCharged {
+			sw.fanOut(p)
+			sw.at = swAlt
+		}
+		// Parked here, the switch is given -1 and comes back to this
+		// call, which then names the guard that fired.
+		switch p.Alt(sw.guards...) {
+		case -1:
+			return
 		case 0:
-			b.handleSwitchCommand(p, rep, routes, shed, cmd)
+			sw.command(p)
 		case 1:
-			r := routes[buf.Stream]
-			if r == nil {
+			buf := sw.buf
+			if sw.r = sw.routes[buf.Stream]; sw.r == nil {
 				b.swStats.NoRoute++
 				b.pool.Release(p, buf)
 				continue
 			}
-			if shed[buf.Stream] {
+			if sw.shed[buf.Stream] {
 				// The overload controller suspended this stream: stop
 				// its data at the earliest shared point, before any
 				// copying or buffering.
@@ -133,69 +167,81 @@ func (b *Box) runSwitch(p *occam.Proc) {
 				b.trace.Emit(obs.EvDrop, b.cfg.Name+".switch", buf.Stream, "degrade-shed")
 				continue
 			}
+			sw.at = swCharged
 			size := buf.Payload.Len()
-			p.Consume(serverSwitchCost + time.Duration(size)*serverCopyPerKB/1024)
-
-			// Expand outputs to buffer slots.
-			slots = slots[:0]
-			for _, o := range r.Outputs {
-				slots = b.appendBufSlots(slots, o, buf.Payload)
-			}
-			if len(slots) == 0 {
-				b.pool.Release(p, buf)
-				continue
-			}
-			b.swStats.Switched++
-			// One reference per destination (§3.4).
-			b.pool.Retain(p, buf, len(slots)-1)
-			for _, slot := range slots {
-				// Principle 3: under pressure, the oldest streams
-				// degrade first.
-				if degrade[slot] > 0 && b.isAmongOldest(routes, r, slot, degrade[slot]) {
-					// Principle 3 in action: the oldest stream degrades
-					// to protect the younger ones.
-					b.swStats.AgeDrops[slot]++
-					b.swStats.PerStreamDrops[buf.Stream]++
-					b.pool.Release(p, buf)
-					b.trace.Emit(obs.EvDrop, b.cfg.Name+".switch", buf.Stream,
-						"age-degrade "+slotName(slot))
-					continue
-				}
-				if !b.outBufs[slot].Deliver(p, buf) {
-					// Buffer full: "the switch simply omits to send it
-					// any more segments... records how many segments
-					// have been dropped in this way, and periodically
-					// sends reports while the condition persists."
-					b.swStats.FullDrops[slot]++
-					b.swStats.PerStreamDrops[buf.Stream]++
-					b.pool.Release(p, buf)
-					rep.Report(p, fmt.Sprintf("full-%d", slot),
-						"output %d full: dropping (total %d)", slot, b.swStats.FullDrops[slot])
-					if degrade[slot] < b.streamsFor(routes, slot)-1 {
-						degrade[slot]++
-						b.trace.Emit(obs.EvOverload, b.cfg.Name+".switch", buf.Stream,
-							fmt.Sprintf("output %s full, degrading %d oldest", slotName(slot), degrade[slot]))
-					}
-					lastForced[slot] = p.Now()
-				}
-			}
-			// Relax degradation when no forced drop for a while
-			// (principle 8: adapt to local conditions).
-			for slot := range degrade {
-				if degrade[slot] > 0 && p.Now().Sub(lastForced[slot]) > 500*time.Millisecond {
-					degrade[slot]--
-					lastForced[slot] = p.Now()
-					if degrade[slot] == 0 {
-						b.trace.Emit(obs.EvRecover, b.cfg.Name+".switch", 0,
-							"output "+slotName(slot)+" recovered")
-					}
-				}
+			if p.Consume(serverSwitchCost + time.Duration(size)*serverCopyPerKB/1024); p.Parked() {
+				return
 			}
 		}
 	}
 }
 
-func (b *Box) handleSwitchCommand(p *occam.Proc, rep *Reporter, routes map[uint32]*Route, shed map[uint32]bool, cmd SwitchCommand) {
+// fanOut forwards buf, its switching charged, to the decoupling buffer
+// of every output its stream is routed to.
+func (sw *dataSwitch) fanOut(p *occam.Proc) {
+	b, buf, r, degrade, lastForced := sw.b, sw.buf, sw.r, sw.degrade, sw.lastForced
+
+	// Expand outputs to buffer slots.
+	slots := sw.slots[:0]
+	for _, o := range r.Outputs {
+		slots = b.appendBufSlots(slots, o, buf.Payload)
+	}
+	sw.slots = slots
+	if len(slots) == 0 {
+		b.pool.Release(p, buf)
+		return
+	}
+	b.swStats.Switched++
+	// One reference per destination (§3.4).
+	b.pool.Retain(p, buf, len(slots)-1)
+	for _, slot := range slots {
+		// Principle 3: under pressure, the oldest streams
+		// degrade first.
+		if degrade[slot] > 0 && b.isAmongOldest(sw.routes, r, slot, degrade[slot]) {
+			// Principle 3 in action: the oldest stream degrades
+			// to protect the younger ones.
+			b.swStats.AgeDrops[slot]++
+			b.swStats.PerStreamDrops[buf.Stream]++
+			b.pool.Release(p, buf)
+			b.trace.Emit(obs.EvDrop, b.cfg.Name+".switch", buf.Stream,
+				"age-degrade "+slotName(slot))
+			continue
+		}
+		if !b.outBufs[slot].Deliver(p, buf) {
+			// Buffer full: "the switch simply omits to send it
+			// any more segments... records how many segments
+			// have been dropped in this way, and periodically
+			// sends reports while the condition persists."
+			b.swStats.FullDrops[slot]++
+			b.swStats.PerStreamDrops[buf.Stream]++
+			b.pool.Release(p, buf)
+			sw.rep.Report(p, fmt.Sprintf("full-%d", slot),
+				"output %d full: dropping (total %d)", slot, b.swStats.FullDrops[slot])
+			if degrade[slot] < b.streamsFor(sw.routes, slot)-1 {
+				degrade[slot]++
+				b.trace.Emit(obs.EvOverload, b.cfg.Name+".switch", buf.Stream,
+					fmt.Sprintf("output %s full, degrading %d oldest", slotName(slot), degrade[slot]))
+			}
+			lastForced[slot] = p.Now()
+		}
+	}
+	// Relax degradation when no forced drop for a while
+	// (principle 8: adapt to local conditions).
+	for slot := range degrade {
+		if degrade[slot] > 0 && p.Now().Sub(lastForced[slot]) > 500*time.Millisecond {
+			degrade[slot]--
+			lastForced[slot] = p.Now()
+			if degrade[slot] == 0 {
+				b.trace.Emit(obs.EvRecover, b.cfg.Name+".switch", 0,
+					"output "+slotName(slot)+" recovered")
+			}
+		}
+	}
+}
+
+// command applies the switch command just received.
+func (sw *dataSwitch) command(p *occam.Proc) {
+	b, cmd, routes, shed := sw.b, sw.cmd, sw.routes, sw.shed
 	switch {
 	case cmd.Set != nil:
 		r := *cmd.Set
@@ -213,7 +259,7 @@ func (b *Box) handleSwitchCommand(p *occam.Proc, rep *Reporter, routes map[uint3
 		delete(shed, cmd.Restore)
 		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", cmd.Restore, "stream restored")
 	case cmd.ReportReq:
-		rep.Report(p, "status", "routes=%d switched=%d noroute=%d",
+		sw.rep.Report(p, "status", "routes=%d switched=%d noroute=%d",
 			len(routes), b.swStats.Switched, b.swStats.NoRoute)
 	}
 }
@@ -273,76 +319,139 @@ func slotMatches(o Output, slot int) bool {
 	return false
 }
 
-// runAudioIn receives mic segments from the audio board link, fills
+// audioIn receives mic segments from the audio board link, fills
 // buffers obtained in advance from the allocator, and launches their
 // indices into the switch. Copying the wire into the buffer is the
 // data path's first copy (§3.4: "once into memory").
-func (b *Box) runAudioIn(p *occam.Proc) {
-	var buf *allocator.Buffer
+type audioIn struct {
+	b   *Box
+	at  int // the input handlers' inGet … inSent
+	buf *allocator.Buffer
+	msg wireMsg
+}
+
+// Where an input handler's step resumes.
+const (
+	inGet    = iota // make sure of a buffer
+	inRecv          // wait for the next arrival
+	inGot           // something has arrived
+	inCopied        // the copy's CPU is spent: fill the buffer and send it on
+	inSent          // the switch has it
+)
+
+func (a *audioIn) step(p *occam.Proc) {
+	b := a.b
 	for {
-		if buf == nil {
-			buf = b.pool.Get(p) // "obtain empty buffers ... in advance"
+		switch a.at {
+		case inGet:
+			a.at = inRecv
+			if a.buf == nil {
+				// "obtain empty buffers ... in advance"
+				if b.pool.GetInto(p, &a.buf); p.Parked() {
+					return
+				}
+			}
+		case inRecv:
+			a.at = inGot
+			if b.audioToServer.RecvInto(p, &a.msg); p.Parked() {
+				return
+			}
+		case inGot:
+			if b.boardDown(p, "server") {
+				a.msg.W.Release() // the pre-fetched buffer waits for recovery
+				a.at = inRecv
+				continue
+			}
+			a.at = inCopied
+			if p.Consume(time.Duration(a.msg.W.Len()) * serverCopyPerKB / 1024); p.Parked() {
+				return
+			}
+		case inCopied:
+			a.buf.SetPayload(a.msg.W.Bytes())
+			a.msg.W.Release()
+			a.buf.Stream = a.msg.Stream
+			a.at = inSent
+			if b.toSwitch.Send(p, a.buf); p.Parked() {
+				return
+			}
+		case inSent:
+			a.buf, a.msg, a.at = nil, wireMsg{}, inGet
 		}
-		msg := b.audioToServer.Recv(p)
-		if b.boardDown(p, "server") {
-			msg.W.Release() // the pre-fetched buffer waits for recovery
-			continue
-		}
-		size := msg.W.Len()
-		p.Consume(time.Duration(size) * serverCopyPerKB / 1024)
-		buf.SetPayload(msg.W.Bytes())
-		msg.W.Release()
-		buf.Stream = msg.Stream
-		b.toSwitch.Send(p, buf)
-		buf = nil
 	}
 }
 
-// runNetIn receives network messages; the VCI is the local stream
-// number (§3.4).
-func (b *Box) runNetIn(p *occam.Proc) {
-	reasm := make(map[uint32]*chunkedVideo)
+// netIn receives network messages; the VCI is the local stream number
+// (§3.4).
+type netIn struct {
+	b     *Box
+	at    int // inGet … inSent
+	reasm map[uint32]*chunkedVideo
 	// corruptSeg marks a VCI whose pending segment took a corrupted
 	// chunk; the whole reassembled segment is then discarded ("the
 	// current segment is thrown away", §3.8).
-	corruptSeg := make(map[uint32]bool)
-	var buf *allocator.Buffer
+	corruptSeg map[uint32]bool
+	buf        *allocator.Buffer
+	m          atm.Message
+	w          segment.Wire // the reassembled segment being copied in
+}
+
+func newNetIn(b *Box) *netIn {
+	return &netIn{b: b, reasm: make(map[uint32]*chunkedVideo), corruptSeg: make(map[uint32]bool)}
+}
+
+func (n *netIn) step(p *occam.Proc) {
+	b := n.b
 	for {
-		if buf == nil {
-			buf = b.pool.Get(p)
-		}
-		var (
-			m atm.Message
-			w segment.Wire
-		)
-		for {
-			m = b.host.Rx.Recv(p)
+		switch n.at {
+		case inGet:
+			n.at = inRecv
+			if n.buf == nil {
+				if b.pool.GetInto(p, &n.buf); p.Parked() {
+					return
+				}
+			}
+		case inRecv:
+			n.at = inGot
+			if b.host.Rx.RecvInto(p, &n.m); p.Parked() {
+				return
+			}
+		case inGot:
+			m := n.m
+			n.at = inRecv
 			if b.boardDown(p, "server") {
 				m.W.Release()
 				continue
 			}
 			if m.Corrupt {
-				corruptSeg[m.VCI] = true
+				n.corruptSeg[m.VCI] = true
 			}
-			var done bool
-			if w, done = reassemble(reasm, m); done {
-				break
+			w, done := reassemble(n.reasm, m)
+			if !done {
+				continue
 			}
+			if n.corruptSeg[m.VCI] {
+				delete(n.corruptSeg, m.VCI)
+				b.swStats.CorruptDrops++
+				b.swStats.PerStreamDrops[m.VCI]++
+				b.trace.Emit(obs.EvDrop, b.cfg.Name+".netIn", m.VCI, "corrupt-discard")
+				w.Release()
+				continue
+			}
+			n.w, n.at = w, inCopied
+			if p.Consume(time.Duration(m.Size) * serverCopyPerKB / 1024); p.Parked() {
+				return
+			}
+		case inCopied:
+			n.buf.SetPayload(n.w.Bytes())
+			n.w.Release()
+			n.buf.Stream = n.m.VCI
+			n.at = inSent
+			if b.toSwitch.Send(p, n.buf); p.Parked() {
+				return
+			}
+		case inSent:
+			n.buf, n.m, n.w, n.at = nil, atm.Message{}, segment.Wire{}, inGet
 		}
-		if corruptSeg[m.VCI] {
-			delete(corruptSeg, m.VCI)
-			b.swStats.CorruptDrops++
-			b.swStats.PerStreamDrops[m.VCI]++
-			b.trace.Emit(obs.EvDrop, b.cfg.Name+".netIn", m.VCI, "corrupt-discard")
-			w.Release()
-			continue
-		}
-		p.Consume(time.Duration(m.Size) * serverCopyPerKB / 1024)
-		buf.SetPayload(w.Bytes())
-		w.Release()
-		buf.Stream = m.VCI
-		b.toSwitch.Send(p, buf)
-		buf = nil
 	}
 }
 
@@ -352,7 +461,7 @@ func (b *Box) runCaptureIn(p *occam.Proc) {
 	var buf *allocator.Buffer
 	for {
 		if buf == nil {
-			buf = b.pool.Get(p)
+			b.pool.GetInto(p, &buf)
 		}
 		msg := b.captureToServer.Recv(p)
 		if b.boardDown(p, "server") {
@@ -368,26 +477,57 @@ func (b *Box) runCaptureIn(p *occam.Proc) {
 	}
 }
 
-// runAudioOut moves speaker-bound segments over the link to the audio
+// audioOut moves speaker-bound segments over the link to the audio
 // board: the copy out of the server buffer into a pooled wire is this
 // output device's single copy (§3.4: "once out for each output
 // device"), after which the buffer index is free to recycle. The audio
 // board's receiving end is passive (audioDeliver), so the link is
 // occupied for the transfer and the segment handed over by a call.
-func (b *Box) runAudioOut(p *occam.Proc) {
+type audioOut struct {
+	b   *Box
+	at  int // outTake, outCopied or outSent
+	buf *allocator.Buffer
+	w   segment.Wire
+}
+
+const (
+	outTake   = iota // take the next segment, or wait for one
+	outCopied        // the copy's CPU is spent: copy out and occupy the link
+	outSent          // the transfer is done: deliver
+)
+
+func (a *audioOut) step(p *occam.Proc) {
+	b := a.b
 	for {
-		buf := b.outBufs[bufSpeaker].Recv(p)
-		size := buf.Payload.Len() + segment.StreamNumberSize
-		p.Consume(time.Duration(size) * serverCopyPerKB / 1024)
-		w := b.wires.Copy(buf.Payload.Bytes())
-		b.serverToAudio.Occupy(p, size)
-		b.audioDeliver(p, wireMsg{Stream: buf.Stream, W: w})
-		b.pool.Release(p, buf)
+		switch a.at {
+		case outTake:
+			buf, ok := b.outBufs[bufSpeaker].TryRecv(p)
+			if !ok {
+				if b.outBufs[bufSpeaker].Wait(p); p.Parked() {
+					return
+				}
+				continue
+			}
+			a.buf, a.at = buf, outCopied
+			size := buf.Payload.Len() + segment.StreamNumberSize
+			if p.Consume(time.Duration(size) * serverCopyPerKB / 1024); p.Parked() {
+				return
+			}
+		case outCopied:
+			a.w, a.at = b.wires.Copy(a.buf.Payload.Bytes()), outSent
+			if b.serverToAudio.Occupy(p, a.buf.Payload.Len()+segment.StreamNumberSize); p.Parked() {
+				return
+			}
+		case outSent:
+			b.audioDeliver(p, wireMsg{Stream: a.buf.Stream, W: a.w})
+			b.pool.Release(p, a.buf)
+			a.buf, a.w, a.at = nil, segment.Wire{}, outTake
+		}
 	}
 }
 
 // runDisplayOut moves display-bound video over the fifo to the mixer
-// board (copy out at the display device, as in runAudioOut).
+// board (copy out at the display device, as in audioOut).
 func (b *Box) runDisplayOut(p *occam.Proc) {
 	for {
 		buf := b.outBufs[bufDisplay].Recv(p)

@@ -80,7 +80,7 @@ func (b *Box) runCapture(p *occam.Proc) {
 		packed []byte
 		ids    []uint32
 	)
-	// Hoisted as in runMicReader: Recv overwrites cmd on every fire.
+	// Built once, as the micReader's: Recv overwrites cmd on every fire.
 	var (
 		cmd    captureCmd
 		guards = []occam.Guard{occam.Recv(b.captureCmds, &cmd), occam.Skip()}

@@ -184,11 +184,14 @@ func (b *Buffer[T]) TryRecv(p *occam.Proc) (v T, ok bool) {
 func (b *Buffer[T]) Wait(p *occam.Proc) { b.wake.Wait(p) }
 
 // Recv takes the head item, parking the consumer while there is none.
+// It is this loop of TryRecv and Wait, which a stackless consumer runs
+// for itself, a turn at a time.
 func (b *Buffer[T]) Recv(p *occam.Proc) T {
 	for {
 		if v, ok := b.TryRecv(p); ok {
 			return v
 		}
+		p.NeedsStack("decouple.Buffer.Recv", b.name)
 		b.wake.Wait(p)
 	}
 }

@@ -25,7 +25,8 @@
 // one scheduler wake-up per cell train, not per segment.
 //
 // Engine: the fabric is *passive* — it owns no processes except one
-// transmitter per port. Each port's crossbar shard is a self-
+// transmitter per port, and that one is stackless (occam.GoStep: the
+// dispatch loop calls Port.stepTx). Each port's crossbar shard is a self-
 // perpetuating occam.Timer chain: ingress admission runs inline in the
 // sending host's process, the crossing-end callback routes the message
 // (dense per-VCI table, no allocation) and applies the destination
@@ -198,7 +199,7 @@ func (f *Fabric) Attach(h *atm.Host) *Port {
 		pt.observe(f.reg)
 	}
 	h.SetTransport(pt)
-	f.rt.Go(pt.nm+".tx", nil, occam.High, pt.runTx)
+	f.rt.GoStep(pt.nm+".tx", nil, occam.High, pt.stepTx)
 	return pt
 }
 
@@ -338,7 +339,7 @@ func (f *Fabric) Stats() PortStats {
 // overload controller.
 //
 // Queue/engine state is touched from two contexts — attached
-// processes (Send, runTx, the degrade controller's gauge reads) and
+// processes (Send, stepTx, the degrade controller's gauge reads) and
 // crossing-end timer callbacks — which the occam runtime serialises;
 // see the occam scheduler-context rules.
 type Port struct {
@@ -359,10 +360,12 @@ type Port struct {
 	// Egress shard: the bounded cell queue, the train being
 	// transmitted, and the transmitter process. txBusy covers the whole
 	// train lifecycle (pacing + delivery); txWake fires at train end
-	// and raises txSig to hand the sliced train to runTx for delivery.
+	// and raises txSig to hand the sliced train to stepTx for delivery.
 	egq     []atm.Message
 	egCells int
 	batch   []atm.Message // current cell train (reused)
+	txAt    int           // where stepTx resumes
+	txNext  int           // next of batch to deliver
 	txBusy  bool
 	txWake  *occam.Timer
 	txSig   *occam.Signal
@@ -576,7 +579,7 @@ func (pt *Port) egArrive(s occam.Sched, m atm.Message) {
 	}
 	if !pt.txBusy && len(pt.egq) > 0 {
 		// Idle transmitter: this arrival starts a cell train now. Slice
-		// it, pace it, and wake runTx at train end to deliver.
+		// it, pace it, and wake stepTx at train end to deliver.
 		pt.txBusy = true
 		pt.slice()
 		s.Schedule(pt.txWake, pt.trainEnd(now))
@@ -625,33 +628,49 @@ func (pt *Port) trainEnd(now occam.Time) occam.Time {
 	return now + occam.Time(tx+cfg.Propagation+maxDelay)
 }
 
-// runTx is the port's one process: it delivers finished cell trains to
-// the attached host — the only fabric step that may block (host
-// backpressure) — and paces follow-on trains while backlog remains.
-// It sleeps on txSig whenever the port goes idle; egArrive slices the
-// train that wakes it.
-func (pt *Port) runTx(p *occam.Proc) {
+// Where stepTx resumes.
+const (
+	txIdle  = iota // wait for egArrive to start a train
+	txTrain        // deliver the rest of the train in pt.batch, from txNext on
+)
+
+// stepTx is the port's one process, a stackless one: it delivers
+// finished cell trains to the attached host — the only fabric step that
+// may block (host backpressure) — and paces follow-on trains while
+// backlog remains. It sleeps on txSig whenever the port goes idle;
+// egArrive slices the train that wakes it.
+func (pt *Port) stepTx(p *occam.Proc) {
 	for {
-		pt.txSig.Wait(p)
-		for {
-			for i := range pt.batch {
-				m := pt.batch[i]
-				pt.forwarded.Inc()
-				pt.bytes.Add(uint64(m.Size))
-				pt.cellsTx.Add(uint64(cells(m.Size)))
-				pt.fold(m)
-				pt.host.Deliver(p, m)
-				pt.batch[i] = atm.Message{}
+		if pt.txAt == txIdle {
+			pt.txAt, pt.txNext = txTrain, 0
+			if pt.txSig.Wait(p); p.Parked() {
+				return
 			}
-			if len(pt.egq) == 0 {
-				pt.txBusy = false
-				break
+		}
+		for pt.txNext < len(pt.batch) {
+			m := pt.batch[pt.txNext]
+			pt.batch[pt.txNext] = atm.Message{}
+			pt.txNext++
+			pt.forwarded.Inc()
+			pt.bytes.Add(uint64(m.Size))
+			pt.cellsTx.Add(uint64(cells(m.Size)))
+			pt.fold(m)
+			if pt.host.Deliver(p, m); p.Parked() {
+				return
 			}
-			// Backlog: slice the next train at delivery-complete time
-			// and sleep out its transmission.
-			now := p.Now()
-			pt.slice()
-			p.SleepUntil(pt.trainEnd(now))
+		}
+		if len(pt.egq) == 0 {
+			pt.txBusy = false
+			pt.txAt = txIdle
+			continue
+		}
+		// Backlog: slice the next train at delivery-complete time
+		// and sleep out its transmission.
+		now := p.Now()
+		pt.slice()
+		pt.txNext = 0
+		if p.SleepUntil(pt.trainEnd(now)); p.Parked() {
+			return
 		}
 	}
 }

@@ -3,11 +3,12 @@ package occam
 // altState is the shared state of one alternation: the first guard to
 // fire claims it and wakes the process. Each Proc owns one altState,
 // reused across Alt calls — a process runs at most one alternation at
-// a time and every registration is removed before Alt returns.
+// a time and every registration is removed before Alt returns an index.
 type altState struct {
-	p      *Proc
-	fired  bool
-	chosen int
+	p       *Proc
+	fired   bool
+	waiting bool // a stackless process's guards are enabled: its next Alt call finishes this one
+	chosen  int
 }
 
 // Guard is one alternative of a PRI ALT. Construct guards with Recv,
@@ -31,6 +32,12 @@ type Guard interface {
 //
 // Guards are reusable: a hot loop may build its guard slice once and
 // pass the same slice (and guard values) to every Alt.
+//
+// Alt is the one primitive with work left after the wake: the guards
+// that did not fire are still registered. A stackless process it has to
+// park gets -1 back, and at its next turn calls Alt again with the same
+// guards, which removes them and returns the index; the fired guard's
+// value is in its destination by then.
 func (p *Proc) Alt(guards ...Guard) int {
 	if len(guards) == 0 {
 		panic("occam: Alt with no guards")
@@ -38,18 +45,25 @@ func (p *Proc) Alt(guards ...Guard) int {
 	rt := p.rt
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for i, g := range guards {
-		if g.poll(p) {
-			return i
+	a := &p.alt
+	if !a.waiting {
+		for i, g := range guards {
+			if g.poll(p) {
+				return i
+			}
+		}
+		a.p, a.fired, a.chosen = p, false, -1
+		for i, g := range guards {
+			g.enable(a, i)
+		}
+		p.stN = len(guards)
+		rt.park(p, stAlt, "")
+		if p.parked {
+			a.waiting = true
+			return -1
 		}
 	}
-	a := &p.alt
-	a.p, a.fired, a.chosen = p, false, -1
-	for i, g := range guards {
-		g.enable(a, i)
-	}
-	p.stN = len(guards)
-	rt.park(p, stAlt, "")
+	a.waiting = false
 	for _, g := range guards {
 		g.disable()
 	}
@@ -77,10 +91,7 @@ func (g *recvGuard[T]) poll(p *Proc) bool {
 	if len(c.sendq) == 0 {
 		return false
 	}
-	w := c.popSend()
-	*g.dst = w.v
-	c.rt.ready(w.p)
-	c.putSend(w)
+	*g.dst = c.takeSend()
 	return true
 }
 

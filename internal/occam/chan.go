@@ -9,21 +9,20 @@ package occam
 // the same channel; waiters are served in FIFO order. This is used by
 // Pandora-style fan-in (many producers into a switch input).
 //
-// Waiter and alternation-registration records are recycled on
-// per-channel free lists: the runtime runs one process at a time and
-// every channel operation holds its lock, so the lists need no further
-// synchronisation, and a data channel at steady state allocates nothing
-// per transfer.
+// Send-waiter and alternation-registration records, and the cells Recv
+// receives into, are recycled on per-channel free lists: the runtime
+// runs one process at a time, so the lists need no synchronisation, and
+// a data channel at steady state allocates nothing per transfer.
 type Chan[T any] struct {
 	rt    *Runtime
 	name  string
 	sendq []*sendWaiter[T]
-	recvq []*recvWaiter[T]
+	recvq []recvWaiter[T]
 	alts  []*altReg[T]
 
 	sendFree []*sendWaiter[T]
-	recvFree []*recvWaiter[T]
 	regFree  []*altReg[T]
+	cells    []*T
 }
 
 type sendWaiter[T any] struct {
@@ -31,9 +30,11 @@ type sendWaiter[T any] struct {
 	v T
 }
 
+// recvWaiter is a process parked in RecvInto and where the sender is to
+// put its value: the receiver has nothing to do when it wakes.
 type recvWaiter[T any] struct {
-	p *Proc
-	v T
+	p   *Proc
+	dst *T
 }
 
 type altReg[T any] struct {
@@ -70,25 +71,6 @@ func (c *Chan[T]) putSend(w *sendWaiter[T]) {
 	c.sendFree = append(c.sendFree, w)
 }
 
-// getRecv / putRecv recycle receive waiters. A receive waiter is freed
-// by the receiver itself after it wakes and reads v (the sender wrote
-// v before making the receiver ready).
-func (c *Chan[T]) getRecv(p *Proc) *recvWaiter[T] {
-	if n := len(c.recvFree); n > 0 {
-		w := c.recvFree[n-1]
-		c.recvFree = c.recvFree[:n-1]
-		w.p = p
-		return w
-	}
-	return &recvWaiter[T]{p: p}
-}
-
-func (c *Chan[T]) putRecv(w *recvWaiter[T]) {
-	var zero T
-	w.p, w.v = nil, zero
-	c.recvFree = append(c.recvFree, w)
-}
-
 // getReg / putReg recycle alternation registrations. A registration is
 // freed either when a sender pops it (takeAlt) or when the owning Alt
 // disables its guards (removeAlt); the two are mutually exclusive for
@@ -118,27 +100,46 @@ func (c *Chan[T]) popSend() *sendWaiter[T] {
 	return w
 }
 
+// takeSend removes the first queued sender, readies it and returns what
+// it offered. Caller holds mu; sendq must not be empty.
+func (c *Chan[T]) takeSend() T {
+	w := c.popSend()
+	v := w.v
+	c.rt.ready(w.p)
+	c.putSend(w)
+	return v
+}
+
+// handOver gives v to whoever has waited longest to receive it — a
+// process parked in RecvInto, else an alternation with a Recv guard on
+// the channel — by writing it where the waiter said and readying the
+// waiter, and reports whether anyone was waiting. Caller holds mu.
+func (c *Chan[T]) handOver(v T) bool {
+	if len(c.recvq) > 0 {
+		w := c.recvq[0]
+		copy(c.recvq, c.recvq[1:])
+		c.recvq[len(c.recvq)-1] = recvWaiter[T]{}
+		c.recvq = c.recvq[:len(c.recvq)-1]
+		*w.dst = v
+		c.rt.ready(w.p)
+		return true
+	}
+	if a, idx, dst := c.takeAlt(); a != nil {
+		*dst = v
+		a.chosen = idx
+		c.rt.ready(a.p)
+		return true
+	}
+	return false
+}
+
 // Send offers v on the channel, blocking until a receiver (direct or
 // via Alt) takes it.
 func (c *Chan[T]) Send(p *Proc, v T) {
 	rt := c.rt
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	// A receiver already waiting?
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		copy(c.recvq, c.recvq[1:])
-		c.recvq[len(c.recvq)-1] = nil
-		c.recvq = c.recvq[:len(c.recvq)-1]
-		w.v = v
-		rt.ready(w.p)
-		return
-	}
-	// An alternation waiting on this channel?
-	if a, idx, dst := c.takeAlt(); a != nil {
-		*dst = v
-		a.chosen = idx
-		rt.ready(a.p)
+	if c.handOver(v) {
 		return
 	}
 	c.sendq = append(c.sendq, c.getSend(p, v))
@@ -166,24 +167,41 @@ func (c *Chan[T]) takeAlt() (a *altState, idx int, dst *T) {
 	return nil, 0, nil
 }
 
-// Recv receives a value from the channel, blocking until a sender
-// offers one.
-func (c *Chan[T]) Recv(p *Proc) T {
+// RecvInto receives a value from the channel into *dst, blocking until
+// a sender offers one. The sender that ends the wait writes *dst itself,
+// so a stackless process parked here finds the value there at its next
+// turn; dst must stay valid until then.
+func (c *Chan[T]) RecvInto(p *Proc, dst *T) {
 	rt := c.rt
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if len(c.sendq) > 0 {
-		w := c.popSend()
-		rt.ready(w.p)
-		v := w.v
-		c.putSend(w)
-		return v
+		*dst = c.takeSend()
+		return
 	}
-	w := c.getRecv(p)
-	c.recvq = append(c.recvq, w)
+	c.recvq = append(c.recvq, recvWaiter[T]{p, dst})
 	rt.park(p, stRecv, c.name)
-	v := w.v
-	c.putRecv(w)
+}
+
+// Recv receives a value from the channel, blocking until a sender
+// offers one: RecvInto for a process with a stack to return the value
+// on. What a parked receiver's sender writes to cannot be on that stack,
+// so the local is a recycled cell.
+func (c *Chan[T]) Recv(p *Proc) T {
+	if len(c.sendq) == 0 {
+		p.NeedsStack("Chan.Recv", c.name)
+	}
+	var cell *T
+	if n := len(c.cells); n > 0 {
+		cell, c.cells = c.cells[n-1], c.cells[:n-1]
+	} else {
+		cell = new(T)
+	}
+	c.RecvInto(p, cell)
+	var zero T
+	v := *cell
+	*cell = zero
+	c.cells = append(c.cells, cell)
 	return v
 }
 
@@ -196,22 +214,7 @@ func (c *Chan[T]) TrySend(p *Proc, v T) bool {
 	rt := c.rt
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		copy(c.recvq, c.recvq[1:])
-		c.recvq[len(c.recvq)-1] = nil
-		c.recvq = c.recvq[:len(c.recvq)-1]
-		w.v = v
-		rt.ready(w.p)
-		return true
-	}
-	if a, idx, dst := c.takeAlt(); a != nil {
-		*dst = v
-		a.chosen = idx
-		rt.ready(a.p)
-		return true
-	}
-	return false
+	return c.handOver(v)
 }
 
 // Pending reports whether a sender is waiting — what a Recv guard's

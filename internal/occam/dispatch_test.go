@@ -10,6 +10,31 @@ import (
 	"time"
 )
 
+// inTurns returns a step function for GoStep that runs turns in order:
+// each is the code between two waits and may end in one blocking call.
+func inTurns(turns ...func(p *Proc)) func(*Proc) {
+	next := 0
+	return func(p *Proc) {
+		for next < len(turns) {
+			next++
+			if turns[next-1](p); p.Parked() {
+				return
+			}
+		}
+	}
+}
+
+// recovered runs f and returns what it panicked with, as a string.
+func recovered(f func()) string {
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		f()
+	}()
+	msg, _ := got.(string)
+	return msg
+}
+
 func TestProcessPanicSurfacesFromRunUntil(t *testing.T) {
 	faults := map[string]func(rt *Runtime, p *Proc){
 		"in user code": func(rt *Runtime, p *Proc) { panic("boom") },
@@ -22,32 +47,206 @@ func TestProcessPanicSurfacesFromRunUntil(t *testing.T) {
 	}
 	for name, fault := range faults {
 		t.Run(name, func(t *testing.T) {
-			rt := NewRuntime()
-			defer rt.Shutdown()
-			ch := NewChan[int](rt, "never")
-			rt.Go("bystander", nil, Low, func(p *Proc) { ch.Recv(p) })
-			rt.Go("faulty", nil, Low, func(p *Proc) {
-				p.Sleep(time.Millisecond)
-				fault(rt, p)
-			})
-			var got any
-			func() {
-				defer func() { got = recover() }()
-				rt.Run()
-			}()
-			if msg, _ := got.(string); !strings.Contains(msg, `process "faulty" panicked`) {
-				t.Fatalf("Run panicked with %v, want the faulty process named", got)
-			}
-			// The runtime is left consistent: the faulty process is
-			// gone, the clock readable, and a further run finds the
-			// bystander still blocked.
-			if rt.NumProcs() != 1 || rt.Now() != Time(time.Millisecond) {
-				t.Fatalf("after the panic: %d procs at %v, want 1 at 1ms", rt.NumProcs(), rt.Now())
-			}
-			if err := rt.RunUntil(Time(2 * time.Millisecond)); err != nil {
-				t.Fatal(err)
+			for _, form := range []string{"coroutine", "stackless"} {
+				t.Run(form, func(t *testing.T) {
+					rt := NewRuntime()
+					defer rt.Shutdown()
+					ch := NewChan[int](rt, "never")
+					rt.Go("bystander", nil, Low, func(p *Proc) { ch.Recv(p) })
+					sleep := func(p *Proc) { p.Sleep(time.Millisecond) }
+					if form == "stackless" {
+						rt.GoStep("faulty", nil, Low, inTurns(sleep, func(p *Proc) { fault(rt, p) }))
+					} else {
+						rt.Go("faulty", nil, Low, func(p *Proc) {
+							sleep(p)
+							fault(rt, p)
+						})
+					}
+					if msg := recovered(func() { rt.Run() }); !strings.HasPrefix(msg, `occam: process "faulty" panicked: `) {
+						t.Fatalf("Run panicked with %q, want the faulty process named", msg)
+					}
+					// The runtime is left consistent: the lock is free, the
+					// faulty process gone, the clock readable, and a further
+					// run finds the bystander still blocked.
+					if !rt.mu.TryLock() {
+						t.Fatal("the runtime lock is still held after the panic")
+					}
+					rt.mu.Unlock()
+					if rt.NumProcs() != 1 || rt.Now() != Time(time.Millisecond) {
+						t.Fatalf("after the panic: %d procs at %v, want 1 at 1ms", rt.NumProcs(), rt.Now())
+					}
+					if err := rt.RunUntil(Time(2 * time.Millisecond)); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 		})
+	}
+}
+
+func TestStacklessProcessMayWaitOncePerTurn(t *testing.T) {
+	for name, c := range map[string]struct {
+		second func(rt *Runtime, p *Proc)
+		want   string
+	}{
+		"a second wait after one has parked it": {
+			func(rt *Runtime, p *Proc) { p.Consume(time.Millisecond) },
+			`occam: process "greedy" panicked: occam: stackless process "greedy", already parked, reached another wait in the same turn`,
+		},
+		// The value-returning forms have no way to deliver to a process
+		// that will not be on their stack when the value comes. (Pool.Get
+		// has its twin of this in the allocator's tests.)
+		"Chan.Recv with no sender waiting": {
+			func(rt *Runtime, p *Proc) { NewChan[int](rt, "empty").Recv(p) },
+			`occam: process "greedy" panicked: occam: Chan.Recv on empty would park stackless process "greedy", which it could not return to`,
+		},
+		"Link.Send": {
+			func(rt *Runtime, p *Proc) { NewLink[int](rt, "wire", 1_000_000).Send(p, 1, 100) },
+			`occam: process "greedy" panicked: occam: Link.Send on wire would park stackless process "greedy", which it could not return to`,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rt := NewRuntime()
+			defer rt.Shutdown()
+			first := func(p *Proc) {}
+			if strings.HasPrefix(name, "a second wait") {
+				first = func(p *Proc) { p.Sleep(time.Millisecond) }
+			}
+			rt.GoStep("greedy", nil, Low, func(p *Proc) {
+				first(p)
+				c.second(rt, p)
+			})
+			if msg := recovered(func() { rt.Run() }); msg != c.want {
+				t.Errorf("Run panicked with %q\nwant %q", msg, c.want)
+			}
+		})
+	}
+	// A value-returning form that need not wait is an ordinary call.
+	rt := NewRuntime()
+	defer rt.Shutdown()
+	ch := NewChan[int](rt, "ch")
+	got := 0
+	rt.Go("sender", nil, High, func(p *Proc) { ch.Send(p, 7) })
+	rt.GoStep("taker", nil, Low, func(p *Proc) { got = ch.Recv(p) })
+	if err := rt.Run(); err != nil || got != 7 {
+		t.Errorf("Recv from a waiting sender: got %d, %v", got, err)
+	}
+}
+
+func TestStepReturningUnparkedHasExited(t *testing.T) {
+	// "early" exits at its second turn having readied "next", which is
+	// High and so goes ahead of "late", runnable since their instant
+	// came: the exit line, the drop in NumProcs and the hand-over to
+	// "next" are what a coroutine's return would have given.
+	for _, stackless := range []bool{false, true} {
+		rt := NewRuntime()
+		var log []string
+		rt.Trace = func(s string) { log = append(log, s) }
+		sig := NewSignal(rt, "sig")
+		procs := -1
+		turns := []func(p *Proc){
+			func(p *Proc) { p.Sleep(time.Millisecond) },
+			func(p *Proc) { sig.Raise() },
+		}
+		if stackless {
+			rt.GoStep("early", nil, Low, inTurns(turns...))
+		} else {
+			rt.Go("early", nil, Low, func(p *Proc) {
+				for _, turn := range turns {
+					turn(p)
+				}
+			})
+		}
+		rt.Go("next", nil, High, func(p *Proc) {
+			sig.Wait(p)
+			procs = rt.NumProcs()
+		})
+		rt.Go("late", nil, Low, func(p *Proc) { p.Sleep(time.Millisecond) })
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := "[t+1ms] run early\n[t+1ms] exit early\n[t+1ms] run next\n[t+1ms] exit next\n[t+1ms] run late\n[t+1ms] exit late"
+		if got := strings.Join(log, "\n"); !strings.HasSuffix(got, want) || procs != 2 {
+			t.Errorf("stackless=%v: %d procs when next ran, want 2; trace:\n%s\nwant it to end:\n%s", stackless, procs, got, want)
+		}
+	}
+}
+
+func TestStepWhoseOwnTimerIsNextIsCalledAgain(t *testing.T) {
+	// A lone paced loop: every park finds the process's own timer the
+	// next event. The coroutine never leaves its stack for it (one resume
+	// in all), the step function is simply called again, and both leave
+	// the same trace.
+	var traces [2][]string
+	for i, stackless := range []bool{false, true} {
+		rt := NewRuntime()
+		rt.Trace = func(s string) { traces[i] = append(traces[i], s) }
+		laps := 0
+		lap := func(p *Proc) {
+			laps++
+			p.Sleep(time.Millisecond)
+		}
+		if stackless {
+			rt.GoStep("pacer", nil, Low, func(p *Proc) {
+				if laps < 100 {
+					lap(p)
+				}
+			})
+		} else {
+			rt.Go("pacer", nil, Low, func(p *Proc) {
+				for laps < 100 {
+					lap(p)
+				}
+			})
+		}
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(1)
+		if stackless {
+			want = 0
+		}
+		if laps != 100 || rt.Switches() != 101 || rt.Resumes() != want || rt.Now() != Time(100*time.Millisecond) {
+			t.Errorf("stackless=%v: %d laps, %d switches, %d resumes, ended at %v", stackless, laps, rt.Switches(), rt.Resumes(), rt.Now())
+		}
+	}
+	if a, b := strings.Join(traces[0], "\n"), strings.Join(traces[1], "\n"); a != b {
+		t.Errorf("the coroutine traced:\n%s\nthe step function:\n%s", a, b)
+	}
+}
+
+func TestDeadlockListsStacklessProcessesLikeCoroutines(t *testing.T) {
+	var dumps [2]string
+	for i, stackless := range []bool{false, true} {
+		rt := NewRuntime()
+		cpu := NewNode(rt, "cpu")
+		never := NewChan[int](rt, "never")
+		full := NewChan[int](rt, "full")
+		var v int
+		guards := []Guard{Recv(never, &v), Recv(never, &v)}
+		for name, wait := range map[string]func(p *Proc){
+			"recv": func(p *Proc) { never.RecvInto(p, &v) },
+			"send": func(p *Proc) { full.Send(p, 1) },
+			"alt":  func(p *Proc) { p.Alt(guards...) },
+			"sig":  func(p *Proc) { NewSignal(rt, "sig").Wait(p) },
+		} {
+			if stackless {
+				rt.GoStep(name, cpu, High, wait)
+			} else {
+				rt.Go(name, cpu, High, wait)
+			}
+		}
+		err := rt.Run()
+		if err == nil {
+			t.Fatal("Run returned nil with every process blocked for good")
+		}
+		dumps[i] = err.Error()
+		rt.Shutdown()
+	}
+	want := "occam: deadlock at t+0s with 4 blocked processes:\n" +
+		"  alt [high] alt over 2 guards\n  recv [high] recv never\n  send [high] send full\n  sig [high] recv sig"
+	if dumps[0] != want || dumps[1] != want {
+		t.Errorf("coroutines:\n%s\nstackless:\n%s\nwant:\n%s", dumps[0], dumps[1], want)
 	}
 }
 
@@ -102,6 +301,45 @@ func TestShutdownReleasesEveryGoroutine(t *testing.T) {
 		}
 	}()
 	rt.Go("late", nil, Low, func(p *Proc) {})
+}
+
+func TestShutdownWithStacklessProcesses(t *testing.T) {
+	// Parked, runnable and never run: none of them has a goroutine, so
+	// there is nothing to release, before Shutdown or after.
+	before := runtime.NumGoroutine()
+	rt := NewRuntime()
+	ch := NewChan[int](rt, "never")
+	var v int
+	for i := 0; i < 4; i++ {
+		rt.GoStep("parked", nil, Low, func(p *Proc) { ch.RecvInto(p, &v) })
+	}
+	rt.GoStep("sleeper", nil, High, func(p *Proc) { p.Sleep(time.Millisecond) })
+	sig := NewSignal(rt, "sig")
+	rt.GoStep("woken", nil, Low, inTurns(sig.Wait, func(p *Proc) { t.Error("Shutdown ran a runnable process") }))
+	if err := rt.RunUntil(Time(3 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	sig.Raise()
+	for i := 0; i < 3; i++ {
+		rt.GoStep("unstarted", nil, Low, func(p *Proc) { t.Error("Shutdown ran a process that had never been scheduled") })
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines with 9 stackless processes live, %d before NewRuntime", n, before)
+	}
+	rt.Shutdown()
+	rt.Shutdown() // idempotent
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Shutdown, %d before NewRuntime", n, before)
+	}
+	if rt.NumProcs() != 0 {
+		t.Errorf("%d procs alive after Shutdown", rt.NumProcs())
+	}
+	if err := rt.RunUntil(Time(time.Second)); err == nil {
+		t.Error("RunUntil after Shutdown returned nil")
+	}
+	if msg := recovered(func() { rt.GoStep("late", nil, Low, func(p *Proc) {}) }); msg == "" {
+		t.Error("GoStep after Shutdown did not panic")
+	}
 }
 
 // schedulePin runs a fixed small network that crosses every scheduling

@@ -59,11 +59,17 @@ func (l *Link[T]) TransferTime(size int) time.Duration {
 // Send transmits v, which is accounted as size bytes on the wire. The
 // sender is blocked while the link is busy with earlier transfers,
 // then for the transfer time, then until the receiver accepts the
-// value (link DMA plus rendezvous).
+// value (link DMA plus rendezvous). That is two waits, Occupy and then
+// Rendezvous, and a stackless process takes them as two.
 func (l *Link[T]) Send(p *Proc, v T, size int) {
+	p.NeedsStack("Link.Send", l.name)
 	l.Occupy(p, size)
-	l.ch.Send(p, v)
+	l.Rendezvous(p, v)
 }
+
+// Rendezvous is the untimed half of Send: it offers v to the receiver,
+// blocking until it is taken.
+func (l *Link[T]) Rendezvous(p *Proc, v T) { l.ch.Send(p, v) }
 
 // Occupy is the timed half of Send: it books the link for a transfer of
 // size bytes behind any earlier ones and blocks the sender until the
@@ -92,6 +98,10 @@ func (l *Link[T]) Occupy(p *Proc, size int) {
 // Recv receives the next message from the link, blocking until one
 // arrives.
 func (l *Link[T]) Recv(p *Proc) T { return l.ch.Recv(p) }
+
+// RecvInto receives the next message from the link into *dst, as
+// Chan.RecvInto does.
+func (l *Link[T]) RecvInto(p *Proc, dst *T) { l.ch.RecvInto(p, dst) }
 
 // In returns a guard that fires when a message can be received from
 // the link, for use in an alternation.

@@ -68,10 +68,13 @@ const (
 	stCPU
 )
 
-// Proc is an Occam process: a coroutine resumed by the virtual-time
-// Runtime's dispatch loop. All blocking primitives take the Proc as
-// receiver and may only be called from the process's own body while it
-// is the currently scheduled process.
+// Proc is an Occam process, given its turns by the virtual-time
+// Runtime's dispatch loop in one of two forms. Started with Go it is a
+// coroutine: the loop resumes it and a blocking primitive switches back.
+// Started with GoStep it is stackless: the loop calls its step function
+// and a blocking primitive arms the wait and returns. All blocking
+// primitives take the Proc as receiver and may only be called from the
+// process's own code while it is the currently scheduled process.
 type Proc struct {
 	rt   *Runtime
 	node *Node
@@ -79,15 +82,28 @@ type Proc struct {
 	pri  Priority
 	seq  uint64
 
-	// The iter.Pull coroutine running the process body: the dispatch
-	// loop calls resume, park calls yield to switch back to it, and
-	// Shutdown calls stop.
+	// The iter.Pull coroutine running the body of a process started with
+	// Go: the dispatch loop calls resume, park calls yield to switch back
+	// to it, and Shutdown calls stop.
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
 	stop   func()
 
+	// step is what the dispatch loop calls at each turn of a process
+	// started with GoStep; nil for a coroutine.
+	step func(*Proc)
+
 	// Blocked-state diagnostics (see statusText).
 	stKind statusKind
+	// Polled wait (sched.go): while wait is set the process is parked
+	// in SleepGrid or ConsumeSliced and pick takes its turns for it.
+	// The instant a grid sleep is armed for is stTime, the slice a
+	// grant is in progress for stDur.
+	wait waitKind
+	// parked is set when a blocking primitive has armed a stackless
+	// process's wait, and cleared at its next turn: a step that returns
+	// with it clear has exited.
+	parked bool
 	stName string        // channel or node name (send/recv/cpu)
 	stTime Time          // sleep deadline
 	stDur  time.Duration // cpu grant duration
@@ -102,11 +118,7 @@ type Proc struct {
 	// parked on at a time.
 	ev timerEv
 
-	// Polled wait (sched.go): while wait is set the process is parked
-	// in SleepGrid or ConsumeSliced and pick takes its turns for it.
-	// The instant a grid sleep is armed for is stTime, the slice a
-	// grant is in progress for stDur.
-	wait      waitKind
+	// Polled-wait parameters (see wait).
 	gridEvery time.Duration
 	gridWake  func(Sched) bool
 	sliceLeft time.Duration // still to request once the grant in progress completes
@@ -312,10 +324,11 @@ func (q *runq) grow() {
 // Create with NewRuntime, start processes with Go, then drive the
 // simulation with Run or RunUntil.
 //
-// Processes are coroutines of the goroutine that calls RunUntil (see
-// the package comment): its dispatch loop resumes one process, which
-// runs until it parks and switches straight back, naming the process it
-// popped as the one to resume next.
+// Processes run on the goroutine that calls RunUntil (see the package
+// comment): its dispatch loop gives one process its turn — resuming its
+// coroutine, or calling its step function if it is stackless — and the
+// process runs until it parks and comes straight back, naming the
+// process it popped as the one to run next.
 //
 // mu guards every field below. With one process running at a time it
 // is never contended; it is what makes Now, Switches, NumProcs, Done
@@ -323,7 +336,9 @@ func (q *runq) grow() {
 // one inside RunUntil. It travels with the baton: a primitive locks it,
 // park switches away still holding it, and the process resumed next
 // finds it held and releases it on returning to user code, so a switch
-// costs one lock and one unlock in all.
+// between coroutines costs one lock and one unlock in all. A step
+// function's primitive releases it as it returns and the dispatch loop
+// takes it again: two of each for a stackless turn.
 type Runtime struct {
 	mu       sync.Mutex
 	now      Time
@@ -335,13 +350,14 @@ type Runtime struct {
 	procs    map[*Proc]struct{}
 	killed   bool
 	running  bool  // inside RunUntil
-	handoff  *Proc // popped by the process that just parked or exited; the dispatch loop resumes it next
+	handoff  *Proc // popped by the process that just parked or exited; the dispatch loop runs it next
 
 	// Trace, if non-nil, receives a line for every scheduling event.
 	// For debugging; nil in normal use.
 	Trace func(string)
 
 	switches uint64 // context switches performed (experiment E17)
+	resumes  uint64 // coroutine resumes performed by the dispatch loop
 }
 
 // NewRuntime returns an empty runtime at time zero.
@@ -369,6 +385,17 @@ func (rt *Runtime) Switches() uint64 {
 	return rt.switches
 }
 
+// Resumes returns the number of coroutine resumes the dispatch loop
+// has performed: what the host paid two stack switches for. A turn taken
+// by calling a step function, by the scheduler for a polled wait, or by
+// a parking coroutine that found itself next, is in Switches and not
+// here.
+func (rt *Runtime) Resumes() uint64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.resumes
+}
+
 // NumProcs returns the number of live (started, not yet exited)
 // processes.
 func (rt *Runtime) NumProcs() int {
@@ -379,13 +406,56 @@ func (rt *Runtime) NumProcs() int {
 
 // Go starts a new process named name at priority pri on node (which
 // may be nil for a process with no CPU accounting). The process body
-// fn runs when the runtime next schedules it. Go may be called before
-// Run or from inside another process.
+// fn runs when the runtime next schedules it, as a coroutine: it keeps
+// its stack from one turn to the next. Go may be called before Run or
+// from inside another process.
 func (rt *Runtime) Go(name string, node *Node, pri Priority, fn func(p *Proc)) *Proc {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	p := rt.newProc(name, node, pri)
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// Every switch, either way, happens with mu held: the body
+		// drops it here and retakes it on the way out.
+		rt.mu.Unlock()
+		defer func() {
+			r := recover() // nil: fn returned
+			rt.mu.Lock()
+			rt.retire(p, r) // returning switches to the dispatch loop
+		}()
+		fn(p)
+	})
+	rt.ready(p)
+	return p
+}
+
+// GoStep starts a stackless process: one whose code needs no stack
+// between turns. At each of its turns the dispatch loop calls step, on
+// its own goroutine with the runtime lock released; step runs the
+// process from where it left off to its next wait and returns. A
+// blocking primitive that has to wait arms the wait, marks the process
+// parked (Parked) and returns, and step must then return without
+// calling another; one that need not wait returns with the process
+// unparked and step carries on. A step that returns unparked has
+// exited. What a wake-up brings is written through a pointer handed
+// over when the wait was armed (Chan.RecvInto, the Recv guards), so no
+// primitive has a second half to run after the wake but Alt, which is
+// called again. In the run queues, the timer queue, the trace, Switches
+// and the deadlock dump the process is like any other.
+func (rt *Runtime) GoStep(name string, node *Node, pri Priority, step func(p *Proc)) *Proc {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	p := rt.newProc(name, node, pri)
+	p.step = step
+	rt.ready(p)
+	return p
+}
+
+// newProc registers a process that has yet to be given its form and
+// readied. Caller holds mu.
+func (rt *Runtime) newProc(name string, node *Node, pri Priority) *Proc {
 	if rt.killed {
-		panic("occam: Go after Shutdown")
+		panic("occam: process " + name + " started after Shutdown")
 	}
 	rt.seq++
 	p := &Proc{
@@ -396,36 +466,41 @@ func (rt *Runtime) Go(name string, node *Node, pri Priority, fn func(p *Proc)) *
 		seq:  rt.seq,
 	}
 	p.ev.p = p
-	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		// Every switch, either way, happens with mu held: the body
-		// drops it here and retakes it on the way out.
-		rt.mu.Unlock()
-		defer func() {
-			r := recover() // nil: fn returned
-			rt.mu.Lock()
-			delete(rt.procs, p)
-			switch r {
-			case nil:
-				// Pick the successor; returning switches to the
-				// dispatch loop.
-				if rt.Trace != nil {
-					rt.trace("exit %s", p.name)
-				}
-				rt.handoff = rt.pick()
-			case errKilled:
-				// The clean Shutdown unwind.
-			default:
-				// Carries on out of resume, in the goroutine running
-				// RunUntil.
-				panic(fmt.Sprintf("occam: process %q panicked: %v", p.name, r))
-			}
-		}()
-		fn(p)
-	})
 	rt.procs[p] = struct{}{}
-	rt.ready(p)
 	return p
+}
+
+// retire removes p, whose code has returned (r is nil) or panicked
+// with r. Caller holds mu and is p itself or, for a stackless p, the
+// dispatch loop.
+func (rt *Runtime) retire(p *Proc, r any) {
+	delete(rt.procs, p)
+	switch r {
+	case nil:
+		if rt.Trace != nil {
+			rt.trace("exit %s", p.name)
+		}
+		rt.handoff = rt.pick()
+	case errKilled:
+		// The clean Shutdown unwind of a coroutine.
+	default:
+		// Carries on out of RunUntil, in the goroutine that called it.
+		panic(fmt.Sprintf("occam: process %q panicked: %v", p.name, r))
+	}
+}
+
+// Parked reports whether a blocking primitive has armed a wait for p, a
+// stackless process, during its current turn: its step function must
+// return. It is false for a coroutine, whose primitives return only
+// when the wait is over.
+func (p *Proc) Parked() bool { return p.parked }
+
+// NeedsStack panics if p is stackless: op, a primitive that returns
+// what its wake-up brings, is about to park it on the thing named on.
+func (p *Proc) NeedsStack(op, on string) {
+	if p.step != nil {
+		panic(fmt.Sprintf("occam: %s on %s would park stackless process %q, which it could not return to", op, on, p.name))
+	}
 }
 
 // ready appends p to the run queue for its priority. Caller holds mu.
@@ -454,8 +529,8 @@ func (rt *Runtime) popRunnable() *Proc {
 // timer events as needed, and counts the switch to it. A process in a
 // polled wait has its turn taken here and, unless that turn ends the
 // wait, is not returned: the turn is counted and traced like any other
-// — Switches is a statistic of the modelled transputers — but nothing
-// is resumed. pick returns nil when nothing can run before the limit.
+// — Switches is a statistic of the modelled transputers — but no
+// process code runs. pick returns nil when nothing can run before the limit.
 // Caller holds mu and is giving up the CPU (it is parking, exiting, or
 // is the dispatch loop).
 func (rt *Runtime) pick() *Proc {
@@ -555,15 +630,28 @@ func (rt *Runtime) arm(ev *timerEv, at Time) {
 
 // park blocks the calling process until another process or a timer
 // makes it ready again. Caller holds mu; park returns with mu held.
-// On Shutdown, park panics with errKilled while still holding mu, so
-// every caller must release mu with defer.
+// For a coroutine it returns when the wait is over; on Shutdown it
+// panics with errKilled while still holding mu, so every caller must
+// release mu with defer. For a stackless process it returns at once with
+// the process marked parked and its successor picked, so a caller must
+// have nothing left to do for the waiter once the wait is armed.
 // kind and name describe what the process is waiting for
 // (diagnostics); callers set the auxiliary stTime/stDur/stN fields
 // for the kinds that use them before calling.
 func (rt *Runtime) park(p *Proc, kind statusKind, name string) {
+	if p.parked {
+		panic(fmt.Sprintf("occam: stackless process %q, already parked, reached another wait in the same turn", p.name))
+	}
 	p.stKind, p.stName = kind, name
 	if rt.Trace != nil {
 		rt.trace("park %s: %s", p.name, p.statusText())
+	}
+	if p.step != nil {
+		// The step function returns to the dispatch loop, which finds
+		// the successor where an exiting process would have left it.
+		p.parked = true
+		rt.handoff = rt.pick()
+		return
 	}
 	// Self-handoff fast path: when the next process to run is the one
 	// parking (its own timer fired during the clock advance, or it was
@@ -613,13 +701,19 @@ func (rt *Runtime) RunUntil(t Time) error {
 		rt.running = false
 		rt.limit = Forever
 	}()
-	// The dispatch loop. mu goes with every switch: the resumed process
-	// releases it while it runs user code and holds it again when it
-	// comes back, having parked or exited and left in handoff the
+	// The dispatch loop. mu goes with every switch: the process given
+	// the turn releases it while it runs user code and holds it again
+	// when it comes back, having parked or exited and left in handoff the
 	// process it picked to follow it (nil: nothing can run before the
 	// limit). A panicking process comes back the same way, as a panic
-	// out of resume.
+	// out of resume or callStep. This is the only place a step function
+	// is called from, so one never runs on a coroutine's stack.
 	for p := rt.pick(); p != nil; p, rt.handoff = rt.handoff, nil {
+		if p.step != nil {
+			rt.callStep(p)
+			continue
+		}
+		rt.resumes++
 		p.resume()
 	}
 	// A deadlock is only an error for an unbounded run: a bounded run
@@ -631,6 +725,22 @@ func (rt *Runtime) RunUntil(t Time) error {
 		return &DeadlockError{Now: rt.now, Procs: rt.procDump()}
 	}
 	return nil
+}
+
+// callStep gives stackless p its turn: step runs with mu released, as a
+// coroutine's body does, and comes back parked, or unparked: exited.
+// Caller is the dispatch loop, holding mu.
+func (rt *Runtime) callStep(p *Proc) {
+	p.parked = false
+	rt.mu.Unlock()
+	defer func() {
+		r := recover()
+		rt.mu.Lock()
+		if r != nil || !p.parked {
+			rt.retire(p, r)
+		}
+	}()
+	p.step(p)
 }
 
 // procDump returns one diagnostic line per live process, sorted for
@@ -653,8 +763,9 @@ func (rt *Runtime) Done() bool {
 
 // Shutdown terminates all processes, unwinding the coroutines of those
 // that have started and discarding those that have not, so none of
-// their goroutines outlives it. The runtime cannot be used afterwards.
-// Call it from the root goroutine after Run returns.
+// their goroutines outlives it; a stackless process has nothing to
+// unwind. The runtime cannot be used afterwards. Call it from the root
+// goroutine after Run returns.
 func (rt *Runtime) Shutdown() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -670,7 +781,9 @@ func (rt *Runtime) Shutdown() {
 	// A stopped process's yield returns into park, which panics with
 	// errKilled and unwinds the body.
 	for p := range procs {
-		p.stop()
+		if p.stop != nil {
+			p.stop()
+		}
 	}
 }
 

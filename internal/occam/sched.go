@@ -17,16 +17,17 @@ import (
 // Two execution contexts exist and must not be confused:
 //
 //   - process context: ordinary user code in a process body — a
-//     coroutine the dispatch loop in RunUntil has switched into. It runs
-//     without the runtime lock, may call every blocking primitive, and
-//     arms Timers with Timer.Schedule and raises Signals with
-//     Signal.Raise.
+//     coroutine the dispatch loop in RunUntil has switched into, or a
+//     step function it has called. It runs without the runtime lock, may
+//     call every blocking primitive (a step function under GoStep's
+//     rules), and arms Timers with Timer.Schedule and raises Signals
+//     with Signal.Raise.
 //   - scheduler context: a Timer callback or a SleepGrid predicate,
 //     running *inside* the scheduler with the runtime lock held. The
 //     scheduler has no goroutine of its own: its code runs in whichever
 //     context is giving up the CPU — the process that is parking or
 //     exiting, which picks its own successor, or the dispatch loop — so
-//     a callback may find itself on any process's stack. It must not
+//     a callback may find itself on any coroutine's stack. It must not
 //     block and must not call anything that re-enters the runtime (Proc
 //     methods, channel operations, Runtime.Now). It receives a Sched
 //     capability and goes through that for everything: Sched.Now,
@@ -39,7 +40,7 @@ import (
 // simulation state alone, true whenever the process would have done
 // anything but go back to sleep — and it is built once per process, not
 // per call. A predicate that panics surfaces from RunUntil with its
-// process named, having unwound whichever process it ran on.
+// process named, having unwound whichever process it ran under.
 //
 // Only one of the dispatch loop and the processes is ever executing,
 // so callback code may touch the same plain data structures processes
@@ -147,14 +148,15 @@ func (s *Signal) raiseLocked() {
 }
 
 // Polled waits. A process whose loop is "block, wake, find nothing to
-// do, block again" pays two coroutine switches per lap to run no code
-// of its own. A polled wait parks it once and has pick take each of
-// those turns in scheduler context instead, in the same run-queue
-// position with the same timers, sequence numbers, switch count and
-// trace lines the loop would have produced; the coroutine is resumed
-// only by the turn that ends the wait. The state lives in the Proc, so
-// a wait allocates nothing. SleepGrid and ConsumeSliced (node.go) are
-// the two there are.
+// do, block again" pays a turn per lap — two coroutine switches, or a
+// call of its step function — to run no code of its own. A polled wait
+// parks it once and has pick take each of those turns in scheduler
+// context instead, in the same run-queue position with the same timers,
+// sequence numbers, switch count and trace lines the loop would have
+// produced; the process is given only the turn that ends the wait. The
+// state lives in the Proc, so a wait allocates nothing, and it serves
+// either form of process unchanged. SleepGrid and ConsumeSliced
+// (node.go) are the two there are.
 
 type waitKind uint8
 
@@ -200,7 +202,9 @@ func (rt *Runtime) pollTurn(p *Proc) bool {
 //	}
 //
 // with every turn but the last taken by the scheduler (a polled wait).
-// wake runs in scheduler context under the predicate rules above.
+// wake runs in scheduler context under the predicate rules above. A
+// stackless process that SleepGrid parks is given its next turn at the
+// instant SleepGrid would have returned, and reads it as Now.
 func (p *Proc) SleepGrid(t Time, period time.Duration, wake func(Sched) bool) Time {
 	if period <= 0 {
 		panic("occam: SleepGrid with no period")

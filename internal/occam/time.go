@@ -2,15 +2,21 @@
 // Inmos transputer / Occam 2 execution environment that the Pandora
 // system was built on (paper §3.1).
 //
-// Processes are coroutines resumed one at a time by a virtual-time
-// scheduler, so every run is exactly reproducible and experiments that
-// span minutes of stream time complete in milliseconds of wall time.
-// The goroutine that calls Runtime.RunUntil is the only one that runs:
-// its dispatch loop switches into a process, the process switches back
-// when it blocks, and the Go scheduler is never involved — the
-// transputer's cheap context switch (§3.1) is a direct coroutine
-// switch here. A panic in a process surfaces from RunUntil in that
-// caller. The primitives mirror Occam:
+// Processes run one at a time under a virtual-time scheduler, so every
+// run is exactly reproducible and experiments that span minutes of
+// stream time complete in milliseconds of wall time. The goroutine that
+// calls Runtime.RunUntil is the only one that runs: its dispatch loop
+// gives a process its turn, the process comes back when it blocks, and
+// the Go scheduler is never involved. A process keeps a stack only if
+// its code needs one between turns. One started with Runtime.Go is a
+// coroutine: the loop switches into it and a blocking primitive switches
+// back — the transputer's cheap context switch (§3.1) as a direct
+// coroutine switch. One started with Runtime.GoStep is stackless: the
+// loop calls its step function, a blocking primitive arms the wait and
+// returns, and a turn costs a function call. To the scheduler the two
+// are the same process: same queues, priorities, timers and trace. A
+// panic in a process surfaces from RunUntil in that caller. The
+// primitives mirror Occam:
 //
 //   - rendezvous channels (Chan) with blocking Send/Recv,
 //   - prioritised alternation (Proc.Alt, the PRI ALT construct),
