@@ -60,15 +60,15 @@ func TestBoxProcessCensus(t *testing.T) {
 		}
 	}
 	// A process keeps a stack only if its code needs one between
-	// turns: netOut and the four video-path processes are coroutines, a
-	// goroutine each; the seven on the audio path are step functions.
+	// turns: the four video-path processes are coroutines, a goroutine
+	// each; netOut and the seven on the audio path are step functions.
 	before := runtime.NumGoroutine()
 	New(rt, atm.New(rt), Config{})
 	if n := rt.NumProcs(); n != len(want) {
 		t.Errorf("box.New started %d processes, want %d", n, len(want))
 	}
-	if n := runtime.NumGoroutine() - before; n != 5 {
-		t.Errorf("box.New started %d goroutines, want 5", n)
+	if n := runtime.NumGoroutine() - before; n != 4 {
+		t.Errorf("box.New started %d goroutines, want 4", n)
 	}
 	run(t, rt, time.Millisecond)
 	for _, name := range want {
@@ -125,12 +125,11 @@ func TestIdleBoxResumesOnlyTheFieldTick(t *testing.T) {
 	}
 }
 
-func TestAudioCallResumesOnlyTheSendersNetOut(t *testing.T) {
-	// One way, a to b, for a virtual second: of the nine processes a
+func TestAudioCallResumesNoCoroutinePerSegment(t *testing.T) {
+	// One way, a to b, for a virtual second: of the ten processes a
 	// segment meets between microphone and loudspeaker none is switched
-	// into. The sender's netOut — still a coroutine — is, once a segment
-	// (its sleep for the transmission ends in a turn it takes without
-	// leaving its stack), and each box's capture board at its field tick.
+	// into — the sender's netOut takes its two turns a segment as calls —
+	// and what is left is each box's capture board at its field tick.
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
 	a, b, _ := twoBoxes(rt, Config{Mic: workload.NewTone(400, 12000)}, Config{}, 100)
@@ -145,10 +144,10 @@ func TestAudioCallResumesOnlyTheSendersNetOut(t *testing.T) {
 	played = b.Mixer().Stats(100).Segments - played
 	got := int(rt.Resumes() - before)
 	field := turns["a.capture"] + turns["b.capture"]
-	if played != 250 || turns["a.netOut"] != 2*250 || got != 250+field {
-		t.Errorf("%d segments played for %d coroutine resumes, %d field ticks and %d turns of a.netOut; want 250 segments, one resume each beside the field ticks, and 500. "+
+	if netOut := turns["a.netOut"]; played != 250 || netOut != 2*250 || got != field || field != 50 {
+		t.Errorf("%d segments played for %d coroutine resumes, %d field ticks and %d turns of a.netOut; want 250 segments, 50 resumes, all of them field ticks, and 500. "+
 			"A stage back on a coroutine adds its turns to the resumes; turns of the rest: %s",
-			played, got, field, turns["a.netOut"], turnsByName(turns, "a.capture", "b.capture", "a.netOut"))
+			played, got, field, netOut, turnsByName(turns, "a.capture", "b.capture", "a.netOut"))
 	}
 }
 

@@ -61,18 +61,18 @@ func (b *Box) startServer() {
 	mk(bufNetAudio, "netAbuf", netAudioBufferSegments)
 	mk(bufNetVideo, "netVbuf", netVideoBufferSegments)
 	mk(bufDisplay, "dispbuf", switchBufferSegments)
-	// One process drains both network buffers (runNetOut).
+	// One process drains both network buffers (netOut).
 	b.outBufs[bufNetVideo].ShareWake(b.outBufs[bufNetAudio])
 
-	// The audio path's handlers are stackless, written like the audio
-	// board's (audio.go); netOut, whose interleaved send nests one paced
-	// loop in another, and the video path's keep a stack between turns.
+	// The audio path's handlers and netOut are stackless, written like
+	// the audio board's (audio.go); the video path's keep a stack between
+	// turns.
 	rt.GoStep(name+".switch", b.serverNode, occam.High, newDataSwitch(b).step)
 	rt.GoStep(name+".audioIn", b.serverNode, occam.High, (&audioIn{b: b}).step)
 	rt.GoStep(name+".netIn", b.serverNode, occam.High, newNetIn(b).step)
 	rt.Go(name+".captureIn", b.serverNode, occam.High, b.runCaptureIn)
 	rt.GoStep(name+".audioOut", b.serverNode, occam.High, (&audioOut{b: b}).step)
-	rt.Go(name+".netOut", b.serverNode, occam.High, b.runNetOut)
+	rt.GoStep(name+".netOut", b.serverNode, occam.High, (&netOut{b: b, rep: newReporter(name+".netOut", b.Log)}).step)
 	rt.Go(name+".displayOut", b.serverNode, occam.High, b.runDisplayOut)
 }
 
@@ -584,96 +584,168 @@ func reassemble(m map[uint32]*chunkedVideo, msg atm.Message) (segment.Wire, bool
 	return segment.Wire{}, false
 }
 
-// runNetOut is the network output process. Audio takes priority over
+// netOut is the network output process. Audio takes priority over
 // video (principle 2, figure 3.7): the audio decoupling buffer is
 // always polled first. Without InterleaveNetwork, a whole video
 // segment is one network message, so "video segments can hold up
-// following audio segments" (§4.2) on the shared first link.
-func (b *Box) runNetOut(p *occam.Proc) {
-	rep := newReporter(b.cfg.Name+".netOut", b.Log)
+// following audio segments" (§4.2) on the shared first link. With it
+// (A4) a video segment goes out in chunks and waiting audio is let
+// through between them — which is why there are two segments in hand
+// and not a stack: what the audio buffer holds is never chunked, so the
+// send inside the chunk loop cannot nest again.
+type netOut struct {
+	b   *Box
+	rep *Reporter
+	at  int       // noTake, noNext or noSend
+	seg [2]netSeg // the segment taken, and audio let through between its chunks
+	d   int       // which of the two is being sent
+}
+
+// netSeg is one segment on its way out, the caller still holding its
+// server buffer, and how far the sending has got.
+type netSeg struct {
+	buf  *allocator.Buffer
+	vcis []uint32 // its stream's network destinations
+	vi   int      // the destination being served
+	// w is the copy out of the server buffer (the network interface's
+	// single copy, §3.4). Sent whole, every VCI shares it under its own
+	// reference; chunked, each VCI has a copy and each chunk message a
+	// reference to it.
+	w      segment.Wire
+	chunks int // per destination; 0: sent whole
+	chunk  int // the chunk being sent
+}
+
+const (
+	noTake = iota // take the next segment, audio first, or wait for one
+	noNext        // find the segment's next message and occupy the interface for it
+	noSend        // the transmission time is spent: hand it to the transport
+)
+
+func (n *netOut) step(p *occam.Proc) {
+	b := n.b
 	audio, video := b.outBufs[bufNetAudio], b.outBufs[bufNetVideo]
 	for {
-		buf, ok := audio.TryRecv(p) // principle 2: audio first
-		if !ok {
-			buf, ok = video.TryRecv(p)
-		}
-		if !ok {
-			audio.Wait(p) // video shares audio's wake signal
-			continue
-		}
-		b.netSend(p, rep, buf)
-		b.pool.Release(p, buf)
-	}
-}
-
-// netSend transmits one segment to every network destination of its
-// stream; the caller still holds the server buffer.
-func (b *Box) netSend(p *occam.Proc, rep *Reporter, buf *allocator.Buffer) {
-	vcis := b.netVCI[buf.Stream]
-	if len(vcis) == 0 {
-		return // every copy was moved away, or the subtree is shed
-	}
-	// Splitting to several network destinations sends one descriptor
-	// per VCI; a slow destination only affects its own circuit
-	// (principle 5 — drops happen inside the network, never here).
-	kind := "audio"
-	if buf.Payload.Type() == segment.TypeVideo {
-		kind = "video"
-		if b.cfg.InterleaveNetwork {
-			for _, vci := range vcis {
-				b.sendChunked(p, rep, vci, b.wires.Copy(buf.Payload.Bytes()))
-			}
-			return
-		}
-	}
-	// Copy out of the server buffer once (the network interface's
-	// single copy, §3.4); every VCI then shares the wire under its own
-	// reference. Non-interleaved video occupies the interface for the
-	// whole segment, holding up any audio waiting in its buffer (§4.2).
-	w := b.wires.Copy(buf.Payload.Bytes())
-	w.Retain(len(vcis) - 1)
-	for _, vci := range vcis {
-		b.netTransmit(p, w.Len())
-		if err := b.host.Send(p, atm.Message{VCI: vci, Size: w.Len(), W: w}); err != nil {
-			w.Release() // the circuit never took the reference
-			rep.Report(p, "nocircuit", "%s stream %d: %v", kind, buf.Stream, err)
-		}
-	}
-}
-
-// sendChunked splits a video segment into cell-train chunks and lets
-// waiting audio through between chunks (A4: interleaved transmission).
-// It consumes the wire reference it is given: each chunk message
-// carries its own reference to the same wire.
-func (b *Box) sendChunked(p *occam.Proc, rep *Reporter, vci uint32, w segment.Wire) {
-	total := (w.Len() + netChunkSize - 1) / netChunkSize
-	w.Retain(total - 1)
-	for i := 0; i < total; i++ {
-		// Drain any waiting audio first (principle 2 at chunk
-		// granularity).
-		for {
-			abuf, ok := b.outBufs[bufNetAudio].TryRecv(p)
+		s := &n.seg[n.d]
+		switch n.at {
+		case noTake:
+			buf, ok := audio.TryRecv(p) // principle 2: audio first
 			if !ok {
-				break
+				buf, ok = video.TryRecv(p)
 			}
-			b.netSend(p, rep, abuf)
-			b.pool.Release(p, abuf)
-		}
-		size := netChunkSize
-		if i == total-1 {
-			size = w.Len() - (total-1)*netChunkSize
-		}
-		b.netTransmit(p, size)
-		err := b.host.Send(p, atm.Message{
-			VCI: vci, Size: size, W: w,
-			ChunkIndex: i, ChunkTotal: total,
-		})
-		if err != nil {
-			rep.Report(p, "nocircuit", "video chunk: %v", err)
-			for j := i; j < total; j++ {
-				w.Release() // the unsent chunks' references
+			if !ok {
+				if audio.Wait(p); p.Parked() { // video shares audio's wake signal
+					return
+				}
+				continue
 			}
-			return
+			n.begin(buf)
+		case noNext:
+			if s.vi == len(s.vcis) {
+				// Sent to every destination — or to none: every copy was
+				// moved away, or the subtree is shed.
+				b.pool.Release(p, s.buf)
+				*s = netSeg{}
+				if n.d == 1 {
+					n.d = 0 // back between the video segment's chunks
+				} else {
+					n.at = noTake
+				}
+				continue
+			}
+			size := s.w.Len()
+			if s.chunks > 0 {
+				if s.w.IsZero() {
+					s.w = b.wires.Copy(s.buf.Payload.Bytes())
+					s.w.Retain(s.chunks - 1)
+				}
+				// Drain any waiting audio first (principle 2 at chunk
+				// granularity).
+				if abuf, ok := audio.TryRecv(p); ok {
+					n.d = 1
+					n.begin(abuf)
+					continue
+				}
+				size = s.chunkSize()
+			}
+			// Non-interleaved video occupies the interface for the whole
+			// segment, holding up any audio waiting in its buffer (§4.2).
+			n.at = noSend
+			if b.netTransmit(p, size); p.Parked() {
+				return
+			}
+		case noSend:
+			n.at = noNext
+			if n.send(p, s); p.Parked() {
+				return
+			}
 		}
+	}
+}
+
+// begin takes buf as the segment to send next: to every network
+// destination of its stream, one descriptor per VCI, so a slow
+// destination only affects its own circuit (principle 5 — drops happen
+// inside the network, never here).
+func (n *netOut) begin(buf *allocator.Buffer) {
+	b, s := n.b, &n.seg[n.d]
+	*s = netSeg{buf: buf, vcis: b.netVCI[buf.Stream]}
+	n.at = noNext
+	if len(s.vcis) == 0 {
+		return
+	}
+	if n.d == 0 && b.cfg.InterleaveNetwork && buf.Payload.Type() == segment.TypeVideo {
+		s.chunks = (buf.Payload.Len() + netChunkSize - 1) / netChunkSize
+		return
+	}
+	s.w = b.wires.Copy(buf.Payload.Bytes())
+	s.w.Retain(len(s.vcis) - 1)
+}
+
+// chunkSize is the size of the chunk being sent: netChunkSize but for
+// the last.
+func (s *netSeg) chunkSize() int {
+	if s.chunk == s.chunks-1 {
+		return s.w.Len() - s.chunk*netChunkSize
+	}
+	return netChunkSize
+}
+
+// send hands s's next message to the transport, which takes its wire
+// reference unless it refuses the message, and moves s on to the one
+// after. A transport that blocks parks the process with nothing left to
+// do here.
+func (n *netOut) send(p *occam.Proc, s *netSeg) {
+	b := n.b
+	m := atm.Message{VCI: s.vcis[s.vi], Size: s.w.Len(), W: s.w}
+	if s.chunks > 0 {
+		m.Size, m.ChunkIndex, m.ChunkTotal = s.chunkSize(), s.chunk, s.chunks
+	}
+	err := b.host.Send(p, m)
+	last := s.chunk >= s.chunks-1 // of this destination's messages
+	if err != nil {
+		// The circuit never took the reference, and will not be offered
+		// the unsent chunks'.
+		for i := s.chunk; i < max(s.chunks, 1); i++ {
+			s.w.Release()
+		}
+		if s.chunks > 0 {
+			n.rep.Report(p, "nocircuit", "video chunk: %v", err)
+		} else {
+			kind := "audio"
+			if s.buf.Payload.Type() == segment.TypeVideo {
+				kind = "video"
+			}
+			n.rep.Report(p, "nocircuit", "%s stream %d: %v", kind, s.buf.Stream, err)
+		}
+		last = true
+	}
+	if !last {
+		s.chunk++
+		return
+	}
+	s.vi++
+	if s.chunks > 0 {
+		s.chunk, s.w = 0, segment.Wire{}
 	}
 }

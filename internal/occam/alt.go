@@ -14,12 +14,11 @@ type altState struct {
 // Guard is one alternative of a PRI ALT. Construct guards with Recv,
 // After, Timeout, Skip and When.
 type Guard interface {
-	// poll attempts to fire the guard immediately (mu held).
+	// poll attempts to fire the guard immediately.
 	poll(p *Proc) bool
-	// enable registers the guard to fire later (mu held).
+	// enable registers the guard to fire later.
 	enable(a *altState, idx int)
-	// disable removes the registration after the alt completes
-	// (mu held).
+	// disable removes the registration after the alt completes.
 	disable()
 }
 
@@ -43,8 +42,6 @@ func (p *Proc) Alt(guards ...Guard) int {
 		panic("occam: Alt with no guards")
 	}
 	rt := p.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	a := &p.alt
 	if !a.waiting {
 		for i, g := range guards {

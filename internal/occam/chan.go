@@ -52,7 +52,7 @@ func NewChan[T any](rt *Runtime, name string) *Chan[T] {
 // Name returns the channel's diagnostic name.
 func (c *Chan[T]) Name() string { return c.name }
 
-// getSend / putSend recycle send waiters. Callers hold mu. A waiter is
+// getSend / putSend recycle send waiters. A waiter is
 // freed by whoever pops it from sendq (the popper reads v before the
 // sender resumes, and the sender never touches the record again).
 func (c *Chan[T]) getSend(p *Proc, v T) *sendWaiter[T] {
@@ -90,8 +90,8 @@ func (c *Chan[T]) putReg(r *altReg[T]) {
 	c.regFree = append(c.regFree, r)
 }
 
-// popSend removes and returns the first queued sender. Caller holds mu
-// and owns the returned waiter (must putSend it after reading v).
+// popSend removes and returns the first queued sender. Caller owns the
+// returned waiter (must putSend it after reading v).
 func (c *Chan[T]) popSend() *sendWaiter[T] {
 	w := c.sendq[0]
 	copy(c.sendq, c.sendq[1:])
@@ -101,7 +101,7 @@ func (c *Chan[T]) popSend() *sendWaiter[T] {
 }
 
 // takeSend removes the first queued sender, readies it and returns what
-// it offered. Caller holds mu; sendq must not be empty.
+// it offered. sendq must not be empty.
 func (c *Chan[T]) takeSend() T {
 	w := c.popSend()
 	v := w.v
@@ -113,7 +113,7 @@ func (c *Chan[T]) takeSend() T {
 // handOver gives v to whoever has waited longest to receive it — a
 // process parked in RecvInto, else an alternation with a Recv guard on
 // the channel — by writing it where the waiter said and readying the
-// waiter, and reports whether anyone was waiting. Caller holds mu.
+// waiter, and reports whether anyone was waiting.
 func (c *Chan[T]) handOver(v T) bool {
 	if len(c.recvq) > 0 {
 		w := c.recvq[0]
@@ -136,20 +136,16 @@ func (c *Chan[T]) handOver(v T) bool {
 // Send offers v on the channel, blocking until a receiver (direct or
 // via Alt) takes it.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	rt := c.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if c.handOver(v) {
 		return
 	}
 	c.sendq = append(c.sendq, c.getSend(p, v))
-	rt.park(p, stSend, c.name)
+	c.rt.park(p, stSend, c.name)
 }
 
 // takeAlt removes the first live (unfired) alternation registration,
 // marking it fired, and returns its state, guard index and destination.
-// Dead registrations encountered on the way are recycled. Caller holds
-// mu.
+// Dead registrations encountered on the way are recycled.
 func (c *Chan[T]) takeAlt() (a *altState, idx int, dst *T) {
 	for len(c.alts) > 0 {
 		reg := c.alts[0]
@@ -172,15 +168,12 @@ func (c *Chan[T]) takeAlt() (a *altState, idx int, dst *T) {
 // so a stackless process parked here finds the value there at its next
 // turn; dst must stay valid until then.
 func (c *Chan[T]) RecvInto(p *Proc, dst *T) {
-	rt := c.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if len(c.sendq) > 0 {
 		*dst = c.takeSend()
 		return
 	}
 	c.recvq = append(c.recvq, recvWaiter[T]{p, dst})
-	rt.park(p, stRecv, c.name)
+	c.rt.park(p, stRecv, c.name)
 }
 
 // Recv receives a value from the channel, blocking until a sender
@@ -210,19 +203,14 @@ func (c *Chan[T]) Recv(p *Proc) T {
 // dual of a SKIP-guarded alternation; used where the paper's processes
 // "do not send a segment if the next process down the line is not
 // ready", §2.2 principle 5.)
-func (c *Chan[T]) TrySend(p *Proc, v T) bool {
-	rt := c.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return c.handOver(v)
-}
+func (c *Chan[T]) TrySend(p *Proc, v T) bool { return c.handOver(v) }
 
 // Pending reports whether a sender is waiting — what a Recv guard's
 // poll tests — to a caller in scheduler context.
 func (c *Chan[T]) Pending(Sched) bool { return len(c.sendq) > 0 }
 
 // removeAlt deletes every registration belonging to a, recycling the
-// records. Caller holds mu.
+// records.
 func (c *Chan[T]) removeAlt(a *altState) {
 	out := c.alts[:0]
 	for _, reg := range c.alts {

@@ -38,7 +38,6 @@ func recovered(f func()) string {
 func TestProcessPanicSurfacesFromRunUntil(t *testing.T) {
 	faults := map[string]func(rt *Runtime, p *Proc){
 		"in user code": func(rt *Runtime, p *Proc) { panic("boom") },
-		// Raised with the runtime lock held; RunUntil must still get it back.
 		"inside a primitive": func(rt *Runtime, p *Proc) {
 			tm := NewTimer(rt, func(Sched) {})
 			tm.Schedule(p.Now().Add(time.Second))
@@ -65,18 +64,17 @@ func TestProcessPanicSurfacesFromRunUntil(t *testing.T) {
 					if msg := recovered(func() { rt.Run() }); !strings.HasPrefix(msg, `occam: process "faulty" panicked: `) {
 						t.Fatalf("Run panicked with %q, want the faulty process named", msg)
 					}
-					// The runtime is left consistent: the lock is free, the
-					// faulty process gone, the clock readable, and a further
-					// run finds the bystander still blocked.
-					if !rt.mu.TryLock() {
-						t.Fatal("the runtime lock is still held after the panic")
-					}
-					rt.mu.Unlock()
+					// The runtime is left consistent: the faulty process
+					// gone, the clock and the census reading right, and a
+					// further run finds the bystander still blocked.
 					if rt.NumProcs() != 1 || rt.Now() != Time(time.Millisecond) {
 						t.Fatalf("after the panic: %d procs at %v, want 1 at 1ms", rt.NumProcs(), rt.Now())
 					}
 					if err := rt.RunUntil(Time(2 * time.Millisecond)); err != nil {
 						t.Fatal(err)
+					}
+					if rt.NumProcs() != 1 || rt.Now() != Time(2*time.Millisecond) {
+						t.Fatalf("after a further run: %d procs at %v, want 1 at 2ms", rt.NumProcs(), rt.Now())
 					}
 				})
 			}
@@ -525,9 +523,7 @@ func TestPolledWaitsAreNamedInTheProcessDump(t *testing.T) {
 	rt := NewRuntime()
 	defer rt.Shutdown()
 	parkInPolledWaits(t, rt)
-	rt.mu.Lock()
 	got := strings.Join(rt.procDump(), "\n")
-	rt.mu.Unlock()
 	want := "poller [high] sleep until t+1ms\n" +
 		"queued [low] cpu cpu for 2ms\n" +
 		"slicer [low] cpu cpu for 2ms"
@@ -585,7 +581,6 @@ func TestPanickingPredicateSurfacesFromRunNamed(t *testing.T) {
 			if msg, _ := got.(string); !strings.Contains(msg, `process "poller" panicked`) || !strings.Contains(msg, "boom") {
 				t.Fatalf("Run panicked with %v, want the polling process named", got)
 			}
-			// The lock came back with the panic.
 			if firstPoll != 0 && rt.Now() != Time(3*time.Millisecond) {
 				t.Errorf("panicked at %v, want the third poll at t+3ms", rt.Now())
 			}

@@ -44,11 +44,7 @@ func NewLink[T any](rt *Runtime, name string, bitsPerSecond int64) *Link[T] {
 func (l *Link[T]) Name() string { return l.name }
 
 // BytesSent returns the total payload bytes transferred.
-func (l *Link[T]) BytesSent() uint64 {
-	l.rt.mu.Lock()
-	defer l.rt.mu.Unlock()
-	return l.bytesSent
-}
+func (l *Link[T]) BytesSent() uint64 { return l.bytesSent }
 
 // TransferTime returns how long a message of size bytes occupies the
 // link.
@@ -81,9 +77,7 @@ func (l *Link[T]) Occupy(p *Proc, size int) {
 	if size < 0 {
 		panic("occam: negative link transfer size")
 	}
-	rt := l.rt
-	rt.mu.Lock()
-	start := rt.now
+	start := l.rt.now
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
@@ -91,7 +85,6 @@ func (l *Link[T]) Occupy(p *Proc, size int) {
 	l.busyUntil = done
 	l.bytesSent += uint64(size)
 	l.transfers++
-	rt.mu.Unlock()
 	p.SleepUntil(done)
 }
 
@@ -109,11 +102,7 @@ func (l *Link[T]) In(dst *T) Guard { return Recv(l.ch, dst) }
 
 // Busy reports whether a transfer is in progress at the current
 // instant (diagnostics).
-func (l *Link[T]) Busy() bool {
-	l.rt.mu.Lock()
-	defer l.rt.mu.Unlock()
-	return l.busyUntil > l.rt.now
-}
+func (l *Link[T]) Busy() bool { return l.busyUntil > l.rt.now }
 
 func (l *Link[T]) String() string {
 	return fmt.Sprintf("link %s @%d bit/s", l.name, l.bandwidth)

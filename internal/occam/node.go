@@ -35,16 +35,10 @@ func NewNode(rt *Runtime, name string) *Node {
 func (n *Node) Name() string { return n.name }
 
 // BusyTime returns the total virtual time the CPU has spent granted.
-func (n *Node) BusyTime() time.Duration {
-	n.rt.mu.Lock()
-	defer n.rt.mu.Unlock()
-	return n.busyFor
-}
+func (n *Node) BusyTime() time.Duration { return n.busyFor }
 
 // Utilisation returns BusyTime divided by elapsed virtual time.
 func (n *Node) Utilisation() float64 {
-	n.rt.mu.Lock()
-	defer n.rt.mu.Unlock()
 	if n.rt.now == 0 {
 		return 0
 	}
@@ -84,16 +78,13 @@ func (p *Proc) ConsumeSliced(d, slice time.Duration) {
 		}
 		return
 	}
-	rt := n.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	p.sliceLeft, p.sliceMax = d, slice
 	n.requestSlice(p)
-	rt.park(p, stCPU, n.name)
+	n.rt.park(p, stCPU, n.name)
 }
 
 // requestSlice queues p's next request, the next slice of sliceLeft,
-// and leaves p in the sliced wait while more remains. Caller holds mu.
+// and leaves p in the sliced wait while more remains.
 func (n *Node) requestSlice(p *Proc) {
 	c := min(p.sliceLeft, p.sliceMax)
 	p.sliceLeft -= c
@@ -111,7 +102,7 @@ func (n *Node) requestSlice(p *Proc) {
 }
 
 // insert queues req, high priority ahead of low, FIFO within a
-// priority. Caller holds mu.
+// priority.
 func (n *Node) insert(req cpuReq) {
 	if req.pri == High {
 		// Insert after the last queued High request.
@@ -129,7 +120,7 @@ func (n *Node) insert(req cpuReq) {
 
 // grantNext starts the next queued request, scheduling its completion
 // as a grant event the scheduler completes inline (no closure).
-// Caller holds mu; node must be idle.
+// The node must be idle.
 func (n *Node) grantNext() {
 	if len(n.waiting) == 0 {
 		return

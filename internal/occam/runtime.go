@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -162,7 +161,7 @@ func (p *Proc) Priority() Priority { return p.pri }
 func (p *Proc) Runtime() *Runtime { return p.rt }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.rt.Now() }
+func (p *Proc) Now() Time { return p.rt.now }
 
 // timerEv is a pending timer: it wakes a process, completes a CPU
 // grant, or runs fn in scheduler context (fn must only touch
@@ -330,17 +329,16 @@ func (q *runq) grow() {
 // process runs until it parks and comes straight back, naming the
 // process it popped as the one to run next.
 //
-// mu guards every field below. With one process running at a time it
-// is never contended; it is what makes Now, Switches, NumProcs, Done
-// and the Node readers safe to call from a goroutine other than the
-// one inside RunUntil. It travels with the baton: a primitive locks it,
-// park switches away still holding it, and the process resumed next
-// finds it held and releases it on returning to user code, so a switch
-// between coroutines costs one lock and one unlock in all. A step
-// function's primitive releases it as it returns and the dispatch loop
-// takes it again: two of each for a stackless turn.
+// A Runtime is confined, like a bytes.Buffer: it and everything hung on
+// it — Proc, Chan, Link, Node, Timer, Signal, and whatever a simulation
+// builds from them — is used by one goroutine at a time. Typically that
+// is the goroutine building the system, then the one inside RunUntil,
+// then whoever reads the results, and each hand-over needs an ordinary
+// happens-before (a channel, a WaitGroup, program order). There is no
+// lock: Now, Switches, NumProcs, Done and the Node readers are field
+// reads, and reading them from another goroutine while RunUntil runs is
+// a data race.
 type Runtime struct {
-	mu       sync.Mutex
 	now      Time
 	seq      uint64
 	runqHigh runq
@@ -369,40 +367,24 @@ func NewRuntime() *Runtime {
 }
 
 // Now returns the current virtual time.
-func (rt *Runtime) Now() Time {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.now
-}
+func (rt *Runtime) Now() Time { return rt.now }
 
 // Switches returns the number of context switches the modelled
 // schedulers have performed so far: every turn a process was given,
 // whether the process was resumed for it or, parked in a polled wait,
 // had it taken by the scheduler.
-func (rt *Runtime) Switches() uint64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.switches
-}
+func (rt *Runtime) Switches() uint64 { return rt.switches }
 
 // Resumes returns the number of coroutine resumes the dispatch loop
 // has performed: what the host paid two stack switches for. A turn taken
 // by calling a step function, by the scheduler for a polled wait, or by
 // a parking coroutine that found itself next, is in Switches and not
 // here.
-func (rt *Runtime) Resumes() uint64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.resumes
-}
+func (rt *Runtime) Resumes() uint64 { return rt.resumes }
 
 // NumProcs returns the number of live (started, not yet exited)
 // processes.
-func (rt *Runtime) NumProcs() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return len(rt.procs)
-}
+func (rt *Runtime) NumProcs() int { return len(rt.procs) }
 
 // Go starts a new process named name at priority pri on node (which
 // may be nil for a process with no CPU accounting). The process body
@@ -410,18 +392,11 @@ func (rt *Runtime) NumProcs() int {
 // its stack from one turn to the next. Go may be called before Run or
 // from inside another process.
 func (rt *Runtime) Go(name string, node *Node, pri Priority, fn func(p *Proc)) *Proc {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	p := rt.newProc(name, node, pri)
 	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
-		// Every switch, either way, happens with mu held: the body
-		// drops it here and retakes it on the way out.
-		rt.mu.Unlock()
 		defer func() {
-			r := recover() // nil: fn returned
-			rt.mu.Lock()
-			rt.retire(p, r) // returning switches to the dispatch loop
+			rt.retire(p, recover()) // nil: fn returned; returning switches to the dispatch loop
 		}()
 		fn(p)
 	})
@@ -431,8 +406,8 @@ func (rt *Runtime) Go(name string, node *Node, pri Priority, fn func(p *Proc)) *
 
 // GoStep starts a stackless process: one whose code needs no stack
 // between turns. At each of its turns the dispatch loop calls step, on
-// its own goroutine with the runtime lock released; step runs the
-// process from where it left off to its next wait and returns. A
+// its own stack; step runs the process from where it left off to its
+// next wait and returns. A
 // blocking primitive that has to wait arms the wait, marks the process
 // parked (Parked) and returns, and step must then return without
 // calling another; one that need not wait returns with the process
@@ -443,8 +418,6 @@ func (rt *Runtime) Go(name string, node *Node, pri Priority, fn func(p *Proc)) *
 // called again. In the run queues, the timer queue, the trace, Switches
 // and the deadlock dump the process is like any other.
 func (rt *Runtime) GoStep(name string, node *Node, pri Priority, step func(p *Proc)) *Proc {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	p := rt.newProc(name, node, pri)
 	p.step = step
 	rt.ready(p)
@@ -452,7 +425,7 @@ func (rt *Runtime) GoStep(name string, node *Node, pri Priority, step func(p *Pr
 }
 
 // newProc registers a process that has yet to be given its form and
-// readied. Caller holds mu.
+// readied.
 func (rt *Runtime) newProc(name string, node *Node, pri Priority) *Proc {
 	if rt.killed {
 		panic("occam: process " + name + " started after Shutdown")
@@ -471,8 +444,7 @@ func (rt *Runtime) newProc(name string, node *Node, pri Priority) *Proc {
 }
 
 // retire removes p, whose code has returned (r is nil) or panicked
-// with r. Caller holds mu and is p itself or, for a stackless p, the
-// dispatch loop.
+// with r. Caller is p itself or, for a stackless p, the dispatch loop.
 func (rt *Runtime) retire(p *Proc, r any) {
 	delete(rt.procs, p)
 	switch r {
@@ -503,7 +475,7 @@ func (p *Proc) NeedsStack(op, on string) {
 	}
 }
 
-// ready appends p to the run queue for its priority. Caller holds mu.
+// ready appends p to the run queue for its priority.
 func (rt *Runtime) ready(p *Proc) {
 	p.stKind = stRunnable
 	if p.pri == High {
@@ -514,7 +486,6 @@ func (rt *Runtime) ready(p *Proc) {
 }
 
 // popRunnable removes and returns the next process to run, or nil.
-// Caller holds mu.
 func (rt *Runtime) popRunnable() *Proc {
 	if rt.runqHigh.n > 0 {
 		return rt.runqHigh.pop()
@@ -531,8 +502,8 @@ func (rt *Runtime) popRunnable() *Proc {
 // wait, is not returned: the turn is counted and traced like any other
 // — Switches is a statistic of the modelled transputers — but no
 // process code runs. pick returns nil when nothing can run before the limit.
-// Caller holds mu and is giving up the CPU (it is parking, exiting, or
-// is the dispatch loop).
+// Caller is giving up the CPU (it is parking, exiting, or is the
+// dispatch loop).
 func (rt *Runtime) pick() *Proc {
 	for {
 		if p := rt.popRunnable(); p != nil {
@@ -556,7 +527,7 @@ func (rt *Runtime) pick() *Proc {
 // timers, advances the clock to the next event and fires everything
 // due at that instant. It returns false when there is nothing left to
 // run before the limit and true when timers fired, so the caller
-// should re-check the run queue. Caller holds mu.
+// should re-check the run queue.
 func (rt *Runtime) advanceClock() bool {
 	q := &rt.timers
 	for len(q.runs) > 0 && q.runs[0].head.cancelled {
@@ -611,7 +582,7 @@ func (rt *Runtime) trace(format string, args ...any) {
 }
 
 // arm queues ev, which must not be pending, to fire at time at
-// (clamped to now). Caller holds mu.
+// (clamped to now).
 func (rt *Runtime) arm(ev *timerEv, at Time) {
 	if ev.armed {
 		owner := "a Timer"
@@ -629,12 +600,11 @@ func (rt *Runtime) arm(ev *timerEv, at Time) {
 }
 
 // park blocks the calling process until another process or a timer
-// makes it ready again. Caller holds mu; park returns with mu held.
-// For a coroutine it returns when the wait is over; on Shutdown it
-// panics with errKilled while still holding mu, so every caller must
-// release mu with defer. For a stackless process it returns at once with
-// the process marked parked and its successor picked, so a caller must
-// have nothing left to do for the waiter once the wait is armed.
+// makes it ready again. For a coroutine it returns when the wait is
+// over; on Shutdown it panics with errKilled, which unwinds the body. For
+// a stackless process it returns at once with the process marked parked
+// and its successor picked, so a caller must have nothing left to do for
+// the waiter once the wait is armed.
 // kind and name describe what the process is waiting for
 // (diagnostics); callers set the auxiliary stTime/stDur/stN fields
 // for the kinds that use them before calling.
@@ -660,7 +630,7 @@ func (rt *Runtime) park(p *Proc, kind statusKind, name string) {
 	next := rt.pick()
 	if next != p {
 		rt.handoff = next
-		p.yield(struct{}{}) // mu passes to the dispatch loop, and comes back with the resume
+		p.yield(struct{}{}) // to the dispatch loop; returns with the resume
 		p.stKind = stRunning
 	}
 	if rt.killed {
@@ -684,8 +654,6 @@ func (rt *Runtime) RunFor(d time.Duration) error {
 // *DeadlockError). It may be called repeatedly with increasing t; a t
 // already past runs nothing, for the clock never goes back.
 func (rt *Runtime) RunUntil(t Time) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if rt.running {
 		panic("occam: RunUntil re-entered")
 	}
@@ -697,24 +665,34 @@ func (rt *Runtime) RunUntil(t Time) error {
 	}
 	rt.running = true
 	rt.limit = t
+	var stepping *Proc // the stackless process whose step is running
 	defer func() {
 		rt.running = false
 		rt.limit = Forever
+		if stepping != nil {
+			// Its step panicked. A coroutine's panic needs no one to
+			// name it: it comes out of resume retired already.
+			rt.retire(stepping, recover())
+		}
 	}()
-	// The dispatch loop. mu goes with every switch: the process given
-	// the turn releases it while it runs user code and holds it again
-	// when it comes back, having parked or exited and left in handoff the
-	// process it picked to follow it (nil: nothing can run before the
-	// limit). A panicking process comes back the same way, as a panic
-	// out of resume or callStep. This is the only place a step function
+	// The dispatch loop. The process given the turn comes back having
+	// parked or exited and left in handoff the process it picked to
+	// follow it (nil: nothing can run before the limit). A stackless turn
+	// is the call and two stores; this is the only place a step function
 	// is called from, so one never runs on a coroutine's stack.
 	for p := rt.pick(); p != nil; p, rt.handoff = rt.handoff, nil {
-		if p.step != nil {
-			rt.callStep(p)
+		if p.step == nil {
+			rt.resumes++
+			p.resume()
 			continue
 		}
-		rt.resumes++
-		p.resume()
+		p.parked = false
+		stepping = p
+		p.step(p)
+		stepping = nil
+		if !p.parked {
+			rt.retire(p, nil)
+		}
 	}
 	// A deadlock is only an error for an unbounded run: a bounded run
 	// that goes quiescent early (server processes parked waiting for
@@ -727,24 +705,8 @@ func (rt *Runtime) RunUntil(t Time) error {
 	return nil
 }
 
-// callStep gives stackless p its turn: step runs with mu released, as a
-// coroutine's body does, and comes back parked, or unparked: exited.
-// Caller is the dispatch loop, holding mu.
-func (rt *Runtime) callStep(p *Proc) {
-	p.parked = false
-	rt.mu.Unlock()
-	defer func() {
-		r := recover()
-		rt.mu.Lock()
-		if r != nil || !p.parked {
-			rt.retire(p, r)
-		}
-	}()
-	p.step(p)
-}
-
 // procDump returns one diagnostic line per live process, sorted for
-// stable output. Caller holds mu.
+// stable output.
 func (rt *Runtime) procDump() []string {
 	lines := make([]string, 0, len(rt.procs))
 	for p := range rt.procs {
@@ -755,11 +717,7 @@ func (rt *Runtime) procDump() []string {
 }
 
 // Done reports whether every process has exited.
-func (rt *Runtime) Done() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return len(rt.procs) == 0
-}
+func (rt *Runtime) Done() bool { return len(rt.procs) == 0 }
 
 // Shutdown terminates all processes, unwinding the coroutines of those
 // that have started and discarding those that have not, so none of
@@ -767,8 +725,6 @@ func (rt *Runtime) Done() bool {
 // unwind. The runtime cannot be used afterwards. Call it from the root
 // goroutine after Run returns.
 func (rt *Runtime) Shutdown() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if rt.killed {
 		return
 	}
@@ -789,15 +745,13 @@ func (rt *Runtime) Shutdown() {
 
 // Sleep blocks the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
-	p.SleepUntil(p.rt.clock().Add(d))
+	p.SleepUntil(p.rt.now.Add(d))
 }
 
 // SleepUntil blocks the process until virtual time t (the Occam
 // "timer ? AFTER t"). Returns immediately if t is in the past.
 func (p *Proc) SleepUntil(t Time) {
 	rt := p.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if t <= rt.now {
 		return
 	}
@@ -810,16 +764,6 @@ func (p *Proc) SleepUntil(t Time) {
 // same or higher priority run before this one continues.
 func (p *Proc) Yield() {
 	rt := p.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.ready(p)
 	rt.park(p, stYield, "")
-}
-
-// clock returns rt.now without external locking races (helper for
-// call sites that immediately pass the value back under mu).
-func (rt *Runtime) clock() Time {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.now
 }

@@ -59,10 +59,10 @@ func (s Sched) Now() Time { return s.rt.now }
 
 // Schedule arms tm to fire at time t (clamped to now). Panics if tm is
 // already armed.
-func (s Sched) Schedule(tm *Timer, t Time) { tm.rt.arm(&tm.ev, t) }
+func (s Sched) Schedule(tm *Timer, t Time) { tm.Schedule(t) }
 
 // Raise raises sig from scheduler context.
-func (s Sched) Raise(sig *Signal) { sig.raiseLocked() }
+func (s Sched) Raise(sig *Signal) { sig.Raise() }
 
 // Timer is a reusable scheduler-context callback: when armed, its
 // function runs at the scheduled virtual instant, interleaved with
@@ -84,12 +84,7 @@ func NewTimer(rt *Runtime, fn func(s Sched)) *Timer {
 // Schedule arms the timer to fire at time t (clamped to now). Call
 // from process context; callbacks use Sched.Schedule. Panics if the
 // timer is already armed.
-func (tm *Timer) Schedule(t Time) {
-	rt := tm.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock() // arm panics on an armed timer
-	rt.arm(&tm.ev, t)
-}
+func (tm *Timer) Schedule(t Time) { tm.rt.arm(&tm.ev, t) }
 
 // Active reports whether the timer is armed. Call from process
 // context, or on scheduler-context state the caller already owns.
@@ -116,9 +111,6 @@ func NewSignal(rt *Runtime, name string) *Signal {
 // Wait blocks the process until the signal is raised, consuming the
 // raise. Returns immediately if a raise is already pending.
 func (s *Signal) Wait(p *Proc) {
-	rt := s.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if s.set {
 		s.set = false
 		return
@@ -127,18 +119,12 @@ func (s *Signal) Wait(p *Proc) {
 		panic("occam: Signal already has a waiter: " + s.nm)
 	}
 	s.p = p
-	rt.park(p, stRecv, s.nm)
+	s.rt.park(p, stRecv, s.nm)
 }
 
 // Raise wakes the waiting process, or latches if none is waiting. Call
 // from process context; callbacks use Sched.Raise.
 func (s *Signal) Raise() {
-	s.rt.mu.Lock()
-	s.raiseLocked()
-	s.rt.mu.Unlock()
-}
-
-func (s *Signal) raiseLocked() {
 	if p := s.p; p != nil {
 		s.p = nil
 		s.rt.ready(p)
@@ -167,7 +153,7 @@ const (
 )
 
 // pollTurn takes the turn of p, just popped by pick in a polled wait,
-// and reports whether p is parked again. Caller holds mu.
+// and reports whether p is parked again.
 func (rt *Runtime) pollTurn(p *Proc) bool {
 	defer func() {
 		if r := recover(); r != nil {
@@ -210,8 +196,6 @@ func (p *Proc) SleepGrid(t Time, period time.Duration, wake func(Sched) bool) Ti
 		panic("occam: SleepGrid with no period")
 	}
 	rt := p.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	p.stTime, p.gridEvery, p.gridWake = t, period, wake
 	if rt.armGrid(p) {
 		rt.park(p, stSleep, "")
@@ -222,7 +206,7 @@ func (p *Proc) SleepGrid(t Time, period time.Duration, wake func(Sched) bool) Ti
 // armGrid arms p's timer for its grid instant stTime, leaving p in the
 // grid wait, and reports true; or false, the wait over, if wake ends it
 // first: like SleepUntil, an instant already reached is not slept for
-// but polled at once. Caller holds mu.
+// but polled at once.
 func (rt *Runtime) armGrid(p *Proc) bool {
 	for p.stTime <= rt.now {
 		if p.gridWake(Sched{rt}) {

@@ -247,9 +247,7 @@ func TestTimerQueueShape(t *testing.T) {
 		reset()
 		defer rt.Shutdown()
 		rt.Go("greedy", nil, Low, func(p *Proc) {
-			p.rt.mu.Lock()
 			p.rt.arm(&p.ev, ms)
-			p.rt.mu.Unlock()
 			p.SleepUntil(2 * ms)
 		})
 		var got any
