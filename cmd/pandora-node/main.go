@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -124,36 +125,53 @@ func (m *vciMux) Stats() (batches, datagrams uint64) {
 	return
 }
 
-func main() {
-	index := flag.Int("index", 0, "this node's position in -peers (also its VCI: speaks on 2000+index)")
-	peers := flag.String("peers", "127.0.0.1:7000,127.0.0.1:7001", "ordered comma-separated host:port list, one entry per node")
-	listen := flag.String("listen", "", "UDP listen address (default: the -peers entry at -index)")
-	seconds := flag.Int("seconds", 10, "conference length in seconds")
-	quantum := flag.Duration("quantum", 10*time.Millisecond, "virtual-time step per socket drain (wall-clock paced)")
-	seed := flag.Int64("seed", 1, "speech workload seed (offset by -index so nodes differ)")
-	udpBatch := flag.Int("udp-batch", udptrans.DefaultBatch, "max datagrams coalesced into one sendmmsg batch per peer (1 = unbatched)")
-	udpFlush := flag.Duration("udp-flush", 0, "flush batches after this much virtual time (0: only on full batch and each quantum)")
-	scenarioPath := flag.String("scenario", "", "take this node's box config and run length from a scenario spec file (box at -index)")
-	balanceOn := flag.Bool("balance", false, "apply a node-local admission budget to incoming peer streams: reject before degrade")
-	balanceBudget := flag.Int("balance-budget", 0, "with -balance: max peer streams admitted to the speaker (0: take the scenario's balance budget, else unlimited)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams as parameters, so the test
+// can run two nodes in one process. A usage error returns 2.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pandora-node", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	index := fs.Int("index", 0, "this node's position in -peers (also its VCI: speaks on 2000+index)")
+	peers := fs.String("peers", "127.0.0.1:7000,127.0.0.1:7001", "ordered comma-separated host:port list, one entry per node")
+	listen := fs.String("listen", "", "UDP listen address (default: the -peers entry at -index)")
+	seconds := fs.Int("seconds", 10, "conference length in seconds (0 or more)")
+	quantum := fs.Duration("quantum", 10*time.Millisecond, "virtual-time step per socket drain (wall-clock paced; more than 0)")
+	seed := fs.Int64("seed", 1, "speech workload seed (offset by -index so nodes differ)")
+	udpBatch := fs.Int("udp-batch", udptrans.DefaultBatch, "max datagrams coalesced into one sendmmsg batch per peer (1 = unbatched)")
+	udpFlush := fs.Duration("udp-flush", 0, "flush batches after this much virtual time (0: only on full batch and each quantum)")
+	scenarioPath := fs.String("scenario", "", "take this node's box config and run length from a scenario spec file (box at -index)")
+	balanceOn := fs.Bool("balance", false, "apply a node-local admission budget to incoming peer streams: reject before degrade")
+	balanceBudget := fs.Int("balance-budget", 0, "with -balance: max peer streams admitted to the speaker (0: take the scenario's balance budget, else unlimited)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *quantum <= 0 {
+		// The wall-clock loop below advances by it: zero would never end.
+		fmt.Fprintf(stderr, "pandora-node: need a -quantum of more than 0, not %v\n", *quantum)
+		return 2
+	}
+	if *seconds < 0 {
+		fmt.Fprintf(stderr, "pandora-node: need a -seconds of 0 or more, not %d\n", *seconds)
+		return 2
+	}
 
 	peerList := strings.Split(*peers, ",")
 	if *index < 0 || *index >= len(peerList) {
-		fmt.Fprintf(os.Stderr, "pandora-node: -index %d out of range for %d peers\n", *index, len(peerList))
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pandora-node: -index %d out of range for %d peers\n", *index, len(peerList))
+		return 2
 	}
 	var spec *scenario.Scenario
 	if *scenarioPath != "" {
 		sc, err := scenario.Load(*scenarioPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pandora-node:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "pandora-node:", err)
+			return 1
 		}
 		if *index >= len(sc.Boxes) {
-			fmt.Fprintf(os.Stderr, "pandora-node: scenario %s has %d boxes, -index %d out of range\n",
+			fmt.Fprintf(stderr, "pandora-node: scenario %s has %d boxes, -index %d out of range\n",
 				sc.Name, len(sc.Boxes), *index)
-			os.Exit(2)
+			return 2
 		}
 		spec = sc
 	}
@@ -164,8 +182,8 @@ func main() {
 
 	rx, err := udptrans.Listen(addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pandora-node: listen %s: %v\n", addr, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pandora-node: listen %s: %v\n", addr, err)
+		return 1
 	}
 	defer rx.Close()
 
@@ -177,8 +195,8 @@ func main() {
 		}
 		t, err := udptrans.Dial(peer)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pandora-node: dial %s: %v\n", peer, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pandora-node: dial %s: %v\n", peer, err)
+			return 1
 		}
 		defer t.Close()
 		b := udptrans.NewBatcher(t, *udpBatch)
@@ -256,8 +274,8 @@ func main() {
 	for vt := time.Duration(0); vt < total; vt += *quantum {
 		pending = append(pending, rx.Drain()...)
 		if err := rt.RunFor(*quantum); err != nil {
-			fmt.Fprintf(os.Stderr, "pandora-node: runtime: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pandora-node: runtime: %v\n", err)
+			return 1
 		}
 		mux.FlushAll()
 		if ahead := vt + *quantum - time.Since(start); ahead > 0 {
@@ -266,21 +284,21 @@ func main() {
 	}
 	rt.Shutdown()
 
-	fmt.Printf("%s: %s conference with %d peers on %s\n", name, total, len(peerList)-1, addr)
+	fmt.Fprintf(stdout, "%s: %s conference with %d peers on %s\n", name, total, len(peerList)-1, addr)
 	if *balanceOn {
-		fmt.Printf("  balance: %d peer streams admitted, %d rejected (budget %d)\n",
+		fmt.Fprintf(stdout, "  balance: %d peer streams admitted, %d rejected (budget %d)\n",
 			admitted, rejected, budget)
 	}
 	a := b.AudioStats()
 	batches, datagrams := mux.Stats()
-	fmt.Printf("  mic: %d segments sent on VCI %d (%d datagram sends, %d unrouted)\n",
+	fmt.Fprintf(stdout, "  mic: %d segments sent on VCI %d (%d datagram sends, %d unrouted)\n",
 		a.MicSegs, out, mux.sent, mux.unrouted)
 	if batches > 0 {
-		fmt.Printf("  udp: %d datagrams in %d sendmmsg batches (%.1f per syscall)\n",
+		fmt.Fprintf(stdout, "  udp: %d datagrams in %d sendmmsg batches (%.1f per syscall)\n",
 			datagrams, batches, float64(datagrams)/float64(batches))
 	}
 	if mux.sendErrs > 0 {
-		fmt.Printf("  udp: %d batches lost to socket errors\n", mux.sendErrs)
+		fmt.Fprintf(stdout, "  udp: %d batches lost to socket errors\n", mux.sendErrs)
 	}
 	for j := range peerList {
 		if j == *index {
@@ -289,14 +307,15 @@ func main() {
 		vci := vciBase + uint32(j)
 		st := b.Mixer().Stats(vci)
 		lat := b.PlayoutLatency(vci)
-		fmt.Printf("  VCI %d (n%02d): %d segments, %d lost, %d concealed, %d silence insertions",
+		fmt.Fprintf(stdout, "  VCI %d (n%02d): %d segments, %d lost, %d concealed, %d silence insertions",
 			vci, j, st.Segments, st.LostSegments, st.Concealed, st.Clawback.SilenceInserted)
 		if lat.Count() > 0 {
-			fmt.Printf(", playout mean %s", lat.Mean())
+			fmt.Fprintf(stdout, ", playout mean %s", lat.Mean())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if errs := rx.DecodeErrs(); errs != 0 {
-		fmt.Printf("  %d undecodable datagrams dropped\n", errs)
+		fmt.Fprintf(stdout, "  %d undecodable datagrams dropped\n", errs)
 	}
+	return 0
 }

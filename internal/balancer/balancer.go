@@ -282,11 +282,7 @@ func (bd *board) sampleNow() Sample {
 		copies = bd.bx.MaxNetCopies()
 	}
 	if bd.pt != nil {
-		for _, c := range bd.pt.IngressCopies() {
-			if int(c) > copies {
-				copies = int(c)
-			}
-		}
+		copies = max(copies, int(bd.pt.MaxIngressCopies()))
 	}
 	s.Copies = float64(copies)
 	s.Placements = float64(bd.placements)

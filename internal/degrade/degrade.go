@@ -154,6 +154,11 @@ type Controller struct {
 	lastShed    occam.Time
 	lastRestore occam.Time
 
+	// The pressures of the last sample and, when it found a decision
+	// due, which.
+	video, audio float64
+	restoreDue   bool
+
 	shedVideo *obs.Counter
 	shedAudio *obs.Counter
 	restores  *obs.Counter
@@ -243,27 +248,48 @@ func (c *Controller) Actions() []Action { return append([]Action(nil), c.log...)
 // ActiveSheds returns the currently shed stream ids, most recent last.
 func (c *Controller) ActiveSheds() []uint32 { return append([]uint32(nil), c.stack...) }
 
+// run is the control loop: a sample every Interval, and a shed or a
+// restore when one finds it due. The samples are a polled wait — the
+// scheduler takes them at the controller's turns — and the controller is
+// resumed only for the turn with a decision to carry out, on its own
+// stack, because carrying it out may block (Target.DegradeShed's
+// rendezvous with the switch). The next sample is an Interval after the
+// decision is done.
 func (c *Controller) run(p *occam.Proc) {
+	sample := c.sample
 	for {
-		p.Sleep(c.cfg.Interval)
-		c.ticks.Inc()
-		video, audio := c.pressure()
-		c.pVideo.Set(video)
-		c.pAudio.Set(audio)
-		now := p.Now()
-		switch {
-		case video >= highWater || audio >= highWater:
-			c.lastHigh = now
-			if now.Sub(c.lastShed) >= c.cfg.ShedEvery {
-				c.shedOne(p, now, video, audio)
-			}
-		case video < lowWater && audio < lowWater &&
-			len(c.stack) > 0 &&
-			now.Sub(c.lastHigh) >= c.cfg.Hold &&
-			now.Sub(c.lastRestore) >= c.cfg.Hold:
-			c.restoreOne(p, now, video, audio)
+		now := p.SleepGrid(p.Now().Add(c.cfg.Interval), c.cfg.Interval, sample)
+		if c.restoreDue {
+			c.restoreOne(p, now, c.video, c.audio)
+		} else {
+			c.shedOne(p, now, c.video, c.audio)
 		}
 	}
+}
+
+// sample is one tick of the control loop up to the decision: it reads
+// the pressures into the gauges and reports whether a shed or a restore
+// is due now. It writes only the controller's own state, and what it
+// writes is what the tick writes whichever context runs it.
+func (c *Controller) sample(s occam.Sched) bool {
+	c.ticks.Inc()
+	c.video, c.audio = c.pressure()
+	c.pVideo.Set(c.video)
+	c.pAudio.Set(c.audio)
+	now := s.Now()
+	switch {
+	case c.video >= highWater || c.audio >= highWater:
+		c.lastHigh = now
+		c.restoreDue = false
+		return now.Sub(c.lastShed) >= c.cfg.ShedEvery
+	case c.video < lowWater && c.audio < lowWater &&
+		len(c.stack) > 0 &&
+		now.Sub(c.lastHigh) >= c.cfg.Hold &&
+		now.Sub(c.lastRestore) >= c.cfg.Hold:
+		c.restoreDue = true
+		return true
+	}
+	return false
 }
 
 // pressure reads the pre-keyed probes: each class's pressure is the

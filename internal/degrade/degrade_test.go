@@ -149,3 +149,35 @@ func TestLinkPressureShedsVideo(t *testing.T) {
 		t.Fatalf("link-pressure sheds = %v, want %v (video only)", ft.shed, want)
 	}
 }
+
+// TestIdleControllerSamplesWithoutBeingResumed: with nothing to decide,
+// a virtual second is fifty samples — counted, gauged — taken by the
+// scheduler at the controller's turns, and no switch onto its stack.
+func TestIdleControllerSamplesWithoutBeingResumed(t *testing.T) {
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	reg := obs.New(rt)
+	ft := &fakeTarget{name: "t", streams: []degrade.StreamInfo{{ID: 1, Video: true, Incoming: true}}}
+	setVideo, _ := pressures(reg, "t")
+	degrade.New(rt, ft, degrade.Config{}, reg)
+	setVideo(5) // between the watermarks: neither shed nor restore
+	// Something else keeps the dispatch loop busy, so that a controller
+	// woken for a tick would have to be switched into.
+	rt.GoStep("busy", nil, occam.Low, func(p *occam.Proc) { p.Sleep(300 * time.Microsecond) })
+	if err := rt.RunUntil(occam.Time(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	turns, resumes := rt.Switches(), rt.Resumes()
+	if err := rt.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ticks, _ := reg.Value("degrade_ticks_total", obs.L("box", "t"))
+	pressure, _ := reg.Value("degrade_pressure_video", obs.L("box", "t"))
+	if got := rt.Resumes() - resumes; got != 0 || ticks != 50 || pressure != 0.5 {
+		t.Errorf("an idle second: %d resumes for %v ticks (%d turns in all), video pressure gauge %v; want 0, 50, 0.5",
+			got, ticks, rt.Switches()-turns, pressure)
+	}
+	if len(ft.shed)+len(ft.restored) != 0 {
+		t.Errorf("shed %v, restored %v with pressure between the watermarks", ft.shed, ft.restored)
+	}
+}

@@ -459,6 +459,16 @@ func (pt *Port) IngressCopies() map[uint32]uint64 {
 	return out
 }
 
+// MaxIngressCopies returns the largest of IngressCopies' counts — the
+// most messages the host has offered on any one VCI — without the copy.
+func (pt *Port) MaxIngressCopies() uint64 {
+	var most uint64
+	for _, n := range pt.inByVCI {
+		most = max(most, n)
+	}
+	return most
+}
+
 // SetFault attaches a fault process to the port's egress (nil
 // detaches): every message routed *to* this port consults the hook on
 // egress arrival, and the transmitter consults StallUntil before each

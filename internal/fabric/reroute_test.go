@@ -35,6 +35,9 @@ func TestRerouteMidStream(t *testing.T) {
 	if got := r.fab.Port(0).IngressCopies()[50]; got != cells {
 		t.Fatalf("ingress accounting saw %d cells, sender pushed %d", got, cells)
 	}
+	if most, idle := r.fab.Port(0).MaxIngressCopies(), r.fab.Port(1).MaxIngressCopies(); most != cells || idle != 0 {
+		t.Fatalf("largest per-VCI ingress count %d at the sender's port, %d at a port that sent nothing; want %d and 0", most, idle, cells)
+	}
 	r.checkNoWireLeak(t)
 }
 

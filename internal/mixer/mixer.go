@@ -18,6 +18,7 @@
 package mixer
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -83,6 +84,7 @@ type streamCounters struct {
 // is an owned copy of the most recent block — concealment must not
 // alias wire storage that may be recycled before the replay plays.
 type stream struct {
+	id        uint32
 	buf       *clawback.Buffer
 	nextSeq   uint32
 	seenAny   bool
@@ -97,9 +99,13 @@ type stream struct {
 // 2 ms block per tick. Not safe for concurrent use (it lives inside
 // the audio transputer's block handler process).
 type Mixer struct {
-	cfg     Config
-	pool    *clawback.Pool
-	streams map[uint32]*stream
+	cfg  Config
+	pool *clawback.Pool
+	// streams is every stream ever created, in ascending id order, the
+	// order of mixing: arrival order must not leak into audio. A board
+	// carries a handful, found by binary search; one is inserted when
+	// created and never deleted.
+	streams []*stream
 	ticks   uint64
 
 	// shed holds streams suspended by the overload controller
@@ -110,10 +116,6 @@ type Mixer struct {
 	// out is per-tick scratch, reused: the returned block is valid
 	// until the next Tick.
 	out []byte
-	// ids lists the keys of streams in ascending order, the order of
-	// mixing: map order must not leak into audio. A stream is inserted
-	// when created and never deleted.
-	ids []uint32
 
 	// OnPlayout, if set, is called for every block played with the
 	// stream id, the block's source timestamp and the playout time
@@ -131,11 +133,10 @@ func New(cfg Config) *Mixer {
 		cfg.Name = "mixer"
 	}
 	m := &Mixer{
-		cfg:     cfg,
-		pool:    clawback.NewPool(cfg.PoolBlocks),
-		streams: make(map[uint32]*stream),
-		shed:    make(map[uint32]bool),
-		out:     make([]byte, segment.BlockSamples),
+		cfg:  cfg,
+		pool: clawback.NewPool(cfg.PoolBlocks),
+		shed: make(map[uint32]bool),
+		out:  make([]byte, segment.BlockSamples),
 	}
 	lb := obs.L("box", cfg.Name)
 	m.shedDrops = cfg.Obs.Counter("mixer_shed_drops_total", lb)
@@ -161,10 +162,19 @@ func (m *Mixer) ActiveStreams() int {
 	return n
 }
 
+// find returns stream id, or where in streams it would go.
+func (m *Mixer) find(id uint32) (s *stream, at int, ok bool) {
+	at, ok = slices.BinarySearchFunc(m.streams, id, func(s *stream, id uint32) int { return cmp.Compare(s.id, id) })
+	if ok {
+		s = m.streams[at]
+	}
+	return s, at, ok
+}
+
 // Stats returns the reception statistics for a stream, which persist
 // across deactivations.
 func (m *Mixer) Stats(id uint32) StreamStats {
-	s, ok := m.streams[id]
+	s, _, ok := m.find(id)
 	if !ok {
 		return StreamStats{}
 	}
@@ -190,6 +200,7 @@ func (m *Mixer) newStream(id uint32) *stream {
 	reg := m.cfg.Obs
 	lbs := []obs.Label{obs.L("box", m.cfg.Name), obs.L("stream", fmt.Sprint(id))}
 	return &stream{
+		id:     id,
 		buf:    clawback.New(cfg),
 		active: true,
 		digest: fnvOffset,
@@ -222,12 +233,10 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 		w.Release()
 		return
 	}
-	s, ok := m.streams[id]
+	s, at, ok := m.find(id)
 	if !ok {
 		s = m.newStream(id)
-		m.streams[id] = s
-		at, _ := slices.BinarySearch(m.ids, id)
-		m.ids = slices.Insert(m.ids, at, id)
+		m.streams = slices.Insert(m.streams, at, s)
 		tr.Emit(obs.EvStreamOpen, m.source(), id, "stream created")
 	} else if !s.active {
 		// "If a block arrives for a stream that does not have a
@@ -314,8 +323,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 	m.ticks++
 	var sum [segment.BlockSamples]int32
-	for _, id := range m.ids {
-		s := m.streams[id]
+	for _, s := range m.streams {
 		if !s.active {
 			continue
 		}
@@ -325,14 +333,14 @@ func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 			// empty is used to deactivate the stream."
 			s.active = false
 			s.buf.Drain()
-			m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source(), id, "stream deactivated")
+			m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source(), s.id, "stream deactivated")
 			continue
 		}
 		for i := 0; i < segment.BlockSamples; i++ {
 			sum[i] += int32(mulaw.Decode(it.Data[i]))
 		}
 		if m.OnPlayout != nil {
-			m.OnPlayout(id, it.Stamp, now)
+			m.OnPlayout(s.id, it.Stamp, now)
 		}
 		it.W.Release() // the sample data has been mixed out
 		mixed++
@@ -367,7 +375,7 @@ func (m *Mixer) SetShed(id uint32, shed bool) {
 		return
 	}
 	m.shed[id] = true
-	if s, ok := m.streams[id]; ok && s.active {
+	if s, _, ok := m.find(id); ok && s.active {
 		s.active = false
 		s.buf.Drain()
 		m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source(), id, "stream shed")

@@ -87,19 +87,28 @@ func polledNet(data []byte, polled bool) polledResult {
 		return nil
 	}
 
+	// The grid process counts its ticks, which is a write of its own
+	// state at every one of them: the predicate makes it for the turns
+	// the scheduler takes.
+	ticks := 0
+	pending := func(s Sched) bool {
+		ticks++
+		return cmds.Pending(s)
+	}
 	rt.Go("grid", on(gridNode), gridPri, func(p *Proc) {
 		var v int
 		guards := []Guard{Recv(cmds, &v), Skip()}
 		for n := int64(0); ; n++ {
 			tick := origin.Add(time.Duration(n) * polledPeriod)
 			if polled {
-				n = int64(p.SleepGrid(tick, polledPeriod, cmds.Pending).Sub(origin) / polledPeriod)
+				n = int64(p.SleepGrid(tick, polledPeriod, pending).Sub(origin) / polledPeriod)
 			} else {
 				p.SleepUntil(tick)
+				ticks++
 			}
 			took := false
 			for p.Alt(guards...) == 0 {
-				step(p, "tick %d takes %d", n, v)
+				step(p, "tick %d, the %dth, takes %d", n, ticks, v)
 				took = true
 			}
 			if took {
@@ -145,6 +154,7 @@ func polledNet(data []byte, polled bool) polledResult {
 			res.steps = append(res.steps, err.Error())
 		}
 		res.trace = append(res.trace, "-- limit --")
+		res.steps = append(res.steps, fmt.Sprintf("%d ticks", ticks))
 	}
 	res.switches, res.busy = rt.Switches(), cpu.BusyTime()
 	return res

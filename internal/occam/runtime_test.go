@@ -342,3 +342,87 @@ func TestTimeHelpers(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// A runtime has no lock: it is used by one goroutine at a time, and a
+// hand-over is an ordinary happens-before. Built on one goroutine, run
+// on a second, read on a third, with a channel at each hand-over, is
+// race-free (go test -race), and every reader sees what the run left.
+func TestRuntimeHandedBetweenGoroutines(t *testing.T) {
+	built := make(chan *Runtime)
+	var cpu *Node
+	go func() {
+		rt := NewRuntime()
+		cpu = NewNode(rt, "cpu")
+		ch := NewChan[int](rt, "ch")
+		rt.Go("worker", cpu, Low, func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Consume(100 * time.Microsecond)
+				ch.Send(p, i)
+			}
+		})
+		var v int
+		rt.GoStep("taker", nil, High, func(p *Proc) {
+			for v < 9 {
+				if ch.RecvInto(p, &v); p.Parked() {
+					return
+				}
+			}
+		})
+		built <- rt
+	}()
+
+	ran := make(chan *Runtime)
+	go func() {
+		rt := <-built
+		if err := rt.RunUntil(Time(500 * time.Microsecond)); err != nil {
+			t.Error(err)
+		}
+		if err := rt.Run(); err != nil {
+			t.Error(err)
+		}
+		ran <- rt
+	}()
+
+	type reading struct {
+		now               Time
+		switches, resumes uint64
+		procs             int
+		busy              time.Duration
+	}
+	read := make(chan reading)
+	go func() {
+		rt := <-ran
+		read <- reading{rt.Now(), rt.Switches(), rt.Resumes(), rt.NumProcs(), cpu.BusyTime()}
+		rt.Shutdown()
+	}()
+	got := <-read
+	if want := (reading{Time(time.Millisecond), 22, 10, 0, time.Millisecond}); got != want {
+		t.Errorf("read %+v after the run, want %+v", got, want)
+	}
+}
+
+func TestRunUntilReentryAndShutdownInsideItPanic(t *testing.T) {
+	for _, form := range []string{"coroutine", "stackless"} {
+		for name, c := range map[string]struct {
+			misuse func(rt *Runtime)
+			want   string
+		}{
+			"RunUntil": {func(rt *Runtime) { rt.RunUntil(Forever) }, "occam: RunUntil re-entered"},
+			"Shutdown": {func(rt *Runtime) { rt.Shutdown() }, "occam: Shutdown during RunUntil"},
+		} {
+			t.Run(name+" from a "+form, func(t *testing.T) {
+				rt := NewRuntime()
+				defer rt.Shutdown()
+				body := func(p *Proc) { c.misuse(rt) }
+				if form == "stackless" {
+					rt.GoStep("meddler", nil, Low, body)
+				} else {
+					rt.Go("meddler", nil, Low, body)
+				}
+				if msg, want := recovered(func() { rt.Run() }), `occam: process "meddler" panicked: `+c.want; msg != want {
+					t.Errorf("Run panicked with %q, want %q", msg, want)
+				}
+			})
+		}
+	}
+}
