@@ -601,8 +601,8 @@ type netOut struct {
 	d   int       // which of the two is being sent
 }
 
-// netSeg is one segment on its way out, the caller still holding its
-// server buffer, and how far the sending has got.
+// netSeg is one segment on its way out, its server buffer still held,
+// and how far the sending has got.
 type netSeg struct {
 	buf  *allocator.Buffer
 	vcis []uint32 // its stream's network destinations
@@ -694,6 +694,7 @@ func (n *netOut) begin(buf *allocator.Buffer) {
 	if len(s.vcis) == 0 {
 		return
 	}
+	// What is let through between chunks is itself sent whole.
 	if n.d == 0 && b.cfg.InterleaveNetwork && buf.Payload.Type() == segment.TypeVideo {
 		s.chunks = (buf.Payload.Len() + netChunkSize - 1) / netChunkSize
 		return

@@ -23,6 +23,12 @@
 // counted (degrade_shed_total, degrade_restore_total) and traced
 // (EvOverload / EvRecover), and kept in an action log the experiments
 // assert on.
+//
+// The controller is a coroutine that is almost never resumed: its
+// sample every Interval is a polled wait (occam.Proc.SleepGrid), taken
+// by the scheduler at the controller's turn, and only a turn with a shed
+// or a restore to carry out — which may block on the target — is given
+// to the process itself.
 package degrade
 
 import (

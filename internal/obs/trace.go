@@ -123,9 +123,9 @@ func (t *Tracer) Emit(kind EventKind, source string, stream uint32, detail strin
 }
 
 // EmitAt records one event stamped with the given time. It is for
-// callers already inside the scheduler (occam.Timer callbacks), where
-// Emit's clock read would deadlock on the runtime lock; they pass
-// their Sched.Now instead.
+// callers that hold the instant already: code inside the scheduler
+// (occam.Timer callbacks) passes its Sched.Now, which is the idiom there,
+// and saves Emit's clock read.
 func (t *Tracer) EmitAt(at occam.Time, kind EventKind, source string, stream uint32, detail string) {
 	if t == nil {
 		return

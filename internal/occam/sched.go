@@ -18,40 +18,42 @@ import (
 //
 //   - process context: ordinary user code in a process body — a
 //     coroutine the dispatch loop in RunUntil has switched into, or a
-//     step function it has called. It runs without the runtime lock, may
-//     call every blocking primitive (a step function under GoStep's
-//     rules), and arms Timers with Timer.Schedule and raises Signals
-//     with Signal.Raise.
+//     step function it has called. It may call every blocking primitive
+//     (a step function under GoStep's rules), and arms Timers with
+//     Timer.Schedule and raises Signals with Signal.Raise.
 //   - scheduler context: a Timer callback or a SleepGrid predicate,
-//     running *inside* the scheduler with the runtime lock held. The
+//     running *inside* the scheduler with no process current. The
 //     scheduler has no goroutine of its own: its code runs in whichever
 //     context is giving up the CPU — the process that is parking or
 //     exiting, which picks its own successor, or the dispatch loop — so
 //     a callback may find itself on any coroutine's stack. It must not
-//     block and must not call anything that re-enters the runtime (Proc
-//     methods, channel operations, Runtime.Now). It receives a Sched
-//     capability and goes through that for everything: Sched.Now,
-//     Sched.Schedule, Sched.Raise, and the accessors that take a Sched
-//     (Chan.Pending).
+//     block: there is no process to park, and every Proc method is out
+//     of bounds. It receives a Sched capability, which is what marks
+//     code as written for this context, and goes through that for
+//     everything: Sched.Now, Sched.Schedule, Sched.Raise, and the
+//     accessors that take a Sched (Chan.Pending). (Runtime.Now would
+//     read the same field; Sched.Now is the idiom because a function
+//     that takes a Sched says where it may be called from.)
 //
 // A predicate has one obligation more than a callback: it stands for
-// process code that would have run at that turn and found nothing to
-// do, so it must be exactly that code's test — read-only, a function of
-// simulation state alone, true whenever the process would have done
-// anything but go back to sleep — and it is built once per process, not
-// per call. A predicate that panics surfaces from RunUntil with its
-// process named, having unwound whichever process it ran under.
+// process code that would have run at that turn and gone back to sleep,
+// so it must be exactly that code — a function of simulation state
+// alone, true whenever the process would have done anything but sleep
+// again, and writing only what its process owns and would have written
+// at that turn (a tick counter, a gauge it keeps; never a queue, a
+// signal or a timer, which would be another process's wake-up arriving
+// from a turn nobody took) — and it is built once per process, not per
+// call. A predicate that panics surfaces from RunUntil with its process
+// named, having unwound whichever process it ran under.
 //
-// Only one of the dispatch loop and the processes is ever executing,
-// so callback code may touch the same plain data structures processes
-// touch, with no extra locking. The runtime lock is not what
-// serialises them; it guards the scheduler's own state so that
-// Runtime.Now, Switches, NumProcs and the Node readers may be called
-// from a goroutine outside the simulation.
+// Only one of the dispatch loop and the processes is ever executing, and
+// all of it on the goroutine inside RunUntil, so callback code may touch
+// the same plain data structures processes touch. Nothing here is
+// locked: see Runtime for the confinement rule.
 
-// Sched is the capability handle passed to Timer callbacks. It proves
-// the caller is in scheduler context (runtime lock held) and exposes
-// the only operations legal there.
+// Sched is the capability handle passed to Timer callbacks and
+// predicates. It marks the caller as in scheduler context and exposes
+// the operations legal there.
 type Sched struct{ rt *Runtime }
 
 // Now returns the current virtual time.
@@ -81,9 +83,9 @@ func NewTimer(rt *Runtime, fn func(s Sched)) *Timer {
 	return &Timer{rt: rt, ev: timerEv{fn: fn}}
 }
 
-// Schedule arms the timer to fire at time t (clamped to now). Call
-// from process context; callbacks use Sched.Schedule. Panics if the
-// timer is already armed.
+// Schedule arms the timer to fire at time t (clamped to now). Panics if
+// the timer is already armed. Sched.Schedule is the same call, spelt for
+// scheduler context.
 func (tm *Timer) Schedule(t Time) { tm.rt.arm(&tm.ev, t) }
 
 // Active reports whether the timer is armed. Call from process
@@ -122,8 +124,8 @@ func (s *Signal) Wait(p *Proc) {
 	s.rt.park(p, stRecv, s.nm)
 }
 
-// Raise wakes the waiting process, or latches if none is waiting. Call
-// from process context; callbacks use Sched.Raise.
+// Raise wakes the waiting process, or latches if none is waiting.
+// Sched.Raise is the same call, spelt for scheduler context.
 func (s *Signal) Raise() {
 	if p := s.p; p != nil {
 		s.p = nil
@@ -135,7 +137,8 @@ func (s *Signal) Raise() {
 
 // Polled waits. A process whose loop is "block, wake, find nothing to
 // do, block again" pays a turn per lap — two coroutine switches, or a
-// call of its step function — to run no code of its own. A polled wait
+// call of its step function — to run a test, and at most some
+// bookkeeping of its own (the predicate rule above). A polled wait
 // parks it once and has pick take each of those turns in scheduler
 // context instead, in the same run-queue position with the same timers,
 // sequence numbers, switch count and trace lines the loop would have

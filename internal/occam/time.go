@@ -15,8 +15,13 @@
 // loop calls its step function, a blocking primitive arms the wait and
 // returns, and a turn costs a function call. To the scheduler the two
 // are the same process: same queues, priorities, timers and trace. A
-// panic in a process surfaces from RunUntil in that caller. The
-// primitives mirror Occam:
+// panic in a process surfaces from RunUntil in that caller.
+//
+// Nothing in the package is locked. A Runtime and everything hung on it
+// is confined: used by one goroutine at a time — the one that builds
+// the system, then the one inside RunUntil, then whoever reads the
+// results — with an ordinary happens-before at each hand-over (see
+// Runtime). The primitives mirror Occam:
 //
 //   - rendezvous channels (Chan) with blocking Send/Recv,
 //   - prioritised alternation (Proc.Alt, the PRI ALT construct),
