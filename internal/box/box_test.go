@@ -60,15 +60,15 @@ func TestBoxProcessCensus(t *testing.T) {
 		}
 	}
 	// A process keeps a stack only if its code needs one between
-	// turns: the four video-path processes are coroutines, a goroutine
-	// each; netOut and the seven on the audio path are step functions.
+	// turns: the capture and display boards' loops are coroutines, a
+	// goroutine each; the other ten are step functions.
 	before := runtime.NumGoroutine()
 	New(rt, atm.New(rt), Config{})
 	if n := rt.NumProcs(); n != len(want) {
 		t.Errorf("box.New started %d processes, want %d", n, len(want))
 	}
-	if n := runtime.NumGoroutine() - before; n != 4 {
-		t.Errorf("box.New started %d goroutines, want 4", n)
+	if n := runtime.NumGoroutine() - before; n != 2 {
+		t.Errorf("box.New started %d goroutines, want 2", n)
 	}
 	run(t, rt, time.Millisecond)
 	for _, name := range want {
@@ -148,6 +148,34 @@ func TestAudioCallResumesNoCoroutinePerSegment(t *testing.T) {
 		t.Errorf("%d segments played for %d coroutine resumes, %d field ticks and %d turns of a.netOut; want 250 segments, 50 resumes, all of them field ticks, and 500. "+
 			"A stage back on a coroutine adds its turns to the resumes; turns of the rest: %s",
 			played, got, field, netOut, turnsByName(turns, "a.capture", "b.capture", "a.netOut"))
+	}
+}
+
+func TestVideoCallResumesOnlyCaptureAndDisplay(t *testing.T) {
+	// One way, a to b, full-rate 128×64 video for a virtual second: 50
+	// segments shown. While captureIn and displayOut were coroutines that
+	// cost 350 resumes, 7 a segment; their 275 turns are calls now, and
+	// what is left is 225, 4.5 a segment, every one of them among the 300
+	// turns of the capture boards and b's display (a coroutine that parks
+	// and is itself the next to run is not resumed, then as now).
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	a, b, _ := twoBoxes(rt, Config{}, Config{}, 300)
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		a.SetRoute(p, Route{Stream: 2, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{300}, Video: true})
+		b.SetRoute(p, Route{Stream: 300, Outputs: []Output{OutDisplay}})
+		a.StartCamera(p, CameraStream{Stream: 2, Rect: video.Rect{W: 128, H: 64}, Rate: video.Rate{Num: 1, Den: 1}})
+	})
+	run(t, rt, 100*time.Millisecond)
+	turns, before, shown := countTurns(rt), rt.Resumes(), b.DisplayStats().Segments
+	run(t, rt, 1100*time.Millisecond)
+	shown = b.DisplayStats().Segments - shown
+	got := int(rt.Resumes() - before)
+	stacked := turns["a.capture"] + turns["b.capture"] + turns["b.display"]
+	if shown != 50 || got != 225 || got > stacked {
+		t.Errorf("%d segments shown for %d coroutine resumes and %d turns of the capture boards and b's display; want 50 segments and 225 resumes, no more than those turns. "+
+			"A stage back on a coroutine adds its turns to the resumes; turns of the rest: %s",
+			shown, got, stacked, turnsByName(turns, "a.capture", "b.capture", "b.display"))
 	}
 }
 
@@ -332,6 +360,27 @@ func TestReconfigurationContinuity(t *testing.T) {
 	}
 	if c.Mixer().Stats(200).Segments == 0 {
 		t.Fatal("second destination never received data")
+	}
+}
+
+func TestCloseRouteForgetsFanOut(t *testing.T) {
+	// A closed stream sends nowhere, and a stream opened again under its
+	// number sends where the new route says.
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	bx := New(rt, atm.New(rt), Config{})
+	var set, closed, reset []uint32
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		bx.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100, 200}})
+		set = bx.NetCopies(1)
+		bx.CloseRoute(p, 1)
+		closed = bx.NetCopies(1)
+		bx.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{300}})
+		reset = bx.NetCopies(1)
+	})
+	run(t, rt, time.Millisecond)
+	if fmt.Sprint(set, closed, reset) != "[100 200] [] [300]" {
+		t.Errorf("NetCopies after set, close, set again: %v %v %v, want [100 200] [] [300]", set, closed, reset)
 	}
 }
 

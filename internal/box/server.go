@@ -64,16 +64,25 @@ func (b *Box) startServer() {
 	// One process drains both network buffers (netOut).
 	b.outBufs[bufNetVideo].ShareWake(b.outBufs[bufNetAudio])
 
-	// The audio path's handlers and netOut are stackless, written like
-	// the audio board's (audio.go); the video path's keep a stack between
-	// turns.
-	rt.GoStep(name+".switch", b.serverNode, occam.High, newDataSwitch(b).step)
-	rt.GoStep(name+".audioIn", b.serverNode, occam.High, (&audioIn{b: b}).step)
-	rt.GoStep(name+".netIn", b.serverNode, occam.High, newNetIn(b).step)
-	rt.Go(name+".captureIn", b.serverNode, occam.High, b.runCaptureIn)
-	rt.GoStep(name+".audioOut", b.serverNode, occam.High, (&audioOut{b: b}).step)
-	rt.GoStep(name+".netOut", b.serverNode, occam.High, (&netOut{b: b, rep: newReporter(name+".netOut", b.Log)}).step)
-	rt.Go(name+".displayOut", b.serverNode, occam.High, b.runDisplayOut)
+	// Every process of the server board is stackless, written like the
+	// audio board's (audio.go): the switch, one input handler per input
+	// device, one output handler per output device on another board, and
+	// netOut.
+	goStep := func(nm string, step func(*occam.Proc)) {
+		rt.GoStep(name+"."+nm, b.serverNode, occam.High, step)
+	}
+	input := func(from arrivals) func(*occam.Proc) { return (&inputHandler{b: b, from: from}).step }
+	goStep("switch", newDataSwitch(b).step)
+	goStep("audioIn", input(&boardLink{link: b.audioToServer}))
+	goStep("netIn", input(newNetInterface(b)))
+	goStep("captureIn", input(&boardLink{link: b.captureToServer}))
+	// The audio board's end of its link is passive; the display process
+	// takes each segment by rendezvous, and nothing precedes it on the fifo.
+	goStep("audioOut", (&outputHandler{b: b, slot: bufSpeaker, link: b.serverToAudio,
+		header: segment.StreamNumberSize, handOver: b.audioDeliver}).step)
+	goStep("netOut", (&netOut{b: b, rep: newReporter(name+".netOut", b.Log)}).step)
+	goStep("displayOut", (&outputHandler{b: b, slot: bufDisplay, link: b.serverToMixer,
+		handOver: b.serverToMixer.Rendezvous}).step)
 }
 
 // appendBufSlots appends the decoupling buffer slots serving a route
@@ -319,15 +328,33 @@ func slotMatches(o Output, slot int) bool {
 	return false
 }
 
-// audioIn receives mic segments from the audio board link, fills
-// buffers obtained in advance from the allocator, and launches their
-// indices into the switch. Copying the wire into the buffer is the
-// data path's first copy (§3.4: "once into memory").
-type audioIn struct {
-	b   *Box
-	at  int // the input handlers' inGet … inSent
-	buf *allocator.Buffer
-	msg wireMsg
+// inputHandler is the server board's input device handler (figure 3.3),
+// started once per input device — audioIn on the link from the audio
+// board, captureIn on the fifo from the capture board, netIn on the
+// network interface: it obtains a buffer in advance from the allocator,
+// fills it with the next segment to arrive and launches its index into
+// the switch. Copying the wire into the buffer is the data path's first
+// copy (§3.4: "once into memory").
+type inputHandler struct {
+	b      *Box
+	from   arrivals
+	at     int // inGet … inSent
+	buf    *allocator.Buffer
+	w      segment.Wire // the segment being copied in
+	stream uint32
+}
+
+// arrivals is an input device as its handler sees it.
+type arrivals interface {
+	// recv waits for the next arrival.
+	recv(p *occam.Proc)
+	// discard releases the arrival: the board is down.
+	discard()
+	// segment takes the arrival. It returns the whole, clean segment the
+	// arrival completes, with one wire reference, its stream number and
+	// the bytes its copy in is charged for — or false when there is none
+	// yet, the arrival's reference kept or released as the device needs.
+	segment() (w segment.Wire, stream uint32, charge int, ok bool)
 }
 
 // Where an input handler's step resumes.
@@ -339,203 +366,176 @@ const (
 	inSent          // the switch has it
 )
 
-func (a *audioIn) step(p *occam.Proc) {
-	b := a.b
+func (h *inputHandler) step(p *occam.Proc) {
+	b := h.b
 	for {
-		switch a.at {
+		switch h.at {
 		case inGet:
-			a.at = inRecv
-			if a.buf == nil {
+			h.at = inRecv
+			if h.buf == nil {
 				// "obtain empty buffers ... in advance"
-				if b.pool.GetInto(p, &a.buf); p.Parked() {
+				if b.pool.GetInto(p, &h.buf); p.Parked() {
 					return
 				}
 			}
 		case inRecv:
-			a.at = inGot
-			if b.audioToServer.RecvInto(p, &a.msg); p.Parked() {
+			h.at = inGot
+			if h.from.recv(p); p.Parked() {
 				return
 			}
 		case inGot:
+			h.at = inRecv
 			if b.boardDown(p, "server") {
-				a.msg.W.Release() // the pre-fetched buffer waits for recovery
-				a.at = inRecv
+				h.from.discard() // the pre-fetched buffer waits for recovery
 				continue
 			}
-			a.at = inCopied
-			if p.Consume(time.Duration(a.msg.W.Len()) * serverCopyPerKB / 1024); p.Parked() {
+			w, stream, charge, ok := h.from.segment()
+			if !ok {
+				continue
+			}
+			h.w, h.stream, h.at = w, stream, inCopied
+			if p.Consume(time.Duration(charge) * serverCopyPerKB / 1024); p.Parked() {
 				return
 			}
 		case inCopied:
-			a.buf.SetPayload(a.msg.W.Bytes())
-			a.msg.W.Release()
-			a.buf.Stream = a.msg.Stream
-			a.at = inSent
-			if b.toSwitch.Send(p, a.buf); p.Parked() {
+			h.buf.SetPayload(h.w.Bytes())
+			h.w.Release()
+			h.buf.Stream = h.stream
+			h.at = inSent
+			if b.toSwitch.Send(p, h.buf); p.Parked() {
 				return
 			}
 		case inSent:
-			a.buf, a.msg, a.at = nil, wireMsg{}, inGet
+			h.buf, h.w, h.at = nil, segment.Wire{}, inGet
 		}
 	}
 }
 
-// netIn receives network messages; the VCI is the local stream number
-// (§3.4).
-type netIn struct {
+// boardLink is a link from another board of the box: every arrival is
+// a whole segment, preceded by its stream number.
+type boardLink struct {
+	link *occam.Link[wireMsg]
+	msg  wireMsg
+}
+
+func (l *boardLink) recv(p *occam.Proc) { l.link.RecvInto(p, &l.msg) }
+
+func (l *boardLink) discard() {
+	l.msg.W.Release()
+	l.msg = wireMsg{}
+}
+
+func (l *boardLink) segment() (segment.Wire, uint32, int, bool) {
+	msg := l.msg
+	l.msg = wireMsg{}
+	return msg.W, msg.Stream, msg.W.Len(), true
+}
+
+// netInterface is the network interface; the VCI is the local stream
+// number (§3.4). A segment's copy in is charged for the message that
+// completes it: an interleaved video segment (A4) arrives in chunks.
+type netInterface struct {
 	b     *Box
-	at    int // inGet … inSent
+	m     atm.Message
 	reasm map[uint32]*chunkedVideo
 	// corruptSeg marks a VCI whose pending segment took a corrupted
 	// chunk; the whole reassembled segment is then discarded ("the
 	// current segment is thrown away", §3.8).
 	corruptSeg map[uint32]bool
-	buf        *allocator.Buffer
-	m          atm.Message
-	w          segment.Wire // the reassembled segment being copied in
 }
 
-func newNetIn(b *Box) *netIn {
-	return &netIn{b: b, reasm: make(map[uint32]*chunkedVideo), corruptSeg: make(map[uint32]bool)}
+func newNetInterface(b *Box) *netInterface {
+	return &netInterface{b: b, reasm: make(map[uint32]*chunkedVideo), corruptSeg: make(map[uint32]bool)}
 }
 
-func (n *netIn) step(p *occam.Proc) {
-	b := n.b
-	for {
-		switch n.at {
-		case inGet:
-			n.at = inRecv
-			if n.buf == nil {
-				if b.pool.GetInto(p, &n.buf); p.Parked() {
-					return
-				}
-			}
-		case inRecv:
-			n.at = inGot
-			if b.host.Rx.RecvInto(p, &n.m); p.Parked() {
-				return
-			}
-		case inGot:
-			m := n.m
-			n.at = inRecv
-			if b.boardDown(p, "server") {
-				m.W.Release()
-				continue
-			}
-			if m.Corrupt {
-				n.corruptSeg[m.VCI] = true
-			}
-			w, done := reassemble(n.reasm, m)
-			if !done {
-				continue
-			}
-			if n.corruptSeg[m.VCI] {
-				delete(n.corruptSeg, m.VCI)
-				b.swStats.CorruptDrops++
-				b.swStats.PerStreamDrops[m.VCI]++
-				b.trace.Emit(obs.EvDrop, b.cfg.Name+".netIn", m.VCI, "corrupt-discard")
-				w.Release()
-				continue
-			}
-			n.w, n.at = w, inCopied
-			if p.Consume(time.Duration(m.Size) * serverCopyPerKB / 1024); p.Parked() {
-				return
-			}
-		case inCopied:
-			n.buf.SetPayload(n.w.Bytes())
-			n.w.Release()
-			n.buf.Stream = n.m.VCI
-			n.at = inSent
-			if b.toSwitch.Send(p, n.buf); p.Parked() {
-				return
-			}
-		case inSent:
-			n.buf, n.m, n.w, n.at = nil, atm.Message{}, segment.Wire{}, inGet
-		}
+func (n *netInterface) recv(p *occam.Proc) { n.b.host.Rx.RecvInto(p, &n.m) }
+
+func (n *netInterface) discard() {
+	n.m.W.Release()
+	n.m = atm.Message{}
+}
+
+func (n *netInterface) segment() (segment.Wire, uint32, int, bool) {
+	b, m := n.b, n.m
+	n.m = atm.Message{}
+	if m.Corrupt {
+		n.corruptSeg[m.VCI] = true
 	}
-}
-
-// runCaptureIn receives compressed video segments from the capture
-// board fifo.
-func (b *Box) runCaptureIn(p *occam.Proc) {
-	var buf *allocator.Buffer
-	for {
-		if buf == nil {
-			b.pool.GetInto(p, &buf)
-		}
-		msg := b.captureToServer.Recv(p)
-		if b.boardDown(p, "server") {
-			msg.W.Release()
-			continue
-		}
-		p.Consume(time.Duration(msg.W.Len()) * serverCopyPerKB / 1024)
-		buf.SetPayload(msg.W.Bytes())
-		msg.W.Release()
-		buf.Stream = msg.Stream
-		b.toSwitch.Send(p, buf)
-		buf = nil
+	w, done := reassemble(n.reasm, m)
+	if !done {
+		return segment.Wire{}, 0, 0, false
 	}
+	if n.corruptSeg[m.VCI] {
+		delete(n.corruptSeg, m.VCI)
+		b.swStats.CorruptDrops++
+		b.swStats.PerStreamDrops[m.VCI]++
+		b.trace.Emit(obs.EvDrop, b.cfg.Name+".netIn", m.VCI, "corrupt-discard")
+		w.Release()
+		return segment.Wire{}, 0, 0, false
+	}
+	return w, m.VCI, m.Size, true
 }
 
-// audioOut moves speaker-bound segments over the link to the audio
-// board: the copy out of the server buffer into a pooled wire is this
-// output device's single copy (§3.4: "once out for each output
-// device"), after which the buffer index is free to recycle. The audio
-// board's receiving end is passive (audioDeliver), so the link is
-// occupied for the transfer and the segment handed over by a call.
-type audioOut struct {
-	b   *Box
-	at  int // outTake, outCopied or outSent
-	buf *allocator.Buffer
-	w   segment.Wire
+// outputHandler is the server board's handler for an output device on
+// another board of the box — audioOut for the loudspeaker, displayOut
+// for the display: the copy out of the server buffer into a pooled wire
+// is the device's single copy (§3.4: "once out for each output device"),
+// the link to the board is occupied for the transfer of the segment and
+// the header bytes preceding it, and the segment handed over, after which
+// the buffer index is free to recycle.
+type outputHandler struct {
+	b      *Box
+	slot   int // the device's decoupling buffer
+	link   *occam.Link[wireMsg]
+	header int
+	// handOver gives the board the transferred segment: a call, where the
+	// receiving end is passive (audioDeliver), or a rendezvous with the
+	// process there, which holds the handler — and so the link, and in
+	// time the decoupling buffer — while the device is busy.
+	handOver func(p *occam.Proc, msg wireMsg)
+	at       int // outTake … outHanded
+	buf      *allocator.Buffer
+	w        segment.Wire
 }
 
 const (
 	outTake   = iota // take the next segment, or wait for one
 	outCopied        // the copy's CPU is spent: copy out and occupy the link
-	outSent          // the transfer is done: deliver
+	outSent          // the transfer is done: hand over
+	outHanded        // the board has it
 )
 
-func (a *audioOut) step(p *occam.Proc) {
-	b := a.b
+func (h *outputHandler) step(p *occam.Proc) {
+	b, from := h.b, h.b.outBufs[h.slot]
 	for {
-		switch a.at {
+		switch h.at {
 		case outTake:
-			buf, ok := b.outBufs[bufSpeaker].TryRecv(p)
+			buf, ok := from.TryRecv(p)
 			if !ok {
-				if b.outBufs[bufSpeaker].Wait(p); p.Parked() {
+				if from.Wait(p); p.Parked() {
 					return
 				}
 				continue
 			}
-			a.buf, a.at = buf, outCopied
-			size := buf.Payload.Len() + segment.StreamNumberSize
+			h.buf, h.at = buf, outCopied
+			size := buf.Payload.Len() + h.header
 			if p.Consume(time.Duration(size) * serverCopyPerKB / 1024); p.Parked() {
 				return
 			}
 		case outCopied:
-			a.w, a.at = b.wires.Copy(a.buf.Payload.Bytes()), outSent
-			if b.serverToAudio.Occupy(p, a.buf.Payload.Len()+segment.StreamNumberSize); p.Parked() {
+			h.w, h.at = b.wires.Copy(h.buf.Payload.Bytes()), outSent
+			if h.link.Occupy(p, h.buf.Payload.Len()+h.header); p.Parked() {
 				return
 			}
 		case outSent:
-			b.audioDeliver(p, wireMsg{Stream: a.buf.Stream, W: a.w})
-			b.pool.Release(p, a.buf)
-			a.buf, a.w, a.at = nil, segment.Wire{}, outTake
+			h.at = outHanded
+			if h.handOver(p, wireMsg{Stream: h.buf.Stream, W: h.w}); p.Parked() {
+				return
+			}
+		case outHanded:
+			b.pool.Release(p, h.buf)
+			h.buf, h.w, h.at = nil, segment.Wire{}, outTake
 		}
-	}
-}
-
-// runDisplayOut moves display-bound video over the fifo to the mixer
-// board (copy out at the display device, as in audioOut).
-func (b *Box) runDisplayOut(p *occam.Proc) {
-	for {
-		buf := b.outBufs[bufDisplay].Recv(p)
-		size := buf.Payload.Len()
-		p.Consume(time.Duration(size) * serverCopyPerKB / 1024)
-		w := b.wires.Copy(buf.Payload.Bytes())
-		b.serverToMixer.Send(p, wireMsg{Stream: buf.Stream, W: w}, size)
-		b.pool.Release(p, buf)
 	}
 }
 
