@@ -526,6 +526,7 @@ func (b *Box) SetRoute(p *occam.Proc, r Route) {
 // (principle 6).
 func (b *Box) CloseRoute(p *occam.Proc, stream uint32) {
 	delete(b.streamDir, stream)
+	delete(b.netVCI, stream)
 	delete(b.shedNet, stream)
 	b.switchCmd.Send(p, SwitchCommand{Close: stream, HasClose: true})
 }
