@@ -66,10 +66,9 @@ type Message struct {
 	FaultDelay time.Duration
 }
 
-// port is anything that can accept a Message: the next link on the
-// path or the destination host.
+// port is where a link sends a VCI's messages next: the next link on
+// the path (*Link) or the destination host (*Host).
 type port interface {
-	accept(p *occam.Proc, m Message)
 	name() string
 }
 
@@ -109,7 +108,11 @@ func (t chanTransport) Send(p *occam.Proc, m Message) error {
 	if !ok {
 		return fmt.Errorf("atm: no circuit for VCI %d from host %s", m.VCI, t.h.nm)
 	}
-	c.first.accept(p, m)
+	if c.first != nil {
+		c.first.arrive(p.Now(), m)
+	} else {
+		c.to.Deliver(p, m)
+	}
 	return nil
 }
 
@@ -157,8 +160,8 @@ type LinkStats struct {
 // delay.
 //
 // The link is passive: admission (fault hook, loss process, queue
-// bound) runs inline in the arriving message's process or callback,
-// each transmission is one occam.Timer event, and link-to-link
+// bound) runs inline in the arriving message's process or callback
+// (arrive), each transmission is one occam.Timer event, and link-to-link
 // forwarding happens directly in the transmission-end callback. Only
 // delivery to a host — which must be able to block on the host's Rx —
 // runs in a process, one per link and stackless (occam.GoStep calling
@@ -276,44 +279,28 @@ func (l *Link) route(vci uint32, to port) {
 	l.next[vci] = to
 }
 
-// accept runs the link's admission pipeline inline in the arriving
-// message's process: the queue always accepts (drop-tail on overflow),
-// so upstream never blocks. If the transmitter is idle the message
-// starts transmitting immediately.
-func (l *Link) accept(p *occam.Proc, m Message) {
-	if end, start := l.admit(p.Now(), m); start {
-		l.txTimer.Schedule(end)
-	}
-}
-
-// acceptSched is accept for scheduler context — an upstream link's
-// transmission-end callback forwarding into this link.
-func (l *Link) acceptSched(s occam.Sched, m Message) {
-	if end, start := l.admit(s.Now(), m); start {
-		s.Schedule(l.txTimer, end)
-	}
-}
-
-// admit applies the arrival pipeline (fault hook, loss process, queue
-// bound, duplicate) and, when the transmitter is idle, pops the head
-// into transmission. It returns (transmission end, true) when the
-// caller must arm the transmit timer in its own context.
-func (l *Link) admit(now occam.Time, m Message) (occam.Time, bool) {
+// arrive runs the link's arrival pipeline (fault hook, loss process,
+// queue bound, duplicate) on m, arriving now, inline in whatever brought
+// it: the sending host's process, or the upstream link's
+// transmission-end callback. The queue always accepts (drop-tail on
+// overflow), so upstream never blocks. If the transmitter is idle the
+// message starts transmitting immediately.
+func (l *Link) arrive(now occam.Time, m Message) {
 	ok, dup := l.fault.Admit(now, &m)
 	if !ok {
-		return 0, false
+		return
 	}
 	if l.cfg.LossRate > 0 && l.rng.Bool(l.cfg.LossRate) {
 		l.lossDrops.Inc()
 		l.trace.EmitAt(now, obs.EvDrop, "atm."+l.nm, m.VCI, "loss")
 		m.W.Release()
-		return 0, false
+		return
 	}
 	if len(l.queue) >= l.cfg.QueueLimit {
 		l.queueDrops.Inc()
 		l.trace.EmitAt(now, obs.EvDrop, "atm."+l.nm, m.VCI, "queue-overflow")
 		m.W.Release()
-		return 0, false
+		return
 	}
 	l.queue = append(l.queue, m)
 	if dup && len(l.queue) < l.cfg.QueueLimit {
@@ -321,10 +308,9 @@ func (l *Link) admit(now occam.Time, m Message) (occam.Time, bool) {
 		l.fault.Duplicated(now, &m)
 		l.queue = append(l.queue, m)
 	}
-	if l.txBusy {
-		return 0, false
+	if !l.txBusy {
+		l.txTimer.Schedule(l.popTx(now))
 	}
-	return l.popTx(now), true
 }
 
 // popTx moves the queue head into transmission and returns when the
@@ -364,7 +350,7 @@ func (l *Link) txDone(s occam.Sched) {
 		l.bytes.Add(uint64(m.Size))
 		switch hop := nxt.(type) {
 		case *Link:
-			hop.acceptSched(s, m)
+			hop.arrive(s.Now(), m)
 		case *Host:
 			l.dlvm = m
 			l.dlvHost = hop
@@ -435,8 +421,6 @@ func (h *Host) Name() string { return h.nm }
 
 func (h *Host) name() string { return h.nm }
 
-func (h *Host) accept(p *occam.Proc, m Message) { h.Rx.Send(p, m) }
-
 // Deliver hands an arriving message to the host, transferring the
 // message's wire reference. Transport backends (the fabric's egress
 // transmitters, the pandora-node UDP bridge) call this at the end of
@@ -481,8 +465,11 @@ type circuitKey struct {
 	vci  uint32
 }
 
+// circuit is a VCI's path from its source host: into the first link, or
+// with no link at all straight into the destination host.
 type circuit struct {
-	first port
+	first *Link
+	to    *Host
 }
 
 // New returns an empty network on rt.
@@ -560,9 +547,9 @@ func (n *Network) OpenCircuit(vci uint32, from, to *Host, links ...*Link) {
 	if _, dup := n.circuits[key]; dup {
 		panic(fmt.Sprintf("atm: duplicate circuit VCI %d from %s", vci, from.nm))
 	}
-	var first port = to
+	c := &circuit{to: to}
 	if len(links) > 0 {
-		first = links[0]
+		c.first = links[0]
 		for i, l := range links {
 			if i+1 < len(links) {
 				l.route(vci, links[i+1])
@@ -571,7 +558,7 @@ func (n *Network) OpenCircuit(vci uint32, from, to *Host, links ...*Link) {
 			}
 		}
 	}
-	n.circuits[key] = &circuit{first: first}
+	n.circuits[key] = c
 	n.obs.Tracer().Emit(obs.EvStreamOpen, "atm."+from.nm, vci, "circuit to "+to.nm)
 }
 
