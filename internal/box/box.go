@@ -15,12 +15,12 @@
 // independently of its caller: 12 per box. The decoupling buffers
 // between them, the buffer allocator, the host log and the audio
 // board's end of the link from the server are passive. A process keeps
-// a stack only if its code needs one between turns: the eight a segment
-// can meet between microphone and loudspeaker — micReader, serverWriter,
-// audioIn, switch, netOut, netIn, audioOut, blockHandler — are stackless
-// (occam.GoStep: a struct and a step function the dispatch loop calls);
-// the video path's capture, captureIn, displayOut and display are
-// coroutines (occam.Go).
+// a stack only if its code needs one between turns: the audio board's
+// micReader, serverWriter and blockHandler and the server board's switch,
+// input handlers (audioIn, captureIn, netIn), output handlers (audioOut,
+// displayOut) and netOut are stackless (occam.GoStep: a struct and a step
+// function the dispatch loop calls); the capture and display boards'
+// loops, capture and display, are coroutines (occam.Go).
 //
 // Ownership: each box owns one segment.WirePool. Sources (mic,
 // camera) encode into it; the server switch Retains once per extra

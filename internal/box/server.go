@@ -78,10 +78,10 @@ func (b *Box) startServer() {
 	goStep("captureIn", input(&boardLink{link: b.captureToServer}))
 	// The audio board's end of its link is passive; the display process
 	// takes each segment by rendezvous, and nothing precedes it on the fifo.
-	goStep("audioOut", (&outputHandler{b: b, slot: bufSpeaker, link: b.serverToAudio,
+	goStep("audioOut", (&outputHandler{b: b, from: b.outBufs[bufSpeaker], link: b.serverToAudio,
 		header: segment.StreamNumberSize, handOver: b.audioDeliver}).step)
 	goStep("netOut", (&netOut{b: b, rep: newReporter(name+".netOut", b.Log)}).step)
-	goStep("displayOut", (&outputHandler{b: b, slot: bufDisplay, link: b.serverToMixer,
+	goStep("displayOut", (&outputHandler{b: b, from: b.outBufs[bufDisplay], link: b.serverToMixer,
 		handOver: b.serverToMixer.Rendezvous}).step)
 }
 
@@ -485,9 +485,9 @@ func (n *netInterface) segment() (segment.Wire, uint32, int, bool) {
 // the buffer index is free to recycle.
 type outputHandler struct {
 	b      *Box
-	slot   int // the device's decoupling buffer
+	from   *decouple.Buffer[*allocator.Buffer] // the device's decoupling buffer
 	link   *occam.Link[wireMsg]
-	header int
+	header int // bytes preceding each segment on the link
 	// handOver gives the board the transferred segment: a call, where the
 	// receiving end is passive (audioDeliver), or a rendezvous with the
 	// process there, which holds the handler — and so the link, and in
@@ -506,7 +506,7 @@ const (
 )
 
 func (h *outputHandler) step(p *occam.Proc) {
-	b, from := h.b, h.b.outBufs[h.slot]
+	b, from := h.b, h.from
 	for {
 		switch h.at {
 		case outTake:
