@@ -1,0 +1,92 @@
+package box
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/atm"
+	"repro/internal/occam"
+	"repro/internal/segment"
+	"repro/internal/video"
+)
+
+// The display board's two ways of throwing a segment away (§3.8). Broken
+// framing — a line length running past the data, or a line count other
+// than the header's NumLines — is reported as "corrupt"; a line whose
+// compressed body is shorter than the width only counts as a decode
+// error. Neither begins a decode that would reload the interpolator, and
+// a truncated segment leaves its last good line in the stream's cache.
+// Recorded at the commit before the display decoded a segment as one
+// band; the change had to keep it passing unedited.
+func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	bx := New(rt, atm.New(rt), Config{Name: "d"})
+
+	const width = 16
+	row := func(seed int) []byte {
+		l := make([]byte, width)
+		for i := range l {
+			l[i] = byte(40 + 9*i + seed)
+		}
+		return l
+	}
+	lp := video.LineParams{Shift: 1}
+	line1, _ := video.CompressLine(row(0), lp)
+	line2, _ := video.CompressLine(row(70), lp)
+	line3, recon3 := video.CompressLine(row(130), lp)
+	pack := func(lines ...[]byte) []byte {
+		var d []byte
+		for _, l := range lines {
+			d = append(d, byte(len(l)>>8), byte(len(l)))
+			d = append(d, l...)
+		}
+		return d
+	}
+	var reloadsBefore uint64
+	rt.Go("inject", nil, occam.High, func(p *occam.Proc) {
+		send := func(stream, lines uint32, data []byte) {
+			// Segment 0 of a two-segment frame: no frame ever completes,
+			// so the display board only decodes.
+			w := bx.wires.Encode(segment.NewVideo(0, p.Now(), 0, 2, 0, 0, 0, width, 0, lines, data))
+			bx.serverToMixer.Send(p, wireMsg{Stream: stream, W: w}, w.Len())
+			p.Sleep(150 * time.Millisecond) // past the report rate limit
+		}
+		// Streams 1 and 2 decode cleanly: both cached, stream 2 loaded.
+		send(1, 1, pack(line1))
+		send(2, 1, pack(line2))
+		reloadsBefore = bx.interp.Reloads()
+		// Stream 1 with its only line's length running past the data,
+		// then with one line where the header says two.
+		send(1, 1, []byte{0, byte(len(line1) + 4), line1[0], line1[1]})
+		send(1, 2, pack(line1))
+		// Stream 2: line 0 decodes, line 1 is a header with no body.
+		send(2, 2, pack(line3, line1[:1]))
+	})
+	run(t, rt, time.Second)
+
+	st := bx.DisplayStats()
+	if st.Segments != 5 || st.DecodeErrs != 3 {
+		t.Errorf("display took %d segments with %d decode errors, want 5 and 3", st.Segments, st.DecodeErrs)
+	}
+	var corrupt []string
+	for _, r := range bx.Log.Lines() {
+		if strings.Contains(r.Text, "corrupt") {
+			corrupt = append(corrupt, r.Text)
+		}
+	}
+	if len(corrupt) != 2 || !strings.HasPrefix(corrupt[0], "stream 1:") || !strings.HasPrefix(corrupt[1], "stream 1:") {
+		t.Errorf("corrupt reports %q, want two for stream 1 and none for stream 2", corrupt)
+	}
+	if n := bx.interp.Reloads(); n != reloadsBefore {
+		t.Errorf("interpolator reloads %d → %d across the discarded segments", reloadsBefore, n)
+	}
+	if got := bx.interp.Begin(2); !bytes.Equal(got, recon3) {
+		t.Errorf("stream 2's cached line is %v, want the truncated segment's line 0 %v", got, recon3)
+	}
+	if n := bx.WirePoolLeaked(); n != 0 {
+		t.Errorf("%d wires leaked", n)
+	}
+}
