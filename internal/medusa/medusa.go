@@ -235,7 +235,12 @@ func (c *CameraUnit) run(p *occam.Proc) {
 	lp := video.LineParams{Shift: 1}
 	var seq, frameNo uint32
 	var codec video.Codec
-	var data []byte // packed segment scratch, copied on by Encode
+	// Segment scratch, copied on by Encode: the packed lines and the
+	// header around them.
+	var (
+		data []byte
+		seg  segment.Video
+	)
 	for frame := 0; ; frame++ {
 		p.SleepUntil(occam.Time(int64(frame) * int64(video.FramePeriod)))
 		for {
@@ -252,20 +257,12 @@ func (c *CameraUnit) run(p *occam.Proc) {
 		// One segment per half frame, despatched as soon as ready.
 		half := c.h / 2
 		for s := 0; s < 2; s++ {
-			data = data[:0]
-			codec.Reset()
-			for y := s * half; y < (s+1)*half; y++ {
-				wire := codec.CompressLine(img.Row(y), lp)
-				var hdr [2]byte
-				hdr[0] = byte(len(wire) >> 8)
-				hdr[1] = byte(len(wire))
-				data = append(data, hdr[:]...)
-				data = append(data, wire...)
-			}
-			seg := segment.NewVideo(seq, p.Now(), frameNo, 2, uint32(s),
+			band := video.Frame{W: c.w, H: half, Pix: img.Pix[s*half*c.w : (s+1)*half*c.w]}
+			data = codec.CompressBand(data[:0], &band, lp)
+			seg.Reset(seq, p.Now(), frameNo, 2, uint32(s),
 				0, uint32(s*half), uint32(c.w), uint32(s*half), uint32(half), data)
 			seq++
-			w := c.pool.Encode(seg)
+			w := c.pool.Encode(&seg)
 			w.Retain(len(c.vcis) - 1)
 			for _, vci := range c.vcis {
 				if c.host.Send(p, atm.Message{VCI: vci, Size: w.Len(), W: w}) != nil {
@@ -352,23 +349,9 @@ func (d *DisplayUnit) decode(stream uint32, seg *segment.Video) (*video.Frame, b
 	d.interp.Begin(stream)
 	img := &d.scratch
 	img.Reuse(int(seg.Width), int(seg.NumLines))
-	data := seg.Data
-	for y := 0; y < int(seg.NumLines); y++ {
-		if len(data) < 2 {
-			return nil, false
-		}
-		n := int(data[0])<<8 | int(data[1])
-		data = data[2:]
-		if len(data) < n {
-			return nil, false
-		}
-		line, err := d.codec.DecompressLine(data[:n], int(seg.Width))
-		if err != nil {
-			return nil, false
-		}
-		copy(img.Row(y), line)
-		d.interp.Advance(stream, line)
-		data = data[n:]
+	n, err := d.codec.DecompressBand(img, seg.Data)
+	if n > 0 {
+		d.interp.Advance(stream, img.Row(n-1))
 	}
-	return img, true
+	return img, err == nil
 }

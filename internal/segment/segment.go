@@ -292,7 +292,16 @@ func (v *Video) WireSize() int {
 
 // NewVideo assembles a video segment header for a rectangle.
 func NewVideo(seq uint32, at occam.Time, frame, numSegs, segNum uint32, x, y, w, startLine, lines uint32, data []byte) *Video {
-	v := &Video{
+	return new(Video).Reset(seq, at, frame, numSegs, segNum, x, y, w, startLine, lines, data)
+}
+
+// Reset re-initialises a (reused) Video segment in place, as NewVideo
+// builds one: no compression and no Args. The segment aliases data, so
+// the caller may only recycle the buffer after the segment has been
+// encoded. It is NewVideo without the per-segment allocation, for hot
+// capture loops, as Audio.Reset is NewAudio's.
+func (v *Video) Reset(seq uint32, at occam.Time, frame, numSegs, segNum uint32, x, y, w, startLine, lines uint32, data []byte) *Video {
+	*v = Video{
 		Common: Common{
 			Version:   Version,
 			Seq:       seq,

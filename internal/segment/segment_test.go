@@ -168,6 +168,19 @@ func TestVideoEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+func TestVideoResetIsNewVideo(t *testing.T) {
+	// A reused segment, left with args and a compression scheme by its
+	// last use, encodes as a fresh one once Reset.
+	v := NewVideo(1, 0, 0, 1, 0, 0, 0, 8, 0, 1, make([]byte, 8))
+	v.Compression, v.Args = CompressionDPCM, []uint32{3}
+	data := []byte{1, 2, 3, 4}
+	at := occam.Time(80 * time.Millisecond)
+	want := NewVideo(9, at, 2, 4, 3, 16, 32, 64, 32, 2, data).Encode(nil)
+	if got := v.Reset(9, at, 2, 4, 3, 16, 32, 64, 32, 2, data).Encode(nil); !bytes.Equal(got, want) {
+		t.Fatalf("Reset encodes %x, NewVideo %x", got, want)
+	}
+}
+
 func TestVideoVariableArgs(t *testing.T) {
 	// "We have a variable number of fields after the compression type
 	// field so that compression parameters for any scheme can be

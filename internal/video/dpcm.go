@@ -18,7 +18,8 @@ import (
 type LineParams struct {
 	// Subsample selects 2:1 horizontal sub-sampling.
 	Subsample bool
-	// Shift is the DPCM quantiser shift (0 = finest, 3 = coarsest).
+	// Shift is the DPCM quantiser shift (0 = finest, 3 = coarsest); the
+	// header carries its low two bits, and the coder uses only those.
 	Shift uint8
 	// Raw disables DPCM: the line is carried verbatim (used for the
 	// dummy flush lines, which must not disturb decoder state).
@@ -50,8 +51,9 @@ func paramsFromHeader(b byte) LineParams {
 // decoder will produce is also returned, since DPCM prediction must
 // run against reconstructed values at both ends.
 //
-// CompressLine allocates fresh slices on every call; the per-line hot
-// paths (capture boards, slicers) use a Codec, which reuses storage.
+// CompressLine allocates fresh slices on every call. It and the Codec's
+// per-line methods are the reference the band kernels (band.go), which
+// the capture and display boards use, are checked against.
 func CompressLine(line []byte, lp LineParams) (wire []byte, recon []byte) {
 	src := line
 	if lp.Subsample {
@@ -83,10 +85,11 @@ func compressTo(wire, recon, src []byte, lp LineParams) []byte {
 		return append(wire, src...)
 	}
 	pred := 128
+	shift := lp.Shift & 0x03 // the header's two bits, all the decoder sees
 	var hi byte
 	for i, px := range src {
 		delta := int(px) - pred
-		q := delta >> lp.Shift
+		q := delta >> shift
 		if q > 7 {
 			q = 7
 		}
@@ -102,7 +105,7 @@ func compressTo(wire, recon, src []byte, lp LineParams) []byte {
 		} else {
 			wire = append(wire, hi|nib)
 		}
-		pred += q << lp.Shift
+		pred += q << shift
 		if pred > 255 {
 			pred = 255
 		}
@@ -168,13 +171,16 @@ func DecompressLine(wire []byte, width int) ([]byte, error) {
 // recycles them (each call hands out a distinct buffer, so a whole
 // frame of lines can be held at once, e.g. until packing).
 // DecompressLine results are valid only until the next call — callers
-// copy out immediately, as the display path does anyway.
+// copy out immediately. The band methods write into the caller's
+// storage and keep nothing.
 type Codec struct {
 	sub   []byte   // sub-sampling scratch
 	recon []byte   // reconstruction scratch (compress)
 	line  []byte   // decompressed line (decompress)
 	wires [][]byte // compressed-line buffers handed out since Reset
 	n     int
+	lines [][]byte // a band's line views (DecompressBand)
+	pad   []byte   // the band kernels' scratch lane output
 }
 
 // Reset recycles every buffer handed out by CompressLine since the
@@ -186,19 +192,25 @@ func (c *Codec) Reset() { c.n = 0 }
 // do not need the reconstruction. The returned wire is valid until
 // Reset.
 func (c *Codec) CompressLine(line []byte, lp LineParams) []byte {
+	if c.n == len(c.wires) {
+		c.wires = append(c.wires, nil)
+	}
+	w := c.appendLine(c.wires[c.n][:0], line, lp)
+	c.wires[c.n] = w
+	c.n++
+	return w
+}
+
+// appendLine appends line's header byte and body to dst, with the
+// Codec's sub-sampling and reconstruction scratch.
+func (c *Codec) appendLine(dst, line []byte, lp LineParams) []byte {
 	src := line
 	if lp.Subsample {
 		c.sub = subsampleInto(c.sub, line)
 		src = c.sub
 	}
 	c.recon = growBytes(c.recon, len(src))
-	if c.n == len(c.wires) {
-		c.wires = append(c.wires, nil)
-	}
-	w := compressTo(c.wires[c.n][:0], c.recon, src, lp)
-	c.wires[c.n] = w
-	c.n++
-	return w
+	return compressTo(dst, c.recon, src, lp)
 }
 
 // DecompressLine decodes one compressed line back to width pixels.

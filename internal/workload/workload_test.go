@@ -188,3 +188,27 @@ func TestRampDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestCameraFramesFollowTheFormula(t *testing.T) {
+	// Frames 0 … (w − w/8) + 2 take the bright block across the picture
+	// and through its wrap back to the left edge.
+	for _, size := range [][2]int{{128, 64}, {37, 19}} {
+		w, h := size[0], size[1]
+		cam := NewCamera(w, h)
+		bs := w / 8
+		for n := 0; n <= w-bs+2; n++ {
+			f := cam.NextFrame()
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					want := byte(x*2 + y + n*3)
+					if bx := n % (w - bs); x >= bx && x < bx+bs && y >= h/3 && y < h/3+bs {
+						want = 250
+					}
+					if got := f.At(x, y); got != want {
+						t.Fatalf("%dx%d frame %d pixel (%d, %d) = %d, want %d", w, h, n, x, y, got, want)
+					}
+				}
+			}
+		}
+	}
+}
