@@ -107,12 +107,10 @@ func (f *Frame) MeanAbsDiff(g *Frame) float64 {
 
 // Framestore is the capture board's frame store: the camera writes
 // scan lines continuously on one port while capture streams read
-// rectangles on the other (§3.6). WriteLines and ReadRect model the
+// rectangles on the other (§3.6). CameraPort and ReadRect model the
 // two ports; tear-safe timing is the caller's job, via Scan.
 type Framestore struct {
-	frame    *Frame
-	writes   uint64
-	lastLine int
+	frame *Frame
 }
 
 // NewFramestore returns a store of the given dimensions.
@@ -124,14 +122,9 @@ func NewFramestore(w, h int) *Framestore {
 func (fs *Framestore) Width() int  { return fs.frame.W }
 func (fs *Framestore) Height() int { return fs.frame.H }
 
-// WriteLines stores camera rows [y0, y1) from src (the camera port).
-func (fs *Framestore) WriteLines(src *Frame, y0, y1 int) {
-	for y := y0; y < y1 && y < fs.frame.H; y++ {
-		copy(fs.frame.Row(y), src.Row(y))
-		fs.lastLine = y
-	}
-	fs.writes++
-}
+// CameraPort returns the store's own frame, which the camera draws
+// into in place (the camera port).
+func (fs *Framestore) CameraPort() *Frame { return fs.frame }
 
 // ReadRect copies rectangle r out of the store (the capture port).
 func (fs *Framestore) ReadRect(r Rect) *Frame {
