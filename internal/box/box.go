@@ -293,9 +293,12 @@ type Box struct {
 	interp      *video.Interpolator
 	displayStat DisplayStats
 
-	// Instruments.
+	// Instruments. lastPlayout is playout[lastStream], resolved once
+	// for as long as the mixer plays that stream alone.
 	playout     map[uint32]*obs.Histogram
 	playoutHist *obs.Histogram
+	lastStream  uint32
+	lastPlayout *obs.Histogram
 	trace       *obs.Tracer
 }
 
@@ -487,7 +490,10 @@ func (b *Box) recordPlayout(stream uint32, stamp, now int64) {
 	// output: add the codec output fifo ("2ms in the buffering from
 	// the codec", §4.2) after the mixing pop.
 	lat := time.Duration(now-stamp) + segment.BlockDuration
-	b.PlayoutLatency(stream).Observe(lat)
+	if b.lastPlayout == nil || b.lastStream != stream {
+		b.lastStream, b.lastPlayout = stream, b.PlayoutLatency(stream)
+	}
+	b.lastPlayout.Observe(lat)
 	b.playoutHist.Observe(lat)
 }
 

@@ -106,6 +106,11 @@ type Mixer struct {
 	// carries a handful, found by binary search; one is inserted when
 	// created and never deleted.
 	streams []*stream
+	// playing is the active streams in the same order: all a tick
+	// visits. Deliver inserts a stream when it creates or reactivates
+	// it; Tick drops one whose buffer it finds empty, SetShed one it
+	// sheds.
+	playing []*stream
 	ticks   uint64
 
 	// shed holds streams suspended by the overload controller
@@ -115,7 +120,7 @@ type Mixer struct {
 
 	// out is per-tick scratch, reused: the returned block is valid
 	// until the next Tick.
-	out []byte
+	out [segment.BlockSamples]byte
 
 	// OnPlayout, if set, is called for every block played with the
 	// stream id, the block's source timestamp and the playout time
@@ -136,7 +141,6 @@ func New(cfg Config) *Mixer {
 		cfg:  cfg,
 		pool: clawback.NewPool(cfg.PoolBlocks),
 		shed: make(map[uint32]bool),
-		out:  make([]byte, segment.BlockSamples),
 	}
 	lb := obs.L("box", cfg.Name)
 	m.shedDrops = cfg.Obs.Counter("mixer_shed_drops_total", lb)
@@ -152,23 +156,23 @@ func New(cfg Config) *Mixer {
 func (m *Mixer) Pool() *clawback.Pool { return m.pool }
 
 // ActiveStreams returns the number of streams currently mixing.
-func (m *Mixer) ActiveStreams() int {
-	n := 0
-	for _, s := range m.streams {
-		if s.active {
-			n++
-		}
-	}
-	return n
-}
+func (m *Mixer) ActiveStreams() int { return len(m.playing) }
+
+func byID(s *stream, id uint32) int { return cmp.Compare(s.id, id) }
 
 // find returns stream id, or where in streams it would go.
 func (m *Mixer) find(id uint32) (s *stream, at int, ok bool) {
-	at, ok = slices.BinarySearchFunc(m.streams, id, func(s *stream, id uint32) int { return cmp.Compare(s.id, id) })
+	at, ok = slices.BinarySearchFunc(m.streams, id, byID)
 	if ok {
 		s = m.streams[at]
 	}
 	return s, at, ok
+}
+
+// play puts an activated stream into playing, in id order.
+func (m *Mixer) play(s *stream) {
+	at, _ := slices.BinarySearchFunc(m.playing, s.id, byID)
+	m.playing = slices.Insert(m.playing, at, s)
 }
 
 // Stats returns the reception statistics for a stream, which persist
@@ -237,12 +241,14 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 	if !ok {
 		s = m.newStream(id)
 		m.streams = slices.Insert(m.streams, at, s)
+		m.play(s)
 		tr.Emit(obs.EvStreamOpen, m.source(), id, "stream created")
 	} else if !s.active {
 		// "If a block arrives for a stream that does not have a
 		// buffer, a new clawback buffer will be inserted, and mixing
 		// will resume."
 		s.active = true
+		m.play(s)
 		s.c.reactivations.Inc()
 		tr.Emit(obs.EvStreamOpen, m.source(), id, "stream reactivated")
 	}
@@ -310,23 +316,28 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 	w.Release()
 }
 
+// requantise maps a µ-law byte to Encode(Decode(b)): the mix of one
+// stream, whose decoded samples never clip.
+var requantise = mulaw.NewScaleTable(1)
+
 // Tick produces the next mixed 2 ms block of µ-law samples at stream
 // time now (nanoseconds). Streams whose buffers are empty contribute
 // silence and are deactivated; with no active streams the returned
 // block is pure silence.
 //
 // mixed reports how many streams contributed audio — the mixing work
-// done this tick, which the audio board accounts CPU time for.
+// done this tick, which the audio board accounts CPU time for. The
+// per-sample work follows it: none for silence, a table lookup for one
+// stream, and for more a decoded sum, clipped and re-encoded.
 //
 // The returned block is scratch storage reused by the next Tick;
 // callers must finish with it (play it, copy it) before then.
 func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 	m.ticks++
+	out := &m.out
 	var sum [segment.BlockSamples]int32
-	for _, s := range m.streams {
-		if !s.active {
-			continue
-		}
+	kept := m.playing[:0]
+	for _, s := range m.playing {
 		it, ok := s.buf.PopItem()
 		if !ok {
 			// "The time saved when a clawback buffer is found to be
@@ -336,8 +347,19 @@ func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 			m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source(), s.id, "stream deactivated")
 			continue
 		}
-		for i := 0; i < segment.BlockSamples; i++ {
-			sum[i] += int32(mulaw.Decode(it.Data[i]))
+		kept = append(kept, s)
+		in := (*[segment.BlockSamples]byte)(it.Data)
+		switch mixed {
+		case 0:
+			*out = *in // copied out before the wire is released
+		case 1:
+			for i := range sum {
+				sum[i] = int32(mulaw.Decode(out[i])) + int32(mulaw.Decode(in[i]))
+			}
+		default:
+			for i := range sum {
+				sum[i] += int32(mulaw.Decode(in[i]))
+			}
 		}
 		if m.OnPlayout != nil {
 			m.OnPlayout(s.id, it.Stamp, now)
@@ -345,18 +367,20 @@ func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 		it.W.Release() // the sample data has been mixed out
 		mixed++
 	}
-	out := m.out
-	for i := range out {
-		v := sum[i]
-		switch {
-		case v > 32767:
-			v = 32767
-		case v < -32768:
-			v = -32768
+	m.playing = kept
+	switch mixed {
+	case 0:
+		for i := range out {
+			out[i] = mulaw.Silence
 		}
-		out[i] = mulaw.Encode(int16(v))
+	case 1:
+		requantise.Apply(out[:])
+	default:
+		for i, v := range sum {
+			out[i] = mulaw.Encode(int16(min(max(v, -32768), 32767)))
+		}
 	}
-	return out, mixed
+	return out[:], mixed
 }
 
 // SetShed suspends (or, with shed=false, resumes) mixing of stream id
@@ -377,6 +401,8 @@ func (m *Mixer) SetShed(id uint32, shed bool) {
 	m.shed[id] = true
 	if s, _, ok := m.find(id); ok && s.active {
 		s.active = false
+		at, _ := slices.BinarySearchFunc(m.playing, id, byID)
+		m.playing = slices.Delete(m.playing, at, at+1)
 		s.buf.Drain()
 		m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source(), id, "stream shed")
 	}

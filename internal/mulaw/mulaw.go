@@ -8,6 +8,8 @@
 // to sign + 3-bit exponent + 4-bit mantissa, bit-inverted on the wire.
 package mulaw
 
+import "math/bits"
+
 // Bias is the µ-law encoding bias (G.711).
 const Bias = 0x84
 
@@ -38,10 +40,9 @@ func Encode(sample int16) byte {
 		s = clip
 	}
 	s += Bias
-	exp := 7
-	for mask := int32(0x4000); exp > 0 && s&mask == 0; exp-- {
-		mask >>= 1
-	}
+	// The exponent is the position of the highest set bit among bits
+	// 14..7 of the biased magnitude, counted from bit 7.
+	exp := max(bits.Len32(uint32(s))-8, 0)
 	mantissa := byte((s >> (uint(exp) + 3)) & 0x0F)
 	return ^(sign | byte(exp)<<4 | mantissa)
 }

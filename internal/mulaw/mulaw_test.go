@@ -37,6 +37,36 @@ func TestKnownValues(t *testing.T) {
 	}
 }
 
+// bitScanEncode is G.711 µ-law encoding with the exponent found by
+// scanning down from bit 14 for the first set bit — the form Encode had
+// before it counted leading zeros.
+func bitScanEncode(sample int16) byte {
+	s := int32(sample)
+	sign := byte(0)
+	if s < 0 {
+		s = -s
+		sign = 0x80
+	}
+	if s > clip {
+		s = clip
+	}
+	s += Bias
+	exp := 7
+	for mask := int32(0x4000); exp > 0 && s&mask == 0; exp-- {
+		mask >>= 1
+	}
+	mantissa := byte((s >> (uint(exp) + 3)) & 0x0F)
+	return ^(sign | byte(exp)<<4 | mantissa)
+}
+
+func TestEncodeMatchesBitScan(t *testing.T) {
+	for x := math.MinInt16; x <= math.MaxInt16; x++ {
+		if got, want := Encode(int16(x)), bitScanEncode(int16(x)); got != want {
+			t.Fatalf("Encode(%d) = %#02x, bit scan gives %#02x", x, got, want)
+		}
+	}
+}
+
 func TestRoundTripMonotone(t *testing.T) {
 	// Decode(Encode(x)) must be close to x (µ-law quantisation error
 	// is bounded by half the step size, which grows with amplitude).

@@ -96,14 +96,27 @@ func (s sliceTracker) buckets(bounds []float64) []uint64 {
 
 // TestHistogramAgreesWithSortedSlice checks every order statistic and
 // the snapshot's buckets against the keep-everything reference, on
-// five seeds of widely spread and of heavily repeated durations.
+// five seeds of widely spread and of heavily repeated durations, and
+// of runs of one value (a stream in steady state) read often, both
+// inside a run and where one ends.
 func TestHistogramAgreesWithSortedSlice(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		var run time.Duration
+		runLeft := 0
 		draws := map[string]func() time.Duration{
 			"random": func() time.Duration { return time.Duration(rng.Int63n(int64(time.Second))) - 100*time.Millisecond },
 			// Whole milliseconds, so samples land exactly on bucket bounds.
 			"repeated": func() time.Duration { return time.Duration(2+rng.Intn(5)*rng.Intn(2)) * time.Millisecond },
+			// Runs of 1–40 equal values; a value may recur after others.
+			"runs": func() time.Duration {
+				if runLeft == 0 {
+					runLeft = 1 + rng.Intn(40)
+					run = time.Duration(rng.Intn(2)) + time.Duration(2*(1+rng.Intn(5)))*time.Millisecond
+				}
+				runLeft--
+				return run
+			},
 		}
 		for name, draw := range draws {
 			r := New(&fakeClock{})
@@ -113,7 +126,9 @@ func TestHistogramAgreesWithSortedSlice(t *testing.T) {
 				d := draw()
 				h.Observe(d)
 				ref = append(ref, d)
-				if i%500 != 499 && i > 3 { // query between observations, and on tiny sets
+				// Query between observations, on tiny sets, and every 23rd
+				// observation of the runs.
+				if i%500 != 499 && i > 3 && (name != "runs" || i%23 != 0) {
 					continue
 				}
 				s := ref.sorted()

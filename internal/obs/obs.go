@@ -129,6 +129,12 @@ type Histogram struct {
 	// multiset is later walked in.
 	sumMs float64
 	keys  []time.Duration // distinct values ascending; stale when shorter than counts
+	// run and runN are the latest observations, runN of value run, not
+	// yet added to counts: a stream in steady state repeats one delay,
+	// and counting a repeat must not cost a map lookup. Every read of
+	// counts folds them in first.
+	run  time.Duration
+	runN uint64
 }
 
 // NewHistogram returns an unregistered histogram with the given bucket
@@ -148,10 +154,22 @@ func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 
 // Observe records one sample.
 func (h *Histogram) Observe(d time.Duration) {
-	h.counts[d]++
+	if d != h.run {
+		h.fold()
+		h.run = d
+	}
+	h.runN++
 	h.n++
 	h.sum += d
 	h.sumMs += millis(d)
+}
+
+// fold adds the pending run to counts.
+func (h *Histogram) fold() {
+	if h.runN > 0 {
+		h.counts[h.run] += h.runN
+		h.runN = 0
+	}
 }
 
 // Count returns the number of observations.
@@ -212,6 +230,7 @@ func (h *Histogram) Jitter() time.Duration { return h.Max() - h.Min() }
 // rebuilding the list if a new value has arrived since the last call
 // (distinct values are only ever added).
 func (h *Histogram) sortedKeys() []time.Duration {
+	h.fold()
 	if len(h.keys) != len(h.counts) {
 		h.keys = h.keys[:0]
 		for v := range h.counts {
@@ -225,6 +244,7 @@ func (h *Histogram) sortedKeys() []time.Duration {
 // buckets counts the samples per bound: element i those ≤ bounds[i]
 // milliseconds and above the bound before, the last the overflow.
 func (h *Histogram) buckets() []uint64 {
+	h.fold()
 	out := make([]uint64, len(h.bounds)+1)
 	for v, c := range h.counts {
 		out[sort.SearchFloat64s(h.bounds, millis(v))] += c
