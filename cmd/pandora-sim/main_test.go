@@ -12,8 +12,9 @@ import (
 
 // TestGolden pins the binary's whole output — stdout with the one
 // wall-clock line dropped, then stderr and the exit status — for
-// fourteen flag-mode invocations recorded at commit 0bc3240, and the
-// negative -seconds that used to run the clock backwards.
+// fourteen flag-mode invocations recorded at commit 0bc3240, the
+// negative -seconds that used to run the clock backwards, and the
+// negative -balance-budget that used to run as "(budget -1)".
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct{ name, args string }{
 		{"mesh", "-boxes 4 -seconds 1 -trace 100000"},
@@ -31,6 +32,7 @@ func TestGolden(t *testing.T) {
 		{"seconds-0", "-seconds 0"},
 		{"seconds-negative", "-boxes 2 -seconds -1"},
 		{"faults-bogus", "-faults bogus"},
+		{"balance-budget-negative", "-balance -balance-budget -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			golden.Check(t, "testdata/"+tc.name+".golden", output(tc.args))

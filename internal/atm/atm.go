@@ -229,6 +229,11 @@ func (l *Link) Stats() LinkStats {
 	}
 }
 
+// Occupancy returns the output queue's length over its limit, the
+// message in transmission not counted: atm_link_queue_depth over
+// atm_link_queue_limit.
+func (l *Link) Occupancy() float64 { return float64(len(l.queue)) / float64(l.cfg.QueueLimit) }
+
 // observe adopts the link's counters into reg and attaches the tracer.
 func (l *Link) observe(reg *obs.Registry) {
 	lb := obs.L("link", l.nm)

@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -395,4 +396,41 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	net.AddHost("a")
+}
+
+// TestOccupancyIsTheGaugeQuotient: Link.Occupancy reads what
+// atm_link_queue_depth over atm_link_queue_limit reads — the message in
+// transmission held outside both — empty, partly full and full.
+func TestOccupancyIsTheGaugeQuotient(t *testing.T) {
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	reg := obs.New(rt)
+	net := New(rt)
+	net.Observe(reg)
+	a, b := net.AddHost("a"), net.AddHost("b")
+	l := net.AddLink("a-b.0", LinkConfig{Bandwidth: 1, QueueLimit: 4}) // nothing finishes sending
+	net.OpenCircuit(1, a, b, l)
+	lb := obs.L("link", "a-b.0")
+	var got, want []float64
+	read := func() {
+		snap := reg.Snapshot()
+		q, _ := snap.Get("atm_link_queue_depth", lb)
+		lim, _ := snap.Get("atm_link_queue_limit", lb)
+		got, want = append(got, l.Occupancy()), append(want, q.Value/lim.Value)
+	}
+	rt.Go("sender", nil, occam.High, func(p *occam.Proc) {
+		read()
+		for _, n := range []int{3, 2} { // one sending and 2 of 4 queued; then 4 of 4
+			for i := 0; i < n; i++ {
+				a.Send(p, Message{VCI: 1, Size: 100})
+			}
+			read()
+		}
+	})
+	if err := rt.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(want) != "[0 0.5 1]" || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Occupancy read %v, the gauges %v; want both [0 0.5 1]", got, want)
+	}
 }

@@ -1,8 +1,8 @@
 // Package balancer is the placement control plane above core: one
-// process that keeps a scoreboard of per-box/per-port health sampled
-// from the obs registry (fabric queue depths, shed and fault
-// counters, degradation state, the box's net-copy watermark and the
-// wire's per-VCI ingress copies), ranks boxes with a weighted load
+// process that keeps a scoreboard of per-box/per-port health read from
+// the box's own fabric port and the system (queue occupancy, shed and
+// fault counts, degradation state, the box's net-copy watermark and the
+// port's per-VCI ingress copies), ranks boxes with a weighted load
 // score under hysteresis, and acts on the ranking three ways:
 //
 //   - placement: it installs itself as core's Placer, so every move
@@ -29,7 +29,7 @@
 // byte-identical.
 //
 // Ownership: the balancer never touches segment wires. It reads
-// gauges, answers placement picks, and drives route changes only
+// ports, answers placement picks, and drives route changes only
 // through core's control API (MigrateTree); every wire it causes to
 // move is moved — and refcounted — by core, fabric and box under
 // their own ownership rules.
@@ -162,13 +162,9 @@ func (m Migration) String() string {
 type board struct {
 	name string
 	bx   *box.Box
-	pt   *fabric.Port
+	pt   *fabric.Port // nil for a box not on a fabric
 
-	qd, ql, id, il        *obs.Probe // port egress/ingress depth+limit gauges
-	shed, fault           *obs.Probe // port shed/fault drop counters
-	boxActive, portActive *obs.Probe // degrade_active_sheds at box and port
-
-	prevShed, prevFault float64
+	prevShed, prevFault uint64  // the port's shed and fault drops at the last tick
 	lastQueue           float64 // most recent raw egress ratio (migration trigger)
 	raw, eff            float64
 	placements          uint64
@@ -212,19 +208,7 @@ func New(sys *core.System, cfg Config) *Balancer {
 		migFrom: make(map[string]int),
 	}
 	for _, name := range b.names {
-		bd := &board{name: name, bx: sys.Box(name)}
-		bd.boxActive = b.reg.Probe("degrade_active_sheds", obs.L("box", name))
-		if pt := sys.FabricPort(name); pt != nil {
-			bd.pt = pt
-			lb := obs.L("port", pt.Name())
-			bd.qd = b.reg.Probe("fabric_port_queue_depth", lb)
-			bd.ql = b.reg.Probe("fabric_port_queue_limit", lb)
-			bd.id = b.reg.Probe("fabric_port_ingress_depth", lb)
-			bd.il = b.reg.Probe("fabric_port_ingress_limit", lb)
-			bd.shed = b.reg.Probe("fabric_port_shed_drops_total", lb)
-			bd.fault = b.reg.Probe("fabric_port_fault_drops_total", lb)
-			bd.portActive = b.reg.Probe("degrade_active_sheds", obs.L("box", pt.Name()))
-		}
+		bd := &board{name: name, bx: sys.Box(name), pt: sys.FabricPort(name)}
 		b.boards[name] = bd
 		func(bd *board) {
 			b.reg.GaugeFunc("balancer_score", func() float64 { return bd.eff }, obs.L("box", bd.name))
@@ -256,26 +240,30 @@ func (b *Balancer) run(p *occam.Proc) {
 func (b *Balancer) tick() {
 	for _, name := range b.names {
 		bd := b.boards[name]
-		s := bd.sampleNow()
+		s := bd.sampleNow(b.sys)
 		bd.lastQueue = s.Queue
 		bd.raw = Score(s)
 		bd.eff = applyHysteresis(bd.eff, bd.raw)
 	}
 }
 
-// sampleNow reads one box's probes and counter deltas.
-func (bd *board) sampleNow() Sample {
-	var s Sample
-	s.Queue = ratio(bd.qd, bd.ql)
-	s.Ingress = ratio(bd.id, bd.il)
-	s.Sheds = val(bd.boxActive) + val(bd.portActive)
-	if shed := val(bd.shed); shed > bd.prevShed {
-		s.Sheds++
-		bd.prevShed = shed
-	}
-	if fault := val(bd.fault); fault > bd.prevFault {
-		s.Faults = 1
-		bd.prevFault = fault
+// sampleNow reads one box's port, its counter deltas and the active
+// sheds at the box and the port. A box with no port reads as idle
+// there.
+func (bd *board) sampleNow(sys *core.System) Sample {
+	s := Sample{Sheds: float64(sys.ActiveSheds(bd.name))}
+	if pt := bd.pt; pt != nil {
+		s.Queue, s.Ingress = pt.Occupancy()
+		s.Sheds += float64(sys.ActiveSheds(pt.Name()))
+		st := pt.Stats()
+		if st.ShedDrops > bd.prevShed {
+			s.Sheds++
+			bd.prevShed = st.ShedDrops
+		}
+		if st.FaultDrops > bd.prevFault {
+			s.Faults = 1
+			bd.prevFault = st.FaultDrops
+		}
 	}
 	copies := 0
 	if bd.bx != nil {
@@ -287,31 +275,6 @@ func (bd *board) sampleNow() Sample {
 	s.Copies = float64(copies)
 	s.Placements = float64(bd.placements)
 	return s
-}
-
-// ratio and val tolerate nil probes: boxes meshed over pairwise links
-// have no fabric port, so the port instruments simply read as idle.
-func ratio(q, lim *obs.Probe) float64 {
-	if q == nil || lim == nil {
-		return 0
-	}
-	qv, ok := q.Value()
-	if !ok {
-		return 0
-	}
-	lv, ok := lim.Value()
-	if !ok || lv <= 0 {
-		return 0
-	}
-	return qv / lv
-}
-
-func val(p *obs.Probe) float64 {
-	if p == nil {
-		return 0
-	}
-	v, _ := p.Value()
-	return v
 }
 
 // Pick implements core.Placer: the candidate with the lowest effective

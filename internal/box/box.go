@@ -612,15 +612,12 @@ func (b *Box) DegradeStreams() []degrade.StreamInfo {
 	return out
 }
 
-// DegradeVideoBuffers and DegradeAudioBuffers name this box's
-// decoupling buffers by media class (the obs "buffer" label values).
-func (b *Box) DegradeVideoBuffers() []string {
-	return []string{b.cfg.Name + ".netVbuf", b.cfg.Name + ".dispbuf"}
-}
-
-// DegradeAudioBuffers implements degrade.Target.
-func (b *Box) DegradeAudioBuffers() []string {
-	return []string{b.cfg.Name + ".netAbuf", b.cfg.Name + ".spkbuf"}
+// DegradePressure implements degrade.Target: the occupancy of the
+// fuller decoupling buffer of each media class.
+func (b *Box) DegradePressure() (video, audio float64) {
+	bufs := &b.outBufs
+	return max(bufs[bufNetVideo].Occupancy(), bufs[bufDisplay].Occupancy()),
+		max(bufs[bufNetAudio].Occupancy(), bufs[bufSpeaker].Occupancy())
 }
 
 // DegradeShed suspends a stream at the switch; incoming audio is also

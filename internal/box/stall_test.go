@@ -84,11 +84,11 @@ func videoStallRun(t *testing.T, stalls map[string][]faultinject.Window) videoSt
 
 func counter(t *testing.T, reg *obs.Registry, name string, labels ...obs.Label) uint64 {
 	t.Helper()
-	v, ok := reg.Value(name, labels...)
+	sm, ok := reg.Snapshot().Get(name, labels...)
 	if !ok {
 		t.Fatalf("%s%v not registered", name, labels)
 	}
-	return uint64(v)
+	return uint64(sm.Value)
 }
 
 func TestSinkStallOnVideoLeavesAudioAlone(t *testing.T) {
@@ -115,7 +115,7 @@ func TestSinkStallOnVideoLeavesAudioAlone(t *testing.T) {
 	if n := counter(t, got.reg, "decouple_stalled_total", vbuf); n != 1 {
 		t.Fatalf("decouple_stalled_total = %d, want 1 per outage (not per item)", n)
 	}
-	if _, ok := clean.reg.Value("decouple_stalled_total", vbuf); ok {
+	if _, ok := clean.reg.Snapshot().Get("decouple_stalled_total", vbuf); ok {
 		t.Fatal("decouple_stalled_total registered on a box without sink stalls")
 	}
 

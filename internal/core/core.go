@@ -70,6 +70,7 @@ type System struct {
 
 	nextVCI uint32
 	placer  Placer
+	ctrls   map[string]*degrade.Controller // by box or port name, once EnableDegradation ran
 }
 
 // node is one endpoint on the network — a box or a repository — and
@@ -389,16 +390,21 @@ func (s *System) InjectLinkFaults(spec faultinject.Spec) {
 // cfg with those links filled in. Fabric-attached systems additionally
 // get one controller per fabric port, watching that port's egress
 // queue and shedding only streams routed to it (principle 5 across the
-// fabric); those appear in the result keyed by port name. Returns the
-// controllers by box or port name.
+// fabric); those appear in the result keyed by port name. The
+// controllers start in a fixed order — boxes by name, then fabrics by
+// name, each fabric's ports in attach order — because process start
+// order is part of the schedule. Returns the controllers by box or
+// port name.
 func (s *System) EnableDegradation(cfg degrade.Config) map[string]*degrade.Controller {
-	names := s.BoxNames()
-	out := make(map[string]*degrade.Controller, len(names))
-	for _, name := range names {
+	s.ctrls = make(map[string]*degrade.Controller)
+	for _, name := range s.BoxNames() {
 		n := s.nodes[name]
 		bcfg := cfg
-		bcfg.Links = n.linkNames()
-		out[name] = degrade.New(s.RT, n.box, bcfg, s.Obs)
+		for _, path := range n.links {
+			// Map order: the controller only takes the largest occupancy.
+			bcfg.Links = append(bcfg.Links, path...)
+		}
+		s.ctrls[name] = degrade.New(s.RT, n.box, bcfg, s.Obs)
 	}
 	fabNames := make([]string, 0, len(s.fabrics))
 	for name := range s.fabrics {
@@ -406,11 +412,20 @@ func (s *System) EnableDegradation(cfg degrade.Config) map[string]*degrade.Contr
 	}
 	sort.Strings(fabNames)
 	for _, name := range fabNames {
-		for port, c := range s.fabrics[name].EnableDegradation(cfg, s.Obs) {
-			out[port] = c
+		for _, pt := range s.fabrics[name].Ports() {
+			s.ctrls[pt.Name()] = degrade.New(s.RT, pt, cfg, s.Obs)
 		}
 	}
-	return out
+	return s.ctrls
+}
+
+// ActiveSheds returns how many streams the overload controller of the
+// named box or fabric port has shed now (0 without one).
+func (s *System) ActiveSheds(name string) int {
+	if c := s.ctrls[name]; c != nil {
+		return c.NumShed()
+	}
+	return 0
 }
 
 // edge is how one node reaches another: through the fabric both hang
@@ -469,19 +484,6 @@ func (s *System) Path(a, b string) []*atm.Link {
 // as it stands. Any other change of sender is a different circuit.
 func (s *System) sameRoute(a, b, to *node) bool {
 	return s.mustEdge(a, to).fab != nil && s.mustEdge(b, to).fab != nil
-}
-
-// linkNames lists every link of every path leaving n, sorted — what
-// the node's overload controller watches.
-func (n *node) linkNames() []string {
-	var names []string
-	for _, path := range n.links {
-		for _, l := range path {
-			names = append(names, l.Name())
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // openCircuit installs the data path for one VCI along the from→to

@@ -210,6 +210,10 @@ func (b *Buffer[T]) Resize(capacity int) {
 	}
 }
 
+// Occupancy returns the buffer's present length over its size limit,
+// the staged head not counted: decouple_queued over decouple_limit.
+func (b *Buffer[T]) Occupancy() float64 { return float64(b.ring.Len()) / float64(b.ring.Cap()) }
+
 // Report returns the buffer's status report.
 func (b *Buffer[T]) Report() Report {
 	return Report{

@@ -1,6 +1,7 @@
 package decouple
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -146,8 +147,8 @@ func TestReadyProtocolImmediateReply(t *testing.T) {
 	if got := d.Dropped(); got != 51 {
 		t.Fatalf("Dropped() = %d, want 51", got)
 	}
-	if v, _ := reg.Value("decouple_refused_total", obs.L("buffer", "buf")); v != 51 {
-		t.Fatalf("decouple_refused_total = %v, want 51", v)
+	if v, _ := reg.Snapshot().Get("decouple_refused_total", obs.L("buffer", "buf")); v.Value != 51 {
+		t.Fatalf("decouple_refused_total = %v, want 51", v.Value)
 	}
 }
 
@@ -353,10 +354,40 @@ func TestStallWithholdsHeadWithoutBlockingConsumer(t *testing.T) {
 			t.Fatalf("item %d taken at %v, want %v (all: %v)", i, gotAt[i], want[i], gotAt)
 		}
 	}
-	if v, _ := reg.Value("decouple_stalled_total", obs.L("buffer", "buf")); v != 1 {
-		t.Fatalf("decouple_stalled_total = %v, want 1 per outage", v)
+	if v, _ := reg.Snapshot().Get("decouple_stalled_total", obs.L("buffer", "buf")); v.Value != 1 {
+		t.Fatalf("decouple_stalled_total = %v, want 1 per outage", v.Value)
 	}
 	if d.Dropped() != 0 {
 		t.Fatalf("refused %d during the stall, want 0 (backlog fits)", d.Dropped())
+	}
+}
+
+// TestOccupancyIsTheGaugeQuotient: Occupancy reads what
+// decouple_queued over decouple_limit reads — the staged head held
+// outside both — empty, partly full and full.
+func TestOccupancyIsTheGaugeQuotient(t *testing.T) {
+	rt := occam.NewRuntime()
+	reg := obs.New(rt)
+	d := New[int](rt, "buf", 4, reg)
+	lb := obs.L("buffer", "buf")
+	var got, want []float64
+	read := func() {
+		snap := reg.Snapshot()
+		q, _ := snap.Get("decouple_queued", lb)
+		lim, _ := snap.Get("decouple_limit", lb)
+		got, want = append(got, d.Occupancy()), append(want, q.Value/lim.Value)
+	}
+	rt.Go("producer", nil, occam.Low, func(p *occam.Proc) {
+		read()
+		for _, n := range []int{1, 2, 3} { // head staged; 2 of 4 queued; 4 of 4, one refused
+			for i := 0; i < n; i++ {
+				d.Deliver(p, i)
+			}
+			read()
+		}
+	})
+	run(t, rt, time.Second)
+	if fmt.Sprint(want) != "[0 0 0.5 1]" || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Occupancy read %v, the gauges %v; want both [0 0 0.5 1]", got, want)
 	}
 }

@@ -1,9 +1,9 @@
 // Package degrade is the overload controller: one small process per
-// box that watches the pressure signals already in the obs registry —
-// decoupling-buffer depth (decouple_queued / decouple_limit) and ATM
-// output-queue depth (atm_link_queue_depth / atm_link_queue_limit) —
-// and applies the paper's ordered degradation policy when they stay
-// high:
+// box (and per fabric port) that reads the occupancy of the queues it
+// manages — the target's own decoupling buffers or egress queue
+// (Target.DegradePressure) and the outgoing atm links it is given
+// (Config.Links) — and applies the paper's ordered degradation policy
+// when they stay high:
 //
 //   - video is bounded and shed before audio (principle 2): audio
 //     streams are only shed under direct audio-buffer pressure, and
@@ -36,6 +36,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/atm"
 	"repro/internal/obs"
 	"repro/internal/occam"
 )
@@ -55,11 +56,9 @@ type Target interface {
 	DegradeName() string
 	// DegradeStreams lists the currently routed streams.
 	DegradeStreams() []StreamInfo
-	// DegradeVideoBuffers and DegradeAudioBuffers name the decoupling
-	// buffers (the obs "buffer" label values) whose occupancy is this
-	// box's video and audio pressure.
-	DegradeVideoBuffers() []string
-	DegradeAudioBuffers() []string
+	// DegradePressure reports the target's own video and audio
+	// pressure: the occupancy ratio of its fullest queue of each class.
+	DegradePressure() (video, audio float64)
 	// DegradeShed suspends a stream; DegradeRestore resumes it.
 	DegradeShed(p *occam.Proc, id uint32)
 	DegradeRestore(p *occam.Proc, id uint32)
@@ -88,16 +87,10 @@ type Config struct {
 	// ShedEvery is the minimum spacing between sheds, so the ladder
 	// descends one stream at a time (default 100 ms).
 	ShedEvery time.Duration
-	// Links names the atm links (the obs "link" label values) whose
-	// output-queue pressure counts toward this box's video pressure —
-	// congestion there is relieved by shedding video at this box.
-	Links []string
-	// Ports names the fabric ports (the obs "port" label values) whose
-	// egress-queue pressure counts toward this target's video pressure.
-	// Used by per-port fabric controllers; a port target has no audio
-	// buffers, so port congestion never sheds audio (principle 2 holds
-	// trivially at the fabric).
-	Ports []string
+	// Links are the atm links whose output-queue occupancy counts
+	// toward this target's video pressure — congestion there is
+	// relieved by shedding video at this box.
+	Links []*atm.Link
 }
 
 func (c Config) withDefaults() Config {
@@ -149,7 +142,6 @@ func (a Action) desc() string {
 type Controller struct {
 	target Target
 	cfg    Config
-	reg    *obs.Registry
 	trace  *obs.Tracer
 
 	shed  map[uint32]StreamInfo
@@ -171,41 +163,16 @@ type Controller struct {
 	ticks     *obs.Counter
 	pVideo    *obs.Gauge
 	pAudio    *obs.Gauge
-
-	// Pre-keyed pressure probes, one queue/limit pair per watched
-	// buffer, link and port (the name lists are fixed per target, so
-	// the instrument keys are built once, not every tick).
-	videoProbes []ratioProbe
-	audioProbes []ratioProbe
 }
 
-// ratioProbe reads one queue/limit gauge pair as an occupancy ratio.
-type ratioProbe struct {
-	q, lim *obs.Probe
-}
-
-func (pr ratioProbe) ratio() float64 {
-	q, ok := pr.q.Value()
-	if !ok {
-		return 0
-	}
-	lim, ok := pr.lim.Value()
-	if !ok || lim <= 0 {
-		return 0
-	}
-	return q / lim
-}
-
-// New starts a controller for target on rt. reg must be the registry
-// the target's buffers and links report into — it is both the
-// controller's sensor and where its own instruments register.
+// New starts a controller for target on rt; its instruments register
+// in reg (nil for none).
 func New(rt *occam.Runtime, target Target, cfg Config, reg *obs.Registry) *Controller {
 	cfg = cfg.withDefaults()
 	lb := obs.L("box", target.DegradeName())
 	c := &Controller{
 		target:    target,
 		cfg:       cfg,
-		reg:       reg,
 		trace:     reg.Tracer(),
 		shed:      make(map[uint32]StreamInfo),
 		shedVideo: reg.Counter("degrade_shed_total", lb, obs.L("media", "video")),
@@ -215,35 +182,7 @@ func New(rt *occam.Runtime, target Target, cfg Config, reg *obs.Registry) *Contr
 		pVideo:    reg.Gauge("degrade_pressure_video", lb),
 		pAudio:    reg.Gauge("degrade_pressure_audio", lb),
 	}
-	reg.GaugeFunc("degrade_active_sheds", func() float64 { return float64(len(c.shed)) }, lb)
-	for _, name := range target.DegradeVideoBuffers() {
-		blb := obs.L("buffer", name)
-		c.videoProbes = append(c.videoProbes, ratioProbe{
-			q:   reg.Probe("decouple_queued", blb),
-			lim: reg.Probe("decouple_limit", blb),
-		})
-	}
-	for _, link := range cfg.Links {
-		llb := obs.L("link", link)
-		c.videoProbes = append(c.videoProbes, ratioProbe{
-			q:   reg.Probe("atm_link_queue_depth", llb),
-			lim: reg.Probe("atm_link_queue_limit", llb),
-		})
-	}
-	for _, port := range cfg.Ports {
-		plb := obs.L("port", port)
-		c.videoProbes = append(c.videoProbes, ratioProbe{
-			q:   reg.Probe("fabric_port_queue_depth", plb),
-			lim: reg.Probe("fabric_port_queue_limit", plb),
-		})
-	}
-	for _, name := range target.DegradeAudioBuffers() {
-		blb := obs.L("buffer", name)
-		c.audioProbes = append(c.audioProbes, ratioProbe{
-			q:   reg.Probe("decouple_queued", blb),
-			lim: reg.Probe("decouple_limit", blb),
-		})
-	}
+	reg.GaugeFunc("degrade_active_sheds", func() float64 { return float64(c.NumShed()) }, lb)
 	rt.Go(target.DegradeName()+".degrade", nil, occam.High, c.run)
 	return c
 }
@@ -251,8 +190,8 @@ func New(rt *occam.Runtime, target Target, cfg Config, reg *obs.Registry) *Contr
 // Actions returns the decision log.
 func (c *Controller) Actions() []Action { return append([]Action(nil), c.log...) }
 
-// ActiveSheds returns the currently shed stream ids, most recent last.
-func (c *Controller) ActiveSheds() []uint32 { return append([]uint32(nil), c.stack...) }
+// NumShed returns how many streams are shed now.
+func (c *Controller) NumShed() int { return len(c.shed) }
 
 // run is the control loop: a sample every Interval, and a shed or a
 // restore when one finds it due. The samples are a polled wait — the
@@ -298,15 +237,12 @@ func (c *Controller) sample(s occam.Sched) bool {
 	return false
 }
 
-// pressure reads the pre-keyed probes: each class's pressure is the
-// worst ratio across its watched buffers; outbound link and port
-// queues count toward video, the class whose shedding relieves them.
+// pressure is the target's own pair with the outbound links folded
+// into video, the class whose shedding relieves them.
 func (c *Controller) pressure() (video, audio float64) {
-	for _, pr := range c.videoProbes {
-		video = maxf(video, pr.ratio())
-	}
-	for _, pr := range c.audioProbes {
-		audio = maxf(audio, pr.ratio())
+	video, audio = c.target.DegradePressure()
+	for _, l := range c.cfg.Links {
+		video = max(video, l.Occupancy())
 	}
 	return video, audio
 }
@@ -386,11 +322,4 @@ func (c *Controller) restoreOne(p *occam.Proc, now occam.Time, video, audio floa
 		Incoming: info.Incoming, VideoPressure: video, AudioPressure: audio}
 	c.log = append(c.log, act)
 	c.trace.Emit(obs.EvRecover, c.target.DegradeName()+".degrade", id, act.desc())
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

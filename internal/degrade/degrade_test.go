@@ -5,42 +5,36 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atm"
 	"repro/internal/degrade"
 	"repro/internal/obs"
 	"repro/internal/occam"
 )
 
 // fakeTarget implements degrade.Target with a scripted stream set and
-// records the controller's shed/restore calls in order.
+// pressures, and records the controller's shed/restore calls in order.
 type fakeTarget struct {
-	name     string
-	repo     bool
-	streams  []degrade.StreamInfo
-	shed     []uint32
-	restored []uint32
+	name         string
+	repo         bool
+	streams      []degrade.StreamInfo
+	video, audio float64
+	shed         []uint32
+	restored     []uint32
 }
 
-func (t *fakeTarget) DegradeName() string                  { return t.name }
-func (t *fakeTarget) DegradeStreams() []degrade.StreamInfo { return t.streams }
-func (t *fakeTarget) DegradeVideoBuffers() []string        { return []string{t.name + ".vbuf"} }
-func (t *fakeTarget) DegradeAudioBuffers() []string        { return []string{t.name + ".abuf"} }
-func (t *fakeTarget) DegradeShed(p *occam.Proc, id uint32) { t.shed = append(t.shed, id) }
+func (t *fakeTarget) DegradeName() string                     { return t.name }
+func (t *fakeTarget) DegradeStreams() []degrade.StreamInfo    { return t.streams }
+func (t *fakeTarget) DegradePressure() (video, audio float64) { return t.video, t.audio }
+func (t *fakeTarget) DegradeShed(p *occam.Proc, id uint32)    { t.shed = append(t.shed, id) }
 func (t *fakeTarget) DegradeRestore(p *occam.Proc, id uint32) {
 	t.restored = append(t.restored, id)
 }
 func (t *fakeTarget) DegradeRepositoryOrder() bool { return t.repo }
 
-// pressures registers fake buffer gauges under the names the
-// controller reads, backed by the returned setters.
-func pressures(reg *obs.Registry, name string) (setVideo, setAudio func(float64)) {
-	var vq, aq float64
-	vlb := obs.L("buffer", name+".vbuf")
-	alb := obs.L("buffer", name+".abuf")
-	reg.GaugeFunc("decouple_queued", func() float64 { return vq }, vlb)
-	reg.GaugeFunc("decouple_limit", func() float64 { return 10 }, vlb)
-	reg.GaugeFunc("decouple_queued", func() float64 { return aq }, alb)
-	reg.GaugeFunc("decouple_limit", func() float64 { return 10 }, alb)
-	return func(v float64) { vq = v }, func(v float64) { aq = v }
+// value reads one counter or gauge from a snapshot of reg.
+func value(reg *obs.Registry, name string, labels ...obs.Label) float64 {
+	sm, _ := reg.Snapshot().Get(name, labels...)
+	return sm.Value
 }
 
 var quickCfg = degrade.Config{
@@ -63,10 +57,9 @@ func TestShedOrderAndLIFORestore(t *testing.T) {
 		{ID: 4, Video: false, Incoming: true, Opened: 10},
 		{ID: 5, Video: false, Incoming: false, Opened: 20},
 	}}
-	setVideo, setAudio := pressures(reg, "t")
 	c := degrade.New(rt, ft, quickCfg, reg)
 
-	setVideo(10) // ratio 1.0: hard overload
+	ft.video = 1 // hard overload
 	if err := rt.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -74,30 +67,29 @@ func TestShedOrderAndLIFORestore(t *testing.T) {
 		t.Fatalf("video-pressure sheds = %v, want %v (incoming oldest first, then outgoing, never audio)", ft.shed, want)
 	}
 
-	setAudio(10) // audio overload too: now — and only now — audio sheds
+	ft.audio = 1 // audio overload too: now — and only now — audio sheds
 	if err := rt.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if want := []uint32{1, 2, 3, 4, 5}; !reflect.DeepEqual(ft.shed, want) {
 		t.Fatalf("sheds after audio pressure = %v, want %v", ft.shed, want)
 	}
-	if got, _ := reg.Value("degrade_shed_total", obs.L("box", "t"), obs.L("media", "video")); got != 3 {
+	if got := value(reg, "degrade_shed_total", obs.L("box", "t"), obs.L("media", "video")); got != 3 {
 		t.Fatalf("degrade_shed_total{media=video} = %v, want 3", got)
 	}
-	if got, _ := reg.Value("degrade_shed_total", obs.L("box", "t"), obs.L("media", "audio")); got != 2 {
+	if got := value(reg, "degrade_shed_total", obs.L("box", "t"), obs.L("media", "audio")); got != 2 {
 		t.Fatalf("degrade_shed_total{media=audio} = %v, want 2", got)
 	}
 
-	setVideo(0)
-	setAudio(0)
+	ft.video, ft.audio = 0, 0
 	if err := rt.RunFor(500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if want := []uint32{5, 4, 3, 2, 1}; !reflect.DeepEqual(ft.restored, want) {
 		t.Fatalf("restores = %v, want %v (LIFO)", ft.restored, want)
 	}
-	if n := len(c.ActiveSheds()); n != 0 {
-		t.Fatalf("ActiveSheds after recovery = %d, want 0", n)
+	if n := c.NumShed(); n != 0 {
+		t.Fatalf("NumShed after recovery = %d, want 0", n)
 	}
 	if len(c.Actions()) != 10 {
 		t.Fatalf("action log has %d entries, want 10", len(c.Actions()))
@@ -113,10 +105,9 @@ func TestRepositoryOrderReversed(t *testing.T) {
 		{ID: 1, Video: true, Incoming: true, Opened: 5},
 		{ID: 2, Video: true, Incoming: false, Opened: 10},
 	}}
-	setVideo, _ := pressures(reg, "t")
 	degrade.New(rt, ft, quickCfg, reg)
 
-	setVideo(10)
+	ft.video = 1
 	if err := rt.RunFor(60 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +117,9 @@ func TestRepositoryOrderReversed(t *testing.T) {
 }
 
 // TestLinkPressureShedsVideo: congestion on a configured outgoing link
-// counts as video pressure even with empty local buffers.
+// counts as video pressure even with no pressure at the target. The
+// link is a real one, too slow to send anything in the run, holding 9
+// of its 10 queued messages behind the one it is transmitting.
 func TestLinkPressureShedsVideo(t *testing.T) {
 	rt := occam.NewRuntime()
 	reg := obs.New(rt)
@@ -134,16 +127,24 @@ func TestLinkPressureShedsVideo(t *testing.T) {
 		{ID: 7, Video: true, Incoming: false, Opened: 1},
 		{ID: 8, Video: false, Incoming: false, Opened: 1},
 	}}
-	pressures(reg, "t") // buffers exist but stay empty
-	lb := obs.L("link", "t-x.0")
-	reg.GaugeFunc("atm_link_queue_depth", func() float64 { return 9 }, lb)
-	reg.GaugeFunc("atm_link_queue_limit", func() float64 { return 10 }, lb)
+	net := atm.New(rt)
+	from, to := net.AddHost("t"), net.AddHost("x")
+	link := net.AddLink("t-x.0", atm.LinkConfig{Bandwidth: 1, QueueLimit: 10})
+	net.OpenCircuit(1, from, to, link)
+	rt.Go("sender", nil, occam.High, func(p *occam.Proc) {
+		for i := 0; i < 10; i++ {
+			from.Send(p, atm.Message{VCI: 1, Size: 100})
+		}
+	})
 	cfg := quickCfg
-	cfg.Links = []string{"t-x.0"}
+	cfg.Links = []*atm.Link{link}
 	degrade.New(rt, ft, cfg, reg)
 
 	if err := rt.RunFor(60 * time.Millisecond); err != nil {
 		t.Fatal(err)
+	}
+	if got := link.Occupancy(); got != 0.9 {
+		t.Fatalf("link occupancy %v, want 0.9", got)
 	}
 	if want := []uint32{7}; !reflect.DeepEqual(ft.shed, want) {
 		t.Fatalf("link-pressure sheds = %v, want %v (video only)", ft.shed, want)
@@ -158,9 +159,8 @@ func TestIdleControllerSamplesWithoutBeingResumed(t *testing.T) {
 	defer rt.Shutdown()
 	reg := obs.New(rt)
 	ft := &fakeTarget{name: "t", streams: []degrade.StreamInfo{{ID: 1, Video: true, Incoming: true}}}
-	setVideo, _ := pressures(reg, "t")
 	degrade.New(rt, ft, degrade.Config{}, reg)
-	setVideo(5) // between the watermarks: neither shed nor restore
+	ft.video = 0.5 // between the watermarks: neither shed nor restore
 	// Something else keeps the dispatch loop busy, so that a controller
 	// woken for a tick would have to be switched into.
 	rt.GoStep("busy", nil, occam.Low, func(p *occam.Proc) { p.Sleep(300 * time.Microsecond) })
@@ -171,8 +171,8 @@ func TestIdleControllerSamplesWithoutBeingResumed(t *testing.T) {
 	if err := rt.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	ticks, _ := reg.Value("degrade_ticks_total", obs.L("box", "t"))
-	pressure, _ := reg.Value("degrade_pressure_video", obs.L("box", "t"))
+	ticks := value(reg, "degrade_ticks_total", obs.L("box", "t"))
+	pressure := value(reg, "degrade_pressure_video", obs.L("box", "t"))
 	if got := rt.Resumes() - resumes; got != 0 || ticks != 50 || pressure != 0.5 {
 		t.Errorf("an idle second: %d resumes for %v ticks (%d turns in all), video pressure gauge %v; want 0, 50, 0.5",
 			got, ticks, rt.Switches()-turns, pressure)

@@ -280,22 +280,6 @@ func (f *Fabric) lookup(vci uint32) *route {
 	return f.routes[vci]
 }
 
-// EnableDegradation starts one overload controller per port
-// (principle 8: each port adapts to its own conditions; there is no
-// fabric-wide coordinator). Each controller watches only its own
-// port's egress queue gauge and sheds only streams routed to that
-// port, so a congested port degrades without disturbing any other
-// (principle 5). Returns the controllers keyed by port name.
-func (f *Fabric) EnableDegradation(cfg degrade.Config, reg *obs.Registry) map[string]*degrade.Controller {
-	out := make(map[string]*degrade.Controller, len(f.ports))
-	for _, pt := range f.ports {
-		pcfg := cfg
-		pcfg.Ports = []string{pt.nm}
-		out[pt.nm] = degrade.New(f.rt, pt, pcfg, reg)
-	}
-	return out
-}
-
 // PortStats is one port's traffic history.
 type PortStats struct {
 	Forwarded    uint64 // messages delivered to the host
@@ -339,7 +323,7 @@ func (f *Fabric) Stats() PortStats {
 // overload controller.
 //
 // Queue/engine state is touched from two contexts — attached
-// processes (Send, stepTx, the degrade controller's gauge reads) and
+// processes (Send, stepTx, the controllers' Occupancy reads) and
 // crossing-end timer callbacks — which the occam runtime serialises;
 // see the occam scheduler-context rules.
 type Port struct {
@@ -467,6 +451,16 @@ func (pt *Port) MaxIngressCopies() uint64 {
 		most = max(most, n)
 	}
 	return most
+}
+
+// Occupancy returns the egress queue's cells over EgressCellLimit and
+// the ingress queue's messages over IngressLimit, the train being
+// transmitted and the message crossing not counted:
+// fabric_port_queue_depth over fabric_port_queue_limit, and
+// fabric_port_ingress_depth over fabric_port_ingress_limit.
+func (pt *Port) Occupancy() (egress, ingress float64) {
+	cfg := pt.fab.cfg
+	return float64(pt.egCells) / float64(cfg.EgressCellLimit), float64(len(pt.inq)) / float64(cfg.IngressLimit)
 }
 
 // SetFault attaches a fault process to the port's egress (nil
@@ -746,15 +740,14 @@ func (pt *Port) DegradeStreams() []degrade.StreamInfo {
 	return out
 }
 
-// DegradeVideoBuffers implements degrade.Target: a port has no
-// decoupling buffers; its pressure signal is the egress queue gauge
-// named in the controller's Ports config.
-func (pt *Port) DegradeVideoBuffers() []string { return nil }
-
-// DegradeAudioBuffers implements degrade.Target. Always empty: port
+// DegradePressure implements degrade.Target: the egress queue's
+// occupancy is video pressure. Audio pressure is always 0: port
 // congestion is relieved by shedding video (principle 2), so a port
-// controller never has audio pressure and never sheds audio.
-func (pt *Port) DegradeAudioBuffers() []string { return nil }
+// controller never sheds audio.
+func (pt *Port) DegradePressure() (video, audio float64) {
+	egress, _ := pt.Occupancy()
+	return egress, 0
+}
 
 // DegradeShed implements degrade.Target: bar the VCI at this port's
 // egress. The source box keeps transmitting (it is not this port's to

@@ -263,3 +263,56 @@ func TestRouteTableGrowsByDoubling(t *testing.T) {
 		t.Fatalf("VCI %d still routed after Unroute", n-1)
 	}
 }
+
+// TestOccupancyIsTheGaugeQuotient: Port.Occupancy reads what the
+// egress and ingress depth gauges over their limits read — the train
+// being transmitted and the message crossing held outside both —
+// empty, partly full and full. At 1 kbit/s a one-cell message crosses
+// in 53 ms and transmits in 424 ms, so egress fills from the crossbar
+// behind the first train.
+func TestOccupancyIsTheGaugeQuotient(t *testing.T) {
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	reg := obs.New(rt)
+	net := atm.New(rt)
+	fab := New(rt, "fab", Config{PortBandwidth: 1000, IngressLimit: 4, EgressCellLimit: 4, BatchCells: 1})
+	fab.Observe(reg)
+	a := net.AddHost("a")
+	src := fab.Attach(a)
+	dst := fab.Attach(net.AddHost("b"))
+	fab.Route(0, 1, dst, false)
+	check := func(when string, pt *Port, egress, ingress float64) {
+		snap := reg.Snapshot()
+		quotient := func(depth, limit string) float64 {
+			q, _ := snap.Get(depth, obs.L("port", pt.Name()))
+			lim, _ := snap.Get(limit, obs.L("port", pt.Name()))
+			return q.Value / lim.Value
+		}
+		geg := quotient("fabric_port_queue_depth", "fabric_port_queue_limit")
+		gin := quotient("fabric_port_ingress_depth", "fabric_port_ingress_limit")
+		if eg, in := pt.Occupancy(); eg != geg || in != gin || eg != egress || in != ingress {
+			t.Errorf("%s: %s Occupancy (%v, %v), gauges (%v, %v); want (%v, %v)", when, pt.Name(), eg, in, geg, gin, egress, ingress)
+		}
+	}
+	rt.Go("sender", nil, occam.High, func(p *occam.Proc) {
+		check("empty", src, 0, 0)
+		check("empty", dst, 0, 0)
+		send := func(n int) {
+			for i := 0; i < n; i++ {
+				a.Send(p, atm.Message{VCI: 1, Size: 48})
+			}
+		}
+		send(3) // one crossing, 2 of 4 queued
+		check("3 sent", src, 0, 0.5)
+		send(2)
+		check("5 sent", src, 0, 1)
+		p.SleepUntil(occam.Time(170 * time.Millisecond)) // 3 crossed: one transmitting, 2 of 4 queued
+		check("3 crossed", dst, 0.5, 0)
+		check("3 crossed", src, 0, 0.25)
+		p.SleepUntil(occam.Time(280 * time.Millisecond)) // 5 crossed
+		check("5 crossed", dst, 1, 0)
+	})
+	if err := rt.RunFor(300 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+}

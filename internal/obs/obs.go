@@ -22,6 +22,10 @@
 //   - Existing accessor APIs (atm.LinkStats, clawback.Stats,
 //     mixer.StreamStats, ...) keep working; they are reconstructed from
 //     the registered instruments.
+//   - The registry is an output. Nothing in the simulation reads it
+//     back: a controller reads the queues it manages through their own
+//     typed methods, and only reports, assertions and the benchmark read
+//     snapshots.
 //
 // Snapshots can be rendered as a human table (Table) or as
 // Prometheus-style text lines (Prometheus).
@@ -413,74 +417,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	}
 	e := r.register(&entry{name: name, labels: labels, kind: KindHistogram, hist: NewHistogram(bounds)})
 	return e.hist
-}
-
-// Value reads one registered counter's or gauge's current value
-// without building a full Snapshot — cheap enough for control loops
-// that poll a handful of instruments every few milliseconds (the
-// degrade controller's pressure probes). Func-backed instruments
-// invoke their callback. It returns false for an unknown instrument,
-// a histogram, or a nil registry.
-func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	e, ok := r.byKey[key(name, labels)]
-	if !ok {
-		return 0, false
-	}
-	return e.sampleValue()
-}
-
-func (e *entry) sampleValue() (float64, bool) {
-	switch e.kind {
-	case KindCounter:
-		if e.counterFn != nil {
-			return float64(e.counterFn()), true
-		}
-		return float64(e.counter.Value()), true
-	case KindGauge:
-		if e.gaugeFn != nil {
-			return e.gaugeFn(), true
-		}
-		return e.gauge.Value(), true
-	}
-	return 0, false
-}
-
-// Probe is a pre-keyed Value: the instrument key is built once and the
-// registry entry cached on first successful read, so polling it every
-// few milliseconds costs no allocation. An instrument registered after
-// the probe was made is picked up on the next read (entries are never
-// replaced, so the cache cannot go stale). The zero Probe (and any
-// probe from a nil registry) always reads false.
-type Probe struct {
-	r *Registry
-	k string
-	e *entry
-}
-
-// Probe returns a probe for the named counter or gauge.
-func (r *Registry) Probe(name string, labels ...Label) *Probe {
-	if r == nil {
-		return &Probe{}
-	}
-	return &Probe{r: r, k: key(name, labels)}
-}
-
-// Value reads the probed instrument, resolving it if needed.
-func (p *Probe) Value() (float64, bool) {
-	if p.e == nil {
-		if p.r == nil {
-			return 0, false
-		}
-		e, ok := p.r.byKey[p.k]
-		if !ok {
-			return 0, false
-		}
-		p.e = e
-	}
-	return p.e.sampleValue()
 }
 
 // Sample is one instrument's state at snapshot time.

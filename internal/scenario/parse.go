@@ -176,6 +176,9 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 				return fmt.Errorf("degrade: unknown key %q", key)
 			}
 		}
+		if err := d.check(); err != nil {
+			return err
+		}
 		sc.Degrade = d
 	case "balance":
 		b := &Balance{}
@@ -187,8 +190,8 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 			switch key {
 			case "budget", "maxmig":
 				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
-					return fmt.Errorf("balance %s wants a non-negative integer, got %q", key, val)
+				if err != nil {
+					return fmt.Errorf("balance %s wants an integer, got %q", key, val)
 				}
 				if key == "budget" {
 					b.Budget = n
@@ -197,7 +200,7 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 				}
 			case "interval", "cooldown":
 				d, err := time.ParseDuration(val)
-				if err != nil || d < 0 {
+				if err != nil {
 					return fmt.Errorf("balance %s: %q is not a duration", key, val)
 				}
 				if key == "interval" {
@@ -207,13 +210,16 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 				}
 			case "migrate":
 				v, err := strconv.ParseFloat(val, 64)
-				if err != nil || math.IsNaN(v) || v < 0 || v > 1 {
+				if err != nil {
 					return fmt.Errorf("balance migrate wants a ratio in [0,1], got %q", val)
 				}
 				b.Migrate = v
 			default:
 				return fmt.Errorf("balance: unknown key %q", key)
 			}
+		}
+		if err := b.check(); err != nil {
+			return err
 		}
 		sc.Balance = b
 	case "assert":

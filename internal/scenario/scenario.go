@@ -167,10 +167,19 @@ type Event struct {
 }
 
 // Degrade enables the per-box (and per-fabric-port) overload
-// controllers.
+// controllers. Zero fields select the controllers' defaults.
 type Degrade struct {
 	ShedEvery time.Duration
 	Hold      time.Duration
+}
+
+// check rejects a negative period: Validate's range check, which
+// Parse also applies to the directive's own line.
+func (d *Degrade) check() error {
+	if d.ShedEvery < 0 || d.Hold < 0 {
+		return fmt.Errorf("degrade shed=%s hold=%s: periods must be ≥ 0 (0 selects the default)", d.ShedEvery, d.Hold)
+	}
+	return nil
 }
 
 // Balance enables the balancer control plane (internal/balancer):
@@ -183,6 +192,21 @@ type Balance struct {
 	Migrate       float64       // egress occupancy ratio that triggers migration
 	Cooldown      time.Duration // minimum spacing between migrations
 	MaxMigrations int           // migration cap per run (0 = unlimited)
+}
+
+// check rejects a negative count or period and a migrate ratio outside
+// [0,1]: Validate's range check, which Parse also applies to the
+// directive's own line.
+func (b *Balance) check() error {
+	switch {
+	case b.Budget < 0 || b.MaxMigrations < 0:
+		return fmt.Errorf("balance budget=%d maxmig=%d: counts must be ≥ 0 (0 means unlimited)", b.Budget, b.MaxMigrations)
+	case b.Interval < 0 || b.Cooldown < 0:
+		return fmt.Errorf("balance interval=%s cooldown=%s: periods must be ≥ 0 (0 selects the default)", b.Interval, b.Cooldown)
+	case !(b.Migrate >= 0 && b.Migrate <= 1): // NaN included
+		return fmt.Errorf("balance migrate=%v: want a ratio in [0,1]", b.Migrate)
+	}
+	return nil
 }
 
 // Assert is one post-run check. Kinds and their Arg/Value use:
@@ -250,7 +274,9 @@ var assertKinds = map[string]struct{}{
 
 // Validate checks internal consistency: names resolve, events refer to
 // streams opened earlier, the fault phase parses, times fit the
-// duration.
+// duration, and the degrade and balance settings are in range. Parse
+// and NewRunner both call it, so a spec built in Go is held to what a
+// spec file is.
 func (sc *Scenario) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("scenario: missing name")
@@ -448,6 +474,16 @@ func (sc *Scenario) Validate() error {
 	}
 	if _, err := faultinject.ParseSpec(sc.Faults, sc.Seed); err != nil {
 		return fmt.Errorf("scenario %s: faults: %w", sc.Name, err)
+	}
+	if d := sc.Degrade; d != nil {
+		if err := d.check(); err != nil {
+			return fmt.Errorf("scenario %s: %w", sc.Name, err)
+		}
+	}
+	if b := sc.Balance; b != nil {
+		if err := b.check(); err != nil {
+			return fmt.Errorf("scenario %s: %w", sc.Name, err)
+		}
 	}
 	for _, a := range sc.Asserts {
 		if _, ok := assertKinds[a.Kind]; !ok {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/box"
 	"repro/internal/workload"
@@ -212,10 +213,42 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b wave=2", "wave wants N/DUR"},
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat soon audio a -> b wave=2/1ms", `event time "soon"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s call a b wave=2/1ms", "call wants: A B"},
+		// Control-plane ranges: 0 selects a default, below 0 is an error.
+		{"scenario x\nduration 1s\ndegrade shed=-5ms", `line 3 ("degrade shed=-5ms"): degrade shed=-5ms hold=0s: periods must be ≥ 0`},
+		{"scenario x\nduration 1s\nbalance interval=-1ms", `line 3 ("balance interval=-1ms"): balance interval=-1ms cooldown=0s: periods must be ≥ 0`},
+		{"scenario x\nduration 1s\nbalance budget=-1", `line 3 ("balance budget=-1"): balance budget=-1 maxmig=0: counts must be ≥ 0`},
+		{"scenario x\nduration 1s\nbalance migrate=1.5", `line 3 ("balance migrate=1.5"): balance migrate=1.5: want a ratio in [0,1]`},
+		{"scenario x\nduration 1s\nbalance migrate=NaN", "balance migrate=NaN: want a ratio in [0,1]"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.text); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%q) error = %v, want containing %q", c.text, err, c.want)
+		}
+	}
+}
+
+// TestValidateOwnsControlPlaneRanges: a spec built in Go, as
+// pandora-sim builds one from its flags, meets the same range checks as
+// a spec file, and zero still selects the defaults.
+func TestValidateOwnsControlPlaneRanges(t *testing.T) {
+	spec := func(d *Degrade, b *Balance) *Scenario {
+		return &Scenario{Name: "x", Duration: time.Second, Degrade: d, Balance: b}
+	}
+	for _, c := range []struct {
+		sc   *Scenario
+		want string
+	}{
+		{spec(&Degrade{ShedEvery: -5 * time.Millisecond}, nil), "scenario x: degrade shed=-5ms hold=0s: periods must be ≥ 0"},
+		{spec(&Degrade{Hold: -time.Millisecond}, nil), "scenario x: degrade shed=0s hold=-1ms: periods must be ≥ 0"},
+		{spec(nil, &Balance{Budget: -1}), "scenario x: balance budget=-1 maxmig=0: counts must be ≥ 0"},
+		{spec(nil, &Balance{MaxMigrations: -1}), "counts must be ≥ 0"},
+		{spec(nil, &Balance{Cooldown: -time.Second}), "periods must be ≥ 0"},
+		{spec(nil, &Balance{Migrate: -0.5}), "want a ratio in [0,1]"},
+		{spec(&Degrade{}, &Balance{}), ""},
+	} {
+		_, err := NewRunner(c.sc)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("NewRunner(%+v, %+v) error = %v, want %q", c.sc.Degrade, c.sc.Balance, err, c.want)
 		}
 	}
 }

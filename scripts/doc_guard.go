@@ -10,7 +10,9 @@
 // to reverse-engineer who releases what. It also keeps the scenario
 // grammar written once: the indented block of scenario.Parse's doc
 // comment is the grammar, and README "Scenario files" must carry a
-// verbatim copy. Run from the repository root:
+// verbatim copy. And it keeps the documents from growing: each root
+// document has a line budget, and each recent CHANGES.md entry a byte
+// cap. Run from the repository root:
 //
 //	go run scripts/doc_guard.go
 package main
@@ -32,6 +34,26 @@ import (
 var ownershipRequired = map[string]bool{
 	filepath.Join("internal", "balancer"): true,
 }
+
+// lineBudgets are the root documents' line counts when the budgets were
+// set: a document may shrink, not grow. Lower a budget when its
+// document is cut.
+var lineBudgets = []struct {
+	doc   string
+	lines int
+}{
+	{"ARCHITECTURE.md", 483},
+	{"DESIGN.md", 819},
+	{"EXPERIMENTS.md", 270},
+	{"README.md", 479},
+}
+
+// CHANGES.md holds one entry a line, opening "PR N"; entries numbered
+// firstCappedEntry and up may be at most changesCap bytes long.
+const (
+	firstCappedEntry = 27
+	changesCap       = 1500
+)
 
 func main() {
 	var bad, badOwn []string
@@ -70,10 +92,40 @@ func main() {
 	if drift != "" {
 		fmt.Fprintf(os.Stderr, "doc_guard: %s\n", drift)
 	}
-	if len(bad) > 0 || len(badOwn) > 0 || drift != "" {
+	over := overBudget()
+	for _, o := range over {
+		fmt.Fprintf(os.Stderr, "doc_guard: %s\n", o)
+	}
+	if len(bad) > 0 || len(badOwn) > 0 || drift != "" || len(over) > 0 {
 		os.Exit(1)
 	}
-	fmt.Println("doc_guard: every package has a package doc comment (and ownership rules where required); README's scenario grammar matches scenario.Parse's")
+	fmt.Println("doc_guard: every package has a package doc comment (and ownership rules where required); README's scenario grammar matches scenario.Parse's; the documents are within their budgets")
+}
+
+// overBudget describes each root document longer than its line budget
+// and each capped CHANGES.md entry longer than changesCap.
+func overBudget() []string {
+	var over []string
+	for _, b := range lineBudgets {
+		text, err := os.ReadFile(b.doc)
+		if err != nil {
+			fatal("%v", err)
+		}
+		if n := strings.Count(string(text), "\n"); n > b.lines {
+			over = append(over, fmt.Sprintf("%s is %d lines, over its budget of %d", b.doc, n, b.lines))
+		}
+	}
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		fatal("%v", err)
+	}
+	for _, entry := range strings.Split(string(text), "\n") {
+		var n int
+		if _, err := fmt.Sscanf(entry, "PR %d", &n); err == nil && n >= firstCappedEntry && len(entry) > changesCap {
+			over = append(over, fmt.Sprintf("CHANGES.md entry %q is %d bytes, over the cap of %d", entry[:40]+"…", len(entry), changesCap))
+		}
+	}
+	return over
 }
 
 // grammarDrift compares the scenario grammar in scenario.Parse's doc
