@@ -14,13 +14,9 @@
 // A stage is a process only if it spends virtual time or must block
 // independently of its caller: 12 per box. The decoupling buffers
 // between them, the buffer allocator, the host log and the audio
-// board's end of the link from the server are passive. A process keeps
-// a stack only if its code needs one between turns: the audio board's
-// micReader, serverWriter and blockHandler and the server board's switch,
-// input handlers (audioIn, captureIn, netIn), output handlers (audioOut,
-// displayOut) and netOut are stackless (occam.GoStep: a struct and a step
-// function the dispatch loop calls); the capture and display boards'
-// loops, capture and display, are coroutines (occam.Go).
+// board's end of the link from the server are passive. Every process is
+// stackless (occam.GoStep: a struct holding its loop's state and a step
+// function the dispatch loop calls), so a box starts no goroutine.
 //
 // Ownership: each box owns one segment.WirePool. Sources (mic,
 // camera) encode into it; the server switch Retains once per extra
@@ -620,9 +616,9 @@ func (b *Box) DegradePressure() (video, audio float64) {
 		max(bufs[bufNetAudio].Occupancy(), bufs[bufSpeaker].Occupancy())
 }
 
-// DegradeShed suspends a stream at the switch; incoming audio is also
-// barred at the mixer so its clawback buffer drains instead of
-// starving into concealment noise.
+// DegradeShed suspends a stream at the switch, which may park p until
+// the switch takes the command; DegradeSettle then bars incoming audio
+// at the mixer too.
 func (b *Box) DegradeShed(p *occam.Proc, id uint32) {
 	if ri, ok := b.streamDir[id]; ok && ri.relay {
 		// Per-subtree shed: an overloaded interior tree box stops its
@@ -636,12 +632,10 @@ func (b *Box) DegradeShed(p *occam.Proc, id uint32) {
 		return
 	}
 	b.switchCmd.Send(p, SwitchCommand{Shed: id, HasShed: true})
-	if ri, ok := b.streamDir[id]; ok && ri.incoming && !ri.video {
-		b.mix.SetShed(id, true)
-	}
 }
 
-// DegradeRestore resumes a shed stream.
+// DegradeRestore resumes a shed stream, at the switch as DegradeShed
+// suspended it.
 func (b *Box) DegradeRestore(p *occam.Proc, id uint32) {
 	if parked, ok := b.shedNet[id]; ok {
 		b.netVCI[id] = parked
@@ -650,7 +644,24 @@ func (b *Box) DegradeRestore(p *occam.Proc, id uint32) {
 		return
 	}
 	b.switchCmd.Send(p, SwitchCommand{Restore: id, HasRestore: true})
-	b.mix.SetShed(id, false)
+}
+
+// DegradeSettle implements degrade.Target. A stream shed at the switch
+// that plays here as audio is barred at the mixer as well, so its
+// clawback buffer drains instead of starving into concealment noise; a
+// restore lifts the bar. A subtree shed, still parked in shedNet, leaves
+// the mixer alone, and the bar a subtree restore lifts was never set.
+func (b *Box) DegradeSettle(id uint32, shed bool) {
+	if !shed {
+		b.mix.SetShed(id, false)
+		return
+	}
+	if _, subtree := b.shedNet[id]; subtree {
+		return
+	}
+	if ri, ok := b.streamDir[id]; ok && ri.incoming && !ri.video {
+		b.mix.SetShed(id, true)
+	}
 }
 
 // DegradeRepositoryOrder implements degrade.Target: a box is not a

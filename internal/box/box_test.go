@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/atm"
 	"repro/internal/occam"
@@ -59,16 +60,15 @@ func TestBoxProcessCensus(t *testing.T) {
 			seen[name] = true
 		}
 	}
-	// A process keeps a stack only if its code needs one between
-	// turns: the capture and display boards' loops are coroutines, a
-	// goroutine each; the other ten are step functions.
+	// Every process is a step function: none keeps a stack, so a box
+	// starts no goroutine.
 	before := runtime.NumGoroutine()
 	New(rt, atm.New(rt), Config{})
 	if n := rt.NumProcs(); n != len(want) {
 		t.Errorf("box.New started %d processes, want %d", n, len(want))
 	}
-	if n := runtime.NumGoroutine() - before; n != 2 {
-		t.Errorf("box.New started %d goroutines, want 2", n)
+	if n := runtime.NumGoroutine() - before; n != 0 {
+		t.Errorf("box.New started %d goroutines, want 0", n)
 	}
 	run(t, rt, time.Millisecond)
 	for _, name := range want {
@@ -79,6 +79,14 @@ func TestBoxProcessCensus(t *testing.T) {
 	}
 	for name := range seen {
 		t.Errorf("unexpected process %s", name)
+	}
+}
+
+func TestOutputHandlerFitsACacheLine(t *testing.T) {
+	// audioOut and displayOut run per segment; what differs between them
+	// sits behind one pointer, so a handler is one 64-byte line.
+	if n := unsafe.Sizeof(outputHandler{}); n != 64 {
+		t.Errorf("outputHandler is %d bytes, want 64", n)
 	}
 }
 
@@ -108,28 +116,36 @@ func turnsByName(turns map[string]int, but ...string) string {
 	return strings.Join(lines, ", ")
 }
 
-func TestIdleBoxResumesOnlyTheFieldTick(t *testing.T) {
-	// No route, microphone closed: the mixing tick and the closed
-	// microphone's poll still take their 2 ms turns, but as calls and
-	// scheduler turns. What the host switches stacks for in a virtual
-	// second is the capture board's 25 field ticks.
+func TestIdleBoxResumesNothing(t *testing.T) {
+	// No route, microphone closed, no camera stream: the mixing tick,
+	// the closed microphone's poll and the capture board's field tick
+	// still take their turns, but as calls and scheduler turns. A virtual
+	// second costs no coroutine resume, and the capture board's 25 field
+	// ticks are all the scheduler's: a second capture loop on the box's
+	// command channel, its step counted, is never called.
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
-	New(rt, atm.New(rt), Config{})
+	bx := New(rt, atm.New(rt), Config{})
+	calls, probe := 0, newCapture(bx)
+	rt.GoStep("probe.capture", bx.captureNode, occam.High, func(p *occam.Proc) {
+		calls++
+		probe.step(p)
+	})
 	run(t, rt, time.Millisecond)
-	turns, before := countTurns(rt), rt.Resumes()
+	turns, before, called := countTurns(rt), rt.Resumes(), calls
 	run(t, rt, time.Millisecond+time.Second)
-	if got, field := int(rt.Resumes()-before), turns["pandora.capture"]; got != field || field != 25 {
-		t.Errorf("an idle box's second cost %d coroutine resumes, with %d field ticks; want 25 of each. Turns of the rest: %s",
-			got, field, turnsByName(turns, "pandora.capture"))
+	got, field, probed := int(rt.Resumes()-before), turns["pandora.capture"], turns["probe.capture"]
+	if got != 0 || field != 25 || probed != 25 || calls != called {
+		t.Errorf("an idle box's second cost %d coroutine resumes, with %d field ticks, and %d step calls of the probe for its %d; want 0, 25, 0, 25. Turns of the rest: %s",
+			got, field, calls-called, probed, turnsByName(turns, "pandora.capture", "probe.capture"))
 	}
 }
 
-func TestAudioCallResumesNoCoroutinePerSegment(t *testing.T) {
-	// One way, a to b, for a virtual second: of the ten processes a
-	// segment meets between microphone and loudspeaker none is switched
-	// into — the sender's netOut takes its two turns a segment as calls —
-	// and what is left is each box's capture board at its field tick.
+func TestAudioCallResumesNoCoroutine(t *testing.T) {
+	// One way, a to b, for a virtual second: no process a segment meets
+	// between microphone and loudspeaker is switched into — the sender's
+	// netOut takes its two turns a segment as calls — and neither is
+	// either box's capture board at its field tick.
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
 	a, b, _ := twoBoxes(rt, Config{Mic: workload.NewTone(400, 12000)}, Config{}, 100)
@@ -144,20 +160,17 @@ func TestAudioCallResumesNoCoroutinePerSegment(t *testing.T) {
 	played = b.Mixer().Stats(100).Segments - played
 	got := int(rt.Resumes() - before)
 	field := turns["a.capture"] + turns["b.capture"]
-	if netOut := turns["a.netOut"]; played != 250 || netOut != 2*250 || got != field || field != 50 {
-		t.Errorf("%d segments played for %d coroutine resumes, %d field ticks and %d turns of a.netOut; want 250 segments, 50 resumes, all of them field ticks, and 500. "+
+	if netOut := turns["a.netOut"]; played != 250 || netOut != 2*250 || got != 0 || field != 50 {
+		t.Errorf("%d segments played for %d coroutine resumes, %d field ticks and %d turns of a.netOut; want 250 segments, no resume, 50 and 500. "+
 			"A stage back on a coroutine adds its turns to the resumes; turns of the rest: %s",
 			played, got, field, netOut, turnsByName(turns, "a.capture", "b.capture", "a.netOut"))
 	}
 }
 
-func TestVideoCallResumesOnlyCaptureAndDisplay(t *testing.T) {
+func TestVideoCallResumesNoCoroutine(t *testing.T) {
 	// One way, a to b, full-rate 128×64 video for a virtual second: 50
-	// segments shown. While captureIn and displayOut were coroutines that
-	// cost 350 resumes, 7 a segment; their 275 turns are calls now, and
-	// what is left is 225, 4.5 a segment, every one of them among the 300
-	// turns of the capture boards and b's display (a coroutine that parks
-	// and is itself the next to run is not resumed, then as now).
+	// segments shown. The capture boards and b's display take 300 turns,
+	// every one a call, and the second costs no coroutine resume.
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
 	a, b, _ := twoBoxes(rt, Config{}, Config{}, 300)
@@ -171,11 +184,11 @@ func TestVideoCallResumesOnlyCaptureAndDisplay(t *testing.T) {
 	run(t, rt, 1100*time.Millisecond)
 	shown = b.DisplayStats().Segments - shown
 	got := int(rt.Resumes() - before)
-	stacked := turns["a.capture"] + turns["b.capture"] + turns["b.display"]
-	if shown != 50 || got != 225 || got > stacked {
-		t.Errorf("%d segments shown for %d coroutine resumes and %d turns of the capture boards and b's display; want 50 segments and 225 resumes, no more than those turns. "+
+	boards := turns["a.capture"] + turns["b.capture"] + turns["b.display"]
+	if shown != 50 || got != 0 || boards != 300 {
+		t.Errorf("%d segments shown for %d coroutine resumes and %d turns of the capture boards and b's display; want 50 segments, no resume and 300 turns. "+
 			"A stage back on a coroutine adds its turns to the resumes; turns of the rest: %s",
-			shown, got, stacked, turnsByName(turns, "a.capture", "b.capture", "b.display"))
+			shown, got, boards, turnsByName(turns, "a.capture", "b.capture", "b.display"))
 	}
 }
 

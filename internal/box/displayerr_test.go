@@ -90,3 +90,49 @@ func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 		t.Errorf("%d wires leaked", n)
 	}
 }
+
+// TestDisplayDiscardsSegmentsOffItsFrame: a 256×128 camera sends two
+// streams to a box whose display is 128×64, one from below the
+// display's last line and one from right of its last column. Each
+// segment is thrown away as corrupt before it is decoded (§3.8): no
+// frame is shown, the interpolator is never loaded, and every wire
+// goes back to its pool.
+func TestDisplayDiscardsSegmentsOffItsFrame(t *testing.T) {
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	a, b, _ := twoBoxes(rt, Config{CameraW: 256, CameraH: 128}, Config{}, 300, 301)
+	full := video.Rate{Num: 1, Den: 1}
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		a.SetRoute(p, Route{Stream: 2, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{300}, Video: true})
+		a.SetRoute(p, Route{Stream: 3, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{301}, Video: true})
+		b.SetRoute(p, Route{Stream: 300, Outputs: []Output{OutDisplay}})
+		b.SetRoute(p, Route{Stream: 301, Outputs: []Output{OutDisplay}})
+		a.StartCamera(p, CameraStream{Stream: 2, Rect: video.Rect{Y: 64, W: 128, H: 64}, Rate: full})
+		a.StartCamera(p, CameraStream{Stream: 3, Rect: video.Rect{X: 128, W: 128, H: 64}, Rate: full})
+		p.SleepUntil(occam.Time(900 * time.Millisecond))
+		a.StopCamera(p, 2)
+		a.StopCamera(p, 3)
+	})
+	run(t, rt, time.Second)
+
+	st := b.DisplayStats()
+	if st.Segments < 80 || st.DecodeErrs != st.Segments || st.Frames != 0 {
+		t.Errorf("display took %d segments with %d decode errors and showed %d frames; want ≥ 80, all of them errors, and none",
+			st.Segments, st.DecodeErrs, st.Frames)
+	}
+	streams := make(map[string]bool)
+	for _, r := range b.Log.Lines() {
+		if stream, ok := strings.CutSuffix(r.Text, ": corrupt segment discarded"); ok {
+			streams[stream] = true
+		}
+	}
+	if !streams["stream 300"] || !streams["stream 301"] {
+		t.Errorf("corrupt reports for %v, want both streams", streams)
+	}
+	if n := b.interp.Reloads(); n != 0 {
+		t.Errorf("%d interpolator reloads for segments never decoded", n)
+	}
+	if la, lb := a.WirePoolLeaked(), b.WirePoolLeaked(); la != 0 || lb != 0 {
+		t.Errorf("wires leaked: a %d, b %d", la, lb)
+	}
+}

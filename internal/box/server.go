@@ -78,11 +78,11 @@ func (b *Box) startServer() {
 	goStep("captureIn", input(&boardLink{link: b.captureToServer}))
 	// The audio board's end of its link is passive; the display process
 	// takes each segment by rendezvous, and nothing precedes it on the fifo.
-	goStep("audioOut", (&outputHandler{b: b, from: b.outBufs[bufSpeaker], link: b.serverToAudio,
-		header: segment.StreamNumberSize, handOver: b.audioDeliver}).step)
+	goStep("audioOut", (&outputHandler{b: b, dev: &outputDevice{from: b.outBufs[bufSpeaker], link: b.serverToAudio,
+		header: segment.StreamNumberSize, handOver: b.audioDeliver}}).step)
 	goStep("netOut", (&netOut{b: b, rep: newReporter(name+".netOut", b.Log)}).step)
-	goStep("displayOut", (&outputHandler{b: b, from: b.outBufs[bufDisplay], link: b.serverToMixer,
-		handOver: b.serverToMixer.Rendezvous}).step)
+	goStep("displayOut", (&outputHandler{b: b, dev: &outputDevice{from: b.outBufs[bufDisplay], link: b.serverToMixer,
+		handOver: b.serverToMixer.Rendezvous}}).step)
 }
 
 // appendBufSlots appends the decoupling buffer slots serving a route
@@ -484,7 +484,16 @@ func (n *netInterface) segment() (segment.Wire, uint32, int, bool) {
 // the header bytes preceding it, and the segment handed over, after which
 // the buffer index is free to recycle.
 type outputHandler struct {
-	b      *Box
+	b   *Box
+	dev *outputDevice
+	at  int // outTake … outHanded
+	buf *allocator.Buffer
+	w   segment.Wire
+}
+
+// outputDevice is what differs between the output handlers, kept
+// behind one pointer so that a handler fills one 64-byte cache line.
+type outputDevice struct {
 	from   *decouple.Buffer[*allocator.Buffer] // the device's decoupling buffer
 	link   *occam.Link[wireMsg]
 	header int // bytes preceding each segment on the link
@@ -493,9 +502,6 @@ type outputHandler struct {
 	// process there, which holds the handler — and so the link, and in
 	// time the decoupling buffer — while the device is busy.
 	handOver func(p *occam.Proc, msg wireMsg)
-	at       int // outTake … outHanded
-	buf      *allocator.Buffer
-	w        segment.Wire
 }
 
 const (
@@ -506,30 +512,30 @@ const (
 )
 
 func (h *outputHandler) step(p *occam.Proc) {
-	b, from := h.b, h.from
+	b, dev := h.b, h.dev
 	for {
 		switch h.at {
 		case outTake:
-			buf, ok := from.TryRecv(p)
+			buf, ok := dev.from.TryRecv(p)
 			if !ok {
-				if from.Wait(p); p.Parked() {
+				if dev.from.Wait(p); p.Parked() {
 					return
 				}
 				continue
 			}
 			h.buf, h.at = buf, outCopied
-			size := buf.Payload.Len() + h.header
+			size := buf.Payload.Len() + dev.header
 			if p.Consume(time.Duration(size) * serverCopyPerKB / 1024); p.Parked() {
 				return
 			}
 		case outCopied:
 			h.w, h.at = b.wires.Copy(h.buf.Payload.Bytes()), outSent
-			if h.link.Occupy(p, h.buf.Payload.Len()+h.header); p.Parked() {
+			if dev.link.Occupy(p, h.buf.Payload.Len()+dev.header); p.Parked() {
 				return
 			}
 		case outSent:
 			h.at = outHanded
-			if h.handOver(p, wireMsg{Stream: h.buf.Stream, W: h.w}); p.Parked() {
+			if dev.handOver(p, wireMsg{Stream: h.buf.Stream, W: h.w}); p.Parked() {
 				return
 			}
 		case outHanded:

@@ -21,70 +21,132 @@ import (
 // do not display any part of a video frame until all of the segments
 // have been received", and the copy to the display buffer is timed
 // against the display scan.
+//
+// Both boards' loops are stackless, written like the audio board's
+// (audio.go).
 
 func (b *Box) startCapture() {
-	b.rt.Go(b.cfg.Name+".capture", b.captureNode, occam.High, b.runCapture)
+	b.rt.GoStep(b.cfg.Name+".capture", b.captureNode, occam.High, newCapture(b).step)
 }
 
 func (b *Box) startDisplay() {
-	b.rt.Go(b.cfg.Name+".display", b.mixerNode, occam.High, b.runDisplay)
+	b.rt.GoStep(b.cfg.Name+".display", b.mixerNode, occam.High, newDisplay(b).step)
 }
 
-// runCapture drives the camera at 25 Hz and produces segments for
-// every open stream.
-func (b *Box) runCapture(p *occam.Proc) {
-	scan := video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod}
-	streams := make(map[uint32]*CameraStream)
-	frameSeq := make(map[uint32]uint32)
-	segSeq := make(map[uint32]uint32)
-	lp := video.LineParams{Shift: 1}
+// capture drives the camera at 25 Hz and produces segments for every
+// open stream.
+type capture struct {
+	b     *Box
+	at    int // capSleep … capTaken
+	frame int // the camera frame being served, numbered from time zero
+	scan  video.Scan
+
+	streams  map[uint32]*CameraStream
+	frameSeq map[uint32]uint32
+	segSeq   map[uint32]uint32
+
+	// The frame in progress: the open streams in id order, the stream
+	// ids[si] being served, its band s of nsegs, rows lines each, and
+	// the band's segment on its way to the server.
+	ids         []uint32
+	si, s       int
+	nsegs, rows int
+	cs          *CameraStream
+	band        video.Rect
+	msg         wireMsg
+
 	// Per-board scratch, reused every band: the framestore read
 	// rectangle, the codec, the packed segment data and the header
-	// around it (copied on into the wire by Encode), the header's one
-	// compression argument, and the open streams in id order.
-	var (
-		rect   video.Frame
-		codec  video.Codec
-		packed []byte
-		seg    segment.Video
-		args   = [1]uint32{uint32(lp.Shift)}
-		ids    []uint32
-	)
+	// around it (copied on into the wire by Encode), and the header's one
+	// compression argument.
+	lp     video.LineParams
+	rect   video.Frame
+	codec  video.Codec
+	packed []byte
+	seg    segment.Video
+	args   [1]uint32
+
 	// Built once, as the micReader's: Recv overwrites cmd on every fire.
-	var (
-		cmd    captureCmd
-		guards = []occam.Guard{occam.Recv(b.captureCmds, &cmd), occam.Skip()}
-	)
+	// An idle board polls with what the Recv guard would ask.
+	cmd        captureCmd
+	guards     []occam.Guard
+	cmdWaiting func(occam.Sched) bool
+}
 
-	for frame := 0; ; frame++ {
-		p.SleepUntil(occam.Time(int64(frame) * int64(video.FramePeriod)))
-		// Commands between frames (principles 4 and 6).
-		for p.Alt(guards...) == 0 {
-			switch {
-			case cmd.Start != nil:
-				cs := *cmd.Start
-				if cs.SegsPerFrame <= 0 {
-					cs.SegsPerFrame = 2
+const (
+	capSleep    = iota // about to sleep until the frame's instant
+	capGridWoke        // an idle board's grid sleep has ended, at the frame it names
+	capWoke            // at the frame's instant: commands, then the frame's streams
+	capStream          // about to serve stream ids[si], or end the frame
+	capBand            // about to time band s against the scan, or end the stream
+	capRead            // the band is safe to read: read, compress and charge it
+	capCharged         // the band's CPU is spent: occupy the fifo to the server
+	capSent            // the transfer is done: offer the segment to the server
+	capTaken           // the server has it
+)
+
+func newCapture(b *Box) *capture {
+	c := &capture{
+		b:          b,
+		scan:       video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod},
+		streams:    make(map[uint32]*CameraStream),
+		frameSeq:   make(map[uint32]uint32),
+		segSeq:     make(map[uint32]uint32),
+		lp:         video.LineParams{Shift: 1},
+		cmdWaiting: b.captureCmds.Pending,
+	}
+	c.args[0] = uint32(c.lp.Shift)
+	c.guards = []occam.Guard{occam.Recv(b.captureCmds, &c.cmd), occam.Skip()}
+	return c
+}
+
+func (c *capture) step(p *occam.Proc) {
+	b := c.b
+	for {
+		switch c.at {
+		case capSleep:
+			t := occam.Time(int64(c.frame) * int64(video.FramePeriod))
+			if len(c.streams) > 0 {
+				// A frame that overran runs the next back to back.
+				c.at = capWoke
+				p.SleepUntil(t)
+			} else {
+				// With no stream open a frame is a poll for a command: the
+				// scheduler takes those turns that find none.
+				c.at = capGridWoke
+				if t = p.SleepGrid(t, video.FramePeriod, c.cmdWaiting); !p.Parked() {
+					c.frame, c.at = frameAt(t), capWoke
 				}
-				streams[cs.Stream] = &cs
-			case cmd.HasStop:
-				delete(streams, cmd.Stop)
 			}
-		}
-		// The camera updates the framestore. With no stream open
-		// nothing can read it before the next frame overwrites it, so
-		// the picture is not rendered at all — the camera still moves
-		// on, and a stream opened later sees the frame it would have.
-		if len(streams) == 0 {
-			b.camera.SkipFrame()
-			continue
-		}
-		b.camera.DrawNext(b.framestore.CameraPort())
-
-		ids = orderedStreamIDs(ids[:0], streams)
-		for _, id := range ids {
-			cs := streams[id]
-			if !cs.Rate.Take(frame) {
+			if p.Parked() {
+				return
+			}
+		case capGridWoke:
+			// The turn that ends a grid sleep is taken at its instant.
+			c.frame, c.at = frameAt(p.Now()), capWoke
+		case capWoke:
+			// Commands between frames (principles 4 and 6).
+			for p.Alt(c.guards...) == 0 {
+				c.command()
+			}
+			if len(c.streams) == 0 {
+				c.frame, c.at = c.frame+1, capSleep
+				continue
+			}
+			// The camera updates the framestore. With no stream open
+			// nothing could read it before the next frame overwrites it, so
+			// the picture is drawn only when a stream is open, and it is
+			// frame c.frame's whichever frames went undrawn.
+			b.camera.Draw(b.framestore.CameraPort(), c.frame)
+			c.ids, c.si, c.at = orderedStreamIDs(c.ids[:0], c.streams), 0, capStream
+		case capStream:
+			if c.si == len(c.ids) {
+				c.frame, c.at = c.frame+1, capSleep
+				continue
+			}
+			cs := c.streams[c.ids[c.si]]
+			if !cs.Rate.Take(c.frame) {
+				c.si++
 				continue
 			}
 			// Split the rectangle into SegsPerFrame row bands, each a
@@ -92,43 +154,80 @@ func (b *Box) runCapture(p *occam.Proc) {
 			// Each band's framestore read is timed against the camera
 			// scan separately — this is why the hardware read blocks,
 			// not whole frames (§3.6).
-			rows := cs.Rect.H / cs.SegsPerFrame
-			if rows == 0 {
-				rows = cs.Rect.H
+			c.cs, c.rows = cs, cs.Rect.H/cs.SegsPerFrame
+			if c.rows == 0 {
+				c.rows = cs.Rect.H
 			}
-			nsegs := (cs.Rect.H + rows - 1) / rows
-			for s := 0; s < nsegs; s++ {
-				y0 := s * rows
-				y1 := y0 + rows
-				if y1 > cs.Rect.H {
-					y1 = cs.Rect.H
-				}
-				band := video.Rect{X: cs.Rect.X, Y: cs.Rect.Y + y0, W: cs.Rect.W, H: y1 - y0}
-				readTime := time.Duration(band.W*band.H) * 20 * time.Nanosecond
-				p.SleepUntil(scan.SafeReadStart(p.Now(), band, readTime))
-				b.framestore.ReadRectInto(&rect, band)
-				packed = codec.CompressBand(packed[:0], &rect, lp)
-				// One request for the band's lines: no other process
-				// runs on the capture transputer, so per-line requests
-				// would be granted back to back anyway.
-				p.Consume(time.Duration(y1-y0) * (captureSliceCost / video.DefaultSliceLines))
-				seg.Reset(
-					segSeq[id], p.Now(),
-					frameSeq[id], uint32(nsegs), uint32(s),
-					uint32(cs.Rect.X), uint32(cs.Rect.Y+y0),
-					uint32(cs.Rect.W), uint32(y0), uint32(y1-y0),
-					packed)
-				seg.Compression = segment.CompressionDPCM
-				seg.Args = args[:]
-				seg.Length = uint32(seg.WireSize())
-				segSeq[id]++
-				// Encode once at the source (§3.4); the wire moves by
-				// reference from here to the display's copy-out.
-				w := b.wires.Encode(&seg)
-				b.captureToServer.Send(p, wireMsg{Stream: id, W: w}, w.Len())
+			c.nsegs, c.s, c.at = (cs.Rect.H+c.rows-1)/c.rows, 0, capBand
+		case capBand:
+			cs := c.cs
+			if c.s == c.nsegs {
+				c.frameSeq[cs.Stream]++
+				c.si, c.at = c.si+1, capStream
+				continue
 			}
-			frameSeq[id]++
+			y0 := c.s * c.rows
+			y1 := min(y0+c.rows, cs.Rect.H)
+			c.band = video.Rect{X: cs.Rect.X, Y: cs.Rect.Y + y0, W: cs.Rect.W, H: y1 - y0}
+			readTime := time.Duration(c.band.W*c.band.H) * 20 * time.Nanosecond
+			c.at = capRead
+			if p.SleepUntil(c.scan.SafeReadStart(p.Now(), c.band, readTime)); p.Parked() {
+				return
+			}
+		case capRead:
+			b.framestore.ReadRectInto(&c.rect, c.band)
+			c.packed = c.codec.CompressBand(c.packed[:0], &c.rect, c.lp)
+			// One request for the band's lines: no other process runs on
+			// the capture transputer, so per-line requests would be granted
+			// back to back anyway.
+			c.at = capCharged
+			if p.Consume(time.Duration(c.band.H) * (captureSliceCost / video.DefaultSliceLines)); p.Parked() {
+				return
+			}
+		case capCharged:
+			cs, id := c.cs, c.cs.Stream
+			c.seg.Reset(
+				c.segSeq[id], p.Now(),
+				c.frameSeq[id], uint32(c.nsegs), uint32(c.s),
+				uint32(cs.Rect.X), uint32(c.band.Y),
+				uint32(cs.Rect.W), uint32(c.band.Y-cs.Rect.Y), uint32(c.band.H),
+				c.packed)
+			c.seg.Compression = segment.CompressionDPCM
+			c.seg.Args = c.args[:]
+			c.seg.Length = uint32(c.seg.WireSize())
+			c.segSeq[id]++
+			// Encode once at the source (§3.4); the wire moves by
+			// reference from here to the display's copy-out.
+			c.msg = wireMsg{Stream: id, W: b.wires.Encode(&c.seg)}
+			c.at = capSent
+			if b.captureToServer.Occupy(p, c.msg.W.Len()); p.Parked() {
+				return
+			}
+		case capSent:
+			c.at = capTaken
+			if b.captureToServer.Rendezvous(p, c.msg); p.Parked() {
+				return
+			}
+		case capTaken:
+			c.msg, c.s, c.at = wireMsg{}, c.s+1, capBand
 		}
+	}
+}
+
+// frameAt numbers the camera frame that starts at t.
+func frameAt(t occam.Time) int { return int(int64(t) / int64(video.FramePeriod)) }
+
+// command applies the capture command just received.
+func (c *capture) command() {
+	switch cmd := &c.cmd; {
+	case cmd.Start != nil:
+		cs := *cmd.Start
+		if cs.SegsPerFrame <= 0 {
+			cs.SegsPerFrame = 2
+		}
+		c.streams[cs.Stream] = &cs
+	case cmd.HasStop:
+		delete(c.streams, cmd.Stop)
 	}
 }
 
@@ -146,76 +245,135 @@ func orderedStreamIDs(ids []uint32, m map[uint32]*CameraStream) []uint32 {
 	return ids
 }
 
-// runDisplay decompresses arriving video segments (reloading the
+// errOffDisplay marks a segment whose rectangle does not lie within the
+// receiving display.
+var errOffDisplay = errors.New("box: video segment outside the display")
+
+// display decompresses arriving video segments (reloading the
 // interpolator's per-stream line cache on interleaving), assembles
 // whole frames, and copies each completed frame to the display at a
 // scan-safe moment.
-func (b *Box) runDisplay(p *occam.Proc) {
-	rep := newReporter(b.cfg.Name+".display", b.Log)
-	scan := video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod}
-	assemblers := make(map[uint32]*video.Assembler)
-	var seg segment.Video // reused header view into each wire
+type display struct {
+	b          *Box
+	at         int // dispRecv … dispShown
+	rep        *Reporter
+	scan       video.Scan
+	assemblers map[uint32]*video.Assembler
+	msg        wireMsg
+	seg        segment.Video // the header, decoded in place from msg's wire
 	// Per-board scratch, reused every segment: the codec and the decoded
 	// image (blitted into the assembler's own frame by Add).
-	var (
-		codec video.Codec
-		img   video.Frame
-	)
-	for {
-		msg := b.serverToMixer.Recv(p)
-		if b.boardDown(p, "display") {
-			msg.W.Release()
-			continue
-		}
-		b.displayStat.Segments++
-		p.Consume(displaySegmentCost)
+	codec video.Codec
+	img   video.Frame
+}
 
-		// Decode the header in place; seg.Data aliases the wire until
-		// the Release at the end of this iteration.
-		n, err := 0, msg.W.DecodeVideoInto(&seg)
-		if err == nil {
-			img.Reuse(int(seg.Width), int(seg.NumLines))
-			n, err = codec.DecompressBand(&img, seg.Data)
-		}
-		if err != nil && !errors.Is(err, video.ErrLineTooShort) {
-			b.displayStat.DecodeErrs++
-			rep.Report(p, "corrupt", "stream %d: corrupt segment discarded", msg.Stream)
-			msg.W.Release()
-			continue // "the current segment is thrown away" (§3.8)
-		}
-		// The per-stream last-line continuity (§3.6): the cache keeps
-		// the last line decoded, even from a segment a short line spoilt.
-		b.interp.Begin(msg.Stream)
-		if n > 0 {
-			b.interp.Advance(msg.Stream, img.Row(n-1))
-		}
-		if err != nil {
-			b.displayStat.DecodeErrs++
-			msg.W.Release()
-			continue
-		}
+const (
+	dispRecv    = iota // wait for the next segment
+	dispGot            // a segment has arrived
+	dispCharged        // its CPU is spent: decode and assemble it
+	dispTop            // the top half of a whole frame is copied out
+	dispShown          // so is the bottom half: the frame is on the display
+)
 
-		a, ok := assemblers[msg.Stream]
-		if !ok {
-			a = video.NewAssembler(b.cfg.CameraW, b.cfg.CameraH)
-			assemblers[msg.Stream] = a
-		}
-		frame := a.Add(&seg, &img)
-		msg.W.Release() // img and the assembler hold their own copies
-		if frame == nil {
-			continue
-		}
-		// Whole frame ready: copy to the display buffer in two halves,
-		// each at a scan-safe time ("care being taken to avoid the
-		// scan of the display controller... copying frames both in
-		// front of and behind the scan if necessary").
-		half := b.cfg.CameraH / 2
-		copyTime := time.Duration(b.cfg.CameraW*half) * 10 * time.Nanosecond
-		top := video.Rect{Y: 0, H: half, W: b.cfg.CameraW}
-		bottom := video.Rect{Y: half, H: b.cfg.CameraH - half, W: b.cfg.CameraW}
-		p.SleepUntil(scan.SafeReadStart(p.Now(), top, copyTime))
-		p.SleepUntil(scan.SafeReadStart(p.Now(), bottom, copyTime))
-		b.displayStat.Frames++
-		b.displayStat.FrameLat.Observe(p.Now().Sub(segment.TimestampTime(seg.Timestamp)))
+func newDisplay(b *Box) *display {
+	return &display{
+		b:          b,
+		rep:        newReporter(b.cfg.Name+".display", b.Log),
+		scan:       video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod},
+		assemblers: make(map[uint32]*video.Assembler),
 	}
+}
+
+func (d *display) step(p *occam.Proc) {
+	b := d.b
+	for {
+		switch d.at {
+		case dispRecv:
+			d.at = dispGot
+			if b.serverToMixer.RecvInto(p, &d.msg); p.Parked() {
+				return
+			}
+		case dispGot:
+			if b.boardDown(p, "display") {
+				d.msg.W.Release()
+				d.at = dispRecv
+				continue
+			}
+			b.displayStat.Segments++
+			d.at = dispCharged
+			if p.Consume(displaySegmentCost); p.Parked() {
+				return
+			}
+		case dispCharged:
+			d.at = dispRecv
+			if !d.assemble(p) {
+				continue
+			}
+			// Whole frame ready: copy to the display buffer in two halves,
+			// each at a scan-safe time ("care being taken to avoid the
+			// scan of the display controller... copying frames both in
+			// front of and behind the scan if necessary").
+			top := video.Rect{Y: 0, H: b.cfg.CameraH / 2, W: b.cfg.CameraW}
+			d.at = dispTop
+			if p.SleepUntil(d.scan.SafeReadStart(p.Now(), top, d.copyTime())); p.Parked() {
+				return
+			}
+		case dispTop:
+			half := b.cfg.CameraH / 2
+			bottom := video.Rect{Y: half, H: b.cfg.CameraH - half, W: b.cfg.CameraW}
+			d.at = dispShown
+			if p.SleepUntil(d.scan.SafeReadStart(p.Now(), bottom, d.copyTime())); p.Parked() {
+				return
+			}
+		case dispShown:
+			b.displayStat.Frames++
+			b.displayStat.FrameLat.Observe(p.Now().Sub(segment.TimestampTime(d.seg.Timestamp)))
+			d.at = dispRecv
+		}
+	}
+}
+
+// copyTime is how long copying half a frame to the display takes.
+func (d *display) copyTime() time.Duration {
+	return time.Duration(d.b.cfg.CameraW*(d.b.cfg.CameraH/2)) * 10 * time.Nanosecond
+}
+
+// assemble decodes the segment in hand into its stream's frame,
+// releasing its wire, and reports whether that completed the frame.
+func (d *display) assemble(p *occam.Proc) bool {
+	b, msg, seg := d.b, d.msg, &d.seg
+	d.msg = wireMsg{}
+	defer msg.W.Release() // img and the assembler hold their own copies
+	// Decode the header in place; seg.Data aliases the wire until the
+	// Release.
+	n, err := 0, msg.W.DecodeVideoInto(seg)
+	if err == nil && (uint64(seg.XOffset)+uint64(seg.Width) > uint64(b.cfg.CameraW) ||
+		uint64(seg.YOffset)+uint64(seg.NumLines) > uint64(b.cfg.CameraH)) {
+		err = errOffDisplay
+	}
+	if err == nil {
+		d.img.Reuse(int(seg.Width), int(seg.NumLines))
+		n, err = d.codec.DecompressBand(&d.img, seg.Data)
+	}
+	if err != nil && !errors.Is(err, video.ErrLineTooShort) {
+		b.displayStat.DecodeErrs++
+		d.rep.Report(p, "corrupt", "stream %d: corrupt segment discarded", msg.Stream)
+		return false // "the current segment is thrown away" (§3.8)
+	}
+	// The per-stream last-line continuity (§3.6): the cache keeps the
+	// last line decoded, even from a segment a short line spoilt.
+	b.interp.Begin(msg.Stream)
+	if n > 0 {
+		b.interp.Advance(msg.Stream, d.img.Row(n-1))
+	}
+	if err != nil {
+		b.displayStat.DecodeErrs++
+		return false
+	}
+	a, ok := d.assemblers[msg.Stream]
+	if !ok {
+		a = video.NewAssembler(b.cfg.CameraW, b.cfg.CameraH)
+		d.assemblers[msg.Stream] = a
+	}
+	return a.Add(seg, &d.img) != nil
 }

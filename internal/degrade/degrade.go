@@ -24,11 +24,12 @@
 // (EvOverload / EvRecover), and kept in an action log the experiments
 // assert on.
 //
-// The controller is a coroutine that is almost never resumed: its
-// sample every Interval is a polled wait (occam.Proc.SleepGrid), taken
-// by the scheduler at the controller's turn, and only a turn with a shed
-// or a restore to carry out — which may block on the target — is given
-// to the process itself.
+// The controller is a stackless process (occam.GoStep). Its sample every
+// Interval is a polled wait (occam.Proc.SleepGrid), taken by the
+// scheduler at the controller's turn; only a turn with a shed or a
+// restore to carry out calls its step function. Carrying one out may
+// park it on the target, and what follows that wait is
+// Target.DegradeSettle.
 package degrade
 
 import (
@@ -59,9 +60,14 @@ type Target interface {
 	// DegradePressure reports the target's own video and audio
 	// pressure: the occupancy ratio of its fullest queue of each class.
 	DegradePressure() (video, audio float64)
-	// DegradeShed suspends a stream; DegradeRestore resumes it.
+	// DegradeShed suspends a stream; DegradeRestore resumes it. Either
+	// may park p, a stackless process, on the target (Proc.Parked).
 	DegradeShed(p *occam.Proc, id uint32)
 	DegradeRestore(p *occam.Proc, id uint32)
+	// DegradeSettle finishes the shed (shed true) or restore of id once
+	// the call that began it is done: in the same turn if that did not
+	// park the controller, at its next turn if it did.
+	DegradeSettle(id uint32, shed bool)
 	// DegradeRepositoryOrder reverses incoming-before-outgoing
 	// (repository boxes protect incoming recorded streams, §2.1).
 	DegradeRepositoryOrder() bool
@@ -157,6 +163,14 @@ type Controller struct {
 	video, audio float64
 	restoreDue   bool
 
+	// Where the step resumes, the sample as the polled wait's predicate
+	// (built once), and the decision being carried out: the stream shed
+	// and the action logged once the target has settled it.
+	at     int
+	poll   func(occam.Sched) bool
+	victim StreamInfo
+	act    Action
+
 	shedVideo *obs.Counter
 	shedAudio *obs.Counter
 	restores  *obs.Counter
@@ -182,8 +196,9 @@ func New(rt *occam.Runtime, target Target, cfg Config, reg *obs.Registry) *Contr
 		pVideo:    reg.Gauge("degrade_pressure_video", lb),
 		pAudio:    reg.Gauge("degrade_pressure_audio", lb),
 	}
+	c.poll = c.sample
 	reg.GaugeFunc("degrade_active_sheds", func() float64 { return float64(c.NumShed()) }, lb)
-	rt.Go(target.DegradeName()+".degrade", nil, occam.High, c.run)
+	rt.GoStep(target.DegradeName()+".degrade", nil, occam.High, c.step)
 	return c
 }
 
@@ -193,21 +208,42 @@ func (c *Controller) Actions() []Action { return append([]Action(nil), c.log...)
 // NumShed returns how many streams are shed now.
 func (c *Controller) NumShed() int { return len(c.shed) }
 
-// run is the control loop: a sample every Interval, and a shed or a
+// Where the controller's step resumes.
+const (
+	ctlSleep  = iota // about to sample every Interval until a decision is due
+	ctlDue           // a decision is due at this turn: begin it
+	ctlSettle        // the target is done with it: settle it and log it
+)
+
+// step is the control loop: a sample every Interval, and a shed or a
 // restore when one finds it due. The samples are a polled wait — the
-// scheduler takes them at the controller's turns — and the controller is
-// resumed only for the turn with a decision to carry out, on its own
-// stack, because carrying it out may block (Target.DegradeShed's
-// rendezvous with the switch). The next sample is an Interval after the
-// decision is done.
-func (c *Controller) run(p *occam.Proc) {
-	sample := c.sample
+// scheduler takes them at the controller's turns — and the step is
+// called only for the turn with a decision to carry out. Carrying it out
+// may park the controller (Target.DegradeShed's rendezvous with the
+// switch), and the decision is settled, counted, logged and traced when
+// that wait is over. The next sample is an Interval after that.
+func (c *Controller) step(p *occam.Proc) {
 	for {
-		now := p.SleepGrid(p.Now().Add(c.cfg.Interval), c.cfg.Interval, sample)
-		if c.restoreDue {
-			c.restoreOne(p, now, c.video, c.audio)
-		} else {
-			c.shedOne(p, now, c.video, c.audio)
+		switch c.at {
+		case ctlSleep:
+			// The grid starts an Interval ahead, so this always parks.
+			c.at = ctlDue
+			if p.SleepGrid(p.Now().Add(c.cfg.Interval), c.cfg.Interval, c.poll); p.Parked() {
+				return
+			}
+		case ctlDue:
+			c.at = ctlSleep
+			if c.restoreDue {
+				c.restoreOne(p, p.Now())
+			} else {
+				c.shedOne(p, p.Now())
+			}
+			if p.Parked() {
+				return
+			}
+		case ctlSettle:
+			c.settle()
+			c.at = ctlSleep
 		}
 	}
 }
@@ -265,16 +301,16 @@ func (c *Controller) rank(s StreamInfo) int {
 	return r
 }
 
-// shedOne picks and sheds the single best victim, if any. Audio
-// candidates are considered only under direct audio pressure, and even
-// then every video stream goes first.
-func (c *Controller) shedOne(p *occam.Proc, now occam.Time, video, audio float64) {
+// shedOne picks the single best victim, if any, and begins shedding it.
+// Audio candidates are considered only under direct audio pressure, and
+// even then every video stream goes first.
+func (c *Controller) shedOne(p *occam.Proc, now occam.Time) {
 	var cands []StreamInfo
 	for _, s := range c.target.DegradeStreams() {
 		if _, already := c.shed[s.ID]; already {
 			continue
 		}
-		if !s.Video && audio < highWater {
+		if !s.Video && c.audio < highWater {
 			continue // audio is only shed under audio pressure
 		}
 		cands = append(cands, s)
@@ -293,33 +329,48 @@ func (c *Controller) shedOne(p *occam.Proc, now occam.Time, video, audio float64
 		return cands[i].ID < cands[j].ID
 	})
 	victim := cands[0]
+	c.victim = victim
+	c.act = Action{At: now, Stream: victim.ID, Video: victim.Video,
+		Incoming: victim.Incoming, VideoPressure: c.video, AudioPressure: c.audio}
+	c.at = ctlSettle
 	c.target.DegradeShed(p, victim.ID)
-	c.shed[victim.ID] = victim
-	c.stack = append(c.stack, victim.ID)
-	c.lastShed = now
-	if victim.Video {
-		c.shedVideo.Inc()
-	} else {
-		c.shedAudio.Inc()
-	}
-	act := Action{At: now, Stream: victim.ID, Video: victim.Video,
-		Incoming: victim.Incoming, VideoPressure: video, AudioPressure: audio}
-	c.log = append(c.log, act)
-	c.trace.Emit(obs.EvOverload, c.target.DegradeName()+".degrade", victim.ID, act.desc())
 }
 
-// restoreOne lifts the most recent shed (LIFO: the least-disruptive
-// restore, since the youngest shed was the lowest-priority victim).
-func (c *Controller) restoreOne(p *occam.Proc, now occam.Time, video, audio float64) {
+// restoreOne begins lifting the most recent shed (LIFO: the
+// least-disruptive restore, since the youngest shed was the
+// lowest-priority victim).
+func (c *Controller) restoreOne(p *occam.Proc, now occam.Time) {
 	id := c.stack[len(c.stack)-1]
 	c.stack = c.stack[:len(c.stack)-1]
 	info := c.shed[id]
 	delete(c.shed, id)
+	c.act = Action{At: now, Restore: true, Stream: id, Video: info.Video,
+		Incoming: info.Incoming, VideoPressure: c.video, AudioPressure: c.audio}
+	c.at = ctlSettle
 	c.target.DegradeRestore(p, id)
-	c.lastRestore = now
-	c.restores.Inc()
-	act := Action{At: now, Restore: true, Stream: id, Video: info.Video,
-		Incoming: info.Incoming, VideoPressure: video, AudioPressure: audio}
+}
+
+// settle finishes the decision in c.act once the target is done with
+// it: the target's own settling, then the controller's books, counters,
+// log and trace.
+func (c *Controller) settle() {
+	act := c.act
+	c.target.DegradeSettle(act.Stream, !act.Restore)
+	if act.Restore {
+		c.lastRestore = act.At
+		c.restores.Inc()
+		c.log = append(c.log, act)
+		c.trace.Emit(obs.EvRecover, c.target.DegradeName()+".degrade", act.Stream, act.desc())
+		return
+	}
+	c.shed[act.Stream] = c.victim
+	c.stack = append(c.stack, act.Stream)
+	c.lastShed = act.At
+	if act.Video {
+		c.shedVideo.Inc()
+	} else {
+		c.shedAudio.Inc()
+	}
 	c.log = append(c.log, act)
-	c.trace.Emit(obs.EvRecover, c.target.DegradeName()+".degrade", id, act.desc())
+	c.trace.Emit(obs.EvOverload, c.target.DegradeName()+".degrade", act.Stream, act.desc())
 }

@@ -1,6 +1,7 @@
 package degrade_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -12,7 +13,9 @@ import (
 )
 
 // fakeTarget implements degrade.Target with a scripted stream set and
-// pressures, and records the controller's shed/restore calls in order.
+// pressures, and records the controller's shed, restore and settle
+// calls in order. With cmds set, a shed or a restore also sends the
+// stream on it, as a box's does on its switch's command channel.
 type fakeTarget struct {
 	name         string
 	repo         bool
@@ -20,14 +23,28 @@ type fakeTarget struct {
 	video, audio float64
 	shed         []uint32
 	restored     []uint32
+	settled      []string
+	cmds         *occam.Chan[uint32]
 }
 
 func (t *fakeTarget) DegradeName() string                     { return t.name }
 func (t *fakeTarget) DegradeStreams() []degrade.StreamInfo    { return t.streams }
 func (t *fakeTarget) DegradePressure() (video, audio float64) { return t.video, t.audio }
-func (t *fakeTarget) DegradeShed(p *occam.Proc, id uint32)    { t.shed = append(t.shed, id) }
+func (t *fakeTarget) DegradeShed(p *occam.Proc, id uint32) {
+	t.shed = append(t.shed, id)
+	t.command(p, id)
+}
 func (t *fakeTarget) DegradeRestore(p *occam.Proc, id uint32) {
 	t.restored = append(t.restored, id)
+	t.command(p, id)
+}
+func (t *fakeTarget) command(p *occam.Proc, id uint32) {
+	if t.cmds != nil {
+		t.cmds.Send(p, id)
+	}
+}
+func (t *fakeTarget) DegradeSettle(id uint32, shed bool) {
+	t.settled = append(t.settled, fmt.Sprintf("%d shed=%v", id, shed))
 }
 func (t *fakeTarget) DegradeRepositoryOrder() bool { return t.repo }
 
@@ -93,6 +110,48 @@ func TestShedOrderAndLIFORestore(t *testing.T) {
 	}
 	if len(c.Actions()) != 10 {
 		t.Fatalf("action log has %d entries, want 10", len(c.Actions()))
+	}
+	// A target that does not park is settled in the same turn, so each
+	// decision's settle follows it before the next decision begins.
+	want := []string{"1 shed=true", "2 shed=true", "3 shed=true", "4 shed=true", "5 shed=true",
+		"5 shed=false", "4 shed=false", "3 shed=false", "2 shed=false", "1 shed=false"}
+	if !reflect.DeepEqual(ft.settled, want) {
+		t.Fatalf("settled %v, want %v", ft.settled, want)
+	}
+}
+
+// TestShedSettlesWhenTheTargetTakesIt: a target whose shed waits on a
+// rendezvous parks the controller. The decision keeps the instant it
+// was taken at, but the controller counts, logs and settles it only
+// when the rendezvous is over, and samples again an Interval after that.
+func TestShedSettlesWhenTheTargetTakesIt(t *testing.T) {
+	const ms = occam.Time(time.Millisecond)
+	rt := occam.NewRuntime()
+	reg := obs.New(rt)
+	ft := &fakeTarget{name: "t", streams: []degrade.StreamInfo{{ID: 1, Video: true, Incoming: true}},
+		cmds: occam.NewChan[uint32](rt, "t.cmds")}
+	c := degrade.New(rt, ft, quickCfg, reg)
+	ft.video = 1
+	var took string
+	rt.Go("switch", nil, occam.High, func(p *occam.Proc) {
+		p.SleepUntil(13 * ms) // the decision is due at 10 ms: ShedEvery after time zero
+		id := ft.cmds.Recv(p)
+		took = fmt.Sprintf("stream %d at %v: %d shed, settled %v", id, p.Now(), c.NumShed(), ft.settled)
+	})
+	if err := rt.RunUntil(20 * ms); err != nil {
+		t.Fatal(err)
+	}
+	if want := "stream 1 at t+13ms: 0 shed, settled []"; took != want {
+		t.Errorf("the target took %q, want %q", took, want)
+	}
+	acts := c.Actions()
+	if len(acts) != 1 || acts[0].At != 10*ms || c.NumShed() != 1 || !reflect.DeepEqual(ft.settled, []string{"1 shed=true"}) {
+		t.Errorf("after the rendezvous: actions %v, %d shed, settled %v; want one at 10ms, 1, [1 shed=true]",
+			acts, c.NumShed(), ft.settled)
+	}
+	// Samples at 5 and 10 ms, then at 18 ms: an Interval after the settle.
+	if ticks := value(reg, "degrade_ticks_total", obs.L("box", "t")); ticks != 3 {
+		t.Errorf("%v samples by 20 ms, want 3", ticks)
 	}
 }
 

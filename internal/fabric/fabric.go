@@ -758,5 +758,9 @@ func (pt *Port) DegradeShed(p *occam.Proc, id uint32) { pt.shed[id] = true }
 // DegradeRestore implements degrade.Target.
 func (pt *Port) DegradeRestore(p *occam.Proc, id uint32) { delete(pt.shed, id) }
 
+// DegradeSettle implements degrade.Target: a port's shed and restore
+// are done when they return.
+func (pt *Port) DegradeSettle(id uint32, shed bool) {}
+
 // DegradeRepositoryOrder implements degrade.Target.
 func (pt *Port) DegradeRepositoryOrder() bool { return false }

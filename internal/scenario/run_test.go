@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -211,5 +212,73 @@ attach f v[001..150]
 	}
 	if got := debug.SetGCPercent(percent); got != percent {
 		t.Errorf("GC percent after Start = %d, want %d", got, percent)
+	}
+}
+
+// TestVideoBandOffTheReceivingDisplay sends the lower half of a
+// 128x128 camera to a box with the default 128x64 display. Every band
+// lies below the display: the receiver throws each away as corrupt and
+// the run goes on, shows no frame, and leaks no wire.
+func TestVideoBandOffTheReceivingDisplay(t *testing.T) {
+	r, err := NewRunner(MustParse(`scenario off-display
+duration 1s
+box a camera=128x128
+box b
+link a b bw=100M
+at 0s video a -> b rect=0,64,128,64 rate=1/1 as v
+at 900ms close v
+assert wires-drain
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := r.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Pass {
+		t.Errorf("scenario failed:\n%s", sum)
+	}
+	if st := r.Sys.Box("b").DisplayStats(); st.Segments < 40 || st.DecodeErrs != st.Segments || st.Frames != 0 {
+		t.Errorf("b's display took %d segments with %d decode errors and showed %d frames; want ≥ 40, all of them errors, and none",
+			st.Segments, st.DecodeErrs, st.Frames)
+	}
+}
+
+// TestScenarioGoroutinesIndependentOfBoxes runs a generated fabric
+// spec with 20 boxes and with 200 — a tree to every viewer, every box
+// and port under an overload controller — for half a virtual second
+// each. No box, port or controller keeps a goroutine, so the two grow
+// the process's goroutine count by the same number: the timeline's
+// control process and whatever else the spec starts once. Not parallel:
+// it counts every goroutine in the process.
+func TestScenarioGoroutinesIndependentOfBoxes(t *testing.T) {
+	growth := func(n int) int {
+		viewers := fmt.Sprintf("v[001..%03d]", n)
+		r, err := NewRunner(MustParse(`scenario goroutines
+duration 500ms
+box s mic=tone:400:8000
+box ` + viewers + `
+fabric f portbw=155M
+attach f s ` + viewers + `
+degrade shed=100ms hold=400ms
+at 0s tree s -> ` + viewers + ` k=4 as t
+`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		before := runtime.NumGoroutine()
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return runtime.NumGoroutine() - before
+	}
+	if small, large := growth(20), growth(200); small != large {
+		t.Errorf("a spec grew the goroutine count by %d with 20 boxes and by %d with 200; want the same", small, large)
 	}
 }

@@ -7,7 +7,7 @@ import "repro/internal/video"
 // the DPCM codec, sub-sampling and tear detection.
 type Camera struct {
 	w, h  int
-	frame int
+	frame int         // NextFrame's next frame number
 	buf   video.Frame // NextFrame's picture, rendered over each time
 }
 
@@ -18,22 +18,16 @@ func NewCamera(w, h int) *Camera { return &Camera{w: w, h: h} }
 // picture is valid until the following NextFrame.
 func (c *Camera) NextFrame() *video.Frame {
 	c.buf.Reuse(c.w, c.h)
-	c.DrawNext(&c.buf)
+	c.render(&c.buf, c.frame)
+	c.frame++
 	return &c.buf
 }
 
-// DrawNext draws the next frame over every pixel of f, which must be
-// the camera's size: NextFrame for a caller with its own storage, such
-// as a framestore the camera writes straight into.
-func (c *Camera) DrawNext(f *video.Frame) {
-	c.render(f, c.frame)
-	c.frame++
-}
-
-// SkipFrame passes over the next frame without rendering it, for a
-// camera nobody is reading: later frames come out as if it had been
-// produced.
-func (c *Camera) SkipFrame() { c.frame++ }
+// Draw draws frame number n over every pixel of f, which must be the
+// camera's size: FrameAt for a caller with its own storage, such as a
+// framestore the camera writes straight into. Frames nobody draws cost
+// nothing.
+func (c *Camera) Draw(f *video.Frame, n int) { c.render(f, n) }
 
 // FrameAt produces frame number n deterministically.
 func (c *Camera) FrameAt(n int) *video.Frame {

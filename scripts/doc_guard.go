@@ -42,8 +42,8 @@ var lineBudgets = []struct {
 	doc   string
 	lines int
 }{
-	{"ARCHITECTURE.md", 483},
-	{"DESIGN.md", 819},
+	{"ARCHITECTURE.md", 482},
+	{"DESIGN.md", 816},
 	{"EXPERIMENTS.md", 270},
 	{"README.md", 479},
 }
