@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
+	"repro/internal/video"
 	"repro/internal/workload"
 )
 
@@ -19,10 +20,11 @@ import (
 // and the mixing grant's slice boundaries became scheduler turns and
 // audioRx became a call, and the change had to reproduce them.
 
-// firstMicSegments runs one box whose microphone stream goes to a bare
-// network sink, lets control issue its commands, and returns the first
-// three segments the sink receives as "seq stamp arrival" lines.
-func firstMicSegments(t *testing.T, control func(p *occam.Proc, bx *Box)) string {
+// firstSegments runs one box whose stream 1, video if asVideo and audio
+// if not, goes to a bare network sink for d, lets control issue its commands, and returns
+// the first three segments the sink receives, each as describe's line
+// and its arrival.
+func firstSegments(t *testing.T, asVideo bool, d time.Duration, control func(p *occam.Proc, bx *Box), describe func(w segment.Wire) string) string {
 	t.Helper()
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
@@ -36,18 +38,26 @@ func firstMicSegments(t *testing.T, control func(p *occam.Proc, bx *Box)) string
 		for {
 			m := sink.Rx.Recv(p)
 			if len(got) < 3 {
-				got = append(got, fmt.Sprintf("seq %d stamp %v arrives %v",
-					m.W.Seq(), segment.TimestampTime(m.W.Timestamp()), p.Now()))
+				got = append(got, fmt.Sprintf("%s arrives %v", describe(m.W), p.Now()))
 			}
 			m.W.Release()
 		}
 	})
 	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
-		bx.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100}})
+		bx.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100}, Video: asVideo})
 		control(p, bx)
 	})
-	run(t, rt, 60*time.Millisecond)
+	run(t, rt, d)
 	return strings.Join(got, "\n")
+}
+
+// firstMicSegments is firstSegments for the microphone stream, as "seq
+// stamp arrival" lines.
+func firstMicSegments(t *testing.T, control func(p *occam.Proc, bx *Box)) string {
+	t.Helper()
+	return firstSegments(t, false, 60*time.Millisecond, control, func(w segment.Wire) string {
+		return fmt.Sprintf("seq %d stamp %v", w.Seq(), segment.TimestampTime(w.Timestamp()))
+	})
 }
 
 func TestClosedMicrophoneTakesCommandsOnItsGrid(t *testing.T) {
@@ -115,6 +125,78 @@ func TestClosedMicrophoneTakesCommandsOnItsGrid(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if got := firstMicSegments(t, c.control); got != c.want {
+				t.Errorf("first three segments:\n%s\nwant:\n%s", got, c.want)
+			}
+		})
+	}
+}
+
+// The capture board's 40 ms frame clock, pinned the same way: with no
+// stream open it polls for a command once a frame, and the first frame it
+// serves is the first whose poll finds StartCamera waiting. The values
+// were recorded while the idle board's polls were taken by the scheduler,
+// and a change to how they are taken must reproduce them.
+func TestIdleCaptureBoardTakesCommandsOnItsFrames(t *testing.T) {
+	const ms = time.Millisecond
+	start := func(p *occam.Proc, bx *Box) {
+		bx.StartCamera(p, CameraStream{Stream: 1, Rect: video.Rect{W: 64, H: 32}, Rate: video.Rate{Num: 1, Den: 1}})
+	}
+	cases := []struct {
+		name    string
+		control func(p *occam.Proc, bx *Box)
+		want    string
+	}{
+		{
+			// control's timer for t+80ms was armed at t+0, before the
+			// capture board armed its own at t+40ms: control runs first
+			// and the poll of that same frame finds the command.
+			name: "on a frame instant, ahead of the poll",
+			control: func(p *occam.Proc, bx *Box) {
+				p.SleepUntil(occam.Time(80 * ms))
+				start(p, bx)
+			},
+			want: "" +
+				"seq 0 frame 0 part 0/2 stamp t+90.112ms arrives t+90.400194ms\n" +
+				"seq 1 frame 0 part 1/2 stamp t+100.096ms arrives t+100.400194ms\n" +
+				"seq 2 frame 1 part 0/2 stamp t+130.112ms arrives t+130.400194ms",
+		},
+		{
+			// Armed at t+50ms, after the capture board's: the poll of
+			// t+80ms has already run, the command waits for t+120ms.
+			name: "on a frame instant, behind the poll",
+			control: func(p *occam.Proc, bx *Box) {
+				p.SleepUntil(occam.Time(50 * ms))
+				p.SleepUntil(occam.Time(80 * ms))
+				start(p, bx)
+			},
+			want: "" +
+				"seq 0 frame 0 part 0/2 stamp t+130.112ms arrives t+130.400194ms\n" +
+				"seq 1 frame 0 part 1/2 stamp t+140.096ms arrives t+140.400194ms\n" +
+				"seq 2 frame 1 part 0/2 stamp t+170.112ms arrives t+170.400194ms",
+		},
+		{
+			name: "7ms after a frame instant",
+			control: func(p *occam.Proc, bx *Box) {
+				p.SleepUntil(occam.Time(87 * ms))
+				start(p, bx)
+			},
+			want: "" +
+				"seq 0 frame 0 part 0/2 stamp t+130.112ms arrives t+130.400194ms\n" +
+				"seq 1 frame 0 part 1/2 stamp t+140.096ms arrives t+140.400194ms\n" +
+				"seq 2 frame 1 part 0/2 stamp t+170.112ms arrives t+170.400194ms",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := firstSegments(t, true, 240*ms, c.control, func(w segment.Wire) string {
+				var v segment.Video
+				if err := w.DecodeVideoInto(&v); err != nil {
+					return err.Error()
+				}
+				return fmt.Sprintf("seq %d frame %d part %d/%d stamp %v",
+					v.Seq, v.FrameNumber, v.SegmentNum, v.NumSegments, segment.TimestampTime(v.Timestamp))
+			})
+			if got != c.want {
 				t.Errorf("first three segments:\n%s\nwant:\n%s", got, c.want)
 			}
 		})
