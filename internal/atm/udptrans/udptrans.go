@@ -78,7 +78,11 @@ func Encode(dst []byte, m atm.Message) ([]byte, error) {
 
 // Decode parses one datagram into a message whose wire is an
 // unmanaged view over buf (buf must stay untouched while the message
-// lives; Retain/Release on it are no-ops).
+// lives; Retain/Release on it are no-ops). It accepts only what Encode
+// could have written: known flags, a payload within MaxPayload, and a
+// Size no larger than the payload — an honest sender's Size is its
+// wire's length or a chunk of it, and a receiver charges copy time by
+// Size.
 func Decode(buf []byte) (atm.Message, error) {
 	var m atm.Message
 	if len(buf) < headerSize {
@@ -90,16 +94,27 @@ func Decode(buf []byte) (atm.Message, error) {
 	if buf[4] != codecVer {
 		return m, fmt.Errorf("udptrans: version %d, want %d", buf[4], codecVer)
 	}
-	m.Corrupt = buf[5]&flagCorrupt != 0
-	m.VCI = binary.BigEndian.Uint32(buf[6:])
-	m.Size = int(binary.BigEndian.Uint32(buf[10:]))
-	m.ChunkIndex = int(binary.BigEndian.Uint16(buf[14:]))
-	m.ChunkTotal = int(binary.BigEndian.Uint16(buf[16:]))
+	if f := buf[5] &^ flagCorrupt; f != 0 {
+		return m, fmt.Errorf("udptrans: unknown flags %#x", f)
+	}
 	n := binary.BigEndian.Uint32(buf[18:])
 	body := buf[headerSize:]
 	if uint32(len(body)) != n {
 		return m, fmt.Errorf("udptrans: payload %d bytes, header says %d", len(body), n)
 	}
+	if n > MaxPayload {
+		return m, fmt.Errorf("udptrans: payload of %d bytes exceeds %d-byte datagram bound", n, MaxPayload)
+	}
+	// Compared as sent, so no Size becomes a negative int on the way.
+	size := binary.BigEndian.Uint32(buf[10:])
+	if size > n {
+		return m, fmt.Errorf("udptrans: size %d exceeds the %d-byte payload", size, n)
+	}
+	m.Corrupt = buf[5]&flagCorrupt != 0
+	m.VCI = binary.BigEndian.Uint32(buf[6:])
+	m.Size = int(size)
+	m.ChunkIndex = int(binary.BigEndian.Uint16(buf[14:]))
+	m.ChunkTotal = int(binary.BigEndian.Uint16(buf[16:]))
 	w, err := segment.ParseWire(body)
 	if err != nil {
 		return m, fmt.Errorf("udptrans: %w", err)

@@ -1,6 +1,8 @@
 package udptrans
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -8,7 +10,7 @@ import (
 	"repro/internal/segment"
 )
 
-func testWire(t *testing.T, seq uint32) segment.Wire {
+func testWire(t testing.TB, seq uint32) segment.Wire {
 	t.Helper()
 	blk := make([]byte, segment.BlockSamples)
 	for i := range blk {
@@ -59,6 +61,59 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(d); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
+}
+
+func TestDecodeRejectsSizeBeyondPayload(t *testing.T) {
+	// netIn charges copy time by Size: one datagram claiming 4 GB would
+	// cost the server board a minute of virtual CPU.
+	w := testWire(t, 1)
+	payload := uint32(len(w.Bytes()))
+	for _, size := range []uint32{payload, payload + 1, 1 << 31, 0xFFFFFFFF} {
+		d, err := Encode(nil, atm.Message{VCI: 1, W: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(d[10:], size)
+		m, err := Decode(d)
+		if ok := size <= payload; (err == nil) != ok {
+			t.Errorf("Size %d over a %d-byte payload: accepted %v (err %v), want %v", size, payload, err == nil, err, ok)
+		} else if ok && m.Size != int(size) {
+			t.Errorf("Size %d decoded as %d", size, m.Size)
+		}
+	}
+}
+
+// FuzzDecode feeds Decode arbitrary datagrams: it never panics, and a
+// datagram it accepts is one Encode writes back byte for byte. Run
+// longer with:
+//
+//	go test -fuzz=FuzzDecode -fuzztime=60s ./internal/atm/udptrans
+func FuzzDecode(f *testing.F) {
+	w := testWire(f, 3)
+	for _, m := range []atm.Message{
+		{VCI: 42, Size: len(w.Bytes()), W: w, ChunkIndex: 1, ChunkTotal: 3, Corrupt: true},
+		{VCI: 7, Size: 5, W: w},
+	} {
+		d, err := Encode(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(d)
+		f.Add(d[:len(d)-1])
+	}
+	f.Fuzz(func(t *testing.T, d []byte) {
+		m, err := Decode(d)
+		if err != nil {
+			return
+		}
+		again, err := Encode(nil, m)
+		if err != nil {
+			t.Fatalf("accepted %x, which does not encode again: %v", d, err)
+		}
+		if !bytes.Equal(again, d) {
+			t.Fatalf("accepted %x, which encodes again as %x", d, again)
+		}
+	})
 }
 
 // TestBatcherRoundTrip drives a Batcher over a loopback socket pair:
