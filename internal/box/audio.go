@@ -43,7 +43,7 @@ func (b *Box) startAudio() {
 // possible to the data source" (§3.2).
 type micReader struct {
 	b  *Box
-	at int // micSleep, micGridWoke, micWoke or micCharged
+	at int // micSleep, micWoke or micCharged
 	n  int64
 
 	// The accumulating segment is built in place: blocks are filled
@@ -65,21 +65,16 @@ type micReader struct {
 	// every fire, so the variable can be reused across ticks.
 	cmd    audioCmd
 	guards []occam.Guard
-	// A closed microphone's tick does nothing but poll for a command, so
-	// it sleeps through the ticks that would find none: the scheduler
-	// takes those turns, asking what the Recv guard would.
-	cmdWaiting func(occam.Sched) bool
 }
 
 const (
-	micSleep    = iota // about to sleep until tick n
-	micGridWoke        // a closed microphone's grid sleep has ended, at the tick it names
-	micWoke            // at tick n: commands, then the block's charge
-	micCharged         // the block's CPU is spent: take it
+	micSleep   = iota // about to sleep until tick n
+	micWoke           // at tick n: commands, then the block's charge
+	micCharged        // the block's CPU is spent: take it
 )
 
 func newMicReader(b *Box) *micReader {
-	m := &micReader{b: b, perSeg: b.cfg.BlocksPerSegment, cmdWaiting: b.audioCmds.Pending}
+	m := &micReader{b: b, perSeg: b.cfg.BlocksPerSegment}
 	m.filler, _ = b.cfg.Mic.(workload.BlockFiller)
 	m.guards = []occam.Guard{occam.Recv(b.audioCmds, &m.cmd), occam.Skip()}
 	return m
@@ -89,26 +84,15 @@ func (m *micReader) step(p *occam.Proc) {
 	for {
 		switch m.at {
 		case micSleep:
-			tick := occam.Time(m.n * int64(segment.BlockDuration))
-			if m.active {
-				m.at = micWoke
-				p.SleepUntil(tick)
-			} else {
-				m.at = micGridWoke
-				if tick = p.SleepGrid(tick, segment.BlockDuration, m.cmdWaiting); !p.Parked() {
-					m.n, m.at = int64(tick)/int64(segment.BlockDuration), micWoke
-				}
-			}
-			if p.Parked() {
+			m.at = micWoke
+			if p.SleepUntil(occam.Time(m.n * int64(segment.BlockDuration))); p.Parked() {
 				return
 			}
-		case micGridWoke:
-			// The turn that ends a grid sleep is taken at its instant.
-			m.n, m.at = int64(p.Now())/int64(segment.BlockDuration), micWoke
 		case micWoke:
 			// Commands are taken between blocks (principle 4): "A command
 			// will be received as soon as the process has finished
-			// dealing with any current segment."
+			// dealing with any current segment." A closed microphone's
+			// tick is only this poll.
 			for p.Alt(m.guards...) == 0 {
 				m.command()
 			}
@@ -265,15 +249,17 @@ func (b *Box) audioDeliver(p *occam.Proc, msg wireMsg) {
 // budget are the measure of audio-board overload (experiment E1).
 type blockHandler struct {
 	b        *Box
-	at       int // bhSleep, bhWoke or bhMixed
+	at       int // bhSleep, bhWoke, bhMixing or bhMixed
 	n        int64
 	deadline occam.Time
+	left     time.Duration // of the mixing pass's CPU, still to request
 }
 
 const (
-	bhSleep = iota // about to sleep until tick n
-	bhWoke         // at, or past, tick n: mix
-	bhMixed        // the mixing pass's CPU is spent: account the tick
+	bhSleep  = iota // about to sleep until tick n
+	bhWoke          // at, or past, tick n: mix
+	bhMixing        // request the next slice of the pass's CPU, if any is left
+	bhMixed         // the mixing pass's CPU is spent: account the tick
 )
 
 func (h *blockHandler) step(p *occam.Proc) {
@@ -308,11 +294,18 @@ func (h *blockHandler) step(p *occam.Proc) {
 			if b.cfg.Features.Interface {
 				cost += audioInterfaceCost
 			}
+			h.left, h.at = cost, bhMixing
+		case bhMixing:
 			// Consume in slices: the transputer's high priority processes
 			// preempt low priority ones, so a long mixing pass must not
 			// block the outgoing side for its whole duration.
-			h.at = bhMixed
-			if p.ConsumeSliced(cost, audioMixSlice); p.Parked() {
+			if h.left <= 0 {
+				h.at = bhMixed
+				continue
+			}
+			slice := min(h.left, audioMixSlice)
+			h.left -= slice
+			if p.Consume(slice); p.Parked() {
 				return
 			}
 		case bhMixed:

@@ -92,7 +92,7 @@ func TestOutputHandlerFitsACacheLine(t *testing.T) {
 
 // countTurns counts, from now on, the turns the scheduler gives each
 // process, by name. Turns are not resumes — a step function's turn is a
-// call, a polled wait's is the scheduler's — but they name who ran.
+// call — but they name who ran.
 func countTurns(rt *occam.Runtime) map[string]int {
 	turns := make(map[string]int)
 	rt.Trace = func(line string) {
@@ -119,10 +119,10 @@ func turnsByName(turns map[string]int, but ...string) string {
 func TestIdleBoxResumesNothing(t *testing.T) {
 	// No route, microphone closed, no camera stream: the mixing tick,
 	// the closed microphone's poll and the capture board's field tick
-	// still take their turns, but as calls and scheduler turns. A virtual
-	// second costs no coroutine resume, and the capture board's 25 field
-	// ticks are all the scheduler's: a second capture loop on the box's
-	// command channel, its step counted, is never called.
+	// still take their turns, but every one is a call of a step function.
+	// A virtual second costs no coroutine resume, and a second capture
+	// loop on the box's command channel, its step counted, is called at
+	// each of its 25 field ticks, as the board's own loop is.
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
 	bx := New(rt, atm.New(rt), Config{})
@@ -135,8 +135,8 @@ func TestIdleBoxResumesNothing(t *testing.T) {
 	turns, before, called := countTurns(rt), rt.Resumes(), calls
 	run(t, rt, time.Millisecond+time.Second)
 	got, field, probed := int(rt.Resumes()-before), turns["pandora.capture"], turns["probe.capture"]
-	if got != 0 || field != 25 || probed != 25 || calls != called {
-		t.Errorf("an idle box's second cost %d coroutine resumes, with %d field ticks, and %d step calls of the probe for its %d; want 0, 25, 0, 25. Turns of the rest: %s",
+	if got != 0 || field != 25 || probed != 25 || calls-called != 25 {
+		t.Errorf("an idle box's second cost %d coroutine resumes, with %d field ticks, and %d step calls of the probe for its %d; want 0, 25, 25, 25. Turns of the rest: %s",
 			got, field, calls-called, probed, turnsByName(turns, "pandora.capture", "probe.capture"))
 	}
 }

@@ -67,33 +67,29 @@ type capture struct {
 	args   [1]uint32
 
 	// Built once, as the micReader's: Recv overwrites cmd on every fire.
-	// An idle board polls with what the Recv guard would ask.
-	cmd        captureCmd
-	guards     []occam.Guard
-	cmdWaiting func(occam.Sched) bool
+	cmd    captureCmd
+	guards []occam.Guard
 }
 
 const (
-	capSleep    = iota // about to sleep until the frame's instant
-	capGridWoke        // an idle board's grid sleep has ended, at the frame it names
-	capWoke            // at the frame's instant: commands, then the frame's streams
-	capStream          // about to serve stream ids[si], or end the frame
-	capBand            // about to time band s against the scan, or end the stream
-	capRead            // the band is safe to read: read, compress and charge it
-	capCharged         // the band's CPU is spent: occupy the fifo to the server
-	capSent            // the transfer is done: offer the segment to the server
-	capTaken           // the server has it
+	capSleep   = iota // about to sleep until the frame's instant
+	capWoke           // at the frame's instant: commands, then the frame's streams
+	capStream         // about to serve stream ids[si], or end the frame
+	capBand           // about to time band s against the scan, or end the stream
+	capRead           // the band is safe to read: read, compress and charge it
+	capCharged        // the band's CPU is spent: occupy the fifo to the server
+	capSent           // the transfer is done: offer the segment to the server
+	capTaken          // the server has it
 )
 
 func newCapture(b *Box) *capture {
 	c := &capture{
-		b:          b,
-		scan:       video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod},
-		streams:    make(map[uint32]*CameraStream),
-		frameSeq:   make(map[uint32]uint32),
-		segSeq:     make(map[uint32]uint32),
-		lp:         video.LineParams{Shift: 1},
-		cmdWaiting: b.captureCmds.Pending,
+		b:        b,
+		scan:     video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod},
+		streams:  make(map[uint32]*CameraStream),
+		frameSeq: make(map[uint32]uint32),
+		segSeq:   make(map[uint32]uint32),
+		lp:       video.LineParams{Shift: 1},
 	}
 	c.args[0] = uint32(c.lp.Shift)
 	c.guards = []occam.Guard{occam.Recv(b.captureCmds, &c.cmd), occam.Skip()}
@@ -105,27 +101,14 @@ func (c *capture) step(p *occam.Proc) {
 	for {
 		switch c.at {
 		case capSleep:
-			t := occam.Time(int64(c.frame) * int64(video.FramePeriod))
-			if len(c.streams) > 0 {
-				// A frame that overran runs the next back to back.
-				c.at = capWoke
-				p.SleepUntil(t)
-			} else {
-				// With no stream open a frame is a poll for a command: the
-				// scheduler takes those turns that find none.
-				c.at = capGridWoke
-				if t = p.SleepGrid(t, video.FramePeriod, c.cmdWaiting); !p.Parked() {
-					c.frame, c.at = frameAt(t), capWoke
-				}
-			}
-			if p.Parked() {
+			// A frame that overran runs the next back to back.
+			c.at = capWoke
+			if p.SleepUntil(occam.Time(int64(c.frame) * int64(video.FramePeriod))); p.Parked() {
 				return
 			}
-		case capGridWoke:
-			// The turn that ends a grid sleep is taken at its instant.
-			c.frame, c.at = frameAt(p.Now()), capWoke
 		case capWoke:
-			// Commands between frames (principles 4 and 6).
+			// Commands between frames (principles 4 and 6). With no
+			// stream open a frame is only this poll.
 			for p.Alt(c.guards...) == 0 {
 				c.command()
 			}
@@ -213,9 +196,6 @@ func (c *capture) step(p *occam.Proc) {
 		}
 	}
 }
-
-// frameAt numbers the camera frame that starts at t.
-func frameAt(t occam.Time) int { return int(int64(t) / int64(video.FramePeriod)) }
 
 // command applies the capture command just received.
 func (c *capture) command() {

@@ -24,12 +24,9 @@
 // (EvOverload / EvRecover), and kept in an action log the experiments
 // assert on.
 //
-// The controller is a stackless process (occam.GoStep). Its sample every
-// Interval is a polled wait (occam.Proc.SleepGrid), taken by the
-// scheduler at the controller's turn; only a turn with a shed or a
-// restore to carry out calls its step function. Carrying one out may
-// park it on the target, and what follows that wait is
-// Target.DegradeSettle.
+// The controller is a stackless process (occam.GoStep) that samples at
+// its own turn every Interval. Carrying out a shed or a restore may park
+// it on the target, and what follows that wait is Target.DegradeSettle.
 package degrade
 
 import (
@@ -163,11 +160,9 @@ type Controller struct {
 	video, audio float64
 	restoreDue   bool
 
-	// Where the step resumes, the sample as the polled wait's predicate
-	// (built once), and the decision being carried out: the stream shed
-	// and the action logged once the target has settled it.
+	// Where the step resumes, and the decision being carried out: the
+	// stream shed and the action logged once the target has settled it.
 	at     int
-	poll   func(occam.Sched) bool
 	victim StreamInfo
 	act    Action
 
@@ -196,7 +191,6 @@ func New(rt *occam.Runtime, target Target, cfg Config, reg *obs.Registry) *Contr
 		pVideo:    reg.Gauge("degrade_pressure_video", lb),
 		pAudio:    reg.Gauge("degrade_pressure_audio", lb),
 	}
-	c.poll = c.sample
 	reg.GaugeFunc("degrade_active_sheds", func() float64 { return float64(c.NumShed()) }, lb)
 	rt.GoStep(target.DegradeName()+".degrade", nil, occam.High, c.step)
 	return c
@@ -210,29 +204,30 @@ func (c *Controller) NumShed() int { return len(c.shed) }
 
 // Where the controller's step resumes.
 const (
-	ctlSleep  = iota // about to sample every Interval until a decision is due
-	ctlDue           // a decision is due at this turn: begin it
+	ctlSleep  = iota // about to sleep an Interval
+	ctlSample        // an Interval is over: sample, and begin a decision if one is due
 	ctlSettle        // the target is done with it: settle it and log it
 )
 
 // step is the control loop: a sample every Interval, and a shed or a
-// restore when one finds it due. The samples are a polled wait — the
-// scheduler takes them at the controller's turns — and the step is
-// called only for the turn with a decision to carry out. Carrying it out
-// may park the controller (Target.DegradeShed's rendezvous with the
-// switch), and the decision is settled, counted, logged and traced when
-// that wait is over. The next sample is an Interval after that.
+// restore when one finds it due. Carrying it out may park the controller
+// (Target.DegradeShed's rendezvous with the switch), and the decision is
+// settled, counted, logged and traced when that wait is over. The next
+// sample is an Interval after that.
 func (c *Controller) step(p *occam.Proc) {
 	for {
 		switch c.at {
 		case ctlSleep:
-			// The grid starts an Interval ahead, so this always parks.
-			c.at = ctlDue
-			if p.SleepGrid(p.Now().Add(c.cfg.Interval), c.cfg.Interval, c.poll); p.Parked() {
+			// An Interval ahead, so this always parks.
+			c.at = ctlSample
+			if p.Sleep(c.cfg.Interval); p.Parked() {
 				return
 			}
-		case ctlDue:
+		case ctlSample:
 			c.at = ctlSleep
+			if !c.sample(p.Now()) {
+				continue
+			}
 			if c.restoreDue {
 				c.restoreOne(p, p.Now())
 			} else {
@@ -250,14 +245,12 @@ func (c *Controller) step(p *occam.Proc) {
 
 // sample is one tick of the control loop up to the decision: it reads
 // the pressures into the gauges and reports whether a shed or a restore
-// is due now. It writes only the controller's own state, and what it
-// writes is what the tick writes whichever context runs it.
-func (c *Controller) sample(s occam.Sched) bool {
+// is due now.
+func (c *Controller) sample(now occam.Time) bool {
 	c.ticks.Inc()
 	c.video, c.audio = c.pressure()
 	c.pVideo.Set(c.video)
 	c.pAudio.Set(c.audio)
-	now := s.Now()
 	switch {
 	case c.video >= highWater || c.audio >= highWater:
 		c.lastHigh = now

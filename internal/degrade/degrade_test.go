@@ -3,6 +3,7 @@ package degrade_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -211,8 +212,9 @@ func TestLinkPressureShedsVideo(t *testing.T) {
 }
 
 // TestIdleControllerSamplesWithoutBeingResumed: with nothing to decide,
-// a virtual second is fifty samples — counted, gauged — taken by the
-// scheduler at the controller's turns, and no switch onto its stack.
+// a virtual second is fifty samples — counted, gauged — each taken at
+// one of the controller's own turns, a call of its step function, and no
+// switch onto a stack.
 func TestIdleControllerSamplesWithoutBeingResumed(t *testing.T) {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
@@ -226,15 +228,20 @@ func TestIdleControllerSamplesWithoutBeingResumed(t *testing.T) {
 	if err := rt.RunUntil(occam.Time(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	turns, resumes := rt.Switches(), rt.Resumes()
+	turns, resumes := 0, rt.Resumes()
+	rt.Trace = func(line string) {
+		if strings.HasSuffix(line, "] run t.degrade") {
+			turns++
+		}
+	}
 	if err := rt.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	ticks := value(reg, "degrade_ticks_total", obs.L("box", "t"))
 	pressure := value(reg, "degrade_pressure_video", obs.L("box", "t"))
-	if got := rt.Resumes() - resumes; got != 0 || ticks != 50 || pressure != 0.5 {
-		t.Errorf("an idle second: %d resumes for %v ticks (%d turns in all), video pressure gauge %v; want 0, 50, 0.5",
-			got, ticks, rt.Switches()-turns, pressure)
+	if got := rt.Resumes() - resumes; got != 0 || ticks != 50 || turns != 50 || pressure != 0.5 {
+		t.Errorf("an idle second: %d resumes for %v ticks in %d turns of the controller, video pressure gauge %v; want 0, 50, 50, 0.5",
+			got, ticks, turns, pressure)
 	}
 	if len(ft.shed)+len(ft.restored) != 0 {
 		t.Errorf("shed %v, restored %v with pressure between the watermarks", ft.shed, ft.restored)

@@ -205,10 +205,6 @@ func (c *Chan[T]) Recv(p *Proc) T {
 // ready", §2.2 principle 5.)
 func (c *Chan[T]) TrySend(p *Proc, v T) bool { return c.handOver(v) }
 
-// Pending reports whether a sender is waiting — what a Recv guard's
-// poll tests — to a caller in scheduler context.
-func (c *Chan[T]) Pending(Sched) bool { return len(c.sendq) > 0 }
-
 // removeAlt deletes every registration belonging to a, recycling the
 // records.
 func (c *Chan[T]) removeAlt(a *altState) {

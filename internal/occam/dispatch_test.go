@@ -493,106 +493,12 @@ func TestHighQueueDrainsBeforeLow(t *testing.T) {
 	}
 }
 
-// parkInPolledWaits starts one process parked in a grid sleep that
-// nothing will end and two in sliced grants on one node — "slicer" with
-// its first slice granted, "queued" waiting behind it — and runs them to
-// t+500µs.
-func parkInPolledWaits(t *testing.T, rt *Runtime) {
-	t.Helper()
-	never := NewChan[int](rt, "never")
-	cpu := NewNode(rt, "cpu")
-	rt.Go("poller", nil, High, func(p *Proc) {
-		p.SleepGrid(0, time.Millisecond, never.Pending)
-	})
-	for _, name := range []string{"slicer", "queued"} {
-		rt.Go(name, cpu, Low, func(p *Proc) {
-			for {
-				p.ConsumeSliced(5*time.Millisecond, 2*time.Millisecond)
-			}
-		})
-	}
-	if err := rt.RunUntil(Time(500 * time.Microsecond)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPolledWaitsAreNamedInTheProcessDump(t *testing.T) {
-	// The dump is what a DeadlockError carries. (No run can end in one
-	// with a polled wait in it: a grid sleep always has its timer
-	// pending, a sliced grant its own or the holder's.)
-	rt := NewRuntime()
-	defer rt.Shutdown()
-	parkInPolledWaits(t, rt)
-	got := strings.Join(rt.procDump(), "\n")
-	want := "poller [high] sleep until t+1ms\n" +
-		"queued [low] cpu cpu for 2ms\n" +
-		"slicer [low] cpu cpu for 2ms"
-	if got != want {
-		t.Errorf("process dump:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestShutdownUnwindsPolledWaits(t *testing.T) {
-	before := runtime.NumGoroutine()
-	rt := NewRuntime()
-	parkInPolledWaits(t, rt)
-	if n := runtime.NumGoroutine(); n <= before {
-		t.Fatalf("%d goroutines with live processes, %d before: the test cannot see a leak", n, before)
-	}
-	rt.Shutdown()
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines after Shutdown, %d before NewRuntime", n, before)
-	}
-	if rt.NumProcs() != 0 {
-		t.Errorf("%d procs alive after Shutdown", rt.NumProcs())
-	}
-}
-
-func TestPanickingPredicateSurfacesFromRunNamed(t *testing.T) {
-	for name, firstPoll := range map[string]Time{
-		// Polled at once, on the caller's own stack.
-		"from the call": 0,
-		// Polled at the third turn, on whichever stack the scheduler
-		// is running on: the bystander's, which parks most often.
-		"from a scheduler turn": Time(time.Millisecond),
-	} {
-		t.Run(name, func(t *testing.T) {
-			rt := NewRuntime()
-			defer rt.Shutdown()
-			rt.Go("bystander", nil, Low, func(p *Proc) {
-				for {
-					p.Sleep(100 * time.Microsecond)
-				}
-			})
-			polls := 0
-			rt.Go("poller", nil, Low, func(p *Proc) {
-				p.SleepGrid(firstPoll, time.Millisecond, func(Sched) bool {
-					if polls++; polls == 3 || firstPoll == 0 {
-						panic("boom")
-					}
-					return false
-				})
-			})
-			var got any
-			func() {
-				defer func() { got = recover() }()
-				rt.Run()
-			}()
-			if msg, _ := got.(string); !strings.Contains(msg, `process "poller" panicked`) || !strings.Contains(msg, "boom") {
-				t.Fatalf("Run panicked with %v, want the polling process named", got)
-			}
-			if firstPoll != 0 && rt.Now() != Time(3*time.Millisecond) {
-				t.Errorf("panicked at %v, want the third poll at t+3ms", rt.Now())
-			}
-		})
-	}
-}
-
 func TestIdleGridTurnsResumeNothing(t *testing.T) {
-	// Twenty idle turns on a 1 ms grid beside a process that keeps the
-	// dispatch loop busy: the loop form is switched into at every one,
-	// the polled wait at none, and both take the same turns.
-	for _, polled := range []bool{false, true} {
+	// Twenty idle turns on a 1 ms grid, each a poll that finds no command,
+	// beside a process that keeps the dispatch loop busy: the coroutine is
+	// switched into at every one, the step function at none, and both take
+	// the same turns.
+	for _, stackless := range []bool{false, true} {
 		rt := NewRuntime()
 		never := NewChan[int](rt, "never")
 		turns := 0
@@ -601,83 +507,39 @@ func TestIdleGridTurnsResumeNothing(t *testing.T) {
 				turns++
 			}
 		}
-		idle := rt.Go("idle", nil, High, func(p *Proc) {
-			if polled {
-				p.SleepGrid(Time(time.Millisecond), time.Millisecond, never.Pending)
-				return
-			}
-			for n := 1; p.Alt(Recv(never, new(int)), Skip()) == 1; n++ {
+		guards, n := []Guard{Recv(never, new(int)), Skip()}, 1
+		poll := func(p *Proc) {
+			for p.Alt(guards...) == 1 {
 				p.SleepUntil(Time(n) * Time(time.Millisecond))
+				if n++; p.Parked() {
+					return
+				}
 			}
-		})
-		rt.Go("busy", nil, Low, func(p *Proc) {
-			for {
-				p.Sleep(300 * time.Microsecond)
-			}
-		})
+		}
+		if stackless {
+			rt.GoStep("idle", nil, High, poll)
+		} else {
+			rt.Go("idle", nil, High, poll)
+		}
+		rt.GoStep("busy", nil, Low, func(p *Proc) { p.Sleep(300 * time.Microsecond) })
 		if err := rt.RunUntil(Time(500 * time.Microsecond)); err != nil {
 			t.Fatal(err)
 		}
 		turns = 0
-		resumes, resume := 0, idle.resume
-		idle.resume = func() (struct{}, bool) {
-			resumes++
-			return resume()
-		}
-		before := rt.Switches()
+		resumes, switches := rt.Resumes(), rt.Switches()
 		if err := rt.RunUntil(Time(20*time.Millisecond + 500*time.Microsecond)); err != nil {
 			t.Fatal(err)
 		}
 		want := 20
-		if polled {
+		if stackless {
 			want = 0
 		}
-		if turns != 20 || resumes != want {
-			t.Errorf("polled=%v: %d turns traced, %d coroutine resumes; want 20 and %d", polled, turns, resumes, want)
+		if got := int(rt.Resumes() - resumes); turns != 20 || got != want {
+			t.Errorf("stackless=%v: %d turns traced, %d coroutine resumes; want 20 and %d", stackless, turns, got, want)
 		}
-		if sw := rt.Switches() - before; sw != 20+67 { // busy wakes 67 times in those 20 ms
-			t.Errorf("polled=%v: %d switches, want 87", polled, sw)
+		if sw := rt.Switches() - switches; sw != 20+67 { // busy wakes 67 times in those 20 ms
+			t.Errorf("stackless=%v: %d switches, want 87", stackless, sw)
 		}
-		idle.resume = resume
 		rt.Shutdown()
-	}
-}
-
-func TestPolledWaitsAllocateNothing(t *testing.T) {
-	rt := NewRuntime()
-	defer rt.Shutdown()
-	cpu := NewNode(rt, "cpu")
-	// Calls and turns of both: every fourth poll ends a grid sleep, and
-	// each 2 ms a 900 µs grant is taken in three slices against a High
-	// competitor.
-	polls := 0
-	rt.Go("grid", cpu, High, func(p *Proc) {
-		everyFourth := func(Sched) bool { polls++; return polls%4 == 0 }
-		for t := Time(0); ; {
-			t = p.SleepGrid(t, 100*time.Microsecond, everyFourth).Add(100 * time.Microsecond)
-			p.Consume(50 * time.Microsecond)
-		}
-	})
-	rt.Go("slicer", cpu, Low, func(p *Proc) {
-		for n := 0; ; n++ {
-			p.SleepUntil(Time(n) * Time(2*time.Millisecond))
-			p.ConsumeSliced(900*time.Microsecond, 400*time.Microsecond)
-		}
-	})
-	limit := Time(0)
-	run := func() {
-		limit = limit.Add(2 * time.Millisecond)
-		if err := rt.RunUntil(limit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		run() // rings, free lists and the node's queue reach their size
-	}
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("2 ms of polled waits allocate %.1f objects", allocs)
-	}
-	if polls < 2000 {
-		t.Errorf("only %d polls", polls)
 	}
 }

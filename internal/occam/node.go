@@ -49,56 +49,26 @@ func (n *Node) Utilisation() float64 {
 // the process until its grant completes. If the node is busy the
 // request queues behind earlier requests; higher-priority processes
 // are granted first. Consume on a process with no node just sleeps.
-func (p *Proc) Consume(d time.Duration) { p.ConsumeSliced(d, d) }
-
-// ConsumeSliced is Consume(d) taken as successive requests of at most
-// slice each,
-//
-//	for ; d > 0; d -= slice {
-//		p.Consume(min(d, slice))
-//	}
-//
-// so that a long Low computation lets a High process onto the node at
-// every slice boundary, as the transputer's scheduler would. It is a
-// polled wait (sched.go): each request after the first is issued by the
-// scheduler at the process's turn, where the loop's next Consume call
-// would have been, and the process resumes when the last grant
-// completes.
-func (p *Proc) ConsumeSliced(d, slice time.Duration) {
+// A long Low computation that must let High processes onto the node
+// takes its cost as several Consumes, as the transputer's scheduler
+// would have it.
+func (p *Proc) Consume(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	if slice <= 0 {
-		panic("occam: ConsumeSliced with no slice")
-	}
 	n := p.node
 	if n == nil {
-		for ; d > 0; d -= slice {
-			p.Sleep(min(d, slice))
-		}
+		p.Sleep(d)
 		return
-	}
-	p.sliceLeft, p.sliceMax = d, slice
-	n.requestSlice(p)
-	n.rt.park(p, stCPU, n.name)
-}
-
-// requestSlice queues p's next request, the next slice of sliceLeft,
-// and leaves p in the sliced wait while more remains.
-func (n *Node) requestSlice(p *Proc) {
-	c := min(p.sliceLeft, p.sliceMax)
-	p.sliceLeft -= c
-	p.wait = waitNone
-	if p.sliceLeft > 0 {
-		p.wait = waitSlice
 	}
 	rt := n.rt
 	rt.seq++
-	n.insert(cpuReq{p: p, d: c, pri: p.pri, seq: rt.seq})
+	n.insert(cpuReq{p: p, d: d, pri: p.pri, seq: rt.seq})
 	if !n.busy {
 		n.grantNext()
 	}
-	p.stDur = c
+	p.stDur = d
+	rt.park(p, stCPU, n.name)
 }
 
 // insert queues req, high priority ahead of low, FIFO within a

@@ -94,11 +94,6 @@ type Proc struct {
 
 	// Blocked-state diagnostics (see statusText).
 	stKind statusKind
-	// Polled wait (sched.go): while wait is set the process is parked
-	// in SleepGrid or ConsumeSliced and pick takes its turns for it.
-	// The instant a grid sleep is armed for is stTime, the slice a
-	// grant is in progress for stDur.
-	wait waitKind
 	// parked is set when a blocking primitive has armed a stackless
 	// process's wait, and cleared at its next turn: a step that returns
 	// with it clear has exited.
@@ -116,12 +111,6 @@ type Proc struct {
 	// ev is the one wake-up or grant completion the process can be
 	// parked on at a time.
 	ev timerEv
-
-	// Polled-wait parameters (see wait).
-	gridEvery time.Duration
-	gridWake  func(Sched) bool
-	sliceLeft time.Duration // still to request once the grant in progress completes
-	sliceMax  time.Duration
 }
 
 // statusText composes the diagnostic description of what the process
@@ -371,15 +360,13 @@ func (rt *Runtime) Now() Time { return rt.now }
 
 // Switches returns the number of context switches the modelled
 // schedulers have performed so far: every turn a process was given,
-// whether the process was resumed for it or, parked in a polled wait,
-// had it taken by the scheduler.
+// whichever its form.
 func (rt *Runtime) Switches() uint64 { return rt.switches }
 
 // Resumes returns the number of coroutine resumes the dispatch loop
 // has performed: what the host paid two stack switches for. A turn taken
-// by calling a step function, by the scheduler for a polled wait, or by
-// a parking coroutine that found itself next, is in Switches and not
-// here.
+// by calling a step function, or by a parking coroutine that found
+// itself next, is in Switches and not here.
 func (rt *Runtime) Resumes() uint64 { return rt.resumes }
 
 // NumProcs returns the number of live (started, not yet exited)
@@ -497,13 +484,9 @@ func (rt *Runtime) popRunnable() *Proc {
 }
 
 // pick chooses the next process to run, advancing the clock through
-// timer events as needed, and counts the switch to it. A process in a
-// polled wait has its turn taken here and, unless that turn ends the
-// wait, is not returned: the turn is counted and traced like any other
-// — Switches is a statistic of the modelled transputers — but no
-// process code runs. pick returns nil when nothing can run before the limit.
-// Caller is giving up the CPU (it is parking, exiting, or is the
-// dispatch loop).
+// timer events as needed, and counts the switch to it. It returns nil
+// when nothing can run before the limit. Caller is giving up the CPU (it
+// is parking, exiting, or is the dispatch loop).
 func (rt *Runtime) pick() *Proc {
 	for {
 		if p := rt.popRunnable(); p != nil {
@@ -511,9 +494,6 @@ func (rt *Runtime) pick() *Proc {
 			p.stKind = stRunning
 			if rt.Trace != nil {
 				rt.trace("run %s", p.name)
-			}
-			if p.wait != waitNone && rt.pollTurn(p) {
-				continue
 			}
 			return p
 		}

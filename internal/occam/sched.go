@@ -1,10 +1,5 @@
 package occam
 
-import (
-	"fmt"
-	"time"
-)
-
 // Scheduler-context primitives: the machinery that lets a subsystem be
 // *passive* — driven by timer callbacks and woken processes instead of
 // by dedicated processes of its own. A message pipeline built from
@@ -21,39 +16,27 @@ import (
 //     step function it has called. It may call every blocking primitive
 //     (a step function under GoStep's rules), and arms Timers with
 //     Timer.Schedule and raises Signals with Signal.Raise.
-//   - scheduler context: a Timer callback or a SleepGrid predicate,
-//     running *inside* the scheduler with no process current. The
-//     scheduler has no goroutine of its own: its code runs in whichever
-//     context is giving up the CPU — the process that is parking or
-//     exiting, which picks its own successor, or the dispatch loop — so
-//     a callback may find itself on any coroutine's stack. It must not
-//     block: there is no process to park, and every Proc method is out
-//     of bounds. It receives a Sched capability, which is what marks
-//     code as written for this context, and goes through that for
-//     everything: Sched.Now, Sched.Schedule, Sched.Raise, and the
-//     accessors that take a Sched (Chan.Pending). (Runtime.Now would
-//     read the same field; Sched.Now is the idiom because a function
-//     that takes a Sched says where it may be called from.)
-//
-// A predicate has one obligation more than a callback: it stands for
-// process code that would have run at that turn and gone back to sleep,
-// so it must be exactly that code — a function of simulation state
-// alone, true whenever the process would have done anything but sleep
-// again, and writing only what its process owns and would have written
-// at that turn (a tick counter, a gauge it keeps; never a queue, a
-// signal or a timer, which would be another process's wake-up arriving
-// from a turn nobody took) — and it is built once per process, not per
-// call. A predicate that panics surfaces from RunUntil with its process
-// named, having unwound whichever process it ran under.
+//   - scheduler context: a Timer callback, running *inside* the
+//     scheduler with no process current. The scheduler has no goroutine
+//     of its own: its code runs in whichever context is giving up the
+//     CPU — the process that is parking or exiting, which picks its own
+//     successor, or the dispatch loop — so a callback may find itself on
+//     any coroutine's stack. It must not block: there is no process to
+//     park, and every Proc method is out of bounds. It receives a Sched
+//     capability, which is what marks code as written for this context,
+//     and goes through that for everything: Sched.Now, Sched.Schedule
+//     and Sched.Raise. (Runtime.Now would read the same field; Sched.Now
+//     is the idiom because a function that takes a Sched says where it
+//     may be called from.)
 //
 // Only one of the dispatch loop and the processes is ever executing, and
 // all of it on the goroutine inside RunUntil, so callback code may touch
 // the same plain data structures processes touch. Nothing here is
 // locked: see Runtime for the confinement rule.
 
-// Sched is the capability handle passed to Timer callbacks and
-// predicates. It marks the caller as in scheduler context and exposes
-// the operations legal there.
+// Sched is the capability handle passed to Timer callbacks. It marks
+// the caller as in scheduler context and exposes the operations legal
+// there.
 type Sched struct{ rt *Runtime }
 
 // Now returns the current virtual time.
@@ -133,92 +116,4 @@ func (s *Signal) Raise() {
 		return
 	}
 	s.set = true
-}
-
-// Polled waits. A process whose loop is "block, wake, find nothing to
-// do, block again" pays a turn per lap — two coroutine switches, or a
-// call of its step function — to run a test, and at most some
-// bookkeeping of its own (the predicate rule above). A polled wait
-// parks it once and has pick take each of those turns in scheduler
-// context instead, in the same run-queue position with the same timers,
-// sequence numbers, switch count and trace lines the loop would have
-// produced; the process is given only the turn that ends the wait. The
-// state lives in the Proc, so a wait allocates nothing, and it serves
-// either form of process unchanged. SleepGrid and ConsumeSliced
-// (node.go) are the two there are.
-
-type waitKind uint8
-
-const (
-	waitNone  waitKind = iota
-	waitGrid           // SleepGrid: a timer for stTime is pending
-	waitSlice          // ConsumeSliced: sliceLeft is still to be requested
-)
-
-// pollTurn takes the turn of p, just popped by pick in a polled wait,
-// and reports whether p is parked again.
-func (rt *Runtime) pollTurn(p *Proc) bool {
-	defer func() {
-		if r := recover(); r != nil {
-			panic(fmt.Sprintf("occam: process %q panicked in its polled wait: %v", p.name, r))
-		}
-	}()
-	switch p.wait {
-	case waitGrid:
-		// The timer for stTime has fired: armGrid polls that instant.
-		if !rt.armGrid(p) {
-			return false
-		}
-		p.stKind = stSleep
-	case waitSlice:
-		p.node.requestSlice(p)
-		p.stKind = stCPU
-	}
-	if rt.Trace != nil {
-		rt.trace("park %s: %s", p.name, p.statusText())
-	}
-	return true
-}
-
-// SleepGrid sleeps until the first of the instants t, t+period,
-// t+2·period, … at which wake reports true, and returns that instant:
-//
-//	for ; ; t = t.Add(period) {
-//		p.SleepUntil(t)
-//		if wake() {
-//			return t
-//		}
-//	}
-//
-// with every turn but the last taken by the scheduler (a polled wait).
-// wake runs in scheduler context under the predicate rules above. A
-// stackless process that SleepGrid parks is given its next turn at the
-// instant SleepGrid would have returned, and reads it as Now.
-func (p *Proc) SleepGrid(t Time, period time.Duration, wake func(Sched) bool) Time {
-	if period <= 0 {
-		panic("occam: SleepGrid with no period")
-	}
-	rt := p.rt
-	p.stTime, p.gridEvery, p.gridWake = t, period, wake
-	if rt.armGrid(p) {
-		rt.park(p, stSleep, "")
-	}
-	return p.stTime
-}
-
-// armGrid arms p's timer for its grid instant stTime, leaving p in the
-// grid wait, and reports true; or false, the wait over, if wake ends it
-// first: like SleepUntil, an instant already reached is not slept for
-// but polled at once.
-func (rt *Runtime) armGrid(p *Proc) bool {
-	for p.stTime <= rt.now {
-		if p.gridWake(Sched{rt}) {
-			p.wait = waitNone
-			return false
-		}
-		p.stTime = p.stTime.Add(p.gridEvery)
-	}
-	rt.arm(&p.ev, p.stTime)
-	p.wait = waitGrid
-	return true
 }

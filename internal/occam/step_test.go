@@ -19,22 +19,20 @@ import (
 const stepUnit = 50 * time.Microsecond
 
 const (
-	stepSleep  = iota // SleepUntil an absolute instant: past, now or future
-	stepCPU           // Consume, possibly of nothing
-	stepSliced        // ConsumeSliced
-	stepGrid          // SleepGrid until a command waits or eight instants pass
-	stepWait          // wait on the process's own Signal
-	stepRaise         // raise some process's Signal
-	stepSend          // Send on the data channel
-	stepRecv          // receive from it: Recv on a stack, RecvInto without one
-	stepAlt           // PRI ALT, commands first, then data or a timeout
-	stepCmd           // Send on the command channel
-	stepYield         // Yield
-	stepExit          // return
+	stepSleep = iota // SleepUntil an absolute instant: past, now or future
+	stepCPU          // Consume, possibly of nothing
+	stepWait         // wait on the process's own Signal
+	stepRaise        // raise some process's Signal
+	stepSend         // Send on the data channel
+	stepRecv         // receive from it: Recv on a stack, RecvInto without one
+	stepAlt          // PRI ALT, commands first, then data or a timeout
+	stepCmd          // Send on the command channel
+	stepYield        // Yield
+	stepExit         // return
 	stepOps
 )
 
-var stepOpNames = [stepOps]string{"sleep", "cpu", "sliced", "grid", "wait", "raise", "send", "recv", "alt", "cmd", "yield", "exit"}
+var stepOpNames = [stepOps]string{"sleep", "cpu", "wait", "raise", "send", "recv", "alt", "cmd", "yield", "exit"}
 
 type stepOp struct{ code, arg byte }
 
@@ -58,9 +56,7 @@ type stepProc struct {
 	woken  bool // the op before pc parked the process: finish it first
 	v, w   int
 	idx    int
-	t      Time
 	guards []Guard
-	wake   func(Sched) bool
 }
 
 // start calls op's primitive. For a coroutine it returns with the wait
@@ -73,13 +69,6 @@ func (sp *stepProc) start(p *Proc, op stepOp) {
 		p.SleepUntil(Time(units(arg % 50)))
 	case stepCPU:
 		p.Consume(units(arg % 8))
-	case stepSliced:
-		p.ConsumeSliced(units(arg%32), units(1+arg>>5))
-	case stepGrid:
-		from, period := Time(units(arg%50)), units(1+arg>>6)
-		until := max(from, p.Now()).Add(8 * period)
-		sp.wake = func(s Sched) bool { return n.cmds.Pending(s) || s.Now() >= until }
-		sp.t = p.SleepGrid(from, period, sp.wake)
 	case stepWait:
 		n.sigs[sp.id].Wait(p)
 	case stepRaise:
@@ -108,21 +97,14 @@ func (sp *stepProc) start(p *Proc, op stepOp) {
 }
 
 // finish logs what op's wait brought. woken says the wait parked a
-// stackless process and this is its next turn: the two things a
-// coroutine gets as return values are fetched here.
+// stackless process and this is its next turn: what a coroutine's Alt
+// returns is fetched here.
 func (sp *stepProc) finish(p *Proc, op stepOp, woken bool) {
-	if woken {
-		switch op.code {
-		case stepGrid:
-			sp.t = p.Now()
-		case stepAlt:
-			sp.idx = p.Alt(sp.guards...)
-		}
+	if woken && op.code == stepAlt {
+		sp.idx = p.Alt(sp.guards...)
 	}
 	line := fmt.Sprintf("[%v] %s %s", p.Now(), p.Name(), stepOpNames[op.code])
 	switch op.code {
-	case stepGrid:
-		line += fmt.Sprintf(" woke for %v", sp.t)
 	case stepRecv:
 		line += fmt.Sprintf(" got %d", sp.v)
 	case stepAlt:
@@ -266,18 +248,19 @@ var stepSeeds = [][]byte{
 	// that need not wait, at both priorities.
 	{0, 2, op(0, stepRecv), 0, op(1, stepSleep), 4, op(1, stepSend), 5, op(1, stepSend), 6,
 		op(0, stepSleep), 10, op(0, stepRecv), 0, op(0, stepRecv), 0, op(1, stepSend), 7},
-	// A sliced Low grant with a High process landing on its boundaries
-	// and a grid sleep ended by a command.
-	{1, 2, op(0, stepSliced), 2<<5 | 10, op(1, stepSleep), 3, op(1, stepCPU), 2, op(1, stepGrid), 1<<6 | 2,
-		op(2, stepSleep), 17, op(2, stepCmd), 9, op(1, stepAlt), 1 | 4<<1, op(0, stepYield), 0},
+	// A Low grant taken as three with a High process landing on its
+	// boundaries, and a poll loop — a timeout alternation, then a command
+	// alternation — ended by a command.
+	{1, 2, op(0, stepCPU), 4, op(0, stepCPU), 4, op(0, stepCPU), 2, op(1, stepSleep), 3, op(1, stepCPU), 2,
+		op(1, stepAlt), 1 | 2<<1, op(2, stepSleep), 17, op(2, stepCmd), 9, op(1, stepAlt), 1 | 4<<1, op(0, stepYield), 0},
 	// Signals: raised before the wait, after it, and never; sleeps into
 	// the past and to now; an exit with ops left; a deadlock at the end.
 	{2, 5, op(0, stepRaise), 1, op(1, stepWait), 0, op(1, stepWait), 0, op(2, stepSleep), 0,
 		op(2, stepRaise), 1, op(3, stepSleep), 6, op(3, stepSleep), 2, op(3, stepExit), 0, op(3, stepCmd), 1,
 		op(0, stepWait), 0, op(2, stepAlt), 1 | 3<<1, op(2, stepRecv), 0},
 	// A timeout alternation that polls its past deadline, Consume of
-	// nothing, and a grid whose first instant is already past.
-	{0, 0, op(0, stepSleep), 9, op(0, stepAlt), 1, op(0, stepCPU), 0, op(0, stepGrid), 2<<6 | 3,
+	// nothing, and a sleep until an instant already past.
+	{0, 0, op(0, stepSleep), 9, op(0, stepAlt), 1, op(0, stepCPU), 0, op(0, stepSleep), 3,
 		op(1, stepCPU), 7, op(1, stepAlt), 1 | 15<<1},
 }
 

@@ -42,8 +42,8 @@ var lineBudgets = []struct {
 	doc   string
 	lines int
 }{
-	{"ARCHITECTURE.md", 482},
-	{"DESIGN.md", 816},
+	{"ARCHITECTURE.md", 477},
+	{"DESIGN.md", 793},
 	{"EXPERIMENTS.md", 270},
 	{"README.md", 479},
 }
