@@ -15,7 +15,8 @@ import (
 // segments and orders the server writer to transmit them, "a separate
 // process to allow some concurrency in case the Server is busy". The
 // incoming direction runs per-stream clawback buffers feeding the
-// mixing code, which reads one block from each every 2 ms.
+// mixing code, which reads one block from each every 2 ms while a
+// stream plays; an idle board's ticks are counted lazily.
 //
 // Priorities implement principle 1 on this box: the outgoing side
 // (micReader, serverWriter) runs at High priority on the audio
@@ -26,6 +27,7 @@ import (
 func (b *Box) startAudio() {
 	rt, name := b.rt, b.cfg.Name
 	b.micOutBuf = decouple.New[wireMsg](rt, name+".micbuf", 8, b.cfg.Obs)
+	b.tickWake = occam.NewSignal(rt, name+".tickwake")
 
 	rt.GoStep(name+".micReader", b.audioNode, occam.High, newMicReader(b).step)
 	rt.GoStep(name+".serverWriter", b.audioNode, occam.High, (&serverWriter{b: b}).step)
@@ -53,7 +55,6 @@ type micReader struct {
 	// both are recycled immediately after the single encode.
 	filler  workload.BlockFiller
 	stream  uint32
-	active  bool
 	adata   []byte // accumulated samples of the segment being built
 	nblocks int
 	aseg    segment.Audio
@@ -96,7 +97,7 @@ func (m *micReader) step(p *occam.Proc) {
 			for p.Alt(m.guards...) == 0 {
 				m.command()
 			}
-			if !m.active {
+			if !m.b.micOpen {
 				m.n, m.at = m.n+1, micSleep
 				continue
 			}
@@ -111,16 +112,17 @@ func (m *micReader) step(p *occam.Proc) {
 	}
 }
 
-// command applies the audio command just received.
+// command applies the audio command just received, at tick n.
 func (m *micReader) command() {
 	b, cmd := m.b, &m.cmd
 	switch {
 	case cmd.StartMic != nil:
-		m.stream, m.active, m.seq = *cmd.StartMic, true, 0
+		m.stream, m.seq = *cmd.StartMic, 0
 		m.nblocks = 0
+		b.setMicOpen(m.n, true)
 		b.trace.Emit(obs.EvStreamOpen, b.cfg.Name+".mic", m.stream, "mic started")
 	case cmd.StopMic:
-		m.active = false
+		b.setMicOpen(m.n, false)
 		b.trace.Emit(obs.EvStreamClose, b.cfg.Name+".mic", m.stream, "mic stopped")
 	}
 	if cmd.SetBlocks > 0 && cmd.SetBlocks <= segment.MaxBlocksPerSegment {
@@ -233,23 +235,76 @@ func (s *serverWriter) step(p *occam.Proc) {
 // buffer. Input runs "without data loss as far as the decoupling
 // buffers" — any dropping is the clawback buffers' decision. It spends
 // no virtual time and waits on nothing, so the server's audioOut
-// calls it when the transfer completes.
+// calls it when the transfer completes. A delivery that puts a stream
+// back in playing wakes a parked block handler.
 func (b *Box) audioDeliver(p *occam.Proc, msg wireMsg) {
 	if b.boardDown(p, "audio") {
 		msg.W.Release()
 		return
 	}
 	b.mix.Deliver(msg.Stream, msg.W)
+	if b.tickParked && b.mix.ActiveStreams() > 0 {
+		b.tickParked = false
+		b.tickWake.Raise()
+	}
 }
 
-// blockHandler is the incoming side: every 2 ms it mixes one block
-// from each active stream's clawback buffer and plays it to the
-// codec, observing the output for the muting detector. CPU cost is
-// accounted per the §4.2 calibration; ticks that overrun the 2 ms
-// budget are the measure of audio-board overload (experiment E1).
+// tickCost is the CPU of a mixing tick in which mixed streams played,
+// per the §4.2 calibration (costs.go).
+func (b *Box) tickCost(mixed int) time.Duration {
+	f := b.cfg.Features
+	cost := audioTickBase + time.Duration(mixed)*audioMixCost
+	if f.JitterCorrection {
+		cost += time.Duration(mixed) * audioClawCost
+	}
+	if f.Muting {
+		cost += audioMuteCost
+	}
+	if f.Interface {
+		cost += audioInterfaceCost
+	}
+	return cost
+}
+
+// silentTickDone is how long after its instant a silent tick's grant
+// completes: its own CPU, queued while the microphone is open behind the
+// block that takes the audio node first at every tick instant.
+func (b *Box) silentTickDone() time.Duration {
+	d := b.tickCost(0)
+	if b.micOpen {
+		d += audioOutgoingCost
+	}
+	return d
+}
+
+// setMicOpen opens or closes the microphone at its tick n. A skipped
+// tick counts as run once silentTickDone has passed, and that offset
+// changes here: the grid, if parked, parks again from n, counting the
+// ticks before it, all complete.
+func (b *Box) setMicOpen(n int64, open bool) {
+	if b.mix.Parked() && open != b.micOpen {
+		b.mix.Park(n * int64(segment.BlockDuration))
+	}
+	b.micOpen = open
+}
+
+// blockHandler is the incoming side: every 2 ms while a stream plays it
+// mixes one block from each active stream's clawback buffer and plays
+// it to the codec, observing the output for the muting detector. With
+// nothing playing it parks on tickWake until a delivery, and the
+// board's silent ticks are counted lazily (Mixer.Park, AudioStats).
+// CPU cost is accounted per the §4.2 calibration; ticks that overrun
+// the 2 ms budget are the measure of audio-board overload (experiment
+// E1).
+//
+// Parking keeps the schedule: the handler is the box's only Low
+// process, so a delivery at a tick instant has run before that tick
+// would have, and a silent tick's grant never delays the microphone's,
+// which takes the node first at each instant and leaves it free long
+// before the next.
 type blockHandler struct {
 	b        *Box
-	at       int // bhSleep, bhWoke, bhMixing or bhMixed
+	at       int // bhSleep … bhMixed
 	n        int64
 	deadline occam.Time
 	left     time.Duration // of the mixing pass's CPU, still to request
@@ -257,6 +312,7 @@ type blockHandler struct {
 
 const (
 	bhSleep  = iota // about to sleep until tick n
+	bhParked        // parked with nothing playing, or woken by a delivery: rejoin the grid
 	bhWoke          // at, or past, tick n: mix
 	bhMixing        // request the next slice of the pass's CPU, if any is left
 	bhMixed         // the mixing pass's CPU is spent: account the tick
@@ -268,6 +324,15 @@ func (h *blockHandler) step(p *occam.Proc) {
 		switch h.at {
 		case bhSleep:
 			h.deadline, h.at = occam.Time(h.n*int64(segment.BlockDuration)), bhWoke
+			if p.SleepUntil(h.deadline); p.Parked() {
+				return
+			}
+		case bhParked:
+			// Rejoin at the first tick instant not before the delivery,
+			// which that tick pops.
+			bd := int64(segment.BlockDuration)
+			h.n = (int64(p.Now()) + bd - 1) / bd
+			h.deadline, h.at = occam.Time(h.n*bd), bhWoke
 			if p.SleepUntil(h.deadline); p.Parked() {
 				return
 			}
@@ -283,18 +348,10 @@ func (h *blockHandler) step(p *occam.Proc) {
 				b.trace.Emit(obs.EvOverload, b.cfg.Name+".audio", 0, "mixing tick overran")
 			}
 			blk, mixed := b.mix.Tick(int64(start))
-			cost := audioTickBase + time.Duration(mixed)*audioMixCost
-			if b.cfg.Features.JitterCorrection {
-				cost += time.Duration(mixed) * audioClawCost
-			}
 			if b.cfg.Features.Muting {
-				cost += audioMuteCost
 				b.muter.ObserveSpeaker(int64(start), blk)
 			}
-			if b.cfg.Features.Interface {
-				cost += audioInterfaceCost
-			}
-			h.left, h.at = cost, bhMixing
+			h.left, h.at = b.tickCost(mixed), bhMixing
 		case bhMixing:
 			// Consume in slices: the transputer's high priority processes
 			// preempt low priority ones, so a long mixing pass must not
@@ -314,6 +371,14 @@ func (h *blockHandler) step(p *occam.Proc) {
 				b.audioStat.LateTicks++
 			}
 			h.n, h.at = h.n+1, bhSleep
+			if next := h.n * int64(segment.BlockDuration); b.mix.ActiveStreams() == 0 && int64(p.Now()) < next {
+				// Every tick until a delivery would mix silence.
+				b.mix.Park(next)
+				b.tickParked, h.at = true, bhParked
+				if b.tickWake.Wait(p); p.Parked() {
+					return
+				}
+			}
 		}
 	}
 }

@@ -16,7 +16,9 @@
 // between them, the buffer allocator, the host log and the audio
 // board's end of the link from the server are passive. Every process is
 // stackless (occam.GoStep: a struct holding its loop's state and a step
-// function the dispatch loop calls), so a box starts no goroutine.
+// function the dispatch loop calls), so a box starts no goroutine. The
+// audio board mixes every 2 ms while a stream plays; an idle board's
+// ticks are counted lazily, and its block handler takes no turn.
 //
 // Ownership: each box owns one segment.WirePool. Sources (mic,
 // camera) encode into it; the server switch Retains once per extra
@@ -278,7 +280,12 @@ type Box struct {
 	mix       *mixer.Mixer
 	muter     *muting.Muter
 	micOutBuf *decouple.Buffer[wireMsg]
-	audioStat AudioStats
+	audioStat AudioStats // TicksRun without the skipped ticks (AudioStats adds them)
+	micOpen   bool
+	// tickWake wakes the block handler, parked while tickParked because
+	// nothing plays.
+	tickWake   *occam.Signal
+	tickParked bool
 
 	// Capture board.
 	captureCmds *occam.Chan[captureCmd]
@@ -376,6 +383,7 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 
 	b.mix = mixer.New(mixer.Config{Obs: cfg.Obs, Name: cfg.Name})
 	b.mix.OnPlayout = b.recordPlayout
+	b.mix.Clock = func() int64 { return int64(rt.Now()) }
 	b.muter = muting.New(muting.Config{})
 
 	b.startServer()
@@ -403,7 +411,7 @@ func (b *Box) observe() {
 	}
 
 	// Audio board.
-	reg.CounterFunc("audio_ticks_total", func() uint64 { return b.audioStat.TicksRun }, lb)
+	reg.CounterFunc("audio_ticks_total", func() uint64 { return b.AudioStats().TicksRun }, lb)
 	reg.CounterFunc("audio_late_ticks_total", func() uint64 { return b.audioStat.LateTicks }, lb)
 	reg.CounterFunc("audio_mic_blocks_total", func() uint64 { return b.audioStat.MicBlocks }, lb)
 	reg.CounterFunc("audio_mic_segments_total", func() uint64 { return b.audioStat.MicSegs }, lb)
@@ -459,8 +467,13 @@ func (b *Box) Muter() *muting.Muter { return b.muter }
 // SwitchStats returns a copy of the switch counters.
 func (b *Box) SwitchStats() SwitchStats { return b.swStats }
 
-// AudioStats returns a copy of the audio board counters.
-func (b *Box) AudioStats() AudioStats { return b.audioStat }
+// AudioStats returns a copy of the audio board counters. TicksRun counts
+// a skipped silent tick once its grant would have completed.
+func (b *Box) AudioStats() AudioStats {
+	st := b.audioStat
+	st.TicksRun += b.mix.Skipped(int64(b.rt.Now().Add(-b.silentTickDone())))
+	return st
+}
 
 // DisplayStats returns the display counters.
 func (b *Box) DisplayStats() DisplayStats { return b.displayStat }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/occam"
+	"repro/internal/segment"
 	"repro/internal/video"
 	"repro/internal/workload"
 )
@@ -117,9 +118,9 @@ func turnsByName(turns map[string]int, but ...string) string {
 }
 
 func TestIdleBoxResumesNothing(t *testing.T) {
-	// No route, microphone closed, no camera stream: the mixing tick,
-	// the closed microphone's poll and the capture board's field tick
-	// still take their turns, but every one is a call of a step function.
+	// No route, microphone closed, no camera stream: the closed
+	// microphone's poll and the capture board's field tick still take
+	// their turns, but every one is a call of a step function.
 	// A virtual second costs no coroutine resume, and a second capture
 	// loop on the box's command channel, its step counted, is called at
 	// each of its 25 field ticks, as the board's own loop is.
@@ -138,6 +139,55 @@ func TestIdleBoxResumesNothing(t *testing.T) {
 	if got != 0 || field != 25 || probed != 25 || calls-called != 25 {
 		t.Errorf("an idle box's second cost %d coroutine resumes, with %d field ticks, and %d step calls of the probe for its %d; want 0, 25, 25, 25. Turns of the rest: %s",
 			got, field, calls-called, probed, turnsByName(turns, "pandora.capture", "probe.capture"))
+	}
+}
+
+func TestIdleAudioBoardTakesNoTurns(t *testing.T) {
+	// Nothing plays at a or b for a second: after its first tick, at 2 ms,
+	// each block handler parks and takes no turn, while its counters read
+	// as if it ticked. Then a's microphone opens: b's handler wakes at the
+	// first delivery, sleeps to the next tick instant, and that tick plays
+	// the delivered block.
+	const ms = time.Millisecond
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	a, b, _ := twoBoxes(rt, Config{Mic: workload.NewTone(400, 12000)}, Config{}, 100)
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		a.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100}})
+		b.SetRoute(p, Route{Stream: 100, Outputs: []Output{OutSpeaker}})
+		p.SleepUntil(occam.Time(time.Second))
+		a.StartMic(p, 1)
+	})
+	var played []occam.Time
+	record := b.mix.OnPlayout
+	b.mix.OnPlayout = func(stream uint32, stamp, now int64) {
+		played = append(played, occam.Time(now))
+		record(stream, stamp, now)
+	}
+	run(t, rt, 3*ms)
+	turns := countTurns(rt)
+	run(t, rt, time.Second)
+	idle := turns["a.blockHandler"] + turns["b.blockHandler"]
+	if st := b.AudioStats(); idle != 0 || b.Mixer().Ticks() != 500 || st.TicksRun != 499 {
+		t.Errorf("an idle second took %d block handler turns, and b reads %d ticks, %d run; want 0, 500 and 499",
+			idle, b.Mixer().Ticks(), st.TicksRun)
+	}
+
+	var woken []occam.Time
+	rt.Trace = func(line string) {
+		if strings.HasSuffix(line, "] run b.blockHandler") {
+			woken = append(woken, rt.Now())
+		}
+	}
+	run(t, rt, time.Second+20*ms)
+	if len(woken) < 2 || len(played) == 0 {
+		t.Fatalf("b's handler ran at %v and played at %v", woken, played)
+	}
+	delivered, tick := woken[0], woken[1]
+	bd := occam.Time(segment.BlockDuration)
+	if want := (delivered + bd - 1) / bd * bd; tick != want || played[0] != tick {
+		t.Errorf("woken by the delivery at %v, b's handler ticked at %v and played the block at %v; want both at %v",
+			delivered, tick, played[0], want)
 	}
 }
 

@@ -21,6 +21,12 @@ import "time"
 //	        4 streams: 150+150+200+250 + 4·380 = 2270 µs > 2000
 //
 // Experiment E1 verifies this calibration stays consistent.
+//
+// The block handler ticks every 2 ms while a stream plays; an idle
+// board's ticks are counted lazily. A silent tick costs tickBase plus the
+// fixed extras (at most 550 µs), and the microphone's outgoingCost goes
+// first at each tick instant, so the two fit in 2 ms and a tick that is
+// skipped delays no other turn.
 const (
 	// audioTickBase is the block handler's fixed per-tick work
 	// (codec fifo service, scheduling).

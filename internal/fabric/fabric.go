@@ -363,6 +363,7 @@ type Port struct {
 	// how many copies that box fans out, so an interior tree box's
 	// bound (≤ K) is checkable hop by hop.
 	inByVCI map[uint32]uint64
+	inMax   uint64 // the largest count in inByVCI, which only grows
 
 	// perVCI folds each stream's delivered (corrupt flag, chunk ids,
 	// payload bytes) in delivery order — the per-port evidence the
@@ -445,13 +446,7 @@ func (pt *Port) IngressCopies() map[uint32]uint64 {
 
 // MaxIngressCopies returns the largest of IngressCopies' counts — the
 // most messages the host has offered on any one VCI — without the copy.
-func (pt *Port) MaxIngressCopies() uint64 {
-	var most uint64
-	for _, n := range pt.inByVCI {
-		most = max(most, n)
-	}
-	return most
-}
+func (pt *Port) MaxIngressCopies() uint64 { return pt.inMax }
 
 // Occupancy returns the egress queue's cells over EgressCellLimit and
 // the ingress queue's messages over IngressLimit, the train being
@@ -503,7 +498,9 @@ func (pt *Port) crossDur(m atm.Message) time.Duration {
 // otherwise it waits in the bounded queue, drop-tail on overflow. The
 // sender never blocks on fabric congestion.
 func (pt *Port) Send(p *occam.Proc, m atm.Message) error {
-	pt.inByVCI[m.VCI]++
+	n := pt.inByVCI[m.VCI] + 1
+	pt.inByVCI[m.VCI] = n
+	pt.inMax = max(pt.inMax, n)
 	if pt.crossBusy {
 		if len(pt.inq) >= pt.fab.cfg.IngressLimit {
 			pt.inDrops.Inc()

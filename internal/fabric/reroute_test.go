@@ -1,10 +1,13 @@
 package fabric
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
+	"repro/internal/atm"
 	"repro/internal/occam"
+	"repro/internal/segment"
 )
 
 // TestRerouteMidStream retargets a live VCI with Reroute while cells
@@ -39,6 +42,54 @@ func TestRerouteMidStream(t *testing.T) {
 		t.Fatalf("largest per-VCI ingress count %d at the sender's port, %d at a port that sent nothing; want %d and 0", most, idle, cells)
 	}
 	r.checkNoWireLeak(t)
+}
+
+// TestMaxIngressCopiesTracksTheLargestCount: after every send, at
+// random, on one of several VCIs, MaxIngressCopies is the largest of
+// IngressCopies' counts, at the sending port and at a port that sent
+// nothing.
+func TestMaxIngressCopiesTracksTheLargestCount(t *testing.T) {
+	r := newRig(t, 2, Config{EgressCellLimit: 4096, IngressLimit: 4096})
+	vcis := []uint32{70, 71, 72, 73, 74}
+	for _, vci := range vcis {
+		r.fab.Route(0, vci, r.fab.Port(1), false)
+	}
+	largest := func(pt *Port) (most uint64) {
+		for _, n := range pt.IngressCopies() {
+			most = max(most, n)
+		}
+		return most
+	}
+	rng := rand.New(rand.NewPCG(7, 30))
+	sent := 0
+	r.rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
+		for i := 0; i < 500; i++ {
+			// Skewed toward the low VCIs, so most sends go to a VCI that
+			// does not hold the largest count.
+			vci := vcis[min(rng.IntN(len(vcis)), rng.IntN(len(vcis)))]
+			w := r.pool.Encode(segment.NewAudio(uint32(i), 0, [][]byte{make([]byte, segment.BlockSamples)}))
+			if err := r.hosts[0].Send(p, atm.Message{VCI: vci, Size: len(w.Bytes()), W: w}); err != nil {
+				w.Release()
+				t.Error(err)
+				return
+			}
+			sent++
+			for _, pt := range []*Port{r.fab.Port(0), r.fab.Port(1)} {
+				if got, want := pt.MaxIngressCopies(), largest(pt); got != want {
+					t.Errorf("after send %d: %s MaxIngressCopies %d, largest IngressCopies count %d", i, pt.Name(), got, want)
+					return
+				}
+			}
+			p.Sleep(time.Duration(rng.IntN(200)) * time.Microsecond)
+		}
+	})
+	if err := r.rt.RunUntil(occam.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	r.rt.Shutdown()
+	if sent != 500 || r.fab.Port(0).MaxIngressCopies() == 0 {
+		t.Fatalf("%d of 500 sent, largest count %d", sent, r.fab.Port(0).MaxIngressCopies())
+	}
 }
 
 // TestRerouteInstallsUnrouted: Reroute of a VCI with no existing route

@@ -111,7 +111,15 @@ type Mixer struct {
 	// it; Tick drops one whose buffer it finds empty, SetShed one it
 	// sheds.
 	playing []*stream
-	ticks   uint64
+	ticks   uint64 // run or skipped
+
+	// A board with nothing to play parks its tick grid (Park): each tick it
+	// skips would mix silence, so it is counted as its instant passes, not
+	// run. skipped is how many of ticks were, and parkedAt the instant of
+	// the first skipped tick not yet in them.
+	parked   bool
+	parkedAt int64
+	skipped  uint64
 
 	// shed holds streams suspended by the overload controller
 	// (internal/degrade): their deliveries are discarded until restored.
@@ -127,6 +135,10 @@ type Mixer struct {
 	// (both nanoseconds of stream time) — the end-to-end latency
 	// instrument for experiment E3.
 	OnPlayout func(stream uint32, stamp, now int64)
+
+	// Clock, if set, reads stream time (nanoseconds): how far Ticks counts
+	// the ticks of a parked grid. A mixer that is parked needs it.
+	Clock func() int64
 }
 
 // New returns a mixer with the given configuration.
@@ -148,7 +160,7 @@ func New(cfg Config) *Mixer {
 	cfg.Obs.GaugeFunc("clawback_pool_capacity", func() float64 { return float64(m.pool.Capacity()) }, lb)
 	cfg.Obs.CounterFunc("clawback_pool_exhausted_total", func() uint64 { return m.pool.Exhausted }, lb)
 	cfg.Obs.GaugeFunc("mixer_active_streams", func() float64 { return float64(m.ActiveStreams()) }, lb)
-	cfg.Obs.CounterFunc("mixer_ticks_total", func() uint64 { return m.ticks }, lb)
+	cfg.Obs.CounterFunc("mixer_ticks_total", m.Ticks, lb)
 	return m
 }
 
@@ -331,8 +343,13 @@ var requantise = mulaw.NewScaleTable(1)
 // stream, and for more a decoded sum, clipped and re-encoded.
 //
 // The returned block is scratch storage reused by the next Tick;
-// callers must finish with it (play it, copy it) before then.
+// callers must finish with it (play it, copy it) before then. A tick on
+// a parked grid restarts it, counting the ticks skipped before now.
 func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
+	if m.parked {
+		m.fold(now)
+		m.parked = false
+	}
 	m.ticks++
 	out := &m.out
 	var sum [segment.BlockSamples]int32
@@ -408,8 +425,48 @@ func (m *Mixer) SetShed(id uint32, shed bool) {
 	}
 }
 
-// Ticks returns how many mixing ticks have run.
-func (m *Mixer) Ticks() uint64 { return m.ticks }
+// Ticks returns how many mixing ticks have run, those a parked grid
+// skips counted as their instants pass.
+func (m *Mixer) Ticks() uint64 {
+	if !m.parked {
+		return m.ticks
+	}
+	return m.ticks + m.pending(m.Clock())
+}
+
+// Park stops the tick grid at instant next, with no stream playing: until
+// the next Tick the board runs none, for each would only mix silence
+// ("just adapts to the incoming data", principle 8). On a parked grid it
+// counts the ticks skipped before next and parks again from there.
+func (m *Mixer) Park(next int64) {
+	if m.parked {
+		m.fold(next)
+	}
+	m.parked, m.parkedAt = true, next
+}
+
+// Parked reports whether the grid is parked.
+func (m *Mixer) Parked() bool { return m.parked }
+
+// Skipped returns how many ticks the grid has skipped: those counted by a
+// Park or Tick, and those since with instants at or before t.
+func (m *Mixer) Skipped(t int64) uint64 { return m.skipped + m.pending(t) }
+
+// pending is how many ticks of the parked grid not yet counted have
+// instants at or before t.
+func (m *Mixer) pending(t int64) uint64 {
+	if !m.parked || t < m.parkedAt {
+		return 0
+	}
+	return uint64((t-m.parkedAt)/int64(segment.BlockDuration)) + 1
+}
+
+// fold counts the parked grid's ticks before instant at.
+func (m *Mixer) fold(at int64) {
+	n := m.pending(at - 1)
+	m.ticks += n
+	m.skipped += n
+}
 
 // FNV-1a, folded inline so the delivery digest costs no allocation on
 // the per-segment path.

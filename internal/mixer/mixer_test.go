@@ -366,6 +366,41 @@ func TestMixedCountTracksConsumption(t *testing.T) {
 	}
 }
 
+func TestParkedGridCountsTicksAsTheirInstantsPass(t *testing.T) {
+	// Two ticks run, then the board parks at 6 ms: Ticks and Skipped count
+	// each skipped tick from its instant on. Parking again at 10 ms counts
+	// the two before it, and the tick at 14 ms the two after.
+	const bd = int64(segment.BlockDuration)
+	var now int64
+	m := New(Config{})
+	m.Clock = func() int64 { return now }
+	m.Tick(bd)
+	m.Tick(2 * bd)
+	m.Park(3 * bd)
+	check := func(at int64, ticks, skippedBy uint64) {
+		t.Helper()
+		now = at
+		if got, skipped := m.Ticks(), m.Skipped(at); got != ticks || skipped != skippedBy {
+			t.Fatalf("at %d: Ticks = %d, Skipped = %d; want %d, %d", at, got, skipped, ticks, skippedBy)
+		}
+	}
+	check(3*bd-1, 2, 0)
+	check(3*bd, 3, 1)
+	check(3*bd+bd/2, 3, 1)
+	check(5*bd-1, 4, 2)
+	m.Park(5 * bd)
+	check(5*bd-1, 4, 2)
+	check(6*bd, 6, 4)
+	if !m.Parked() {
+		t.Fatal("grid not parked")
+	}
+	m.Tick(7 * bd)
+	check(100*bd, 7, 4)
+	if m.Parked() {
+		t.Fatal("a tick left the grid parked")
+	}
+}
+
 func TestStreamsMixInIDOrderWhateverOrderTheyArrivedIn(t *testing.T) {
 	m := New(Config{})
 	var order []uint32

@@ -45,6 +45,35 @@ func TestQuietSpeakerNeverMutes(t *testing.T) {
 	}
 }
 
+func TestSilentBlockChangesNothing(t *testing.T) {
+	// An audio board with nothing to play skips its silent ticks instead
+	// of observing them: that is exact because observing a block of
+	// mulaw.Silence, whose peak is 0, leaves the muter as it was: with no
+	// crossing yet, and through an episode's stages and its recovery.
+	silence := make([]byte, 16)
+	for i := range silence {
+		silence[i] = mulaw.Silence
+	}
+	for _, loudAt := range []int64{-1, 0} {
+		observed, skipped := New(Config{}), New(Config{})
+		if loudAt >= 0 {
+			observed.ObserveSpeaker(loudAt, loud())
+			skipped.ObserveSpeaker(loudAt, loud())
+		}
+		for i := int64(1); i < 60; i++ {
+			observed.ObserveSpeaker(i*blk, silence)
+			for _, at := range []int64{i * blk, i*blk + blk/2} {
+				if got, want := observed.StageAt(at), skipped.StageAt(at); got != want {
+					t.Fatalf("loud at %d: after silence at %d, stage at %d is %v, want %v", loudAt, i*blk, at, got, want)
+				}
+			}
+		}
+		if observed.Crossings() != skipped.Crossings() {
+			t.Fatalf("loud at %d: silence made %d crossings of %d", loudAt, observed.Crossings(), skipped.Crossings())
+		}
+	}
+}
+
 func TestLoudSpeakerTriggersDeepStageViaMid(t *testing.T) {
 	m := New(Config{})
 	m.ObserveSpeaker(0, loud())

@@ -42,7 +42,7 @@ var lineBudgets = []struct {
 	doc   string
 	lines int
 }{
-	{"ARCHITECTURE.md", 477},
+	{"ARCHITECTURE.md", 476},
 	{"DESIGN.md", 793},
 	{"EXPERIMENTS.md", 270},
 	{"README.md", 479},
