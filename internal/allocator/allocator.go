@@ -21,6 +21,12 @@
 // (decrement) and when it sends a descriptor to more than one other
 // process (increment). Passing to exactly one process needs no
 // traffic.
+//
+// A buffer is built on first use: the pool hands buffers out as they
+// are asked for (§3.4) and makes one only when a grant finds none
+// recycled, so a pool of 64 that never has more than three in hand
+// holds three. The grant order is an eagerly built pool's exactly, and
+// its size, free count and reports read as that pool's would.
 package allocator
 
 import (
@@ -106,7 +112,11 @@ type waiter struct {
 // channels, like all other Pandora processes) keeps a process, and
 // only for a pool that was given a report channel.
 type Pool struct {
-	rt      *occam.Runtime
+	rt *occam.Runtime
+	// size is how many buffers the pool may hold; bufs and refs cover
+	// the len(bufs) made so far, by index, and free holds the indices
+	// released back, the last released granted first.
+	size    int
 	bufs    []*Buffer
 	refs    []int
 	free    []int
@@ -125,24 +135,15 @@ type Pool struct {
 	source      string
 }
 
-// New creates a pool of n buffers. With a report channel it also
-// starts the report process on node; with nil nobody collects reports,
-// so there is no process and RequestReport is a no-op.
+// New creates a pool of n buffers, none of them made yet. With a
+// report channel it also starts the report process on node; with nil
+// nobody collects reports, so there is no process and RequestReport is
+// a no-op.
 func New(rt *occam.Runtime, node *occam.Node, n int, reports *occam.Chan[Report]) *Pool {
 	if n <= 0 {
 		panic("allocator: pool size must be positive")
 	}
-	pl := &Pool{
-		rt:      rt,
-		bufs:    make([]*Buffer, n),
-		refs:    make([]int, n),
-		free:    make([]int, 0, n),
-		reports: reports,
-	}
-	for i := n - 1; i >= 0; i-- {
-		pl.bufs[i] = &Buffer{Index: i}
-		pl.free = append(pl.free, i)
-	}
+	pl := &Pool{rt: rt, size: n, reports: reports}
 	if reports != nil {
 		pl.cmd = occam.NewChan[struct{}](rt, "alloc.cmd")
 		rt.Go("allocator", node, occam.High, pl.run)
@@ -156,8 +157,8 @@ func (pl *Pool) Observe(reg *obs.Registry, owner string) {
 	lb := obs.L("box", owner)
 	reg.CounterFunc("allocator_grants_total", func() uint64 { return pl.grants }, lb)
 	reg.CounterFunc("allocator_starvations_total", func() uint64 { return pl.starvations }, lb)
-	reg.GaugeFunc("allocator_free", func() float64 { return float64(len(pl.free)) }, lb)
-	reg.GaugeFunc("allocator_total", func() float64 { return float64(len(pl.bufs)) }, lb)
+	reg.GaugeFunc("allocator_free", func() float64 { return float64(pl.available()) }, lb)
+	reg.GaugeFunc("allocator_total", func() float64 { return float64(pl.size) }, lb)
 	pl.trace = reg.Tracer()
 	pl.source = owner + ".allocator"
 }
@@ -168,28 +169,42 @@ func (pl *Pool) Observe(reg *obs.Registry, owner string) {
 func (pl *Pool) run(p *occam.Proc) {
 	for {
 		pl.cmd.Recv(p)
-		pl.reports.Send(p, Report{Free: len(pl.free), Total: len(pl.bufs)})
+		pl.reports.Send(p, Report{Free: pl.available(), Total: pl.size})
 	}
 }
 
-// grant pops a free buffer for the requester (bookkeeping only — the
+// available returns how many buffers a grant could take now: those
+// released back and those not yet made.
+func (pl *Pool) available() int { return len(pl.free) + pl.size - len(pl.bufs) }
+
+// grant takes a free buffer for the requester (bookkeeping only — the
 // caller hands it over) and logs the starvation fault when the pool
-// runs dry, exactly as the paper requires.
+// runs dry, exactly as the paper requires. The buffer is the one
+// released last or, with none recycled, a new one with the next index:
+// the order a pool holding every buffer from the start, its free list
+// stacked n-1 … 0, would grant in.
 func (pl *Pool) grant(p *occam.Proc) *Buffer {
-	idx := pl.free[len(pl.free)-1]
-	pl.free = pl.free[:len(pl.free)-1]
-	pl.refs[idx] = 1
+	var buf *Buffer
+	if n := len(pl.free); n > 0 {
+		idx := pl.free[n-1]
+		pl.free = pl.free[:n-1]
+		pl.refs[idx] = 1
+		buf = pl.bufs[idx]
+		buf.Payload = segment.Wire{}
+		buf.Stream = 0
+	} else {
+		buf = &Buffer{Index: len(pl.bufs)}
+		pl.bufs = append(pl.bufs, buf)
+		pl.refs = append(pl.refs, 1)
+	}
 	pl.grants++
-	buf := pl.bufs[idx]
-	buf.Payload = segment.Wire{}
-	buf.Stream = 0
-	if len(pl.free) == 0 && !pl.wasStarved {
+	if pl.available() == 0 && !pl.wasStarved {
 		// The next request will block: log the (serious) fault.
 		pl.wasStarved = true
 		pl.starvations++
 		pl.trace.Emit(obs.EvOverload, pl.source, 0, "buffer pool exhausted")
 		if pl.reports != nil {
-			pl.reports.TrySend(p, Report{Starved: true, Free: 0, Total: len(pl.bufs)})
+			pl.reports.TrySend(p, Report{Starved: true, Free: 0, Total: pl.size})
 		}
 	}
 	return buf
@@ -215,7 +230,7 @@ func (pl *Pool) applyRefChange(ch refChange) {
 // writes *dst itself, so a stackless process parked here finds its
 // buffer there at its next turn; dst must stay valid until then.
 func (pl *Pool) GetInto(p *occam.Proc, dst **Buffer) {
-	if len(pl.free) > 0 && len(pl.waiters) == 0 {
+	if pl.available() > 0 && len(pl.waiters) == 0 {
 		*dst = pl.grant(p)
 		return
 	}
@@ -233,7 +248,7 @@ func (pl *Pool) GetInto(p *occam.Proc, dst **Buffer) {
 // return it on. Only a starved Get has a waiter to give an address to,
 // so only that one pays for a local the granting Release can reach.
 func (pl *Pool) Get(p *occam.Proc) *Buffer {
-	if len(pl.free) > 0 && len(pl.waiters) == 0 {
+	if pl.available() > 0 && len(pl.waiters) == 0 {
 		return pl.grant(p)
 	}
 	p.NeedsStack("Pool.Get", "a dry pool")
@@ -271,7 +286,7 @@ func (pl *Pool) Retain(p *occam.Proc, b *Buffer, extra int) {
 // to the free list — or goes straight to a starved requester.
 func (pl *Pool) Release(p *occam.Proc, b *Buffer) {
 	pl.applyRefChange(refChange{Index: b.Index, Delta: -1})
-	if len(pl.free) > 0 {
+	if pl.available() > 0 {
 		if pl.wasStarved {
 			pl.wasStarved = false
 			pl.trace.Emit(obs.EvRecover, pl.source, 0, "buffers free again")
@@ -292,7 +307,7 @@ func (pl *Pool) RequestReport(p *occam.Proc) {
 }
 
 // Size returns the pool size.
-func (pl *Pool) Size() int { return len(pl.bufs) }
+func (pl *Pool) Size() int { return pl.size }
 
 // Starvations returns how many times the pool ran dry.
 func (pl *Pool) Starvations() uint64 { return pl.starvations }

@@ -20,6 +20,13 @@
 // audio board mixes every 2 ms while a stream plays; an idle board's
 // ticks are counted lazily, and its block handler takes no turn.
 //
+// A box also holds only the memory it has used. State a box may never
+// need is built on first use: the capture board's framestore at the
+// first frame a stream is open, each server buffer when a grant finds
+// none recycled (package allocator), the muting tables when the muter
+// first mutes, and each latency histogram's value map at its first
+// fold.
+//
 // Ownership: each box owns one segment.WirePool. Sources (mic,
 // camera) encode into it; the server switch Retains once per extra
 // output before fanning a wire out; every sink (speaker mixer,
@@ -290,7 +297,7 @@ type Box struct {
 	// Capture board.
 	captureCmds *occam.Chan[captureCmd]
 	camera      *workload.Camera
-	framestore  *video.Framestore
+	framestore  *video.Framestore // nil until a frame has a stream open
 
 	// Mixer (display) board.
 	interp      *video.Interpolator
@@ -363,7 +370,6 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		audioCmds:   occam.NewChan[audioCmd](rt, cfg.Name+".audiocmd"),
 		captureCmds: occam.NewChan[captureCmd](rt, cfg.Name+".capturecmd"),
 		camera:      workload.NewCamera(cfg.CameraW, cfg.CameraH),
-		framestore:  video.NewFramestore(cfg.CameraW, cfg.CameraH),
 		interp:      video.NewInterpolator(),
 		playout:     make(map[uint32]*obs.Histogram),
 		wires:       segment.NewWirePool(),

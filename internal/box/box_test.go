@@ -3,6 +3,7 @@ package box
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"sort"
 	"strings"
@@ -603,5 +604,48 @@ func TestCameraStartedAfterIdleFramesSeesTheSamePicture(t *testing.T) {
 		if !bytes.Equal(skipped[i], rendered[i]) {
 			t.Fatalf("segment %d differs between the idle and the rendering board", i)
 		}
+	}
+}
+
+func TestFramestoreBuiltAtTheFirstStreamedFrame(t *testing.T) {
+	// A capture board with no stream open holds no framestore: nothing
+	// draws into it or reads it. The first frame a stream is open builds
+	// it, and the stream then carries what it carried when every box
+	// built its framestore in New: the digest of each segment's arrival
+	// and bytes was recorded at that commit.
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	net := atm.New(rt)
+	bx := New(rt, net, Config{Name: "cam"})
+	sink := net.AddHost("sink")
+	l := net.AddLink("l", atm.LinkConfig{Bandwidth: 100_000_000})
+	net.OpenCircuit(300, bx.Host(), sink, l)
+	h := fnv.New64a()
+	segs := 0
+	rt.Go("sink", nil, occam.High, func(p *occam.Proc) {
+		for {
+			m := sink.Rx.Recv(p)
+			fmt.Fprintf(h, "%v ", p.Now())
+			h.Write(m.W.Bytes())
+			segs++
+			m.W.Release()
+		}
+	})
+	idle := false
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		bx.SetRoute(p, Route{Stream: 2, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{300}, Video: true})
+		p.SleepUntil(occam.Time(time.Second))
+		idle = bx.framestore == nil
+		bx.StartCamera(p, CameraStream{Stream: 2, Rect: video.Rect{X: 8, Y: 4, W: 96, H: 48}, Rate: video.Rate{Num: 1, Den: 2}, SegsPerFrame: 3})
+	})
+	run(t, rt, 1500*time.Millisecond)
+	if !idle {
+		t.Error("after 1 s with no camera stream the box holds a framestore")
+	}
+	if bx.framestore == nil {
+		t.Error("the box streamed video without building a framestore")
+	}
+	if got, want := h.Sum64(), uint64(0x5a1c2e7b9ded007f); segs != 21 || got != want {
+		t.Errorf("%d segments with digest %#x, want 21 with %#x", segs, got, want)
 	}
 }

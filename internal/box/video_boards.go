@@ -119,7 +119,11 @@ func (c *capture) step(p *occam.Proc) {
 			// The camera updates the framestore. With no stream open
 			// nothing could read it before the next frame overwrites it, so
 			// the picture is drawn only when a stream is open, and it is
-			// frame c.frame's whichever frames went undrawn.
+			// frame c.frame's whichever frames went undrawn. The store
+			// itself is built at the first such frame.
+			if b.framestore == nil {
+				b.framestore = video.NewFramestore(b.cfg.CameraW, b.cfg.CameraH)
+			}
 			b.camera.Draw(b.framestore.CameraPort(), c.frame)
 			c.ids, c.si, c.at = orderedStreamIDs(c.ids[:0], c.streams), 0, capStream
 		case capStream:

@@ -13,7 +13,9 @@
 // we move around in the audio code"), and the two-stage shape keeps
 // each step small enough that no audible click is heard. The factors
 // are applied by µ-law lookup tables (mulaw.ScaleTable) as blocks are
-// copied between fifos, giving at least 4 ms of reaction margin.
+// copied between fifos, giving at least 4 ms of reaction margin. Each
+// table is built the first time its stage mutes a block, so a muter
+// that never mutes holds none.
 package muting
 
 import (
@@ -100,7 +102,7 @@ func (s Stage) String() string {
 type Muter struct {
 	cfg Config
 
-	deepTable *mulaw.ScaleTable
+	deepTable *mulaw.ScaleTable // built on first use, as is midTable
 	midTable  *mulaw.ScaleTable
 
 	lastExceed    int64 // stream time of last threshold crossing (ns)
@@ -112,12 +114,7 @@ type Muter struct {
 
 // New returns a Muter with the given configuration.
 func New(cfg Config) *Muter {
-	c := cfg.withDefaults()
-	return &Muter{
-		cfg:       c,
-		deepTable: mulaw.NewScaleTable(c.DeepFactor),
-		midTable:  mulaw.NewScaleTable(c.MidFactor),
-	}
+	return &Muter{cfg: cfg.withDefaults()}
 }
 
 // Config returns the effective configuration.
@@ -188,11 +185,19 @@ func (m *Muter) ApplyMic(now int64, block []byte) Stage {
 	st := m.StageAt(now)
 	switch st {
 	case Deep:
-		m.deepTable.Apply(block)
+		scaleTable(&m.deepTable, m.cfg.DeepFactor).Apply(block)
 		m.mutedBlocks++
 	case Mid:
-		m.midTable.Apply(block)
+		scaleTable(&m.midTable, m.cfg.MidFactor).Apply(block)
 		m.mutedBlocks++
 	}
 	return st
+}
+
+// scaleTable returns *t, building it for factor on first use.
+func scaleTable(t **mulaw.ScaleTable, factor float64) *mulaw.ScaleTable {
+	if *t == nil {
+		*t = mulaw.NewScaleTable(factor)
+	}
+	return *t
 }

@@ -27,6 +27,14 @@
 //     typed methods, and only reports, assertions and the benchmark read
 //     snapshots.
 //
+// An instrument costs what it holds: one 64-byte entry (its name, its
+// labels, the source a snapshot reads and a chain link), a pointer in
+// the registration-order list and one slot in a map keyed by the 64-bit
+// FNV-1a hash of its identity. No key string is built or kept;
+// identities whose hashes collide are chained through their entries and
+// told apart by name and labels. A histogram makes its value map at its
+// first fold, so one nothing has observed into holds none.
+//
 // Snapshots can be rendered as a human table (Table) or as
 // Prometheus-style text lines (Prometheus).
 package obs
@@ -125,7 +133,7 @@ var DefaultLatencyBucketsMs = []float64{2, 4, 6, 8, 10, 15, 20, 30, 50, 100, 200
 // upper-inclusive; one implicit overflow bucket catches the rest.
 type Histogram struct {
 	bounds []float64
-	counts map[time.Duration]uint64 // sample value → occurrences
+	counts map[time.Duration]uint64 // sample value → occurrences; nil until the first fold
 	n      uint64
 	sum    time.Duration
 	// sumMs is the exported sum: milliseconds as a float, added up one
@@ -148,10 +156,7 @@ func NewHistogram(bounds []float64) *Histogram {
 	if bounds == nil {
 		bounds = DefaultLatencyBucketsMs
 	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make(map[time.Duration]uint64),
-	}
+	return &Histogram{bounds: append([]float64(nil), bounds...)}
 }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -168,9 +173,13 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumMs += millis(d)
 }
 
-// fold adds the pending run to counts.
+// fold adds the pending run to counts, making the map on the first
+// fold: a histogram nothing has observed into holds none.
 func (h *Histogram) fold() {
 	if h.runN > 0 {
+		if h.counts == nil {
+			h.counts = make(map[time.Duration]uint64)
+		}
 		h.counts[h.run] += h.runN
 		h.runN = 0
 	}
@@ -256,17 +265,26 @@ func (h *Histogram) buckets() []uint64 {
 	return out
 }
 
-// entry is one registered instrument.
+// entry is one registered instrument, in 64 bytes: its identity, src,
+// what a snapshot reads — a *Counter, func() uint64, *Gauge,
+// func() float64 or *Histogram, which also gives its Kind — and next,
+// the entry registered before it whose identity hashes alike.
 type entry struct {
 	name   string
 	labels []Label
-	kind   Kind
+	src    any
+	next   *entry
+}
 
-	counter   *Counter
-	counterFn func() uint64
-	gauge     *Gauge
-	gaugeFn   func() float64
-	hist      *Histogram
+// kindOf returns the kind of instrument src reads.
+func kindOf(src any) Kind {
+	switch src.(type) {
+	case *Counter, func() uint64:
+		return KindCounter
+	case *Gauge, func() float64:
+		return KindGauge
+	}
+	return KindHistogram
 }
 
 // Registry holds every registered instrument plus the event tracer.
@@ -276,8 +294,10 @@ type entry struct {
 type Registry struct {
 	clock   Clock
 	entries []*entry
-	byKey   map[string]*entry
-	tracer  *Tracer
+	// byHash holds, per identity hash (hashKey), the chain of entries
+	// whose identities hash to it, newest first.
+	byHash map[uint64]*entry
+	tracer *Tracer
 }
 
 // Option configures a Registry.
@@ -293,7 +313,7 @@ func WithTraceCapacity(n int) Option {
 func New(clock Clock, opts ...Option) *Registry {
 	r := &Registry{
 		clock:  clock,
-		byKey:  make(map[string]*entry),
+		byHash: make(map[uint64]*entry),
 		tracer: newTracer(clock, DefaultTraceCap),
 	}
 	for _, o := range opts {
@@ -335,18 +355,47 @@ func key(name string, labels []Label) string {
 	return b.String()
 }
 
-// register adds e unless the key already exists, in which case the
-// existing entry is returned (registration is idempotent: two callers
-// naming the same instrument share it).
-func (r *Registry) register(e *entry) *entry {
-	k := key(e.name, e.labels)
-	if prev, ok := r.byKey[k]; ok {
-		if prev.kind != e.kind {
-			panic(fmt.Sprintf("obs: %s re-registered as %v, was %v", k, e.kind, prev.kind))
-		}
-		return prev
+// FNV-1a, 64-bit.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
-	r.byKey[k] = e
+	return h
+}
+
+// hashKey is the FNV-1a of key(name, labels), computed without building
+// the string.
+func hashKey(name string, labels []Label) uint64 {
+	h := fnvString(fnvOffset, name)
+	for _, l := range labels {
+		h = fnvString((h^'|')*fnvPrime, l.Key)
+		h = fnvString((h^'=')*fnvPrime, l.Value)
+	}
+	return h
+}
+
+// register returns the entry registered under name+labels, adding one
+// that reads src if there is none (registration is idempotent: two
+// callers naming the same instrument share it). Naming an instrument
+// again as another kind panics.
+func (r *Registry) register(name string, labels []Label, src any) *entry {
+	h := hashKey(name, labels)
+	for e := r.byHash[h]; e != nil; e = e.next {
+		if e.name != name || !slices.Equal(e.labels, labels) {
+			continue
+		}
+		if was, is := kindOf(e.src), kindOf(src); was != is {
+			panic(fmt.Sprintf("obs: %s re-registered as %v, was %v", key(name, labels), is, was))
+		}
+		return e
+	}
+	e := &entry{name: name, labels: labels, src: src, next: r.byHash[h]}
+	r.byHash[h] = e
 	r.entries = append(r.entries, e)
 	return e
 }
@@ -358,11 +407,11 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return NewCounter()
 	}
-	e := r.register(&entry{name: name, labels: labels, kind: KindCounter, counter: NewCounter()})
-	if e.counter == nil {
+	c, ok := r.register(name, labels, NewCounter()).src.(*Counter)
+	if !ok {
 		panic(fmt.Sprintf("obs: %s registered as a func-backed counter", key(name, labels)))
 	}
-	return e.counter
+	return c
 }
 
 // RegisterCounter registers an existing counter handle (idempotent;
@@ -372,7 +421,7 @@ func (r *Registry) RegisterCounter(name string, c *Counter, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.register(&entry{name: name, labels: labels, kind: KindCounter, counter: c})
+	r.register(name, labels, c)
 }
 
 // CounterFunc registers a read-callback counter over an existing plain
@@ -382,7 +431,7 @@ func (r *Registry) CounterFunc(name string, fn func() uint64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.register(&entry{name: name, labels: labels, kind: KindCounter, counterFn: fn})
+	r.register(name, labels, fn)
 }
 
 // Gauge returns the gauge registered under name+labels, creating it if
@@ -391,11 +440,11 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return NewGauge()
 	}
-	e := r.register(&entry{name: name, labels: labels, kind: KindGauge, gauge: NewGauge()})
-	if e.gauge == nil {
+	g, ok := r.register(name, labels, NewGauge()).src.(*Gauge)
+	if !ok {
 		panic(fmt.Sprintf("obs: %s registered as a func-backed gauge", key(name, labels)))
 	}
-	return e.gauge
+	return g
 }
 
 // GaugeFunc registers a read-callback gauge (e.g. a live queue depth).
@@ -404,7 +453,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.register(&entry{name: name, labels: labels, kind: KindGauge, gaugeFn: fn})
+	r.register(name, labels, fn)
 }
 
 // Histogram returns the histogram registered under name+labels,
@@ -415,8 +464,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return NewHistogram(bounds)
 	}
-	e := r.register(&entry{name: name, labels: labels, kind: KindHistogram, hist: NewHistogram(bounds)})
-	return e.hist
+	return r.register(name, labels, NewHistogram(bounds)).src.(*Histogram)
 }
 
 // Sample is one instrument's state at snapshot time.
@@ -470,25 +518,22 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{At: r.Now(), Samples: make([]Sample, 0, len(r.entries))}
 	ids := make([]string, 0, len(r.entries))
 	for _, e := range r.entries {
-		sm := Sample{Name: e.name, Labels: e.labels, Kind: e.kind}
-		switch e.kind {
-		case KindCounter:
-			if e.counterFn != nil {
-				sm.Value = float64(e.counterFn())
-			} else {
-				sm.Value = float64(e.counter.Value())
-			}
-		case KindGauge:
-			if e.gaugeFn != nil {
-				sm.Value = e.gaugeFn()
-			} else {
-				sm.Value = e.gauge.Value()
-			}
-		case KindHistogram:
-			sm.Count = e.hist.n
-			sm.Sum = e.hist.sumMs
-			sm.Bounds = e.hist.bounds
-			sm.Buckets = e.hist.buckets()
+		sm := Sample{Name: e.name, Labels: e.labels}
+		switch src := e.src.(type) {
+		case *Counter:
+			sm.Kind, sm.Value = KindCounter, float64(src.Value())
+		case func() uint64:
+			sm.Kind, sm.Value = KindCounter, float64(src())
+		case *Gauge:
+			sm.Kind, sm.Value = KindGauge, src.Value()
+		case func() float64:
+			sm.Kind, sm.Value = KindGauge, src()
+		case *Histogram:
+			sm.Kind = KindHistogram
+			sm.Count = src.n
+			sm.Sum = src.sumMs
+			sm.Bounds = src.bounds
+			sm.Buckets = src.buckets()
 		}
 		s.Samples = append(s.Samples, sm)
 		ids = append(ids, sm.ID())

@@ -190,9 +190,9 @@ assert copies-max s 1
 func TestStartCollectsOnce(t *testing.T) {
 	r, err := NewRunner(MustParse(`scenario build-gc
 duration 100ms
-box v[001..150]
+box v[001..500]
 fabric f portbw=155M
-attach f v[001..150]
+attach f v[001..500]
 `))
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,9 @@ assert wires-drain
 // each. No box, port or controller keeps a goroutine, so the two grow
 // the process's goroutine count by the same number: the timeline's
 // control process and whatever else the spec starts once. Not parallel:
-// it counts every goroutine in the process.
+// it counts every goroutine in the process, so it first runs the small
+// spec once uncounted — the goroutine that ran the previous test may
+// still be exiting when this one starts.
 func TestScenarioGoroutinesIndependentOfBoxes(t *testing.T) {
 	growth := func(n int) int {
 		viewers := fmt.Sprintf("v[001..%03d]", n)
@@ -278,6 +280,7 @@ at 0s tree s -> ` + viewers + ` k=4 as t
 		}
 		return runtime.NumGoroutine() - before
 	}
+	growth(20)
 	if small, large := growth(20), growth(200); small != large {
 		t.Errorf("a spec grew the goroutine count by %d with 20 boxes and by %d with 200; want the same", small, large)
 	}

@@ -43,7 +43,7 @@ var lineBudgets = []struct {
 	lines int
 }{
 	{"ARCHITECTURE.md", 476},
-	{"DESIGN.md", 793},
+	{"DESIGN.md", 791},
 	{"EXPERIMENTS.md", 270},
 	{"README.md", 479},
 }
