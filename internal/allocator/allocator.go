@@ -151,17 +151,22 @@ func New(rt *occam.Runtime, node *occam.Node, n int, reports *occam.Chan[Report]
 	return pl
 }
 
-// Observe registers the pool's counters and free-buffer gauge on reg,
-// labelled with owner (the box name), and traces starvation episodes.
+// Observe registers the pool's row on reg, labelled with owner (the box
+// name), and traces starvation episodes.
 func (pl *Pool) Observe(reg *obs.Registry, owner string) {
-	lb := obs.L("box", owner)
-	reg.CounterFunc("allocator_grants_total", func() uint64 { return pl.grants }, lb)
-	reg.CounterFunc("allocator_starvations_total", func() uint64 { return pl.starvations }, lb)
-	reg.GaugeFunc("allocator_free", func() float64 { return float64(pl.available()) }, lb)
-	reg.GaugeFunc("allocator_total", func() float64 { return float64(pl.size) }, lb)
+	poolTable.Register(reg, pl, obs.L("box", owner))
 	pl.trace = reg.Tracer()
 	pl.source = owner + ".allocator"
 }
+
+// poolTable is a pool's grant and starvation counters and its free and
+// total buffer gauges.
+var poolTable = obs.NewTable(
+	obs.CounterOf("allocator_grants_total", func(pl *Pool) uint64 { return pl.grants }),
+	obs.CounterOf("allocator_starvations_total", func(pl *Pool) uint64 { return pl.starvations }),
+	obs.GaugeOf("allocator_free", func(pl *Pool) float64 { return float64(pl.available()) }),
+	obs.GaugeOf("allocator_total", func(pl *Pool) float64 { return float64(pl.size) }),
+)
 
 // run is the report process: the allocator's command/report channel
 // attachment, kept as a process so a report request never blocks the

@@ -174,12 +174,9 @@ type Link struct {
 	rng  *workload.RNG
 	next map[uint32]port // route per VCI
 
-	forwarded  *obs.Counter
-	queueDrops *obs.Counter
-	lossDrops  *obs.Counter
-	bytes      *obs.Counter
-	trace      *obs.Tracer
-	reg        *obs.Registry
+	stats LinkStats // the traffic counters, which the link's registry row reads
+	trace *obs.Tracer
+	reg   *obs.Registry
 
 	fault *FaultGate
 
@@ -197,16 +194,12 @@ type Link struct {
 // NewLink creates a link and starts its delivery process.
 func NewLink(rt *occam.Runtime, name string, cfg LinkConfig) *Link {
 	l := &Link{
-		rt:         rt,
-		nm:         name,
-		cfg:        cfg.withDefaults(),
-		rng:        workload.NewRNG(cfg.Seed),
-		next:       make(map[uint32]port),
-		forwarded:  obs.NewCounter(),
-		queueDrops: obs.NewCounter(),
-		lossDrops:  obs.NewCounter(),
-		bytes:      obs.NewCounter(),
-		fault:      NewFaultGate("atm."+name, "link-stall"),
+		rt:    rt,
+		nm:    name,
+		cfg:   cfg.withDefaults(),
+		rng:   workload.NewRNG(cfg.Seed),
+		next:  make(map[uint32]port),
+		fault: NewFaultGate("atm."+name, "link-stall"),
 	}
 	l.txTimer = occam.NewTimer(rt, l.txDone)
 	l.dlvSig = occam.NewSignal(rt, name+".deliver")
@@ -220,29 +213,16 @@ func (l *Link) Name() string { return l.nm }
 func (l *Link) name() string { return l.nm }
 
 // Stats returns a copy of the traffic counters.
-func (l *Link) Stats() LinkStats {
-	return LinkStats{
-		Forwarded:  l.forwarded.Value(),
-		QueueDrops: l.queueDrops.Value(),
-		LossDrops:  l.lossDrops.Value(),
-		Bytes:      l.bytes.Value(),
-	}
-}
+func (l *Link) Stats() LinkStats { return l.stats }
 
 // Occupancy returns the output queue's length over its limit, the
 // message in transmission not counted: atm_link_queue_depth over
 // atm_link_queue_limit.
 func (l *Link) Occupancy() float64 { return float64(len(l.queue)) / float64(l.cfg.QueueLimit) }
 
-// observe adopts the link's counters into reg and attaches the tracer.
+// observe registers the link's row on reg and attaches the tracer.
 func (l *Link) observe(reg *obs.Registry) {
-	lb := obs.L("link", l.nm)
-	reg.RegisterCounter("atm_link_forwarded_total", l.forwarded, lb)
-	reg.RegisterCounter("atm_link_queue_drops_total", l.queueDrops, lb)
-	reg.RegisterCounter("atm_link_loss_drops_total", l.lossDrops, lb)
-	reg.RegisterCounter("atm_link_bytes_total", l.bytes, lb)
-	reg.GaugeFunc("atm_link_queue_depth", func() float64 { return float64(len(l.queue)) }, lb)
-	reg.GaugeFunc("atm_link_queue_limit", func() float64 { return float64(l.cfg.QueueLimit) }, lb)
+	linkTable.Register(reg, l, obs.L("link", l.nm))
 	l.trace = reg.Tracer()
 	l.fault.Trace(l.trace)
 	l.reg = reg
@@ -254,8 +234,21 @@ func (l *Link) observe(reg *obs.Registry) {
 // observeFault registers the fault counters. They appear in snapshots
 // only once a hook is attached, so fault-free runs keep clean output.
 func (l *Link) observeFault() {
-	l.fault.Register(l.reg, "atm_link_fault_", obs.L("link", l.nm))
+	linkFaultTable.Register(l.reg, l, obs.L("link", l.nm))
 }
+
+// linkTable is a link's traffic counters and queue gauges.
+var linkTable = obs.NewTable(
+	obs.CounterOf("atm_link_forwarded_total", func(l *Link) uint64 { return l.stats.Forwarded }),
+	obs.CounterOf("atm_link_queue_drops_total", func(l *Link) uint64 { return l.stats.QueueDrops }),
+	obs.CounterOf("atm_link_loss_drops_total", func(l *Link) uint64 { return l.stats.LossDrops }),
+	obs.CounterOf("atm_link_bytes_total", func(l *Link) uint64 { return l.stats.Bytes }),
+	obs.GaugeOf("atm_link_queue_depth", func(l *Link) float64 { return float64(len(l.queue)) }),
+	obs.GaugeOf("atm_link_queue_limit", func(l *Link) float64 { return float64(l.cfg.QueueLimit) }),
+)
+
+// linkFaultTable is a link's injected-fault counters.
+var linkFaultTable = obs.NewTable(FaultColumns("atm_link_fault_", func(l *Link) *FaultGate { return l.fault })...)
 
 // SetFault attaches a fault process to the link (nil detaches). Every
 // subsequent message consults the hook on arrival, and the transmitter
@@ -296,13 +289,13 @@ func (l *Link) arrive(now occam.Time, m Message) {
 		return
 	}
 	if l.cfg.LossRate > 0 && l.rng.Bool(l.cfg.LossRate) {
-		l.lossDrops.Inc()
+		l.stats.LossDrops++
 		l.trace.EmitAt(now, obs.EvDrop, "atm."+l.nm, m.VCI, "loss")
 		m.W.Release()
 		return
 	}
 	if len(l.queue) >= l.cfg.QueueLimit {
-		l.queueDrops.Inc()
+		l.stats.QueueDrops++
 		l.trace.EmitAt(now, obs.EvDrop, "atm."+l.nm, m.VCI, "queue-overflow")
 		m.W.Release()
 		return
@@ -347,12 +340,12 @@ func (l *Link) txDone(s occam.Sched) {
 	nxt, ok := l.next[m.VCI]
 	if !ok {
 		// Unrouted VCI: the circuit was torn down mid-flight.
-		l.lossDrops.Inc()
+		l.stats.LossDrops++
 		l.trace.EmitAt(s.Now(), obs.EvDrop, "atm."+l.nm, m.VCI, "unrouted")
 		m.W.Release()
 	} else {
-		l.forwarded.Inc()
-		l.bytes.Add(uint64(m.Size))
+		l.stats.Forwarded++
+		l.stats.Bytes += uint64(m.Size)
 		switch hop := nxt.(type) {
 		case *Link:
 			hop.arrive(s.Now(), m)

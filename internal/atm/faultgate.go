@@ -77,15 +77,17 @@ func (g *FaultGate) SetHook(h FaultHook) { g.hook = h }
 // Trace sets where the gate's EvFault events go.
 func (g *FaultGate) Trace(t *obs.Tracer) { g.trace = t }
 
-// Register exposes the five counters in reg as family+"drops_total",
-// "corruptions_total", "duplicates_total", "delays_total" and
-// "stalls_total".
-func (g *FaultGate) Register(reg *obs.Registry, family string, lb obs.Label) {
-	reg.CounterFunc(family+"drops_total", func() uint64 { return g.stats.Drops }, lb)
-	reg.CounterFunc(family+"corruptions_total", func() uint64 { return g.stats.Corruptions }, lb)
-	reg.CounterFunc(family+"duplicates_total", func() uint64 { return g.stats.Duplicates }, lb)
-	reg.CounterFunc(family+"delays_total", func() uint64 { return g.stats.Delays }, lb)
-	reg.CounterFunc(family+"stalls_total", func() uint64 { return g.stats.Stalls }, lb)
+// FaultColumns is the five counters of the gate each object holds, as
+// the families prefix+"drops_total", "corruptions_total",
+// "duplicates_total", "delays_total" and "stalls_total".
+func FaultColumns[T any](prefix string, gate func(T) *FaultGate) []obs.Column[T] {
+	return []obs.Column[T]{
+		obs.CounterOf(prefix+"drops_total", func(o T) uint64 { return gate(o).stats.Drops }),
+		obs.CounterOf(prefix+"corruptions_total", func(o T) uint64 { return gate(o).stats.Corruptions }),
+		obs.CounterOf(prefix+"duplicates_total", func(o T) uint64 { return gate(o).stats.Duplicates }),
+		obs.CounterOf(prefix+"delays_total", func(o T) uint64 { return gate(o).stats.Delays }),
+		obs.CounterOf(prefix+"stalls_total", func(o T) uint64 { return gate(o).stats.Stalls }),
+	}
 }
 
 // Stats returns a copy of the injected-fault counters.

@@ -210,17 +210,24 @@ func New(sys *core.System, cfg Config) *Balancer {
 	for _, name := range b.names {
 		bd := &board{name: name, bx: sys.Box(name), pt: sys.FabricPort(name)}
 		b.boards[name] = bd
-		func(bd *board) {
-			b.reg.GaugeFunc("balancer_score", func() float64 { return bd.eff }, obs.L("box", bd.name))
-		}(bd)
+		boardTable.Register(b.reg, bd, obs.L("box", bd.name))
 	}
-	b.reg.CounterFunc("balancer_rejected_total", func() uint64 { return b.rejected })
-	b.reg.CounterFunc("balancer_admitted_total", func() uint64 { return b.accepted })
-	b.reg.CounterFunc("balancer_placements_total", func() uint64 { return b.placed })
-	b.reg.CounterFunc("balancer_migrations_total", func() uint64 { return uint64(len(b.migs)) })
+	balancerTable.Register(b.reg, b)
 	sys.SetPlacer(b)
 	return b
 }
+
+// boardTable is a box's effective score.
+var boardTable = obs.NewTable(obs.GaugeOf("balancer_score", func(bd *board) float64 { return bd.eff }))
+
+// balancerTable is the control plane's admission, placement and
+// migration counts.
+var balancerTable = obs.NewTable(
+	obs.CounterOf("balancer_rejected_total", func(b *Balancer) uint64 { return b.rejected }),
+	obs.CounterOf("balancer_admitted_total", func(b *Balancer) uint64 { return b.accepted }),
+	obs.CounterOf("balancer_placements_total", func(b *Balancer) uint64 { return b.placed }),
+	obs.CounterOf("balancer_migrations_total", func(b *Balancer) uint64 { return uint64(len(b.migs)) }),
+)
 
 // Start launches the sampling/migration tick process.
 func (b *Balancer) Start() {

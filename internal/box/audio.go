@@ -238,7 +238,7 @@ func (s *serverWriter) step(p *occam.Proc) {
 // calls it when the transfer completes. A delivery that puts a stream
 // back in playing wakes a parked block handler.
 func (b *Box) audioDeliver(p *occam.Proc, msg wireMsg) {
-	if b.boardDown(p, "audio") {
+	if b.boardDown(p, boardAudio) {
 		msg.W.Release()
 		return
 	}

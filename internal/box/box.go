@@ -266,9 +266,11 @@ type Box struct {
 	// openedScratch is isAmongOldest's reused open-time list.
 	openedScratch []occam.Time
 
-	// Injected board-crash accounting (nil maps when no BoardFaults).
-	crashDrops  map[string]*obs.Counter
-	crashTraced map[string]bool // trace once per outage, not per segment
+	// Injected board-crash accounting, by crashBoards index: arrivals
+	// discarded, and whether this outage is traced yet (once per outage,
+	// not per segment).
+	crashDrops  [len(crashBoards)]uint64
+	crashTraced [len(crashBoards)]bool
 
 	// wires recycles the box's wire storage: sources encode into it,
 	// output handlers copy out of server buffers into it, and sinks
@@ -366,7 +368,6 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		netVCI:      make(map[uint32][]uint32),
 		shedNet:     make(map[uint32][]uint32),
 		streamDir:   make(map[uint32]routeInfo),
-		crashTraced: make(map[string]bool),
 		audioCmds:   occam.NewChan[audioCmd](rt, cfg.Name+".audiocmd"),
 		captureCmds: occam.NewChan[captureCmd](rt, cfg.Name+".capturecmd"),
 		camera:      workload.NewCamera(cfg.CameraW, cfg.CameraH),
@@ -376,6 +377,7 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 	}
 	b.swStats.PerStreamDrops = make(map[uint32]uint64)
 	b.displayStat.FrameLat = obs.NewHistogram(nil)
+	b.playoutHist = obs.NewHistogram(nil)
 	b.pool = allocator.New(rt, b.serverNode, poolBuffers, nil)
 	b.pool.Observe(cfg.Obs, cfg.Name)
 	b.trace = cfg.Obs.Tracer()
@@ -399,64 +401,84 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 	return b
 }
 
-// observe registers the board counters on the box's registry (no-op
-// when none is configured). The counters themselves stay plain struct
-// fields on the hot paths; the registry reads them through callbacks.
+// observe registers the box's row on its registry (no-op when none is
+// configured). The counters themselves stay plain struct fields on the
+// hot paths; the registry reads them through the table's columns.
 func (b *Box) observe() {
-	reg := b.cfg.Obs
 	lb := obs.L("box", b.cfg.Name)
-
-	// Server board: the switch.
-	reg.CounterFunc("switch_switched_total", func() uint64 { return b.swStats.Switched }, lb)
-	reg.CounterFunc("switch_noroute_total", func() uint64 { return b.swStats.NoRoute }, lb)
-	for slot := 0; slot < numOutBufs; slot++ {
-		slot := slot
-		slb := []obs.Label{lb, obs.L("output", slotName(slot))}
-		reg.CounterFunc("switch_full_drops_total", func() uint64 { return b.swStats.FullDrops[slot] }, slb...)
-		reg.CounterFunc("switch_age_drops_total", func() uint64 { return b.swStats.AgeDrops[slot] }, slb...)
-	}
-
-	// Audio board.
-	reg.CounterFunc("audio_ticks_total", func() uint64 { return b.AudioStats().TicksRun }, lb)
-	reg.CounterFunc("audio_late_ticks_total", func() uint64 { return b.audioStat.LateTicks }, lb)
-	reg.CounterFunc("audio_mic_blocks_total", func() uint64 { return b.audioStat.MicBlocks }, lb)
-	reg.CounterFunc("audio_mic_segments_total", func() uint64 { return b.audioStat.MicSegs }, lb)
-	reg.CounterFunc("audio_mic_drops_total", func() uint64 { return b.audioStat.MicDrops }, lb)
-	b.playoutHist = reg.Histogram("audio_playout_latency_ms", nil, lb)
-
-	reg.GaugeFunc("net_copies_max", func() float64 { return float64(b.copiesHi) }, lb)
-	reg.CounterFunc("switch_shed_drops_total", func() uint64 { return b.swStats.ShedDrops }, lb)
-	reg.CounterFunc("server_corrupt_drops_total", func() uint64 { return b.swStats.CorruptDrops }, lb)
-
-	// Mixer (display) board.
-	reg.CounterFunc("display_segments_total", func() uint64 { return b.displayStat.Segments }, lb)
-	reg.CounterFunc("display_frames_total", func() uint64 { return b.displayStat.Frames }, lb)
-	reg.CounterFunc("display_decode_errors_total", func() uint64 { return b.displayStat.DecodeErrs }, lb)
-
+	boxTable.Register(b.cfg.Obs, b, lb)
 	// Board-crash fault accounting, only when faults are configured so
 	// clean runs keep a clean namespace.
 	if b.cfg.BoardFaults != nil {
-		b.crashDrops = make(map[string]*obs.Counter)
-		for _, board := range []string{"server", "audio", "display"} {
-			b.crashDrops[board] = reg.Counter("fault_crash_drops_total", lb, obs.L("board", board))
-		}
+		crashTable.Register(b.cfg.Obs, b, lb)
 	}
 }
 
-// boardDown reports whether an injected crash window covers board now,
-// counting each discarded arrival and tracing once per outage.
-func (b *Box) boardDown(p *occam.Proc, board string) bool {
+// boxTable is a box's counters: the server board's switch, the audio
+// board and the mixer (display) board.
+var boxTable = obs.NewTable(boxColumns()...)
+
+func boxColumns() []obs.Column[*Box] {
+	cols := []obs.Column[*Box]{
+		obs.CounterOf("switch_switched_total", func(b *Box) uint64 { return b.swStats.Switched }),
+		obs.CounterOf("switch_noroute_total", func(b *Box) uint64 { return b.swStats.NoRoute }),
+		obs.CounterOf("switch_shed_drops_total", func(b *Box) uint64 { return b.swStats.ShedDrops }),
+		obs.CounterOf("server_corrupt_drops_total", func(b *Box) uint64 { return b.swStats.CorruptDrops }),
+		obs.GaugeOf("net_copies_max", func(b *Box) float64 { return float64(b.copiesHi) }),
+
+		obs.CounterOf("audio_ticks_total", func(b *Box) uint64 { return b.AudioStats().TicksRun }),
+		obs.CounterOf("audio_late_ticks_total", func(b *Box) uint64 { return b.audioStat.LateTicks }),
+		obs.CounterOf("audio_mic_blocks_total", func(b *Box) uint64 { return b.audioStat.MicBlocks }),
+		obs.CounterOf("audio_mic_segments_total", func(b *Box) uint64 { return b.audioStat.MicSegs }),
+		obs.CounterOf("audio_mic_drops_total", func(b *Box) uint64 { return b.audioStat.MicDrops }),
+		obs.HistogramOf("audio_playout_latency_ms", func(b *Box) *obs.Histogram { return b.playoutHist }),
+
+		obs.CounterOf("display_segments_total", func(b *Box) uint64 { return b.displayStat.Segments }),
+		obs.CounterOf("display_frames_total", func(b *Box) uint64 { return b.displayStat.Frames }),
+		obs.CounterOf("display_decode_errors_total", func(b *Box) uint64 { return b.displayStat.DecodeErrs }),
+	}
+	for slot := 0; slot < numOutBufs; slot++ {
+		out := obs.L("output", slotName(slot))
+		cols = append(cols,
+			obs.CounterOf("switch_full_drops_total", func(b *Box) uint64 { return b.swStats.FullDrops[slot] }, out),
+			obs.CounterOf("switch_age_drops_total", func(b *Box) uint64 { return b.swStats.AgeDrops[slot] }, out))
+	}
+	return cols
+}
+
+// crashBoards are the boards a crash window can take down, in the order
+// of a box's crash counters.
+var crashBoards = [...]string{"server", "audio", "display"}
+
+// Indices into crashBoards.
+const (
+	boardServer = iota
+	boardAudio
+	boardDisplay
+)
+
+// crashTable is a box's board-crash drop counters, one per board.
+var crashTable = obs.NewTable(
+	obs.CounterOf("fault_crash_drops_total", func(b *Box) uint64 { return b.crashDrops[boardServer] }, obs.L("board", "server")),
+	obs.CounterOf("fault_crash_drops_total", func(b *Box) uint64 { return b.crashDrops[boardAudio] }, obs.L("board", "audio")),
+	obs.CounterOf("fault_crash_drops_total", func(b *Box) uint64 { return b.crashDrops[boardDisplay] }, obs.L("board", "display")),
+)
+
+// boardDown reports whether an injected crash window covers board (a
+// crashBoards index) now, counting each discarded arrival and tracing
+// once per outage.
+func (b *Box) boardDown(p *occam.Proc, board int) bool {
 	if b.cfg.BoardFaults == nil {
 		return false
 	}
-	if !b.cfg.BoardFaults.Down(board, p.Now()) {
+	if !b.cfg.BoardFaults.Down(crashBoards[board], p.Now()) {
 		b.crashTraced[board] = false
 		return false
 	}
-	b.crashDrops[board].Inc()
+	b.crashDrops[board]++
 	if !b.crashTraced[board] {
 		b.crashTraced[board] = true
-		b.trace.Emit(obs.EvFault, b.cfg.Name+"."+board, 0, "board crashed: discarding input")
+		b.trace.Emit(obs.EvFault, b.cfg.Name+"."+crashBoards[board], 0, "board crashed: discarding input")
 	}
 	return true
 }

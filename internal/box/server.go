@@ -385,7 +385,7 @@ func (h *inputHandler) step(p *occam.Proc) {
 			}
 		case inGot:
 			h.at = inRecv
-			if b.boardDown(p, "server") {
+			if b.boardDown(p, boardServer) {
 				h.from.discard() // the pre-fetched buffer waits for recovery
 				continue
 			}

@@ -278,7 +278,7 @@ func (d *display) step(p *occam.Proc) {
 				return
 			}
 		case dispGot:
-			if b.boardDown(p, "display") {
+			if b.boardDown(p, boardDisplay) {
 				d.msg.W.Release()
 				d.at = dispRecv
 				continue

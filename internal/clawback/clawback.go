@@ -174,8 +174,7 @@ func (c Config) withDefaults() Config {
 
 // Stats reports the counters the buffer accumulates ("the process
 // reports this condition so that the cause can be investigated").
-// The counters live in the observability registry when one is
-// attached; Stats is reconstructed from them on demand.
+// A registry attached to the buffer reads them from its row.
 type Stats struct {
 	Pushed          uint64 // blocks offered
 	Accepted        uint64 // blocks queued
@@ -219,58 +218,44 @@ type Buffer struct {
 	minBlocks  int // minimum occupancy since last reset (multi-rate)
 	sinceReset int // blocks accepted since last reset (multi-rate)
 
-	pushed   *obs.Counter
-	accepted *obs.Counter
-	popped   *obs.Counter
-	silence  *obs.Counter
-	claw     *obs.Counter
-	limit    *obs.Counter
-	pool     *obs.Counter
-	fault    *obs.Counter
-	trace    *obs.Tracer
-	source   string
+	stats  Stats // what the buffer's registry row reads
+	trace  *obs.Tracer
+	source string
 }
 
 // New returns a buffer with the given configuration.
 func New(cfg Config) *Buffer {
 	cfg = cfg.withDefaults()
-	reg := cfg.Obs
 	owner := cfg.Owner
 	if owner == "" {
 		owner = "clawback"
 	}
-	lb := obs.L("stream", owner)
-	return &Buffer{
-		cfg:      cfg,
-		pushed:   reg.Counter("clawback_pushed_total", lb),
-		accepted: reg.Counter("clawback_accepted_total", lb),
-		popped:   reg.Counter("clawback_popped_total", lb),
-		silence:  reg.Counter("clawback_silence_total", lb),
-		claw:     reg.Counter("clawback_claw_drops_total", lb),
-		limit:    reg.Counter("clawback_limit_drops_total", lb),
-		pool:     reg.Counter("clawback_pool_drops_total", lb),
-		fault:    reg.Counter("clawback_fault_drops_total", lb),
-		trace:    reg.Tracer(),
-		source:   "clawback." + owner,
+	b := &Buffer{
+		cfg:    cfg,
+		trace:  cfg.Obs.Tracer(),
+		source: "clawback." + owner,
 	}
+	bufferTable.Register(cfg.Obs, b, obs.L("stream", owner))
+	return b
 }
+
+// bufferTable is a buffer's counters.
+var bufferTable = obs.NewTable(
+	obs.CounterOf("clawback_pushed_total", func(b *Buffer) uint64 { return b.stats.Pushed }),
+	obs.CounterOf("clawback_accepted_total", func(b *Buffer) uint64 { return b.stats.Accepted }),
+	obs.CounterOf("clawback_popped_total", func(b *Buffer) uint64 { return b.stats.Popped }),
+	obs.CounterOf("clawback_silence_total", func(b *Buffer) uint64 { return b.stats.SilenceInserted }),
+	obs.CounterOf("clawback_claw_drops_total", func(b *Buffer) uint64 { return b.stats.ClawDrops }),
+	obs.CounterOf("clawback_limit_drops_total", func(b *Buffer) uint64 { return b.stats.LimitDrops }),
+	obs.CounterOf("clawback_pool_drops_total", func(b *Buffer) uint64 { return b.stats.PoolDrops }),
+	obs.CounterOf("clawback_fault_drops_total", func(b *Buffer) uint64 { return b.stats.FaultDrops }),
+)
 
 // Config returns the effective configuration.
 func (b *Buffer) Config() Config { return b.cfg }
 
 // Stats returns a copy of the accumulated counters.
-func (b *Buffer) Stats() Stats {
-	return Stats{
-		Pushed:          b.pushed.Value(),
-		Accepted:        b.accepted.Value(),
-		Popped:          b.popped.Value(),
-		SilenceInserted: b.silence.Value(),
-		ClawDrops:       b.claw.Value(),
-		LimitDrops:      b.limit.Value(),
-		PoolDrops:       b.pool.Value(),
-		FaultDrops:      b.fault.Value(),
-	}
-}
+func (b *Buffer) Stats() Stats { return b.stats }
 
 // Len returns the current occupancy in blocks.
 func (b *Buffer) Len() int { return b.n }
@@ -287,11 +272,11 @@ func (b *Buffer) Push(blk []byte) DropReason { return b.PushItem(Item{Data: blk}
 
 // PushItem offers an arriving block with its source timestamp.
 func (b *Buffer) PushItem(it Item) DropReason {
-	b.pushed.Inc()
+	b.stats.Pushed++
 	if b.cfg.Fault != nil && b.cfg.Fault() {
 		// Injected corruption at the destination: the block is thrown
 		// away before it can influence the clawback state (§3.8).
-		b.fault.Inc()
+		b.stats.FaultDrops++
 		b.trace.Emit(obs.EvFault, b.source, 0, DropFault.String())
 		it.W.Release()
 		return DropFault
@@ -299,28 +284,28 @@ func (b *Buffer) PushItem(it Item) DropReason {
 	if b.n >= b.cfg.LimitBlocks {
 		// "we throw away samples if the buffer is above its limit
 		// when they arrive."
-		b.limit.Inc()
+		b.stats.LimitDrops++
 		b.trace.Emit(obs.EvDrop, b.source, 0, DropLimit.String())
 		it.W.Release()
 		return DropLimit
 	}
 	if b.cfg.MultiRate {
 		if b.pushMultiRate() {
-			b.claw.Inc()
+			b.stats.ClawDrops++
 			b.trace.Emit(obs.EvDrop, b.source, 0, DropClaw.String())
 			it.W.Release()
 			return DropClaw
 		}
 	} else {
 		if b.pushSingleRate() {
-			b.claw.Inc()
+			b.stats.ClawDrops++
 			b.trace.Emit(obs.EvDrop, b.source, 0, DropClaw.String())
 			it.W.Release()
 			return DropClaw
 		}
 	}
 	if b.cfg.Pool != nil && !b.cfg.Pool.take() {
-		b.pool.Inc()
+		b.stats.PoolDrops++
 		b.trace.Emit(obs.EvDrop, b.source, 0, DropPool.String())
 		it.W.Release()
 		return DropPool
@@ -330,7 +315,7 @@ func (b *Buffer) PushItem(it Item) DropReason {
 	}
 	b.ring[(b.head+b.n)&(len(b.ring)-1)] = it
 	b.n++
-	b.accepted.Inc()
+	b.stats.Accepted++
 	return DropNone
 }
 
@@ -403,11 +388,11 @@ func (b *Buffer) Pop() (blk []byte, ok bool) {
 // PopItem takes the next block with its source timestamp.
 func (b *Buffer) PopItem() (it Item, ok bool) {
 	if b.n == 0 {
-		b.silence.Inc()
+		b.stats.SilenceInserted++
 		return Item{}, false
 	}
 	it = b.take()
-	b.popped.Inc()
+	b.stats.Popped++
 	return it, true
 }
 

@@ -379,15 +379,18 @@ func (s *System) sendTree(p *occam.Proc, cfg TreeConfig, from string, cs box.Cam
 	return st
 }
 
-// observeTree registers the per-tree gauges for planned (non-flat)
-// trees: depth, the interior copy high-water, and repairs.
+// observeTree registers the row of a planned (non-flat) tree: depth,
+// the interior copy high-water, and repairs.
 func (s *System) observeTree(st *Stream) {
-	plan := st.Tree
-	lb := obs.L("tree", fmt.Sprintf("%s.%d", st.From, st.Local))
-	s.Obs.GaugeFunc("tree_depth", func() float64 { return float64(plan.Depth()) }, lb)
-	s.Obs.GaugeFunc("tree_copies_max", func() float64 { return float64(plan.MaxInteriorCopies()) }, lb)
-	s.Obs.CounterFunc("tree_repairs_total", func() uint64 { return plan.repairs }, lb)
+	treeTable.Register(s.Obs, st.Tree, obs.L("tree", fmt.Sprintf("%s.%d", st.From, st.Local)))
 }
+
+// treeTable is a planned tree's shape and repair count.
+var treeTable = obs.NewTable(
+	obs.GaugeOf("tree_depth", func(t *TreePlan) float64 { return float64(t.Depth()) }),
+	obs.GaugeOf("tree_copies_max", func(t *TreePlan) float64 { return float64(t.MaxInteriorCopies()) }),
+	obs.CounterOf("tree_repairs_total", func(t *TreePlan) uint64 { return t.repairs }),
+)
 
 // Pull grafts late joiners onto an open stream: each destination pulls
 // one copy from the chosen already-carrying box (spare fanout,

@@ -44,13 +44,13 @@ type Buffer[T any] struct {
 	notFull *occam.Signal // parks a Send producer while the ring is full
 
 	reg     *obs.Registry
-	refused *obs.Counter
+	refused uint64
 	trace   *obs.Tracer
 
 	// Sink-stall fault (SetStall): an item staged inside an outage is
 	// withheld until heldUntil, when stallEnd wakes the consumer.
 	stall     func(now occam.Time) occam.Time
-	stalls    *obs.Counter
+	stalls    uint64
 	stallEnd  *occam.Timer
 	heldUntil occam.Time
 	stalledT  occam.Time // end of the outage already counted
@@ -69,14 +69,31 @@ func New[T any](rt *occam.Runtime, name string, capacity int, reg *obs.Registry)
 		reg:     reg,
 		trace:   reg.Tracer(),
 	}
-	lb := obs.L("buffer", name)
-	reg.GaugeFunc("decouple_queued", func() float64 { return float64(b.ring.Len()) }, lb)
-	reg.GaugeFunc("decouple_limit", func() float64 { return float64(b.ring.Cap()) }, lb)
-	reg.CounterFunc("decouple_pushed_total", b.ring.Pushed, lb)
-	reg.CounterFunc("decouple_popped_total", b.ring.Popped, lb)
-	b.refused = reg.Counter("decouple_refused_total", lb)
+	bufferTable.Register(reg, b, obs.L("buffer", name))
 	return b
 }
+
+// meter is what a buffer's registry rows read, whatever its item type.
+type meter interface {
+	Report() Report
+	Dropped() uint64
+	stalled() uint64
+}
+
+// bufferTable is a buffer's occupancy and limit gauges and its
+// activity and refusal counters.
+var bufferTable = obs.NewTable(
+	obs.GaugeOf("decouple_queued", func(b meter) float64 { return float64(b.Report().Length) }),
+	obs.GaugeOf("decouple_limit", func(b meter) float64 { return float64(b.Report().Limit) }),
+	obs.CounterOf("decouple_pushed_total", func(b meter) uint64 { return b.Report().Pushed }),
+	obs.CounterOf("decouple_popped_total", func(b meter) uint64 { return b.Report().Popped }),
+	obs.CounterOf("decouple_refused_total", meter.Dropped),
+)
+
+// stallTable is a buffer's sink-stall count, registered by SetStall.
+var stallTable = obs.NewTable(obs.CounterOf("decouple_stalled_total", meter.stalled))
+
+func (b *Buffer[T]) stalled() uint64 { return b.stalls }
 
 // SetStall attaches a fault-injection hook modelling a stuck consumer
 // (a wedged output device): fn returns the end of any outage covering
@@ -89,7 +106,7 @@ func New[T any](rt *occam.Runtime, name string, capacity int, reg *obs.Registry)
 // before any data flows.
 func (b *Buffer[T]) SetStall(fn func(now occam.Time) occam.Time) {
 	b.stall = fn
-	b.stalls = b.reg.Counter("decouple_stalled_total", obs.L("buffer", b.name))
+	stallTable.Register(b.reg, b, obs.L("buffer", b.name))
 	b.stallEnd = occam.NewTimer(b.rt, func(s occam.Sched) {
 		if b.heldUntil > s.Now() {
 			s.Schedule(b.stallEnd, b.heldUntil) // a later outage took over
@@ -125,7 +142,7 @@ func (b *Buffer[T]) stage(p *occam.Proc) bool {
 	if until > b.stalledT {
 		// Count each outage once, not once per queued item.
 		b.stalledT = until
-		b.stalls.Inc()
+		b.stalls++
 		b.trace.Emit(obs.EvFault, "decouple."+b.name, 0, "sink stalled")
 	}
 	b.heldUntil = until
@@ -142,7 +159,7 @@ func (b *Buffer[T]) stage(p *occam.Proc) bool {
 // waiting for the buffer to become free".
 func (b *Buffer[T]) Deliver(p *occam.Proc, v T) bool {
 	if !b.ring.Push(v) {
-		b.refused.Inc()
+		b.refused++
 		b.trace.Emit(obs.EvDrop, "decouple."+b.name, 0, "ready-refusal")
 		return false
 	}
@@ -197,7 +214,7 @@ func (b *Buffer[T]) Recv(p *occam.Proc) T {
 }
 
 // Dropped returns how many items Deliver refused.
-func (b *Buffer[T]) Dropped() uint64 { return b.refused.Value() }
+func (b *Buffer[T]) Dropped() uint64 { return b.refused }
 
 // Resize sets a new capacity limit "without any loss of data":
 // shrinking below the occupancy keeps every queued item and refuses

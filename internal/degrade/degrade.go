@@ -166,35 +166,37 @@ type Controller struct {
 	victim StreamInfo
 	act    Action
 
-	shedVideo *obs.Counter
-	shedAudio *obs.Counter
-	restores  *obs.Counter
-	ticks     *obs.Counter
-	pVideo    *obs.Gauge
-	pAudio    *obs.Gauge
+	// Counts of decisions and samples, which the controller's registry
+	// row reads with video and audio, the pressures of the last sample.
+	shedVideo, shedAudio, restores, ticks uint64
 }
 
 // New starts a controller for target on rt; its instruments register
 // in reg (nil for none).
 func New(rt *occam.Runtime, target Target, cfg Config, reg *obs.Registry) *Controller {
 	cfg = cfg.withDefaults()
-	lb := obs.L("box", target.DegradeName())
 	c := &Controller{
-		target:    target,
-		cfg:       cfg,
-		trace:     reg.Tracer(),
-		shed:      make(map[uint32]StreamInfo),
-		shedVideo: reg.Counter("degrade_shed_total", lb, obs.L("media", "video")),
-		shedAudio: reg.Counter("degrade_shed_total", lb, obs.L("media", "audio")),
-		restores:  reg.Counter("degrade_restore_total", lb),
-		ticks:     reg.Counter("degrade_ticks_total", lb),
-		pVideo:    reg.Gauge("degrade_pressure_video", lb),
-		pAudio:    reg.Gauge("degrade_pressure_audio", lb),
+		target: target,
+		cfg:    cfg,
+		trace:  reg.Tracer(),
+		shed:   make(map[uint32]StreamInfo),
 	}
-	reg.GaugeFunc("degrade_active_sheds", func() float64 { return float64(c.NumShed()) }, lb)
+	controllerTable.Register(reg, c, obs.L("box", target.DegradeName()))
 	rt.GoStep(target.DegradeName()+".degrade", nil, occam.High, c.step)
 	return c
 }
+
+// controllerTable is a controller's decision and sample counts, the
+// pressures it last sampled and how many streams it has shed now.
+var controllerTable = obs.NewTable(
+	obs.CounterOf("degrade_shed_total", func(c *Controller) uint64 { return c.shedVideo }, obs.L("media", "video")),
+	obs.CounterOf("degrade_shed_total", func(c *Controller) uint64 { return c.shedAudio }, obs.L("media", "audio")),
+	obs.CounterOf("degrade_restore_total", func(c *Controller) uint64 { return c.restores }),
+	obs.CounterOf("degrade_ticks_total", func(c *Controller) uint64 { return c.ticks }),
+	obs.GaugeOf("degrade_pressure_video", func(c *Controller) float64 { return c.video }),
+	obs.GaugeOf("degrade_pressure_audio", func(c *Controller) float64 { return c.audio }),
+	obs.GaugeOf("degrade_active_sheds", func(c *Controller) float64 { return float64(c.NumShed()) }),
+)
 
 // Actions returns the decision log.
 func (c *Controller) Actions() []Action { return append([]Action(nil), c.log...) }
@@ -247,10 +249,8 @@ func (c *Controller) step(p *occam.Proc) {
 // the pressures into the gauges and reports whether a shed or a restore
 // is due now.
 func (c *Controller) sample(now occam.Time) bool {
-	c.ticks.Inc()
+	c.ticks++
 	c.video, c.audio = c.pressure()
-	c.pVideo.Set(c.video)
-	c.pAudio.Set(c.audio)
 	switch {
 	case c.video >= highWater || c.audio >= highWater:
 		c.lastHigh = now
@@ -351,7 +351,7 @@ func (c *Controller) settle() {
 	c.target.DegradeSettle(act.Stream, !act.Restore)
 	if act.Restore {
 		c.lastRestore = act.At
-		c.restores.Inc()
+		c.restores++
 		c.log = append(c.log, act)
 		c.trace.Emit(obs.EvRecover, c.target.DegradeName()+".degrade", act.Stream, act.desc())
 		return
@@ -360,9 +360,9 @@ func (c *Controller) settle() {
 	c.stack = append(c.stack, act.Stream)
 	c.lastShed = act.At
 	if act.Video {
-		c.shedVideo.Inc()
+		c.shedVideo++
 	} else {
-		c.shedAudio.Inc()
+		c.shedAudio++
 	}
 	c.log = append(c.log, act)
 	c.trace.Emit(obs.EvOverload, c.target.DegradeName()+".degrade", act.Stream, act.desc())

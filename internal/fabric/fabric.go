@@ -175,20 +175,13 @@ func (f *Fabric) Observe(reg *obs.Registry) {
 func (f *Fabric) Attach(h *atm.Host) *Port {
 	id := len(f.ports)
 	pt := &Port{
-		fab:       f,
-		id:        id,
-		nm:        fmt.Sprintf("%s.p%02d", f.nm, id),
-		host:      h,
-		shed:      make(map[uint32]bool),
-		perVCI:    make(map[uint32]*vciDigest),
-		inByVCI:   make(map[uint32]uint64),
-		forwarded: obs.NewCounter(),
-		bytes:     obs.NewCounter(),
-		cellsTx:   obs.NewCounter(),
-		inDrops:   obs.NewCounter(),
-		egDrops:   obs.NewCounter(),
-		unrouted:  obs.NewCounter(),
-		shedDrops: obs.NewCounter(),
+		fab:     f,
+		id:      id,
+		nm:      fmt.Sprintf("%s.p%02d", f.nm, id),
+		host:    h,
+		shed:    make(map[uint32]bool),
+		perVCI:  make(map[uint32]*vciDigest),
+		inByVCI: make(map[uint32]uint64),
 	}
 	pt.fault = atm.NewFaultGate(pt.nm, "port-stall")
 	pt.crossTimer = occam.NewTimer(f.rt, pt.crossDone)
@@ -375,13 +368,8 @@ type Port struct {
 	perVCI    map[uint32]*vciDigest
 	delivered uint64
 
-	forwarded *obs.Counter
-	bytes     *obs.Counter
-	cellsTx   *obs.Counter
-	inDrops   *obs.Counter
-	egDrops   *obs.Counter
-	unrouted  *obs.Counter
-	shedDrops *obs.Counter
+	// Traffic and drop counters, which the port's registry row reads.
+	forwarded, bytes, cellsTx, inDrops, egDrops, unrouted, shedDrops uint64
 }
 
 // Name returns the port name (the obs "port" label value).
@@ -391,13 +379,13 @@ func (pt *Port) Name() string { return pt.nm }
 func (pt *Port) Stats() PortStats {
 	fs := pt.fault.Stats()
 	return PortStats{
-		Forwarded:    pt.forwarded.Value(),
-		Bytes:        pt.bytes.Value(),
-		Cells:        pt.cellsTx.Value(),
-		IngressDrops: pt.inDrops.Value(),
-		EgressDrops:  pt.egDrops.Value(),
-		Unrouted:     pt.unrouted.Value(),
-		ShedDrops:    pt.shedDrops.Value(),
+		Forwarded:    pt.forwarded,
+		Bytes:        pt.bytes,
+		Cells:        pt.cellsTx,
+		IngressDrops: pt.inDrops,
+		EgressDrops:  pt.egDrops,
+		Unrouted:     pt.unrouted,
+		ShedDrops:    pt.shedDrops,
 		FaultDrops:   fs.Drops,
 		FaultCorrupt: fs.Corruptions,
 		FaultDups:    fs.Duplicates,
@@ -465,23 +453,27 @@ func (pt *Port) Occupancy() (egress, ingress float64) {
 // its own port.
 func (pt *Port) SetFault(h atm.FaultHook) { pt.fault.SetHook(h) }
 
-// observe registers the port's instruments under the obs "port" label.
+// observe registers the port's row under the obs "port" label.
 func (pt *Port) observe(reg *obs.Registry) {
-	lb := obs.L("port", pt.nm)
-	reg.RegisterCounter("fabric_port_forwarded_total", pt.forwarded, lb)
-	reg.RegisterCounter("fabric_port_bytes_total", pt.bytes, lb)
-	reg.RegisterCounter("fabric_port_cells_total", pt.cellsTx, lb)
-	reg.RegisterCounter("fabric_port_ingress_drops_total", pt.inDrops, lb)
-	reg.RegisterCounter("fabric_port_egress_drops_total", pt.egDrops, lb)
-	reg.RegisterCounter("fabric_port_unrouted_total", pt.unrouted, lb)
-	reg.RegisterCounter("fabric_port_shed_drops_total", pt.shedDrops, lb)
-	pt.fault.Register(reg, "fabric_port_fault_", lb)
+	portTable.Register(reg, pt, obs.L("port", pt.nm))
 	pt.fault.Trace(reg.Tracer())
-	reg.GaugeFunc("fabric_port_ingress_depth", func() float64 { return float64(len(pt.inq)) }, lb)
-	reg.GaugeFunc("fabric_port_ingress_limit", func() float64 { return float64(pt.fab.cfg.IngressLimit) }, lb)
-	reg.GaugeFunc("fabric_port_queue_depth", func() float64 { return float64(pt.egCells) }, lb)
-	reg.GaugeFunc("fabric_port_queue_limit", func() float64 { return float64(pt.fab.cfg.EgressCellLimit) }, lb)
 }
+
+// portTable is a port's traffic, drop and injected-fault counters and
+// its queue gauges.
+var portTable = obs.NewTable(append([]obs.Column[*Port]{
+	obs.CounterOf("fabric_port_forwarded_total", func(pt *Port) uint64 { return pt.forwarded }),
+	obs.CounterOf("fabric_port_bytes_total", func(pt *Port) uint64 { return pt.bytes }),
+	obs.CounterOf("fabric_port_cells_total", func(pt *Port) uint64 { return pt.cellsTx }),
+	obs.CounterOf("fabric_port_ingress_drops_total", func(pt *Port) uint64 { return pt.inDrops }),
+	obs.CounterOf("fabric_port_egress_drops_total", func(pt *Port) uint64 { return pt.egDrops }),
+	obs.CounterOf("fabric_port_unrouted_total", func(pt *Port) uint64 { return pt.unrouted }),
+	obs.CounterOf("fabric_port_shed_drops_total", func(pt *Port) uint64 { return pt.shedDrops }),
+	obs.GaugeOf("fabric_port_ingress_depth", func(pt *Port) float64 { return float64(len(pt.inq)) }),
+	obs.GaugeOf("fabric_port_ingress_limit", func(pt *Port) float64 { return float64(pt.fab.cfg.IngressLimit) }),
+	obs.GaugeOf("fabric_port_queue_depth", func(pt *Port) float64 { return float64(pt.egCells) }),
+	obs.GaugeOf("fabric_port_queue_limit", func(pt *Port) float64 { return float64(pt.fab.cfg.EgressCellLimit) }),
+}, atm.FaultColumns("fabric_port_fault_", func(pt *Port) *atm.FaultGate { return pt.fault })...)...)
 
 // TransportName implements atm.Transport.
 func (pt *Port) TransportName() string { return "fabric:" + pt.nm }
@@ -503,7 +495,7 @@ func (pt *Port) Send(p *occam.Proc, m atm.Message) error {
 	pt.inMax = max(pt.inMax, n)
 	if pt.crossBusy {
 		if len(pt.inq) >= pt.fab.cfg.IngressLimit {
-			pt.inDrops.Inc()
+			pt.inDrops++
 			pt.fab.trace.EmitAt(p.Now(), obs.EvDrop, pt.nm, m.VCI, "ingress-overflow")
 			m.W.Release()
 			return nil
@@ -526,7 +518,7 @@ func (pt *Port) crossDone(s occam.Sched) {
 	m := pt.crossing
 	pt.crossing = atm.Message{}
 	if r := pt.fab.lookup(m.VCI); r == nil {
-		pt.unrouted.Inc()
+		pt.unrouted++
 		pt.fab.trace.EmitAt(s.Now(), obs.EvDrop, pt.nm, m.VCI, "unrouted")
 		m.W.Release()
 	} else {
@@ -554,7 +546,7 @@ func (pt *Port) crossDone(s occam.Sched) {
 func (pt *Port) egArrive(s occam.Sched, m atm.Message) {
 	now := s.Now()
 	if pt.shed[m.VCI] {
-		pt.shedDrops.Inc()
+		pt.shedDrops++
 		pt.fab.trace.EmitAt(now, obs.EvDrop, pt.nm, m.VCI, "degrade-shed")
 		m.W.Release()
 		return
@@ -565,7 +557,7 @@ func (pt *Port) egArrive(s occam.Sched, m atm.Message) {
 	}
 	n := cells(m.Size)
 	if pt.egCells+n > pt.fab.cfg.EgressCellLimit {
-		pt.egDrops.Inc()
+		pt.egDrops++
 		pt.fab.trace.EmitAt(now, obs.EvDrop, pt.nm, m.VCI, "egress-overflow")
 		m.W.Release()
 		return
@@ -652,9 +644,9 @@ func (pt *Port) stepTx(p *occam.Proc) {
 			m := pt.batch[pt.txNext]
 			pt.batch[pt.txNext] = atm.Message{}
 			pt.txNext++
-			pt.forwarded.Inc()
-			pt.bytes.Add(uint64(m.Size))
-			pt.cellsTx.Add(uint64(cells(m.Size)))
+			pt.forwarded++
+			pt.bytes += uint64(m.Size)
+			pt.cellsTx += uint64(cells(m.Size))
 			pt.fold(m)
 			if pt.host.Deliver(p, m); p.Parked() {
 				return

@@ -19,8 +19,8 @@ package mixer
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/clawback"
 	"repro/internal/mulaw"
@@ -51,9 +51,9 @@ type Config struct {
 	Name string
 }
 
-// StreamStats reports one stream's reception history. The counters
-// live in the observability registry when one is attached; StreamStats
-// is reconstructed from them on demand.
+// StreamStats reports one stream's reception history. The counters are
+// plain fields of the stream, which a registry attached to the mixer
+// reads from the stream's row.
 type StreamStats struct {
 	Segments       uint64 // segments delivered
 	Blocks         uint64 // blocks delivered
@@ -70,14 +70,14 @@ type StreamStats struct {
 	Clawback clawback.Stats
 }
 
-// streamCounters are one stream's registry instruments.
+// streamCounters are one stream's counts, which its registry row reads.
 type streamCounters struct {
-	segments      *obs.Counter
-	blocks        *obs.Counter
-	lost          *obs.Counter
-	concealed     *obs.Counter
-	lateDups      *obs.Counter
-	reactivations *obs.Counter
+	segments      uint64
+	blocks        uint64
+	lost          uint64
+	concealed     uint64
+	lateDups      uint64
+	reactivations uint64
 }
 
 // stream is one incoming audio stream's destination state. lastBlock
@@ -124,7 +124,7 @@ type Mixer struct {
 	// shed holds streams suspended by the overload controller
 	// (internal/degrade): their deliveries are discarded until restored.
 	shed      map[uint32]bool
-	shedDrops *obs.Counter
+	shedDrops uint64
 
 	// out is per-tick scratch, reused: the returned block is valid
 	// until the next Tick.
@@ -154,15 +154,30 @@ func New(cfg Config) *Mixer {
 		pool: clawback.NewPool(cfg.PoolBlocks),
 		shed: make(map[uint32]bool),
 	}
-	lb := obs.L("box", cfg.Name)
-	m.shedDrops = cfg.Obs.Counter("mixer_shed_drops_total", lb)
-	cfg.Obs.GaugeFunc("clawback_pool_used", func() float64 { return float64(m.pool.Used()) }, lb)
-	cfg.Obs.GaugeFunc("clawback_pool_capacity", func() float64 { return float64(m.pool.Capacity()) }, lb)
-	cfg.Obs.CounterFunc("clawback_pool_exhausted_total", func() uint64 { return m.pool.Exhausted }, lb)
-	cfg.Obs.GaugeFunc("mixer_active_streams", func() float64 { return float64(m.ActiveStreams()) }, lb)
-	cfg.Obs.CounterFunc("mixer_ticks_total", m.Ticks, lb)
+	mixerTable.Register(cfg.Obs, m, obs.L("box", cfg.Name))
 	return m
 }
+
+// mixerTable is a mixer's shed drops, tick count and active streams,
+// and its shared clawback pool's occupancy and refusals.
+var mixerTable = obs.NewTable(
+	obs.CounterOf("mixer_shed_drops_total", func(m *Mixer) uint64 { return m.shedDrops }),
+	obs.GaugeOf("clawback_pool_used", func(m *Mixer) float64 { return float64(m.pool.Used()) }),
+	obs.GaugeOf("clawback_pool_capacity", func(m *Mixer) float64 { return float64(m.pool.Capacity()) }),
+	obs.CounterOf("clawback_pool_exhausted_total", func(m *Mixer) uint64 { return m.pool.Exhausted }),
+	obs.GaugeOf("mixer_active_streams", func(m *Mixer) float64 { return float64(m.ActiveStreams()) }),
+	obs.CounterOf("mixer_ticks_total", (*Mixer).Ticks),
+)
+
+// streamTable is one incoming stream's reception counts.
+var streamTable = obs.NewTable(
+	obs.CounterOf("mixer_segments_total", func(s *stream) uint64 { return s.c.segments }),
+	obs.CounterOf("mixer_blocks_total", func(s *stream) uint64 { return s.c.blocks }),
+	obs.CounterOf("mixer_lost_segments_total", func(s *stream) uint64 { return s.c.lost }),
+	obs.CounterOf("mixer_concealed_total", func(s *stream) uint64 { return s.c.concealed }),
+	obs.CounterOf("mixer_late_duplicates_total", func(s *stream) uint64 { return s.c.lateDups }),
+	obs.CounterOf("mixer_reactivations_total", func(s *stream) uint64 { return s.c.reactivations }),
+)
 
 // Pool returns the shared clawback pool (for reports).
 func (m *Mixer) Pool() *clawback.Pool { return m.pool }
@@ -195,40 +210,33 @@ func (m *Mixer) Stats(id uint32) StreamStats {
 		return StreamStats{}
 	}
 	return StreamStats{
-		Segments:       s.c.segments.Value(),
-		Blocks:         s.c.blocks.Value(),
-		LostSegments:   s.c.lost.Value(),
-		Concealed:      s.c.concealed.Value(),
-		LateDuplicates: s.c.lateDups.Value(),
-		Reactivations:  s.c.reactivations.Value(),
+		Segments:       s.c.segments,
+		Blocks:         s.c.blocks,
+		LostSegments:   s.c.lost,
+		Concealed:      s.c.concealed,
+		LateDuplicates: s.c.lateDups,
+		Reactivations:  s.c.reactivations,
 		Digest:         s.digest,
 		Clawback:       s.buf.Stats(),
 	}
 }
 
 // newStream creates destination state for stream id, registering its
-// instruments and its clawback buffer's.
+// row and its clawback buffer's.
 func (m *Mixer) newStream(id uint32) *stream {
 	cfg := m.cfg.Clawback
 	cfg.Pool = m.pool
 	cfg.Obs = m.cfg.Obs
-	cfg.Owner = fmt.Sprintf("%s/%d", m.cfg.Name, id)
-	reg := m.cfg.Obs
-	lbs := []obs.Label{obs.L("box", m.cfg.Name), obs.L("stream", fmt.Sprint(id))}
-	return &stream{
+	sid := strconv.FormatUint(uint64(id), 10)
+	cfg.Owner = m.cfg.Name + "/" + sid
+	s := &stream{
 		id:     id,
 		buf:    clawback.New(cfg),
 		active: true,
 		digest: fnvOffset,
-		c: streamCounters{
-			segments:      reg.Counter("mixer_segments_total", lbs...),
-			blocks:        reg.Counter("mixer_blocks_total", lbs...),
-			lost:          reg.Counter("mixer_lost_segments_total", lbs...),
-			concealed:     reg.Counter("mixer_concealed_total", lbs...),
-			lateDups:      reg.Counter("mixer_late_duplicates_total", lbs...),
-			reactivations: reg.Counter("mixer_reactivations_total", lbs...),
-		},
 	}
+	streamTable.Register(m.cfg.Obs, s, obs.L("box", m.cfg.Name), obs.L("stream", sid))
+	return s
 }
 
 func (m *Mixer) source() string { return m.cfg.Name + ".mixer" }
@@ -244,7 +252,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 	if m.shed[id] {
 		// The overload controller shed this stream: discard the
 		// segment (releasing its wire) until DegradeRestore.
-		m.shedDrops.Inc()
+		m.shedDrops++
 		tr.Emit(obs.EvDrop, m.source(), id, "degrade-shed")
 		w.Release()
 		return
@@ -261,10 +269,10 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 		// will resume."
 		s.active = true
 		m.play(s)
-		s.c.reactivations.Inc()
+		s.c.reactivations++
 		tr.Emit(obs.EvStreamOpen, m.source(), id, "stream reactivated")
 	}
-	s.c.segments.Inc()
+	s.c.segments++
 
 	seq := w.Seq()
 	blocks := w.AudioBlocks()
@@ -276,7 +284,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 		// duplicates both classify correctly.
 		gap := int(int32(seq - s.nextSeq)) // whole missing segments
 		if gap > 0 {
-			s.c.lost.Add(uint64(gap))
+			s.c.lost += uint64(gap)
 			conceal := gap * blocks
 			if conceal > m.cfg.MaxConcealBlocks {
 				conceal = m.cfg.MaxConcealBlocks
@@ -290,7 +298,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 					if s.buf.PushItem(clawback.Item{Data: replay, Stamp: stamp}) != clawback.DropNone {
 						break
 					}
-					s.c.concealed.Inc()
+					s.c.concealed++
 				}
 			}
 		} else {
@@ -299,7 +307,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 			// away" (§3.8). Queueing its blocks would play duplicated
 			// audio, so the payload is discarded; the stream still
 			// resynchronises to the duplicate's sequence number.
-			s.c.lateDups.Inc()
+			s.c.lateDups++
 			tr.Emit(obs.EvDrop, m.source(), id, "late-duplicate")
 			s.nextSeq = seq + 1
 			w.Release()
@@ -324,7 +332,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 		copy(s.lastBlock[:], w.AudioBlock(blocks-1))
 		s.haveLast = true
 	}
-	s.c.blocks.Add(uint64(blocks))
+	s.c.blocks += uint64(blocks)
 	w.Release()
 }
 

@@ -9,9 +9,12 @@ import (
 	"unsafe"
 )
 
-func TestEntryFitsTheSixtyFourByteClass(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n != 64 {
-		t.Errorf("entry is %d bytes, want 64", n)
+// TestRowFitsTheSixtyFourByteClass: a row — table, object, labels and
+// chain link — is what a registered object costs the registry beyond
+// its labels, a pointer in the row list and a map slot.
+func TestRowFitsTheSixtyFourByteClass(t *testing.T) {
+	if n := unsafe.Sizeof(row{}); n > 64 {
+		t.Errorf("row is %d bytes, want at most 64", n)
 	}
 }
 
@@ -25,7 +28,7 @@ func TestHashKeyIsFNVOfKey(t *testing.T) {
 	}
 }
 
-// TestHashChainKeepsCollidingIdentitiesApart plants an entry of another
+// TestHashChainKeepsCollidingIdentitiesApart plants a row of another
 // identity under the hash of each real identity, as a hash collision
 // would, then registers the real one twice with each of the five kinds
 // of source. The chain must keep the two apart, the second registration
@@ -37,10 +40,7 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 	plant := func(name string) *Counter {
 		c := NewCounter()
 		c.Add(1000)
-		h := hashKey(name, []Label{lb})
-		e := &entry{name: "planted_" + name, labels: []Label{L("box", "z")}, src: c, next: r.byHash[h]}
-		r.byHash[h] = e
-		r.entries = append(r.entries, e)
+		plant(r, hashKey(name, []Label{lb}), "planted_"+name, c, L("box", "z"))
 		return c
 	}
 	names := []string{"c_total", "rc_total", "cf_total", "g", "gf", "h_ms"}
@@ -72,10 +72,10 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 	if h2 := r.Histogram("h_ms", []float64{1}, lb); h2 != h {
 		t.Error("Histogram: re-registration did not return the first histogram")
 	}
-	// Each chain holds the real entry, then the planted one.
+	// Each chain holds the real row, then the planted one.
 	for _, name := range names {
-		e := r.byHash[hashKey(name, []Label{lb})]
-		if e == nil || e.name != name || e.next == nil || e.next.src != planted[name] || e.next.next != nil {
+		w := r.byHash[hashKey(name, []Label{lb})]
+		if w == nil || w.tab.cols[0].name != name || w.next == nil || w.next.obj != planted[name] || w.next.next != nil {
 			t.Errorf("the chain under %s's hash is not [%s, planted_%s]", name, name, name)
 		}
 	}
@@ -103,6 +103,17 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 			t.Errorf("%s is a %v, want a %v", k.name, sm.Kind, k.want)
 		}
 	}
+}
+
+// plant adds a one-counter row of family name under hash h, whatever
+// its identity hashes to, as a collision with h's identity would.
+func plant(r *Registry, h uint64, name string, c *Counter, labels ...Label) {
+	t := single(name, KindCounter)
+	r.families[name] = t
+	w := &row{tab: t, obj: c, labels: labels, next: r.byHash[h]}
+	r.byHash[h] = w
+	r.rows = append(r.rows, w)
+	r.samples++
 }
 
 // TestReRegistrationAsAnotherKindPanicsNamingTheKey: an identity

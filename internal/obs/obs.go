@@ -5,35 +5,48 @@
 // It generalises the paper's per-process drop counters and rate-limited
 // host-log reports (§3.8) into one cross-cutting substrate: every
 // data-path package (atm links, clawback buffers, the mixer, the
-// decoupling buffers, the allocator and the box boards) registers its
-// counters here once, and a whole running simulation can be snapshotted,
-// diffed and exported at any instant of virtual time.
+// decoupling buffers, the allocator and the box boards) registers each
+// of its objects here once, and a whole running simulation can be
+// snapshotted, diffed and exported at any instant of virtual time.
 //
 // Design constraints, in order:
 //
-//   - Hot paths pay one pointer-chase and one integer add. An instrument
-//     is a plain struct field registered once; there are no locks and no
-//     atomics because the occam scheduler runs exactly one process at a
-//     time (package occam's defining property).
+//   - Hot paths pay one integer add. An object keeps its counts as plain
+//     struct fields, and the registry reads them only when a snapshot
+//     asks; there are no locks and no atomics because the occam
+//     scheduler runs exactly one process at a time (package occam's
+//     defining property).
 //   - Instrumented code must not care whether anyone is watching: every
-//     constructor and Emit is safe on a nil *Registry / *Tracer and
-//     simply hands back an unregistered (but fully functional)
-//     instrument, so unit tests of one package need no registry.
+//     registration and Emit is safe on a nil *Registry / *Tracer, and
+//     the instruments it hands back are unregistered but fully
+//     functional, so unit tests of one package need no registry.
 //   - Existing accessor APIs (atm.LinkStats, clawback.Stats,
-//     mixer.StreamStats, ...) keep working; they are reconstructed from
-//     the registered instruments.
+//     mixer.StreamStats, ...) keep working; they read the same fields
+//     the registry does.
 //   - The registry is an output. Nothing in the simulation reads it
 //     back: a controller reads the queues it manages through their own
 //     typed methods, and only reports, assertions and the benchmark read
 //     snapshots.
 //
-// An instrument costs what it holds: one 64-byte entry (its name, its
-// labels, the source a snapshot reads and a chain link), a pointer in
-// the registration-order list and one slot in a map keyed by the 64-bit
-// FNV-1a hash of its identity. No key string is built or kept;
-// identities whose hashes collide are chained through their entries and
-// told apart by name and labels. A histogram makes its value map at its
-// first fold, so one nothing has observed into holds none.
+// The registry holds tables and rows. A Table is declared once per
+// instrumented type, at package level: one column per family, each a
+// name, a kind and a reader over the object (CounterOf, GaugeOf,
+// HistogramOf). Registering an object adds one row: the table, the
+// object and the object's label values. A snapshot reads every column
+// of every row. A family name belongs to exactly one table, and a row's
+// identity is its table and labels, so registering it again is a
+// no-op. Counter, Gauge, Histogram and their Func and Register forms
+// register one instrument as a row of a one-column table the registry
+// makes for its family.
+//
+// A row costs what it holds: 64 bytes (table, object, labels and a
+// chain link), a pointer in the row list and one slot in a map keyed by
+// the 64-bit FNV-1a hash of its identity — 120 live bytes with a
+// one-label slice of its own (linux/amd64, go1.24), however many
+// families its table has. No key string is built or kept; identities
+// whose hashes collide are chained through their rows and told apart by
+// table and labels. A histogram makes its value map
+// at its first fold, so one nothing has observed into holds none.
 //
 // Snapshots can be rendered as a human table (Table) or as
 // Prometheus-style text lines (Prometheus).
@@ -150,11 +163,12 @@ type Histogram struct {
 }
 
 // NewHistogram returns an unregistered histogram with the given bucket
-// upper bounds in milliseconds (nil selects DefaultLatencyBucketsMs).
-// Bounds must be sorted ascending.
+// upper bounds in milliseconds, which it copies. Bounds must be sorted
+// ascending. nil selects DefaultLatencyBucketsMs, which every such
+// histogram shares rather than copies.
 func NewHistogram(bounds []float64) *Histogram {
 	if bounds == nil {
-		bounds = DefaultLatencyBucketsMs
+		return &Histogram{bounds: DefaultLatencyBucketsMs}
 	}
 	return &Histogram{bounds: append([]float64(nil), bounds...)}
 }
@@ -265,39 +279,134 @@ func (h *Histogram) buckets() []uint64 {
 	return out
 }
 
-// entry is one registered instrument, in 64 bytes: its identity, src,
-// what a snapshot reads — a *Counter, func() uint64, *Gauge,
-// func() float64 or *Histogram, which also gives its Kind — and next,
-// the entry registered before it whose identity hashes alike.
-type entry struct {
+// sample fills in a snapshot sample's histogram state.
+func (h *Histogram) sample(sm *Sample) {
+	sm.Count = h.n
+	sm.Sum = h.sumMs
+	sm.Bounds = h.bounds
+	sm.Buckets = h.buckets()
+}
+
+// A Table is the instrument families one type of object carries: one
+// column per family, each naming it, giving its kind and reading it
+// from the object. Declare a table once, at package level, and Register
+// each object as one row, labelled with that object's label values; a
+// snapshot reads every column of every row. T is a pointer or interface
+// type, so a row holds the object without copying it.
+type Table[T any] struct{ table }
+
+// table is a Table's columns, whatever its object type.
+type table struct {
+	cols []column
+}
+
+// column is one family of a table: its name, its kind, the labels it
+// adds after its row's (say, the output of one of a switch's drop
+// counters) and how to read its value from a row's object.
+type column struct {
 	name   string
+	kind   Kind
 	labels []Label
-	src    any
-	next   *entry
+	read   func(obj any, sm *Sample)
+	// single marks the one column of a table the registry makes for a
+	// family registered instrument by instrument (Registry.Counter and
+	// the rest), whose objects are the instruments themselves.
+	single bool
 }
 
-// kindOf returns the kind of instrument src reads.
-func kindOf(src any) Kind {
-	switch src.(type) {
-	case *Counter, func() uint64:
-		return KindCounter
-	case *Gauge, func() float64:
-		return KindGauge
+// Column is one family of a Table[T].
+type Column[T any] struct{ c column }
+
+// CounterOf is a counter family that read takes from each object.
+// labels, if any, follow the row's in every sample of the family.
+func CounterOf[T any](name string, read func(T) uint64, labels ...Label) Column[T] {
+	return Column[T]{column{name: name, kind: KindCounter, labels: labels,
+		read: func(obj any, sm *Sample) { sm.Value = float64(read(obj.(T))) }}}
+}
+
+// GaugeOf is a gauge family that read takes from each object.
+func GaugeOf[T any](name string, read func(T) float64, labels ...Label) Column[T] {
+	return Column[T]{column{name: name, kind: KindGauge, labels: labels,
+		read: func(obj any, sm *Sample) { sm.Value = read(obj.(T)) }}}
+}
+
+// HistogramOf is a histogram family: read returns each object's
+// histogram.
+func HistogramOf[T any](name string, read func(T) *Histogram, labels ...Label) Column[T] {
+	return Column[T]{column{name: name, kind: KindHistogram, labels: labels,
+		read: func(obj any, sm *Sample) { read(obj.(T)).sample(sm) }}}
+}
+
+// NewTable returns a table of the given columns. Each family name
+// belongs to one table: a registry panics if two tables name the same
+// family.
+func NewTable[T any](cols ...Column[T]) *Table[T] {
+	t := &Table[T]{}
+	for _, c := range cols {
+		t.cols = append(t.cols, c.c)
 	}
-	return KindHistogram
+	return t
 }
 
-// Registry holds every registered instrument plus the event tracer.
-// All methods are nil-receiver safe: with a nil registry they return
+// Register adds obj to reg as one row carrying labels; every family of
+// the table reads it from then on. Registering a row again under the
+// same labels is a no-op: the first object stays. No-op on a nil
+// registry. The row keeps labels, so the caller must not change it
+// afterwards; objects registered under one label set can share it.
+func (t *Table[T]) Register(reg *Registry, obj T, labels ...Label) {
+	if reg == nil {
+		return
+	}
+	reg.add(&t.table, obj, labels)
+}
+
+// single returns the one-column table of a family registered
+// instrument by instrument. It reads the instrument a row holds:
+// a *Counter, func() uint64, *Gauge, func() float64 or *Histogram.
+func single(name string, kind Kind) *table {
+	return &table{cols: []column{{name: name, kind: kind, read: readSingle, single: true}}}
+}
+
+func readSingle(obj any, sm *Sample) {
+	switch src := obj.(type) {
+	case *Counter:
+		sm.Value = float64(src.v)
+	case func() uint64:
+		sm.Value = float64(src())
+	case *Gauge:
+		sm.Value = src.v
+	case func() float64:
+		sm.Value = src()
+	case *Histogram:
+		src.sample(sm)
+	}
+}
+
+// row is one registered object, in 64 bytes: its table, the object its
+// columns read, its labels, and next, the row registered before it
+// whose identity hashes alike.
+type row struct {
+	tab    *table
+	obj    any
+	labels []Label
+	next   *row
+}
+
+// Registry holds every registered row plus the event tracer. All
+// methods are nil-receiver safe: with a nil registry they return
 // working, unregistered instruments, so instrumented packages never
 // need to branch on "is observability enabled".
 type Registry struct {
-	clock   Clock
-	entries []*entry
-	// byHash holds, per identity hash (hashKey), the chain of entries
-	// whose identities hash to it, newest first.
-	byHash map[uint64]*entry
-	tracer *Tracer
+	clock Clock
+	rows  []*row
+	// byHash holds, per identity hash (hashKey of the table's first
+	// family and the row's labels), the chain of rows whose identities
+	// hash to it, newest first.
+	byHash map[uint64]*row
+	// families maps each family name to the table that reads it.
+	families map[string]*table
+	samples  int // columns over all rows: a snapshot's length
+	tracer   *Tracer
 }
 
 // Option configures a Registry.
@@ -312,9 +421,10 @@ func WithTraceCapacity(n int) Option {
 // clock's virtual time.
 func New(clock Clock, opts ...Option) *Registry {
 	r := &Registry{
-		clock:  clock,
-		byHash: make(map[uint64]*entry),
-		tracer: newTracer(clock, DefaultTraceCap),
+		clock:    clock,
+		byHash:   make(map[uint64]*row),
+		families: make(map[string]*table),
+		tracer:   newTracer(clock, DefaultTraceCap),
 	}
 	for _, o := range opts {
 		o(r)
@@ -379,25 +489,73 @@ func hashKey(name string, labels []Label) uint64 {
 	return h
 }
 
-// register returns the entry registered under name+labels, adding one
-// that reads src if there is none (registration is idempotent: two
-// callers naming the same instrument share it). Naming an instrument
-// again as another kind panics.
-func (r *Registry) register(name string, labels []Label, src any) *entry {
-	h := hashKey(name, labels)
-	for e := r.byHash[h]; e != nil; e = e.next {
-		if e.name != name || !slices.Equal(e.labels, labels) {
+// find returns t's row registered under labels, or nil.
+func (r *Registry) find(t *table, labels []Label) *row {
+	for w := r.byHash[hashKey(t.cols[0].name, labels)]; w != nil; w = w.next {
+		if w.tab == t && slices.Equal(w.labels, labels) {
+			return w
+		}
+	}
+	return nil
+}
+
+// add returns t's row registered under labels, adding one that holds
+// obj if there is none, after t has claimed its families.
+func (r *Registry) add(t *table, obj any, labels []Label) *row {
+	if r.families[t.cols[0].name] != t {
+		r.claim(t, labels)
+	}
+	if w := r.find(t, labels); w != nil {
+		return w
+	}
+	h := hashKey(t.cols[0].name, labels)
+	w := &row{tab: t, obj: obj, labels: labels, next: r.byHash[h]}
+	r.byHash[h] = w
+	r.rows = append(r.rows, w)
+	r.samples += len(t.cols)
+	return w
+}
+
+// claim makes t the table of each of its families, panicking, with the
+// key of the row being registered, if another table has one.
+func (r *Registry) claim(t *table, labels []Label) {
+	for _, c := range t.cols {
+		was, ok := r.families[c.name]
+		if !ok || was == t {
 			continue
 		}
-		if was, is := kindOf(e.src), kindOf(src); was != is {
-			panic(fmt.Sprintf("obs: %s re-registered as %v, was %v", key(name, labels), is, was))
+		id := key(c.name, append(labels[:len(labels):len(labels)], c.labels...))
+		if k := was.kindOf(c.name); k != c.kind {
+			panic(fmt.Sprintf("obs: %s re-registered as %v, was %v", id, c.kind, k))
 		}
-		return e
+		panic(fmt.Sprintf("obs: %s is read by two tables", id))
 	}
-	e := &entry{name: name, labels: labels, src: src, next: r.byHash[h]}
-	r.byHash[h] = e
-	r.entries = append(r.entries, e)
-	return e
+	for _, c := range t.cols {
+		r.families[c.name] = t
+	}
+}
+
+// kindOf returns the kind of t's family name.
+func (t *table) kindOf(name string) Kind {
+	for _, c := range t.cols {
+		if c.name == name {
+			return c.kind
+		}
+	}
+	return 0
+}
+
+// instrument returns the instrument registered alone under name+labels
+// as kind, registering the one mk makes if there is none. Naming a
+// family of another kind, or one a table reads, panics.
+func (r *Registry) instrument(name string, kind Kind, labels []Label, mk func() any) any {
+	t := r.families[name]
+	if t == nil || !t.cols[0].single || t.cols[0].kind != kind {
+		t = single(name, kind)
+	} else if w := r.find(t, labels); w != nil {
+		return w.obj
+	}
+	return r.add(t, mk(), labels).obj
 }
 
 // Counter returns the counter registered under name+labels, creating
@@ -407,7 +565,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return NewCounter()
 	}
-	c, ok := r.register(name, labels, NewCounter()).src.(*Counter)
+	c, ok := r.instrument(name, KindCounter, labels, func() any { return NewCounter() }).(*Counter)
 	if !ok {
 		panic(fmt.Sprintf("obs: %s registered as a func-backed counter", key(name, labels)))
 	}
@@ -421,7 +579,7 @@ func (r *Registry) RegisterCounter(name string, c *Counter, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.register(name, labels, c)
+	r.instrument(name, KindCounter, labels, func() any { return c })
 }
 
 // CounterFunc registers a read-callback counter over an existing plain
@@ -431,7 +589,7 @@ func (r *Registry) CounterFunc(name string, fn func() uint64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.register(name, labels, fn)
+	r.instrument(name, KindCounter, labels, func() any { return fn })
 }
 
 // Gauge returns the gauge registered under name+labels, creating it if
@@ -440,7 +598,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return NewGauge()
 	}
-	g, ok := r.register(name, labels, NewGauge()).src.(*Gauge)
+	g, ok := r.instrument(name, KindGauge, labels, func() any { return NewGauge() }).(*Gauge)
 	if !ok {
 		panic(fmt.Sprintf("obs: %s registered as a func-backed gauge", key(name, labels)))
 	}
@@ -453,7 +611,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.register(name, labels, fn)
+	r.instrument(name, KindGauge, labels, func() any { return fn })
 }
 
 // Histogram returns the histogram registered under name+labels,
@@ -464,7 +622,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return NewHistogram(bounds)
 	}
-	return r.register(name, labels, NewHistogram(bounds)).src.(*Histogram)
+	return r.instrument(name, KindHistogram, labels, func() any { return NewHistogram(bounds) }).(*Histogram)
 }
 
 // Sample is one instrument's state at snapshot time.
@@ -515,28 +673,19 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	s := Snapshot{At: r.Now(), Samples: make([]Sample, 0, len(r.entries))}
-	ids := make([]string, 0, len(r.entries))
-	for _, e := range r.entries {
-		sm := Sample{Name: e.name, Labels: e.labels}
-		switch src := e.src.(type) {
-		case *Counter:
-			sm.Kind, sm.Value = KindCounter, float64(src.Value())
-		case func() uint64:
-			sm.Kind, sm.Value = KindCounter, float64(src())
-		case *Gauge:
-			sm.Kind, sm.Value = KindGauge, src.Value()
-		case func() float64:
-			sm.Kind, sm.Value = KindGauge, src()
-		case *Histogram:
-			sm.Kind = KindHistogram
-			sm.Count = src.n
-			sm.Sum = src.sumMs
-			sm.Bounds = src.bounds
-			sm.Buckets = src.buckets()
+	s := Snapshot{At: r.Now(), Samples: make([]Sample, 0, r.samples)}
+	ids := make([]string, 0, r.samples)
+	for _, w := range r.rows {
+		for i := range w.tab.cols {
+			c := &w.tab.cols[i]
+			sm := Sample{Name: c.name, Labels: w.labels, Kind: c.kind}
+			if len(c.labels) > 0 {
+				sm.Labels = append(w.labels[:len(w.labels):len(w.labels)], c.labels...)
+			}
+			c.read(w.obj, &sm)
+			s.Samples = append(s.Samples, sm)
+			ids = append(ids, sm.ID())
 		}
-		s.Samples = append(s.Samples, sm)
-		ids = append(ids, sm.ID())
 	}
 	sort.Sort(&byID{s.Samples, ids})
 	return s

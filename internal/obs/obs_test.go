@@ -224,7 +224,7 @@ func TestSnapshotOrderIsByID(t *testing.T) {
 		r.Histogram("link_latency_ms", nil, L("vci", "7"), L("link", box))
 		r.CounterFunc("link_drops_total_by_fn", func() uint64 { return 0 }, L("link", box))
 	}
-	r.Counter("link")
+	r.Gauge("link")
 	r.Gauge("z_unlabelled")
 	got := r.Snapshot().Samples
 	want := append([]Sample(nil), got...)
