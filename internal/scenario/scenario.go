@@ -363,6 +363,22 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	refs := map[string]bool{}
+	// feeders holds, per tree stream ref, the boxes core may have feed a
+	// joiner: the source and, for a planned tree (k > 0, in planned),
+	// every member so far. A joiner none of them reaches would be fed by
+	// the source over no path. join checks d and makes it a member.
+	feeders, planned := map[string][]string{}, map[string]bool{}
+	join := func(where, ref, d string) error {
+		for _, f := range feeders[ref] {
+			if reach(where, f, d) == nil {
+				if planned[ref] {
+					feeders[ref] = append(feeders[ref], d)
+				}
+				return nil
+			}
+		}
+		return fmt.Errorf("scenario %s: %s: no path to %s from the tree's source or any member (none shares a fabric or a link with it)", sc.Name, where, d)
+	}
 	for i, ev := range sc.Events {
 		where := fmt.Sprintf("event %d (%s at %s)", i+1, ev.Op, ev.At)
 		if ev.At < 0 || ev.At > sc.Duration {
@@ -377,14 +393,19 @@ func (sc *Scenario) Validate() error {
 				return fmt.Errorf("scenario %s: %s has no destination", sc.Name, where)
 			}
 			flat := ev.Op != "tree" || ev.K == 0
+			if ev.Op == "tree" {
+				feeders[ev.Ref], planned[ev.Ref] = []string{ev.From}, !flat
+			}
 			for _, d := range ev.To {
 				if err := need(where, d); err != nil {
 					return err
 				}
-				if flat {
-					if err := reach(where, ev.From, d); err != nil {
-						return err
-					}
+				err := reach(where, ev.From, d)
+				if !flat {
+					err = join(where, ev.Ref, d)
+				}
+				if err != nil {
+					return err
 				}
 			}
 			if ev.Op == "video" && (ev.W <= 0 || ev.H <= 0 || ev.RateNum <= 0 || ev.RateDen <= 0) {
@@ -446,9 +467,15 @@ func (sc *Scenario) Validate() error {
 			if len(ev.To) == 0 {
 				return fmt.Errorf("scenario %s: %s has no destination", sc.Name, where)
 			}
+			_, tree := feeders[ev.Ref]
 			for _, d := range ev.To {
 				if err := need(where, d); err != nil {
 					return err
+				}
+				if tree {
+					if err := join(where, ev.Ref, d); err != nil {
+						return err
+					}
 				}
 			}
 		case "close":

@@ -395,3 +395,52 @@ func TestExpansionEqualsLonghand(t *testing.T) {
 		roundTrip(t, c.name, head+c.short)
 	}
 }
+
+// TestValidateRejectsUnreachableTreeMembers: a tree member or a pulled
+// joiner that neither the source nor any member so far shares a fabric
+// or a link with would be fed by the source over no path. Validate
+// names the event instead of the run panicking in core.
+func TestValidateRejectsUnreachableTreeMembers(t *testing.T) {
+	for _, c := range []struct{ name, text, want string }{
+		{"pull to an unattached box", `scenario pull-off
+duration 100ms
+box a mic=tone:400:8000
+box b
+box c
+fabric f
+attach f a b
+at 0s tree a -> b k=2 as t
+at 10ms pull t c
+`, "scenario pull-off: event 2 (pull at 10ms): no path to c from the tree's source or any member"},
+		{"tree over two unbridged fabrics", `scenario two-fabrics
+duration 100ms
+box a mic=tone:400:8000
+box b
+box c
+fabric f
+attach f a b
+fabric g
+attach g c
+at 0s tree a -> b,c k=2 as t
+`, "scenario two-fabrics: event 1 (tree at 0s): no path to c from the tree's source or any member"},
+		{"a bridge link from a member reaches the far fabric", `scenario bridged
+duration 100ms
+box a mic=tone:400:8000
+box b
+box c
+box d
+fabric f
+attach f a b
+fabric g
+attach g c d
+link b c bw=100M
+at 0s tree a -> b,c k=2 as t
+at 10ms pull t d
+`, ""},
+	} {
+		_, err := Parse(c.text)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: Parse error = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
