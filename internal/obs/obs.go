@@ -583,8 +583,9 @@ func (r *Registry) RegisterCounter(name string, c *Counter, labels ...Label) {
 }
 
 // CounterFunc registers a read-callback counter over an existing plain
-// struct field — the cheapest possible bridging for hot-path stats
-// that are already maintained elsewhere. No-op on a nil registry.
+// struct field: for a one-of-a-kind figure, where a type whose every
+// object carries the family declares a Table instead. No-op on a nil
+// registry.
 func (r *Registry) CounterFunc(name string, fn func() uint64, labels ...Label) {
 	if r == nil {
 		return
@@ -678,12 +679,12 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, w := range r.rows {
 		for i := range w.tab.cols {
 			c := &w.tab.cols[i]
-			sm := Sample{Name: c.name, Labels: w.labels, Kind: c.kind}
+			s.Samples = append(s.Samples, Sample{Name: c.name, Labels: w.labels, Kind: c.kind})
+			sm := &s.Samples[len(s.Samples)-1] // read in place: a local would escape through read
 			if len(c.labels) > 0 {
 				sm.Labels = append(w.labels[:len(w.labels):len(w.labels)], c.labels...)
 			}
-			c.read(w.obj, &sm)
-			s.Samples = append(s.Samples, sm)
+			c.read(w.obj, sm)
 			ids = append(ids, sm.ID())
 		}
 	}
@@ -694,7 +695,7 @@ func (r *Registry) Snapshot() Snapshot {
 // byID sorts samples by their rendered ID. The IDs are rendered once
 // per snapshot into a scratch slice that is dropped with the sorter:
 // rendering inside the comparator costs a Sprintf per label per
-// comparison, and caching the strings on the registry entries would
+// comparison, and caching the strings on the registry's rows would
 // keep them live for the whole run.
 type byID struct {
 	samples []Sample
