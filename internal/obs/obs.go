@@ -45,8 +45,8 @@
 // one-label slice of its own (linux/amd64, go1.24), however many
 // families its table has. No key string is built or kept; identities
 // whose hashes collide are chained through their rows and told apart by
-// table and labels. A histogram makes its value map
-// at its first fold, so one nothing has observed into holds none.
+// table and labels. A histogram makes its value map at its first fold,
+// so one nothing has observed into holds none.
 //
 // Snapshots can be rendered as a human table (Table) or as
 // Prometheus-style text lines (Prometheus).

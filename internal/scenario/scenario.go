@@ -363,10 +363,11 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	refs := map[string]bool{}
-	// feeders holds, per tree stream ref, the boxes core may have feed a
-	// joiner: the source and, for a planned tree (k > 0, in planned),
-	// every member so far. A joiner none of them reaches would be fed by
-	// the source over no path. join checks d and makes it a member.
+	// feeders holds, per tree stream ref, the boxes core may pick to feed
+	// a joiner: the source and, for a planned tree (k > 0), every member
+	// so far. A joiner none of them reaches would be fed by the source
+	// over no path. join checks d against them and, on a planned tree,
+	// adds it.
 	feeders, planned := map[string][]string{}, map[string]bool{}
 	join := func(where, ref, d string) error {
 		for _, f := range feeders[ref] {
