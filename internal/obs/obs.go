@@ -546,16 +546,14 @@ func (t *table) kindOf(name string) Kind {
 }
 
 // instrument returns the instrument registered alone under name+labels
-// as kind, registering the one mk makes if there is none. Naming a
-// family of another kind, or one a table reads, panics.
-func (r *Registry) instrument(name string, kind Kind, labels []Label, mk func() any) any {
+// as kind, registering obj if there is none. Naming a family of another
+// kind, or one a table reads, panics.
+func (r *Registry) instrument(name string, kind Kind, labels []Label, obj any) any {
 	t := r.families[name]
 	if t == nil || !t.cols[0].single || t.cols[0].kind != kind {
 		t = single(name, kind)
-	} else if w := r.find(t, labels); w != nil {
-		return w.obj
 	}
-	return r.add(t, mk(), labels).obj
+	return r.add(t, obj, labels).obj
 }
 
 // Counter returns the counter registered under name+labels, creating
@@ -565,7 +563,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return NewCounter()
 	}
-	c, ok := r.instrument(name, KindCounter, labels, func() any { return NewCounter() }).(*Counter)
+	c, ok := r.instrument(name, KindCounter, labels, NewCounter()).(*Counter)
 	if !ok {
 		panic(fmt.Sprintf("obs: %s registered as a func-backed counter", key(name, labels)))
 	}
@@ -579,7 +577,7 @@ func (r *Registry) RegisterCounter(name string, c *Counter, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.instrument(name, KindCounter, labels, func() any { return c })
+	r.instrument(name, KindCounter, labels, c)
 }
 
 // CounterFunc registers a read-callback counter over an existing plain
@@ -590,7 +588,7 @@ func (r *Registry) CounterFunc(name string, fn func() uint64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.instrument(name, KindCounter, labels, func() any { return fn })
+	r.instrument(name, KindCounter, labels, fn)
 }
 
 // Gauge returns the gauge registered under name+labels, creating it if
@@ -599,7 +597,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return NewGauge()
 	}
-	g, ok := r.instrument(name, KindGauge, labels, func() any { return NewGauge() }).(*Gauge)
+	g, ok := r.instrument(name, KindGauge, labels, NewGauge()).(*Gauge)
 	if !ok {
 		panic(fmt.Sprintf("obs: %s registered as a func-backed gauge", key(name, labels)))
 	}
@@ -612,7 +610,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	r.instrument(name, KindGauge, labels, func() any { return fn })
+	r.instrument(name, KindGauge, labels, fn)
 }
 
 // Histogram returns the histogram registered under name+labels,
@@ -623,7 +621,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return NewHistogram(bounds)
 	}
-	return r.instrument(name, KindHistogram, labels, func() any { return NewHistogram(bounds) }).(*Histogram)
+	return r.instrument(name, KindHistogram, labels, NewHistogram(bounds)).(*Histogram)
 }
 
 // Sample is one instrument's state at snapshot time.
