@@ -315,16 +315,25 @@ type column struct {
 }
 
 // Column is one family of a Table[T].
+//
+// CounterOf, GaugeOf and HistogramOf run once per column, at package
+// initialisation, and are not inlined: inlined, every call site
+// compiles its own copy of the reader closure, which made the
+// benchmark's binary ≈ 40 kB larger.
 type Column[T any] struct{ c column }
 
 // CounterOf is a counter family that read takes from each object.
 // labels, if any, follow the row's in every sample of the family.
+//
+//go:noinline
 func CounterOf[T any](name string, read func(T) uint64, labels ...Label) Column[T] {
 	return Column[T]{column{name: name, kind: KindCounter, labels: labels,
 		read: func(obj any, sm *Sample) { sm.Value = float64(read(obj.(T))) }}}
 }
 
 // GaugeOf is a gauge family that read takes from each object.
+//
+//go:noinline
 func GaugeOf[T any](name string, read func(T) float64, labels ...Label) Column[T] {
 	return Column[T]{column{name: name, kind: KindGauge, labels: labels,
 		read: func(obj any, sm *Sample) { sm.Value = read(obj.(T)) }}}
@@ -332,6 +341,8 @@ func GaugeOf[T any](name string, read func(T) float64, labels ...Label) Column[T
 
 // HistogramOf is a histogram family: read returns each object's
 // histogram.
+//
+//go:noinline
 func HistogramOf[T any](name string, read func(T) *Histogram, labels ...Label) Column[T] {
 	return Column[T]{column{name: name, kind: KindHistogram, labels: labels,
 		read: func(obj any, sm *Sample) { read(obj.(T)).sample(sm) }}}
