@@ -339,7 +339,7 @@ func TestStarvedRequestersAreGrantedInOrderAndCannotBeRobbed(t *testing.T) {
 		order = append(order, "first")
 	})
 	asked := false
-	rt.GoStep("second", nil, occam.Low, func(p *occam.Proc) {
+	rt.GoStep("second", nil, occam.Low, occam.StepFunc(func(p *occam.Proc) {
 		switch {
 		case p.Now() == 0:
 			p.Sleep(2 * time.Millisecond)
@@ -352,7 +352,7 @@ func TestStarvedRequestersAreGrantedInOrderAndCannotBeRobbed(t *testing.T) {
 		default:
 			order = append(order, "second")
 		}
-	})
+	}))
 	rt.Go("thief", nil, occam.High, func(p *occam.Proc) {
 		thiefSig.Wait(p)
 		order = append(order, "thief")
@@ -372,10 +372,10 @@ func TestGetWouldParkAStacklessProcessPanicsByName(t *testing.T) {
 	defer rt.Shutdown()
 	pl := New(rt, nil, 1, nil)
 	var held *Buffer
-	rt.GoStep("taker", nil, occam.Low, func(p *occam.Proc) {
+	rt.GoStep("taker", nil, occam.Low, occam.StepFunc(func(p *occam.Proc) {
 		held = pl.Get(p) // a free buffer: an ordinary call
 		pl.Get(p)
-	})
+	}))
 	var got any
 	func() {
 		defer func() { got = recover() }()

@@ -101,7 +101,7 @@ func TestPoolGrantOrderMatchesEagerPool(t *testing.T) {
 		get := func(id int) {
 			var buf *Buffer
 			asked := false
-			rt.GoStep(fmt.Sprintf("req%d", id), nil, occam.Low, func(p *occam.Proc) {
+			rt.GoStep(fmt.Sprintf("req%d", id), nil, occam.Low, occam.StepFunc(func(p *occam.Proc) {
 				if !asked {
 					asked = true
 					if pl.GetInto(p, &buf); p.Parked() {
@@ -110,7 +110,7 @@ func TestPoolGrantOrderMatchesEagerPool(t *testing.T) {
 				}
 				got = append(got, fmt.Sprintf("req%d<-%d", id, buf.Index))
 				bufs[buf.Index] = buf
-			})
+			}))
 		}
 		granted := func(id, i int) {
 			want = append(want, fmt.Sprintf("req%d<-%d", id, i))

@@ -187,7 +187,7 @@ type Link struct {
 
 	dlvm    Message // message awaiting host delivery
 	dlvHost *Host
-	dlvSig  *occam.Signal
+	dlvSig  occam.Signal
 	dlvAt   int // where stepDeliver resumes
 }
 
@@ -202,8 +202,8 @@ func NewLink(rt *occam.Runtime, name string, cfg LinkConfig) *Link {
 		fault: NewFaultGate("atm."+name, "link-stall"),
 	}
 	l.txTimer = occam.NewTimer(rt, l.txDone)
-	l.dlvSig = occam.NewSignal(rt, name+".deliver")
-	rt.GoStep(name+".tx", nil, occam.High, l.stepDeliver)
+	l.dlvSig.Init(l.nm, ".deliver")
+	rt.GoStep(name+".tx", nil, occam.High, (*linkTx)(l))
 	return l
 }
 
@@ -352,7 +352,7 @@ func (l *Link) txDone(s occam.Sched) {
 		case *Host:
 			l.dlvm = m
 			l.dlvHost = hop
-			s.Raise(l.dlvSig)
+			s.Raise(&l.dlvSig)
 			return // runDeliver restarts the transmitter
 		default:
 			panic("atm: unknown port type at " + l.nm)
@@ -376,6 +376,11 @@ const (
 // messages to their destination host — the only hop that may block, on
 // the host's Rx — and restarts the transmitter when the delivery
 // completes.
+// linkTx is a link as its delivering process: its Step is stepDeliver.
+type linkTx Link
+
+func (t *linkTx) Step(p *occam.Proc) { (*Link)(t).stepDeliver(p) }
+
 func (l *Link) stepDeliver(p *occam.Proc) {
 	for {
 		switch l.dlvAt {

@@ -27,11 +27,11 @@ import (
 func (b *Box) startAudio() {
 	rt, name := b.rt, b.cfg.Name
 	b.micOutBuf = decouple.New[wireMsg](rt, name+".micbuf", 8, b.cfg.Obs)
-	b.tickWake = occam.NewSignal(rt, name+".tickwake")
+	b.tickWake.Init(name, ".tickwake")
 
-	rt.GoStep(name+".micReader", b.audioNode, occam.High, newMicReader(b).step)
-	rt.GoStep(name+".serverWriter", b.audioNode, occam.High, (&serverWriter{b: b}).step)
-	rt.GoStep(name+".blockHandler", b.audioNode, occam.Low, (&blockHandler{b: b, n: 1}).step)
+	rt.GoStep(name+".micReader", b.audioNode, occam.High, newMicReader(b))
+	rt.GoStep(name+".serverWriter", b.audioNode, occam.High, &serverWriter{b: b})
+	rt.GoStep(name+".blockHandler", b.audioNode, occam.Low, &blockHandler{b: b, n: 1})
 }
 
 // The audio board's processes are stackless (occam.GoStep): each is a
@@ -81,7 +81,7 @@ func newMicReader(b *Box) *micReader {
 	return m
 }
 
-func (m *micReader) step(p *occam.Proc) {
+func (m *micReader) Step(p *occam.Proc) {
 	for {
 		switch m.at {
 		case micSleep:
@@ -203,7 +203,7 @@ const (
 	wrTaken        // the server has it
 )
 
-func (s *serverWriter) step(p *occam.Proc) {
+func (s *serverWriter) Step(p *occam.Proc) {
 	b := s.b
 	for {
 		switch s.at {
@@ -318,7 +318,7 @@ const (
 	bhMixed         // the mixing pass's CPU is spent: account the tick
 )
 
-func (h *blockHandler) step(p *occam.Proc) {
+func (h *blockHandler) Step(p *occam.Proc) {
 	b := h.b
 	for {
 		switch h.at {

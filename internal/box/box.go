@@ -21,11 +21,14 @@
 // ticks are counted lazily, and its block handler takes no turn.
 //
 // A box also holds only the memory it has used. State a box may never
-// need is built on first use: the capture board's framestore at the
-// first frame a stream is open, each server buffer when a grant finds
-// none recycled (package allocator), the muting tables when the muter
-// first mutes, and each latency histogram's value map at its first
-// fold.
+// need is built on first use: the capture board's camera and stream
+// state at its first stream and its framestore at the first frame a
+// stream is open, the display board's decoder and assemblers at its
+// first segment, each decoupling ring's storage at its first push, each
+// server buffer when a grant finds none recycled (package allocator),
+// the muting tables when the muter first mutes, each latency
+// histogram's value map at its first fold, and every map at its first
+// write. Per-stream tables are byStream slices, not maps.
 //
 // Ownership: each box owns one segment.WirePool. Sources (mic,
 // camera) encode into it; the server switch Retains once per extra
@@ -39,7 +42,6 @@
 package box
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/allocator"
@@ -108,7 +110,8 @@ type Route struct {
 
 // SwitchCommand updates the switch tables or requests a report.
 // Shed/Restore suspend and resume a stream without touching its route
-// (the overload controller's lever: data stops, state stays).
+// (the overload controller's lever: data stops, state stays). The switch
+// keeps Set as its table entry, so the sender must not change it after.
 type SwitchCommand struct {
 	Set        *Route
 	Close      uint32
@@ -249,11 +252,11 @@ type Box struct {
 	switchCmd *occam.Chan[SwitchCommand]
 	outBufs   [numOutputs + 1]*decouple.Buffer[*allocator.Buffer]
 	swStats   SwitchStats
-	netVCI    map[uint32][]uint32 // stream → outgoing VCIs
+	netVCI    byStream[[]uint32] // stream → outgoing VCIs
 	// shedNet parks a relay stream's forwarded fan-out while the
 	// overload controller has it shed: the subtree's copies stop, the
 	// local playout keeps running (the per-subtree shed target).
-	shedNet map[uint32][]uint32
+	shedNet byStream[[]uint32]
 	// copiesHi is the high-water mark of outgoing copies any single
 	// stream fanned to — the per-hop copy invariant's witness.
 	copiesHi int
@@ -261,16 +264,9 @@ type Box struct {
 	// streamDir mirrors the routes the host has installed, as the
 	// overload controller's view: media class, direction and age of
 	// every stream (the switch's own table is private to its process).
-	streamDir map[uint32]routeInfo
+	streamDir byStream[routeInfo]
 
-	// openedScratch is isAmongOldest's reused open-time list.
-	openedScratch []occam.Time
-
-	// Injected board-crash accounting, by crashBoards index: arrivals
-	// discarded, and whether this outage is traced yet (once per outage,
-	// not per segment).
-	crashDrops  [len(crashBoards)]uint64
-	crashTraced [len(crashBoards)]bool
+	crash *crashState // nil unless cfg.BoardFaults is set
 
 	// wires recycles the box's wire storage: sources encode into it,
 	// output handlers copy out of server buffers into it, and sinks
@@ -293,21 +289,20 @@ type Box struct {
 	micOpen   bool
 	// tickWake wakes the block handler, parked while tickParked because
 	// nothing plays.
-	tickWake   *occam.Signal
 	tickParked bool
+	tickWake   occam.Signal
 
 	// Capture board.
 	captureCmds *occam.Chan[captureCmd]
-	camera      *workload.Camera
 	framestore  *video.Framestore // nil until a frame has a stream open
 
 	// Mixer (display) board.
-	interp      *video.Interpolator
+	interp      *video.Interpolator // nil until the board's first segment
 	displayStat DisplayStats
 
 	// Instruments. lastPlayout is playout[lastStream], resolved once
 	// for as long as the mixer plays that stream alone.
-	playout     map[uint32]*obs.Histogram
+	playout     byStream[*obs.Histogram]
 	playoutHist *obs.Histogram
 	lastStream  uint32
 	lastPlayout *obs.Histogram
@@ -365,17 +360,10 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		Log:         &HostLog{},
 		toSwitch:    occam.NewChan[*allocator.Buffer](rt, cfg.Name+".toswitch"),
 		switchCmd:   occam.NewChan[SwitchCommand](rt, cfg.Name+".switchcmd"),
-		netVCI:      make(map[uint32][]uint32),
-		shedNet:     make(map[uint32][]uint32),
-		streamDir:   make(map[uint32]routeInfo),
 		audioCmds:   occam.NewChan[audioCmd](rt, cfg.Name+".audiocmd"),
 		captureCmds: occam.NewChan[captureCmd](rt, cfg.Name+".capturecmd"),
-		camera:      workload.NewCamera(cfg.CameraW, cfg.CameraH),
-		interp:      video.NewInterpolator(),
-		playout:     make(map[uint32]*obs.Histogram),
 		wires:       segment.NewWirePool(),
 	}
-	b.swStats.PerStreamDrops = make(map[uint32]uint64)
 	b.displayStat.FrameLat = obs.NewHistogram(nil)
 	b.playoutHist = obs.NewHistogram(nil)
 	b.pool = allocator.New(rt, b.serverNode, poolBuffers, nil)
@@ -410,6 +398,7 @@ func (b *Box) observe() {
 	// Board-crash fault accounting, only when faults are configured so
 	// clean runs keep a clean namespace.
 	if b.cfg.BoardFaults != nil {
+		b.crash = new(crashState)
 		crashTable.Register(b.cfg.Obs, b, lb)
 	}
 }
@@ -457,11 +446,19 @@ const (
 	boardDisplay
 )
 
+// crashState is a box's injected board-crash accounting, by crashBoards
+// index: arrivals discarded, and whether this outage is traced yet (once
+// per outage, not per segment).
+type crashState struct {
+	drops  [len(crashBoards)]uint64
+	traced [len(crashBoards)]bool
+}
+
 // crashTable is a box's board-crash drop counters, one per board.
 var crashTable = obs.NewTable(
-	obs.CounterOf("fault_crash_drops_total", func(b *Box) uint64 { return b.crashDrops[boardServer] }, obs.L("board", "server")),
-	obs.CounterOf("fault_crash_drops_total", func(b *Box) uint64 { return b.crashDrops[boardAudio] }, obs.L("board", "audio")),
-	obs.CounterOf("fault_crash_drops_total", func(b *Box) uint64 { return b.crashDrops[boardDisplay] }, obs.L("board", "display")),
+	obs.CounterOf("fault_crash_drops_total", func(b *Box) uint64 { return b.crash.drops[boardServer] }, obs.L("board", "server")),
+	obs.CounterOf("fault_crash_drops_total", func(b *Box) uint64 { return b.crash.drops[boardAudio] }, obs.L("board", "audio")),
+	obs.CounterOf("fault_crash_drops_total", func(b *Box) uint64 { return b.crash.drops[boardDisplay] }, obs.L("board", "display")),
 )
 
 // boardDown reports whether an injected crash window covers board (a
@@ -472,15 +469,20 @@ func (b *Box) boardDown(p *occam.Proc, board int) bool {
 		return false
 	}
 	if !b.cfg.BoardFaults.Down(crashBoards[board], p.Now()) {
-		b.crashTraced[board] = false
+		b.crash.traced[board] = false
 		return false
 	}
-	b.crashDrops[board]++
-	if !b.crashTraced[board] {
-		b.crashTraced[board] = true
+	b.crash.drops[board]++
+	if !b.crash.traced[board] {
+		b.crash.traced[board] = true
 		b.trace.Emit(obs.EvFault, b.cfg.Name+"."+crashBoards[board], 0, "board crashed: discarding input")
 	}
 	return true
+}
+
+// streamDrop counts one segment of stream dropped at the server board.
+func (b *Box) streamDrop(stream uint32) {
+	set(&b.swStats.PerStreamDrops, stream, b.swStats.PerStreamDrops[stream]+1)
 }
 
 // Host returns the box's network endpoint.
@@ -511,10 +513,10 @@ func (b *Box) DisplayStats() DisplayStats { return b.displayStat }
 // registry carries one audio_playout_latency_ms histogram per box, not
 // one per stream.
 func (b *Box) PlayoutLatency(stream uint32) *obs.Histogram {
-	t, ok := b.playout[stream]
+	t, ok := b.playout.get(stream)
 	if !ok {
 		t = obs.NewHistogram(nil)
-		b.playout[stream] = t
+		b.playout.set(stream, t)
 	}
 	return t
 }
@@ -544,11 +546,11 @@ func (b *Box) SetRoute(p *occam.Proc, r Route) {
 		r.Opened = p.Now()
 	}
 	if len(r.NetVCIs) == 0 {
-		delete(b.netVCI, r.Stream)
+		b.netVCI.del(r.Stream)
 	} else {
-		b.netVCI[r.Stream] = append([]uint32(nil), r.NetVCIs...)
+		b.netVCI.set(r.Stream, append([]uint32(nil), r.NetVCIs...))
 	}
-	delete(b.shedNet, r.Stream) // a new fan-out supersedes a parked one
+	b.shedNet.del(r.Stream) // a new fan-out supersedes a parked one
 	if len(r.NetVCIs) > b.copiesHi {
 		b.copiesHi = len(r.NetVCIs)
 	}
@@ -561,22 +563,25 @@ func (b *Box) SetRoute(p *occam.Proc, r Route) {
 			info.video = true
 		}
 	}
-	b.streamDir[r.Stream] = info
+	b.streamDir.set(r.Stream, info)
 	b.switchCmd.Send(p, SwitchCommand{Set: &r})
 }
 
 // CloseRoute removes a stream's route. Other streams are undisturbed
 // (principle 6).
 func (b *Box) CloseRoute(p *occam.Proc, stream uint32) {
-	delete(b.streamDir, stream)
-	delete(b.netVCI, stream)
-	delete(b.shedNet, stream)
+	b.streamDir.del(stream)
+	b.netVCI.del(stream)
+	b.shedNet.del(stream)
 	b.switchCmd.Send(p, SwitchCommand{Close: stream, HasClose: true})
 }
 
 // NetCopies returns the VCIs the box currently sends stream's copies
 // on, in send order. The slice is the box's own: read it only.
-func (b *Box) NetCopies(stream uint32) []uint32 { return b.netVCI[stream] }
+func (b *Box) NetCopies(stream uint32) []uint32 {
+	vcis, _ := b.netVCI.get(stream)
+	return vcis
+}
 
 // MaxNetCopies returns the most outgoing copies any single stream ever
 // fanned to at this box — the witness for the per-hop copy invariant
@@ -634,16 +639,11 @@ func (b *Box) DegradeName() string { return b.cfg.Name }
 // DegradeStreams implements degrade.Target from the stream directory,
 // in stream-id order for deterministic controller decisions.
 func (b *Box) DegradeStreams() []degrade.StreamInfo {
-	ids := make([]uint32, 0, len(b.streamDir))
-	for id := range b.streamDir {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]degrade.StreamInfo, 0, len(ids))
-	for _, id := range ids {
-		ri := b.streamDir[id]
+	out := make([]degrade.StreamInfo, 0, len(b.streamDir))
+	for _, e := range b.streamDir {
+		ri := e.v
 		out = append(out, degrade.StreamInfo{
-			ID: id, Video: ri.video, Incoming: ri.incoming, Opened: ri.opened,
+			ID: e.id, Video: ri.video, Incoming: ri.incoming, Opened: ri.opened,
 		})
 	}
 	return out
@@ -661,13 +661,14 @@ func (b *Box) DegradePressure() (video, audio float64) {
 // the switch takes the command; DegradeSettle then bars incoming audio
 // at the mixer too.
 func (b *Box) DegradeShed(p *occam.Proc, id uint32) {
-	if ri, ok := b.streamDir[id]; ok && ri.relay {
+	if ri, ok := b.streamDir.get(id); ok && ri.relay {
 		// Per-subtree shed: an overloaded interior tree box stops its
 		// forwarded copies (its downstream subtree degrades) but keeps
 		// its own playout — shedding at the switch would kill both.
-		if _, parked := b.shedNet[id]; !parked {
-			b.shedNet[id] = b.netVCI[id]
-			delete(b.netVCI, id)
+		if _, parked := b.shedNet.get(id); !parked {
+			vcis, _ := b.netVCI.get(id)
+			b.shedNet.set(id, vcis)
+			b.netVCI.del(id)
 			b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", id, "subtree shed")
 		}
 		return
@@ -678,9 +679,9 @@ func (b *Box) DegradeShed(p *occam.Proc, id uint32) {
 // DegradeRestore resumes a shed stream, at the switch as DegradeShed
 // suspended it.
 func (b *Box) DegradeRestore(p *occam.Proc, id uint32) {
-	if parked, ok := b.shedNet[id]; ok {
-		b.netVCI[id] = parked
-		delete(b.shedNet, id)
+	if parked, ok := b.shedNet.get(id); ok {
+		b.netVCI.set(id, parked)
+		b.shedNet.del(id)
 		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", id, "subtree restored")
 		return
 	}
@@ -697,10 +698,10 @@ func (b *Box) DegradeSettle(id uint32, shed bool) {
 		b.mix.SetShed(id, false)
 		return
 	}
-	if _, subtree := b.shedNet[id]; subtree {
+	if _, subtree := b.shedNet.get(id); subtree {
 		return
 	}
-	if ri, ok := b.streamDir[id]; ok && ri.incoming && !ri.video {
+	if ri, ok := b.streamDir.get(id); ok && ri.incoming && !ri.video {
 		b.mix.SetShed(id, true)
 	}
 }

@@ -129,10 +129,10 @@ func TestIdleBoxResumesNothing(t *testing.T) {
 	defer rt.Shutdown()
 	bx := New(rt, atm.New(rt), Config{})
 	calls, probe := 0, newCapture(bx)
-	rt.GoStep("probe.capture", bx.captureNode, occam.High, func(p *occam.Proc) {
+	rt.GoStep("probe.capture", bx.captureNode, occam.High, occam.StepFunc(func(p *occam.Proc) {
 		calls++
-		probe.step(p)
-	})
+		probe.Step(p)
+	}))
 	run(t, rt, time.Millisecond)
 	turns, before, called := countTurns(rt), rt.Resumes(), calls
 	run(t, rt, time.Millisecond+time.Second)

@@ -39,7 +39,7 @@ type Reporter struct {
 }
 
 func newReporter(process string, log *HostLog) *Reporter {
-	return &Reporter{process: process, log: log, last: make(map[string]occam.Time)}
+	return &Reporter{process: process, log: log}
 }
 
 // Report emits a report of the given kind, suppressing repeats of the
@@ -50,7 +50,7 @@ func (r *Reporter) Report(p *occam.Proc, kind, format string, args ...any) {
 	if t, ok := r.last[kind]; ok && now.Sub(t) < reportMinPeriod {
 		return
 	}
-	r.last[kind] = now
+	set(&r.last, kind, now)
 	r.log.lines = append(r.log.lines, Report{At: now, Process: r.process, Text: fmt.Sprintf(format, args...)})
 }
 

@@ -68,21 +68,21 @@ func (b *Box) startServer() {
 	// audio board's (audio.go): the switch, one input handler per input
 	// device, one output handler per output device on another board, and
 	// netOut.
-	goStep := func(nm string, step func(*occam.Proc)) {
+	goStep := func(nm string, step occam.Stepper) {
 		rt.GoStep(name+"."+nm, b.serverNode, occam.High, step)
 	}
-	input := func(from arrivals) func(*occam.Proc) { return (&inputHandler{b: b, from: from}).step }
-	goStep("switch", newDataSwitch(b).step)
+	input := func(from arrivals) occam.Stepper { return &inputHandler{b: b, from: from} }
+	goStep("switch", newDataSwitch(b))
 	goStep("audioIn", input(&boardLink{link: b.audioToServer}))
 	goStep("netIn", input(newNetInterface(b)))
 	goStep("captureIn", input(&boardLink{link: b.captureToServer}))
 	// The audio board's end of its link is passive; the display process
 	// takes each segment by rendezvous, and nothing precedes it on the fifo.
-	goStep("audioOut", (&outputHandler{b: b, dev: &outputDevice{from: b.outBufs[bufSpeaker], link: b.serverToAudio,
-		header: segment.StreamNumberSize, handOver: b.audioDeliver}}).step)
-	goStep("netOut", (&netOut{b: b, rep: newReporter(name+".netOut", b.Log)}).step)
-	goStep("displayOut", (&outputHandler{b: b, dev: &outputDevice{from: b.outBufs[bufDisplay], link: b.serverToMixer,
-		handOver: b.serverToMixer.Rendezvous}}).step)
+	goStep("audioOut", &outputHandler{b: b, dev: &outputDevice{from: b.outBufs[bufSpeaker], link: b.serverToAudio,
+		header: segment.StreamNumberSize, handOver: b.audioDeliver}})
+	goStep("netOut", &netOut{b: b, rep: newReporter(name+".netOut", b.Log)})
+	goStep("displayOut", &outputHandler{b: b, dev: &outputDevice{from: b.outBufs[bufDisplay], link: b.serverToMixer,
+		handOver: b.serverToMixer.Rendezvous}})
 }
 
 // appendBufSlots appends the decoupling buffer slots serving a route
@@ -110,18 +110,18 @@ type dataSwitch struct {
 	b      *Box
 	at     int // swAlt or swCharged
 	rep    *Reporter
-	routes map[uint32]*Route
-	shed   map[uint32]bool // overload-controller suspensions
+	routes byStream[*Route]
+	shed   byStream[struct{}] // overload-controller suspensions
 	// Principle-3 state per output buffer: how many of the oldest
 	// streams are currently being degraded, and when the last forced
 	// (buffer-full) drop happened.
-	degrade    []int
-	lastForced []occam.Time
+	degrade    [numOutBufs]int
+	lastForced [numOutBufs]occam.Time
 
 	// The guard slice is built once and reused at every alternation.
 	cmd    SwitchCommand
 	buf    *allocator.Buffer
-	guards []occam.Guard
+	guards [2]occam.Guard
 	slots  []int
 	r      *Route // buf's route, while its switching is charged
 }
@@ -133,19 +133,15 @@ const (
 
 func newDataSwitch(b *Box) *dataSwitch {
 	sw := &dataSwitch{
-		b:          b,
-		rep:        newReporter(b.cfg.Name+".switch", b.Log),
-		routes:     make(map[uint32]*Route),
-		shed:       make(map[uint32]bool),
-		degrade:    make([]int, numOutBufs),
-		lastForced: make([]occam.Time, numOutBufs),
-		slots:      make([]int, 0, numOutBufs),
+		b:     b,
+		rep:   newReporter(b.cfg.Name+".switch", b.Log),
+		slots: make([]int, 0, numOutBufs),
 	}
-	sw.guards = []occam.Guard{occam.Recv(b.switchCmd, &sw.cmd), occam.Recv(b.toSwitch, &sw.buf)}
+	sw.guards = [2]occam.Guard{occam.Recv(b.switchCmd, &sw.cmd), occam.Recv(b.toSwitch, &sw.buf)}
 	return sw
 }
 
-func (sw *dataSwitch) step(p *occam.Proc) {
+func (sw *dataSwitch) Step(p *occam.Proc) {
 	b := sw.b
 	for {
 		if sw.at == swCharged {
@@ -154,24 +150,24 @@ func (sw *dataSwitch) step(p *occam.Proc) {
 		}
 		// Parked here, the switch is given -1 and comes back to this
 		// call, which then names the guard that fired.
-		switch p.Alt(sw.guards...) {
+		switch p.Alt(sw.guards[:]...) {
 		case -1:
 			return
 		case 0:
 			sw.command(p)
 		case 1:
 			buf := sw.buf
-			if sw.r = sw.routes[buf.Stream]; sw.r == nil {
+			if sw.r, _ = sw.routes.get(buf.Stream); sw.r == nil {
 				b.swStats.NoRoute++
 				b.pool.Release(p, buf)
 				continue
 			}
-			if sw.shed[buf.Stream] {
+			if _, shed := sw.shed.get(buf.Stream); shed {
 				// The overload controller suspended this stream: stop
 				// its data at the earliest shared point, before any
 				// copying or buffering.
 				b.swStats.ShedDrops++
-				b.swStats.PerStreamDrops[buf.Stream]++
+				b.streamDrop(buf.Stream)
 				b.pool.Release(p, buf)
 				b.trace.Emit(obs.EvDrop, b.cfg.Name+".switch", buf.Stream, "degrade-shed")
 				continue
@@ -188,7 +184,7 @@ func (sw *dataSwitch) step(p *occam.Proc) {
 // fanOut forwards buf, its switching charged, to the decoupling buffer
 // of every output its stream is routed to.
 func (sw *dataSwitch) fanOut(p *occam.Proc) {
-	b, buf, r, degrade, lastForced := sw.b, sw.buf, sw.r, sw.degrade, sw.lastForced
+	b, buf, r, degrade, lastForced := sw.b, sw.buf, sw.r, &sw.degrade, &sw.lastForced
 
 	// Expand outputs to buffer slots.
 	slots := sw.slots[:0]
@@ -210,7 +206,7 @@ func (sw *dataSwitch) fanOut(p *occam.Proc) {
 			// Principle 3 in action: the oldest stream degrades
 			// to protect the younger ones.
 			b.swStats.AgeDrops[slot]++
-			b.swStats.PerStreamDrops[buf.Stream]++
+			b.streamDrop(buf.Stream)
 			b.pool.Release(p, buf)
 			b.trace.Emit(obs.EvDrop, b.cfg.Name+".switch", buf.Stream,
 				"age-degrade "+slotName(slot))
@@ -222,7 +218,7 @@ func (sw *dataSwitch) fanOut(p *occam.Proc) {
 			// have been dropped in this way, and periodically
 			// sends reports while the condition persists."
 			b.swStats.FullDrops[slot]++
-			b.swStats.PerStreamDrops[buf.Stream]++
+			b.streamDrop(buf.Stream)
 			b.pool.Release(p, buf)
 			sw.rep.Report(p, fmt.Sprintf("full-%d", slot),
 				"output %d full: dropping (total %d)", slot, b.swStats.FullDrops[slot])
@@ -250,34 +246,36 @@ func (sw *dataSwitch) fanOut(p *occam.Proc) {
 
 // command applies the switch command just received.
 func (sw *dataSwitch) command(p *occam.Proc) {
-	b, cmd, routes, shed := sw.b, sw.cmd, sw.routes, sw.shed
+	b, cmd := sw.b, sw.cmd
 	switch {
 	case cmd.Set != nil:
-		r := *cmd.Set
-		routes[r.Stream] = &r
+		// The route is the switch's from here: SetRoute made it for
+		// this command and keeps no reference.
+		r := cmd.Set
+		sw.routes.set(r.Stream, r)
 		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", r.Stream,
 			fmt.Sprintf("route set: %v", r.Outputs))
 	case cmd.HasClose:
-		delete(routes, cmd.Close)
-		delete(shed, cmd.Close)
+		sw.routes.del(cmd.Close)
+		sw.shed.del(cmd.Close)
 		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", cmd.Close, "route closed")
 	case cmd.HasShed:
-		shed[cmd.Shed] = true
+		sw.shed.set(cmd.Shed, struct{}{})
 		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", cmd.Shed, "stream shed")
 	case cmd.HasRestore:
-		delete(shed, cmd.Restore)
+		sw.shed.del(cmd.Restore)
 		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", cmd.Restore, "stream restored")
 	case cmd.ReportReq:
 		sw.rep.Report(p, "status", "routes=%d switched=%d noroute=%d",
-			len(routes), b.swStats.Switched, b.swStats.NoRoute)
+			len(sw.routes), b.swStats.Switched, b.swStats.NoRoute)
 	}
 }
 
 // streamsFor counts streams routed to a buffer slot.
-func (b *Box) streamsFor(routes map[uint32]*Route, slot int) int {
+func (b *Box) streamsFor(routes byStream[*Route], slot int) int {
 	n := 0
-	for _, r := range routes {
-		for _, o := range r.Outputs {
+	for _, e := range routes {
+		for _, o := range e.v.Outputs {
 			if slotMatches(o, slot) {
 				n++
 			}
@@ -286,34 +284,24 @@ func (b *Box) streamsFor(routes map[uint32]*Route, slot int) int {
 	return n
 }
 
-// isAmongOldest reports whether r is within the k oldest streams
-// routed to slot. The open-time list is gathered into a reused
-// scratch slice and insertion-sorted (a handful of streams at most) —
-// this runs per switched segment under degrade pressure.
-func (b *Box) isAmongOldest(routes map[uint32]*Route, r *Route, slot, k int) bool {
-	opened := b.openedScratch[:0]
-	for _, o := range routes {
-		for _, out := range o.Outputs {
+// isAmongOldest reports whether r is within the k oldest of the n
+// streams routed to slot, k at most n-1 (never all of them): whether
+// fewer than k were opened before it. This runs per switched segment
+// under degrade pressure, and counts without sorting or storing.
+func (b *Box) isAmongOldest(routes byStream[*Route], r *Route, slot, k int) bool {
+	n, older := 0, 0
+	for _, e := range routes {
+		for _, out := range e.v.Outputs {
 			if slotMatches(out, slot) {
-				opened = append(opened, o.Opened)
+				n++
+				if e.v.Opened < r.Opened {
+					older++
+				}
 				break
 			}
 		}
 	}
-	b.openedScratch = opened[:0]
-	if len(opened) <= 1 {
-		return false
-	}
-	for i := 1; i < len(opened); i++ {
-		for j := i; j > 0 && opened[j-1] > opened[j]; j-- {
-			opened[j-1], opened[j] = opened[j], opened[j-1]
-		}
-	}
-	if k > len(opened)-1 {
-		k = len(opened) - 1
-	}
-	cutoff := opened[k-1]
-	return r.Opened <= cutoff
+	return n > 1 && older < min(k, n-1)
 }
 
 func slotMatches(o Output, slot int) bool {
@@ -366,7 +354,7 @@ const (
 	inSent          // the switch has it
 )
 
-func (h *inputHandler) step(p *occam.Proc) {
+func (h *inputHandler) Step(p *occam.Proc) {
 	b := h.b
 	for {
 		switch h.at {
@@ -445,7 +433,7 @@ type netInterface struct {
 }
 
 func newNetInterface(b *Box) *netInterface {
-	return &netInterface{b: b, reasm: make(map[uint32]*chunkedVideo), corruptSeg: make(map[uint32]bool)}
+	return &netInterface{b: b}
 }
 
 func (n *netInterface) recv(p *occam.Proc) { n.b.host.Rx.RecvInto(p, &n.m) }
@@ -459,16 +447,16 @@ func (n *netInterface) segment() (segment.Wire, uint32, int, bool) {
 	b, m := n.b, n.m
 	n.m = atm.Message{}
 	if m.Corrupt {
-		n.corruptSeg[m.VCI] = true
+		set(&n.corruptSeg, m.VCI, true)
 	}
-	w, done := reassemble(n.reasm, m)
+	w, done := reassemble(&n.reasm, m)
 	if !done {
 		return segment.Wire{}, 0, 0, false
 	}
 	if n.corruptSeg[m.VCI] {
 		delete(n.corruptSeg, m.VCI)
 		b.swStats.CorruptDrops++
-		b.swStats.PerStreamDrops[m.VCI]++
+		b.streamDrop(m.VCI)
 		b.trace.Emit(obs.EvDrop, b.cfg.Name+".netIn", m.VCI, "corrupt-discard")
 		w.Release()
 		return segment.Wire{}, 0, 0, false
@@ -511,7 +499,7 @@ const (
 	outHanded        // the board has it
 )
 
-func (h *outputHandler) step(p *occam.Proc) {
+func (h *outputHandler) Step(p *occam.Proc) {
 	b, dev := h.b, h.dev
 	for {
 		switch h.at {
@@ -567,24 +555,24 @@ type chunkedVideo struct {
 // reassemble merges chunked video; whole messages pass through. It
 // consumes every message's wire reference: the returned wire carries
 // exactly one, duplicates and superseded partials are released.
-func reassemble(m map[uint32]*chunkedVideo, msg atm.Message) (segment.Wire, bool) {
+func reassemble(m *map[uint32]*chunkedVideo, msg atm.Message) (segment.Wire, bool) {
 	if msg.ChunkTotal <= 1 {
 		return msg.W, true
 	}
 	seq := msg.W.Seq()
-	st, ok := m[msg.VCI]
+	st, ok := (*m)[msg.VCI]
 	if !ok || st.seq != seq || st.total != msg.ChunkTotal {
 		if ok {
 			st.w.Release() // abandon the stale partial segment
 		}
 		st = &chunkedVideo{total: msg.ChunkTotal, seq: seq, w: msg.W}
-		m[msg.VCI] = st
+		set(m, msg.VCI, st)
 	} else {
 		msg.W.Release() // the partial already holds this segment's wire
 	}
 	st.got++
 	if st.got >= st.total {
-		delete(m, msg.VCI)
+		delete(*m, msg.VCI)
 		return st.w, true
 	}
 	return segment.Wire{}, false
@@ -628,7 +616,7 @@ const (
 	noSend        // the transmission time is spent: hand it to the transport
 )
 
-func (n *netOut) step(p *occam.Proc) {
+func (n *netOut) Step(p *occam.Proc) {
 	b := n.b
 	audio, video := b.outBufs[bufNetAudio], b.outBufs[bufNetVideo]
 	for {
@@ -695,7 +683,8 @@ func (n *netOut) step(p *occam.Proc) {
 // inside the network, never here).
 func (n *netOut) begin(buf *allocator.Buffer) {
 	b, s := n.b, &n.seg[n.d]
-	*s = netSeg{buf: buf, vcis: b.netVCI[buf.Stream]}
+	vcis, _ := b.netVCI.get(buf.Stream)
+	*s = netSeg{buf: buf, vcis: vcis}
 	n.at = noNext
 	if len(s.vcis) == 0 {
 		return

@@ -7,6 +7,7 @@ import (
 	"repro/internal/occam"
 	"repro/internal/segment"
 	"repro/internal/video"
+	"repro/internal/workload"
 )
 
 // The capture board (§3.6): the camera writes the framestore
@@ -26,22 +27,35 @@ import (
 // (audio.go).
 
 func (b *Box) startCapture() {
-	b.rt.GoStep(b.cfg.Name+".capture", b.captureNode, occam.High, newCapture(b).step)
+	b.rt.GoStep(b.cfg.Name+".capture", b.captureNode, occam.High, newCapture(b))
 }
 
 func (b *Box) startDisplay() {
-	b.rt.GoStep(b.cfg.Name+".display", b.mixerNode, occam.High, newDisplay(b).step)
+	b.rt.GoStep(b.cfg.Name+".display", b.mixerNode, occam.High, newDisplay(b))
 }
 
 // capture drives the camera at 25 Hz and produces segments for every
-// open stream.
+// open stream. What serving a stream takes is behind *captureWork, built
+// at the board's first stream: a board that never sends video polls for
+// commands once a frame and holds no more than that needs.
 type capture struct {
 	b     *Box
 	at    int // capSleep … capTaken
 	frame int // the camera frame being served, numbered from time zero
 	scan  video.Scan
 
-	streams  map[uint32]*CameraStream
+	streams map[uint32]*CameraStream // nil until the first stream opens
+
+	// Built once, as the micReader's: Recv overwrites cmd on every fire.
+	cmd    captureCmd
+	guards [2]occam.Guard
+
+	*captureWork // nil until the first stream opens
+}
+
+// captureWork is the capture board's state for serving streams.
+type captureWork struct {
+	camera   *workload.Camera
 	frameSeq map[uint32]uint32
 	segSeq   map[uint32]uint32
 
@@ -65,10 +79,6 @@ type capture struct {
 	packed []byte
 	seg    segment.Video
 	args   [1]uint32
-
-	// Built once, as the micReader's: Recv overwrites cmd on every fire.
-	cmd    captureCmd
-	guards []occam.Guard
 }
 
 const (
@@ -84,19 +94,25 @@ const (
 
 func newCapture(b *Box) *capture {
 	c := &capture{
-		b:        b,
-		scan:     video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod},
-		streams:  make(map[uint32]*CameraStream),
+		b:    b,
+		scan: video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod},
+	}
+	c.guards = [2]occam.Guard{occam.Recv(b.captureCmds, &c.cmd), occam.Skip()}
+	return c
+}
+
+func newCaptureWork(b *Box) *captureWork {
+	w := &captureWork{
+		camera:   workload.NewCamera(b.cfg.CameraW, b.cfg.CameraH),
 		frameSeq: make(map[uint32]uint32),
 		segSeq:   make(map[uint32]uint32),
 		lp:       video.LineParams{Shift: 1},
 	}
-	c.args[0] = uint32(c.lp.Shift)
-	c.guards = []occam.Guard{occam.Recv(b.captureCmds, &c.cmd), occam.Skip()}
-	return c
+	w.args[0] = uint32(w.lp.Shift)
+	return w
 }
 
-func (c *capture) step(p *occam.Proc) {
+func (c *capture) Step(p *occam.Proc) {
 	b := c.b
 	for {
 		switch c.at {
@@ -109,7 +125,7 @@ func (c *capture) step(p *occam.Proc) {
 		case capWoke:
 			// Commands between frames (principles 4 and 6). With no
 			// stream open a frame is only this poll.
-			for p.Alt(c.guards...) == 0 {
+			for p.Alt(c.guards[:]...) == 0 {
 				c.command()
 			}
 			if len(c.streams) == 0 {
@@ -124,7 +140,7 @@ func (c *capture) step(p *occam.Proc) {
 			if b.framestore == nil {
 				b.framestore = video.NewFramestore(b.cfg.CameraW, b.cfg.CameraH)
 			}
-			b.camera.Draw(b.framestore.CameraPort(), c.frame)
+			c.camera.Draw(b.framestore.CameraPort(), c.frame)
 			c.ids, c.si, c.at = orderedStreamIDs(c.ids[:0], c.streams), 0, capStream
 		case capStream:
 			if c.si == len(c.ids) {
@@ -209,7 +225,10 @@ func (c *capture) command() {
 		if cs.SegsPerFrame <= 0 {
 			cs.SegsPerFrame = 2
 		}
-		c.streams[cs.Stream] = &cs
+		if c.captureWork == nil {
+			c.captureWork = newCaptureWork(c.b)
+		}
+		set(&c.streams, cs.Stream, &cs)
 	case cmd.HasStop:
 		delete(c.streams, cmd.Stop)
 	}
@@ -237,13 +256,22 @@ var errOffDisplay = errors.New("box: video segment outside the display")
 // interpolator's per-stream line cache on interleaving), assembles
 // whole frames, and copies each completed frame to the display at a
 // scan-safe moment.
+//
+// What decoding and assembling takes is behind *displayWork, built at
+// the first segment the board is sent.
 type display struct {
-	b          *Box
-	at         int // dispRecv … dispShown
-	rep        *Reporter
-	scan       video.Scan
+	b    *Box
+	at   int // dispRecv … dispShown
+	rep  *Reporter
+	scan video.Scan
+	msg  wireMsg
+
+	*displayWork // nil until the first segment arrives
+}
+
+// displayWork is the display board's state for assembling streams.
+type displayWork struct {
 	assemblers map[uint32]*video.Assembler
-	msg        wireMsg
 	seg        segment.Video // the header, decoded in place from msg's wire
 	// Per-board scratch, reused every segment: the codec and the decoded
 	// image (blitted into the assembler's own frame by Add).
@@ -261,14 +289,13 @@ const (
 
 func newDisplay(b *Box) *display {
 	return &display{
-		b:          b,
-		rep:        newReporter(b.cfg.Name+".display", b.Log),
-		scan:       video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod},
-		assemblers: make(map[uint32]*video.Assembler),
+		b:    b,
+		rep:  newReporter(b.cfg.Name+".display", b.Log),
+		scan: video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod},
 	}
 }
 
-func (d *display) step(p *occam.Proc) {
+func (d *display) Step(p *occam.Proc) {
 	b := d.b
 	for {
 		switch d.at {
@@ -325,6 +352,10 @@ func (d *display) copyTime() time.Duration {
 // assemble decodes the segment in hand into its stream's frame,
 // releasing its wire, and reports whether that completed the frame.
 func (d *display) assemble(p *occam.Proc) bool {
+	if d.displayWork == nil {
+		d.displayWork = &displayWork{assemblers: make(map[uint32]*video.Assembler)}
+		d.b.interp = video.NewInterpolator()
+	}
 	b, msg, seg := d.b, d.msg, &d.seg
 	d.msg = wireMsg{}
 	defer msg.W.Release() // img and the assembler hold their own copies

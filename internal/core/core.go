@@ -397,12 +397,17 @@ func (s *System) InjectLinkFaults(spec faultinject.Spec) {
 // port name.
 func (s *System) EnableDegradation(cfg degrade.Config) map[string]*degrade.Controller {
 	s.ctrls = make(map[string]*degrade.Controller)
+	shared := &cfg // every controller without links of its own
 	for _, name := range s.BoxNames() {
 		n := s.nodes[name]
-		bcfg := cfg
-		for _, path := range n.links {
-			// Map order: the controller only takes the largest occupancy.
-			bcfg.Links = append(bcfg.Links, path...)
+		bcfg := shared
+		if len(n.links) > 0 {
+			bcfg = new(degrade.Config)
+			*bcfg = cfg
+			for _, path := range n.links {
+				// Map order: the controller only takes the largest occupancy.
+				bcfg.Links = append(bcfg.Links, path...)
+			}
 		}
 		s.ctrls[name] = degrade.New(s.RT, n.box, bcfg, s.Obs)
 	}
@@ -413,7 +418,7 @@ func (s *System) EnableDegradation(cfg degrade.Config) map[string]*degrade.Contr
 	sort.Strings(fabNames)
 	for _, name := range fabNames {
 		for _, pt := range s.fabrics[name].Ports() {
-			s.ctrls[pt.Name()] = degrade.New(s.RT, pt, cfg, s.Obs)
+			s.ctrls[pt.Name()] = degrade.New(s.RT, pt, shared, s.Obs)
 		}
 	}
 	return s.ctrls

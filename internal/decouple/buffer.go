@@ -32,28 +32,38 @@ func (r Report) String() string {
 // and consumer run its bookkeeping inline; only a consumer that finds
 // it empty, or a Send that finds it full, parks — on a signal the
 // other side raises.
+//
+// A buffer is one object: the ring and both signals are held by value,
+// and the signals borrow the buffer's name.
 type Buffer[T any] struct {
 	rt   *occam.Runtime
 	name string
-	ring *Ring[T]
+	ring Ring[T]
 
 	staged    T
 	hasStaged bool
 
-	wake    *occam.Signal // parks the consumer while nothing can be taken
-	notFull *occam.Signal // parks a Send producer while the ring is full
+	// wake parks the consumer while nothing can be taken: ownWake, or
+	// the buffer's it shares a consumer with (ShareWake).
+	wake    *occam.Signal
+	ownWake occam.Signal
+	notFull occam.Signal // parks a Send producer while the ring is full
 
 	reg     *obs.Registry
 	refused uint64
 	trace   *obs.Tracer
 
-	// Sink-stall fault (SetStall): an item staged inside an outage is
-	// withheld until heldUntil, when stallEnd wakes the consumer.
-	stall     func(now occam.Time) occam.Time
-	stalls    uint64
-	stallEnd  *occam.Timer
+	stall *stall // nil without a sink-stall fault (SetStall)
+}
+
+// stall is a buffer's sink-stall fault: an item staged inside an outage
+// is withheld until heldUntil, when end wakes the consumer.
+type stall struct {
+	until     func(now occam.Time) occam.Time
+	count     uint64
+	end       *occam.Timer
 	heldUntil occam.Time
-	stalledT  occam.Time // end of the outage already counted
+	countedT  occam.Time // end of the outage already counted
 }
 
 // New creates a decoupling buffer of the given capacity. reg (nil for
@@ -61,14 +71,15 @@ type Buffer[T any] struct {
 // refusal counters, labelled with the buffer name.
 func New[T any](rt *occam.Runtime, name string, capacity int, reg *obs.Registry) *Buffer[T] {
 	b := &Buffer[T]{
-		rt:      rt,
-		name:    name,
-		ring:    NewRing[T](capacity),
-		wake:    occam.NewSignal(rt, name+".out"),
-		notFull: occam.NewSignal(rt, name+".in"),
-		reg:     reg,
-		trace:   reg.Tracer(),
+		rt:    rt,
+		name:  name,
+		reg:   reg,
+		trace: reg.Tracer(),
 	}
+	b.ring.init(capacity)
+	b.ownWake.Init(b.name, ".out")
+	b.notFull.Init(b.name, ".in")
+	b.wake = &b.ownWake
 	bufferTable.Register(reg, b, obs.L("buffer", name))
 	return b
 }
@@ -93,7 +104,8 @@ var bufferTable = obs.NewTable(
 // stallTable is a buffer's sink-stall count, registered by SetStall.
 var stallTable = obs.NewTable(obs.CounterOf("decouple_stalled_total", meter.stalled))
 
-func (b *Buffer[T]) stalled() uint64 { return b.stalls }
+// stalled is read only through stallTable, which SetStall registers.
+func (b *Buffer[T]) stalled() uint64 { return b.stall.count }
 
 // SetStall attaches a fault-injection hook modelling a stuck consumer
 // (a wedged output device): fn returns the end of any outage covering
@@ -105,11 +117,12 @@ func (b *Buffer[T]) stalled() uint64 { return b.stalls }
 // faultinject.Stalls converts outage windows into a suitable fn. Call
 // before any data flows.
 func (b *Buffer[T]) SetStall(fn func(now occam.Time) occam.Time) {
-	b.stall = fn
+	st := &stall{until: fn}
+	b.stall = st
 	stallTable.Register(b.reg, b, obs.L("buffer", b.name))
-	b.stallEnd = occam.NewTimer(b.rt, func(s occam.Sched) {
-		if b.heldUntil > s.Now() {
-			s.Schedule(b.stallEnd, b.heldUntil) // a later outage took over
+	st.end = occam.NewTimer(b.rt, func(s occam.Sched) {
+		if st.heldUntil > s.Now() {
+			s.Schedule(st.end, st.heldUntil) // a later outage took over
 			return
 		}
 		s.Raise(b.wake)
@@ -131,23 +144,24 @@ func (b *Buffer[T]) stage(p *occam.Proc) bool {
 	if b.staged, b.hasStaged = b.ring.Pop(); !b.hasStaged {
 		return false
 	}
-	if b.stall == nil {
+	st := b.stall
+	if st == nil {
 		return true
 	}
 	now := p.Now()
-	until := b.stall(now)
+	until := st.until(now)
 	if until <= now {
 		return true
 	}
-	if until > b.stalledT {
+	if until > st.countedT {
 		// Count each outage once, not once per queued item.
-		b.stalledT = until
-		b.stalls++
+		st.countedT = until
+		st.count++
 		b.trace.Emit(obs.EvFault, "decouple."+b.name, 0, "sink stalled")
 	}
-	b.heldUntil = until
-	if !b.stallEnd.Active() {
-		b.stallEnd.Schedule(until)
+	st.heldUntil = until
+	if !st.end.Active() {
+		st.end.Schedule(until)
 	}
 	return false
 }
@@ -184,7 +198,7 @@ func (b *Buffer[T]) Send(p *occam.Proc, v T) {
 // TryRecv takes the head item if there is one the consumer may have
 // now (none while a sink stall withholds it).
 func (b *Buffer[T]) TryRecv(p *occam.Proc) (v T, ok bool) {
-	if !b.hasStaged || (b.heldUntil != 0 && p.Now() < b.heldUntil) {
+	if !b.hasStaged || (b.stall != nil && p.Now() < b.stall.heldUntil) {
 		return v, false
 	}
 	var zero T

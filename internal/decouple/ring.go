@@ -4,8 +4,11 @@ package decouple
 // a bounded FIFO whose capacity can be changed dynamically "without
 // any loss of data" — shrinking below the current occupancy keeps the
 // queued items and simply refuses new ones until the queue drains.
+//
+// A ring holds no storage until its first push: a decoupling buffer in
+// front of an output a box never uses costs only the Ring itself.
 type Ring[T any] struct {
-	items    []T
+	items    []T // nil until the first push
 	head     int // index of the oldest item
 	n        int // occupancy
 	capacity int // current limit (may be less than len(items))
@@ -18,10 +21,17 @@ type Ring[T any] struct {
 
 // NewRing returns a ring holding at most capacity items.
 func NewRing[T any](capacity int) *Ring[T] {
+	r := new(Ring[T])
+	r.init(capacity)
+	return r
+}
+
+// init sets the capacity of a ring held by value.
+func (r *Ring[T]) init(capacity int) {
 	if capacity <= 0 {
 		panic("decouple: ring capacity must be positive")
 	}
-	return &Ring[T]{items: make([]T, capacity), capacity: capacity}
+	r.capacity = capacity
 }
 
 // Len returns the current occupancy.
@@ -45,6 +55,9 @@ func (r *Ring[T]) Popped() uint64 { return r.popped }
 func (r *Ring[T]) Push(v T) bool {
 	if r.Full() {
 		return false
+	}
+	if r.items == nil {
+		r.items = make([]T, r.capacity)
 	}
 	r.items[(r.head+r.n)%len(r.items)] = v
 	r.n++
@@ -83,7 +96,7 @@ func (r *Ring[T]) Resize(capacity int) {
 	if capacity <= 0 {
 		panic("decouple: ring capacity must be positive")
 	}
-	if capacity > len(r.items) {
+	if r.items != nil && capacity > len(r.items) {
 		r.grow(capacity)
 	}
 	r.capacity = capacity

@@ -96,7 +96,9 @@ type Config struct {
 	Links []*atm.Link
 }
 
-func (c Config) withDefaults() Config {
+// setDefaults sets each field left at zero or below to its default.
+// It writes nothing to a Config whose fields are all set.
+func (c *Config) setDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 20 * time.Millisecond
 	}
@@ -106,7 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.ShedEvery <= 0 {
 		c.ShedEvery = 100 * time.Millisecond
 	}
-	return c
 }
 
 // Action is one logged controller decision.
@@ -144,11 +145,11 @@ func (a Action) desc() string {
 // Controller is one box's overload controller process.
 type Controller struct {
 	target Target
-	cfg    Config
+	cfg    *Config // shared with every controller started from it
 	trace  *obs.Tracer
 
-	shed  map[uint32]StreamInfo
-	stack []uint32 // restore order: last shed, first restored
+	shed  map[uint32]StreamInfo // nil until the first shed
+	stack []uint32              // restore order: last shed, first restored
 	log   []Action
 
 	lastHigh    occam.Time
@@ -171,18 +172,20 @@ type Controller struct {
 	shedVideo, shedAudio, restores, ticks uint64
 }
 
-// New starts a controller for target on rt; its instruments register
-// in reg (nil for none).
-func New(rt *occam.Runtime, target Target, cfg Config, reg *obs.Registry) *Controller {
-	cfg = cfg.withDefaults()
+// New starts a controller for target on rt, configured by cfg; its
+// instruments register in reg (nil for none). The controller keeps cfg
+// rather than a copy, so controllers started from one Config share it,
+// and it must not change once one of them runs. New sets the fields of
+// cfg left at zero to their defaults.
+func New(rt *occam.Runtime, target Target, cfg *Config, reg *obs.Registry) *Controller {
+	cfg.setDefaults()
 	c := &Controller{
 		target: target,
 		cfg:    cfg,
 		trace:  reg.Tracer(),
-		shed:   make(map[uint32]StreamInfo),
 	}
 	controllerTable.Register(reg, c, obs.L("box", target.DegradeName()))
-	rt.GoStep(target.DegradeName()+".degrade", nil, occam.High, c.step)
+	rt.GoStep(target.DegradeName()+".degrade", nil, occam.High, (*controllerStep)(c))
 	return c
 }
 
@@ -216,6 +219,11 @@ const (
 // (Target.DegradeShed's rendezvous with the switch), and the decision is
 // settled, counted, logged and traced when that wait is over. The next
 // sample is an Interval after that.
+// controllerStep is a controller as its process: its Step is step.
+type controllerStep Controller
+
+func (s *controllerStep) Step(p *occam.Proc) { (*Controller)(s).step(p) }
+
 func (c *Controller) step(p *occam.Proc) {
 	for {
 		switch c.at {
@@ -355,6 +363,9 @@ func (c *Controller) settle() {
 		c.log = append(c.log, act)
 		c.trace.Emit(obs.EvRecover, c.target.DegradeName()+".degrade", act.Stream, act.desc())
 		return
+	}
+	if c.shed == nil {
+		c.shed = make(map[uint32]StreamInfo)
 	}
 	c.shed[act.Stream] = c.victim
 	c.stack = append(c.stack, act.Stream)

@@ -75,7 +75,7 @@ func TestShedOrderAndLIFORestore(t *testing.T) {
 		{ID: 4, Video: false, Incoming: true, Opened: 10},
 		{ID: 5, Video: false, Incoming: false, Opened: 20},
 	}}
-	c := degrade.New(rt, ft, quickCfg, reg)
+	c := degrade.New(rt, ft, &quickCfg, reg)
 
 	ft.video = 1 // hard overload
 	if err := rt.RunFor(100 * time.Millisecond); err != nil {
@@ -131,7 +131,7 @@ func TestShedSettlesWhenTheTargetTakesIt(t *testing.T) {
 	reg := obs.New(rt)
 	ft := &fakeTarget{name: "t", streams: []degrade.StreamInfo{{ID: 1, Video: true, Incoming: true}},
 		cmds: occam.NewChan[uint32](rt, "t.cmds")}
-	c := degrade.New(rt, ft, quickCfg, reg)
+	c := degrade.New(rt, ft, &quickCfg, reg)
 	ft.video = 1
 	var took string
 	rt.Go("switch", nil, occam.High, func(p *occam.Proc) {
@@ -165,7 +165,7 @@ func TestRepositoryOrderReversed(t *testing.T) {
 		{ID: 1, Video: true, Incoming: true, Opened: 5},
 		{ID: 2, Video: true, Incoming: false, Opened: 10},
 	}}
-	degrade.New(rt, ft, quickCfg, reg)
+	degrade.New(rt, ft, &quickCfg, reg)
 
 	ft.video = 1
 	if err := rt.RunFor(60 * time.Millisecond); err != nil {
@@ -198,7 +198,7 @@ func TestLinkPressureShedsVideo(t *testing.T) {
 	})
 	cfg := quickCfg
 	cfg.Links = []*atm.Link{link}
-	degrade.New(rt, ft, cfg, reg)
+	degrade.New(rt, ft, &cfg, reg)
 
 	if err := rt.RunFor(60 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -220,11 +220,11 @@ func TestIdleControllerSamplesWithoutBeingResumed(t *testing.T) {
 	defer rt.Shutdown()
 	reg := obs.New(rt)
 	ft := &fakeTarget{name: "t", streams: []degrade.StreamInfo{{ID: 1, Video: true, Incoming: true}}}
-	degrade.New(rt, ft, degrade.Config{}, reg)
+	degrade.New(rt, ft, &degrade.Config{}, reg)
 	ft.video = 0.5 // between the watermarks: neither shed nor restore
 	// Something else keeps the dispatch loop busy, so that a controller
 	// woken for a tick would have to be switched into.
-	rt.GoStep("busy", nil, occam.Low, func(p *occam.Proc) { p.Sleep(300 * time.Microsecond) })
+	rt.GoStep("busy", nil, occam.Low, occam.StepFunc(func(p *occam.Proc) { p.Sleep(300 * time.Microsecond) }))
 	if err := rt.RunUntil(occam.Time(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}

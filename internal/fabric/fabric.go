@@ -52,7 +52,10 @@
 package fabric
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -175,24 +178,21 @@ func (f *Fabric) Observe(reg *obs.Registry) {
 func (f *Fabric) Attach(h *atm.Host) *Port {
 	id := len(f.ports)
 	pt := &Port{
-		fab:     f,
-		id:      id,
-		nm:      fmt.Sprintf("%s.p%02d", f.nm, id),
-		host:    h,
-		shed:    make(map[uint32]bool),
-		perVCI:  make(map[uint32]*vciDigest),
-		inByVCI: make(map[uint32]uint64),
+		fab:  f,
+		id:   id,
+		nm:   fmt.Sprintf("%s.p%02d", f.nm, id),
+		host: h,
 	}
 	pt.fault = atm.NewFaultGate(pt.nm, "port-stall")
 	pt.crossTimer = occam.NewTimer(f.rt, pt.crossDone)
-	pt.txWake = occam.NewTimer(f.rt, func(s occam.Sched) { s.Raise(pt.txSig) })
-	pt.txSig = occam.NewSignal(f.rt, pt.nm+".txwake")
+	pt.txWake = occam.NewTimer(f.rt, func(s occam.Sched) { s.Raise(&pt.txSig) })
+	pt.txSig.Init(pt.nm, ".txwake")
 	f.ports = append(f.ports, pt)
 	if f.reg != nil {
 		pt.observe(f.reg)
 	}
 	h.SetTransport(pt)
-	f.rt.GoStep(pt.nm+".tx", nil, occam.High, pt.stepTx)
+	f.rt.GoStep(pt.nm+".tx", nil, occam.High, (*portTx)(pt))
 	return pt
 }
 
@@ -345,7 +345,7 @@ type Port struct {
 	txNext  int           // next of batch to deliver
 	txBusy  bool
 	txWake  *occam.Timer
-	txSig   *occam.Signal
+	txSig   occam.Signal
 
 	shed  map[uint32]bool
 	fault *atm.FaultGate
@@ -365,7 +365,7 @@ type Port struct {
 	// not data: a busy receiving box legitimately shifts when its own
 	// transmissions land elsewhere, without changing any byte of any
 	// stream.
-	perVCI    map[uint32]*vciDigest
+	perVCI    []vciDigest // by VCI, ascending
 	delivered uint64
 
 	// Traffic and drop counters, which the port's registry row reads.
@@ -402,15 +402,9 @@ func (pt *Port) Stats() PortStats {
 // runs in which this port's streams each saw identical traffic produce
 // identical digests regardless of what happened on other ports.
 func (pt *Port) DeliveryDigest() (digest uint64, delivered uint64) {
-	vcis := make([]uint32, 0, len(pt.perVCI))
-	for vci := range pt.perVCI {
-		vcis = append(vcis, vci)
-	}
-	sort.Slice(vcis, func(i, j int) bool { return vcis[i] < vcis[j] })
 	h := uint64(fnvOffset)
-	for _, vci := range vcis {
-		d := pt.perVCI[vci]
-		h ^= uint64(vci)
+	for _, d := range pt.perVCI {
+		h ^= uint64(d.vci)
 		h *= fnvPrime
 		h ^= d.digest
 		h *= fnvPrime
@@ -491,6 +485,9 @@ func (pt *Port) crossDur(m atm.Message) time.Duration {
 // sender never blocks on fabric congestion.
 func (pt *Port) Send(p *occam.Proc, m atm.Message) error {
 	n := pt.inByVCI[m.VCI] + 1
+	if pt.inByVCI == nil {
+		pt.inByVCI = make(map[uint32]uint64)
+	}
 	pt.inByVCI[m.VCI] = n
 	pt.inMax = max(pt.inMax, n)
 	if pt.crossBusy {
@@ -632,6 +629,11 @@ const (
 // may block (host backpressure) — and paces follow-on trains while
 // backlog remains. It sleeps on txSig whenever the port goes idle;
 // egArrive slices the train that wakes it.
+// portTx is a port as its transmitter process: its Step is stepTx.
+type portTx Port
+
+func (t *portTx) Step(p *occam.Proc) { (*Port)(t).stepTx(p) }
+
 func (pt *Port) stepTx(p *occam.Proc) {
 	for {
 		if pt.txAt == txIdle {
@@ -675,17 +677,21 @@ const (
 
 // vciDigest is one stream's running delivery digest at one port.
 type vciDigest struct {
+	vci    uint32
 	digest uint64
 	count  uint64
 }
 
-// fold mixes one delivered message into its stream's digest.
+// fold mixes one delivered message into its stream's digest: FNV-1a
+// over the payload eight bytes (one little-endian word) per multiply,
+// and byte by byte over a tail shorter than that. The digest is only
+// ever compared for equality, so the wider step costs it nothing.
 func (pt *Port) fold(m atm.Message) {
-	d, ok := pt.perVCI[m.VCI]
+	i, ok := slices.BinarySearchFunc(pt.perVCI, m.VCI, func(d vciDigest, vci uint32) int { return cmp.Compare(d.vci, vci) })
 	if !ok {
-		d = &vciDigest{digest: fnvOffset}
-		pt.perVCI[m.VCI] = d
+		pt.perVCI = slices.Insert(pt.perVCI, i, vciDigest{vci: m.VCI, digest: fnvOffset})
 	}
+	d := &pt.perVCI[i]
 	h := d.digest
 	if m.Corrupt {
 		h ^= 1
@@ -693,7 +699,12 @@ func (pt *Port) fold(m atm.Message) {
 	}
 	h ^= uint64(m.ChunkIndex)<<16 | uint64(m.ChunkTotal)
 	h *= fnvPrime
-	for _, b := range m.W.Bytes() {
+	bs := m.W.Bytes()
+	for ; len(bs) >= 8; bs = bs[8:] {
+		h ^= binary.LittleEndian.Uint64(bs)
+		h *= fnvPrime
+	}
+	for _, b := range bs {
 		h ^= uint64(b)
 		h *= fnvPrime
 	}
@@ -742,7 +753,12 @@ func (pt *Port) DegradePressure() (video, audio float64) {
 // egress. The source box keeps transmitting (it is not this port's to
 // command — principle 8 is local adaptation), the crossbar keeps
 // switching, and the cells die here, on the congested port alone.
-func (pt *Port) DegradeShed(p *occam.Proc, id uint32) { pt.shed[id] = true }
+func (pt *Port) DegradeShed(p *occam.Proc, id uint32) {
+	if pt.shed == nil {
+		pt.shed = make(map[uint32]bool)
+	}
+	pt.shed[id] = true
+}
 
 // DegradeRestore implements degrade.Target.
 func (pt *Port) DegradeRestore(p *occam.Proc, id uint32) { delete(pt.shed, id) }

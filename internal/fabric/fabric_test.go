@@ -316,3 +316,43 @@ func TestOccupancyIsTheGaugeQuotient(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeliveryDigestSeesEveryPayloadByte: the digest folds a payload a
+// word at a time and a tail shorter than a word byte by byte, so each
+// byte sits in a different lane of the fold. Changing any one byte of
+// any one delivered message, at every position of words and tail alike,
+// must change the port's digest.
+func TestDeliveryDigestSeesEveryPayloadByte(t *testing.T) {
+	pool := segment.NewWirePool()
+	digest := func(msgs [][]byte) uint64 {
+		pt := &Port{}
+		for _, b := range msgs {
+			w := pool.Copy(b)
+			pt.fold(atm.Message{VCI: 7, Size: len(b), W: w})
+			w.Release()
+		}
+		d, _ := pt.DeliveryDigest()
+		return d
+	}
+	for _, n := range []int{1, 7, 8, 9, 15, 16, 21, 64, 67} {
+		msgs := make([][]byte, 3)
+		for m := range msgs {
+			msgs[m] = make([]byte, n)
+			for i := range msgs[m] {
+				msgs[m][i] = byte(31*m + 7*i)
+			}
+		}
+		base := digest(msgs)
+		for m := range msgs {
+			for i := 0; i < n; i++ {
+				for _, x := range []byte{0x01, 0x80, 0xff} {
+					msgs[m][i] ^= x
+					if digest(msgs) == base {
+						t.Errorf("%d-byte messages: flipping %#x in byte %d of message %d left the digest at %#x", n, x, i, m, base)
+					}
+					msgs[m][i] ^= x
+				}
+			}
+		}
+	}
+}

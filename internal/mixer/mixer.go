@@ -152,7 +152,6 @@ func New(cfg Config) *Mixer {
 	m := &Mixer{
 		cfg:  cfg,
 		pool: clawback.NewPool(cfg.PoolBlocks),
-		shed: make(map[uint32]bool),
 	}
 	mixerTable.Register(cfg.Obs, m, obs.L("box", cfg.Name))
 	return m
@@ -422,6 +421,9 @@ func (m *Mixer) SetShed(id uint32, shed bool) {
 	}
 	if m.shed[id] {
 		return
+	}
+	if m.shed == nil {
+		m.shed = make(map[uint32]bool)
 	}
 	m.shed[id] = true
 	if s, _, ok := m.find(id); ok && s.active {

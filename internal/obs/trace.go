@@ -67,13 +67,14 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// Event is one traced occurrence.
+// Event is one traced occurrence. Its fields are ordered so that Kind
+// and Stream share a word: an event is 48 bytes.
 type Event struct {
 	At     occam.Time
-	Kind   EventKind
 	Source string // emitting component, e.g. "atm.alice-bob.0" or "alice.switch"
-	Stream uint32 // stream number / VCI, 0 when not applicable
 	Detail string // reason or free-form note
+	Stream uint32 // stream number / VCI, 0 when not applicable
+	Kind   EventKind
 }
 
 func (e Event) String() string {
@@ -95,9 +96,14 @@ const DefaultTraceCap = 4096
 
 // Tracer is the bounded event ring. Emit is nil-receiver safe, so
 // instrumented code traces unconditionally.
+//
+// The ring's storage grows with what it holds, as append grows a
+// slice, until it holds the capacity; from then on each event
+// overwrites the oldest. A run that traces little holds little.
 type Tracer struct {
 	clock Clock
-	buf   []Event
+	buf   []Event // len grows to limit, then stays
+	limit int
 	next  int
 	n     int
 	total uint64
@@ -107,7 +113,7 @@ func newTracer(clock Clock, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{clock: clock, buf: make([]Event, capacity)}
+	return &Tracer{clock: clock, limit: capacity}
 }
 
 // Emit records one event stamped with the current virtual time.
@@ -130,9 +136,14 @@ func (t *Tracer) EmitAt(at occam.Time, kind EventKind, source string, stream uin
 	if t == nil {
 		return
 	}
-	t.buf[t.next] = Event{At: at, Kind: kind, Source: source, Stream: stream, Detail: detail}
-	t.next = (t.next + 1) % len(t.buf)
-	if t.n < len(t.buf) {
+	e := Event{At: at, Kind: kind, Source: source, Stream: stream, Detail: detail}
+	if len(t.buf) < t.limit {
+		t.buf = append(t.buf, e)
+	} else {
+		t.buf[t.next] = e
+	}
+	t.next = (t.next + 1) % t.limit
+	if t.n < t.limit {
 		t.n++
 	}
 	t.total++
@@ -168,5 +179,5 @@ func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.buf)
+	return t.limit
 }

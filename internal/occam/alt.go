@@ -1,23 +1,13 @@
 package occam
 
-// altState is the shared state of one alternation: the first guard to
-// fire claims it and wakes the process. Each Proc owns one altState,
-// reused across Alt calls — a process runs at most one alternation at
-// a time and every registration is removed before Alt returns an index.
-type altState struct {
-	p       *Proc
-	fired   bool
-	waiting bool // a stackless process's guards are enabled: its next Alt call finishes this one
-	chosen  int
-}
-
 // Guard is one alternative of a PRI ALT. Construct guards with Recv,
 // After, Timeout, Skip and When.
 type Guard interface {
 	// poll attempts to fire the guard immediately.
 	poll(p *Proc) bool
-	// enable registers the guard to fire later.
-	enable(a *altState, idx int)
+	// enable registers the guard to fire later for p, whose alternation
+	// state (Proc.fired, Proc.chosen) the first guard to fire claims.
+	enable(p *Proc, idx int)
 	// disable removes the registration after the alt completes.
 	disable()
 }
@@ -41,40 +31,47 @@ func (p *Proc) Alt(guards ...Guard) int {
 	if len(guards) == 0 {
 		panic("occam: Alt with no guards")
 	}
-	rt := p.rt
-	a := &p.alt
-	if !a.waiting {
+	if !p.waiting {
 		for i, g := range guards {
 			if g.poll(p) {
 				return i
 			}
 		}
-		a.p, a.fired, a.chosen = p, false, -1
+		p.fired, p.chosen = false, -1
 		for i, g := range guards {
-			g.enable(a, i)
+			g.enable(p, i)
 		}
-		p.stN = len(guards)
-		rt.park(p, stAlt, "")
+		p.word = int64(len(guards))
+		p.rt.park(p, stAlt, nil)
 		if p.parked {
-			a.waiting = true
+			p.waiting = true
 			return -1
 		}
 	}
-	a.waiting = false
+	p.waiting = false
 	for _, g := range guards {
 		g.disable()
 	}
-	if a.chosen < 0 {
+	if p.chosen < 0 {
 		panic("occam: alt woke without a fired guard")
 	}
-	return a.chosen
+	return int(p.chosen)
+}
+
+// fire claims p's alternation for guard idx and readies p, unless
+// another guard has fired already.
+func (p *Proc) fire(idx int) {
+	if !p.fired {
+		p.fired, p.chosen = true, int32(idx)
+		p.rt.ready(p)
+	}
 }
 
 // recvGuard fires when ch has a sender; the value lands in *dst.
 type recvGuard[T any] struct {
 	ch  *Chan[T]
 	dst *T
-	a   *altState
+	p   *Proc // whose alternation the guard is enabled in; nil when it is not
 }
 
 // Recv returns a guard that fires when a value can be received from
@@ -85,22 +82,22 @@ func Recv[T any](ch *Chan[T], dst *T) Guard {
 
 func (g *recvGuard[T]) poll(p *Proc) bool {
 	c := g.ch
-	if len(c.sendq) == 0 {
+	if !c.sending {
 		return false
 	}
 	*g.dst = c.takeSend()
 	return true
 }
 
-func (g *recvGuard[T]) enable(a *altState, idx int) {
-	g.a = a
-	g.ch.alts = append(g.ch.alts, g.ch.getReg(a, idx, g.dst))
+func (g *recvGuard[T]) enable(p *Proc, idx int) {
+	g.p = p
+	g.ch.alts.push(g.ch.get(p, idx, g.dst))
 }
 
 func (g *recvGuard[T]) disable() {
-	if g.a != nil {
-		g.ch.removeAlt(g.a)
-		g.a = nil
+	if g.p != nil {
+		g.ch.removeAlt(g.p)
+		g.p = nil
 	}
 }
 
@@ -109,16 +106,9 @@ func (g *recvGuard[T]) disable() {
 // after the guard's next Alt, so each enable makes its own.
 type guardEv struct{ ev *timerEv }
 
-func (g *guardEv) arm(a *altState, idx int, at Time) {
-	rt := a.p.rt
-	g.ev = &timerEv{fn: func(Sched) {
-		if !a.fired {
-			a.fired = true
-			a.chosen = idx
-			rt.ready(a.p)
-		}
-	}}
-	rt.arm(g.ev, at)
+func (g *guardEv) arm(p *Proc, idx int, at Time) {
+	g.ev = &timerEv{fn: func(Sched) { p.fire(idx) }}
+	p.rt.arm(g.ev, at)
 }
 
 func (g *guardEv) disable() { g.ev.cancelled = true }
@@ -134,7 +124,7 @@ func After(at Time) Guard { return &timeGuard{at: at} }
 
 func (g *timeGuard) poll(p *Proc) bool { return p.rt.now >= g.at }
 
-func (g *timeGuard) enable(a *altState, idx int) { g.arm(a, idx, g.at) }
+func (g *timeGuard) enable(p *Proc, idx int) { g.arm(p, idx, g.at) }
 
 // timeoutGuard fires a duration after the Alt begins.
 type timeoutGuard struct {
@@ -148,7 +138,7 @@ func Timeout(d Time) Guard { return &timeoutGuard{d: d} }
 
 func (g *timeoutGuard) poll(p *Proc) bool { return g.d <= 0 }
 
-func (g *timeoutGuard) enable(a *altState, idx int) { g.arm(a, idx, a.p.rt.now+g.d) }
+func (g *timeoutGuard) enable(p *Proc, idx int) { g.arm(p, idx, p.rt.now+g.d) }
 
 // skipGuard always fires (Occam SKIP): as the last guard it makes the
 // alternation non-blocking.
@@ -159,7 +149,7 @@ type skipGuard struct{}
 func Skip() Guard { return skipGuard{} }
 
 func (skipGuard) poll(*Proc) bool { return true }
-func (skipGuard) enable(a *altState, i int) {
+func (skipGuard) enable(*Proc, int) {
 	// A reachable enabled SKIP fires at once; Alt polls guards first,
 	// so enable is only reached if an earlier guard also fired — which
 	// cannot happen. Guard against misuse anyway.
@@ -183,9 +173,9 @@ func (w *whenGuard) poll(p *Proc) bool {
 	return w.cond && w.g.poll(p)
 }
 
-func (w *whenGuard) enable(a *altState, idx int) {
+func (w *whenGuard) enable(p *Proc, idx int) {
 	if w.cond {
-		w.g.enable(a, idx)
+		w.g.enable(p, idx)
 	}
 }
 

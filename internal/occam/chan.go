@@ -9,104 +9,97 @@ package occam
 // the same channel; waiters are served in FIFO order. This is used by
 // Pandora-style fan-in (many producers into a switch input).
 //
-// Send-waiter and alternation-registration records, and the cells Recv
-// receives into, are recycled on per-channel free lists: the runtime
-// runs one process at a time, so the lists need no synchronisation, and
+// Every waiter is a record on an intrusive FIFO list: a process parked
+// in Send with the value it offers, one parked in RecvInto or Recv with
+// where its value is to go, or an alternation with a Recv guard on the
+// channel. Records are recycled on the channel's free list: the runtime
+// runs one process at a time, so the list needs no synchronisation, and
 // a data channel at steady state allocates nothing per transfer.
 type Chan[T any] struct {
-	rt    *Runtime
-	name  string
-	sendq []*sendWaiter[T]
-	recvq []recvWaiter[T]
-	alts  []*altReg[T]
-
-	sendFree []*sendWaiter[T]
-	regFree  []*altReg[T]
-	cells    []*T
+	name string
+	// parked is the processes parked in Send, or those parked in
+	// RecvInto and Recv: never both, for a sender that finds a receiver
+	// parked hands its value over and a receiver that finds a sender
+	// takes its value. sending says which.
+	parked  fifo[T]
+	sending bool
+	alts    fifo[T]    // registrations of alternations with a Recv guard here
+	free    *waiter[T] // recycled records, linked through next
 }
 
-type sendWaiter[T any] struct {
-	p *Proc
-	v T
+// waiter is one record on a channel's lists.
+type waiter[T any] struct {
+	next *waiter[T]
+	p    *Proc
+	dst  *T  // where a receiver's or an alternation's value goes
+	idx  int // an alternation's guard index
+	v    T   // a sender's value; the cell a Recv receives into
 }
 
-// recvWaiter is a process parked in RecvInto and where the sender is to
-// put its value: the receiver has nothing to do when it wakes.
-type recvWaiter[T any] struct {
-	p   *Proc
-	dst *T
+// fifo is an intrusive FIFO list of waiters.
+type fifo[T any] struct{ head, tail *waiter[T] }
+
+func (q *fifo[T]) push(w *waiter[T]) {
+	if q.tail == nil {
+		q.head = w
+	} else {
+		q.tail.next = w
+	}
+	q.tail = w
 }
 
-type altReg[T any] struct {
-	a   *altState
-	idx int
-	dst *T
+// pop removes and returns the first waiter. The list must not be
+// empty.
+func (q *fifo[T]) pop() *waiter[T] {
+	w := q.head
+	if q.head = w.next; q.head == nil {
+		q.tail = nil
+	}
+	w.next = nil
+	return w
 }
 
 // NewChan returns a new rendezvous channel on rt with a diagnostic
 // name.
 func NewChan[T any](rt *Runtime, name string) *Chan[T] {
-	return &Chan[T]{rt: rt, name: name}
+	return &Chan[T]{name: name}
 }
 
 // Name returns the channel's diagnostic name.
 func (c *Chan[T]) Name() string { return c.name }
 
-// getSend / putSend recycle send waiters. A waiter is
-// freed by whoever pops it from sendq (the popper reads v before the
-// sender resumes, and the sender never touches the record again).
-func (c *Chan[T]) getSend(p *Proc, v T) *sendWaiter[T] {
-	if n := len(c.sendFree); n > 0 {
-		w := c.sendFree[n-1]
-		c.sendFree = c.sendFree[:n-1]
-		w.p, w.v = p, v
-		return w
+func (c *Chan[T]) waitName() string { return c.name }
+
+// get returns a record for p, recycled if the channel has one. A
+// record is put back by whoever takes it off a list: the popper of a
+// sender reads v first, and a parked process never touches its record
+// again once it has been taken.
+func (c *Chan[T]) get(p *Proc, idx int, dst *T) *waiter[T] {
+	w := c.free
+	if w == nil {
+		return &waiter[T]{p: p, idx: idx, dst: dst}
 	}
-	return &sendWaiter[T]{p: p, v: v}
-}
-
-func (c *Chan[T]) putSend(w *sendWaiter[T]) {
-	var zero T
-	w.p, w.v = nil, zero
-	c.sendFree = append(c.sendFree, w)
-}
-
-// getReg / putReg recycle alternation registrations. A registration is
-// freed either when a sender pops it (takeAlt) or when the owning Alt
-// disables its guards (removeAlt); the two are mutually exclusive for
-// any one record because takeAlt removes it from alts.
-func (c *Chan[T]) getReg(a *altState, idx int, dst *T) *altReg[T] {
-	if n := len(c.regFree); n > 0 {
-		r := c.regFree[n-1]
-		c.regFree = c.regFree[:n-1]
-		r.a, r.idx, r.dst = a, idx, dst
-		return r
-	}
-	return &altReg[T]{a: a, idx: idx, dst: dst}
-}
-
-func (c *Chan[T]) putReg(r *altReg[T]) {
-	r.a, r.dst = nil, nil
-	c.regFree = append(c.regFree, r)
-}
-
-// popSend removes and returns the first queued sender. Caller owns the
-// returned waiter (must putSend it after reading v).
-func (c *Chan[T]) popSend() *sendWaiter[T] {
-	w := c.sendq[0]
-	copy(c.sendq, c.sendq[1:])
-	c.sendq[len(c.sendq)-1] = nil
-	c.sendq = c.sendq[:len(c.sendq)-1]
+	c.free, w.next = w.next, nil
+	w.p, w.idx, w.dst = p, idx, dst
 	return w
 }
 
-// takeSend removes the first queued sender, readies it and returns what
-// it offered. sendq must not be empty.
+// put recycles w, cleared so that the free list holds no process and
+// no value.
+func (c *Chan[T]) put(w *waiter[T]) {
+	var zero T
+	w.p, w.dst, w.v = nil, nil, zero
+	w.next, c.free = c.free, w
+}
+
+// takeSend removes the first parked sender, readies it and returns what
+// it offered. c.sending must be set.
 func (c *Chan[T]) takeSend() T {
-	w := c.popSend()
+	w := c.parked.pop()
+	c.sending = c.parked.head != nil
 	v := w.v
-	c.rt.ready(w.p)
-	c.putSend(w)
+	w.p.rt.ready(w.p)
+	c.put(w)
 	return v
 }
 
@@ -115,20 +108,24 @@ func (c *Chan[T]) takeSend() T {
 // the channel — by writing it where the waiter said and readying the
 // waiter, and reports whether anyone was waiting.
 func (c *Chan[T]) handOver(v T) bool {
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		copy(c.recvq, c.recvq[1:])
-		c.recvq[len(c.recvq)-1] = recvWaiter[T]{}
-		c.recvq = c.recvq[:len(c.recvq)-1]
+	if c.parked.head != nil && !c.sending {
+		w := c.parked.pop()
 		*w.dst = v
-		c.rt.ready(w.p)
+		w.p.rt.ready(w.p)
+		c.put(w)
 		return true
 	}
-	if a, idx, dst := c.takeAlt(); a != nil {
-		*dst = v
-		a.chosen = idx
-		c.rt.ready(a.p)
-		return true
+	for c.alts.head != nil {
+		w := c.alts.pop()
+		p, idx, dst := w.p, w.idx, w.dst
+		c.put(w)
+		// A registration whose alternation another guard has claimed
+		// is dead: recycled and passed over.
+		if !p.fired {
+			*dst = v
+			p.fire(idx)
+			return true
+		}
 	}
 	return false
 }
@@ -139,28 +136,11 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	if c.handOver(v) {
 		return
 	}
-	c.sendq = append(c.sendq, c.getSend(p, v))
-	c.rt.park(p, stSend, c.name)
-}
-
-// takeAlt removes the first live (unfired) alternation registration,
-// marking it fired, and returns its state, guard index and destination.
-// Dead registrations encountered on the way are recycled.
-func (c *Chan[T]) takeAlt() (a *altState, idx int, dst *T) {
-	for len(c.alts) > 0 {
-		reg := c.alts[0]
-		copy(c.alts, c.alts[1:])
-		c.alts[len(c.alts)-1] = nil
-		c.alts = c.alts[:len(c.alts)-1]
-		a, idx, dst = reg.a, reg.idx, reg.dst
-		fired := a.fired
-		c.putReg(reg)
-		if !fired {
-			a.fired = true
-			return a, idx, dst
-		}
-	}
-	return nil, 0, nil
+	w := c.get(p, 0, nil)
+	w.v = v
+	c.parked.push(w)
+	c.sending = true
+	p.rt.park(p, stSend, c)
 }
 
 // RecvInto receives a value from the channel into *dst, blocking until
@@ -168,33 +148,31 @@ func (c *Chan[T]) takeAlt() (a *altState, idx int, dst *T) {
 // so a stackless process parked here finds the value there at its next
 // turn; dst must stay valid until then.
 func (c *Chan[T]) RecvInto(p *Proc, dst *T) {
-	if len(c.sendq) > 0 {
+	if c.sending {
 		*dst = c.takeSend()
 		return
 	}
-	c.recvq = append(c.recvq, recvWaiter[T]{p, dst})
-	c.rt.park(p, stRecv, c.name)
+	c.parked.push(c.get(p, 0, dst))
+	p.rt.park(p, stRecv, c)
 }
 
 // Recv receives a value from the channel, blocking until a sender
 // offers one: RecvInto for a process with a stack to return the value
 // on. What a parked receiver's sender writes to cannot be on that stack,
-// so the local is a recycled cell.
+// so the cell is the receiver's own record, which stays off the free
+// list until the value is read out of it.
 func (c *Chan[T]) Recv(p *Proc) T {
-	if len(c.sendq) == 0 {
-		p.NeedsStack("Chan.Recv", c.name)
+	if c.sending {
+		return c.takeSend()
 	}
-	var cell *T
-	if n := len(c.cells); n > 0 {
-		cell, c.cells = c.cells[n-1], c.cells[:n-1]
-	} else {
-		cell = new(T)
-	}
-	c.RecvInto(p, cell)
-	var zero T
-	v := *cell
-	*cell = zero
-	c.cells = append(c.cells, cell)
+	p.NeedsStack("Chan.Recv", c.name)
+	w := c.get(p, 0, nil)
+	cell := c.get(nil, 0, nil)
+	w.dst = &cell.v
+	c.parked.push(w)
+	p.rt.park(p, stRecv, c)
+	v := cell.v
+	c.put(cell)
 	return v
 }
 
@@ -205,19 +183,16 @@ func (c *Chan[T]) Recv(p *Proc) T {
 // ready", §2.2 principle 5.)
 func (c *Chan[T]) TrySend(p *Proc, v T) bool { return c.handOver(v) }
 
-// removeAlt deletes every registration belonging to a, recycling the
-// records.
-func (c *Chan[T]) removeAlt(a *altState) {
-	out := c.alts[:0]
-	for _, reg := range c.alts {
-		if reg.a != a {
-			out = append(out, reg)
+// removeAlt deletes every registration belonging to p's alternation,
+// recycling the records.
+func (c *Chan[T]) removeAlt(p *Proc) {
+	var kept fifo[T]
+	for c.alts.head != nil {
+		if w := c.alts.pop(); w.p == p {
+			c.put(w)
 		} else {
-			c.putReg(reg)
+			kept.push(w)
 		}
 	}
-	for i := len(out); i < len(c.alts); i++ {
-		c.alts[i] = nil
-	}
-	c.alts = out
+	c.alts = kept
 }

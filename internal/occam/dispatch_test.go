@@ -54,7 +54,7 @@ func TestProcessPanicSurfacesFromRunUntil(t *testing.T) {
 					rt.Go("bystander", nil, Low, func(p *Proc) { ch.Recv(p) })
 					sleep := func(p *Proc) { p.Sleep(time.Millisecond) }
 					if form == "stackless" {
-						rt.GoStep("faulty", nil, Low, inTurns(sleep, func(p *Proc) { fault(rt, p) }))
+						rt.GoStep("faulty", nil, Low, StepFunc(inTurns(sleep, func(p *Proc) { fault(rt, p) })))
 					} else {
 						rt.Go("faulty", nil, Low, func(p *Proc) {
 							sleep(p)
@@ -110,10 +110,10 @@ func TestStacklessProcessMayWaitOncePerTurn(t *testing.T) {
 			if strings.HasPrefix(name, "a second wait") {
 				first = func(p *Proc) { p.Sleep(time.Millisecond) }
 			}
-			rt.GoStep("greedy", nil, Low, func(p *Proc) {
+			rt.GoStep("greedy", nil, Low, StepFunc(func(p *Proc) {
 				first(p)
 				c.second(rt, p)
-			})
+			}))
 			if msg := recovered(func() { rt.Run() }); msg != c.want {
 				t.Errorf("Run panicked with %q\nwant %q", msg, c.want)
 			}
@@ -125,7 +125,7 @@ func TestStacklessProcessMayWaitOncePerTurn(t *testing.T) {
 	ch := NewChan[int](rt, "ch")
 	got := 0
 	rt.Go("sender", nil, High, func(p *Proc) { ch.Send(p, 7) })
-	rt.GoStep("taker", nil, Low, func(p *Proc) { got = ch.Recv(p) })
+	rt.GoStep("taker", nil, Low, StepFunc(func(p *Proc) { got = ch.Recv(p) }))
 	if err := rt.Run(); err != nil || got != 7 {
 		t.Errorf("Recv from a waiting sender: got %d, %v", got, err)
 	}
@@ -147,7 +147,7 @@ func TestStepReturningUnparkedHasExited(t *testing.T) {
 			func(p *Proc) { sig.Raise() },
 		}
 		if stackless {
-			rt.GoStep("early", nil, Low, inTurns(turns...))
+			rt.GoStep("early", nil, Low, StepFunc(inTurns(turns...)))
 		} else {
 			rt.Go("early", nil, Low, func(p *Proc) {
 				for _, turn := range turns {
@@ -185,11 +185,11 @@ func TestStepWhoseOwnTimerIsNextIsCalledAgain(t *testing.T) {
 			p.Sleep(time.Millisecond)
 		}
 		if stackless {
-			rt.GoStep("pacer", nil, Low, func(p *Proc) {
+			rt.GoStep("pacer", nil, Low, StepFunc(func(p *Proc) {
 				if laps < 100 {
 					lap(p)
 				}
-			})
+			}))
 		} else {
 			rt.Go("pacer", nil, Low, func(p *Proc) {
 				for laps < 100 {
@@ -229,7 +229,7 @@ func TestDeadlockListsStacklessProcessesLikeCoroutines(t *testing.T) {
 			"sig":  func(p *Proc) { NewSignal(rt, "sig").Wait(p) },
 		} {
 			if stackless {
-				rt.GoStep(name, cpu, High, wait)
+				rt.GoStep(name, cpu, High, StepFunc(wait))
 			} else {
 				rt.Go(name, cpu, High, wait)
 			}
@@ -309,17 +309,17 @@ func TestShutdownWithStacklessProcesses(t *testing.T) {
 	ch := NewChan[int](rt, "never")
 	var v int
 	for i := 0; i < 4; i++ {
-		rt.GoStep("parked", nil, Low, func(p *Proc) { ch.RecvInto(p, &v) })
+		rt.GoStep("parked", nil, Low, StepFunc(func(p *Proc) { ch.RecvInto(p, &v) }))
 	}
-	rt.GoStep("sleeper", nil, High, func(p *Proc) { p.Sleep(time.Millisecond) })
+	rt.GoStep("sleeper", nil, High, StepFunc(func(p *Proc) { p.Sleep(time.Millisecond) }))
 	sig := NewSignal(rt, "sig")
-	rt.GoStep("woken", nil, Low, inTurns(sig.Wait, func(p *Proc) { t.Error("Shutdown ran a runnable process") }))
+	rt.GoStep("woken", nil, Low, StepFunc(inTurns(sig.Wait, func(p *Proc) { t.Error("Shutdown ran a runnable process") })))
 	if err := rt.RunUntil(Time(3 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	sig.Raise()
 	for i := 0; i < 3; i++ {
-		rt.GoStep("unstarted", nil, Low, func(p *Proc) { t.Error("Shutdown ran a process that had never been scheduled") })
+		rt.GoStep("unstarted", nil, Low, StepFunc(func(p *Proc) { t.Error("Shutdown ran a process that had never been scheduled") }))
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines with 9 stackless processes live, %d before NewRuntime", n, before)
@@ -335,7 +335,7 @@ func TestShutdownWithStacklessProcesses(t *testing.T) {
 	if err := rt.RunUntil(Time(time.Second)); err == nil {
 		t.Error("RunUntil after Shutdown returned nil")
 	}
-	if msg := recovered(func() { rt.GoStep("late", nil, Low, func(p *Proc) {}) }); msg == "" {
+	if msg := recovered(func() { rt.GoStep("late", nil, Low, StepFunc(func(p *Proc) {})) }); msg == "" {
 		t.Error("GoStep after Shutdown did not panic")
 	}
 }
@@ -430,7 +430,7 @@ func TestSchedulePin(t *testing.T) {
 func TestRunQueueRingIsFIFOAcrossWrapAndGrowth(t *testing.T) {
 	procs := make([]*Proc, 100)
 	for i := range procs {
-		procs[i] = &Proc{seq: uint64(i)}
+		procs[i] = &Proc{idx: int32(i)}
 	}
 	var q runq
 	next, want := 0, 0
@@ -443,7 +443,7 @@ func TestRunQueueRingIsFIFOAcrossWrapAndGrowth(t *testing.T) {
 	pop := func(k int) {
 		for ; k > 0; k-- {
 			if p := q.pop(); p != procs[want] {
-				t.Fatalf("popped proc %d, want %d", p.seq, want)
+				t.Fatalf("popped proc %d, want %d", p.idx, want)
 			}
 			want++
 		}
@@ -467,7 +467,7 @@ func TestRunQueueRingIsFIFOAcrossWrapAndGrowth(t *testing.T) {
 	}
 	for i, p := range q.buf {
 		if p != nil {
-			t.Fatalf("slot %d of an emptied ring still holds proc %d", i, p.seq)
+			t.Fatalf("slot %d of an emptied ring still holds proc %d", i, p.idx)
 		}
 	}
 }
@@ -517,11 +517,11 @@ func TestIdleGridTurnsResumeNothing(t *testing.T) {
 			}
 		}
 		if stackless {
-			rt.GoStep("idle", nil, High, poll)
+			rt.GoStep("idle", nil, High, StepFunc(poll))
 		} else {
 			rt.Go("idle", nil, High, poll)
 		}
-		rt.GoStep("busy", nil, Low, func(p *Proc) { p.Sleep(300 * time.Microsecond) })
+		rt.GoStep("busy", nil, Low, StepFunc(func(p *Proc) { p.Sleep(300 * time.Microsecond) }))
 		if err := rt.RunUntil(Time(500 * time.Microsecond)); err != nil {
 			t.Fatal(err)
 		}

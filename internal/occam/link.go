@@ -15,16 +15,15 @@ import (
 // §4.2 ("video segments can hold up following audio segments,
 // introducing up to 20ms of jitter").
 //
-// The receive side is an ordinary rendezvous channel, so a receiver
-// may include the link in an alternation via In().
+// The receive side is an ordinary rendezvous channel, held in the link
+// and named by the link's name, so a receiver may include the link in
+// an alternation via In().
 type Link[T any] struct {
 	rt        *Runtime
-	name      string
 	bandwidth int64 // bits per second
-	ch        *Chan[T]
+	ch        Chan[T]
 	busyUntil Time
 	bytesSent uint64
-	transfers uint64
 }
 
 // NewLink returns a link with the given bandwidth in bits per second.
@@ -34,14 +33,13 @@ func NewLink[T any](rt *Runtime, name string, bitsPerSecond int64) *Link[T] {
 	}
 	return &Link[T]{
 		rt:        rt,
-		name:      name,
 		bandwidth: bitsPerSecond,
-		ch:        NewChan[T](rt, name),
+		ch:        Chan[T]{name: name},
 	}
 }
 
 // Name returns the link's diagnostic name.
-func (l *Link[T]) Name() string { return l.name }
+func (l *Link[T]) Name() string { return l.ch.name }
 
 // BytesSent returns the total payload bytes transferred.
 func (l *Link[T]) BytesSent() uint64 { return l.bytesSent }
@@ -58,7 +56,7 @@ func (l *Link[T]) TransferTime(size int) time.Duration {
 // value (link DMA plus rendezvous). That is two waits, Occupy and then
 // Rendezvous, and a stackless process takes them as two.
 func (l *Link[T]) Send(p *Proc, v T, size int) {
-	p.NeedsStack("Link.Send", l.name)
+	p.NeedsStack("Link.Send", l.ch.name)
 	l.Occupy(p, size)
 	l.Rendezvous(p, v)
 }
@@ -84,7 +82,6 @@ func (l *Link[T]) Occupy(p *Proc, size int) {
 	done := start.Add(l.TransferTime(size))
 	l.busyUntil = done
 	l.bytesSent += uint64(size)
-	l.transfers++
 	p.SleepUntil(done)
 }
 
@@ -98,12 +95,12 @@ func (l *Link[T]) RecvInto(p *Proc, dst *T) { l.ch.RecvInto(p, dst) }
 
 // In returns a guard that fires when a message can be received from
 // the link, for use in an alternation.
-func (l *Link[T]) In(dst *T) Guard { return Recv(l.ch, dst) }
+func (l *Link[T]) In(dst *T) Guard { return Recv(&l.ch, dst) }
 
 // Busy reports whether a transfer is in progress at the current
 // instant (diagnostics).
 func (l *Link[T]) Busy() bool { return l.busyUntil > l.rt.now }
 
 func (l *Link[T]) String() string {
-	return fmt.Sprintf("link %s @%d bit/s", l.name, l.bandwidth)
+	return fmt.Sprintf("link %s @%d bit/s", l.ch.name, l.bandwidth)
 }

@@ -34,6 +34,8 @@ func NewNode(rt *Runtime, name string) *Node {
 // Name returns the node's diagnostic name.
 func (n *Node) Name() string { return n.name }
 
+func (n *Node) waitName() string { return n.name }
+
 // BusyTime returns the total virtual time the CPU has spent granted.
 func (n *Node) BusyTime() time.Duration { return n.busyFor }
 
@@ -67,8 +69,8 @@ func (p *Proc) Consume(d time.Duration) {
 	if !n.busy {
 		n.grantNext()
 	}
-	p.stDur = d
-	rt.park(p, stCPU, n.name)
+	p.word = int64(d)
+	rt.park(p, stCPU, n)
 }
 
 // insert queues req, high priority ahead of low, FIFO within a

@@ -13,7 +13,7 @@ import (
 // Priority is a process priority level. The transputer hardware
 // scheduler had exactly two: high-priority processes run whenever
 // runnable, ahead of any low-priority process.
-type Priority int
+type Priority uint8
 
 const (
 	// Low is the default priority.
@@ -51,9 +51,9 @@ func (e *DeadlockError) Error() string {
 func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 
 // statusKind classifies what a process is blocked on. The textual
-// status shown in deadlock dumps is composed lazily from these fields
-// (statusText); building the string eagerly on every park was a top
-// allocation source on the data path.
+// status shown in deadlock dumps is composed lazily from it, the
+// process's on and word (statusText); building the string eagerly on
+// every park was a top allocation source on the data path.
 type statusKind uint8
 
 const (
@@ -67,50 +67,85 @@ const (
 	stCPU
 )
 
+// waitee is what a process can be parked on by name: a channel, a
+// signal or a node. It names itself only when a diagnostic asks, so
+// the name may be composed from parts its owner already holds.
+type waitee interface{ waitName() string }
+
+// Stepper is the code of a stackless process (GoStep): at each of the
+// process's turns the dispatch loop calls Step, which runs the process
+// from where it left off to its next wait and returns. A type whose
+// Step method is the process's loop is started as it is, with no
+// closure around it; StepFunc adapts a function.
+type Stepper interface{ Step(p *Proc) }
+
+// StepFunc is a function used as a Stepper.
+type StepFunc func(p *Proc)
+
+// Step calls f(p).
+func (f StepFunc) Step(p *Proc) { f(p) }
+
+// coroutine is the body of a process started with Go: an iter.Pull
+// coroutine. The dispatch loop calls resume, park calls yield to switch
+// back to it, and Shutdown calls stop. It is the one part of a process
+// only a coroutine has, so it sits behind the process's body.
+type coroutine struct {
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
+}
+
+// Step is a coroutine's turn: it switches into the body, which runs to
+// its next park.
+func (c *coroutine) Step(*Proc) { c.resume() }
+
 // Proc is an Occam process, given its turns by the virtual-time
 // Runtime's dispatch loop in one of two forms. Started with Go it is a
 // coroutine: the loop resumes it and a blocking primitive switches back.
-// Started with GoStep it is stackless: the loop calls its step function
+// Started with GoStep it is stackless: the loop calls its Stepper
 // and a blocking primitive arms the wait and returns. All blocking
 // primitives take the Proc as receiver and may only be called from the
 // process's own code while it is the currently scheduled process.
+//
+// A Proc is one 128-byte object (TestObjectsFitTheirSizeClass): what it
+// needs only as a coroutine is behind body.
 type Proc struct {
 	rt   *Runtime
 	node *Node
 	name string
-	pri  Priority
-	seq  uint64
 
-	// The iter.Pull coroutine running the body of a process started with
-	// Go: the dispatch loop calls resume, park calls yield to switch back
-	// to it, and Shutdown calls stop.
-	resume func() (struct{}, bool)
-	yield  func(struct{}) bool
-	stop   func()
+	// body is what the dispatch loop runs at each turn: the Stepper of
+	// a stackless process, or the *coroutine of one started with Go.
+	body Stepper
 
-	// step is what the dispatch loop calls at each turn of a process
-	// started with GoStep; nil for a coroutine.
-	step func(*Proc)
-
-	// Blocked-state diagnostics (see statusText).
-	stKind statusKind
-	// parked is set when a blocking primitive has armed a stackless
-	// process's wait, and cleared at its next turn: a step that returns
-	// with it clear has exited.
-	parked bool
-	stName string        // channel or node name (send/recv/cpu)
-	stTime Time          // sleep deadline
-	stDur  time.Duration // cpu grant duration
-	stN    int           // alt guard count
-
-	// alt is the per-process alternation state, reused across Alt
-	// calls: a process runs at most one alternation at a time and
-	// every registration is removed before Alt returns.
-	alt altState
+	// What the process is blocked on (see statusText): the channel,
+	// signal or node named in its status, and the one number its kind
+	// carries — a sleep deadline, a CPU grant's duration or an
+	// alternation's guard count.
+	on   waitee
+	word int64
 
 	// ev is the one wake-up or grant completion the process can be
 	// parked on at a time.
 	ev timerEv
+
+	idx    int32 // place in Runtime.procs
+	chosen int32 // the index of the Alt guard that fired, -1 until one does
+	pri    Priority
+	stKind statusKind
+	// stackless is set for a process started with GoStep.
+	stackless bool
+	// parked is set when a blocking primitive has armed a stackless
+	// process's wait, and cleared at its next turn: a step that returns
+	// with it clear has exited.
+	parked bool
+	// The alternation state, reused across Alt calls: a process runs at
+	// most one alternation at a time and every registration is removed
+	// before Alt returns. fired is claimed by the first guard to fire;
+	// waiting is set while a stackless process's guards are enabled, so
+	// that its next Alt call finishes this one.
+	fired   bool
+	waiting bool
 }
 
 // statusText composes the diagnostic description of what the process
@@ -124,15 +159,15 @@ func (p *Proc) statusText() string {
 	case stYield:
 		return "yield"
 	case stSend:
-		return "send " + p.stName
+		return "send " + p.on.waitName()
 	case stRecv:
-		return "recv " + p.stName
+		return "recv " + p.on.waitName()
 	case stSleep:
-		return fmt.Sprintf("sleep until %v", p.stTime)
+		return fmt.Sprintf("sleep until %v", Time(p.word))
 	case stAlt:
-		return fmt.Sprintf("alt over %d guards", p.stN)
+		return fmt.Sprintf("alt over %d guards", p.word)
 	case stCPU:
-		return fmt.Sprintf("cpu %s for %v", p.stName, p.stDur)
+		return fmt.Sprintf("cpu %s for %v", p.on.waitName(), time.Duration(p.word))
 	}
 	return "?"
 }
@@ -334,7 +369,7 @@ type Runtime struct {
 	runqLow  runq
 	timers   timerQueue
 	limit    Time
-	procs    map[*Proc]struct{}
+	procs    []*Proc // the live processes, each at its Proc.idx
 	killed   bool
 	running  bool  // inside RunUntil
 	handoff  *Proc // popped by the process that just parked or exited; the dispatch loop runs it next
@@ -349,10 +384,7 @@ type Runtime struct {
 
 // NewRuntime returns an empty runtime at time zero.
 func NewRuntime() *Runtime {
-	return &Runtime{
-		procs: make(map[*Proc]struct{}),
-		limit: Forever,
-	}
+	return &Runtime{limit: Forever}
 }
 
 // Now returns the current virtual time.
@@ -380,33 +412,36 @@ func (rt *Runtime) NumProcs() int { return len(rt.procs) }
 // from inside another process.
 func (rt *Runtime) Go(name string, node *Node, pri Priority, fn func(p *Proc)) *Proc {
 	p := rt.newProc(name, node, pri)
-	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
+	co := new(coroutine)
+	co.resume, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
 		defer func() {
 			rt.retire(p, recover()) // nil: fn returned; returning switches to the dispatch loop
 		}()
 		fn(p)
 	})
+	p.body = co
 	rt.ready(p)
 	return p
 }
 
 // GoStep starts a stackless process: one whose code needs no stack
-// between turns. At each of its turns the dispatch loop calls step, on
-// its own stack; step runs the process from where it left off to its
-// next wait and returns. A
-// blocking primitive that has to wait arms the wait, marks the process
-// parked (Parked) and returns, and step must then return without
-// calling another; one that need not wait returns with the process
-// unparked and step carries on. A step that returns unparked has
-// exited. What a wake-up brings is written through a pointer handed
-// over when the wait was armed (Chan.RecvInto, the Recv guards), so no
-// primitive has a second half to run after the wake but Alt, which is
-// called again. In the run queues, the timer queue, the trace, Switches
-// and the deadlock dump the process is like any other.
-func (rt *Runtime) GoStep(name string, node *Node, pri Priority, step func(p *Proc)) *Proc {
+// between turns. At each of its turns the dispatch loop calls s.Step,
+// on its own stack; Step runs the process from where it left off to its
+// next wait and returns. A blocking primitive that has to wait arms the
+// wait, marks the process parked (Parked) and returns, and Step must
+// then return without calling another; one that need not wait returns
+// with the process unparked and Step carries on. A Step that returns
+// unparked has exited. The process holds s itself: a struct whose Step
+// method is the loop costs no closure. What a wake-up brings is written
+// through a pointer handed over when the wait was armed (Chan.RecvInto,
+// the Recv guards), so no primitive has a second half to run after the
+// wake but Alt, which is called again. In the run queues, the timer
+// queue, the trace, Switches and the deadlock dump the process is like
+// any other.
+func (rt *Runtime) GoStep(name string, node *Node, pri Priority, s Stepper) *Proc {
 	p := rt.newProc(name, node, pri)
-	p.step = step
+	p.body, p.stackless = s, true
 	rt.ready(p)
 	return p
 }
@@ -417,23 +452,28 @@ func (rt *Runtime) newProc(name string, node *Node, pri Priority) *Proc {
 	if rt.killed {
 		panic("occam: process " + name + " started after Shutdown")
 	}
-	rt.seq++
 	p := &Proc{
 		rt:   rt,
 		node: node,
 		name: name,
 		pri:  pri,
-		seq:  rt.seq,
+		idx:  int32(len(rt.procs)),
 	}
 	p.ev.p = p
-	rt.procs[p] = struct{}{}
+	rt.procs = append(rt.procs, p)
 	return p
 }
 
 // retire removes p, whose code has returned (r is nil) or panicked
 // with r. Caller is p itself or, for a stackless p, the dispatch loop.
 func (rt *Runtime) retire(p *Proc, r any) {
-	delete(rt.procs, p)
+	if !rt.killed {
+		// The last process takes p's place.
+		last := rt.procs[len(rt.procs)-1]
+		rt.procs[p.idx], last.idx = last, p.idx
+		rt.procs[len(rt.procs)-1] = nil
+		rt.procs = rt.procs[:len(rt.procs)-1]
+	}
 	switch r {
 	case nil:
 		if rt.Trace != nil {
@@ -457,7 +497,7 @@ func (p *Proc) Parked() bool { return p.parked }
 // NeedsStack panics if p is stackless: op, a primitive that returns
 // what its wake-up brings, is about to park it on the thing named on.
 func (p *Proc) NeedsStack(op, on string) {
-	if p.step != nil {
+	if p.stackless {
 		panic(fmt.Sprintf("occam: %s on %s would park stackless process %q, which it could not return to", op, on, p.name))
 	}
 }
@@ -585,18 +625,18 @@ func (rt *Runtime) arm(ev *timerEv, at Time) {
 // a stackless process it returns at once with the process marked parked
 // and its successor picked, so a caller must have nothing left to do for
 // the waiter once the wait is armed.
-// kind and name describe what the process is waiting for
-// (diagnostics); callers set the auxiliary stTime/stDur/stN fields
-// for the kinds that use them before calling.
-func (rt *Runtime) park(p *Proc, kind statusKind, name string) {
+// kind and on describe what the process is waiting for
+// (diagnostics); callers set p.word for the kinds that use it before
+// calling.
+func (rt *Runtime) park(p *Proc, kind statusKind, on waitee) {
 	if p.parked {
 		panic(fmt.Sprintf("occam: stackless process %q, already parked, reached another wait in the same turn", p.name))
 	}
-	p.stKind, p.stName = kind, name
+	p.stKind, p.on = kind, on
 	if rt.Trace != nil {
 		rt.trace("park %s: %s", p.name, p.statusText())
 	}
-	if p.step != nil {
+	if p.stackless {
 		// The step function returns to the dispatch loop, which finds
 		// the successor where an exiting process would have left it.
 		p.parked = true
@@ -610,7 +650,7 @@ func (rt *Runtime) park(p *Proc, kind statusKind, name string) {
 	next := rt.pick()
 	if next != p {
 		rt.handoff = next
-		p.yield(struct{}{}) // to the dispatch loop; returns with the resume
+		p.body.(*coroutine).yield(struct{}{}) // to the dispatch loop; returns with the resume
 		p.stKind = stRunning
 	}
 	if rt.killed {
@@ -661,14 +701,14 @@ func (rt *Runtime) RunUntil(t Time) error {
 	// is the call and two stores; this is the only place a step function
 	// is called from, so one never runs on a coroutine's stack.
 	for p := rt.pick(); p != nil; p, rt.handoff = rt.handoff, nil {
-		if p.step == nil {
+		if !p.stackless {
 			rt.resumes++
-			p.resume()
+			p.body.Step(p)
 			continue
 		}
 		p.parked = false
 		stepping = p
-		p.step(p)
+		p.body.Step(p)
 		stepping = nil
 		if !p.parked {
 			rt.retire(p, nil)
@@ -689,7 +729,7 @@ func (rt *Runtime) RunUntil(t Time) error {
 // stable output.
 func (rt *Runtime) procDump() []string {
 	lines := make([]string, 0, len(rt.procs))
-	for p := range rt.procs {
+	for _, p := range rt.procs {
 		lines = append(lines, fmt.Sprintf("%s [%v] %s", p.name, p.pri, p.statusText()))
 	}
 	sort.Strings(lines)
@@ -716,9 +756,9 @@ func (rt *Runtime) Shutdown() {
 	rt.procs = nil
 	// A stopped process's yield returns into park, which panics with
 	// errKilled and unwinds the body.
-	for p := range procs {
-		if p.stop != nil {
-			p.stop()
+	for _, p := range procs {
+		if co, ok := p.body.(*coroutine); ok {
+			co.stop()
 		}
 	}
 }
@@ -736,8 +776,8 @@ func (p *Proc) SleepUntil(t Time) {
 		return
 	}
 	rt.arm(&p.ev, t)
-	p.stTime = t
-	rt.park(p, stSleep, "")
+	p.word = int64(t)
+	rt.park(p, stSleep, nil)
 }
 
 // Yield gives up the CPU, letting every other runnable process of the
@@ -745,5 +785,5 @@ func (p *Proc) SleepUntil(t Time) {
 func (p *Proc) Yield() {
 	rt := p.rt
 	rt.ready(p)
-	rt.park(p, stYield, "")
+	rt.park(p, stYield, nil)
 }

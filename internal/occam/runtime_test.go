@@ -361,13 +361,13 @@ func TestRuntimeHandedBetweenGoroutines(t *testing.T) {
 			}
 		})
 		var v int
-		rt.GoStep("taker", nil, High, func(p *Proc) {
+		rt.GoStep("taker", nil, High, StepFunc(func(p *Proc) {
 			for v < 9 {
 				if ch.RecvInto(p, &v); p.Parked() {
 					return
 				}
 			}
-		})
+		}))
 		built <- rt
 	}()
 
@@ -415,7 +415,7 @@ func TestRunUntilReentryAndShutdownInsideItPanic(t *testing.T) {
 				defer rt.Shutdown()
 				body := func(p *Proc) { c.misuse(rt) }
 				if form == "stackless" {
-					rt.GoStep("meddler", nil, Low, body)
+					rt.GoStep("meddler", nil, Low, StepFunc(body))
 				} else {
 					rt.Go("meddler", nil, Low, body)
 				}

@@ -80,18 +80,28 @@ func (tm *Timer) Active() bool { return tm.ev.armed }
 // waits makes it runnable; Raise with no waiter is remembered, so the
 // next Wait returns immediately (raises do not accumulate past one).
 // Exactly one process may wait at a time.
+//
+// The zero Signal is ready to use, so an owner may hold one by value
+// and name it with Init.
 type Signal struct {
-	rt  *Runtime
-	nm  string
-	p   *Proc
-	set bool
+	p *Proc
+	// The name deadlock dumps show for a process waiting on it: owner
+	// then suffix, joined only when a dump asks.
+	owner, suffix string
+	set           bool
 }
 
 // NewSignal returns a signal. The name shows up in deadlock dumps as
 // what the waiting process is blocked on.
 func NewSignal(rt *Runtime, name string) *Signal {
-	return &Signal{rt: rt, nm: name}
+	return &Signal{owner: name}
 }
+
+// Init names a signal held by value: diagnostics show owner followed
+// by suffix, so an owner lends its own name instead of building one.
+func (s *Signal) Init(owner, suffix string) { s.owner, s.suffix = owner, suffix }
+
+func (s *Signal) waitName() string { return s.owner + s.suffix }
 
 // Wait blocks the process until the signal is raised, consuming the
 // raise. Returns immediately if a raise is already pending.
@@ -101,10 +111,10 @@ func (s *Signal) Wait(p *Proc) {
 		return
 	}
 	if s.p != nil {
-		panic("occam: Signal already has a waiter: " + s.nm)
+		panic("occam: Signal already has a waiter: " + s.waitName())
 	}
 	s.p = p
-	s.rt.park(p, stRecv, s.nm)
+	p.rt.park(p, stRecv, s)
 }
 
 // Raise wakes the waiting process, or latches if none is waiting.
@@ -112,7 +122,7 @@ func (s *Signal) Wait(p *Proc) {
 func (s *Signal) Raise() {
 	if p := s.p; p != nil {
 		s.p = nil
-		s.rt.ready(p)
+		p.rt.ready(p)
 		return
 	}
 	s.set = true

@@ -182,7 +182,7 @@ func stepRun(data []byte, stackless bool) stepResult {
 	for i, sp := range procs {
 		name, pri := fmt.Sprintf("p%d", i), Priority(data[1]>>i&1)
 		if stackless {
-			rt.GoStep(name, n.cpu, pri, sp.step)
+			rt.GoStep(name, n.cpu, pri, StepFunc(sp.step))
 		} else {
 			rt.Go(name, n.cpu, pri, sp.body)
 		}
@@ -195,15 +195,28 @@ func stepRun(data []byte, stackless bool) stepResult {
 	res.steps = n.steps
 	res.end = fmt.Sprintf("%s\nswitches %d, %d procs at %v, node busy %v\n", strings.Join(errs, "\n"), rt.Switches(), rt.NumProcs(), rt.Now(), n.cpu.BusyTime())
 	for _, c := range []*Chan[int]{n.data, n.cmds} {
-		res.end += fmt.Sprintf("%s: %d senders, %d receivers, %d alts waiting\n", c.name, len(c.sendq), len(c.recvq), len(c.alts))
+		senders, receivers := c.parked.count(), 0
+		if !c.sending {
+			senders, receivers = 0, senders
+		}
+		res.end += fmt.Sprintf("%s: %d senders, %d receivers, %d alts waiting\n", c.name, senders, receivers, c.alts.count())
 	}
 	for _, s := range n.sigs {
-		res.end += fmt.Sprintf("%s: raised %v, waited on %v\n", s.nm, s.set, s.p != nil)
+		res.end += fmt.Sprintf("%s: raised %v, waited on %v\n", s.waitName(), s.set, s.p != nil)
 	}
 	if stackless && rt.Resumes() != 0 {
 		res.end += fmt.Sprintf("%d coroutine resumes with every process stackless\n", rt.Resumes())
 	}
 	return res
+}
+
+// count returns how many waiters q holds.
+func (q *fifo[T]) count() int {
+	n := 0
+	for w := q.head; w != nil; w = w.next {
+		n++
+	}
+	return n
 }
 
 // checkStep runs data's network both ways and reports any difference.

@@ -8,19 +8,22 @@ import (
 
 // idleBoxBytes is what one idle box on a fabric with the degrade ladder
 // on adds to the live heap (linux/amd64, go1.24): its twelve processes,
-// channels, links, decoupling rings, mixer and clawback set-up, its
+// channels, links, decoupling buffers, mixer and clawback set-up, its
 // share of the fabric port and controller, and the registry rows of all
-// of them. The camera's framestore, the allocator's buffers, the muting
-// tables and each histogram's value map are built on first use, so an
-// idle box holds none of them.
-const idleBoxBytes = 19_300
+// of them. The capture and display boards' stream state, the camera's
+// framestore, the decoupling rings' storage, the allocator's buffers,
+// the muting tables, each histogram's value map, every map and the
+// trace ring's events are built on first use, so an idle box holds none
+// of them.
+const idleBoxBytes = 12_400
 
 // streamBytes is what one received audio stream adds to the live heap
 // (linux/amd64, go1.24) once it has played for 100 ms: the mixer's
 // stream state and its clawback buffer with their two registry rows,
-// the clawback ring, the stream's playout histogram, the fabric route
-// and the switch tables' entries at both ends.
-const streamBytes = 3_800
+// the clawback ring, the stream's playout histogram, the fabric route,
+// the switch tables' entries at both ends, the speaker ring's storage,
+// the receiving port's delivery digest and the stream's trace events.
+const streamBytes = 3_390
 
 // liveGrowth builds spec, runs it for 100 ms and returns how much the
 // live heap grew.
@@ -80,5 +83,41 @@ func TestStreamFootprint(t *testing.T) {
 	t.Logf("%.0f live bytes a received stream", perStream)
 	if limit := 1.15 * streamBytes; perStream > limit {
 		t.Errorf("a received stream holds %.0f live bytes, over the %.0f allowed (%d measured, + 15 %%)", perStream, limit, streamBytes)
+	}
+}
+
+// TestTreeWindowAllocatesNothing pins the rule that what a part builds
+// on first use it builds at set-up: 200 viewers on one fabric are
+// grafted onto a k=8 tree, warmed 300 ms past the last graft, and then
+// 100 ms of steady play may allocate at most one heap object (counted
+// by MemStats.Mallocs; the one is the Go runtime's own, such as its
+// scavenger arming a timer).
+func TestTreeWindowAllocatesNothing(t *testing.T) {
+	r, err := NewRunner(MustParse(`scenario tree-window
+duration 1s
+box s mic=tone:400:8000
+box v[001..200]
+fabric f portbw=155M
+attach f s v[001..200]
+degrade shed=150ms hold=800ms
+at 0s tree s -> v001 k=8 as t
+at 5ms pull t v[002..200]
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.Start(nil)
+	if err := r.RunFor(305 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := r.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 1 {
+		t.Errorf("100 ms of a warm 200-viewer tree allocated %d heap objects, want at most 1", n)
 	}
 }

@@ -190,9 +190,9 @@ assert copies-max s 1
 func TestStartCollectsOnce(t *testing.T) {
 	r, err := NewRunner(MustParse(`scenario build-gc
 duration 100ms
-box v[001..500]
+box v[001..999]
 fabric f portbw=155M
-attach f v[001..500]
+attach f v[001..999]
 `))
 	if err != nil {
 		t.Fatal(err)

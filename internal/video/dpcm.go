@@ -277,9 +277,9 @@ func CompressedLineSize(width int, lp LineParams) int {
 // The hardware holds the last line of exactly one stream; decoding a
 // segment from a different stream requires reloading from the cache.
 // Reloads are counted so experiments can show the cost of
-// interleaving.
+// interleaving. The zero Interpolator is ready to use.
 type Interpolator struct {
-	cache      map[uint32][]byte // per-stream last line
+	cache      map[uint32][]byte // per-stream last line; nil until the first Advance
 	loaded     uint32            // stream whose line is in "hardware"
 	hasLoaded  bool
 	reloads    uint64
@@ -288,7 +288,7 @@ type Interpolator struct {
 
 // NewInterpolator returns an interpolator with an empty cache.
 func NewInterpolator() *Interpolator {
-	return &Interpolator{cache: make(map[uint32][]byte)}
+	return new(Interpolator)
 }
 
 // Reloads returns how many cache→hardware reloads interleaving has
@@ -320,6 +320,9 @@ func (ip *Interpolator) Begin(stream uint32) []byte {
 func (ip *Interpolator) Advance(stream uint32, line []byte) {
 	if !ip.hasLoaded || ip.loaded != stream {
 		panic(fmt.Sprintf("video: Advance for stream %d without Begin", stream))
+	}
+	if ip.cache == nil {
+		ip.cache = make(map[uint32][]byte)
 	}
 	ip.cache[stream] = append(ip.cache[stream][:0], line...)
 }
