@@ -170,6 +170,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "need a -seconds of 0 or more")
 		return 1
 	}
+	if *fabricOn && *loss != 0 {
+		fmt.Fprintln(stderr, "-loss sets the loss of pairwise links, and -fabric has none")
+		return 1
+	}
 	// A bad -faults token is a usage error reported in ParseSpec's own
 	// words, before any scenario exists to name.
 	if _, err := faultinject.ParseSpec(*faults, *faultSeed); err != nil {

@@ -70,19 +70,12 @@ func (b *Buffer) SetPayload(src []byte) {
 	b.Payload = segment.WireOver(b.storage)
 }
 
-// Report is an allocator fault or status report.
+// Report is the allocator's fault report: a grant left the pool dry.
 type Report struct {
-	Starved bool // a request arrived while no buffers were free
-	Free    int
-	Total   int
+	Total int // the pool's size
 }
 
-func (r Report) String() string {
-	if r.Starved {
-		return fmt.Sprintf("allocator: STARVED (%d/%d free)", r.Free, r.Total)
-	}
-	return fmt.Sprintf("allocator: %d/%d free", r.Free, r.Total)
-}
+func (r Report) String() string { return fmt.Sprintf("allocator: STARVED (0/%d free)", r.Total) }
 
 // refChange adjusts a buffer's reference count by Delta.
 type refChange struct {
@@ -108,9 +101,8 @@ type waiter struct {
 // are no buffers available ... the requesting processes will be
 // descheduled" — by parking requesters on signals in FIFO order; the
 // Release that frees a buffer grants it to the longest-waiting
-// requester and wakes it. Only the report protocol (command/report
-// channels, like all other Pandora processes) keeps a process, and
-// only for a pool that was given a report channel.
+// requester and wakes it. The starvation report goes on the report
+// channel, if the pool was given one, without waiting for a reader.
 type Pool struct {
 	rt *occam.Runtime
 	// size is how many buffers the pool may hold; bufs and refs cover
@@ -120,7 +112,6 @@ type Pool struct {
 	bufs    []*Buffer
 	refs    []int
 	free    []int
-	cmd     *occam.Chan[struct{}] // report request
 	reports *occam.Chan[Report]
 
 	// waiters are processes descheduled in GetInto, FIFO. sigFree
@@ -135,20 +126,15 @@ type Pool struct {
 	source      string
 }
 
-// New creates a pool of n buffers, none of them made yet. With a
-// report channel it also starts the report process on node; with nil
-// nobody collects reports, so there is no process and RequestReport is
-// a no-op.
+// New creates a pool of n buffers, none of them made yet. Starvation
+// reports go on reports unless it is nil. The pool runs no process, so
+// node, the transputer the paper's allocator process runs on, is
+// unused.
 func New(rt *occam.Runtime, node *occam.Node, n int, reports *occam.Chan[Report]) *Pool {
 	if n <= 0 {
 		panic("allocator: pool size must be positive")
 	}
-	pl := &Pool{rt: rt, size: n, reports: reports}
-	if reports != nil {
-		pl.cmd = occam.NewChan[struct{}](rt, "alloc.cmd")
-		rt.Go("allocator", node, occam.High, pl.run)
-	}
-	return pl
+	return &Pool{rt: rt, size: n, reports: reports}
 }
 
 // Observe registers the pool's row on reg, labelled with owner (the box
@@ -167,16 +153,6 @@ var poolTable = obs.NewTable(
 	obs.GaugeOf("allocator_free", func(pl *Pool) float64 { return float64(pl.available()) }),
 	obs.GaugeOf("allocator_total", func(pl *Pool) float64 { return float64(pl.size) }),
 )
-
-// run is the report process: the allocator's command/report channel
-// attachment, kept as a process so a report request never blocks the
-// requester on the report collector.
-func (pl *Pool) run(p *occam.Proc) {
-	for {
-		pl.cmd.Recv(p)
-		pl.reports.Send(p, Report{Free: pl.available(), Total: pl.size})
-	}
-}
 
 // available returns how many buffers a grant could take now: those
 // released back and those not yet made.
@@ -209,7 +185,7 @@ func (pl *Pool) grant(p *occam.Proc) *Buffer {
 		pl.starvations++
 		pl.trace.Emit(obs.EvOverload, pl.source, 0, "buffer pool exhausted")
 		if pl.reports != nil {
-			pl.reports.TrySend(p, Report{Starved: true, Free: 0, Total: pl.size})
+			pl.reports.TrySend(p, Report{Total: pl.size})
 		}
 	}
 	return buf
@@ -301,18 +277,6 @@ func (pl *Pool) Release(p *occam.Proc, b *Buffer) {
 		}
 	}
 }
-
-// RequestReport asks the allocator to emit a status report. It
-// returns at once on a pool built without a report channel.
-func (pl *Pool) RequestReport(p *occam.Proc) {
-	if pl.reports == nil {
-		return
-	}
-	pl.cmd.Send(p, struct{}{})
-}
-
-// Size returns the pool size.
-func (pl *Pool) Size() int { return pl.size }
 
 // Starvations returns how many times the pool ran dry.
 func (pl *Pool) Starvations() uint64 { return pl.starvations }

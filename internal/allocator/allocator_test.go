@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
 )
@@ -153,10 +154,8 @@ func TestStarvationReport(t *testing.T) {
 	var starved bool
 	rt.Go("collector", nil, occam.High, func(p *occam.Proc) {
 		for {
-			r := reports.Recv(p)
-			if r.Starved {
-				starved = true
-			}
+			reports.Recv(p)
+			starved = true
 		}
 	})
 	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
@@ -168,41 +167,26 @@ func TestStarvationReport(t *testing.T) {
 	}
 }
 
+// TestStatusReport: the report a dry pool sends states the pool's size,
+// and only the grant that dries the pool sends one.
 func TestStatusReport(t *testing.T) {
 	rt := occam.NewRuntime()
 	reports := occam.NewChan[Report](rt, "reports")
 	pl := New(rt, nil, 3, reports)
-	var rep Report
+	var got []Report
+	rt.Go("collector", nil, occam.High, func(p *occam.Proc) {
+		for {
+			got = append(got, reports.Recv(p))
+		}
+	})
 	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
-		pl.Get(p)
-		pl.RequestReport(p)
-		rep = reports.Recv(p)
+		for i := 0; i < 3; i++ {
+			pl.Get(p)
+		}
 	})
 	run(t, rt, time.Second)
-	if rep.Free != 2 || rep.Total != 3 || rep.Starved {
-		t.Fatalf("report %+v", rep)
-	}
-	if rep.String() == "" || (Report{Starved: true}).String() == "" {
-		t.Fatal("empty report strings")
-	}
-}
-
-func TestRequestReportWithoutChannelReturnsAtOnce(t *testing.T) {
-	// A pool nobody collects reports from runs no report process, so a
-	// request must not rendezvous with one.
-	rt := occam.NewRuntime()
-	pl := New(rt, nil, 3, nil)
-	if n := rt.NumProcs(); n != 0 {
-		t.Fatalf("pool without a report channel started %d processes", n)
-	}
-	returned := false
-	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
-		pl.RequestReport(p)
-		returned = true
-	})
-	run(t, rt, time.Second)
-	if !returned {
-		t.Fatal("RequestReport blocked on a pool without a report channel")
+	if len(got) != 1 || got[0].Total != 3 || got[0].String() != "allocator: STARVED (0/3 free)" {
+		t.Fatalf("reports %v", got)
 	}
 }
 
@@ -295,8 +279,10 @@ func TestOverReleasePanics(t *testing.T) {
 func TestSizeAndInvalidPool(t *testing.T) {
 	rt := occam.NewRuntime()
 	pl := New(rt, nil, 5, nil)
-	if pl.Size() != 5 {
-		t.Fatalf("Size = %d", pl.Size())
+	reg := obs.New(rt)
+	pl.Observe(reg, "a")
+	if sm, _ := reg.Snapshot().Get("allocator_total", obs.L("box", "a")); sm.Value != 5 {
+		t.Fatalf("allocator_total = %v", sm.Value)
 	}
 	rt.Shutdown()
 	defer func() {

@@ -134,7 +134,7 @@ func TestPoolGrantOrderMatchesEagerPool(t *testing.T) {
 				trace = append(trace, fmt.Sprintf("%v %v", e.At, e.Kind))
 			}
 			if !slices.Equal(got, want) || pl.Starvations() != m.starvations ||
-				free.Value != float64(len(m.free)) || total.Value != n || pl.Size() != n || !slices.Equal(trace, m.events) {
+				free.Value != float64(len(m.free)) || total.Value != n || !slices.Equal(trace, m.events) {
 				t.Errorf("seed %d step %d: grants %v, %d starvations, free %v/%v, trace %v; want %v, %d, %d/%d, %v",
 					seed, step, got, pl.Starvations(), free.Value, total.Value, trace,
 					want, m.starvations, len(m.free), n, m.events)

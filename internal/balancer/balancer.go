@@ -405,14 +405,6 @@ func (b *Balancer) Migrations() []Migration { return append([]Migration(nil), b.
 // MigrationsFrom returns how many migrations moved load off box.
 func (b *Balancer) MigrationsFrom(box string) int { return b.migFrom[box] }
 
-// Placements returns how often the balancer placed load on box.
-func (b *Balancer) Placements(box string) uint64 {
-	if bd := b.boards[box]; bd != nil {
-		return bd.placements
-	}
-	return 0
-}
-
 // BoxScore is one scoreboard row for reports.
 type BoxScore struct {
 	Name       string

@@ -144,11 +144,8 @@ func TestPickCountsPlacements(t *testing.T) {
 	b := New(s, Config{})
 	b.Pick([]string{"a", "b"})
 	b.Pick([]string{"a", "b"})
-	if got := b.Placements("a"); got != 2 {
-		t.Fatalf("Placements(a) = %d, want 2", got)
-	}
-	if got := b.Placements("b"); got != 0 {
-		t.Fatalf("Placements(b) = %d, want 0", got)
+	if got := b.Scores(); got[0].Placements != 2 || got[1].Placements != 0 {
+		t.Fatalf("scores %+v, want a placed on twice and b never", got)
 	}
 }
 

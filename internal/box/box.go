@@ -599,13 +599,6 @@ func (b *Box) StopMic(p *occam.Proc) {
 	b.audioCmds.Send(p, audioCmd{StopMic: true})
 }
 
-// SetBlocksPerSegment alters the outgoing audio batching dynamically
-// ("can alter this dynamically if the recipient cannot handle the
-// arrival rate... or if we want a particularly low latency", §3.2).
-func (b *Box) SetBlocksPerSegment(p *occam.Proc, n int) {
-	b.audioCmds.Send(p, audioCmd{SetBlocks: n})
-}
-
 // StartCamera begins an outgoing video stream.
 func (b *Box) StartCamera(p *occam.Proc, cs CameraStream) {
 	b.captureCmds.Send(p, captureCmd{Start: &cs})

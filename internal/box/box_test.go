@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -458,9 +459,9 @@ func TestDynamicSegmentSizeChange(t *testing.T) {
 		b.SetRoute(p, Route{Stream: 100, Outputs: []Output{OutSpeaker}})
 		a.StartMic(p, 1)
 		p.Sleep(300 * time.Millisecond)
-		a.SetBlocksPerSegment(p, 12) // 24 ms batching
+		a.audioCmds.Send(p, audioCmd{SetBlocks: 12}) // 24 ms batching
 		p.Sleep(300 * time.Millisecond)
-		a.SetBlocksPerSegment(p, 1) // 2 ms minimum latency
+		a.audioCmds.Send(p, audioCmd{SetBlocks: 1}) // 2 ms minimum latency
 	})
 	run(t, rt, time.Second)
 	st := b.Mixer().Stats(100)
@@ -523,7 +524,7 @@ func TestCommandsServedUnderDataLoad(t *testing.T) {
 	if served > occam.Time(5*time.Millisecond) {
 		t.Fatalf("switch command took %v under load", served)
 	}
-	if a.Log.Count("a.switch") == 0 {
+	if !slices.ContainsFunc(a.Log.lines, func(r Report) bool { return r.Process == "a.switch" }) {
 		t.Fatal("switch report never reached the host log")
 	}
 }

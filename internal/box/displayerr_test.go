@@ -72,7 +72,7 @@ func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 		t.Errorf("display took %d segments with %d decode errors, want 5 and 3", st.Segments, st.DecodeErrs)
 	}
 	var corrupt []string
-	for _, r := range bx.Log.Lines() {
+	for _, r := range bx.Log.lines {
 		if strings.Contains(r.Text, "corrupt") {
 			corrupt = append(corrupt, r.Text)
 		}
@@ -121,7 +121,7 @@ func TestDisplayDiscardsSegmentsOffItsFrame(t *testing.T) {
 			st.Segments, st.DecodeErrs, st.Frames)
 	}
 	streams := make(map[string]bool)
-	for _, r := range b.Log.Lines() {
+	for _, r := range b.Log.lines {
 		if stream, ok := strings.CutSuffix(r.Text, ": corrupt segment discarded"); ok {
 			streams[stream] = true
 		}

@@ -97,7 +97,7 @@ func netOutSendLog(t *testing.T, interleave bool) string {
 	for _, line := range log.lines {
 		out.WriteString(line + "\n")
 	}
-	for _, r := range bx.Log.Lines() {
+	for _, r := range bx.Log.lines {
 		if r.Process == "src.netOut" {
 			fmt.Fprintf(&out, "report %v %s\n", r.At, r.Text)
 		}

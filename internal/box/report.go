@@ -60,17 +60,3 @@ func (r *Reporter) Report(p *occam.Proc, kind, format string, args ...any) {
 type HostLog struct {
 	lines []Report
 }
-
-// Lines returns the collected log.
-func (l *HostLog) Lines() []Report { return l.lines }
-
-// Count returns how many lines mention the given process name.
-func (l *HostLog) Count(process string) int {
-	n := 0
-	for _, r := range l.lines {
-		if r.Process == process {
-			n++
-		}
-	}
-	return n
-}

@@ -112,7 +112,7 @@ func TestClosedMicrophoneTakesCommandsOnItsGrid(t *testing.T) {
 			name: "after SetBlocksPerSegment on a closed microphone",
 			control: func(p *occam.Proc, bx *Box) {
 				p.SleepUntil(occam.Time(6*ms + 300*time.Microsecond))
-				bx.SetBlocksPerSegment(p, 3)
+				bx.audioCmds.Send(p, audioCmd{SetBlocks: 3})
 				p.SleepUntil(occam.Time(13 * ms))
 				bx.StartMic(p, 1)
 			},

@@ -251,9 +251,6 @@ var bufferTable = obs.NewTable(
 	obs.CounterOf("clawback_fault_drops_total", func(b *Buffer) uint64 { return b.stats.FaultDrops }),
 )
 
-// Config returns the effective configuration.
-func (b *Buffer) Config() Config { return b.cfg }
-
 // Stats returns a copy of the accumulated counters.
 func (b *Buffer) Stats() Stats { return b.stats }
 

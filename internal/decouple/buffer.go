@@ -230,17 +230,6 @@ func (b *Buffer[T]) Recv(p *occam.Proc) T {
 // Dropped returns how many items Deliver refused.
 func (b *Buffer[T]) Dropped() uint64 { return b.refused }
 
-// Resize sets a new capacity limit "without any loss of data":
-// shrinking below the occupancy keeps every queued item and refuses
-// input until the queue drains; growing resumes a producer blocked in
-// Send.
-func (b *Buffer[T]) Resize(capacity int) {
-	b.ring.Resize(capacity)
-	if !b.ring.Full() {
-		b.notFull.Raise()
-	}
-}
-
 // Occupancy returns the buffer's present length over its size limit,
 // the staged head not counted: decouple_queued over decouple_limit.
 func (b *Buffer[T]) Occupancy() float64 { return float64(b.ring.Len()) / float64(b.ring.Cap()) }

@@ -177,52 +177,6 @@ func TestReadySenderDropsInsteadOfBlocking(t *testing.T) {
 	}
 }
 
-func TestResizeCommandWithoutLoss(t *testing.T) {
-	rt := occam.NewRuntime()
-	d := New[int](rt, "buf", 8, nil)
-	var got []int
-	var refusedWhileShrunk, sent int
-	rt.Go("driver", nil, occam.Low, func(p *occam.Proc) {
-		for i := 0; i < 6; i++ {
-			d.Send(p, i)
-		}
-		d.Resize(2) // shrink below occupancy
-		if !d.Deliver(p, 100) {
-			refusedWhileShrunk++
-		}
-		// A producer parks on the over-full buffer; growing it back
-		// resumes the producer without any Recv.
-		rt.Go("producer", nil, occam.Low, func(p *occam.Proc) {
-			d.Send(p, 6)
-			sent++
-		})
-		p.Sleep(time.Millisecond)
-		if sent != 0 {
-			t.Error("Send completed into a buffer shrunk below its occupancy")
-		}
-		d.Resize(8)
-		p.Sleep(time.Millisecond)
-		if sent != 1 {
-			t.Error("growing the buffer did not resume the parked producer")
-		}
-		for i := 0; i < 7; i++ {
-			got = append(got, d.Recv(p))
-		}
-	})
-	run(t, rt, time.Second)
-	if refusedWhileShrunk != 1 {
-		t.Fatal("shrunk buffer accepted input above its new limit")
-	}
-	if len(got) != 7 {
-		t.Fatalf("got %d items after shrink, want all 7", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("data reordered: %v", got)
-		}
-	}
-}
-
 func TestReportCommand(t *testing.T) {
 	rt := occam.NewRuntime()
 	d := New[int](rt, "audio-buf", 4, nil)
@@ -281,9 +235,6 @@ func TestConservationOnRandomSchedule(t *testing.T) {
 					accepted = append(accepted, i)
 				}
 				check("after Deliver")
-				if rng.Intn(50) == 0 {
-					d.Resize(1 + rng.Intn(6))
-				}
 			}
 		})
 		rt.Go("consumer", nil, occam.Low, func(p *occam.Proc) {

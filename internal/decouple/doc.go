@@ -12,9 +12,9 @@
 // TRUE/FALSE after every input, so upstream can throw data away
 // instead of blocking — is Deliver's return value, with refusals
 // counted on decouple_refused_total{buffer=...}; Send is the plain
-// blocking buffer. Buffers respond to commands (Resize "without any
-// loss of data", Report carrying length, limit and pointer positions)
-// as direct calls, which makes them immediate (principle 4).
+// blocking buffer. A buffer answers its report command (Report,
+// carrying length, limit and pointer positions) as a direct call,
+// which makes it immediate (principle 4).
 //
 // Observability: the registry passed to New receives the live
 // occupancy and limit as decouple_queued/decouple_limit gauges and the

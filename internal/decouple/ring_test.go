@@ -46,80 +46,6 @@ func TestRingWrapAround(t *testing.T) {
 	}
 }
 
-func TestRingPeek(t *testing.T) {
-	r := NewRing[string](2)
-	if _, ok := r.Peek(); ok {
-		t.Fatal("peek on empty succeeded")
-	}
-	r.Push("a")
-	r.Push("b")
-	if v, ok := r.Peek(); !ok || v != "a" {
-		t.Fatalf("peek = %q", v)
-	}
-	if r.Len() != 2 {
-		t.Fatal("peek consumed an item")
-	}
-}
-
-func TestRingResizeGrow(t *testing.T) {
-	r := NewRing[int](2)
-	r.Push(1)
-	r.Push(2)
-	r.Resize(4)
-	if r.Full() {
-		t.Fatal("still full after grow")
-	}
-	r.Push(3)
-	r.Push(4)
-	for want := 1; want <= 4; want++ {
-		if v, _ := r.Pop(); v != want {
-			t.Fatalf("pop %d after grow", v)
-		}
-	}
-}
-
-func TestRingResizeShrinkKeepsData(t *testing.T) {
-	// "the buffer will adjust to this size without any loss of data."
-	r := NewRing[int](5)
-	for i := 0; i < 5; i++ {
-		r.Push(i)
-	}
-	r.Resize(2)
-	if !r.Full() {
-		t.Fatal("shrunk ring not reporting full")
-	}
-	if r.Push(99) {
-		t.Fatal("push accepted while above shrunk capacity")
-	}
-	// Every original item survives.
-	for i := 0; i < 5; i++ {
-		v, ok := r.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop %d: ok=%v v=%d", i, ok, v)
-		}
-	}
-	// And the new capacity applies once drained.
-	if !r.Push(7) || !r.Push(8) || r.Push(9) {
-		t.Fatal("shrunk capacity not enforced after drain")
-	}
-}
-
-func TestRingGrowPreservesWrappedOrder(t *testing.T) {
-	r := NewRing[int](3)
-	r.Push(0)
-	r.Push(1)
-	r.Pop()
-	r.Push(2)
-	r.Push(3) // storage now wrapped
-	r.Resize(6)
-	r.Push(4)
-	for want := 1; want <= 4; want++ {
-		if v, _ := r.Pop(); v != want {
-			t.Fatalf("pop %d, want %d", v, want)
-		}
-	}
-}
-
 func TestRingActivityCounters(t *testing.T) {
 	r := NewRing[int](2)
 	r.Push(1)
@@ -141,18 +67,17 @@ func TestRingInvalidCapacityPanics(t *testing.T) {
 
 func TestQuickRingMatchesSlice(t *testing.T) {
 	// Model check: the ring behaves exactly like a bounded slice
-	// queue under arbitrary push/pop/resize sequences.
+	// queue under arbitrary push/pop sequences.
 	type op struct {
 		Kind byte
-		Arg  uint8
 	}
 	f := func(ops []op) bool {
-		r := NewRing[int](4)
-		capacity := 4
+		const capacity = 4
+		r := NewRing[int](capacity)
 		var model []int
 		next := 0
 		for _, o := range ops {
-			switch o.Kind % 3 {
+			switch o.Kind % 2 {
 			case 0: // push
 				ok := r.Push(next)
 				wantOK := len(model) < capacity
@@ -174,9 +99,6 @@ func TestQuickRingMatchesSlice(t *testing.T) {
 					}
 					model = model[1:]
 				}
-			case 2: // resize
-				capacity = int(o.Arg%8) + 1
-				r.Resize(capacity)
 			}
 			if r.Len() != len(model) {
 				return false

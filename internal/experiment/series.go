@@ -24,19 +24,6 @@ func (s *Series) Add(at time.Duration, v float64) {
 	s.Points = append(s.Points, Point{At: at, Value: v})
 }
 
-// At returns the value in force at time at (the most recent sample
-// not after it); ok is false before the first sample.
-func (s *Series) At(at time.Duration) (float64, bool) {
-	v, ok := 0.0, false
-	for _, p := range s.Points {
-		if p.At > at {
-			break
-		}
-		v, ok = p.Value, true
-	}
-	return v, ok
-}
-
 // Downsample returns at most n points, evenly spaced, always
 // including the first and last — enough to print a recognisable
 // figure as text.

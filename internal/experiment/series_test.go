@@ -1,26 +1,22 @@
 package experiment
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
 func TestSeries(t *testing.T) {
 	s := NewSeries("delay")
-	if _, ok := s.At(0); ok {
-		t.Fatal("empty series has a value")
+	if s.Name != "delay" || len(s.Points) != 0 {
+		t.Fatalf("new series %+v", s)
 	}
 	s.Add(0, 20)
 	s.Add(10*time.Second, 10)
 	s.Add(20*time.Second, 4)
-	if v, ok := s.At(5 * time.Second); !ok || v != 20 {
-		t.Fatalf("At(5s) = %v,%v", v, ok)
-	}
-	if v, _ := s.At(10 * time.Second); v != 10 {
-		t.Fatalf("At(10s) = %v", v)
-	}
-	if v, _ := s.At(time.Hour); v != 4 {
-		t.Fatalf("At(1h) = %v", v)
+	want := []Point{{0, 20}, {10 * time.Second, 10}, {20 * time.Second, 4}}
+	if !slices.Equal(s.Points, want) {
+		t.Fatalf("points %v, want %v", s.Points, want)
 	}
 }
 

@@ -178,9 +178,6 @@ var streamTable = obs.NewTable(
 	obs.CounterOf("mixer_reactivations_total", func(s *stream) uint64 { return s.c.reactivations }),
 )
 
-// Pool returns the shared clawback pool (for reports).
-func (m *Mixer) Pool() *clawback.Pool { return m.pool }
-
 // ActiveStreams returns the number of streams currently mixing.
 func (m *Mixer) ActiveStreams() int { return len(m.playing) }
 

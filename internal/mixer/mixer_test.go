@@ -118,8 +118,8 @@ func TestDeactivationReleasesPool(t *testing.T) {
 	m.Tick(0)
 	m.Tick(0)
 	m.Tick(0) // deactivate (buffer already empty)
-	if m.Pool().Used() != 0 {
-		t.Fatalf("pool used %d after deactivation", m.Pool().Used())
+	if m.pool.Used() != 0 {
+		t.Fatalf("pool used %d after deactivation", m.pool.Used())
 	}
 }
 

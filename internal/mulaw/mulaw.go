@@ -63,24 +63,6 @@ func decode(b byte) int16 {
 	return int16(s)
 }
 
-// EncodeSlice encodes linear samples into dst, which must be at least
-// len(src) long, and returns the number of bytes written.
-func EncodeSlice(dst []byte, src []int16) int {
-	for i, s := range src {
-		dst[i] = Encode(s)
-	}
-	return len(src)
-}
-
-// DecodeSlice decodes µ-law bytes into dst, which must be at least
-// len(src) long, and returns the number of samples written.
-func DecodeSlice(dst []int16, src []byte) int {
-	for i, b := range src {
-		dst[i] = decodeTable[b]
-	}
-	return len(src)
-}
-
 // ScaleTable is a 256-entry lookup table that scales µ-law samples by
 // a fixed factor without leaving the µ-law domain — the mechanism the
 // audio transputer uses to apply muting "as they are copied from the

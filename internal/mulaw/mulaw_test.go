@@ -128,23 +128,6 @@ func TestQuickMonotoneNonDecreasing(t *testing.T) {
 	}
 }
 
-func TestSliceHelpers(t *testing.T) {
-	src := []int16{0, 100, -100, 5000, -5000}
-	enc := make([]byte, len(src))
-	if n := EncodeSlice(enc, src); n != len(src) {
-		t.Fatalf("EncodeSlice n=%d", n)
-	}
-	dec := make([]int16, len(src))
-	if n := DecodeSlice(dec, enc); n != len(src) {
-		t.Fatalf("DecodeSlice n=%d", n)
-	}
-	for i := range src {
-		if Decode(Encode(src[i])) != dec[i] {
-			t.Fatalf("slice round trip differs at %d", i)
-		}
-	}
-}
-
 func TestScaleTableUnity(t *testing.T) {
 	unity := NewScaleTable(1.0)
 	for i := 0; i < 256; i++ {

@@ -117,9 +117,6 @@ func New(cfg Config) *Muter {
 	return &Muter{cfg: cfg.withDefaults()}
 }
 
-// Config returns the effective configuration.
-func (m *Muter) Config() Config { return m.cfg }
-
 // Crossings returns how many threshold crossings have been observed.
 func (m *Muter) Crossings() uint64 { return m.crossings }
 

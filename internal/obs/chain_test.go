@@ -28,12 +28,26 @@ func TestHashKeyIsFNVOfKey(t *testing.T) {
 	}
 }
 
+// chainObj is what the tables of the tests below read.
+type chainObj struct {
+	n uint64
+	g float64
+	h *Histogram
+}
+
+// One table a kind, so that each family's rows hash apart.
+var chainTables = []*Table[*chainObj]{
+	NewTable(CounterOf("tc_total", func(o *chainObj) uint64 { return o.n })),
+	NewTable(GaugeOf("tg", func(o *chainObj) float64 { return o.g })),
+	NewTable(HistogramOf("th_ms", func(o *chainObj) *Histogram { return o.h })),
+}
+
 // TestHashChainKeepsCollidingIdentitiesApart plants a row of another
 // identity under the hash of each real identity, as a hash collision
-// would, then registers the real one twice with each of the five kinds
-// of source. The chain must keep the two apart, the second registration
-// must return the first's instrument, and each identity must read its
-// own source.
+// would, then registers the real one twice: a lone counter and a row of
+// a counter, a gauge and a histogram table. The chain must keep the two
+// apart, the second registration must keep the first's object, and each
+// identity must read its own source.
 func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 	r := New(nil)
 	lb := L("box", "a")
@@ -43,7 +57,7 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 		plant(r, hashKey(name, []Label{lb}), "planted_"+name, c, L("box", "z"))
 		return c
 	}
-	names := []string{"c_total", "rc_total", "cf_total", "g", "gf", "h_ms"}
+	names := []string{"c_total", "tc_total", "tg", "th_ms"}
 	planted := make(map[string]*Counter)
 	for _, name := range names {
 		planted[name] = plant(name)
@@ -54,23 +68,11 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 	if c2 := r.Counter("c_total", lb); c2 != c || c == planted["c_total"] {
 		t.Error("Counter: re-registration did not return the first counter, or returned the planted one")
 	}
-	rc := NewCounter()
-	rc.Add(2)
-	r.RegisterCounter("rc_total", rc, lb)
-	r.RegisterCounter("rc_total", NewCounter(), lb)
-	r.CounterFunc("cf_total", func() uint64 { return 3 }, lb)
-	r.CounterFunc("cf_total", func() uint64 { return 99 }, lb)
-	g := r.Gauge("g", lb)
-	g.Set(4)
-	if g2 := r.Gauge("g", lb); g2 != g {
-		t.Error("Gauge: re-registration did not return the first gauge")
-	}
-	r.GaugeFunc("gf", func() float64 { return 5 }, lb)
-	r.GaugeFunc("gf", func() float64 { return 99 }, lb)
-	h := r.Histogram("h_ms", nil, lb)
-	h.Observe(6 * time.Millisecond)
-	if h2 := r.Histogram("h_ms", []float64{1}, lb); h2 != h {
-		t.Error("Histogram: re-registration did not return the first histogram")
+	first := &chainObj{n: 2, g: 4, h: NewHistogram(nil)}
+	first.h.Observe(6 * time.Millisecond)
+	for _, tab := range chainTables {
+		tab.Register(r, first, lb)
+		tab.Register(r, &chainObj{n: 99, g: 99, h: NewHistogram(nil)}, lb)
 	}
 	// Each chain holds the real row, then the planted one.
 	for _, name := range names {
@@ -84,23 +86,21 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 	if len(snap.Samples) != 2*len(names) {
 		t.Errorf("%d samples, want %d", len(snap.Samples), 2*len(names))
 	}
-	for name, want := range map[string]float64{"c_total": 1, "rc_total": 2, "cf_total": 3, "g": 4, "gf": 5} {
-		if sm, ok := snap.Get(name, lb); !ok || sm.Value != want {
-			t.Errorf("%s reads %v (found %v), want %v", name, sm.Value, ok, want)
+	for _, k := range []struct {
+		name  string
+		kind  Kind
+		value float64
+	}{{"c_total", KindCounter, 1}, {"tc_total", KindCounter, 2}, {"tg", KindGauge, 4}} {
+		if sm, ok := snap.Get(k.name, lb); !ok || sm.Value != k.value || sm.Kind != k.kind {
+			t.Errorf("%s reads %v %v (found %v), want %v %v", k.name, sm.Kind, sm.Value, ok, k.kind, k.value)
 		}
+	}
+	if sm, ok := snap.Get("th_ms", lb); !ok || sm.Kind != KindHistogram || sm.Count != 1 {
+		t.Errorf("th_ms reads %+v (found %v), want one observation", sm, ok)
+	}
+	for _, name := range names {
 		if sm, _ := snap.Get("planted_"+name, L("box", "z")); sm.Value != 1000 {
 			t.Errorf("planted_%s reads %v, want 1000", name, sm.Value)
-		}
-	}
-	if sm, ok := snap.Get("h_ms", lb); !ok || sm.Kind != KindHistogram || sm.Count != 1 {
-		t.Errorf("h_ms reads %+v (found %v), want one observation", sm, ok)
-	}
-	for _, k := range []struct {
-		name string
-		want Kind
-	}{{"c_total", KindCounter}, {"rc_total", KindCounter}, {"cf_total", KindCounter}, {"g", KindGauge}, {"gf", KindGauge}} {
-		if sm, _ := snap.Get(k.name, lb); sm.Kind != k.want {
-			t.Errorf("%s is a %v, want a %v", k.name, sm.Kind, k.want)
 		}
 	}
 }
@@ -108,7 +108,7 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 // plant adds a one-counter row of family name under hash h, whatever
 // its identity hashes to, as a collision with h's identity would.
 func plant(r *Registry, h uint64, name string, c *Counter, labels ...Label) {
-	t := single(name, KindCounter)
+	t := single(name)
 	r.families[name] = t
 	w := &row{tab: t, obj: c, labels: labels, next: r.byHash[h]}
 	r.byHash[h] = w
@@ -116,10 +116,18 @@ func plant(r *Registry, h uint64, name string, c *Counter, labels ...Label) {
 	r.samples++
 }
 
-// TestReRegistrationAsAnotherKindPanicsNamingTheKey: an identity
-// registered as one kind cannot come back as another, and the panic
-// names it.
+// register returns a call registering obj as a row of a new one-column
+// table of col, labelled with labels.
+func register(col Column[*chainObj], labels ...Label) func(r *Registry) {
+	return func(r *Registry) { NewTable(col).Register(r, &chainObj{h: NewHistogram(nil)}, labels...) }
+}
+
+// TestReRegistrationAsAnotherKindPanicsNamingTheKey: a family
+// registered as one kind cannot come back as another, nor be read by a
+// second table or as a lone counter as well, and the panic names it.
 func TestReRegistrationAsAnotherKindPanicsNamingTheKey(t *testing.T) {
+	counter := func(o *chainObj) uint64 { return o.n }
+	gauge := func(o *chainObj) float64 { return o.g }
 	for _, tc := range []struct {
 		name  string
 		first func(r *Registry)
@@ -127,13 +135,13 @@ func TestReRegistrationAsAnotherKindPanicsNamingTheKey(t *testing.T) {
 		want  string
 	}{
 		{"counter as gauge", func(r *Registry) { r.Counter("x_total", L("box", "a")) },
-			func(r *Registry) { r.Gauge("x_total", L("box", "a")) }, "x_total|box=a re-registered as gauge, was counter"},
-		{"gauge func as histogram", func(r *Registry) { r.GaugeFunc("x", func() float64 { return 0 }) },
-			func(r *Registry) { r.Histogram("x", nil) }, "x re-registered as histogram, was gauge"},
-		{"counter func as counter", func(r *Registry) { r.CounterFunc("x_total", func() uint64 { return 0 }) },
-			func(r *Registry) { r.Counter("x_total") }, "x_total registered as a func-backed counter"},
-		{"gauge func as gauge", func(r *Registry) { r.GaugeFunc("x", func() float64 { return 0 }) },
-			func(r *Registry) { r.Gauge("x") }, "x registered as a func-backed gauge"},
+			register(GaugeOf("x_total", gauge), L("box", "a")), "x_total|box=a re-registered as gauge, was counter"},
+		{"gauge func as histogram", register(GaugeOf("x", gauge)),
+			register(HistogramOf("x", func(o *chainObj) *Histogram { return o.h })), "x re-registered as histogram, was gauge"},
+		{"counter func as counter", register(CounterOf("x_total", counter)),
+			func(r *Registry) { r.Counter("x_total") }, "x_total is read by two tables"},
+		{"gauge func as gauge", register(GaugeOf("x", gauge)),
+			register(GaugeOf("x", gauge)), "x is read by two tables"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := New(nil)

@@ -5,14 +5,13 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // fuzzObj is what the fuzzer's tables read.
 type fuzzObj struct{ n uint64 }
 
 // The fuzzer's two tables. "a_total" and "b_level" are also in the
-// singleton name pool, so the fuzzer registers them both ways.
+// lone-counter name pool, so the fuzzer registers them both ways.
 var (
 	fuzzA = NewTable(
 		CounterOf("a_total", func(o *fuzzObj) uint64 { return o.n }),
@@ -32,22 +31,13 @@ var (
 	fuzzLabels = [][]Label{nil, {L("box", "a")}, {L("box", "b")}, {L("box", "a"), L("output", "o")}}
 )
 
-// modelSingle is the model of one instrument registered alone.
-type modelSingle struct {
-	kind  Kind
-	fn    bool // func-backed: reads a value fixed at registration
-	value float64
-	count uint64
-	sumMs float64
-}
-
 // registryModel is the reference the fuzzer checks a Registry against,
-// keyed by strings: which table or kind owns each family, every
-// instrument registered alone by key(name, labels), and every table row
-// by table and labels.
+// keyed by strings: which table owns each family, every counter
+// registered alone by key(name, labels), and every table row by table
+// and labels.
 type registryModel struct {
-	owner   map[string]string // family → "counter", "gauge", "histogram", "A" or "B"
-	singles map[string]*modelSingle
+	owner   map[string]string // family → "counter" (lone counters), "A" or "B"
+	singles map[string]uint64
 	rows    map[string]int // table name + "|" + key("", labels) → object index
 	objs    [4]uint64
 	planted map[string]float64 // rows planted as collisions, by key(name, labels)
@@ -62,13 +52,9 @@ func (m *registryModel) samples() []string {
 		id := Sample{Name: name, Labels: labels}.ID()
 		out = append(out, line{id, fmt.Sprintf("%s %v %s", id, kind, text)})
 	}
-	for k, s := range m.singles {
+	for k, v := range m.singles {
 		name, labels := parseKey(k)
-		if s.kind == KindHistogram {
-			add(name, labels, s.kind, fmt.Sprintf("n=%d sum=%g", s.count, s.sumMs))
-		} else {
-			add(name, labels, s.kind, fmt.Sprintf("%g", s.value))
-		}
+		add(name, labels, KindCounter, fmt.Sprintf("%d", v))
 	}
 	for k, i := range m.rows {
 		tab, rest, _ := strings.Cut(k, "|")
@@ -114,11 +100,7 @@ func parseKey(k string) (string, []Label) {
 func snapshotLines(r *Registry) []string {
 	var lines []string
 	for _, sm := range r.Snapshot().Samples {
-		if sm.Kind == KindHistogram {
-			lines = append(lines, fmt.Sprintf("%s %v n=%d sum=%g", sm.ID(), sm.Kind, sm.Count, sm.Sum))
-		} else {
-			lines = append(lines, fmt.Sprintf("%s %v %g", sm.ID(), sm.Kind, sm.Value))
-		}
+		lines = append(lines, fmt.Sprintf("%s %v %g", sm.ID(), sm.Kind, sm.Value))
 	}
 	return lines
 }
@@ -134,93 +116,43 @@ func panics(fn func()) (msg string) {
 	return ""
 }
 
-// FuzzRegistry drives random interleavings of the one-instrument calls
-// (Counter, RegisterCounter, CounterFunc, Gauge, GaugeFunc, Histogram),
-// table rows, changes to the objects rows read, and rows planted under
-// another identity's hash as a collision would be. After every step the
-// registry's snapshot must equal the model's, a call the model says must
-// panic must panic naming the key, and one it says must not, must not.
+// FuzzRegistry drives random interleavings of lone counters
+// (Registry.Counter), table rows, changes to the objects rows read, and
+// rows planted under another identity's hash as a collision would be.
+// After every step the registry's snapshot must equal the model's, a
+// call the model says must panic must panic naming the key, and one it
+// says must not, must not.
 func FuzzRegistry(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 5, 0, 1, 1, 2, 6, 0, 1, 0, 7, 0, 0, 9, 3, 1, 1, 4})
-	f.Add([]byte{6, 3, 2, 1, 6, 4, 2, 1, 0, 3, 1, 1, 3, 4, 2, 2, 8, 0, 1, 0, 1, 3, 1, 7})
-	f.Add([]byte{2, 0, 0, 1, 0, 0, 0, 1, 4, 1, 3, 2, 3, 1, 3, 2, 5, 2, 2, 9, 5, 2, 2, 3, 8, 2, 2, 0, 5, 2, 2, 1})
+	f.Add([]byte{0, 1, 1, 5, 0, 1, 1, 2, 1, 0, 1, 0, 2, 0, 0, 9, 0, 1, 1, 4})
+	f.Add([]byte{1, 3, 2, 1, 1, 4, 2, 1, 0, 3, 1, 1, 0, 4, 2, 2, 3, 0, 1, 0, 0, 3, 1, 7})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 3, 2, 0, 1, 3, 2, 0, 2, 2, 9, 0, 2, 2, 3, 3, 2, 2, 0, 0, 2, 2, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		r := New(nil)
-		m := &registryModel{owner: map[string]string{}, singles: map[string]*modelSingle{}, rows: map[string]int{}, planted: map[string]float64{}}
+		m := &registryModel{owner: map[string]string{}, singles: map[string]uint64{}, rows: map[string]int{}, planted: map[string]float64{}}
 		var objs [4]*fuzzObj
 		for i := range objs {
 			objs[i] = &fuzzObj{}
 		}
 		for step := 0; len(ops) >= 4 && step < 64; step, ops = step+1, ops[4:] {
-			op, name, labels, v := ops[0]%9, fuzzNames[int(ops[1])%len(fuzzNames)], fuzzLabels[int(ops[2])%len(fuzzLabels)], ops[3]
+			op, name, labels, v := ops[0]%4, fuzzNames[int(ops[1])%len(fuzzNames)], fuzzLabels[int(ops[2])%len(fuzzLabels)], ops[3]
 			k := key(name, labels)
 			what := ""    // the call, for failure messages
 			want := ""    // the panic the model expects, "" for none
 			var do func() // the call on the registry
-			// single models a call registering one instrument of kind: mk
-			// makes its model if it is new, and use, for a call that hands
-			// the instrument back, applies what the call then does to it.
-			single := func(kind Kind, mk func() *modelSingle, use func(s *modelSingle)) {
-				switch owner, had := m.owner[name]; {
-				case had && owner != kind.String():
-					if owner == "A" || owner == "B" {
-						if m.tableKind(owner, name) != kind {
-							want = fmt.Sprintf("%s re-registered as %v, was %v", k, kind, m.tableKind(owner, name))
-						} else {
-							want = k + " is read by two tables"
-						}
-					} else {
-						want = fmt.Sprintf("%s re-registered as %v, was %s", k, kind, owner)
-					}
-					return
-				}
-				s, had := m.singles[k]
-				if had && s.fn && use != nil {
-					want = fmt.Sprintf("%s registered as a func-backed %v", k, kind)
-					return
-				}
-				m.owner[name] = kind.String()
-				if !had {
-					s = mk()
-					m.singles[k] = s
-				}
-				if use != nil {
-					use(s)
-				}
-			}
 			switch op {
 			case 0:
 				what = fmt.Sprintf("Counter(%s).Add(%d)", k, v)
 				do = func() { r.Counter(name, labels...).Add(uint64(v)) }
-				single(KindCounter, func() *modelSingle { return &modelSingle{kind: KindCounter} },
-					func(s *modelSingle) { s.value += float64(v) })
-			case 1:
-				what = fmt.Sprintf("RegisterCounter(%s, %d)", k, v)
-				do = func() {
-					c := NewCounter()
-					c.Add(uint64(v))
-					r.RegisterCounter(name, c, labels...)
+				switch owner, had := m.owner[name]; {
+				case had && owner != "counter" && m.tableKind(owner, name) != KindCounter:
+					want = fmt.Sprintf("%s re-registered as counter, was %v", k, m.tableKind(owner, name))
+				case had && owner != "counter":
+					want = k + " is read by two tables"
+				default:
+					m.owner[name] = "counter"
+					m.singles[k] += uint64(v)
 				}
-				single(KindCounter, func() *modelSingle { return &modelSingle{kind: KindCounter, value: float64(v)} }, nil)
-			case 2:
-				what = fmt.Sprintf("CounterFunc(%s, %d)", k, v)
-				do = func() { r.CounterFunc(name, func() uint64 { return uint64(v) }, labels...) }
-				single(KindCounter, func() *modelSingle { return &modelSingle{kind: KindCounter, fn: true, value: float64(v)} }, nil)
-			case 3:
-				what = fmt.Sprintf("Gauge(%s).Set(%d)", k, v)
-				do = func() { r.Gauge(name, labels...).Set(float64(v)) }
-				single(KindGauge, func() *modelSingle { return &modelSingle{kind: KindGauge} },
-					func(s *modelSingle) { s.value = float64(v) })
-			case 4:
-				what = fmt.Sprintf("GaugeFunc(%s, %d)", k, v)
-				do = func() { r.GaugeFunc(name, func() float64 { return float64(v) }, labels...) }
-				single(KindGauge, func() *modelSingle { return &modelSingle{kind: KindGauge, fn: true, value: float64(v)} }, nil)
-			case 5:
-				what = fmt.Sprintf("Histogram(%s).Observe(%dms)", k, v)
-				do = func() { r.Histogram(name, nil, labels...).Observe(time.Duration(v) * time.Millisecond) }
-				single(KindHistogram, func() *modelSingle { return &modelSingle{kind: KindHistogram} },
-					func(s *modelSingle) { s.count++; s.sumMs += float64(v) })
-			case 6:
+			case 1:
 				tab, obj := fuzzTables[int(ops[1])%2], int(v)%len(objs)
 				what = fmt.Sprintf("table %s Register(obj %d, %s)", tab.name, obj, key("", labels))
 				do = func() { tab.t.Register(r, objs[obj], labels...) }
@@ -234,12 +166,12 @@ func FuzzRegistry(f *testing.F) {
 						m.rows[tab.name+"|"+key("", labels)] = obj
 					}
 				}
-			case 7:
+			case 2:
 				obj := int(ops[1]) % len(objs)
 				what = fmt.Sprintf("obj %d += %d", obj, v)
 				do = func() { objs[obj].n += uint64(v) }
 				m.objs[obj] += uint64(v)
-			case 8:
+			case 3:
 				// Plant a row of a fresh family, labelled alike, under the hash
 				// of name+labels or of a table's row under labels, as a
 				// collision would put it.

@@ -120,7 +120,8 @@ func TestHistogramAgreesWithSortedSlice(t *testing.T) {
 		}
 		for name, draw := range draws {
 			r := New(&fakeClock{})
-			h := r.Histogram("h", nil)
+			h := NewHistogram(nil)
+			histograms("h").Register(r, h)
 			var ref sliceTracker
 			for i := 0; i < 3000; i++ {
 				d := draw()
@@ -174,8 +175,10 @@ func playoutSamples(seed int64) []time.Duration {
 // samples: sum=, mean= and the %g _sum must not move by an ulp.
 func TestHistogramExportsUnchanged(t *testing.T) {
 	r := New(&fakeClock{t: occam.Time(3 * time.Second)})
+	playout := histograms("audio_playout_latency_ms")
 	for i, box := range []string{"a", "b"} {
-		h := r.Histogram("audio_playout_latency_ms", nil, L("box", box))
+		h := NewHistogram(nil)
+		playout.Register(r, h, L("box", box))
 		for _, lat := range playoutSamples(int64(16 + i)) {
 			h.Observe(lat)
 		}

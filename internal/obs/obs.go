@@ -35,9 +35,8 @@
 // object and the object's label values. A snapshot reads every column
 // of every row. A family name belongs to exactly one table, and a row's
 // identity is its table and labels, so registering it again is a
-// no-op. Counter, Gauge, Histogram and their Func and Register forms
-// register one instrument as a row of a one-column table the registry
-// makes for its family.
+// no-op. Counter registers one counter as a row of a one-column table
+// the registry makes for its family.
 //
 // A row costs what it holds: 64 bytes (table, object, labels and a
 // chain link), a pointer in the row list and one slot in a map keyed by
@@ -116,23 +115,6 @@ func (c *Counter) Add(n uint64) { c.v += n }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is an instantaneous value. The zero value is ready to use.
-type Gauge struct {
-	v float64
-}
-
-// NewGauge returns an unregistered gauge.
-func NewGauge() *Gauge { return &Gauge{} }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the value by d (may be negative).
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // DefaultLatencyBucketsMs are histogram bounds suited to the paper's
 // millisecond-scale latencies (the headline mic→speaker figure is 8 ms).
@@ -309,8 +291,8 @@ type column struct {
 	labels []Label
 	read   func(obj any, sm *Sample)
 	// single marks the one column of a table the registry makes for a
-	// family registered instrument by instrument (Registry.Counter and
-	// the rest), whose objects are the instruments themselves.
+	// family registered counter by counter (Registry.Counter), whose
+	// objects are the counters themselves.
 	single bool
 }
 
@@ -371,26 +353,11 @@ func (t *Table[T]) Register(reg *Registry, obj T, labels ...Label) {
 	reg.add(&t.table, obj, labels)
 }
 
-// single returns the one-column table of a family registered
-// instrument by instrument. It reads the instrument a row holds:
-// a *Counter, func() uint64, *Gauge, func() float64 or *Histogram.
-func single(name string, kind Kind) *table {
-	return &table{cols: []column{{name: name, kind: kind, read: readSingle, single: true}}}
-}
-
-func readSingle(obj any, sm *Sample) {
-	switch src := obj.(type) {
-	case *Counter:
-		sm.Value = float64(src.v)
-	case func() uint64:
-		sm.Value = float64(src())
-	case *Gauge:
-		sm.Value = src.v
-	case func() float64:
-		sm.Value = src()
-	case *Histogram:
-		src.sample(sm)
-	}
+// single returns the one-column table of a family registered counter
+// by counter. It reads the *Counter a row holds.
+func single(name string) *table {
+	return &table{cols: []column{{name: name, kind: KindCounter, single: true,
+		read: func(obj any, sm *Sample) { sm.Value = float64(obj.(*Counter).v) }}}}
 }
 
 // row is one registered object, in 64 bytes: its table, the object its
@@ -420,27 +387,15 @@ type Registry struct {
 	tracer   *Tracer
 }
 
-// Option configures a Registry.
-type Option func(*Registry)
-
-// WithTraceCapacity sets the event ring size (default DefaultTraceCap).
-func WithTraceCapacity(n int) Option {
-	return func(r *Registry) { r.tracer = newTracer(r.clock, n) }
-}
-
 // New returns an empty registry stamping snapshots and events with
 // clock's virtual time.
-func New(clock Clock, opts ...Option) *Registry {
-	r := &Registry{
+func New(clock Clock) *Registry {
+	return &Registry{
 		clock:    clock,
 		byHash:   make(map[uint64]*row),
 		families: make(map[string]*table),
 		tracer:   newTracer(clock, DefaultTraceCap),
 	}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
 }
 
 // Now returns the registry clock's current virtual time (0 with a nil
@@ -556,83 +511,18 @@ func (t *table) kindOf(name string) Kind {
 	return 0
 }
 
-// instrument returns the instrument registered alone under name+labels
-// as kind, registering obj if there is none. Naming a family of another
-// kind, or one a table reads, panics.
-func (r *Registry) instrument(name string, kind Kind, labels []Label, obj any) any {
-	t := r.families[name]
-	if t == nil || !t.cols[0].single || t.cols[0].kind != kind {
-		t = single(name, kind)
-	}
-	return r.add(t, obj, labels).obj
-}
-
 // Counter returns the counter registered under name+labels, creating
 // it if needed. On a nil registry it returns a fresh unregistered
-// counter.
+// counter. Naming a family a table reads panics.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return NewCounter()
 	}
-	c, ok := r.instrument(name, KindCounter, labels, NewCounter()).(*Counter)
-	if !ok {
-		panic(fmt.Sprintf("obs: %s registered as a func-backed counter", key(name, labels)))
+	t := r.families[name]
+	if t == nil || !t.cols[0].single {
+		t = single(name)
 	}
-	return c
-}
-
-// RegisterCounter registers an existing counter handle (idempotent;
-// no-op on a nil registry). Used by packages that create their
-// instruments before a registry is attached.
-func (r *Registry) RegisterCounter(name string, c *Counter, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.instrument(name, KindCounter, labels, c)
-}
-
-// CounterFunc registers a read-callback counter over an existing plain
-// struct field: for a one-of-a-kind figure, where a type whose every
-// object carries the family declares a Table instead. No-op on a nil
-// registry.
-func (r *Registry) CounterFunc(name string, fn func() uint64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.instrument(name, KindCounter, labels, fn)
-}
-
-// Gauge returns the gauge registered under name+labels, creating it if
-// needed. On a nil registry it returns a fresh unregistered gauge.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return NewGauge()
-	}
-	g, ok := r.instrument(name, KindGauge, labels, NewGauge()).(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: %s registered as a func-backed gauge", key(name, labels)))
-	}
-	return g
-}
-
-// GaugeFunc registers a read-callback gauge (e.g. a live queue depth).
-// No-op on a nil registry.
-func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.instrument(name, KindGauge, labels, fn)
-}
-
-// Histogram returns the histogram registered under name+labels,
-// creating it with the given bounds if needed (nil bounds select
-// DefaultLatencyBucketsMs). On a nil registry it returns a fresh
-// unregistered histogram.
-func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return NewHistogram(bounds)
-	}
-	return r.instrument(name, KindHistogram, labels, NewHistogram(bounds)).(*Histogram)
+	return r.add(t, NewCounter(), labels).obj.(*Counter)
 }
 
 // Sample is one instrument's state at snapshot time.

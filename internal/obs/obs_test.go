@@ -15,6 +15,20 @@ type fakeClock struct{ t occam.Time }
 
 func (c *fakeClock) Now() occam.Time { return c.t }
 
+// level is the object a gauge column reads in these tests.
+type level struct{ v float64 }
+
+// gauges returns a one-column table reading a level as gauge name.
+func gauges(name string) *Table[*level] {
+	return NewTable(GaugeOf(name, func(l *level) float64 { return l.v }))
+}
+
+// histograms returns a one-column table reading a histogram as family
+// name.
+func histograms(name string) *Table[*Histogram] {
+	return NewTable(HistogramOf(name, func(h *Histogram) *Histogram { return h }))
+}
+
 func TestCounterGaugeRegistration(t *testing.T) {
 	clk := &fakeClock{}
 	r := New(clk)
@@ -35,17 +49,15 @@ func TestCounterGaugeRegistration(t *testing.T) {
 		t.Fatalf("different labels returned the same counter")
 	}
 
-	g := r.Gauge("depth")
-	g.Set(3)
-	g.Add(-1)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("gauge = %g, want 2", got)
+	type queue struct {
+		depth int
+		raw   uint64
 	}
-
-	depth := 7
-	r.GaugeFunc("live_depth", func() float64 { return float64(depth) })
-	var raw uint64 = 9
-	r.CounterFunc("raw_total", func() uint64 { return raw })
+	q := &queue{depth: 7, raw: 9}
+	NewTable(
+		GaugeOf("live_depth", func(q *queue) float64 { return float64(q.depth) }),
+		CounterOf("raw_total", func(q *queue) uint64 { return q.raw }),
+	).Register(r, q)
 
 	clk.t = occam.Time(1e9)
 	s := r.Snapshot()
@@ -70,13 +82,8 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	if c.Value() != 1 {
 		t.Fatalf("unregistered counter does not count")
 	}
-	g := r.Gauge("g")
-	g.Set(2)
-	h := r.Histogram("h", nil)
-	h.Observe(time.Millisecond)
-	r.CounterFunc("cf", func() uint64 { return 0 })
-	r.GaugeFunc("gf", func() float64 { return 0 })
-	r.RegisterCounter("rc", c)
+	gauges("g").Register(r, &level{v: 2})
+	histograms("h").Register(r, NewHistogram(nil))
 	if n := len(r.Snapshot().Samples); n != 0 {
 		t.Fatalf("nil registry snapshot has %d samples", n)
 	}
@@ -89,16 +96,19 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	}
 }
 
+// TestRegisterExistingCounter: a row reads the object it was
+// registered with, counts made before the registration included.
 func TestRegisterExistingCounter(t *testing.T) {
 	r := New(&fakeClock{})
+	tab := NewTable(CounterOf("pre_total", (*Counter).Value))
 	c := NewCounter()
 	c.Add(3)
-	r.RegisterCounter("pre_total", c, L("k", "v"))
+	tab.Register(r, c, L("k", "v"))
 	if sm, ok := r.Snapshot().Get("pre_total", L("k", "v")); !ok || sm.Value != 3 {
 		t.Fatalf("adopted counter sample = %+v ok=%v, want 3", sm, ok)
 	}
-	// Idempotent: a second registration keeps the first handle.
-	r.RegisterCounter("pre_total", NewCounter(), L("k", "v"))
+	// Idempotent: a second registration keeps the first object.
+	tab.Register(r, NewCounter(), L("k", "v"))
 	c.Inc()
 	if sm, _ := r.Snapshot().Get("pre_total", L("k", "v")); sm.Value != 4 {
 		t.Fatalf("second registration replaced the counter: %+v", sm)
@@ -107,7 +117,8 @@ func TestRegisterExistingCounter(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	r := New(&fakeClock{})
-	h := r.Histogram("lat_ms", []float64{1, 10}, L("box", "a"))
+	h := NewHistogram([]float64{1, 10})
+	histograms("lat_ms").Register(r, h, L("box", "a"))
 	for _, d := range []time.Duration{500 * time.Microsecond, 5 * time.Millisecond, 50 * time.Millisecond} {
 		h.Observe(d)
 	}
@@ -127,17 +138,19 @@ func TestDelta(t *testing.T) {
 	clk := &fakeClock{}
 	r := New(clk)
 	c := r.Counter("c_total")
-	g := r.Gauge("g")
-	h := r.Histogram("h", []float64{10})
+	g := &level{}
+	gauges("g").Register(r, g)
+	h := NewHistogram([]float64{10})
+	histograms("h").Register(r, h)
 
 	c.Add(5)
-	g.Set(1)
+	g.v = 1
 	h.Observe(3 * time.Millisecond)
 	prev := r.Snapshot()
 
 	clk.t = occam.Time(2e9)
 	c.Add(7)
-	g.Set(9)
+	g.v = 9
 	h.Observe(4 * time.Millisecond)
 	d := r.Snapshot().Delta(prev)
 
@@ -159,8 +172,10 @@ func TestExporters(t *testing.T) {
 	clk := &fakeClock{t: occam.Time(1e9)}
 	r := New(clk)
 	r.Counter("a_total", L("link", "l0")).Add(2)
-	r.Gauge("depth").Set(3)
-	r.Histogram("lat_ms", []float64{1, 10}).Observe(5 * time.Millisecond)
+	gauges("depth").Register(r, &level{v: 3})
+	h := NewHistogram([]float64{1, 10})
+	histograms("lat_ms").Register(r, h)
+	h.Observe(5 * time.Millisecond)
 
 	table := r.Snapshot().Table()
 	for _, want := range []string{"snapshot at t+1s", `a_total{link="l0"}`, "counter", "2", "depth", "gauge", "n=1"} {
@@ -189,8 +204,7 @@ func TestExporters(t *testing.T) {
 
 func TestTracerRing(t *testing.T) {
 	clk := &fakeClock{}
-	r := New(clk, WithTraceCapacity(4))
-	tr := r.Tracer()
+	tr := newTracer(clk, 4)
 	for i := 0; i < 6; i++ {
 		clk.t = occam.Time(i) * occam.Time(occam.Millisecond)
 		tr.Emit(EvDrop, "src", uint32(i), "r")
@@ -216,16 +230,18 @@ func TestTracerRing(t *testing.T) {
 // sort differently from their quoted rendering, and across kinds.
 func TestSnapshotOrderIsByID(t *testing.T) {
 	r := New(&fakeClock{})
+	link, latency := gauges("link"), histograms("link_latency_ms")
+	byFn := NewTable(CounterOf("link_drops_total_by_fn", func(*level) uint64 { return 0 }))
 	for _, box := range []string{"b10", "b2", "b", `b"q`, "a-b.0", "a"} {
 		r.Counter("link_drops_total", L("link", box))
 		r.Counter("link_drops", L("link", box))
-		r.Gauge("link", L("link", box), L("vci", "1001"))
-		r.Gauge("link", L("link", box), L("vci", "11"))
-		r.Histogram("link_latency_ms", nil, L("vci", "7"), L("link", box))
-		r.CounterFunc("link_drops_total_by_fn", func() uint64 { return 0 }, L("link", box))
+		link.Register(r, &level{}, L("link", box), L("vci", "1001"))
+		link.Register(r, &level{}, L("link", box), L("vci", "11"))
+		latency.Register(r, NewHistogram(nil), L("vci", "7"), L("link", box))
+		byFn.Register(r, &level{}, L("link", box))
 	}
-	r.Gauge("link")
-	r.Gauge("z_unlabelled")
+	link.Register(r, &level{})
+	gauges("z_unlabelled").Register(r, &level{})
 	got := r.Snapshot().Samples
 	want := append([]Sample(nil), got...)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].ID() < want[j].ID() })

@@ -110,9 +110,6 @@ type Tracer struct {
 }
 
 func newTracer(clock Clock, capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCap
-	}
 	return &Tracer{clock: clock, limit: capacity}
 }
 

@@ -1,7 +1,7 @@
 package occam
 
-// Guard is one alternative of a PRI ALT. Construct guards with Recv,
-// After, Timeout, Skip and When.
+// Guard is one alternative of a PRI ALT. Construct guards with Recv
+// and Skip.
 type Guard interface {
 	// poll attempts to fire the guard immediately.
 	poll(p *Proc) bool
@@ -101,45 +101,6 @@ func (g *recvGuard[T]) disable() {
 	}
 }
 
-// guardEv is the event a time guard owns: armed by enable, cancelled
-// by disable and then skipped when its instant comes — which may be
-// after the guard's next Alt, so each enable makes its own.
-type guardEv struct{ ev *timerEv }
-
-func (g *guardEv) arm(p *Proc, idx int, at Time) {
-	g.ev = &timerEv{fn: func(Sched) { p.fire(idx) }}
-	p.rt.arm(g.ev, at)
-}
-
-func (g *guardEv) disable() { g.ev.cancelled = true }
-
-// timeGuard fires at an absolute virtual time (Occam "tim ? AFTER t").
-type timeGuard struct {
-	at Time
-	guardEv
-}
-
-// After returns a guard that fires once the virtual clock reaches t.
-func After(at Time) Guard { return &timeGuard{at: at} }
-
-func (g *timeGuard) poll(p *Proc) bool { return p.rt.now >= g.at }
-
-func (g *timeGuard) enable(p *Proc, idx int) { g.arm(p, idx, g.at) }
-
-// timeoutGuard fires a duration after the Alt begins.
-type timeoutGuard struct {
-	d Time
-	guardEv
-}
-
-// Timeout returns a guard that fires d after the alternation starts
-// waiting.
-func Timeout(d Time) Guard { return &timeoutGuard{d: d} }
-
-func (g *timeoutGuard) poll(p *Proc) bool { return g.d <= 0 }
-
-func (g *timeoutGuard) enable(p *Proc, idx int) { g.arm(p, idx, p.rt.now+g.d) }
-
 // skipGuard always fires (Occam SKIP): as the last guard it makes the
 // alternation non-blocking.
 type skipGuard struct{}
@@ -156,31 +117,3 @@ func (skipGuard) enable(*Proc, int) {
 	panic("occam: Skip guard enabled; place Skip last")
 }
 func (skipGuard) disable() {}
-
-// whenGuard conditions another guard (Occam boolean guard).
-type whenGuard struct {
-	cond bool
-	g    Guard
-}
-
-// When returns g if cond is true, otherwise an inert guard that never
-// fires (the Occam "cond & guard" form). The condition is fixed at
-// construction; loops whose condition changes per iteration should
-// hoist a NewCond guard instead.
-func When(cond bool, g Guard) Guard { return &whenGuard{cond: cond, g: g} }
-
-func (w *whenGuard) poll(p *Proc) bool {
-	return w.cond && w.g.poll(p)
-}
-
-func (w *whenGuard) enable(p *Proc, idx int) {
-	if w.cond {
-		w.g.enable(p, idx)
-	}
-}
-
-func (w *whenGuard) disable() {
-	if w.cond {
-		w.g.disable()
-	}
-}

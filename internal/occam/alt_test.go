@@ -5,6 +5,28 @@ import (
 	"time"
 )
 
+// timeGuard fires at an absolute virtual time (Occam "tim ? AFTER t"):
+// a guard that waits on a timer, not a channel. No board needs one; the
+// tests use it to cross the scheduler's cancelled-timer path. Each
+// enable arms an event of its own, which disable cancels and the timer
+// queue skips when its instant comes, maybe after the guard's next Alt.
+type timeGuard struct {
+	at Time
+	ev *timerEv
+}
+
+// After returns a guard that fires once the virtual clock reaches at.
+func After(at Time) Guard { return &timeGuard{at: at} }
+
+func (g *timeGuard) poll(p *Proc) bool { return p.rt.now >= g.at }
+
+func (g *timeGuard) enable(p *Proc, idx int) {
+	g.ev = &timerEv{fn: func(Sched) { p.fire(idx) }}
+	p.rt.arm(g.ev, g.at)
+}
+
+func (g *timeGuard) disable() { g.ev.cancelled = true }
+
 func TestAltPicksReadyGuard(t *testing.T) {
 	rt := NewRuntime()
 	a := NewChan[int](rt, "a")
@@ -76,7 +98,7 @@ func TestAltTimeout(t *testing.T) {
 	var at Time
 	rt.Go("alter", nil, Low, func(p *Proc) {
 		var v int
-		idx = p.Alt(Recv(ch, &v), Timeout(Time(2*time.Millisecond)))
+		idx = p.Alt(Recv(ch, &v), After(p.Now().Add(2*time.Millisecond)))
 		at = p.Now()
 	})
 	if err := rt.Run(); err != nil {
@@ -160,44 +182,6 @@ func TestAltSkipPrefersReadyChannel(t *testing.T) {
 	}
 }
 
-func TestWhenFalseDisablesGuard(t *testing.T) {
-	rt := NewRuntime()
-	ch := NewChan[int](rt, "c")
-	var idx int
-	rt.Go("sender", nil, Low, func(p *Proc) { ch.Send(p, 1) })
-	rt.Go("alter", nil, Low, func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		var v int
-		idx = p.Alt(When(false, Recv(ch, &v)), Timeout(Time(time.Millisecond)))
-	})
-	if err := rt.RunUntil(Time(10 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 {
-		t.Fatalf("idx=%d, want disabled guard skipped", idx)
-	}
-	rt.Shutdown()
-}
-
-func TestWhenTrueEnablesGuard(t *testing.T) {
-	rt := NewRuntime()
-	ch := NewChan[int](rt, "c")
-	var idx, got int
-	rt.Go("sender", nil, Low, func(p *Proc) { ch.Send(p, 11) })
-	rt.Go("alter", nil, Low, func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		var v int
-		idx = p.Alt(When(true, Recv(ch, &v)), Timeout(Time(time.Millisecond)))
-		got = v
-	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 0 || got != 11 {
-		t.Fatalf("idx=%d got=%d", idx, got)
-	}
-}
-
 func TestAltCancelsLosingTimer(t *testing.T) {
 	// After an alt resolves via a channel, its timeout must not fire
 	// later and corrupt anything.
@@ -210,7 +194,7 @@ func TestAltCancelsLosingTimer(t *testing.T) {
 	})
 	rt.Go("alter", nil, Low, func(p *Proc) {
 		var v int
-		p.Alt(Recv(ch, &v), Timeout(Time(5*time.Millisecond)))
+		p.Alt(Recv(ch, &v), After(p.Now().Add(5*time.Millisecond)))
 		count++
 		p.Sleep(20 * time.Millisecond) // outlive the cancelled timer
 	})
@@ -223,8 +207,9 @@ func TestAltCancelsLosingTimer(t *testing.T) {
 }
 
 func TestTimeGuardReusedWhileItsCancelledTimerIsPending(t *testing.T) {
-	// A hoisted Timeout guard that loses every Alt but the last: each
-	// lost one leaves a cancelled event queued past the next Alt.
+	// A hoisted time guard that loses every Alt but the last: each lost
+	// one leaves a cancelled event queued past the next Alt, for the
+	// instant the live one is armed for.
 	rt := NewRuntime()
 	ch := NewChan[int](rt, "c")
 	rt.Go("sender", nil, Low, func(p *Proc) {
@@ -236,7 +221,7 @@ func TestTimeGuardReusedWhileItsCancelledTimerIsPending(t *testing.T) {
 	var timedOut Time
 	rt.Go("alter", nil, Low, func(p *Proc) {
 		var v int
-		guards := []Guard{Recv(ch, &v), Timeout(Time(5 * time.Millisecond))}
+		guards := []Guard{Recv(ch, &v), After(Time(5 * time.Millisecond))}
 		for p.Alt(guards...) == 0 {
 		}
 		timedOut = p.Now()
@@ -244,8 +229,8 @@ func TestTimeGuardReusedWhileItsCancelledTimerIsPending(t *testing.T) {
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if timedOut != Time(8*time.Millisecond) {
-		t.Fatalf("timed out at %v, want 5 ms after the third receive at 3 ms", timedOut)
+	if timedOut != Time(5*time.Millisecond) {
+		t.Fatalf("timed out at %v, want 5 ms, after the third receive at 3 ms", timedOut)
 	}
 }
 

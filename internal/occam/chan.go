@@ -65,9 +65,6 @@ func NewChan[T any](rt *Runtime, name string) *Chan[T] {
 	return &Chan[T]{name: name}
 }
 
-// Name returns the channel's diagnostic name.
-func (c *Chan[T]) Name() string { return c.name }
-
 func (c *Chan[T]) waitName() string { return c.name }
 
 // get returns a record for p, recycled if the channel has one. A

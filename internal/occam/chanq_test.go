@@ -9,8 +9,8 @@ import (
 )
 
 // A channel's queues against a reference model. The same programs of
-// Send, Recv, RecvInto, TrySend, Alt (Recv guards, then Timeout or
-// Skip), Sleep and exit are run by the same processes — some stackless,
+// Send, Recv, RecvInto, TrySend, Alt (Recv guards, then a time guard
+// or Skip), Sleep and exit are run by the same processes — some stackless,
 // some coroutines — twice: once over Chans and once over refChans, the
 // slices-and-copies queues Chan used to keep. Each process's log of what
 // it got and when, the scheduler trace and how the run ends must be
@@ -187,10 +187,10 @@ func (q *qProc) start(p *Proc, op qOp) {
 		}
 	case qAlt:
 		q.vs = [2]int{}
-		q.guards = append(q.guards[:0], q.chans[0].guard(&q.vs[0]), When(op.arg&1 == 0, q.chans[1].guard(&q.vs[1])))
+		q.guards = append(q.guards[:0], q.chans[0].guard(&q.vs[0]), q.chans[1].guard(&q.vs[1]))
 		switch op.arg >> 1 % 3 {
 		case 1:
-			q.guards = append(q.guards, Timeout(Time(op.arg>>3%8)*Time(50*time.Microsecond)))
+			q.guards = append(q.guards, After(p.Now().Add(time.Duration(op.arg>>3%8)*50*time.Microsecond)))
 		case 2:
 			q.guards = append(q.guards, Skip())
 		}
@@ -207,7 +207,7 @@ func (q *qProc) finish(p *Proc, op qOp, woken bool) {
 	if woken && op.code == qAlt {
 		q.idx = p.Alt(q.guards...)
 	}
-	line := fmt.Sprintf("[%v] %s %s c%d", p.Now(), p.Name(), qOpNames[op.code], op.ch)
+	line := fmt.Sprintf("[%v] %s %s c%d", p.Now(), p.name, qOpNames[op.code], op.ch)
 	switch op.code {
 	case qRecv, qRecvInto:
 		line += fmt.Sprintf(" got %d", q.v)

@@ -38,9 +38,6 @@ func NewLink[T any](rt *Runtime, name string, bitsPerSecond int64) *Link[T] {
 	}
 }
 
-// Name returns the link's diagnostic name.
-func (l *Link[T]) Name() string { return l.ch.name }
-
 // BytesSent returns the total payload bytes transferred.
 func (l *Link[T]) BytesSent() uint64 { return l.bytesSent }
 
@@ -92,14 +89,6 @@ func (l *Link[T]) Recv(p *Proc) T { return l.ch.Recv(p) }
 // RecvInto receives the next message from the link into *dst, as
 // Chan.RecvInto does.
 func (l *Link[T]) RecvInto(p *Proc, dst *T) { l.ch.RecvInto(p, dst) }
-
-// In returns a guard that fires when a message can be received from
-// the link, for use in an alternation.
-func (l *Link[T]) In(dst *T) Guard { return Recv(&l.ch, dst) }
-
-// Busy reports whether a transfer is in progress at the current
-// instant (diagnostics).
-func (l *Link[T]) Busy() bool { return l.busyUntil > l.rt.now }
 
 func (l *Link[T]) String() string {
 	return fmt.Sprintf("link %s @%d bit/s", l.ch.name, l.bandwidth)

@@ -69,7 +69,7 @@ func TestLinkAltGuard(t *testing.T) {
 	rt.Go("tx", nil, Low, func(p *Proc) { l.Send(p, 33, 10) })
 	rt.Go("rx", nil, Low, func(p *Proc) {
 		var v, w int
-		idx = p.Alt(Recv(other, &w), l.In(&v))
+		idx = p.Alt(Recv(other, &w), Recv(&l.ch, &v))
 		got = v
 	})
 	if err := rt.Run(); err != nil {
@@ -101,7 +101,7 @@ func TestLinkBusy(t *testing.T) {
 	rt.Go("tx", nil, Low, func(p *Proc) { l.Send(p, 1, 1000) })
 	rt.Go("probe", nil, Low, func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		if !l.Busy() {
+		if l.busyUntil <= l.rt.now {
 			t.Error("link not busy mid-transfer")
 		}
 	})

@@ -31,21 +31,7 @@ func NewNode(rt *Runtime, name string) *Node {
 	return &Node{rt: rt, name: name}
 }
 
-// Name returns the node's diagnostic name.
-func (n *Node) Name() string { return n.name }
-
 func (n *Node) waitName() string { return n.name }
-
-// BusyTime returns the total virtual time the CPU has spent granted.
-func (n *Node) BusyTime() time.Duration { return n.busyFor }
-
-// Utilisation returns BusyTime divided by elapsed virtual time.
-func (n *Node) Utilisation() float64 {
-	if n.rt.now == 0 {
-		return 0
-	}
-	return float64(n.busyFor) / float64(n.rt.now)
-}
 
 // Consume occupies the process's node for d of virtual time, blocking
 // the process until its grant completes. If the node is busy the

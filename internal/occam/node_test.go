@@ -19,8 +19,8 @@ func TestConsumeAdvancesTime(t *testing.T) {
 	if done != Time(3*time.Millisecond) {
 		t.Fatalf("done at %v, want 3ms", done)
 	}
-	if n.BusyTime() != 3*time.Millisecond {
-		t.Fatalf("BusyTime = %v", n.BusyTime())
+	if n.busyFor != 3*time.Millisecond {
+		t.Fatalf("busy for %v", n.busyFor)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestUtilisation(t *testing.T) {
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if u := n.Utilisation(); u < 0.49 || u > 0.51 {
-		t.Fatalf("Utilisation = %v, want ~0.5", u)
+	if u := float64(n.busyFor) / float64(rt.now); u < 0.49 || u > 0.51 {
+		t.Fatalf("utilisation = %v, want ~0.5", u)
 	}
 }

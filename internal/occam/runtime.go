@@ -172,25 +172,13 @@ func (p *Proc) statusText() string {
 	return "?"
 }
 
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Node returns the transputer this process runs on (nil if none).
-func (p *Proc) Node() *Node { return p.node }
-
-// Priority returns the process priority.
-func (p *Proc) Priority() Priority { return p.pri }
-
-// Runtime returns the runtime the process belongs to.
-func (p *Proc) Runtime() *Runtime { return p.rt }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.rt.now }
 
 // timerEv is a pending timer: it wakes a process, completes a CPU
 // grant, or runs fn in scheduler context (fn must only touch
 // runtime-internal state). An event belongs to what waits on it — the
-// Proc it wakes, the Timer or the time guard whose fn it runs — so
+// Proc it wakes or the Timer whose fn it runs — so
 // arming allocates nothing, and it carries no key: its place in its
 // run is its place in the firing order.
 type timerEv struct {
@@ -736,9 +724,6 @@ func (rt *Runtime) procDump() []string {
 	return lines
 }
 
-// Done reports whether every process has exited.
-func (rt *Runtime) Done() bool { return len(rt.procs) == 0 }
-
 // Shutdown terminates all processes, unwinding the coroutines of those
 // that have started and discarding those that have not, so none of
 // their goroutines outlives it; a stackless process has nothing to
@@ -778,12 +763,4 @@ func (p *Proc) SleepUntil(t Time) {
 	rt.arm(&p.ev, t)
 	p.word = int64(t)
 	rt.park(p, stSleep, nil)
-}
-
-// Yield gives up the CPU, letting every other runnable process of the
-// same or higher priority run before this one continues.
-func (p *Proc) Yield() {
-	rt := p.rt
-	rt.ready(p)
-	rt.park(p, stYield, nil)
 }

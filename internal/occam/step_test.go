@@ -103,7 +103,7 @@ func (sp *stepProc) finish(p *Proc, op stepOp, woken bool) {
 	if woken && op.code == stepAlt {
 		sp.idx = p.Alt(sp.guards...)
 	}
-	line := fmt.Sprintf("[%v] %s %s", p.Now(), p.Name(), stepOpNames[op.code])
+	line := fmt.Sprintf("[%v] %s %s", p.Now(), p.name, stepOpNames[op.code])
 	switch op.code {
 	case stepRecv:
 		line += fmt.Sprintf(" got %d", sp.v)
@@ -193,7 +193,7 @@ func stepRun(data []byte, stackless bool) stepResult {
 		res.trace = append(res.trace, "-- limit --")
 	}
 	res.steps = n.steps
-	res.end = fmt.Sprintf("%s\nswitches %d, %d procs at %v, node busy %v\n", strings.Join(errs, "\n"), rt.Switches(), rt.NumProcs(), rt.Now(), n.cpu.BusyTime())
+	res.end = fmt.Sprintf("%s\nswitches %d, %d procs at %v, node busy %v\n", strings.Join(errs, "\n"), rt.Switches(), rt.NumProcs(), rt.Now(), n.cpu.busyFor)
 	for _, c := range []*Chan[int]{n.data, n.cmds} {
 		senders, receivers := c.parked.count(), 0
 		if !c.sending {

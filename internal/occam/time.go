@@ -25,7 +25,7 @@
 //
 //   - rendezvous channels (Chan) with blocking Send/Recv,
 //   - prioritised alternation (Proc.Alt, the PRI ALT construct),
-//   - microsecond-resolution timers (Proc.Sleep, After/Timeout guards),
+//   - microsecond-resolution timers (Proc.Sleep, Timer),
 //   - two process priorities (High preempts Low in the run queue),
 //   - per-transputer CPU accounting (Node, Proc.Consume),
 //   - inter-transputer links with transmission delay (Link).
@@ -47,9 +47,7 @@ type Time int64
 
 // Handy instants/durations.
 const (
-	Microsecond = time.Microsecond
 	Millisecond = time.Millisecond
-	Second      = time.Second
 
 	// Forever is a time later than any event in a simulation.
 	Forever Time = 1<<63 - 1
@@ -60,9 +58,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
-// Micros returns t in whole microseconds (the transputer timer value).
-func (t Time) Micros() int64 { return int64(t) / 1e3 }
 
 // Millis returns t in (possibly fractional) milliseconds.
 func (t Time) Millis() float64 { return float64(t) / 1e6 }

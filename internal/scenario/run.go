@@ -411,17 +411,3 @@ func (r *Runner) Close() {
 		r.twin.Close()
 	}
 }
-
-// Execute is the one-call form: validate, run to completion, evaluate
-// assertions, return the summary.
-func Execute(sc *Scenario) (*Summary, error) {
-	r, err := NewRunner(sc)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	if err := r.Run(); err != nil {
-		return nil, err
-	}
-	return r.Evaluate()
-}

@@ -10,9 +10,23 @@ import (
 
 // mustPass executes the spec and fails the test on error or any
 // failed assertion line.
+// execute validates, runs to completion and evaluates sc, returning
+// its summary.
+func execute(sc *Scenario) (*Summary, error) {
+	r, err := NewRunner(sc)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	if err := r.Run(); err != nil {
+		return nil, err
+	}
+	return r.Evaluate()
+}
+
 func mustPass(t *testing.T, text string) *Summary {
 	t.Helper()
-	sum, err := Execute(MustParse(text))
+	sum, err := execute(MustParse(text))
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -98,7 +112,7 @@ assert wires-drain
 // re-homes it, and the boxes that never sat under v2 must deliver
 // byte-identically with the fault-free twin.
 func TestTreeRepairScenario(t *testing.T) {
-	sum, err := Execute(MustParse(`scenario tree-repair
+	sum, err := execute(MustParse(`scenario tree-repair
 duration 2s
 box s mic=tone:400:8000
 box v1

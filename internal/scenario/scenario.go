@@ -325,6 +325,11 @@ func (sc *Scenario) Validate() error {
 		if len(l.Hops) == 0 {
 			return fmt.Errorf("scenario %s: link %s %s has no hops", sc.Name, l.From, l.To)
 		}
+		for i, h := range l.Hops {
+			if !(h.Loss >= 0 && h.Loss <= 1) { // NaN fails both
+				return fmt.Errorf("scenario %s: link %s %s hop %d: loss wants a probability, got %v", sc.Name, l.From, l.To, i, h.Loss)
+			}
+		}
 		if l.From == l.To || linked[[2]string{l.From, l.To}] {
 			return fmt.Errorf("scenario %s: link %s %s: a pair of distinct boxes takes one link, in either order", sc.Name, l.From, l.To)
 		}

@@ -148,7 +148,7 @@ func TestSuitesMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum, err := Execute(sc)
+			sum, err := execute(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +303,7 @@ assert min-segments main 100
 assert wires-drain
 `
 	run := func() string {
-		sum, err := Execute(MustParse(text))
+		sum, err := execute(MustParse(text))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -345,56 +345,6 @@ func (v *Video) Encode(dst []byte) []byte {
 	return append(dst, v.Data...)
 }
 
-// DecodeVideo parses a video segment from the start of buf and
-// returns it with the number of bytes consumed.
-func DecodeVideo(buf []byte) (*Video, int, error) {
-	c, rest, err := decodeCommon(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	if c.Type != TypeVideo {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadType, c.Type)
-	}
-	if len(rest) < 8*4 {
-		return nil, 0, ErrShort
-	}
-	v := &Video{Common: c}
-	v.FrameNumber = binary.BigEndian.Uint32(rest[0:])
-	v.NumSegments = binary.BigEndian.Uint32(rest[4:])
-	v.SegmentNum = binary.BigEndian.Uint32(rest[8:])
-	v.XOffset = binary.BigEndian.Uint32(rest[12:])
-	v.YOffset = binary.BigEndian.Uint32(rest[16:])
-	v.PixelFormat = binary.BigEndian.Uint32(rest[20:])
-	v.Compression = binary.BigEndian.Uint32(rest[24:])
-	nargs := binary.BigEndian.Uint32(rest[28:])
-	rest = rest[32:]
-	if nargs > 64 {
-		return nil, 0, fmt.Errorf("%w: %d compression args", ErrBadLength, nargs)
-	}
-	if uint32(len(rest)) < nargs*4+4*4 {
-		return nil, 0, ErrShort
-	}
-	v.Args = make([]uint32, nargs)
-	for i := range v.Args {
-		v.Args[i] = binary.BigEndian.Uint32(rest[4*i:])
-	}
-	rest = rest[4*nargs:]
-	v.Width = binary.BigEndian.Uint32(rest[0:])
-	v.StartLine = binary.BigEndian.Uint32(rest[4:])
-	v.NumLines = binary.BigEndian.Uint32(rest[8:])
-	n := binary.BigEndian.Uint32(rest[12:])
-	rest = rest[16:]
-	if uint32(len(rest)) < n {
-		return nil, 0, ErrShort
-	}
-	v.Data = append([]byte(nil), rest[:n]...)
-	consumed := videoFixedHeaderSize + 4*int(nargs) + int(n)
-	if v.Length != uint32(consumed) {
-		return nil, 0, ErrBadLength
-	}
-	return v, consumed, nil
-}
-
 // Segment is implemented by both Audio and Video segments: the common
 // header plus wire encoding.
 type Segment interface {
@@ -413,21 +363,6 @@ var (
 	_ Segment = (*Audio)(nil)
 	_ Segment = (*Video)(nil)
 )
-
-// Decode parses either segment type based on the common header.
-func Decode(buf []byte) (Segment, int, error) {
-	c, _, err := decodeCommon(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	switch c.Type {
-	case TypeAudio, TypeTest:
-		return DecodeAudio(buf)
-	case TypeVideo:
-		return DecodeVideo(buf)
-	}
-	return nil, 0, fmt.Errorf("%w: %v", ErrBadType, c.Type)
-}
 
 func (c *Common) encode(dst []byte) []byte {
 	dst = be32(dst, c.Version)

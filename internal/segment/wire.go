@@ -50,9 +50,6 @@ func (w Wire) Bytes() []byte { return w.b }
 // hold a wire of at least CommonHeaderSize bytes — guaranteed for any
 // wire from a pool Encode/Copy or a successful ParseWire.
 
-// Version returns the format version field.
-func (w Wire) Version() uint32 { return binary.BigEndian.Uint32(w.b[0:]) }
-
 // Seq returns the stream sequence number field.
 func (w Wire) Seq() uint32 { return binary.BigEndian.Uint32(w.b[4:]) }
 
@@ -62,18 +59,12 @@ func (w Wire) Timestamp() uint32 { return binary.BigEndian.Uint32(w.b[8:]) }
 // Type returns the segment type field.
 func (w Wire) Type() Type { return Type(binary.BigEndian.Uint32(w.b[12:])) }
 
-// Length returns the total-length header field.
-func (w Wire) Length() uint32 { return binary.BigEndian.Uint32(w.b[16:]) }
-
 // SetTimestamp re-stamps the segment in place (repository playback
 // re-stamps stored segments on the way out, §2.1). The caller must
 // hold the only reference.
 func (w Wire) SetTimestamp(ts uint32) { binary.BigEndian.PutUint32(w.b[8:], ts) }
 
 // Audio views, valid on wires of Type TypeAudio or TypeTest.
-
-// AudioData returns the µ-law sample bytes in place.
-func (w Wire) AudioData() []byte { return w.b[AudioHeaderSize:] }
 
 // AudioBlocks returns the number of 2 ms blocks carried.
 func (w Wire) AudioBlocks() int { return (len(w.b) - AudioHeaderSize) / BlockSamples }
@@ -167,14 +158,6 @@ func (w Wire) Release() {
 	if c.refs < 0 {
 		panic("segment: wire over-released")
 	}
-}
-
-// Refs returns the current reference count (0 for unmanaged wires).
-func (w Wire) Refs() int {
-	if w.ctl == nil {
-		return 0
-	}
-	return w.ctl.refs
 }
 
 // validateWire structurally checks one encoded segment without

@@ -36,9 +36,6 @@ func NewAssembler(width, height int) *Assembler {
 	return &Assembler{width: width, height: height}
 }
 
-// Stats returns the assembly counters.
-func (a *Assembler) Stats() AssemblyStats { return a.stats }
-
 // Add offers one decoded video segment with its pixel data. When the
 // segment completes a frame, the whole frame is returned; otherwise
 // nil. The frame is the assembler's own storage, valid until the Add

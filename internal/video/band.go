@@ -18,6 +18,11 @@ import (
 // alone is one long serial chain. Raw and sub-sampled lines, which the
 // boards do not send, go through the per-line reference code.
 
+// DefaultSliceLines is the slice height (§3.6: "several slices of a
+// few lines each"): the lines the band kernels code in one pass, and
+// the unit the capture board is charged per.
+const DefaultSliceLines = 4
+
 // errFraming reports packed lines whose lengths run past the data, or
 // whose count is not the band's height.
 var errFraming = errors.New("video: packed lines misframed")

@@ -43,7 +43,7 @@ func refDecode(data []byte, width, height int) ([][]byte, int) {
 	}
 	var rows [][]byte
 	for _, w := range wires {
-		line, err := DecompressLine(w, width)
+		line, err := new(Codec).DecompressLine(w, width)
 		if err != nil {
 			return rows, shortLine
 		}

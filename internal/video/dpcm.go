@@ -151,17 +151,6 @@ var (
 	ErrLineTooShort = errors.New("video: compressed line truncated")
 )
 
-// DecompressLine decodes one compressed line back to width pixels.
-// Allocates per call; hot paths use Codec.DecompressLine.
-func DecompressLine(wire []byte, width int) ([]byte, error) {
-	var c Codec
-	line, err := c.DecompressLine(wire, width)
-	if err != nil {
-		return nil, err
-	}
-	return line, nil
-}
-
 // Codec holds the reusable line buffers of one compression or
 // decompression pipeline — the per-line scratch the hardware would
 // keep in registers. Not safe for concurrent use; one Codec per
@@ -325,12 +314,4 @@ func (ip *Interpolator) Advance(stream uint32, line []byte) {
 		ip.cache = make(map[uint32][]byte)
 	}
 	ip.cache[stream] = append(ip.cache[stream][:0], line...)
-}
-
-// Forget drops a stream's cached line (stream closed).
-func (ip *Interpolator) Forget(stream uint32) {
-	delete(ip.cache, stream)
-	if ip.hasLoaded && ip.loaded == stream {
-		ip.hasLoaded = false
-	}
 }

@@ -18,14 +18,6 @@ type Rate struct {
 	Num, Den int
 }
 
-// FPS returns the average frames per second the rate yields.
-func (r Rate) FPS() float64 {
-	if r.Den == 0 {
-		return 0
-	}
-	return FullRate * float64(r.Num) / float64(r.Den)
-}
-
 func (r Rate) String() string { return fmt.Sprintf("%d/%d", r.Num, r.Den) }
 
 // Valid reports whether the rate is a proper fraction ≤ 1.

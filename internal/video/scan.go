@@ -87,20 +87,3 @@ func (s Scan) SafeReadStart(now occam.Time, r Rect, d time.Duration) occam.Time 
 		}
 	}
 }
-
-// Collides reports whether the raster enters rows [r.Y, r.Y+r.H)
-// during [t, t+d) — the condition that would produce a visible tear.
-func (s Scan) Collides(t occam.Time, r Rect, d time.Duration) bool {
-	if s.Lines <= 0 || s.Period <= 0 {
-		return false
-	}
-	// Walk the raster over the interval at line granularity.
-	perLine := int64(s.Period) / int64(s.Lines)
-	for at := int64(t); at < int64(t.Add(d)); at += perLine {
-		l := s.LineAt(occam.Time(at))
-		if l >= r.Y && l < r.Y+r.H {
-			return true
-		}
-	}
-	return false
-}

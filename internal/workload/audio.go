@@ -120,9 +120,6 @@ func (s *Speech) FillBlock(dst []byte) {
 	s.tone.FillBlock(dst)
 }
 
-// Talking reports whether the source is inside a talk spurt.
-func (s *Speech) Talking() bool { return s.talking }
-
 // Silence is an always-quiet source.
 type Silence struct{}
 

@@ -6,22 +6,11 @@ import "repro/internal/video"
 // gradient with a bright moving block, enough structure to exercise
 // the DPCM codec, sub-sampling and tear detection.
 type Camera struct {
-	w, h  int
-	frame int         // NextFrame's next frame number
-	buf   video.Frame // NextFrame's picture, rendered over each time
+	w, h int
 }
 
 // NewCamera returns a camera of the given dimensions.
 func NewCamera(w, h int) *Camera { return &Camera{w: w, h: h} }
-
-// NextFrame produces the next frame in a buffer the camera owns: the
-// picture is valid until the following NextFrame.
-func (c *Camera) NextFrame() *video.Frame {
-	c.buf.Reuse(c.w, c.h)
-	c.render(&c.buf, c.frame)
-	c.frame++
-	return &c.buf
-}
 
 // Draw draws frame number n over every pixel of f, which must be the
 // camera's size: FrameAt for a caller with its own storage, such as a

@@ -141,10 +141,10 @@ func TestSpeechAlternates(t *testing.T) {
 	s := NewSpeech(3, 12000)
 	talkBlocks, silentBlocks := 0, 0
 	transitions := 0
-	prev := s.Talking()
+	prev := s.talking
 	for i := 0; i < 100000; i++ { // 200 s of speech
 		b := s.NextBlock()
-		if s.Talking() {
+		if s.talking {
 			talkBlocks++
 		} else {
 			silentBlocks++
@@ -152,9 +152,9 @@ func TestSpeechAlternates(t *testing.T) {
 				t.Fatal("silent period has energy")
 			}
 		}
-		if s.Talking() != prev {
+		if s.talking != prev {
 			transitions++
-			prev = s.Talking()
+			prev = s.talking
 		}
 	}
 	if talkBlocks == 0 || silentBlocks == 0 {
@@ -197,7 +197,7 @@ func TestCameraFramesFollowTheFormula(t *testing.T) {
 		cam := NewCamera(w, h)
 		bs := w / 8
 		for n := 0; n <= w-bs+2; n++ {
-			f := cam.NextFrame()
+			f := cam.FrameAt(n)
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					want := byte(x*2 + y + n*3)

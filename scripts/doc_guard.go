@@ -42,10 +42,10 @@ var lineBudgets = []struct {
 	doc   string
 	lines int
 }{
-	{"ARCHITECTURE.md", 476},
-	{"DESIGN.md", 791},
-	{"EXPERIMENTS.md", 270},
-	{"README.md", 479},
+	{"ARCHITECTURE.md", 469},
+	{"DESIGN.md", 790},
+	{"EXPERIMENTS.md", 260},
+	{"README.md", 477},
 }
 
 // CHANGES.md holds one entry a line, opening "PR N"; entries numbered
