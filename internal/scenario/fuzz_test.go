@@ -30,6 +30,10 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add("scenario x\nduration 1s\nbox v[0000000000..4000000000]\n")
 	f.Add("scenario x\nduration 1s\nbox v[18446744073709551610..18446744073709551615]\nbox [9..1]\nbox x[1..2][1..2]\n")
 	f.Add("scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b,b[..] wave=0/0s as wave=1/1s\n")
+	// Clauses and refs an op does not own, which Format used to drop.
+	f.Add("scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b k=3\n")
+	f.Add("scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s tree a -> b rate=1/2\n")
+	f.Add("scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s netsend a -> b stream=1 vci=7 as n\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		sc, err := Parse(text)
 		if err != nil {

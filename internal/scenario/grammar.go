@@ -1,0 +1,374 @@
+package scenario
+
+import (
+	"fmt"
+	"maps"
+	"math"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/faultinject"
+)
+
+// The scenario language is written once, as the tables in this file:
+// a clause table per directive, one row per event op and one row per
+// assert kind. Parse, Format and Validate all read them, and
+// TestGrammarDocMatchesTables ties them to Parse's doc comment.
+
+// clause is one row of a directive's clause table: a key and the field
+// it sets. The field's type picks the codec: *bool is a bare flag,
+// *string any text, *int an integer ≥ min, *uint32 and *uint64
+// unsigned, *time.Duration a duration ≥ 0, *int64 a bit rate with a k/M
+// suffix, *float64 a number in [0,1], and []any a tuple of such fields
+// joined by sep. A composite clause has no field and brings its own
+// parse and print.
+type clause struct {
+	key    string
+	field  any
+	min    int    // least int accepted: 0, 1 or noMin, which leaves every range to a check elsewhere
+	sep    string // a tuple's separator
+	always bool   // printed even when zero
+	repeat bool   // may be given more than once
+	parse  func(val string) error
+	print  func() []string // the values to print; none when absent
+}
+
+// noMin marks a row whose ranges a check elsewhere owns: Validate's
+// for the video rect and rate, and the degrade and balance checks,
+// whose messages tests pin.
+const noMin = math.MinInt
+
+// intWant describes an int row's range by its min, for errors.
+var intWant = map[int]string{noMin: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+// set parses val into the clause's field.
+func (c *clause) set(val string) error {
+	if c.parse != nil {
+		return c.parse(val)
+	}
+	var err error
+	ok, want := true, "an unsigned integer"
+	switch f := c.field.(type) {
+	case *bool:
+		*f = true
+	case *string:
+		*f = val
+	case *int:
+		*f, err = strconv.Atoi(val)
+		ok, want = *f >= c.min, intWant[c.min]
+	case *uint32:
+		var n uint64
+		n, err = strconv.ParseUint(val, 10, 32)
+		*f, want = uint32(n), "an unsigned 32-bit integer"
+	case *uint64:
+		*f, err = strconv.ParseUint(val, 10, 64)
+	case *time.Duration:
+		*f, err = time.ParseDuration(val)
+		ok, want = *f >= 0 || c.min == noMin, "a non-negative duration"
+	case *int64:
+		*f, ok = parseBits(val)
+		want = "a bit rate [FLOAT][k|M] within 1e15"
+	case *float64:
+		*f, err = strconv.ParseFloat(val, 64)
+		ok, want = *f >= 0 && *f <= 1 || c.min == noMin, "a number in [0,1]" // NaN is out
+	case []any:
+		parts := strings.Split(val, c.sep)
+		if len(parts) != len(f) {
+			return fmt.Errorf("%s wants %d values joined by %q, got %q", c.key, len(f), c.sep, val)
+		}
+		for i, p := range parts {
+			if err := (&clause{key: c.key, field: f[i], min: c.min}).set(p); err != nil {
+				return err
+			}
+		}
+	}
+	if err != nil || !ok {
+		return fmt.Errorf("%s wants %s, got %q", c.key, want, val)
+	}
+	return nil
+}
+
+// text renders a field as Format prints it and reports whether it holds
+// its zero value.
+func text(field any, sep string) (v string, zero bool) {
+	switch f := field.(type) {
+	case *bool:
+		return "", !*f
+	case *int64: // a bit rate: the largest exact suffix, so parsed and printed forms agree
+		if v := *f; v != 0 && v%1000 == 0 {
+			if v%1_000_000 == 0 {
+				return fmt.Sprintf("%dM", v/1_000_000), false
+			}
+			return fmt.Sprintf("%dk", v/1000), false
+		}
+	case *float64:
+		return fmtFloat(*f), *f == 0
+	case []any:
+		parts, zero := make([]string, len(f)), true
+		for i, p := range f {
+			var z bool
+			parts[i], z = text(p, "")
+			zero = zero && z
+		}
+		return strings.Join(parts, sep), zero
+	}
+	e := reflect.ValueOf(field).Elem()
+	return fmt.Sprint(e.Interface()), e.IsZero()
+}
+
+// parseClauses sets table's fields from a line's clause tokens; what
+// names the directive or op in errors.
+func parseClauses(what string, table []clause, toks []string) error {
+	var seen uint64
+	for _, tok := range toks {
+		key, val, hasVal := strings.Cut(tok, "=")
+		i := slices.IndexFunc(table, func(c clause) bool { return c.key == key })
+		if i < 0 {
+			return fmt.Errorf("unknown %s clause %q", what, key)
+		}
+		c := &table[i]
+		_, flag := c.field.(*bool)
+		switch {
+		case flag && hasVal:
+			return fmt.Errorf("%s flag %q takes no value", what, key)
+		case !flag && !hasVal:
+			return fmt.Errorf("%s clause %q wants key=value", what, tok)
+		case seen&(1<<i) != 0 && !c.repeat:
+			return fmt.Errorf("%s clause %q given twice", what, key)
+		}
+		seen |= 1 << i
+		if err := c.set(val); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeLine prints one line of Format's output: head, the clauses of
+// each table (tables separated by " /", as a link's hops are), tail.
+func writeLine(sb *strings.Builder, head, tail string, tables ...[]clause) {
+	sb.WriteString(head)
+	for i, table := range tables {
+		if i > 0 {
+			sb.WriteString(" /")
+		}
+		for _, c := range table {
+			vals := []string(nil)
+			if c.print != nil {
+				vals = c.print()
+			} else if v, zero := text(c.field, c.sep); !zero || c.always {
+				vals = []string{v}
+			}
+			for _, v := range vals {
+				sb.WriteString(" " + c.key)
+				if v != "" { // "" is a set flag
+					sb.WriteString("=" + v)
+				}
+			}
+		}
+	}
+	sb.WriteString(tail + "\n")
+}
+
+// clauses is the box directive's clause table. Every table lists its
+// rows in the order Format prints them.
+func (b *Box) clauses() []clause {
+	return []clause{
+		{key: "mic", parse: func(val string) error {
+			b.Mic = &Mic{}
+			return (&clause{key: "mic", field: []any{&b.Mic.Kind, &b.Mic.A, &b.Mic.B}, sep: ":"}).set(val)
+		}, print: func() []string {
+			if b.Mic == nil {
+				return nil
+			}
+			v, _ := text([]any{&b.Mic.Kind, &b.Mic.A, &b.Mic.B}, ":")
+			return []string{v}
+		}},
+		{key: "camera", field: []any{&b.CameraW, &b.CameraH}, sep: "x", min: 1},
+		{key: "blocks", field: &b.Blocks, min: 1},
+		{key: "netif", field: &b.NetIfBits},
+		{key: "interleave", field: &b.Interleave},
+		{key: "sharednet", field: &b.SharedNet},
+		{key: "jitter", field: &b.Jitter},
+		{key: "muting", field: &b.Muting},
+		{key: "interface", field: &b.Interface},
+		{key: "crash", repeat: true, parse: func(val string) error {
+			board, win, ok := strings.Cut(val, ":")
+			if !ok || board == "" {
+				return fmt.Errorf("crash wants BOARD:FROM-TO, got %q", val)
+			}
+			w, err := faultinject.ParseWindow(win)
+			if err != nil {
+				return err
+			}
+			if b.Crashes == nil {
+				b.Crashes = make(map[string][]faultinject.Window)
+			}
+			b.Crashes[board] = append(b.Crashes[board], w)
+			return nil
+		}, print: func() []string {
+			var out []string
+			for _, board := range slices.Sorted(maps.Keys(b.Crashes)) {
+				for _, w := range b.Crashes[board] {
+					out = append(out, fmt.Sprintf("%s:%s-%s", board, w.From, w.To))
+				}
+			}
+			return out
+		}},
+		{key: "sinkstall", repeat: true, parse: func(val string) error {
+			w, err := faultinject.ParseWindow(val)
+			if err != nil {
+				return err
+			}
+			b.SinkStalls = append(b.SinkStalls, w)
+			return nil
+		}, print: func() []string {
+			out := make([]string, len(b.SinkStalls))
+			for i, w := range b.SinkStalls {
+				out[i] = fmt.Sprintf("%s-%s", w.From, w.To)
+			}
+			return out
+		}},
+	}
+}
+
+func (h *Hop) clauses() []clause {
+	return []clause{
+		{key: "bw", field: &h.Bandwidth, always: true},
+		{key: "prop", field: &h.Propagation},
+		{key: "queue", field: &h.QueueLimit},
+		{key: "loss", field: &h.Loss},
+		{key: "lseed", field: &h.Seed},
+	}
+}
+
+func (f *Fabric) clauses() []clause {
+	return []clause{
+		{key: "portbw", field: &f.PortBandwidth},
+		{key: "prop", field: &f.Propagation},
+		{key: "egress", field: &f.EgressCellLimit, min: 1},
+	}
+}
+
+func (f *Feed) clauses() []clause {
+	return []clause{
+		{key: "n", field: &f.N, always: true},
+		{key: "base", field: &f.Base, always: true},
+	}
+}
+
+func (c *Cross) clauses() []clause {
+	return []clause{
+		{key: "hop", field: &c.Hop, always: true},
+		{key: "vci", field: &c.VCI, always: true},
+		{key: "seed", field: &c.Seed, always: true},
+		{key: "gap", field: &c.Gap, always: true},
+		{key: "size", field: []any{&c.SizeMin, &c.SizeJitter}, sep: "+", always: true},
+	}
+}
+
+func (d *Degrade) clauses() []clause {
+	return []clause{
+		{key: "shed", field: &d.ShedEvery, min: noMin, always: true},
+		{key: "hold", field: &d.Hold, min: noMin, always: true},
+	}
+}
+
+func (b *Balance) clauses() []clause {
+	return []clause{
+		{key: "budget", field: &b.Budget, min: noMin},
+		{key: "interval", field: &b.Interval, min: noMin},
+		{key: "migrate", field: &b.Migrate, min: noMin},
+		{key: "cooldown", field: &b.Cooldown, min: noMin},
+		{key: "maxmig", field: &b.MaxMigrations, min: noMin},
+	}
+}
+
+// The operand shapes of the event ops, each written as the usage
+// error prints it.
+const (
+	toList  = "FROM -> TO[,TO...]"
+	pair    = "A B"
+	members = "M1 M2..."
+	refDst  = "REF DST"
+	refDsts = "REF DST[,DST...]"
+	refOnly = "REF"
+)
+
+// op is one row of the event-op table: the op's operand shape, its
+// clause table and whether it opens a stream that "as REF" names.
+// Runner.apply holds what each op does.
+type op struct {
+	shape   string
+	clauses func(ev *Event) []clause
+	opens   bool
+}
+
+var ops = map[string]op{
+	"audio":      {shape: toList, opens: true, clauses: none},         // one-way stream From → To...
+	"video":      {shape: toList, opens: true, clauses: videoClauses}, // a camera band From → To...
+	"tree":       {shape: toList, opens: true, clauses: treeClauses},  // audio over replication trees
+	"call":       {shape: pair, opens: true, clauses: none},           // audio both ways between From and To[0]
+	"conference": {shape: members, opens: true, clauses: none},        // full mesh over From and To
+	"split":      {shape: refDst, clauses: none},                      // add destination To[0] to stream Ref
+	"drop":       {shape: refDst, clauses: none},                      // remove destination To[0] from stream Ref
+	"pull":       {shape: refDsts, clauses: none},                     // late joiners To... graft onto tree stream Ref
+	"repair":     {shape: refDst, clauses: none},                      // re-home the orphans of tree Ref's relay To[0]
+	"close":      {shape: refOnly, clauses: none},                     // tear down stream Ref
+	"netsend":    {shape: toList, clauses: netsendClauses},            // raw route: Stream at From onto VCI toward To[0]
+}
+
+func none(*Event) []clause { return nil }
+
+func videoClauses(ev *Event) []clause {
+	return []clause{
+		{key: "rect", field: []any{&ev.X, &ev.Y, &ev.W, &ev.H}, sep: ",", min: noMin, always: true},
+		{key: "rate", field: []any{&ev.RateNum, &ev.RateDen}, sep: "/", min: noMin, always: true},
+		{key: "segs", field: &ev.Segs, min: 1},
+	}
+}
+
+func treeClauses(ev *Event) []clause {
+	return []clause{{key: "k", field: &ev.K}, {key: "trees", field: &ev.Trees, min: 1}}
+}
+
+func netsendClauses(ev *Event) []clause {
+	return []clause{{key: "stream", field: &ev.Stream}, {key: "vci", field: &ev.VCI}}
+}
+
+// assertRow is one row of the assert table: what the kind's Arg names
+// ("" for nothing, BOX, REF a stream ref, CTRL a controller, NAME an
+// obs gauge), whether its Value is absent (""), optional ("[N]") or
+// required ("N"), and whether it needs a balance block. Runner.check
+// holds what each kind measures.
+type assertRow struct {
+	arg, value string
+	balance    bool
+}
+
+// usage renders the assert line the row wants.
+func (k assertRow) usage(kind string) string {
+	return strings.Join(strings.Fields("assert "+kind+" "+k.arg+" "+k.value), " ")
+}
+
+var assertKinds = map[string]assertRow{
+	"no-audio-shed":           {},                                      // no controller ever shed audio
+	"video-shed":              {value: "[N]"},                          // ≥ N video sheds happened (default 1)
+	"shed-order-oldest-first": {arg: "CTRL"},                           // controller CTRL shed strictly oldest-first
+	"survivors-identical":     {},                                      // surviving deliveries match the fault-free twin's
+	"wires-drain":             {},                                      // every box wire pool has free == allocations
+	"gauge-zero":              {arg: "NAME"},                           // every sample of obs gauge NAME is 0
+	"gauge-max":               {arg: "NAME", value: "N"},               // every sample of obs gauge NAME is ≤ N
+	"min-segments":            {arg: "REF", value: "N"},                // every destination of REF played ≥ N segments
+	"max-lost":                {arg: "REF", value: "N"},                // every destination of REF lost ≤ N segments
+	"max-silence-pct":         {arg: "REF", value: "N"},                // silence fill ≤ N% of blocks at every destination
+	"faults-fired":            {},                                      // at least one injected fault actually fired
+	"circuits":                {arg: "BOX", value: "[N]"},              // BOX's open circuit count (exactly N when given)
+	"copies-max":              {arg: "BOX", value: "N"},                // BOX never fanned out > N copies of one stream
+	"rejected":                {value: "N", balance: true},             // admission control rejected exactly N calls
+	"migrations":              {arg: "BOX", value: "N", balance: true}, // exactly N balancer migrations off BOX
+	"spread":                  {arg: "REF", value: "N"},                // tree stream REF ends fed by ≥ N distinct boxes
+}

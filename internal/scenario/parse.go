@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
-
-	"repro/internal/faultinject"
 )
 
 // Load reads and parses a scenario file.
@@ -102,36 +100,41 @@ func MustParse(text string) *Scenario {
 }
 
 func (sc *Scenario) parseLine(fields []string, line string) error {
+	var err error
 	switch fields[0] {
 	case "scenario":
-		if len(fields) != 2 {
-			return fmt.Errorf("want: scenario NAME")
-		}
-		sc.Name = fields[1]
+		err = clauseLine(fields, "scenario NAME", nil, &sc.Name)
 	case "seed":
-		if len(fields) != 2 {
-			return fmt.Errorf("want: seed N")
-		}
-		n, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return fmt.Errorf("seed %q is not an unsigned integer", fields[1])
-		}
-		sc.Seed = n
+		err = clauseLine(fields, "seed N", nil, &sc.Seed)
 	case "duration":
-		if len(fields) != 2 {
-			return fmt.Errorf("want: duration DUR")
-		}
-		d, err := time.ParseDuration(fields[1])
-		if err != nil {
-			return fmt.Errorf("duration %q is not a duration", fields[1])
-		}
-		sc.Duration = d
+		err = clauseLine(fields, "duration DUR", nil, &sc.Duration)
 	case "box":
-		return sc.parseBox(fields)
+		sc.Boxes = append(sc.Boxes, Box{})
+		b := &sc.Boxes[len(sc.Boxes)-1]
+		err = clauseLine(fields, "box NAME [clauses]", b.clauses(), &b.Name)
 	case "link":
-		return sc.parseLink(fields)
+		if len(fields) < 4 {
+			return fmt.Errorf("want: link A B bw=BITS [clauses] [/ HOP]...")
+		}
+		l := Link{From: fields[1], To: fields[2]}
+		// Each hop follows a separator: B before the first, "/" after.
+		for toks := fields[2:]; len(toks) > 0 && err == nil; {
+			toks = toks[1:]
+			n := slices.Index(toks, "/")
+			if n < 0 {
+				n = len(toks)
+			}
+			var h Hop
+			if err = parseClauses("link", h.clauses(), toks[:n]); err == nil && h.Bandwidth <= 0 {
+				err = fmt.Errorf("link %s %s: hop needs bw=", l.From, l.To)
+			}
+			l.Hops, toks = append(l.Hops, h), toks[n:]
+		}
+		sc.Links = append(sc.Links, l)
 	case "fabric":
-		return sc.parseFabric(fields)
+		var f Fabric
+		err = clauseLine(fields, "fabric NAME [clauses]", f.clauses(), &f.Name)
+		sc.Fabrics = append(sc.Fabrics, f)
 	case "attach":
 		if len(fields) < 3 {
 			return fmt.Errorf("want: attach FABRIC NODE...")
@@ -144,9 +147,13 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 		}
 		return fmt.Errorf("attach before fabric %q", fields[1])
 	case "feed":
-		return sc.parseFeed(fields)
+		var f Feed
+		err = clauseLine(fields, "feed BOX n=N base=VCI", f.clauses(), &f.Box)
+		sc.Feeds = append(sc.Feeds, f)
 	case "cross":
-		return sc.parseCross(fields)
+		var c Cross
+		err = clauseLine(fields, "cross A B hop=I vci=N seed=N gap=DUR size=MIN+JITTER", c.clauses(), &c.From, &c.To)
+		sc.Cross = append(sc.Cross, c)
 	case "at":
 		return sc.parseEvent(fields)
 	case "faults":
@@ -157,476 +164,102 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 		}
 		sc.Faults = rest
 	case "degrade":
-		d := &Degrade{}
-		for _, f := range fields[1:] {
-			key, val, ok := strings.Cut(f, "=")
-			if !ok {
-				return fmt.Errorf("degrade wants shed=DUR hold=DUR, got %q", f)
-			}
-			dur, err := time.ParseDuration(val)
-			if err != nil {
-				return fmt.Errorf("degrade %s: %q is not a duration", key, val)
-			}
-			switch key {
-			case "shed":
-				d.ShedEvery = dur
-			case "hold":
-				d.Hold = dur
-			default:
-				return fmt.Errorf("degrade: unknown key %q", key)
-			}
+		sc.Degrade = &Degrade{}
+		if err = clauseLine(fields, "degrade", sc.Degrade.clauses()); err == nil {
+			err = sc.Degrade.check()
 		}
-		if err := d.check(); err != nil {
-			return err
-		}
-		sc.Degrade = d
 	case "balance":
-		b := &Balance{}
-		for _, f := range fields[1:] {
-			key, val, ok := strings.Cut(f, "=")
-			if !ok {
-				return fmt.Errorf("balance clause %q wants key=value", f)
-			}
-			switch key {
-			case "budget", "maxmig":
-				n, err := strconv.Atoi(val)
-				if err != nil {
-					return fmt.Errorf("balance %s wants an integer, got %q", key, val)
-				}
-				if key == "budget" {
-					b.Budget = n
-				} else {
-					b.MaxMigrations = n
-				}
-			case "interval", "cooldown":
-				d, err := time.ParseDuration(val)
-				if err != nil {
-					return fmt.Errorf("balance %s: %q is not a duration", key, val)
-				}
-				if key == "interval" {
-					b.Interval = d
-				} else {
-					b.Cooldown = d
-				}
-			case "migrate":
-				v, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return fmt.Errorf("balance migrate wants a ratio in [0,1], got %q", val)
-				}
-				b.Migrate = v
-			default:
-				return fmt.Errorf("balance: unknown key %q", key)
-			}
+		sc.Balance = &Balance{}
+		if err = clauseLine(fields, "balance", sc.Balance.clauses()); err == nil {
+			err = sc.Balance.check()
 		}
-		if err := b.check(); err != nil {
-			return err
-		}
-		sc.Balance = b
 	case "assert":
 		if len(fields) < 2 {
 			return fmt.Errorf("want: assert KIND [ARG] [VALUE]")
 		}
 		a := Assert{Kind: fields[1]}
+		k, ok := assertKinds[a.Kind]
+		if !ok {
+			return fmt.Errorf("unknown assert kind %q", a.Kind)
+		}
 		rest := fields[2:]
-		// A trailing number is the value; anything before it the arg.
-		if len(rest) > 0 {
-			if v, err := strconv.ParseFloat(rest[len(rest)-1], 64); err == nil && !math.IsNaN(v) {
-				a.Value, a.HasValue = v, true
-				rest = rest[:len(rest)-1]
+		if k.arg != "" && len(rest) > 0 {
+			a.Arg, rest = rest[0], rest[1:]
+		}
+		if k.value != "" && len(rest) > 0 {
+			v, err := strconv.ParseFloat(rest[0], 64)
+			if err != nil || math.IsNaN(v) {
+				return fmt.Errorf("assert %s: value %q is not a number", a.Kind, rest[0])
 			}
+			a.Value, a.HasValue, rest = v, true, rest[1:]
 		}
-		if len(rest) > 1 {
-			return fmt.Errorf("assert %s: too many arguments", a.Kind)
-		}
-		if len(rest) == 1 {
-			a.Arg = rest[0]
+		if len(rest) > 0 {
+			return fmt.Errorf("assert %s: too many arguments; want: %s", a.Kind, k.usage(a.Kind))
 		}
 		sc.Asserts = append(sc.Asserts, a)
 	default:
 		return fmt.Errorf("unknown directive %q", fields[0])
 	}
-	return nil
+	return err
 }
 
-func (sc *Scenario) parseBox(fields []string) error {
-	if len(fields) < 2 {
-		return fmt.Errorf("want: box NAME [clauses]")
+// clauseLine reads a directive line: one field per operand, then the
+// clauses of table. usage spells the line for errors.
+func clauseLine(fields []string, usage string, table []clause, operands ...any) error {
+	if len(fields) <= len(operands) {
+		return fmt.Errorf("want: %s", usage)
 	}
-	b := Box{Name: fields[1]}
-	for _, f := range fields[2:] {
-		key, val, hasVal := strings.Cut(f, "=")
-		switch key {
-		case "interleave":
-			b.Interleave = true
-		case "sharednet":
-			b.SharedNet = true
-		case "jitter":
-			b.Jitter = true
-		case "muting":
-			b.Muting = true
-		case "interface":
-			b.Interface = true
-		case "mic":
-			parts := strings.Split(val, ":")
-			if len(parts) != 3 {
-				return fmt.Errorf("mic wants KIND:A:B, got %q", val)
-			}
-			a, err1 := strconv.ParseUint(parts[1], 10, 64)
-			amp, err2 := strconv.ParseUint(parts[2], 10, 64)
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("mic %q: A and B must be unsigned integers", val)
-			}
-			b.Mic = &Mic{Kind: parts[0], A: a, B: amp}
-		case "camera":
-			w, h, ok := strings.Cut(val, "x")
-			wi, err1 := strconv.Atoi(w)
-			hi, err2 := strconv.Atoi(h)
-			if !ok || err1 != nil || err2 != nil || wi < 1 || hi < 1 {
-				return fmt.Errorf("camera wants WxH, got %q", val)
-			}
-			b.CameraW, b.CameraH = wi, hi
-		case "blocks":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return fmt.Errorf("blocks wants a positive integer, got %q", val)
-			}
-			b.Blocks = n
-		case "netif":
-			bits, err := parseBits(val)
-			if err != nil {
-				return err
-			}
-			b.NetIfBits = bits
-		case "crash":
-			board, win, ok := strings.Cut(val, ":")
-			if !ok || board == "" {
-				return fmt.Errorf("crash wants BOARD:FROM-TO, got %q", val)
-			}
-			w, err := faultinject.ParseWindow(win)
-			if err != nil {
-				return err
-			}
-			if b.Crashes == nil {
-				b.Crashes = make(map[string][]faultinject.Window)
-			}
-			b.Crashes[board] = append(b.Crashes[board], w)
-		case "sinkstall":
-			w, err := faultinject.ParseWindow(val)
-			if err != nil {
-				return err
-			}
-			b.SinkStalls = append(b.SinkStalls, w)
-		default:
-			if !hasVal {
-				return fmt.Errorf("unknown box flag %q", f)
-			}
-			return fmt.Errorf("unknown box clause %q", key)
+	for i, p := range operands {
+		if err := (&clause{key: fields[0], field: p}).set(fields[1+i]); err != nil {
+			return err
 		}
 	}
-	sc.Boxes = append(sc.Boxes, b)
-	return nil
-}
-
-func (sc *Scenario) parseLink(fields []string) error {
-	if len(fields) < 4 {
-		return fmt.Errorf("want: link A B bw=BITS [clauses] [/ HOP]...")
-	}
-	l := Link{From: fields[1], To: fields[2]}
-	hop := Hop{}
-	flush := func() error {
-		if hop.Bandwidth <= 0 {
-			return fmt.Errorf("link %s %s: hop needs bw=", l.From, l.To)
-		}
-		l.Hops = append(l.Hops, hop)
-		hop = Hop{}
-		return nil
-	}
-	for _, f := range fields[3:] {
-		if f == "/" {
-			if err := flush(); err != nil {
-				return err
-			}
-			continue
-		}
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return fmt.Errorf("link clause %q wants key=value", f)
-		}
-		switch key {
-		case "bw":
-			bits, err := parseBits(val)
-			if err != nil {
-				return err
-			}
-			hop.Bandwidth = bits
-		case "prop":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return fmt.Errorf("prop wants a non-negative duration, got %q", val)
-			}
-			hop.Propagation = d
-		case "queue":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return fmt.Errorf("queue wants a non-negative integer, got %q", val)
-			}
-			hop.QueueLimit = n
-		case "loss":
-			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(p) || p < 0 || p > 1 {
-				return fmt.Errorf("loss wants a probability, got %q", val)
-			}
-			hop.Loss = p
-		case "lseed":
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return fmt.Errorf("lseed wants an unsigned integer, got %q", val)
-			}
-			hop.Seed = n
-		default:
-			return fmt.Errorf("unknown link clause %q", key)
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	sc.Links = append(sc.Links, l)
-	return nil
-}
-
-func (sc *Scenario) parseFabric(fields []string) error {
-	if len(fields) < 2 {
-		return fmt.Errorf("want: fabric NAME [clauses]")
-	}
-	f := Fabric{Name: fields[1]}
-	for _, c := range fields[2:] {
-		key, val, ok := strings.Cut(c, "=")
-		if !ok {
-			return fmt.Errorf("fabric clause %q wants key=value", c)
-		}
-		switch key {
-		case "portbw":
-			bits, err := parseBits(val)
-			if err != nil {
-				return err
-			}
-			f.PortBandwidth = bits
-		case "prop":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return fmt.Errorf("prop wants a non-negative duration, got %q", val)
-			}
-			f.Propagation = d
-		case "egress":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return fmt.Errorf("egress wants a positive integer, got %q", val)
-			}
-			f.EgressCellLimit = n
-		default:
-			return fmt.Errorf("unknown fabric clause %q", key)
-		}
-	}
-	sc.Fabrics = append(sc.Fabrics, f)
-	return nil
-}
-
-func (sc *Scenario) parseFeed(fields []string) error {
-	if len(fields) < 3 {
-		return fmt.Errorf("want: feed BOX n=N base=VCI")
-	}
-	fd := Feed{Box: fields[1]}
-	for _, f := range fields[2:] {
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return fmt.Errorf("feed clause %q wants key=value", f)
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return fmt.Errorf("feed %s wants a non-negative integer, got %q", key, val)
-		}
-		switch key {
-		case "n":
-			fd.N = n
-		case "base":
-			fd.Base = uint32(n)
-		default:
-			return fmt.Errorf("unknown feed clause %q", key)
-		}
-	}
-	sc.Feeds = append(sc.Feeds, fd)
-	return nil
-}
-
-func (sc *Scenario) parseCross(fields []string) error {
-	if len(fields) < 4 {
-		return fmt.Errorf("want: cross A B hop=I vci=N seed=N gap=DUR size=MIN+JITTER")
-	}
-	c := Cross{From: fields[1], To: fields[2]}
-	for _, f := range fields[3:] {
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return fmt.Errorf("cross clause %q wants key=value", f)
-		}
-		switch key {
-		case "hop":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return fmt.Errorf("hop wants a non-negative integer, got %q", val)
-			}
-			c.Hop = n
-		case "vci":
-			n, err := strconv.ParseUint(val, 10, 32)
-			if err != nil {
-				return fmt.Errorf("vci wants an unsigned integer, got %q", val)
-			}
-			c.VCI = uint32(n)
-		case "seed":
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return fmt.Errorf("seed wants an unsigned integer, got %q", val)
-			}
-			c.Seed = n
-		case "gap":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return fmt.Errorf("gap %q is not a duration", val)
-			}
-			c.Gap = d
-		case "size":
-			mn, jt, ok := strings.Cut(val, "+")
-			a, err1 := strconv.Atoi(mn)
-			b, err2 := strconv.Atoi(jt)
-			if !ok || err1 != nil || err2 != nil {
-				return fmt.Errorf("size wants MIN+JITTER, got %q", val)
-			}
-			c.SizeMin, c.SizeJitter = a, b
-		default:
-			return fmt.Errorf("unknown cross clause %q", key)
-		}
-	}
-	sc.Cross = append(sc.Cross, c)
-	return nil
+	return parseClauses(fields[0], table, fields[1+len(operands):])
 }
 
 func (sc *Scenario) parseEvent(fields []string) error {
 	if len(fields) < 3 {
 		return fmt.Errorf("want: at DUR OP ...")
 	}
-	at, err := time.ParseDuration(fields[1])
-	if err != nil {
-		return fmt.Errorf("event time %q is not a duration", fields[1])
+	sc.Events = append(sc.Events, Event{Op: fields[2]})
+	ev := &sc.Events[len(sc.Events)-1]
+	if err := (&clause{key: "event time", field: &ev.At}).set(fields[1]); err != nil {
+		return err
 	}
-	ev := Event{At: at, Op: fields[2]}
-	rest := fields[3:]
-	// Trailing "as REF".
-	if n := len(rest); n >= 2 && rest[n-2] == "as" {
-		ev.Ref = rest[n-1]
-		rest = rest[:n-2]
-	}
-	switch ev.Op {
-	case "audio", "video", "netsend", "tree":
-		if len(rest) < 3 || rest[1] != "->" {
-			return fmt.Errorf("%s wants: FROM -> TO[,TO...]", ev.Op)
-		}
-		ev.From = rest[0]
-		ev.To = strings.Split(rest[2], ",")
-		for _, f := range rest[3:] {
-			key, val, ok := strings.Cut(f, "=")
-			if !ok {
-				return fmt.Errorf("%s clause %q wants key=value", ev.Op, f)
-			}
-			switch key {
-			case "rect":
-				var vals [4]int
-				parts := strings.Split(val, ",")
-				if len(parts) != 4 {
-					return fmt.Errorf("rect wants X,Y,W,H, got %q", val)
-				}
-				for i, p := range parts {
-					vals[i], err = strconv.Atoi(p)
-					if err != nil {
-						return fmt.Errorf("rect %q: %q is not an integer", val, p)
-					}
-				}
-				ev.X, ev.Y, ev.W, ev.H = vals[0], vals[1], vals[2], vals[3]
-			case "rate":
-				n, d, ok := strings.Cut(val, "/")
-				num, err1 := strconv.Atoi(n)
-				den, err2 := strconv.Atoi(d)
-				if !ok || err1 != nil || err2 != nil {
-					return fmt.Errorf("rate wants N/D, got %q", val)
-				}
-				ev.RateNum, ev.RateDen = num, den
-			case "segs":
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 1 {
-					return fmt.Errorf("segs wants a positive integer, got %q", val)
-				}
-				ev.Segs = n
-			case "stream":
-				n, err := strconv.ParseUint(val, 10, 32)
-				if err != nil {
-					return fmt.Errorf("stream wants an unsigned integer, got %q", val)
-				}
-				ev.Stream = uint32(n)
-			case "vci":
-				n, err := strconv.ParseUint(val, 10, 32)
-				if err != nil {
-					return fmt.Errorf("vci wants an unsigned integer, got %q", val)
-				}
-				ev.VCI = uint32(n)
-			case "k":
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
-					return fmt.Errorf("k wants a non-negative integer, got %q", val)
-				}
-				ev.K = n
-			case "trees":
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 1 {
-					return fmt.Errorf("trees wants a positive integer, got %q", val)
-				}
-				ev.Trees = n
-			default:
-				return fmt.Errorf("unknown %s clause %q", ev.Op, key)
-			}
-		}
-	case "call":
-		if len(rest) != 2 {
-			return fmt.Errorf("call wants: A B")
-		}
-		ev.From, ev.To = rest[0], []string{rest[1]}
-	case "conference":
-		if len(rest) < 2 {
-			return fmt.Errorf("conference wants at least two members")
-		}
-		ev.From, ev.To = rest[0], rest[1:]
-	case "split", "drop", "repair":
-		if len(rest) != 2 {
-			return fmt.Errorf("%s wants: REF DST", ev.Op)
-		}
-		ev.Ref, ev.To = rest[0], []string{rest[1]}
-	case "pull":
-		if len(rest) != 2 {
-			return fmt.Errorf("pull wants: REF DST[,DST...]")
-		}
-		ev.Ref, ev.To = rest[0], strings.Split(rest[1], ",")
-	case "close":
-		if len(rest) != 1 {
-			return fmt.Errorf("close wants: REF")
-		}
-		ev.Ref = rest[0]
-	default:
+	o, ok := ops[ev.Op]
+	if !ok {
 		return fmt.Errorf("unknown event op %q", ev.Op)
 	}
-	sc.Events = append(sc.Events, ev)
-	return nil
+	rest, clauses := fields[3:], []string(nil)
+	if n := len(rest); n >= 2 && rest[n-2] == "as" {
+		if !o.opens {
+			return fmt.Errorf("%s opens no stream, so takes no as REF", ev.Op)
+		}
+		ev.Ref, rest = rest[n-1], rest[:n-2]
+	}
+	switch {
+	case o.shape == toList && len(rest) >= 3 && rest[1] == "->":
+		ev.From, ev.To, clauses = rest[0], strings.Split(rest[2], ","), rest[3:]
+	case o.shape == pair && len(rest) == 2:
+		ev.From, ev.To = rest[0], []string{rest[1]}
+	case o.shape == members && len(rest) >= 2:
+		ev.From, ev.To = rest[0], rest[1:]
+	case o.shape == refDst && len(rest) == 2:
+		ev.Ref, ev.To = rest[0], []string{rest[1]}
+	case o.shape == refDsts && len(rest) == 2:
+		ev.Ref, ev.To = rest[0], strings.Split(rest[1], ",")
+	case o.shape == refOnly && len(rest) == 1:
+		ev.Ref = rest[0]
+	default:
+		return fmt.Errorf("%s wants: %s", ev.Op, o.shape)
+	}
+	return parseClauses(ev.Op, o.clauses(ev), clauses)
 }
 
-// parseBits parses a bit rate with an optional k/M suffix.
-func parseBits(v string) (int64, error) {
-	mult := int64(1)
+// parseBits parses a bit rate with an optional k/M suffix; ok is false
+// unless it is a number in [0, 1e15].
+func parseBits(v string) (bits int64, ok bool) {
+	mult := 1.0
 	switch {
 	case strings.HasSuffix(v, "M"):
 		mult, v = 1_000_000, strings.TrimSuffix(v, "M")
@@ -634,8 +267,5 @@ func parseBits(v string) (int64, error) {
 		mult, v = 1000, strings.TrimSuffix(v, "k")
 	}
 	n, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(n) || n < 0 || n*float64(mult) > 1e15 {
-		return 0, fmt.Errorf("bit rate wants [FLOAT][k|M] within 1e15, got %q", v)
-	}
-	return int64(n * float64(mult)), nil
+	return int64(n * mult), err == nil && n >= 0 && n*mult <= 1e15
 }

@@ -23,7 +23,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -140,16 +139,7 @@ type Cross struct {
 // completes (commands themselves consume virtual time for their
 // circuit-setup round trips), exactly like a hand-written control
 // process with p.Sleep between commands.
-// Ops: "audio" (one-way stream From→To...), "video" (with Rect/Rate),
-// "tree" (audio distributed over replication trees: interior boxes
-// re-split locally, at most K copies each, striped over Trees trees),
-// "call" (audio both ways between From and To[0]), "conference" (full
-// mesh over From+To), "split"/"drop" (add/remove destination To[0] of
-// stream Ref), "pull" (late joiners To... graft onto tree stream Ref),
-// "repair" (re-home the orphaned subtrees of interior box To[0] of
-// tree stream Ref), "close" (tear down stream Ref), "netsend" (raw
-// route: Stream at From onto VCI toward To[0], mic started, no speaker
-// route at the far end).
+// Op names a row of the op table, ops, which says what each op does.
 type Event struct {
 	At         time.Duration
 	Op         string
@@ -209,33 +199,8 @@ func (b *Balance) check() error {
 	return nil
 }
 
-// Assert is one post-run check. Kinds and their Arg/Value use:
-//
-//	no-audio-shed                no controller ever shed audio
-//	video-shed [min]             ≥min video sheds happened (default 1)
-//	shed-order-oldest-first CTRL controller CTRL shed strictly oldest-first
-//	survivors-identical          re-run with faults stripped; every stream
-//	                             not touching a crashed box delivered a
-//	                             byte-identical set (mixer digests match)
-//	wires-drain                  every box wire pool has free == allocations
-//	gauge-zero NAME              every sample of obs gauge NAME is 0
-//	gauge-max NAME MAX           every sample of obs gauge NAME ≤ MAX
-//	min-segments REF MIN         every destination of REF played ≥MIN segments
-//	max-lost REF MAX             every destination of REF lost ≤MAX segments
-//	max-silence-pct REF MAX      silence fill ≤MAX% of blocks at every dest
-//	faults-fired                 at least one injected fault actually fired
-//	circuits SRC [N]             record SRC's open circuit count (and, with
-//	                             N, require it to be exactly N)
-//	copies-max BOX N             BOX never fanned more than N outgoing
-//	                             copies of any single stream (the per-hop
-//	                             copy invariant of the distribution trees)
-//	rejected N                   the balancer's admission control rejected
-//	                             exactly N calls (requires a balance block)
-//	migrations BOX N             exactly N balancer migrations moved load
-//	                             off BOX (requires a balance block)
-//	spread REF N                 tree stream REF ends the run fed by ≥N
-//	                             distinct boxes (source included) — the
-//	                             placement spread witness
+// Assert is one post-run check. assertKinds lists the kinds and what
+// each reads from Arg and Value; Runner.check evaluates them.
 type Assert struct {
 	Kind     string
 	Arg      string
@@ -264,14 +229,6 @@ type Scenario struct {
 	Asserts []Assert
 }
 
-var assertKinds = map[string]struct{}{
-	"no-audio-shed": {}, "video-shed": {}, "shed-order-oldest-first": {},
-	"survivors-identical": {}, "wires-drain": {}, "gauge-zero": {},
-	"gauge-max": {}, "min-segments": {}, "max-lost": {},
-	"max-silence-pct": {}, "faults-fired": {}, "circuits": {},
-	"copies-max": {}, "rejected": {}, "migrations": {}, "spread": {},
-}
-
 // Validate checks internal consistency: names resolve, events refer to
 // streams opened earlier, the fault phase parses, times fit the
 // duration, and the degrade and balance settings are in range. Parse
@@ -297,29 +254,29 @@ func (sc *Scenario) Validate() error {
 		}
 		boxes[b.Name] = true
 	}
-	need := func(where, name string) error {
-		if !boxes[name] {
-			return fmt.Errorf("scenario %s: %s refers to unknown box %q", sc.Name, where, name)
+	need := func(where string, names ...string) error {
+		for _, name := range names {
+			if !boxes[name] {
+				return fmt.Errorf("scenario %s: %s refers to unknown box %q", sc.Name, where, name)
+			}
 		}
 		return nil
 	}
 	// What core.System opens a direct circuit over: a declared link
 	// (either direction) or a shared fabric. A flat stream — every op but
 	// a tree with k > 0, whose members relay for one another — needs one
-	// from its source to each destination.
-	linked := map[[2]string]bool{}
+	// from its source to each destination. hops holds each declared
+	// link's hop count under both orders of its pair.
+	hops := map[[2]string]int{}
 	fabOf := map[string]string{}
 	reach := func(where, a, b string) error {
-		if fa, ok := fabOf[a]; (ok && fa == fabOf[b]) || linked[[2]string{a, b}] {
+		if fa, ok := fabOf[a]; (ok && fa == fabOf[b]) || hops[[2]string{a, b}] > 0 {
 			return nil
 		}
 		return fmt.Errorf("scenario %s: %s: no path from %s to %s (they share neither a fabric nor a link)", sc.Name, where, a, b)
 	}
 	for _, l := range sc.Links {
-		if err := need("link", l.From); err != nil {
-			return err
-		}
-		if err := need("link", l.To); err != nil {
+		if err := need("link", l.From, l.To); err != nil {
 			return err
 		}
 		if len(l.Hops) == 0 {
@@ -330,10 +287,10 @@ func (sc *Scenario) Validate() error {
 				return fmt.Errorf("scenario %s: link %s %s hop %d: loss wants a probability, got %v", sc.Name, l.From, l.To, i, h.Loss)
 			}
 		}
-		if l.From == l.To || linked[[2]string{l.From, l.To}] {
+		if l.From == l.To || hops[[2]string{l.From, l.To}] > 0 {
 			return fmt.Errorf("scenario %s: link %s %s: a pair of distinct boxes takes one link, in either order", sc.Name, l.From, l.To)
 		}
-		linked[[2]string{l.From, l.To}], linked[[2]string{l.To, l.From}] = true, true
+		hops[[2]string{l.From, l.To}], hops[[2]string{l.To, l.From}] = len(l.Hops), len(l.Hops)
 	}
 	fabs := map[string]bool{}
 	for _, f := range sc.Fabrics {
@@ -360,11 +317,17 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	for _, c := range sc.Cross {
-		if err := need("cross", c.From); err != nil {
+		if err := need("cross", c.From, c.To); err != nil {
 			return err
 		}
-		if err := need("cross", c.To); err != nil {
-			return err
+		// The generator loads one hop of the pair's link, which core
+		// uses only when no fabric joins the pair.
+		fa, onFabric := fabOf[c.From]
+		switch n := hops[[2]string{c.From, c.To}]; {
+		case n == 0 || onFabric && fa == fabOf[c.To]:
+			return fmt.Errorf("scenario %s: cross %s %s: wants a link between them and no shared fabric", sc.Name, c.From, c.To)
+		case c.Hop < 0 || c.Hop >= n:
+			return fmt.Errorf("scenario %s: cross %s %s: hop=%d is not a hop of their %d-hop link", sc.Name, c.From, c.To, c.Hop, n)
 		}
 	}
 	refs := map[string]bool{}
@@ -390,8 +353,12 @@ func (sc *Scenario) Validate() error {
 		if ev.At < 0 || ev.At > sc.Duration {
 			return fmt.Errorf("scenario %s: %s outside the run", sc.Name, where)
 		}
-		switch ev.Op {
-		case "audio", "video", "netsend", "tree":
+		o, ok := ops[ev.Op]
+		if !ok {
+			return fmt.Errorf("scenario %s: %s: unknown op", sc.Name, where)
+		}
+		switch o.shape {
+		case toList:
 			if err := need(where, ev.From); err != nil {
 				return err
 			}
@@ -423,7 +390,7 @@ func (sc *Scenario) Validate() error {
 			if ev.Op == "tree" && (ev.K < 0 || ev.Trees < 0) {
 				return fmt.Errorf("scenario %s: %s wants k ≥ 0 and trees ≥ 0", sc.Name, where)
 			}
-		case "call":
+		case pair:
 			if len(ev.To) != 1 {
 				return fmt.Errorf("scenario %s: %s wants exactly one peer", sc.Name, where)
 			}
@@ -441,7 +408,7 @@ func (sc *Scenario) Validate() error {
 			} else if err := reach(where, ev.From, ev.To[0]); err != nil {
 				return err
 			}
-		case "conference":
+		case members:
 			members := append([]string{ev.From}, ev.To...)
 			if len(members) < 2 {
 				return fmt.Errorf("scenario %s: %s wants at least two members", sc.Name, where)
@@ -456,49 +423,35 @@ func (sc *Scenario) Validate() error {
 					}
 				}
 			}
-		case "split", "drop", "repair":
+		default: // refDst, refDsts, refOnly
 			if !refs[ev.Ref] {
 				return fmt.Errorf("scenario %s: %s refers to unopened stream %q", sc.Name, where, ev.Ref)
 			}
-			if len(ev.To) != 1 {
+			switch {
+			case o.shape == refDst && len(ev.To) != 1:
 				return fmt.Errorf("scenario %s: %s wants exactly one destination", sc.Name, where)
-			}
-			if err := need(where, ev.To[0]); err != nil {
-				return err
-			}
-		case "pull":
-			if !refs[ev.Ref] {
-				return fmt.Errorf("scenario %s: %s refers to unopened stream %q", sc.Name, where, ev.Ref)
-			}
-			if len(ev.To) == 0 {
+			case o.shape == refDsts && len(ev.To) == 0:
 				return fmt.Errorf("scenario %s: %s has no destination", sc.Name, where)
 			}
 			_, tree := feeders[ev.Ref]
 			for _, d := range ev.To {
-				if err := need(where, d); err != nil {
+				err := need(where, d)
+				if err == nil && tree && o.shape == refDsts {
+					err = join(where, ev.Ref, d)
+				}
+				if err != nil {
 					return err
 				}
-				if tree {
-					if err := join(where, ev.Ref, d); err != nil {
-						return err
-					}
-				}
 			}
-		case "close":
-			if !refs[ev.Ref] {
-				return fmt.Errorf("scenario %s: %s refers to unopened stream %q", sc.Name, where, ev.Ref)
-			}
-		default:
-			return fmt.Errorf("scenario %s: %s: unknown op", sc.Name, where)
 		}
-		if ev.Ref != "" && (ev.Op == "audio" || ev.Op == "video" || ev.Op == "tree" || ev.Op == "call" || ev.Op == "conference") {
+		if ev.Ref != "" && o.opens {
 			if refs[ev.Ref] {
 				return fmt.Errorf("scenario %s: duplicate stream ref %q", sc.Name, ev.Ref)
 			}
 			refs[ev.Ref] = true
 			// call and conference name their member streams REF[i], the
 			// names later split/drop/close events use.
-			if ev.Op == "call" || ev.Op == "conference" {
+			if o.shape == pair || o.shape == members {
 				for i := 0; i <= len(ev.To); i++ {
 					refs[fmt.Sprintf("%s[%d]", ev.Ref, i)] = true
 				}
@@ -519,18 +472,23 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	for _, a := range sc.Asserts {
-		if _, ok := assertKinds[a.Kind]; !ok {
+		k, ok := assertKinds[a.Kind]
+		switch {
+		case !ok:
 			return fmt.Errorf("scenario %s: unknown assert kind %q", sc.Name, a.Kind)
-		}
-		if (a.Kind == "rejected" || a.Kind == "migrations") && sc.Balance == nil {
+		case k.balance && sc.Balance == nil:
 			return fmt.Errorf("scenario %s: assert %s needs a balance block", sc.Name, a.Kind)
+		case (k.arg == "") != (a.Arg == ""), k.value == "" && a.HasValue, k.value == "N" && !a.HasValue:
+			return fmt.Errorf("scenario %s: assert %s: want %s", sc.Name, a.Kind, k.usage(a.Kind))
+		case k.arg == "BOX" && !boxes[a.Arg]:
+			return need("assert "+a.Kind, a.Arg)
 		}
 	}
 	return nil
 }
 
-// Format renders the scenario in the text grammar such that
-// Parse(Format(sc)) reproduces sc.
+// Format renders a valid scenario (see Validate) in the text grammar
+// such that Parse(Format(sc)) reproduces sc.
 func (sc *Scenario) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "scenario %s\n", sc.Name)
@@ -539,156 +497,54 @@ func (sc *Scenario) Format() string {
 	}
 	fmt.Fprintf(&sb, "duration %s\n", sc.Duration)
 	for _, b := range sc.Boxes {
-		sb.WriteString("box " + b.Name)
-		if b.Mic != nil {
-			fmt.Fprintf(&sb, " mic=%s:%d:%d", b.Mic.Kind, b.Mic.A, b.Mic.B)
-		}
-		if b.CameraW > 0 || b.CameraH > 0 {
-			fmt.Fprintf(&sb, " camera=%dx%d", b.CameraW, b.CameraH)
-		}
-		if b.Blocks > 0 {
-			fmt.Fprintf(&sb, " blocks=%d", b.Blocks)
-		}
-		if b.NetIfBits > 0 {
-			fmt.Fprintf(&sb, " netif=%s", fmtBits(b.NetIfBits))
-		}
-		if b.Interleave {
-			sb.WriteString(" interleave")
-		}
-		if b.SharedNet {
-			sb.WriteString(" sharednet")
-		}
-		if b.Jitter {
-			sb.WriteString(" jitter")
-		}
-		if b.Muting {
-			sb.WriteString(" muting")
-		}
-		if b.Interface {
-			sb.WriteString(" interface")
-		}
-		boards := make([]string, 0, len(b.Crashes))
-		for board := range b.Crashes {
-			boards = append(boards, board)
-		}
-		sort.Strings(boards)
-		for _, board := range boards {
-			for _, w := range b.Crashes[board] {
-				fmt.Fprintf(&sb, " crash=%s:%s-%s", board, w.From, w.To)
-			}
-		}
-		for _, w := range b.SinkStalls {
-			fmt.Fprintf(&sb, " sinkstall=%s-%s", w.From, w.To)
-		}
-		sb.WriteString("\n")
+		writeLine(&sb, "box "+b.Name, "", b.clauses())
 	}
 	for _, l := range sc.Links {
-		fmt.Fprintf(&sb, "link %s %s ", l.From, l.To)
-		for i, h := range l.Hops {
-			if i > 0 {
-				sb.WriteString(" / ")
-			}
-			sb.WriteString("bw=" + fmtBits(h.Bandwidth))
-			if h.Propagation > 0 {
-				fmt.Fprintf(&sb, " prop=%s", h.Propagation)
-			}
-			if h.QueueLimit > 0 {
-				fmt.Fprintf(&sb, " queue=%d", h.QueueLimit)
-			}
-			if h.Loss > 0 {
-				fmt.Fprintf(&sb, " loss=%s", fmtFloat(h.Loss))
-			}
-			if h.Seed != 0 {
-				fmt.Fprintf(&sb, " lseed=%d", h.Seed)
-			}
+		hops := make([][]clause, len(l.Hops))
+		for i := range l.Hops {
+			hops[i] = l.Hops[i].clauses()
 		}
-		sb.WriteString("\n")
+		writeLine(&sb, "link "+l.From+" "+l.To, "", hops...)
 	}
 	for _, f := range sc.Fabrics {
-		sb.WriteString("fabric " + f.Name)
-		if f.PortBandwidth > 0 {
-			fmt.Fprintf(&sb, " portbw=%s", fmtBits(f.PortBandwidth))
-		}
-		if f.Propagation > 0 {
-			fmt.Fprintf(&sb, " prop=%s", f.Propagation)
-		}
-		if f.EgressCellLimit > 0 {
-			fmt.Fprintf(&sb, " egress=%d", f.EgressCellLimit)
-		}
-		sb.WriteString("\n")
+		writeLine(&sb, "fabric "+f.Name, "", f.clauses())
 		if len(f.Attach) > 0 {
 			fmt.Fprintf(&sb, "attach %s %s\n", f.Name, strings.Join(f.Attach, " "))
 		}
 	}
 	for _, f := range sc.Feeds {
-		fmt.Fprintf(&sb, "feed %s n=%d base=%d\n", f.Box, f.N, f.Base)
+		writeLine(&sb, "feed "+f.Box, "", f.clauses())
 	}
 	for _, c := range sc.Cross {
-		fmt.Fprintf(&sb, "cross %s %s hop=%d vci=%d seed=%d gap=%s size=%d+%d\n",
-			c.From, c.To, c.Hop, c.VCI, c.Seed, c.Gap, c.SizeMin, c.SizeJitter)
+		writeLine(&sb, "cross "+c.From+" "+c.To, "", c.clauses())
 	}
 	for _, ev := range sc.Events {
-		fmt.Fprintf(&sb, "at %s %s", ev.At, ev.Op)
-		switch ev.Op {
-		case "audio", "video", "netsend", "tree":
-			fmt.Fprintf(&sb, " %s -> %s", ev.From, strings.Join(ev.To, ","))
-			if ev.Op == "video" {
-				fmt.Fprintf(&sb, " rect=%d,%d,%d,%d rate=%d/%d", ev.X, ev.Y, ev.W, ev.H, ev.RateNum, ev.RateDen)
-				if ev.Segs > 0 {
-					fmt.Fprintf(&sb, " segs=%d", ev.Segs)
-				}
-			}
-			if ev.Op == "netsend" {
-				fmt.Fprintf(&sb, " stream=%d vci=%d", ev.Stream, ev.VCI)
-			}
-			if ev.Op == "tree" {
-				if ev.K > 0 {
-					fmt.Fprintf(&sb, " k=%d", ev.K)
-				}
-				if ev.Trees > 0 {
-					fmt.Fprintf(&sb, " trees=%d", ev.Trees)
-				}
-			}
-		case "call":
-			fmt.Fprintf(&sb, " %s %s", ev.From, ev.To[0])
-		case "conference":
-			fmt.Fprintf(&sb, " %s %s", ev.From, strings.Join(ev.To, " "))
-		case "split", "drop", "repair":
-			fmt.Fprintf(&sb, " %s %s", ev.Ref, ev.To[0])
-		case "pull":
-			fmt.Fprintf(&sb, " %s %s", ev.Ref, strings.Join(ev.To, ","))
-		case "close":
-			fmt.Fprintf(&sb, " %s", ev.Ref)
+		o := ops[ev.Op]
+		head := fmt.Sprintf("at %s %s", ev.At, ev.Op)
+		switch o.shape {
+		case toList:
+			head += " " + ev.From + " -> " + strings.Join(ev.To, ",")
+		case pair, members:
+			head += " " + ev.From + " " + strings.Join(ev.To, " ")
+		case refDst, refDsts:
+			head += " " + ev.Ref + " " + strings.Join(ev.To, ",")
+		case refOnly:
+			head += " " + ev.Ref
 		}
-		if ev.Ref != "" && (ev.Op == "audio" || ev.Op == "video" || ev.Op == "tree" || ev.Op == "call" || ev.Op == "conference") {
-			fmt.Fprintf(&sb, " as %s", ev.Ref)
+		tail := ""
+		if ev.Ref != "" && o.opens {
+			tail = " as " + ev.Ref
 		}
-		sb.WriteString("\n")
+		writeLine(&sb, head, tail, o.clauses(&ev))
 	}
 	if sc.Faults != "" {
 		fmt.Fprintf(&sb, "faults %s\n", sc.Faults)
 	}
 	if sc.Degrade != nil {
-		fmt.Fprintf(&sb, "degrade shed=%s hold=%s\n", sc.Degrade.ShedEvery, sc.Degrade.Hold)
+		writeLine(&sb, "degrade", "", sc.Degrade.clauses())
 	}
-	if b := sc.Balance; b != nil {
-		sb.WriteString("balance")
-		if b.Budget > 0 {
-			fmt.Fprintf(&sb, " budget=%d", b.Budget)
-		}
-		if b.Interval > 0 {
-			fmt.Fprintf(&sb, " interval=%s", b.Interval)
-		}
-		if b.Migrate > 0 {
-			fmt.Fprintf(&sb, " migrate=%s", fmtFloat(b.Migrate))
-		}
-		if b.Cooldown > 0 {
-			fmt.Fprintf(&sb, " cooldown=%s", b.Cooldown)
-		}
-		if b.MaxMigrations > 0 {
-			fmt.Fprintf(&sb, " maxmig=%d", b.MaxMigrations)
-		}
-		sb.WriteString("\n")
+	if sc.Balance != nil {
+		writeLine(&sb, "balance", "", sc.Balance.clauses())
 	}
 	for _, a := range sc.Asserts {
 		sb.WriteString("assert " + a.Kind)
@@ -701,19 +557,6 @@ func (sc *Scenario) Format() string {
 		sb.WriteString("\n")
 	}
 	return sb.String()
-}
-
-// fmtBits renders a bit rate with the largest exact suffix, so parsed
-// and printed forms agree ("100M", "64k", "2500k").
-func fmtBits(v int64) string {
-	switch {
-	case v != 0 && v%1_000_000 == 0:
-		return fmt.Sprintf("%dM", v/1_000_000)
-	case v != 0 && v%1000 == 0:
-		return fmt.Sprintf("%dk", v/1000)
-	default:
-		return fmt.Sprintf("%d", v)
-	}
 }
 
 func fmtFloat(v float64) string {

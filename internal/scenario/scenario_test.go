@@ -26,12 +26,14 @@ box a mic=tone:400:10000 camera=256x128 blocks=3 netif=3500k interleave jitter m
 box b mic=speech:7:12000 sharednet crash=audio:1s-1600ms crash=server:2s-2200ms sinkstall=3s-3300ms
 box c
 box d
+box e
 link a b bw=100M prop=50us queue=8 loss=0.002 lseed=9 / bw=8M prop=3ms / bw=64k
 link c d bw=2500k
+link a e bw=10M / bw=2M
 fabric fab portbw=155M prop=2us egress=4096
 attach fab a b c d
 feed a n=6 base=100
-cross a b hop=1 vci=9000 seed=7 gap=12ms size=2000+4000
+cross a e hop=1 vci=9000 seed=7 gap=12ms size=2000+4000
 at 0s audio a -> b,c as main
 at 100ms video a -> b rect=0,64,256,64 rate=2/5 segs=2 as vid
 at 200ms call c d as cd
@@ -99,6 +101,7 @@ func TestBoxConfig(t *testing.T) {
 		{Name: "b", Mic: workload.NewSpeech(7, 12000), SharedNetBuffer: true},
 		{Name: "c"},
 		{Name: "d"},
+		{Name: "e"},
 	}
 	sc := MustParse(representative)
 	if len(sc.Boxes) != len(want) {
@@ -219,6 +222,23 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nbalance budget=-1", `line 3 ("balance budget=-1"): balance budget=-1 maxmig=0: counts must be ≥ 0`},
 		{"scenario x\nduration 1s\nbalance migrate=1.5", `line 3 ("balance migrate=1.5"): balance migrate=1.5: want a ratio in [0,1]`},
 		{"scenario x\nduration 1s\nbalance migrate=NaN", "balance migrate=NaN: want a ratio in [0,1]"},
+		// A clause or an "as REF" the op does not own: Format would drop it.
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b k=3", `unknown audio clause "k"`},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s tree a -> b rate=1/2", `unknown tree clause "rate"`},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s netsend a -> b stream=1 vci=7 as n", "netsend opens no stream, so takes no as REF"},
+		// Clauses mean what they say.
+		{"scenario x\nduration 1s\nbox a jitter=false", `box flag "jitter" takes no value`},
+		{"scenario x\nduration 1s\nbox a blocks=2 blocks=3", `box clause "blocks" given twice`},
+		{"scenario x\nduration 1s\nbox a\nfeed a n=1 base=4294967296", `base wants an unsigned 32-bit integer, got "4294967296"`},
+		// cross is checked before it runs.
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\ncross a b hop=5 vci=9 seed=1 gap=1ms size=1+1", "cross a b: hop=5 is not a hop of their 1-hop link"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nfabric f\nattach f a b\ncross a b hop=0 vci=9 seed=1 gap=1ms size=1+1", "cross a b: wants a link between them and no shared fabric"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nfabric f\nattach f a b\ncross a b hop=0 vci=9 seed=1 gap=1ms size=1+1", "cross a b: wants a link between them and no shared fabric"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\ncross a b hop=0 vci=9 seed=1 gap=1ms size=-1+5", `size wants a non-negative integer, got "-1"`},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\ncross a b hop=0 vci=9 seed=1 gap=-1ms size=1+1", `gap wants a non-negative duration, got "-1ms"`},
+		// Asserts are checked against their row.
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b as m\nassert min-segments m", "assert min-segments: want assert min-segments REF N"},
+		{"scenario x\nduration 1s\nbox a\nassert copies-max nobox 3", `assert copies-max refers to unknown box "nobox"`},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.text); err == nil || !strings.Contains(err.Error(), c.want) {
