@@ -3,6 +3,7 @@ package video
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -79,17 +80,20 @@ func checkDecompressBand(t *testing.T, c *Codec, data []byte, width, height int,
 	}
 }
 
-// FuzzBandCodec checks the four-line band kernels against the per-line
-// reference: CompressBand's bytes against CompressLine's packed with
-// lengths, DecompressBand's rows and error class against DecompressLine
-// on bands with one header, with a header per line (raw and sub-sampled
-// among them), and with their framing cut short, overrun or padded.
+// FuzzBandCodec checks the band kernels against the per-line reference:
+// CompressBand's bytes against CompressLine's packed with lengths,
+// DecompressBand's rows and error class against DecompressLine on bands
+// with one header, with a header per line (raw and sub-sampled among
+// them), with the fuzzed bytes as every line's body under each header,
+// and with their framing cut short, overrun or padded.
 func FuzzBandCodec(f *testing.F) {
 	f.Add(uint16(128), uint8(32), uint8(1), uint8(0), []byte("camera"))
 	f.Add(uint16(7), uint8(5), uint8(3), uint8(0xa7), bytes.Repeat([]byte{0}, 40))
 	f.Add(uint16(1), uint8(1), uint8(0), uint8(0x31), []byte{255})
 	f.Add(uint16(299), uint8(39), uint8(2), uint8(0xfe), append(bytes.Repeat([]byte{0}, 33), bytes.Repeat([]byte{255}, 31)...))
 	f.Add(uint16(33), uint8(6), uint8(0), uint8(0x0c), []byte{0, 255, 0, 255, 128, 7})
+	f.Add(uint16(128), uint8(31), uint8(3), uint8(0), bytes.Repeat([]byte{0x77}, 64)) // +7s saturate at 255
+	f.Add(uint16(128), uint8(31), uint8(3), uint8(0), bytes.Repeat([]byte{0x88}, 64)) // -8s saturate at 0
 	f.Fuzz(func(t *testing.T, w uint16, h, shift, flags uint8, pix []byte) {
 		width, height := 1+int(w)%300, 1+int(h)%40
 		img := NewFrame(width, height)
@@ -125,6 +129,24 @@ func FuzzBandCodec(f *testing.F) {
 		}
 		checkDecompressBand(t, &c, mixed, width, height, "mixed headers")
 
+		// pix as the line bodies, well framed, under every header: DPCM
+		// bodies the encoder would not write, whose predictions leave
+		// [0, 255] and must saturate as DecompressLine's do.
+		if len(pix) > 0 {
+			for hdr := byte(0); hdr < 16; hdr++ {
+				size := CompressedLineSize(width, paramsFromHeader(hdr))
+				var bodies []byte
+				for y := 0; y < height; y++ {
+					line := append(make([]byte, 0, size), hdr)
+					for i := 1; i < size; i++ {
+						line = append(line, pix[(y*size+i)%len(pix)])
+					}
+					bodies = packRef(bodies, line)
+				}
+				checkDecompressBand(t, &c, bodies, width, height, fmt.Sprintf("pix bodies under header %#x", hdr))
+			}
+		}
+
 		// Damage: cut anywhere, a trailing byte, one line too many or too
 		// few, and one line's body a byte short with its framing intact.
 		cut := int(flags) * len(mixed) / 255
@@ -143,6 +165,27 @@ func FuzzBandCodec(f *testing.F) {
 		}
 		checkDecompressBand(t, &c, short, width, height, "short line")
 	})
+}
+
+// TestDPCMStepClampsOnlyBelow checks, for every shift, prediction and
+// pixel, the facts the band kernels rest on. The reconstruction
+// pred + q<<shift never exceeds 255, and it falls below 0 only when
+// px < 2^shift − 1. From a prediction that is a multiple of 1<<shift it
+// never falls below 0 and stays such a multiple; every prediction a
+// line makes is one, as a line starts at 128. So neither clamp of the
+// per-line coder ever fires on the encoder's own chains.
+func TestDPCMStepClampsOnlyBelow(t *testing.T) {
+	for shift := 0; shift < 4; shift++ {
+		for pred := 0; pred < 256; pred++ {
+			aligned := pred%(1<<shift) == 0
+			for px := 0; px < 256; px++ {
+				r := pred + min(max((px-pred)>>shift, -8), 7)<<shift
+				if r > 255 || r < 0 && (px >= 1<<shift-1 || aligned) || aligned && r%(1<<shift) != 0 {
+					t.Fatalf("shift %d, prediction %d, pixel %d: reconstruction %d", shift, pred, px, r)
+				}
+			}
+		}
+	}
 }
 
 func TestDecompressBandErrorClasses(t *testing.T) {
@@ -191,8 +234,9 @@ func cameraBand(w, h int) *Frame {
 }
 
 // The per-line reference and the band kernels on a 128-pixel camera
-// row; the band benchmarks code one slice (four lines) per op and also
-// report ns/line.
+// row. The band benchmarks code one slice (four lines) per op and also
+// report ns/line; their 128x32 cases code one videowall segment per op
+// and report ns/px.
 
 func BenchmarkCompressLine(b *testing.B) {
 	row, lp := cameraBand(128, 1).Row(0), LineParams{Shift: 1}
@@ -214,26 +258,49 @@ func BenchmarkDecompressLine(b *testing.B) {
 }
 
 func BenchmarkCompressBand(b *testing.B) {
-	img, lp := cameraBand(128, DefaultSliceLines), LineParams{Shift: 1}
-	var (
-		c   Codec
-		dst []byte
-	)
-	for i := 0; i < b.N; i++ {
-		dst = c.CompressBand(dst[:0], img, lp)
-	}
+	benchCompressBand(b, DefaultSliceLines)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*DefaultSliceLines), "ns/line")
 }
 
 func BenchmarkDecompressBand(b *testing.B) {
+	benchDecompressBand(b, DefaultSliceLines)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*DefaultSliceLines), "ns/line")
+}
+
+func BenchmarkCompressBand128x32(b *testing.B) {
+	benchCompressBand(b, 32)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*128*32), "ns/px")
+}
+
+func BenchmarkDecompressBand128x32(b *testing.B) {
+	benchDecompressBand(b, 32)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*128*32), "ns/px")
+}
+
+// benchCompressBand codes h rows of the camera band, 128 pixels wide,
+// per op.
+func benchCompressBand(b *testing.B, h int) {
+	img, lp := cameraBand(128, h), LineParams{Shift: 1}
+	var (
+		c   Codec
+		dst []byte
+	)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = c.CompressBand(dst[:0], img, lp)
+	}
+}
+
+// benchDecompressBand decodes h packed rows of the camera band, 128
+// pixels wide, per op.
+func benchDecompressBand(b *testing.B, h int) {
 	var c Codec
-	src := cameraBand(128, DefaultSliceLines)
-	data := c.CompressBand(nil, src, LineParams{Shift: 1})
-	img := NewFrame(128, DefaultSliceLines)
+	data := c.CompressBand(nil, cameraBand(128, h), LineParams{Shift: 1})
+	img := NewFrame(128, h)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.DecompressBand(img, data); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*DefaultSliceLines), "ns/line")
 }

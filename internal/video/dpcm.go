@@ -168,8 +168,6 @@ type Codec struct {
 	line  []byte   // decompressed line (decompress)
 	wires [][]byte // compressed-line buffers handed out since Reset
 	n     int
-	lines [][]byte // a band's line views (DecompressBand)
-	pad   []byte   // the band kernels' scratch lane output
 }
 
 // Reset recycles every buffer handed out by CompressLine since the

@@ -25,15 +25,26 @@ func (c *Camera) FrameAt(n int) *video.Frame {
 	return f
 }
 
+// ramp holds the two rows render copies from: ramp[:128] is 0, 2, …,
+// 254 and ramp[128:] is 1, 3, …, 255.
+var ramp = func() (r [256]byte) {
+	for i := range r {
+		r[i] = byte(2*i + i/128)
+	}
+	return r
+}()
+
 // render draws frame number n over every pixel of f: pixel (x, y) is
 // x*2+y+n*3 (mod 256), under a bright block.
 func (c *Camera) render(f *video.Frame, n int) {
 	for y := 0; y < c.h; y++ {
+		// The row counts up by 2 from v and repeats every 128 pixels: the
+		// half of the ramp with v's parity, started at v.
 		v := byte(y + n*3)
+		half := ramp[int(v&1)*128:][:128]
 		row := f.Row(y)
-		for x := range row {
-			row[x] = v
-			v += 2
+		for x := copy(row, half[v/2:]); x < len(row); {
+			x += copy(row[x:], half)
 		}
 	}
 	// A bright block moving one pixel per frame — motion parallel to

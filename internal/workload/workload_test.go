@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mulaw"
 	"repro/internal/segment"
+	"repro/internal/video"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -190,14 +191,20 @@ func TestRampDeterministic(t *testing.T) {
 }
 
 func TestCameraFramesFollowTheFormula(t *testing.T) {
-	// Frames 0 … (w − w/8) + 2 take the bright block across the picture
-	// and through its wrap back to the left edge.
-	for _, size := range [][2]int{{128, 64}, {37, 19}} {
+	// Frames 0–300 take the bright block across the picture and through
+	// its wrap back to the left edge. Four rows at every width from 1 to
+	// 300, the middle two crossed by the block, check render's copied
+	// rows wherever the 128-pixel pattern starts and ends.
+	sizes := [][2]int{{128, 64}, {37, 19}}
+	for w := 1; w <= 300; w++ {
+		sizes = append(sizes, [2]int{w, 4})
+	}
+	for _, size := range sizes {
 		w, h := size[0], size[1]
-		cam := NewCamera(w, h)
+		cam, f := NewCamera(w, h), video.NewFrame(w, h)
 		bs := w / 8
-		for n := 0; n <= w-bs+2; n++ {
-			f := cam.FrameAt(n)
+		for n := 0; n <= 300; n++ {
+			cam.Draw(f, n)
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					want := byte(x*2 + y + n*3)
