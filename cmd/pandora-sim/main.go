@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/atm"
-	"repro/internal/faultinject"
 	"repro/internal/scenario"
 )
 
@@ -174,9 +173,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-loss sets the loss of pairwise links, and -fabric has none")
 		return 1
 	}
-	// A bad -faults token is a usage error reported in ParseSpec's own
-	// words, before any scenario exists to name.
-	if _, err := faultinject.ParseSpec(*faults, *faultSeed); err != nil {
+	// A bad -faults token is a usage error reported in the fault
+	// list's own words, before any scenario exists to name.
+	if _, err := scenario.ParseFaults(*faults, *faultSeed); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}

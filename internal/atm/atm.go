@@ -168,7 +168,6 @@ type LinkStats struct {
 // stepDeliver), woken by a Signal when a transmission ends at a host
 // hop.
 type Link struct {
-	rt   *occam.Runtime
 	nm   string
 	cfg  LinkConfig
 	rng  *workload.RNG
@@ -194,7 +193,6 @@ type Link struct {
 // NewLink creates a link and starts its delivery process.
 func NewLink(rt *occam.Runtime, name string, cfg LinkConfig) *Link {
 	l := &Link{
-		rt:    rt,
 		nm:    name,
 		cfg:   cfg.withDefaults(),
 		rng:   workload.NewRNG(cfg.Seed),

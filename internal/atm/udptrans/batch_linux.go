@@ -9,11 +9,11 @@ import (
 )
 
 // mmsghdr mirrors the kernel's struct mmsghdr on 64-bit Linux: the
-// per-datagram msghdr plus the kernel-filled byte count, padded to
-// 8-byte alignment.
+// per-datagram msghdr plus the byte count the kernel fills in (which
+// nothing reads), padded to 8-byte alignment.
 type mmsghdr struct {
 	Hdr syscall.Msghdr
-	Len uint32
+	_   uint32
 	_   [4]byte
 }
 

@@ -125,12 +125,6 @@ func (m *micReader) command() {
 		b.setMicOpen(m.n, false)
 		b.trace.Emit(obs.EvStreamClose, b.cfg.Name+".mic", m.stream, "mic stopped")
 	}
-	if cmd.SetBlocks > 0 && cmd.SetBlocks <= segment.MaxBlocksPerSegment {
-		m.perSeg = cmd.SetBlocks
-		m.nblocks = 0
-		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".mic", m.stream,
-			"blocks-per-segment changed")
-	}
 }
 
 // block takes the codec block of tick n into the segment being built

@@ -42,6 +42,7 @@
 package box
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/allocator"
@@ -164,12 +165,11 @@ type Config struct {
 	// (labelled with the box name) and traces lifecycle, drop and
 	// overload events. core.System sets it automatically.
 	Obs *obs.Registry
-	// BoardFaults, if non-nil, injects board crash windows: while a
-	// board ("server", "audio", "display") is down, its input handlers
-	// discard arriving data — counted on fault_crash_drops_total — and
-	// recover cleanly when the window ends (§3.8: failures must not
-	// propagate).
-	BoardFaults *faultinject.Boards
+	// Crashes injects board crash windows, keyed by board name (one of
+	// CrashBoards): while a board is down, its input handlers discard
+	// arriving data — counted on fault_crash_drops_total — and recover
+	// cleanly when the window ends (§3.8: failures must not propagate).
+	Crashes map[string][]faultinject.Window
 	// SinkStalls injects output-device stalls, keyed by decoupling
 	// buffer slot name ("speaker", "net-audio", "net-video",
 	// "display"): while a window is open the slot's consumer freezes
@@ -211,9 +211,8 @@ type wireMsg struct {
 
 // audioCmd controls the audio board's outgoing side.
 type audioCmd struct {
-	StartMic  *uint32
-	StopMic   bool
-	SetBlocks int // new blocks-per-segment, 0 = unchanged
+	StartMic *uint32
+	StopMic  bool
 }
 
 // captureCmd controls the capture board.
@@ -266,7 +265,7 @@ type Box struct {
 	// every stream (the switch's own table is private to its process).
 	streamDir byStream[routeInfo]
 
-	crash *crashState // nil unless cfg.BoardFaults is set
+	crash *crashState // nil unless cfg.Crashes is set
 
 	// wires recycles the box's wire storage: sources encode into it,
 	// output handlers copy out of server buffers into it, and sinks
@@ -397,7 +396,7 @@ func (b *Box) observe() {
 	boxTable.Register(b.cfg.Obs, b, lb)
 	// Board-crash fault accounting, only when faults are configured so
 	// clean runs keep a clean namespace.
-	if b.cfg.BoardFaults != nil {
+	if len(b.cfg.Crashes) > 0 {
 		b.crash = new(crashState)
 		crashTable.Register(b.cfg.Obs, b, lb)
 	}
@@ -435,23 +434,23 @@ func boxColumns() []obs.Column[*Box] {
 	return cols
 }
 
-// crashBoards are the boards a crash window can take down, in the order
+// CrashBoards are the boards a crash window can take down, in the order
 // of a box's crash counters.
-var crashBoards = [...]string{"server", "audio", "display"}
+var CrashBoards = [...]string{"server", "audio", "display"}
 
-// Indices into crashBoards.
+// Indices into CrashBoards.
 const (
 	boardServer = iota
 	boardAudio
 	boardDisplay
 )
 
-// crashState is a box's injected board-crash accounting, by crashBoards
+// crashState is a box's injected board-crash accounting, by CrashBoards
 // index: arrivals discarded, and whether this outage is traced yet (once
 // per outage, not per segment).
 type crashState struct {
-	drops  [len(crashBoards)]uint64
-	traced [len(crashBoards)]bool
+	drops  [len(CrashBoards)]uint64
+	traced [len(CrashBoards)]bool
 }
 
 // crashTable is a box's board-crash drop counters, one per board.
@@ -462,20 +461,21 @@ var crashTable = obs.NewTable(
 )
 
 // boardDown reports whether an injected crash window covers board (a
-// crashBoards index) now, counting each discarded arrival and tracing
+// CrashBoards index) now, counting each discarded arrival and tracing
 // once per outage.
 func (b *Box) boardDown(p *occam.Proc, board int) bool {
-	if b.cfg.BoardFaults == nil {
+	if b.crash == nil {
 		return false
 	}
-	if !b.cfg.BoardFaults.Down(crashBoards[board], p.Now()) {
+	now := p.Now()
+	if !slices.ContainsFunc(b.cfg.Crashes[CrashBoards[board]], func(w faultinject.Window) bool { return w.Contains(now) }) {
 		b.crash.traced[board] = false
 		return false
 	}
 	b.crash.drops[board]++
 	if !b.crash.traced[board] {
 		b.crash.traced[board] = true
-		b.trace.Emit(obs.EvFault, b.cfg.Name+"."+crashBoards[board], 0, "board crashed: discarding input")
+		b.trace.Emit(obs.EvFault, b.cfg.Name+"."+CrashBoards[board], 0, "board crashed: discarding input")
 	}
 	return true
 }

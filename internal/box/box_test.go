@@ -449,31 +449,6 @@ func TestCloseRouteForgetsFanOut(t *testing.T) {
 	}
 }
 
-func TestDynamicSegmentSizeChange(t *testing.T) {
-	// §3.2: blocks per segment can change dynamically, 1–12.
-	rt := occam.NewRuntime()
-	defer rt.Shutdown()
-	a, b, _ := twoBoxes(rt, Config{Mic: workload.NewTone(400, 10000)}, Config{}, 100)
-	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
-		a.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100}})
-		b.SetRoute(p, Route{Stream: 100, Outputs: []Output{OutSpeaker}})
-		a.StartMic(p, 1)
-		p.Sleep(300 * time.Millisecond)
-		a.audioCmds.Send(p, audioCmd{SetBlocks: 12}) // 24 ms batching
-		p.Sleep(300 * time.Millisecond)
-		a.audioCmds.Send(p, audioCmd{SetBlocks: 1}) // 2 ms minimum latency
-	})
-	run(t, rt, time.Second)
-	st := b.Mixer().Stats(100)
-	if st.Blocks < 400 {
-		t.Fatalf("only %d blocks delivered across size changes", st.Blocks)
-	}
-	// "Incoming segments of any mixture of sizes are accepted."
-	if st.LostSegments != 0 {
-		t.Fatalf("segment size changes lost %d segments", st.LostSegments)
-	}
-}
-
 func TestMutingActsOnEcho(t *testing.T) {
 	// A loud incoming stream at the speaker must mute the outgoing
 	// mic within the reaction margin.

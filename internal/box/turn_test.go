@@ -107,19 +107,19 @@ func TestClosedMicrophoneTakesCommandsOnItsGrid(t *testing.T) {
 				"seq 2 stamp t+17.984ms arrives t+22.351672ms",
 		},
 		{
-			// The closed microphone wakes for the batching command,
-			// stays closed, and goes back to polling on the same grid.
-			name: "after SetBlocksPerSegment on a closed microphone",
+			// The closed microphone wakes for a stop command, stays
+			// closed, and goes back to polling on the same grid.
+			name: "after a stop on a closed microphone",
 			control: func(p *occam.Proc, bx *Box) {
 				p.SleepUntil(occam.Time(6*ms + 300*time.Microsecond))
-				bx.audioCmds.Send(p, audioCmd{SetBlocks: 3})
+				bx.StopMic(p)
 				p.SleepUntil(occam.Time(13 * ms))
 				bx.StartMic(p, 1)
 			},
 			want: "" +
-				"seq 0 stamp t+11.968ms arrives t+18.3611ms\n" +
-				"seq 1 stamp t+17.984ms arrives t+24.3611ms\n" +
-				"seq 2 stamp t+24ms arrives t+30.3611ms",
+				"seq 0 stamp t+11.968ms arrives t+16.351672ms\n" +
+				"seq 1 stamp t+16ms arrives t+20.351672ms\n" +
+				"seq 2 stamp t+19.968ms arrives t+24.351672ms",
 		},
 	}
 	for _, c := range cases {
@@ -210,10 +210,10 @@ func TestAudioBoardCrashDiscardsAtDelivery(t *testing.T) {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
 	reg := obs.New(rt)
-	faults := faultinject.NewBoards().Crash("audio", 100*time.Millisecond, 200*time.Millisecond)
+	crashes := map[string][]faultinject.Window{"audio": {{From: 100 * time.Millisecond, To: 200 * time.Millisecond}}}
 	a, b, _ := twoBoxes(rt,
 		Config{Mic: workload.NewTone(400, 12000)},
-		Config{Obs: reg, BoardFaults: faults}, 100)
+		Config{Obs: reg, Crashes: crashes}, 100)
 	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
 		a.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100}})
 		b.SetRoute(p, Route{Stream: 100, Outputs: []Output{OutSpeaker}})

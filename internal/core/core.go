@@ -508,6 +508,13 @@ func (s *System) openCircuit(p *occam.Proc, vci uint32, from, to *node, video bo
 	s.Net.OpenCircuit(vci, from.host, to.host, e.links...)
 }
 
+// OpenCircuit installs a raw circuit for vci from box from toward box
+// to, as openCircuit installs a stream's: a fabric route or a circuit
+// over their link path.
+func (s *System) OpenCircuit(p *occam.Proc, vci uint32, from, to string) {
+	s.openCircuit(p, vci, s.lookup(from), s.lookup(to), false)
+}
+
 // closeCircuit tears down what openCircuit installed.
 func (s *System) closeCircuit(vci uint32, from, to *node) {
 	e := s.mustEdge(from, to)

@@ -150,8 +150,6 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-func ms(v float64) string { return fmt.Sprintf("%.2fms", v) }
-
 func pct(num, den uint64) string {
 	if den == 0 {
 		return "0%"

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +12,8 @@ import (
 // roughly what factor, where the paper's crossovers fall.
 
 func cell(t *Table, row, col int) string { return t.Rows[row][col] }
+
+func ms(v float64) string { return fmt.Sprintf("%.2fms", v) }
 
 func atoi(t *testing.T, s string) int {
 	t.Helper()

@@ -179,7 +179,6 @@ func (f *Fabric) Attach(h *atm.Host) *Port {
 	id := len(f.ports)
 	pt := &Port{
 		fab:  f,
-		id:   id,
 		nm:   fmt.Sprintf("%s.p%02d", f.nm, id),
 		host: h,
 	}
@@ -321,7 +320,6 @@ func (f *Fabric) Stats() PortStats {
 // see the occam scheduler-context rules.
 type Port struct {
 	fab  *Fabric
-	id   int
 	nm   string
 	host *atm.Host
 

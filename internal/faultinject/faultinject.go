@@ -7,9 +7,9 @@
 // can be provoked on demand and regression-tested.
 //
 // The package makes *decisions only*: a fault process answers "drop
-// this message?", "is this board down now?"; the component hosting the
-// hook (an atm.Link, a box board, a decoupling buffer) owns the
-// counters and trace events, so every injected fault is visible in the
+// this message?", a Window "is this board down now?"; the component
+// hosting the hook (an atm.Link, a box board, a decoupling buffer) owns
+// the counters and trace events, so every injected fault is visible in the
 // obs registry without this package importing any of them. Decisions
 // are pure functions of a seed and the (virtual-time-deterministic)
 // call sequence, so the same seed always reproduces the same fault
@@ -17,8 +17,6 @@
 package faultinject
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -148,38 +146,6 @@ func (l *Link) StallUntil(now occam.Time) occam.Time {
 	return 0
 }
 
-// Boards is a crash-and-restart schedule for a box's transputer
-// boards: while a board is down its input processes discard everything
-// they receive (the data path keeps draining so a restart finds clean
-// channels, as the real box's watchdog restart did). Nil-receiver
-// safe, so boxes consult it unconditionally.
-type Boards struct {
-	windows map[string][]Window
-}
-
-// NewBoards returns an empty crash schedule.
-func NewBoards() *Boards { return &Boards{windows: make(map[string][]Window)} }
-
-// Crash schedules an outage for the named board ("server", "audio",
-// "display") and returns the receiver for chaining.
-func (b *Boards) Crash(board string, from, to time.Duration) *Boards {
-	b.windows[board] = append(b.windows[board], Window{From: from, To: to})
-	return b
-}
-
-// Down reports whether the named board is crashed at now.
-func (b *Boards) Down(board string, now occam.Time) bool {
-	if b == nil {
-		return false
-	}
-	for _, w := range b.windows[board] {
-		if w.Contains(now) {
-			return true
-		}
-	}
-	return false
-}
-
 // Stalls converts outage windows into the stall callback a decoupling
 // buffer takes via decouple.Buffer.SetStall: a stuck sink channel (a wedged
 // output device) that resumes when the window closes.
@@ -195,8 +161,8 @@ func Stalls(windows []Window) func(now occam.Time) occam.Time {
 	}
 }
 
-// Spec is a parsed pandora-sim -faults specification: which canned
-// faults to inject, all derived deterministically from one seed.
+// Spec is a parsed fault list (scenario.ParseFaults): which faults to
+// inject, all derived deterministically from one seed.
 type Spec struct {
 	// Link is the per-link fault template; LinkFault derives one
 	// seeded instance per link name.
@@ -246,219 +212,4 @@ func DeriveSeed(seed uint64, name string) uint64 {
 		h *= 1099511628211
 	}
 	return h ^ seed
-}
-
-// ParseSpec parses a comma-separated fault list (the pandora-sim
-// -faults flag and the scenario-file "faults" directive): any of
-// "loss", "corrupt", "dup", "jitter", "stall" (periodic link
-// outages), "sink" (stuck net-video sink windows) and "crash"
-// (server-board crash-and-restart), or "all", plus "target=<prefix>"
-// to confine the link faults to links or fabric ports whose name
-// starts with the prefix. The canned parameters are chosen to visibly
-// stress a few-second conference run without silencing it.
-//
-// Each canned word also has a parameterised form, so a scenario file
-// can state exact rates instead of the canned ones:
-//
-//	burst=P[/L]      loss-burst entry probability P, mean length L
-//	corrupt=P        per-message corruption probability
-//	dup=P            per-message duplication probability
-//	jitter=M[/S]     extra delay, mean M and stddev S (durations)
-//	stall=E/F        periodic outage: the first F of every E
-//	stallwin=F-T     one explicit outage window (repeatable)
-//	sink=F-T         one sink-stall window (repeatable)
-//	crash=B:F-T      one crash window for board B (repeatable)
-//	seed=N           override the master seed
-//
-// Parse errors name the offending token and its position in the list.
-func ParseSpec(list string, seed uint64) (Spec, error) {
-	s := Spec{Seed: seed}
-	if strings.TrimSpace(list) == "" {
-		return s, nil
-	}
-	offset := 0
-	for i, raw := range strings.Split(list, ",") {
-		tok := strings.TrimSpace(raw)
-		if err := s.applyToken(tok); err != nil {
-			return Spec{}, fmt.Errorf("faultinject: token %d (%q) at char %d: %w",
-				i+1, tok, offset+countLeadingSpace(raw), err)
-		}
-		offset += len(raw) + 1 // the comma
-	}
-	return s, nil
-}
-
-func countLeadingSpace(s string) int { return len(s) - len(strings.TrimLeft(s, " \t")) }
-
-// applyToken folds one grammar token into the spec.
-func (s *Spec) applyToken(tok string) error {
-	if key, val, ok := strings.Cut(tok, "="); ok {
-		return s.applyParam(key, val)
-	}
-	switch tok {
-	case "loss":
-		s.Link.BurstEnter, s.Link.BurstLen = 0.01, 4
-	case "corrupt":
-		s.Link.Corrupt = 0.01
-	case "dup":
-		s.Link.Duplicate = 0.005
-	case "jitter":
-		s.Link.JitterMean, s.Link.JitterStddev = time.Millisecond, 2*time.Millisecond
-	case "stall":
-		s.Link.StallEvery, s.Link.StallFor = time.Second, 150*time.Millisecond
-	case "sink":
-		s.SinkStalls = []Window{
-			{From: time.Second, To: 1200 * time.Millisecond},
-			{From: 3 * time.Second, To: 3200 * time.Millisecond},
-		}
-	case "crash":
-		s.crash("server", Window{From: 1500 * time.Millisecond, To: 2 * time.Second})
-	case "all":
-		s.Link.BurstEnter, s.Link.BurstLen = 0.01, 4
-		s.Link.Corrupt = 0.01
-		s.Link.Duplicate = 0.005
-		s.Link.JitterMean, s.Link.JitterStddev = time.Millisecond, 2*time.Millisecond
-	case "":
-	default:
-		return fmt.Errorf("unknown fault %q (want loss, corrupt, dup, jitter, stall, sink, crash or all)", tok)
-	}
-	return nil
-}
-
-// applyParam folds one key=value token into the spec.
-func (s *Spec) applyParam(key, val string) error {
-	switch key {
-	case "target":
-		s.Target = val
-		return nil
-	case "seed":
-		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil {
-			return fmt.Errorf("seed wants an unsigned integer, got %q", val)
-		}
-		s.Seed = n
-		return nil
-	case "burst":
-		p, l, split := strings.Cut(val, "/")
-		prob, err := parseProb(p)
-		if err != nil {
-			return err
-		}
-		s.Link.BurstEnter = prob
-		if split {
-			n, err := strconv.Atoi(l)
-			if err != nil || n < 1 {
-				return fmt.Errorf("burst length wants a positive integer, got %q", l)
-			}
-			s.Link.BurstLen = n
-		}
-		return nil
-	case "corrupt":
-		prob, err := parseProb(val)
-		if err != nil {
-			return err
-		}
-		s.Link.Corrupt = prob
-		return nil
-	case "dup":
-		prob, err := parseProb(val)
-		if err != nil {
-			return err
-		}
-		s.Link.Duplicate = prob
-		return nil
-	case "jitter":
-		m, sd, split := strings.Cut(val, "/")
-		mean, err := time.ParseDuration(m)
-		if err != nil {
-			return fmt.Errorf("jitter mean: %q is not a duration", m)
-		}
-		s.Link.JitterMean = mean
-		if split {
-			stddev, err := time.ParseDuration(sd)
-			if err != nil {
-				return fmt.Errorf("jitter stddev: %q is not a duration", sd)
-			}
-			s.Link.JitterStddev = stddev
-		}
-		return nil
-	case "stall":
-		e, f, split := strings.Cut(val, "/")
-		if !split {
-			return fmt.Errorf("stall wants EVERY/FOR durations, got %q", val)
-		}
-		every, err := time.ParseDuration(e)
-		if err != nil {
-			return fmt.Errorf("stall period: %q is not a duration", e)
-		}
-		dur, err := time.ParseDuration(f)
-		if err != nil {
-			return fmt.Errorf("stall length: %q is not a duration", f)
-		}
-		s.Link.StallEvery, s.Link.StallFor = every, dur
-		return nil
-	case "stallwin":
-		w, err := ParseWindow(val)
-		if err != nil {
-			return err
-		}
-		s.Link.Stalls = append(s.Link.Stalls, w)
-		return nil
-	case "sink":
-		w, err := ParseWindow(val)
-		if err != nil {
-			return err
-		}
-		s.SinkStalls = append(s.SinkStalls, w)
-		return nil
-	case "crash":
-		board, win, split := strings.Cut(val, ":")
-		if !split || board == "" {
-			return fmt.Errorf("crash wants BOARD:FROM-TO, got %q", val)
-		}
-		w, err := ParseWindow(win)
-		if err != nil {
-			return err
-		}
-		s.crash(board, w)
-		return nil
-	default:
-		return fmt.Errorf("unknown fault parameter %q (want burst, corrupt, dup, jitter, stall, stallwin, sink, crash, target or seed)", key)
-	}
-}
-
-func (s *Spec) crash(board string, w Window) {
-	if s.Crashes == nil {
-		s.Crashes = make(map[string][]Window)
-	}
-	s.Crashes[board] = append(s.Crashes[board], w)
-}
-
-func parseProb(v string) (float64, error) {
-	p, err := strconv.ParseFloat(v, 64)
-	if err != nil || p < 0 || p > 1 {
-		return 0, fmt.Errorf("probability wants a number in [0,1], got %q", v)
-	}
-	return p, nil
-}
-
-// ParseWindow parses "FROM-TO" into a Window of two durations with
-// From < To.
-func ParseWindow(v string) (Window, error) {
-	f, t, ok := strings.Cut(v, "-")
-	if !ok {
-		return Window{}, fmt.Errorf("window wants FROM-TO durations, got %q", v)
-	}
-	from, err := time.ParseDuration(f)
-	if err != nil {
-		return Window{}, fmt.Errorf("window start: %q is not a duration", f)
-	}
-	to, err := time.ParseDuration(t)
-	if err != nil {
-		return Window{}, fmt.Errorf("window end: %q is not a duration", t)
-	}
-	if to <= from {
-		return Window{}, fmt.Errorf("window %q ends before it starts", v)
-	}
-	return Window{From: from, To: to}, nil
 }

@@ -88,41 +88,23 @@ func TestStallUntil(t *testing.T) {
 	}
 }
 
-func TestBoardsDown(t *testing.T) {
-	var nilBoards *Boards
-	if nilBoards.Down("server", 0) {
-		t.Fatal("nil Boards must report up")
-	}
-	b := NewBoards().Crash("server", time.Second, 2*time.Second)
-	if b.Down("server", occam.Time(999*time.Millisecond)) {
-		t.Fatal("down before window")
-	}
-	if !b.Down("server", occam.Time(1500*time.Millisecond)) {
-		t.Fatal("up inside window")
-	}
-	if b.Down("audio", occam.Time(1500*time.Millisecond)) {
-		t.Fatal("wrong board down")
-	}
-}
-
-func TestParseSpec(t *testing.T) {
-	s, err := ParseSpec("loss,jitter,crash", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Active() || s.Link.BurstEnter == 0 || s.Link.JitterStddev == 0 || len(s.Crashes) == 0 {
-		t.Fatalf("spec not assembled: %+v", s)
+// TestSpecLinkFault: an active spec hands each link its own seeded
+// fault process, confined by Target; an empty spec is inactive.
+func TestSpecLinkFault(t *testing.T) {
+	s := Spec{Link: LinkConfig{BurstEnter: 0.01}, Target: "a-", Seed: 42}
+	if !s.Active() {
+		t.Fatalf("spec not active: %+v", s)
 	}
 	if s.LinkFault("a-b.0") == nil {
 		t.Fatal("link fault missing")
 	}
+	if s.LinkFault("b-a.0") != nil {
+		t.Fatal("link outside the target faulted")
+	}
 	if DeriveSeed(42, "a-b.0") == DeriveSeed(42, "b-a.0") {
 		t.Fatal("per-link seeds collide")
 	}
-	if _, err := ParseSpec("bogus", 1); err == nil {
-		t.Fatal("unknown token accepted")
-	}
-	if s, err := ParseSpec("", 1); err != nil || s.Active() {
+	if (Spec{Seed: 1}).Active() {
 		t.Fatal("empty spec must be inactive")
 	}
 }

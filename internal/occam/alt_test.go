@@ -7,12 +7,12 @@ import (
 
 // timeGuard fires at an absolute virtual time (Occam "tim ? AFTER t"):
 // a guard that waits on a timer, not a channel. No board needs one; the
-// tests use it to cross the scheduler's cancelled-timer path. Each
-// enable arms an event of its own, which disable cancels and the timer
-// queue skips when its instant comes, maybe after the guard's next Alt.
+// tests use it to cross a timer that outlives its Alt. Each enable arms
+// an event of its own, whose callback fires the guard unless disable
+// has set the event's off flag since — maybe after the guard's next Alt.
 type timeGuard struct {
-	at Time
-	ev *timerEv
+	at  Time
+	off *bool // the newest event's
 }
 
 // After returns a guard that fires once the virtual clock reaches at.
@@ -21,11 +21,16 @@ func After(at Time) Guard { return &timeGuard{at: at} }
 func (g *timeGuard) poll(p *Proc) bool { return p.rt.now >= g.at }
 
 func (g *timeGuard) enable(p *Proc, idx int) {
-	g.ev = &timerEv{fn: func(Sched) { p.fire(idx) }}
-	p.rt.arm(g.ev, g.at)
+	off := new(bool)
+	g.off = off
+	p.rt.arm(&timerEv{fn: func(Sched) {
+		if !*off {
+			p.fire(idx)
+		}
+	}}, g.at)
 }
 
-func (g *timeGuard) disable() { g.ev.cancelled = true }
+func (g *timeGuard) disable() { *g.off = true }
 
 func TestAltPicksReadyGuard(t *testing.T) {
 	rt := NewRuntime()
@@ -196,7 +201,7 @@ func TestAltCancelsLosingTimer(t *testing.T) {
 		var v int
 		p.Alt(Recv(ch, &v), After(p.Now().Add(5*time.Millisecond)))
 		count++
-		p.Sleep(20 * time.Millisecond) // outlive the cancelled timer
+		p.Sleep(20 * time.Millisecond) // outlive the disarmed timer
 	})
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
@@ -208,7 +213,7 @@ func TestAltCancelsLosingTimer(t *testing.T) {
 
 func TestTimeGuardReusedWhileItsCancelledTimerIsPending(t *testing.T) {
 	// A hoisted time guard that loses every Alt but the last: each lost
-	// one leaves a cancelled event queued past the next Alt, for the
+	// one leaves a disarmed event queued past the next Alt, for the
 	// instant the live one is armed for.
 	rt := NewRuntime()
 	ch := NewChan[int](rt, "c")

@@ -16,14 +16,12 @@ type Node struct {
 	busy    bool
 	waiting []cpuReq
 	busyFor time.Duration // accumulated busy time (utilisation metric)
-	grants  uint64
 }
 
 type cpuReq struct {
 	p   *Proc
 	d   time.Duration
 	pri Priority
-	seq uint64
 }
 
 // NewNode returns a new CPU resource named name.
@@ -49,14 +47,12 @@ func (p *Proc) Consume(d time.Duration) {
 		p.Sleep(d)
 		return
 	}
-	rt := n.rt
-	rt.seq++
-	n.insert(cpuReq{p: p, d: d, pri: p.pri, seq: rt.seq})
+	n.insert(cpuReq{p: p, d: d, pri: p.pri})
 	if !n.busy {
 		n.grantNext()
 	}
 	p.word = int64(d)
-	rt.park(p, stCPU, n)
+	n.rt.park(p, stCPU, n)
 }
 
 // insert queues req, high priority ahead of low, FIFO within a
@@ -89,7 +85,6 @@ func (n *Node) grantNext() {
 	n.waiting = n.waiting[:len(n.waiting)-1]
 	n.busy = true
 	n.busyFor += req.d
-	n.grants++
 	req.p.ev.grant = n
 	n.rt.arm(&req.p.ev, n.rt.now.Add(req.d))
 }

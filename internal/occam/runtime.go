@@ -59,7 +59,6 @@ type statusKind uint8
 const (
 	stRunning statusKind = iota
 	stRunnable
-	stYield
 	stSend
 	stRecv
 	stSleep
@@ -156,8 +155,6 @@ func (p *Proc) statusText() string {
 		return "running"
 	case stRunnable:
 		return "runnable"
-	case stYield:
-		return "yield"
 	case stSend:
 		return "send " + p.on.waitName()
 	case stRecv:
@@ -182,12 +179,11 @@ func (p *Proc) Now() Time { return p.rt.now }
 // arming allocates nothing, and it carries no key: its place in its
 // run is its place in the firing order.
 type timerEv struct {
-	next      *timerEv // armed after this one, in the same run; nil once taken
-	p         *Proc
-	fn        func(Sched)
-	grant     *Node // non-nil: a CPU grant for p completes on this node
-	armed     bool  // queued; cleared as the event is taken to fire
-	cancelled bool
+	next  *timerEv // armed after this one, in the same run; nil once taken
+	p     *Proc
+	fn    func(Sched)
+	grant *Node // non-nil: a CPU grant for p completes on this node
+	armed bool  // queued; cleared as the event is taken to fire
 }
 
 // timerRun is the events armed back to back for one instant, a FIFO
@@ -531,16 +527,12 @@ func (rt *Runtime) pick() *Proc {
 	}
 }
 
-// advanceClock is pick's nothing-runnable step: it discards cancelled
-// timers, advances the clock to the next event and fires everything
-// due at that instant. It returns false when there is nothing left to
+// advanceClock is pick's nothing-runnable step: it advances the clock
+// to the next event and fires everything due at that instant. It returns false when there is nothing left to
 // run before the limit and true when timers fired, so the caller
 // should re-check the run queue.
 func (rt *Runtime) advanceClock() bool {
 	q := &rt.timers
-	for len(q.runs) > 0 && q.runs[0].head.cancelled {
-		q.take()
-	}
 	if len(q.runs) == 0 {
 		// Quiescent with no future event: completion, or the end
 		// of a bounded run, or deadlock.
@@ -564,7 +556,6 @@ func (rt *Runtime) advanceClock() bool {
 	for len(q.runs) > 0 && q.runs[0].at <= rt.now {
 		ev := q.take()
 		switch {
-		case ev.cancelled:
 		case ev.grant != nil:
 			n := ev.grant
 			ev.grant = nil
@@ -603,7 +594,7 @@ func (rt *Runtime) arm(ev *timerEv, at Time) {
 		at = rt.now
 	}
 	rt.seq++
-	ev.armed, ev.cancelled = true, false
+	ev.armed = true
 	rt.timers.push(at, rt.seq, ev)
 }
 

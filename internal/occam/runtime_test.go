@@ -11,7 +11,7 @@ import (
 // yields; the tests use it to order processes within an instant.
 func (p *Proc) Yield() {
 	p.rt.ready(p)
-	p.rt.park(p, stYield, nil)
+	p.rt.park(p, stRunnable, nil)
 }
 
 func TestRunEmpty(t *testing.T) {

@@ -28,7 +28,7 @@ func TestObjectsFitTheirSizeClass(t *testing.T) {
 		{"Chan[msg]", unsafe.Sizeof(Chan[msg]{}), 64},
 		{"Signal", unsafe.Sizeof(Signal{}), 48},
 		{"Link[msg]", unsafe.Sizeof(Link[msg]{}), 112},
-		{"Node", unsafe.Sizeof(Node{}), 80},
+		{"Node", unsafe.Sizeof(Node{}), 64},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d bytes, want at most %d", c.what, c.size, c.max)

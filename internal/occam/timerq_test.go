@@ -26,7 +26,7 @@ func (a tqKey) cmp(b tqKey) int {
 // checkTimerQueue fails t unless q is well formed — every run non-empty
 // and of armed events, no run firing before its parent in the heap,
 // tail the end of some run or nil — and returns its events still to
-// fire (the cancelled ones lie in it until their instant comes).
+// fire.
 func checkTimerQueue(t *testing.T, q *timerQueue) (live int) {
 	t.Helper()
 	tailSeen := q.tail == nil
@@ -41,9 +41,7 @@ func checkTimerQueue(t *testing.T, q *timerQueue) (live int) {
 			if !ev.armed {
 				t.Fatalf("run %d holds an event not marked armed", i)
 			}
-			if !ev.cancelled {
-				live++
-			}
+			live++
 			if ev == q.tail {
 				tailSeen = ev.next == nil && r.at == q.tailAt
 			}
@@ -55,7 +53,7 @@ func checkTimerQueue(t *testing.T, q *timerQueue) (live int) {
 	return live
 }
 
-// TestTimerQueueFiresInKeyOrder arms, cancels and takes at random over
+// TestTimerQueueFiresInKeyOrder arms and takes at random over
 // few distinct instants, so that most events join runs, and holds every
 // take to a reference kept sorted by (at, seq).
 func TestTimerQueueFiresInKeyOrder(t *testing.T) {
@@ -79,7 +77,7 @@ func TestTimerQueueFiresInKeyOrder(t *testing.T) {
 	}
 	for step := 0; step < 5000; step++ {
 		switch op := rng.Intn(10); {
-		case op < 5 || len(want) == 0:
+		case op < 6 || len(want) == 0:
 			// Often the instant just armed for, so runs grow; else one
 			// of few, so runs break and instants hold several runs.
 			at := q.tailAt
@@ -91,8 +89,6 @@ func TestTimerQueueFiresInKeyOrder(t *testing.T) {
 			q.push(at, seq, r.ev)
 			i, _ := slices.BinarySearchFunc(want, r, func(a, b ref) int { return a.cmp(b.tqKey) })
 			want = slices.Insert(want, i, r)
-		case op < 7:
-			want[rng.Intn(len(want))].ev.cancelled = true
 		default:
 			take()
 		}
@@ -231,14 +227,19 @@ func TestTimerQueueShape(t *testing.T) {
 		{"head", "b c d"}, {"middle", "a b d"}, {"tail", "a b c"}, {"whole", ""},
 	} {
 		t.Run("cancelled at the "+c.where+" of a run", func(t *testing.T) {
+			// Cancelled as the After guard cancels: a flag the callback
+			// reads, so the event keeps its place and fires as a no-op.
 			reset()
 			for _, name := range []string{"a", "b", "c", "d"} {
-				tm := timer(name, nil)
-				tm.Schedule(ms / 2)
-				tm.ev.cancelled = !strings.Contains(c.left, name)
+				off := !strings.Contains(c.left, name)
+				NewTimer(rt, func(Sched) {
+					if !off {
+						fired = append(fired, name)
+					}
+				}).Schedule(ms / 2)
 			}
-			if live := checkTimerQueue(t, &rt.timers); live != len(strings.Fields(c.left)) {
-				t.Errorf("%d events live of %q", live, c.left)
+			if live := checkTimerQueue(t, &rt.timers); live != 4 {
+				t.Errorf("%d events queued, want 4", live)
 			}
 			expect(t, 1, c.left)
 		})
@@ -333,8 +334,7 @@ func tqPlanOf(b byte) tqPlan {
 
 type tqModelEv struct {
 	tqKey
-	id        int
-	cancelled bool
+	id int
 	tqPlan
 }
 
@@ -364,9 +364,6 @@ func (m *tqModel) runUntil(limit Time) {
 	for len(m.pending) > 0 && m.pending[0].at <= limit {
 		e := m.pending[0]
 		m.pending = m.pending[1:]
-		if e.cancelled {
-			continue
-		}
 		m.now = e.at
 		m.fired = append(m.fired, fmt.Sprintf("%d@%v", e.id, m.now))
 		for _, after := range e.kids {
@@ -378,15 +375,6 @@ func (m *tqModel) runUntil(limit Time) {
 		}
 	}
 	m.now = limit
-}
-
-func (m *tqModel) live() (n int) {
-	for _, e := range m.pending {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
 }
 
 // tqReal is the same events as Timers on a Runtime.
@@ -415,8 +403,8 @@ func (r *tqReal) add(pl tqPlan) *Timer {
 
 // checkTimerQueueOps plays data as three-byte operations — arm a new
 // event (at now, in the past, at one of four near instants or far off;
-// the third byte is its plan), cancel a pending one, or run to the next
-// pending instant or up to three units past it — on a Runtime and on
+// the third byte is its plan) or run to the next pending instant or up
+// to three units past it — on a Runtime and on
 // the model, and compares them after every one.
 func checkTimerQueueOps(t *testing.T, data []byte) {
 	m := &tqModel{}
@@ -441,12 +429,6 @@ func checkTimerQueueOps(t *testing.T, data []byte) {
 			}
 			m.add(at, tqPlanOf(plan))
 			r.add(tqPlanOf(plan)).Schedule(at)
-		case op == 5:
-			if len(m.pending) > 0 {
-				e := m.pending[int(arg)%len(m.pending)]
-				e.cancelled = true
-				r.timers[e.id].ev.cancelled = true
-			}
 		default:
 			limit := m.now + Time(arg%4)*tqUnit
 			if len(m.pending) > 0 {
@@ -460,9 +442,9 @@ func checkTimerQueueOps(t *testing.T, data []byte) {
 		if !slices.Equal(r.fired, m.fired) {
 			t.Fatalf("fired %v, the model %v", r.fired, m.fired)
 		}
-		if live := checkTimerQueue(t, &r.rt.timers); live != m.live() || r.rt.now != m.now || r.rt.seq != m.seq {
+		if live := checkTimerQueue(t, &r.rt.timers); live != len(m.pending) || r.rt.now != m.now || r.rt.seq != m.seq {
 			t.Fatalf("%d pending at %v after %d arms, the model %d at %v after %d",
-				live, r.rt.now, r.rt.seq, m.live(), m.now, m.seq)
+				live, r.rt.now, r.rt.seq, len(m.pending), m.now, m.seq)
 		}
 	}
 }
@@ -470,16 +452,16 @@ func checkTimerQueueOps(t *testing.T, data []byte) {
 // tqSeeds are op streams for the cases the queue's comments argue; the
 // fuzzer starts from them.
 var tqSeeds = [][]byte{
-	// Five events at one instant, the third cancelled, then run: one run.
-	{0, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0, 5, 2, 0, 6, 0, 0},
+	// Five events at one instant, then run: one run.
+	{0, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0, 0, 3, 0, 6, 0, 0},
 	// A run broken by an arm for an earlier instant; both drained at once.
 	{0, 4, 0, 0, 4, 0, 0, 2, 0, 0, 4, 0, 6, 3, 0},
 	// Events whose callbacks arm at now and a unit on, and re-arm
 	// themselves at now three times, between others at the same instant.
 	{0, 2, 0x03 | 0x10 | 0x20, 0, 2, 0, 0, 2, 0x03 | 0x04 | 0x18 | 0x40, 6, 0, 0, 6, 1, 0, 6, 3, 0},
-	// Armed in the past and at now with the clock off zero, far ones
-	// cancelled at the head so that the clock must not jump to them.
-	{0, 5, 0, 6, 0, 0, 0, 1, 1, 0, 0, 0, 0, 7, 0, 0, 6, 0, 5, 0, 0, 5, 1, 0, 6, 2, 0, 6, 0, 0},
+	// Armed in the past and at now with the clock off zero, and far
+	// off, so that the clock jumps to them.
+	{0, 5, 0, 6, 0, 0, 0, 1, 1, 0, 0, 0, 0, 7, 0, 0, 6, 0, 6, 2, 0, 6, 0, 0},
 }
 
 func TestTimerQueueAgainstModel(t *testing.T) {

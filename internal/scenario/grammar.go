@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/box"
 	"repro/internal/faultinject"
 )
 
@@ -22,14 +23,18 @@ import (
 // it sets. The field's type picks the codec: *bool is a bare flag,
 // *string any text, *int an integer ≥ min, *uint32 and *uint64
 // unsigned, *time.Duration a duration ≥ 0, *int64 a bit rate with a k/M
-// suffix, *float64 a number in [0,1], and []any a tuple of such fields
-// joined by sep. A composite clause has no field and brings its own
-// parse and print.
+// suffix, *float64 a number in [0,1], *faultinject.Window a window
+// FROM-TO with FROM < TO, *[]faultinject.Window a list that each value
+// adds a window to, *map[string][]faultinject.Window the same by board
+// (BOARD:FROM-TO, BOARD one of box.CrashBoards), and []any a tuple of
+// such fields joined by sep. A composite clause has no field and brings
+// its own parse and print.
 type clause struct {
 	key    string
 	field  any
 	min    int    // least int accepted: 0, 1 or noMin, which leaves every range to a check elsewhere
 	sep    string // a tuple's separator
+	tail   bool   // a tuple's last value may be left off
 	always bool   // printed even when zero
 	repeat bool   // may be given more than once
 	parse  func(val string) error
@@ -74,9 +79,31 @@ func (c *clause) set(val string) error {
 	case *float64:
 		*f, err = strconv.ParseFloat(val, 64)
 		ok, want = *f >= 0 && *f <= 1 || c.min == noMin, "a number in [0,1]" // NaN is out
+	case *faultinject.Window:
+		err = (&clause{key: c.key, field: []any{&f.From, &f.To}, sep: "-"}).set(val)
+		ok, want = f.From < f.To, "a window FROM-TO with FROM < TO"
+	case *[]faultinject.Window:
+		var w faultinject.Window
+		if err := (&clause{key: c.key, field: &w}).set(val); err != nil {
+			return err
+		}
+		*f = append(*f, w)
+	case *map[string][]faultinject.Window:
+		board, win, _ := strings.Cut(val, ":")
+		if !slices.Contains(box.CrashBoards[:], board) {
+			return fmt.Errorf("%s wants BOARD:FROM-TO with BOARD one of %s, got %q", c.key, strings.Join(box.CrashBoards[:], ", "), val)
+		}
+		var w faultinject.Window
+		if err := (&clause{key: c.key, field: &w}).set(win); err != nil {
+			return err
+		}
+		if *f == nil {
+			*f = make(map[string][]faultinject.Window)
+		}
+		(*f)[board] = append((*f)[board], w)
 	case []any:
 		parts := strings.Split(val, c.sep)
-		if len(parts) != len(f) {
+		if n := len(parts); n != len(f) && !(c.tail && n == len(f)-1) {
 			return fmt.Errorf("%s wants %d values joined by %q, got %q", c.key, len(f), c.sep, val)
 		}
 		for i, p := range parts {
@@ -106,6 +133,8 @@ func text(field any, sep string) (v string, zero bool) {
 		}
 	case *float64:
 		return fmtFloat(*f), *f == 0
+	case *faultinject.Window:
+		return text([]any{&f.From, &f.To}, "-")
 	case []any:
 		parts, zero := make([]string, len(f)), true
 		for i, p := range f {
@@ -156,13 +185,7 @@ func writeLine(sb *strings.Builder, head, tail string, tables ...[]clause) {
 			sb.WriteString(" /")
 		}
 		for _, c := range table {
-			vals := []string(nil)
-			if c.print != nil {
-				vals = c.print()
-			} else if v, zero := text(c.field, c.sep); !zero || c.always {
-				vals = []string{v}
-			}
-			for _, v := range vals {
+			for _, v := range c.values() {
 				sb.WriteString(" " + c.key)
 				if v != "" { // "" is a set flag
 					sb.WriteString("=" + v)
@@ -171,6 +194,33 @@ func writeLine(sb *strings.Builder, head, tail string, tables ...[]clause) {
 		}
 	}
 	sb.WriteString(tail + "\n")
+}
+
+// values renders a clause's field as Format prints it: one value per
+// window of a list, none for a zero field not always printed.
+func (c *clause) values() []string {
+	var out []string
+	switch f := c.field.(type) {
+	case nil:
+		return c.print()
+	case *[]faultinject.Window:
+		for i := range *f {
+			v, _ := text(&(*f)[i], "")
+			out = append(out, v)
+		}
+	case *map[string][]faultinject.Window:
+		for _, board := range slices.Sorted(maps.Keys(*f)) {
+			for i := range (*f)[board] {
+				v, _ := text(&(*f)[board][i], "")
+				out = append(out, board+":"+v)
+			}
+		}
+	default:
+		if v, zero := text(c.field, c.sep); !zero || c.always {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // clauses is the box directive's clause table. Every table lists its
@@ -195,43 +245,8 @@ func (b *Box) clauses() []clause {
 		{key: "jitter", field: &b.Jitter},
 		{key: "muting", field: &b.Muting},
 		{key: "interface", field: &b.Interface},
-		{key: "crash", repeat: true, parse: func(val string) error {
-			board, win, ok := strings.Cut(val, ":")
-			if !ok || board == "" {
-				return fmt.Errorf("crash wants BOARD:FROM-TO, got %q", val)
-			}
-			w, err := faultinject.ParseWindow(win)
-			if err != nil {
-				return err
-			}
-			if b.Crashes == nil {
-				b.Crashes = make(map[string][]faultinject.Window)
-			}
-			b.Crashes[board] = append(b.Crashes[board], w)
-			return nil
-		}, print: func() []string {
-			var out []string
-			for _, board := range slices.Sorted(maps.Keys(b.Crashes)) {
-				for _, w := range b.Crashes[board] {
-					out = append(out, fmt.Sprintf("%s:%s-%s", board, w.From, w.To))
-				}
-			}
-			return out
-		}},
-		{key: "sinkstall", repeat: true, parse: func(val string) error {
-			w, err := faultinject.ParseWindow(val)
-			if err != nil {
-				return err
-			}
-			b.SinkStalls = append(b.SinkStalls, w)
-			return nil
-		}, print: func() []string {
-			out := make([]string, len(b.SinkStalls))
-			for i, w := range b.SinkStalls {
-				out[i] = fmt.Sprintf("%s-%s", w.From, w.To)
-			}
-			return out
-		}},
+		{key: "crash", field: &b.Crashes, repeat: true},
+		{key: "sinkstall", field: &b.SinkStalls, repeat: true},
 	}
 }
 
@@ -285,6 +300,39 @@ func (b *Balance) clauses() []clause {
 		{key: "cooldown", field: &b.Cooldown, min: noMin},
 		{key: "maxmig", field: &b.MaxMigrations, min: noMin},
 	}
+}
+
+// faultClauses is the fault list's table: the rows a faults directive
+// (and pandora-sim -faults) names one per comma-separated token. Every
+// row may be repeated: a later value overrides, and a later window adds
+// to its list.
+func faultClauses(s *faultinject.Spec) []clause {
+	return []clause{
+		{key: "burst", field: []any{&s.Link.BurstEnter, &s.Link.BurstLen}, sep: "/", min: 1, tail: true},
+		{key: "corrupt", field: &s.Link.Corrupt},
+		{key: "dup", field: &s.Link.Duplicate},
+		{key: "jitter", field: []any{&s.Link.JitterMean, &s.Link.JitterStddev}, sep: "/", min: noMin, tail: true},
+		{key: "stall", field: []any{&s.Link.StallEvery, &s.Link.StallFor}, sep: "/", min: noMin},
+		{key: "stallwin", field: &s.Link.Stalls},
+		{key: "sink", field: &s.SinkStalls},
+		{key: "crash", field: &s.Crashes},
+		{key: "target", field: &s.Target},
+		{key: "seed", field: &s.Seed},
+	}
+}
+
+// faultWords are the canned faults, each a fault list of its own, set
+// to visibly stress a few-second conference run without silencing it.
+// A canned sink replaces the sink windows listed before it.
+var faultWords = map[string]string{
+	"loss":    "burst=0.01/4",
+	"corrupt": "corrupt=0.01",
+	"dup":     "dup=0.005",
+	"jitter":  "jitter=1ms/2ms",
+	"stall":   "stall=1s/150ms",
+	"sink":    "sink=1s-1200ms,sink=3s-3200ms",
+	"crash":   "crash=server:1500ms-2s",
+	"all":     "loss,corrupt,dup,jitter",
 }
 
 // The operand shapes of the event ops, each written as the usage

@@ -8,12 +8,15 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/faultinject"
 )
 
 // TestGrammarDocMatchesTables reads the grammar block of Parse's doc
 // comment and holds it to the clause tables: every key= and bare flag a
 // directive's line documents is a row of that directive's table, of the
-// same kind, and every row is documented. scripts/doc_guard.go keeps
+// same kind, every row is documented, and so is every canned fault's
+// list. scripts/doc_guard.go keeps
 // README's copy of the block verbatim, so README is held to the tables
 // too.
 func TestGrammarDocMatchesTables(t *testing.T) {
@@ -35,6 +38,7 @@ func TestGrammarDocMatchesTables(t *testing.T) {
 		"cross":   (&Cross{}).clauses(),
 		"degrade": (&Degrade{}).clauses(),
 		"balance": (&Balance{}).clauses(),
+		"faults":  faultClauses(&faultinject.Spec{}),
 	}
 	for name, o := range ops {
 		tables["at "+name] = o.clauses(&Event{})
@@ -70,6 +74,12 @@ func TestGrammarDocMatchesTables(t *testing.T) {
 				documented[directive] = map[string]bool{}
 			}
 			documented[directive][key] = true
+		}
+	}
+	flat := strings.Join(strings.Fields(doc), " ")
+	for word, list := range faultWords {
+		if !strings.Contains(flat, word+" ("+list+")") {
+			t.Errorf("the grammar does not spell canned fault %s as %s (%s)", word, word, list)
 		}
 	}
 	for directive, table := range tables {

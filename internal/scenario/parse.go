@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/faultinject"
 )
 
 // Load reads and parses a scenario file.
@@ -48,7 +50,14 @@ func Load(path string) (*Scenario, error) {
 //	at DUR repair REF BOX
 //	at DUR close REF
 //	at DUR netsend FROM -> TO stream=N vci=N
-//	faults FAULTSPEC            (faultinject.ParseSpec grammar, verbatim)
+//	faults FAULT[,FAULT...]     (FAULT a row below or a canned word; a later row
+//	         overrides, a window row adds a window)
+//	         burst=P[/L] corrupt=P dup=P jitter=DUR[/DUR] stall=EVERY/FOR
+//	         stallwin=FROM-TO sink=FROM-TO crash=BOARD:FROM-TO target=PREFIX seed=N
+//	         canned: loss (burst=0.01/4), corrupt (corrupt=0.01), dup (dup=0.005),
+//	         jitter (jitter=1ms/2ms), stall (stall=1s/150ms), crash
+//	         (crash=server:1500ms-2s), all (loss,corrupt,dup,jitter), and sink
+//	         (sink=1s-1200ms,sink=3s-3200ms), which replaces earlier sink windows
 //	degrade shed=DUR hold=DUR
 //	balance [budget=N] [interval=DUR] [migrate=F] [cooldown=DUR] [maxmig=N]
 //	assert KIND [ARG] [VALUE]
@@ -201,6 +210,46 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 		return fmt.Errorf("unknown directive %q", fields[0])
 	}
 	return err
+}
+
+// ParseFaults parses a fault list — a faults directive's text, or
+// pandora-sim's -faults — into a Spec whose master seed is seed unless
+// the list sets seed=. Each comma-separated token is a row of the
+// fault table or a canned word; empty tokens are skipped. Errors name
+// the token and the character it starts at.
+func ParseFaults(list string, seed uint64) (faultinject.Spec, error) {
+	s := faultinject.Spec{Seed: seed}
+	if err := applyFaults(&s, list); err != nil {
+		return faultinject.Spec{}, err
+	}
+	return s, nil
+}
+
+// applyFaults folds list's tokens into s, in order. Its errors keep the
+// "faultinject:" prefix pandora-sim's usage errors have always printed.
+func applyFaults(s *faultinject.Spec, list string) error {
+	table, at := faultClauses(s), 0
+	for i, raw := range strings.Split(list, ",") {
+		tok := strings.TrimSpace(raw)
+		var err error
+		switch canned, isWord := faultWords[tok]; {
+		case tok == "":
+		case isWord:
+			if tok == "sink" {
+				s.SinkStalls = nil
+			}
+			err = applyFaults(s, canned)
+		case !strings.Contains(tok, "="):
+			err = fmt.Errorf("unknown fault %q (want loss, corrupt, dup, jitter, stall, sink, crash or all)", tok)
+		default:
+			err = parseClauses("fault", table, []string{tok})
+		}
+		if err != nil {
+			return fmt.Errorf("faultinject: token %d (%q) at char %d: %w", i+1, tok, at+len(raw)-len(strings.TrimLeft(raw, " \t")), err)
+		}
+		at += len(raw) + 1 // the comma
+	}
+	return nil
 }
 
 // clauseLine reads a directive line: one field per operand, then the

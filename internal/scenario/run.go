@@ -55,7 +55,7 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	fs, err := faultinject.ParseSpec(sc.Faults, sc.Seed)
+	fs, err := ParseFaults(sc.Faults, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -98,25 +98,16 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 
 	for i, bs := range sc.Boxes {
 		cfg := bs.Config()
-		crashes := bs.Crashes
+		cfg.Crashes = bs.Crashes
 		stalls := bs.SinkStalls
 		if i == 0 {
 			// The spec-level fault phase targets the first box.
-			if crashes == nil && len(r.FaultSpec.Crashes) > 0 {
-				crashes = r.FaultSpec.Crashes
+			if cfg.Crashes == nil {
+				cfg.Crashes = r.FaultSpec.Crashes
 			}
 			if len(stalls) == 0 {
 				stalls = r.FaultSpec.SinkStalls
 			}
-		}
-		if len(crashes) > 0 {
-			b := faultinject.NewBoards() // keyed by board: map order is immaterial
-			for board, ws := range crashes {
-				for _, w := range ws {
-					b.Crash(board, w.From, w.To)
-				}
-			}
-			cfg.BoardFaults = b
 		}
 		if len(stalls) > 0 {
 			cfg.SinkStalls = map[string][]faultinject.Window{
@@ -387,7 +378,7 @@ func (r *Runner) apply(p *occam.Proc, ev Event) {
 		// an explicit VCI with no speaker route installed at the far end.
 		src := s.Box(ev.From)
 		src.SetRoute(p, box.Route{Stream: ev.Stream, Outputs: []box.Output{box.OutNetwork}, NetVCIs: []uint32{ev.VCI}})
-		s.Net.OpenCircuit(ev.VCI, src.Host(), s.Box(ev.To[0]).Host(), s.Path(ev.From, ev.To[0])...)
+		s.OpenCircuit(p, ev.VCI, ev.From, ev.To[0])
 		src.StartMic(p, ev.Stream)
 	}
 }

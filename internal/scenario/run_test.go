@@ -6,6 +6,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // mustPass executes the spec and fails the test on error or any
@@ -213,6 +215,9 @@ attach f v[001..999]
 	}
 	const percent = 37
 	defer debug.SetGCPercent(debug.SetGCPercent(percent))
+	// A cycle the parse started may still be marking: Start's
+	// SetGCPercent(-1) waits for it, so finish it before counting.
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r.Start(nil)
@@ -297,5 +302,33 @@ at 0s tree s -> ` + viewers + ` k=4 as t
 	growth(20)
 	if small, large := growth(20), growth(200); small != large {
 		t.Errorf("a spec grew the goroutine count by %d with 20 boxes and by %d with 200; want the same", small, large)
+	}
+}
+
+// TestNetsendOverFabric: a netsend between two boxes on one fabric is
+// routed across it — every segment the source switches out reaches the
+// far port, none is dropped unrouted at the near one.
+func TestNetsendOverFabric(t *testing.T) {
+	r, err := NewRunner(MustParse(`scenario netsend-fabric
+duration 200ms
+box a mic=tone:400:12000
+box b
+fabric f
+attach f a b
+at 0s netsend a -> b stream=1 vci=77
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.Sys.Obs.Snapshot()
+	sent, _ := snap.Get("switch_switched_total", obs.L("box", "a"))
+	delivered, _ := snap.Get("fabric_port_forwarded_total", obs.L("port", "f.p01"))
+	unrouted, _ := snap.Get("fabric_port_unrouted_total", obs.L("port", "f.p00"))
+	if delivered.Value == 0 || delivered.Value != sent.Value || unrouted.Value != 0 {
+		t.Fatalf("sent %v, delivered %v, unrouted %v; want every segment delivered", sent.Value, delivered.Value, unrouted.Value)
 	}
 }

@@ -3,7 +3,7 @@
 // (see Parse) — describes a whole run: the boxes and their board
 // features, the link and fabric topology, background feed and
 // cross-traffic generators, the call graph over virtual time, a fault
-// phase in the faultinject.ParseSpec grammar verbatim, an overload
+// phase (a fault list, see ParseFaults), an overload
 // degradation phase, and the assertions that make the run a test
 // (byte-identical delivery sets, shed-order policy, obs gauge and
 // wire-pool leak bounds). The Runner executes a spec on core.System;
@@ -219,8 +219,8 @@ type Scenario struct {
 	Feeds    []Feed
 	Cross    []Cross
 	Events   []Event
-	// Faults is a fault phase in the faultinject.ParseSpec grammar,
-	// verbatim; Seed is its master seed. Link faults go to every link
+	// Faults is a fault phase, a fault list kept verbatim (see
+	// ParseFaults); Seed is its master seed. Link faults go to every link
 	// and fabric port (subject to target=), sink stalls and board
 	// crashes to the first box.
 	Faults  string
@@ -348,6 +348,7 @@ func (sc *Scenario) Validate() error {
 		}
 		return fmt.Errorf("scenario %s: %s: no path to %s from the tree's source or any member (none shares a fabric or a link with it)", sc.Name, where, d)
 	}
+	sent := map[uint32]bool{} // the VCIs netsends have opened
 	for i, ev := range sc.Events {
 		where := fmt.Sprintf("event %d (%s at %s)", i+1, ev.Op, ev.At)
 		if ev.At < 0 || ev.At > sc.Duration {
@@ -384,8 +385,14 @@ func (sc *Scenario) Validate() error {
 			if ev.Op == "video" && (ev.W <= 0 || ev.H <= 0 || ev.RateNum <= 0 || ev.RateDen <= 0) {
 				return fmt.Errorf("scenario %s: %s needs rect=X,Y,W,H and rate=N/D", sc.Name, where)
 			}
-			if ev.Op == "netsend" && (ev.Stream == 0 || ev.VCI == 0) {
-				return fmt.Errorf("scenario %s: %s needs stream= and vci=", sc.Name, where)
+			if ev.Op == "netsend" {
+				if ev.Stream == 0 || ev.VCI == 0 {
+					return fmt.Errorf("scenario %s: %s needs stream= and vci=", sc.Name, where)
+				}
+				if sent[ev.VCI] {
+					return fmt.Errorf("scenario %s: %s: vci=%d is an earlier netsend's", sc.Name, where, ev.VCI)
+				}
+				sent[ev.VCI] = true
 			}
 			if ev.Op == "tree" && (ev.K < 0 || ev.Trees < 0) {
 				return fmt.Errorf("scenario %s: %s wants k ≥ 0 and trees ≥ 0", sc.Name, where)
@@ -458,7 +465,7 @@ func (sc *Scenario) Validate() error {
 			}
 		}
 	}
-	if _, err := faultinject.ParseSpec(sc.Faults, sc.Seed); err != nil {
+	if _, err := ParseFaults(sc.Faults, sc.Seed); err != nil {
 		return fmt.Errorf("scenario %s: faults: %w", sc.Name, err)
 	}
 	if d := sc.Degrade; d != nil {

@@ -180,6 +180,9 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nbox a\nat 0s close main", `unopened stream "main"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 2s call a b", "outside the run"},
 		{"scenario x\nduration 1s\nbox a\nfaults burst=oops", "faultinject: token"},
+		// A crash names a board the box has.
+		{"scenario x\nduration 1s\nbox a crash=sever:50ms-250ms", `box a crash=sever:50ms-250ms"): crash wants BOARD:FROM-TO with BOARD one of server, audio, display, got "sever:50ms-250ms"`},
+		{"scenario x\nduration 1s\nbox a\nfaults crash=srvr:50ms-250ms", `faultinject: token 1 ("crash=srvr:50ms-250ms") at char 0: crash wants BOARD:FROM-TO with BOARD one of server, audio, display`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s pull main b", `unopened stream "main"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s repair main b", `unopened stream "main"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s tree a -> b k=-1", "non-negative"},
@@ -226,6 +229,7 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b k=3", `unknown audio clause "k"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s tree a -> b rate=1/2", `unknown tree clause "rate"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s netsend a -> b stream=1 vci=7 as n", "netsend opens no stream, so takes no as REF"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s netsend a -> b stream=1 vci=77\nat 1ms netsend a -> b stream=2 vci=77", "event 2 (netsend at 1ms): vci=77 is an earlier netsend's"},
 		// Clauses mean what they say.
 		{"scenario x\nduration 1s\nbox a jitter=false", `box flag "jitter" takes no value`},
 		{"scenario x\nduration 1s\nbox a blocks=2 blocks=3", `box clause "blocks" given twice`},

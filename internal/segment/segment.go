@@ -74,9 +74,6 @@ const (
 	// DefaultBlocksPerSegment gives the usual 4 ms segments
 	// ("We usually run with 2 blocks per segment (principle 7)").
 	DefaultBlocksPerSegment = 2
-	// MaxBlocksPerSegment is the largest batching the paper mentions
-	// for live use (12 blocks = 24 ms).
-	MaxBlocksPerSegment = 12
 	// RepositoryBlocksPerSegment is the off-line merged size: 40 ms
 	// segments of 320 bytes plus a 36 byte header (§3.2).
 	RepositoryBlocksPerSegment = 20

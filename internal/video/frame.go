@@ -14,11 +14,6 @@ type Rect struct {
 	X, Y, W, H int
 }
 
-// Contains reports whether the row range [y0, y1) intersects r.
-func (r Rect) intersectsRows(y0, y1 int) bool {
-	return y0 < r.Y+r.H && y1 > r.Y
-}
-
 func (r Rect) String() string {
 	return fmt.Sprintf("%dx%d+%d+%d", r.W, r.H, r.X, r.Y)
 }

@@ -1,21 +1,33 @@
 //go:build ignore
 
-// deadcode fails if an exported identifier under internal/ is reached
-// by nothing that ships: a package-level func, type, var or const, or
-// an exported method of a package-level type, declared in a non-test
-// file under internal/, that no non-test file of the module names and
-// no test of another package names. Its own package's tests do not
-// count: code only they call is a test helper and belongs in a
-// _test.go file. Run from the repository root:
+// deadcode fails on code under internal/ that nothing shipping needs.
+// Shipping code is every non-test file of the module, and the tests of
+// every package but the declaring one's own: code only its own
+// package's tests reach is a test helper and belongs in a _test.go
+// file, and a field only they set is a test-only switch. Two rules:
+//
+//   - a package-level func, type, var or const, or a method of a
+//     package-level type, declared in a non-test file under internal/,
+//     that no shipping code names;
+//   - a field of a package-level struct type declared there that no
+//     shipping code sets: assigns, increments, writes in a composite
+//     literal or takes the address of, by & or by slicing it or calling
+//     a pointer method on it (which lets a callee set it) — other than
+//     with a constant zero, nil or an empty struct literal, and other
+//     than in its own type's withDefaults or setDefaults method. The
+//     fields kept lists are exempt, each for its reason; a kept field
+//     that is set, or gone, is a finding too.
+//
+// Run from the repository root:
 //
 //	go run scripts/deadcode.go
 //
 // It prints one "file:line pkg.Name" line per finding, sorted, and
-// exits 1 if there is any. Two kinds of declaration are not findings:
-// type parameters, which are not package-level, and methods named
-// like a method of an interface declared in the module or of error,
+// exits 1 if there is any. Three kinds of declaration are not findings:
+// type parameters, which are not package-level; methods named like a
+// method of an interface declared in the module or of error,
 // fmt.Stringer, sort.Interface or Unwrap, which are called through the
-// interface without naming their type.
+// interface without naming their type; and embedded or blank fields.
 package main
 
 import (
@@ -23,6 +35,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -57,16 +70,37 @@ var (
 	imp  = importer.ForCompiler(fset, "source", nil)
 	// used holds every place some counting reference names.
 	used = map[place]bool{}
+	// set holds every field some counting code sets (see the package
+	// comment).
+	set = map[place]bool{}
 	// ifaceMethods holds the method names an interface requires:
 	// error's, fmt.Stringer's, sort.Interface's, Unwrap, and those of
 	// each interface a non-test file declares, named or literal.
 	ifaceMethods = map[string]bool{"Error": true, "String": true, "Len": true, "Less": true, "Swap": true, "Unwrap": true}
 )
 
+// kept are the fields no shipping code sets that stay on purpose
+// (DESIGN.md §2), each with its reason.
+var kept = map[string]string{
+	"fabric.Config.IngressLimit":   "the fabric tests need small rigs to reach ingress overflow",
+	"fabric.Config.BatchCells":     "the fabric tests need small rigs to reach train slicing",
+	"mixer.Config.Clawback":        "the mixer tests set the clawback buffer's shape",
+	"mixer.Config.PoolBlocks":      "the mixer tests set a small pool to reach its exhaustion",
+	"clawback.Config.TargetBlocks": "§3.7.2: the lower target is a tunable the clawback tests set",
+	"clawback.Config.Level":        "§3.7.2: the multi-rate level is a tunable the clawback tests set",
+	"muting.Config.Threshold":      "§4.3: the threshold is dynamically alterable",
+	"muting.Config.DeepFactor":     "§4.3: the muting factors are dynamically alterable",
+	"muting.Config.MidFactor":      "§4.3: the muting factors are dynamically alterable",
+	"muting.Config.DeepHold":       "§4.3: the delay times are dynamically alterable",
+	"muting.Config.MidHold":        "§4.3: the delay times are dynamically alterable",
+	"degrade.Config.Interval":      "the degrade tests tick at 5 ms to reach their decisions in a short run",
+}
+
 type candidate struct {
 	at     token.Position
 	name   string
-	method string // the method's name, or "" for a package-level object
+	method string // the method's name, or "" for a package-level object or field
+	field  bool   // the second rule's: a struct field
 }
 
 func main() {
@@ -102,16 +136,31 @@ func main() {
 		fatal("%v", err)
 	}
 	var findings []string
+	needed := map[string]bool{} // the kept fields still unset
 	for _, c := range cands {
-		if !used[place{c.at.Filename, c.at.Offset}] && !(c.method != "" && ifaceMethods[c.method]) {
+		at := place{c.at.Filename, c.at.Offset}
+		var dead bool
+		if c.field {
+			_, keep := kept[c.name]
+			needed[c.name] = keep && !set[at]
+			dead = !set[at] && !keep
+		} else {
+			dead = !used[at] && !(c.method != "" && ifaceMethods[c.method])
+		}
+		if dead {
 			rel := strings.TrimPrefix(c.at.Filename, wd+string(filepath.Separator))
 			findings = append(findings, fmt.Sprintf("%s:%d %s", rel, c.at.Line, c.name))
+		}
+	}
+	for name := range kept {
+		if !needed[name] {
+			findings = append(findings, fmt.Sprintf("scripts/deadcode.go: kept field %s is set, or gone: drop it from kept", name))
 		}
 	}
 	sort.Strings(findings)
 	if len(findings) > 0 {
 		fmt.Println(strings.Join(findings, "\n"))
-		fmt.Fprintf(os.Stderr, "deadcode: %d exported identifier(s) under internal/ that only their own package's tests reach\n", len(findings))
+		fmt.Fprintf(os.Stderr, "deadcode: %d identifier(s) or field(s) under internal/ that only their own package's tests reach or set\n", len(findings))
 		os.Exit(1)
 	}
 }
@@ -127,7 +176,12 @@ func check(path, dir string, names []string, skip string) *types.Package {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
@@ -146,6 +200,9 @@ func check(path, dir string, names []string, skip string) *types.Package {
 		p := fset.Position(obj.Pos())
 		used[place{p.Filename, p.Offset}] = true
 	}
+	for _, f := range files {
+		recordSets(f, info, skip)
+	}
 	if skip == "" {
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -162,20 +219,136 @@ func check(path, dir string, names []string, skip string) *types.Package {
 	return pkg
 }
 
-// declared lists the candidates a package declares: its exported
-// package-level objects and the exported methods of its package-level
-// types. Type parameters are never package-level, so none is listed.
+// recordSets marks the fields f sets, as the package comment defines a
+// set, except fields of package skip.
+func recordSets(f *ast.File, info *types.Info, skip string) {
+	for _, d := range f.Decls {
+		// A defaults method's own settings are defaults, not sets.
+		var own *types.Struct
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && (fd.Name.Name == "withDefaults" || fd.Name.Name == "setDefaults") {
+			own, _ = deref(info.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Recv().Type()).Underlying().(*types.Struct)
+		}
+		markField := func(v *types.Var) {
+			v = v.Origin()
+			if v.Pkg() == nil || v.Pkg().Path() == skip {
+				return
+			}
+			for i := 0; own != nil && i < own.NumFields(); i++ {
+				if own.Field(i) == v {
+					return
+				}
+			}
+			p := fset.Position(v.Pos())
+			set[place{p.Filename, p.Offset}] = true
+		}
+		// mark marks the fields of the selector chain e writes through.
+		var mark func(e ast.Expr)
+		mark = func(e ast.Expr) {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+					markField(s.Obj().(*types.Var))
+					mark(x.X)
+				}
+			case *ast.IndexExpr:
+				mark(x.X)
+			case *ast.StarExpr:
+				mark(x.X)
+			}
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && zero(info, n.Rhs[i]) {
+						continue
+					}
+					mark(lhs)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			case *ast.SliceExpr: // slicing an array takes its address
+				if _, ok := info.Types[n.X].Type.Underlying().(*types.Array); ok {
+					mark(n.X)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X)
+				}
+			case *ast.CallExpr: // a pointer method called on a field takes its address
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+					if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+						_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+						if _, ptrX := info.Types[sel.X].Type.Underlying().(*types.Pointer); ptrRecv && !ptrX {
+							mark(sel.X)
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				st, ok := deref(info.Types[n].Type).Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, el := range n.Elts {
+					v, val := (*types.Var)(nil), el
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						v, _ = info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+						val = kv.Value
+					} else {
+						v = st.Field(i)
+					}
+					if v != nil && !zero(info, val) {
+						markField(v)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// zero reports whether e is a constant zero, nil or an empty struct
+// literal.
+func zero(info *types.Info, e ast.Expr) bool {
+	tv := info.Types[e]
+	if tv.IsNil() {
+		return true
+	}
+	if v := tv.Value; v != nil {
+		switch v.Kind() {
+		case constant.Bool:
+			return !constant.BoolVal(v)
+		case constant.String:
+			return constant.StringVal(v) == ""
+		default:
+			return constant.Sign(v) == 0
+		}
+	}
+	cl, ok := ast.Unparen(e).(*ast.CompositeLit)
+	_, isStruct := tv.Type.Underlying().(*types.Struct)
+	return ok && isStruct && len(cl.Elts) == 0
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// declared lists the candidates a package declares: its package-level
+// objects, the methods of its package-level types and the fields of its
+// package-level struct types. Type parameters are never package-level,
+// so none is listed.
 func declared(pkg *types.Package) []candidate {
 	var cs []candidate
-	add := func(obj types.Object, name, method string) {
-		cs = append(cs, candidate{fset.Position(obj.Pos()), pkg.Name() + "." + name, method})
+	add := func(obj types.Object, name, method string, field bool) {
+		cs = append(cs, candidate{fset.Position(obj.Pos()), pkg.Name() + "." + name, method, field})
 	}
 	scope := pkg.Scope()
 	for _, n := range scope.Names() {
 		obj := scope.Lookup(n)
-		if obj.Exported() {
-			add(obj, n, "")
-		}
+		add(obj, n, "", false)
 		tn, ok := obj.(*types.TypeName)
 		if !ok || tn.IsAlias() {
 			continue
@@ -183,8 +356,12 @@ func declared(pkg *types.Package) []candidate {
 		named := tn.Type().(*types.Named)
 		for i := 0; i < named.NumMethods(); i++ {
 			m := named.Method(i)
-			if m.Exported() {
-				add(m, n+"."+m.Name(), m.Name())
+			add(m, n+"."+m.Name(), m.Name(), false)
+		}
+		st, ok := named.Underlying().(*types.Struct)
+		for i := 0; ok && i < st.NumFields(); i++ {
+			if f := st.Field(i); !f.Embedded() && f.Name() != "_" {
+				add(f, n+"."+f.Name(), "", true)
 			}
 		}
 	}
