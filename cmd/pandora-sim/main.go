@@ -37,7 +37,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"repro/internal/atm"
@@ -253,12 +252,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !ok {
 			break // -seconds 0: the timeline has not run
 		}
-		dsts := make([]string, 0, len(st.VCIs))
-		for dst := range st.VCIs {
-			dsts = append(dsts, dst)
-		}
-		sort.Strings(dsts)
-		for _, dst := range dsts {
+		for _, dst := range st.Dsts() {
 			vci := st.VCIs[dst]
 			m := s.Box(dst).Mixer().Stats(vci)
 			lat := s.Box(dst).PlayoutLatency(vci)
@@ -284,20 +278,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 		var total atm.FaultStats
 		for _, l := range s.Net.Links() {
-			fs := l.FaultStats()
-			total.Drops += fs.Drops
-			total.Corruptions += fs.Corruptions
-			total.Duplicates += fs.Duplicates
-			total.Delays += fs.Delays
-			total.Stalls += fs.Stalls
+			total.Add(l.FaultStats())
 		}
 		if fab != nil {
-			fs := fab.Stats()
-			total.Drops += fs.FaultDrops
-			total.Corruptions += fs.FaultCorrupt
-			total.Duplicates += fs.FaultDups
-			total.Delays += fs.FaultDelays
-			total.Stalls += fs.FaultStalls
+			total.Add(fab.Stats().Fault)
 		}
 		fmt.Fprintf(stdout, "injected link faults: drop %d, corrupt %d, dup %d, delay %d, stall %d\n",
 			total.Drops, total.Corruptions, total.Duplicates, total.Delays, total.Stalls)

@@ -45,6 +45,20 @@ type FaultStats struct {
 	Stalls      uint64
 }
 
+// Add adds o's counts to s.
+func (s *FaultStats) Add(o FaultStats) {
+	s.Drops += o.Drops
+	s.Corruptions += o.Corruptions
+	s.Duplicates += o.Duplicates
+	s.Delays += o.Delays
+	s.Stalls += o.Stalls
+}
+
+// Total is how many faults of every kind were injected.
+func (s FaultStats) Total() uint64 {
+	return s.Drops + s.Corruptions + s.Duplicates + s.Delays + s.Stalls
+}
+
 // FaultGate is the injected-fault stage of an admission pipeline: it
 // owns the hook, the five counters, the trace source and the three
 // decisions a hook can force — Admit (drop / corrupt / delay /

@@ -267,9 +267,9 @@ func (bd *board) sampleNow(sys *core.System) Sample {
 			s.Sheds++
 			bd.prevShed = st.ShedDrops
 		}
-		if st.FaultDrops > bd.prevFault {
+		if st.Fault.Drops > bd.prevFault {
 			s.Faults = 1
-			bd.prevFault = st.FaultDrops
+			bd.prevFault = st.Fault.Drops
 		}
 	}
 	copies := 0

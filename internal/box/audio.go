@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
-	"repro/internal/workload"
 )
 
 // The audio board (§3.5, figure 3.5): the codec produces a 16-byte
@@ -49,11 +48,10 @@ type micReader struct {
 	n  int64
 
 	// The accumulating segment is built in place: blocks are filled
-	// directly into the tail of a reused sample buffer (for sources
-	// implementing workload.BlockFiller) and the Audio header is reset
-	// around it per segment. WirePool.Encode copies the bytes out, so
-	// both are recycled immediately after the single encode.
-	filler  workload.BlockFiller
+	// directly into the tail of a reused sample buffer and the Audio
+	// header is reset around it per segment. WirePool.Encode copies the
+	// bytes out, so both are recycled immediately after the single
+	// encode.
 	stream  uint32
 	adata   []byte // accumulated samples of the segment being built
 	nblocks int
@@ -76,7 +74,6 @@ const (
 
 func newMicReader(b *Box) *micReader {
 	m := &micReader{b: b, perSeg: b.cfg.BlocksPerSegment}
-	m.filler, _ = b.cfg.Mic.(workload.BlockFiller)
 	m.guards = []occam.Guard{occam.Recv(b.audioCmds, &m.cmd), occam.Skip()}
 	return m
 }
@@ -144,23 +141,15 @@ func (m *micReader) block(p *occam.Proc) {
 		m.stampAt = occam.Time((m.n - 1) * int64(segment.BlockDuration))
 		m.adata = m.adata[:0]
 	}
-	var blk []byte
-	if m.filler != nil {
-		if cap(m.adata) < len(m.adata)+segment.BlockSamples {
-			m.adata = append(m.adata, make([]byte, segment.BlockSamples)...)
-		} else {
-			m.adata = m.adata[:len(m.adata)+segment.BlockSamples]
-		}
-		blk = m.adata[len(m.adata)-segment.BlockSamples:]
-		m.filler.FillBlock(blk)
+	if cap(m.adata) < len(m.adata)+segment.BlockSamples {
+		m.adata = append(m.adata, make([]byte, segment.BlockSamples)...)
 	} else {
-		blk = b.cfg.Mic.NextBlock()
+		m.adata = m.adata[:len(m.adata)+segment.BlockSamples]
 	}
+	blk := m.adata[len(m.adata)-segment.BlockSamples:]
+	b.cfg.Mic.FillBlock(blk)
 	if b.cfg.Features.Muting {
 		b.muter.ApplyMic(int64(p.Now()), blk)
-	}
-	if m.filler == nil {
-		m.adata = append(m.adata, blk...)
 	}
 	m.nblocks++
 	b.audioStat.MicBlocks++

@@ -109,20 +109,25 @@ type Route struct {
 	Relay bool
 }
 
-// SwitchCommand updates the switch tables or requests a report.
-// Shed/Restore suspend and resume a stream without touching its route
-// (the overload controller's lever: data stops, state stays). The switch
-// keeps Set as its table entry, so the sender must not change it after.
-type SwitchCommand struct {
-	Set        *Route
-	Close      uint32
-	HasClose   bool
-	Shed       uint32
-	HasShed    bool
-	Restore    uint32
-	HasRestore bool
-	ReportReq  bool
+// switchCommand updates the switch tables or requests a report: op
+// applies to stream, and cmdSet installs route, which the switch keeps
+// as its table entry, so the sender must not change it after.
+// cmdShed/cmdRestore suspend and resume a stream without touching its
+// route (the overload controller's lever: data stops, state stays).
+type switchCommand struct {
+	op     int
+	stream uint32
+	route  *Route
 }
+
+// The switch commands.
+const (
+	cmdSet = iota
+	cmdClose
+	cmdShed
+	cmdRestore
+	cmdReport
+)
 
 // Features toggles the optional audio-board work of §4.2, which costs
 // CPU: "only three if we have jitter correction, muting, an outgoing
@@ -248,22 +253,15 @@ type Box struct {
 	// Server board.
 	pool      *allocator.Pool
 	toSwitch  *occam.Chan[*allocator.Buffer]
-	switchCmd *occam.Chan[SwitchCommand]
+	switchCmd *occam.Chan[switchCommand]
 	outBufs   [numOutputs + 1]*decouple.Buffer[*allocator.Buffer]
 	swStats   SwitchStats
-	netVCI    byStream[[]uint32] // stream → outgoing VCIs
-	// shedNet parks a relay stream's forwarded fan-out while the
-	// overload controller has it shed: the subtree's copies stop, the
-	// local playout keeps running (the per-subtree shed target).
-	shedNet byStream[[]uint32]
+	// mirror holds the routes the host has installed, as the box's own
+	// view of them (the switch's table is private to its process).
+	mirror byStream[hostRoute]
 	// copiesHi is the high-water mark of outgoing copies any single
 	// stream fanned to — the per-hop copy invariant's witness.
 	copiesHi int
-
-	// streamDir mirrors the routes the host has installed, as the
-	// overload controller's view: media class, direction and age of
-	// every stream (the switch's own table is private to its process).
-	streamDir byStream[routeInfo]
 
 	crash *crashState // nil unless cfg.Crashes is set
 
@@ -319,12 +317,19 @@ type SwitchStats struct {
 	PerStreamDrops map[uint32]uint64
 }
 
-// routeInfo is the overload controller's per-stream summary.
-type routeInfo struct {
+// hostRoute is one stream's entry in a box's mirror of its routes: the
+// overload controller's view of the stream (media class, direction and
+// age) and the VCIs the network output sends its copies on.
+type hostRoute struct {
+	opened   occam.Time
+	vcis     []uint32
 	video    bool
 	incoming bool // delivered locally, no network output
 	relay    bool // interior tree node: local playout + forwarded copies
-	opened   occam.Time
+	// parked holds back a relay's forwarded copies while the overload
+	// controller has the stream shed: the subtree's copies stop, the
+	// local playout keeps running (the per-subtree shed target).
+	parked bool
 }
 
 // AudioStats counts the audio board's work.
@@ -358,7 +363,7 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		host:        net.AddHost(cfg.Name),
 		Log:         &HostLog{},
 		toSwitch:    occam.NewChan[*allocator.Buffer](rt, cfg.Name+".toswitch"),
-		switchCmd:   occam.NewChan[SwitchCommand](rt, cfg.Name+".switchcmd"),
+		switchCmd:   occam.NewChan[switchCommand](rt, cfg.Name+".switchcmd"),
 		audioCmds:   occam.NewChan[audioCmd](rt, cfg.Name+".audiocmd"),
 		captureCmds: occam.NewChan[captureCmd](rt, cfg.Name+".capturecmd"),
 		wires:       segment.NewWirePool(),
@@ -545,42 +550,37 @@ func (b *Box) SetRoute(p *occam.Proc, r Route) {
 	if r.Opened == 0 {
 		r.Opened = p.Now()
 	}
-	if len(r.NetVCIs) == 0 {
-		b.netVCI.del(r.Stream)
-	} else {
-		b.netVCI.set(r.Stream, append([]uint32(nil), r.NetVCIs...))
-	}
-	b.shedNet.del(r.Stream) // a new fan-out supersedes a parked one
 	if len(r.NetVCIs) > b.copiesHi {
 		b.copiesHi = len(r.NetVCIs)
 	}
-	info := routeInfo{video: r.Video, incoming: true, relay: r.Relay, opened: r.Opened}
+	// A new fan-out supersedes a parked one.
+	hr := hostRoute{opened: r.Opened, vcis: append([]uint32(nil), r.NetVCIs...), video: r.Video, incoming: true, relay: r.Relay}
 	for _, o := range r.Outputs {
 		if o == OutNetwork {
-			info.incoming = false
+			hr.incoming = false
 		}
 		if o == OutDisplay {
-			info.video = true
+			hr.video = true
 		}
 	}
-	b.streamDir.set(r.Stream, info)
-	b.switchCmd.Send(p, SwitchCommand{Set: &r})
+	b.mirror.set(r.Stream, hr)
+	b.switchCmd.Send(p, switchCommand{op: cmdSet, stream: r.Stream, route: &r})
 }
 
 // CloseRoute removes a stream's route. Other streams are undisturbed
 // (principle 6).
 func (b *Box) CloseRoute(p *occam.Proc, stream uint32) {
-	b.streamDir.del(stream)
-	b.netVCI.del(stream)
-	b.shedNet.del(stream)
-	b.switchCmd.Send(p, SwitchCommand{Close: stream, HasClose: true})
+	b.mirror.del(stream)
+	b.switchCmd.Send(p, switchCommand{op: cmdClose, stream: stream})
 }
 
 // NetCopies returns the VCIs the box currently sends stream's copies
 // on, in send order. The slice is the box's own: read it only.
 func (b *Box) NetCopies(stream uint32) []uint32 {
-	vcis, _ := b.netVCI.get(stream)
-	return vcis
+	if hr, ok := b.mirror.get(stream); ok && !hr.parked {
+		return hr.vcis
+	}
+	return nil
 }
 
 // MaxNetCopies returns the most outgoing copies any single stream ever
@@ -612,7 +612,7 @@ func (b *Box) StopCamera(p *occam.Proc, stream uint32) {
 // RequestSwitchReport asks the switch for a status report on the
 // box's report channel.
 func (b *Box) RequestSwitchReport(p *occam.Proc) {
-	b.switchCmd.Send(p, SwitchCommand{ReportReq: true})
+	b.switchCmd.Send(p, switchCommand{op: cmdReport})
 }
 
 // WirePoolStats exposes the box's wire pool allocation counters.
@@ -629,14 +629,14 @@ func (b *Box) WirePoolLeaked() int { return b.wires.Leaked() }
 // DegradeName implements degrade.Target.
 func (b *Box) DegradeName() string { return b.cfg.Name }
 
-// DegradeStreams implements degrade.Target from the stream directory,
-// in stream-id order for deterministic controller decisions.
+// DegradeStreams implements degrade.Target from the route mirror, in
+// stream-id order for deterministic controller decisions.
 func (b *Box) DegradeStreams() []degrade.StreamInfo {
-	out := make([]degrade.StreamInfo, 0, len(b.streamDir))
-	for _, e := range b.streamDir {
-		ri := e.v
+	out := make([]degrade.StreamInfo, 0, len(b.mirror))
+	for _, e := range b.mirror {
+		hr := e.v
 		out = append(out, degrade.StreamInfo{
-			ID: e.id, Video: ri.video, Incoming: ri.incoming, Opened: ri.opened,
+			ID: e.id, Video: hr.video, Incoming: hr.incoming, Opened: hr.opened,
 		})
 	}
 	return out
@@ -654,47 +654,43 @@ func (b *Box) DegradePressure() (video, audio float64) {
 // the switch takes the command; DegradeSettle then bars incoming audio
 // at the mixer too.
 func (b *Box) DegradeShed(p *occam.Proc, id uint32) {
-	if ri, ok := b.streamDir.get(id); ok && ri.relay {
+	if hr, ok := b.mirror.get(id); ok && hr.relay {
 		// Per-subtree shed: an overloaded interior tree box stops its
 		// forwarded copies (its downstream subtree degrades) but keeps
 		// its own playout — shedding at the switch would kill both.
-		if _, parked := b.shedNet.get(id); !parked {
-			vcis, _ := b.netVCI.get(id)
-			b.shedNet.set(id, vcis)
-			b.netVCI.del(id)
+		if !hr.parked {
+			hr.parked = true
+			b.mirror.set(id, hr)
 			b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", id, "subtree shed")
 		}
 		return
 	}
-	b.switchCmd.Send(p, SwitchCommand{Shed: id, HasShed: true})
+	b.switchCmd.Send(p, switchCommand{op: cmdShed, stream: id})
 }
 
 // DegradeRestore resumes a shed stream, at the switch as DegradeShed
 // suspended it.
 func (b *Box) DegradeRestore(p *occam.Proc, id uint32) {
-	if parked, ok := b.shedNet.get(id); ok {
-		b.netVCI.set(id, parked)
-		b.shedNet.del(id)
+	if hr, ok := b.mirror.get(id); ok && hr.parked {
+		hr.parked = false
+		b.mirror.set(id, hr)
 		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", id, "subtree restored")
 		return
 	}
-	b.switchCmd.Send(p, SwitchCommand{Restore: id, HasRestore: true})
+	b.switchCmd.Send(p, switchCommand{op: cmdRestore, stream: id})
 }
 
 // DegradeSettle implements degrade.Target. A stream shed at the switch
 // that plays here as audio is barred at the mixer as well, so its
 // clawback buffer drains instead of starving into concealment noise; a
-// restore lifts the bar. A subtree shed, still parked in shedNet, leaves
+// restore lifts the bar. A subtree shed, its copies still parked, leaves
 // the mixer alone, and the bar a subtree restore lifts was never set.
 func (b *Box) DegradeSettle(id uint32, shed bool) {
 	if !shed {
 		b.mix.SetShed(id, false)
 		return
 	}
-	if _, subtree := b.shedNet.get(id); subtree {
-		return
-	}
-	if ri, ok := b.streamDir.get(id); ok && ri.incoming && !ri.video {
+	if hr, ok := b.mirror.get(id); ok && !hr.parked && hr.incoming && !hr.video {
 		b.mix.SetShed(id, true)
 	}
 }

@@ -119,7 +119,7 @@ type dataSwitch struct {
 	lastForced [numOutBufs]occam.Time
 
 	// The guard slice is built once and reused at every alternation.
-	cmd    SwitchCommand
+	cmd    switchCommand
 	buf    *allocator.Buffer
 	guards [2]occam.Guard
 	slots  []int
@@ -247,28 +247,29 @@ func (sw *dataSwitch) fanOut(p *occam.Proc) {
 // command applies the switch command just received.
 func (sw *dataSwitch) command(p *occam.Proc) {
 	b, cmd := sw.b, sw.cmd
-	switch {
-	case cmd.Set != nil:
+	var what string
+	switch cmd.op {
+	case cmdSet:
 		// The route is the switch's from here: SetRoute made it for
 		// this command and keeps no reference.
-		r := cmd.Set
-		sw.routes.set(r.Stream, r)
-		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", r.Stream,
-			fmt.Sprintf("route set: %v", r.Outputs))
-	case cmd.HasClose:
-		sw.routes.del(cmd.Close)
-		sw.shed.del(cmd.Close)
-		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", cmd.Close, "route closed")
-	case cmd.HasShed:
-		sw.shed.set(cmd.Shed, struct{}{})
-		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", cmd.Shed, "stream shed")
-	case cmd.HasRestore:
-		sw.shed.del(cmd.Restore)
-		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", cmd.Restore, "stream restored")
-	case cmd.ReportReq:
+		sw.routes.set(cmd.stream, cmd.route)
+		what = fmt.Sprintf("route set: %v", cmd.route.Outputs)
+	case cmdClose:
+		sw.routes.del(cmd.stream)
+		sw.shed.del(cmd.stream)
+		what = "route closed"
+	case cmdShed:
+		sw.shed.set(cmd.stream, struct{}{})
+		what = "stream shed"
+	case cmdRestore:
+		sw.shed.del(cmd.stream)
+		what = "stream restored"
+	case cmdReport:
 		sw.rep.Report(p, "status", "routes=%d switched=%d noroute=%d",
 			len(sw.routes), b.swStats.Switched, b.swStats.NoRoute)
+		return
 	}
+	b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", cmd.stream, what)
 }
 
 // streamsFor counts streams routed to a buffer slot.
@@ -683,8 +684,7 @@ func (n *netOut) Step(p *occam.Proc) {
 // inside the network, never here).
 func (n *netOut) begin(buf *allocator.Buffer) {
 	b, s := n.b, &n.seg[n.d]
-	vcis, _ := b.netVCI.get(buf.Stream)
-	*s = netSeg{buf: buf, vcis: vcis}
+	*s = netSeg{buf: buf, vcis: b.NetCopies(buf.Stream)}
 	n.at = noNext
 	if len(s.vcis) == 0 {
 		return

@@ -26,6 +26,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -54,6 +56,9 @@ type Stream struct {
 	Tree *TreePlan
 }
 
+// Dsts returns the stream's destinations, sorted.
+func (st *Stream) Dsts() []string { return slices.Sorted(maps.Keys(st.VCIs)) }
+
 // System is a collection of boxes and repositories on one network.
 type System struct {
 	RT  *occam.Runtime
@@ -69,6 +74,7 @@ type System struct {
 	fabrics map[string]*fabric.Fabric
 
 	nextVCI uint32
+	rawVCIs map[uint32]bool // opened on a caller's VCI: allocVCI skips them
 	placer  Placer
 	ctrls   map[string]*degrade.Controller // by box or port name, once EnableDegradation ran
 }
@@ -131,6 +137,7 @@ func NewSystem() *System {
 		nodes:   make(map[string]*node),
 		fabrics: make(map[string]*fabric.Fabric),
 		nextVCI: 1000,
+		rawVCIs: make(map[uint32]bool),
 	}
 	s.Net.Observe(s.Obs)
 	return s
@@ -286,8 +293,12 @@ func (s *System) RunFor(d time.Duration) error { return s.RT.RunFor(d) }
 // Shutdown terminates every process.
 func (s *System) Shutdown() { s.RT.Shutdown() }
 
+// allocVCI hands out the VCI after the last, skipping those opened raw.
 func (s *System) allocVCI() uint32 {
 	s.nextVCI++
+	for s.rawVCIs[s.nextVCI] {
+		s.nextVCI++
+	}
 	return s.nextVCI
 }
 
@@ -319,15 +330,16 @@ func (s *System) AudioCall(p *occam.Proc, a, b string) (ab, ba *Stream) {
 // accompanying audio streams are mixed by software in real-time on
 // the destination transputer").
 func (s *System) Conference(p *occam.Proc, members ...string) []*Stream {
-	var streams []*Stream
-	for _, from := range members {
-		var to []string
+	streams := make([]*Stream, len(members))
+	to := make([]string, 0, 8) // on the stack, unless a conference outgrows it
+	for i, from := range members {
+		to = to[:0]
 		for _, other := range members {
 			if other != from {
 				to = append(to, other)
 			}
 		}
-		streams = append(streams, s.SendAudio(p, from, to...))
+		streams[i] = s.SendAudio(p, from, to...)
 	}
 	return streams
 }
@@ -510,9 +522,18 @@ func (s *System) openCircuit(p *occam.Proc, vci uint32, from, to *node, video bo
 
 // OpenCircuit installs a raw circuit for vci from box from toward box
 // to, as openCircuit installs a stream's: a fabric route or a circuit
-// over their link path.
+// over their link path. Core never allocates vci to a stream after.
 func (s *System) OpenCircuit(p *occam.Proc, vci uint32, from, to string) {
+	s.rawVCIs[vci] = true
 	s.openCircuit(p, vci, s.lookup(from), s.lookup(to), false)
+}
+
+// OpenHostCircuit opens a raw circuit for vci from host from to host to
+// over links — a traffic generator's, outside any node's paths. Core
+// never allocates vci to a stream after.
+func (s *System) OpenHostCircuit(vci uint32, from, to *atm.Host, links ...*atm.Link) {
+	s.rawVCIs[vci] = true
+	s.Net.OpenCircuit(vci, from, to, links...)
 }
 
 // closeCircuit tears down what openCircuit installed.

@@ -121,13 +121,13 @@ func E22Fabric(seed uint64) (*Table, *FabricResult) {
 	res.ForwardedBytes = fl.Sys.Fabric("fab").Stats().Bytes
 	res.CleanBytes = clean.Sys.Fabric("fab").Stats().Bytes
 	cf := fl.Sys.FabricPort(e22Sink).Stats()
-	res.InjectedFaults = cf.FaultDrops + cf.FaultCorrupt + cf.FaultDups + cf.FaultDelays + cf.FaultStalls
+	res.InjectedFaults = cf.Fault.Total()
 	res.Fingerprint = must(fl.Fingerprint())
 
 	t.Add("boxes on the fabric", fmt.Sprintf("%d (%d audio streams, 3 video bands)",
 		e22Boxes, e22Boxes*(e22Boxes-1)))
 	t.Add("congested port", fmt.Sprintf("%s (faults: %d drops, %d delays, %d stalls)",
-		e22Port, cf.FaultDrops, cf.FaultDelays, cf.FaultStalls))
+		e22Port, cf.Fault.Drops, cf.Fault.Delays, cf.Fault.Stalls))
 	t.Add("video shed on congested port", fmt.Sprintf("%d (order %v, restores %d)",
 		res.VideoShed, res.ShedOrder, res.Restores))
 	t.Add("audio shed anywhere", fmt.Sprintf("%d", res.AudioShed))

@@ -86,14 +86,9 @@ at 800ms video a -> b rect=0,128,256,64 rate=1/1 as v2
 	// Every injected fault, straight off the link counters.
 	var fs atm.FaultStats
 	for _, l := range s.Net.Links() {
-		st := l.FaultStats()
-		fs.Drops += st.Drops
-		fs.Corruptions += st.Corruptions
-		fs.Duplicates += st.Duplicates
-		fs.Delays += st.Delays
-		fs.Stalls += st.Stalls
+		fs.Add(l.FaultStats())
 	}
-	res.InjectedFaults = fs.Drops + fs.Corruptions + fs.Duplicates + fs.Delays + fs.Stalls
+	res.InjectedFaults = fs.Total()
 
 	aGets, aNews, _ := s.Box("a").WirePoolStats()
 	bGets, bNews, _ := s.Box("b").WirePoolStats()

@@ -279,7 +279,10 @@ func E15() *Table {
 	var segs []*segment.Audio
 	tone := workload.NewTone(440, 9000)
 	for i := 0; i < 500; i++ { // 2 s of live 2-block segments
-		segs = append(segs, segment.NewAudio(uint32(i), occam.Time(i*4_000_000), [][]byte{tone.NextBlock(), tone.NextBlock()}))
+		data := make([]byte, 2*segment.BlockSamples)
+		tone.FillBlock(data[:segment.BlockSamples])
+		tone.FillBlock(data[segment.BlockSamples:])
+		segs = append(segs, new(segment.Audio).Reset(uint32(i), occam.Time(i*4_000_000), data))
 	}
 	rec := &repository.Recording{Stream: 1, Segments: segs}
 	merged := rec.Resegment()

@@ -281,11 +281,8 @@ type PortStats struct {
 	EgressDrops  uint64 // egress queue overflow
 	Unrouted     uint64 // dropped at the crossbar: no route
 	ShedDrops    uint64 // dropped by the port's overload controller
-	FaultDrops   uint64
-	FaultCorrupt uint64
-	FaultDups    uint64
-	FaultDelays  uint64
-	FaultStalls  uint64
+	// Fault counts what the port's fault gate injected.
+	Fault atm.FaultStats
 }
 
 // Stats sums every port's counters.
@@ -300,11 +297,7 @@ func (f *Fabric) Stats() PortStats {
 		t.EgressDrops += s.EgressDrops
 		t.Unrouted += s.Unrouted
 		t.ShedDrops += s.ShedDrops
-		t.FaultDrops += s.FaultDrops
-		t.FaultCorrupt += s.FaultCorrupt
-		t.FaultDups += s.FaultDups
-		t.FaultDelays += s.FaultDelays
-		t.FaultStalls += s.FaultStalls
+		t.Fault.Add(s.Fault)
 	}
 	return t
 }
@@ -375,7 +368,6 @@ func (pt *Port) Name() string { return pt.nm }
 
 // Stats returns a copy of the port's counters.
 func (pt *Port) Stats() PortStats {
-	fs := pt.fault.Stats()
 	return PortStats{
 		Forwarded:    pt.forwarded,
 		Bytes:        pt.bytes,
@@ -384,11 +376,7 @@ func (pt *Port) Stats() PortStats {
 		EgressDrops:  pt.egDrops,
 		Unrouted:     pt.unrouted,
 		ShedDrops:    pt.shedDrops,
-		FaultDrops:   fs.Drops,
-		FaultCorrupt: fs.Corruptions,
-		FaultDups:    fs.Duplicates,
-		FaultDelays:  fs.Delays,
-		FaultStalls:  fs.Stalls,
+		Fault:        pt.fault.Stats(),
 	}
 }
 

@@ -176,7 +176,7 @@ func TestFabricPortFaultIsolation(t *testing.T) {
 		r.rt.Shutdown()
 		r.checkNoWireLeak(t)
 		d, n := r.fab.Port(1).DeliveryDigest()
-		return d, n, r.fab.Port(2).Stats().FaultDrops
+		return d, n, r.fab.Port(2).Stats().Fault.Drops
 	}
 	baseD, baseN, _ := run(false)
 	gotD, gotN, drops := run(true)

@@ -74,12 +74,11 @@ func TestFabricConcurrentRerouteFaults(t *testing.T) {
 	var agg PortStats
 	for _, pt := range r.fab.Ports() {
 		s := pt.Stats()
-		agg.FaultDrops += s.FaultDrops
-		agg.FaultDups += s.FaultDups
+		agg.Fault.Add(s.Fault)
 		agg.ShedDrops += s.ShedDrops
 		agg.Unrouted += s.Unrouted
 	}
-	if agg.FaultDrops == 0 || agg.FaultDups == 0 {
+	if agg.Fault.Drops == 0 || agg.Fault.Duplicates == 0 {
 		t.Errorf("fault hook never fired: %+v", agg)
 	}
 	if agg.ShedDrops == 0 {
@@ -122,7 +121,7 @@ func TestFabricCellPoolNoLeak(t *testing.T) {
 		t.Fatalf("cell pool leak: %d wire storage records still checked out", n)
 	}
 	s := r.fab.Port(3).Stats()
-	if s.FaultDrops == 0 || s.FaultDups == 0 || s.ShedDrops == 0 || s.FaultStalls == 0 {
+	if s.Fault.Drops == 0 || s.Fault.Duplicates == 0 || s.ShedDrops == 0 || s.Fault.Stalls == 0 {
 		t.Errorf("fault paths not all exercised: %+v", s)
 	}
 	var unrouted uint64

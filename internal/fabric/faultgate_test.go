@@ -161,11 +161,7 @@ func TestFaultGateSameOnLinkAndPort(t *testing.T) {
 					out := f.Attach(b)
 					out.SetFault(&portHook)
 					f.Route(0, 1, out, false)
-					return func() atm.FaultStats {
-						s := out.Stats()
-						return atm.FaultStats{Drops: s.FaultDrops, Corruptions: s.FaultCorrupt,
-							Duplicates: s.FaultDups, Delays: s.FaultDelays, Stalls: s.FaultStalls}
-					}
+					return func() atm.FaultStats { return out.Stats().Fault }
 				}),
 			}
 			for carrier, r := range runs {

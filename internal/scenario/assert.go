@@ -5,7 +5,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/atm"
+	"repro/internal/mixer"
 )
 
 // Summary is the deterministic result of a scenario's assertion phase:
@@ -112,7 +113,7 @@ func (r *Runner) Survivors(clean *Runner) (checked, mismatched, excluded int) {
 			continue
 		}
 		cst := clean.Streams[ref]
-		for _, dst := range sortedDsts(st) {
+		for _, dst := range st.Dsts() {
 			touched := crashed[st.From] || crashed[dst]
 			for box := range crashed {
 				touched = touched || st.Tree.EverUnder(dst, box)
@@ -189,7 +190,7 @@ func (r *Runner) Fingerprint() (string, error) {
 		if st.Video {
 			continue
 		}
-		for _, dst := range sortedDsts(st) {
+		for _, dst := range st.Dsts() {
 			m := r.Sys.Box(dst).Mixer().Stats(st.VCIs[dst])
 			fmt.Fprintf(&sb, "%s→%s: segs=%d digest=%016x\n", ref, dst, m.Segments, m.Digest)
 		}
@@ -224,16 +225,6 @@ func (r *Runner) streamRefs() []string {
 	}
 	sort.Strings(refs)
 	return refs
-}
-
-// sortedDsts returns st's destinations in sorted order.
-func sortedDsts(st *core.Stream) []string {
-	dsts := make([]string, 0, len(st.VCIs))
-	for dst := range st.VCIs {
-		dsts = append(dsts, dst)
-	}
-	sort.Strings(dsts)
-	return dsts
 }
 
 func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
@@ -285,81 +276,33 @@ func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 			}
 		}
 		return max <= limit, fmt.Sprintf("max %g over %d samples (limit %g)", max, len(samples), limit)
-	case "min-segments", "max-lost", "max-silence-pct":
-		st, ok := r.Streams[a.Arg]
-		if !ok {
-			return false, fmt.Sprintf("no stream %q", a.Arg)
-		}
-		dsts := sortedDsts(st)
-		ok2 := true
-		var parts []string
-		var minSegs, maxLost uint64
-		maxPct := 0.0
-		for i, dst := range dsts {
-			m := r.Sys.Box(dst).Mixer().Stats(st.VCIs[dst])
-			switch a.Kind {
-			case "min-segments":
-				if float64(m.Segments) < a.Value {
-					ok2 = false
-				}
-				if i == 0 || m.Segments < minSegs {
-					minSegs = m.Segments
-				}
-				parts = append(parts, fmt.Sprintf("%s=%d", dst, m.Segments))
-			case "max-lost":
-				if float64(m.LostSegments) > a.Value {
-					ok2 = false
-				}
-				if m.LostSegments > maxLost {
-					maxLost = m.LostSegments
-				}
-				parts = append(parts, fmt.Sprintf("%s=%d", dst, m.LostSegments))
-			case "max-silence-pct":
-				pct := 0.0
-				if m.Blocks > 0 {
-					pct = 100 * float64(m.Clawback.SilenceInserted) / float64(m.Blocks)
-				}
-				if pct > a.Value {
-					ok2 = false
-				}
-				if pct > maxPct {
-					maxPct = pct
-				}
-				parts = append(parts, fmt.Sprintf("%s=%.2f%%", dst, pct))
+	case "min-segments":
+		return r.perDest(a, "min", "%.0f", func(m mixer.StreamStats) float64 { return float64(m.Segments) })
+	case "max-lost":
+		return r.perDest(a, "max", "%.0f", func(m mixer.StreamStats) float64 { return float64(m.LostSegments) })
+	case "max-silence-pct":
+		return r.perDest(a, "max", "%.2f%%", func(m mixer.StreamStats) float64 {
+			if m.Blocks == 0 {
+				return 0
 			}
-		}
-		// Beyond a handful of destinations the per-box list stops being
-		// readable (a 1000-viewer tree would print 1000 numbers):
-		// summarise with the count and the binding extreme instead.
-		if len(dsts) > 8 {
-			switch a.Kind {
-			case "min-segments":
-				parts = []string{fmt.Sprintf("%d dests, min=%d", len(dsts), minSegs)}
-			case "max-lost":
-				parts = []string{fmt.Sprintf("%d dests, max=%d", len(dsts), maxLost)}
-			case "max-silence-pct":
-				parts = []string{fmt.Sprintf("%d dests, max=%.2f%%", len(dsts), maxPct)}
-			}
-		}
-		return ok2, fmt.Sprintf("%s (limit %g)", strings.Join(parts, " "), a.Value)
+			return 100 * float64(m.Clawback.SilenceInserted) / float64(m.Blocks)
+		})
 	case "copies-max":
 		peak := r.Sys.Box(a.Arg).MaxNetCopies()
 		return peak <= int(a.Value), fmt.Sprintf("peak %d copies per hop at %s (limit %d)", peak, a.Arg, int(a.Value))
 	case "faults-fired":
-		var total uint64
+		var fs atm.FaultStats
 		for _, l := range r.Sys.Net.Links() {
-			fs := l.FaultStats()
-			total += fs.Drops + fs.Corruptions + fs.Duplicates + fs.Delays + fs.Stalls
+			fs.Add(l.FaultStats())
 		}
 		for _, f := range r.Spec.Fabrics {
 			for _, n := range f.Attach {
-				ps := r.Sys.FabricPort(n).Stats()
-				total += ps.FaultDrops + ps.FaultCorrupt + ps.FaultDups + ps.FaultDelays + ps.FaultStalls
+				fs.Add(r.Sys.FabricPort(n).Stats().Fault)
 			}
 		}
 		// Board crashes count too: a crash window inside the run is a
 		// fired fault even when no link fault is configured.
-		crashes := len(r.crashedBoxes())
+		total, crashes := fs.Total(), len(r.crashedBoxes())
 		return total > 0 || crashes > 0, fmt.Sprintf("%d link faults, %d crashed boxes", total, crashes)
 	case "circuits":
 		n := 0
@@ -393,6 +336,38 @@ func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 		return n >= int(a.Value), fmt.Sprintf("%d distinct feeder boxes for %s (want ≥ %d)", n, a.Arg, int(a.Value))
 	}
 	return false, "unknown assert"
+}
+
+// perDest checks one figure of every destination of the stream a names
+// against a's limit: the figure is at least the limit at each for
+// extreme "min", at most for "max". The detail lists each destination's
+// figure, printed with verb — beyond eight destinations, their count and
+// the binding extreme instead (a 1000-viewer tree would print 1000
+// numbers).
+func (r *Runner) perDest(a Assert, extreme, verb string, fig func(mixer.StreamStats) float64) (bool, string) {
+	st, ok := r.Streams[a.Arg]
+	if !ok {
+		return false, fmt.Sprintf("no stream %q", a.Arg)
+	}
+	sign := 1.0 // how a figure is worse: higher for "max", lower for "min"
+	if extreme == "min" {
+		sign = -1
+	}
+	dsts := st.Dsts()
+	pass, worst := true, 0.0
+	var parts []string
+	for i, dst := range dsts {
+		v := fig(r.Sys.Box(dst).Mixer().Stats(st.VCIs[dst]))
+		pass = pass && sign*v <= sign*a.Value
+		if i == 0 || sign*v > sign*worst {
+			worst = v
+		}
+		parts = append(parts, dst+"="+fmt.Sprintf(verb, v))
+	}
+	if len(dsts) > 8 {
+		parts = []string{fmt.Sprintf("%d dests, %s=%s", len(dsts), extreme, fmt.Sprintf(verb, worst))}
+	}
+	return pass, fmt.Sprintf("%s (limit %g)", strings.Join(parts, " "), a.Value)
 }
 
 // ctrlNames returns controller names in deterministic order.

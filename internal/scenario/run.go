@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -217,7 +218,7 @@ func (r *Runner) startFeed(name string, fd Feed) {
 	l := s.Net.AddLink(name+"-feed", atm.LinkConfig{Bandwidth: 100_000_000})
 	n, base := fd.N, fd.Base
 	for i := 0; i < n; i++ {
-		s.Net.OpenCircuit(base+uint32(i), gen, dst.Host(), l)
+		s.OpenHostCircuit(base+uint32(i), gen, dst.Host(), l)
 	}
 	s.Control(func(p *occam.Proc) {
 		for i := 0; i < n; i++ {
@@ -252,7 +253,7 @@ func (r *Runner) startCross(txName, sinkName string, c Cross) {
 	hop := s.Path(c.From, c.To)[c.Hop]
 	tx := s.Net.AddHost(txName)
 	sink := s.Net.AddHost(sinkName)
-	s.Net.OpenCircuit(c.VCI, tx, sink, hop)
+	s.OpenHostCircuit(c.VCI, tx, sink, hop)
 	s.RT.Go(sinkName+".drain", nil, occam.High, func(p *occam.Proc) {
 		for {
 			sink.Rx.Recv(p)
@@ -309,39 +310,27 @@ func (r *Runner) apply(p *occam.Proc, ev Event) {
 		if st, ok := r.Streams[ev.Ref]; ok {
 			s.RepairTree(p, st, ev.To[0])
 		}
-	case "call":
-		// Admission gate: reject before degrade — a call the budget
-		// cannot hold is refused outright instead of being served badly.
+	case "call", "conference":
+		// A call is a two-member conference. Admission gate: reject
+		// before degrade — a call the budget cannot hold is refused
+		// outright instead of being served badly.
 		if r.Bal != nil && !r.Bal.AdmitCall() {
 			break
 		}
-		callee := ev.To[0]
-		if callee == "?" {
+		members := append([]string{ev.From}, ev.To...)
+		if members[1] == "?" {
 			// Balancer-placed callee: the least-loaded reachable box.
 			picked, ok := r.Bal.PlaceCall(ev.From)
 			if !ok {
 				r.Bal.ReleaseCall()
 				break
 			}
-			callee = picked
+			members[1] = picked
 		}
-		ab, ba := s.AudioCall(p, ev.From, callee)
-		if ev.Ref != "" {
-			r.Streams[ev.Ref+"[0]"] = ab
-			r.Streams[ev.Ref+"[1]"] = ba
-			if r.Bal != nil {
-				r.admitted[ev.Ref] = true
-			}
-		}
-	case "conference":
-		if r.Bal != nil && !r.Bal.AdmitCall() {
-			break
-		}
-		members := append([]string{ev.From}, ev.To...)
 		sts := s.Conference(p, members...)
 		if ev.Ref != "" {
 			for i, st := range sts {
-				r.Streams[fmt.Sprintf("%s[%d]", ev.Ref, i)] = st
+				r.Streams[memberRef(ev.Ref, i)] = st
 			}
 			if r.Bal != nil {
 				r.admitted[ev.Ref] = true
@@ -367,7 +356,7 @@ func (r *Runner) apply(p *occam.Proc, ev Event) {
 		// A call or conference ref names a bundle of streams stored as
 		// ref[0..n-1]: close every member.
 		for i := 0; ; i++ {
-			st, ok := r.Streams[fmt.Sprintf("%s[%d]", ev.Ref, i)]
+			st, ok := r.Streams[memberRef(ev.Ref, i)]
 			if !ok {
 				break
 			}
@@ -382,6 +371,9 @@ func (r *Runner) apply(p *occam.Proc, ev Event) {
 		src.StartMic(p, ev.Stream)
 	}
 }
+
+// memberRef names member stream i of the call or conference ref.
+func memberRef(ref string, i int) string { return ref + "[" + strconv.Itoa(i) + "]" }
 
 // RunFor advances virtual time; Start must have been called.
 func (r *Runner) RunFor(d time.Duration) error { return r.Sys.RunFor(d) }

@@ -332,3 +332,24 @@ at 0s netsend a -> b stream=1 vci=77
 		t.Fatalf("sent %v, delivered %v, unrouted %v; want every segment delivered", sent.Value, delivered.Value, unrouted.Value)
 	}
 }
+
+// TestRawVCIsStayOutOfTheAllocator opens circuits on VCIs core's
+// allocator would hand out next — a netsend's, then a feed's — before
+// core opens a stream: the stream must get a VCI of its own, so it
+// neither collides with the raw circuit nor merges with its traffic.
+func TestRawVCIsStayOutOfTheAllocator(t *testing.T) {
+	for _, c := range []struct{ name, raw string }{
+		{"netsend", "at 0s netsend a -> b stream=7 vci=1001\n"},
+		{"feed", "feed b n=2 base=1001\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if e := recover(); e != nil {
+					t.Fatalf("run panicked: %v", e)
+				}
+			}()
+			mustPass(t, "scenario raw-vci\nduration 500ms\nbox a mic=tone:400:8000\nbox b\nlink a b bw=100M\n"+
+				c.raw+"at 10ms audio a -> b as s\nassert min-segments s 100\nassert max-lost s 0\n")
+		})
+	}
+}

@@ -230,8 +230,9 @@ type Scenario struct {
 }
 
 // Validate checks internal consistency: names resolve, events refer to
-// streams opened earlier, the fault phase parses, times fit the
-// duration, and the degrade and balance settings are in range. Parse
+// streams opened earlier and asserts to streams an event opens, the
+// fault phase parses, times fit the duration, and the degrade and
+// balance settings are in range. Parse
 // and NewRunner both call it, so a spec built in Go is held to what a
 // spec file is.
 func (sc *Scenario) Validate() error {
@@ -460,7 +461,7 @@ func (sc *Scenario) Validate() error {
 			// names later split/drop/close events use.
 			if o.shape == pair || o.shape == members {
 				for i := 0; i <= len(ev.To); i++ {
-					refs[fmt.Sprintf("%s[%d]", ev.Ref, i)] = true
+					refs[memberRef(ev.Ref, i)] = true
 				}
 			}
 		}
@@ -489,6 +490,8 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario %s: assert %s: want %s", sc.Name, a.Kind, k.usage(a.Kind))
 		case k.arg == "BOX" && !boxes[a.Arg]:
 			return need("assert "+a.Kind, a.Arg)
+		case k.arg == "REF" && !refs[a.Arg]:
+			return fmt.Errorf("scenario %s: assert %s refers to unopened stream %q", sc.Name, a.Kind, a.Arg)
 		}
 	}
 	return nil

@@ -243,6 +243,9 @@ func TestParseErrors(t *testing.T) {
 		// Asserts are checked against their row.
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b as m\nassert min-segments m", "assert min-segments: want assert min-segments REF N"},
 		{"scenario x\nduration 1s\nbox a\nassert copies-max nobox 3", `assert copies-max refers to unknown box "nobox"`},
+		{"scenario x\nduration 1s\nbox a\nassert max-lost x 0", `assert max-lost refers to unopened stream "x"`},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s audio a -> b as m\nassert min-segments n 1", `assert min-segments refers to unopened stream "n"`},
+		{"scenario x\nduration 1s\nbox a\nassert spread x 2", `assert spread refers to unopened stream "x"`},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.text); err == nil || !strings.Contains(err.Error(), c.want) {

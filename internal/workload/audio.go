@@ -18,16 +18,6 @@ func init() {
 
 // AudioSource produces successive 2 ms blocks of µ-law samples.
 type AudioSource interface {
-	// NextBlock returns the next 16-sample µ-law block. The returned
-	// slice is freshly allocated.
-	NextBlock() []byte
-}
-
-// BlockFiller is the allocation-free variant of AudioSource: the
-// source writes the next block into caller-owned storage. All the
-// built-in sources implement it; hot paths type-assert once and fall
-// back to NextBlock for sources that don't.
-type BlockFiller interface {
 	// FillBlock overwrites dst (BlockSamples bytes) with the next
 	// 16-sample µ-law block.
 	FillBlock(dst []byte)
@@ -50,13 +40,6 @@ func NewTone(freqHz int, amplitude int32) *Tone {
 		amplitude: amplitude,
 		step:      uint32(freqHz * 256 * 256 / segment.SampleRate),
 	}
-}
-
-// NextBlock returns the next 2 ms of the tone.
-func (t *Tone) NextBlock() []byte {
-	b := make([]byte, segment.BlockSamples)
-	t.FillBlock(b)
-	return b
 }
 
 // FillBlock writes the next 2 ms of the tone into dst.
@@ -93,13 +76,6 @@ func NewSpeech(seed uint64, amplitude int32) *Speech {
 	}
 }
 
-// NextBlock returns the next 2 ms of speech-like audio.
-func (s *Speech) NextBlock() []byte {
-	b := make([]byte, segment.BlockSamples)
-	s.FillBlock(b)
-	return b
-}
-
 // FillBlock writes the next 2 ms of speech-like audio into dst.
 func (s *Speech) FillBlock(dst []byte) {
 	if s.blocksLeft <= 0 {
@@ -123,13 +99,6 @@ func (s *Speech) FillBlock(dst []byte) {
 // Silence is an always-quiet source.
 type Silence struct{}
 
-// NextBlock returns 2 ms of silence.
-func (Silence) NextBlock() []byte {
-	b := make([]byte, segment.BlockSamples)
-	Silence{}.FillBlock(b)
-	return b
-}
-
 // FillBlock writes 2 ms of silence into dst.
 func (Silence) FillBlock(dst []byte) {
 	for i := range dst {
@@ -140,13 +109,6 @@ func (Silence) FillBlock(dst []byte) {
 // Ramp is a deterministic sawtooth marking each sample with its
 // index, so tests can verify ordering and loss precisely.
 type Ramp struct{ n uint32 }
-
-// NextBlock returns the next 16 samples of the ramp.
-func (r *Ramp) NextBlock() []byte {
-	b := make([]byte, segment.BlockSamples)
-	r.FillBlock(b)
-	return b
-}
 
 // FillBlock writes the next 16 samples of the ramp into dst.
 func (r *Ramp) FillBlock(dst []byte) {

@@ -45,7 +45,7 @@ var lineBudgets = []struct {
 	{"ARCHITECTURE.md", 469},
 	{"DESIGN.md", 790},
 	{"EXPERIMENTS.md", 260},
-	{"README.md", 477},
+	{"README.md", 474},
 }
 
 // CHANGES.md holds one entry a line, opening "PR N"; entries numbered
