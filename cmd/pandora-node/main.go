@@ -263,7 +263,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for {
 			p.Sleep(time.Millisecond)
 			for _, m := range pending {
-				m.Sent = p.Now()
 				host.Deliver(p, m)
 			}
 			pending = pending[:0]

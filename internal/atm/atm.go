@@ -51,9 +51,6 @@ type Message struct {
 	// while W references the whole segment's wire.
 	ChunkIndex int
 	ChunkTotal int
-	// Sent is when the message entered the network (for latency
-	// measurement).
-	Sent occam.Time
 	// Corrupt marks an injected payload corruption (faultinject). The
 	// message still consumes queue space and transmission time, but the
 	// receiving host must discard the segment — the AAL checksum
@@ -73,9 +70,8 @@ type port interface {
 }
 
 // Transport is the pluggable backend that carries a host's outgoing
-// messages toward their destinations. Host.Send stamps the message and
-// hands it to the host's transport; what happens next depends on the
-// backend:
+// messages toward their destinations. Host.Send hands the message to
+// the host's transport; what happens next depends on the backend:
 //
 //   - the default in-process channel transport looks the VCI up in the
 //     network's circuit table and walks the message down the circuit's
@@ -91,7 +87,7 @@ type port interface {
 // reference stays with the caller, exactly as with the historical
 // circuit-miss error path.
 type Transport interface {
-	// Send conveys m toward its destination. m.Sent is already stamped.
+	// Send conveys m toward its destination.
 	Send(p *occam.Proc, m Message) error
 	// TransportName identifies the backend in diagnostics.
 	TransportName() string
@@ -442,13 +438,12 @@ func (h *Host) SetTransport(t Transport) {
 // Transport returns the host's current outgoing backend.
 func (h *Host) Transport() Transport { return h.trans }
 
-// Send transmits a message from this host. It stamps the send time
-// and hands the message to the transport backend — for the default
-// backend, the first link of a circuit previously opened from this
-// host (which always accepts; congestion shows up as queueing or
-// drops inside the network, never as upstream blocking).
+// Send transmits a message from this host. It hands the message to
+// the transport backend — for the default backend, the first link of
+// a circuit previously opened from this host (which always accepts;
+// congestion shows up as queueing or drops inside the network, never
+// as upstream blocking).
 func (h *Host) Send(p *occam.Proc, m Message) error {
-	m.Sent = p.Now()
 	return h.trans.Send(p, m)
 }
 

@@ -16,13 +16,35 @@ func audioWire(pl *segment.WirePool, seq uint32) segment.Wire {
 	return pl.Encode(segment.NewAudio(seq, 0, [][]byte{make([]byte, segment.BlockSamples)}))
 }
 
-// drain starts a process that records arrival latencies on a host.
-func drain(rt *occam.Runtime, h *Host, lat *obs.Histogram, count *int) {
+// sendLog is a test's own record of when it sent each message on one
+// circuit, and of each arrival's latency. A circuit delivers in order,
+// so the nth arrival is the nth send.
+type sendLog struct {
+	sent []occam.Time
+	lat  *obs.Histogram
+}
+
+func newSendLog() *sendLog { return &sendLog{lat: obs.NewHistogram(nil)} }
+
+// send records m's send time and sends it from h.
+func (l *sendLog) send(p *occam.Proc, h *Host, m Message) {
+	l.sent = append(l.sent, p.Now())
+	h.Send(p, m)
+}
+
+// arrived records the latency of the next arrival.
+func (l *sendLog) arrived(p *occam.Proc) {
+	l.lat.Observe(p.Now().Sub(l.sent[l.lat.Count()]))
+}
+
+// drain starts a process that takes every arrival on a host, counting
+// them and, given the sender's log, recording their latencies.
+func drain(rt *occam.Runtime, h *Host, log *sendLog, count *int) {
 	rt.Go(h.nm+".drain", nil, occam.High, func(p *occam.Proc) {
 		for {
-			m := h.Rx.Recv(p)
-			if lat != nil {
-				lat.Observe(p.Now().Sub(m.Sent))
+			h.Rx.Recv(p)
+			if log != nil {
+				log.arrived(p)
 			}
 			if count != nil {
 				*count++
@@ -88,17 +110,17 @@ func TestTransmissionAndPropagationDelay(t *testing.T) {
 	// 1000 bytes at 8 Mbit/s = 1 ms, plus 500 µs propagation.
 	l := net.AddLink("ab", LinkConfig{Bandwidth: 8_000_000, Propagation: 500 * time.Microsecond})
 	net.OpenCircuit(1, a, b, l)
-	lat := obs.NewHistogram(nil)
-	drain(rt, b, lat, nil)
+	log := newSendLog()
+	drain(rt, b, log, nil)
 	rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
-		a.Send(p, Message{VCI: 1, Size: 1000})
+		log.send(p, a, Message{VCI: 1, Size: 1000})
 	})
 	if err := rt.RunUntil(occam.Time(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	rt.Shutdown()
-	if lat.Count() != 1 || lat.Min() != 1500*time.Microsecond {
-		t.Fatalf("latency %v, want 1.5ms", lat.Min())
+	if log.lat.Count() != 1 || log.lat.Min() != 1500*time.Microsecond {
+		t.Fatalf("latency %v, want 1.5ms", log.lat.Min())
 	}
 }
 
@@ -113,19 +135,18 @@ func TestCrossTrafficCausesJitter(t *testing.T) {
 		l := net.AddLink("shared", LinkConfig{Bandwidth: 10_000_000})
 		net.OpenCircuit(1, a, b, l)
 		net.OpenCircuit(2, a, b, l)
-		lat := obs.NewHistogram(nil)
+		log := newSendLog()
 		rt.Go("rx", nil, occam.High, func(p *occam.Proc) {
 			for {
-				m := b.Rx.Recv(p)
-				if m.VCI == 1 {
-					lat.Observe(p.Now().Sub(m.Sent))
+				if m := b.Rx.Recv(p); m.VCI == 1 {
+					log.arrived(p)
 				}
 			}
 		})
 		rt.Go("audio", nil, occam.Low, func(p *occam.Proc) {
 			for i := 0; i < 200; i++ {
 				p.Sleep(4 * time.Millisecond)
-				a.Send(p, Message{VCI: 1, Size: 68})
+				log.send(p, a, Message{VCI: 1, Size: 68})
 			}
 		})
 		if withVideo {
@@ -140,7 +161,7 @@ func TestCrossTrafficCausesJitter(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.Shutdown()
-		return lat.Jitter()
+		return log.lat.Jitter()
 	}
 	quiet := run(false)
 	busy := run(true)
@@ -165,18 +186,18 @@ func TestMultiHopPath(t *testing.T) {
 		}))
 	}
 	net.OpenCircuit(5, a, b, hops...)
-	lat := obs.NewHistogram(nil)
-	drain(rt, b, lat, nil)
+	log := newSendLog()
+	drain(rt, b, log, nil)
 	rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
-		a.Send(p, Message{VCI: 5, Size: 1000}) // 0.8 ms per hop
+		log.send(p, a, Message{VCI: 5, Size: 1000}) // 0.8 ms per hop
 	})
 	if err := rt.RunUntil(occam.Time(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	rt.Shutdown()
 	want := 3 * (800*time.Microsecond + time.Millisecond)
-	if lat.Min() != want {
-		t.Fatalf("3-hop latency %v, want %v", lat.Min(), want)
+	if log.lat.Count() != 1 || log.lat.Min() != want {
+		t.Fatalf("3-hop latency %v, want %v", log.lat.Min(), want)
 	}
 }
 

@@ -294,7 +294,6 @@ type Box struct {
 	framestore  *video.Framestore // nil until a frame has a stream open
 
 	// Mixer (display) board.
-	interp      *video.Interpolator // nil until the board's first segment
 	displayStat DisplayStats
 
 	// Instruments. lastPlayout is playout[lastStream], resolved once
@@ -694,7 +693,3 @@ func (b *Box) DegradeSettle(id uint32, shed bool) {
 		b.mix.SetShed(id, true)
 	}
 }
-
-// DegradeRepositoryOrder implements degrade.Target: a box is not a
-// repository (§2.1), so incoming streams degrade first.
-func (b *Box) DegradeRepositoryOrder() bool { return false }

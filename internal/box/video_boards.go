@@ -354,35 +354,28 @@ func (d *display) copyTime() time.Duration {
 func (d *display) assemble(p *occam.Proc) bool {
 	if d.displayWork == nil {
 		d.displayWork = &displayWork{assemblers: make(map[uint32]*video.Assembler)}
-		d.b.interp = video.NewInterpolator()
 	}
 	b, msg, seg := d.b, d.msg, &d.seg
 	d.msg = wireMsg{}
 	defer msg.W.Release() // img and the assembler hold their own copies
 	// Decode the header in place; seg.Data aliases the wire until the
 	// Release.
-	n, err := 0, msg.W.DecodeVideoInto(seg)
+	err := msg.W.DecodeVideoInto(seg)
 	if err == nil && (uint64(seg.XOffset)+uint64(seg.Width) > uint64(b.cfg.CameraW) ||
 		uint64(seg.YOffset)+uint64(seg.NumLines) > uint64(b.cfg.CameraH)) {
 		err = errOffDisplay
 	}
 	if err == nil {
 		d.img.Reuse(int(seg.Width), int(seg.NumLines))
-		n, err = d.codec.DecompressBand(&d.img, seg.Data)
-	}
-	if err != nil && !errors.Is(err, video.ErrLineTooShort) {
-		b.displayStat.DecodeErrs++
-		d.rep.Report(p, "corrupt", "stream %d: corrupt segment discarded", msg.Stream)
-		return false // "the current segment is thrown away" (§3.8)
-	}
-	// The per-stream last-line continuity (§3.6): the cache keeps the
-	// last line decoded, even from a segment a short line spoilt.
-	b.interp.Begin(msg.Stream)
-	if n > 0 {
-		b.interp.Advance(msg.Stream, d.img.Row(n-1))
+		_, err = d.codec.DecompressBand(&d.img, seg.Data)
 	}
 	if err != nil {
+		// "The current segment is thrown away" (§3.8); a short line
+		// is counted without a report.
 		b.displayStat.DecodeErrs++
+		if !errors.Is(err, video.ErrLineTooShort) {
+			d.rep.Report(p, "corrupt", "stream %d: corrupt segment discarded", msg.Stream)
+		}
 		return false
 	}
 	a, ok := d.assemblers[msg.Stream]

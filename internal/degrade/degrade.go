@@ -8,9 +8,7 @@
 //   - video is bounded and shed before audio (principle 2): audio
 //     streams are only shed under direct audio-buffer pressure, and
 //     only after every video candidate is exhausted;
-//   - incoming streams are shed before outgoing ones (principle 1),
-//     reversed for repository boxes (§2.1), where the recorded
-//     incoming stream is the one that must not be damaged;
+//   - incoming streams are shed before outgoing ones (principle 1);
 //   - within a class, the longest-open stream is shed first
 //     (principle 3), so new streams keep starting cleanly under load.
 //
@@ -65,9 +63,6 @@ type Target interface {
 	// the call that began it is done: in the same turn if that did not
 	// park the controller, at its next turn if it did.
 	DegradeSettle(id uint32, shed bool)
-	// DegradeRepositoryOrder reverses incoming-before-outgoing
-	// (repository boxes protect incoming recorded streams, §2.1).
-	DegradeRepositoryOrder() bool
 }
 
 // The watermarks of the control loop, as ratios of a watched queue's
@@ -285,18 +280,14 @@ func (c *Controller) pressure() (video, audio float64) {
 }
 
 // rank orders candidates by the paper's policy: video before audio
-// always; within a class, incoming before outgoing (reversed for
-// repositories); ties broken by age, oldest first.
-func (c *Controller) rank(s StreamInfo) int {
+// always; within a class, incoming before outgoing; ties broken by
+// age, oldest first.
+func rank(s StreamInfo) int {
 	r := 0
 	if !s.Video {
 		r += 2
 	}
-	first := s.Incoming
-	if c.target.DegradeRepositoryOrder() {
-		first = !s.Incoming
-	}
-	if !first {
+	if !s.Incoming {
 		r++
 	}
 	return r
@@ -320,7 +311,7 @@ func (c *Controller) shedOne(p *occam.Proc, now occam.Time) {
 		return
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		ri, rj := c.rank(cands[i]), c.rank(cands[j])
+		ri, rj := rank(cands[i]), rank(cands[j])
 		if ri != rj {
 			return ri < rj
 		}

@@ -19,7 +19,6 @@ import (
 // stream on it, as a box's does on its switch's command channel.
 type fakeTarget struct {
 	name         string
-	repo         bool
 	streams      []degrade.StreamInfo
 	video, audio float64
 	shed         []uint32
@@ -47,7 +46,6 @@ func (t *fakeTarget) command(p *occam.Proc, id uint32) {
 func (t *fakeTarget) DegradeSettle(id uint32, shed bool) {
 	t.settled = append(t.settled, fmt.Sprintf("%d shed=%v", id, shed))
 }
-func (t *fakeTarget) DegradeRepositoryOrder() bool { return t.repo }
 
 // value reads one counter or gauge from a snapshot of reg.
 func value(reg *obs.Registry, name string, labels ...obs.Label) float64 {
@@ -153,26 +151,6 @@ func TestShedSettlesWhenTheTargetTakesIt(t *testing.T) {
 	// Samples at 5 and 10 ms, then at 18 ms: an Interval after the settle.
 	if ticks := value(reg, "degrade_ticks_total", obs.L("box", "t")); ticks != 3 {
 		t.Errorf("%v samples by 20 ms, want 3", ticks)
-	}
-}
-
-// TestRepositoryOrderReversed: a repository box sheds outgoing before
-// incoming — the recorded incoming stream is protected.
-func TestRepositoryOrderReversed(t *testing.T) {
-	rt := occam.NewRuntime()
-	reg := obs.New(rt)
-	ft := &fakeTarget{name: "t", repo: true, streams: []degrade.StreamInfo{
-		{ID: 1, Video: true, Incoming: true, Opened: 5},
-		{ID: 2, Video: true, Incoming: false, Opened: 10},
-	}}
-	degrade.New(rt, ft, &quickCfg, reg)
-
-	ft.video = 1
-	if err := rt.RunFor(60 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if want := []uint32{2, 1}; !reflect.DeepEqual(ft.shed, want) {
-		t.Fatalf("repository sheds = %v, want %v (outgoing first)", ft.shed, want)
 	}
 }
 

@@ -98,7 +98,7 @@ func E2() *Table {
 func e2LinkRun(n int) (offered, delivered int, utilisation float64) {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
-	link := occam.NewLink[audioSegMsg](rt, "a2s", 20_000_000)
+	link := occam.NewLink[segment.Wire](rt, "a2s", 20_000_000)
 	const rounds = 250 // 1 s of 4 ms segments
 	rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
 		tone := workload.NewTone(400, 8000)
@@ -113,15 +113,15 @@ func e2LinkRun(n int) (offered, delivered int, utilisation float64) {
 				tone.FillBlock(adata[:segment.BlockSamples])
 				tone.FillBlock(adata[segment.BlockSamples:])
 				w := pool.Encode(aseg.Reset(uint32(tick), p.Now(), adata))
-				link.Send(p, audioSegMsg{uint32(i), w}, w.Len()+segment.StreamNumberSize)
+				// The size counts the stream number the link would carry.
+				link.Send(p, w, w.Len()+segment.StreamNumberSize)
 			}
 		}
 	})
 	got := 0
 	rt.Go("rx", nil, occam.High, func(p *occam.Proc) {
 		for {
-			msg := link.Recv(p)
-			msg.W.Release()
+			link.Recv(p).Release()
 			got++
 		}
 	})
@@ -131,11 +131,6 @@ func e2LinkRun(n int) (offered, delivered int, utilisation float64) {
 	}
 	util := float64(link.BytesSent()*8) / (20_000_000 * 1.02)
 	return rounds * n, got, util
-}
-
-type audioSegMsg struct {
-	Stream uint32
-	W      segment.Wire
 }
 
 // E3 reproduces the best one-way latency: "the best one-way trip time

@@ -13,8 +13,8 @@ type FabricResult struct {
 	// OldestFirst reports the initial shed ladder took the
 	// longest-routed video stream first (principle 3 at the fabric).
 	OldestFirst bool
-	// PortIsolated reports every uncongested port delivered a
-	// byte-identical sequence in the faulted and fault-free runs
+	// PortIsolated reports every audio delivery into an uncongested
+	// port matched the fault-free run's, mixer digest and segment count
 	// (principle 5 across the fabric).
 	PortIsolated bool
 	CleanSheds   int // sheds in the fault-free run (must be 0)
@@ -66,7 +66,7 @@ fabric fab egress=4096
 attach fab n[00..15]
 faults burst=0.005/4,jitter=200us/400us,stallwin=1s-1600ms,stallwin=3s-3600ms,target=fab.p15
 degrade shed=120ms hold=600ms
-at 0s conference n[00..15]
+at 0s conference n[00..15] as c
 # Three full-rate video bands from three different boxes, opened 200 ms
 # apart so ages differ, all converging on the last box's port — the
 # port the fault schedule then congests.
@@ -83,9 +83,9 @@ func E22() (*Table, *FabricResult) { return E22Fabric(42) }
 // fault schedule (burst loss, jitter, two stall outages) on that box's
 // port alone — then reads the run's fault-free twin. The faulted
 // port's controller sheds its video oldest-first and never audio,
-// while every other port's delivered byte sequence is identical
-// between the two runs: a slow output degrades only its own port,
-// across the whole fabric (principle 5).
+// while every audio stream every other box receives is byte-identical
+// between the two runs (Runner.Survivors): a slow output degrades only
+// its own port, across the whole fabric (principle 5).
 func E22Fabric(seed uint64) (*Table, *FabricResult) {
 	t := &Table{
 		ID:     "E22",
@@ -107,17 +107,8 @@ func E22Fabric(seed uint64) (*Table, *FabricResult) {
 		res.OldestFirst = false
 	}
 
-	res.PortIsolated = true
-	for _, b := range fl.Spec.Boxes {
-		if b.Name == e22Sink {
-			continue
-		}
-		d, n := fl.Sys.FabricPort(b.Name).DeliveryDigest()
-		cd, cn := clean.Sys.FabricPort(b.Name).DeliveryDigest()
-		if d != cd || n != cn {
-			res.PortIsolated = false
-		}
-	}
+	checked, mismatched, _ := fl.Survivors(clean, e22Sink)
+	res.PortIsolated = checked > 0 && mismatched == 0
 	res.ForwardedBytes = fl.Sys.Fabric("fab").Stats().Bytes
 	res.CleanBytes = clean.Sys.Fabric("fab").Stats().Bytes
 	cf := fl.Sys.FabricPort(e22Sink).Stats()

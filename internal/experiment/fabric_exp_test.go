@@ -1,6 +1,9 @@
 package experiment
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestE22FabricIsolation asserts the documented acceptance criteria:
 // no audio shed anywhere, video shed oldest-first on the congested
@@ -53,5 +56,23 @@ func TestE22DeterministicReplay(t *testing.T) {
 	_, r3 := E22Fabric(778)
 	if r3.Fingerprint == r1.Fingerprint {
 		t.Fatal("different seeds produced identical fault schedules")
+	}
+}
+
+// TestE22IsolationCheckSeesDamage: the isolation row is not vacuous.
+// With nothing left out, Survivors finds every audio delivery into the
+// faulted port's box mismatched and every other delivery matched.
+func TestE22IsolationCheckSeesDamage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	fl := runScenario(fmt.Sprintf(e22Spec, 42))
+	defer fl.Close()
+	clean := must(fl.CleanTwin())
+	all, allBad, _ := fl.Survivors(clean)
+	rest, restBad, skipped := fl.Survivors(clean, e22Sink)
+	if into := all - rest; into != e22Boxes-1 || skipped != into || allBad != into || restBad != 0 {
+		t.Fatalf("%d of %d deliveries mismatched with nothing left out, %d of %d without the %d into %s; want %d into %s, all of them mismatched",
+			allBad, all, restBad, rest, skipped, e22Sink, e22Boxes-1, e22Sink)
 	}
 }

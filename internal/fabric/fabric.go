@@ -42,8 +42,7 @@
 // both queues; every drop point (ingress overflow, unrouted VCI, shed
 // VCI, injected fault, egress overflow) releases it, and delivery
 // transfers it to the receiving host, which releases after its single
-// copy-in. The fabric never touches payload bytes except to fold
-// delivered bytes into the per-port delivery digest.
+// copy-in. The fabric never touches payload bytes.
 //
 // Per-port observability (fabric_port_* counters, queue-depth gauges)
 // registers into internal/obs; each port implements degrade.Target so
@@ -52,10 +51,7 @@
 package fabric
 
 import (
-	"cmp"
-	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -349,16 +345,6 @@ type Port struct {
 	inByVCI map[uint32]uint64
 	inMax   uint64 // the largest count in inByVCI, which only grows
 
-	// perVCI folds each stream's delivered (corrupt flag, chunk ids,
-	// payload bytes) in delivery order — the per-port evidence the
-	// isolation experiments compare across runs. The digest is kept per
-	// stream because the cross-stream interleave at a port is timing,
-	// not data: a busy receiving box legitimately shifts when its own
-	// transmissions land elsewhere, without changing any byte of any
-	// stream.
-	perVCI    []vciDigest // by VCI, ascending
-	delivered uint64
-
 	// Traffic and drop counters, which the port's registry row reads.
 	forwarded, bytes, cellsTx, inDrops, egDrops, unrouted, shedDrops uint64
 }
@@ -378,26 +364,6 @@ func (pt *Port) Stats() PortStats {
 		ShedDrops:    pt.shedDrops,
 		Fault:        pt.fault.Stats(),
 	}
-}
-
-// DeliveryDigest returns an FNV-1a digest over everything the port has
-// delivered, plus the delivery count. Each stream is digested in its
-// own delivery order and the per-stream digests are combined in VCI
-// order, so the digest pins every delivered byte of every stream while
-// staying indifferent to how the streams happened to interleave. Two
-// runs in which this port's streams each saw identical traffic produce
-// identical digests regardless of what happened on other ports.
-func (pt *Port) DeliveryDigest() (digest uint64, delivered uint64) {
-	h := uint64(fnvOffset)
-	for _, d := range pt.perVCI {
-		h ^= uint64(d.vci)
-		h *= fnvPrime
-		h ^= d.digest
-		h *= fnvPrime
-		h ^= d.count
-		h *= fnvPrime
-	}
-	return h, pt.delivered
 }
 
 // IngressCopies returns how many messages the attached host offered
@@ -635,7 +601,6 @@ func (pt *Port) stepTx(p *occam.Proc) {
 			pt.forwarded++
 			pt.bytes += uint64(m.Size)
 			pt.cellsTx += uint64(cells(m.Size))
-			pt.fold(m)
 			if pt.host.Deliver(p, m); p.Parked() {
 				return
 			}
@@ -654,49 +619,6 @@ func (pt *Port) stepTx(p *occam.Proc) {
 			return
 		}
 	}
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// vciDigest is one stream's running delivery digest at one port.
-type vciDigest struct {
-	vci    uint32
-	digest uint64
-	count  uint64
-}
-
-// fold mixes one delivered message into its stream's digest: FNV-1a
-// over the payload eight bytes (one little-endian word) per multiply,
-// and byte by byte over a tail shorter than that. The digest is only
-// ever compared for equality, so the wider step costs it nothing.
-func (pt *Port) fold(m atm.Message) {
-	i, ok := slices.BinarySearchFunc(pt.perVCI, m.VCI, func(d vciDigest, vci uint32) int { return cmp.Compare(d.vci, vci) })
-	if !ok {
-		pt.perVCI = slices.Insert(pt.perVCI, i, vciDigest{vci: m.VCI, digest: fnvOffset})
-	}
-	d := &pt.perVCI[i]
-	h := d.digest
-	if m.Corrupt {
-		h ^= 1
-		h *= fnvPrime
-	}
-	h ^= uint64(m.ChunkIndex)<<16 | uint64(m.ChunkTotal)
-	h *= fnvPrime
-	bs := m.W.Bytes()
-	for ; len(bs) >= 8; bs = bs[8:] {
-		h ^= binary.LittleEndian.Uint64(bs)
-		h *= fnvPrime
-	}
-	for _, b := range bs {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	d.digest = h
-	d.count++
-	pt.delivered++
 }
 
 // --- degrade.Target: per-port overload levers ---
@@ -752,6 +674,3 @@ func (pt *Port) DegradeRestore(p *occam.Proc, id uint32) { delete(pt.shed, id) }
 // DegradeSettle implements degrade.Target: a port's shed and restore
 // are done when they return.
 func (pt *Port) DegradeSettle(id uint32, shed bool) {}
-
-// DegradeRepositoryOrder implements degrade.Target.
-func (pt *Port) DegradeRepositoryOrder() bool { return false }

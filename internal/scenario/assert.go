@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -89,7 +90,6 @@ func (r *Runner) CleanTwin() (*Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: fault-free twin: %w", r.Spec.Name, err)
 	}
-	r.twinRuns++
 	if err := c.Run(); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("scenario %s: fault-free twin: %w", r.Spec.Name, err)
@@ -100,12 +100,13 @@ func (r *Runner) CleanTwin() (*Runner, error) {
 
 // Survivors compares the run with its fault-free twin clean, delivery by
 // delivery (named audio stream × destination, mixer digest and segment
-// count). A delivery is excluded when it touched a crashed box: the
-// source or destination crashed, or the destination ever sat — before
-// a repair re-homed it — in a tree subtree under a crashed relay, and
-// so lost cells while the relay was down. Of the rest, checked counts
-// the deliveries compared and mismatched those that differ.
-func (r *Runner) Survivors(clean *Runner) (checked, mismatched, excluded int) {
+// count). A delivery is excluded when it goes into a box of skip, or
+// when it touched a crashed box: the source or destination crashed, or
+// the destination ever sat — before a repair re-homed it — in a tree
+// subtree under a crashed relay, and so lost cells while the relay was
+// down. Of the rest, checked counts the deliveries compared and
+// mismatched those that differ.
+func (r *Runner) Survivors(clean *Runner, skip ...string) (checked, mismatched, excluded int) {
 	crashed := r.crashedBoxes()
 	for _, ref := range r.streamRefs() {
 		st := r.Streams[ref]
@@ -114,7 +115,7 @@ func (r *Runner) Survivors(clean *Runner) (checked, mismatched, excluded int) {
 		}
 		cst := clean.Streams[ref]
 		for _, dst := range st.Dsts() {
-			touched := crashed[st.From] || crashed[dst]
+			touched := crashed[st.From] || crashed[dst] || slices.Contains(skip, dst)
 			for box := range crashed {
 				touched = touched || st.Tree.EverUnder(dst, box)
 			}

@@ -48,7 +48,6 @@ type Runner struct {
 	started  bool
 	admitted map[string]bool // refs of admitted (budget-holding) calls
 	twin     *Runner         // the fault-free twin, once CleanTwin has run it
-	twinRuns int             // twin systems simulated (a test pins it at one)
 }
 
 // NewRunner validates the spec and prepares a runner.

@@ -150,8 +150,9 @@ assert copies-max s 1
 
 // TestCleanTwinRunsOnce: a spec carrying survivors-identical whose
 // caller also reads the fault-free twin — before and after Evaluate,
-// as E23 and E24 do — simulates that twin exactly once, and the twin
-// keeps the spec's asserts except the ones about faults.
+// as E23 and E24 do — simulates that twin exactly once: both CleanTwin
+// calls return the twin Evaluate leaves. The twin keeps the spec's
+// asserts except the ones about faults.
 func TestCleanTwinRunsOnce(t *testing.T) {
 	r, err := NewRunner(MustParse(`scenario twin-once
 duration 1s
@@ -187,8 +188,8 @@ assert copies-max s 1
 	if _, err := r.Fingerprint(); err != nil {
 		t.Fatal(err)
 	}
-	if after, _ := r.CleanTwin(); after != before || r.twinRuns != 1 {
-		t.Errorf("%d twin runs (same twin returned: %v), want exactly one", r.twinRuns, after == before)
+	if after, _ := r.CleanTwin(); after != before || r.twin != before {
+		t.Errorf("a second twin: CleanTwin returned %p then %p, and Evaluate left %p", before, after, r.twin)
 	}
 	if got := before.Spec.Format(); strings.Contains(got, "crash=") || strings.Contains(got, "survivors-identical") ||
 		strings.Contains(got, "faults-fired") || !strings.Contains(got, "assert copies-max s 1") {

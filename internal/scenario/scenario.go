@@ -23,6 +23,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -229,6 +230,40 @@ type Scenario struct {
 	Asserts []Assert
 }
 
+// plan is Validate's model of how core attaches one stream's
+// destinations. A flat stream (k 0) feeds each from its source. A tree
+// deals its newcomers round-robin over its stripes (trees=), and feeds
+// each from the first member of its stripe, in placement order, that
+// has fewer than k children and reaches it, or else from the source.
+// loose lifts the k bound where Validate cannot know who feeds whom: a
+// balancer places and migrates, and a drop or repair re-homes subtrees.
+type plan struct {
+	src     string
+	k       int
+	loose   bool
+	next    int         // the striping cursor; it survives pulls
+	stripes [][]*member // each stripe's members in placement order
+	members map[string]bool
+}
+
+// member is one tree member and how many children it feeds.
+type member struct {
+	name     string
+	children int
+}
+
+// reshape records a drop of box d, which leaves the plan, or a repair
+// of relay d: either re-homes d's subtrees.
+func (pl *plan) reshape(op, d string) {
+	pl.loose = true
+	if op == "drop" && pl.members[d] {
+		delete(pl.members, d)
+		for i := range pl.stripes {
+			pl.stripes[i] = slices.DeleteFunc(pl.stripes[i], func(m *member) bool { return m.name == d })
+		}
+	}
+}
+
 // Validate checks internal consistency: names resolve, events refer to
 // streams opened earlier and asserts to streams an event opens, the
 // fault phase parses, times fit the duration, and the degrade and
@@ -331,23 +366,41 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario %s: cross %s %s: hop=%d is not a hop of their %d-hop link", sc.Name, c.From, c.To, c.Hop, n)
 		}
 	}
-	refs := map[string]bool{}
-	// feeders holds, per tree stream ref, the boxes core may pick to feed
-	// a joiner: the source and, for a planned tree (k > 0), every member
-	// so far. A joiner none of them reaches would be fed by the source
-	// over no path. join checks d against them and, on a planned tree,
-	// adds it.
-	feeders, planned := map[string][]string{}, map[string]bool{}
-	join := func(where, ref, d string) error {
-		for _, f := range feeders[ref] {
-			if reach(where, f, d) == nil {
-				if planned[ref] {
-					feeders[ref] = append(feeders[ref], d)
-				}
-				return nil
+	// plans holds each opened stream ref's model of core's attach; a ref
+	// whose source Validate cannot know (a call or conference bundle, a
+	// placed callee's stream) holds nil and is not checked. join attaches
+	// d as core would and fails where core would feed it over no path.
+	plans := map[string]*plan{}
+	join := func(where string, pl *plan, d string) error {
+		if pl == nil || pl.members[d] {
+			return nil
+		}
+		if pl.k <= 0 {
+			return reach(where, pl.src, d)
+		}
+		stripe := &pl.stripes[pl.next%len(pl.stripes)]
+		pl.next++
+		var feeder *member
+		for _, m := range *stripe {
+			if (pl.loose || m.children < pl.k) && reach(where, m.name, d) == nil {
+				feeder = m
+				break
 			}
 		}
-		return fmt.Errorf("scenario %s: %s: no path to %s from the tree's source or any member (none shares a fabric or a link with it)", sc.Name, where, d)
+		if feeder == nil && reach(where, pl.src, d) != nil {
+			for m := range pl.members {
+				if reach(where, m, d) == nil {
+					return fmt.Errorf("scenario %s: %s: no path to %s from the tree's source, and no member of its tree with fewer than k=%d children reaches it", sc.Name, where, d, pl.k)
+				}
+			}
+			return fmt.Errorf("scenario %s: %s: no path to %s from the tree's source or any member (none shares a fabric or a link with it)", sc.Name, where, d)
+		}
+		if feeder != nil {
+			feeder.children++
+		}
+		pl.members[d] = true
+		*stripe = append(*stripe, &member{name: d})
+		return nil
 	}
 	sent := map[uint32]bool{} // the VCIs netsends have opened
 	for i, ev := range sc.Events {
@@ -359,6 +412,7 @@ func (sc *Scenario) Validate() error {
 		if !ok {
 			return fmt.Errorf("scenario %s: %s: unknown op", sc.Name, where)
 		}
+		var pl *plan // the stream ev opens, or the one it acts on
 		switch o.shape {
 		case toList:
 			if err := need(where, ev.From); err != nil {
@@ -367,19 +421,13 @@ func (sc *Scenario) Validate() error {
 			if len(ev.To) == 0 {
 				return fmt.Errorf("scenario %s: %s has no destination", sc.Name, where)
 			}
-			flat := ev.Op != "tree" || ev.K == 0
-			if ev.Op == "tree" {
-				feeders[ev.Ref], planned[ev.Ref] = []string{ev.From}, !flat
-			}
+			pl = &plan{src: ev.From, k: ev.K, loose: sc.Balance != nil,
+				stripes: make([][]*member, max(ev.Trees, 1)), members: map[string]bool{}}
 			for _, d := range ev.To {
 				if err := need(where, d); err != nil {
 					return err
 				}
-				err := reach(where, ev.From, d)
-				if !flat {
-					err = join(where, ev.Ref, d)
-				}
-				if err != nil {
+				if err := join(where, pl, d); err != nil {
 					return err
 				}
 			}
@@ -432,7 +480,7 @@ func (sc *Scenario) Validate() error {
 				}
 			}
 		default: // refDst, refDsts, refOnly
-			if !refs[ev.Ref] {
+			if pl, ok = plans[ev.Ref]; !ok {
 				return fmt.Errorf("scenario %s: %s refers to unopened stream %q", sc.Name, where, ev.Ref)
 			}
 			switch {
@@ -441,27 +489,34 @@ func (sc *Scenario) Validate() error {
 			case o.shape == refDsts && len(ev.To) == 0:
 				return fmt.Errorf("scenario %s: %s has no destination", sc.Name, where)
 			}
-			_, tree := feeders[ev.Ref]
 			for _, d := range ev.To {
 				err := need(where, d)
-				if err == nil && tree && o.shape == refDsts {
-					err = join(where, ev.Ref, d)
+				if err == nil && (ev.Op == "pull" || ev.Op == "split") {
+					err = join(where, pl, d)
 				}
 				if err != nil {
 					return err
 				}
 			}
+			if pl != nil && (ev.Op == "drop" || ev.Op == "repair") {
+				pl.reshape(ev.Op, ev.To[0])
+			}
 		}
 		if ev.Ref != "" && o.opens {
-			if refs[ev.Ref] {
+			if _, dup := plans[ev.Ref]; dup {
 				return fmt.Errorf("scenario %s: duplicate stream ref %q", sc.Name, ev.Ref)
 			}
-			refs[ev.Ref] = true
+			plans[ev.Ref] = pl
 			// call and conference name their member streams REF[i], the
-			// names later split/drop/close events use.
+			// names later split/drop/close events use: flat streams from
+			// each member.
 			if o.shape == pair || o.shape == members {
-				for i := 0; i <= len(ev.To); i++ {
-					refs[memberRef(ev.Ref, i)] = true
+				for i, m := range append([]string{ev.From}, ev.To...) {
+					var mp *plan
+					if m != "?" {
+						mp = &plan{src: m}
+					}
+					plans[memberRef(ev.Ref, i)] = mp
 				}
 			}
 		}
@@ -481,6 +536,7 @@ func (sc *Scenario) Validate() error {
 	}
 	for _, a := range sc.Asserts {
 		k, ok := assertKinds[a.Kind]
+		_, opened := plans[a.Arg]
 		switch {
 		case !ok:
 			return fmt.Errorf("scenario %s: unknown assert kind %q", sc.Name, a.Kind)
@@ -490,7 +546,7 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario %s: assert %s: want %s", sc.Name, a.Kind, k.usage(a.Kind))
 		case k.arg == "BOX" && !boxes[a.Arg]:
 			return need("assert "+a.Kind, a.Arg)
-		case k.arg == "REF" && !refs[a.Arg]:
+		case k.arg == "REF" && !opened:
 			return fmt.Errorf("scenario %s: assert %s refers to unopened stream %q", sc.Name, a.Kind, a.Arg)
 		}
 	}

@@ -205,6 +205,13 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nbox a\nbox b\nbox c\nfabric f\nfabric g\nattach f a b\nattach g c\nat 0s conference a b c", "no path from a to c"},
 		{"scenario x\nduration 1s\nbox a\nbox c\nat 0s netsend a -> c stream=5 vci=9", "no path from a to c"},
 		{"scenario x\nduration 1s\nbox a\nbox c\nat 0s tree a -> c", "no path from a to c"},
+		// Attaches core's planner would make over no path: a member on
+		// a stripe only another stripe's member reaches, a member past
+		// every reaching relay's k, and a split of a flat stream, whose
+		// one feeder is its source.
+		{"scenario x\nduration 1s\nbox s mic=tone:400:9000\nbox a\nbox b\nbox c\nlink s a bw=10M\nlink a b bw=10M\nat 0s tree s -> a,b k=2 trees=2", "event 1 (tree at 0s): no path to b from the tree's source, and no member of its tree with fewer than k=2 children reaches it"},
+		{"scenario x\nduration 1s\nbox s mic=tone:400:9000\nbox a\nbox b\nbox c\nlink s a bw=10M\nlink a b bw=10M\nlink a c bw=10M\nat 0s tree s -> a,b,c k=1", "event 1 (tree at 0s): no path to c from the tree's source, and no member of its tree with fewer than k=1 children reaches it"},
+		{"scenario x\nduration 1s\nbox s mic=tone:400:9000\nbox a\nbox b\nbox c\nlink s a bw=10M\nlink a b bw=10M\nat 0s audio s -> a as t\nat 10ms split t b", "event 2 (split at 10ms): no path from s to b"},
 		// Ranges and waves are bounded input handling: errors, never allocations.
 		{"scenario x\nduration 1s\nbox v[5..1]", `line 3 ("box v[5..1]"): range "v[5..1]": upper bound below lower`},
 		{"scenario x\nduration 1s\nbox v[1..10]", "same number of digits"},

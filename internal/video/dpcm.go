@@ -2,7 +2,6 @@ package video
 
 import (
 	"errors"
-	"fmt"
 )
 
 // The compression engine of §3.6: "Each line of video data has a one
@@ -254,62 +253,4 @@ func CompressedLineSize(width int, lp LineParams) int {
 		return 1 + sub
 	}
 	return 1 + (sub+1)/2
-}
-
-// Interpolator is the decompression hardware's vertical interpolator
-// plus the software last-line cache of §3.6: "Maintain a software
-// cache of the last line processed on each stream, and reload the
-// interpolation hardware whenever we interleave segments."
-//
-// The hardware holds the last line of exactly one stream; decoding a
-// segment from a different stream requires reloading from the cache.
-// Reloads are counted so experiments can show the cost of
-// interleaving. The zero Interpolator is ready to use.
-type Interpolator struct {
-	cache      map[uint32][]byte // per-stream last line; nil until the first Advance
-	loaded     uint32            // stream whose line is in "hardware"
-	hasLoaded  bool
-	reloads    uint64
-	interleave uint64
-}
-
-// NewInterpolator returns an interpolator with an empty cache.
-func NewInterpolator() *Interpolator {
-	return new(Interpolator)
-}
-
-// Reloads returns how many cache→hardware reloads interleaving has
-// forced.
-func (ip *Interpolator) Reloads() uint64 { return ip.reloads }
-
-// Begin prepares to decode a segment of the given stream, reloading
-// the hardware from the software cache when the stream changes.
-// It returns the previous line to interpolate against (nil at the
-// top of a stream or after a discontinuity).
-func (ip *Interpolator) Begin(stream uint32) []byte {
-	if !ip.hasLoaded || ip.loaded != stream {
-		if ip.hasLoaded {
-			ip.interleave++
-		}
-		ip.loaded = stream
-		ip.hasLoaded = true
-		if prev, ok := ip.cache[stream]; ok {
-			ip.reloads++
-			return prev
-		}
-		return nil
-	}
-	return ip.cache[stream]
-}
-
-// Advance records that line is now the last processed line of the
-// loaded stream.
-func (ip *Interpolator) Advance(stream uint32, line []byte) {
-	if !ip.hasLoaded || ip.loaded != stream {
-		panic(fmt.Sprintf("video: Advance for stream %d without Begin", stream))
-	}
-	if ip.cache == nil {
-		ip.cache = make(map[uint32][]byte)
-	}
-	ip.cache[stream] = append(ip.cache[stream][:0], line...)
 }

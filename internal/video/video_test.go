@@ -225,50 +225,21 @@ func TestDPCMTracksSmoothContent(t *testing.T) {
 	}
 }
 
-func TestInterpolatorReloadOnInterleave(t *testing.T) {
-	ip := NewInterpolator()
-	lineA := []byte{1, 2, 3}
-	lineB := []byte{9, 8, 7}
-	if prev := ip.Begin(1); prev != nil {
-		t.Fatal("fresh stream has a previous line")
-	}
-	ip.Advance(1, lineA)
-	// Same stream continues: no reload.
-	if prev := ip.Begin(1); prev == nil || prev[0] != 1 {
-		t.Fatal("continuation lost the last line")
-	}
-	reloadsBefore := ip.Reloads()
-	// Interleave stream 2, then return to stream 1: reload required.
-	ip.Begin(2)
-	ip.Advance(2, lineB)
-	prev := ip.Begin(1)
-	if prev == nil || prev[0] != 1 {
-		t.Fatal("stream 1 cache lost across interleave")
-	}
-	if ip.Reloads() <= reloadsBefore {
-		t.Fatal("interleave did not count a reload")
-	}
-}
-
-// decodeBand decodes one band as the display board does: the rows
-// through DecompressBand, then the stream's last decoded line into the
-// interpolator's cache.
-func decodeBand(t *testing.T, ip *Interpolator, c *Codec, stream uint32, data []byte, w, h int) *Frame {
+// decodeBand decodes one band as the display board does, into a frame
+// of its own.
+func decodeBand(t *testing.T, c *Codec, data []byte, w, h int) *Frame {
 	t.Helper()
 	img := NewFrame(w, h)
-	n, err := c.DecompressBand(img, data)
-	if err != nil {
+	if _, err := c.DecompressBand(img, data); err != nil {
 		t.Fatal(err)
 	}
-	ip.Begin(stream)
-	ip.Advance(stream, img.Row(n-1))
 	return img
 }
 
 func TestInterleavedDecodeMatchesSequential(t *testing.T) {
-	// Decoding two streams' bands interleaved must give the same pixels
-	// and leave the same per-stream last line as decoding them back to
-	// back — the whole point of the line cache (§3.6 choice 3).
+	// Decoding two streams' bands interleaved through one codec must
+	// give the same pixels as decoding them back to back (§3.6
+	// choice 3): a band carries everything its decode needs.
 	var enc Codec
 	imgA, imgB := gradient(16, 8, 3), gradient(16, 8, 200)
 	bandA := enc.CompressBand(nil, imgA, LineParams{})
@@ -276,27 +247,14 @@ func TestInterleavedDecodeMatchesSequential(t *testing.T) {
 	topA := enc.CompressBand(nil, imgA.SubImage(Rect{W: 16, H: DefaultSliceLines}), LineParams{})
 
 	var dec Codec
-	seq := NewInterpolator()
-	seqA := decodeBand(t, seq, &dec, 1, bandA, 16, 8)
-	seqB := decodeBand(t, seq, &dec, 2, bandB, 16, 8)
-	if seq.Reloads() != 0 {
-		t.Fatalf("back-to-back decode reloaded %d times", seq.Reloads())
-	}
+	seqA := decodeBand(t, &dec, bandA, 16, 8)
+	seqB := decodeBand(t, &dec, bandB, 16, 8)
 
-	inter := NewInterpolator()
-	decodeBand(t, inter, &dec, 1, topA, 16, DefaultSliceLines)
-	intB := decodeBand(t, inter, &dec, 2, bandB, 16, 8)
-	intA := decodeBand(t, inter, &dec, 1, bandA, 16, 8)
-	if inter.Reloads() != 1 {
-		t.Fatalf("returning to stream 1 reloaded %d times, want 1", inter.Reloads())
-	}
+	decodeBand(t, &dec, topA, 16, DefaultSliceLines)
+	intB := decodeBand(t, &dec, bandB, 16, 8)
+	intA := decodeBand(t, &dec, bandA, 16, 8)
 	if !intB.Equal(seqB) || !intA.Equal(seqA) {
 		t.Fatal("a stream's decode differs when interleaved")
-	}
-	for stream := uint32(1); stream <= 2; stream++ {
-		if !bytes.Equal(inter.Begin(stream), seq.Begin(stream)) {
-			t.Fatalf("stream %d: interleaved decode cached a different last line", stream)
-		}
 	}
 }
 

@@ -4,7 +4,8 @@
 // Shipping code is every non-test file of the module, and the tests of
 // every package but the declaring one's own: code only its own
 // package's tests reach is a test helper and belongs in a _test.go
-// file, and a field only they set is a test-only switch. Two rules:
+// file, and a field only they set or read is test-only state. Three
+// rules:
 //
 //   - a package-level func, type, var or const, or a method of a
 //     package-level type, declared in a non-test file under internal/,
@@ -16,7 +17,13 @@
 //     with a constant zero, nil or an empty struct literal, and other
 //     than in its own type's withDefaults or setDefaults method. The
 //     fields kept lists are exempt, each for its reason; a kept field
-//     that is set, or gone, is a finding too.
+//     that is set, or gone, is a finding too;
+//   - an unexported field, or any field of an unexported type, declared
+//     there that no shipping code reads: uses it other than as the
+//     target of an assignment, ++ or --, or as a composite-literal key.
+//     Every field of a struct type used as a map key, or compared with
+//     == or !=, is read. A kept field is exempt here too; one that is
+//     both set and read is a finding.
 //
 // Run from the repository root:
 //
@@ -70,17 +77,18 @@ var (
 	imp  = importer.ForCompiler(fset, "source", nil)
 	// used holds every place some counting reference names.
 	used = map[place]bool{}
-	// set holds every field some counting code sets (see the package
-	// comment).
-	set = map[place]bool{}
+	// set holds every field some counting code sets, and read every
+	// field some counting code reads (see the package comment).
+	set  = map[place]bool{}
+	read = map[place]bool{}
 	// ifaceMethods holds the method names an interface requires:
 	// error's, fmt.Stringer's, sort.Interface's, Unwrap, and those of
 	// each interface a non-test file declares, named or literal.
 	ifaceMethods = map[string]bool{"Error": true, "String": true, "Len": true, "Less": true, "Swap": true, "Unwrap": true}
 )
 
-// kept are the fields no shipping code sets that stay on purpose
-// (DESIGN.md §2), each with its reason.
+// kept are the fields no shipping code sets or reads that stay on
+// purpose (DESIGN.md §2), each with its reason.
 var kept = map[string]string{
 	"fabric.Config.IngressLimit":   "the fabric tests need small rigs to reach ingress overflow",
 	"fabric.Config.BatchCells":     "the fabric tests need small rigs to reach train slicing",
@@ -94,6 +102,7 @@ var kept = map[string]string{
 	"muting.Config.DeepHold":       "§4.3: the delay times are dynamically alterable",
 	"muting.Config.MidHold":        "§4.3: the delay times are dynamically alterable",
 	"degrade.Config.Interval":      "the degrade tests tick at 5 ms to reach their decisions in a short run",
+	"occam.Node.busyFor":           "shipping code sets it, and FuzzStepProcess and the node tests compare it",
 }
 
 type candidate struct {
@@ -101,6 +110,7 @@ type candidate struct {
 	name   string
 	method string // the method's name, or "" for a package-level object or field
 	field  bool   // the second rule's: a struct field
+	hidden bool   // the third rule's: a field unexported or of an unexported type
 }
 
 func main() {
@@ -136,14 +146,15 @@ func main() {
 		fatal("%v", err)
 	}
 	var findings []string
-	needed := map[string]bool{} // the kept fields still unset
+	needed := map[string]bool{} // the kept fields still unset or unread
 	for _, c := range cands {
 		at := place{c.at.Filename, c.at.Offset}
 		var dead bool
 		if c.field {
 			_, keep := kept[c.name]
-			needed[c.name] = keep && !set[at]
-			dead = !set[at] && !keep
+			idle := !set[at] || c.hidden && !read[at]
+			needed[c.name] = keep && idle
+			dead = idle && !keep
 		} else {
 			dead = !used[at] && !(c.method != "" && ifaceMethods[c.method])
 		}
@@ -154,13 +165,13 @@ func main() {
 	}
 	for name := range kept {
 		if !needed[name] {
-			findings = append(findings, fmt.Sprintf("scripts/deadcode.go: kept field %s is set, or gone: drop it from kept", name))
+			findings = append(findings, fmt.Sprintf("scripts/deadcode.go: kept field %s is set and read, or gone: drop it from kept", name))
 		}
 	}
 	sort.Strings(findings)
 	if len(findings) > 0 {
 		fmt.Println(strings.Join(findings, "\n"))
-		fmt.Fprintf(os.Stderr, "deadcode: %d identifier(s) or field(s) under internal/ that only their own package's tests reach or set\n", len(findings))
+		fmt.Fprintf(os.Stderr, "deadcode: %d identifier(s) or field(s) under internal/ that only their own package's tests reach, set or read\n", len(findings))
 		os.Exit(1)
 	}
 }
@@ -203,6 +214,7 @@ func check(path, dir string, names []string, skip string) *types.Package {
 	for _, f := range files {
 		recordSets(f, info, skip)
 	}
+	recordReads(files, info, skip)
 	if skip == "" {
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -307,6 +319,69 @@ func recordSets(f *ast.File, info *types.Info, skip string) {
 	}
 }
 
+// recordReads marks the fields files read, as the package comment
+// defines a read, except fields of package skip.
+func recordReads(files []*ast.File, info *types.Info, skip string) {
+	mark := func(v *types.Var) {
+		if v = v.Origin(); v.Pkg() != nil && v.Pkg().Path() != skip {
+			p := fset.Position(v.Pos())
+			read[place{p.Filename, p.Offset}] = true
+		}
+	}
+	// markAll marks every field t compares: a struct's, through nested
+	// structs and arrays.
+	var markAll func(t types.Type)
+	markAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				mark(u.Field(i))
+				markAll(u.Field(i).Type())
+			}
+		case *types.Array:
+			markAll(u.Elem())
+		}
+	}
+	// targets are the field names files use only to write through.
+	targets := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			targets[sel.Sel] = true
+		}
+	}
+	inspect := func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				targets[id] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				markAll(info.Types[n.X].Type)
+			}
+		case ast.Expr:
+			if m, ok := info.Types[n].Type.(*types.Map); ok {
+				markAll(m.Key())
+			}
+		}
+		return true
+	}
+	for _, f := range files {
+		ast.Inspect(f, inspect)
+	}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !targets[id] {
+			mark(v)
+		}
+	}
+}
+
 // zero reports whether e is a constant zero, nil or an empty struct
 // literal.
 func zero(info *types.Info, e ast.Expr) bool {
@@ -342,13 +417,13 @@ func deref(t types.Type) types.Type {
 // so none is listed.
 func declared(pkg *types.Package) []candidate {
 	var cs []candidate
-	add := func(obj types.Object, name, method string, field bool) {
-		cs = append(cs, candidate{fset.Position(obj.Pos()), pkg.Name() + "." + name, method, field})
+	add := func(obj types.Object, name, method string, field, hidden bool) {
+		cs = append(cs, candidate{fset.Position(obj.Pos()), pkg.Name() + "." + name, method, field, hidden})
 	}
 	scope := pkg.Scope()
 	for _, n := range scope.Names() {
 		obj := scope.Lookup(n)
-		add(obj, n, "", false)
+		add(obj, n, "", false, false)
 		tn, ok := obj.(*types.TypeName)
 		if !ok || tn.IsAlias() {
 			continue
@@ -356,12 +431,12 @@ func declared(pkg *types.Package) []candidate {
 		named := tn.Type().(*types.Named)
 		for i := 0; i < named.NumMethods(); i++ {
 			m := named.Method(i)
-			add(m, n+"."+m.Name(), m.Name(), false)
+			add(m, n+"."+m.Name(), m.Name(), false, false)
 		}
 		st, ok := named.Underlying().(*types.Struct)
 		for i := 0; ok && i < st.NumFields(); i++ {
 			if f := st.Field(i); !f.Embedded() && f.Name() != "_" {
-				add(f, n+"."+f.Name(), "", true)
+				add(f, n+"."+f.Name(), "", true, !f.Exported() || !tn.Exported())
 			}
 		}
 	}

@@ -42,8 +42,8 @@ var lineBudgets = []struct {
 	doc   string
 	lines int
 }{
-	{"ARCHITECTURE.md", 469},
-	{"DESIGN.md", 790},
+	{"ARCHITECTURE.md", 468},
+	{"DESIGN.md", 789},
 	{"EXPERIMENTS.md", 260},
 	{"README.md", 474},
 }
