@@ -528,6 +528,10 @@ func (s *System) OpenCircuit(p *occam.Proc, vci uint32, from, to string) {
 	s.openCircuit(p, vci, s.lookup(from), s.lookup(to), false)
 }
 
+// ReserveVCI keeps vci out of the allocator from now on: a raw circuit
+// the caller opens on it later, with OpenCircuit, meets no stream's.
+func (s *System) ReserveVCI(vci uint32) { s.rawVCIs[vci] = true }
+
 // OpenHostCircuit opens a raw circuit for vci from host from to host to
 // over links — a traffic generator's, outside any node's paths. Core
 // never allocates vci to a stream after.

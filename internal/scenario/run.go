@@ -95,6 +95,13 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 	sc := r.Spec
 	s := core.NewSystem()
 	r.Sys = s
+	// A netsend's VCI is the spec's, not core's: reserve it before any
+	// event, so no stream opened earlier takes it.
+	for _, ev := range sc.Events {
+		if ev.Op == "netsend" {
+			s.ReserveVCI(ev.VCI)
+		}
+	}
 
 	for i, bs := range sc.Boxes {
 		cfg := bs.Config()

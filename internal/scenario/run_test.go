@@ -336,12 +336,14 @@ at 0s netsend a -> b stream=1 vci=77
 
 // TestRawVCIsStayOutOfTheAllocator opens circuits on VCIs core's
 // allocator would hand out next — a netsend's, then a feed's — before
-// core opens a stream: the stream must get a VCI of its own, so it
-// neither collides with the raw circuit nor merges with its traffic.
+// core opens a stream, and a netsend's on the VCI core gave the stream,
+// after it opened: the stream must get a VCI of its own, so it neither
+// collides with the raw circuit nor merges with its traffic.
 func TestRawVCIsStayOutOfTheAllocator(t *testing.T) {
-	for _, c := range []struct{ name, raw string }{
-		{"netsend", "at 0s netsend a -> b stream=7 vci=1001\n"},
-		{"feed", "feed b n=2 base=1001\n"},
+	for _, c := range []struct{ name, before, after string }{
+		{"netsend", "at 0s netsend a -> b stream=7 vci=1001\n", ""},
+		{"feed", "feed b n=2 base=1001\n", ""},
+		{"netsend after the stream", "", "at 480ms netsend a -> b stream=7 vci=1001\n"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {
@@ -350,7 +352,7 @@ func TestRawVCIsStayOutOfTheAllocator(t *testing.T) {
 				}
 			}()
 			mustPass(t, "scenario raw-vci\nduration 500ms\nbox a mic=tone:400:8000\nbox b\nlink a b bw=100M\n"+
-				c.raw+"at 10ms audio a -> b as s\nassert min-segments s 100\nassert max-lost s 0\n")
+				c.before+"at 10ms audio a -> b as s\n"+c.after+"assert min-segments s 100\nassert max-lost s 0\n")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package video
 
 import (
 	"errors"
+	"math/bits"
 	"slices"
 )
 
@@ -13,18 +14,27 @@ import (
 //
 // The band kernels code a band's DPCM lines in one pass over its rows:
 // the encoder finds them at a fixed stride in both the frame and the
-// packed lines, the decoder by their lengths. They keep the per-line
-// reference's bytes and pixels without its clamps. DPCM prediction
-// restarts at 128 on every line and moves in steps of q<<shift, so it
-// stays a multiple of 1<<shift, and then the reconstruction
-// pred + q<<shift never leaves [0, 255] (TestDPCMStepClampsOnlyBelow). An
-// encoder step is a subtraction, a table load and an add; the encoder
-// codes four lines at a time, their independent chains interleaved so
-// the CPU overlaps them. The decoder is an add per pixel with an OR of
-// every prediction: a line whose predictions left [0, 255] — only a
-// corrupt body does that — is decoded again by DecompressLine, which
-// saturates. Raw and sub-sampled lines, which the boards do not send,
-// go through the per-line reference code.
+// packed lines, the decoder at one too once its framing pass has seen
+// every line at one DPCM header's exact size (any other band goes line
+// by line). They keep the per-line reference's bytes and pixels
+// without its clamps. DPCM prediction restarts at 128 on every line and
+// moves in steps of q<<shift, so it stays a multiple of 1<<shift, and
+// then the reconstruction pred + q<<shift never leaves [0, 255]
+// (TestDPCMStepClampsOnlyBelow).
+//
+// Every line is so an independent chain of bytes, and 16 lines are the
+// 16 byte lanes of a vector: dpcm16 and undpcm16 code 16 lines a call,
+// one pixel of each per column step. On amd64 they are SSE2 assembly
+// (band_amd64.s), which every amd64 CPU has; they take widths that are
+// a multiple of 32. Other widths, other GOARCHes and a band's last
+// lines short of 16 go through the portable kernels: dpcmLines, where
+// an encoder step is a subtraction, a table load and an add, four
+// lines' chains interleaved so the CPU overlaps them, and undpcm, an
+// add per pixel with an OR of every prediction. Either decoder names
+// the lines whose predictions left [0, 255] — only a corrupt body does
+// that — and DecompressBand decodes those again with DecompressLine,
+// which saturates. Raw and sub-sampled lines, which the boards do not
+// send, go through the per-line reference code.
 
 // DefaultSliceLines is the slice height (§3.6: "several slices of a
 // few lines each"), the unit the capture board is charged per.
@@ -82,10 +92,13 @@ func (c *Codec) CompressBand(dst []byte, img *Frame, lp LineParams) []byte {
 		line := dst[start+y*stride:]
 		line[0], line[1], line[2] = byte(size>>8), byte(size), hdr
 	}
-	for y0 := 0; y0 < img.H; y0 += 4 {
-		// Lanes past the last line code it again, to the same bytes.
-		y := [4]int{y0, min(y0+1, img.H-1), min(y0+2, img.H-1), min(y0+3, img.H-1)}
-		dpcmLines(dst[start+3:], stride, img.Pix, img.W, &y, &quantTabs[lp.Shift&3])
+	body, w, shift := dst[start+3:], img.W, lp.Shift&3
+	y := 0
+	for ; y+16 <= img.H; y += 16 {
+		dpcm16(body[y*stride:], stride, img.Pix[y*w:], w, shift)
+	}
+	if y < img.H {
+		dpcmRows(body[y*stride:], stride, img.Pix[y*w:], w, img.H-y, shift)
 	}
 	return dst
 }
@@ -98,6 +111,8 @@ func (c *Codec) CompressBand(dst []byte, img *Frame, lp LineParams) []byte {
 // short for img.W; rows 0 to n-1 are decoded.
 func (c *Codec) DecompressBand(img *Frame, data []byte) (int, error) {
 	lines, rows := 0, -1
+	var first []byte
+	even := len(data) > 0 // every line whole, with first's length and header
 	for rest := data; len(rest) > 0; lines++ {
 		wire, ok := nextLine(rest)
 		if !ok {
@@ -106,6 +121,10 @@ func (c *Codec) DecompressBand(img *Frame, data []byte) (int, error) {
 		if rows < 0 && (len(wire) < 1 || len(wire) < CompressedLineSize(img.W, paramsFromHeader(wire[0]))) {
 			rows = lines
 		}
+		if lines == 0 {
+			first = wire
+		}
+		even = even && rows < 0 && len(wire) == len(first) && wire[0] == first[0]
 		rest = rest[2+len(wire):]
 	}
 	if lines != img.H {
@@ -114,19 +133,40 @@ func (c *Codec) DecompressBand(img *Frame, data []byte) (int, error) {
 	if rows < 0 {
 		rows = lines
 	}
-	for y := 0; y < rows; y++ {
+	y := 0
+	if even {
+		if lp := paramsFromHeader(first[0]); !lp.Raw && !lp.Subsample && len(first) == CompressedLineSize(img.W, lp) {
+			// One DPCM header and its exact size on every line: the
+			// bodies sit at one stride, 16 lines to a kernel call.
+			stride := 2 + len(first)
+			for ; y+16 <= lines; y += 16 {
+				for redo := undpcm16(img.Pix[y*img.W:], img.W, data[y*stride+3:], stride, lp.Shift); redo != 0; redo &= redo - 1 {
+					r := y + bits.TrailingZeros(redo)
+					c.redoLine(img.Row(r), data[r*stride+2:(r+1)*stride])
+				}
+			}
+			data = data[y*stride:]
+		}
+	}
+	for ; y < rows; y++ {
 		wire, _ := nextLine(data)
 		data = data[2+len(wire):]
 		lp, row := paramsFromHeader(wire[0]), img.Row(y)
 		if lp.Raw || lp.Subsample || undpcm(row, wire[1:], &pairTabs[lp.Shift])>>8 != 0 {
-			line, _ := c.DecompressLine(wire, img.W) // its size was checked above
-			copy(row, line)
+			c.redoLine(row, wire)
 		}
 	}
 	if rows < lines {
 		return rows, ErrLineTooShort
 	}
 	return rows, nil
+}
+
+// redoLine decodes wire into row with DecompressLine, which saturates;
+// wire's size was checked by DecompressBand's framing pass.
+func (c *Codec) redoLine(row, wire []byte) {
+	line, _ := c.DecompressLine(wire, len(row))
+	copy(row, line)
 }
 
 // nextLine returns the first packed line of data, without its length,
@@ -140,6 +180,31 @@ func nextLine(data []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return data[2 : 2+n], true
+}
+
+// dpcmRows writes the DPCM bodies of h lines of w pixels, line r of
+// src, at r*w, into (w+1)/2 bytes of out at r*stride, with dpcmLines
+// four lines at a time.
+func dpcmRows(out []byte, stride int, src []byte, w, h int, shift uint8) {
+	for y0 := 0; y0 < h; y0 += 4 {
+		// Lanes past the last line code it again, to the same bytes.
+		y := [4]int{y0, min(y0+1, h-1), min(y0+2, h-1), min(y0+3, h-1)}
+		dpcmLines(out, stride, src, w, &y, &quantTabs[shift&3])
+	}
+}
+
+// undpcmRows decodes the 16 DPCM bodies of in, line r's at r*stride,
+// into 16 rows of w pixels in dst, row r at r*w, with undpcm. It
+// returns a mask with bit r set when line r's predictions left
+// [0, 255]: that row must be decoded again by DecompressLine.
+func undpcmRows(dst []byte, w int, in []byte, stride int, shift uint8) uint {
+	var redo uint
+	for r := range 16 {
+		if undpcm(dst[r*w:][:w], in[r*stride:], &pairTabs[shift&3])>>8 != 0 {
+			redo |= 1 << r
+		}
+	}
+	return redo
 }
 
 // dpcmLines writes the DPCM bodies of four lines of w pixels: line

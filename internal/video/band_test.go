@@ -167,6 +167,103 @@ func FuzzBandCodec(f *testing.F) {
 	})
 }
 
+// FuzzBandKernels checks the 16-line kernels, dpcm16 and undpcm16,
+// against the portable ones, dpcmRows and undpcmRows, on rows and
+// bodies made from the fuzzed bytes (mixed with a PRNG stream when seed
+// is not 0): every shift, widths 32 to 256 in steps of 32, heights 1 to
+// 48 in groups of 16 and a portable tail, lines at a stride that is not
+// a multiple of 16. The body bytes, the pixels and the lines to decode
+// again must be the same, and no byte between the lines may change.
+func FuzzBandKernels(f *testing.F) {
+	f.Add(uint8(3), uint8(31), uint8(1), uint64(0), []byte("camera"))
+	f.Add(uint8(0), uint8(15), uint8(3), uint64(7), []byte{0, 255})
+	f.Add(uint8(7), uint8(47), uint8(0), uint64(1), []byte{0x77, 0x88, 0x80})
+	f.Add(uint8(1), uint8(20), uint8(2), uint64(0), bytes.Repeat([]byte{0x77}, 64))
+	f.Fuzz(func(t *testing.T, wsel, hsel, shift uint8, seed uint64, data []byte) {
+		w, h, s := 32*(1+int(wsel)%8), 1+int(hsel)%48, shift&3
+		stride := w/2 + 3
+		fill := func(b []byte) {
+			for i := range b {
+				if seed != 0 {
+					seed ^= seed << 13
+					seed ^= seed >> 7
+					seed ^= seed << 17
+					b[i] = byte(seed >> 32)
+				}
+				if len(data) > 0 {
+					b[i] ^= data[i%len(data)]
+				}
+			}
+		}
+		src, want := make([]byte, h*w), make([]byte, h*stride)
+		fill(src)
+		fill(want)
+		got := bytes.Clone(want)
+		dpcmRows(want, stride, src, w, h, s)
+		y := 0
+		for ; y+16 <= h; y += 16 {
+			dpcm16(got[y*stride:], stride, src[y*w:], w, s)
+		}
+		if y < h {
+			dpcmRows(got[y*stride:], stride, src[y*w:], w, h-y, s)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%dx%d shift %d: dpcm16 wrote other bytes than dpcmRows", w, h, s)
+		}
+
+		bodies := make([]byte, h*stride)
+		fill(bodies)
+		gotPix, wantPix := make([]byte, h*w), make([]byte, h*w)
+		for y := 0; y+16 <= h; y += 16 {
+			g := undpcm16(gotPix[y*w:], w, bodies[y*stride:], stride, s)
+			r := undpcmRows(wantPix[y*w:], w, bodies[y*stride:], stride, s)
+			if g != r {
+				t.Fatalf("%dx%d shift %d, lines %d+: undpcm16 redoes lines %016b, undpcmRows %016b", w, h, s, y, g, r)
+			}
+		}
+		if !bytes.Equal(gotPix, wantPix) {
+			t.Fatalf("%dx%d shift %d: undpcm16 decoded other pixels than undpcmRows", w, h, s)
+		}
+	})
+}
+
+// TestCorruptRowInAGroupIsRedone: one line of a 16-line group has a
+// body whose predictions leave [0, 255]. The kernel names that line
+// alone, DecompressBand gives it DecompressLine's saturated pixels, and
+// the other 15 rows keep the kernel's.
+func TestCorruptRowInAGroupIsRedone(t *testing.T) {
+	const w, h, bad = 128, 16, 5
+	lp := LineParams{Shift: 3}
+	var c Codec
+	data := c.CompressBand(nil, cameraBand(w, h), lp)
+	stride := len(data) / h
+	wire := data[bad*stride+2 : (bad+1)*stride]
+	for i := 1; i < len(wire); i++ {
+		wire[i] = 0x77 // +56 a pixel: past 255 by the third
+	}
+	kernel := NewFrame(w, h)
+	if redo := undpcm16(kernel.Pix, w, data[3:], stride, lp.Shift); redo != 1<<bad {
+		t.Fatalf("undpcm16 redoes lines %016b, want only line %d", redo, bad)
+	}
+	saturated, _ := new(Codec).DecompressLine(wire, w)
+	if bytes.Equal(saturated, kernel.Row(bad)) {
+		t.Fatal("the corrupt line's kernel pixels are already DecompressLine's: the test shows nothing")
+	}
+	img := NewFrame(w, h)
+	if n, err := c.DecompressBand(img, data); n != h || err != nil {
+		t.Fatalf("DecompressBand = %d rows, %v", n, err)
+	}
+	for y := 0; y < h; y++ {
+		want := kernel.Row(y)
+		if y == bad {
+			want = saturated
+		}
+		if !bytes.Equal(img.Row(y), want) {
+			t.Errorf("row %d is %v, want %v", y, img.Row(y), want)
+		}
+	}
+}
+
 // TestDPCMStepClampsOnlyBelow checks, for every shift, prediction and
 // pixel, the facts the band kernels rest on. The reconstruction
 // pred + q<<shift never exceeds 255, and it falls below 0 only when
@@ -274,6 +371,37 @@ func BenchmarkCompressBand128x32(b *testing.B) {
 
 func BenchmarkDecompressBand128x32(b *testing.B) {
 	benchDecompressBand(b, 32)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*128*32), "ns/px")
+}
+
+// The Portable twins time the portable kernels, dpcmLines and undpcm,
+// over the same band and its packed lines, without the framing.
+
+func BenchmarkCompressBand128x32Portable(b *testing.B) {
+	img, lp := cameraBand(128, 32), LineParams{Shift: 1}
+	var c Codec
+	data := c.CompressBand(nil, img, lp)
+	stride := len(data) / 32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dpcmRows(data[3:], stride, img.Pix, 128, 32, lp.Shift)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*128*32), "ns/px")
+}
+
+func BenchmarkDecompressBand128x32Portable(b *testing.B) {
+	var c Codec
+	data := c.CompressBand(nil, cameraBand(128, 32), LineParams{Shift: 1})
+	stride := len(data) / 32
+	img := NewFrame(128, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for y := 0; y < 32; y += 16 {
+			if undpcmRows(img.Pix[y*128:], 128, data[y*stride+3:], stride, 1) != 0 {
+				b.Fatal("the camera band's predictions left [0, 255]")
+			}
+		}
+	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*128*32), "ns/px")
 }
 
