@@ -290,14 +290,12 @@ type blockHandler struct {
 	at       int // bhSleep … bhMixed
 	n        int64
 	deadline occam.Time
-	left     time.Duration // of the mixing pass's CPU, still to request
 }
 
 const (
 	bhSleep  = iota // about to sleep until tick n
 	bhParked        // parked with nothing playing, or woken by a delivery: rejoin the grid
 	bhWoke          // at, or past, tick n: mix
-	bhMixing        // request the next slice of the pass's CPU, if any is left
 	bhMixed         // the mixing pass's CPU is spent: account the tick
 )
 
@@ -334,18 +332,10 @@ func (h *blockHandler) Step(p *occam.Proc) {
 			if b.cfg.Features.Muting {
 				b.muter.ObserveSpeaker(int64(start), blk)
 			}
-			h.left, h.at = b.tickCost(mixed), bhMixing
-		case bhMixing:
-			// Consume in slices: the transputer's high priority processes
-			// preempt low priority ones, so a long mixing pass must not
-			// block the outgoing side for its whole duration.
-			if h.left <= 0 {
-				h.at = bhMixed
-				continue
-			}
-			slice := min(h.left, audioMixSlice)
-			h.left -= slice
-			if p.Consume(slice); p.Parked() {
+			// One grant for the pass: the outgoing side's High requests
+			// preempt it (occam.Node).
+			h.at = bhMixed
+			if p.Consume(b.tickCost(mixed)); p.Parked() {
 				return
 			}
 		case bhMixed:

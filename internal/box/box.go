@@ -355,10 +355,10 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 	b := &Box{
 		cfg:         cfg,
 		rt:          rt,
-		audioNode:   occam.NewNode(rt, cfg.Name+".audioT"),
-		serverNode:  occam.NewNode(rt, cfg.Name+".serverT"),
-		captureNode: occam.NewNode(rt, cfg.Name+".captureT"),
-		mixerNode:   occam.NewNode(rt, cfg.Name+".mixerT"),
+		audioNode:   occam.NewNode(cfg.Name + ".audioT"),
+		serverNode:  occam.NewNode(cfg.Name + ".serverT"),
+		captureNode: occam.NewNode(cfg.Name + ".captureT"),
+		mixerNode:   occam.NewNode(cfg.Name + ".mixerT"),
 		host:        net.AddHost(cfg.Name),
 		Log:         &HostLog{},
 		toSwitch:    occam.NewChan[*allocator.Buffer](rt, cfg.Name+".toswitch"),

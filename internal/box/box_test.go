@@ -219,6 +219,45 @@ func TestAudioCallResumesNoCoroutine(t *testing.T) {
 	}
 }
 
+func TestMixingPassIsOneGrant(t *testing.T) {
+	// Three streams play at b, a box with every audio feature on and its
+	// microphone open, for a virtual second. Each tick's mixing pass is
+	// one grant, which a High request would preempt, so b's block
+	// handler takes two turns a tick: its wake and its grant's end.
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	net := atm.New(rt)
+	tone := func() workload.AudioSource { return workload.NewTone(400, 12000) }
+	b := New(rt, net, Config{Name: "b", Mic: tone(), Features: Features{JitterCorrection: true, Muting: true, Interface: true}})
+	var senders []*Box
+	for i, name := range []string{"a", "c", "d"} {
+		s := New(rt, net, Config{Name: name, Mic: tone()})
+		l := net.AddLink(name+"b", atm.LinkConfig{Bandwidth: 100_000_000, Propagation: 100 * time.Microsecond})
+		net.OpenCircuit(uint32(100+i), s.Host(), b.Host(), l)
+		ret := net.AddLink("b"+name, atm.LinkConfig{Bandwidth: 100_000_000, Propagation: 100 * time.Microsecond})
+		net.OpenCircuit(uint32(200+i), b.Host(), s.Host(), ret)
+		senders = append(senders, s)
+	}
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		b.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{200, 201, 202}})
+		for i, s := range senders {
+			s.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{uint32(100 + i)}})
+			b.SetRoute(p, Route{Stream: uint32(100 + i), Outputs: []Output{OutSpeaker}})
+			s.StartMic(p, 1)
+		}
+		b.StartMic(p, 1)
+	})
+	run(t, rt, 100*time.Millisecond)
+	turns, ticks := countTurns(rt), b.AudioStats().TicksRun
+	run(t, rt, 1100*time.Millisecond)
+	ticks = b.AudioStats().TicksRun - ticks
+	st := b.AudioStats()
+	if got := turns["b.blockHandler"]; ticks != 500 || got != 2*500 || b.mix.ActiveStreams() != 3 || st.LateTicks != 0 {
+		t.Errorf("b ran %d ticks mixing %d streams, %d late, in %d block handler turns; want 500 ticks of 3 streams, none late, in 1000 turns",
+			ticks, b.mix.ActiveStreams(), st.LateTicks, got)
+	}
+}
+
 func TestVideoCallResumesNoCoroutine(t *testing.T) {
 	// One way, a to b, full-rate 128×64 video for a virtual second: 50
 	// segments shown. The capture boards and b's display take 300 turns,
@@ -579,6 +618,67 @@ func TestCameraStartedAfterIdleFramesSeesTheSamePicture(t *testing.T) {
 	for i := range skipped {
 		if !bytes.Equal(skipped[i], rendered[i]) {
 			t.Fatalf("segment %d differs between the idle and the rendering board", i)
+		}
+	}
+}
+
+func TestCaptureCodesABandInTheTurnThatReadsIt(t *testing.T) {
+	// The capture board reads a band as a view of the framestore, not a
+	// copy, which is safe because it compresses the band in the turn
+	// that reads it: when it parks for the band's CPU the band is coded.
+	// Here the framestore is scribbled over from that park to the
+	// board's next one, and the segments it sends must be those of an
+	// untouched store. A compression moved to a later turn would code
+	// the scribble.
+	segments := func(scribble bool) [][]byte {
+		rt := occam.NewRuntime()
+		defer rt.Shutdown()
+		net := atm.New(rt)
+		bx := New(rt, net, Config{Name: "cam"})
+		sink := net.AddHost("sink")
+		l := net.AddLink("l", atm.LinkConfig{Bandwidth: 100_000_000})
+		net.OpenCircuit(300, bx.Host(), sink, l)
+		var got [][]byte
+		rt.Go("sink", nil, occam.High, func(p *occam.Proc) {
+			for {
+				m := sink.Rx.Recv(p)
+				got = append(got, bytes.Clone(m.W.Bytes()))
+				m.W.Release()
+			}
+		})
+		rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+			bx.SetRoute(p, Route{Stream: 2, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{300}, Video: true})
+			bx.StartCamera(p, CameraStream{Stream: 2, Rect: video.Rect{X: 8, Y: 4, W: 96, H: 48}, Rate: video.Rate{Num: 1, Den: 1}, SegsPerFrame: 3})
+		})
+		var saved []byte
+		if scribble {
+			rt.Trace = func(line string) {
+				if bx.framestore == nil || !strings.Contains(line, "] park cam.capture: ") {
+					return
+				}
+				pix := bx.framestore.CameraPort().Pix
+				if saved != nil {
+					copy(pix, saved)
+					saved = nil
+				}
+				if strings.Contains(line, ": cpu ") {
+					saved = bytes.Clone(pix)
+					for i := range pix {
+						pix[i] = byte(i * 7)
+					}
+				}
+			}
+		}
+		run(t, rt, 10*video.FramePeriod)
+		return got
+	}
+	want, got := segments(false), segments(true)
+	if len(want) < 20 || len(got) != len(want) {
+		t.Fatalf("%d segments with the store scribbled on after each read turn, %d without; want equal and ≥ 20", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("segment %d differs when the store is scribbled on after the turn that read it", i)
 		}
 	}
 }

@@ -22,11 +22,13 @@ import "time"
 //
 // Experiment E1 verifies this calibration stays consistent.
 //
-// The block handler ticks every 2 ms while a stream plays; an idle
-// board's ticks are counted lazily. A silent tick costs tickBase plus the
-// fixed extras (at most 550 µs), and the microphone's outgoingCost goes
-// first at each tick instant, so the two fit in 2 ms and a tick that is
-// skipped delays no other turn.
+// The block handler ticks every 2 ms while a stream plays, and charges
+// a tick's mixing pass as one Low grant, which the outgoing side's High
+// requests preempt (occam.Node); an idle board's ticks are counted
+// lazily. A silent tick costs tickBase plus the fixed extras (at most
+// 550 µs), and the microphone's outgoingCost goes first at each tick
+// instant, so the two fit in 2 ms and a tick that is skipped delays no
+// other turn.
 const (
 	// audioTickBase is the block handler's fixed per-tick work
 	// (codec fifo service, scheduling).
@@ -43,9 +45,6 @@ const (
 	audioOutgoingCost = 200 * time.Microsecond
 	// audioInterfaceCost is the interface code's per-tick share.
 	audioInterfaceCost = 250 * time.Microsecond
-	// audioMixSlice is the longest the Low-priority mixing pass holds
-	// the audio transputer before a waiting High process gets it.
-	audioMixSlice = 400 * time.Microsecond
 
 	// serverSwitchCost is the server's per-segment switching work
 	// (table lookup and one descriptor send per destination). The

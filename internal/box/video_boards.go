@@ -69,12 +69,10 @@ type captureWork struct {
 	band        video.Rect
 	msg         wireMsg
 
-	// Per-board scratch, reused every band: the framestore read
-	// rectangle, the codec, the packed segment data and the header
-	// around it (copied on into the wire by Encode), and the header's one
-	// compression argument.
+	// Per-board scratch, reused every band: the codec, the packed
+	// segment data and the header around it (copied on into the wire by
+	// Encode), and the header's one compression argument.
 	lp     video.LineParams
-	rect   video.Frame
 	codec  video.Codec
 	packed []byte
 	seg    segment.Video
@@ -178,8 +176,8 @@ func (c *capture) Step(p *occam.Proc) {
 				return
 			}
 		case capRead:
-			b.framestore.ReadRectInto(&c.rect, c.band)
-			c.packed = c.codec.CompressBand(c.packed[:0], &c.rect, c.lp)
+			band := b.framestore.ReadPort(c.band)
+			c.packed = c.codec.CompressBand(c.packed[:0], &band, c.lp)
 			// One request for the band's lines: no other process runs on
 			// the capture transputer, so per-line requests would be granted
 			// back to back anyway.
@@ -252,10 +250,9 @@ func orderedStreamIDs(ids []uint32, m map[uint32]*CameraStream) []uint32 {
 // receiving display.
 var errOffDisplay = errors.New("box: video segment outside the display")
 
-// display decompresses arriving video segments (reloading the
-// interpolator's per-stream line cache on interleaving), assembles
-// whole frames, and copies each completed frame to the display at a
-// scan-safe moment.
+// display decompresses arriving video segments straight into their
+// stream's assembling frame, and copies each completed frame to the
+// display at a scan-safe moment.
 //
 // What decoding and assembling takes is behind *displayWork, built at
 // the first segment the board is sent.
@@ -273,10 +270,7 @@ type display struct {
 type displayWork struct {
 	assemblers map[uint32]*video.Assembler
 	seg        segment.Video // the header, decoded in place from msg's wire
-	// Per-board scratch, reused every segment: the codec and the decoded
-	// image (blitted into the assembler's own frame by Add).
-	codec video.Codec
-	img   video.Frame
+	codec      video.Codec   // per-board scratch, reused every segment
 }
 
 const (
@@ -357,7 +351,7 @@ func (d *display) assemble(p *occam.Proc) bool {
 	}
 	b, msg, seg := d.b, d.msg, &d.seg
 	d.msg = wireMsg{}
-	defer msg.W.Release() // img and the assembler hold their own copies
+	defer msg.W.Release() // the assembler decodes into its own frame
 	// Decode the header in place; seg.Data aliases the wire until the
 	// Release.
 	err := msg.W.DecodeVideoInto(seg)
@@ -365,9 +359,14 @@ func (d *display) assemble(p *occam.Proc) bool {
 		uint64(seg.YOffset)+uint64(seg.NumLines) > uint64(b.cfg.CameraH)) {
 		err = errOffDisplay
 	}
+	var frame *video.Frame
 	if err == nil {
-		d.img.Reuse(int(seg.Width), int(seg.NumLines))
-		_, err = d.codec.DecompressBand(&d.img, seg.Data)
+		a, ok := d.assemblers[msg.Stream]
+		if !ok {
+			a = video.NewAssembler(b.cfg.CameraW, b.cfg.CameraH)
+			d.assemblers[msg.Stream] = a
+		}
+		frame, err = a.Add(seg, &d.codec)
 	}
 	if err != nil {
 		// "The current segment is thrown away" (§3.8); a short line
@@ -378,10 +377,5 @@ func (d *display) assemble(p *occam.Proc) bool {
 		}
 		return false
 	}
-	a, ok := d.assemblers[msg.Stream]
-	if !ok {
-		a = video.NewAssembler(b.cfg.CameraW, b.cfg.CameraH)
-		d.assemblers[msg.Stream] = a
-	}
-	return a.Add(seg, &d.img) != nil
+	return frame != nil
 }

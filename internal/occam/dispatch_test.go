@@ -217,7 +217,7 @@ func TestDeadlockListsStacklessProcessesLikeCoroutines(t *testing.T) {
 	var dumps [2]string
 	for i, stackless := range []bool{false, true} {
 		rt := NewRuntime()
-		cpu := NewNode(rt, "cpu")
+		cpu := NewNode("cpu")
 		never := NewChan[int](rt, "never")
 		full := NewChan[int](rt, "full")
 		var v int
@@ -352,7 +352,7 @@ func schedulePin(t *testing.T) string {
 	var log []string
 	rt.Trace = func(s string) { log = append(log, s) }
 
-	cpu := NewNode(rt, "cpu")
+	cpu := NewNode("cpu")
 	data := NewChan[int](rt, "data")
 	tick := NewSignal(rt, "tick")
 
@@ -413,10 +413,12 @@ func schedulePin(t *testing.T) string {
 	return strings.Join(log, "\n") + fmt.Sprintf("\nswitches %d\n", rt.Switches())
 }
 
-// TestSchedulePin holds the scheduler to the schedule recorded from
-// the channel-and-goroutine runtime this one replaced (PR 11's commit):
-// which process runs when, and how many switches that takes, are part
-// of the simulation's results and must not move with the mechanism.
+// TestSchedulePin holds the scheduler to a recorded schedule: which
+// process runs when, and how many switches that takes, are part of the
+// simulation's results and must not move with the mechanism. It was
+// recorded from the channel-and-goroutine runtime this one replaced,
+// and again when a High request came to preempt a running Low grant
+// (child and hi suspend lo.b's grant at 950 µs and 1.3 ms).
 func TestSchedulePin(t *testing.T) {
 	want, err := os.ReadFile("testdata/schedule_pin.golden")
 	if err != nil {

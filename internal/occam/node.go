@@ -1,81 +1,75 @@
 package occam
 
-import (
-	"time"
-)
+import "time"
 
 // Node models one transputer's CPU. Processes account for computation
 // by calling Proc.Consume, which occupies the node exclusively for a
 // duration of virtual time; concurrent requests queue, high priority
-// first (the transputer's two-level scheduler). Code outside Consume
-// is free, so costs are attached explicitly where they matter — see
-// the calibrated constants in internal/box.
+// first, and a High request preempts a running Low grant (the
+// transputer's two-level scheduler). Code outside Consume is free, so
+// costs are attached explicitly where they matter — see the calibrated
+// constants in internal/box.
 type Node struct {
-	rt      *Runtime
 	name    string
-	busy    bool
 	waiting []cpuReq
 	busyFor time.Duration // accumulated busy time (utilisation metric)
+	run     *Proc         // the process whose grant holds the node; nil when idle
+	end     Time          // when run's grant ends
 }
 
 type cpuReq struct {
-	p   *Proc
-	d   time.Duration
-	pri Priority
+	p *Proc
+	d time.Duration
 }
 
 // NewNode returns a new CPU resource named name.
-func NewNode(rt *Runtime, name string) *Node {
-	return &Node{rt: rt, name: name}
+func NewNode(name string) *Node {
+	return &Node{name: name}
 }
 
 func (n *Node) waitName() string { return n.name }
 
 // Consume occupies the process's node for d of virtual time, blocking
-// the process until its grant completes. If the node is busy the
-// request queues behind earlier requests; higher-priority processes
-// are granted first. Consume on a process with no node just sleeps.
-// A long Low computation that must let High processes onto the node
-// takes its cost as several Consumes, as the transputer's scheduler
-// would have it.
+// the process until its grant completes. A request queues behind those
+// of its priority, High ahead of Low, and a High one suspends a running
+// Low grant at once; the remainder resumes when the High grants are
+// done, ahead of other Low requests, so a Low computation is one
+// Consume however long it is. With no node, Consume just sleeps.
 func (p *Proc) Consume(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	n := p.node
+	n, rt := p.node, p.rt
 	if n == nil {
 		p.Sleep(d)
 		return
 	}
-	n.insert(cpuReq{p: p, d: d, pri: p.pri})
-	if !n.busy {
-		n.grantNext()
-	}
-	p.word = int64(d)
-	n.rt.park(p, stCPU, n)
-}
-
-// insert queues req, high priority ahead of low, FIFO within a
-// priority.
-func (n *Node) insert(req cpuReq) {
-	if req.pri == High {
-		// Insert after the last queued High request.
+	if p.pri == Low {
+		n.waiting = append(n.waiting, cpuReq{p, d})
+	} else {
 		i := 0
-		for i < len(n.waiting) && n.waiting[i].pri == High {
+		for i < len(n.waiting) && n.waiting[i].p.pri == High {
 			i++
 		}
-		n.waiting = append(n.waiting, cpuReq{})
-		copy(n.waiting[i+1:], n.waiting[i:])
-		n.waiting[i] = req
-		return
+		if r := n.run; r != nil && r.pri == Low {
+			n.insert(i, cpuReq{r, n.end.Sub(rt.now)})
+			n.run = nil
+		}
+		n.insert(i, cpuReq{p, d})
 	}
-	n.waiting = append(n.waiting, req)
+	if n.run == nil {
+		n.grantNext(rt)
+	}
+	p.word = int64(d)
+	rt.park(p, stCPU, n)
 }
 
-// grantNext starts the next queued request, scheduling its completion
-// as a grant event the scheduler completes inline (no closure).
-// The node must be idle.
-func (n *Node) grantNext() {
+// grantNext starts the next queued request, its completion a grant
+// event the scheduler completes inline. The node must be idle. A
+// process holding a grant event resumes a suspended grant, counted when
+// first granted; a pending event of it fires early and re-arms for the
+// new end (advanceClock), as no event leaves the queue unfired.
+func (n *Node) grantNext(rt *Runtime) {
 	if len(n.waiting) == 0 {
 		return
 	}
@@ -83,8 +77,20 @@ func (n *Node) grantNext() {
 	copy(n.waiting, n.waiting[1:])
 	n.waiting[len(n.waiting)-1] = cpuReq{}
 	n.waiting = n.waiting[:len(n.waiting)-1]
-	n.busy = true
-	n.busyFor += req.d
-	req.p.ev.grant = n
-	n.rt.arm(&req.p.ev, n.rt.now.Add(req.d))
+	n.run, n.end = req.p, rt.now.Add(req.d)
+	ev := &req.p.ev
+	if ev.grant == nil {
+		n.busyFor += req.d
+		ev.grant = n
+	}
+	if !ev.armed {
+		rt.arm(ev, n.end)
+	}
+}
+
+// insert queues req at place i.
+func (n *Node) insert(i int, req cpuReq) {
+	n.waiting = append(n.waiting, cpuReq{})
+	copy(n.waiting[i+1:], n.waiting[i:])
+	n.waiting[i] = req
 }

@@ -1,13 +1,14 @@
 package occam
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
 func TestConsumeAdvancesTime(t *testing.T) {
 	rt := NewRuntime()
-	n := NewNode(rt, "cpu")
+	n := NewNode("cpu")
 	var done Time
 	rt.Go("worker", n, Low, func(p *Proc) {
 		p.Consume(3 * time.Millisecond)
@@ -26,7 +27,7 @@ func TestConsumeAdvancesTime(t *testing.T) {
 
 func TestConsumeSerialisesOnOneNode(t *testing.T) {
 	rt := NewRuntime()
-	n := NewNode(rt, "cpu")
+	n := NewNode("cpu")
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		rt.Go("worker", n, Low, func(p *Proc) {
@@ -47,8 +48,8 @@ func TestConsumeSerialisesOnOneNode(t *testing.T) {
 
 func TestConsumeParallelAcrossNodes(t *testing.T) {
 	rt := NewRuntime()
-	a := NewNode(rt, "a")
-	b := NewNode(rt, "b")
+	a := NewNode("a")
+	b := NewNode("b")
 	var endA, endB Time
 	rt.Go("wa", a, Low, func(p *Proc) {
 		p.Consume(5 * time.Millisecond)
@@ -66,39 +67,55 @@ func TestConsumeParallelAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestConsumeHighPriorityJumpsQueue(t *testing.T) {
+func TestHighRequestPreemptsLowGrant(t *testing.T) {
 	rt := NewRuntime()
-	n := NewNode(rt, "cpu")
+	n := NewNode("cpu")
 	var order []string
-	// One low request holds the CPU; two more queue; a high request
-	// arriving last must be granted next.
+	var ends []Time
+	var highWait time.Duration
+	done := func(p *Proc, name string) {
+		order = append(order, name)
+		ends = append(ends, p.Now())
+	}
+	// One low grant holds the CPU and one more low request queues; a
+	// high request arriving 1 ms in suspends the running grant at once,
+	// and its remainder runs before the queued low request.
 	rt.Go("low0", n, Low, func(p *Proc) {
 		p.Consume(2 * time.Millisecond)
-		order = append(order, "low0")
+		done(p, "low0")
 	})
 	rt.Go("low1", n, Low, func(p *Proc) {
 		p.Consume(2 * time.Millisecond)
-		order = append(order, "low1")
+		done(p, "low1")
 	})
 	rt.Go("high", n, High, func(p *Proc) {
-		p.Sleep(time.Millisecond) // arrives after low0 granted, low1 queued
+		p.Sleep(time.Millisecond)
+		asked := p.Now()
 		p.Consume(time.Millisecond)
-		order = append(order, "high")
+		highWait = p.Now().Sub(asked) - time.Millisecond
+		done(p, "high")
 	})
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"low0", "high", "low1"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
+	ms := func(d time.Duration) Time { return Time(d * time.Millisecond) }
+	if want := []string{"high", "low0", "low1"}; !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	if want := []Time{ms(2), ms(3), ms(5)}; !slices.Equal(ends, want) {
+		t.Fatalf("ends %v, want %v", ends, want)
+	}
+	if highWait != 0 {
+		t.Fatalf("high waited %v for the CPU", highWait)
+	}
+	if n.busyFor != 5*time.Millisecond {
+		t.Fatalf("busy for %v, want 5ms", n.busyFor)
 	}
 }
 
 func TestConsumeZeroIsFree(t *testing.T) {
 	rt := NewRuntime()
-	n := NewNode(rt, "cpu")
+	n := NewNode("cpu")
 	rt.Go("w", n, Low, func(p *Proc) {
 		p.Consume(0)
 		p.Consume(-time.Millisecond)
@@ -126,7 +143,7 @@ func TestConsumeWithoutNodeSleeps(t *testing.T) {
 
 func TestUtilisation(t *testing.T) {
 	rt := NewRuntime()
-	n := NewNode(rt, "cpu")
+	n := NewNode("cpu")
 	rt.Go("w", n, Low, func(p *Proc) {
 		p.Consume(time.Millisecond)
 		p.Sleep(time.Millisecond)

@@ -557,11 +557,13 @@ func (rt *Runtime) advanceClock() bool {
 		ev := q.take()
 		switch {
 		case ev.grant != nil:
-			n := ev.grant
-			ev.grant = nil
-			n.busy = false
-			rt.ready(ev.p)
-			n.grantNext()
+			if n := ev.grant; n.run == ev.p && n.end <= rt.now {
+				ev.grant, n.run = nil, nil
+				rt.ready(ev.p)
+				n.grantNext(rt)
+			} else if n.run == ev.p { // a resumed grant's old end (grantNext)
+				rt.arm(ev, n.end)
+			}
 		case ev.fn != nil:
 			ev.fn(Sched{rt})
 		default:

@@ -356,7 +356,7 @@ func TestRuntimeHandedBetweenGoroutines(t *testing.T) {
 	var cpu *Node
 	go func() {
 		rt := NewRuntime()
-		cpu = NewNode(rt, "cpu")
+		cpu = NewNode("cpu")
 		ch := NewChan[int](rt, "ch")
 		rt.Go("worker", cpu, Low, func(p *Proc) {
 			for i := 0; i < 10; i++ {

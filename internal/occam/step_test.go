@@ -163,7 +163,7 @@ func stepRun(data []byte, stackless bool) stepResult {
 	}
 	rt := NewRuntime()
 	defer rt.Shutdown()
-	n := &stepNet{cpu: NewNode(rt, "cpu"), data: NewChan[int](rt, "data"), cmds: NewChan[int](rt, "cmds")}
+	n := &stepNet{cpu: NewNode("cpu"), data: NewChan[int](rt, "data"), cmds: NewChan[int](rt, "cmds")}
 	procs := make([]*stepProc, 2+int(data[0])%3)
 	for i := range procs {
 		procs[i] = &stepProc{net: n, id: i, stackless: stackless}

@@ -26,7 +26,7 @@
 //   - rendezvous channels (Chan) with blocking Send/Recv,
 //   - prioritised alternation (Proc.Alt, the PRI ALT construct),
 //   - microsecond-resolution timers (Proc.Sleep, Timer),
-//   - two process priorities (High preempts Low in the run queue),
+//   - two process priorities (High runs first and preempts Low CPU grants),
 //   - per-transputer CPU accounting (Node, Proc.Consume),
 //   - inter-transputer links with transmission delay (Link).
 //

@@ -265,7 +265,7 @@ func TestTimerQueueShape(t *testing.T) {
 func TestTimersAllocateNothingOnceWarm(t *testing.T) {
 	rt := NewRuntime()
 	defer rt.Shutdown()
-	cpu := NewNode(rt, "cpu")
+	cpu := NewNode("cpu")
 	for i := 0; i < 3; i++ {
 		rt.Go("sleeper", nil, Low, func(p *Proc) {
 			for {

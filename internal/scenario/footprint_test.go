@@ -21,8 +21,8 @@ const idleBoxBytes = 12_400
 // (linux/amd64, go1.24) once it has played for 100 ms: the mixer's
 // stream state and its clawback buffer with their two registry rows,
 // the clawback ring, the stream's playout histogram, the fabric route,
-// the switch tables' entries at both ends, the speaker ring's storage,
-// the receiving port's delivery digest and the stream's trace events.
+// the switch tables' entries at both ends, the speaker ring's storage
+// and the stream's trace events.
 const streamBytes = 3_390
 
 // liveGrowth builds spec, runs it for 100 ms and returns how much the

@@ -36,20 +36,26 @@ func NewAssembler(width, height int) *Assembler {
 	return &Assembler{width: width, height: height}
 }
 
-// Add offers one decoded video segment with its pixel data. When the
-// segment completes a frame, the whole frame is returned; otherwise
+// Add decodes one video segment with c straight into the frame being
+// assembled, at its rectangle, which must lie within the frame; lines
+// that do not decode are an error found before anything changes. When
+// the segment completes a frame, the whole frame is returned; otherwise
 // nil. The frame is the assembler's own storage, valid until the Add
 // that starts the next frame. A segment of a newer frame abandons the
 // one in progress (late segments of old frames are discarded — the
 // general §3.8 rule, the current segment is thrown away). A segment
 // numbered at or past the NumSegments its frame began with counts as a
 // duplicate: it cannot be one of the pieces the frame is waiting for.
-func (a *Assembler) Add(hdr *segment.Video, pixels *Frame) *Frame {
+func (a *Assembler) Add(hdr *segment.Video, c *Codec) (*Frame, error) {
+	w, h := int(hdr.Width), int(hdr.NumLines)
+	if _, _, err := frameBand(w, h, hdr.Data); err != nil {
+		return nil, err
+	}
 	if !a.started || hdr.FrameNumber != a.current {
 		if a.started && int32(hdr.FrameNumber-a.current) < 0 {
 			// A late segment of an older frame.
 			a.stats.Duplicates++
-			return nil
+			return nil, nil
 		}
 		if a.InProgress() {
 			a.stats.Abandoned++
@@ -67,17 +73,18 @@ func (a *Assembler) Add(hdr *segment.Video, pixels *Frame) *Frame {
 	}
 	if hdr.SegmentNum >= uint32(len(a.have)) || a.have[hdr.SegmentNum] {
 		a.stats.Duplicates++
-		return nil
+		return nil, nil
 	}
+	band := a.img.View(Rect{X: int(hdr.XOffset), Y: int(hdr.YOffset), W: w, H: h})
+	c.DecompressBand(&band, hdr.Data) // framed above, so it decodes every row
 	a.have[hdr.SegmentNum] = true
 	a.got++
-	a.img.Blit(pixels, int(hdr.XOffset), int(hdr.YOffset))
 	if a.got == len(a.have) {
 		a.started = false
 		a.stats.Complete++
-		return a.img
+		return a.img, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // InProgress reports whether a partial frame is waiting for segments.

@@ -13,14 +13,14 @@ import (
 // other code knows the layout.
 //
 // The band kernels code a band's DPCM lines in one pass over its rows:
-// the encoder finds them at a fixed stride in both the frame and the
-// packed lines, the decoder at one too once its framing pass has seen
-// every line at one DPCM header's exact size (any other band goes line
-// by line). They keep the per-line reference's bytes and pixels
-// without its clamps. DPCM prediction restarts at 128 on every line and
-// moves in steps of q<<shift, so it stays a multiple of 1<<shift, and
-// then the reconstruction pred + q<<shift never leaves [0, 255]
-// (TestDPCMStepClampsOnlyBelow).
+// the encoder finds them at a fixed stride in both the frame (its row
+// stride: a band is a view) and the packed lines, the decoder at one too
+// once its framing pass has seen every line at one DPCM header's exact
+// size (any other band goes line by line). They keep the per-line
+// reference's bytes and pixels without its clamps. DPCM prediction
+// restarts at 128 on every line and moves in steps of q<<shift, so it
+// stays a multiple of 1<<shift, and then the reconstruction
+// pred + q<<shift never leaves [0, 255] (TestDPCMStepClampsOnlyBelow).
 //
 // Every line is so an independent chain of bytes, and 16 lines are the
 // 16 byte lanes of a vector: dpcm16 and undpcm16 code 16 lines a call,
@@ -73,9 +73,9 @@ func init() {
 	}
 }
 
-// CompressBand appends every row of img to dst in the packed-line form
-// and returns the extended slice. The bytes are those of
-// Codec.CompressLine on each row, each behind its length.
+// CompressBand appends every row of img, which may be a view, to dst in
+// the packed-line form and returns the extended slice. The bytes are
+// those of Codec.CompressLine on each row, each behind its length.
 func (c *Codec) CompressBand(dst []byte, img *Frame, lp LineParams) []byte {
 	size := CompressedLineSize(img.W, lp)
 	if lp.Raw || lp.Subsample {
@@ -92,55 +92,34 @@ func (c *Codec) CompressBand(dst []byte, img *Frame, lp LineParams) []byte {
 		line := dst[start+y*stride:]
 		line[0], line[1], line[2] = byte(size>>8), byte(size), hdr
 	}
-	body, w, shift := dst[start+3:], img.W, lp.Shift&3
+	body, ps, shift := dst[start+3:], img.stride(), lp.Shift&3
 	y := 0
 	for ; y+16 <= img.H; y += 16 {
-		dpcm16(body[y*stride:], stride, img.Pix[y*w:], w, shift)
+		dpcm16(body[y*stride:], stride, img.Pix[y*ps:], ps, img.W, shift)
 	}
 	if y < img.H {
-		dpcmRows(body[y*stride:], stride, img.Pix[y*w:], w, img.H-y, shift)
+		dpcmRows(body[y*stride:], stride, img.Pix[y*ps:], ps, img.W, img.H-y, shift)
 	}
 	return dst
 }
 
 // DecompressBand decodes packed lines (CompressBand's form) into img's
-// rows, one line per row; img must already be the band's size. It
-// returns how many rows it decoded. Lengths that run past data, or a
-// line count other than img.H, are a framing error, found before any
-// row is decoded (n == 0). ErrLineTooShort means line n's body is too
-// short for img.W; rows 0 to n-1 are decoded.
+// rows, one line per row; img, which may be a view, must already be the
+// band's size. It returns how many rows it decoded. Lengths that run
+// past data, or a line count other than img.H, are a framing error,
+// found before any row is decoded (n == 0). ErrLineTooShort means line
+// n's body is too short for img.W; rows 0 to n-1 are decoded.
 func (c *Codec) DecompressBand(img *Frame, data []byte) (int, error) {
-	lines, rows := 0, -1
-	var first []byte
-	even := len(data) > 0 // every line whole, with first's length and header
-	for rest := data; len(rest) > 0; lines++ {
-		wire, ok := nextLine(rest)
-		if !ok {
-			return 0, errFraming
-		}
-		if rows < 0 && (len(wire) < 1 || len(wire) < CompressedLineSize(img.W, paramsFromHeader(wire[0]))) {
-			rows = lines
-		}
-		if lines == 0 {
-			first = wire
-		}
-		even = even && rows < 0 && len(wire) == len(first) && wire[0] == first[0]
-		rest = rest[2+len(wire):]
-	}
-	if lines != img.H {
-		return 0, errFraming
-	}
-	if rows < 0 {
-		rows = lines
-	}
-	y := 0
+	rows, even, err := frameBand(img.W, img.H, data)
+	ps, y := img.stride(), 0
 	if even {
+		first, _ := nextLine(data)
 		if lp := paramsFromHeader(first[0]); !lp.Raw && !lp.Subsample && len(first) == CompressedLineSize(img.W, lp) {
 			// One DPCM header and its exact size on every line: the
 			// bodies sit at one stride, 16 lines to a kernel call.
 			stride := 2 + len(first)
-			for ; y+16 <= lines; y += 16 {
-				for redo := undpcm16(img.Pix[y*img.W:], img.W, data[y*stride+3:], stride, lp.Shift); redo != 0; redo &= redo - 1 {
+			for ; y+16 <= rows; y += 16 {
+				for redo := undpcm16(img.Pix[y*ps:], ps, img.W, data[y*stride+3:], stride, lp.Shift); redo != 0; redo &= redo - 1 {
 					r := y + bits.TrailingZeros(redo)
 					c.redoLine(img.Row(r), data[r*stride+2:(r+1)*stride])
 				}
@@ -156,10 +135,37 @@ func (c *Codec) DecompressBand(img *Frame, data []byte) (int, error) {
 			c.redoLine(row, wire)
 		}
 	}
-	if rows < lines {
-		return rows, ErrLineTooShort
+	return rows, err
+}
+
+// frameBand is DecompressBand's framing pass over h lines of w pixels,
+// which finds every error: it returns the lines whole for the width
+// and whether each has the first one's length and header.
+func frameBand(w, h int, data []byte) (rows int, even bool, err error) {
+	lines, rows := 0, -1
+	var first []byte
+	even = len(data) > 0
+	for rest := data; len(rest) > 0; lines++ {
+		wire, ok := nextLine(rest)
+		if !ok {
+			return 0, false, errFraming
+		}
+		if rows < 0 && (len(wire) < 1 || len(wire) < CompressedLineSize(w, paramsFromHeader(wire[0]))) {
+			rows = lines
+		}
+		if lines == 0 {
+			first = wire
+		}
+		even = even && rows < 0 && len(wire) == len(first) && wire[0] == first[0]
+		rest = rest[2+len(wire):]
 	}
-	return rows, nil
+	if lines != h {
+		return 0, false, errFraming
+	}
+	if rows >= 0 {
+		return rows, false, ErrLineTooShort
+	}
+	return lines, even, nil
 }
 
 // redoLine decodes wire into row with DecompressLine, which saturates;
@@ -183,24 +189,24 @@ func nextLine(data []byte) ([]byte, bool) {
 }
 
 // dpcmRows writes the DPCM bodies of h lines of w pixels, line r of
-// src, at r*w, into (w+1)/2 bytes of out at r*stride, with dpcmLines
+// src, at r*ps, into (w+1)/2 bytes of out at r*stride, with dpcmLines
 // four lines at a time.
-func dpcmRows(out []byte, stride int, src []byte, w, h int, shift uint8) {
+func dpcmRows(out []byte, stride int, src []byte, ps, w, h int, shift uint8) {
 	for y0 := 0; y0 < h; y0 += 4 {
 		// Lanes past the last line code it again, to the same bytes.
 		y := [4]int{y0, min(y0+1, h-1), min(y0+2, h-1), min(y0+3, h-1)}
-		dpcmLines(out, stride, src, w, &y, &quantTabs[shift&3])
+		dpcmLines(out, stride, src, ps, w, &y, &quantTabs[shift&3])
 	}
 }
 
 // undpcmRows decodes the 16 DPCM bodies of in, line r's at r*stride,
-// into 16 rows of w pixels in dst, row r at r*w, with undpcm. It
+// into 16 rows of w pixels in dst, row r at r*ps, with undpcm. It
 // returns a mask with bit r set when line r's predictions left
 // [0, 255]: that row must be decoded again by DecompressLine.
-func undpcmRows(dst []byte, w int, in []byte, stride int, shift uint8) uint {
+func undpcmRows(dst []byte, ps, w int, in []byte, stride int, shift uint8) uint {
 	var redo uint
 	for r := range 16 {
-		if undpcm(dst[r*w:][:w], in[r*stride:], &pairTabs[shift&3])>>8 != 0 {
+		if undpcm(dst[r*ps:][:w], in[r*stride:], &pairTabs[shift&3])>>8 != 0 {
 			redo |= 1 << r
 		}
 	}
@@ -208,12 +214,12 @@ func undpcmRows(dst []byte, w int, in []byte, stride int, shift uint8) uint {
 }
 
 // dpcmLines writes the DPCM bodies of four lines of w pixels: line
-// y[k] of src, at y[k]*w, into (w+1)/2 bytes of out at y[k]*stride,
+// y[k] of src, at y[k]*ps, into (w+1)/2 bytes of out at y[k]*stride,
 // two nibbles a byte, high nibble first. The four prediction chains
 // are independent and run interleaved.
-func dpcmLines(out []byte, stride int, src []byte, w int, y *[4]int, t *quantTab) {
+func dpcmLines(out []byte, stride int, src []byte, ps, w int, y *[4]int, t *quantTab) {
 	m := (w + 1) / 2
-	s0, s1, s2, s3 := src[y[0]*w:][:w], src[y[1]*w:][:w], src[y[2]*w:][:w], src[y[3]*w:][:w]
+	s0, s1, s2, s3 := src[y[0]*ps:][:w], src[y[1]*ps:][:w], src[y[2]*ps:][:w], src[y[3]*ps:][:w]
 	d0, d1, d2, d3 := out[y[0]*stride:][:m], out[y[1]*stride:][:m], out[y[2]*stride:][:m], out[y[3]*stride:][:m]
 	p0, p1, p2, p3 := 128, 128, 128, 128
 	for i := 1; i < w; i += 2 {

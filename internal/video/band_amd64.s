@@ -80,13 +80,14 @@
 	ENCPAIR(256, o); ENCPAIR(288, o+16); ENCPAIR(320, o+32); ENCPAIR(352, o+48); \
 	ENCPAIR(384, o+64); ENCPAIR(416, o+80); ENCPAIR(448, o+96); ENCPAIR(480, o+112)
 
-// func dpcm16SSE2(out []byte, stride int, src []byte, w int, shift uint)
-TEXT ·dpcm16SSE2(SB), 0, $768-72
+// func dpcm16SSE2(out []byte, stride int, src []byte, ps, w int, shift uint)
+TEXT ·dpcm16SSE2(SB), 0, $768-80
 	MOVQ out_base+0(FP), DI
 	MOVQ stride+24(FP), DX
 	MOVQ src_base+32(FP), SI
-	MOVQ w+56(FP), BX
-	MOVQ shift+64(FP), CX
+	MOVQ ps+56(FP), BX
+	MOVQ w+64(FP), R11
+	MOVQ shift+72(FP), CX
 	MOVQ $0x0101010101010101, AX
 	MOVQ $0x80, R12
 	BCAST(R12, X8)
@@ -107,7 +108,6 @@ TEXT ·dpcm16SSE2(SB), 0, $768-72
 	LEAQ 0(BX*8), R9
 	LEAQ (R8)(R9*1), R10
 	LEAQ (DX)(DX*2), R13
-	MOVQ BX, R11
 	SHRQ $5, R11
 
 encblock:
@@ -150,13 +150,14 @@ encblock:
 	DEC(c, 512); DEC(c+16, 544); DEC(c+32, 576); DEC(c+48, 608); \
 	DEC(c+64, 640); DEC(c+80, 672); DEC(c+96, 704); DEC(c+112, 736)
 
-// func undpcm16SSE2(dst []byte, w int, in []byte, stride int, shift uint) uint
-TEXT ·undpcm16SSE2(SB), 0, $768-80
+// func undpcm16SSE2(dst []byte, ps, w int, in []byte, stride int, shift uint) uint
+TEXT ·undpcm16SSE2(SB), 0, $768-88
 	MOVQ dst_base+0(FP), DI
-	MOVQ w+24(FP), BX
-	MOVQ in_base+32(FP), SI
-	MOVQ stride+56(FP), DX
-	MOVQ shift+64(FP), CX
+	MOVQ ps+24(FP), BX
+	MOVQ w+32(FP), R11
+	MOVQ in_base+40(FP), SI
+	MOVQ stride+64(FP), DX
+	MOVQ shift+72(FP), CX
 	MOVQ $0x0101010101010101, AX
 	MOVQ $0x0f, R12
 	BCAST(R12, X10)
@@ -175,7 +176,6 @@ TEXT ·undpcm16SSE2(SB), 0, $768-80
 	LEAQ 0(DX*8), R9
 	LEAQ (R8)(R9*1), R10
 	LEAQ (BX)(BX*2), R13
-	MOVQ BX, R11
 	SHRQ $5, R11
 
 decblock:
@@ -195,5 +195,5 @@ decblock:
 	PCMPEQB X14, X9
 	PMOVMSKB X9, AX
 	XORQ $0xffff, AX
-	MOVQ AX, ret+72(FP)
+	MOVQ AX, ret+80(FP)
 	RET

@@ -172,16 +172,24 @@ func FuzzBandCodec(f *testing.F) {
 // bodies made from the fuzzed bytes (mixed with a PRNG stream when seed
 // is not 0): every shift, widths 32 to 256 in steps of 32, heights 1 to
 // 48 in groups of 16 and a portable tail, lines at a stride that is not
-// a multiple of 16. The body bytes, the pixels and the lines to decode
-// again must be the same, and no byte between the lines may change.
+// a multiple of 16. The band is a view at an odd x of a frame wider
+// than it by a drawn margin (its pixel row stride greater than w), and
+// the reference runs over a copy of the band, packed. The body bytes,
+// the pixels and the lines to decode again must be the same, and no
+// byte between the lines, or of the frame around the view, may change.
 func FuzzBandKernels(f *testing.F) {
-	f.Add(uint8(3), uint8(31), uint8(1), uint64(0), []byte("camera"))
-	f.Add(uint8(0), uint8(15), uint8(3), uint64(7), []byte{0, 255})
-	f.Add(uint8(7), uint8(47), uint8(0), uint64(1), []byte{0x77, 0x88, 0x80})
-	f.Add(uint8(1), uint8(20), uint8(2), uint64(0), bytes.Repeat([]byte{0x77}, 64))
-	f.Fuzz(func(t *testing.T, wsel, hsel, shift uint8, seed uint64, data []byte) {
+	f.Add(uint8(3), uint8(31), uint8(1), uint8(0), uint64(0), []byte("camera"))
+	f.Add(uint8(0), uint8(15), uint8(3), uint8(5), uint64(7), []byte{0, 255})
+	f.Add(uint8(7), uint8(47), uint8(0), uint8(64), uint64(1), []byte{0x77, 0x88, 0x80})
+	f.Add(uint8(1), uint8(20), uint8(2), uint8(255), uint64(0), bytes.Repeat([]byte{0x77}, 64))
+	f.Fuzz(func(t *testing.T, wsel, hsel, shift, margin uint8, seed uint64, data []byte) {
 		w, h, s := 32*(1+int(wsel)%8), 1+int(hsel)%48, shift&3
 		stride := w/2 + 3
+		// The band's rectangle in a frame margin+1 pixels wider, at an
+		// odd x when the margin leaves room for one.
+		rect := Rect{X: int(margin)/2 | 1, Y: 1, W: w, H: h}
+		rect.X = min(rect.X, int(margin))
+		frame := NewFrame(w+int(margin)+1, h+2)
 		fill := func(b []byte) {
 			for i := range b {
 				if seed != 0 {
@@ -195,34 +203,46 @@ func FuzzBandKernels(f *testing.F) {
 				}
 			}
 		}
-		src, want := make([]byte, h*w), make([]byte, h*stride)
-		fill(src)
+		fill(frame.Pix)
+		view := frame.View(rect)
+		packed := NewFrame(w, h)
+		for y := range h {
+			copy(packed.Row(y), view.Row(y))
+		}
+		want := make([]byte, h*stride)
 		fill(want)
 		got := bytes.Clone(want)
-		dpcmRows(want, stride, src, w, h, s)
-		y := 0
+		dpcmRows(want, stride, packed.Pix, w, w, h, s)
+		ps, y := view.Stride, 0
 		for ; y+16 <= h; y += 16 {
-			dpcm16(got[y*stride:], stride, src[y*w:], w, s)
+			dpcm16(got[y*stride:], stride, view.Pix[y*ps:], ps, w, s)
 		}
 		if y < h {
-			dpcmRows(got[y*stride:], stride, src[y*w:], w, h-y, s)
+			dpcmRows(got[y*stride:], stride, view.Pix[y*ps:], ps, w, h-y, s)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%dx%d shift %d: dpcm16 wrote other bytes than dpcmRows", w, h, s)
+			t.Fatalf("%dx%d+%d shift %d, row stride %d: dpcm16 wrote other bytes than dpcmRows on the packed band", w, h, rect.X, s, ps)
 		}
 
 		bodies := make([]byte, h*stride)
 		fill(bodies)
-		gotPix, wantPix := make([]byte, h*w), make([]byte, h*w)
+		around := bytes.Clone(frame.Pix)
+		wantPix := NewFrame(w, h)
 		for y := 0; y+16 <= h; y += 16 {
-			g := undpcm16(gotPix[y*w:], w, bodies[y*stride:], stride, s)
-			r := undpcmRows(wantPix[y*w:], w, bodies[y*stride:], stride, s)
+			g := undpcm16(view.Pix[y*ps:], ps, w, bodies[y*stride:], stride, s)
+			r := undpcmRows(wantPix.Pix[y*w:], w, w, bodies[y*stride:], stride, s)
 			if g != r {
-				t.Fatalf("%dx%d shift %d, lines %d+: undpcm16 redoes lines %016b, undpcmRows %016b", w, h, s, y, g, r)
+				t.Fatalf("%dx%d shift %d, row stride %d, lines %d+: undpcm16 redoes lines %016b, undpcmRows %016b", w, h, s, ps, y, g, r)
 			}
 		}
-		if !bytes.Equal(gotPix, wantPix) {
-			t.Fatalf("%dx%d shift %d: undpcm16 decoded other pixels than undpcmRows", w, h, s)
+		for y := range h &^ 15 {
+			if !bytes.Equal(view.Row(y), wantPix.Row(y)) {
+				t.Fatalf("%dx%d shift %d, row stride %d: undpcm16 decoded other pixels than undpcmRows in row %d", w, h, s, ps, y)
+			}
+			copy(view.Row(y), around[(rect.Y+y)*frame.W+rect.X:])
+		}
+		if !bytes.Equal(frame.Pix, around) {
+			t.Fatalf("%dx%d shift %d, row stride %d: undpcm16 wrote outside the view", w, h, s, ps)
 		}
 	})
 }
@@ -242,7 +262,7 @@ func TestCorruptRowInAGroupIsRedone(t *testing.T) {
 		wire[i] = 0x77 // +56 a pixel: past 255 by the third
 	}
 	kernel := NewFrame(w, h)
-	if redo := undpcm16(kernel.Pix, w, data[3:], stride, lp.Shift); redo != 1<<bad {
+	if redo := undpcm16(kernel.Pix, w, w, data[3:], stride, lp.Shift); redo != 1<<bad {
 		t.Fatalf("undpcm16 redoes lines %016b, want only line %d", redo, bad)
 	}
 	saturated, _ := new(Codec).DecompressLine(wire, w)
@@ -384,7 +404,7 @@ func BenchmarkCompressBand128x32Portable(b *testing.B) {
 	stride := len(data) / 32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dpcmRows(data[3:], stride, img.Pix, 128, 32, lp.Shift)
+		dpcmRows(data[3:], stride, img.Pix, 128, 128, 32, lp.Shift)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*128*32), "ns/px")
 }
@@ -397,7 +417,7 @@ func BenchmarkDecompressBand128x32Portable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for y := 0; y < 32; y += 16 {
-			if undpcmRows(img.Pix[y*128:], 128, data[y*stride+3:], stride, 1) != 0 {
+			if undpcmRows(img.Pix[y*128:], 128, 128, data[y*stride+3:], stride, 1) != 0 {
 				b.Fatal("the camera band's predictions left [0, 255]")
 			}
 		}

@@ -2,9 +2,10 @@
 // a framestore written continuously by the camera and read in
 // carefully-timed rectangles; streams at fractional frame rates;
 // frames split into rectangular segments and slices pushed through a
-// pipelined DPCM/sub-sampling compression engine; a per-stream
-// last-line cache for the vertical interpolator; and whole-frame
-// assembly at the display so no tear is ever visible.
+// pipelined DPCM/sub-sampling compression engine; and whole-frame
+// assembly at the display so no tear is ever visible. A band is coded
+// where it lies: compressed from the framestore's rows and decoded
+// into the assembling frame's (Frame.View).
 package video
 
 import "fmt"
@@ -18,52 +19,48 @@ func (r Rect) String() string {
 	return fmt.Sprintf("%dx%d+%d+%d", r.W, r.H, r.X, r.Y)
 }
 
-// Frame is an 8-bit greyscale image.
+// Frame is an 8-bit greyscale image: row y is the W pixels from
+// Pix[y*Stride], and a Stride of 0 stands for W. A view of another
+// frame (View) shares its Pix and its Stride.
 type Frame struct {
-	W, H int
-	Pix  []byte // row-major, len = W*H
+	W, H   int
+	Stride int
+	Pix    []byte
 }
 
 // NewFrame returns a zeroed frame.
 func NewFrame(w, h int) *Frame {
-	return &Frame{W: w, H: h, Pix: make([]byte, w*h)}
+	return &Frame{W: w, H: h, Stride: w, Pix: make([]byte, w*h)}
+}
+
+// stride is the distance in Pix from one row to the next.
+func (f *Frame) stride() int {
+	if f.Stride == 0 {
+		return f.W
+	}
+	return f.Stride
 }
 
 // At returns the pixel at (x, y).
-func (f *Frame) At(x, y int) byte { return f.Pix[y*f.W+x] }
+func (f *Frame) At(x, y int) byte { return f.Pix[y*f.stride()+x] }
 
 // Row returns row y (aliasing Pix).
-func (f *Frame) Row(y int) []byte { return f.Pix[y*f.W : (y+1)*f.W] }
+func (f *Frame) Row(y int) []byte { return f.Pix[y*f.stride():][:f.W] }
 
-// Reuse resizes the frame in place, keeping its pixel storage where
-// capacity allows. Pixel contents are unspecified afterwards — for
-// scratch frames whose every pixel the caller overwrites.
-func (f *Frame) Reuse(w, h int) {
-	n := w * h
-	if cap(f.Pix) < n {
-		f.Pix = make([]byte, n)
+// View returns rectangle r of the frame, which must lie within it, as a
+// frame whose rows are the frame's own: writing a view writes the frame.
+func (f *Frame) View(r Rect) Frame {
+	s := f.stride()
+	if r.H <= 0 {
+		return Frame{W: r.W, Stride: s}
 	}
-	f.Pix = f.Pix[:n]
-	f.W, f.H = w, h
-}
-
-func (f *Frame) subImageInto(out *Frame, r Rect) {
-	for y := 0; y < r.H; y++ {
-		copy(out.Row(y), f.Pix[(r.Y+y)*f.W+r.X:(r.Y+y)*f.W+r.X+r.W])
-	}
-}
-
-// Blit copies src into the frame with its top-left corner at (x, y).
-func (f *Frame) Blit(src *Frame, x, y int) {
-	for row := 0; row < src.H; row++ {
-		copy(f.Pix[(y+row)*f.W+x:(y+row)*f.W+x+src.W], src.Row(row))
-	}
+	return Frame{W: r.W, H: r.H, Stride: s, Pix: f.Pix[r.Y*s+r.X:][:(r.H-1)*s+r.W]}
 }
 
 // Framestore is the capture board's frame store: the camera writes
 // scan lines continuously on one port while capture streams read
-// rectangles on the other (§3.6). CameraPort and ReadRectInto model
-// the two ports; tear-safe timing is the caller's job, via Scan.
+// rectangles on the other (§3.6). CameraPort and ReadPort model the
+// two ports; tear-safe timing is the caller's job, via Scan.
 type Framestore struct {
 	frame *Frame
 }
@@ -77,10 +74,7 @@ func NewFramestore(w, h int) *Framestore {
 // into in place (the camera port).
 func (fs *Framestore) CameraPort() *Frame { return fs.frame }
 
-// ReadRectInto copies rectangle r out of the store into a reused
-// scratch frame (the capture port) — the capture board's read path,
-// which reads a band per segment and never keeps it.
-func (fs *Framestore) ReadRectInto(dst *Frame, r Rect) {
-	dst.Reuse(r.W, r.H)
-	fs.frame.subImageInto(dst, r)
-}
+// ReadPort returns rectangle r of the store as a view (the capture
+// port). Nothing is copied: the capture board compresses the band
+// within the turn that reads it, before the camera draws again.
+func (fs *Framestore) ReadPort(r Rect) Frame { return fs.frame.View(r) }

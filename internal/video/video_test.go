@@ -2,6 +2,7 @@ package video
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -18,9 +19,17 @@ func (f *Frame) Equal(g *Frame) bool { return f.W == g.W && f.H == g.H && bytes.
 
 // SubImage copies rectangle r out of the frame.
 func (f *Frame) SubImage(r Rect) *Frame {
-	out := NewFrame(r.W, r.H)
-	f.subImageInto(out, r)
+	out, v := NewFrame(r.W, r.H), f.View(r)
+	out.Blit(&v, 0, 0)
 	return out
+}
+
+// Blit copies src into the frame with its top-left corner at (x, y).
+func (f *Frame) Blit(src *Frame, x, y int) {
+	dst := f.View(Rect{X: x, Y: y, W: src.W, H: src.H})
+	for row := range src.H {
+		copy(dst.Row(row), src.Row(row))
+	}
 }
 
 // Collides reports whether the raster enters rows [r.Y, r.Y+r.H)
@@ -64,6 +73,13 @@ func TestFrameBasics(t *testing.T) {
 	if g.At(3, 2) != 77 {
 		t.Fatal("Blit offset wrong")
 	}
+	v := f.View(Rect{X: 3, Y: 1, W: 4, H: 2})
+	if v.At(0, 1) != 77 || len(v.Row(1)) != 4 || &v.Row(1)[0] != &f.Row(2)[3] {
+		t.Fatal("View is not the frame's own rows")
+	}
+	if e := f.View(Rect{X: 8, Y: 4}); e.H != 0 || len(e.Pix) != 0 {
+		t.Fatal("an empty View holds pixels")
+	}
 	if !f.Equal(f) || f.Equal(NewFrame(8, 4)) {
 		t.Fatal("Equal broken")
 	}
@@ -73,16 +89,18 @@ func TestFramestorePorts(t *testing.T) {
 	fs := NewFramestore(16, 8)
 	src := gradient(16, 8, 0)
 	fs.CameraPort().Blit(src, 0, 0)
-	got := new(Frame)
-	fs.ReadRectInto(got, Rect{X: 4, Y: 2, W: 8, H: 4})
-	want := src.SubImage(Rect{X: 4, Y: 2, W: 8, H: 4})
-	if !got.Equal(want) {
-		t.Fatal("ReadRectInto mismatch")
+	r := Rect{X: 4, Y: 2, W: 8, H: 4}
+	got := fs.ReadPort(r)
+	if !got.SubImage(Rect{W: 8, H: 4}).Equal(src.SubImage(r)) {
+		t.Fatal("ReadPort mismatch")
 	}
-	// A read is a copy: the camera's next frame leaves it alone.
-	fs.CameraPort().Blit(gradient(16, 8, 99), 0, 0)
-	if !got.Equal(want) {
-		t.Fatal("ReadRectInto aliases the camera port")
+	// A read is a view, not a copy: what the camera draws next shows
+	// through it, so the capture board codes a band in the turn that
+	// reads it (box.TestCaptureCodesABandInTheTurnThatReadsIt).
+	next := gradient(16, 8, 99)
+	fs.CameraPort().Blit(next, 0, 0)
+	if !got.SubImage(Rect{W: 8, H: 4}).Equal(next.SubImage(r)) {
+		t.Fatal("ReadPort copies the camera port")
 	}
 }
 
@@ -291,6 +309,24 @@ func TestScanCollides(t *testing.T) {
 	}
 }
 
+// raw codes piece's rows in raw lines, losslessly, as h's data, and
+// returns h.
+func raw(h *segment.Video, piece *Frame) *segment.Video {
+	h.Data = new(Codec).CompressBand(nil, piece, LineParams{Raw: true})
+	return h
+}
+
+// add offers h to a and returns the frame it completes, failing the
+// test if its lines do not decode.
+func add(t *testing.T, a *Assembler, h *segment.Video) *Frame {
+	t.Helper()
+	img, err := a.Add(h, new(Codec))
+	if err != nil {
+		t.Fatalf("segment %d of frame %d: %v", h.SegmentNum, h.FrameNumber, err)
+	}
+	return img
+}
+
 func TestAssemblerCompleteFrame(t *testing.T) {
 	a := NewAssembler(32, 8)
 	full := gradient(32, 8, 7)
@@ -298,13 +334,13 @@ func TestAssemblerCompleteFrame(t *testing.T) {
 	bottom := full.SubImage(Rect{X: 0, Y: 4, W: 32, H: 4})
 	h1 := segment.NewVideo(0, 0, 1, 2, 0, 0, 0, 32, 0, 4, nil)
 	h2 := segment.NewVideo(1, 0, 1, 2, 1, 0, 4, 32, 4, 4, nil)
-	if img := a.Add(h1, top); img != nil {
+	if img := add(t, a, raw(h1, top)); img != nil {
 		t.Fatal("partial frame displayed — visible tear")
 	}
 	if a.InProgress() != true {
 		t.Fatal("assembly not in progress")
 	}
-	img := a.Add(h2, bottom)
+	img := add(t, a, raw(h2, bottom))
 	if img == nil {
 		t.Fatal("complete frame not released")
 	}
@@ -320,16 +356,16 @@ func TestAssemblerAbandonsOnNewerFrame(t *testing.T) {
 	a := NewAssembler(32, 8)
 	piece := gradient(32, 4, 0)
 	h1 := segment.NewVideo(0, 0, 1, 2, 0, 0, 0, 32, 0, 4, nil)
-	a.Add(h1, piece)
+	add(t, a, raw(h1, piece))
 	// Frame 2 arrives before frame 1 completed.
 	h2 := segment.NewVideo(2, 0, 2, 2, 0, 0, 0, 32, 0, 4, nil)
-	a.Add(h2, piece)
+	add(t, a, raw(h2, piece))
 	if a.stats.Abandoned != 1 {
 		t.Fatalf("stats %+v", a.stats)
 	}
 	// A late segment of old frame 1 is discarded.
 	h1b := segment.NewVideo(1, 0, 1, 2, 1, 0, 4, 32, 4, 4, nil)
-	if img := a.Add(h1b, piece); img != nil {
+	if img := add(t, a, raw(h1b, piece)); img != nil {
 		t.Fatal("stale segment completed a frame")
 	}
 	if a.stats.Duplicates != 1 {
@@ -341,8 +377,8 @@ func TestAssemblerDuplicateSegment(t *testing.T) {
 	a := NewAssembler(32, 8)
 	piece := gradient(32, 4, 0)
 	h := segment.NewVideo(0, 0, 1, 2, 0, 0, 0, 32, 0, 4, nil)
-	a.Add(h, piece)
-	if img := a.Add(h, piece); img != nil {
+	add(t, a, raw(h, piece))
+	if img := add(t, a, raw(h, piece)); img != nil {
 		t.Fatal("duplicate completed frame")
 	}
 	if a.stats.Duplicates != 1 {
@@ -357,20 +393,20 @@ func TestAssemblerAbandonedFrameThenALargerOne(t *testing.T) {
 	// blank, not frame 2's pixels.
 	a := NewAssembler(32, 8)
 	full := gradient(32, 8, 11)
-	a.Add(segment.NewVideo(0, 0, 1, 2, 0, 0, 0, 32, 0, 4, nil), gradient(32, 4, 99))
+	add(t, a, raw(segment.NewVideo(0, 0, 1, 2, 0, 0, 0, 32, 0, 4, nil), gradient(32, 4, 99)))
 	var img *Frame
 	for s := 3; s >= 0; s-- {
 		band := full.SubImage(Rect{Y: 2 * s, W: 32, H: 2})
 		if img != nil {
 			t.Fatalf("frame 2 released before segment %d arrived", s)
 		}
-		img = a.Add(segment.NewVideo(uint32(5-s), 0, 2, 4, uint32(s), 0, uint32(2*s), 32, uint32(2*s), 2, nil), band)
+		img = add(t, a, raw(segment.NewVideo(uint32(5-s), 0, 2, 4, uint32(s), 0, uint32(2*s), 32, uint32(2*s), 2, nil), band))
 	}
 	if img == nil || !img.Equal(full) {
 		t.Fatal("frame 2 not assembled whole")
 	}
 	top := full.SubImage(Rect{W: 32, H: 2})
-	img = a.Add(segment.NewVideo(6, 0, 3, 1, 0, 0, 0, 32, 0, 2, nil), top)
+	img = add(t, a, raw(segment.NewVideo(6, 0, 3, 1, 0, 0, 0, 32, 0, 2, nil), top))
 	want := NewFrame(32, 8)
 	want.Blit(top, 0, 0)
 	if img == nil || !img.Equal(want) {
@@ -383,17 +419,25 @@ func TestAssemblerAbandonedFrameThenALargerOne(t *testing.T) {
 
 func TestAssemblerReusesItsFrame(t *testing.T) {
 	// After the first frame, assembling one allocates nothing: a steady
-	// stream of frames gives the collector no work.
-	a := NewAssembler(32, 8)
-	full := gradient(32, 8, 5)
-	top, bottom := full.SubImage(Rect{W: 32, H: 4}), full.SubImage(Rect{Y: 4, W: 32, H: 4})
-	h0 := segment.NewVideo(0, 0, 0, 2, 0, 0, 0, 32, 0, 4, nil)
-	h1 := segment.NewVideo(1, 0, 0, 2, 1, 0, 4, 32, 4, 4, nil)
+	// stream of frames gives the collector no work. The two 16-line
+	// bands are coded as the boards code them, so they decode through
+	// the 16-line kernels, straight into the frame.
+	a := NewAssembler(32, 32)
+	var c Codec
+	full := gradient(32, 32, 5)
+	top := c.CompressBand(nil, full.SubImage(Rect{W: 32, H: 16}), LineParams{Shift: 1})
+	bottom := c.CompressBand(nil, full.SubImage(Rect{Y: 16, W: 32, H: 16}), LineParams{Shift: 1})
+	want := NewFrame(32, 32)
+	want.Blit(decodeBand(t, &c, top, 32, 16), 0, 0)
+	want.Blit(decodeBand(t, &c, bottom, 32, 16), 0, 16)
+	h0 := segment.NewVideo(0, 0, 0, 2, 0, 0, 0, 32, 0, 16, top)
+	h1 := segment.NewVideo(1, 0, 0, 2, 1, 0, 16, 32, 16, 16, bottom)
 	assemble := func() *Frame {
 		h0.FrameNumber++
 		h1.FrameNumber++
-		a.Add(h0, top)
-		return a.Add(h1, bottom)
+		a.Add(h0, &c)
+		img, _ := a.Add(h1, &c)
+		return img
 	}
 	first := assemble()
 	if n := testing.AllocsPerRun(100, func() {
@@ -403,8 +447,39 @@ func TestAssemblerReusesItsFrame(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("%v allocations per frame", n)
 	}
-	if !assemble().Equal(full) {
+	if !assemble().Equal(want) {
 		t.Fatal("reused frame assembled wrong")
+	}
+}
+
+func TestSegmentThatFailsToDecodeLeavesTheFrameInProgress(t *testing.T) {
+	// Frame 1's top band arrives; then the top band of frame 2, cut
+	// short in its last line; then frame 1's bottom band. The cut
+	// segment is an error and changes nothing: it neither abandons
+	// frame 1 nor writes its decodable lines over frame 1's top band, so
+	// frame 1 completes with its own pixels, as it does without it.
+	full, next := gradient(32, 8, 7), gradient(32, 8, 150)
+	top, bottom := full.SubImage(Rect{W: 32, H: 4}), full.SubImage(Rect{Y: 4, W: 32, H: 4})
+	cut := raw(segment.NewVideo(1, 0, 2, 2, 0, 0, 0, 32, 0, 4, nil), next.SubImage(Rect{W: 32, H: 4}))
+	cut.Data = cut.Data[:len(cut.Data)-1]
+	cut.Data[len(cut.Data)-33]-- // the last line's length, one byte shorter: framed, but short
+	assemble := func(withCut bool) (*Frame, AssemblyStats, bool) {
+		a := NewAssembler(32, 8)
+		add(t, a, raw(segment.NewVideo(0, 0, 1, 2, 0, 0, 0, 32, 0, 4, nil), top))
+		if withCut {
+			if img, err := a.Add(cut, new(Codec)); img != nil || !errors.Is(err, ErrLineTooShort) {
+				t.Fatalf("the cut segment gave %v, %v; want no frame and ErrLineTooShort", img, err)
+			}
+		}
+		inProgress := a.InProgress()
+		img := add(t, a, raw(segment.NewVideo(2, 0, 1, 2, 1, 0, 4, 32, 4, 4, nil), bottom))
+		return img, a.stats, inProgress
+	}
+	want, wantStats, _ := assemble(false)
+	got, gotStats, inProgress := assemble(true)
+	if !inProgress || got == nil || !got.Equal(want) || !got.Equal(full) || gotStats != wantStats {
+		t.Fatalf("after the cut segment: in progress %v, frame 1 completed %v with its pixels %v, stats %+v; want true, true, true and %+v",
+			inProgress, got != nil, got != nil && got.Equal(full), gotStats, wantStats)
 	}
 }
 
