@@ -123,6 +123,12 @@ func runScenarioFile(path, cpuProfile, memProfile string, stdout, stderr io.Writ
 		return 1
 	}
 	fmt.Fprint(stdout, sum.String())
+	if len(r.Refused) > 0 {
+		fmt.Fprintf(stdout, "scenario %s: %d events refused by their stream's plan\n", sc.Name, len(r.Refused))
+		for _, err := range r.Refused {
+			fmt.Fprintf(stdout, "  %v\n", err)
+		}
+	}
 	if !sum.Pass {
 		return 1
 	}

@@ -16,7 +16,8 @@ import (
 // negative -seconds that used to run the clock backwards, the
 // negative -balance-budget that used to run as "(budget -1)", and a
 // scenario pulling a box onto a tree that cannot reach it, which used to
-// panic, and a -loss out of [0,1] or beside -fabric, which used to run.
+// panic, a balanced scenario whose plan refuses a member at run time,
+// and a -loss out of [0,1] or beside -fabric, which used to run.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct{ name, args string }{
 		{"mesh", "-boxes 4 -seconds 1 -trace 100000"},
@@ -36,6 +37,7 @@ func TestGolden(t *testing.T) {
 		{"faults-bogus", "-faults bogus"},
 		{"balance-budget-negative", "-balance -balance-budget -1"},
 		{"scenario-unreachable-pull", "-scenario testdata/unreachable-pull.scn"},
+		{"scenario-refused", "-scenario testdata/refused-attach.scn"},
 		{"loss-out-of-range", "-boxes 2 -loss 1.5"},
 		{"fabric-loss", "-fabric -loss 0.1"},
 	} {

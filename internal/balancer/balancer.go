@@ -377,7 +377,8 @@ func (b *Balancer) maybeMigrate(p *occam.Proc) {
 			if st.Tree.Relays(name) == 0 {
 				continue
 			}
-			moved := b.sys.MigrateTree(p, st, name)
+			// A move the plan refuses moves nothing: try the next stream.
+			moved, _ := b.sys.MigrateTree(p, st, name)
 			if moved == 0 {
 				continue
 			}

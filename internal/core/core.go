@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/atm"
@@ -123,7 +122,7 @@ func (s *System) BoxNames() []string {
 			out = append(out, name)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -310,13 +309,22 @@ func (s *System) allocVCI() uint32 {
 // the flat plan with replication trees when the fan-out outgrows the
 // source port. Returns the stream handle.
 func (s *System) SendAudio(p *occam.Proc, from string, to ...string) *Stream {
-	return s.sendTree(p, TreeConfig{}, from, box.CameraStream{}, false, to)
+	return mustStream(s.sendTree(p, TreeConfig{}, from, box.CameraStream{}, false, to))
 }
 
 // SendVideo opens a one-way video stream to each destination's
 // display (flat plan, as SendAudio).
 func (s *System) SendVideo(p *occam.Proc, from string, cs box.CameraStream, to ...string) *Stream {
-	return s.sendTree(p, TreeConfig{}, from, cs, true, to)
+	return mustStream(s.sendTree(p, TreeConfig{}, from, cs, true, to))
+}
+
+// mustStream is a flat stream's open: a destination its source cannot
+// reach is the caller's bug, and panics with the plan's error.
+func mustStream(st *Stream, err error) *Stream {
+	if err != nil {
+		panic("core: " + err.Error())
+	}
+	return st
 }
 
 // AudioCall opens audio in both directions — the video phone's audio
@@ -347,8 +355,8 @@ func (s *System) Conference(p *occam.Proc, members ...string) []*Stream {
 // AddAudioDestination splits an open stream to one more destination
 // without disturbing the existing copies (principle 6): the newcomer
 // is grafted onto the stream's plan via Pull.
-func (s *System) AddAudioDestination(p *occam.Proc, st *Stream, dst string) {
-	s.Pull(p, st, dst)
+func (s *System) AddAudioDestination(p *occam.Proc, st *Stream, dst string) error {
+	return s.Pull(p, st, dst)
 }
 
 // RecordAudio opens a one-way audio stream from a box's microphone to
@@ -381,12 +389,7 @@ func (s *System) InjectLinkFaults(spec faultinject.Spec) {
 			l.SetFault(f)
 		}
 	}
-	names := make([]string, 0, len(s.fabrics))
-	for name := range s.fabrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(s.fabrics)) {
 		for _, pt := range s.fabrics[name].Ports() {
 			if f := spec.LinkFault(pt.Name()); f != nil {
 				pt.SetFault(f)
@@ -423,12 +426,7 @@ func (s *System) EnableDegradation(cfg degrade.Config) map[string]*degrade.Contr
 		}
 		s.ctrls[name] = degrade.New(s.RT, n.box, bcfg, s.Obs)
 	}
-	fabNames := make([]string, 0, len(s.fabrics))
-	for name := range s.fabrics {
-		fabNames = append(fabNames, name)
-	}
-	sort.Strings(fabNames)
-	for _, name := range fabNames {
+	for _, name := range slices.Sorted(maps.Keys(s.fabrics)) {
 		for _, pt := range s.fabrics[name].Ports() {
 			s.ctrls[pt.Name()] = degrade.New(s.RT, pt, shared, s.Obs)
 		}
@@ -465,24 +463,20 @@ func (s *System) edge(from, to *node) (e edge, ok bool) {
 }
 
 // mustEdge is edge for the verbs that are about to use it: asking for
-// a circuit between nodes nothing joins is the caller's bug.
+// a circuit between nodes nothing joins is the caller's bug. A tree
+// verb's plan checks Connectable before it decides, so only a raw
+// OpenCircuit or PlayTo can panic here.
 func (s *System) mustEdge(from, to *node) edge {
 	e, ok := s.edge(from, to)
-	if ok {
-		return e
+	if !ok {
+		panic(fmt.Sprintf("core: no path %s -> %s (they share no fabric, and no link is declared)", from.name, to.name))
 	}
-	on, off := from, to
-	if on.fab == nil {
-		on, off = to, from
-	}
-	if on.fab != nil {
-		panic(fmt.Sprintf("core: %s is on fabric %s but %s is not (and no bridge link is declared)", on.name, on.fab.Name(), off.name))
-	}
-	panic(fmt.Sprintf("core: no path %s -> %s", from.name, to.name))
+	return e
 }
 
 // Connectable reports whether a circuit a→b can be opened: the two
-// share a fabric, or a directional link path is declared.
+// share a fabric, or a directional link path is declared. It answers
+// the System's plans (Topology).
 func (s *System) Connectable(a, b string) bool {
 	_, ok := s.edge(s.lookup(a), s.lookup(b))
 	return ok

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,10 +17,10 @@ import (
 
 // fuzzSystem builds FuzzTreeOps's fixed topology: src and a00..a10 on
 // fabric A, b00..b11 on fabric B, listed a00, b00, a01, b01, … so any
-// prefix spans both fabrics. src has a bridge link to every B box —
-// the source reaches everyone, so the unreachable panic stays out of
-// scope — and a00..a03 each have one to their B namesake, so relays
-// cross the bridge too.
+// prefix spans both fabrics. src has a bridge link to b00..b05 only,
+// and a00..a03 each have one to their B namesake, so relays cross the
+// bridge too. b06..b11 hear the stream only from a member on fabric B:
+// an attach or a move with no such member to spare is refused.
 func fuzzSystem() (*System, []string) {
 	s := NewSystem()
 	s.AddBox(box.Config{Name: "src", Mic: workload.NewTone(440, 9000)})
@@ -31,7 +33,9 @@ func fuzzSystem() (*System, []string) {
 		a, b := fmt.Sprintf("a%02d", i), fmt.Sprintf("b%02d", i)
 		s.AddBox(box.Config{Name: b})
 		s.AttachFabric("B", b)
-		s.Connect("src", b, bridge)
+		if i < 6 {
+			s.Connect("src", b, bridge)
+		}
 		if i < 11 {
 			s.AddBox(box.Config{Name: a})
 			s.AttachFabric("A", a)
@@ -46,7 +50,7 @@ func fuzzSystem() (*System, []string) {
 }
 
 // checkPlan is the plan algebra every tree verb must leave intact.
-func checkPlan(st *Stream, k int) error {
+func checkPlan(s *System, st *Stream, k int) error {
 	plan := st.Tree
 	members := plan.Members()
 	if len(members) != len(st.VCIs) {
@@ -54,15 +58,18 @@ func checkPlan(st *Stream, k int) error {
 	}
 	seen := map[string]bool{}
 	for _, m := range members {
-		n := plan.nodes[m]
-		if n == nil || seen[m] || st.VCIs[m] != n.vci {
-			return fmt.Errorf("member %s: listed twice, unknown to the plan, or VCI %d not its node's", m, st.VCIs[m])
+		n := plan.members[m]
+		if n == nil || seen[m] || st.VCIs[m] == 0 {
+			return fmt.Errorf("member %s: listed twice, unknown to the plan, or without a VCI", m)
 		}
 		seen[m] = true
 		hops := 0
 		for c := n; c != plan.root; c = c.parent {
 			if c.parent == nil || !slices.Contains(c.parent.children, c) || hops > len(members) {
 				return fmt.Errorf("member %s is not reachable from the source (broken at %s)", m, c.name)
+			}
+			if !s.Connectable(c.parent.name, c.name) {
+				return fmt.Errorf("%s is fed by %s, which cannot reach it", c.name, c.parent.name)
 			}
 			hops++
 		}
@@ -81,36 +88,65 @@ func checkPlan(st *Stream, k int) error {
 	var rootFed []uint32
 	for _, n := range plan.order {
 		if n.parent == plan.root {
-			rootFed = append(rootFed, n.vci)
+			rootFed = append(rootFed, st.VCIs[n.name])
 		}
 		var want []uint32
 		for _, c := range n.children {
-			want = append(want, c.vci)
+			want = append(want, st.VCIs[c.name])
 		}
-		if got := n.box.NetCopies(n.vci); !slices.Equal(got, want) {
+		if got := s.Box(n.name).NetCopies(st.VCIs[n.name]); !slices.Equal(got, want) {
 			return fmt.Errorf("%s sends on %v, its children are %v", n.name, got, want)
 		}
 	}
-	if got := plan.root.box.NetCopies(plan.root.vci); !slices.Equal(got, rootFed) || len(rootFed) != plan.SourceCopies() {
+	if got := s.Box(st.From).NetCopies(st.Local); !slices.Equal(got, rootFed) || len(rootFed) != plan.SourceCopies() {
 		return fmt.Errorf("source sends on %v, it feeds %v (%d children)", got, rootFed, plan.SourceCopies())
 	}
 	return nil
+}
+
+// snapshot renders what a refused verb must leave as it was: the plan
+// with its history and cursor, every box's fan-out of the stream, and
+// the open circuits as far as core can see them — the VCI allocator
+// every new circuit draws from, the bridge VCIs each node steers onto
+// links, and the trace, which every circuit closed or opened over links
+// and every move writes to.
+func snapshot(s *System, st *Stream) string {
+	plan := st.Tree
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "next %d repairs %d vci %d trace %d src %v\n", plan.next, plan.repairs, s.nextVCI,
+		s.Obs.Tracer().Total(), s.Box(st.From).NetCopies(st.Local))
+	for _, n := range plan.order {
+		fmt.Fprintf(&sb, "%s tree %d vci %d parent %s sends %v former", n.name, n.tree, st.VCIs[n.name], n.parent.name, s.Box(n.name).NetCopies(st.VCIs[n.name]))
+		for _, f := range n.former {
+			sb.WriteString(" " + f.name)
+		}
+		sb.WriteString("\n")
+	}
+	for _, name := range slices.Sorted(maps.Keys(s.nodes)) {
+		if mux := s.nodes[name].mux; mux != nil && len(mux.bridge) > 0 {
+			fmt.Fprintf(&sb, "%s bridges %v\n", name, slices.Sorted(maps.Keys(mux.bridge)))
+		}
+	}
+	return sb.String()
 }
 
 // FuzzTreeOps drives the plan through generated churn: data[0..2] pick
 // K ∈ 1..4, T ∈ 1..2 and how many boxes the tree opens with, then each
 // byte pair is one verb on one box — split, pull (two names), repair,
 // migrate, drop — 1 ms apart while audio flows. checkPlan must hold
-// after every verb, and once the stream is closed every wire is back in
-// its pool. Run longer with:
+// after every verb; a verb the plan refuses must leave the snapshot as
+// it was; and once the stream is closed every wire is back in its
+// pool. Run longer with:
 //
 //	go test -fuzz=FuzzTreeOps -fuzztime=60s ./internal/core
 func FuzzTreeOps(f *testing.F) {
-	f.Add([]byte{1, 0, 2, 1, 0, 4, 0})                     // tree a00,b00 k=2; pull a00 again; drop a00
-	f.Add([]byte{1, 0, 7, 4, 0, 4, 1})                     // k=2, seven members; drop the root relay, then the next interior
-	f.Add([]byte{2, 1, 10, 2, 0, 3, 1, 2, 2, 0, 20, 4, 3}) // k=3 t=2: repair, migrate, repair, split, drop
-	f.Add([]byte{0, 1, 0, 1, 5, 1, 5, 3, 5, 2, 6, 4, 5})   // k=1 t=2 from an empty tree: chains, every verb
-	f.Add([]byte{3, 0, 23, 2, 0, 2, 1, 2, 2, 2, 3, 4, 0})  // everyone in; repair down the first relays
+	f.Add([]byte{1, 0, 2, 1, 0, 4, 0})                      // tree a00,b00 k=2; pull a00 again; drop a00
+	f.Add([]byte{1, 0, 7, 4, 0, 4, 1})                      // k=2, seven members; drop the root relay, then the next interior
+	f.Add([]byte{2, 1, 10, 2, 0, 3, 1, 2, 2, 0, 20, 4, 3})  // k=3 t=2: repair, migrate, repair, split, drop
+	f.Add([]byte{0, 1, 0, 1, 5, 1, 5, 3, 5, 2, 6, 4, 5})    // k=1 t=2 from an empty tree: chains, every verb
+	f.Add([]byte{3, 0, 23, 2, 0, 2, 1, 2, 2, 2, 3, 4, 0})   // everyone in; repair down the first relays
+	f.Add([]byte{0, 0, 1, 0, 21})                           // k=1 a00: nothing reaches b10
+	f.Add([]byte{0, 0, 2, 0, 13, 2, 1, 4, 1, 0, 21, 2, 13}) // k=1 a00 b00 b06: b06's and then b10's feeder cannot repair or drop
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -123,33 +159,43 @@ func FuzzTreeOps(f *testing.F) {
 			ops = ops[:64]
 		}
 		var (
-			st   *Stream
-			bad  error
-			done bool
+			st      *Stream
+			bad     error
+			done    bool
+			refused int
 		)
 		s.Control(func(p *occam.Proc) {
 			defer func() { done = true }()
-			st = s.SendAudioTree(p, TreeConfig{Fanout: k, Trees: trees}, "src", names[:n0]...)
-			if bad = checkPlan(st, k); bad != nil {
+			st, _ = s.SendAudioTree(p, TreeConfig{Fanout: k, Trees: trees}, "src", names[:n0]...)
+			if bad = checkPlan(s, st, k); bad != nil {
 				return
 			}
 			for i := 0; i+1 < len(ops); i += 2 {
 				p.Sleep(time.Millisecond)
 				name := names[int(ops[i+1])%len(names)]
+				before := snapshot(s, st)
+				var err error
 				switch ops[i] % 5 {
 				case 0:
-					s.AddAudioDestination(p, st, name)
+					err = s.AddAudioDestination(p, st, name)
 				case 1:
-					s.Pull(p, st, name, names[int(ops[i+1]/2)%len(names)])
+					err = s.Pull(p, st, name, names[int(ops[i+1]/2)%len(names)])
 				case 2:
-					s.RepairTree(p, st, name)
+					_, err = s.RepairTree(p, st, name)
 				case 3:
-					s.MigrateTree(p, st, name)
+					_, err = s.MigrateTree(p, st, name)
 				case 4:
-					s.RemoveDestination(p, st, name)
+					err = s.RemoveDestination(p, st, name)
 				}
-				if err := checkPlan(st, k); err != nil {
-					bad = fmt.Errorf("after op %d (verb %d on %s): %w", i/2, ops[i]%5, name, err)
+				bad = checkPlan(s, st, k)
+				if after := snapshot(s, st); bad == nil && err != nil && ops[i]%5 != 1 && after != before {
+					bad = fmt.Errorf("refused (%v), yet moved:\n%s→\n%s", err, before, after)
+				}
+				if err != nil {
+					refused++
+				}
+				if bad != nil {
+					bad = fmt.Errorf("after op %d (verb %d on %s): %w", i/2, ops[i]%5, name, bad)
 					return
 				}
 			}
@@ -161,6 +207,7 @@ func FuzzTreeOps(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		t.Logf("%d verbs refused", refused)
 		if bad != nil || !done {
 			t.Fatalf("k=%d trees=%d opened with %d: done=%v: %v", k, trees, n0, done, bad)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -17,8 +18,12 @@ import (
 // switch (principle 5 makes the local split safe, principle 6 lets the
 // fan-out change mid-stream). A multiple-tree push variant stripes the
 // destinations over T interior-disjoint trees, so a faulted interior
-// box degrades only its own subtree of its own tree, and RepairTree
+// box degrades only its own subtree of its own tree, and a repair
 // re-parents the orphans onto surviving boxes between segments.
+//
+// A TreePlan is data over endpoint names: each verb commits a decision,
+// or refuses and leaves the plan as it was. scenario.Validate runs the
+// verbs over a spec; the System verbs below execute what they decide.
 
 // TreeConfig parameterises a distribution tree.
 type TreeConfig struct {
@@ -40,49 +45,62 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-// treeNode is one box's (or repository's) place in a stream's plan.
-// The source is a treeNode too — the plan's root, whose VCI is the
-// source-local stream number and whose children are the tree roots.
-type treeNode struct {
-	*node
-	vci      uint32
+// Topology is what a plan asks of the network under it, by endpoint
+// name: can a circuit from → to be opened (a shared fabric, or a link
+// path, bridges included), and can name forward copies (a box can, a
+// repository cannot).
+type Topology interface {
+	Connectable(from, to string) bool
+	CanRelay(name string) bool
+}
+
+// ErrNoPath marks a refused attach that no placement could make:
+// neither the source nor any member reaches the newcomer.
+var ErrNoPath = errors.New("no path")
+
+// member is one destination's place in a stream's plan. The source is
+// a member too — the plan's root, whose children are the tree roots.
+type member struct {
+	name     string
 	tree     int
-	parent   *treeNode // who feeds this node; nil only for the root
-	children []*treeNode
-	// former records every parent this node was moved away from — by a
-	// repair, a migration or an interior removal alike. It is the "was
+	parent   *member // who feeds this member; nil only for the root
+	children []*member
+	// former records every parent this member was moved away from — by
+	// a repair, a migration or an interior removal alike. It is the "was
 	// this delivery ever routed through box X" history byte-identity
 	// checks exclude: a box that is merely hot today may crash later.
-	former []*treeNode
+	former []*member
 }
 
 // TreePlan is the planner's record of one stream's distribution
-// tree(s): who feeds whom, over which VCIs, and what moves have
-// reshaped it. Streams opened flat (TreeConfig zero value) carry a
-// plan too — one where every destination is a direct child of the
-// source.
+// tree(s): who feeds whom and what moves have reshaped it. Streams
+// opened flat (TreeConfig zero value) carry a plan too — one where
+// every destination is a direct child of the source.
 type TreePlan struct {
 	cfg  TreeConfig
-	root *treeNode // the source
+	topo Topology
+	root *member // the source
 	// order is global placement order — also VCI-allocation order, so
 	// replays are deterministic.
-	order []*treeNode
-	// placed holds each tree's members in placement order; the
-	// eligibility scan reads it front to back, which keeps trees
-	// near-balanced and deterministic.
-	placed  [][]*treeNode
-	nodes   map[string]*treeNode // members by name; the root is not one
-	nextIdx int                  // round-robin tree striping cursor (survives pulls)
+	order []*member
+	// placed holds each tree's members that may relay (none, in a flat
+	// plan), in placement order; the eligibility scan reads it front to
+	// back, which keeps trees near-balanced and deterministic.
+	placed  [][]*member
+	members map[string]*member // by name; the root is not one
+	next    int                // round-robin tree striping cursor (survives pulls)
 	repairs uint64
 }
 
-func newTreePlan(src *node, local uint32, cfg TreeConfig) *TreePlan {
+// NewTreePlan returns the empty plan of a stream from src over topo.
+func NewTreePlan(topo Topology, src string, cfg TreeConfig) *TreePlan {
 	cfg = cfg.withDefaults()
 	return &TreePlan{
-		cfg:    cfg,
-		root:   &treeNode{node: src, vci: local},
-		placed: make([][]*treeNode, cfg.Trees),
-		nodes:  make(map[string]*treeNode),
+		cfg:     cfg,
+		topo:    topo,
+		root:    &member{name: src},
+		placed:  make([][]*member, cfg.Trees),
+		members: make(map[string]*member),
 	}
 }
 
@@ -101,7 +119,7 @@ func (t *TreePlan) Members() []string {
 // Parent returns who currently feeds dst — the source's name for a
 // tree root — or "" when dst is not a member.
 func (t *TreePlan) Parent(dst string) string {
-	n := t.nodes[dst]
+	n := t.members[dst]
 	if n == nil {
 		return ""
 	}
@@ -111,46 +129,42 @@ func (t *TreePlan) Parent(dst string) string {
 // Depth returns the longest source→leaf hop count (1 = every
 // destination fed directly by the source).
 func (t *TreePlan) Depth() int {
-	max := 0
+	deepest := 0
 	for _, n := range t.order {
 		d := 0
 		for c := n; c.parent != nil; c = c.parent {
 			d++
 		}
-		if d > max {
-			max = d
-		}
+		deepest = max(deepest, d)
 	}
-	return max
+	return deepest
 }
 
 // MaxInteriorCopies returns the largest forwarded-copy count any
 // destination box currently carries — the per-hop copy invariant says
 // this never exceeds the configured fanout.
 func (t *TreePlan) MaxInteriorCopies() int {
-	max := 0
+	most := 0
 	for _, n := range t.order {
-		if len(n.children) > max {
-			max = len(n.children)
-		}
+		most = max(most, len(n.children))
 	}
-	return max
+	return most
 }
 
 // SourceCopies returns how many copies the source itself sends — the
 // origin-pull headline: one per tree, however many viewers.
 func (t *TreePlan) SourceCopies() int { return len(t.root.children) }
 
-// Repairs returns how many RepairTree invocations reshaped the plan.
-// Migrations and interior removals move subtrees too but are not
-// repairs: nothing failed.
+// Repairs returns how many repairs reshaped the plan. Migrations and
+// interior removals move subtrees too but are not repairs: nothing
+// failed.
 func (t *TreePlan) Repairs() uint64 { return t.repairs }
 
 // Relays returns how many forwarded copies box currently carries for
 // this plan — 0 means box is a leaf (or not a member). The balancer's
 // migration loop uses it to find streams relayed through a hot box.
 func (t *TreePlan) Relays(box string) int {
-	n := t.nodes[box]
+	n := t.members[box]
 	if n == nil {
 		return 0
 	}
@@ -161,7 +175,7 @@ func (t *TreePlan) Relays(box string) int {
 // currently feed at least one member — the placement spread the
 // scenario layer's `spread` assert measures.
 func (t *TreePlan) FeederBoxes() int {
-	feeders := map[*treeNode]bool{}
+	feeders := map[*member]bool{}
 	for _, n := range t.order {
 		feeders[n.parent] = true
 	}
@@ -173,11 +187,8 @@ func (t *TreePlan) FeederBoxes() int {
 func (t *TreePlan) RehomedFrom(box string) []string {
 	var out []string
 	for _, n := range t.order {
-		for _, f := range n.former {
-			if f.name == box {
-				out = append(out, n.name)
-				break
-			}
+		if slices.ContainsFunc(n.former, func(f *member) bool { return f.name == box }) {
+			out = append(out, n.name)
 		}
 	}
 	return out
@@ -188,36 +199,26 @@ func (t *TreePlan) RehomedFrom(box string) []string {
 // former parent at any point in the run. Byte-identity assertions use
 // it to exclude deliveries a crashed relay could have disturbed.
 func (t *TreePlan) EverUnder(dst, box string) bool {
-	n := t.nodes[dst]
-	if n == nil {
+	seen := map[*member]bool{}
+	var up func(m *member) bool
+	up = func(m *member) bool {
+		for _, u := range append(slices.Clip(m.former), m.parent) {
+			if u != nil && !seen[u] {
+				seen[u] = true
+				if u.name == box || up(u) {
+					return true
+				}
+			}
+		}
 		return false
 	}
-	seen := map[*treeNode]bool{}
-	stack := []*treeNode{n}
-	for len(stack) > 0 {
-		m := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		ups := m.former
-		if m.parent != nil {
-			ups = append(append([]*treeNode(nil), ups...), m.parent)
-		}
-		for _, u := range ups {
-			if seen[u] {
-				continue
-			}
-			seen[u] = true
-			if u.name == box {
-				return true
-			}
-			stack = append(stack, u)
-		}
-	}
-	return false
+	n := t.members[dst]
+	return n != nil && up(n)
 }
 
 // under reports whether n sits in root's (current) subtree, root
 // included.
-func under(n, root *treeNode) bool {
+func under(n, root *member) bool {
 	for c := n; c != nil; c = c.parent {
 		if c == root {
 			return true
@@ -227,162 +228,225 @@ func under(n, root *treeNode) bool {
 }
 
 // choose picks who should feed n, a newcomer or an orphan with its
-// subtree intact: a member of n's tree that is a box (a repository is
-// always a leaf), has spare fanout, is neither the parent n is leaving
-// nor inside n's own subtree, and can reach n — same fabric or a
-// declared link, bridge links between fabrics included. Without a
-// placer the first such member in placement order wins; with one, the
-// placer's pick among all of them. When no member qualifies the source
-// feeds n itself.
-func (s *System) choose(plan *TreePlan, n *treeNode) *treeNode {
-	cands := plan.placed[n.tree]
-	if plan.cfg.Fanout <= 0 {
-		// A flat plan has no eligible relay; skipping the scan keeps a
-		// tannoy to n destinations O(n).
-		cands = nil
-	}
-	var elig []*treeNode
-	for _, c := range cands {
-		if len(c.children) >= plan.cfg.Fanout || c.box == nil || c == n.parent || under(c, n) {
+// subtree intact: a member of n's tree that can relay, has spare
+// fanout, is neither the parent n is leaving nor inside n's own
+// subtree, and reaches n. Without a placer the first such member in
+// placement order wins; with one, the placer's pick among all of them.
+// When no member qualifies the source feeds n if it reaches it; nil
+// means nothing can.
+func (t *TreePlan) choose(n *member, pl Placer) *member {
+	var elig []*member
+	for _, c := range t.placed[n.tree] {
+		if len(c.children) >= t.cfg.Fanout || c == n.parent || under(c, n) || !t.topo.Connectable(c.name, n.name) {
 			continue
 		}
-		if _, ok := s.edge(c.node, n.node); !ok {
-			continue
-		}
-		if s.placer == nil {
+		if pl == nil {
 			return c // first-fit needs no further scanning
 		}
 		elig = append(elig, c)
 	}
-	if len(elig) == 0 {
-		return plan.root
-	}
-	names := make([]string, len(elig))
-	for i, c := range elig {
-		names[i] = c.name
-	}
-	return elig[s.placer.Pick(names)]
-}
-
-// adopt gives n a feeder and moves its circuit there: choose, rewire,
-// link. A newcomer (no parent yet) has its circuit opened; an orphan
-// keeps the installed route when old and new feeder both reach it
-// across its fabric, and otherwise has the old circuit closed and the
-// new one opened. The caller reinstalls the new feeder's switch route.
-func (s *System) adopt(p *occam.Proc, st *Stream, n *treeNode) {
-	old, parent := n.parent, s.choose(st.Tree, n)
-	if old == nil {
-		s.openCircuit(p, n.vci, parent.node, n.node, st.Video)
-	} else {
-		if !s.sameRoute(old.node, parent.node, n.node) {
-			s.closeCircuit(n.vci, old.node, n.node)
-			s.openCircuit(p, n.vci, parent.node, n.node, st.Video)
+	if len(elig) > 0 {
+		names := make([]string, len(elig))
+		for i, c := range elig {
+			names[i] = c.name
 		}
-		n.former = append(n.former, old)
+		return elig[pl.Pick(names)]
 	}
-	n.parent = parent
-	parent.children = append(parent.children, n)
+	if t.topo.Connectable(t.root.name, n.name) {
+		return t.root
+	}
+	return nil
 }
 
-// attach makes dst a member of the stream's plan — round-robin onto
-// the next tree, a fresh VCI, a feeder — and returns its node. A name
-// that is already a member is attached once: nil.
-func (s *System) attach(p *occam.Proc, st *Stream, dst string) *treeNode {
-	plan := st.Tree
-	if plan.nodes[dst] != nil {
+// refuse explains why choose found no feeder for n.
+func (t *TreePlan) refuse(n *member) error {
+	switch {
+	case t.cfg.Fanout <= 0:
+		return fmt.Errorf("%w from %s to %s (they share neither a fabric nor a link)", ErrNoPath, t.root.name, n.name)
+	case n.parent != nil:
+		return fmt.Errorf("cannot re-home %s off %s: the tree's source does not reach it, and no other member of its tree with fewer than k=%d children outside its subtree does", n.name, n.parent.name, t.cfg.Fanout)
+	case slices.ContainsFunc(t.order, func(m *member) bool { return t.topo.Connectable(m.name, n.name) }):
+		return fmt.Errorf("no path to %s from the tree's source, and no member of its tree with fewer than k=%d children reaches it", n.name, t.cfg.Fanout)
+	}
+	return fmt.Errorf("%w to %s from the tree's source or any member (none shares a fabric or a link with it)", ErrNoPath, n.name)
+}
+
+// adopt makes p feed n, recording the parent n leaves.
+func adopt(n, p *member) {
+	if n.parent != nil {
+		n.former = append(n.former, n.parent)
+	}
+	n.parent = p
+	p.children = append(p.children, n)
+}
+
+// Attach makes dst a member — round-robin onto the next tree, fed by
+// whom choose picks with pl (nil: first-fit). A name that is already a
+// member is attached once: nothing moves.
+func (t *TreePlan) Attach(dst string, pl Placer) error {
+	if t.members[dst] != nil {
 		return nil
 	}
-	n := &treeNode{node: s.node(dst), vci: s.allocVCI(), tree: plan.nextIdx % plan.cfg.Trees}
-	plan.nextIdx++
-	s.adopt(p, st, n)
-	plan.placed[n.tree] = append(plan.placed[n.tree], n)
-	plan.order = append(plan.order, n)
-	plan.nodes[dst] = n
-	st.VCIs[dst] = n.vci
-	return n
+	n := &member{name: dst, tree: t.next % t.cfg.Trees}
+	p := t.choose(n, pl)
+	if p == nil {
+		return t.refuse(n)
+	}
+	t.next++
+	adopt(n, p)
+	if t.cfg.Fanout > 0 && t.topo.CanRelay(dst) {
+		t.placed[n.tree] = append(t.placed[n.tree], n) // a flat plan's scan stays empty: a tannoy is O(n)
+	}
+	t.order = append(t.order, n)
+	t.members[dst] = n
+	return nil
 }
 
-// install installs (or re-installs) n's switch route to match its
-// place in the plan. A destination plays the stream locally and, when
-// it has children, forwards one copy per child VCI — the local
-// re-split of principle 5. The source only sends: one copy per child,
-// listed in placement order whatever order they were adopted in.
-// reinstall keeps the route at the front of the degrade order
-// (principle 3).
-func (s *System) install(p *occam.Proc, st *Stream, n *treeNode, reinstall bool) {
-	if n.box == nil {
+// Rehome moves every subtree from under relay onto other feeders: each
+// orphan, its subtree intact, is fed by whom choose picks with pl, in
+// relay's child order. Nothing moves when relay is no member or a leaf.
+// When an orphan has no feeder the moves made so far are undone.
+func (t *TreePlan) Rehome(relay string, pl Placer) error {
+	from := t.members[relay]
+	if from == nil {
+		return nil
+	}
+	orphans := from.children
+	from.children = nil
+	for i, o := range orphans {
+		p := t.choose(o, pl)
+		if p == nil {
+			err := t.refuse(o)
+			for _, m := range orphans[:i] {
+				m.parent.children = without(m.parent.children, m)
+				m.parent, m.former = from, m.former[:len(m.former)-1]
+			}
+			from.children = orphans
+			return err
+		}
+		adopt(o, p)
+	}
+	return nil
+}
+
+// Remove drops dst from the plan, re-homing its subtrees first.
+func (t *TreePlan) Remove(dst string, pl Placer) error {
+	n := t.members[dst]
+	if err := t.Rehome(dst, pl); n == nil || err != nil {
+		return err
+	}
+	delete(t.members, dst)
+	t.order = without(t.order, n)
+	t.placed[n.tree] = without(t.placed[n.tree], n)
+	n.parent.children = without(n.parent.children, n)
+	return nil
+}
+
+// without removes n from list, keeping the order of the rest.
+func without(list []*member, n *member) []*member {
+	return slices.DeleteFunc(list, func(m *member) bool { return m == n })
+}
+
+// The System's tree verbs ask the stream's plan to decide, then
+// allocate VCIs, open and close circuits and install switch routes to
+// match. A refused verb returns the plan's error and touches nothing.
+
+// CanRelay reports whether the named node is a box (see Topology).
+func (s *System) CanRelay(name string) bool { return s.lookup(name).box != nil }
+
+// install (re)installs n's switch route to match the plan, leaving out
+// the children in pending, whose circuits have not moved yet. A
+// destination plays the stream and forwards one copy per child — the
+// local re-split of principle 5; the source only sends, to its children
+// in placement order. reinstall keeps the route at the front of the
+// degrade order (principle 3).
+func (s *System) install(p *occam.Proc, st *Stream, n *member, reinstall bool, pending []*member) {
+	b := s.node(n.name).box
+	if b == nil {
 		return // repositories take delivery straight off the circuit
 	}
-	r := box.Route{Stream: n.vci, Video: st.Video}
+	r := box.Route{Stream: st.VCIs[n.name], Video: st.Video}
+	kids, local := n.children, box.OutSpeaker
 	if n == st.Tree.root {
+		r.Stream, kids = st.Local, st.Tree.order
+	} else if st.Video {
+		local = box.OutDisplay
+	}
+	for _, c := range kids {
+		if c.parent == n && !slices.Contains(pending, c) {
+			r.NetVCIs = append(r.NetVCIs, st.VCIs[c.name])
+		}
+	}
+	switch {
+	case n == st.Tree.root:
 		r.Outputs = []box.Output{box.OutNetwork}
-		for _, m := range st.Tree.order {
-			if m.parent == n {
-				r.NetVCIs = append(r.NetVCIs, m.vci)
-			}
-		}
-	} else {
-		local := box.OutSpeaker
-		if st.Video {
-			local = box.OutDisplay
-		}
+	case len(r.NetVCIs) > 0:
+		r.Outputs, r.Relay = []box.Output{local, box.OutNetwork}, true
+	default:
 		r.Outputs = []box.Output{local}
-		if len(n.children) > 0 {
-			r.Outputs = append(r.Outputs, box.OutNetwork)
-			r.Relay = true
-			for _, c := range n.children {
-				r.NetVCIs = append(r.NetVCIs, c.vci)
-			}
-		}
 	}
 	if reinstall {
 		r.Opened = occam.Time(1)
 	}
-	n.box.SetRoute(p, r)
+	b.SetRoute(p, r)
+}
+
+// attach attaches dst to the stream's plan and, when the plan takes a
+// newcomer, gives it a fresh VCI and opens its circuit from the feeder.
+// It returns the newcomer; nil when dst was already a member.
+func (s *System) attach(p *occam.Proc, st *Stream, dst string) (*member, error) {
+	if st.Tree.members[dst] != nil {
+		return nil, nil // a member is attached once
+	}
+	if err := st.Tree.Attach(dst, s.placer); err != nil {
+		return nil, err
+	}
+	n := st.Tree.members[dst]
+	st.VCIs[dst] = s.allocVCI()
+	s.openCircuit(p, st.VCIs[dst], s.node(n.parent.name), s.node(dst), st.Video)
+	return n, nil
 }
 
 // SendAudioTree opens a one-way audio stream distributed over
 // replication trees instead of per-viewer circuits from the source.
-// cfg.Fanout 0 degenerates to the flat tannoy of SendAudio.
-func (s *System) SendAudioTree(p *occam.Proc, cfg TreeConfig, from string, to ...string) *Stream {
+// cfg.Fanout 0 degenerates to the flat tannoy of SendAudio. A
+// destination the plan refuses is left out, and the error names the
+// first.
+func (s *System) SendAudioTree(p *occam.Proc, cfg TreeConfig, from string, to ...string) (*Stream, error) {
 	return s.sendTree(p, cfg, from, box.CameraStream{}, false, to)
 }
 
-// sendTree is the shared planner apply for audio and video streams:
-// attach every destination (plan, VCI, feeder→child circuit) in
-// destination order, install destination routes (interior boxes
-// re-split), then the source route — one copy per tree — and start the
-// media source last, so every relay is routed before data flows.
-func (s *System) sendTree(p *occam.Proc, cfg TreeConfig, from string, cs box.CameraStream, video bool, to []string) *Stream {
+// sendTree is the shared apply for audio and video streams: attach
+// every destination (plan, VCI, feeder→child circuit) in destination
+// order, install destination routes (interior boxes re-split), then the
+// source route — one copy per tree — and start the media source last,
+// so every relay is routed before data flows.
+func (s *System) sendTree(p *occam.Proc, cfg TreeConfig, from string, cs box.CameraStream, video bool, to []string) (*Stream, error) {
 	src := s.node(from)
 	src.nextStream++
-	st := &Stream{From: from, Local: src.nextStream, Video: video, VCIs: make(map[string]uint32)}
-	plan := newTreePlan(src, st.Local, cfg)
-	st.Tree = plan
+	plan := NewTreePlan(s, from, cfg)
+	st := &Stream{From: from, Local: src.nextStream, Video: video, VCIs: make(map[string]uint32), Tree: plan}
+	var first error
 	for _, dst := range to {
-		s.attach(p, st, dst)
+		if _, err := s.attach(p, st, dst); first == nil {
+			first = err
+		}
 	}
 	// Routes go in after every child VCI exists, destination order.
 	for _, n := range plan.order {
-		s.install(p, st, n, false)
+		s.install(p, st, n, false, nil)
 	}
 	if plan.cfg.Fanout > 0 {
-		s.observeTree(st)
+		treeTable.Register(s.Obs, plan, obs.L("tree", fmt.Sprintf("%s.%d", st.From, st.Local)))
 	}
-	s.install(p, st, plan.root, false)
+	s.install(p, st, plan.root, false, nil)
 	if video {
 		cs.Stream = st.Local
 		src.box.StartCamera(p, cs)
 	} else {
 		src.box.StartMic(p, st.Local)
 	}
-	return st
-}
-
-// observeTree registers the row of a planned (non-flat) tree: depth,
-// the interior copy high-water, and repairs.
-func (s *System) observeTree(st *Stream) {
-	treeTable.Register(s.Obs, st.Tree, obs.L("tree", fmt.Sprintf("%s.%d", st.From, st.Local)))
+	return st, first
 }
 
 // treeTable is a planned tree's shape and repair count.
@@ -396,103 +460,110 @@ var treeTable = obs.NewTable(
 // one copy from the chosen already-carrying box (spare fanout,
 // reachable, scanned in placement order) — the source's own port never
 // gains another circuit unless nothing else can reach the joiner. A
-// destination that is already a member is left as it is.
-func (s *System) Pull(p *occam.Proc, st *Stream, dsts ...string) {
+// destination that is already a member is left as it is; one the plan
+// refuses is left out, and the error names the first.
+func (s *System) Pull(p *occam.Proc, st *Stream, dsts ...string) (first error) {
 	for _, dst := range dsts {
-		if n := s.attach(p, st, dst); n != nil {
-			s.install(p, st, n, false)
-			s.install(p, st, n.parent, true)
+		n, err := s.attach(p, st, dst)
+		if n != nil {
+			s.install(p, st, n, false, nil)
+			s.install(p, st, n.parent, true, nil)
+		}
+		if first == nil {
+			first = err
 		}
 	}
+	return first
 }
 
-// rehome moves every subtree from under from onto other feeders while
-// the stream plays: orphan the children, reinstall from once so it
-// stops forwarding, then adopt each orphan — its whole subtree intact —
-// and reinstall whoever took it. The change applies between segments
-// (principle 6). why says what is wrong with from, for the trace.
-// Returns how many subtrees moved; 0 when from is nil or a leaf.
-func (s *System) rehome(p *occam.Proc, st *Stream, from *treeNode, why string) int {
-	if from == nil || len(from.children) == 0 {
-		return 0
+// rehome moves the subtrees under relay as its plan decides, while the
+// stream plays: reinstall relay once so it stops forwarding, then move
+// each orphan's circuit — unless both feeders reach it across its
+// fabric — and reinstall who took it, which never lists an orphan not
+// yet moved. It applies between segments (principle 6); why is for the
+// trace. Returns how many subtrees moved.
+func (s *System) rehome(p *occam.Proc, st *Stream, relay, why string) (int, error) {
+	from := st.Tree.members[relay]
+	if from == nil {
+		return 0, nil
 	}
-	orphans := from.children
-	from.children = nil
-	s.install(p, st, from, true)
-	for _, o := range orphans {
-		s.adopt(p, st, o)
-		s.install(p, st, o.parent, true)
+	orphans := from.children // the plan empties from's list, not this array
+	if err := st.Tree.Rehome(relay, s.placer); err != nil || len(orphans) == 0 {
+		return 0, err
+	}
+	s.install(p, st, from, true, nil)
+	old := s.node(from.name)
+	for i, o := range orphans {
+		if to, vci := s.node(o.parent.name), st.VCIs[o.name]; !s.sameRoute(old, to, s.node(o.name)) {
+			s.closeCircuit(vci, old, s.node(o.name))
+			s.openCircuit(p, vci, to, s.node(o.name), st.Video)
+		}
+		s.install(p, st, o.parent, true, orphans[i+1:])
 	}
 	s.Obs.Tracer().Emit(obs.EvRepair, "core.tree", st.Local,
 		fmt.Sprintf("re-homed %d subtrees around %s %s", len(orphans), why, from.name))
-	return len(orphans)
+	return len(orphans), nil
 }
 
 // RepairTree re-homes the orphaned children of a failed interior box
 // onto surviving boxes of their own tree, falling back to the source,
-// and books it as a repair. Returns how many orphans were re-homed; 0
-// (and no repair booked) when failed relays nothing for this stream.
-func (s *System) RepairTree(p *occam.Proc, st *Stream, failed string) int {
-	moved := s.rehome(p, st, st.Tree.nodes[failed], "failed")
+// and books a repair. Returns how many orphans moved: 0, and no repair,
+// when failed relays nothing for this stream or the plan refuses.
+func (s *System) RepairTree(p *occam.Proc, st *Stream, failed string) (int, error) {
+	moved, err := s.rehome(p, st, failed, "failed")
 	if moved > 0 {
 		st.Tree.repairs++
 	}
-	return moved
+	return moved, err
 }
 
 // MigrateTree is the balancer's verb: hot is healthy but overloaded, so
 // it stops relaying this stream — its subtrees move exactly as a
 // repair moves them — and keeps its own playout. Nothing failed, so no
 // repair is booked. Returns how many subtrees moved.
-func (s *System) MigrateTree(p *occam.Proc, st *Stream, hot string) int {
-	return s.rehome(p, st, st.Tree.nodes[hot], "hot")
+func (s *System) MigrateTree(p *occam.Proc, st *Stream, hot string) (int, error) {
+	return s.rehome(p, st, hot, "hot")
 }
 
 // Close shuts a stream down entirely: stop the media source, remove
 // the source route, then every destination's route and its feeding
 // circuit, in placement order.
 func (s *System) Close(p *occam.Proc, st *Stream) {
-	plan := st.Tree
-	src := plan.root.box
+	src := s.node(st.From).box
 	if st.Video {
 		src.StopCamera(p, st.Local)
 	} else {
 		src.StopMic(p)
 	}
 	src.CloseRoute(p, st.Local)
-	for _, n := range plan.order {
-		s.disconnect(p, n)
+	for _, n := range st.Tree.order {
+		s.disconnect(p, n, st.VCIs[n.name])
 	}
 }
 
-// disconnect removes n's switch route and the circuit that feeds it.
-func (s *System) disconnect(p *occam.Proc, n *treeNode) {
-	if n.box != nil {
-		n.box.CloseRoute(p, n.vci)
+// disconnect removes n's switch route and the circuit on vci that
+// feeds it.
+func (s *System) disconnect(p *occam.Proc, n *member, vci uint32) {
+	dst := s.node(n.name)
+	if dst.box != nil {
+		dst.box.CloseRoute(p, vci)
 	}
-	s.closeCircuit(n.vci, n.parent.node, n.node)
+	s.closeCircuit(vci, s.node(n.parent.name), dst)
 }
 
 // RemoveDestination drops one destination from a stream; the other
 // copies are unaffected (principle 6). A leaf just disconnects; an
-// interior box first has its subtrees re-homed so they keep playing.
-func (s *System) RemoveDestination(p *occam.Proc, st *Stream, dst string) {
-	plan := st.Tree
-	n := plan.nodes[dst]
-	if n == nil {
-		return
+// interior box first has its subtrees re-homed so they keep playing,
+// and stays when the plan refuses that.
+func (s *System) RemoveDestination(p *occam.Proc, st *Stream, dst string) error {
+	n := st.Tree.members[dst]
+	if _, err := s.rehome(p, st, dst, "departing"); n == nil || err != nil {
+		return err
 	}
-	s.rehome(p, st, n, "departing")
-	delete(plan.nodes, dst)
+	st.Tree.Remove(dst, nil) // a leaf now: nothing moves
+	vci := st.VCIs[dst]
 	delete(st.VCIs, dst)
-	plan.order = without(plan.order, n)
-	plan.placed[n.tree] = without(plan.placed[n.tree], n)
-	n.parent.children = without(n.parent.children, n)
-	s.install(p, st, n.parent, true)
-	s.disconnect(p, n)
-}
-
-// without removes n from list, keeping the order of the rest.
-func without(list []*treeNode, n *treeNode) []*treeNode {
-	return slices.DeleteFunc(list, func(m *treeNode) bool { return m == n })
+	s.install(p, st, n.parent, true, nil)
+	s.disconnect(p, n, vci)
+	return nil
 }

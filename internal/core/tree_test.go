@@ -37,7 +37,7 @@ func TestTreePlanInvariants(t *testing.T) {
 	defer s.Shutdown()
 	var st *Stream
 	s.Control(func(p *occam.Proc) {
-		st = s.SendAudioTree(p, TreeConfig{Fanout: 3, Trees: 2}, "src", viewers...)
+		st = must(s.SendAudioTree(p, TreeConfig{Fanout: 3, Trees: 2}, "src", viewers...))
 	})
 	if err := s.RunFor(500 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestTreeFlatMatchesSendAudio(t *testing.T) {
 		var st *Stream
 		s.Control(func(p *occam.Proc) {
 			if viaTree {
-				st = s.SendAudioTree(p, TreeConfig{}, "src", viewers...)
+				st = must(s.SendAudioTree(p, TreeConfig{}, "src", viewers...))
 			} else {
 				st = s.SendAudio(p, "src", viewers...)
 			}
@@ -114,7 +114,7 @@ func TestTreePullGraft(t *testing.T) {
 	defer s.Shutdown()
 	var st *Stream
 	s.Control(func(p *occam.Proc) {
-		st = s.SendAudioTree(p, TreeConfig{Fanout: 4}, "src", viewers[:3]...)
+		st = must(s.SendAudioTree(p, TreeConfig{Fanout: 4}, "src", viewers[:3]...))
 	})
 	if err := s.RunFor(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestTreeRepairRehomes(t *testing.T) {
 	defer s.Shutdown()
 	var st *Stream
 	s.Control(func(p *occam.Proc) {
-		st = s.SendAudioTree(p, TreeConfig{Fanout: 2}, "src", viewers...)
+		st = must(s.SendAudioTree(p, TreeConfig{Fanout: 2}, "src", viewers...))
 	})
 	if err := s.RunFor(300 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestTreeRepairRehomes(t *testing.T) {
 		t.Fatalf("%s is not the root", root)
 	}
 	var rehomed int
-	s.Control(func(p *occam.Proc) { rehomed = s.RepairTree(p, st, root) })
+	s.Control(func(p *occam.Proc) { rehomed = must(s.RepairTree(p, st, root)) })
 	if err := s.RunFor(400 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestTreeChurnRepairRace(t *testing.T) {
 	defer s.Shutdown()
 	var st *Stream
 	s.Control(func(p *occam.Proc) {
-		st = s.SendAudioTree(p, TreeConfig{Fanout: 2, Trees: 2}, "src", viewers[:10]...)
+		st = must(s.SendAudioTree(p, TreeConfig{Fanout: 2, Trees: 2}, "src", viewers[:10]...))
 	})
 	if err := s.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestTreeCloseDrains(t *testing.T) {
 	defer s.Shutdown()
 	var st *Stream
 	s.Control(func(p *occam.Proc) {
-		st = s.SendAudioTree(p, TreeConfig{Fanout: 2, Trees: 2}, "src", viewers...)
+		st = must(s.SendAudioTree(p, TreeConfig{Fanout: 2, Trees: 2}, "src", viewers...))
 	})
 	if err := s.RunFor(300 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestTreeRemoveInteriorDestination(t *testing.T) {
 	defer s.Shutdown()
 	var st *Stream
 	s.Control(func(p *occam.Proc) {
-		st = s.SendAudioTree(p, TreeConfig{Fanout: 2}, "src", viewers...)
+		st = must(s.SendAudioTree(p, TreeConfig{Fanout: 2}, "src", viewers...))
 	})
 	if err := s.RunFor(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestTreeMemberAttachedOnce(t *testing.T) {
 	var st *Stream
 	var vci uint32
 	s.Control(func(p *occam.Proc) {
-		st = s.SendAudioTree(p, TreeConfig{Fanout: 2}, "src", viewers...)
+		st = must(s.SendAudioTree(p, TreeConfig{Fanout: 2}, "src", viewers...))
 		vci = st.VCIs[a]
 		p.Sleep(100 * time.Millisecond)
 		s.Pull(p, st, a)
@@ -372,7 +372,7 @@ func TestTreeMoveAcrossBridge(t *testing.T) {
 
 	var st *Stream
 	s.Control(func(p *occam.Proc) {
-		st = s.SendAudioTree(p, TreeConfig{Fanout: k}, "src", append([]string{"r"}, far...)...)
+		st = must(s.SendAudioTree(p, TreeConfig{Fanout: k}, "src", append([]string{"r"}, far...)...))
 	})
 	if err := s.RunFor(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestTreeMoveAcrossBridge(t *testing.T) {
 			plan.Parent("b0"), plan.Parent("b1"), plan.Parent("b2"))
 	}
 	s.Control(func(p *occam.Proc) {
-		if got := s.RepairTree(p, st, "r"); got != 2 {
+		if got := must(s.RepairTree(p, st, "r")); got != 2 {
 			t.Errorf("repair moved %d subtrees, want 2", got)
 		}
 	})
@@ -437,4 +437,12 @@ func TestTreeMoveAcrossBridge(t *testing.T) {
 			t.Fatalf("%s leaked %d wires after close", name, leaked)
 		}
 	}
+}
+
+// must is a verb's result in a test that wants no refusal.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -154,9 +154,6 @@ func New(rt *occam.Runtime, name string, cfg Config) *Fabric {
 	}
 }
 
-// Name returns the fabric's name.
-func (f *Fabric) Name() string { return f.nm }
-
 // Observe attaches an observability registry: every port (existing and
 // future) registers its counters and queue-depth gauges, and routing
 // changes and drops are traced.

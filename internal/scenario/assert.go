@@ -2,8 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/atm"
@@ -219,14 +219,7 @@ func (r *Runner) crashedBoxes() map[string]bool {
 
 // streamRefs returns the named streams in deterministic (sorted ref)
 // order.
-func (r *Runner) streamRefs() []string {
-	refs := make([]string, 0, len(r.Streams))
-	for ref := range r.Streams {
-		refs = append(refs, ref)
-	}
-	sort.Strings(refs)
-	return refs
-}
+func (r *Runner) streamRefs() []string { return slices.Sorted(maps.Keys(r.Streams)) }
 
 func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 	switch a.Kind {
@@ -372,11 +365,4 @@ func (r *Runner) perDest(a Assert, extreme, verb string, fig func(mixer.StreamSt
 }
 
 // ctrlNames returns controller names in deterministic order.
-func (r *Runner) ctrlNames() []string {
-	names := make([]string, 0, len(r.Ctrls))
-	for name := range r.Ctrls {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func (r *Runner) ctrlNames() []string { return slices.Sorted(maps.Keys(r.Ctrls)) }

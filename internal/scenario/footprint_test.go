@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -89,10 +91,14 @@ func TestStreamFootprint(t *testing.T) {
 // TestTreeWindowAllocatesNothing pins the rule that what a part builds
 // on first use it builds at set-up: 200 viewers on one fabric are
 // grafted onto a k=8 tree, warmed 300 ms past the last graft, and then
-// 100 ms of steady play may allocate at most one heap object (counted
-// by MemStats.Mallocs; the one is the Go runtime's own, such as its
-// scavenger arming a timer).
+// 100 ms of steady play may allocate no heap object from the module's
+// own code. Every allocation is profiled (MemProfileRate 1), and only
+// those whose stack passes through repro/internal/ count, so one by the
+// Go runtime or the test binary during the window (its scavenger arming
+// a timer, say) does not.
 func TestTreeWindowAllocatesNothing(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	r, err := NewRunner(MustParse(`scenario tree-window
 duration 1s
 box s mic=tone:400:8000
@@ -111,13 +117,48 @@ at 5ms pull t v[002..200]
 	if err := r.RunFor(305 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	before := internalAllocs()
 	if err := r.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > 1 {
-		t.Errorf("100 ms of a warm 200-viewer tree allocated %d heap objects, want at most 1", n)
+	for stack, n := range internalAllocs() {
+		if n -= before[stack]; n > 0 {
+			t.Errorf("100 ms of a warm 200-viewer tree allocated %d heap objects at\n%s", n, stack)
+		}
 	}
+}
+
+// internalAllocs returns, by call stack, how many heap objects have been
+// allocated under a frame of repro/internal/'s non-test code. A profile
+// record is published two collections after its allocation, so it
+// collects twice first.
+func internalAllocs() map[string]int64 {
+	runtime.GC()
+	runtime.GC()
+	recs := make([]runtime.MemProfileRecord, 64)
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	out := map[string]int64{}
+	for _, rec := range recs {
+		var stack strings.Builder
+		internal := false
+		frames := runtime.CallersFrames(rec.Stack())
+		for f, more := frames.Next(); ; f, more = frames.Next() {
+			internal = internal || strings.HasPrefix(f.Function, "repro/internal/") && !strings.HasSuffix(f.File, "_test.go")
+			fmt.Fprintf(&stack, "  %s\n", f.Function)
+			if !more {
+				break
+			}
+		}
+		if internal {
+			out[stack.String()] += rec.AllocObjects
+		}
+	}
+	return out
 }

@@ -1,10 +1,11 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -44,6 +45,9 @@ type Runner struct {
 	Bal *balancer.Balancer
 	// FaultSpec is the parsed fault phase.
 	FaultSpec faultinject.Spec
+	// Refused holds the timeline events a stream's plan refused, which
+	// Validate cannot foresee under a balancer; the timeline goes on.
+	Refused []error
 
 	started  bool
 	admitted map[string]bool // refs of admitted (budget-holding) calls
@@ -178,9 +182,7 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 		r.admitted = make(map[string]bool)
 	}
 
-	events := make([]Event, len(sc.Events))
-	copy(events, sc.Events)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+	events := slices.SortedStableFunc(slices.Values(sc.Events), func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	if len(events) > 0 || then != nil {
 		s.Control(func(p *occam.Proc) {
 			// Event times are offsets between command issues, not absolute
@@ -196,7 +198,9 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 					p.Sleep(d)
 				}
 				prev = ev.At
-				r.apply(p, ev)
+				if err := r.apply(p, ev); err != nil {
+					r.Refused = append(r.Refused, fmt.Errorf("%s at %s: %w", ev.Op, ev.At, err))
+				}
 			}
 			if then != nil {
 				then(p)
@@ -282,39 +286,32 @@ func (r *Runner) startCross(txName, sinkName string, c Cross) {
 	})
 }
 
-// apply executes one timeline event inside the control process.
-func (r *Runner) apply(p *occam.Proc, ev Event) {
+// apply executes one timeline event inside the control process and
+// returns the plan's refusal, if any.
+func (r *Runner) apply(p *occam.Proc, ev Event) (err error) {
 	s := r.Sys
+	st, ok := r.Streams[ev.Ref]
 	switch ev.Op {
 	case "audio":
-		st := s.SendAudio(p, ev.From, ev.To...)
-		if ev.Ref != "" {
-			r.Streams[ev.Ref] = st
-		}
+		st = s.SendAudio(p, ev.From, ev.To...)
 	case "video":
-		st := s.SendVideo(p, ev.From, box.CameraStream{
+		st = s.SendVideo(p, ev.From, box.CameraStream{
 			Rect:         video.Rect{X: ev.X, Y: ev.Y, W: ev.W, H: ev.H},
 			Rate:         video.Rate{Num: ev.RateNum, Den: ev.RateDen},
 			SegsPerFrame: ev.Segs,
 		}, ev.To...)
-		if ev.Ref != "" {
-			r.Streams[ev.Ref] = st
-		}
 	case "tree":
-		st := s.SendAudioTree(p, core.TreeConfig{Fanout: ev.K, Trees: ev.Trees}, ev.From, ev.To...)
-		if ev.Ref != "" {
-			r.Streams[ev.Ref] = st
-		}
+		st, err = s.SendAudioTree(p, core.TreeConfig{Fanout: ev.K, Trees: ev.Trees}, ev.From, ev.To...)
 		if r.Bal != nil {
 			r.Bal.Manage(st)
 		}
 	case "pull":
-		if st, ok := r.Streams[ev.Ref]; ok {
-			s.Pull(p, st, ev.To...)
+		if ok {
+			err = s.Pull(p, st, ev.To...)
 		}
 	case "repair":
-		if st, ok := r.Streams[ev.Ref]; ok {
-			s.RepairTree(p, st, ev.To[0])
+		if ok {
+			_, err = s.RepairTree(p, st, ev.To[0])
 		}
 	case "call", "conference":
 		// A call is a two-member conference. Admission gate: reject
@@ -343,19 +340,19 @@ func (r *Runner) apply(p *occam.Proc, ev Event) {
 			}
 		}
 	case "split":
-		if st, ok := r.Streams[ev.Ref]; ok {
-			s.AddAudioDestination(p, st, ev.To[0])
+		if ok {
+			err = s.AddAudioDestination(p, st, ev.To[0])
 		}
 	case "drop":
-		if st, ok := r.Streams[ev.Ref]; ok {
-			s.RemoveDestination(p, st, ev.To[0])
+		if ok {
+			err = s.RemoveDestination(p, st, ev.To[0])
 		}
 	case "close":
 		if r.Bal != nil && r.admitted[ev.Ref] {
 			r.Bal.ReleaseCall()
 			delete(r.admitted, ev.Ref)
 		}
-		if st, ok := r.Streams[ev.Ref]; ok {
+		if ok {
 			s.Close(p, st)
 			break
 		}
@@ -376,6 +373,10 @@ func (r *Runner) apply(p *occam.Proc, ev Event) {
 		s.OpenCircuit(p, ev.VCI, ev.From, ev.To[0])
 		src.StartMic(p, ev.Stream)
 	}
+	if o := ops[ev.Op]; o.opens && o.shape == toList && ev.Ref != "" {
+		r.Streams[ev.Ref] = st
+	}
+	return err
 }
 
 // memberRef names member stream i of the call or conference ref.

@@ -22,12 +22,14 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
-	"slices"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/box"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/workload"
 )
@@ -230,46 +232,27 @@ type Scenario struct {
 	Asserts []Assert
 }
 
-// plan is Validate's model of how core attaches one stream's
-// destinations. A flat stream (k 0) feeds each from its source. A tree
-// deals its newcomers round-robin over its stripes (trees=), and feeds
-// each from the first member of its stripe, in placement order, that
-// has fewer than k children and reaches it, or else from the source.
-// loose lifts the k bound where Validate cannot know who feeds whom: a
-// balancer places and migrates, and a drop or repair re-homes subtrees.
-type plan struct {
-	src     string
-	k       int
-	loose   bool
-	next    int         // the striping cursor; it survives pulls
-	stripes [][]*member // each stripe's members in placement order
-	members map[string]bool
+// specTopology answers a plan's questions from a spec: core opens a
+// circuit over a declared link, in either direction, or a shared
+// fabric; a spec's nodes are all boxes, so every member can relay.
+type specTopology struct {
+	fabOf map[string]string // each attached node's fabric
+	hops  map[[2]string]int // each link's hop count, under both orders of its pair
 }
 
-// member is one tree member and how many children it feeds.
-type member struct {
-	name     string
-	children int
+func (t specTopology) Connectable(a, b string) bool {
+	fa, ok := t.fabOf[a]
+	return ok && fa == t.fabOf[b] || t.hops[[2]string{a, b}] > 0
 }
 
-// reshape records a drop of box d, which leaves the plan, or a repair
-// of relay d: either re-homes d's subtrees.
-func (pl *plan) reshape(op, d string) {
-	pl.loose = true
-	if op == "drop" && pl.members[d] {
-		delete(pl.members, d)
-		for i := range pl.stripes {
-			pl.stripes[i] = slices.DeleteFunc(pl.stripes[i], func(m *member) bool { return m.name == d })
-		}
-	}
-}
+func (specTopology) CanRelay(string) bool { return true }
 
 // Validate checks internal consistency: names resolve, events refer to
-// streams opened earlier and asserts to streams an event opens, the
-// fault phase parses, times fit the duration, and the degrade and
-// balance settings are in range. Parse
-// and NewRunner both call it, so a spec built in Go is held to what a
-// spec file is.
+// streams opened earlier and asserts to streams an event opens, core's
+// planner can make every stream's moves, the fault phase parses, times
+// fit the duration, and the degrade and balance settings are in range.
+// Parse and NewRunner both call it, so a spec built in Go is held to
+// what a spec file is.
 func (sc *Scenario) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("scenario: missing name")
@@ -298,19 +281,8 @@ func (sc *Scenario) Validate() error {
 		}
 		return nil
 	}
-	// What core.System opens a direct circuit over: a declared link
-	// (either direction) or a shared fabric. A flat stream — every op but
-	// a tree with k > 0, whose members relay for one another — needs one
-	// from its source to each destination. hops holds each declared
-	// link's hop count under both orders of its pair.
-	hops := map[[2]string]int{}
-	fabOf := map[string]string{}
-	reach := func(where, a, b string) error {
-		if fa, ok := fabOf[a]; (ok && fa == fabOf[b]) || hops[[2]string{a, b}] > 0 {
-			return nil
-		}
-		return fmt.Errorf("scenario %s: %s: no path from %s to %s (they share neither a fabric nor a link)", sc.Name, where, a, b)
-	}
+	topo := specTopology{fabOf: map[string]string{}, hops: map[[2]string]int{}}
+	hops, fabOf := topo.hops, topo.fabOf
 	for _, l := range sc.Links {
 		if err := need("link", l.From, l.To); err != nil {
 			return err
@@ -366,44 +338,35 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario %s: cross %s %s: hop=%d is not a hop of their %d-hop link", sc.Name, c.From, c.To, c.Hop, n)
 		}
 	}
-	// plans holds each opened stream ref's model of core's attach; a ref
-	// whose source Validate cannot know (a call or conference bundle, a
-	// placed callee's stream) holds nil and is not checked. join attaches
-	// d as core would and fails where core would feed it over no path.
-	plans := map[string]*plan{}
-	join := func(where string, pl *plan, d string) error {
-		if pl == nil || pl.members[d] {
+	// plans holds each opened stream ref's plan, run through core's own
+	// verbs in the order the Runner plays the events (nil: a placed
+	// callee's stream, not checked). A balancer's picks depend on load,
+	// so with one only an attach nothing reaches fails here.
+	plans := make(map[string]*core.TreePlan, len(sc.Events))
+	verb := func(where string, err error) error {
+		if err == nil || sc.Balance != nil && !errors.Is(err, core.ErrNoPath) {
 			return nil
 		}
-		if pl.k <= 0 {
-			return reach(where, pl.src, d)
-		}
-		stripe := &pl.stripes[pl.next%len(pl.stripes)]
-		pl.next++
-		var feeder *member
-		for _, m := range *stripe {
-			if (pl.loose || m.children < pl.k) && reach(where, m.name, d) == nil {
-				feeder = m
-				break
+		return fmt.Errorf("scenario %s: %s: %w", sc.Name, where, err)
+	}
+	// open plans a stream from src to each of to, as core opens it.
+	open := func(where, src string, cfg core.TreeConfig, to []string) (*core.TreePlan, error) {
+		pl, err := core.NewTreePlan(topo, src, cfg), need(where, src)
+		for i := 0; err == nil && i < len(to); i++ {
+			if err = need(where, to[i]); err == nil {
+				err = verb(where, pl.Attach(to[i], nil))
 			}
 		}
-		if feeder == nil && reach(where, pl.src, d) != nil {
-			for m := range pl.members {
-				if reach(where, m, d) == nil {
-					return fmt.Errorf("scenario %s: %s: no path to %s from the tree's source, and no member of its tree with fewer than k=%d children reaches it", sc.Name, where, d, pl.k)
-				}
-			}
-			return fmt.Errorf("scenario %s: %s: no path to %s from the tree's source or any member (none shares a fabric or a link with it)", sc.Name, where, d)
-		}
-		if feeder != nil {
-			feeder.children++
-		}
-		pl.members[d] = true
-		*stripe = append(*stripe, &member{name: d})
-		return nil
+		return pl, err
 	}
 	sent := map[uint32]bool{} // the VCIs netsends have opened
-	for i, ev := range sc.Events {
+	order := make([]int, len(sc.Events))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return sc.Events[order[i]].At < sc.Events[order[j]].At })
+	for _, i := range order {
+		ev := sc.Events[i]
 		where := fmt.Sprintf("event %d (%s at %s)", i+1, ev.Op, ev.At)
 		if ev.At < 0 || ev.At > sc.Duration {
 			return fmt.Errorf("scenario %s: %s outside the run", sc.Name, where)
@@ -412,24 +375,15 @@ func (sc *Scenario) Validate() error {
 		if !ok {
 			return fmt.Errorf("scenario %s: %s: unknown op", sc.Name, where)
 		}
-		var pl *plan // the stream ev opens, or the one it acts on
+		var pl *core.TreePlan // the stream ev opens, or the one it acts on
+		var err error
 		switch o.shape {
 		case toList:
-			if err := need(where, ev.From); err != nil {
-				return err
-			}
 			if len(ev.To) == 0 {
 				return fmt.Errorf("scenario %s: %s has no destination", sc.Name, where)
 			}
-			pl = &plan{src: ev.From, k: ev.K, loose: sc.Balance != nil,
-				stripes: make([][]*member, max(ev.Trees, 1)), members: map[string]bool{}}
-			for _, d := range ev.To {
-				if err := need(where, d); err != nil {
-					return err
-				}
-				if err := join(where, pl, d); err != nil {
-					return err
-				}
+			if pl, err = open(where, ev.From, core.TreeConfig{Fanout: ev.K, Trees: ev.Trees}, ev.To); err != nil {
+				return err
 			}
 			if ev.Op == "video" && (ev.W <= 0 || ev.H <= 0 || ev.RateNum <= 0 || ev.RateDen <= 0) {
 				return fmt.Errorf("scenario %s: %s needs rect=X,Y,W,H and rate=N/D", sc.Name, where)
@@ -446,38 +400,36 @@ func (sc *Scenario) Validate() error {
 			if ev.Op == "tree" && (ev.K < 0 || ev.Trees < 0) {
 				return fmt.Errorf("scenario %s: %s wants k ≥ 0 and trees ≥ 0", sc.Name, where)
 			}
-		case pair:
-			if len(ev.To) != 1 {
+		case pair, members:
+			all := append([]string{ev.From}, ev.To...)
+			switch {
+			case o.shape == pair && len(ev.To) != 1:
 				return fmt.Errorf("scenario %s: %s wants exactly one peer", sc.Name, where)
+			case len(all) < 2:
+				return fmt.Errorf("scenario %s: %s wants at least two members", sc.Name, where)
 			}
-			if err := need(where, ev.From); err != nil {
-				return err
-			}
-			if ev.To[0] == "?" {
-				// Balancer-placed callee: the control plane picks the
-				// least-loaded reachable box at event time.
+			// A call or conference is a flat stream from each member to the
+			// others, named REF[i]. A balancer-placed callee (peer ?) is
+			// picked at event time, so its stream is not checked.
+			placed := o.shape == pair && all[1] == "?"
+			if placed {
 				if sc.Balance == nil {
 					return fmt.Errorf("scenario %s: %s: placed call (peer ?) needs a balance block", sc.Name, where)
 				}
-			} else if err := need(where, ev.To[0]); err != nil {
-				return err
-			} else if err := reach(where, ev.From, ev.To[0]); err != nil {
-				return err
+				all = all[:1]
 			}
-		case members:
-			members := append([]string{ev.From}, ev.To...)
-			if len(members) < 2 {
-				return fmt.Errorf("scenario %s: %s wants at least two members", sc.Name, where)
-			}
-			for i, m := range members {
-				if err := need(where, m); err != nil {
+			to := make([]string, 0, len(all))
+			for j, m := range all {
+				mp, err := open(where, m, core.TreeConfig{}, append(append(to[:0], all[:j]...), all[j+1:]...))
+				if err != nil {
 					return err
 				}
-				for _, peer := range members[:i] {
-					if err := reach(where, peer, m); err != nil {
-						return err
-					}
+				if ev.Ref != "" {
+					plans[memberRef(ev.Ref, j)] = mp
 				}
+			}
+			if placed && ev.Ref != "" {
+				plans[memberRef(ev.Ref, 1)] = nil
 			}
 		default: // refDst, refDsts, refOnly
 			if pl, ok = plans[ev.Ref]; !ok {
@@ -490,16 +442,20 @@ func (sc *Scenario) Validate() error {
 				return fmt.Errorf("scenario %s: %s has no destination", sc.Name, where)
 			}
 			for _, d := range ev.To {
-				err := need(where, d)
-				if err == nil && (ev.Op == "pull" || ev.Op == "split") {
-					err = join(where, pl, d)
+				err = need(where, d)
+				if err == nil && pl != nil {
+					switch ev.Op {
+					case "pull", "split":
+						err = verb(where, pl.Attach(d, nil))
+					case "drop":
+						err = verb(where, pl.Remove(d, nil))
+					case "repair":
+						err = verb(where, pl.Rehome(d, nil))
+					}
 				}
 				if err != nil {
 					return err
 				}
-			}
-			if pl != nil && (ev.Op == "drop" || ev.Op == "repair") {
-				pl.reshape(ev.Op, ev.To[0])
 			}
 		}
 		if ev.Ref != "" && o.opens {
@@ -507,18 +463,6 @@ func (sc *Scenario) Validate() error {
 				return fmt.Errorf("scenario %s: duplicate stream ref %q", sc.Name, ev.Ref)
 			}
 			plans[ev.Ref] = pl
-			// call and conference name their member streams REF[i], the
-			// names later split/drop/close events use: flat streams from
-			// each member.
-			if o.shape == pair || o.shape == members {
-				for i, m := range append([]string{ev.From}, ev.To...) {
-					var mp *plan
-					if m != "?" {
-						mp = &plan{src: m}
-					}
-					plans[memberRef(ev.Ref, i)] = mp
-				}
-			}
 		}
 	}
 	if _, err := ParseFaults(sc.Faults, sc.Seed); err != nil {

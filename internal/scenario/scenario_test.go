@@ -432,8 +432,10 @@ func TestExpansionEqualsLonghand(t *testing.T) {
 
 // TestValidateRejectsUnreachableTreeMembers: a tree member or a pulled
 // joiner that neither the source nor any member so far shares a fabric
-// or a link with would be fed by the source over no path. Validate
-// names the event instead of the run panicking in core.
+// or a link with would be fed by the source over no path, and so would
+// the orphan of a drop or a repair whose only reaching relay is the one
+// it leaves. Validate runs core's plan and names the event instead of
+// the run meeting the refusal.
 func TestValidateRejectsUnreachableTreeMembers(t *testing.T) {
 	for _, c := range []struct{ name, text, want string }{
 		{"pull to an unattached box", `scenario pull-off
@@ -471,6 +473,26 @@ link b c bw=100M
 at 0s tree a -> b,c k=2 as t
 at 10ms pull t d
 `, ""},
+		{"drop the relay of an orphan only it reaches", `scenario rehome-drop
+duration 100ms
+box s mic=tone:400:8000
+box a
+box b
+link s a bw=10M
+link a b bw=10M
+at 0s tree s -> a,b k=1 as t
+at 10ms drop t a
+`, "scenario rehome-drop: event 2 (drop at 10ms): cannot re-home b off a: the tree's source does not reach it"},
+		{"repair the relay of an orphan only it reaches", `scenario rehome-repair
+duration 100ms
+box s mic=tone:400:8000
+box a
+box b
+link s a bw=10M
+link a b bw=10M
+at 0s tree s -> a,b k=1 as t
+at 10ms repair t a
+`, "scenario rehome-repair: event 2 (repair at 10ms): cannot re-home b off a: the tree's source does not reach it"},
 	} {
 		_, err := Parse(c.text)
 		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {

@@ -48,7 +48,8 @@ func NewAssembler(width, height int) *Assembler {
 // duplicate: it cannot be one of the pieces the frame is waiting for.
 func (a *Assembler) Add(hdr *segment.Video, c *Codec) (*Frame, error) {
 	w, h := int(hdr.Width), int(hdr.NumLines)
-	if _, _, err := frameBand(w, h, hdr.Data); err != nil {
+	rows, even, err := frameBand(w, h, hdr.Data)
+	if err != nil {
 		return nil, err
 	}
 	if !a.started || hdr.FrameNumber != a.current {
@@ -76,7 +77,7 @@ func (a *Assembler) Add(hdr *segment.Video, c *Codec) (*Frame, error) {
 		return nil, nil
 	}
 	band := a.img.View(Rect{X: int(hdr.XOffset), Y: int(hdr.YOffset), W: w, H: h})
-	c.DecompressBand(&band, hdr.Data) // framed above, so it decodes every row
+	c.decodeBand(&band, hdr.Data, rows, even)
 	a.have[hdr.SegmentNum] = true
 	a.got++
 	if a.got == len(a.have) {

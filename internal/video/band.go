@@ -9,8 +9,8 @@ import (
 // The packed-line form of a video segment's Data: every line of the
 // band as a 2-byte big-endian length, then the line's header byte and
 // body (CompressedLineSize bytes). The capture boards write it with
-// CompressBand and the display boards read it with DecompressBand; no
-// other code knows the layout.
+// CompressBand and the display boards read it with frameBand and
+// decodeBand (Assembler.Add); no other code knows the layout.
 //
 // The band kernels code a band's DPCM lines in one pass over its rows:
 // the encoder finds them at a fixed stride in both the frame (its row
@@ -32,7 +32,7 @@ import (
 // lines' chains interleaved so the CPU overlaps them, and undpcm, an
 // add per pixel with an OR of every prediction. Either decoder names
 // the lines whose predictions left [0, 255] — only a corrupt body does
-// that — and DecompressBand decodes those again with DecompressLine,
+// that — and decodeBand decodes those again with DecompressLine,
 // which saturates. Raw and sub-sampled lines, which the boards do not
 // send, go through the per-line reference code.
 
@@ -103,14 +103,11 @@ func (c *Codec) CompressBand(dst []byte, img *Frame, lp LineParams) []byte {
 	return dst
 }
 
-// DecompressBand decodes packed lines (CompressBand's form) into img's
-// rows, one line per row; img, which may be a view, must already be the
-// band's size. It returns how many rows it decoded. Lengths that run
-// past data, or a line count other than img.H, are a framing error,
-// found before any row is decoded (n == 0). ErrLineTooShort means line
-// n's body is too short for img.W; rows 0 to n-1 are decoded.
-func (c *Codec) DecompressBand(img *Frame, data []byte) (int, error) {
-	rows, even, err := frameBand(img.W, img.H, data)
+// decodeBand decodes the first rows packed lines of data (CompressBand's
+// form) into img's rows, one line per row; img, which may be a view,
+// must be the band's size, and rows and even are frameBand's verdict on
+// data for it.
+func (c *Codec) decodeBand(img *Frame, data []byte, rows int, even bool) {
 	ps, y := img.stride(), 0
 	if even {
 		first, _ := nextLine(data)
@@ -135,12 +132,14 @@ func (c *Codec) DecompressBand(img *Frame, data []byte) (int, error) {
 			c.redoLine(row, wire)
 		}
 	}
-	return rows, err
 }
 
-// frameBand is DecompressBand's framing pass over h lines of w pixels,
-// which finds every error: it returns the lines whole for the width
-// and whether each has the first one's length and header.
+// frameBand is a band's framing pass over h lines of w pixels, which
+// finds every error before decodeBand writes a row: it returns the
+// lines whole for the width and whether each has the first one's length
+// and header. Lengths that run past data, or a line count other than h,
+// are errFraming, with no row whole; ErrLineTooShort means the line
+// after the first rows is too short for w.
 func frameBand(w, h int, data []byte) (rows int, even bool, err error) {
 	lines, rows := 0, -1
 	var first []byte
@@ -169,7 +168,7 @@ func frameBand(w, h int, data []byte) (rows int, even bool, err error) {
 }
 
 // redoLine decodes wire into row with DecompressLine, which saturates;
-// wire's size was checked by DecompressBand's framing pass.
+// wire's size was checked by frameBand.
 func (c *Codec) redoLine(row, wire []byte) {
 	line, _ := c.DecompressLine(wire, len(row))
 	copy(row, line)

@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// DecompressBand decodes packed lines (CompressBand's form) into img's
+// rows, as Assembler.Add does: frameBand, then decodeBand. img, which
+// may be a view, must already be the band's size. It returns how many
+// rows it decoded. Lengths that run past data, or a line count other
+// than img.H, are a framing error, found before any row is decoded
+// (n == 0). ErrLineTooShort means line n's body is too short for img.W;
+// rows 0 to n-1 are decoded.
+func (c *Codec) DecompressBand(img *Frame, data []byte) (int, error) {
+	rows, even, err := frameBand(img.W, img.H, data)
+	c.decodeBand(img, data, rows, even)
+	return rows, err
+}
+
 // packRef is the packed-line form built line by line from the reference
 // coder: CompressLine's output behind a 2-byte big-endian length.
 func packRef(dst []byte, wires ...[]byte) []byte {

@@ -51,6 +51,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,6 +62,7 @@ import (
 type listed struct {
 	ImportPath, Dir                    string
 	GoFiles, TestGoFiles, XTestGoFiles []string
+	Deps                               []string
 }
 
 // place identifies a declaration across separate type-checks of one
@@ -119,26 +121,34 @@ func main() {
 		fatal("go list: %v", err)
 	}
 	var cands []candidate
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
+	var pkgs []listed
+	mod := map[string]listed{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		var p listed
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
 			fatal("decoding go list output: %v", err)
 		}
+		pkgs, mod[p.ImportPath] = append(pkgs, p), p
+	}
+	for _, p := range pkgs {
 		if len(p.GoFiles) > 0 {
-			pkg := check(p.ImportPath, p.Dir, p.GoFiles, "")
+			pkg := check(p.ImportPath, p.Dir, p.GoFiles, "", imp)
 			if strings.Contains(p.ImportPath, "/internal/") {
 				cands = append(cands, declared(pkg)...)
 			}
 		}
-		// A package's tests count for every package but their own.
+		// A package's tests count for every package but their own. Its
+		// external tests see it as go test builds it: with its in-package
+		// tests, which may declare what they use.
+		var xImp types.Importer = imp
 		if len(p.TestGoFiles) > 0 {
-			check(p.ImportPath, p.Dir, append(p.GoFiles, p.TestGoFiles...), p.ImportPath)
+			under := check(p.ImportPath, p.Dir, append(p.GoFiles, p.TestGoFiles...), p.ImportPath, imp)
+			xImp = &xtestImporter{under: p.ImportPath, pkgs: map[string]*types.Package{p.ImportPath: under}, mod: mod}
 		}
 		if len(p.XTestGoFiles) > 0 {
-			check(p.ImportPath+"_test", p.Dir, p.XTestGoFiles, p.ImportPath)
+			check(p.ImportPath+"_test", p.Dir, p.XTestGoFiles, p.ImportPath, xImp)
 		}
 	}
 	wd, err := os.Getwd()
@@ -176,9 +186,31 @@ func main() {
 	}
 }
 
-// check type-checks one package from the named files and records its
-// references, except those to objects of package skip.
-func check(path, dir string, names []string, skip string) *types.Package {
+// xtestImporter imports for an external test package as go test builds
+// it: the package under test comes with its in-package tests, and every
+// module package that imports it is checked again against that.
+type xtestImporter struct {
+	under string
+	pkgs  map[string]*types.Package // checked for this test, by path
+	mod   map[string]listed
+}
+
+func (x *xtestImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := x.pkgs[path]; ok {
+		return pkg, nil
+	}
+	l, ok := x.mod[path]
+	if !ok || !slices.Contains(l.Deps, x.under) {
+		return imp.Import(path)
+	}
+	x.pkgs[path] = check(path, l.Dir, l.GoFiles, "", x)
+	return x.pkgs[path], nil
+}
+
+// check type-checks one package from the named files, importing with
+// importer, and records its references, except those to objects of
+// package skip.
+func check(path, dir string, names []string, skip string, importer types.Importer) *types.Package {
 	var files []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, 0)
@@ -193,7 +225,7 @@ func check(path, dir string, names []string, skip string) *types.Package {
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: imp}
+	conf := types.Config{Importer: importer}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		fatal("type-checking %s: %v", path, err)
