@@ -24,7 +24,7 @@ type sendLog struct {
 	lat  *obs.Histogram
 }
 
-func newSendLog() *sendLog { return &sendLog{lat: obs.NewHistogram(nil)} }
+func newSendLog() *sendLog { return &sendLog{lat: obs.NewHistogram()} }
 
 // send records m's send time and sends it from h.
 func (l *sendLog) send(p *occam.Proc, h *Host, m Message) {

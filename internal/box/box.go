@@ -26,9 +26,8 @@
 // stream is open, the display board's decoder and assemblers at its
 // first segment, each decoupling ring's storage at its first push, each
 // server buffer when a grant finds none recycled (package allocator),
-// the muting tables when the muter first mutes, each latency
-// histogram's value map at its first fold, and every map at its first
-// write. Per-stream tables are byStream slices, not maps.
+// each latency histogram's value map at its first fold, and every map
+// at its first write. Per-stream tables are byStream slices, not maps.
 //
 // Ownership: each box owns one segment.WirePool. Sources (mic,
 // camera) encode into it; the server switch Retains once per extra
@@ -367,8 +366,8 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		captureCmds: occam.NewChan[captureCmd](rt, cfg.Name+".capturecmd"),
 		wires:       segment.NewWirePool(),
 	}
-	b.displayStat.FrameLat = obs.NewHistogram(nil)
-	b.playoutHist = obs.NewHistogram(nil)
+	b.displayStat.FrameLat = obs.NewHistogram()
+	b.playoutHist = obs.NewHistogram()
 	b.pool = allocator.New(rt, b.serverNode, poolBuffers, nil)
 	b.pool.Observe(cfg.Obs, cfg.Name)
 	b.trace = cfg.Obs.Tracer()
@@ -519,7 +518,7 @@ func (b *Box) DisplayStats() DisplayStats { return b.displayStat }
 func (b *Box) PlayoutLatency(stream uint32) *obs.Histogram {
 	t, ok := b.playout.get(stream)
 	if !ok {
-		t = obs.NewHistogram(nil)
+		t = obs.NewHistogram()
 		b.playout.set(stream, t)
 	}
 	return t

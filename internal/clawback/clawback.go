@@ -87,31 +87,24 @@ func (r DropReason) String() string {
 
 // Pool is the shared memory pool for all clawback buffers at one
 // destination ("we have a total of four seconds of clawback buffering
-// shared between all active streams").
+// shared between all active streams"): DefaultPoolBlocks blocks.
 type Pool struct {
-	capacity int
-	used     int
+	used int
 	// Exhausted counts arrivals refused because the pool was full.
 	Exhausted uint64
 }
 
-// NewPool returns a pool holding capacity blocks; capacity <= 0 gives
-// the paper's 4 s default.
-func NewPool(capacity int) *Pool {
-	if capacity <= 0 {
-		capacity = DefaultPoolBlocks
-	}
-	return &Pool{capacity: capacity}
-}
+// NewPool returns an empty pool of DefaultPoolBlocks blocks.
+func NewPool() *Pool { return &Pool{} }
 
 // Used returns the number of blocks currently held across all buffers.
 func (p *Pool) Used() int { return p.used }
 
 // Capacity returns the pool size in blocks.
-func (p *Pool) Capacity() int { return p.capacity }
+func (p *Pool) Capacity() int { return DefaultPoolBlocks }
 
 func (p *Pool) take() bool {
-	if p.used >= p.capacity {
+	if p.used >= DefaultPoolBlocks {
 		p.Exhausted++
 		return false
 	}
@@ -122,11 +115,9 @@ func (p *Pool) take() bool {
 func (p *Pool) give() { p.used-- }
 
 // Config parameterises a Buffer. The zero value selects the paper's
-// defaults for every field.
+// defaults for every field. The lower target is DefaultTargetBlocks,
+// and the multi-rate level DefaultLevel.
 type Config struct {
-	// TargetBlocks is the lower occupancy target in blocks (default 2
-	// = 4 ms).
-	TargetBlocks int
 	// ClawCount is the consecutive above-target count that triggers a
 	// clawback drop (default 4096 ≈ 8 s).
 	ClawCount int
@@ -136,9 +127,6 @@ type Config struct {
 	Pool *Pool
 	// MultiRate selects the multi-rate clawback (§3.7.2 last part).
 	MultiRate bool
-	// Level is the multi-rate product threshold in block·seconds
-	// (default 20).
-	Level float64
 	// NoReset is the A3 ablation: the above-target counter never
 	// resets when the buffer returns to its target, so the "faster"
 	// correction the paper warns about fires during occasional short
@@ -157,17 +145,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TargetBlocks <= 0 {
-		c.TargetBlocks = DefaultTargetBlocks
-	}
 	if c.ClawCount <= 0 {
 		c.ClawCount = DefaultClawCount
 	}
 	if c.LimitBlocks <= 0 {
 		c.LimitBlocks = DefaultLimitBlocks
-	}
-	if c.Level <= 0 {
-		c.Level = DefaultLevel
 	}
 	return c
 }
@@ -327,7 +309,7 @@ func (b *Buffer) grow() {
 // pushSingleRate runs the fixed-rate clawback check and reports
 // whether the incoming block should be dropped.
 func (b *Buffer) pushSingleRate() bool {
-	if b.n > b.cfg.TargetBlocks {
+	if b.n > DefaultTargetBlocks {
 		b.aboveTarget++
 		if b.aboveTarget > b.cfg.ClawCount {
 			b.aboveTarget = 0
@@ -343,7 +325,7 @@ func (b *Buffer) pushSingleRate() bool {
 
 // pushMultiRate runs the product check: remove a block and reset the
 // counts whenever (minimum contents) × (blocks since last reset)
-// exceeds the configured level in block·seconds. The minimum is
+// exceeds DefaultLevel block·seconds. The minimum is
 // sampled at block arrival, before the incoming block is queued.
 //
 // One refinement over the paper's sketch: if the running minimum
@@ -362,12 +344,12 @@ func (b *Buffer) pushMultiRate() bool {
 	}
 	b.sinceReset++
 	product := float64(b.minBlocks) * blockSeconds * float64(b.sinceReset)
-	if product >= b.cfg.Level {
+	if product >= DefaultLevel {
 		b.sinceReset = 0
 		b.minBlocks = b.n
 		return true
 	}
-	if float64(b.sinceReset) >= b.cfg.Level/blockSeconds {
+	if float64(b.sinceReset) >= DefaultLevel/blockSeconds {
 		b.sinceReset = 0
 		b.minBlocks = b.n
 	}

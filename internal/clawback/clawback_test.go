@@ -43,7 +43,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestQueueKeepsOrderAndStorageAcrossWrapGrowthAndDrain(t *testing.T) {
-	pool := NewPool(0)
+	pool := NewPool()
 	b := New(Config{Pool: pool})
 	blocks := make([][]byte, 64)
 	for i := range blocks {
@@ -120,7 +120,7 @@ func TestBufferRidesHigherAfterUnderrun(t *testing.T) {
 
 func TestNoClawAtOrBelowTarget(t *testing.T) {
 	// Steady occupancy at the target must never trigger clawback.
-	b := New(Config{TargetBlocks: 2, ClawCount: 10})
+	b := New(Config{ClawCount: 10})
 	b.Push(block(0))
 	b.Push(block(0))
 	for i := 0; i < 1000; i++ {
@@ -187,7 +187,7 @@ func TestClawCounterResetsBelowTarget(t *testing.T) {
 	// A buffer that regularly returns to its target must not
 	// accumulate above-target counts across excursions ("If this
 	// correction were faster... unnecessary degradation").
-	b := New(Config{TargetBlocks: 2, ClawCount: 100})
+	b := New(Config{ClawCount: 100})
 	b.Push(block(0))
 	b.Push(block(0))
 	for cycle := 0; cycle < 50; cycle++ {
@@ -257,15 +257,17 @@ func TestDefaultLimitIs120ms(t *testing.T) {
 }
 
 func TestPoolSharedBetweenStreams(t *testing.T) {
-	pool := NewPool(10)
-	a := New(Config{Pool: pool})
-	b := New(Config{Pool: pool})
-	for i := 0; i < 6; i++ {
+	// Two streams share the 4 s pool: 1 200 blocks in one and 800 in
+	// the other fill it, and draining one frees room for the other.
+	pool := NewPool()
+	a := New(Config{Pool: pool, LimitBlocks: DefaultPoolBlocks})
+	b := New(Config{Pool: pool, LimitBlocks: DefaultPoolBlocks})
+	for i := 0; i < 1200; i++ {
 		if r := a.Push(block(0)); r != DropNone {
 			t.Fatalf("a push %d: %v", i, r)
 		}
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultPoolBlocks-1200; i++ {
 		if r := b.Push(block(0)); r != DropNone {
 			t.Fatalf("b push %d: %v", i, r)
 		}
@@ -273,13 +275,13 @@ func TestPoolSharedBetweenStreams(t *testing.T) {
 	if r := b.Push(block(0)); r != DropPool {
 		t.Fatalf("pool-exhausted push: %v", r)
 	}
-	if pool.Exhausted != 1 || pool.Used() != 10 {
-		t.Fatalf("pool state used=%d exhausted=%d", pool.Used(), pool.Exhausted)
+	if pool.Exhausted != 1 || pool.Used() != DefaultPoolBlocks || pool.Capacity() != 2000 {
+		t.Fatalf("pool state used=%d of %d exhausted=%d", pool.Used(), pool.Capacity(), pool.Exhausted)
 	}
 	// Draining one stream frees capacity for the other.
 	a.Drain()
-	if pool.Used() != 4 {
-		t.Fatalf("pool used %d after drain, want 4", pool.Used())
+	if pool.Used() != 800 {
+		t.Fatalf("pool used %d after drain, want 800", pool.Used())
 	}
 	if r := b.Push(block(0)); r != DropNone {
 		t.Fatalf("push after drain: %v", r)
@@ -287,7 +289,7 @@ func TestPoolSharedBetweenStreams(t *testing.T) {
 }
 
 func TestPoolReleasedOnPop(t *testing.T) {
-	pool := NewPool(4)
+	pool := NewPool()
 	b := New(Config{Pool: pool})
 	for i := 0; i < 4; i++ {
 		b.Push(block(0))
@@ -295,6 +297,38 @@ func TestPoolReleasedOnPop(t *testing.T) {
 	b.Pop()
 	if pool.Used() != 3 {
 		t.Fatalf("pool used %d after pop", pool.Used())
+	}
+}
+
+func TestFaultDropReleasesTheWire(t *testing.T) {
+	// Every third block is injected corruption at the destination: it
+	// is counted, queues nothing, and gives its wire reference back, so
+	// once the rest are popped and released every record is free.
+	pl := segment.NewWirePool()
+	fault := 0
+	b := New(Config{Fault: func() bool { fault++; return fault%3 == 0 }})
+	for seq := uint32(0); seq < 9; seq++ {
+		w := pl.Encode(segment.NewAudio(seq, 0, [][]byte{block(byte(seq))}))
+		want := DropNone
+		if seq%3 == 2 {
+			want = DropFault
+		}
+		if r := b.PushItem(Item{Data: w.AudioBlock(0), W: w}); r != want {
+			t.Fatalf("push %d: %v, want %v", seq, r, want)
+		}
+	}
+	if st := b.Stats(); st.FaultDrops != 3 || st.Accepted != 6 || b.Len() != 6 {
+		t.Fatalf("stats %+v with %d queued, want 3 fault drops and 6 queued", st, b.Len())
+	}
+	for {
+		it, ok := b.PopItem()
+		if !ok {
+			break
+		}
+		it.W.Release()
+	}
+	if pl.FreeLen() != int(pl.News) {
+		t.Fatalf("%d of %d wire records returned", pl.FreeLen(), pl.News)
 	}
 }
 
@@ -378,13 +412,13 @@ func TestMultiRateExponentialDecayHalfLife(t *testing.T) {
 func TestMultiRateRecoversAfterEmpty(t *testing.T) {
 	// After the buffer empties (running minimum 0), the observation
 	// window must eventually reset so clawback resumes.
-	b := New(Config{MultiRate: true, Level: 2})
+	b := New(Config{MultiRate: true})
 	b.Pop() // minimum touches zero
 	for i := 0; i < 25; i++ {
 		b.Push(block(0)) // 50 ms of correction
 	}
 	dropped := false
-	for i := 0; i < 3000; i++ { // window at level 2 = 1000 blocks
+	for i := 0; i < 30_000; i++ { // window at level 20 = 10 000 blocks
 		if r := b.Push(block(0)); r == DropClaw {
 			dropped = true
 			break
@@ -431,7 +465,13 @@ func TestQuickOccupancyNeverExceedsLimit(t *testing.T) {
 func TestQuickStatsConservation(t *testing.T) {
 	// Accepted = Popped + Len: no block is lost or duplicated.
 	f := func(ops []byte) bool {
-		pool := NewPool(50)
+		// Another stream holds all but 20 blocks of the pool, so this
+		// one meets both its limit and the pool's.
+		pool := NewPool()
+		other := New(Config{Pool: pool, LimitBlocks: DefaultPoolBlocks})
+		for other.Len() < DefaultPoolBlocks-20 {
+			other.Push(nil)
+		}
 		b := New(Config{Pool: pool, LimitBlocks: 30})
 		for _, op := range ops {
 			if op%3 == 0 {
@@ -447,7 +487,7 @@ func TestQuickStatsConservation(t *testing.T) {
 		if s.Pushed != s.Accepted+s.ClawDrops+s.LimitDrops+s.PoolDrops {
 			return false
 		}
-		return pool.Used() == b.Len()
+		return pool.Used() == other.Len()+b.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@
 // assert on.
 //
 // The controller is a stackless process (occam.GoStep) that samples at
-// its own turn every Interval. Carrying out a shed or a restore may park
+// its own turn every 20 ms. Carrying out a shed or a restore may park
 // it on the target, and what follows that wait is Target.DegradeSettle.
 package degrade
 
@@ -75,10 +75,11 @@ const (
 	lowWater = 0.25
 )
 
+// interval is the control-loop period.
+const interval = 20 * time.Millisecond
+
 // Config parameterises a Controller. Zero values select defaults.
 type Config struct {
-	// Interval is the control-loop period (default 20 ms).
-	Interval time.Duration
 	// Hold is how long pressure must stay below lowWater — and the
 	// minimum spacing between restores (default 400 ms).
 	Hold time.Duration
@@ -94,9 +95,6 @@ type Config struct {
 // setDefaults sets each field left at zero or below to its default.
 // It writes nothing to a Config whose fields are all set.
 func (c *Config) setDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = 20 * time.Millisecond
-	}
 	if c.Hold <= 0 {
 		c.Hold = 400 * time.Millisecond
 	}
@@ -204,16 +202,16 @@ func (c *Controller) NumShed() int { return len(c.shed) }
 
 // Where the controller's step resumes.
 const (
-	ctlSleep  = iota // about to sleep an Interval
-	ctlSample        // an Interval is over: sample, and begin a decision if one is due
+	ctlSleep  = iota // about to sleep an interval
+	ctlSample        // an interval is over: sample, and begin a decision if one is due
 	ctlSettle        // the target is done with it: settle it and log it
 )
 
-// step is the control loop: a sample every Interval, and a shed or a
+// step is the control loop: a sample every interval, and a shed or a
 // restore when one finds it due. Carrying it out may park the controller
 // (Target.DegradeShed's rendezvous with the switch), and the decision is
 // settled, counted, logged and traced when that wait is over. The next
-// sample is an Interval after that.
+// sample is an interval after that.
 // controllerStep is a controller as its process: its Step is step.
 type controllerStep Controller
 
@@ -223,9 +221,9 @@ func (c *Controller) step(p *occam.Proc) {
 	for {
 		switch c.at {
 		case ctlSleep:
-			// An Interval ahead, so this always parks.
+			// An interval ahead, so this always parks.
 			c.at = ctlSample
-			if p.Sleep(c.cfg.Interval); p.Parked() {
+			if p.Sleep(interval); p.Parked() {
 				return
 			}
 		case ctlSample:

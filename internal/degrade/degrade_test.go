@@ -53,8 +53,8 @@ func value(reg *obs.Registry, name string, labels ...obs.Label) float64 {
 	return sm.Value
 }
 
+// quickCfg sheds at every 20 ms sample and restores after 50 ms.
 var quickCfg = degrade.Config{
-	Interval:  5 * time.Millisecond,
 	ShedEvery: 10 * time.Millisecond,
 	Hold:      50 * time.Millisecond,
 }
@@ -122,7 +122,8 @@ func TestShedOrderAndLIFORestore(t *testing.T) {
 // TestShedSettlesWhenTheTargetTakesIt: a target whose shed waits on a
 // rendezvous parks the controller. The decision keeps the instant it
 // was taken at, but the controller counts, logs and settles it only
-// when the rendezvous is over, and samples again an Interval after that.
+// when the rendezvous is over, and samples again an interval (20 ms)
+// after that.
 func TestShedSettlesWhenTheTargetTakesIt(t *testing.T) {
 	const ms = occam.Time(time.Millisecond)
 	rt := occam.NewRuntime()
@@ -133,24 +134,31 @@ func TestShedSettlesWhenTheTargetTakesIt(t *testing.T) {
 	ft.video = 1
 	var took string
 	rt.Go("switch", nil, occam.High, func(p *occam.Proc) {
-		p.SleepUntil(13 * ms) // the decision is due at 10 ms: ShedEvery after time zero
+		p.SleepUntil(33 * ms) // the decision is due at the first sample, 20 ms
 		id := ft.cmds.Recv(p)
 		took = fmt.Sprintf("stream %d at %v: %d shed, settled %v", id, p.Now(), c.NumShed(), ft.settled)
 	})
-	if err := rt.RunUntil(20 * ms); err != nil {
+	if err := rt.RunUntil(52 * ms); err != nil {
 		t.Fatal(err)
 	}
-	if want := "stream 1 at t+13ms: 0 shed, settled []"; took != want {
+	if want := "stream 1 at t+33ms: 0 shed, settled []"; took != want {
 		t.Errorf("the target took %q, want %q", took, want)
 	}
 	acts := c.Actions()
-	if len(acts) != 1 || acts[0].At != 10*ms || c.NumShed() != 1 || !reflect.DeepEqual(ft.settled, []string{"1 shed=true"}) {
-		t.Errorf("after the rendezvous: actions %v, %d shed, settled %v; want one at 10ms, 1, [1 shed=true]",
+	if len(acts) != 1 || acts[0].At != 20*ms || c.NumShed() != 1 || !reflect.DeepEqual(ft.settled, []string{"1 shed=true"}) {
+		t.Errorf("after the rendezvous: actions %v, %d shed, settled %v; want one at 20ms, 1, [1 shed=true]",
 			acts, c.NumShed(), ft.settled)
 	}
-	// Samples at 5 and 10 ms, then at 18 ms: an Interval after the settle.
-	if ticks := value(reg, "degrade_ticks_total", obs.L("box", "t")); ticks != 3 {
-		t.Errorf("%v samples by 20 ms, want 3", ticks)
+	// A sample at 20 ms, then at 53 ms: an interval after the settle,
+	// not on the 20 ms grid (which would have sampled at 40 ms).
+	if ticks := value(reg, "degrade_ticks_total", obs.L("box", "t")); ticks != 1 {
+		t.Errorf("%v samples by 52 ms, want 1", ticks)
+	}
+	if err := rt.RunUntil(53 * ms); err != nil {
+		t.Fatal(err)
+	}
+	if ticks := value(reg, "degrade_ticks_total", obs.L("box", "t")); ticks != 2 {
+		t.Errorf("%v samples by 53 ms, want 2", ticks)
 	}
 }
 

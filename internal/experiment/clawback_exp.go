@@ -254,7 +254,7 @@ func E19() *Table {
 	t.Add("one stream, 400 ms burst", fmt.Sprintf("%d", b.Stats().LimitDrops), "0",
 		b.Occupancy().String())
 	// Shared pool: 40 streams × 100 ms wants 4000 blocks > 2000 pool.
-	pool := clawback.NewPool(0)
+	pool := clawback.NewPool()
 	var limitDrops, poolDrops uint64
 	maxUsed := 0
 	for i := 0; i < 40; i++ {

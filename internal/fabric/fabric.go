@@ -84,18 +84,20 @@ type Config struct {
 	PortBandwidth int64
 	// Propagation is the egress propagation delay per cell train.
 	Propagation time.Duration
-	// IngressLimit bounds a port's ingress queue in messages
-	// (default 64).
-	IngressLimit int
 	// EgressCellLimit bounds a port's egress queue in cells
 	// (default 8192 ≈ 384 KB of payload).
 	EgressCellLimit int
-	// BatchCells is the egress transmitter's maximum cell train per
-	// timer event (default 256 cells ≈ 12 KB). Larger trains cost
-	// fewer scheduler wake-ups under backlog but coarsen delivery
-	// timing by one train's transmission time.
-	BatchCells int
 }
+
+const (
+	// ingressLimit bounds a port's ingress queue in messages.
+	ingressLimit = 64
+	// batchCells is the egress transmitter's maximum cell train per
+	// timer event (256 cells ≈ 12 KB). Larger trains cost fewer
+	// scheduler wake-ups under backlog but coarsen delivery timing by
+	// one train's transmission time.
+	batchCells = 256
+)
 
 // xbarSpeedup is the crossbar's service rate as a multiple of
 // PortBandwidth: the shared backplane is faster than any one port, so
@@ -107,14 +109,8 @@ func (c Config) withDefaults() Config {
 	if c.PortBandwidth <= 0 {
 		c.PortBandwidth = 100_000_000
 	}
-	if c.IngressLimit <= 0 {
-		c.IngressLimit = 64
-	}
 	if c.EgressCellLimit <= 0 {
 		c.EgressCellLimit = 8192
-	}
-	if c.BatchCells <= 0 {
-		c.BatchCells = 256
 	}
 	return c
 }
@@ -380,13 +376,13 @@ func (pt *Port) IngressCopies() map[uint32]uint64 {
 func (pt *Port) MaxIngressCopies() uint64 { return pt.inMax }
 
 // Occupancy returns the egress queue's cells over EgressCellLimit and
-// the ingress queue's messages over IngressLimit, the train being
+// the ingress queue's messages over ingressLimit, the train being
 // transmitted and the message crossing not counted:
 // fabric_port_queue_depth over fabric_port_queue_limit, and
 // fabric_port_ingress_depth over fabric_port_ingress_limit.
 func (pt *Port) Occupancy() (egress, ingress float64) {
 	cfg := pt.fab.cfg
-	return float64(pt.egCells) / float64(cfg.EgressCellLimit), float64(len(pt.inq)) / float64(cfg.IngressLimit)
+	return float64(pt.egCells) / float64(cfg.EgressCellLimit), float64(len(pt.inq)) / ingressLimit
 }
 
 // SetFault attaches a fault process to the port's egress (nil
@@ -413,7 +409,7 @@ var portTable = obs.NewTable(append([]obs.Column[*Port]{
 	obs.CounterOf("fabric_port_unrouted_total", func(pt *Port) uint64 { return pt.unrouted }),
 	obs.CounterOf("fabric_port_shed_drops_total", func(pt *Port) uint64 { return pt.shedDrops }),
 	obs.GaugeOf("fabric_port_ingress_depth", func(pt *Port) float64 { return float64(len(pt.inq)) }),
-	obs.GaugeOf("fabric_port_ingress_limit", func(pt *Port) float64 { return float64(pt.fab.cfg.IngressLimit) }),
+	obs.GaugeOf("fabric_port_ingress_limit", func(*Port) float64 { return ingressLimit }),
 	obs.GaugeOf("fabric_port_queue_depth", func(pt *Port) float64 { return float64(pt.egCells) }),
 	obs.GaugeOf("fabric_port_queue_limit", func(pt *Port) float64 { return float64(pt.fab.cfg.EgressCellLimit) }),
 }, atm.FaultColumns("fabric_port_fault_", func(pt *Port) *atm.FaultGate { return pt.fault })...)...)
@@ -440,7 +436,7 @@ func (pt *Port) Send(p *occam.Proc, m atm.Message) error {
 	pt.inByVCI[m.VCI] = n
 	pt.inMax = max(pt.inMax, n)
 	if pt.crossBusy {
-		if len(pt.inq) >= pt.fab.cfg.IngressLimit {
+		if len(pt.inq) >= ingressLimit {
 			pt.inDrops++
 			pt.fab.trace.EmitAt(p.Now(), obs.EvDrop, pt.nm, m.VCI, "ingress-overflow")
 			m.W.Release()
@@ -527,13 +523,13 @@ func (pt *Port) egArrive(s occam.Sched, m atm.Message) {
 
 // slice cuts the next cell train off the head of the egress queue into
 // pt.batch: at least one message, then as many more as fit in
-// BatchCells. The batch buffer is reused train to train.
+// batchCells. The batch buffer is reused train to train.
 func (pt *Port) slice() {
 	pt.batch = pt.batch[:0]
 	got := 0
 	for len(pt.egq) > 0 {
 		n := cells(pt.egq[0].Size)
-		if got > 0 && got+n > pt.fab.cfg.BatchCells {
+		if got > 0 && got+n > batchCells {
 			break
 		}
 		got += n

@@ -233,25 +233,37 @@ func TestFabricPortFaultIsolation(t *testing.T) {
 }
 
 // TestFabricEgressOverflow drives a port past its cell bound and checks
-// drop-tail accounting plus full wire recovery.
+// train slicing, drop-tail accounting and full wire recovery. At
+// 1 Mbit/s a two-cell message transmits in 848 µs, and one arrives
+// every 100 µs: by 100 ms the backlog holds far more than a train, so
+// the train in flight is 256 cells.
 func TestFabricEgressOverflow(t *testing.T) {
 	r := newRig(t, 2, Config{
 		PortBandwidth:   1_000_000, // slow port: backlog builds
-		EgressCellLimit: 64,
-		BatchCells:      16,
+		EgressCellLimit: 1024,
 	})
 	r.fab.Route(0, 40, r.fab.Port(1), true)
-	r.send(t, 0, 40, 200, 100*time.Microsecond)
+	r.send(t, 0, 40, 2000, 100*time.Microsecond)
+	if err := r.rt.RunUntil(occam.Time(100 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	train := 0
+	for _, m := range r.fab.Port(1).batch {
+		train += cells(m.Size)
+	}
+	if train != 256 {
+		t.Fatalf("a train under backlog holds %d cells, want 256", train)
+	}
 	if err := r.rt.RunUntil(occam.Time(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	r.rt.Shutdown()
-	s := r.fab.Port(1).Stats()
+	from, s := r.fab.Port(0).Stats(), r.fab.Port(1).Stats()
 	if s.EgressDrops == 0 {
 		t.Fatalf("expected egress drops, stats %+v", s)
 	}
-	if s.Forwarded == 0 || s.Forwarded+s.EgressDrops+s.IngressDrops != 200 {
-		t.Fatalf("message conservation violated: %+v", s)
+	if s.Forwarded == 0 || s.Forwarded+s.EgressDrops+from.IngressDrops != 2000 {
+		t.Fatalf("message conservation violated: sending port %+v, receiving port %+v", from, s)
 	}
 	r.checkNoWireLeak(t)
 }
@@ -308,15 +320,15 @@ func TestRouteTableGrowsByDoubling(t *testing.T) {
 // TestOccupancyIsTheGaugeQuotient: Port.Occupancy reads what the
 // egress and ingress depth gauges over their limits read — the train
 // being transmitted and the message crossing held outside both —
-// empty, partly full and full. At 1 kbit/s a one-cell message crosses
-// in 53 ms and transmits in 424 ms, so egress fills from the crossbar
-// behind the first train.
+// empty, partly full and full, and the ingress queue overflows at 64.
+// At 1 kbit/s a one-cell message crosses in 53 ms and transmits in
+// 424 ms, so egress fills from the crossbar behind the first train.
 func TestOccupancyIsTheGaugeQuotient(t *testing.T) {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
 	reg := obs.New(rt)
 	net := atm.New(rt)
-	fab := New(rt, "fab", Config{PortBandwidth: 1000, IngressLimit: 4, EgressCellLimit: 4, BatchCells: 1})
+	fab := New(rt, "fab", Config{PortBandwidth: 1000, EgressCellLimit: 4})
 	fab.Observe(reg)
 	a := net.AddHost("a")
 	src := fab.Attach(a)
@@ -335,6 +347,9 @@ func TestOccupancyIsTheGaugeQuotient(t *testing.T) {
 			t.Errorf("%s: %s Occupancy (%v, %v), gauges (%v, %v); want (%v, %v)", when, pt.Name(), eg, in, geg, gin, egress, ingress)
 		}
 	}
+	if lim, _ := reg.Snapshot().Get("fabric_port_ingress_limit", obs.L("port", src.Name())); lim.Value != 64 {
+		t.Fatalf("fabric_port_ingress_limit reads %v, want 64", lim.Value)
+	}
 	rt.Go("sender", nil, occam.High, func(p *occam.Proc) {
 		check("empty", src, 0, 0)
 		check("empty", dst, 0, 0)
@@ -343,13 +358,18 @@ func TestOccupancyIsTheGaugeQuotient(t *testing.T) {
 				a.Send(p, atm.Message{VCI: 1, Size: 48})
 			}
 		}
-		send(3) // one crossing, 2 of 4 queued
-		check("3 sent", src, 0, 0.5)
-		send(2)
-		check("5 sent", src, 0, 1)
+		send(33) // one crossing, 32 of 64 queued
+		check("33 sent", src, 0, 0.5)
+		send(32)
+		check("65 sent", src, 0, 1)
+		send(1) // the queue is full: dropped
+		check("66 sent", src, 0, 1)
+		if d := src.Stats().IngressDrops; d != 1 {
+			t.Errorf("%d ingress drops, want 1", d)
+		}
 		p.SleepUntil(occam.Time(170 * time.Millisecond)) // 3 crossed: one transmitting, 2 of 4 queued
 		check("3 crossed", dst, 0.5, 0)
-		check("3 crossed", src, 0, 0.25)
+		check("3 crossed", src, 0, 61.0/64)
 		p.SleepUntil(occam.Time(280 * time.Millisecond)) // 5 crossed
 		check("5 crossed", dst, 1, 0)
 	})

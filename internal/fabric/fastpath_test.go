@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atm"
 	"repro/internal/faultinject"
 	"repro/internal/occam"
+	"repro/internal/segment"
 )
 
 // TestFabricConcurrentRerouteFaults stresses the sharded fast path
@@ -18,7 +20,7 @@ import (
 // queues, crossing timers, egress trains, route table) stays inside
 // that discipline under churn.
 func TestFabricConcurrentRerouteFaults(t *testing.T) {
-	r := newRig(t, 8, Config{EgressCellLimit: 256, BatchCells: 32})
+	r := newRig(t, 8, Config{EgressCellLimit: 256})
 
 	// Two faulted ports: one noisy (loss/jitter/dup), one with a stall
 	// window mid-run.
@@ -94,7 +96,7 @@ func TestFabricConcurrentRerouteFaults(t *testing.T) {
 // and ordinary delivery — every storage record the pool ever handed
 // out must be back on the free list.
 func TestFabricCellPoolNoLeak(t *testing.T) {
-	r := newRig(t, 4, Config{IngressLimit: 4, EgressCellLimit: 32, BatchCells: 8})
+	r := newRig(t, 4, Config{EgressCellLimit: 32})
 	r.fab.Port(3).SetFault(faultinject.NewLink(faultinject.LinkConfig{
 		BurstEnter: 0.05, Duplicate: 0.10,
 		Stalls: []faultinject.Window{{From: 50 * time.Millisecond, To: 120 * time.Millisecond}},
@@ -106,6 +108,15 @@ func TestFabricCellPoolNoLeak(t *testing.T) {
 	r.send(t, 0, 40, 200, 500*time.Microsecond)
 	r.send(t, 1, 41, 200, 500*time.Microsecond)
 	r.send(t, 2, 42, 100, time.Millisecond)
+	// 100 messages at once from host 1, whose port is otherwise idle
+	// then: one crosses, 64 queue and 35 overflow the ingress queue.
+	r.rt.Go("burst", nil, occam.Low, func(p *occam.Proc) {
+		p.SleepUntil(occam.Time(30*time.Millisecond + 250*time.Microsecond))
+		for i := 0; i < 100; i++ {
+			w := r.pool.Encode(segment.NewAudio(uint32(i), 0, [][]byte{make([]byte, segment.BlockSamples)}))
+			r.hosts[1].Send(p, atm.Message{VCI: 41, Size: len(w.Bytes()), W: w})
+		}
+	})
 	// Shed VCI 40 halfway through.
 	r.rt.Go("shed", nil, occam.Low, func(p *occam.Proc) {
 		p.Sleep(60 * time.Millisecond)
@@ -123,6 +134,9 @@ func TestFabricCellPoolNoLeak(t *testing.T) {
 	s := r.fab.Port(3).Stats()
 	if s.Fault.Drops == 0 || s.Fault.Duplicates == 0 || s.ShedDrops == 0 || s.Fault.Stalls == 0 {
 		t.Errorf("fault paths not all exercised: %+v", s)
+	}
+	if d := r.fab.Port(1).Stats().IngressDrops; d != 35 {
+		t.Errorf("%d ingress overflow drops at port 1, want 35", d)
 	}
 	var unrouted uint64
 	for _, pt := range r.fab.Ports() {

@@ -16,7 +16,7 @@ import (
 // of the two ports: none are lost or duplicated across the switch, and
 // the sender's ingress accounting sees every copy.
 func TestRerouteMidStream(t *testing.T) {
-	r := newRig(t, 3, Config{EgressCellLimit: 256, BatchCells: 8})
+	r := newRig(t, 3, Config{EgressCellLimit: 256})
 	const cells = 400
 	r.fab.Route(0, 50, r.fab.Port(1), false)
 	r.send(t, 0, 50, cells, 500*time.Microsecond)
@@ -49,7 +49,7 @@ func TestRerouteMidStream(t *testing.T) {
 // IngressCopies' counts, at the sending port and at a port that sent
 // nothing.
 func TestMaxIngressCopiesTracksTheLargestCount(t *testing.T) {
-	r := newRig(t, 2, Config{EgressCellLimit: 4096, IngressLimit: 4096})
+	r := newRig(t, 2, Config{EgressCellLimit: 4096})
 	vcis := []uint32{70, 71, 72, 73, 74}
 	for _, vci := range vcis {
 		r.fab.Route(0, vci, r.fab.Port(1), false)

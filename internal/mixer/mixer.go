@@ -28,21 +28,16 @@ import (
 	"repro/internal/segment"
 )
 
-// DefaultMaxConcealBlocks bounds how many replayed blocks one
-// sequence gap may insert ("Replaying the last 2ms block occasionally
-// is perfectly acceptable... replaying 2ms blocks frequently gives a
-// garbled effect").
-const DefaultMaxConcealBlocks = 4
+// MaxConcealBlocks bounds how many replayed blocks one sequence gap
+// may insert ("Replaying the last 2ms block occasionally is perfectly
+// acceptable... replaying 2ms blocks frequently gives a garbled
+// effect").
+const MaxConcealBlocks = 4
 
-// Config parameterises a Mixer. Zero values select defaults.
+// Config parameterises a Mixer. Each stream's clawback buffer has the
+// paper's defaults and draws on one pool of clawback.DefaultPoolBlocks
+// shared by the mixer's streams.
 type Config struct {
-	// Clawback is the per-stream buffer configuration; its Pool field
-	// is overridden by the mixer's shared pool.
-	Clawback clawback.Config
-	// PoolBlocks is the shared clawback pool size (default 4 s).
-	PoolBlocks int
-	// MaxConcealBlocks bounds loss concealment per sequence gap.
-	MaxConcealBlocks int
 	// Obs, if non-nil, registers per-stream and pool instruments
 	// (labelled with Name) and traces stream lifecycle and drops.
 	Obs *obs.Registry
@@ -143,15 +138,12 @@ type Mixer struct {
 
 // New returns a mixer with the given configuration.
 func New(cfg Config) *Mixer {
-	if cfg.MaxConcealBlocks <= 0 {
-		cfg.MaxConcealBlocks = DefaultMaxConcealBlocks
-	}
 	if cfg.Name == "" {
 		cfg.Name = "mixer"
 	}
 	m := &Mixer{
 		cfg:  cfg,
-		pool: clawback.NewPool(cfg.PoolBlocks),
+		pool: clawback.NewPool(),
 	}
 	mixerTable.Register(cfg.Obs, m, obs.L("box", cfg.Name))
 	return m
@@ -220,14 +212,10 @@ func (m *Mixer) Stats(id uint32) StreamStats {
 // newStream creates destination state for stream id, registering its
 // row and its clawback buffer's.
 func (m *Mixer) newStream(id uint32) *stream {
-	cfg := m.cfg.Clawback
-	cfg.Pool = m.pool
-	cfg.Obs = m.cfg.Obs
 	sid := strconv.FormatUint(uint64(id), 10)
-	cfg.Owner = m.cfg.Name + "/" + sid
 	s := &stream{
 		id:     id,
-		buf:    clawback.New(cfg),
+		buf:    clawback.New(clawback.Config{Pool: m.pool, Obs: m.cfg.Obs, Owner: m.cfg.Name + "/" + sid}),
 		active: true,
 		digest: fnvOffset,
 	}
@@ -281,10 +269,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 		gap := int(int32(seq - s.nextSeq)) // whole missing segments
 		if gap > 0 {
 			s.c.lost += uint64(gap)
-			conceal := gap * blocks
-			if conceal > m.cfg.MaxConcealBlocks {
-				conceal = m.cfg.MaxConcealBlocks
-			}
+			conceal := min(gap*blocks, MaxConcealBlocks)
 			if conceal > 0 && s.haveLast {
 				// One owned copy per gap episode, shared by every
 				// replayed block queued for it.

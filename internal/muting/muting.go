@@ -5,7 +5,7 @@
 // to full volume only after the loudspeaker output has stayed below
 // the threshold long enough for room reverberations to die away.
 //
-// Defaults follow figure 4.1: a deep stage at 20 % lasting 22 ms
+// The schedule is figure 4.1's: a deep stage at 20 % lasting 22 ms
 // after the last threshold crossing ("the sounds from the speaker
 // will have travelled about 22 feet before we return to the 50%
 // factor"), then 50 % for a further 22 ms, then 100 %. Stage changes
@@ -13,9 +13,8 @@
 // we move around in the audio code"), and the two-stage shape keeps
 // each step small enough that no audible click is heard. The factors
 // are applied by µ-law lookup tables (mulaw.ScaleTable) as blocks are
-// copied between fifos, giving at least 4 ms of reaction margin. Each
-// table is built the first time its stage mutes a block, so a muter
-// that never mutes holds none.
+// copied between fifos, giving at least 4 ms of reaction margin. The
+// two tables are built once, and every Muter shares them.
 package muting
 
 import (
@@ -24,52 +23,33 @@ import (
 	"repro/internal/mulaw"
 )
 
-// Defaults from figure 4.1.
+// The values of figure 4.1.
 const (
-	// DefaultThreshold is the linear speaker level that triggers
-	// muting. The paper leaves the value configurable; a quarter of
-	// full scale suits normal speech levels.
-	DefaultThreshold = 8000
-	// DefaultDeepFactor is the first muting stage.
-	DefaultDeepFactor = 0.20
-	// DefaultMidFactor is the second muting stage.
-	DefaultMidFactor = 0.50
-	// DefaultDeepHold is how long the deep stage lasts after the last
+	// Threshold is the linear speaker level that triggers muting. The
+	// paper makes the threshold, factors and holds "dynamically
+	// alterable" but gives no threshold; a quarter of full scale suits
+	// normal speech levels.
+	Threshold = 8000
+	// DeepFactor is the first muting stage.
+	DeepFactor = 0.20
+	// MidFactor is the second muting stage.
+	MidFactor = 0.50
+	// DeepHold is how long the deep stage lasts after the last
 	// threshold crossing.
-	DefaultDeepHold = 22 * time.Millisecond
-	// DefaultMidHold is how long the mid stage lasts after that.
-	DefaultMidHold = 22 * time.Millisecond
+	DeepHold = 22 * time.Millisecond
+	// MidHold is how long the mid stage lasts after that.
+	MidHold = 22 * time.Millisecond
 )
 
-// Config parameterises a Muter; "the threshold, muting factors and
-// delay times are all dynamically alterable". Zero values select the
-// paper's defaults.
-type Config struct {
-	Threshold  int32
-	DeepFactor float64
-	MidFactor  float64
-	DeepHold   time.Duration
-	MidHold    time.Duration
-}
+// The stages' µ-law scale tables.
+var (
+	deepTable = mulaw.NewScaleTable(DeepFactor)
+	midTable  = mulaw.NewScaleTable(MidFactor)
+)
 
-func (c Config) withDefaults() Config {
-	if c.Threshold <= 0 {
-		c.Threshold = DefaultThreshold
-	}
-	if c.DeepFactor <= 0 {
-		c.DeepFactor = DefaultDeepFactor
-	}
-	if c.MidFactor <= 0 {
-		c.MidFactor = DefaultMidFactor
-	}
-	if c.DeepHold <= 0 {
-		c.DeepHold = DefaultDeepHold
-	}
-	if c.MidHold <= 0 {
-		c.MidHold = DefaultMidHold
-	}
-	return c
-}
+// Config parameterises a Muter. It has no fields: every Muter runs
+// figure 4.1's schedule.
+type Config struct{}
 
 // Stage identifies the current muting level.
 type Stage int
@@ -95,16 +75,11 @@ func (s Stage) String() string {
 	return "?"
 }
 
-// Muter is the muting state machine plus its µ-law scale tables. It
-// is driven by time values (nanoseconds of stream time); the caller
-// observes the loudspeaker stream and applies the muter to the
-// microphone stream. Not safe for concurrent use.
+// Muter is the muting state machine. It is driven by time values
+// (nanoseconds of stream time); the caller observes the loudspeaker
+// stream and applies the muter to the microphone stream. Not safe for
+// concurrent use.
 type Muter struct {
-	cfg Config
-
-	deepTable *mulaw.ScaleTable // built on first use, as is midTable
-	midTable  *mulaw.ScaleTable
-
 	lastExceed    int64 // stream time of last threshold crossing (ns)
 	everExceed    bool
 	entryMidUntil int64 // entry step: mid stage until this time
@@ -112,10 +87,8 @@ type Muter struct {
 	mutedBlocks   uint64
 }
 
-// New returns a Muter with the given configuration.
-func New(cfg Config) *Muter {
-	return &Muter{cfg: cfg.withDefaults()}
-}
+// New returns a Muter at full volume.
+func New(Config) *Muter { return &Muter{} }
 
 // Crossings returns how many threshold crossings have been observed.
 func (m *Muter) Crossings() uint64 { return m.crossings }
@@ -128,7 +101,7 @@ func (m *Muter) MutedBlocks() uint64 { return m.mutedBlocks }
 // samples reach the codec input fifo, giving the 4 ms reaction
 // margin.
 func (m *Muter) ObserveSpeaker(now int64, block []byte) {
-	if mulaw.Peak(block) > m.cfg.Threshold {
+	if mulaw.Peak(block) > Threshold {
 		if !m.everExceed || m.StageAt(now) == Full {
 			// A new mute episode: enter via the mid stage for one
 			// block so no single step is too large.
@@ -156,9 +129,9 @@ func (m *Muter) StageAt(now int64) Stage {
 		return Mid
 	}
 	switch {
-	case since < int64(m.cfg.DeepHold):
+	case since < int64(DeepHold):
 		return Deep
-	case since < int64(m.cfg.DeepHold+m.cfg.MidHold):
+	case since < int64(DeepHold+MidHold):
 		return Mid
 	default:
 		return Full
@@ -169,9 +142,9 @@ func (m *Muter) StageAt(now int64) Stage {
 func (m *Muter) FactorAt(now int64) float64 {
 	switch m.StageAt(now) {
 	case Deep:
-		return m.cfg.DeepFactor
+		return DeepFactor
 	case Mid:
-		return m.cfg.MidFactor
+		return MidFactor
 	}
 	return 1.0
 }
@@ -182,19 +155,11 @@ func (m *Muter) ApplyMic(now int64, block []byte) Stage {
 	st := m.StageAt(now)
 	switch st {
 	case Deep:
-		scaleTable(&m.deepTable, m.cfg.DeepFactor).Apply(block)
+		deepTable.Apply(block)
 		m.mutedBlocks++
 	case Mid:
-		scaleTable(&m.midTable, m.cfg.MidFactor).Apply(block)
+		midTable.Apply(block)
 		m.mutedBlocks++
 	}
 	return st
-}
-
-// scaleTable returns *t, building it for factor on first use.
-func scaleTable(t **mulaw.ScaleTable, factor float64) *mulaw.ScaleTable {
-	if *t == nil {
-		*t = mulaw.NewScaleTable(factor)
-	}
-	return *t
 }

@@ -1,6 +1,7 @@
 package muting
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -125,7 +126,7 @@ func TestContinuedSpeechHoldsDeepStage(t *testing.T) {
 	}
 	// 22 ms after the last crossing the mid stage begins.
 	last := now - blk
-	if st := m.StageAt(last + int64(DefaultDeepHold)); st != Mid {
+	if st := m.StageAt(last + int64(DeepHold)); st != Mid {
 		t.Fatal("deep stage did not expire 22ms after last crossing")
 	}
 }
@@ -159,7 +160,7 @@ func TestApplyMicAttenuates(t *testing.T) {
 		t.Fatalf("applied stage %v", st)
 	}
 	got := mulaw.Peak(mic)
-	want := float64(orig) * DefaultDeepFactor
+	want := float64(orig) * DeepFactor
 	if float64(got) < want*0.7 || float64(got) > want*1.3 {
 		t.Fatalf("deep-muted peak %d, want ≈%.0f", got, want)
 	}
@@ -186,7 +187,7 @@ func TestStepRatiosAvoidClicks(t *testing.T) {
 	// "The two-stage muting was chosen because the steps are not so
 	// high that audible clicks are heard": every transition in the
 	// default schedule changes gain by at most a factor of 2.5.
-	seq := []float64{1.0, DefaultMidFactor, DefaultDeepFactor, DefaultMidFactor, 1.0}
+	seq := []float64{1.0, MidFactor, DeepFactor, MidFactor, 1.0}
 	for i := 1; i < len(seq); i++ {
 		ratio := seq[i] / seq[i-1]
 		if ratio < 1 {
@@ -198,27 +199,42 @@ func TestStepRatiosAvoidClicks(t *testing.T) {
 	}
 }
 
-func TestConfigurable(t *testing.T) {
-	m := New(Config{
-		Threshold:  100,
-		DeepFactor: 0.1,
-		MidFactor:  0.4,
-		DeepHold:   10 * time.Millisecond,
-		MidHold:    6 * time.Millisecond,
-	})
-	m.ObserveSpeaker(0, quiet()) // quiet() peaks near 100... use loud
-	m.ObserveSpeaker(0, loud())
-	if m.StageAt(blk) != Deep {
-		t.Fatal("custom config: no deep stage")
+func TestFigure41Values(t *testing.T) {
+	// A speaker block peaking at the threshold leaves the muter at full
+	// volume; one peaking above it mutes at 20 % for 22 ms after the
+	// crossing, then 50 % for 22 ms more.
+	var at, over byte
+	for i := 0; i < 256; i++ {
+		switch v := mulaw.Decode(byte(i)); {
+		case v <= Threshold && v > mulaw.Decode(at):
+			at = byte(i)
+		case v > Threshold && (mulaw.Decode(over) <= Threshold || v < mulaw.Decode(over)):
+			over = byte(i)
+		}
 	}
-	if m.FactorAt(blk) != 0.1 {
-		t.Fatalf("FactorAt = %v", m.FactorAt(blk))
+	m := New(Config{})
+	m.ObserveSpeaker(0, bytes.Repeat([]byte{at}, 16))
+	if m.Crossings() != 0 || m.StageAt(blk) != Full {
+		t.Fatalf("a peak of %d crossed the threshold of %d", mulaw.Decode(at), Threshold)
 	}
-	if m.StageAt(int64(12*time.Millisecond)) != Mid {
-		t.Fatal("custom deep hold not honoured")
+	m.ObserveSpeaker(blk, bytes.Repeat([]byte{over}, 16))
+	if m.Crossings() != 1 {
+		t.Fatalf("a peak of %d did not cross the threshold of %d", mulaw.Decode(over), Threshold)
 	}
-	if m.StageAt(int64(17*time.Millisecond)) != Full {
-		t.Fatal("custom mid hold not honoured")
+	for _, pt := range []struct {
+		at     time.Duration
+		factor float64
+	}{
+		{2 * time.Millisecond, 0.5}, // the entry step
+		{4 * time.Millisecond, 0.2},
+		{23 * time.Millisecond, 0.2},
+		{24 * time.Millisecond, 0.5},
+		{45 * time.Millisecond, 0.5},
+		{46 * time.Millisecond, 1},
+	} {
+		if f := m.FactorAt(int64(pt.at)); f != pt.factor {
+			t.Fatalf("factor at %v = %v, want %v", pt.at, f, pt.factor)
+		}
 	}
 }
 

@@ -68,11 +68,11 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 	if c2 := r.Counter("c_total", lb); c2 != c || c == planted["c_total"] {
 		t.Error("Counter: re-registration did not return the first counter, or returned the planted one")
 	}
-	first := &chainObj{n: 2, g: 4, h: NewHistogram(nil)}
+	first := &chainObj{n: 2, g: 4, h: NewHistogram()}
 	first.h.Observe(6 * time.Millisecond)
 	for _, tab := range chainTables {
 		tab.Register(r, first, lb)
-		tab.Register(r, &chainObj{n: 99, g: 99, h: NewHistogram(nil)}, lb)
+		tab.Register(r, &chainObj{n: 99, g: 99, h: NewHistogram()}, lb)
 	}
 	// Each chain holds the real row, then the planted one.
 	for _, name := range names {
@@ -119,7 +119,7 @@ func plant(r *Registry, h uint64, name string, c *Counter, labels ...Label) {
 // register returns a call registering obj as a row of a new one-column
 // table of col, labelled with labels.
 func register(col Column[*chainObj], labels ...Label) func(r *Registry) {
-	return func(r *Registry) { NewTable(col).Register(r, &chainObj{h: NewHistogram(nil)}, labels...) }
+	return func(r *Registry) { NewTable(col).Register(r, &chainObj{h: NewHistogram()}, labels...) }
 }
 
 // TestReRegistrationAsAnotherKindPanicsNamingTheKey: a family

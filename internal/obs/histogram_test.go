@@ -12,7 +12,7 @@ import (
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	if h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 {
 		t.Fatal("empty histogram not zero")
 	}
@@ -34,7 +34,7 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramPercentiles(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -51,7 +51,7 @@ func TestHistogramPercentiles(t *testing.T) {
 }
 
 func TestHistogramObserveAfterSortStaysCorrect(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	h.Observe(5 * time.Millisecond)
 	_ = h.Max() // forces sort
 	h.Observe(time.Millisecond)
@@ -120,7 +120,7 @@ func TestHistogramAgreesWithSortedSlice(t *testing.T) {
 		}
 		for name, draw := range draws {
 			r := New(&fakeClock{})
-			h := NewHistogram(nil)
+			h := NewHistogram()
 			histograms("h").Register(r, h)
 			var ref sliceTracker
 			for i := 0; i < 3000; i++ {
@@ -144,7 +144,7 @@ func TestHistogramAgreesWithSortedSlice(t *testing.T) {
 					}
 				}
 				sm, _ := r.Snapshot().Get("h")
-				if want := ref.buckets(DefaultLatencyBucketsMs); !reflect.DeepEqual(sm.Buckets, want) || sm.Count != uint64(len(ref)) {
+				if want := ref.buckets(latencyBucketsMs); !reflect.DeepEqual(sm.Buckets, want) || sm.Count != uint64(len(ref)) {
 					t.Fatalf("seed %d %s after %d: buckets %v count %d, reference %v count %d",
 						seed, name, i+1, sm.Buckets, sm.Count, want, len(ref))
 				}
@@ -177,7 +177,7 @@ func TestHistogramExportsUnchanged(t *testing.T) {
 	r := New(&fakeClock{t: occam.Time(3 * time.Second)})
 	playout := histograms("audio_playout_latency_ms")
 	for i, box := range []string{"a", "b"} {
-		h := NewHistogram(nil)
+		h := NewHistogram()
 		playout.Register(r, h, L("box", box))
 		for _, lat := range playoutSamples(int64(16 + i)) {
 			h.Observe(lat)

@@ -116,18 +116,18 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// DefaultLatencyBucketsMs are histogram bounds suited to the paper's
-// millisecond-scale latencies (the headline mic→speaker figure is 8 ms).
-var DefaultLatencyBucketsMs = []float64{2, 4, 6, 8, 10, 15, 20, 30, 50, 100, 200, 500}
+// latencyBucketsMs are every histogram's bucket bounds, suited to the
+// paper's millisecond-scale latencies (the headline mic→speaker figure
+// is 8 ms).
+var latencyBucketsMs = []float64{2, 4, 6, 8, 10, 15, 20, 30, 50, 100, 200, 500}
 
 // Histogram is an exact distribution of durations: a value → count
 // multiset (virtual-time delays take few distinct values, and a stream
 // that plays for hours must not cost a word per block played), from
 // which it reports order statistics directly and, in a Snapshot,
-// bucket counts against fixed millisecond bounds. Bounds are
-// upper-inclusive; one implicit overflow bucket catches the rest.
+// bucket counts against latencyBucketsMs. Bounds are upper-inclusive;
+// one implicit overflow bucket catches the rest.
 type Histogram struct {
-	bounds []float64
 	counts map[time.Duration]uint64 // sample value → occurrences; nil until the first fold
 	n      uint64
 	sum    time.Duration
@@ -144,16 +144,8 @@ type Histogram struct {
 	runN uint64
 }
 
-// NewHistogram returns an unregistered histogram with the given bucket
-// upper bounds in milliseconds, which it copies. Bounds must be sorted
-// ascending. nil selects DefaultLatencyBucketsMs, which every such
-// histogram shares rather than copies.
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		return &Histogram{bounds: DefaultLatencyBucketsMs}
-	}
-	return &Histogram{bounds: append([]float64(nil), bounds...)}
-}
+// NewHistogram returns an empty, unregistered histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
@@ -250,13 +242,14 @@ func (h *Histogram) sortedKeys() []time.Duration {
 	return h.keys
 }
 
-// buckets counts the samples per bound: element i those ≤ bounds[i]
-// milliseconds and above the bound before, the last the overflow.
+// buckets counts the samples per bound: element i those ≤
+// latencyBucketsMs[i] milliseconds and above the bound before, the last
+// the overflow.
 func (h *Histogram) buckets() []uint64 {
 	h.fold()
-	out := make([]uint64, len(h.bounds)+1)
+	out := make([]uint64, len(latencyBucketsMs)+1)
 	for v, c := range h.counts {
-		out[sort.SearchFloat64s(h.bounds, millis(v))] += c
+		out[sort.SearchFloat64s(latencyBucketsMs, millis(v))] += c
 	}
 	return out
 }
@@ -265,7 +258,7 @@ func (h *Histogram) buckets() []uint64 {
 func (h *Histogram) sample(sm *Sample) {
 	sm.Count = h.n
 	sm.Sum = h.sumMs
-	sm.Bounds = h.bounds
+	sm.Bounds = latencyBucketsMs
 	sm.Buckets = h.buckets()
 }
 
@@ -536,7 +529,8 @@ type Sample struct {
 
 	// Histogram state (KindHistogram only). Sum and Bounds are in
 	// milliseconds. Buckets[i] counts observations ≤ Bounds[i]; the
-	// final extra element is overflow.
+	// final extra element is overflow. Every sample shares one Bounds:
+	// read it, never write it.
 	Count   uint64
 	Sum     float64
 	Bounds  []float64

@@ -83,7 +83,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 		t.Fatalf("unregistered counter does not count")
 	}
 	gauges("g").Register(r, &level{v: 2})
-	histograms("h").Register(r, NewHistogram(nil))
+	histograms("h").Register(r, NewHistogram())
 	if n := len(r.Snapshot().Samples); n != 0 {
 		t.Fatalf("nil registry snapshot has %d samples", n)
 	}
@@ -117,7 +117,7 @@ func TestRegisterExistingCounter(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	r := New(&fakeClock{})
-	h := NewHistogram([]float64{1, 10})
+	h := NewHistogram()
 	histograms("lat_ms").Register(r, h, L("box", "a"))
 	for _, d := range []time.Duration{500 * time.Microsecond, 5 * time.Millisecond, 50 * time.Millisecond} {
 		h.Observe(d)
@@ -129,7 +129,10 @@ func TestHistogram(t *testing.T) {
 	if !ok || sm.Count != 3 || sm.Sum != 55.5 {
 		t.Fatalf("histogram sample = %+v ok=%v, want count 3 sum 55.5", sm, ok)
 	}
-	if want := []uint64{1, 1, 1}; !reflect.DeepEqual(sm.Buckets, want) {
+	if want := []float64{2, 4, 6, 8, 10, 15, 20, 30, 50, 100, 200, 500}; !reflect.DeepEqual(sm.Bounds, want) {
+		t.Fatalf("bucket bounds = %v, want %v", sm.Bounds, want)
+	}
+	if want := []uint64{1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}; !reflect.DeepEqual(sm.Buckets, want) {
 		t.Fatalf("bucket counts = %v, want %v", sm.Buckets, want)
 	}
 }
@@ -140,7 +143,7 @@ func TestDelta(t *testing.T) {
 	c := r.Counter("c_total")
 	g := &level{}
 	gauges("g").Register(r, g)
-	h := NewHistogram([]float64{10})
+	h := NewHistogram()
 	histograms("h").Register(r, h)
 
 	c.Add(5)
@@ -173,7 +176,7 @@ func TestExporters(t *testing.T) {
 	r := New(clk)
 	r.Counter("a_total", L("link", "l0")).Add(2)
 	gauges("depth").Register(r, &level{v: 3})
-	h := NewHistogram([]float64{1, 10})
+	h := NewHistogram()
 	histograms("lat_ms").Register(r, h)
 	h.Observe(5 * time.Millisecond)
 
@@ -189,8 +192,9 @@ func TestExporters(t *testing.T) {
 		"# TYPE a_total counter",
 		`a_total{link="l0"} 2`,
 		"# TYPE lat_ms histogram",
-		`lat_ms_bucket{le="1"} 0`,
-		`lat_ms_bucket{le="10"} 1`,
+		`lat_ms_bucket{le="4"} 0`,
+		`lat_ms_bucket{le="6"} 1`,
+		`lat_ms_bucket{le="500"} 1`,
 		`lat_ms_bucket{le="+Inf"} 1`,
 		"lat_ms_sum 5",
 		"lat_ms_count 1",
@@ -237,7 +241,7 @@ func TestSnapshotOrderIsByID(t *testing.T) {
 		r.Counter("link_drops", L("link", box))
 		link.Register(r, &level{}, L("link", box), L("vci", "1001"))
 		link.Register(r, &level{}, L("link", box), L("vci", "11"))
-		latency.Register(r, NewHistogram(nil), L("vci", "7"), L("link", box))
+		latency.Register(r, NewHistogram(), L("vci", "7"), L("link", box))
 		byFn.Register(r, &level{}, L("link", box))
 	}
 	link.Register(r, &level{})

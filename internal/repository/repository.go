@@ -40,6 +40,12 @@ type Recording struct {
 	FirstTimestamp uint32
 	// LostSegments counts sequence gaps observed while recording.
 	LostSegments uint64
+	// Corrupt and LateDuplicates count the segments thrown away as a
+	// box throws them away (§3.8): those marked corrupt, and those
+	// whose sequence number is behind the next expected one.
+	Corrupt, LateDuplicates uint64
+
+	next uint32 // the sequence number expected next
 }
 
 // Blocks returns the total number of 2 ms blocks stored.
@@ -92,6 +98,8 @@ func (r *Recording) Resegment() *Recording {
 		Stream:         r.Stream,
 		FirstTimestamp: r.FirstTimestamp,
 		LostSegments:   r.LostSegments,
+		Corrupt:        r.Corrupt,
+		LateDuplicates: r.LateDuplicates,
 	}
 	base := segment.TimestampTime(r.FirstTimestamp)
 	for i, seq := 0, uint32(0); i < len(blocks); seq++ {
@@ -113,8 +121,6 @@ type Repository struct {
 	host *atm.Host
 	pool *segment.WirePool // playback wires
 	recs map[uint32]*Recording
-	next map[uint32]uint32 // per-stream expected sequence number
-	seen map[uint32]bool
 }
 
 // New creates a repository as network host name and starts its
@@ -126,8 +132,6 @@ func New(rt *occam.Runtime, net *atm.Network, name string) *Repository {
 		host: net.AddHost(name),
 		pool: segment.NewWirePool(),
 		recs: make(map[uint32]*Recording),
-		next: make(map[uint32]uint32),
-		seen: make(map[uint32]bool),
 	}
 	rt.Go(name+".recorder", nil, occam.High, r.runRecorder)
 	return r
@@ -139,6 +143,10 @@ func (r *Repository) Host() *atm.Host { return r.host }
 // Recording returns the recording for a VCI (nil if nothing arrived).
 func (r *Repository) Recording(vci uint32) *Recording { return r.recs[vci] }
 
+// runRecorder stores what a box would play of each arriving audio
+// stream: a corrupt segment is thrown away, and shows as lost when the
+// next one arrives; a late or duplicate one is thrown away, and the
+// stream resynchronises to its sequence number, as the mixer does.
 func (r *Repository) runRecorder(p *occam.Proc) {
 	for {
 		m := r.host.Rx.Recv(p)
@@ -155,16 +163,24 @@ func (r *Repository) runRecorder(p *occam.Proc) {
 		}
 		rec, ok := r.recs[m.VCI]
 		if !ok {
-			rec = &Recording{Stream: m.VCI, FirstTimestamp: seg.Timestamp}
+			rec = &Recording{Stream: m.VCI}
 			r.recs[m.VCI] = rec
 		}
-		if r.seen[m.VCI] && seg.Seq != r.next[m.VCI] {
-			if gap := int(int32(seg.Seq - r.next[m.VCI])); gap > 0 {
-				rec.LostSegments += uint64(gap)
-			}
+		if m.Corrupt {
+			rec.Corrupt++
+			continue
 		}
-		r.next[m.VCI] = seg.Seq + 1
-		r.seen[m.VCI] = true
+		gap := int(int32(seg.Seq - rec.next))
+		rec.next = seg.Seq + 1
+		switch {
+		case len(rec.Segments) == 0:
+			rec.FirstTimestamp = seg.Timestamp
+		case gap < 0:
+			rec.LateDuplicates++
+			continue
+		default:
+			rec.LostSegments += uint64(gap)
+		}
 		rec.Segments = append(rec.Segments, seg)
 	}
 }

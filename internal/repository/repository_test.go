@@ -1,6 +1,7 @@
 package repository
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -87,6 +88,48 @@ func TestRecorderDetectsLoss(t *testing.T) {
 	}
 	if got := repo.Recording(7).LostSegments; got != 2 {
 		t.Fatalf("LostSegments = %d, want 2", got)
+	}
+}
+
+func TestRecorderKeepsWhatABoxWouldPlay(t *testing.T) {
+	// Sequence numbers 0, 1 (corrupt), 2, 2, 1: a box plays 0 and 2,
+	// and so does the recording. The corrupt 1 shows as lost when 2
+	// arrives; the second 2 and the late 1 are thrown away. Every wire
+	// goes back to its pool.
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	net := atm.New(rt)
+	src := net.AddHost("src")
+	repo := New(rt, net, "repo")
+	net.OpenCircuit(7, src, repo.Host())
+	segs := toneSegments(3, 2)
+	pool := segment.NewWirePool()
+	rt.Go("send", nil, occam.Low, func(p *occam.Proc) {
+		for _, a := range []struct {
+			seq     int
+			corrupt bool
+		}{{0, false}, {1, true}, {2, false}, {2, false}, {1, false}} {
+			p.Sleep(4 * time.Millisecond)
+			w := pool.Encode(segs[a.seq])
+			if src.Send(p, atm.Message{VCI: 7, Size: w.Len(), W: w, Corrupt: a.corrupt}) != nil {
+				w.Release()
+			}
+		}
+	})
+	if err := rt.RunUntil(occam.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	rec := repo.Recording(7)
+	var seqs []uint32
+	for _, s := range rec.Segments {
+		seqs = append(seqs, s.Seq)
+	}
+	if !reflect.DeepEqual(seqs, []uint32{0, 2}) || rec.LostSegments != 1 || rec.Corrupt != 1 || rec.LateDuplicates != 2 {
+		t.Fatalf("recorded %v, %d lost, %d corrupt, %d late or duplicate; want [0 2], 1, 1, 2",
+			seqs, rec.LostSegments, rec.Corrupt, rec.LateDuplicates)
+	}
+	if pool.FreeLen() != int(pool.News) {
+		t.Fatalf("%d of %d wire records returned", pool.FreeLen(), pool.News)
 	}
 }
 

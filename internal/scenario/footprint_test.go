@@ -14,9 +14,9 @@ import (
 // share of the fabric port and controller, and the registry rows of all
 // of them. The capture and display boards' stream state, the camera's
 // framestore, the decoupling rings' storage, the allocator's buffers,
-// the muting tables, each histogram's value map, every map and the
-// trace ring's events are built on first use, so an idle box holds none
-// of them.
+// each histogram's value map, every map and the trace ring's events are
+// built on first use, and the muting tables are one pair a process, so
+// an idle box holds none of them.
 const idleBoxBytes = 12_400
 
 // streamBytes is what one received audio stream adds to the live heap

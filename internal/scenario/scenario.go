@@ -273,7 +273,7 @@ func (sc *Scenario) Validate() error {
 		}
 		boxes[b.Name] = true
 	}
-	need := func(where string, names ...string) error {
+	need := func(where any, names ...string) error {
 		for _, name := range names {
 			if !boxes[name] {
 				return fmt.Errorf("scenario %s: %s refers to unknown box %q", sc.Name, where, name)
@@ -343,14 +343,14 @@ func (sc *Scenario) Validate() error {
 	// callee's stream, not checked). A balancer's picks depend on load,
 	// so with one only an attach nothing reaches fails here.
 	plans := make(map[string]*core.TreePlan, len(sc.Events))
-	verb := func(where string, err error) error {
+	verb := func(where any, err error) error {
 		if err == nil || sc.Balance != nil && !errors.Is(err, core.ErrNoPath) {
 			return nil
 		}
 		return fmt.Errorf("scenario %s: %s: %w", sc.Name, where, err)
 	}
 	// open plans a stream from src to each of to, as core opens it.
-	open := func(where, src string, cfg core.TreeConfig, to []string) (*core.TreePlan, error) {
+	open := func(where any, src string, cfg core.TreeConfig, to []string) (*core.TreePlan, error) {
 		pl, err := core.NewTreePlan(topo, src, cfg), need(where, src)
 		for i := 0; err == nil && i < len(to); i++ {
 			if err = need(where, to[i]); err == nil {
@@ -367,7 +367,7 @@ func (sc *Scenario) Validate() error {
 	sort.SliceStable(order, func(i, j int) bool { return sc.Events[order[i]].At < sc.Events[order[j]].At })
 	for _, i := range order {
 		ev := sc.Events[i]
-		where := fmt.Sprintf("event %d (%s at %s)", i+1, ev.Op, ev.At)
+		where := &eventAt{i + 1, &sc.Events[i]}
 		if ev.At < 0 || ev.At > sc.Duration {
 			return fmt.Errorf("scenario %s: %s outside the run", sc.Name, where)
 		}
@@ -496,6 +496,15 @@ func (sc *Scenario) Validate() error {
 	}
 	return nil
 }
+
+// eventAt names the nth event in Validate's errors. It is formatted
+// only when there is one: a spec's events mostly pass.
+type eventAt struct {
+	n  int
+	ev *Event
+}
+
+func (e *eventAt) String() string { return fmt.Sprintf("event %d (%s at %s)", e.n, e.ev.Op, e.ev.At) }
 
 // Format renders a valid scenario (see Validate) in the text grammar
 // such that Parse(Format(sc)) reproduces sc.

@@ -4,14 +4,15 @@
 // Shipping code is every non-test file of the module, and the tests of
 // every package but the declaring one's own: code only its own
 // package's tests reach is a test helper and belongs in a _test.go
-// file, and a field only they set or read is test-only state. Three
-// rules:
+// file, and a field only they read is test-only state. Setting is
+// stricter: no test counts, its own package's or another's, for a
+// value only tests change is a constant. Three rules:
 //
 //   - a package-level func, type, var or const, or a method of a
 //     package-level type, declared in a non-test file under internal/,
 //     that no shipping code names;
 //   - a field of a package-level struct type declared there that no
-//     shipping code sets: assigns, increments, writes in a composite
+//     non-test file sets: assigns, increments, writes in a composite
 //     literal or takes the address of, by & or by slicing it or calling
 //     a pointer method on it (which lets a callee set it) — other than
 //     with a constant zero, nil or an empty struct literal, and other
@@ -89,22 +90,12 @@ var (
 	ifaceMethods = map[string]bool{"Error": true, "String": true, "Len": true, "Less": true, "Swap": true, "Unwrap": true}
 )
 
-// kept are the fields no shipping code sets or reads that stay on
-// purpose (DESIGN.md §2), each with its reason.
+// kept are the fields only tests set, or no shipping code reads, that
+// stay on purpose (DESIGN.md §2), each with its reason.
 var kept = map[string]string{
-	"fabric.Config.IngressLimit":   "the fabric tests need small rigs to reach ingress overflow",
-	"fabric.Config.BatchCells":     "the fabric tests need small rigs to reach train slicing",
-	"mixer.Config.Clawback":        "the mixer tests set the clawback buffer's shape",
-	"mixer.Config.PoolBlocks":      "the mixer tests set a small pool to reach its exhaustion",
-	"clawback.Config.TargetBlocks": "§3.7.2: the lower target is a tunable the clawback tests set",
-	"clawback.Config.Level":        "§3.7.2: the multi-rate level is a tunable the clawback tests set",
-	"muting.Config.Threshold":      "§4.3: the threshold is dynamically alterable",
-	"muting.Config.DeepFactor":     "§4.3: the muting factors are dynamically alterable",
-	"muting.Config.MidFactor":      "§4.3: the muting factors are dynamically alterable",
-	"muting.Config.DeepHold":       "§4.3: the delay times are dynamically alterable",
-	"muting.Config.MidHold":        "§4.3: the delay times are dynamically alterable",
-	"degrade.Config.Interval":      "the degrade tests tick at 5 ms to reach their decisions in a short run",
-	"occam.Node.busyFor":           "shipping code sets it, and FuzzStepProcess and the node tests compare it",
+	"occam.Node.busyFor":    "shipping code sets it, and FuzzStepProcess and the node tests compare it",
+	"occam.Runtime.Trace":   "the test seam TestSchedulePin, the degrade decision pin and the box and degrade turn tests read the schedule through",
+	"clawback.Config.Fault": "only tests set it, but clawback_fault_drops_total is a column of bench/run.go's digest, so deleting it changes every sim_digest (ROADMAP, parked bench repair)",
 }
 
 type candidate struct {
@@ -181,7 +172,7 @@ func main() {
 	sort.Strings(findings)
 	if len(findings) > 0 {
 		fmt.Println(strings.Join(findings, "\n"))
-		fmt.Fprintf(os.Stderr, "deadcode: %d identifier(s) or field(s) under internal/ that only their own package's tests reach, set or read\n", len(findings))
+		fmt.Fprintf(os.Stderr, "deadcode: %d identifier(s) or field(s) under internal/ that only tests set, or only their own package's tests reach or read\n", len(findings))
 		os.Exit(1)
 	}
 }
@@ -243,8 +234,10 @@ func check(path, dir string, names []string, skip string, importer types.Importe
 		p := fset.Position(obj.Pos())
 		used[place{p.Filename, p.Offset}] = true
 	}
-	for _, f := range files {
-		recordSets(f, info, skip)
+	for i, f := range files {
+		if !strings.HasSuffix(names[i], "_test.go") {
+			recordSets(f, info, skip)
+		}
 	}
 	recordReads(files, info, skip)
 	if skip == "" {
