@@ -8,8 +8,8 @@
 // A conference of N nodes is N copies of this command, each given the
 // same ordered peer list and its own index:
 //
-//	pandora-node -index 0 -peers 127.0.0.1:7000,127.0.0.1:7001 &
-//	pandora-node -index 1 -peers 127.0.0.1:7000,127.0.0.1:7001
+//	pandora-node -scenario scenarios/conference.scn -index 0 -peers 127.0.0.1:7000,127.0.0.1:7001 &
+//	pandora-node -scenario scenarios/conference.scn -index 1 -peers 127.0.0.1:7000,127.0.0.1:7001
 //
 // Node i speaks on VCI 2000+i to every peer and plays every incoming
 // VCI 2000+j (j ≠ i) to its speaker, so the mesh is a conference (§4.1)
@@ -18,13 +18,14 @@
 // clock in -quantum steps; only the arrival batches from the socket
 // are nondeterministic, exactly the boundary the Receiver documents.
 //
-// With -scenario the node reads the same declarative spec file
-// pandora-sim runs (see internal/scenario) and takes its own box
-// configuration — name, mic workload, feature set, segment shape,
-// interface rate — from the spec's box at -index, and the run length
-// from the spec's duration. The peer topology still comes from -peers:
-// the spec describes boxes and workloads once, and each OS process
-// plays one of them.
+// The workload comes from the -scenario spec file, the same declarative
+// spec pandora-sim runs (see internal/scenario): the node takes its box
+// configuration — name, mic workload (none: silent), feature set,
+// segment shape, interface rate — from the spec's box at -index, the
+// run length from the spec's duration, and an admission budget from
+// its balance block. The peer topology still comes from -peers: the
+// spec describes boxes and workloads once, and each OS process plays
+// one of them.
 package main
 
 import (
@@ -40,7 +41,6 @@ import (
 	"repro/internal/box"
 	"repro/internal/occam"
 	"repro/internal/scenario"
-	"repro/internal/workload"
 )
 
 // vciBase numbers node i's outgoing audio stream vciBase+i on every
@@ -55,11 +55,9 @@ const vciBase = 2000
 // released (the single release the transport contract allows — on
 // error the reference stays with the caller).
 //
-// Latency is bounded three ways: a Batcher flushes itself when full
-// (-udp-batch datagrams), the mux flushes everything when -udp-flush
-// of virtual time has passed since the last flush, and the wall-clock
-// loop flushes after every RunFor quantum so nothing outlives a
-// quantum.
+// Latency is bounded two ways: a Batcher flushes itself when full
+// (udptrans.DefaultBatch datagrams), and the wall-clock loop flushes
+// after every RunFor quantum, so nothing outlives a quantum.
 // Socket errors are counted, not propagated: a UDP send that fails
 // (say ECONNREFUSED while a peer is still starting) is a lost
 // datagram, the same loss the network itself can inflict.
@@ -70,9 +68,6 @@ type vciMux struct {
 	sent     uint64
 	unrouted uint64
 	sendErrs uint64
-
-	flushEvery time.Duration // virtual time between forced flushes; 0 = only batch-full and quantum flushes
-	lastFlush  time.Duration
 }
 
 func (m *vciMux) TransportName() string { return "udpmux" }
@@ -96,12 +91,6 @@ func (m *vciMux) Send(p *occam.Proc, msg atm.Message) error {
 	}
 	msg.W.Release()
 	m.sent++
-	if m.flushEvery > 0 {
-		if now := time.Duration(p.Now()); now-m.lastFlush >= m.flushEvery {
-			m.lastFlush = now
-			m.FlushAll()
-		}
-	}
 	return nil
 }
 
@@ -135,14 +124,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	index := fs.Int("index", 0, "this node's position in -peers (also its VCI: speaks on 2000+index)")
 	peers := fs.String("peers", "127.0.0.1:7000,127.0.0.1:7001", "ordered comma-separated host:port list, one entry per node")
 	listen := fs.String("listen", "", "UDP listen address (default: the -peers entry at -index)")
-	seconds := fs.Int("seconds", 10, "conference length in seconds (0 or more)")
 	quantum := fs.Duration("quantum", 10*time.Millisecond, "virtual-time step per socket drain (wall-clock paced; more than 0)")
-	seed := fs.Int64("seed", 1, "speech workload seed (offset by -index so nodes differ)")
-	udpBatch := fs.Int("udp-batch", udptrans.DefaultBatch, "max datagrams coalesced into one sendmmsg batch per peer (1 = unbatched)")
-	udpFlush := fs.Duration("udp-flush", 0, "flush batches after this much virtual time (0: only on full batch and each quantum)")
-	scenarioPath := fs.String("scenario", "", "take this node's box config and run length from a scenario spec file (box at -index)")
-	balanceOn := fs.Bool("balance", false, "apply a node-local admission budget to incoming peer streams: reject before degrade")
-	balanceBudget := fs.Int("balance-budget", 0, "with -balance: max peer streams admitted to the speaker (0: take the scenario's balance budget, else unlimited)")
+	scenarioPath := fs.String("scenario", "", "the scenario spec file (required): this node plays its box at -index, for its duration, under its balance budget")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -151,29 +134,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pandora-node: need a -quantum of more than 0, not %v\n", *quantum)
 		return 2
 	}
-	if *seconds < 0 {
-		fmt.Fprintf(stderr, "pandora-node: need a -seconds of 0 or more, not %d\n", *seconds)
-		return 2
-	}
-
 	peerList := strings.Split(*peers, ",")
 	if *index < 0 || *index >= len(peerList) {
 		fmt.Fprintf(stderr, "pandora-node: -index %d out of range for %d peers\n", *index, len(peerList))
 		return 2
 	}
-	var spec *scenario.Scenario
-	if *scenarioPath != "" {
-		sc, err := scenario.Load(*scenarioPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "pandora-node:", err)
-			return 1
-		}
-		if *index >= len(sc.Boxes) {
-			fmt.Fprintf(stderr, "pandora-node: scenario %s has %d boxes, -index %d out of range\n",
-				sc.Name, len(sc.Boxes), *index)
-			return 2
-		}
-		spec = sc
+	if *scenarioPath == "" {
+		fmt.Fprintln(stderr, "pandora-node: need a -scenario spec file to run")
+		return 2
+	}
+	spec, err := scenario.Load(*scenarioPath)
+	if err != nil {
+		fmt.Fprintln(stderr, "pandora-node:", err)
+		return 1
+	}
+	if *index >= len(spec.Boxes) {
+		fmt.Fprintf(stderr, "pandora-node: scenario %s has %d boxes, -index %d out of range\n",
+			spec.Name, len(spec.Boxes), *index)
+		return 2
 	}
 	addr := *listen
 	if addr == "" {
@@ -188,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer rx.Close()
 
 	out := vciBase + uint32(*index)
-	mux := &vciMux{routes: make(map[uint32][]*udptrans.Batcher), flushEvery: *udpFlush}
+	mux := &vciMux{routes: make(map[uint32][]*udptrans.Batcher)}
 	for j, peer := range peerList {
 		if j == *index {
 			continue
@@ -199,39 +177,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer t.Close()
-		b := udptrans.NewBatcher(t, *udpBatch)
+		b := udptrans.NewBatcher(t, udptrans.DefaultBatch)
 		mux.routes[out] = append(mux.routes[out], b)
 		mux.all = append(mux.all, b)
 	}
 
 	rt := occam.NewRuntime()
 	netw := atm.New(rt)
-	name := fmt.Sprintf("n%02d", *index)
-	cfg := box.Config{
-		Name:     name,
-		Mic:      workload.NewSpeech(uint64(*seed)+uint64(*index)+1, 12000),
-		Features: box.Features{JitterCorrection: true},
-	}
-	total := time.Duration(*seconds) * time.Second
-	if spec != nil {
-		cfg = spec.Boxes[*index].Config()
-		name = cfg.Name
-		if cfg.Mic == nil {
-			cfg.Mic = workload.NewSpeech(uint64(*seed)+uint64(*index)+1, 12000)
-		}
-		total = spec.Duration
-	}
+	cfg := spec.Boxes[*index].Config()
+	name, total := cfg.Name, spec.Duration
 	b := box.New(rt, netw, cfg)
 	b.Host().SetTransport(mux)
 
 	// The node-side slice of the balancer control plane: pandora-node
 	// runs one box, so placement and migration live in the full
-	// simulation — what a single box CAN do is admission. With -balance
-	// only the first `budget` peer streams get a speaker route; the
-	// rest are refused outright (their segments are dropped at the
-	// switch, never mixed) instead of degrading everyone's playout.
-	budget := *balanceBudget
-	if budget == 0 && spec != nil && spec.Balance != nil {
+	// simulation — what a single box CAN do is admission. Under the
+	// spec's `balance budget=N` (N > 0) only the first N peer streams
+	// get a speaker route; the rest are refused outright (their
+	// segments are dropped at the switch, never mixed) instead of
+	// degrading everyone's playout.
+	budget := 0
+	if spec.Balance != nil {
 		budget = spec.Balance.Budget
 	}
 	admitted, rejected := 0, 0
@@ -244,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if j == *index {
 				continue
 			}
-			if *balanceOn && budget > 0 && admitted >= budget {
+			if budget > 0 && admitted >= budget {
 				rejected++
 				continue
 			}
@@ -284,7 +250,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rt.Shutdown()
 
 	fmt.Fprintf(stdout, "%s: %s conference with %d peers on %s\n", name, total, len(peerList)-1, addr)
-	if *balanceOn {
+	if spec.Balance != nil {
 		fmt.Fprintf(stdout, "  balance: %d peer streams admitted, %d rejected (budget %d)\n",
 			admitted, rejected, budget)
 	}

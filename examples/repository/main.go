@@ -29,7 +29,7 @@ func main() {
 	// Record 10 seconds of the sender's microphone.
 	var rec *core.Stream
 	sys.Control(func(p *occam.Proc) {
-		rec = sys.RecordAudio(p, "sender", "archive")
+		rec = sys.SendAudio(p, "sender", "archive")
 		p.Sleep(10 * time.Second)
 		sys.Close(p, rec)
 	})

@@ -49,8 +49,8 @@ type Stream struct {
 	Video bool
 	// Tree is the stream's distribution plan: who feeds whom. Streams
 	// opened by SendAudio/SendVideo carry the flat plan (every
-	// destination fed by the source), a RecordAudio stream the flat plan
-	// whose one member is the repository; SendAudioTree carries real
+	// destination fed by the source; to a repository, the flat plan
+	// whose one member is the repository); SendAudioTree carries real
 	// replication trees. Never nil.
 	Tree *TreePlan
 }
@@ -350,20 +350,6 @@ func (s *System) Conference(p *occam.Proc, members ...string) []*Stream {
 		streams[i] = s.SendAudio(p, from, to...)
 	}
 	return streams
-}
-
-// AddAudioDestination splits an open stream to one more destination
-// without disturbing the existing copies (principle 6): the newcomer
-// is grafted onto the stream's plan via Pull.
-func (s *System) AddAudioDestination(p *occam.Proc, st *Stream, dst string) error {
-	return s.Pull(p, st, dst)
-}
-
-// RecordAudio opens a one-way audio stream from a box's microphone to
-// a repository: a flat plan whose one member is the repository, which
-// takes delivery straight off the circuit.
-func (s *System) RecordAudio(p *occam.Proc, from, repo string) *Stream {
-	return s.SendAudio(p, from, repo)
 }
 
 // PlayTo plays a repository recording to a box's speaker and returns

@@ -113,7 +113,7 @@ func TestSplitAndRemoveDestinationContinuity(t *testing.T) {
 	s.Control(func(p *occam.Proc) {
 		st = s.SendAudio(p, "src", "keep")
 		p.Sleep(300 * time.Millisecond)
-		s.AddAudioDestination(p, st, "extra")
+		s.Pull(p, st, "extra")
 		p.Sleep(300 * time.Millisecond)
 		s.RemoveDestination(p, st, "extra")
 	})
@@ -163,7 +163,7 @@ func TestRecordAndPlayback(t *testing.T) {
 	s.Connect("a", "repo", fastLink())
 	s.Connect("repo", "b", fastLink())
 	var st *Stream
-	s.Control(func(p *occam.Proc) { st = s.RecordAudio(p, "a", "repo") })
+	s.Control(func(p *occam.Proc) { st = s.SendAudio(p, "a", "repo") })
 	if err := s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func circuitsOpen(s *System) int {
 }
 
 // TestRecordingIsAPlannedStream: a repository stream carries a flat
-// plan like any other, so splitting it to a box and dropping the box
+// plan like any other, so pulling a box onto it and dropping the box
 // again goes through the one delivery path and leaves the recording
 // without a gap (principle 6); Close returns every circuit and wire.
 func TestRecordingIsAPlannedStream(t *testing.T) {
@@ -234,7 +234,7 @@ func TestRecordingIsAPlannedStream(t *testing.T) {
 	s.Connect("a", "repo", fastLink())
 	s.Connect("a", "b", fastLink())
 	var st *Stream
-	s.Control(func(p *occam.Proc) { st = s.RecordAudio(p, "a", "repo") })
+	s.Control(func(p *occam.Proc) { st = s.SendAudio(p, "a", "repo") })
 	if err := s.RunFor(300 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestRecordingIsAPlannedStream(t *testing.T) {
 			t.Fatalf("%s: repository took %d segments in 300 ms", what, got)
 		}
 	}
-	step("split to b", func(p *occam.Proc) { s.AddAudioDestination(p, st, "b") })
+	step("pull b", func(p *occam.Proc) { s.Pull(p, st, "b") })
 	heard := s.Box("b").Mixer().Stats(st.VCIs["b"]).Segments
 	if heard < 70 {
 		t.Fatalf("b heard %d segments while it was a destination", heard)

@@ -132,7 +132,7 @@ func snapshot(s *System, st *Stream) string {
 
 // FuzzTreeOps drives the plan through generated churn: data[0..2] pick
 // K ∈ 1..4, T ∈ 1..2 and how many boxes the tree opens with, then each
-// byte pair is one verb on one box — split, pull (two names), repair,
+// byte pair is one verb on one box — pull (one name), pull (two names), repair,
 // migrate, drop — 1 ms apart while audio flows. checkPlan must hold
 // after every verb; a verb the plan refuses must leave the snapshot as
 // it was; and once the stream is closed every wire is back in its
@@ -142,7 +142,7 @@ func snapshot(s *System, st *Stream) string {
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 1, 0, 4, 0})                      // tree a00,b00 k=2; pull a00 again; drop a00
 	f.Add([]byte{1, 0, 7, 4, 0, 4, 1})                      // k=2, seven members; drop the root relay, then the next interior
-	f.Add([]byte{2, 1, 10, 2, 0, 3, 1, 2, 2, 0, 20, 4, 3})  // k=3 t=2: repair, migrate, repair, split, drop
+	f.Add([]byte{2, 1, 10, 2, 0, 3, 1, 2, 2, 0, 20, 4, 3})  // k=3 t=2: repair, migrate, repair, pull, drop
 	f.Add([]byte{0, 1, 0, 1, 5, 1, 5, 3, 5, 2, 6, 4, 5})    // k=1 t=2 from an empty tree: chains, every verb
 	f.Add([]byte{3, 0, 23, 2, 0, 2, 1, 2, 2, 2, 3, 4, 0})   // everyone in; repair down the first relays
 	f.Add([]byte{0, 0, 1, 0, 21})                           // k=1 a00: nothing reaches b10
@@ -177,7 +177,7 @@ func FuzzTreeOps(f *testing.F) {
 				var err error
 				switch ops[i] % 5 {
 				case 0:
-					err = s.AddAudioDestination(p, st, name)
+					err = s.Pull(p, st, name)
 				case 1:
 					err = s.Pull(p, st, name, names[int(ops[i+1]/2)%len(names)])
 				case 2:

@@ -305,7 +305,6 @@ func TestTreeMemberAttachedOnce(t *testing.T) {
 		vci = st.VCIs[a]
 		p.Sleep(100 * time.Millisecond)
 		s.Pull(p, st, a)
-		s.AddAudioDestination(p, st, a)
 		if got := st.VCIs[a]; got != vci || len(st.Tree.Members()) != 2 {
 			t.Errorf("second attach of %s: VCI %d → %d, members %v", a, vci, got, st.Tree.Members())
 		}

@@ -206,7 +206,7 @@ box extra
 link src keep bw=100M
 link src extra bw=100M
 at 0s audio src -> keep as main
-at 1s split main extra
+at 1s pull main extra
 at 2s drop main extra
 `, nil)
 	defer r.Close()

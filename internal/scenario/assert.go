@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/atm"
 	"repro/internal/mixer"
 )
 
@@ -174,37 +173,6 @@ func (r *Runner) ShedLadder(ctrl string) (order []uint32, ascending bool) {
 	return order, ascending
 }
 
-// Fingerprint renders everything a finished run determined — the obs
-// snapshot, every named audio delivery's mixer digest, each
-// controller's action log and the assertion summary — as one string.
-// Two runs of one spec give byte-identical fingerprints; a different
-// seed under faults does not.
-func (r *Runner) Fingerprint() (string, error) {
-	sum, err := r.Evaluate()
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	sb.WriteString(r.Sys.Obs.Snapshot().Table())
-	for _, ref := range r.streamRefs() {
-		st := r.Streams[ref]
-		if st.Video {
-			continue
-		}
-		for _, dst := range st.Dsts() {
-			m := r.Sys.Box(dst).Mixer().Stats(st.VCIs[dst])
-			fmt.Fprintf(&sb, "%s→%s: segs=%d digest=%016x\n", ref, dst, m.Segments, m.Digest)
-		}
-	}
-	for _, name := range r.ctrlNames() {
-		for _, act := range r.Ctrls[name].Actions() {
-			fmt.Fprintf(&sb, "%s: %s\n", name, act)
-		}
-	}
-	sb.WriteString(sum.String())
-	return sb.String(), nil
-}
-
 // crashedBoxes is the set of boxes with any board-crash window — the
 // boxes survivors-identical excludes.
 func (r *Runner) crashedBoxes() map[string]bool {
@@ -285,18 +253,9 @@ func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 		peak := r.Sys.Box(a.Arg).MaxNetCopies()
 		return peak <= int(a.Value), fmt.Sprintf("peak %d copies per hop at %s (limit %d)", peak, a.Arg, int(a.Value))
 	case "faults-fired":
-		var fs atm.FaultStats
-		for _, l := range r.Sys.Net.Links() {
-			fs.Add(l.FaultStats())
-		}
-		for _, f := range r.Spec.Fabrics {
-			for _, n := range f.Attach {
-				fs.Add(r.Sys.FabricPort(n).Stats().Fault)
-			}
-		}
 		// Board crashes count too: a crash window inside the run is a
 		// fired fault even when no link fault is configured.
-		total, crashes := fs.Total(), len(r.crashedBoxes())
+		total, crashes := r.faultTotals().Total(), len(r.crashedBoxes())
 		return total > 0 || crashes > 0, fmt.Sprintf("%d link faults, %d crashed boxes", total, crashes)
 	case "circuits":
 		n := 0

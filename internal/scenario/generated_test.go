@@ -69,7 +69,7 @@ func genSpec(rng *rand.Rand, i int) string {
 		case op < 3:
 			fmt.Fprintf(&sb, "at %dms pull %s %s,%s\n", at, ref, box(), box())
 		case op < 5:
-			fmt.Fprintf(&sb, "at %dms split %s %s\n", at, ref, box())
+			fmt.Fprintf(&sb, "at %dms pull %s %s\n", at, ref, box())
 		case op < 7:
 			fmt.Fprintf(&sb, "at %dms drop %s %s\n", at, ref, target)
 		case op < 9:

@@ -303,7 +303,7 @@ func (b *Balance) clauses() []clause {
 }
 
 // faultClauses is the fault list's table: the rows a faults directive
-// (and pandora-sim -faults) names one per comma-separated token. Every
+// names one per comma-separated token. Every
 // row may be repeated: a later value overrides, and a later window adds
 // to its list.
 func faultClauses(s *faultinject.Spec) []clause {
@@ -361,7 +361,6 @@ var ops = map[string]op{
 	"tree":       {shape: toList, opens: true, clauses: treeClauses},  // audio over replication trees
 	"call":       {shape: pair, opens: true, clauses: none},           // audio both ways between From and To[0]
 	"conference": {shape: members, opens: true, clauses: none},        // full mesh over From and To
-	"split":      {shape: refDst, clauses: none},                      // add destination To[0] to stream Ref
 	"drop":       {shape: refDst, clauses: none},                      // remove destination To[0] from stream Ref
 	"pull":       {shape: refDsts, clauses: none},                     // late joiners To... graft onto tree stream Ref
 	"repair":     {shape: refDst, clauses: none},                      // re-home the orphans of tree Ref's relay To[0]

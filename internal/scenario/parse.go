@@ -44,7 +44,6 @@ func Load(path string) (*Scenario, error) {
 //	at DUR tree FROM -> TO[,TO...] [k=K] [trees=T] [wave=N/DUR] [as REF]
 //	at DUR call A B [as REF]        (B may be ? — balancer-placed callee)
 //	at DUR conference M1 M2... [as REF]
-//	at DUR split REF DST
 //	at DUR drop REF DST
 //	at DUR pull REF DST[,DST...] [wave=N/DUR]
 //	at DUR repair REF BOX
@@ -212,8 +211,8 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 	return err
 }
 
-// ParseFaults parses a fault list — a faults directive's text, or
-// pandora-sim's -faults — into a Spec whose master seed is seed unless
+// ParseFaults parses a fault list — a faults directive's text — into a
+// Spec whose master seed is seed unless
 // the list sets seed=. Each comma-separated token is a row of the
 // fault table or a canned word; empty tokens are skipped. Errors name
 // the token and the character it starts at.

@@ -339,10 +339,6 @@ func (r *Runner) apply(p *occam.Proc, ev Event) (err error) {
 				r.admitted[ev.Ref] = true
 			}
 		}
-	case "split":
-		if ok {
-			err = s.AddAudioDestination(p, st, ev.To[0])
-		}
 	case "drop":
 		if ok {
 			err = s.RemoveDestination(p, st, ev.To[0])

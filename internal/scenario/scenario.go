@@ -7,8 +7,8 @@
 // degradation phase, and the assertions that make the run a test
 // (byte-identical delivery sets, shed-order policy, obs gauge and
 // wire-pool leak bounds). The Runner executes a spec on core.System;
-// the experiment suite, pandora-sim (a spec file, or the spec its flags
-// describe), pandora-trace and pandora-node (Box.Config) all work from
+// the experiment suite, pandora-sim (a spec file, whose finished run
+// Report renders), pandora-trace and pandora-node (Box.Config) all work from
 // the same spec type, so a workload is written once as data instead of
 // once per binary as wiring.
 //
@@ -445,7 +445,7 @@ func (sc *Scenario) Validate() error {
 				err = need(where, d)
 				if err == nil && pl != nil {
 					switch ev.Op {
-					case "pull", "split":
+					case "pull":
 						err = verb(where, pl.Attach(d, nil))
 					case "drop":
 						err = verb(where, pl.Remove(d, nil))

@@ -38,7 +38,7 @@ at 0s audio a -> b,c as main
 at 100ms video a -> b rect=0,64,256,64 rate=2/5 segs=2 as vid
 at 200ms call c d as cd
 at 300ms conference a b c d as conf
-at 1s split main d
+at 1s pull main d
 at 2s drop main d
 at 3s close vid
 at 400ms tree a -> b,c,d k=2 trees=2 as t1
@@ -211,7 +211,7 @@ func TestParseErrors(t *testing.T) {
 		// one feeder is its source.
 		{"scenario x\nduration 1s\nbox s mic=tone:400:9000\nbox a\nbox b\nbox c\nlink s a bw=10M\nlink a b bw=10M\nat 0s tree s -> a,b k=2 trees=2", "event 1 (tree at 0s): no path to b from the tree's source, and no member of its tree with fewer than k=2 children reaches it"},
 		{"scenario x\nduration 1s\nbox s mic=tone:400:9000\nbox a\nbox b\nbox c\nlink s a bw=10M\nlink a b bw=10M\nlink a c bw=10M\nat 0s tree s -> a,b,c k=1", "event 1 (tree at 0s): no path to c from the tree's source, and no member of its tree with fewer than k=1 children reaches it"},
-		{"scenario x\nduration 1s\nbox s mic=tone:400:9000\nbox a\nbox b\nbox c\nlink s a bw=10M\nlink a b bw=10M\nat 0s audio s -> a as t\nat 10ms split t b", "event 2 (split at 10ms): no path from s to b"},
+		{"scenario x\nduration 1s\nbox s mic=tone:400:9000\nbox a\nbox b\nbox c\nlink s a bw=10M\nlink a b bw=10M\nat 0s audio s -> a as t\nat 10ms pull t b", "event 2 (pull at 10ms): no path from s to b"},
 		// Ranges and waves are bounded input handling: errors, never allocations.
 		{"scenario x\nduration 1s\nbox v[5..1]", `line 3 ("box v[5..1]"): range "v[5..1]": upper bound below lower`},
 		{"scenario x\nduration 1s\nbox v[1..10]", "same number of digits"},
@@ -261,9 +261,9 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestValidateOwnsControlPlaneRanges: a spec built in Go, as
-// pandora-sim builds one from its flags, meets the same range checks as
-// a spec file, and zero still selects the defaults.
+// TestValidateOwnsControlPlaneRanges: a spec built in Go meets the same
+// range checks as a spec file — the control plane's and a link's loss —
+// and zero still selects the defaults.
 func TestValidateOwnsControlPlaneRanges(t *testing.T) {
 	spec := func(d *Degrade, b *Balance) *Scenario {
 		return &Scenario{Name: "x", Duration: time.Second, Degrade: d, Balance: b}
@@ -279,6 +279,8 @@ func TestValidateOwnsControlPlaneRanges(t *testing.T) {
 		{spec(nil, &Balance{Cooldown: -time.Second}), "periods must be ≥ 0"},
 		{spec(nil, &Balance{Migrate: -0.5}), "want a ratio in [0,1]"},
 		{spec(&Degrade{}, &Balance{}), ""},
+		{&Scenario{Name: "x", Duration: time.Second, Boxes: []Box{{Name: "a"}, {Name: "b"}}, Links: []Link{{From: "a", To: "b", Hops: []Hop{{Loss: 1.5}}}}},
+			"scenario x: link a b hop 0: loss wants a probability, got 1.5"},
 	} {
 		_, err := NewRunner(c.sc)
 		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
