@@ -15,7 +15,9 @@ import (
 // the exit status — for eleven spec twins of the flag-built conferences
 // that commit 0bc3240 recorded (each testdata/NAME.scn describes the
 // system the old flags built, and prints its report lines unchanged), a
-// scenario pulling a box onto a tree that cannot reach it, which used to
+// two-box call over a lossy link traced event by event (the events
+// series pandora-trace printed as TSV at commit 0bc3240), a scenario
+// pulling a box onto a tree that cannot reach it, which used to
 // panic, a balanced scenario whose plan refuses a member at run time,
 // seven specs that ask for what the old flag probes asked for (one box,
 // no or a negative run length, an unknown fault, a negative budget, a
@@ -34,6 +36,7 @@ func TestGolden(t *testing.T) {
 		{"fabric-budget", "-scenario testdata/fabric-budget.scn"},
 		{"fabric-stall-target", "-scenario testdata/fabric-stall-target.scn"},
 		{"loss-crash-degrade", "-scenario testdata/loss-crash-degrade.scn -trace 40"},
+		{"trace-events", "-scenario testdata/trace-events.scn -trace 100"},
 		{"scenario-unreachable-pull", "-scenario testdata/unreachable-pull.scn"},
 		{"scenario-refused", "-scenario testdata/refused-attach.scn"},
 		{"one-box", "-scenario testdata/one-box.scn"},

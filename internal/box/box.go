@@ -9,12 +9,12 @@
 // real one: commands set up per-stream routes and start sources, and
 // "the data will then flow indefinitely without any further
 // interaction with the host" (§1.2). Reports from every process are
-// multiplexed to a host log.
+// multiplexed to the host log, the obs event trace (see report).
 //
 // A stage is a process only if it spends virtual time or must block
 // independently of its caller: 12 per box. The decoupling buffers
-// between them, the buffer allocator, the host log and the audio
-// board's end of the link from the server are passive. Every process is
+// between them, the buffer allocator and the audio board's end of the
+// link from the server are passive. Every process is
 // stackless (occam.GoStep: a struct holding its loop's state and a step
 // function the dispatch loop calls), so a box starts no goroutine. The
 // audio board mixes every 2 ms while a stream plays; an idle board's
@@ -41,6 +41,7 @@
 package box
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
@@ -246,9 +247,6 @@ type Box struct {
 
 	host *atm.Host
 
-	// Log collects the reports multiplexed to the host (§1.2).
-	Log *HostLog
-
 	// Server board.
 	pool      *allocator.Pool
 	toSwitch  *occam.Chan[*allocator.Buffer]
@@ -359,7 +357,6 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		captureNode: occam.NewNode(cfg.Name + ".captureT"),
 		mixerNode:   occam.NewNode(cfg.Name + ".mixerT"),
 		host:        net.AddHost(cfg.Name),
-		Log:         &HostLog{},
 		toSwitch:    occam.NewChan[*allocator.Buffer](rt, cfg.Name+".toswitch"),
 		switchCmd:   occam.NewChan[switchCommand](rt, cfg.Name+".switchcmd"),
 		audioCmds:   occam.NewChan[audioCmd](rt, cfg.Name+".audiocmd"),
@@ -494,9 +491,6 @@ func (b *Box) Host() *atm.Host { return b.host }
 // Mixer returns the destination audio mixer (for stream statistics).
 func (b *Box) Mixer() *mixer.Mixer { return b.mix }
 
-// Muter returns the audio board's muting state machine.
-func (b *Box) Muter() *muting.Muter { return b.muter }
-
 // SwitchStats returns a copy of the switch counters.
 func (b *Box) SwitchStats() SwitchStats { return b.swStats }
 
@@ -607,10 +601,41 @@ func (b *Box) StopCamera(p *occam.Proc, stream uint32) {
 	b.captureCmds.Send(p, captureCmd{Stop: stream, HasStop: true})
 }
 
-// RequestSwitchReport asks the switch for a status report on the
-// box's report channel.
+// RequestSwitchReport asks the switch for a status report in the host
+// log.
 func (b *Box) RequestSwitchReport(p *occam.Proc) {
 	b.switchCmd.Send(p, switchCommand{op: cmdReport})
+}
+
+// Reports (§1.2): "Reports are collected from all main processes, and
+// multiplexed together. They are usually in the form of text messages
+// generated when Pandora is overloaded, when some error has been
+// detected, when a command has requested some information, or on
+// occasion just to say that everything is all right. Reports are sent
+// to the host computer for display or logging." The host log is the obs
+// event trace, and a report is one event of it.
+
+// reportMinPeriod rate-limits repeats: "send messages on the report
+// channel as soon as possible subject to a minimum period between
+// reports for any particular sort of error".
+const reportMinPeriod = 100 * time.Millisecond
+
+// reportGate is one sort of report's rate limit: when it last went out.
+type reportGate struct {
+	last occam.Time
+	sent bool
+}
+
+// report traces a report from process unless one of g's sort went out
+// within the minimum period. Tracing is an append — zero virtual time —
+// so it can never stall a time-critical process.
+func (b *Box) report(p *occam.Proc, g *reportGate, kind obs.EventKind, process string, stream uint32, format string, args ...any) {
+	now := p.Now()
+	if g.sent && now.Sub(g.last) < reportMinPeriod {
+		return
+	}
+	g.last, g.sent = now, true
+	b.trace.EmitAt(now, kind, b.cfg.Name+"."+process, stream, fmt.Sprintf(format, args...))
 }
 
 // WirePoolStats exposes the box's wire pool allocation counters.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/atm"
+	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
 	"repro/internal/video"
@@ -20,7 +21,8 @@ import (
 func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
-	bx := New(rt, atm.New(rt), Config{Name: "d"})
+	reg := obs.New(rt)
+	bx := New(rt, atm.New(rt), Config{Name: "d", Obs: reg})
 
 	const width = 16
 	row := func(seed int) []byte {
@@ -67,9 +69,9 @@ func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 		t.Errorf("display took %d segments with %d decode errors, want 5 and 3", st.Segments, st.DecodeErrs)
 	}
 	var corrupt []string
-	for _, r := range bx.Log.lines {
-		if strings.Contains(r.Text, "corrupt") {
-			corrupt = append(corrupt, r.Text)
+	for _, e := range reports(reg, "d.display") {
+		if strings.Contains(e.Detail, "corrupt") {
+			corrupt = append(corrupt, e.Detail)
 		}
 	}
 	if len(corrupt) != 2 || !strings.HasPrefix(corrupt[0], "stream 1:") || !strings.HasPrefix(corrupt[1], "stream 1:") {
@@ -88,7 +90,8 @@ func TestDisplayDiscardsCorruptAndTruncatedSegments(t *testing.T) {
 func TestDisplayDiscardsSegmentsOffItsFrame(t *testing.T) {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
-	a, b, _ := twoBoxes(rt, Config{CameraW: 256, CameraH: 128}, Config{}, 300, 301)
+	reg := obs.New(rt)
+	a, b, _ := twoBoxes(rt, Config{CameraW: 256, CameraH: 128}, Config{Obs: reg}, 300, 301)
 	full := video.Rate{Num: 1, Den: 1}
 	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
 		a.SetRoute(p, Route{Stream: 2, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{300}, Video: true})
@@ -109,8 +112,8 @@ func TestDisplayDiscardsSegmentsOffItsFrame(t *testing.T) {
 			st.Segments, st.DecodeErrs, st.Frames)
 	}
 	streams := make(map[string]bool)
-	for _, r := range b.Log.lines {
-		if stream, ok := strings.CutSuffix(r.Text, ": corrupt segment discarded"); ok {
+	for _, e := range reports(reg, "b.display") {
+		if stream, ok := strings.CutSuffix(e.Detail, ": corrupt segment discarded"); ok {
 			streams[stream] = true
 		}
 	}

@@ -102,10 +102,10 @@ func audioIdleLog(t *testing.T, micOpen bool, f Features) string {
 			t.Fatal(err)
 		}
 		st, mx := b.AudioStats(), b.Mixer()
-		fmt.Fprintf(&sb, "%v: ticks %d/%d run %d/%d late %d playing %d muted %d/%d",
+		fmt.Fprintf(&sb, "%v: ticks %d/%d run %d/%d late %d playing %d stage %v muted %d",
 			at, mx.Ticks(), counter(t, reg, "mixer_ticks_total", obs.L("box", "b")),
 			st.TicksRun, counter(t, reg, "audio_ticks_total", obs.L("box", "b")), st.LateTicks,
-			mx.ActiveStreams(), b.Muter().Crossings(), b.Muter().MutedBlocks())
+			mx.ActiveStreams(), b.muter.StageAt(int64(at)), b.muter.MutedBlocks())
 		for _, id := range []uint32{100, 110, 200, 121, 126} {
 			if s := mx.Stats(id); s.Segments > 0 {
 				lat := b.PlayoutLatency(id)

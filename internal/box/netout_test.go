@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/golden"
+	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
 	"repro/internal/video"
@@ -55,10 +56,11 @@ func netOutSendLog(t *testing.T, interleave bool) string {
 	rt := occam.NewRuntime()
 	defer rt.Shutdown()
 	net := atm.New(rt)
+	reg := obs.New(rt)
 	bx := New(rt, net, Config{
 		Name: "src", Mic: workload.NewTone(400, 12000),
 		CameraW: 128, CameraH: 128,
-		NetInterfaceBits: 10_000_000, InterleaveNetwork: interleave,
+		NetInterfaceBits: 10_000_000, InterleaveNetwork: interleave, Obs: reg,
 	})
 	log := &sendLog{inner: bx.Host().Transport()}
 	bx.Host().SetTransport(log)
@@ -97,10 +99,8 @@ func netOutSendLog(t *testing.T, interleave bool) string {
 	for _, line := range log.lines {
 		out.WriteString(line + "\n")
 	}
-	for _, r := range bx.Log.lines {
-		if r.Process == "src.netOut" {
-			fmt.Fprintf(&out, "report %v %s\n", r.At, r.Text)
-		}
+	for _, e := range reports(reg, "src.netOut") {
+		fmt.Fprintf(&out, "report %v %s\n", e.At, e.Detail)
 	}
 	fmt.Fprintf(&out, "wires leaked %d\n", bx.WirePoolLeaked())
 	if bx.WirePoolLeaked() != 0 {

@@ -80,7 +80,7 @@ func (b *Box) startServer() {
 	// takes each segment by rendezvous, and nothing precedes it on the fifo.
 	goStep("audioOut", &outputHandler{b: b, dev: &outputDevice{from: b.outBufs[bufSpeaker], link: b.serverToAudio,
 		header: segment.StreamNumberSize, handOver: b.audioDeliver}})
-	goStep("netOut", &netOut{b: b, rep: newReporter(name+".netOut", b.Log)})
+	goStep("netOut", &netOut{b: b})
 	goStep("displayOut", &outputHandler{b: b, dev: &outputDevice{from: b.outBufs[bufDisplay], link: b.serverToMixer,
 		handOver: b.serverToMixer.Rendezvous}})
 }
@@ -109,7 +109,6 @@ func (b *Box) appendBufSlots(slots []int, o Output, w segment.Wire) []int {
 type dataSwitch struct {
 	b      *Box
 	at     int // swAlt or swCharged
-	rep    *Reporter
 	routes byStream[*Route]
 	shed   byStream[struct{}] // overload-controller suspensions
 	// Principle-3 state per output buffer: how many of the oldest
@@ -117,6 +116,8 @@ type dataSwitch struct {
 	// (buffer-full) drop happened.
 	degrade    [numOutBufs]int
 	lastForced [numOutBufs]occam.Time
+	full       [numOutBufs]reportGate
+	status     reportGate
 
 	// The guard slice is built once and reused at every alternation.
 	cmd    switchCommand
@@ -134,7 +135,6 @@ const (
 func newDataSwitch(b *Box) *dataSwitch {
 	sw := &dataSwitch{
 		b:     b,
-		rep:   newReporter(b.cfg.Name+".switch", b.Log),
 		slots: make([]int, 0, numOutBufs),
 	}
 	sw.guards = [2]occam.Guard{occam.Recv(b.switchCmd, &sw.cmd), occam.Recv(b.toSwitch, &sw.buf)}
@@ -220,7 +220,7 @@ func (sw *dataSwitch) fanOut(p *occam.Proc) {
 			b.swStats.FullDrops[slot]++
 			b.streamDrop(buf.Stream)
 			b.pool.Release(p, buf)
-			sw.rep.Report(p, fmt.Sprintf("full-%d", slot),
+			b.report(p, &sw.full[slot], obs.EvDrop, "switch", buf.Stream,
 				"output %d full: dropping (total %d)", slot, b.swStats.FullDrops[slot])
 			if degrade[slot] < b.streamsFor(sw.routes, slot)-1 {
 				degrade[slot]++
@@ -265,7 +265,7 @@ func (sw *dataSwitch) command(p *occam.Proc) {
 		sw.shed.del(cmd.stream)
 		what = "stream restored"
 	case cmdReport:
-		sw.rep.Report(p, "status", "routes=%d switched=%d noroute=%d",
+		b.report(p, &sw.status, obs.EvStatus, "switch", 0, "routes=%d switched=%d noroute=%d",
 			len(sw.routes), b.swStats.Switched, b.swStats.NoRoute)
 		return
 	}
@@ -589,11 +589,11 @@ func reassemble(m *map[uint32]*chunkedVideo, msg atm.Message) (segment.Wire, boo
 // and not a stack: what the audio buffer holds is never chunked, so the
 // send inside the chunk loop cannot nest again.
 type netOut struct {
-	b   *Box
-	rep *Reporter
-	at  int       // noTake, noNext or noSend
-	seg [2]netSeg // the segment taken, and audio let through between its chunks
-	d   int       // which of the two is being sent
+	b         *Box
+	at        int       // noTake, noNext or noSend
+	seg       [2]netSeg // the segment taken, and audio let through between its chunks
+	d         int       // which of the two is being sent
+	noCircuit reportGate
 }
 
 // netSeg is one segment on its way out, its server buffer still held,
@@ -726,13 +726,13 @@ func (n *netOut) send(p *occam.Proc, s *netSeg) {
 			s.w.Release()
 		}
 		if s.chunks > 0 {
-			n.rep.Report(p, "nocircuit", "video chunk: %v", err)
+			b.report(p, &n.noCircuit, obs.EvDrop, "netOut", s.buf.Stream, "video chunk: %v", err)
 		} else {
 			kind := "audio"
 			if s.buf.Payload.Type() == segment.TypeVideo {
 				kind = "video"
 			}
-			n.rep.Report(p, "nocircuit", "%s stream %d: %v", kind, s.buf.Stream, err)
+			b.report(p, &n.noCircuit, obs.EvDrop, "netOut", s.buf.Stream, "%s stream %d: %v", kind, s.buf.Stream, err)
 		}
 		last = true
 	}

@@ -1,6 +1,8 @@
 package box
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,5 +224,46 @@ func TestAudioLeavesFirstAfterStallOnBothNetBuffers(t *testing.T) {
 	}
 	if n := a.WirePoolLeaked(); n != 0 {
 		t.Fatalf("box a leaked %d wires after teardown", n)
+	}
+}
+
+// TestFullOutputReportedAtItsMinimumPeriod: a box's own microphone
+// looped to its loudspeaker, whose sink stalls for 1 s. The full
+// speaker output is reported to the host log at most once per
+// reportMinPeriod, so at most 11 times, while switch_full_drops_total
+// counts every drop.
+func TestFullOutputReportedAtItsMinimumPeriod(t *testing.T) {
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	reg := obs.New(rt)
+	a := New(rt, atm.New(rt), Config{Name: "a", Mic: workload.NewTone(400, 12000), Obs: reg,
+		SinkStalls: map[string][]faultinject.Window{"speaker": {{From: stallFrom, To: stallFrom + time.Second}}}})
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		a.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutSpeaker}})
+		a.StartMic(p, 1)
+	})
+	run(t, rt, stallFrom+1500*time.Millisecond)
+
+	if tr := reg.Tracer(); tr.Total() > uint64(tr.Cap()) {
+		t.Fatalf("the trace ring overflowed: %d events", tr.Total())
+	}
+	prefix := fmt.Sprintf("output %d full: dropping", bufSpeaker)
+	var n int
+	var last occam.Time
+	for _, e := range reports(reg, "a.switch") {
+		if e.Kind != obs.EvDrop || !strings.HasPrefix(e.Detail, prefix) {
+			continue
+		}
+		if n > 0 && e.At.Sub(last) < reportMinPeriod {
+			t.Errorf("report at %v only %v after the one before", e.At, e.At.Sub(last))
+		}
+		n, last = n+1, e.At
+	}
+	drops := counter(t, reg, "switch_full_drops_total", obs.L("box", "a"), obs.L("output", "speaker"))
+	if n == 0 || n > 11 {
+		t.Errorf("%d reports of the full output in a 1 s stall, want 1 to 11", n)
+	}
+	if drops < 100 {
+		t.Errorf("switch_full_drops_total %d, want every drop of a 1 s stall counted, not the %d reports", drops, n)
 	}
 }

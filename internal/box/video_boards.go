@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
 	"repro/internal/video"
@@ -257,11 +258,11 @@ var errOffDisplay = errors.New("box: video segment outside the display")
 // What decoding and assembling takes is behind *displayWork, built at
 // the first segment the board is sent.
 type display struct {
-	b    *Box
-	at   int // dispRecv … dispShown
-	rep  *Reporter
-	scan video.Scan
-	msg  wireMsg
+	b       *Box
+	at      int // dispRecv … dispShown
+	scan    video.Scan
+	msg     wireMsg
+	corrupt reportGate
 
 	*displayWork // nil until the first segment arrives
 }
@@ -284,7 +285,6 @@ const (
 func newDisplay(b *Box) *display {
 	return &display{
 		b:    b,
-		rep:  newReporter(b.cfg.Name+".display", b.Log),
 		scan: video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod},
 	}
 }
@@ -373,7 +373,7 @@ func (d *display) assemble(p *occam.Proc) bool {
 		// is counted without a report.
 		b.displayStat.DecodeErrs++
 		if !errors.Is(err, video.ErrLineTooShort) {
-			d.rep.Report(p, "corrupt", "stream %d: corrupt segment discarded", msg.Stream)
+			b.report(p, &d.corrupt, obs.EvDrop, "display", msg.Stream, "stream %d: corrupt segment discarded", msg.Stream)
 		}
 		return false
 	}

@@ -11,7 +11,7 @@
 //	a := sys.AddBox(box.Config{Name: "a", Mic: workload.NewSpeech(1, 12000)})
 //	b := sys.AddBox(box.Config{Name: "b"})
 //	sys.Connect("a", "b", atm.LinkConfig{Bandwidth: 100_000_000})
-//	sys.Control(func(p *occam.Proc) { sys.AudioCall(p, "a", "b") })
+//	sys.Control(func(p *occam.Proc) { sys.Conference(p, "a", "b") }) // a call
 //	sys.RunFor(10 * time.Second)
 //
 // Ownership: core itself never touches segment wires — it plumbs
@@ -325,12 +325,6 @@ func mustStream(st *Stream, err error) *Stream {
 		panic("core: " + err.Error())
 	}
 	return st
-}
-
-// AudioCall opens audio in both directions — the video phone's audio
-// path (§4.1).
-func (s *System) AudioCall(p *occam.Proc, a, b string) (ab, ba *Stream) {
-	return s.SendAudio(p, a, b), s.SendAudio(p, b, a)
 }
 
 // Conference opens a full mesh of audio streams between the members;

@@ -17,14 +17,19 @@ func fastLink() atm.LinkConfig {
 	return atm.LinkConfig{Bandwidth: 100_000_000, Propagation: 100 * time.Microsecond}
 }
 
-func TestAudioCallBothDirections(t *testing.T) {
+// TestCallBothDirections: a call is a two-member conference, audio in
+// both directions — the video phone's audio path (§4.1).
+func TestCallBothDirections(t *testing.T) {
 	s := NewSystem()
 	defer s.Shutdown()
 	s.AddBox(box.Config{Name: "a", Mic: workload.NewTone(400, 10000)})
 	s.AddBox(box.Config{Name: "b", Mic: workload.NewTone(500, 10000)})
 	s.Connect("a", "b", fastLink())
 	var ab, ba *Stream
-	s.Control(func(p *occam.Proc) { ab, ba = s.AudioCall(p, "a", "b") })
+	s.Control(func(p *occam.Proc) {
+		call := s.Conference(p, "a", "b")
+		ab, ba = call[0], call[1]
+	})
 	if err := s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ type Point struct {
 
 // Series records a named time series — the data behind the
 // figure-style outputs (clawback delay vs time, muting factor vs
-// time) that cmd/pandora-trace dumps.
+// time), which the tables print downsampled.
 type Series struct {
 	Name   string
 	Points []Point

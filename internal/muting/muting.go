@@ -83,15 +83,11 @@ type Muter struct {
 	lastExceed    int64 // stream time of last threshold crossing (ns)
 	everExceed    bool
 	entryMidUntil int64 // entry step: mid stage until this time
-	crossings     uint64
 	mutedBlocks   uint64
 }
 
 // New returns a Muter at full volume.
 func New(Config) *Muter { return &Muter{} }
-
-// Crossings returns how many threshold crossings have been observed.
-func (m *Muter) Crossings() uint64 { return m.crossings }
 
 // MutedBlocks returns how many microphone blocks were attenuated.
 func (m *Muter) MutedBlocks() uint64 { return m.mutedBlocks }
@@ -106,7 +102,6 @@ func (m *Muter) ObserveSpeaker(now int64, block []byte) {
 			// A new mute episode: enter via the mid stage for one
 			// block so no single step is too large.
 			m.entryMidUntil = now + int64(2*time.Millisecond)
-			m.crossings++
 		}
 		m.lastExceed = now
 		m.everExceed = true

@@ -555,9 +555,8 @@ func (s Sample) ID() string { return s.Name + labelString(s.Labels) }
 // Snapshot is the state of every registered instrument at one instant
 // of virtual time.
 type Snapshot struct {
-	// At is when the snapshot was taken; Since is non-zero for deltas.
-	At, Since occam.Time
-	Samples   []Sample
+	At      occam.Time // when the snapshot was taken
+	Samples []Sample
 }
 
 // Snapshot reads every instrument. Safe to call whenever no simulation
@@ -633,46 +632,10 @@ func (s Snapshot) Total(name string) float64 {
 	return sum
 }
 
-// Delta returns a snapshot whose counters and histogram counts are the
-// increase since prev (missing-in-prev samples keep their full value);
-// gauges keep their current level. Since is set to prev.At.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	prevBy := make(map[string]Sample, len(prev.Samples))
-	for _, sm := range prev.Samples {
-		prevBy[key(sm.Name, sm.Labels)] = sm
-	}
-	d := Snapshot{At: s.At, Since: prev.At, Samples: make([]Sample, 0, len(s.Samples))}
-	for _, sm := range s.Samples {
-		p, ok := prevBy[key(sm.Name, sm.Labels)]
-		if ok {
-			switch sm.Kind {
-			case KindCounter:
-				sm.Value -= p.Value
-			case KindHistogram:
-				sm.Count -= p.Count
-				sm.Sum -= p.Sum
-				buckets := append([]uint64(nil), sm.Buckets...)
-				for i := range buckets {
-					if i < len(p.Buckets) {
-						buckets[i] -= p.Buckets[i]
-					}
-				}
-				sm.Buckets = buckets
-			}
-		}
-		d.Samples = append(d.Samples, sm)
-	}
-	return d
-}
-
 // Table renders the snapshot as a human-readable aligned table.
 func (s Snapshot) Table() string {
 	var b strings.Builder
-	if s.Since != 0 {
-		fmt.Fprintf(&b, "# delta %v .. %v\n", s.Since, s.At)
-	} else {
-		fmt.Fprintf(&b, "# snapshot at %v\n", s.At)
-	}
+	fmt.Fprintf(&b, "# snapshot at %v\n", s.At)
 	width := 0
 	for _, sm := range s.Samples {
 		if n := len(sm.ID()); n > width {

@@ -137,40 +137,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestDelta(t *testing.T) {
-	clk := &fakeClock{}
-	r := New(clk)
-	c := r.Counter("c_total")
-	g := &level{}
-	gauges("g").Register(r, g)
-	h := NewHistogram()
-	histograms("h").Register(r, h)
-
-	c.Add(5)
-	g.v = 1
-	h.Observe(3 * time.Millisecond)
-	prev := r.Snapshot()
-
-	clk.t = occam.Time(2e9)
-	c.Add(7)
-	g.v = 9
-	h.Observe(4 * time.Millisecond)
-	d := r.Snapshot().Delta(prev)
-
-	if d.Since != prev.At || d.At != occam.Time(2e9) {
-		t.Fatalf("delta window = %v..%v", d.Since, d.At)
-	}
-	if sm, _ := d.Get("c_total"); sm.Value != 7 {
-		t.Fatalf("counter delta = %g, want 7", sm.Value)
-	}
-	if sm, _ := d.Get("g"); sm.Value != 9 {
-		t.Fatalf("gauge in delta = %g, want current 9", sm.Value)
-	}
-	if sm, _ := d.Get("h"); sm.Count != 1 || sm.Sum != 4 {
-		t.Fatalf("histogram delta = %+v, want count 1 sum 4", sm)
-	}
-}
-
 func TestExporters(t *testing.T) {
 	clk := &fakeClock{t: occam.Time(1e9)}
 	r := New(clk)

@@ -43,6 +43,9 @@ const (
 	// surviving boxes mid-stream. Distinct from EvReconfig so tree
 	// repairs can be audited apart from routine route updates.
 	EvRepair
+	// EvStatus: a status report a command asked for (§1.2), such as
+	// the server switch's route and traffic counts.
+	EvStatus
 )
 
 func (k EventKind) String() string {
@@ -63,6 +66,8 @@ func (k EventKind) String() string {
 		return "fault"
 	case EvRepair:
 		return "repair"
+	case EvStatus:
+		return "status"
 	}
 	return "?"
 }

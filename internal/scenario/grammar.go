@@ -22,7 +22,7 @@ import (
 // clause is one row of a directive's clause table: a key and the field
 // it sets. The field's type picks the codec: *bool is a bare flag,
 // *string any text, *int an integer ≥ min, *uint32 and *uint64
-// unsigned, *time.Duration a duration ≥ 0, *int64 a bit rate with a k/M
+// unsigned, *time.Duration a duration ≥ min ns, *int64 a bit rate with a k/M
 // suffix, *float64 a number in [0,1], *faultinject.Window a window
 // FROM-TO with FROM < TO, *[]faultinject.Window a list that each value
 // adds a window to, *map[string][]faultinject.Window the same by board
@@ -46,8 +46,12 @@ type clause struct {
 // whose messages tests pin.
 const noMin = math.MinInt
 
-// intWant describes an int row's range by its min, for errors.
-var intWant = map[int]string{noMin: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+// intWant and durWant describe an int or duration row's range by its
+// min, for errors.
+var (
+	intWant = map[int]string{noMin: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+	durWant = map[int]string{noMin: "a duration", 0: "a non-negative duration", 1: "a positive duration"}
+)
 
 // set parses val into the clause's field.
 func (c *clause) set(val string) error {
@@ -72,7 +76,7 @@ func (c *clause) set(val string) error {
 		*f, err = strconv.ParseUint(val, 10, 64)
 	case *time.Duration:
 		*f, err = time.ParseDuration(val)
-		ok, want = *f >= 0 || c.min == noMin, "a non-negative duration"
+		ok, want = c.min == noMin || *f >= time.Duration(c.min), durWant[c.min]
 	case *int64:
 		*f, ok = parseBits(val)
 		want = "a bit rate [FLOAT][k|M] within 1e15"

@@ -115,7 +115,7 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 	case "seed":
 		err = clauseLine(fields, "seed N", nil, &sc.Seed)
 	case "duration":
-		err = clauseLine(fields, "duration DUR", nil, &sc.Duration)
+		err = clauseLine(fields, "duration DUR", nil, &clause{field: &sc.Duration, min: 1})
 	case "box":
 		sc.Boxes = append(sc.Boxes, Box{})
 		b := &sc.Boxes[len(sc.Boxes)-1]
@@ -252,13 +252,19 @@ func applyFaults(s *faultinject.Spec, list string) error {
 }
 
 // clauseLine reads a directive line: one field per operand, then the
-// clauses of table. usage spells the line for errors.
+// clauses of table. An operand is a field, or a *clause for one with a
+// min. usage spells the line for errors.
 func clauseLine(fields []string, usage string, table []clause, operands ...any) error {
 	if len(fields) <= len(operands) {
 		return fmt.Errorf("want: %s", usage)
 	}
 	for i, p := range operands {
-		if err := (&clause{key: fields[0], field: p}).set(fields[1+i]); err != nil {
+		c, ok := p.(*clause)
+		if !ok {
+			c = &clause{field: p}
+		}
+		c.key = fields[0]
+		if err := c.set(fields[1+i]); err != nil {
 			return err
 		}
 	}

@@ -7,10 +7,10 @@
 // degradation phase, and the assertions that make the run a test
 // (byte-identical delivery sets, shed-order policy, obs gauge and
 // wire-pool leak bounds). The Runner executes a spec on core.System;
-// the experiment suite, pandora-sim (a spec file, whose finished run
-// Report renders), pandora-trace and pandora-node (Box.Config) all work from
-// the same spec type, so a workload is written once as data instead of
-// once per binary as wiring.
+// the experiment suite, the suites in scenarios/, pandora-sim (a spec
+// file, whose finished run Report renders) and pandora-node
+// (Box.Config) all work from the same spec type, so a workload is
+// written once as data instead of once per binary as wiring.
 //
 // Ownership: scenario never touches segment wires. Its generator
 // processes (feeds, cross traffic) encode from their own pools and

@@ -45,7 +45,7 @@ var lineBudgets = []struct {
 	{"ARCHITECTURE.md", 468},
 	{"DESIGN.md", 789},
 	{"EXPERIMENTS.md", 260},
-	{"README.md", 429},
+	{"README.md", 419},
 }
 
 // CHANGES.md holds one entry a line, opening "PR N"; entries numbered
