@@ -37,6 +37,7 @@ package balancer
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/box"
@@ -347,7 +348,8 @@ func (b *Balancer) ReleaseCall() {
 	}
 }
 
-// Manage registers an open tree stream as a migration candidate.
+// Manage registers an open tree stream as a migration candidate; it
+// stays one until it closes.
 func (b *Balancer) Manage(st *core.Stream) {
 	if st != nil {
 		b.managed = append(b.managed, st)
@@ -356,7 +358,7 @@ func (b *Balancer) Manage(st *core.Stream) {
 
 // maybeMigrate performs at most one migration per tick: the first box
 // in sorted order whose egress occupancy sits at or above the
-// high-water mark, and that relays a managed stream, has that
+// high-water mark, and that relays an open managed stream, has that
 // stream's subtrees re-homed via core.MigrateTree. The cooldown (and
 // MaxMigrations cap) keeps reshapes apart so the fabric settles
 // between them — no ping-pong.
@@ -368,6 +370,7 @@ func (b *Balancer) maybeMigrate(p *occam.Proc) {
 	if b.everMig && now.Sub(b.lastMig) < b.cfg.Cooldown {
 		return
 	}
+	b.managed = slices.DeleteFunc(b.managed, (*core.Stream).Closed)
 	for _, name := range b.names {
 		bd := b.boards[name]
 		if bd.lastQueue < b.cfg.MigrateHighWater {

@@ -300,6 +300,7 @@ type Box struct {
 	lastStream  uint32
 	lastPlayout *obs.Histogram
 	trace       *obs.Tracer
+	switchSrc   string // the switch's trace source, Name + ".switch"
 }
 
 // SwitchStats counts the server switch's work.
@@ -368,6 +369,7 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 	b.pool = allocator.New(rt, b.serverNode, poolBuffers, nil)
 	b.pool.Observe(cfg.Obs, cfg.Name)
 	b.trace = cfg.Obs.Tracer()
+	b.switchSrc = cfg.Name + ".switch"
 	b.observe()
 
 	// Inter-board links (figure 1.2/1.3 bandwidths).
@@ -560,8 +562,10 @@ func (b *Box) SetRoute(p *occam.Proc, r Route) {
 }
 
 // CloseRoute removes a stream's route. Other streams are undisturbed
-// (principle 6).
+// (principle 6). The mixer retires the stream: its clawback storage is
+// freed once it runs dry.
 func (b *Box) CloseRoute(p *occam.Proc, stream uint32) {
+	b.mix.Retire(stream)
 	b.mirror.del(stream)
 	b.switchCmd.Send(p, switchCommand{op: cmdClose, stream: stream})
 }
@@ -684,7 +688,7 @@ func (b *Box) DegradeShed(p *occam.Proc, id uint32) {
 		if !hr.parked {
 			hr.parked = true
 			b.mirror.set(id, hr)
-			b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", id, "subtree shed")
+			b.trace.Emit(obs.EvReconfig, b.switchSrc, id, "subtree shed")
 		}
 		return
 	}
@@ -697,7 +701,7 @@ func (b *Box) DegradeRestore(p *occam.Proc, id uint32) {
 	if hr, ok := b.mirror.get(id); ok && hr.parked {
 		hr.parked = false
 		b.mirror.set(id, hr)
-		b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", id, "subtree restored")
+		b.trace.Emit(obs.EvReconfig, b.switchSrc, id, "subtree restored")
 		return
 	}
 	b.switchCmd.Send(p, switchCommand{op: cmdRestore, stream: id})

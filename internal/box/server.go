@@ -169,7 +169,7 @@ func (sw *dataSwitch) Step(p *occam.Proc) {
 				b.swStats.ShedDrops++
 				b.streamDrop(buf.Stream)
 				b.pool.Release(p, buf)
-				b.trace.Emit(obs.EvDrop, b.cfg.Name+".switch", buf.Stream, "degrade-shed")
+				b.trace.Emit(obs.EvDrop, b.switchSrc, buf.Stream, "degrade-shed")
 				continue
 			}
 			sw.at = swCharged
@@ -208,7 +208,7 @@ func (sw *dataSwitch) fanOut(p *occam.Proc) {
 			b.swStats.AgeDrops[slot]++
 			b.streamDrop(buf.Stream)
 			b.pool.Release(p, buf)
-			b.trace.Emit(obs.EvDrop, b.cfg.Name+".switch", buf.Stream,
+			b.trace.Emit(obs.EvDrop, b.switchSrc, buf.Stream,
 				"age-degrade "+slotName(slot))
 			continue
 		}
@@ -224,7 +224,7 @@ func (sw *dataSwitch) fanOut(p *occam.Proc) {
 				"output %d full: dropping (total %d)", slot, b.swStats.FullDrops[slot])
 			if degrade[slot] < b.streamsFor(sw.routes, slot)-1 {
 				degrade[slot]++
-				b.trace.Emit(obs.EvOverload, b.cfg.Name+".switch", buf.Stream,
+				b.trace.Emit(obs.EvOverload, b.switchSrc, buf.Stream,
 					fmt.Sprintf("output %s full, degrading %d oldest", slotName(slot), degrade[slot]))
 			}
 			lastForced[slot] = p.Now()
@@ -237,7 +237,7 @@ func (sw *dataSwitch) fanOut(p *occam.Proc) {
 			degrade[slot]--
 			lastForced[slot] = p.Now()
 			if degrade[slot] == 0 {
-				b.trace.Emit(obs.EvRecover, b.cfg.Name+".switch", 0,
+				b.trace.Emit(obs.EvRecover, b.switchSrc, 0,
 					"output "+slotName(slot)+" recovered")
 			}
 		}
@@ -253,7 +253,7 @@ func (sw *dataSwitch) command(p *occam.Proc) {
 		// The route is the switch's from here: SetRoute made it for
 		// this command and keeps no reference.
 		sw.routes.set(cmd.stream, cmd.route)
-		what = fmt.Sprintf("route set: %v", cmd.route.Outputs)
+		what = routeSetText(cmd.route.Outputs)
 	case cmdClose:
 		sw.routes.del(cmd.stream)
 		sw.shed.del(cmd.stream)
@@ -269,7 +269,52 @@ func (sw *dataSwitch) command(p *occam.Proc) {
 			len(sw.routes), b.swStats.Switched, b.swStats.NoRoute)
 		return
 	}
-	b.trace.Emit(obs.EvReconfig, b.cfg.Name+".switch", cmd.stream, what)
+	b.trace.Emit(obs.EvReconfig, b.switchSrc, cmd.stream, what)
+}
+
+// routeSetTexts holds the trace text of every route of up to three
+// outputs, indexed by outputsKey: a route change traces without
+// formatting.
+var routeSetTexts = func() (t [64]string) {
+	var outs []Output
+	var fill func()
+	fill = func() {
+		k, _ := outputsKey(outs)
+		t[k] = fmt.Sprintf("route set: %v", outs)
+		if len(outs) < 3 {
+			for o := range numOutputs {
+				outs = append(outs, o)
+				fill()
+				outs = outs[:len(outs)-1]
+			}
+		}
+	}
+	fill()
+	return t
+}()
+
+// outputsKey numbers an output list of up to three outputs: each output
+// is one base-4 digit, 1 to 3.
+func outputsKey(outs []Output) (int, bool) {
+	if len(outs) > 3 {
+		return 0, false
+	}
+	k := 0
+	for _, o := range outs {
+		if o < 0 || o >= numOutputs {
+			return 0, false
+		}
+		k = 4*k + int(o) + 1
+	}
+	return k, true
+}
+
+// routeSetText is the trace text of a route set to outs.
+func routeSetText(outs []Output) string {
+	if k, ok := outputsKey(outs); ok {
+		return routeSetTexts[k]
+	}
+	return fmt.Sprintf("route set: %v", outs)
 }
 
 // streamsFor counts streams routed to a buffer slot.

@@ -190,7 +190,8 @@ type Buffer struct {
 	cfg Config
 	// The queue is a power-of-two ring: a stream in steady state holds
 	// two to four blocks and turns one over every 2 ms, all in the same
-	// storage, which Drain keeps.
+	// storage, which Drain keeps and Free gives back; the next push
+	// after Free grows it anew.
 	ring []Item
 	head int // position of the oldest queued block
 	n    int // queued blocks
@@ -396,4 +397,11 @@ func (b *Buffer) Drain() {
 	for b.n > 0 {
 		b.take().W.Release()
 	}
+}
+
+// Free drains the buffer and gives its storage back: the mixer frees a
+// retired stream's buffer once it runs dry. The counters stay.
+func (b *Buffer) Free() {
+	b.Drain()
+	b.ring, b.head = nil, 0
 }

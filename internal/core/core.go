@@ -40,23 +40,60 @@ import (
 	"repro/internal/repository"
 )
 
-// Stream identifies one open stream: the source-local stream number
-// and the VCI used at each destination.
+// Stream identifies one stream: the source-local stream number and the
+// VCI used at each destination. A closed stream keeps its figures, not
+// its state: its source, Video, each destination's VCI, and what its
+// readers ask of its plan (EverUnder, FeederBoxes, the tree row).
 type Stream struct {
 	From  string
 	Local uint32            // stream number at the source box
 	VCIs  map[string]uint32 // destination name → VCI (= stream number there)
 	Video bool
-	// Tree is the stream's distribution plan: who feeds whom. Streams
-	// opened by SendAudio/SendVideo carry the flat plan (every
-	// destination fed by the source; to a repository, the flat plan
-	// whose one member is the repository); SendAudioTree carries real
-	// replication trees. Never nil.
+	// Tree is the stream's distribution plan while it is open: who feeds
+	// whom. Streams opened by SendAudio/SendVideo carry the flat plan
+	// (every destination fed by the source; to a repository, the flat
+	// plan whose one member is the repository); SendAudioTree carries
+	// real replication trees. Close releases it: nil once closed.
 	Tree *TreePlan
+	kept *keptPlan // what Close kept of a tree's plan; nil for a flat one
+}
+
+// keptPlan is what a closed stream keeps of a tree's plan: the figures
+// read after the run.
+type keptPlan struct {
+	// under holds, for each destination that ever sat below a relay,
+	// the relays it sat under at any time; a destination only the source
+	// ever fed has no entry.
+	under                  map[string][]string
+	feeders, depth, copies int
+	repairs                uint64
 }
 
 // Dsts returns the stream's destinations, sorted.
 func (st *Stream) Dsts() []string { return slices.Sorted(maps.Keys(st.VCIs)) }
+
+// Closed reports whether Close has run on the stream.
+func (st *Stream) Closed() bool { return st.Tree == nil }
+
+// EverUnder is TreePlan.EverUnder, for an open or a closed stream.
+func (st *Stream) EverUnder(dst, box string) bool {
+	if st.Tree != nil {
+		return st.Tree.EverUnder(dst, box)
+	}
+	_, member := st.VCIs[dst]
+	return member && (box == st.From || st.kept != nil && slices.Contains(st.kept.under[dst], box))
+}
+
+// FeederBoxes is TreePlan.FeederBoxes, for an open or a closed stream.
+func (st *Stream) FeederBoxes() int {
+	switch {
+	case st.Tree != nil:
+		return st.Tree.FeederBoxes()
+	case st.kept != nil:
+		return st.kept.feeders
+	}
+	return min(1, len(st.VCIs)) // a flat plan: the source fed them all
+}
 
 // System is a collection of boxes and repositories on one network.
 type System struct {

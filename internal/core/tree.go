@@ -58,6 +58,9 @@ type Topology interface {
 // neither the source nor any member reaches the newcomer.
 var ErrNoPath = errors.New("no path")
 
+// ErrClosed marks a verb on a closed stream, whose plan Close released.
+var ErrClosed = errors.New("stream closed")
+
 // member is one destination's place in a stream's plan. The source is
 // a member too — the plan's root, whose children are the tree roots.
 type member struct {
@@ -199,21 +202,43 @@ func (t *TreePlan) RehomedFrom(box string) []string {
 // former parent at any point in the run. Byte-identity assertions use
 // it to exclude deliveries a crashed relay could have disturbed.
 func (t *TreePlan) EverUnder(dst, box string) bool {
-	seen := map[*member]bool{}
-	var up func(m *member) bool
-	up = func(m *member) bool {
+	n := t.members[dst]
+	return n != nil && slices.ContainsFunc(everAbove(n), func(u *member) bool { return u.name == box })
+}
+
+// everAbove returns every node n's delivery path ever passed through:
+// its current parent chain and, after moves, any former parent's, the
+// source included.
+func everAbove(n *member) []*member {
+	var out []*member
+	var up func(m *member)
+	up = func(m *member) {
 		for _, u := range append(slices.Clip(m.former), m.parent) {
-			if u != nil && !seen[u] {
-				seen[u] = true
-				if u.name == box || up(u) {
-					return true
-				}
+			if u != nil && !slices.Contains(out, u) {
+				out = append(out, u)
+				up(u)
 			}
 		}
-		return false
 	}
-	n := t.members[dst]
-	return n != nil && up(n)
+	up(n)
+	return out
+}
+
+// keep returns what a closed stream keeps of the plan: nil for a flat
+// plan, whose every destination only the source ever fed.
+func (t *TreePlan) keep() *keptPlan {
+	if t.cfg.Fanout <= 0 {
+		return nil
+	}
+	k := &keptPlan{under: make(map[string][]string), feeders: t.FeederBoxes(), depth: t.Depth(), copies: t.MaxInteriorCopies(), repairs: t.repairs}
+	for _, n := range t.order {
+		for _, u := range everAbove(n) {
+			if u != t.root {
+				k.under[n.name] = append(k.under[n.name], u.name)
+			}
+		}
+	}
+	return k
 }
 
 // under reports whether n sits in root's (current) subtree, root
@@ -349,7 +374,8 @@ func without(list []*member, n *member) []*member {
 
 // The System's tree verbs ask the stream's plan to decide, then
 // allocate VCIs, open and close circuits and install switch routes to
-// match. A refused verb returns the plan's error and touches nothing.
+// match. A refused verb returns the plan's error and touches nothing; so
+// does a verb on a closed stream, with ErrClosed.
 
 // CanRelay reports whether the named node is a box (see Topology).
 func (s *System) CanRelay(name string) bool { return s.lookup(name).box != nil }
@@ -437,7 +463,7 @@ func (s *System) sendTree(p *occam.Proc, cfg TreeConfig, from string, cs box.Cam
 		s.install(p, st, n, false, nil)
 	}
 	if plan.cfg.Fanout > 0 {
-		treeTable.Register(s.Obs, plan, obs.L("tree", fmt.Sprintf("%s.%d", st.From, st.Local)))
+		treeTable.Register(s.Obs, st, obs.L("tree", fmt.Sprintf("%s.%d", st.From, st.Local)))
 	}
 	s.install(p, st, plan.root, false, nil)
 	if video {
@@ -451,10 +477,19 @@ func (s *System) sendTree(p *occam.Proc, cfg TreeConfig, from string, cs box.Cam
 
 // treeTable is a planned tree's shape and repair count.
 var treeTable = obs.NewTable(
-	obs.GaugeOf("tree_depth", func(t *TreePlan) float64 { return float64(t.Depth()) }),
-	obs.GaugeOf("tree_copies_max", func(t *TreePlan) float64 { return float64(t.MaxInteriorCopies()) }),
-	obs.CounterOf("tree_repairs_total", func(t *TreePlan) uint64 { return t.repairs }),
+	obs.GaugeOf("tree_depth", func(st *Stream) float64 { return float64(st.treeRow().depth) }),
+	obs.GaugeOf("tree_copies_max", func(st *Stream) float64 { return float64(st.treeRow().copies) }),
+	obs.CounterOf("tree_repairs_total", func(st *Stream) uint64 { return st.treeRow().repairs }),
 )
+
+// treeRow is what a tree's row reads: its plan's figures while the
+// stream is open, those Close kept after.
+func (st *Stream) treeRow() keptPlan {
+	if st.Tree != nil {
+		return keptPlan{depth: st.Tree.Depth(), copies: st.Tree.MaxInteriorCopies(), repairs: st.Tree.repairs}
+	}
+	return *st.kept
+}
 
 // Pull grafts late joiners onto an open stream: each destination pulls
 // one copy from the chosen already-carrying box (spare fanout,
@@ -463,6 +498,9 @@ var treeTable = obs.NewTable(
 // destination that is already a member is left as it is; one the plan
 // refuses is left out, and the error names the first.
 func (s *System) Pull(p *occam.Proc, st *Stream, dsts ...string) (first error) {
+	if st.Closed() {
+		return ErrClosed
+	}
 	for _, dst := range dsts {
 		n, err := s.attach(p, st, dst)
 		if n != nil {
@@ -483,6 +521,9 @@ func (s *System) Pull(p *occam.Proc, st *Stream, dsts ...string) (first error) {
 // yet moved. It applies between segments (principle 6); why is for the
 // trace. Returns how many subtrees moved.
 func (s *System) rehome(p *occam.Proc, st *Stream, relay, why string) (int, error) {
+	if st.Closed() {
+		return 0, ErrClosed
+	}
 	from := st.Tree.members[relay]
 	if from == nil {
 		return 0, nil
@@ -527,8 +568,12 @@ func (s *System) MigrateTree(p *occam.Proc, st *Stream, hot string) (int, error)
 
 // Close shuts a stream down entirely: stop the media source, remove
 // the source route, then every destination's route and its feeding
-// circuit, in placement order.
+// circuit, in placement order. The stream then keeps its figures, not
+// its plan (see Stream). Closing a closed stream does nothing.
 func (s *System) Close(p *occam.Proc, st *Stream) {
+	if st.Closed() {
+		return
+	}
 	src := s.node(st.From).box
 	if st.Video {
 		src.StopCamera(p, st.Local)
@@ -539,6 +584,7 @@ func (s *System) Close(p *occam.Proc, st *Stream) {
 	for _, n := range st.Tree.order {
 		s.disconnect(p, n, st.VCIs[n.name])
 	}
+	st.kept, st.Tree = st.Tree.keep(), nil
 }
 
 // disconnect removes n's switch route and the circuit on vci that
@@ -556,6 +602,9 @@ func (s *System) disconnect(p *occam.Proc, n *member, vci uint32) {
 // interior box first has its subtrees re-homed so they keep playing,
 // and stays when the plan refuses that.
 func (s *System) RemoveDestination(p *occam.Proc, st *Stream, dst string) error {
+	if st.Closed() {
+		return ErrClosed
+	}
 	n := st.Tree.members[dst]
 	if _, err := s.rehome(p, st, dst, "departing"); n == nil || err != nil {
 		return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -235,7 +236,8 @@ func TestTreeChurnRepairRace(t *testing.T) {
 }
 
 // TestTreeCloseDrains: closing a tree stream returns every wire to its
-// pool on every box.
+// pool on every box, and releases its plan, so every verb on it refuses
+// with ErrClosed and a second close does nothing.
 func TestTreeCloseDrains(t *testing.T) {
 	s, viewers := treeSystem(t, 8)
 	defer s.Shutdown()
@@ -254,6 +256,25 @@ func TestTreeCloseDrains(t *testing.T) {
 		if leaked := s.Box(n).WirePoolLeaked(); leaked != 0 {
 			t.Fatalf("%s leaked %d wires after close", n, leaked)
 		}
+	}
+	// Its plan is gone: every verb refuses, and a second close does
+	// nothing.
+	traced := s.Obs.Tracer().Total()
+	s.Control(func(p *occam.Proc) {
+		s.Close(p, st)
+		_, repairErr := s.RepairTree(p, st, viewers[0])
+		_, migrateErr := s.MigrateTree(p, st, viewers[0])
+		for i, err := range []error{s.Pull(p, st, "src"), s.RemoveDestination(p, st, viewers[1]), repairErr, migrateErr} {
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("verb %d on a closed stream: %v, want ErrClosed", i, err)
+			}
+		}
+	})
+	if err := s.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Obs.Tracer().Total() - traced; n != 0 {
+		t.Errorf("verbs on a closed stream traced %d events", n)
 	}
 }
 

@@ -8,7 +8,9 @@
 // does not have to be informed of the creation or deletion of
 // streams; it just adapts to the incoming data". A block arriving for
 // an unknown stream creates its clawback buffer; a buffer found empty
-// at mixing time is deactivated and removed.
+// at mixing time is deactivated and removed. Retire is a hint, not a
+// command: a stream whose route has closed gives its buffer's storage
+// back once it runs dry.
 //
 // Error recovery follows §3.8: segments carry sequence numbers, so
 // the destination detects missing segments as soon as a later one
@@ -86,6 +88,7 @@ type stream struct {
 	lastBlock [segment.BlockSamples]byte
 	haveLast  bool
 	active    bool
+	retired   bool // its route has closed: Retire
 	digest    uint64
 	c         streamCounters
 }
@@ -94,12 +97,14 @@ type stream struct {
 // 2 ms block per tick. Not safe for concurrent use (it lives inside
 // the audio transputer's block handler process).
 type Mixer struct {
-	cfg  Config
-	pool *clawback.Pool
+	cfg    Config
+	source string // the trace source, Name + ".mixer"
+	pool   *clawback.Pool
 	// streams is every stream ever created, in ascending id order, the
 	// order of mixing: arrival order must not leak into audio. A board
 	// carries a handful, found by binary search; one is inserted when
-	// created and never deleted.
+	// created and never deleted, for its counters are its figures. A
+	// retired stream's clawback storage is freed once it runs dry.
 	streams []*stream
 	// playing is the active streams in the same order: all a tick
 	// visits. Deliver inserts a stream when it creates or reactivates
@@ -142,8 +147,9 @@ func New(cfg Config) *Mixer {
 		cfg.Name = "mixer"
 	}
 	m := &Mixer{
-		cfg:  cfg,
-		pool: clawback.NewPool(),
+		cfg:    cfg,
+		source: cfg.Name + ".mixer",
+		pool:   clawback.NewPool(),
 	}
 	mixerTable.Register(cfg.Obs, m, obs.L("box", cfg.Name))
 	return m
@@ -223,8 +229,6 @@ func (m *Mixer) newStream(id uint32) *stream {
 	return s
 }
 
-func (m *Mixer) source() string { return m.cfg.Name + ".mixer" }
-
 // Deliver feeds one arriving audio segment for stream id into its
 // clawback buffer, creating or reactivating the stream as needed and
 // concealing any sequence gap. It reads headers and sample blocks in
@@ -237,7 +241,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 		// The overload controller shed this stream: discard the
 		// segment (releasing its wire) until DegradeRestore.
 		m.shedDrops++
-		tr.Emit(obs.EvDrop, m.source(), id, "degrade-shed")
+		tr.Emit(obs.EvDrop, m.source, id, "degrade-shed")
 		w.Release()
 		return
 	}
@@ -246,7 +250,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 		s = m.newStream(id)
 		m.streams = slices.Insert(m.streams, at, s)
 		m.play(s)
-		tr.Emit(obs.EvStreamOpen, m.source(), id, "stream created")
+		tr.Emit(obs.EvStreamOpen, m.source, id, "stream created")
 	} else if !s.active {
 		// "If a block arrives for a stream that does not have a
 		// buffer, a new clawback buffer will be inserted, and mixing
@@ -254,7 +258,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 		s.active = true
 		m.play(s)
 		s.c.reactivations++
-		tr.Emit(obs.EvStreamOpen, m.source(), id, "stream reactivated")
+		tr.Emit(obs.EvStreamOpen, m.source, id, "stream reactivated")
 	}
 	s.c.segments++
 
@@ -289,7 +293,7 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 			// audio, so the payload is discarded; the stream still
 			// resynchronises to the duplicate's sequence number.
 			s.c.lateDups++
-			tr.Emit(obs.EvDrop, m.source(), id, "late-duplicate")
+			tr.Emit(obs.EvDrop, m.source, id, "late-duplicate")
 			s.nextSeq = seq + 1
 			w.Release()
 			return
@@ -348,9 +352,8 @@ func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 		if !ok {
 			// "The time saved when a clawback buffer is found to be
 			// empty is used to deactivate the stream."
-			s.active = false
-			s.buf.Drain()
-			m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source(), s.id, "stream deactivated")
+			m.deactivate(s)
+			m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source, s.id, "stream deactivated")
 			continue
 		}
 		kept = append(kept, s)
@@ -409,11 +412,35 @@ func (m *Mixer) SetShed(id uint32, shed bool) {
 	}
 	m.shed[id] = true
 	if s, _, ok := m.find(id); ok && s.active {
-		s.active = false
 		at, _ := slices.BinarySearchFunc(m.playing, id, byID)
 		m.playing = slices.Delete(m.playing, at, at+1)
+		m.deactivate(s)
+		m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source, id, "stream shed")
+	}
+}
+
+// deactivate takes s out of play, releasing its queued blocks, and
+// frees its buffer's storage when it is retired.
+func (m *Mixer) deactivate(s *stream) {
+	s.active = false
+	if s.retired {
+		s.buf.Free()
+	} else {
 		s.buf.Drain()
-		m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source(), id, "stream shed")
+	}
+}
+
+// Retire marks stream id's route closed: its clawback storage is freed
+// as soon as it runs dry, now if it has. A straggler still reactivates
+// it, and grows its buffer anew. Its Stats stay.
+func (m *Mixer) Retire(id uint32) {
+	s, _, ok := m.find(id)
+	if !ok {
+		return
+	}
+	s.retired = true
+	if !s.active {
+		s.buf.Free()
 	}
 }
 

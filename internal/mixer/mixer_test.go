@@ -433,3 +433,58 @@ func TestStreamsMixInIDOrderWhateverOrderTheyArrivedIn(t *testing.T) {
 		t.Errorf("a tick allocates %.1f objects", allocs)
 	}
 }
+
+// TestRetiredStreamFreesItsStorageOnceDrained runs two mixers in step on
+// the same stream, one retired while it plays: the retired one plays
+// every queued block as the other does, then gives its clawback
+// storage back when the stream runs dry — a straggler then plays, and
+// grows it anew, one allocation a straggler where the twin's reuses its
+// ring — and its Stats read as the twin's.
+func TestRetiredStreamFreesItsStorageOnceDrained(t *testing.T) {
+	const runs = 20
+	kept, retired := New(Config{}), New(Config{})
+	wires := func() []segment.Wire {
+		ws := make([]segment.Wire, runs+2)
+		for i := range ws {
+			ws[i] = seg(uint32(i), int16(100*(i+1)), 2)
+		}
+		return ws
+	}
+	kw, rw := wires(), wires()
+	kept.Deliver(1, kw[0])
+	retired.Deliver(1, rw[0])
+	retired.Retire(1)
+	for tick := 0; tick < 3; tick++ {
+		a, am := kept.Tick(0)
+		ka := string(a)
+		b, bm := retired.Tick(0)
+		if ka != string(b) || am != bm {
+			t.Fatalf("tick %d: the retired stream mixed %d (%x), its twin %d (%x)", tick, bm, b, am, ka)
+		}
+	}
+	if kept.ActiveStreams() != 0 || retired.ActiveStreams() != 0 || retired.pool.Used() != 0 {
+		t.Fatalf("%d and %d streams play, %d pool blocks held: want both dry", kept.ActiveStreams(), retired.ActiveStreams(), retired.pool.Used())
+	}
+	straggle := func(m *Mixer, ws []segment.Wire) func() {
+		n := 1
+		return func() {
+			m.Deliver(1, ws[n])
+			n++
+			for range 3 {
+				if _, mixed := m.Tick(0); mixed > 1 {
+					t.Fatalf("mixed %d streams", mixed)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(runs, straggle(kept, kw)); allocs != 0 {
+		t.Errorf("a straggler on a drained stream allocates %.1f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(runs, straggle(retired, rw)); allocs != 1 {
+		t.Errorf("a straggler on a retired stream allocates %.1f objects, want 1 (its ring)", allocs)
+	}
+	if k, r := kept.Stats(1), retired.Stats(1); k != r || r.Reactivations != runs+1 {
+		t.Errorf("retired stream's stats %+v, its twin's %+v (want equal, %d reactivations)", r, k, runs+1)
+	}
+	retired.Retire(2) // no such stream: nothing to do
+}

@@ -44,7 +44,7 @@ func referenceTick(m *Mixer, now int64) ([]byte, int) {
 		if !ok {
 			s.active = false
 			s.buf.Drain()
-			m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source(), s.id, "stream deactivated")
+			m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source, s.id, "stream deactivated")
 			continue
 		}
 		for i := range sum {

@@ -116,7 +116,7 @@ func (r *Runner) Survivors(clean *Runner, skip ...string) (checked, mismatched, 
 		for _, dst := range st.Dsts() {
 			touched := crashed[st.From] || crashed[dst] || slices.Contains(skip, dst)
 			for box := range crashed {
-				touched = touched || st.Tree.EverUnder(dst, box)
+				touched = touched || st.EverUnder(dst, box)
 			}
 			if touched {
 				excluded++
@@ -285,7 +285,7 @@ func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 		if !ok {
 			return false, fmt.Sprintf("no tree stream %q", a.Arg)
 		}
-		n := st.Tree.FeederBoxes()
+		n := st.FeederBoxes()
 		return n >= int(a.Value), fmt.Sprintf("%d distinct feeder boxes for %s (want ≥ %d)", n, a.Arg, int(a.Value))
 	}
 	return false, "unknown assert"

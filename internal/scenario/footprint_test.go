@@ -24,12 +24,13 @@ const idleBoxBytes = 12_400
 // stream state and its clawback buffer with their two registry rows,
 // the clawback ring, the stream's playout histogram, the fabric route,
 // the switch tables' entries at both ends, the speaker ring's storage
-// and the stream's trace events.
+// and the stream's trace events. Its close gives back the clawback ring
+// and the plan, and keeps the figures (closedCallBytes).
 const streamBytes = 3_390
 
-// liveGrowth builds spec, runs it for 100 ms and returns how much the
-// live heap grew.
-func liveGrowth(t *testing.T, spec string) float64 {
+// liveGrowth builds spec, runs it for d and returns how much the live
+// heap grew.
+func liveGrowth(t *testing.T, spec string, d time.Duration) float64 {
 	t.Helper()
 	r, err := NewRunner(MustParse(spec))
 	if err != nil {
@@ -44,7 +45,7 @@ func liveGrowth(t *testing.T, spec string) float64 {
 	}
 	before := live()
 	r.Start(nil)
-	if err := r.RunFor(100 * time.Millisecond); err != nil {
+	if err := r.RunFor(d); err != nil {
 		t.Fatal(err)
 	}
 	grown := float64(live() - before)
@@ -69,7 +70,7 @@ degrade shed=150ms hold=800ms
 // on, runs them for 100 ms, and fails if the live heap grew by more than
 // 15 % over idleBoxBytes a box.
 func TestIdleBoxFootprint(t *testing.T) {
-	perBox := liveGrowth(t, footprintSpec("")) / 201
+	perBox := liveGrowth(t, footprintSpec(""), 100*time.Millisecond) / 201
 	t.Logf("%.0f live bytes a box", perBox)
 	if limit := 1.15 * idleBoxBytes; perBox > limit {
 		t.Errorf("an idle box holds %.0f live bytes, over the %.0f allowed (%d measured, + 15 %%)", perBox, limit, idleBoxBytes)
@@ -80,11 +81,57 @@ func TestIdleBoxFootprint(t *testing.T) {
 // from s to each, and fails if, after 100 ms, the live heap holds more
 // than 15 % over streamBytes a stream beyond the idle boxes.
 func TestStreamFootprint(t *testing.T) {
-	idle := liveGrowth(t, footprintSpec(""))
-	perStream := (liveGrowth(t, footprintSpec("at 0s audio s -> v[001..200] as a\n")) - idle) / 200
+	idle := liveGrowth(t, footprintSpec(""), 100*time.Millisecond)
+	perStream := (liveGrowth(t, footprintSpec("at 0s audio s -> v[001..200] as a\n"), 100*time.Millisecond) - idle) / 200
 	t.Logf("%.0f live bytes a received stream", perStream)
 	if limit := 1.15 * streamBytes; perStream > limit {
 		t.Errorf("a received stream holds %.0f live bytes, over the %.0f allowed (%d measured, + 15 %%)", perStream, limit, streamBytes)
+	}
+}
+
+// closedCallBytes is what one further closed call between the same
+// two boxes keeps on the live heap (linux/amd64, go1.24) once it has run
+// dry: a closed stream keeps its figures, not its state. About 2.9 kB
+// are the two streams' figures — core's record (source, VCI map, what
+// it keeps of its plan), the mixer stream and clawback buffer behind
+// the per-stream registry rows the digest reads, without the clawback
+// ring, and the playout histogram — and the rest the spec's two events,
+// the Runner's refs and the call's share of the trace ring.
+const closedCallBytes = 4_610
+
+// callRounds is ten boxes with microphones on one fabric, paired into
+// five calls a round for rounds rounds: round k opens its calls at
+// k × 100 ms and closes them 50 ms later.
+func callRounds(rounds int) string {
+	var sb strings.Builder
+	sb.WriteString(`scenario calls
+duration 3s
+box v[00..09] mic=tone:400:8000
+fabric f portbw=155M
+attach f v[00..09]
+`)
+	for k := 0; k < rounds; k++ {
+		for p := 0; p < 10; p += 2 {
+			fmt.Fprintf(&sb, "at %dms call v%02d v%02d as r%dp%d\n", 100*k, p, p+1, k, p)
+		}
+		for p := 0; p < 10; p += 2 {
+			fmt.Fprintf(&sb, "at %dms close r%dp%d\n", 100*k+50, k, p)
+		}
+	}
+	return sb.String()
+}
+
+// TestClosedCallFootprint plays ten rounds of five calls after a first
+// round among the same ten boxes, and fails if, at 2 s, the live heap
+// holds more than 15 % over closedCallBytes for each of the 50 further
+// calls. The timeline's commands take virtual time, so the last close
+// ends near 1.45 s.
+func TestClosedCallFootprint(t *testing.T) {
+	first := liveGrowth(t, callRounds(1), 2*time.Second)
+	perCall := (liveGrowth(t, callRounds(11), 2*time.Second) - first) / 50
+	t.Logf("%.0f live bytes a closed call", perCall)
+	if limit := 1.15 * closedCallBytes; perCall > limit {
+		t.Errorf("a closed call holds %.0f live bytes, over the %.0f allowed (%d measured, + 15 %%)", perCall, limit, closedCallBytes)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // over one or two stripes, or a flat audio stream — and a run of pull,
 // split, drop, repair and close events on them, sometimes under a
 // balance block. Drops and repairs favour a stream's first members,
-// which are its relays.
+// which are its relays. A closed stream's ref is retired: no later event
+// names it, and the events end when every stream has closed.
 func genSpec(rng *rand.Rand, i int) string {
 	var sb strings.Builder
 	n := 3 + rng.Intn(6)
@@ -59,8 +60,9 @@ func genSpec(rng *rand.Rand, i int) string {
 		}
 		refs, first[ref] = append(refs, ref), to
 	}
-	for at := 2 + rng.Intn(3); at < 28; at += 1 + rng.Intn(4) {
-		ref := refs[rng.Intn(len(refs))]
+	for at := 2 + rng.Intn(3); at < 28 && len(refs) > 0; at += 1 + rng.Intn(4) {
+		r := rng.Intn(len(refs))
+		ref := refs[r]
 		target := box()
 		if rng.Intn(2) == 0 {
 			target = first[ref][0]
@@ -76,6 +78,7 @@ func genSpec(rng *rand.Rand, i int) string {
 			fmt.Fprintf(&sb, "at %dms repair %s %s\n", at, ref, target)
 		default:
 			fmt.Fprintf(&sb, "at %dms close %s\n", at, ref)
+			refs = append(refs[:r], refs[r+1:]...)
 		}
 	}
 	return sb.String()

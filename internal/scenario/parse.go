@@ -47,7 +47,7 @@ func Load(path string) (*Scenario, error) {
 //	at DUR drop REF DST
 //	at DUR pull REF DST[,DST...] [wave=N/DUR]
 //	at DUR repair REF BOX
-//	at DUR close REF
+//	at DUR close REF                (no later event may name REF)
 //	at DUR netsend FROM -> TO stream=N vci=N
 //	faults FAULT[,FAULT...]     (FAULT a row below or a canned word; a later row
 //	         overrides, a window row adds a window)

@@ -33,7 +33,9 @@ type Runner struct {
 	Spec *Scenario
 	Sys  *core.System
 	// Streams holds every stream a timeline event named with "as";
-	// conference and call members land under "REF[i]".
+	// conference and call members land under "REF[i]". A closed stream
+	// stays, with the figures the report and the asserts read (see
+	// core.Stream).
 	Streams map[string]*core.Stream
 	// Ctrls are the degradation controllers by box or fabric-port name
 	// (nil when the spec has no degrade phase).
@@ -182,7 +184,13 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 		r.admitted = make(map[string]bool)
 	}
 
-	events := slices.SortedStableFunc(slices.Values(sc.Events), func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+	// The timeline plays in time order, held once: a spec written in time
+	// order is played from its own events.
+	byTime := func(a, b Event) int { return cmp.Compare(a.At, b.At) }
+	events := sc.Events
+	if !slices.IsSortedFunc(events, byTime) {
+		events = slices.SortedStableFunc(slices.Values(events), byTime)
+	}
 	if len(events) > 0 || then != nil {
 		s.Control(func(p *occam.Proc) {
 			// Event times are offsets between command issues, not absolute

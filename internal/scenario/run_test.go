@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/occam"
 )
 
 // mustPass executes the spec and fails the test on error or any
@@ -354,5 +357,125 @@ func TestRawVCIsStayOutOfTheAllocator(t *testing.T) {
 			mustPass(t, "scenario raw-vci\nduration 500ms\nbox a mic=tone:400:8000\nbox b\nlink a b bw=100M\n"+
 				c.before+"at 10ms audio a -> b as s\n"+c.after+"assert min-segments s 100\nassert max-lost s 0\n")
 		})
+	}
+}
+
+// TestBalancerLeavesClosedTreesAlone is the balance suite's migration
+// with a second tree, t0, through the same boxes, closed before the
+// flood heats n00: the one migration the balancer may make moves the
+// live tree t off n00, and nothing touches the closed t0's routes.
+func TestBalancerLeavesClosedTreesAlone(t *testing.T) {
+	r, err := NewRunner(MustParse(`scenario balance-closed
+seed 42
+duration 1s
+box src mic=speech:1:12000
+box src2 mic=speech:9:12000
+box vsrc camera=128x128
+box n00 camera=128x128
+box n[01..09]
+fabric fab portbw=1M egress=512
+attach fab src src2 vsrc n[00..09]
+degrade shed=200ms hold=600ms
+balance budget=2 interval=20ms migrate=0.4 cooldown=5s maxmig=1
+at 0s tree src2 -> n[00..09] k=3 trees=1 as t0
+at 0s tree src -> n[00..09] k=3 trees=1 as t
+at 600ms close t0
+at 700ms video vsrc -> n00 rect=0,0,128,128 rate=1/1 as v
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if migs := r.Bal.Migrations(); len(migs) != 1 || migs[0].Box != "n00" {
+		t.Fatalf("migrations %v: want one, off n00", migs)
+	}
+	if n := r.Streams["t"].Tree.Relays("n00"); n != 0 {
+		t.Errorf("t still relays %d copies through hot n00", n)
+	}
+	for _, e := range r.Sys.Obs.Tracer().Events() {
+		if e.Source == "src2.switch" && e.At > occam.Time(600*time.Millisecond) && e.Detail != "route closed" {
+			t.Errorf("the closed tree's source was reconfigured: %v", e)
+		}
+	}
+}
+
+// TestClosedStreamsKeepTheirFigures closes a two-stripe tree, after a
+// repair around its crashed relay r1, and a flat stream: what the
+// asserts, Survivors, EverUnder and the tree row read of the closed
+// streams is what they read of their open plans before close released
+// them.
+func TestClosedStreamsKeepTheirFigures(t *testing.T) {
+	r, err := NewRunner(MustParse(`scenario closed-tree
+seed 7
+duration 1s
+box s mic=tone:400:8000
+box u mic=tone:500:8000
+box r1 crash=server:200ms-400ms
+box v[1..6]
+fabric f portbw=155M
+attach f s u r1 v[1..6]
+at 0s tree s -> r1,v1,v2,v3,v4,v5,v6 k=2 trees=2 as t
+at 0s audio u -> v4,v5 as a
+at 300ms repair t r1
+at 700ms close t
+at 700ms close a
+assert survivors-identical
+assert spread t 3
+assert spread a 1
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Streams["t"].Closed() || !r.Streams["a"].Closed() {
+		t.Fatal("a stream is open after its close")
+	}
+	sum, err := r.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"ok   survivors-identical: 5/5 surviving deliveries byte-identical with the fault-free twin",
+		"ok   spread t: 4 distinct feeder boxes for t (want ≥ 3)",
+		"ok   spread a: 1 distinct feeder boxes for a (want ≥ 1)",
+	}
+	if !slices.Equal(sum.Lines, want) {
+		t.Errorf("summary lines %q, want %q", sum.Lines, want)
+	}
+	clean, err := r.CleanTwin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, m, x := r.Survivors(clean); c != 5 || m != 0 || x != 4 {
+		t.Errorf("Survivors: %d checked, %d mismatched, %d excluded; want 5, 0, 4", c, m, x)
+	}
+	for ref, want := range map[string]string{
+		"t": "r1<s v1<s v2<s v2<r1 v3<s v3<v1 v4<s v4<r1 v5<s v5<v1 v6<s v6<r1 v6<v2",
+		"a": "v4<u v5<u",
+	} {
+		st := r.Streams[ref]
+		var under []string
+		for _, d := range append(st.Dsts(), "s", "u", "x") {
+			for _, b := range []string{"s", "u", "r1", "v1", "v2", "v3"} {
+				if st.EverUnder(d, b) {
+					under = append(under, d+"<"+b)
+				}
+			}
+		}
+		if got := strings.Join(under, " "); got != want {
+			t.Errorf("EverUnder of %s: %s\nwant            %s", ref, got, want)
+		}
+	}
+	snap := r.Sys.Obs.Snapshot()
+	for name, want := range map[string]float64{"tree_depth": 3, "tree_copies_max": 2, "tree_repairs_total": 1} {
+		if s, ok := snap.Get(name, obs.L("tree", "s.1")); !ok || s.Value != want {
+			t.Errorf("%s{tree=\"s.1\"} = %v (registered %v), want %v", name, s.Value, ok, want)
+		}
 	}
 }

@@ -248,9 +248,10 @@ func (t specTopology) Connectable(a, b string) bool {
 func (specTopology) CanRelay(string) bool { return true }
 
 // Validate checks internal consistency: names resolve, events refer to
-// streams opened earlier and asserts to streams an event opens, core's
-// planner can make every stream's moves, the fault phase parses, times
-// fit the duration, and the degrade and balance settings are in range.
+// streams opened earlier and not yet closed and asserts to streams an
+// event opens, core's planner can make every stream's moves, the fault
+// phase parses, times fit the duration, and the degrade and balance
+// settings are in range.
 // Parse and NewRunner both call it, so a spec built in Go is held to
 // what a spec file is.
 func (sc *Scenario) Validate() error {
@@ -359,7 +360,8 @@ func (sc *Scenario) Validate() error {
 		}
 		return pl, err
 	}
-	sent := map[uint32]bool{} // the VCIs netsends have opened
+	sent := map[uint32]bool{}   // the VCIs netsends have opened
+	closed := map[string]bool{} // refs a close has named, and their members
 	order := make([]int, len(sc.Events))
 	for i := range order {
 		order[i] = i
@@ -434,6 +436,18 @@ func (sc *Scenario) Validate() error {
 		default: // refDst, refDsts, refOnly
 			if pl, ok = plans[ev.Ref]; !ok {
 				return fmt.Errorf("scenario %s: %s refers to unopened stream %q", sc.Name, where, ev.Ref)
+			}
+			if closed[ev.Ref] {
+				return fmt.Errorf("scenario %s: %s names stream %q after its close", sc.Name, where, ev.Ref)
+			}
+			if ev.Op == "close" {
+				closed[ev.Ref] = true
+				for j := 0; ; j++ {
+					if _, ok := plans[memberRef(ev.Ref, j)]; !ok {
+						break
+					}
+					closed[memberRef(ev.Ref, j)] = true
+				}
 			}
 			switch {
 			case o.shape == refDst && len(ev.To) != 1:

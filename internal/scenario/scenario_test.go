@@ -185,6 +185,9 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nbox a\nfaults crash=srvr:50ms-250ms", `faultinject: token 1 ("crash=srvr:50ms-250ms") at char 0: crash wants BOARD:FROM-TO with BOARD one of server, audio, display`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s pull main b", `unopened stream "main"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s repair main b", `unopened stream "main"`},
+		// A closed stream is named by no later event: its plan is gone.
+		{"scenario x\nduration 1s\nbox a mic=tone:400:8000\nbox b\nbox c\nfabric f\nattach f a b c\nat 50ms audio a -> b as s\nat 100ms close s\nat 150ms pull s c", `event 3 (pull at 150ms) names stream "s" after its close`},
+		{"scenario x\nduration 1s\nbox a\nbox b\nfabric f\nattach f a b\nat 50ms call a b as k\nat 100ms close k\nat 150ms close k[1]", `event 3 (close at 150ms) names stream "k[1]" after its close`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s tree a -> b k=-1", "non-negative"},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s tree a -> b trees=0", "positive"},
 		{"scenario x\nduration 1s\nassert made-up-kind", "unknown assert kind"},
