@@ -184,7 +184,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rt := occam.NewRuntime()
 	netw := atm.New(rt)
-	cfg := spec.Boxes[*index].Config()
+	// The spec's crash windows are simulation faults: a node runs none.
+	bs := spec.Boxes[*index]
+	cfg := bs.Config
+	cfg.Mic, cfg.Crashes = bs.Mic.Source(), nil
 	name, total := cfg.Name, spec.Duration
 	b := box.New(rt, netw, cfg)
 	b.Host().SetTransport(mux)

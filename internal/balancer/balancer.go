@@ -285,29 +285,36 @@ func (bd *board) sampleNow(sys *core.System) Sample {
 	return s
 }
 
-// Pick implements core.Placer: the candidate with the lowest effective
+// Pick returns the index of the candidate with the lowest effective
 // score, the first of equals, so score ties keep placement order
-// (first-fit). The winner's placement count rises — the wPlace term
-// that spreads otherwise-identical boxes.
+// (first-fit), and books the placement. core's placement makes the
+// same choice through Load and Placed.
 func (b *Balancer) Pick(cands []string) int {
 	best := 0
 	for i := range cands {
-		if b.effOf(cands[i]) < b.effOf(cands[best]) {
+		if b.Load(cands[i]) < b.Load(cands[best]) {
 			best = i
 		}
 	}
-	if bd := b.boards[cands[best]]; bd != nil {
-		bd.placements++
-		b.placed++
-	}
+	b.Placed(cands[best])
 	return best
 }
 
-func (b *Balancer) effOf(name string) float64 {
+// Load implements core.Placer: the box's effective score.
+func (b *Balancer) Load(name string) float64 {
 	if bd := b.boards[name]; bd != nil {
 		return bd.eff
 	}
 	return 0
+}
+
+// Placed implements core.Placer: the box's placement count rises — the
+// wPlace term that spreads otherwise-identical boxes.
+func (b *Balancer) Placed(name string) {
+	if bd := b.boards[name]; bd != nil {
+		bd.placements++
+		b.placed++
+	}
 }
 
 // PlaceCall picks the least-loaded box (other than from) reachable in

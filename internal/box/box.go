@@ -315,19 +315,23 @@ type SwitchStats struct {
 }
 
 // hostRoute is one stream's entry in a box's mirror of its routes: the
-// overload controller's view of the stream (media class, direction and
-// age) and the VCIs the network output sends its copies on.
+// Route the host installed, which the switch holds too and neither
+// changes, and whether the overload controller has its copies parked.
 type hostRoute struct {
-	opened   occam.Time
-	vcis     []uint32
-	video    bool
-	incoming bool // delivered locally, no network output
-	relay    bool // interior tree node: local playout + forwarded copies
+	r *Route
 	// parked holds back a relay's forwarded copies while the overload
 	// controller has the stream shed: the subtree's copies stop, the
 	// local playout keeps running (the per-subtree shed target).
 	parked bool
 }
+
+// video reports the route's media class: a route to the display, or
+// one marked Video, is video.
+func (r *Route) video() bool { return r.Video || slices.Contains(r.Outputs, OutDisplay) }
+
+// incoming reports whether the route delivers locally only: no copy
+// goes to the network.
+func (r *Route) incoming() bool { return !slices.Contains(r.Outputs, OutNetwork) }
 
 // AudioStats counts the audio board's work.
 type AudioStats struct {
@@ -539,7 +543,8 @@ func (b *Box) recordPlayout(stream uint32, stamp, now int64) {
 
 // SetRoute installs or replaces a stream's route in the switch, its
 // fan-out list included; the change applies between segments
-// (principle 6).
+// (principle 6). The caller hands over r's slices: the box keeps them
+// as the route, so the caller must not change them after.
 func (b *Box) SetRoute(p *occam.Proc, r Route) {
 	if r.Opened == 0 {
 		r.Opened = p.Now()
@@ -547,17 +552,7 @@ func (b *Box) SetRoute(p *occam.Proc, r Route) {
 	if len(r.NetVCIs) > b.copiesHi {
 		b.copiesHi = len(r.NetVCIs)
 	}
-	// A new fan-out supersedes a parked one.
-	hr := hostRoute{opened: r.Opened, vcis: append([]uint32(nil), r.NetVCIs...), video: r.Video, incoming: true, relay: r.Relay}
-	for _, o := range r.Outputs {
-		if o == OutNetwork {
-			hr.incoming = false
-		}
-		if o == OutDisplay {
-			hr.video = true
-		}
-	}
-	b.mirror.set(r.Stream, hr)
+	b.mirror.set(r.Stream, hostRoute{r: &r}) // a new fan-out supersedes a parked one
 	b.switchCmd.Send(p, switchCommand{op: cmdSet, stream: r.Stream, route: &r})
 }
 
@@ -574,7 +569,7 @@ func (b *Box) CloseRoute(p *occam.Proc, stream uint32) {
 // on, in send order. The slice is the box's own: read it only.
 func (b *Box) NetCopies(stream uint32) []uint32 {
 	if hr, ok := b.mirror.get(stream); ok && !hr.parked {
-		return hr.vcis
+		return hr.r.NetVCIs
 	}
 	return nil
 }
@@ -661,9 +656,9 @@ func (b *Box) DegradeName() string { return b.cfg.Name }
 func (b *Box) DegradeStreams() []degrade.StreamInfo {
 	out := make([]degrade.StreamInfo, 0, len(b.mirror))
 	for _, e := range b.mirror {
-		hr := e.v
+		r := e.v.r
 		out = append(out, degrade.StreamInfo{
-			ID: e.id, Video: hr.video, Incoming: hr.incoming, Opened: hr.opened,
+			ID: e.id, Video: r.video(), Incoming: r.incoming(), Opened: r.Opened,
 		})
 	}
 	return out
@@ -681,7 +676,7 @@ func (b *Box) DegradePressure() (video, audio float64) {
 // the switch takes the command; DegradeSettle then bars incoming audio
 // at the mixer too.
 func (b *Box) DegradeShed(p *occam.Proc, id uint32) {
-	if hr, ok := b.mirror.get(id); ok && hr.relay {
+	if hr, ok := b.mirror.get(id); ok && hr.r.Relay {
 		// Per-subtree shed: an overloaded interior tree box stops its
 		// forwarded copies (its downstream subtree degrades) but keeps
 		// its own playout — shedding at the switch would kill both.
@@ -717,7 +712,7 @@ func (b *Box) DegradeSettle(id uint32, shed bool) {
 		b.mix.SetShed(id, false)
 		return
 	}
-	if hr, ok := b.mirror.get(id); ok && !hr.parked && hr.incoming && !hr.video {
+	if hr, ok := b.mirror.get(id); ok && !hr.parked && hr.r.incoming() && !hr.r.video() {
 		b.mix.SetShed(id, true)
 	}
 }

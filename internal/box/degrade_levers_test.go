@@ -2,11 +2,14 @@ package box
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/atm"
+	"repro/internal/degrade"
 	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
@@ -101,3 +104,60 @@ restore 5: copies [300] [] [400], barred false false, streams [{5 false false t+
 shed and close 5 and 7: copies [] [] [400], barred false true, streams [{9 false false t+0s}]
 restore closed 5: copies [] [] [400], barred false true, streams [{9 false false t+0s}]
 `
+
+// TestRouteShapesToTheController installs one route of each shape the
+// control plane builds — a speaker, a display, a network audio and a
+// network video source, an audio and a video relay — and reads what the
+// box makes of each: its class, direction and age as DegradeStreams
+// offers them, the copies NetCopies sends, and whether DegradeSettle
+// bars it at the mixer (only audio that plays here and goes nowhere).
+func TestRouteShapesToTheController(t *testing.T) {
+	shapes := []struct {
+		r      Route
+		want   degrade.StreamInfo
+		copies []uint32
+		barred bool
+	}{
+		{Route{Stream: 1, Outputs: []Output{OutSpeaker}}, degrade.StreamInfo{ID: 1, Incoming: true}, nil, true},
+		{Route{Stream: 2, Outputs: []Output{OutDisplay}}, degrade.StreamInfo{ID: 2, Video: true, Incoming: true}, nil, false},
+		{Route{Stream: 3, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{300}}, degrade.StreamInfo{ID: 3}, []uint32{300}, false},
+		{Route{Stream: 4, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{400}, Video: true}, degrade.StreamInfo{ID: 4, Video: true}, []uint32{400}, false},
+		{Route{Stream: 5, Outputs: []Output{OutSpeaker, OutNetwork}, NetVCIs: []uint32{500, 501}, Relay: true, Opened: 7},
+			degrade.StreamInfo{ID: 5, Opened: 7}, []uint32{500, 501}, false},
+		{Route{Stream: 6, Outputs: []Output{OutDisplay, OutNetwork}, NetVCIs: []uint32{600}, Relay: true, Video: true},
+			degrade.StreamInfo{ID: 6, Video: true}, []uint32{600}, false},
+	}
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	reg := obs.New(rt)
+	bx := New(rt, atm.New(rt), Config{Name: "x", Obs: reg})
+	var seq uint32
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		for _, s := range shapes {
+			bx.SetRoute(p, s.r)
+		}
+		want := make([]degrade.StreamInfo, len(shapes))
+		for i, s := range shapes {
+			want[i] = s.want
+		}
+		if got := bx.DegradeStreams(); !reflect.DeepEqual(got, want) {
+			t.Errorf("DegradeStreams = %v, want %v", got, want)
+		}
+		for _, s := range shapes {
+			id := s.r.Stream
+			if got := bx.NetCopies(id); !slices.Equal(got, s.copies) {
+				t.Errorf("stream %d: NetCopies = %v, want %v", id, got, s.copies)
+			}
+			bx.DegradeSettle(id, true)
+			before := counter(t, reg, "mixer_shed_drops_total", obs.L("box", "x"))
+			blk := make([]byte, segment.BlockSamples)
+			bx.Mixer().Deliver(id, bx.wires.Encode(segment.NewAudio(seq, p.Now(), [][]byte{blk})))
+			seq++
+			if barred := counter(t, reg, "mixer_shed_drops_total", obs.L("box", "x")) > before; barred != s.barred {
+				t.Errorf("stream %d: barred at the mixer = %v, want %v", id, barred, s.barred)
+			}
+			bx.DegradeSettle(id, false)
+		}
+	})
+	run(t, rt, time.Millisecond)
+}

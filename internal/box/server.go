@@ -251,7 +251,7 @@ func (sw *dataSwitch) command(p *occam.Proc) {
 	switch cmd.op {
 	case cmdSet:
 		// The route is the switch's from here: SetRoute made it for
-		// this command and keeps no reference.
+		// this command, and the box's mirror only reads it.
 		sw.routes.set(cmd.stream, cmd.route)
 		what = routeSetText(cmd.route.Outputs)
 	case cmdClose:

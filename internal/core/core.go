@@ -136,16 +136,16 @@ type node struct {
 // Placer is the placement seam the balancer control plane installs
 // (internal/balancer implements it; core never imports the balancer).
 // When a placer is set, every move — attach, pull, repair, migration,
-// interior removal — adopts the placer's pick among the eligible boxes
-// instead of the first in placement order. A placer must be
-// deterministic: given the same candidate slice at the same virtual
-// time it must return the same pick, or replays stop being
+// interior removal — adopts the least loaded of the eligible boxes by
+// the placer's Load, the first in placement order of equals, instead of
+// the first outright. A placer must be deterministic: the same box at
+// the same virtual time has the same load, or replays stop being
 // byte-identical.
 type Placer interface {
-	// Pick returns the index of the best (least loaded) of cands, which
-	// is never empty. Candidates arrive in placement order, so a placer
-	// that keeps the first of equals degenerates to first-fit on ties.
-	Pick(cands []string) int
+	// Load returns the box's load score; lower is better.
+	Load(box string) float64
+	// Placed books one placement on the box core picked.
+	Placed(box string)
 }
 
 // SetPlacer installs (or, with nil, removes) the placement policy.

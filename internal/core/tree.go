@@ -256,11 +256,12 @@ func under(n, root *member) bool {
 // subtree intact: a member of n's tree that can relay, has spare
 // fanout, is neither the parent n is leaving nor inside n's own
 // subtree, and reaches n. Without a placer the first such member in
-// placement order wins; with one, the placer's pick among all of them.
-// When no member qualifies the source feeds n if it reaches it; nil
-// means nothing can.
+// placement order wins; with one, the least loaded of them, the first
+// of equals, and the placer books the placement. When no member
+// qualifies the source feeds n if it reaches it; nil means nothing can.
 func (t *TreePlan) choose(n *member, pl Placer) *member {
-	var elig []*member
+	var best *member
+	var bestLoad float64
 	for _, c := range t.placed[n.tree] {
 		if len(c.children) >= t.cfg.Fanout || c == n.parent || under(c, n) || !t.topo.Connectable(c.name, n.name) {
 			continue
@@ -268,14 +269,13 @@ func (t *TreePlan) choose(n *member, pl Placer) *member {
 		if pl == nil {
 			return c // first-fit needs no further scanning
 		}
-		elig = append(elig, c)
-	}
-	if len(elig) > 0 {
-		names := make([]string, len(elig))
-		for i, c := range elig {
-			names[i] = c.name
+		if load := pl.Load(c.name); best == nil || load < bestLoad {
+			best, bestLoad = c, load
 		}
-		return elig[pl.Pick(names)]
+	}
+	if best != nil {
+		pl.Placed(best.name)
+		return best
 	}
 	if t.topo.Connectable(t.root.name, n.name) {
 		return t.root

@@ -459,6 +459,52 @@ func TestTreeMoveAcrossBridge(t *testing.T) {
 	}
 }
 
+// meshTopo joins every pair of names and lets every name relay.
+type meshTopo struct{}
+
+func (meshTopo) Connectable(a, b string) bool { return true }
+func (meshTopo) CanRelay(string) bool         { return true }
+
+// stubPlacer answers loads from a table and counts the placements it
+// books, by the last box booked.
+type stubPlacer struct {
+	load   map[string]float64
+	booked string
+	times  int
+}
+
+func (s *stubPlacer) Load(box string) float64 { return s.load[box] }
+func (s *stubPlacer) Placed(box string)       { s.booked, s.times = box, s.times+1 }
+
+// TestChooseUnderAPlacer: under a placer, choose takes the least loaded
+// eligible member, the first in placement order of equals, books the
+// pick with Placed once, and allocates nothing.
+func TestChooseUnderAPlacer(t *testing.T) {
+	plan := NewTreePlan(meshTopo{}, "src", TreeConfig{Fanout: 8})
+	for _, name := range []string{"a", "b", "c", "d"} {
+		if err := plan.Attach(name, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := &member{name: "new"}
+	for _, c := range []struct {
+		load map[string]float64
+		want string
+	}{
+		{map[string]float64{}, "a"}, // all equal: placement order
+		{map[string]float64{"a": 0.5, "b": 0.2, "c": 0.2, "d": 0.3}, "b"},
+		{map[string]float64{"a": 0.5, "b": 0.4, "c": 0.3, "d": 0.1}, "d"}, // a strict minimum wins
+	} {
+		pl := &stubPlacer{load: c.load}
+		if got := plan.choose(n, pl); got == nil || got.name != c.want || pl.booked != c.want || pl.times != 1 {
+			t.Errorf("loads %v: choose = %v, booked %q %d times; want %s, booked once", c.load, got, pl.booked, pl.times, c.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { plan.choose(n, pl) }); allocs != 0 {
+			t.Errorf("loads %v: choose allocates %v objects, want 0", c.load, allocs)
+		}
+	}
+}
+
 // must is a verb's result in a test that wants no refusal.
 func must[T any](v T, err error) T {
 	if err != nil {

@@ -166,10 +166,13 @@ func (f *Fabric) Observe(reg *obs.Registry) {
 // returns it.
 func (f *Fabric) Attach(h *atm.Host) *Port {
 	id := len(f.ports)
+	nm := fmt.Sprintf("%s.p%02d", f.nm, id)
 	pt := &Port{
-		fab:  f,
-		nm:   fmt.Sprintf("%s.p%02d", f.nm, id),
-		host: h,
+		fab:          f,
+		nm:           nm,
+		host:         h,
+		routedText:   "routed to " + nm,
+		unroutedText: "unrouted from " + nm,
 	}
 	pt.fault = atm.NewFaultGate(pt.nm, "port-stall")
 	pt.crossTimer = occam.NewTimer(f.rt, pt.crossDone)
@@ -218,7 +221,7 @@ func (f *Fabric) Route(now occam.Time, vci uint32, to *Port, video bool) {
 		}
 		f.routeTab[vci] = r
 	}
-	f.trace.Emit(obs.EvStreamOpen, f.nm, vci, "routed to "+to.nm)
+	f.trace.Emit(obs.EvStreamOpen, f.nm, vci, to.routedText)
 }
 
 // Unroute removes a VCI. Messages already crossing for it are dropped
@@ -234,7 +237,7 @@ func (f *Fabric) Unroute(vci uint32) {
 		f.routeTab[vci] = nil
 	}
 	delete(r.out.shed, vci)
-	f.trace.Emit(obs.EvStreamClose, f.nm, vci, "unrouted from "+r.out.nm)
+	f.trace.Emit(obs.EvStreamClose, f.nm, vci, r.out.unroutedText)
 }
 
 // Reroute retargets an existing VCI onto a different port — the
@@ -304,6 +307,9 @@ type Port struct {
 	fab  *Fabric
 	nm   string
 	host *atm.Host
+	// routedText and unroutedText are what Route and Unroute trace for
+	// a VCI toward this port, built once.
+	routedText, unroutedText string
 
 	// Ingress shard: the queue of messages waiting for the crossbar,
 	// plus the one message in flight across it. crossTimer fires at the

@@ -317,6 +317,22 @@ func TestRouteTableGrowsByDoubling(t *testing.T) {
 	}
 }
 
+// TestRouteChangeAllocatesItsRecord: on an observed fabric a Route and
+// Unroute pair allocates the route record alone; the texts the two
+// trace are the port's, built when it was attached.
+func TestRouteChangeAllocatesItsRecord(t *testing.T) {
+	r := newRig(t, 2, Config{})
+	defer r.rt.Shutdown()
+	r.fab.Route(0, 7, r.fab.Port(1), false) // the table and the map grow once
+	r.fab.Unroute(7)
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.fab.Route(0, 7, r.fab.Port(1), false)
+		r.fab.Unroute(7)
+	}); allocs != 1 {
+		t.Fatalf("a Route+Unroute pair allocates %v objects, want 1 (the route record)", allocs)
+	}
+}
+
 // TestOccupancyIsTheGaugeQuotient: Port.Occupancy reads what the
 // egress and ingress depth gauges over their limits read — the train
 // being transmitted and the message crossing held outside both —

@@ -10,7 +10,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/atm"
+	"repro/internal/balancer"
 	"repro/internal/box"
+	"repro/internal/degrade"
 	"repro/internal/faultinject"
 )
 
@@ -242,24 +245,25 @@ func (b *Box) clauses() []clause {
 			return []string{v}
 		}},
 		{key: "camera", field: []any{&b.CameraW, &b.CameraH}, sep: "x", min: 1},
-		{key: "blocks", field: &b.Blocks, min: 1},
-		{key: "netif", field: &b.NetIfBits},
-		{key: "interleave", field: &b.Interleave},
-		{key: "sharednet", field: &b.SharedNet},
-		{key: "jitter", field: &b.Jitter},
-		{key: "muting", field: &b.Muting},
-		{key: "interface", field: &b.Interface},
+		{key: "blocks", field: &b.BlocksPerSegment, min: 1},
+		{key: "netif", field: &b.NetInterfaceBits},
+		{key: "interleave", field: &b.InterleaveNetwork},
+		{key: "sharednet", field: &b.SharedNetBuffer},
+		{key: "jitter", field: &b.Features.JitterCorrection},
+		{key: "muting", field: &b.Features.Muting},
+		{key: "interface", field: &b.Features.Interface},
 		{key: "crash", field: &b.Crashes, repeat: true},
 		{key: "sinkstall", field: &b.SinkStalls, repeat: true},
 	}
 }
 
-func (h *Hop) clauses() []clause {
+// hopClauses is the table of one hop of a link line.
+func hopClauses(h *atm.LinkConfig) []clause {
 	return []clause{
 		{key: "bw", field: &h.Bandwidth, always: true},
 		{key: "prop", field: &h.Propagation},
 		{key: "queue", field: &h.QueueLimit},
-		{key: "loss", field: &h.Loss},
+		{key: "loss", field: &h.LossRate},
 		{key: "lseed", field: &h.Seed},
 	}
 }
@@ -289,18 +293,18 @@ func (c *Cross) clauses() []clause {
 	}
 }
 
-func (d *Degrade) clauses() []clause {
+func degradeClauses(d *degrade.Config) []clause {
 	return []clause{
 		{key: "shed", field: &d.ShedEvery, min: noMin, always: true},
 		{key: "hold", field: &d.Hold, min: noMin, always: true},
 	}
 }
 
-func (b *Balance) clauses() []clause {
+func balanceClauses(b *balancer.Config) []clause {
 	return []clause{
 		{key: "budget", field: &b.Budget, min: noMin},
 		{key: "interval", field: &b.Interval, min: noMin},
-		{key: "migrate", field: &b.Migrate, min: noMin},
+		{key: "migrate", field: &b.MigrateHighWater, min: noMin},
 		{key: "cooldown", field: &b.Cooldown, min: noMin},
 		{key: "maxmig", field: &b.MaxMigrations, min: noMin},
 	}
@@ -376,14 +380,14 @@ func none(*Event) []clause { return nil }
 
 func videoClauses(ev *Event) []clause {
 	return []clause{
-		{key: "rect", field: []any{&ev.X, &ev.Y, &ev.W, &ev.H}, sep: ",", min: noMin, always: true},
-		{key: "rate", field: []any{&ev.RateNum, &ev.RateDen}, sep: "/", min: noMin, always: true},
-		{key: "segs", field: &ev.Segs, min: 1},
+		{key: "rect", field: []any{&ev.Cam.Rect.X, &ev.Cam.Rect.Y, &ev.Cam.Rect.W, &ev.Cam.Rect.H}, sep: ",", min: noMin, always: true},
+		{key: "rate", field: []any{&ev.Cam.Rate.Num, &ev.Cam.Rate.Den}, sep: "/", min: noMin, always: true},
+		{key: "segs", field: &ev.Cam.SegsPerFrame, min: 1},
 	}
 }
 
 func treeClauses(ev *Event) []clause {
-	return []clause{{key: "k", field: &ev.K}, {key: "trees", field: &ev.Trees, min: 1}}
+	return []clause{{key: "k", field: &ev.Tree.Fanout}, {key: "trees", field: &ev.Tree.Trees, min: 1}}
 }
 
 func netsendClauses(ev *Event) []clause {

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/atm"
+	"repro/internal/balancer"
+	"repro/internal/degrade"
 	"repro/internal/faultinject"
 )
 
@@ -32,12 +35,12 @@ func TestGrammarDocMatchesTables(t *testing.T) {
 	}
 	tables := map[string][]clause{
 		"box":     (&Box{}).clauses(),
-		"link":    (&Hop{}).clauses(),
+		"link":    hopClauses(&atm.LinkConfig{}),
 		"fabric":  (&Fabric{}).clauses(),
 		"feed":    (&Feed{}).clauses(),
 		"cross":   (&Cross{}).clauses(),
-		"degrade": (&Degrade{}).clauses(),
-		"balance": (&Balance{}).clauses(),
+		"degrade": degradeClauses(&degrade.Config{}),
+		"balance": balanceClauses(&balancer.Config{}),
 		"faults":  faultClauses(&faultinject.Spec{}),
 	}
 	for name, o := range ops {

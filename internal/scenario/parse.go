@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/atm"
+	"repro/internal/balancer"
+	"repro/internal/degrade"
 	"repro/internal/faultinject"
 )
 
@@ -132,8 +135,8 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 			if n < 0 {
 				n = len(toks)
 			}
-			var h Hop
-			if err = parseClauses("link", h.clauses(), toks[:n]); err == nil && h.Bandwidth <= 0 {
+			var h atm.LinkConfig
+			if err = parseClauses("link", hopClauses(&h), toks[:n]); err == nil && h.Bandwidth <= 0 {
 				err = fmt.Errorf("link %s %s: hop needs bw=", l.From, l.To)
 			}
 			l.Hops, toks = append(l.Hops, h), toks[n:]
@@ -172,14 +175,14 @@ func (sc *Scenario) parseLine(fields []string, line string) error {
 		}
 		sc.Faults = rest
 	case "degrade":
-		sc.Degrade = &Degrade{}
-		if err = clauseLine(fields, "degrade", sc.Degrade.clauses()); err == nil {
-			err = sc.Degrade.check()
+		sc.Degrade = &degrade.Config{}
+		if err = clauseLine(fields, "degrade", degradeClauses(sc.Degrade)); err == nil {
+			err = checkDegrade(sc.Degrade)
 		}
 	case "balance":
-		sc.Balance = &Balance{}
-		if err = clauseLine(fields, "balance", sc.Balance.clauses()); err == nil {
-			err = sc.Balance.check()
+		sc.Balance = &balancer.Config{}
+		if err = clauseLine(fields, "balance", balanceClauses(sc.Balance)); err == nil {
+			err = checkBalance(sc.Balance)
 		}
 	case "assert":
 		if len(fields) < 2 {

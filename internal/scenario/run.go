@@ -15,11 +15,9 @@ import (
 	"repro/internal/box"
 	"repro/internal/core"
 	"repro/internal/degrade"
-	"repro/internal/fabric"
 	"repro/internal/faultinject"
 	"repro/internal/occam"
 	"repro/internal/segment"
-	"repro/internal/video"
 	"repro/internal/workload"
 )
 
@@ -110,8 +108,8 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 	}
 
 	for i, bs := range sc.Boxes {
-		cfg := bs.Config()
-		cfg.Crashes = bs.Crashes
+		cfg := bs.Config
+		cfg.Mic = bs.Mic.Source()
 		stalls := bs.SinkStalls
 		if i == 0 {
 			// The spec-level fault phase targets the first box.
@@ -132,25 +130,11 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 	}
 
 	for _, l := range sc.Links {
-		cfgs := make([]atm.LinkConfig, len(l.Hops))
-		for i, h := range l.Hops {
-			cfgs[i] = atm.LinkConfig{
-				Bandwidth:   h.Bandwidth,
-				Propagation: h.Propagation,
-				QueueLimit:  h.QueueLimit,
-				LossRate:    h.Loss,
-				Seed:        h.Seed,
-			}
-		}
-		s.ConnectPath(l.From, l.To, cfgs)
+		s.ConnectPath(l.From, l.To, l.Hops)
 	}
 
 	for _, f := range sc.Fabrics {
-		s.AddFabric(f.Name, fabric.Config{
-			PortBandwidth:   f.PortBandwidth,
-			Propagation:     f.Propagation,
-			EgressCellLimit: f.EgressCellLimit,
-		})
+		s.AddFabric(f.Name, f.Config)
 		for _, n := range f.Attach {
 			s.AttachFabric(f.Name, n)
 		}
@@ -167,19 +151,10 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 		s.InjectLinkFaults(r.FaultSpec)
 	}
 	if sc.Degrade != nil {
-		r.Ctrls = s.EnableDegradation(degrade.Config{
-			ShedEvery: sc.Degrade.ShedEvery,
-			Hold:      sc.Degrade.Hold,
-		})
+		r.Ctrls = s.EnableDegradation(*sc.Degrade)
 	}
 	if sc.Balance != nil {
-		r.Bal = balancer.New(s, balancer.Config{
-			Budget:           sc.Balance.Budget,
-			Interval:         sc.Balance.Interval,
-			MigrateHighWater: sc.Balance.Migrate,
-			Cooldown:         sc.Balance.Cooldown,
-			MaxMigrations:    sc.Balance.MaxMigrations,
-		})
+		r.Bal = balancer.New(s, *sc.Balance)
 		r.Bal.Start()
 		r.admitted = make(map[string]bool)
 	}
@@ -303,13 +278,9 @@ func (r *Runner) apply(p *occam.Proc, ev Event) (err error) {
 	case "audio":
 		st = s.SendAudio(p, ev.From, ev.To...)
 	case "video":
-		st = s.SendVideo(p, ev.From, box.CameraStream{
-			Rect:         video.Rect{X: ev.X, Y: ev.Y, W: ev.W, H: ev.H},
-			Rate:         video.Rate{Num: ev.RateNum, Den: ev.RateDen},
-			SegsPerFrame: ev.Segs,
-		}, ev.To...)
+		st = s.SendVideo(p, ev.From, ev.Cam, ev.To...)
 	case "tree":
-		st, err = s.SendAudioTree(p, core.TreeConfig{Fanout: ev.K, Trees: ev.Trees}, ev.From, ev.To...)
+		st, err = s.SendAudioTree(p, ev.Tree, ev.From, ev.To...)
 		if r.Bal != nil {
 			r.Bal.Manage(st)
 		}

@@ -8,9 +8,10 @@
 // (byte-identical delivery sets, shed-order policy, obs gauge and
 // wire-pool leak bounds). The Runner executes a spec on core.System;
 // the experiment suite, the suites in scenarios/, pandora-sim (a spec
-// file, whose finished run Report renders) and pandora-node
-// (Box.Config) all work from the same spec type, so a workload is
-// written once as data instead of once per binary as wiring.
+// file, whose finished run Report renders) and pandora-node (the
+// box.Config a spec's Box embeds) all work from the same spec type, so
+// a workload is written once as data instead of once per binary as
+// wiring.
 //
 // Ownership: scenario never touches segment wires. Its generator
 // processes (feeds, cross traffic) encode from their own pools and
@@ -28,8 +29,12 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/atm"
+	"repro/internal/balancer"
 	"repro/internal/box"
 	"repro/internal/core"
+	"repro/internal/degrade"
+	"repro/internal/fabric"
 	"repro/internal/faultinject"
 	"repro/internal/workload"
 )
@@ -41,78 +46,44 @@ type Mic struct {
 	A, B uint64
 }
 
-// Box declares one Pandora box.
+// Box declares one Pandora box: the box.Config it is built from, and
+// two settings a spec keeps as data. Each shadows the Config field of
+// its name, which the Runner fills from it.
 type Box struct {
-	Name             string
-	Mic              *Mic
-	CameraW, CameraH int
-	Blocks           int   // blocks per audio segment (0 = default 2)
-	NetIfBits        int64 // network interface rate limit, bits/s
-	Interleave       bool  // interleave audio between video cell bursts
-	SharedNet        bool  // ablation: one shared net buffer
-	Jitter           bool  // jitter-correction feature
-	Muting           bool  // echo-muting feature
-	Interface        bool  // host-interface feature
-	// Crashes are board crash-and-restart windows for this box,
-	// keyed by board name ("server", "audio", "display").
-	Crashes map[string][]faultinject.Window
+	box.Config
+	// Mic is the microphone as a spec, not a source: a source has state,
+	// and CleanTwin builds a second system from the same spec. Source
+	// builds the Config's Mic from it.
+	Mic *Mic
 	// SinkStalls are stuck-output windows applied to the box's
-	// net-audio and net-video decoupling buffers.
+	// net-audio and net-video decoupling buffers: the Config's
+	// SinkStalls under those two slots.
 	SinkStalls []faultinject.Window
 }
 
-// Config maps the box onto the box.Config the Runner and pandora-node
-// build it from. Crashes and SinkStalls are not mapped: they are
-// simulation-only fault hooks, and the Runner merges them with the
-// spec-level fault phase before it sets them.
-func (b Box) Config() box.Config {
-	cfg := box.Config{
-		Name:              b.Name,
-		BlocksPerSegment:  b.Blocks,
-		CameraW:           b.CameraW,
-		CameraH:           b.CameraH,
-		NetInterfaceBits:  b.NetIfBits,
-		InterleaveNetwork: b.Interleave,
-		SharedNetBuffer:   b.SharedNet,
-		Features: box.Features{
-			JitterCorrection: b.Jitter,
-			Muting:           b.Muting,
-			Interface:        b.Interface,
-		},
+// Source builds the source m describes; a nil m is no source, which
+// box.New makes silence.
+func (m *Mic) Source() workload.AudioSource {
+	switch {
+	case m == nil:
+		return nil
+	case m.Kind == "speech":
+		return workload.NewSpeech(m.A, int32(m.B))
 	}
-	if b.Mic != nil {
-		switch b.Mic.Kind {
-		case "tone":
-			cfg.Mic = workload.NewTone(int(b.Mic.A), int32(b.Mic.B))
-		case "speech":
-			cfg.Mic = workload.NewSpeech(b.Mic.A, int32(b.Mic.B))
-		}
-	}
-	return cfg
-}
-
-// Hop is one link of a (possibly multi-hop) path.
-type Hop struct {
-	Bandwidth   int64
-	Propagation time.Duration
-	QueueLimit  int
-	Loss        float64
-	Seed        uint64
+	return workload.NewTone(int(m.A), int32(m.B))
 }
 
 // Link joins two boxes with a symmetric chain of hops.
 type Link struct {
 	From, To string
-	Hops     []Hop
+	Hops     []atm.LinkConfig
 }
 
 // Fabric declares a switching fabric and the nodes attached to it.
 type Fabric struct {
-	Name            string
-	PortBandwidth   int64
-	Propagation     time.Duration
-	EgressCellLimit int
-	Attach          []string
+	Name string
+	fabric.Config
+	Attach []string
 }
 
 // Feed is a raw generator host pushing N tone streams of 2-block
@@ -144,60 +115,39 @@ type Cross struct {
 // process with p.Sleep between commands.
 // Op names a row of the op table, ops, which says what each op does.
 type Event struct {
-	At         time.Duration
-	Op         string
-	From       string
-	To         []string
-	X, Y, W, H int // video rect
-	RateNum    int // video frame rate numerator
-	RateDen    int
-	Segs       int    // video segments per frame (0 = default)
-	Stream     uint32 // netsend: source stream number
-	VCI        uint32 // netsend: circuit id
-	K          int    // tree: per-box fanout bound (0 = flat)
-	Trees      int    // tree: number of interior-disjoint trees (0 = 1)
-	Ref        string // name for later split/drop/close/assert reference
+	At     time.Duration
+	Op     string
+	From   string
+	To     []string
+	Cam    box.CameraStream // video: the band; its Stream is core's to number
+	Tree   core.TreeConfig  // tree: fanout bound and tree count (zero: flat, one tree)
+	Stream uint32           // netsend: source stream number
+	VCI    uint32           // netsend: circuit id
+	Ref    string           // name for later split/drop/close/assert reference
 }
 
-// Degrade enables the per-box (and per-fabric-port) overload
-// controllers. Zero fields select the controllers' defaults.
-type Degrade struct {
-	ShedEvery time.Duration
-	Hold      time.Duration
-}
-
-// check rejects a negative period: Validate's range check, which
-// Parse also applies to the directive's own line.
-func (d *Degrade) check() error {
+// checkDegrade rejects a negative period: Validate's range check, which
+// Parse also applies to the directive's own line. Zero fields select
+// the controllers' defaults.
+func checkDegrade(d *degrade.Config) error {
 	if d.ShedEvery < 0 || d.Hold < 0 {
 		return fmt.Errorf("degrade shed=%s hold=%s: periods must be ≥ 0 (0 selects the default)", d.ShedEvery, d.Hold)
 	}
 	return nil
 }
 
-// Balance enables the balancer control plane (internal/balancer):
-// load-scored placement for tree attach/pull/repair and `call A ?`
-// events, call admission against Budget, and mid-stream migration off
-// hot fabric ports. Zero fields select the balancer's defaults.
-type Balance struct {
-	Budget        int           // concurrent admitted calls (0 = unlimited)
-	Interval      time.Duration // scoreboard sampling tick
-	Migrate       float64       // egress occupancy ratio that triggers migration
-	Cooldown      time.Duration // minimum spacing between migrations
-	MaxMigrations int           // migration cap per run (0 = unlimited)
-}
-
-// check rejects a negative count or period and a migrate ratio outside
-// [0,1]: Validate's range check, which Parse also applies to the
-// directive's own line.
-func (b *Balance) check() error {
+// checkBalance rejects a negative count or period and a migrate ratio
+// outside [0,1]: Validate's range check, which Parse also applies to
+// the directive's own line. Zero fields select the balancer's
+// defaults.
+func checkBalance(b *balancer.Config) error {
 	switch {
 	case b.Budget < 0 || b.MaxMigrations < 0:
 		return fmt.Errorf("balance budget=%d maxmig=%d: counts must be ≥ 0 (0 means unlimited)", b.Budget, b.MaxMigrations)
 	case b.Interval < 0 || b.Cooldown < 0:
 		return fmt.Errorf("balance interval=%s cooldown=%s: periods must be ≥ 0 (0 selects the default)", b.Interval, b.Cooldown)
-	case !(b.Migrate >= 0 && b.Migrate <= 1): // NaN included
-		return fmt.Errorf("balance migrate=%v: want a ratio in [0,1]", b.Migrate)
+	case !(b.MigrateHighWater >= 0 && b.MigrateHighWater <= 1): // NaN included
+		return fmt.Errorf("balance migrate=%v: want a ratio in [0,1]", b.MigrateHighWater)
 	}
 	return nil
 }
@@ -226,9 +176,11 @@ type Scenario struct {
 	// ParseFaults); Seed is its master seed. Link faults go to every link
 	// and fabric port (subject to target=), sink stalls and board
 	// crashes to the first box.
-	Faults  string
-	Degrade *Degrade
-	Balance *Balance
+	Faults string
+	// Degrade enables the overload controllers of every box and fabric
+	// port; Balance, the balancer control plane (internal/balancer).
+	Degrade *degrade.Config
+	Balance *balancer.Config
 	Asserts []Assert
 }
 
@@ -292,8 +244,8 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario %s: link %s %s has no hops", sc.Name, l.From, l.To)
 		}
 		for i, h := range l.Hops {
-			if !(h.Loss >= 0 && h.Loss <= 1) { // NaN fails both
-				return fmt.Errorf("scenario %s: link %s %s hop %d: loss wants a probability, got %v", sc.Name, l.From, l.To, i, h.Loss)
+			if !(h.LossRate >= 0 && h.LossRate <= 1) { // NaN fails both
+				return fmt.Errorf("scenario %s: link %s %s hop %d: loss wants a probability, got %v", sc.Name, l.From, l.To, i, h.LossRate)
 			}
 		}
 		if l.From == l.To || hops[[2]string{l.From, l.To}] > 0 {
@@ -384,10 +336,10 @@ func (sc *Scenario) Validate() error {
 			if len(ev.To) == 0 {
 				return fmt.Errorf("scenario %s: %s has no destination", sc.Name, where)
 			}
-			if pl, err = open(where, ev.From, core.TreeConfig{Fanout: ev.K, Trees: ev.Trees}, ev.To); err != nil {
+			if pl, err = open(where, ev.From, ev.Tree, ev.To); err != nil {
 				return err
 			}
-			if ev.Op == "video" && (ev.W <= 0 || ev.H <= 0 || ev.RateNum <= 0 || ev.RateDen <= 0) {
+			if c := ev.Cam; ev.Op == "video" && (c.Rect.W <= 0 || c.Rect.H <= 0 || c.Rate.Num <= 0 || c.Rate.Den <= 0) {
 				return fmt.Errorf("scenario %s: %s needs rect=X,Y,W,H and rate=N/D", sc.Name, where)
 			}
 			if ev.Op == "netsend" {
@@ -399,7 +351,7 @@ func (sc *Scenario) Validate() error {
 				}
 				sent[ev.VCI] = true
 			}
-			if ev.Op == "tree" && (ev.K < 0 || ev.Trees < 0) {
+			if ev.Op == "tree" && (ev.Tree.Fanout < 0 || ev.Tree.Trees < 0) {
 				return fmt.Errorf("scenario %s: %s wants k ≥ 0 and trees ≥ 0", sc.Name, where)
 			}
 		case pair, members:
@@ -483,12 +435,12 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: faults: %w", sc.Name, err)
 	}
 	if d := sc.Degrade; d != nil {
-		if err := d.check(); err != nil {
+		if err := checkDegrade(d); err != nil {
 			return fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
 	}
 	if b := sc.Balance; b != nil {
-		if err := b.check(); err != nil {
+		if err := checkBalance(b); err != nil {
 			return fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
 	}
@@ -535,7 +487,7 @@ func (sc *Scenario) Format() string {
 	for _, l := range sc.Links {
 		hops := make([][]clause, len(l.Hops))
 		for i := range l.Hops {
-			hops[i] = l.Hops[i].clauses()
+			hops[i] = hopClauses(&l.Hops[i])
 		}
 		writeLine(&sb, "link "+l.From+" "+l.To, "", hops...)
 	}
@@ -574,10 +526,10 @@ func (sc *Scenario) Format() string {
 		fmt.Fprintf(&sb, "faults %s\n", sc.Faults)
 	}
 	if sc.Degrade != nil {
-		writeLine(&sb, "degrade", "", sc.Degrade.clauses())
+		writeLine(&sb, "degrade", "", degradeClauses(sc.Degrade))
 	}
 	if sc.Balance != nil {
-		writeLine(&sb, "balance", "", sc.Balance.clauses())
+		writeLine(&sb, "balance", "", balanceClauses(sc.Balance))
 	}
 	for _, a := range sc.Asserts {
 		sb.WriteString("assert " + a.Kind)

@@ -10,7 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atm"
+	"repro/internal/balancer"
 	"repro/internal/box"
+	"repro/internal/degrade"
+	"repro/internal/faultinject"
 	"repro/internal/workload"
 )
 
@@ -89,8 +93,9 @@ func TestRoundTripRepresentative(t *testing.T) {
 
 // TestBoxConfig maps every box line of the representative spec — which
 // spells every box key the grammar has — onto box.Config: each key
-// lands in its field, absent keys stay zero for box's own defaults,
-// and the crash/sinkstall windows are left to the Runner.
+// lands in its field, crash windows included, absent keys stay zero for
+// box's own defaults, the mic is built by Mic.Source, and the sinkstall
+// windows are left to the Runner.
 func TestBoxConfig(t *testing.T) {
 	want := []box.Config{
 		{
@@ -98,7 +103,10 @@ func TestBoxConfig(t *testing.T) {
 			BlocksPerSegment: 3, NetInterfaceBits: 3_500_000, InterleaveNetwork: true,
 			Features: box.Features{JitterCorrection: true, Muting: true, Interface: true},
 		},
-		{Name: "b", Mic: workload.NewSpeech(7, 12000), SharedNetBuffer: true},
+		{Name: "b", Mic: workload.NewSpeech(7, 12000), SharedNetBuffer: true, Crashes: map[string][]faultinject.Window{
+			"audio":  {{From: time.Second, To: 1600 * time.Millisecond}},
+			"server": {{From: 2 * time.Second, To: 2200 * time.Millisecond}},
+		}},
 		{Name: "c"},
 		{Name: "d"},
 		{Name: "e"},
@@ -108,12 +116,14 @@ func TestBoxConfig(t *testing.T) {
 		t.Fatalf("%d boxes parsed, want %d", len(sc.Boxes), len(want))
 	}
 	for i, b := range sc.Boxes {
-		if got := b.Config(); !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("box %s: Config() = %+v, want %+v", b.Name, got, want[i])
+		got := b.Config
+		got.Mic = b.Mic.Source()
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("box %s: Config = %+v, want %+v", b.Name, got, want[i])
 		}
 	}
-	if b := sc.Boxes[1]; len(b.Crashes) != 2 || len(b.SinkStalls) != 1 {
-		t.Fatalf("box b lost its fault windows: %+v", b)
+	if b := sc.Boxes[1]; len(b.SinkStalls) != 1 {
+		t.Fatalf("box b lost its sinkstall window: %+v", b)
 	}
 }
 
@@ -268,21 +278,21 @@ func TestParseErrors(t *testing.T) {
 // range checks as a spec file — the control plane's and a link's loss —
 // and zero still selects the defaults.
 func TestValidateOwnsControlPlaneRanges(t *testing.T) {
-	spec := func(d *Degrade, b *Balance) *Scenario {
+	spec := func(d *degrade.Config, b *balancer.Config) *Scenario {
 		return &Scenario{Name: "x", Duration: time.Second, Degrade: d, Balance: b}
 	}
 	for _, c := range []struct {
 		sc   *Scenario
 		want string
 	}{
-		{spec(&Degrade{ShedEvery: -5 * time.Millisecond}, nil), "scenario x: degrade shed=-5ms hold=0s: periods must be ≥ 0"},
-		{spec(&Degrade{Hold: -time.Millisecond}, nil), "scenario x: degrade shed=0s hold=-1ms: periods must be ≥ 0"},
-		{spec(nil, &Balance{Budget: -1}), "scenario x: balance budget=-1 maxmig=0: counts must be ≥ 0"},
-		{spec(nil, &Balance{MaxMigrations: -1}), "counts must be ≥ 0"},
-		{spec(nil, &Balance{Cooldown: -time.Second}), "periods must be ≥ 0"},
-		{spec(nil, &Balance{Migrate: -0.5}), "want a ratio in [0,1]"},
-		{spec(&Degrade{}, &Balance{}), ""},
-		{&Scenario{Name: "x", Duration: time.Second, Boxes: []Box{{Name: "a"}, {Name: "b"}}, Links: []Link{{From: "a", To: "b", Hops: []Hop{{Loss: 1.5}}}}},
+		{spec(&degrade.Config{ShedEvery: -5 * time.Millisecond}, nil), "scenario x: degrade shed=-5ms hold=0s: periods must be ≥ 0"},
+		{spec(&degrade.Config{Hold: -time.Millisecond}, nil), "scenario x: degrade shed=0s hold=-1ms: periods must be ≥ 0"},
+		{spec(nil, &balancer.Config{Budget: -1}), "scenario x: balance budget=-1 maxmig=0: counts must be ≥ 0"},
+		{spec(nil, &balancer.Config{MaxMigrations: -1}), "counts must be ≥ 0"},
+		{spec(nil, &balancer.Config{Cooldown: -time.Second}), "periods must be ≥ 0"},
+		{spec(nil, &balancer.Config{MigrateHighWater: -0.5}), "want a ratio in [0,1]"},
+		{spec(&degrade.Config{}, &balancer.Config{}), ""},
+		{&Scenario{Name: "x", Duration: time.Second, Boxes: []Box{{Config: box.Config{Name: "a"}}, {Config: box.Config{Name: "b"}}}, Links: []Link{{From: "a", To: "b", Hops: []atm.LinkConfig{{LossRate: 1.5}}}}},
 			"scenario x: link a b hop 0: loss wants a probability, got 1.5"},
 	} {
 		_, err := NewRunner(c.sc)
