@@ -1,9 +1,9 @@
 // Package balancer is the placement control plane above core: one
-// process that keeps a scoreboard of per-box/per-port health read from
-// the box's own fabric port and the system (queue occupancy, shed and
-// fault counts, degradation state, the box's net-copy watermark and the
-// port's per-VCI ingress copies), ranks boxes with a weighted load
-// score under hysteresis, and acts on the ranking three ways:
+// process that keeps a scoreboard of per-box health read from each
+// box's core.Pressure (its port's queues, shed and fault drops, the
+// streams shed now and its copy watermark), ranks boxes with a
+// weighted load score under hysteresis, and acts on the ranking three
+// ways:
 //
 //   - placement: it installs itself as core's Placer, so every move
 //     of a tree member — attachment, late-join pull, repair, migration,
@@ -40,9 +40,7 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/box"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/occam"
 )
@@ -79,23 +77,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Sample is one box's scoreboard reading at one tick.
+// Sample is one box's scoreboard reading at one tick, taken from its
+// core.Pressure.
 type Sample struct {
-	// Queue and Ingress are the box's fabric-port egress and ingress
-	// queue occupancy ratios (0 for boxes not on a fabric).
-	Queue, Ingress float64
-	// Sheds counts degradation activity: active shed streams at the
-	// box and its port, plus 1 if the port shed cells since the last
-	// tick.
-	Sheds float64
-	// Faults is 1 if the port dropped cells to injected faults since
-	// the last tick.
-	Faults float64
-	// Copies is the forwarded-copy watermark: the larger of the box's
-	// MaxNetCopies and the port's biggest per-VCI ingress copy count.
-	Copies float64
-	// Placements counts how often the balancer has placed load here.
-	Placements float64
+	Queue, Ingress float64 // the pressure's Egress and Ingress
+	Sheds          float64 // the pressure's Sheds, + 1 if the port shed cells since the last tick
+	Faults         float64 // 1 if the port dropped cells to injected faults since the last tick
+	Copies         float64 // the pressure's Copies
+	Placements     float64 // how often the balancer has placed load here
 }
 
 // The score weights: queue pressure dominates, the rest break ties
@@ -162,8 +151,6 @@ func (m Migration) String() string {
 // board is one box's scoreboard slot.
 type board struct {
 	name string
-	bx   *box.Box
-	pt   *fabric.Port // nil for a box not on a fabric
 
 	prevShed, prevFault uint64  // the port's shed and fault drops at the last tick
 	lastQueue           float64 // most recent raw egress ratio (migration trigger)
@@ -209,7 +196,7 @@ func New(sys *core.System, cfg Config) *Balancer {
 		migFrom: make(map[string]int),
 	}
 	for _, name := range b.names {
-		bd := &board{name: name, bx: sys.Box(name), pt: sys.FabricPort(name)}
+		bd := &board{name: name}
 		b.boards[name] = bd
 		boardTable.Register(b.reg, bd, obs.L("box", bd.name))
 	}
@@ -248,40 +235,25 @@ func (b *Balancer) run(p *occam.Proc) {
 func (b *Balancer) tick() {
 	for _, name := range b.names {
 		bd := b.boards[name]
-		s := bd.sampleNow(b.sys)
+		s := bd.sampleNow(b.sys.Pressure(name))
 		bd.lastQueue = s.Queue
 		bd.raw = Score(s)
 		bd.eff = applyHysteresis(bd.eff, bd.raw)
 	}
 }
 
-// sampleNow reads one box's port, its counter deltas and the active
-// sheds at the box and the port. A box with no port reads as idle
-// there.
-func (bd *board) sampleNow(sys *core.System) Sample {
-	s := Sample{Sheds: float64(sys.ActiveSheds(bd.name))}
-	if pt := bd.pt; pt != nil {
-		s.Queue, s.Ingress = pt.Occupancy()
-		s.Sheds += float64(sys.ActiveSheds(pt.Name()))
-		st := pt.Stats()
-		if st.ShedDrops > bd.prevShed {
-			s.Sheds++
-			bd.prevShed = st.ShedDrops
-		}
-		if st.Fault.Drops > bd.prevFault {
-			s.Faults = 1
-			bd.prevFault = st.Fault.Drops
-		}
+// sampleNow reads one box's pressure record as a Sample.
+func (bd *board) sampleNow(pr core.Pressure) Sample {
+	s := Sample{Queue: pr.Egress, Ingress: pr.Ingress, Sheds: float64(pr.Sheds),
+		Copies: float64(pr.Copies), Placements: float64(bd.placements)}
+	if pr.ShedDrops > bd.prevShed {
+		s.Sheds++
+		bd.prevShed = pr.ShedDrops
 	}
-	copies := 0
-	if bd.bx != nil {
-		copies = bd.bx.MaxNetCopies()
+	if pr.FaultDrops > bd.prevFault {
+		s.Faults = 1
+		bd.prevFault = pr.FaultDrops
 	}
-	if bd.pt != nil {
-		copies = max(copies, int(bd.pt.MaxIngressCopies()))
-	}
-	s.Copies = float64(copies)
-	s.Placements = float64(bd.placements)
 	return s
 }
 

@@ -646,6 +646,14 @@ func (b *Box) WirePoolStats() (gets, news uint64, free int) {
 // checked out — zero once every sink has drained and released.
 func (b *Box) WirePoolLeaked() int { return b.wires.Leaked() }
 
+// BufferPressure is the occupancy of the fuller decoupling buffer of
+// each media class.
+func (b *Box) BufferPressure() (video, audio float64) {
+	bufs := &b.outBufs
+	return max(bufs[bufNetVideo].Occupancy(), bufs[bufDisplay].Occupancy()),
+		max(bufs[bufNetAudio].Occupancy(), bufs[bufSpeaker].Occupancy())
+}
+
 // --- degrade.Target: the overload controller's levers ---
 
 // DegradeName implements degrade.Target.
@@ -662,14 +670,6 @@ func (b *Box) DegradeStreams() []degrade.StreamInfo {
 		})
 	}
 	return out
-}
-
-// DegradePressure implements degrade.Target: the occupancy of the
-// fuller decoupling buffer of each media class.
-func (b *Box) DegradePressure() (video, audio float64) {
-	bufs := &b.outBufs
-	return max(bufs[bufNetVideo].Occupancy(), bufs[bufDisplay].Occupancy()),
-		max(bufs[bufNetAudio].Occupancy(), bufs[bufSpeaker].Occupancy())
 }
 
 // DegradeShed suspends a stream at the switch, which may park p until

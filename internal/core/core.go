@@ -112,7 +112,6 @@ type System struct {
 	nextVCI uint32
 	rawVCIs map[uint32]bool // opened on a caller's VCI: allocVCI skips them
 	placer  Placer
-	ctrls   map[string]*degrade.Controller // by box or port name, once EnableDegradation ran
 }
 
 // node is one endpoint on the network — a box or a repository — and
@@ -131,6 +130,8 @@ type node struct {
 
 	links      map[string][]*atm.Link // peer name → the directional path to it
 	nextStream uint32                 // last source-local stream number handed out
+	ctrl       *degrade.Controller    // the box's overload controller, once EnableDegradation ran
+	portCtrl   *degrade.Controller    // the port's, likewise
 }
 
 // Placer is the placement seam the balancer control plane installs
@@ -417,48 +418,93 @@ func (s *System) InjectLinkFaults(spec faultinject.Spec) {
 
 // EnableDegradation starts one overload controller per box (principle
 // 8: each box adapts to its own conditions; there is no global
-// coordinator). Each controller watches its box's decoupling buffers
-// plus the outgoing links of every path leaving the box, and applies
-// cfg with those links filled in. Fabric-attached systems additionally
-// get one controller per fabric port, watching that port's egress
-// queue and shedding only streams routed to it (principle 5 across the
-// fabric); those appear in the result keyed by port name. The
-// controllers start in a fixed order — boxes by name, then fabrics by
-// name, each fabric's ports in attach order — because process start
-// order is part of the schedule. Returns the controllers by box or
-// port name.
+// coordinator), and on a fabric one per port, shedding only streams
+// routed to it (principle 5 across the fabric). Every controller
+// samples its node's Pressure and shares cfg. The controllers start in
+// a fixed order — boxes by name, then fabrics by name, each fabric's
+// ports in attach order — because process start order is part of the
+// schedule. Returns the controllers by box or port name.
 func (s *System) EnableDegradation(cfg degrade.Config) map[string]*degrade.Controller {
-	s.ctrls = make(map[string]*degrade.Controller)
-	shared := &cfg // every controller without links of its own
+	ctrls := make(map[string]*degrade.Controller)
+	owner := make(map[*fabric.Port]*node) // a box or a repository, by its port
+	for _, n := range s.nodes {
+		owner[n.port] = n
+	}
 	for _, name := range s.BoxNames() {
 		n := s.nodes[name]
-		bcfg := shared
-		if len(n.links) > 0 {
-			bcfg = new(degrade.Config)
-			*bcfg = cfg
-			for _, path := range n.links {
-				// Map order: the controller only takes the largest occupancy.
-				bcfg.Links = append(bcfg.Links, path...)
-			}
-		}
-		s.ctrls[name] = degrade.New(s.RT, n.box, bcfg, s.Obs)
+		n.ctrl = degrade.New(s.RT, n.box, (*boxGauge)(n), &cfg, s.Obs)
+		ctrls[name] = n.ctrl
 	}
 	for _, name := range slices.Sorted(maps.Keys(s.fabrics)) {
 		for _, pt := range s.fabrics[name].Ports() {
-			s.ctrls[pt.Name()] = degrade.New(s.RT, pt, shared, s.Obs)
+			n := owner[pt]
+			n.portCtrl = degrade.New(s.RT, pt, (*portGauge)(n), &cfg, s.Obs)
+			ctrls[pt.Name()] = n.portCtrl
 		}
 	}
-	return s.ctrls
+	return ctrls
 }
 
-// ActiveSheds returns how many streams the overload controller of the
-// named box or fabric port has shed now (0 without one).
-func (s *System) ActiveSheds(name string) int {
-	if c := s.ctrls[name]; c != nil {
-		return c.NumShed()
-	}
-	return 0
+// Pressure is one node's load picture at one instant, read from the
+// counters its components keep. System.Pressure fills it, and nothing
+// else reads those counters for control: the box's overload controller
+// acts on Video and Audio, its port's on Egress, the balancer on the
+// rest. Each ratio is a queue's occupancy, 0 where the node has none.
+type Pressure struct {
+	// Video is the fullest of the box's video decoupling buffers
+	// (Box.BufferPressure) and the link queues on its declared link
+	// paths (atm.Link.Occupancy): shedding video at the source relieves
+	// a path.
+	Video float64
+	Audio float64 // the box's fuller audio decoupling buffer
+
+	Egress, Ingress       float64 // its fabric port's queues (Port.Occupancy)
+	Sheds                 int     // streams shed now at the box and its port (Controller.NumShed)
+	ShedDrops, FaultDrops uint64  // the port's cumulative drops to sheds and faults (Port.Stats)
+	Copies                int     // the larger of Box.MaxNetCopies and Port.MaxIngressCopies
 }
+
+// Pressure fills the named node's record. A name that is no node reads
+// as idle.
+func (s *System) Pressure(name string) Pressure { return s.lookup(name).pressure() }
+
+func (n *node) pressure() (p Pressure) {
+	if n.box != nil {
+		p.Video, p.Audio = n.box.BufferPressure()
+		p.Copies = n.box.MaxNetCopies()
+	}
+	for _, path := range n.links {
+		for _, l := range path {
+			p.Video = max(p.Video, l.Occupancy())
+		}
+	}
+	if pt := n.port; pt != nil {
+		p.Egress, p.Ingress = pt.Occupancy()
+		st := pt.Stats()
+		p.ShedDrops, p.FaultDrops = st.ShedDrops, st.Fault.Drops
+		p.Copies = max(p.Copies, int(pt.MaxIngressCopies()))
+	}
+	for _, c := range [2]*degrade.Controller{n.ctrl, n.portCtrl} {
+		if c != nil {
+			p.Sheds += c.NumShed()
+		}
+	}
+	return p
+}
+
+// boxGauge and portGauge are a node as its box's and its port's
+// controller sample it (degrade.Sampler). A port's controller never
+// sheds audio: port congestion is relieved by shedding video
+// (principle 2).
+type boxGauge node
+type portGauge node
+
+func (g *boxGauge) Pressure() (video, audio float64) {
+	p := (*node)(g).pressure()
+	return p.Video, p.Audio
+}
+
+func (g *portGauge) Pressure() (video, audio float64) { return (*node)(g).pressure().Egress, 0 }
 
 // edge is how one node reaches another: through the fabric both hang
 // off (a route toward the far port), or over a declared link path. The

@@ -7,6 +7,9 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/box"
+	"repro/internal/degrade"
+	"repro/internal/fabric"
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/video"
@@ -335,5 +338,81 @@ func TestRemoveDestinationKeepsPlacementOrder(t *testing.T) {
 				t.Fatalf("run %d: message %d went to VCI %d, want the order %v", run, i, vci, want)
 			}
 		}
+	}
+}
+
+// TestPressureReadsEachComponent: every field of a node's Pressure is
+// its component's own read, 5 ms step by 5 ms step through a run that
+// loads all but Ingress (the crossbar outruns every port): a box on a
+// fabric whose declared link path congests, a peer whose port is
+// congested, faulted and shed at, and whose speaker stalls, a box off
+// the fabric, a repository on it, and a name that is no node.
+func TestPressureReadsEachComponent(t *testing.T) {
+	s := NewSystem()
+	defer s.Shutdown()
+	s.AddBox(box.Config{Name: "a", Mic: workload.NewTone(400, 10000), CameraW: 128, CameraH: 128})
+	stall := []faultinject.Window{{From: time.Second, To: 1500 * time.Millisecond}}
+	s.AddBox(box.Config{Name: "b", SinkStalls: map[string][]faultinject.Window{"speaker": stall}})
+	s.AddBox(box.Config{Name: "c"})
+	s.AddRepository("r")
+	s.ConnectPath("a", "c", []atm.LinkConfig{{Bandwidth: 1_200_000, QueueLimit: 24}})
+	s.AddFabric("fab", fabric.Config{PortBandwidth: 1_000_000, EgressCellLimit: 128})
+	for _, n := range []string{"a", "b", "r"} {
+		s.AttachFabric("fab", n)
+	}
+	s.FabricPort("b").SetFault(faultinject.NewLink(faultinject.LinkConfig{BurstEnter: 0.02, Seed: 1}))
+	ctrls := s.EnableDegradation(degrade.Config{})
+	band := func(y int) box.CameraStream {
+		return box.CameraStream{Rect: video.Rect{Y: y, W: 128, H: 64}, Rate: video.Rate{Num: 1, Den: 1}}
+	}
+	s.Control(func(p *occam.Proc) {
+		s.SendAudio(p, "a", "b")
+		s.SendVideo(p, "a", band(0), "b", "c")
+		s.SendVideo(p, "a", band(64), "b", "c")
+	})
+
+	link := s.Path("a", "c")[0]
+	want := func(name string) (w Pressure) {
+		if bx := s.Box(name); bx != nil {
+			w.Video, w.Audio = bx.BufferPressure()
+			w.Copies = bx.MaxNetCopies()
+			w.Sheds = ctrls[name].NumShed()
+		}
+		if name == "a" {
+			w.Video = max(w.Video, link.Occupancy())
+		}
+		if pt := s.FabricPort(name); pt != nil {
+			w.Egress, w.Ingress = pt.Occupancy()
+			st := pt.Stats()
+			w.ShedDrops, w.FaultDrops = st.ShedDrops, st.Fault.Drops
+			w.Copies = max(w.Copies, int(pt.MaxIngressCopies()))
+			w.Sheds += ctrls[pt.Name()].NumShed()
+		}
+		return w
+	}
+	var seen Pressure // each field's largest reading, over every node
+	linkFolded := false
+	for at := time.Duration(0); at < 3*time.Second; at += 5 * time.Millisecond {
+		if err := s.RunFor(5 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b", "c", "r", "nobody"} {
+			got := s.Pressure(name)
+			if w := want(name); got != w {
+				t.Fatalf("at %v: %s reads %+v, its components %+v", at, name, got, w)
+			}
+			seen = Pressure{
+				Video: max(seen.Video, got.Video), Audio: max(seen.Audio, got.Audio),
+				Egress: max(seen.Egress, got.Egress), Ingress: max(seen.Ingress, got.Ingress),
+				Sheds: max(seen.Sheds, got.Sheds), ShedDrops: max(seen.ShedDrops, got.ShedDrops),
+				FaultDrops: max(seen.FaultDrops, got.FaultDrops), Copies: max(seen.Copies, got.Copies),
+			}
+		}
+		bufVideo, _ := s.Box("a").BufferPressure()
+		linkFolded = linkFolded || link.Occupancy() > bufVideo
+	}
+	if !linkFolded || seen.Audio == 0 || seen.Egress == 0 || seen.Sheds == 0 ||
+		seen.ShedDrops == 0 || seen.FaultDrops == 0 || seen.Copies == 0 {
+		t.Errorf("a field the run never loaded: largest readings %+v, link above a's buffers %v", seen, linkFolded)
 	}
 }

@@ -1,9 +1,8 @@
 // Package degrade is the overload controller: one small process per
-// box (and per fabric port) that reads the occupancy of the queues it
-// manages — the target's own decoupling buffers or egress queue
-// (Target.DegradePressure) and the outgoing atm links it is given
-// (Config.Links) — and applies the paper's ordered degradation policy
-// when they stay high:
+// box (and per fabric port) that reads the video and audio pressure of
+// the queues it manages from its Sampler (core.Pressure says which
+// queues) and applies the paper's ordered degradation policy when they
+// stay high:
 //
 //   - video is bounded and shed before audio (principle 2): audio
 //     streams are only shed under direct audio-buffer pressure, and
@@ -32,7 +31,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/atm"
 	"repro/internal/obs"
 	"repro/internal/occam"
 )
@@ -52,9 +50,6 @@ type Target interface {
 	DegradeName() string
 	// DegradeStreams lists the currently routed streams.
 	DegradeStreams() []StreamInfo
-	// DegradePressure reports the target's own video and audio
-	// pressure: the occupancy ratio of its fullest queue of each class.
-	DegradePressure() (video, audio float64)
 	// DegradeShed suspends a stream; DegradeRestore resumes it. Either
 	// may park p, a stackless process, on the target (Proc.Parked).
 	DegradeShed(p *occam.Proc, id uint32)
@@ -63,6 +58,12 @@ type Target interface {
 	// the call that began it is done: in the same turn if that did not
 	// park the controller, at its next turn if it did.
 	DegradeSettle(id uint32, shed bool)
+}
+
+// Sampler reads a controller's pressures: the occupancy ratio of the
+// fullest watched queue of each class.
+type Sampler interface {
+	Pressure() (video, audio float64)
 }
 
 // The watermarks of the control loop, as ratios of a watched queue's
@@ -86,10 +87,6 @@ type Config struct {
 	// ShedEvery is the minimum spacing between sheds, so the ladder
 	// descends one stream at a time (default 100 ms).
 	ShedEvery time.Duration
-	// Links are the atm links whose output-queue occupancy counts
-	// toward this target's video pressure — congestion there is
-	// relieved by shedding video at this box.
-	Links []*atm.Link
 }
 
 // setDefaults sets each field left at zero or below to its default.
@@ -138,6 +135,7 @@ func (a Action) desc() string {
 // Controller is one box's overload controller process.
 type Controller struct {
 	target Target
+	src    Sampler
 	cfg    *Config // shared with every controller started from it
 	trace  *obs.Tracer
 
@@ -154,26 +152,26 @@ type Controller struct {
 	video, audio float64
 	restoreDue   bool
 
-	// Where the step resumes, and the decision being carried out: the
-	// stream shed and the action logged once the target has settled it.
-	at     int
-	victim StreamInfo
-	act    Action
+	// Where the step resumes, and the decision being carried out, logged
+	// once the target has settled it.
+	at  int
+	act Action
 
 	// Counts of decisions and samples, which the controller's registry
 	// row reads with video and audio, the pressures of the last sample.
 	shedVideo, shedAudio, restores, ticks uint64
 }
 
-// New starts a controller for target on rt, configured by cfg; its
-// instruments register in reg (nil for none). The controller keeps cfg
-// rather than a copy, so controllers started from one Config share it,
-// and it must not change once one of them runs. New sets the fields of
-// cfg left at zero to their defaults.
-func New(rt *occam.Runtime, target Target, cfg *Config, reg *obs.Registry) *Controller {
+// New starts a controller for target on rt that samples src,
+// configured by cfg; its instruments register in reg (nil for none).
+// The controller keeps cfg rather than a copy, so controllers started
+// from one Config share it, and it must not change once one of them
+// runs. New sets the fields of cfg left at zero to their defaults.
+func New(rt *occam.Runtime, target Target, src Sampler, cfg *Config, reg *obs.Registry) *Controller {
 	cfg.setDefaults()
 	c := &Controller{
 		target: target,
+		src:    src,
 		cfg:    cfg,
 		trace:  reg.Tracer(),
 	}
@@ -191,7 +189,7 @@ var controllerTable = obs.NewTable(
 	obs.CounterOf("degrade_ticks_total", func(c *Controller) uint64 { return c.ticks }),
 	obs.GaugeOf("degrade_pressure_video", func(c *Controller) float64 { return c.video }),
 	obs.GaugeOf("degrade_pressure_audio", func(c *Controller) float64 { return c.audio }),
-	obs.GaugeOf("degrade_active_sheds", func(c *Controller) float64 { return float64(c.NumShed()) }),
+	obs.GaugeOf("degrade_active_sheds", func(c *Controller) float64 { return float64(len(c.shed)) }),
 )
 
 // Actions returns the decision log.
@@ -251,7 +249,7 @@ func (c *Controller) step(p *occam.Proc) {
 // is due now.
 func (c *Controller) sample(now occam.Time) bool {
 	c.ticks++
-	c.video, c.audio = c.pressure()
+	c.video, c.audio = c.src.Pressure()
 	switch {
 	case c.video >= highWater || c.audio >= highWater:
 		c.lastHigh = now
@@ -265,16 +263,6 @@ func (c *Controller) sample(now occam.Time) bool {
 		return true
 	}
 	return false
-}
-
-// pressure is the target's own pair with the outbound links folded
-// into video, the class whose shedding relieves them.
-func (c *Controller) pressure() (video, audio float64) {
-	video, audio = c.target.DegradePressure()
-	for _, l := range c.cfg.Links {
-		video = max(video, l.Occupancy())
-	}
-	return video, audio
 }
 
 // rank orders candidates by the paper's policy: video before audio
@@ -319,7 +307,6 @@ func (c *Controller) shedOne(p *occam.Proc, now occam.Time) {
 		return cands[i].ID < cands[j].ID
 	})
 	victim := cands[0]
-	c.victim = victim
 	c.act = Action{At: now, Stream: victim.ID, Video: victim.Video,
 		Incoming: victim.Incoming, VideoPressure: c.video, AudioPressure: c.audio}
 	c.at = ctlSettle
@@ -356,7 +343,7 @@ func (c *Controller) settle() {
 	if c.shed == nil {
 		c.shed = make(map[uint32]StreamInfo)
 	}
-	c.shed[act.Stream] = c.victim
+	c.shed[act.Stream] = StreamInfo{ID: act.Stream, Video: act.Video, Incoming: act.Incoming}
 	c.stack = append(c.stack, act.Stream)
 	c.lastShed = act.At
 	if act.Video {

@@ -7,16 +7,16 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/atm"
 	"repro/internal/degrade"
 	"repro/internal/obs"
 	"repro/internal/occam"
 )
 
 // fakeTarget implements degrade.Target with a scripted stream set and
-// pressures, and records the controller's shed, restore and settle
-// calls in order. With cmds set, a shed or a restore also sends the
-// stream on it, as a box's does on its switch's command channel.
+// degrade.Sampler with scripted pressures, and records the controller's
+// shed, restore and settle calls in order. With cmds set, a shed or a
+// restore also sends the stream on it, as a box's does on its switch's
+// command channel.
 type fakeTarget struct {
 	name         string
 	streams      []degrade.StreamInfo
@@ -27,9 +27,9 @@ type fakeTarget struct {
 	cmds         *occam.Chan[uint32]
 }
 
-func (t *fakeTarget) DegradeName() string                     { return t.name }
-func (t *fakeTarget) DegradeStreams() []degrade.StreamInfo    { return t.streams }
-func (t *fakeTarget) DegradePressure() (video, audio float64) { return t.video, t.audio }
+func (t *fakeTarget) DegradeName() string                  { return t.name }
+func (t *fakeTarget) DegradeStreams() []degrade.StreamInfo { return t.streams }
+func (t *fakeTarget) Pressure() (video, audio float64)     { return t.video, t.audio }
 func (t *fakeTarget) DegradeShed(p *occam.Proc, id uint32) {
 	t.shed = append(t.shed, id)
 	t.command(p, id)
@@ -73,7 +73,7 @@ func TestShedOrderAndLIFORestore(t *testing.T) {
 		{ID: 4, Video: false, Incoming: true, Opened: 10},
 		{ID: 5, Video: false, Incoming: false, Opened: 20},
 	}}
-	c := degrade.New(rt, ft, &quickCfg, reg)
+	c := degrade.New(rt, ft, ft, &quickCfg, reg)
 
 	ft.video = 1 // hard overload
 	if err := rt.RunFor(100 * time.Millisecond); err != nil {
@@ -130,7 +130,7 @@ func TestShedSettlesWhenTheTargetTakesIt(t *testing.T) {
 	reg := obs.New(rt)
 	ft := &fakeTarget{name: "t", streams: []degrade.StreamInfo{{ID: 1, Video: true, Incoming: true}},
 		cmds: occam.NewChan[uint32](rt, "t.cmds")}
-	c := degrade.New(rt, ft, &quickCfg, reg)
+	c := degrade.New(rt, ft, ft, &quickCfg, reg)
 	ft.video = 1
 	var took string
 	rt.Go("switch", nil, occam.High, func(p *occam.Proc) {
@@ -162,35 +162,21 @@ func TestShedSettlesWhenTheTargetTakesIt(t *testing.T) {
 	}
 }
 
-// TestLinkPressureShedsVideo: congestion on a configured outgoing link
-// counts as video pressure even with no pressure at the target. The
-// link is a real one, too slow to send anything in the run, holding 9
-// of its 10 queued messages behind the one it is transmitting.
+// TestLinkPressureShedsVideo: a box's congested outgoing link reaches
+// its controller as video pressure — core.Pressure folds the link paths
+// into Video, and core's tests check the fold — so it sheds the box's
+// video and leaves its audio alone.
 func TestLinkPressureShedsVideo(t *testing.T) {
 	rt := occam.NewRuntime()
 	reg := obs.New(rt)
 	ft := &fakeTarget{name: "t", streams: []degrade.StreamInfo{
 		{ID: 7, Video: true, Incoming: false, Opened: 1},
 		{ID: 8, Video: false, Incoming: false, Opened: 1},
-	}}
-	net := atm.New(rt)
-	from, to := net.AddHost("t"), net.AddHost("x")
-	link := net.AddLink("t-x.0", atm.LinkConfig{Bandwidth: 1, QueueLimit: 10})
-	net.OpenCircuit(1, from, to, link)
-	rt.Go("sender", nil, occam.High, func(p *occam.Proc) {
-		for i := 0; i < 10; i++ {
-			from.Send(p, atm.Message{VCI: 1, Size: 100})
-		}
-	})
-	cfg := quickCfg
-	cfg.Links = []*atm.Link{link}
-	degrade.New(rt, ft, &cfg, reg)
+	}, video: 0.9}
+	degrade.New(rt, ft, ft, &quickCfg, reg)
 
 	if err := rt.RunFor(60 * time.Millisecond); err != nil {
 		t.Fatal(err)
-	}
-	if got := link.Occupancy(); got != 0.9 {
-		t.Fatalf("link occupancy %v, want 0.9", got)
 	}
 	if want := []uint32{7}; !reflect.DeepEqual(ft.shed, want) {
 		t.Fatalf("link-pressure sheds = %v, want %v (video only)", ft.shed, want)
@@ -206,7 +192,7 @@ func TestIdleControllerSamplesWithoutBeingResumed(t *testing.T) {
 	defer rt.Shutdown()
 	reg := obs.New(rt)
 	ft := &fakeTarget{name: "t", streams: []degrade.StreamInfo{{ID: 1, Video: true, Incoming: true}}}
-	degrade.New(rt, ft, &degrade.Config{}, reg)
+	degrade.New(rt, ft, ft, &degrade.Config{}, reg)
 	ft.video = 0.5 // between the watermarks: neither shed nor restore
 	// Something else keeps the dispatch loop busy, so that a controller
 	// woken for a tick would have to be switched into.

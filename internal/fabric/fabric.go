@@ -647,15 +647,6 @@ func (pt *Port) DegradeStreams() []degrade.StreamInfo {
 	return out
 }
 
-// DegradePressure implements degrade.Target: the egress queue's
-// occupancy is video pressure. Audio pressure is always 0: port
-// congestion is relieved by shedding video (principle 2), so a port
-// controller never sheds audio.
-func (pt *Port) DegradePressure() (video, audio float64) {
-	egress, _ := pt.Occupancy()
-	return egress, 0
-}
-
 // DegradeShed implements degrade.Target: bar the VCI at this port's
 // egress. The source box keeps transmitting (it is not this port's to
 // command — principle 8 is local adaptation), the crossbar keeps

@@ -43,7 +43,7 @@ var lineBudgets = []struct {
 	lines int
 }{
 	{"ARCHITECTURE.md", 468},
-	{"DESIGN.md", 789},
+	{"DESIGN.md", 788},
 	{"EXPERIMENTS.md", 260},
 	{"README.md", 419},
 }
