@@ -184,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rt := occam.NewRuntime()
 	netw := atm.New(rt)
-	// The spec's crash windows are simulation faults: a node runs none.
+	// A box's crash and sink-stall windows are simulation faults: a node runs none.
 	bs := spec.Boxes[*index]
 	cfg := bs.Config
 	cfg.Mic, cfg.Crashes = bs.Mic.Source(), nil

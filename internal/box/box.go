@@ -22,12 +22,14 @@
 //
 // A box also holds only the memory it has used. State a box may never
 // need is built on first use: the capture board's camera and stream
-// state at its first stream and its framestore at the first frame a
+// table at its first stream and its framestore at the first frame a
 // stream is open, the display board's decoder and assemblers at its
-// first segment, each decoupling ring's storage at its first push, each
-// server buffer when a grant finds none recycled (package allocator),
-// each latency histogram's value map at its first fold, and every map
-// at its first write. Per-stream tables are byStream slices, not maps.
+// first segment, the switch's drop counts at its first drop, each
+// decoupling ring's storage at its first push, each server buffer when
+// a grant finds none recycled (package allocator), and each latency
+// histogram's value map at its first fold. A stream's state on a board
+// is one record in a byStream table, a slice in stream order: a box
+// keeps no map keyed by stream or VCI.
 //
 // Ownership: each box owns one segment.WirePool. Sources (mic,
 // camera) encode into it; the server switch Retains once per extra
@@ -253,6 +255,7 @@ type Box struct {
 	switchCmd *occam.Chan[switchCommand]
 	outBufs   [numOutputs + 1]*decouple.Buffer[*allocator.Buffer]
 	swStats   SwitchStats
+	drops     *byStream[uint64] // segments dropped per stream; nil until the first drop
 	// mirror holds the routes the host has installed, as the box's own
 	// view of them (the switch's table is private to its process).
 	mirror byStream[hostRoute]
@@ -305,13 +308,12 @@ type Box struct {
 
 // SwitchStats counts the server switch's work.
 type SwitchStats struct {
-	Switched       uint64
-	NoRoute        uint64
-	FullDrops      [numOutputs + 1]uint64 // per output, buffer-full drops
-	AgeDrops       [numOutputs + 1]uint64 // principle-3 proactive drops
-	ShedDrops      uint64                 // overload-controller sheds
-	CorruptDrops   uint64                 // injected-corruption discards at net input
-	PerStreamDrops map[uint32]uint64
+	Switched     uint64
+	NoRoute      uint64
+	FullDrops    [numOutputs + 1]uint64 // per output, buffer-full drops
+	AgeDrops     [numOutputs + 1]uint64 // principle-3 proactive drops
+	ShedDrops    uint64                 // overload-controller sheds
+	CorruptDrops uint64                 // injected-corruption discards at net input
 }
 
 // hostRoute is one stream's entry in a box's mirror of its routes: the
@@ -488,7 +490,20 @@ func (b *Box) boardDown(p *occam.Proc, board int) bool {
 
 // streamDrop counts one segment of stream dropped at the server board.
 func (b *Box) streamDrop(stream uint32) {
-	set(&b.swStats.PerStreamDrops, stream, b.swStats.PerStreamDrops[stream]+1)
+	if b.drops == nil {
+		b.drops = new(byStream[uint64])
+	}
+	*b.drops.ref(stream)++
+}
+
+// StreamDrops returns how many of stream's segments the server board
+// dropped: shed, degraded for age, refused by a full output or
+// discarded as corrupt.
+func (b *Box) StreamDrops(stream uint32) (n uint64) {
+	if b.drops != nil {
+		n, _ = b.drops.get(stream)
+	}
+	return n
 }
 
 // Host returns the box's network endpoint.

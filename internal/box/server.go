@@ -74,7 +74,7 @@ func (b *Box) startServer() {
 	input := func(from arrivals) occam.Stepper { return &inputHandler{b: b, from: from} }
 	goStep("switch", newDataSwitch(b))
 	goStep("audioIn", input(&boardLink{link: b.audioToServer}))
-	goStep("netIn", input(newNetInterface(b)))
+	goStep("netIn", input(&netInterface{b: b}))
 	goStep("captureIn", input(&boardLink{link: b.captureToServer}))
 	// The audio board's end of its link is passive; the display process
 	// takes each segment by rendezvous, and nothing precedes it on the fifo.
@@ -467,19 +467,12 @@ func (l *boardLink) segment() (segment.Wire, uint32, int, bool) {
 
 // netInterface is the network interface; the VCI is the local stream
 // number (§3.4). A segment's copy in is charged for the message that
-// completes it: an interleaved video segment (A4) arrives in chunks.
+// completes it: an interleaved video segment (A4) arrives in chunks,
+// which partials gathers by VCI.
 type netInterface struct {
-	b     *Box
-	m     atm.Message
-	reasm map[uint32]*chunkedVideo
-	// corruptSeg marks a VCI whose pending segment took a corrupted
-	// chunk; the whole reassembled segment is then discarded ("the
-	// current segment is thrown away", §3.8).
-	corruptSeg map[uint32]bool
-}
-
-func newNetInterface(b *Box) *netInterface {
-	return &netInterface{b: b}
+	b        *Box
+	m        atm.Message
+	partials byStream[partial]
 }
 
 func (n *netInterface) recv(p *occam.Proc) { n.b.host.Rx.RecvInto(p, &n.m) }
@@ -492,15 +485,19 @@ func (n *netInterface) discard() {
 func (n *netInterface) segment() (segment.Wire, uint32, int, bool) {
 	b, m := n.b, n.m
 	n.m = atm.Message{}
-	if m.Corrupt {
-		set(&n.corruptSeg, m.VCI, true)
+	w, corrupt, done := m.W, m.Corrupt, true
+	switch {
+	case m.ChunkTotal <= 1: // a whole segment
+	case m.ChunkIndex < 0 || m.ChunkIndex >= m.ChunkTotal || m.ChunkTotal > maxChunks:
+		corrupt = true // no honest sender numbers a chunk so
+	default:
+		w, corrupt, done = n.reassemble(m)
 	}
-	w, done := reassemble(&n.reasm, m)
 	if !done {
 		return segment.Wire{}, 0, 0, false
 	}
-	if n.corruptSeg[m.VCI] {
-		delete(n.corruptSeg, m.VCI)
+	if corrupt {
+		// "The current segment is thrown away" (§3.8), whole.
 		b.swStats.CorruptDrops++
 		b.streamDrop(m.VCI)
 		b.trace.Emit(obs.EvDrop, b.cfg.Name+".netIn", m.VCI, "corrupt-discard")
@@ -588,40 +585,42 @@ func (b *Box) netTransmit(p *occam.Proc, size int) {
 // netChunkSize is the A4 interleaving granularity.
 const netChunkSize = 1024
 
-// chunkedVideo is the per-VCI reassembly state for interleaved video
-// (A4 ablation). Every chunk of a segment carries a reference to the
-// same wire, so reassembly keeps the first chunk's reference and
-// releases the rest.
-type chunkedVideo struct {
-	got, total int
-	seq        uint32
-	w          segment.Wire
+// maxChunks is the most chunks netOut cuts a segment into, the bits of
+// partial.have.
+const maxChunks = 64
+
+// partial is a VCI's interleaved video segment (A4) while its chunks
+// arrive. Every chunk carries a reference to the same wire: the partial
+// keeps the first chunk's and releases the rest.
+type partial struct {
+	w       segment.Wire
+	seq     uint32
+	total   int
+	have    uint64 // the chunk indices received, a bit each
+	corrupt bool   // a chunk arrived corrupt
 }
 
-// reassemble merges chunked video; whole messages pass through. It
-// consumes every message's wire reference: the returned wire carries
-// exactly one, duplicates and superseded partials are released.
-func reassemble(m *map[uint32]*chunkedVideo, msg atm.Message) (segment.Wire, bool) {
-	if msg.ChunkTotal <= 1 {
-		return msg.W, true
-	}
-	seq := msg.W.Seq()
-	st, ok := (*m)[msg.VCI]
-	if !ok || st.seq != seq || st.total != msg.ChunkTotal {
-		if ok {
-			st.w.Release() // abandon the stale partial segment
-		}
-		st = &chunkedVideo{total: msg.ChunkTotal, seq: seq, w: msg.W}
-		set(m, msg.VCI, st)
+// reassemble adds chunk m to its VCI's partial segment, abandoning the
+// partial of an earlier segment. Once every chunk is in it returns the
+// segment's wire, with one reference, and whether any chunk was
+// corrupt. A duplicate chunk adds nothing.
+func (n *netInterface) reassemble(m atm.Message) (w segment.Wire, corrupt, done bool) {
+	seq := m.W.Seq()
+	pt := n.partials.ref(m.VCI)
+	if pt.have == 0 || pt.seq != seq || pt.total != m.ChunkTotal {
+		pt.w.Release() // abandon the stale partial, if any
+		*pt = partial{w: m.W, seq: seq, total: m.ChunkTotal}
 	} else {
-		msg.W.Release() // the partial already holds this segment's wire
+		m.W.Release() // the partial already holds this segment's wire
 	}
-	st.got++
-	if st.got >= st.total {
-		delete(*m, msg.VCI)
-		return st.w, true
+	pt.have |= 1 << m.ChunkIndex
+	pt.corrupt = pt.corrupt || m.Corrupt
+	if pt.have != uint64(1)<<pt.total-1 {
+		return segment.Wire{}, false, false
 	}
-	return segment.Wire{}, false
+	w, corrupt = pt.w, pt.corrupt
+	n.partials.del(m.VCI)
+	return w, corrupt, true
 }
 
 // netOut is the network output process. Audio takes priority over
@@ -736,7 +735,7 @@ func (n *netOut) begin(buf *allocator.Buffer) {
 	}
 	// What is let through between chunks is itself sent whole.
 	if n.d == 0 && b.cfg.InterleaveNetwork && buf.Payload.Type() == segment.TypeVideo {
-		s.chunks = (buf.Payload.Len() + netChunkSize - 1) / netChunkSize
+		s.chunks = min((buf.Payload.Len()+netChunkSize-1)/netChunkSize, maxChunks)
 		return
 	}
 	s.w = b.wires.Copy(buf.Payload.Bytes())
@@ -744,7 +743,7 @@ func (n *netOut) begin(buf *allocator.Buffer) {
 }
 
 // chunkSize is the size of the chunk being sent: netChunkSize but for
-// the last.
+// the last, which takes the rest.
 func (s *netSeg) chunkSize() int {
 	if s.chunk == s.chunks-1 {
 		return s.w.Len() - s.chunk*netChunkSize

@@ -5,15 +5,6 @@ import (
 	"slices"
 )
 
-// set writes m[k] = v, making m at its first write: a box's maps stay
-// nil until it has something to keep in them.
-func set[K comparable, V any](m *map[K]V, k K, v V) {
-	if *m == nil {
-		*m = make(map[K]V)
-	}
-	(*m)[k] = v
-}
-
 // byStream is a small map keyed by stream number: its entries in a
 // slice, in ascending stream order. A box keys a handful of streams, for
 // which a binary search beats hashing, and a table of one stream costs
@@ -40,13 +31,17 @@ func (t byStream[V]) get(id uint32) (V, bool) {
 }
 
 // set makes v the value for id.
-func (t *byStream[V]) set(id uint32, v V) {
+func (t *byStream[V]) set(id uint32, v V) { *t.ref(id) = v }
+
+// ref returns where the value for id is kept, adding a zero value if
+// there is none. The pointer is good until the next entry is added or
+// removed.
+func (t *byStream[V]) ref(id uint32) *V {
 	i, ok := t.find(id)
-	if ok {
-		(*t)[i].v = v
-		return
+	if !ok {
+		*t = slices.Insert(*t, i, streamEntry[V]{id: id})
 	}
-	*t = slices.Insert(*t, i, streamEntry[V]{id, v})
+	return &(*t)[i].v
 }
 
 // del removes id, if it is there.

@@ -1,7 +1,12 @@
 package box
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -37,5 +42,33 @@ func TestByStreamKeepsStreamOrder(t *testing.T) {
 		if _, ok := tab.get(100); ok {
 			t.Fatalf("step %d: get of an absent stream found one", i)
 		}
+	}
+}
+
+// TestNoStreamKeyedMaps holds the package to its rule that per-stream
+// tables are byStream slices, not maps: its non-test code names no map
+// keyed by uint32, the type of a stream number and a VCI.
+func TestNoStreamKeyedMaps(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if m, ok := n.(*ast.MapType); ok {
+				if key, ok := m.Key.(*ast.Ident); ok && key.Name == "uint32" {
+					t.Errorf("%s: a map keyed by uint32; keep a per-stream table in a byStream", fset.Position(m.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }

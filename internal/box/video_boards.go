@@ -45,8 +45,6 @@ type capture struct {
 	frame int // the camera frame being served, numbered from time zero
 	scan  video.Scan
 
-	streams map[uint32]*CameraStream // nil until the first stream opens
-
 	// Built once, as the micReader's: Recv overwrites cmd on every fire.
 	cmd    captureCmd
 	guards [2]occam.Guard
@@ -56,17 +54,15 @@ type capture struct {
 
 // captureWork is the capture board's state for serving streams.
 type captureWork struct {
-	camera   *workload.Camera
-	frameSeq map[uint32]uint32
-	segSeq   map[uint32]uint32
+	camera  *workload.Camera
+	streams byStream[*camStream] // the open streams
 
-	// The frame in progress: the open streams in id order, the stream
-	// ids[si] being served, its band s of nsegs, rows lines each, and
-	// the band's segment on its way to the server.
-	ids         []uint32
+	// The frame in progress: the stream streams[si] being served, its
+	// band s of nsegs, rows lines each, and the band's segment on its way
+	// to the server.
 	si, s       int
 	nsegs, rows int
-	cs          *CameraStream
+	cs          *camStream
 	band        video.Rect
 	msg         wireMsg
 
@@ -80,10 +76,17 @@ type captureWork struct {
 	args   [1]uint32
 }
 
+// camStream is one open stream of the capture board: what it was started
+// with, and the numbers of its next frame and next segment.
+type camStream struct {
+	CameraStream
+	frameSeq, segSeq uint32
+}
+
 const (
 	capSleep   = iota // about to sleep until the frame's instant
 	capWoke           // at the frame's instant: commands, then the frame's streams
-	capStream         // about to serve stream ids[si], or end the frame
+	capStream         // about to serve stream streams[si], or end the frame
 	capBand           // about to time band s against the scan, or end the stream
 	capRead           // the band is safe to read: read, compress and charge it
 	capCharged        // the band's CPU is spent: occupy the fifo to the server
@@ -102,10 +105,8 @@ func newCapture(b *Box) *capture {
 
 func newCaptureWork(b *Box) *captureWork {
 	w := &captureWork{
-		camera:   workload.NewCamera(b.cfg.CameraW, b.cfg.CameraH),
-		frameSeq: make(map[uint32]uint32),
-		segSeq:   make(map[uint32]uint32),
-		lp:       video.LineParams{Shift: 1},
+		camera: workload.NewCamera(b.cfg.CameraW, b.cfg.CameraH),
+		lp:     video.LineParams{Shift: 1},
 	}
 	w.args[0] = uint32(w.lp.Shift)
 	return w
@@ -127,7 +128,7 @@ func (c *capture) Step(p *occam.Proc) {
 			for p.Alt(c.guards[:]...) == 0 {
 				c.command()
 			}
-			if len(c.streams) == 0 {
+			if c.captureWork == nil || len(c.streams) == 0 {
 				c.frame, c.at = c.frame+1, capSleep
 				continue
 			}
@@ -140,13 +141,13 @@ func (c *capture) Step(p *occam.Proc) {
 				b.framestore = video.NewFramestore(b.cfg.CameraW, b.cfg.CameraH)
 			}
 			c.camera.Draw(b.framestore.CameraPort(), c.frame)
-			c.ids, c.si, c.at = orderedStreamIDs(c.ids[:0], c.streams), 0, capStream
+			c.si, c.at = 0, capStream
 		case capStream:
-			if c.si == len(c.ids) {
+			if c.si == len(c.streams) {
 				c.frame, c.at = c.frame+1, capSleep
 				continue
 			}
-			cs := c.streams[c.ids[c.si]]
+			cs := c.streams[c.si].v
 			if !cs.Rate.Take(c.frame) {
 				c.si++
 				continue
@@ -164,7 +165,7 @@ func (c *capture) Step(p *occam.Proc) {
 		case capBand:
 			cs := c.cs
 			if c.s == c.nsegs {
-				c.frameSeq[cs.Stream]++
+				cs.frameSeq++
 				c.si, c.at = c.si+1, capStream
 				continue
 			}
@@ -187,20 +188,20 @@ func (c *capture) Step(p *occam.Proc) {
 				return
 			}
 		case capCharged:
-			cs, id := c.cs, c.cs.Stream
+			cs := c.cs
 			c.seg.Reset(
-				c.segSeq[id], p.Now(),
-				c.frameSeq[id], uint32(c.nsegs), uint32(c.s),
+				cs.segSeq, p.Now(),
+				cs.frameSeq, uint32(c.nsegs), uint32(c.s),
 				uint32(cs.Rect.X), uint32(c.band.Y),
 				uint32(cs.Rect.W), uint32(c.band.Y-cs.Rect.Y), uint32(c.band.H),
 				c.packed)
 			c.seg.Compression = segment.CompressionDPCM
 			c.seg.Args = c.args[:]
 			c.seg.Length = uint32(c.seg.WireSize())
-			c.segSeq[id]++
+			cs.segSeq++
 			// Encode once at the source (§3.4); the wire moves by
 			// reference from here to the display's copy-out.
-			c.msg = wireMsg{Stream: id, W: b.wires.Encode(&c.seg)}
+			c.msg = wireMsg{Stream: cs.Stream, W: b.wires.Encode(&c.seg)}
 			c.at = capSent
 			if b.captureToServer.Occupy(p, c.msg.W.Len()); p.Parked() {
 				return
@@ -227,24 +228,15 @@ func (c *capture) command() {
 		if c.captureWork == nil {
 			c.captureWork = newCaptureWork(c.b)
 		}
-		set(&c.streams, cs.Stream, &cs)
-	case cmd.HasStop:
-		delete(c.streams, cmd.Stop)
-	}
-}
-
-// orderedStreamIDs appends the open streams' ids to ids in ascending
-// order.
-func orderedStreamIDs(ids []uint32, m map[uint32]*CameraStream) []uint32 {
-	for id := range m {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ { // insertion sort, tiny n
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
+		// A restart of an open stream keeps its numbering.
+		open := c.streams.ref(cs.Stream)
+		if *open == nil {
+			*open = new(camStream)
 		}
+		(*open).CameraStream = cs
+	case cmd.HasStop && c.captureWork != nil:
+		c.streams.del(cmd.Stop)
 	}
-	return ids
 }
 
 // errOffDisplay marks a segment whose rectangle does not lie within the
@@ -269,7 +261,7 @@ type display struct {
 
 // displayWork is the display board's state for assembling streams.
 type displayWork struct {
-	assemblers map[uint32]*video.Assembler
+	assemblers byStream[*video.Assembler]
 	seg        segment.Video // the header, decoded in place from msg's wire
 	codec      video.Codec   // per-board scratch, reused every segment
 }
@@ -347,7 +339,7 @@ func (d *display) copyTime() time.Duration {
 // releasing its wire, and reports whether that completed the frame.
 func (d *display) assemble(p *occam.Proc) bool {
 	if d.displayWork == nil {
-		d.displayWork = &displayWork{assemblers: make(map[uint32]*video.Assembler)}
+		d.displayWork = new(displayWork)
 	}
 	b, msg, seg := d.b, d.msg, &d.seg
 	d.msg = wireMsg{}
@@ -361,12 +353,11 @@ func (d *display) assemble(p *occam.Proc) bool {
 	}
 	var frame *video.Frame
 	if err == nil {
-		a, ok := d.assemblers[msg.Stream]
-		if !ok {
-			a = video.NewAssembler(b.cfg.CameraW, b.cfg.CameraH)
-			d.assemblers[msg.Stream] = a
+		a := d.assemblers.ref(msg.Stream)
+		if *a == nil {
+			*a = video.NewAssembler(b.cfg.CameraW, b.cfg.CameraH)
 		}
-		frame, err = a.Add(seg, &d.codec)
+		frame, err = (*a).Add(seg, &d.codec)
 	}
 	if err != nil {
 		// "The current segment is thrown away" (§3.8); a short line

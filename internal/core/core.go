@@ -469,14 +469,9 @@ type Pressure struct {
 func (s *System) Pressure(name string) Pressure { return s.lookup(name).pressure() }
 
 func (n *node) pressure() (p Pressure) {
+	p.Video, p.Audio = (*boxGauge)(n).Pressure()
 	if n.box != nil {
-		p.Video, p.Audio = n.box.BufferPressure()
 		p.Copies = n.box.MaxNetCopies()
-	}
-	for _, path := range n.links {
-		for _, l := range path {
-			p.Video = max(p.Video, l.Occupancy())
-		}
 	}
 	if pt := n.port; pt != nil {
 		p.Egress, p.Ingress = pt.Occupancy()
@@ -493,18 +488,29 @@ func (n *node) pressure() (p Pressure) {
 }
 
 // boxGauge and portGauge are a node as its box's and its port's
-// controller sample it (degrade.Sampler). A port's controller never
-// sheds audio: port congestion is relieved by shedding video
-// (principle 2).
+// controller sample it (degrade.Sampler), each reading only what its
+// controller acts on: the box's half of the record, Video and Audio, and
+// the port's egress queue. A port's controller never sheds audio: port
+// congestion is relieved by shedding video (principle 2).
 type boxGauge node
 type portGauge node
 
 func (g *boxGauge) Pressure() (video, audio float64) {
-	p := (*node)(g).pressure()
-	return p.Video, p.Audio
+	if g.box != nil {
+		video, audio = g.box.BufferPressure()
+	}
+	for _, path := range g.links {
+		for _, l := range path {
+			video = max(video, l.Occupancy())
+		}
+	}
+	return video, audio
 }
 
-func (g *portGauge) Pressure() (video, audio float64) { return (*node)(g).pressure().Egress, 0 }
+func (g *portGauge) Pressure() (video, audio float64) {
+	egress, _ := g.port.Occupancy()
+	return egress, 0
+}
 
 // edge is how one node reaches another: through the fabric both hang
 // off (a route toward the far port), or over a declared link path. The

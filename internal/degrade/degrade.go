@@ -11,15 +11,15 @@
 //   - within a class, the longest-open stream is shed first
 //     (principle 3), so new streams keep starting cleanly under load.
 //
-// A shed is delivered to the box as a switch-table suspension plus a
-// mixer-side bar (Target.DegradeShed), so the data flow stops at the
-// earliest point without touching the route itself; when pressure
-// stays below the low-water mark for a hold period, streams are
-// restored in LIFO order — the least-disruptive first (principle 8:
-// local adaptation, no end-to-end cooperation). Every decision is
-// counted (degrade_shed_total, degrade_restore_total) and traced
-// (EvOverload / EvRecover), and kept in an action log the experiments
-// assert on.
+// A shed is delivered to the box as a switch-table suspension
+// (Target.DegradeShed), then a mixer-side bar (Target.DegradeSettle), so
+// the data flow stops at the earliest point without touching the route
+// itself; when pressure stays below the low-water mark for a hold
+// period, streams are restored in LIFO order — the least-disruptive
+// first (principle 8: local adaptation, no end-to-end cooperation).
+// Every decision is counted (degrade_shed_total, degrade_restore_total)
+// and traced (EvOverload / EvRecover), and kept in an action log the
+// experiments assert on.
 //
 // The controller is a stackless process (occam.GoStep) that samples at
 // its own turn every 20 ms. Carrying out a shed or a restore may park

@@ -140,9 +140,9 @@ link a b bw=100M
 at 0s video a -> b rect=0,0,256,64 rate=1/1 as old
 at 500ms video a -> b rect=0,64,256,64 rate=1/1 as new
 `)
-		sw := r.Sys.Box("a").SwitchStats()
-		oldDrops := sw.PerStreamDrops[r.Streams["old"].Local]
-		newDrops := sw.PerStreamDrops[r.Streams["new"].Local]
+		a := r.Sys.Box("a")
+		oldDrops := a.StreamDrops(r.Streams["old"].Local)
+		newDrops := a.StreamDrops(r.Streams["new"].Local)
 		t.Add("P3 new-stream priority",
 			fmt.Sprintf("old stream drops=%d, new stream drops=%d", oldDrops, newDrops),
 			yes(oldDrops > 2*newDrops))

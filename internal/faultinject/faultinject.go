@@ -161,18 +161,13 @@ func Stalls(windows []Window) func(now occam.Time) occam.Time {
 	}
 }
 
-// Spec is a parsed fault list (scenario.ParseFaults): which faults to
-// inject, all derived deterministically from one seed.
+// Spec is a parsed fault list (scenario.ParseFaults): which link faults
+// to inject, all derived deterministically from one seed. A box's crash
+// and sink-stall windows are not in it: they are its own (box.Config).
 type Spec struct {
 	// Link is the per-link fault template; LinkFault derives one
 	// seeded instance per link name.
 	Link LinkConfig
-	// SinkStalls are outage windows for every box's net-video
-	// decoupling buffer (a stuck sink channel).
-	SinkStalls []Window
-	// Crashes maps board name to outage windows, applied to the first
-	// box (alphabetically) of the simulation.
-	Crashes map[string][]Window
 	// Target, when non-empty, restricts link faults to links and fabric
 	// ports whose name starts with it ("a-b" hits one link pair,
 	// "fab.p03" one port, "fab." a whole fabric). Empty targets
@@ -183,9 +178,7 @@ type Spec struct {
 }
 
 // Active reports whether the spec injects anything.
-func (s Spec) Active() bool {
-	return s.Link.active() || len(s.SinkStalls) > 0 || len(s.Crashes) > 0
-}
+func (s Spec) Active() bool { return s.Link.active() }
 
 // LinkFault returns a fault process for the named link, or nil when
 // the spec has no link faults. The per-link seed folds the link name

@@ -177,8 +177,8 @@ func (r *Runner) ShedLadder(ctrl string) (order []uint32, ascending bool) {
 // boxes survivors-identical excludes.
 func (r *Runner) crashedBoxes() map[string]bool {
 	out := map[string]bool{}
-	for i, b := range r.Spec.Boxes {
-		if len(b.Crashes) > 0 || (i == 0 && len(r.FaultSpec.Crashes) > 0) {
+	for _, b := range r.Spec.Boxes {
+		if len(b.Crashes) > 0 {
 			out[b.Name] = true
 		}
 	}

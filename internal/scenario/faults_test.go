@@ -16,45 +16,37 @@ import (
 // pandora-sim's faults-bogus golden.
 var faultLists = []struct{ list, want string }{
 	// Every canned word, and all.
-	{"loss", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"corrupt", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0.01, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"dup", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0.005, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"jitter", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:1000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"stall", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:1000000000, StallFor:150000000, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"sink", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window{faultinject.Window{From:1000000000, To:1200000000}, faultinject.Window{From:3000000000, To:3200000000}}, Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"crash", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window{"server":[]faultinject.Window{faultinject.Window{From:1500000000, To:2000000000}}}, Target:"", Seed:0x7}`},
-	{"all", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0.01, Duplicate:0.005, JitterMean:1000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
+	{"loss", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"corrupt", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0.01, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"dup", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0.005, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"jitter", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:1000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"stall", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:1000000000, StallFor:150000000, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"all", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0.01, Duplicate:0.005, JitterMean:1000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
 	// Every key=value form, both optional tails, target= and seed=.
-	{"burst=0.2", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.2, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"burst=0.2/7", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.2, BurstLen:7, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"corrupt=0.3", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0.3, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"dup=1", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:1, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"jitter=3ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:3000000, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"jitter=3ms/4ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:3000000, JitterStddev:4000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"jitter=-1ms/2ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:-1000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"stall=2s/100ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:2000000000, StallFor:100000000, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"stall=-1s/1s", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:-1000000000, StallFor:1000000000, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"stallwin=1s-2s,stallwin=3s-3500ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window{faultinject.Window{From:1000000000, To:2000000000}, faultinject.Window{From:3000000000, To:3500000000}}, StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"sink=5s-6s", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window{faultinject.Window{From:5000000000, To:6000000000}}, Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"crash=audio:1s-2s,crash=display:2s-3s,crash=audio:4s-5s", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window{"audio":[]faultinject.Window{faultinject.Window{From:1000000000, To:2000000000}, faultinject.Window{From:4000000000, To:5000000000}}, "display":[]faultinject.Window{faultinject.Window{From:2000000000, To:3000000000}}}, Target:"", Seed:0x7}`},
-	{"target=fab.p03", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"fab.p03", Seed:0x7}`},
-	{"target=", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"seed=99", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x63}`},
-	{"all,target=a-b,seed=5", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0.01, Duplicate:0.005, JitterMean:1000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"a-b", Seed:0x5}`},
+	{"burst=0.2", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.2, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"burst=0.2/7", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.2, BurstLen:7, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"corrupt=0.3", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0.3, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"dup=1", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:1, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"jitter=3ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:3000000, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"jitter=3ms/4ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:3000000, JitterStddev:4000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"jitter=-1ms/2ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:-1000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"stall=2s/100ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:2000000000, StallFor:100000000, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"stall=-1s/1s", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:-1000000000, StallFor:1000000000, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"stallwin=1s-2s,stallwin=3s-3500ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window{faultinject.Window{From:1000000000, To:2000000000}, faultinject.Window{From:3000000000, To:3500000000}}, StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"target=fab.p03", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"fab.p03", Seed:0x7}`},
+	{"target=", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"seed=99", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x63}`},
+	{"all,target=a-b,seed=5", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0.01, Duplicate:0.005, JitterMean:1000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"a-b", Seed:0x5}`},
 	// Canned then override, override then canned, repeats, empty
 	// tokens and spaces.
-	{"loss,burst=0.5", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.5, BurstLen:4, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"burst=0.5/9,loss", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"jitter,jitter=5ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:5000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"stall,stall=3s/1s", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:3000000000, StallFor:1000000000, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"sink=5s-6s,sink", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window{faultinject.Window{From:1000000000, To:1200000000}, faultinject.Window{From:3000000000, To:3200000000}}, Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"sink,sink=5s-6s", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window{faultinject.Window{From:1000000000, To:1200000000}, faultinject.Window{From:3000000000, To:3200000000}, faultinject.Window{From:5000000000, To:6000000000}}, Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"crash=audio:1s-2s,crash", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window{"audio":[]faultinject.Window{faultinject.Window{From:1000000000, To:2000000000}}, "server":[]faultinject.Window{faultinject.Window{From:1500000000, To:2000000000}}}, Target:"", Seed:0x7}`},
-	{"crash,crash", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window{"server":[]faultinject.Window{faultinject.Window{From:1500000000, To:2000000000}, faultinject.Window{From:1500000000, To:2000000000}}}, Target:"", Seed:0x7}`},
-	{"loss,loss,seed=3,seed=4,corrupt=0.2,corrupt=0.4", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0.4, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x4}`},
-	{" loss, ,corrupt,,", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0.01, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{"", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
-	{",,", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, SinkStalls:[]faultinject.Window(nil), Crashes:map[string][]faultinject.Window(nil), Target:"", Seed:0x7}`},
+	{"loss,burst=0.5", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.5, BurstLen:4, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"burst=0.5/9,loss", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"jitter,jitter=5ms", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:5000000, JitterStddev:2000000, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"stall,stall=3s/1s", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:3000000000, StallFor:1000000000, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"loss,loss,seed=3,seed=4,corrupt=0.2,corrupt=0.4", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0.4, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x4}`},
+	{" loss, ,corrupt,,", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0.01, BurstLen:4, Corrupt:0.01, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{"", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
+	{",,", `faultinject.Spec{Link:faultinject.LinkConfig{BurstEnter:0, BurstLen:0, Corrupt:0, Duplicate:0, JitterMean:0, JitterStddev:0, Stalls:[]faultinject.Window(nil), StallEvery:0, StallFor:0, Seed:0x0}, Target:"", Seed:0x7}`},
 	// One input for each error class.
 	{"bogus", `token 1 ("bogus") at char 0`},
 	{"loss,rate=1", `token 2 ("rate=1") at char 5`},
@@ -69,17 +61,10 @@ var faultLists = []struct{ list, want string }{
 	{"stall=x/1s", `token 1 ("stall=x/1s") at char 0`},
 	{"stall=1s/x", `token 1 ("stall=1s/x") at char 0`},
 	{"stallwin=2s", `token 1 ("stallwin=2s") at char 0`},
-	{"sink=x-1s", `token 1 ("sink=x-1s") at char 0`},
-	{"sink=1s-y", `token 1 ("sink=1s-y") at char 0`},
-	{"sink=2s-1s", `token 1 ("sink=2s-1s") at char 0`},
-	{"crash=1s-2s", `token 1 ("crash=1s-2s") at char 0`},
-	{"crash=:1s-2s", `token 1 ("crash=:1s-2s") at char 0`},
-	{"crash=server:1s", `token 1 ("crash=server:1s") at char 0`},
 	{"seed=-1", `token 1 ("seed=-1") at char 0`},
 	{"seed=", `token 1 ("seed=") at char 0`},
 	{"loss,  dup=x", `token 2 ("dup=x") at char 7`},
 	{"loss, ,  bogus", `token 3 ("bogus") at char 9`},
-	{"corrupt=0.1,,sink=1s", `token 3 ("sink=1s") at char 13`},
 }
 
 // TestFaultLanguage parses every list of faultLists through NewRunner,

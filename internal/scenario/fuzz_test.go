@@ -22,11 +22,11 @@ func FuzzScenarioParse(f *testing.F) {
 	}
 	f.Add("scenario x\nduration 1s\nbox a\n")
 	f.Add("scenario x\nduration 1s\nbox a mic=tone:1:2 crash=audio:1s-2s\n")
-	// Fault lists: rows, canned words, repeats, empty tokens and an
-	// unknown board; box windows in more than one list.
-	f.Add("scenario x\nduration 1s\nbox a\nfaults loss, ,sink=5s-6s,sink,crash=audio:1s-2s,target=a-,seed=3\n")
+	// Fault lists: rows, canned words, repeats and empty tokens; box
+	// windows with an unknown board, and in more than one list.
+	f.Add("scenario x\nduration 1s\nbox a\nfaults loss, ,stallwin=5s-6s,stall,target=a-,seed=3\n")
 	f.Add("scenario x\nduration 1s\nbox a\nfaults burst=0.2/7,jitter=-1ms,stall=1s/10ms,stallwin=1s-2s,all,all\n")
-	f.Add("scenario x\nduration 1s\nbox a\nfaults crash=sever:1s-2s,sink=2s-1s\n")
+	f.Add("scenario x\nduration 1s\nbox a crash=sever:1s-2s sinkstall=2s-1s\n")
 	f.Add("scenario x\nduration 1s\nbox a crash=display:1s-2s crash=audio:0s-1ms sinkstall=1s-2s sinkstall=3s-4s\n")
 	// Ranges and waves, valid and hostile: expansion must stay bounded
 	// and what it accepts must print as longhand that parses back.

@@ -322,8 +322,6 @@ func faultClauses(s *faultinject.Spec) []clause {
 		{key: "jitter", field: []any{&s.Link.JitterMean, &s.Link.JitterStddev}, sep: "/", min: noMin, tail: true},
 		{key: "stall", field: []any{&s.Link.StallEvery, &s.Link.StallFor}, sep: "/", min: noMin},
 		{key: "stallwin", field: &s.Link.Stalls},
-		{key: "sink", field: &s.SinkStalls},
-		{key: "crash", field: &s.Crashes},
 		{key: "target", field: &s.Target},
 		{key: "seed", field: &s.Seed},
 	}
@@ -331,15 +329,12 @@ func faultClauses(s *faultinject.Spec) []clause {
 
 // faultWords are the canned faults, each a fault list of its own, set
 // to visibly stress a few-second conference run without silencing it.
-// A canned sink replaces the sink windows listed before it.
 var faultWords = map[string]string{
 	"loss":    "burst=0.01/4",
 	"corrupt": "corrupt=0.01",
 	"dup":     "dup=0.005",
 	"jitter":  "jitter=1ms/2ms",
 	"stall":   "stall=1s/150ms",
-	"sink":    "sink=1s-1200ms,sink=3s-3200ms",
-	"crash":   "crash=server:1500ms-2s",
 	"all":     "loss,corrupt,dup,jitter",
 }
 

@@ -52,14 +52,13 @@ func Load(path string) (*Scenario, error) {
 //	at DUR repair REF BOX
 //	at DUR close REF                (no later event may name REF)
 //	at DUR netsend FROM -> TO stream=N vci=N
-//	faults FAULT[,FAULT...]     (FAULT a row below or a canned word; a later row
-//	         overrides, a window row adds a window)
+//	faults FAULT[,FAULT...]     (link faults: FAULT a row below or a canned word;
+//	         a later row overrides, a window row adds a window; a box's crash
+//	         and sink-stall windows go on its box line)
 //	         burst=P[/L] corrupt=P dup=P jitter=DUR[/DUR] stall=EVERY/FOR
-//	         stallwin=FROM-TO sink=FROM-TO crash=BOARD:FROM-TO target=PREFIX seed=N
+//	         stallwin=FROM-TO target=PREFIX seed=N
 //	         canned: loss (burst=0.01/4), corrupt (corrupt=0.01), dup (dup=0.005),
-//	         jitter (jitter=1ms/2ms), stall (stall=1s/150ms), crash
-//	         (crash=server:1500ms-2s), all (loss,corrupt,dup,jitter), and sink
-//	         (sink=1s-1200ms,sink=3s-3200ms), which replaces earlier sink windows
+//	         jitter (jitter=1ms/2ms), stall (stall=1s/150ms), all (loss,corrupt,dup,jitter)
 //	degrade shed=DUR hold=DUR
 //	balance [budget=N] [interval=DUR] [migrate=F] [cooldown=DUR] [maxmig=N]
 //	assert KIND [ARG] [VALUE]
@@ -233,16 +232,16 @@ func applyFaults(s *faultinject.Spec, list string) error {
 	table, at := faultClauses(s), 0
 	for i, raw := range strings.Split(list, ",") {
 		tok := strings.TrimSpace(raw)
+		key, _, _ := strings.Cut(tok, "=")
 		var err error
 		switch canned, isWord := faultWords[tok]; {
 		case tok == "":
 		case isWord:
-			if tok == "sink" {
-				s.SinkStalls = nil
-			}
 			err = applyFaults(s, canned)
+		case key == "crash" || key == "sink":
+			err = fmt.Errorf("%q is a box's fault window, not a link fault: write crash=BOARD:FROM-TO or sinkstall=FROM-TO on the box line", key)
 		case !strings.Contains(tok, "="):
-			err = fmt.Errorf("unknown fault %q (want loss, corrupt, dup, jitter, stall, sink, crash or all)", tok)
+			err = fmt.Errorf("unknown fault %q (want loss, corrupt, dup, jitter, stall or all)", tok)
 		default:
 			err = parseClauses("fault", table, []string{tok})
 		}

@@ -10,18 +10,18 @@ import (
 
 // registryPinSpec touches every instrument family the system registers:
 // a fabric under a k=4 tree and a call, a video stream, a jitter- and
-// muting-enabled box with a crash window, link faults, the degrade
-// ladder and the balancer.
+// muting-enabled box with a crash window, a box with a sink stall, link
+// faults, the degrade ladder and the balancer.
 const registryPinSpec = `scenario registry-pin
 seed 5
 duration 300ms
-box src mic=speech:1:12000 camera=128x128
+box src mic=speech:1:12000 camera=128x128 sinkstall=100ms-140ms
 box v[1..5]
 box a mic=speech:2:12000 jitter muting interface crash=audio:120ms-160ms
 box b mic=speech:3:12000
 fabric f portbw=2M
 attach f src v[1..5] a b
-faults burst=0.02/3,jitter=1ms/500us,sink=100ms-140ms
+faults burst=0.02/3,jitter=1ms/500us
 degrade shed=60ms hold=120ms
 balance budget=2 interval=20ms
 at 0s tree src -> v[1..5] k=4 as t

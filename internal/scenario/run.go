@@ -107,24 +107,11 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 		}
 	}
 
-	for i, bs := range sc.Boxes {
+	for _, bs := range sc.Boxes {
 		cfg := bs.Config
 		cfg.Mic = bs.Mic.Source()
-		stalls := bs.SinkStalls
-		if i == 0 {
-			// The spec-level fault phase targets the first box.
-			if cfg.Crashes == nil {
-				cfg.Crashes = r.FaultSpec.Crashes
-			}
-			if len(stalls) == 0 {
-				stalls = r.FaultSpec.SinkStalls
-			}
-		}
-		if len(stalls) > 0 {
-			cfg.SinkStalls = map[string][]faultinject.Window{
-				"net-video": stalls,
-				"net-audio": stalls,
-			}
+		if ws := bs.SinkStalls; len(ws) > 0 {
+			cfg.SinkStalls = map[string][]faultinject.Window{"net-video": ws, "net-audio": ws}
 		}
 		s.AddBox(cfg)
 	}

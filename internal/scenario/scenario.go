@@ -172,10 +172,10 @@ type Scenario struct {
 	Feeds    []Feed
 	Cross    []Cross
 	Events   []Event
-	// Faults is a fault phase, a fault list kept verbatim (see
-	// ParseFaults); Seed is its master seed. Link faults go to every link
-	// and fabric port (subject to target=), sink stalls and board
-	// crashes to the first box.
+	// Faults is a fault phase, a list of link faults kept verbatim (see
+	// ParseFaults); Seed is its master seed. They go to every link and
+	// fabric port (subject to target=). A box's crash and sink-stall
+	// windows are on its Box.
 	Faults string
 	// Degrade enables the overload controllers of every box and fabric
 	// port; Balance, the balancer control plane (internal/balancer).

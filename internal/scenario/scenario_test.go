@@ -190,9 +190,12 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nbox a\nat 0s close main", `unopened stream "main"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 2s call a b", "outside the run"},
 		{"scenario x\nduration 1s\nbox a\nfaults burst=oops", "faultinject: token"},
-		// A crash names a board the box has.
+		// A crash names a board the box has, and is written on its box
+		// line: a faults line holds link faults only.
 		{"scenario x\nduration 1s\nbox a crash=sever:50ms-250ms", `box a crash=sever:50ms-250ms"): crash wants BOARD:FROM-TO with BOARD one of server, audio, display, got "sever:50ms-250ms"`},
-		{"scenario x\nduration 1s\nbox a\nfaults crash=srvr:50ms-250ms", `faultinject: token 1 ("crash=srvr:50ms-250ms") at char 0: crash wants BOARD:FROM-TO with BOARD one of server, audio, display`},
+		{"scenario x\nduration 1s\nbox a\nfaults crash=server:50ms-250ms", `faultinject: token 1 ("crash=server:50ms-250ms") at char 0: "crash" is a box's fault window, not a link fault: write crash=BOARD:FROM-TO or sinkstall=FROM-TO on the box line`},
+		{"scenario x\nduration 1s\nbox a\nfaults loss,sink", `token 2 ("sink") at char 5: "sink" is a box's fault window`},
+		{"scenario x\nduration 1s\nbox a\nfaults sink=1s-2s,crash", `token 1 ("sink=1s-2s") at char 0: "sink" is a box's fault window`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s pull main b", `unopened stream "main"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nat 0s repair main b", `unopened stream "main"`},
 		// A closed stream is named by no later event: its plan is gone.

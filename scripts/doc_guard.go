@@ -43,9 +43,9 @@ var lineBudgets = []struct {
 	lines int
 }{
 	{"ARCHITECTURE.md", 468},
-	{"DESIGN.md", 788},
+	{"DESIGN.md", 787},
 	{"EXPERIMENTS.md", 260},
-	{"README.md", 419},
+	{"README.md", 418},
 }
 
 // CHANGES.md holds one entry a line, opening "PR N"; entries numbered
