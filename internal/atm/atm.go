@@ -32,25 +32,32 @@ import (
 	"repro/internal/workload"
 )
 
-// Message is one Pandora segment in flight on the network.
+// Message is one Pandora segment in flight on the network. Every hop
+// copies it by value, so its fields are ordered to fill 64 bytes
+// exactly: one cache line, copied inline rather than by a block-copy
+// routine.
 type Message struct {
-	// VCI identifies the virtual circuit (the destination's stream
-	// number).
-	VCI uint32
-	// Size is the wire size in bytes, which determines transmission
-	// time on each link.
-	Size int
 	// W is the segment's wire buffer. Hops move this descriptor by
 	// value and never touch the bytes; each message carries one wire
 	// reference, released by the network on any drop and transferred
 	// to the receiving host on delivery.
 	W segment.Wire
+	// Size is the wire size in bytes, which determines transmission
+	// time on each link.
+	Size int
+	// FaultDelay is extra per-message delay injected by a link fault
+	// (jitter), added to the transmission and propagation times.
+	FaultDelay time.Duration
+	// VCI identifies the virtual circuit (the destination's stream
+	// number).
+	VCI uint32
 	// ChunkIndex/ChunkTotal describe network interleaving (§3.7.1
 	// A4): when ChunkTotal > 1 the message is one of ChunkTotal chunks
 	// of the same segment — Size is the chunk's share of the bytes,
-	// while W references the whole segment's wire.
-	ChunkIndex int
-	ChunkTotal int
+	// while W references the whole segment's wire. The UDP transport
+	// carries each in 16 bits.
+	ChunkIndex int32
+	ChunkTotal int32
 	// Corrupt marks an injected payload corruption (faultinject). The
 	// message still consumes queue space and transmission time, but the
 	// receiving host must discard the segment — the AAL checksum
@@ -58,9 +65,6 @@ type Message struct {
 	// bytes themselves are never touched: the storage may be shared by
 	// fan-out circuits whose copies arrived intact.
 	Corrupt bool
-	// FaultDelay is extra per-message delay injected by a link fault
-	// (jitter), added to the transmission and propagation times.
-	FaultDelay time.Duration
 }
 
 // port is where a link sends a VCI's messages next: the next link on
@@ -74,8 +78,9 @@ type port interface {
 // the host's transport; what happens next depends on the backend:
 //
 //   - the default in-process channel transport looks the VCI up in the
-//     network's circuit table and walks the message down the circuit's
-//     links (the single-process simulation everything else uses);
+//     sending host's circuit table and walks the message down the
+//     circuit's links (the single-process simulation everything else
+//     uses);
 //   - a fabric port (internal/fabric) routes the message through a
 //     cell-switched fabric shared by many boxes;
 //   - a UDP transport (internal/atm/udptrans) serialises the message
@@ -93,14 +98,14 @@ type Transport interface {
 	TransportName() string
 }
 
-// chanTransport is the default in-process backend: the network's
-// circuit table plus store-and-forward links, all on one runtime.
+// chanTransport is the default in-process backend: the host's circuit
+// table plus store-and-forward links, all on one runtime.
 type chanTransport struct{ h *Host }
 
 func (t chanTransport) TransportName() string { return "chan" }
 
 func (t chanTransport) Send(p *occam.Proc, m Message) error {
-	c, ok := t.h.net.circuits[circuitKey{t.h.nm, m.VCI}]
+	c, ok := t.h.circuits[m.VCI]
 	if !ok {
 		return fmt.Errorf("atm: no circuit for VCI %d from host %s", m.VCI, t.h.nm)
 	}
@@ -409,8 +414,10 @@ type Host struct {
 	nm string
 	// Rx delivers arriving messages to the host.
 	Rx    *occam.Chan[Message]
-	net   *Network
 	trans Transport
+	// circuits is the host's outgoing circuits by VCI (the destination's
+	// stream number, unique per source host); nil until the first opens.
+	circuits map[uint32]*circuit
 }
 
 // Name returns the host name.
@@ -425,7 +432,7 @@ func (h *Host) name() string { return h.nm }
 func (h *Host) Deliver(p *occam.Proc, m Message) { h.Rx.Send(p, m) }
 
 // SetTransport replaces the host's outgoing backend (the default is
-// the in-process channel transport over the network's circuits).
+// the in-process channel transport over the host's circuits).
 // Attaching a box to a fabric port or to a UDP socket goes through
 // here; incoming traffic keeps arriving on Rx regardless of backend.
 func (h *Host) SetTransport(t Transport) {
@@ -447,18 +454,13 @@ func (h *Host) Send(p *occam.Proc, m Message) error {
 	return h.trans.Send(p, m)
 }
 
-// Network is a collection of hosts, links and circuits.
+// Network is a collection of hosts and links; each host holds the
+// circuits opened from it.
 type Network struct {
-	rt       *occam.Runtime
-	obs      *obs.Registry
-	hosts    map[string]*Host
-	links    map[string]*Link
-	circuits map[circuitKey]*circuit
-}
-
-type circuitKey struct {
-	from string
-	vci  uint32
+	rt    *occam.Runtime
+	obs   *obs.Registry
+	hosts map[string]*Host
+	links map[string]*Link
 }
 
 // circuit is a VCI's path from its source host: into the first link, or
@@ -471,10 +473,9 @@ type circuit struct {
 // New returns an empty network on rt.
 func New(rt *occam.Runtime) *Network {
 	return &Network{
-		rt:       rt,
-		hosts:    make(map[string]*Host),
-		links:    make(map[string]*Link),
-		circuits: make(map[circuitKey]*circuit),
+		rt:    rt,
+		hosts: make(map[string]*Host),
+		links: make(map[string]*Link),
 	}
 }
 
@@ -510,9 +511,8 @@ func (n *Network) AddHost(name string) *Host {
 		panic("atm: duplicate host " + name)
 	}
 	h := &Host{
-		nm:  name,
-		Rx:  occam.NewChan[Message](n.rt, name+".rx"),
-		net: n,
+		nm: name,
+		Rx: occam.NewChan[Message](n.rt, name+".rx"),
 	}
 	h.trans = chanTransport{h}
 	n.hosts[name] = h
@@ -539,8 +539,7 @@ func (n *Network) AddLink(name string, cfg LinkConfig) *Link {
 // so it must be unique per (source, VCI) pair and per (link, VCI)
 // pair along the path.
 func (n *Network) OpenCircuit(vci uint32, from, to *Host, links ...*Link) {
-	key := circuitKey{from.nm, vci}
-	if _, dup := n.circuits[key]; dup {
+	if _, dup := from.circuits[vci]; dup {
 		panic(fmt.Sprintf("atm: duplicate circuit VCI %d from %s", vci, from.nm))
 	}
 	c := &circuit{to: to}
@@ -554,14 +553,17 @@ func (n *Network) OpenCircuit(vci uint32, from, to *Host, links ...*Link) {
 			}
 		}
 	}
-	n.circuits[key] = c
+	if from.circuits == nil {
+		from.circuits = make(map[uint32]*circuit)
+	}
+	from.circuits[vci] = c
 	n.obs.Tracer().Emit(obs.EvStreamOpen, "atm."+from.nm, vci, "circuit to "+to.nm)
 }
 
 // CloseCircuit tears down a circuit (messages in flight on unrouted
 // links are dropped, as on the real network).
 func (n *Network) CloseCircuit(vci uint32, from *Host, links ...*Link) {
-	delete(n.circuits, circuitKey{from.nm, vci})
+	delete(from.circuits, vci)
 	for _, l := range links {
 		delete(l.next, vci)
 	}

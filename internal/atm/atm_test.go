@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/occam"
@@ -307,8 +308,63 @@ func TestSendWithoutCircuitErrors(t *testing.T) {
 		t.Fatal(e)
 	}
 	rt.Shutdown()
-	if err == nil {
-		t.Fatal("send on unopened circuit succeeded")
+	if err == nil || err.Error() != "atm: no circuit for VCI 42 from host a" {
+		t.Fatalf("send on unopened circuit: %v", err)
+	}
+}
+
+// TestSameVCIFromTwoHostsRoutesApart opens VCI 5 from two hosts, to
+// different hosts over different links: a VCI is the destination's
+// stream number, so two sources may well use the same one, and each
+// host's table must find its own circuit. Closing one leaves the other
+// delivering.
+func TestSameVCIFromTwoHostsRoutesApart(t *testing.T) {
+	rt := occam.NewRuntime()
+	net := New(rt)
+	a1, a2 := net.AddHost("a1"), net.AddHost("a2")
+	b1, b2 := net.AddHost("b1"), net.AddHost("b2")
+	l1 := net.AddLink("l1", LinkConfig{Bandwidth: 100_000_000})
+	l2 := net.AddLink("l2", LinkConfig{Bandwidth: 100_000_000})
+	net.OpenCircuit(5, a1, b1, l1)
+	net.OpenCircuit(5, a2, b2, l2)
+	// Each destination records the sizes it receives: a1 sends 100-byte
+	// messages and a2 200-byte ones.
+	got := map[*Host][]int{}
+	for _, h := range []*Host{b1, b2} {
+		rt.Go(h.nm+".drain", nil, occam.High, func(p *occam.Proc) {
+			for {
+				got[h] = append(got[h], h.Rx.Recv(p).Size)
+			}
+		})
+	}
+	var err error
+	rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
+		a1.Send(p, Message{VCI: 5, Size: 100})
+		a2.Send(p, Message{VCI: 5, Size: 200})
+		p.Sleep(10 * time.Millisecond)
+		net.CloseCircuit(5, a1, l1)
+		err = a1.Send(p, Message{VCI: 5, Size: 100})
+		a2.Send(p, Message{VCI: 5, Size: 200})
+	})
+	if e := rt.RunUntil(occam.Time(time.Second)); e != nil {
+		t.Fatal(e)
+	}
+	rt.Shutdown()
+	if fmt.Sprint(got[b1], got[b2]) != "[100] [200 200]" {
+		t.Errorf("b1 received %v and b2 %v; want [100] and [200 200]", got[b1], got[b2])
+	}
+	if err == nil || err.Error() != "atm: no circuit for VCI 5 from host a1" {
+		t.Errorf("send on the closed circuit: %v", err)
+	}
+}
+
+// TestMessageFitsACacheLine guards Message's layout: every hop (Host.Send,
+// the link queue, the transmitter, delivery, the fabric's queues, the
+// channel hand-over) copies it inline, and past 64 bytes each copy is a
+// block-copy call.
+func TestMessageFitsACacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Message{}); n > 64 {
+		t.Errorf("Message is %d bytes, want at most 64", n)
 	}
 }
 

@@ -113,8 +113,8 @@ func Decode(buf []byte) (atm.Message, error) {
 	m.Corrupt = buf[5]&flagCorrupt != 0
 	m.VCI = binary.BigEndian.Uint32(buf[6:])
 	m.Size = int(size)
-	m.ChunkIndex = int(binary.BigEndian.Uint16(buf[14:]))
-	m.ChunkTotal = int(binary.BigEndian.Uint16(buf[16:]))
+	m.ChunkIndex = int32(binary.BigEndian.Uint16(buf[14:]))
+	m.ChunkTotal = int32(binary.BigEndian.Uint16(buf[16:]))
 	w, err := segment.ParseWire(body)
 	if err != nil {
 		return m, fmt.Errorf("udptrans: %w", err)

@@ -90,8 +90,10 @@ func (m *micReader) Step(p *occam.Proc) {
 			// Commands are taken between blocks (principle 4): "A command
 			// will be received as soon as the process has finished
 			// dealing with any current segment." A closed microphone's
-			// tick is only this poll.
-			for p.Alt(m.guards...) == 0 {
+			// tick is only this poll. With no command waiting the
+			// SKIP-guarded alternation would fire SKIP and do nothing
+			// else, so it runs only when one is.
+			for m.b.audioCmds.Pending() && p.Alt(m.guards...) == 0 {
 				m.command()
 			}
 			if !m.b.micOpen {

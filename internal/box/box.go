@@ -27,7 +27,7 @@
 // first segment, the switch's drop counts at its first drop, each
 // decoupling ring's storage at its first push, each server buffer when
 // a grant finds none recycled (package allocator), and each latency
-// histogram's value map at its first fold. A stream's state on a board
+// histogram's multiset at its first fold. A stream's state on a board
 // is one record in a byStream table, a slice in stream order: a box
 // keeps no map keyed by stream or VCI.
 //

@@ -21,7 +21,7 @@ import (
 func TestReassemblyThrowsAwayWholeSegments(t *testing.T) {
 	type chunk struct {
 		seq          uint32
-		index, total int
+		index, total int32
 		corrupt      bool
 	}
 	for _, c := range []struct {

@@ -595,7 +595,7 @@ const maxChunks = 64
 type partial struct {
 	w       segment.Wire
 	seq     uint32
-	total   int
+	total   int32
 	have    uint64 // the chunk indices received, a bit each
 	corrupt bool   // a chunk arrived corrupt
 }
@@ -759,7 +759,7 @@ func (n *netOut) send(p *occam.Proc, s *netSeg) {
 	b := n.b
 	m := atm.Message{VCI: s.vcis[s.vi], Size: s.w.Len(), W: s.w}
 	if s.chunks > 0 {
-		m.Size, m.ChunkIndex, m.ChunkTotal = s.chunkSize(), s.chunk, s.chunks
+		m.Size, m.ChunkIndex, m.ChunkTotal = s.chunkSize(), int32(s.chunk), int32(s.chunks)
 	}
 	err := b.host.Send(p, m)
 	last := s.chunk >= s.chunks-1 // of this destination's messages

@@ -1,15 +1,13 @@
 package box
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // byStream is a small map keyed by stream number: its entries in a
 // slice, in ascending stream order. A box keys a handful of streams, for
 // which a binary search beats hashing, and a table of one stream costs
 // one small slice where a map costs a header and a group of eight slots.
-// The zero value is empty.
+// The search is a plain loop over the ids, which a segment's lookups
+// pay no comparison closure for. The zero value is empty.
 type byStream[V any] []streamEntry[V]
 
 type streamEntry[V any] struct {
@@ -17,8 +15,18 @@ type streamEntry[V any] struct {
 	v  V
 }
 
+// find returns where id is, or where it would go, and whether it is
+// there.
 func (t byStream[V]) find(id uint32) (int, bool) {
-	return slices.BinarySearchFunc(t, id, func(e streamEntry[V], id uint32) int { return cmp.Compare(e.id, id) })
+	lo, hi := 0, len(t)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); t[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(t) && t[lo].id == id
 }
 
 // get returns the value for id, and whether there is one.

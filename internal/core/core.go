@@ -294,7 +294,7 @@ func (s *System) AttachFabric(fabricName, name string) *fabric.Port {
 
 // bridgeMux lets a fabric-attached node also drive point-to-point
 // bridge links toward other fabrics: VCIs registered as bridges go out
-// over the network's circuit table, everything else through the
+// over the host's circuit table, everything else through the
 // fabric port. Registration happens in openCircuit/closeCircuit, on
 // the control plane; the data path is one map lookup.
 type bridgeMux struct {

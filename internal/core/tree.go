@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/box"
 	"repro/internal/obs"
@@ -360,7 +361,11 @@ func (t *TreePlan) Remove(dst string, pl Placer) error {
 	if err := t.Rehome(dst, pl); n == nil || err != nil {
 		return err
 	}
-	delete(t.members, dst)
+	// Cleared, not deleted: deletes leave tombstones, after which a Go
+	// map grows at points its random hash seed picks, so the plan's
+	// allocations would differ from run to run. The keys are box names,
+	// so the map stays as small as the system.
+	t.members[dst] = nil
 	t.order = without(t.order, n)
 	t.placed[n.tree] = without(t.placed[n.tree], n)
 	n.parent.children = without(n.parent.children, n)
@@ -541,8 +546,11 @@ func (s *System) rehome(p *occam.Proc, st *Stream, relay, why string) (int, erro
 		}
 		s.install(p, st, o.parent, true, orphans[i+1:])
 	}
+	// Concatenated, not formatted: fmt's printer pool empties at every
+	// collection, so a Sprintf allocates a new printer or not as the
+	// collector happened to run.
 	s.Obs.Tracer().Emit(obs.EvRepair, "core.tree", st.Local,
-		fmt.Sprintf("re-homed %d subtrees around %s %s", len(orphans), why, from.name))
+		"re-homed "+strconv.Itoa(len(orphans))+" subtrees around "+why+" "+from.name)
 	return len(orphans), nil
 }
 
@@ -611,8 +619,32 @@ func (s *System) RemoveDestination(p *occam.Proc, st *Stream, dst string) error 
 	}
 	st.Tree.Remove(dst, nil) // a leaf now: nothing moves
 	vci := st.VCIs[dst]
-	delete(st.VCIs, dst)
+	forget(st, dst)
 	s.install(p, st, n.parent, true, nil)
 	s.disconnect(p, n, vci)
 	return nil
+}
+
+// forget removes dst from the stream's VCIs. A Go map that deletes from
+// a full group leaves a tombstone there, after which it grows at points
+// its random hash seed picks, so a run's allocations would not repeat.
+// Clearing the map and refilling it keeps its capacity and leaves none.
+// The entries wait on the stack; a tree of more than 64 members spills
+// them to the heap.
+func forget(st *Stream, dst string) {
+	type entry struct {
+		dst string
+		vci uint32
+	}
+	var buf [64]entry
+	kept := buf[:0]
+	for d, vci := range st.VCIs {
+		if d != dst {
+			kept = append(kept, entry{d, vci})
+		}
+	}
+	clear(st.VCIs)
+	for _, e := range kept {
+		st.VCIs[e.dst] = e.vci
+	}
 }

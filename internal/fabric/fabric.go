@@ -52,7 +52,8 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/atm"
@@ -124,29 +125,33 @@ type route struct {
 
 // routeTabMax bounds the dense routing table: VCIs below this live in
 // a slice indexed directly by VCI (the allocation-free per-cell
-// lookup); pathological VCIs above it fall back to the map.
+// lookup); pathological VCIs above it fall back to a map.
 const routeTabMax = 1 << 20
 
 // Fabric is an N-port cell-switched ATM fabric on one runtime.
 type Fabric struct {
-	rt       *occam.Runtime
-	nm       string
-	cfg      Config
-	ports    []*Port
-	routes   map[uint32]*route // full table: iteration + high-VCI fallback
-	routeTab []*route          // dense by VCI: the per-cell fast path
-	reg      *obs.Registry
-	trace    *obs.Tracer
+	rt    *occam.Runtime
+	nm    string
+	cfg   Config
+	ports []*Port
+	// routeTab is the routing table, dense by VCI: the per-cell fast
+	// path, and in VCI order for iteration. highRoutes holds the VCIs
+	// at or above routeTabMax; nil until one is routed. A slice, unlike
+	// a map that routes and unroutes, grows at the same points in every
+	// run.
+	routeTab   []*route
+	highRoutes map[uint32]*route
+	reg        *obs.Registry
+	trace      *obs.Tracer
 }
 
 // New returns an empty fabric named name. Attach ports, install
 // routes, then drive the runtime.
 func New(rt *occam.Runtime, name string, cfg Config) *Fabric {
 	return &Fabric{
-		rt:     rt,
-		nm:     name,
-		cfg:    cfg.withDefaults(),
-		routes: make(map[uint32]*route),
+		rt:  rt,
+		nm:  name,
+		cfg: cfg.withDefaults(),
 	}
 }
 
@@ -202,7 +207,7 @@ func (f *Fabric) Ports() []*Port { return append([]*Port(nil), f.ports...) }
 // effect between segments without disturbing any other VCI
 // (principle 6).
 func (f *Fabric) Route(now occam.Time, vci uint32, to *Port, video bool) {
-	if old, ok := f.routes[vci]; ok {
+	if old := f.lookup(vci); old != nil {
 		if old.out != to {
 			panic(fmt.Sprintf("fabric: %s: VCI %d already routed to %s (conflicting route to %s)",
 				f.nm, vci, old.out.nm, to.nm))
@@ -210,7 +215,6 @@ func (f *Fabric) Route(now occam.Time, vci uint32, to *Port, video bool) {
 		return
 	}
 	r := &route{out: to, video: video, opened: now}
-	f.routes[vci] = r
 	if vci < routeTabMax {
 		if n := int(vci) + 1; n > cap(f.routeTab) {
 			tab := make([]*route, n, 2*n)
@@ -220,6 +224,11 @@ func (f *Fabric) Route(now occam.Time, vci uint32, to *Port, video bool) {
 			f.routeTab = f.routeTab[:n] // never written past len: still nil
 		}
 		f.routeTab[vci] = r
+	} else {
+		if f.highRoutes == nil {
+			f.highRoutes = make(map[uint32]*route)
+		}
+		f.highRoutes[vci] = r
 	}
 	f.trace.Emit(obs.EvStreamOpen, f.nm, vci, to.routedText)
 }
@@ -228,13 +237,14 @@ func (f *Fabric) Route(now occam.Time, vci uint32, to *Port, video bool) {
 // at the crossbar ("unrouted", as on a torn-down circuit); every other
 // VCI is untouched (principle 6).
 func (f *Fabric) Unroute(vci uint32) {
-	r, ok := f.routes[vci]
-	if !ok {
+	r := f.lookup(vci)
+	if r == nil {
 		return
 	}
-	delete(f.routes, vci)
-	if int(vci) < len(f.routeTab) {
+	if vci < routeTabMax {
 		f.routeTab[vci] = nil
+	} else {
+		delete(f.highRoutes, vci)
 	}
 	delete(r.out.shed, vci)
 	f.trace.Emit(obs.EvStreamClose, f.nm, vci, r.out.unroutedText)
@@ -261,7 +271,7 @@ func (f *Fabric) lookup(vci uint32) *route {
 	if vci < routeTabMax {
 		return nil
 	}
-	return f.routes[vci]
+	return f.highRoutes[vci]
 }
 
 // PortStats is one port's traffic history.
@@ -337,15 +347,22 @@ type Port struct {
 	fault *atm.FaultGate
 
 	// inByVCI counts messages the attached host offered at this port's
-	// ingress, per VCI — the per-hop copy accounting: the number of
-	// distinct VCIs a box's port carries inbound-to-fabric is exactly
-	// how many copies that box fans out, so an interior tree box's
-	// bound (≤ K) is checkable hop by hop.
-	inByVCI map[uint32]uint64
+	// ingress, per VCI, in the order of each VCI's first offer — the
+	// per-hop copy accounting: the number of distinct VCIs a box's port
+	// carries inbound-to-fabric is exactly how many copies that box fans
+	// out, so an interior tree box's bound (≤ K) is checkable hop by hop.
+	// A box fans out to few VCIs, so a scan beats hashing each message.
+	inByVCI []vciCount
 	inMax   uint64 // the largest count in inByVCI, which only grows
 
 	// Traffic and drop counters, which the port's registry row reads.
 	forwarded, bytes, cellsTx, inDrops, egDrops, unrouted, shedDrops uint64
+}
+
+// vciCount is one VCI's count of messages offered at a port.
+type vciCount struct {
+	vci uint32
+	n   uint64
 }
 
 // Name returns the port name (the obs "port" label value).
@@ -371,8 +388,8 @@ func (pt *Port) Stats() PortStats {
 // segment total.
 func (pt *Port) IngressCopies() map[uint32]uint64 {
 	out := make(map[uint32]uint64, len(pt.inByVCI))
-	for vci, n := range pt.inByVCI {
-		out[vci] = n
+	for _, c := range pt.inByVCI {
+		out[c.vci] = c.n
 	}
 	return out
 }
@@ -435,12 +452,7 @@ func (pt *Port) crossDur(m atm.Message) time.Duration {
 // otherwise it waits in the bounded queue, drop-tail on overflow. The
 // sender never blocks on fabric congestion.
 func (pt *Port) Send(p *occam.Proc, m atm.Message) error {
-	n := pt.inByVCI[m.VCI] + 1
-	if pt.inByVCI == nil {
-		pt.inByVCI = make(map[uint32]uint64)
-	}
-	pt.inByVCI[m.VCI] = n
-	pt.inMax = max(pt.inMax, n)
+	pt.inMax = max(pt.inMax, pt.countIn(m.VCI))
 	if pt.crossBusy {
 		if len(pt.inq) >= ingressLimit {
 			pt.inDrops++
@@ -455,6 +467,18 @@ func (pt *Port) Send(p *occam.Proc, m atm.Message) error {
 	pt.crossing = m
 	pt.crossTimer.Schedule(p.Now() + occam.Time(pt.crossDur(m)))
 	return nil
+}
+
+// countIn counts one more message offered on vci and returns its count.
+func (pt *Port) countIn(vci uint32) uint64 {
+	for i := range pt.inByVCI {
+		if c := &pt.inByVCI[i]; c.vci == vci {
+			c.n++
+			return c.n
+		}
+	}
+	pt.inByVCI = append(pt.inByVCI, vciCount{vci: vci, n: 1})
+	return 1
 }
 
 // crossDone is the crossing-end timer callback (scheduler context): it
@@ -630,19 +654,17 @@ func (pt *Port) DegradeName() string { return pt.nm }
 // Every fabric stream is incoming from the port's point of view — it
 // is traffic about to be delivered to the attached box.
 func (pt *Port) DegradeStreams() []degrade.StreamInfo {
-	ids := make([]uint32, 0, 8)
-	for vci, r := range pt.fab.routes {
-		if r.out == pt {
-			ids = append(ids, vci)
+	var out []degrade.StreamInfo
+	add := func(vci uint32, r *route) {
+		if r != nil && r.out == pt {
+			out = append(out, degrade.StreamInfo{ID: vci, Video: r.video, Incoming: true, Opened: r.opened})
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]degrade.StreamInfo, 0, len(ids))
-	for _, vci := range ids {
-		r := pt.fab.routes[vci]
-		out = append(out, degrade.StreamInfo{
-			ID: vci, Video: r.video, Incoming: true, Opened: r.opened,
-		})
+	for vci, r := range pt.fab.routeTab {
+		add(uint32(vci), r)
+	}
+	for _, vci := range slices.Sorted(maps.Keys(pt.fab.highRoutes)) {
+		add(vci, pt.fab.highRoutes[vci])
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"maps"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -45,9 +46,9 @@ func TestRerouteMidStream(t *testing.T) {
 }
 
 // TestMaxIngressCopiesTracksTheLargestCount: after every send, at
-// random, on one of several VCIs, MaxIngressCopies is the largest of
-// IngressCopies' counts, at the sending port and at a port that sent
-// nothing.
+// random, on one of several VCIs, IngressCopies is the sends per VCI
+// and MaxIngressCopies the largest of its counts, at the sending port
+// and at a port that sent nothing.
 func TestMaxIngressCopiesTracksTheLargestCount(t *testing.T) {
 	r := newRig(t, 2, Config{EgressCellLimit: 4096})
 	vcis := []uint32{70, 71, 72, 73, 74}
@@ -62,6 +63,7 @@ func TestMaxIngressCopiesTracksTheLargestCount(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(7, 30))
 	sent := 0
+	offered := map[uint32]uint64{}
 	r.rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
 		for i := 0; i < 500; i++ {
 			// Skewed toward the low VCIs, so most sends go to a VCI that
@@ -74,6 +76,11 @@ func TestMaxIngressCopiesTracksTheLargestCount(t *testing.T) {
 				return
 			}
 			sent++
+			offered[vci]++
+			if got := r.fab.Port(0).IngressCopies(); !maps.Equal(got, offered) {
+				t.Errorf("after send %d: IngressCopies %v, sent %v", i, got, offered)
+				return
+			}
 			for _, pt := range []*Port{r.fab.Port(0), r.fab.Port(1)} {
 				if got, want := pt.MaxIngressCopies(), largest(pt); got != want {
 					t.Errorf("after send %d: %s MaxIngressCopies %d, largest IngressCopies count %d", i, pt.Name(), got, want)

@@ -20,7 +20,6 @@
 package mixer
 
 import (
-	"cmp"
 	"slices"
 	"strconv"
 
@@ -179,11 +178,24 @@ var streamTable = obs.NewTable(
 // ActiveStreams returns the number of streams currently mixing.
 func (m *Mixer) ActiveStreams() int { return len(m.playing) }
 
-func byID(s *stream, id uint32) int { return cmp.Compare(s.id, id) }
+// search returns where stream id is in list, which is in id order, or
+// where it would go, and whether it is there: a binary search written
+// as a plain loop, so a segment's lookup calls no comparison closure.
+func search(list []*stream, id uint32) (int, bool) {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); list[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(list) && list[lo].id == id
+}
 
 // find returns stream id, or where in streams it would go.
 func (m *Mixer) find(id uint32) (s *stream, at int, ok bool) {
-	at, ok = slices.BinarySearchFunc(m.streams, id, byID)
+	at, ok = search(m.streams, id)
 	if ok {
 		s = m.streams[at]
 	}
@@ -192,7 +204,7 @@ func (m *Mixer) find(id uint32) (s *stream, at int, ok bool) {
 
 // play puts an activated stream into playing, in id order.
 func (m *Mixer) play(s *stream) {
-	at, _ := slices.BinarySearchFunc(m.playing, s.id, byID)
+	at, _ := search(m.playing, s.id)
 	m.playing = slices.Insert(m.playing, at, s)
 }
 
@@ -412,7 +424,7 @@ func (m *Mixer) SetShed(id uint32, shed bool) {
 	}
 	m.shed[id] = true
 	if s, _, ok := m.find(id); ok && s.active {
-		at, _ := slices.BinarySearchFunc(m.playing, id, byID)
+		at, _ := search(m.playing, id)
 		m.playing = slices.Delete(m.playing, at, at+1)
 		m.deactivate(s)
 		m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source, id, "stream shed")

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fuzzObj is what the fuzzer's tables read.
@@ -254,4 +255,38 @@ func TestFuzzTablesAgreeWithTheModel(t *testing.T) {
 			t.Errorf("table %s has families %s, the model says %s", tab.name, got, want)
 		}
 	}
+}
+
+// FuzzHistogram feeds a histogram a sequence of observations drawn from
+// a small alphabet, so values repeat and cycle as playout delays do, and
+// of reads at any point between them. At each read and at the end,
+// Count, Min, Max, Mean, the 0th, 50th, 99th and 100th percentiles, and
+// the snapshot's count, sum and buckets must equal the sorted-slice
+// model's.
+func FuzzHistogram(f *testing.F) {
+	f.Add([]byte{40, 41, 40, 41, 255, 40, 41, 42, 43, 44, 255, 40})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 250, 6, 5, 4, 3, 2, 1})
+	f.Add([]byte{0, 0, 0, 255, 0, 24, 48, 72, 96, 120, 255, 23, 47})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		r := New(&fakeClock{})
+		h := NewHistogram()
+		histograms("h").Register(r, h)
+		var ref sliceTracker
+		for i, b := range ops {
+			if b >= 240 {
+				if diff := ref.agreesWith(h, r, 0, 50, 99, 100); diff != "" {
+					t.Fatalf("read at op %d: %s", i, diff)
+				}
+				continue
+			}
+			// Half-milliseconds from -1 ms, on and between bucket bounds,
+			// and a nanosecond offset that sets apart bytes 24 apart.
+			d := time.Duration(int(b%24)-2)*500*time.Microsecond + time.Duration(b/24)
+			h.Observe(d)
+			ref = append(ref, d)
+		}
+		if diff := ref.agreesWith(h, r, 0, 50, 99, 100); diff != "" {
+			t.Fatalf("at the end: %s", diff)
+		}
+	})
 }

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,10 +81,11 @@ func (s sliceTracker) mean() time.Duration {
 	return sum / time.Duration(len(s))
 }
 
+// percentile is the nearest-rank percentile of s, which is sorted.
 func (s sliceTracker) percentile(p float64) time.Duration {
 	rank := int(p / 100 * float64(len(s)-1))
 	rank = max(0, min(rank, len(s)-1))
-	return s.sorted()[rank]
+	return s[rank]
 }
 
 // buckets is the per-observation bucketing obs.Histogram did before it
@@ -94,11 +98,53 @@ func (s sliceTracker) buckets(bounds []float64) []uint64 {
 	return out
 }
 
+// sumMs is the exported sum the way Observe adds it up: one
+// observation at a time, in order.
+func (s sliceTracker) sumMs() float64 {
+	var sum float64
+	for _, d := range s {
+		sum += millis(d)
+	}
+	return sum
+}
+
+// agreesWith compares every read of h, a row of r registered as "h",
+// with the reference: Count, Min, Max, Mean, Jitter, percentiles, and
+// the snapshot's count, sum and buckets. It returns what differs, or "".
+func (s sliceTracker) agreesWith(h *Histogram, r *Registry, percentiles ...float64) string {
+	if len(s) == 0 {
+		if h.Count() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 {
+			return fmt.Sprintf("empty: n=%d min=%v max=%v mean=%v p50=%v", h.Count(), h.Min(), h.Max(), h.Mean(), h.Percentile(50))
+		}
+	} else {
+		o := sliceTracker(s.sorted())
+		if h.Count() != len(s) || h.Min() != o[0] || h.Max() != o[len(o)-1] ||
+			h.Mean() != s.mean() || h.Jitter() != o[len(o)-1]-o[0] {
+			return fmt.Sprintf("n=%d min=%v max=%v mean=%v jitter=%v, reference n=%d min=%v max=%v mean=%v",
+				h.Count(), h.Min(), h.Max(), h.Mean(), h.Jitter(), len(s), o[0], o[len(o)-1], s.mean())
+		}
+		for _, p := range percentiles {
+			if got, want := h.Percentile(p), o.percentile(p); got != want {
+				return fmt.Sprintf("p%v = %v, reference %v", p, got, want)
+			}
+		}
+	}
+	sm, _ := r.Snapshot().Get("h")
+	if want := s.buckets(latencyBucketsMs); !reflect.DeepEqual(sm.Buckets, want) ||
+		sm.Count != uint64(len(s)) || sm.Sum != s.sumMs() {
+		return fmt.Sprintf("buckets %v count %d sum %v, reference %v count %d sum %v",
+			sm.Buckets, sm.Count, sm.Sum, want, len(s), s.sumMs())
+	}
+	return ""
+}
+
 // TestHistogramAgreesWithSortedSlice checks every order statistic and
-// the snapshot's buckets against the keep-everything reference, on
-// five seeds of widely spread and of heavily repeated durations, and
-// of runs of one value (a stream in steady state) read often, both
-// inside a run and where one ends.
+// the snapshot's buckets and sum against the keep-everything reference,
+// on five seeds of widely spread and of heavily repeated durations, of
+// runs of one value (a stream in steady state) read often, both inside
+// a run and where one ends, and of sequences cycling through 1 to 6
+// distinct values (a mixer's streams' playout delays, fewer and more
+// than the histogram counts in place) read at random points.
 func TestHistogramAgreesWithSortedSlice(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -118,7 +164,25 @@ func TestHistogramAgreesWithSortedSlice(t *testing.T) {
 				return run
 			},
 		}
+		for k := 1; k <= 6; k++ {
+			// k distinct values, every one of them on a bucket bound or a
+			// nanosecond past one, taken in turn; one in ten draws takes
+			// a random one of them out of turn.
+			vals := make([]time.Duration, k)
+			for j := range vals {
+				vals[j] = time.Duration(2*(j+1))*time.Millisecond + time.Duration(rng.Intn(2))
+			}
+			next := 0
+			draws[fmt.Sprintf("cycle%d", k)] = func() time.Duration {
+				if rng.Intn(10) == 0 {
+					return vals[rng.Intn(k)]
+				}
+				next = (next + 1) % k
+				return vals[next]
+			}
+		}
 		for name, draw := range draws {
+			reads := rand.New(rand.NewSource(seed))
 			r := New(&fakeClock{})
 			h := NewHistogram()
 			histograms("h").Register(r, h)
@@ -127,29 +191,44 @@ func TestHistogramAgreesWithSortedSlice(t *testing.T) {
 				d := draw()
 				h.Observe(d)
 				ref = append(ref, d)
-				// Query between observations, on tiny sets, and every 23rd
-				// observation of the runs.
-				if i%500 != 499 && i > 3 && (name != "runs" || i%23 != 0) {
+				// Query between observations, on tiny sets, every 23rd
+				// observation of the runs, and one in 29 of the cycles.
+				switch {
+				case strings.HasPrefix(name, "cycle"):
+					if reads.Intn(29) != 0 {
+						continue
+					}
+				case i%500 != 499 && i > 3 && (name != "runs" || i%23 != 0):
 					continue
 				}
-				s := ref.sorted()
-				if h.Count() != len(ref) || h.Min() != s[0] || h.Max() != s[len(s)-1] ||
-					h.Mean() != ref.mean() || h.Jitter() != s[len(s)-1]-s[0] {
-					t.Fatalf("seed %d %s after %d: n=%d min=%v max=%v mean=%v jitter=%v, reference n=%d min=%v max=%v mean=%v",
-						seed, name, i+1, h.Count(), h.Min(), h.Max(), h.Mean(), h.Jitter(), len(ref), s[0], s[len(s)-1], ref.mean())
-				}
-				for _, p := range []float64{-5, 0, 0.1, 1, 25, 50, 75, 90, 99, 99.9, 100, 140} {
-					if got, want := h.Percentile(p), ref.percentile(p); got != want {
-						t.Fatalf("seed %d %s after %d: p%v = %v, reference %v", seed, name, i+1, p, got, want)
-					}
-				}
-				sm, _ := r.Snapshot().Get("h")
-				if want := ref.buckets(latencyBucketsMs); !reflect.DeepEqual(sm.Buckets, want) || sm.Count != uint64(len(ref)) {
-					t.Fatalf("seed %d %s after %d: buckets %v count %d, reference %v count %d",
-						seed, name, i+1, sm.Buckets, sm.Count, want, len(ref))
+				if diff := ref.agreesWith(h, r, -5, 0, 0.1, 1, 25, 50, 75, 90, 99, 99.9, 100, 140); diff != "" {
+					t.Fatalf("seed %d %s after %d: %s", seed, name, i+1, diff)
 				}
 			}
 		}
+	}
+}
+
+// TestHistogramSlotCountSaturates fills a slot's count to its limit:
+// the next observation of the value takes a second slot, and the
+// multiset counts both.
+func TestHistogramSlotCountSaturates(t *testing.T) {
+	const d = 8 * time.Millisecond
+	r := New(&fakeClock{})
+	h := NewHistogram()
+	histograms("h").Register(r, h)
+	h.Observe(d)
+	h.recentN[0] = math.MaxUint32 - 1
+	h.n, h.sum = math.MaxUint32-1, d*(math.MaxUint32-1)
+	h.Observe(d)
+	h.Observe(d)
+	h.Observe(2 * d)
+	if h.recentN != [histRecent]uint32{math.MaxUint32, 1, 1, 0} {
+		t.Fatalf("slot counts %v, want the first full and the value again in the second", h.recentN)
+	}
+	sm, _ := r.Snapshot().Get("h")
+	if h.Count() != math.MaxUint32+2 || h.Percentile(99) != d || h.Max() != 2*d || sm.Buckets[3] != math.MaxUint32+1 || sm.Buckets[6] != 1 {
+		t.Fatalf("count %d p99 %v max %v buckets %v", h.Count(), h.Percentile(99), h.Max(), sm.Buckets)
 	}
 }
 

@@ -44,7 +44,7 @@
 // one-label slice of its own (linux/amd64, go1.24), however many
 // families its table has. No key string is built or kept; identities
 // whose hashes collide are chained through their rows and told apart by
-// table and labels. A histogram makes its value map at its first fold,
+// table and labels. A histogram makes its multiset at its first fold,
 // so one nothing has observed into holds none.
 //
 // Snapshots can be rendered as a human table (Table) or as
@@ -53,6 +53,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -128,20 +129,31 @@ var latencyBucketsMs = []float64{2, 4, 6, 8, 10, 15, 20, 30, 50, 100, 200, 500}
 // bucket counts against latencyBucketsMs. Bounds are upper-inclusive;
 // one implicit overflow bucket catches the rest.
 type Histogram struct {
-	counts map[time.Duration]uint64 // sample value → occurrences; nil until the first fold
-	n      uint64
-	sum    time.Duration
+	n   uint64
+	sum time.Duration
 	// sumMs is the exported sum: milliseconds as a float, added up one
 	// observation at a time so it reads the same whatever order the
 	// multiset is later walked in.
 	sumMs float64
-	keys  []time.Duration // distinct values ascending; stale when shorter than counts
-	// run and runN are the latest observations, runN of value run, not
-	// yet added to counts: a stream in steady state repeats one delay,
-	// and counting a repeat must not cost a map lookup. Every read of
-	// counts folds them in first.
-	run  time.Duration
-	runN uint64
+	// recent and recentN are the latest distinct values and how often
+	// each came, not yet added to the multiset: a stream's playout delays
+	// cycle through a few values (two blocks a segment, several streams
+	// a mixer), and counting one again must not cost a map assign. Slots
+	// fill in order; a count of 0 marks the first free one. A value
+	// that finds no slot, or a reader, folds them all in.
+	recent  [histRecent]time.Duration
+	recentN [histRecent]uint32
+	folded  *histCounts // the multiset; nil until the first fold
+}
+
+// histRecent is how many distinct values a Histogram counts in place.
+// Four keep the struct in the 80-byte size class.
+const histRecent = 4
+
+// histCounts is a Histogram's folded multiset.
+type histCounts struct {
+	counts map[time.Duration]uint64 // sample value → occurrences
+	keys   []time.Duration          // distinct values ascending; stale when shorter than counts
 }
 
 // NewHistogram returns an empty, unregistered histogram.
@@ -151,26 +163,41 @@ func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 
 // Observe records one sample.
 func (h *Histogram) Observe(d time.Duration) {
-	if d != h.run {
-		h.fold()
-		h.run = d
-	}
-	h.runN++
 	h.n++
 	h.sum += d
 	h.sumMs += millis(d)
+	for i, c := range h.recentN {
+		if c == 0 {
+			h.recent[i], h.recentN[i] = d, 1
+			return
+		}
+		if h.recent[i] == d && c < math.MaxUint32 {
+			h.recentN[i] = c + 1
+			return
+		}
+	}
+	h.fold()
+	h.recent[0], h.recentN[0] = d, 1
 }
 
-// fold adds the pending run to counts, making the map on the first
-// fold: a histogram nothing has observed into holds none.
-func (h *Histogram) fold() {
-	if h.runN > 0 {
-		if h.counts == nil {
-			h.counts = make(map[time.Duration]uint64)
-		}
-		h.counts[h.run] += h.runN
-		h.runN = 0
+// fold adds the recent values to the multiset, frees their slots and
+// returns the multiset, making it on the first fold: a histogram
+// nothing has observed into holds none, and fold returns nil.
+func (h *Histogram) fold() *histCounts {
+	if h.recentN[0] == 0 {
+		return h.folded
 	}
+	if h.folded == nil {
+		h.folded = &histCounts{counts: make(map[time.Duration]uint64)}
+	}
+	for i, c := range h.recentN {
+		if c == 0 {
+			break
+		}
+		h.folded.counts[h.recent[i]] += uint64(c)
+		h.recentN[i] = 0
+	}
+	return h.folded
 }
 
 // Count returns the number of observations.
@@ -189,7 +216,8 @@ func (h *Histogram) Max() time.Duration {
 	if h.n == 0 {
 		return 0
 	}
-	return h.sortedKeys()[len(h.keys)-1]
+	keys := h.sortedKeys()
+	return keys[len(keys)-1]
 }
 
 // Mean returns the average sample, rounded down to the nanosecond
@@ -216,8 +244,9 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	}
 	// Walk to the sample at position rank of the sorted samples.
 	left, keys, i := uint64(rank), h.sortedKeys(), 0
-	for left >= h.counts[keys[i]] {
-		left -= h.counts[keys[i]]
+	counts := h.folded.counts
+	for left >= counts[keys[i]] {
+		left -= counts[keys[i]]
 		i++
 	}
 	return keys[i]
@@ -231,25 +260,26 @@ func (h *Histogram) Jitter() time.Duration { return h.Max() - h.Min() }
 // rebuilding the list if a new value has arrived since the last call
 // (distinct values are only ever added).
 func (h *Histogram) sortedKeys() []time.Duration {
-	h.fold()
-	if len(h.keys) != len(h.counts) {
-		h.keys = h.keys[:0]
-		for v := range h.counts {
-			h.keys = append(h.keys, v)
+	f := h.fold()
+	if len(f.keys) != len(f.counts) {
+		f.keys = f.keys[:0]
+		for v := range f.counts {
+			f.keys = append(f.keys, v)
 		}
-		slices.Sort(h.keys)
+		slices.Sort(f.keys)
 	}
-	return h.keys
+	return f.keys
 }
 
 // buckets counts the samples per bound: element i those ≤
 // latencyBucketsMs[i] milliseconds and above the bound before, the last
 // the overflow.
 func (h *Histogram) buckets() []uint64 {
-	h.fold()
 	out := make([]uint64, len(latencyBucketsMs)+1)
-	for v, c := range h.counts {
-		out[sort.SearchFloat64s(latencyBucketsMs, millis(v))] += c
+	if f := h.fold(); f != nil {
+		for v, c := range f.counts {
+			out[sort.SearchFloat64s(latencyBucketsMs, millis(v))] += c
+		}
 	}
 	return out
 }

@@ -173,6 +173,10 @@ func (c *Chan[T]) Recv(p *Proc) T {
 	return v
 }
 
+// Pending reports whether a sender is parked on the channel: whether a
+// Recv, or an alternation's Recv guard, would take a value at once.
+func (c *Chan[T]) Pending() bool { return c.sending }
+
 // TrySend offers v without blocking; it reports whether a waiting
 // receiver took the value. (Not an Occam primitive, but the natural
 // dual of a SKIP-guarded alternation; used where the paper's processes

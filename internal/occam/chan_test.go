@@ -1,6 +1,7 @@
 package occam
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -16,6 +17,48 @@ func TestRendezvousTransfersValue(t *testing.T) {
 	}
 	if got != 42 {
 		t.Fatalf("received %d, want 42", got)
+	}
+}
+
+// TestPendingMeansAnAltWouldReceive checks Pending against what a
+// SKIP-guarded alternation does: false on an idle channel and under a
+// parked receiver, true exactly while a sender is parked, and false
+// again once the alternation has taken the value.
+func TestPendingMeansAnAltWouldReceive(t *testing.T) {
+	rt := NewRuntime()
+	ch, idle := NewChan[int](rt, "c"), NewChan[int](rt, "idle")
+	var log []string
+	note := func(when string) {
+		log = append(log, fmt.Sprintf("%s:%v", when, ch.Pending()))
+	}
+	rt.Go("recv", nil, Low, func(p *Proc) { idle.Recv(p) })
+	rt.Go("sender", nil, Low, func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		ch.Send(p, 7)
+	})
+	rt.Go("poller", nil, Low, func(p *Proc) {
+		var v int
+		guards := []Guard{Recv(ch, &v), Skip()}
+		note("start")
+		if idle.Pending() {
+			t.Error("a parked receiver reads as pending")
+		}
+		if p.Alt(guards...) != 1 {
+			t.Error("alternation received from an idle channel")
+		}
+		p.Sleep(2 * time.Millisecond)
+		note("sender parked")
+		if p.Alt(guards...) != 0 || v != 7 {
+			t.Errorf("alternation with a sender parked: v=%d", v)
+		}
+		note("taken")
+	})
+	if err := rt.RunUntil(Time(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	rt.Shutdown()
+	if got := fmt.Sprint(log); got != "[start:false sender parked:true taken:false]" {
+		t.Errorf("Pending read %s", got)
 	}
 }
 

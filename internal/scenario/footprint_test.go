@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +16,7 @@ import (
 // share of the fabric port and controller, and the registry rows of all
 // of them. The capture and display boards' stream state, the camera's
 // framestore, the decoupling rings' storage, the allocator's buffers,
-// each histogram's value map, every map and the trace ring's events are
+// each histogram's multiset, every map and the trace ring's events are
 // built on first use, and the muting tables are one pair a process, so
 // an idle box holds none of them.
 const idleBoxBytes = 12_400
@@ -164,22 +166,22 @@ at 5ms pull t v[002..200]
 	if err := r.RunFor(305 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	before := internalAllocs()
+	before := internalAllocs(0)
 	if err := r.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	for stack, n := range internalAllocs() {
+	for stack, n := range internalAllocs(0) {
 		if n -= before[stack]; n > 0 {
 			t.Errorf("100 ms of a warm 200-viewer tree allocated %d heap objects at\n%s", n, stack)
 		}
 	}
 }
 
-// internalAllocs returns, by call stack, how many heap objects have been
-// allocated under a frame of repro/internal/'s non-test code. A profile
-// record is published two collections after its allocation, so it
-// collects twice first.
-func internalAllocs() map[string]int64 {
+// internalAllocs returns, by call stack, how many heap objects larger
+// than above bytes have been allocated under a frame of repro/internal/'s
+// non-test code. A profile record is published two collections after its
+// allocation, so it collects twice first.
+func internalAllocs(above int64) map[string]int64 {
 	runtime.GC()
 	runtime.GC()
 	recs := make([]runtime.MemProfileRecord, 64)
@@ -203,9 +205,119 @@ func internalAllocs() map[string]int64 {
 				break
 			}
 		}
-		if internal {
+		if internal && rec.AllocBytes > above*rec.AllocObjects {
 			out[stack.String()] += rec.AllocObjects
 		}
 	}
 	return out
+}
+
+// churnSpec is a churn-shaped system: a k=4 tree from src over 24 of
+// 48 viewers and 24 call boxes, all on one fabric under the degrade
+// ladder and a call balancer, where every 8 ms one thing changes in
+// turn: a call opens, a viewer is pulled in, a call closes, a viewer
+// is dropped.
+func churnSpec() string {
+	var sb strings.Builder
+	sb.WriteString(`scenario churn-window
+duration 2s
+box src mic=tone:400:8000
+box t[01..48] jitter
+box k[01..24] mic=tone:300:8000 jitter
+fabric f portbw=155M
+attach f src t[01..48] k[01..24]
+degrade shed=150ms hold=800ms
+balance budget=8 interval=20ms
+`)
+	rng := rand.New(rand.NewPCG(1, 2))
+	in, out := []string{}, []string{}
+	for i := 1; i <= 48; i++ {
+		if v := fmt.Sprintf("t%02d", i); i <= 24 {
+			in = append(in, v)
+		} else {
+			out = append(out, v)
+		}
+	}
+	fmt.Fprintf(&sb, "at 0s tree src -> %s k=4 as t\n", strings.Join(in, ","))
+	take := func(list *[]string) string {
+		i := rng.IntN(len(*list))
+		v := (*list)[i]
+		*list = slices.Delete(*list, i, i+1)
+		return v
+	}
+	var open []string
+	for i, at := 0, 10*time.Millisecond; at < 2*time.Second; i, at = i+1, at+8*time.Millisecond {
+		switch i % 4 {
+		case 0:
+			a, b := 1+rng.IntN(24), 1+rng.IntN(23)
+			if b >= a {
+				b++
+			}
+			ref := fmt.Sprintf("c%03d", i)
+			open = append(open, ref)
+			fmt.Fprintf(&sb, "at %v call k%02d k%02d as %s\n", at, a, b, ref)
+		case 1:
+			v := take(&out)
+			in = append(in, v)
+			fmt.Fprintf(&sb, "at %v pull t %s\n", at, v)
+		case 2:
+			fmt.Fprintf(&sb, "at %v close %s\n", at, take(&open))
+		case 3:
+			v := take(&in)
+			out = append(out, v)
+			fmt.Fprintf(&sb, "at %v drop t %s\n", at, v)
+		}
+	}
+	return sb.String()
+}
+
+// TestChurnWindowAllocationsRepeat runs a window of churnSpec in three
+// runners and requires the heap objects each allocates under a frame of
+// repro/internal/ to repeat exactly, stack by stack. Every runner's maps
+// draw their own hash seeds, so a map whose growth the seed decides —
+// one that deletes from full groups — fails it, as a pool the collector
+// empties would. Objects of 16 bytes or less are left out: pointer-free
+// ones share 16-byte blocks, a profile records only the one that starts
+// a block, and which that is depends on when the collector last reset
+// the blocks.
+func TestChurnWindowAllocationsRepeat(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	spec := churnSpec()
+	var first map[string]int64
+	for run := 0; run < 3; run++ {
+		r, err := NewRunner(MustParse(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Start(nil)
+		if err := r.RunFor(300 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		before := internalAllocs(16)
+		if err := r.RunFor(1200 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		window := map[string]int64{}
+		for stack, n := range internalAllocs(16) {
+			if n -= before[stack]; n != 0 {
+				window[stack] = n
+			}
+		}
+		r.Close()
+		if run == 0 {
+			first = window
+			continue
+		}
+		for stack, n := range first {
+			if window[stack] != n {
+				t.Errorf("run %d allocated %d heap objects where the first allocated %d, at\n%s", run+1, window[stack], n, stack)
+			}
+		}
+		for stack, n := range window {
+			if _, ok := first[stack]; !ok {
+				t.Errorf("run %d allocated %d heap objects where the first allocated none, at\n%s", run+1, n, stack)
+			}
+		}
+	}
 }

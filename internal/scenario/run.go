@@ -50,8 +50,8 @@ type Runner struct {
 	Refused []error
 
 	started  bool
-	admitted map[string]bool // refs of admitted (budget-holding) calls
-	twin     *Runner         // the fault-free twin, once CleanTwin has run it
+	admitted []string // refs of open admitted (budget-holding) calls
+	twin     *Runner  // the fault-free twin, once CleanTwin has run it
 }
 
 // NewRunner validates the spec and prepares a runner.
@@ -143,7 +143,6 @@ func (r *Runner) Start(then func(p *occam.Proc)) {
 	if sc.Balance != nil {
 		r.Bal = balancer.New(s, *sc.Balance)
 		r.Bal.Start()
-		r.admitted = make(map[string]bool)
 	}
 
 	// The timeline plays in time order, held once: a spec written in time
@@ -302,7 +301,7 @@ func (r *Runner) apply(p *occam.Proc, ev Event) (err error) {
 				r.Streams[memberRef(ev.Ref, i)] = st
 			}
 			if r.Bal != nil {
-				r.admitted[ev.Ref] = true
+				r.admitted = append(r.admitted, ev.Ref)
 			}
 		}
 	case "drop":
@@ -310,9 +309,9 @@ func (r *Runner) apply(p *occam.Proc, ev Event) (err error) {
 			err = s.RemoveDestination(p, st, ev.To[0])
 		}
 	case "close":
-		if r.Bal != nil && r.admitted[ev.Ref] {
+		if i := slices.Index(r.admitted, ev.Ref); i >= 0 {
 			r.Bal.ReleaseCall()
-			delete(r.admitted, ev.Ref)
+			r.admitted = slices.Delete(r.admitted, i, i+1)
 		}
 		if ok {
 			s.Close(p, st)
