@@ -267,3 +267,69 @@ func TestFullOutputReportedAtItsMinimumPeriod(t *testing.T) {
 		t.Errorf("switch_full_drops_total %d, want every drop of a 1 s stall counted, not the %d reports", drops, n)
 	}
 }
+
+// TestSwitchDegradesAllButOneStream: two audio streams play at b's
+// loudspeaker — b's own microphone looped back and a's over the
+// network — and the speaker's sink stalls for 500 ms. The switch
+// degrades at most the older of the two (principle 3 never sheds every
+// stream of an output), so its overload trace never says more than
+// "degrading 1 oldest", and one relax step after the last forced drop
+// the output has recovered.
+func TestSwitchDegradesAllButOneStream(t *testing.T) {
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	reg := obs.New(rt)
+	a, b, _ := twoBoxes(rt,
+		Config{Mic: workload.NewTone(400, 12000)},
+		Config{Mic: workload.NewTone(300, 9000), Obs: reg,
+			SinkStalls: map[string][]faultinject.Window{"speaker": {{From: stallFrom, To: stallTo}}}},
+		100)
+	var lastDrop occam.Time // when b's speaker last refused a segment, to the ms
+	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+		b.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutSpeaker}})
+		p.Sleep(time.Millisecond) // streams opened at one instant are neither the older
+		b.SetRoute(p, Route{Stream: 100, Outputs: []Output{OutSpeaker}})
+		a.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100}})
+		b.StartMic(p, 1)
+		a.StartMic(p, 1)
+		var seen uint64
+		for {
+			p.Sleep(time.Millisecond)
+			if n := b.swStats.FullDrops[bufSpeaker]; n != seen {
+				seen, lastDrop = n, p.Now()
+			}
+		}
+	})
+	run(t, rt, stallTo+1500*time.Millisecond)
+
+	if tr := reg.Tracer(); tr.Total() > uint64(tr.Cap()) {
+		t.Fatalf("the trace ring overflowed: %d events", tr.Total())
+	}
+	if lastDrop == 0 {
+		t.Fatal("the stalled speaker never refused a segment")
+	}
+	var degraded int
+	var recovered []occam.Time
+	for _, e := range reports(reg, "b.switch") {
+		switch e.Kind {
+		case obs.EvOverload:
+			degraded++
+			if e.Detail != "output speaker full, degrading 1 oldest" {
+				t.Errorf("at %v: %q; of two streams the switch degrades the older alone", e.At, e.Detail)
+			}
+		case obs.EvRecover:
+			recovered = append(recovered, e.At)
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("the switch never degraded the speaker's older stream")
+	}
+	if len(recovered) != 1 {
+		t.Fatalf("output speaker recovered at %v, want once", recovered)
+	}
+	// The relax step fires at the first segment switched more than
+	// 500 ms after the last forced drop; segments come every few ms.
+	if after := recovered[0].Sub(lastDrop); after <= 499*time.Millisecond || after > 520*time.Millisecond {
+		t.Errorf("output speaker recovered %v after the last forced drop, want one 500 ms relax step", after)
+	}
+}
