@@ -109,13 +109,16 @@ type Route struct {
 	// controller sheds such a stream per-subtree — the forwarded
 	// copies stop, the local playout survives.
 	Relay bool
+	// shed is the overload controller's suspension at the switch
+	// (cmdShed), which a route replacing this one carries over.
+	shed bool
 }
 
 // switchCommand updates the switch tables or requests a report: op
 // applies to stream, and cmdSet installs route, which the switch keeps
 // as its table entry, so the sender must not change it after.
-// cmdShed/cmdRestore suspend and resume a stream without touching its
-// route (the overload controller's lever: data stops, state stays).
+// cmdShed/cmdRestore suspend and resume a routed stream, its outputs
+// untouched (the overload controller's lever: data stops, state stays).
 type switchCommand struct {
 	op     int
 	stream uint32

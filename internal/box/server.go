@@ -110,7 +110,6 @@ type dataSwitch struct {
 	b      *Box
 	at     int // swAlt or swCharged
 	routes byStream[*Route]
-	shed   byStream[struct{}] // overload-controller suspensions
 	// Principle-3 state per output buffer: how many of the oldest
 	// streams are currently being degraded, and when the last forced
 	// (buffer-full) drop happened.
@@ -162,7 +161,7 @@ func (sw *dataSwitch) Step(p *occam.Proc) {
 				b.pool.Release(p, buf)
 				continue
 			}
-			if _, shed := sw.shed.get(buf.Stream); shed {
+			if sw.r.shed {
 				// The overload controller suspended this stream: stop
 				// its data at the earliest shared point, before any
 				// copying or buffering.
@@ -251,19 +250,25 @@ func (sw *dataSwitch) command(p *occam.Proc) {
 	switch cmd.op {
 	case cmdSet:
 		// The route is the switch's from here: SetRoute made it for
-		// this command, and the box's mirror only reads it.
+		// this command, and the box's mirror only reads it. A
+		// suspension outlives a change of where the stream goes.
+		if old, ok := sw.routes.get(cmd.stream); ok {
+			cmd.route.shed = old.shed
+		}
 		sw.routes.set(cmd.stream, cmd.route)
 		what = routeSetText(cmd.route.Outputs)
 	case cmdClose:
 		sw.routes.del(cmd.stream)
-		sw.shed.del(cmd.stream)
 		what = "route closed"
-	case cmdShed:
-		sw.shed.set(cmd.stream, struct{}{})
+	case cmdShed, cmdRestore:
+		// A stream with no route has nothing to suspend.
+		if r, ok := sw.routes.get(cmd.stream); ok {
+			r.shed = cmd.op == cmdShed
+		}
 		what = "stream shed"
-	case cmdRestore:
-		sw.shed.del(cmd.stream)
-		what = "stream restored"
+		if cmd.op == cmdRestore {
+			what = "stream restored"
+		}
 	case cmdReport:
 		b.report(p, &sw.status, obs.EvStatus, "switch", 0, "routes=%d switched=%d noroute=%d",
 			len(sw.routes), b.swStats.Switched, b.swStats.NoRoute)

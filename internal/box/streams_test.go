@@ -45,30 +45,55 @@ func TestByStreamKeepsStreamOrder(t *testing.T) {
 	}
 }
 
-// TestNoStreamKeyedMaps holds the package to its rule that per-stream
-// tables are byStream slices, not maps: its non-test code names no map
-// keyed by uint32, the type of a stream number and a VCI.
+// TestNoStreamKeyedMaps holds the layers to their rule that a stream's
+// state lives in its own record, found in a per-stream table, and not
+// in a map beside it: the non-test code of box, whose tables are
+// byStream slices, and of mixer and degrade names no map keyed by
+// uint32, the type of a stream number and a VCI, and no struct of
+// fabric keeps one in a field (Port.IngressCopies builds one for its
+// readers and keeps none).
 func TestNoStreamKeyedMaps(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
+	for _, pkg := range []struct {
+		dir        string
+		fieldsOnly bool
+	}{{".", false}, {"../mixer", false}, {"../degrade", false}, {"../fabric", true}} {
+		files, err := filepath.Glob(filepath.Join(pkg.dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if m, ok := n.(*ast.MapType); ok {
-				if key, ok := m.Key.(*ast.Ident); ok && key.Name == "uint32" {
-					t.Errorf("%s: a map keyed by uint32; keep a per-stream table in a byStream", fset.Position(m.Pos()))
-				}
+		fset := token.NewFileSet()
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
 			}
-			return true
-		})
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if st, ok := n.(*ast.StructType); ok && pkg.fieldsOnly {
+					for _, fd := range st.Fields.List {
+						ast.Inspect(fd.Type, func(n ast.Node) bool {
+							checkStreamKeyedMap(t, fset, n)
+							return true
+						})
+					}
+				}
+				if !pkg.fieldsOnly {
+					checkStreamKeyedMap(t, fset, n)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// checkStreamKeyedMap fails t if n is a map type keyed by uint32.
+func checkStreamKeyedMap(t *testing.T, fset *token.FileSet, n ast.Node) {
+	t.Helper()
+	if m, ok := n.(*ast.MapType); ok {
+		if key, ok := m.Key.(*ast.Ident); ok && key.Name == "uint32" {
+			t.Errorf("%s: a map keyed by uint32; keep per-stream state in the stream's own record", fset.Position(m.Pos()))
+		}
 	}
 }

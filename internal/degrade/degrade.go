@@ -28,6 +28,7 @@ package degrade
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -139,9 +140,8 @@ type Controller struct {
 	cfg    *Config // shared with every controller started from it
 	trace  *obs.Tracer
 
-	shed  map[uint32]StreamInfo // nil until the first shed
-	stack []uint32              // restore order: last shed, first restored
-	log   []Action
+	shed []StreamInfo // the streams shed now, in shed order: the last is restored first
+	log  []Action
 
 	lastHigh    occam.Time
 	lastShed    occam.Time
@@ -256,7 +256,7 @@ func (c *Controller) sample(now occam.Time) bool {
 		c.restoreDue = false
 		return now.Sub(c.lastShed) >= c.cfg.ShedEvery
 	case c.video < lowWater && c.audio < lowWater &&
-		len(c.stack) > 0 &&
+		len(c.shed) > 0 &&
 		now.Sub(c.lastHigh) >= c.cfg.Hold &&
 		now.Sub(c.lastRestore) >= c.cfg.Hold:
 		c.restoreDue = true
@@ -285,7 +285,7 @@ func rank(s StreamInfo) int {
 func (c *Controller) shedOne(p *occam.Proc, now occam.Time) {
 	var cands []StreamInfo
 	for _, s := range c.target.DegradeStreams() {
-		if _, already := c.shed[s.ID]; already {
+		if slices.ContainsFunc(c.shed, func(sh StreamInfo) bool { return sh.ID == s.ID }) {
 			continue
 		}
 		if !s.Video && c.audio < highWater {
@@ -317,14 +317,12 @@ func (c *Controller) shedOne(p *occam.Proc, now occam.Time) {
 // least-disruptive restore, since the youngest shed was the
 // lowest-priority victim).
 func (c *Controller) restoreOne(p *occam.Proc, now occam.Time) {
-	id := c.stack[len(c.stack)-1]
-	c.stack = c.stack[:len(c.stack)-1]
-	info := c.shed[id]
-	delete(c.shed, id)
-	c.act = Action{At: now, Restore: true, Stream: id, Video: info.Video,
+	info := c.shed[len(c.shed)-1]
+	c.shed = c.shed[:len(c.shed)-1]
+	c.act = Action{At: now, Restore: true, Stream: info.ID, Video: info.Video,
 		Incoming: info.Incoming, VideoPressure: c.video, AudioPressure: c.audio}
 	c.at = ctlSettle
-	c.target.DegradeRestore(p, id)
+	c.target.DegradeRestore(p, info.ID)
 }
 
 // settle finishes the decision in c.act once the target is done with
@@ -340,11 +338,7 @@ func (c *Controller) settle() {
 		c.trace.Emit(obs.EvRecover, c.target.DegradeName()+".degrade", act.Stream, act.desc())
 		return
 	}
-	if c.shed == nil {
-		c.shed = make(map[uint32]StreamInfo)
-	}
-	c.shed[act.Stream] = StreamInfo{ID: act.Stream, Video: act.Video, Incoming: act.Incoming}
-	c.stack = append(c.stack, act.Stream)
+	c.shed = append(c.shed, StreamInfo{ID: act.Stream, Video: act.Video, Incoming: act.Incoming})
 	c.lastShed = act.At
 	if act.Video {
 		c.shedVideo++

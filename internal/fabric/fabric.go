@@ -52,8 +52,6 @@ package fabric
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
 	"repro/internal/atm"
@@ -118,15 +116,19 @@ func (c Config) withDefaults() Config {
 
 // route is one VCI's entry in the fabric routing table.
 type route struct {
-	out    *Port
-	video  bool
+	out   *Port
+	video bool
+	// shed is out's overload controller's bar on the VCI: its messages
+	// die at out's egress. It goes with the route, so a VCI routed anew
+	// starts unbarred.
+	shed   bool
 	opened occam.Time
 }
 
-// routeTabMax bounds the dense routing table: VCIs below this live in
-// a slice indexed directly by VCI (the allocation-free per-cell
-// lookup); pathological VCIs above it fall back to a map.
-const routeTabMax = 1 << 20
+// VCILimit bounds the VCIs a fabric routes, which are below it: the
+// routing table is a slice indexed directly by VCI (the allocation-free
+// per-cell lookup).
+const VCILimit = 1 << 20
 
 // Fabric is an N-port cell-switched ATM fabric on one runtime.
 type Fabric struct {
@@ -135,14 +137,11 @@ type Fabric struct {
 	cfg   Config
 	ports []*Port
 	// routeTab is the routing table, dense by VCI: the per-cell fast
-	// path, and in VCI order for iteration. highRoutes holds the VCIs
-	// at or above routeTabMax; nil until one is routed. A slice, unlike
-	// a map that routes and unroutes, grows at the same points in every
-	// run.
-	routeTab   []*route
-	highRoutes map[uint32]*route
-	reg        *obs.Registry
-	trace      *obs.Tracer
+	// path, and in VCI order for iteration. A slice, unlike a map that
+	// routes and unroutes, grows at the same points in every run.
+	routeTab []*route
+	reg      *obs.Registry
+	trace    *obs.Tracer
 }
 
 // New returns an empty fabric named name. Attach ports, install
@@ -201,12 +200,15 @@ func (f *Fabric) Ports() []*Port { return append([]*Port(nil), f.ports...) }
 // Route installs VCI vci toward port to. The video flag and open time
 // feed the per-port overload controllers' shed ranking (video before
 // audio, oldest first). Installing a VCI that is already routed to a
-// *different* port is a programming error, exactly as on atm links;
-// re-installing the same mapping is an idempotent no-op. The table is
-// consulted per message at crossbar time, so an installation takes
-// effect between segments without disturbing any other VCI
-// (principle 6).
+// *different* port is a programming error, exactly as on atm links,
+// and so is a VCI of VCILimit or above; re-installing the same
+// mapping is an idempotent no-op. The table is consulted per
+// message at crossbar time, so an installation takes effect between
+// segments without disturbing any other VCI (principle 6).
 func (f *Fabric) Route(now occam.Time, vci uint32, to *Port, video bool) {
+	if vci >= VCILimit {
+		panic(fmt.Sprintf("fabric: %s: VCI %d: a fabric routes VCIs below %d", f.nm, vci, VCILimit))
+	}
 	if old := f.lookup(vci); old != nil {
 		if old.out != to {
 			panic(fmt.Sprintf("fabric: %s: VCI %d already routed to %s (conflicting route to %s)",
@@ -214,22 +216,14 @@ func (f *Fabric) Route(now occam.Time, vci uint32, to *Port, video bool) {
 		}
 		return
 	}
-	r := &route{out: to, video: video, opened: now}
-	if vci < routeTabMax {
-		if n := int(vci) + 1; n > cap(f.routeTab) {
-			tab := make([]*route, n, 2*n)
-			copy(tab, f.routeTab)
-			f.routeTab = tab
-		} else if n > len(f.routeTab) {
-			f.routeTab = f.routeTab[:n] // never written past len: still nil
-		}
-		f.routeTab[vci] = r
-	} else {
-		if f.highRoutes == nil {
-			f.highRoutes = make(map[uint32]*route)
-		}
-		f.highRoutes[vci] = r
+	if n := int(vci) + 1; n > cap(f.routeTab) {
+		tab := make([]*route, n, 2*n)
+		copy(tab, f.routeTab)
+		f.routeTab = tab
+	} else if n > len(f.routeTab) {
+		f.routeTab = f.routeTab[:n] // never written past len: still nil
 	}
+	f.routeTab[vci] = &route{out: to, video: video, opened: now}
 	f.trace.Emit(obs.EvStreamOpen, f.nm, vci, to.routedText)
 }
 
@@ -241,12 +235,7 @@ func (f *Fabric) Unroute(vci uint32) {
 	if r == nil {
 		return
 	}
-	if vci < routeTabMax {
-		f.routeTab[vci] = nil
-	} else {
-		delete(f.highRoutes, vci)
-	}
-	delete(r.out.shed, vci)
+	f.routeTab[vci] = nil
 	f.trace.Emit(obs.EvStreamClose, f.nm, vci, r.out.unroutedText)
 }
 
@@ -262,16 +251,12 @@ func (f *Fabric) Reroute(now occam.Time, vci uint32, to *Port, video bool) {
 	f.Route(now, vci, to, video)
 }
 
-// lookup is the per-cell route lookup: a slice index for every VCI the
-// dense table covers, the map only for the pathological remainder.
+// lookup is the per-cell route lookup, a slice index.
 func (f *Fabric) lookup(vci uint32) *route {
 	if int(vci) < len(f.routeTab) {
 		return f.routeTab[vci]
 	}
-	if vci < routeTabMax {
-		return nil
-	}
-	return f.highRoutes[vci]
+	return nil
 }
 
 // PortStats is one port's traffic history.
@@ -343,7 +328,6 @@ type Port struct {
 	txWake  *occam.Timer
 	txSig   occam.Signal
 
-	shed  map[uint32]bool
 	fault *atm.FaultGate
 
 	// inByVCI counts messages the attached host offered at this port's
@@ -494,7 +478,7 @@ func (pt *Port) crossDone(s occam.Sched) {
 		pt.fab.trace.EmitAt(s.Now(), obs.EvDrop, pt.nm, m.VCI, "unrouted")
 		m.W.Release()
 	} else {
-		r.out.egArrive(s, m)
+		r.out.egArrive(s, m, r.shed)
 	}
 	if len(pt.inq) > 0 {
 		next := pt.inq[0]
@@ -509,15 +493,16 @@ func (pt *Port) crossDone(s occam.Sched) {
 }
 
 // egArrive applies the egress-side admission pipeline to one message
-// arriving off the crossbar (scheduler context): the port's shed bar
-// first (the overload controller stops a stream before it consumes
-// fault RNG or queue space), then the fault hook, then the cell bound.
+// arriving off the crossbar (scheduler context): shed, its route's bar,
+// first (the port's overload controller stops a stream before it
+// consumes fault RNG or queue space), then the fault hook, then the
+// cell bound.
 // The message ends up either queued (possibly twice, for an injected
 // duplicate) or released. If the transmitter is idle, the arrival
 // starts a new cell train immediately.
-func (pt *Port) egArrive(s occam.Sched, m atm.Message) {
+func (pt *Port) egArrive(s occam.Sched, m atm.Message, shed bool) {
 	now := s.Now()
-	if pt.shed[m.VCI] {
+	if shed {
 		pt.shedDrops++
 		pt.fab.trace.EmitAt(now, obs.EvDrop, pt.nm, m.VCI, "degrade-shed")
 		m.W.Release()
@@ -655,16 +640,10 @@ func (pt *Port) DegradeName() string { return pt.nm }
 // is traffic about to be delivered to the attached box.
 func (pt *Port) DegradeStreams() []degrade.StreamInfo {
 	var out []degrade.StreamInfo
-	add := func(vci uint32, r *route) {
-		if r != nil && r.out == pt {
-			out = append(out, degrade.StreamInfo{ID: vci, Video: r.video, Incoming: true, Opened: r.opened})
-		}
-	}
 	for vci, r := range pt.fab.routeTab {
-		add(uint32(vci), r)
-	}
-	for _, vci := range slices.Sorted(maps.Keys(pt.fab.highRoutes)) {
-		add(vci, pt.fab.highRoutes[vci])
+		if r != nil && r.out == pt {
+			out = append(out, degrade.StreamInfo{ID: uint32(vci), Video: r.video, Incoming: true, Opened: r.opened})
+		}
 	}
 	return out
 }
@@ -672,16 +651,21 @@ func (pt *Port) DegradeStreams() []degrade.StreamInfo {
 // DegradeShed implements degrade.Target: bar the VCI at this port's
 // egress. The source box keeps transmitting (it is not this port's to
 // command — principle 8 is local adaptation), the crossbar keeps
-// switching, and the cells die here, on the congested port alone.
-func (pt *Port) DegradeShed(p *occam.Proc, id uint32) {
-	if pt.shed == nil {
-		pt.shed = make(map[uint32]bool)
-	}
-	pt.shed[id] = true
-}
+// switching, and the cells die here, on the congested port alone. The
+// bar is the route's, so it holds while the VCI is routed to this port
+// and goes with the route; a VCI routed elsewhere, or not at all, is
+// not this port's to bar.
+func (pt *Port) DegradeShed(p *occam.Proc, id uint32) { pt.setShed(id, true) }
 
 // DegradeRestore implements degrade.Target.
-func (pt *Port) DegradeRestore(p *occam.Proc, id uint32) { delete(pt.shed, id) }
+func (pt *Port) DegradeRestore(p *occam.Proc, id uint32) { pt.setShed(id, false) }
+
+// setShed sets the bar on the route of VCI id if it leads to this port.
+func (pt *Port) setShed(id uint32, shed bool) {
+	if r := pt.fab.lookup(id); r != nil && r.out == pt {
+		r.shed = shed
+	}
+}
 
 // DegradeSettle implements degrade.Target: a port's shed and restore
 // are done when they return.

@@ -323,7 +323,7 @@ func TestRouteTableGrowsByDoubling(t *testing.T) {
 func TestRouteChangeAllocatesItsRecord(t *testing.T) {
 	r := newRig(t, 2, Config{})
 	defer r.rt.Shutdown()
-	r.fab.Route(0, 7, r.fab.Port(1), false) // the table and the map grow once
+	r.fab.Route(0, 7, r.fab.Port(1), false) // the table grows once
 	r.fab.Unroute(7)
 	if allocs := testing.AllocsPerRun(100, func() {
 		r.fab.Route(0, 7, r.fab.Port(1), false)

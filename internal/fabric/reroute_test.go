@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"fmt"
 	"maps"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,6 +115,79 @@ func TestRerouteInstallsUnrouted(t *testing.T) {
 	r.rt.Shutdown()
 	if got := r.got[1][60]; got != 20 {
 		t.Fatalf("delivered %d of 20 after install-by-reroute", got)
+	}
+	r.checkNoWireLeak(t)
+}
+
+// TestShedBarGoesWithItsRoute: a port's overload controller bars a VCI
+// on the VCI's route to that port. A bar a port sets on a VCI routed
+// elsewhere does nothing, then or once the VCI comes to it; a route
+// moved away and back, or unrouted and routed anew, starts unbarred;
+// and a restore from a port the VCI has left lifts no bar of the port
+// it went to. After each step five messages cross on the VCI, and the
+// log says where they went.
+func TestShedBarGoesWithItsRoute(t *testing.T) {
+	const vci = 50
+	r := newRig(t, 3, Config{})
+	p1, p2 := r.fab.Port(1), r.fab.Port(2)
+	var sb strings.Builder
+	var seq uint32
+	r.rt.Go("control", nil, occam.Low, func(p *occam.Proc) {
+		step := func(what string, change func()) {
+			change()
+			d1, d2 := r.got[1][vci], r.got[2][vci]
+			s1, s2 := p1.Stats().ShedDrops, p2.Stats().ShedDrops
+			for i := 0; i < 5; i++ {
+				w := r.pool.Encode(segment.NewAudio(seq, 0, [][]byte{make([]byte, segment.BlockSamples)}))
+				seq++
+				if err := r.hosts[0].Send(p, atm.Message{VCI: vci, Size: len(w.Bytes()), W: w}); err != nil {
+					w.Release()
+					t.Fatal(err)
+				}
+				p.Sleep(time.Millisecond)
+			}
+			p.Sleep(10 * time.Millisecond)
+			fmt.Fprintf(&sb, "%s: delivered %d %d, shed %d %d\n", what,
+				r.got[1][vci]-d1, r.got[2][vci]-d2, p1.Stats().ShedDrops-s1, p2.Stats().ShedDrops-s2)
+		}
+		step("routed to p1, barred at p2", func() {
+			r.fab.Route(p.Now(), vci, p1, false)
+			p2.DegradeShed(p, vci)
+		})
+		step("rerouted to p2", func() { r.fab.Reroute(p.Now(), vci, p2, false) })
+		step("barred at p2", func() { p2.DegradeShed(p, vci) })
+		step("rerouted to p1 and back", func() {
+			r.fab.Reroute(p.Now(), vci, p1, false)
+			r.fab.Reroute(p.Now(), vci, p2, false)
+		})
+		step("barred, unrouted, routed to p2", func() {
+			p2.DegradeShed(p, vci)
+			r.fab.Unroute(vci)
+			r.fab.Route(p.Now(), vci, p2, false)
+		})
+		step("barred, unrouted, routed to p1 and barred there, restored at p2", func() {
+			p2.DegradeShed(p, vci)
+			r.fab.Unroute(vci)
+			r.fab.Route(p.Now(), vci, p1, false)
+			p1.DegradeShed(p, vci)
+			p2.DegradeRestore(p, vci)
+		})
+		step("restored at p1", func() { p1.DegradeRestore(p, vci) })
+	})
+	if err := r.rt.RunUntil(occam.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	r.rt.Shutdown()
+	const want = `routed to p1, barred at p2: delivered 5 0, shed 0 0
+rerouted to p2: delivered 0 5, shed 0 0
+barred at p2: delivered 0 0, shed 0 5
+rerouted to p1 and back: delivered 0 5, shed 0 0
+barred, unrouted, routed to p2: delivered 0 5, shed 0 0
+barred, unrouted, routed to p1 and barred there, restored at p2: delivered 0 0, shed 5 0
+restored at p1: delivered 5 0, shed 0 0
+`
+	if got := sb.String(); got != want {
+		t.Errorf("got:\n%s\nwant:\n%s", got, want)
 	}
 	r.checkNoWireLeak(t)
 }

@@ -78,9 +78,12 @@ type streamCounters struct {
 
 // stream is one incoming audio stream's destination state. lastBlock
 // is an owned copy of the most recent block — concealment must not
-// alias wire storage that may be recycled before the replay plays.
+// alias wire storage that may be recycled before the replay plays. A
+// stream barred before it was heard has a record and no buffer until
+// its first delivery after the bar.
 type stream struct {
 	id        uint32
+	shed      bool // barred by the overload controller: SetShed
 	buf       *clawback.Buffer
 	nextSeq   uint32
 	seenAny   bool
@@ -102,8 +105,9 @@ type Mixer struct {
 	// streams is every stream ever created, in ascending id order, the
 	// order of mixing: arrival order must not leak into audio. A board
 	// carries a handful, found by binary search; one is inserted when
-	// created and never deleted, for its counters are its figures. A
-	// retired stream's clawback storage is freed once it runs dry.
+	// created, or barred before that, and never deleted, for its
+	// counters are its figures. A retired stream's clawback storage is
+	// freed once it runs dry.
 	streams []*stream
 	// playing is the active streams in the same order: all a tick
 	// visits. Deliver inserts a stream when it creates or reactivates
@@ -120,9 +124,8 @@ type Mixer struct {
 	parkedAt int64
 	skipped  uint64
 
-	// shed holds streams suspended by the overload controller
-	// (internal/degrade): their deliveries are discarded until restored.
-	shed      map[uint32]bool
+	// shedDrops counts deliveries discarded for a bar of the overload
+	// controller (internal/degrade).
 	shedDrops uint64
 
 	// out is per-tick scratch, reused: the returned block is valid
@@ -212,7 +215,7 @@ func (m *Mixer) play(s *stream) {
 // across deactivations.
 func (m *Mixer) Stats(id uint32) StreamStats {
 	s, _, ok := m.find(id)
-	if !ok {
+	if !ok || s.buf == nil {
 		return StreamStats{}
 	}
 	return StreamStats{
@@ -227,18 +230,14 @@ func (m *Mixer) Stats(id uint32) StreamStats {
 	}
 }
 
-// newStream creates destination state for stream id, registering its
-// row and its clawback buffer's.
-func (m *Mixer) newStream(id uint32) *stream {
-	sid := strconv.FormatUint(uint64(id), 10)
-	s := &stream{
-		id:     id,
-		buf:    clawback.New(clawback.Config{Pool: m.pool, Obs: m.cfg.Obs, Owner: m.cfg.Name + "/" + sid}),
-		active: true,
-		digest: fnvOffset,
-	}
+// open gives s, at its first delivery, its clawback buffer and its
+// registry rows, and puts it into play.
+func (m *Mixer) open(s *stream) {
+	sid := strconv.FormatUint(uint64(s.id), 10)
+	s.buf = clawback.New(clawback.Config{Pool: m.pool, Obs: m.cfg.Obs, Owner: m.cfg.Name + "/" + sid})
+	s.active, s.digest = true, fnvOffset
 	streamTable.Register(m.cfg.Obs, s, obs.L("box", m.cfg.Name), obs.L("stream", sid))
-	return s
+	m.play(s)
 }
 
 // Deliver feeds one arriving audio segment for stream id into its
@@ -249,7 +248,12 @@ func (m *Mixer) newStream(id uint32) *stream {
 // whatever is not queued costs nothing and the wire is released.
 func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 	tr := m.cfg.Obs.Tracer()
-	if m.shed[id] {
+	s, at, ok := m.find(id)
+	switch {
+	case !ok:
+		s = &stream{id: id}
+		m.streams = slices.Insert(m.streams, at, s)
+	case s.shed:
 		// The overload controller shed this stream: discard the
 		// segment (releasing its wire) until DegradeRestore.
 		m.shedDrops++
@@ -257,11 +261,8 @@ func (m *Mixer) Deliver(id uint32, w segment.Wire) {
 		w.Release()
 		return
 	}
-	s, at, ok := m.find(id)
-	if !ok {
-		s = m.newStream(id)
-		m.streams = slices.Insert(m.streams, at, s)
-		m.play(s)
+	if s.buf == nil {
+		m.open(s)
 		tr.Emit(obs.EvStreamOpen, m.source, id, "stream created")
 	} else if !s.active {
 		// "If a block arrives for a stream that does not have a
@@ -410,22 +411,19 @@ func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 // pool — and deactivates it; subsequent deliveries are discarded and
 // counted on mixer_shed_drops_total. Restoring simply lifts the bar:
 // the next delivery reactivates the stream through the normal adaptive
-// path (principle 8).
+// path (principle 8), or creates it if it was barred unheard.
 func (m *Mixer) SetShed(id uint32, shed bool) {
-	if !shed {
-		delete(m.shed, id)
+	s, at, ok := m.find(id)
+	if !ok {
+		if shed {
+			m.streams = slices.Insert(m.streams, at, &stream{id: id, shed: true})
+		}
 		return
 	}
-	if m.shed[id] {
-		return
-	}
-	if m.shed == nil {
-		m.shed = make(map[uint32]bool)
-	}
-	m.shed[id] = true
-	if s, _, ok := m.find(id); ok && s.active {
-		at, _ := search(m.playing, id)
-		m.playing = slices.Delete(m.playing, at, at+1)
+	s.shed = shed
+	if shed && s.active {
+		i, _ := search(m.playing, id)
+		m.playing = slices.Delete(m.playing, i, i+1)
 		m.deactivate(s)
 		m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source, id, "stream shed")
 	}
@@ -447,7 +445,7 @@ func (m *Mixer) deactivate(s *stream) {
 // it, and grows its buffer anew. Its Stats stay.
 func (m *Mixer) Retire(id uint32) {
 	s, _, ok := m.find(id)
-	if !ok {
+	if !ok || s.buf == nil {
 		return
 	}
 	s.retired = true

@@ -346,6 +346,9 @@ func (sc *Scenario) Validate() error {
 				if ev.Stream == 0 || ev.VCI == 0 {
 					return fmt.Errorf("scenario %s: %s needs stream= and vci=", sc.Name, where)
 				}
+				if ev.VCI >= fabric.VCILimit {
+					return fmt.Errorf("scenario %s: %s: vci=%d: a fabric routes VCIs below %d", sc.Name, where, ev.VCI, fabric.VCILimit)
+				}
 				if sent[ev.VCI] {
 					return fmt.Errorf("scenario %s: %s: vci=%d is an earlier netsend's", sc.Name, where, ev.VCI)
 				}

@@ -253,6 +253,7 @@ func TestParseErrors(t *testing.T) {
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s tree a -> b rate=1/2", `unknown tree clause "rate"`},
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s netsend a -> b stream=1 vci=7 as n", "netsend opens no stream, so takes no as REF"},
 		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s netsend a -> b stream=1 vci=77\nat 1ms netsend a -> b stream=2 vci=77", "event 2 (netsend at 1ms): vci=77 is an earlier netsend's"},
+		{"scenario x\nduration 1s\nbox a\nbox b\nlink a b bw=1M\nat 0s netsend a -> b stream=1 vci=1048576", "event 1 (netsend at 0s): vci=1048576: a fabric routes VCIs below 1048576"},
 		// Clauses mean what they say.
 		{"scenario x\nduration 1s\nbox a jitter=false", `box flag "jitter" takes no value`},
 		{"scenario x\nduration 1s\nbox a blocks=2 blocks=3", `box clause "blocks" given twice`},
