@@ -273,8 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		vci := vciBase + uint32(j)
-		st := b.Mixer().Stats(vci)
-		lat := b.PlayoutLatency(vci)
+		st, lat := b.Mixer().Stats(vci), b.Mixer().Playout(vci)
 		fmt.Fprintf(stdout, "  VCI %d (n%02d): %d segments, %d lost, %d concealed, %d silence insertions",
 			vci, j, st.Segments, st.LostSegments, st.Concealed, st.Clawback.SilenceInserted)
 		if lat.Count() > 0 {

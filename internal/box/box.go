@@ -299,14 +299,9 @@ type Box struct {
 	// Mixer (display) board.
 	displayStat DisplayStats
 
-	// Instruments. lastPlayout is playout[lastStream], resolved once
-	// for as long as the mixer plays that stream alone.
-	playout     byStream[*obs.Histogram]
-	playoutHist *obs.Histogram
-	lastStream  uint32
-	lastPlayout *obs.Histogram
-	trace       *obs.Tracer
-	switchSrc   string // the switch's trace source, Name + ".switch"
+	// Instruments.
+	trace     *obs.Tracer
+	switchSrc string // the switch's trace source, Name + ".switch"
 }
 
 // SwitchStats counts the server switch's work.
@@ -374,7 +369,6 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		wires:       segment.NewWirePool(),
 	}
 	b.displayStat.FrameLat = obs.NewHistogram()
-	b.playoutHist = obs.NewHistogram()
 	b.pool = allocator.New(rt, b.serverNode, poolBuffers, nil)
 	b.pool.Observe(cfg.Obs, cfg.Name)
 	b.trace = cfg.Obs.Tracer()
@@ -388,8 +382,6 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 	b.serverToMixer = occam.NewLink[wireMsg](rt, cfg.Name+".s2m", fifoBandwidth)
 
 	b.mix = mixer.New(mixer.Config{Obs: cfg.Obs, Name: cfg.Name})
-	b.mix.OnPlayout = b.recordPlayout
-	b.mix.Clock = func() int64 { return int64(rt.Now()) }
 	b.muter = muting.New(muting.Config{})
 
 	b.startServer()
@@ -430,7 +422,7 @@ func boxColumns() []obs.Column[*Box] {
 		obs.CounterOf("audio_mic_blocks_total", func(b *Box) uint64 { return b.audioStat.MicBlocks }),
 		obs.CounterOf("audio_mic_segments_total", func(b *Box) uint64 { return b.audioStat.MicSegs }),
 		obs.CounterOf("audio_mic_drops_total", func(b *Box) uint64 { return b.audioStat.MicDrops }),
-		obs.HistogramOf("audio_playout_latency_ms", func(b *Box) *obs.Histogram { return b.playoutHist }),
+		obs.HistogramOf("audio_playout_latency_ms", func(b *Box) *obs.Histogram { return b.mix.PlayoutAll() }),
 
 		obs.CounterOf("display_segments_total", func(b *Box) uint64 { return b.displayStat.Segments }),
 		obs.CounterOf("display_frames_total", func(b *Box) uint64 { return b.displayStat.Frames }),
@@ -528,34 +520,6 @@ func (b *Box) AudioStats() AudioStats {
 
 // DisplayStats returns the display counters.
 func (b *Box) DisplayStats() DisplayStats { return b.displayStat }
-
-// PlayoutLatency returns the distribution of capture→playout latencies
-// of a stream arriving at this box's speaker. It is unregistered: the
-// registry carries one audio_playout_latency_ms histogram per box, not
-// one per stream.
-func (b *Box) PlayoutLatency(stream uint32) *obs.Histogram {
-	t, ok := b.playout.get(stream)
-	if !ok {
-		t = obs.NewHistogram()
-		b.playout.set(stream, t)
-	}
-	return t
-}
-
-func (b *Box) recordPlayout(stream uint32, stamp, now int64) {
-	if stamp <= 0 {
-		return // concealment replays carry synthetic stamps near zero early on
-	}
-	// The paper's one-way figure runs microphone input to speaker
-	// output: add the codec output fifo ("2ms in the buffering from
-	// the codec", §4.2) after the mixing pop.
-	lat := time.Duration(now-stamp) + segment.BlockDuration
-	if b.lastPlayout == nil || b.lastStream != stream {
-		b.lastStream, b.lastPlayout = stream, b.PlayoutLatency(stream)
-	}
-	b.lastPlayout.Observe(lat)
-	b.playoutHist.Observe(lat)
-}
 
 // --- Control interface (host commands, §1.2) ---
 

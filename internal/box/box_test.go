@@ -173,19 +173,13 @@ func TestIdleAudioBoardTakesNoTurns(t *testing.T) {
 		p.SleepUntil(occam.Time(time.Second))
 		a.StartMic(p, 1)
 	})
-	var played []occam.Time
-	record := b.mix.OnPlayout
-	b.mix.OnPlayout = func(stream uint32, stamp, now int64) {
-		played = append(played, occam.Time(now))
-		record(stream, stamp, now)
-	}
 	run(t, rt, 3*ms)
 	turns := countTurns(rt)
 	run(t, rt, time.Second)
 	idle := turns["a.blockHandler"] + turns["b.blockHandler"]
-	if st := b.AudioStats(); idle != 0 || b.Mixer().Ticks() != 500 || st.TicksRun != 499 {
+	if st := b.AudioStats(); idle != 0 || b.Mixer().Ticks(int64(rt.Now())) != 500 || st.TicksRun != 499 {
 		t.Errorf("an idle second took %d block handler turns, and b reads %d ticks, %d run; want 0, 500 and 499",
-			idle, b.Mixer().Ticks(), st.TicksRun)
+			idle, b.Mixer().Ticks(int64(rt.Now())), st.TicksRun)
 	}
 
 	var woken []occam.Time
@@ -194,15 +188,29 @@ func TestIdleAudioBoardTakesNoTurns(t *testing.T) {
 			woken = append(woken, rt.Now())
 		}
 	}
-	run(t, rt, time.Second+20*ms)
-	if len(woken) < 2 || len(played) == 0 {
+	// Step tick by tick, reading how many blocks b has played just
+	// before each tick instant and at it: the first played is the
+	// instant the count leaves 0, which it must not before.
+	bd := occam.Time(segment.BlockDuration)
+	played := occam.Time(-1)
+	for at := rt.Now() + bd; at <= occam.Time(time.Second+20*ms); at += bd {
+		run(t, rt, time.Duration(at-1))
+		before := b.Mixer().Playout(100).Count()
+		run(t, rt, time.Duration(at))
+		if played < 0 && b.Mixer().Playout(100).Count() > 0 {
+			played = at
+			if before != 0 {
+				t.Errorf("b played %d blocks before the tick at %v", before, at)
+			}
+		}
+	}
+	if len(woken) < 2 || played < 0 {
 		t.Fatalf("b's handler ran at %v and played at %v", woken, played)
 	}
 	delivered, tick := woken[0], woken[1]
-	bd := occam.Time(segment.BlockDuration)
-	if want := (delivered + bd - 1) / bd * bd; tick != want || played[0] != tick {
+	if want := (delivered + bd - 1) / bd * bd; tick != want || played != tick {
 		t.Errorf("woken by the delivery at %v, b's handler ticked at %v and played the block at %v; want both at %v",
-			delivered, tick, played[0], want)
+			delivered, tick, played, want)
 	}
 }
 
@@ -342,7 +350,7 @@ func TestOneWayLatencyNear8ms(t *testing.T) {
 	})
 	run(t, rt, 3*time.Second)
 
-	lat := b.PlayoutLatency(100)
+	lat := b.Mixer().Playout(100)
 	if lat.Count() == 0 {
 		t.Fatal("no playout latency samples")
 	}

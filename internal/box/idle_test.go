@@ -103,12 +103,12 @@ func audioIdleLog(t *testing.T, micOpen bool, f Features) string {
 		}
 		st, mx := b.AudioStats(), b.Mixer()
 		fmt.Fprintf(&sb, "%v: ticks %d/%d run %d/%d late %d playing %d stage %v muted %d",
-			at, mx.Ticks(), counter(t, reg, "mixer_ticks_total", obs.L("box", "b")),
+			at, mx.Ticks(int64(rt.Now())), counter(t, reg, "mixer_ticks_total", obs.L("box", "b")),
 			st.TicksRun, counter(t, reg, "audio_ticks_total", obs.L("box", "b")), st.LateTicks,
 			mx.ActiveStreams(), b.muter.StageAt(int64(at)), b.muter.MutedBlocks())
 		for _, id := range []uint32{100, 110, 200, 121, 126} {
 			if s := mx.Stats(id); s.Segments > 0 {
-				lat := b.PlayoutLatency(id)
+				lat := mx.Playout(id)
 				fmt.Fprintf(&sb, "\n  s%d seg %d lost %d conceal %d silence %d digest %016x playout n=%d min=%v mean=%v max=%v",
 					id, s.Segments, s.LostSegments, s.Concealed, s.Clawback.SilenceInserted, s.Digest,
 					lat.Count(), lat.Min(), lat.Mean(), lat.Max())

@@ -337,7 +337,8 @@ func (b *Box) streamsFor(routes byStream[*Route], slot int) int {
 
 // isAmongOldest reports whether r is within the k oldest of the n
 // streams routed to slot, k at most n-1 (never all of them): whether
-// fewer than k were opened before it. This runs per switched segment
+// fewer than k are older, by opening instant and then by stream number,
+// the overload controller's shed order. This runs per switched segment
 // under degrade pressure, and counts without sorting or storing.
 func (b *Box) isAmongOldest(routes byStream[*Route], r *Route, slot, k int) bool {
 	n, older := 0, 0
@@ -345,7 +346,7 @@ func (b *Box) isAmongOldest(routes byStream[*Route], r *Route, slot, k int) bool
 		for _, out := range e.v.Outputs {
 			if slotMatches(out, slot) {
 				n++
-				if e.v.Opened < r.Opened {
+				if e.v.Opened < r.Opened || e.v.Opened == r.Opened && e.id < r.Stream {
 					older++
 				}
 				break

@@ -66,8 +66,8 @@ func videoStallRun(t *testing.T, stalls map[string][]faultinject.Window) videoSt
 		b.SetRoute(p, Route{Stream: 100, Outputs: []Output{OutSpeaker}})
 		b.SetRoute(p, Route{Stream: 300, Outputs: []Output{OutDisplay}})
 		startAV(p, a)
-		lat := b.PlayoutLatency(100)
 		p.SleepUntil(occam.Time(stallFrom))
+		lat := b.Mixer().Playout(100) // a stream not yet played has no histogram to keep
 		n0, sum0 := lat.Count(), lat.Mean()*time.Duration(lat.Count())
 		p.SleepUntil(occam.Time(stallTo))
 		res.audioInWindow = lat.Count() - n0
@@ -77,7 +77,7 @@ func videoStallRun(t *testing.T, stalls map[string][]faultinject.Window) videoSt
 		stopAV(p, a)
 	})
 	run(t, rt, 3*time.Second)
-	res.meanLatency = b.PlayoutLatency(100).Mean()
+	res.meanLatency = b.Mixer().Playout(100).Mean()
 	res.audioLost = b.Mixer().Stats(100).LostSegments
 	res.videoN = b.DisplayStats().Segments
 	res.leakedA, res.leakedB = a.WirePoolLeaked(), b.WirePoolLeaked()
@@ -269,67 +269,94 @@ func TestFullOutputReportedAtItsMinimumPeriod(t *testing.T) {
 }
 
 // TestSwitchDegradesAllButOneStream: two audio streams play at b's
-// loudspeaker — b's own microphone looped back and a's over the
-// network — and the speaker's sink stalls for 500 ms. The switch
-// degrades at most the older of the two (principle 3 never sheds every
-// stream of an output), so its overload trace never says more than
-// "degrading 1 oldest", and one relax step after the last forced drop
-// the output has recovered.
+// loudspeaker — b's own microphone looped back as stream 1 and a's over
+// the network as stream 100 — and the speaker's sink stalls for 500 ms.
+// The switch degrades at most the older of the two (principle 3 never
+// sheds every stream of an output), so its overload trace never says
+// more than "degrading 1 oldest", every age drop is the older stream's,
+// and one relax step after the last forced drop the output has
+// recovered. Of two routes set at one instant the lower-numbered stream
+// is the older, as in the overload controller's shed order.
 func TestSwitchDegradesAllButOneStream(t *testing.T) {
-	rt := occam.NewRuntime()
-	defer rt.Shutdown()
-	reg := obs.New(rt)
-	a, b, _ := twoBoxes(rt,
-		Config{Mic: workload.NewTone(400, 12000)},
-		Config{Mic: workload.NewTone(300, 9000), Obs: reg,
-			SinkStalls: map[string][]faultinject.Window{"speaker": {{From: stallFrom, To: stallTo}}}},
-		100)
-	var lastDrop occam.Time // when b's speaker last refused a segment, to the ms
-	rt.Go("control", nil, occam.High, func(p *occam.Proc) {
-		b.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutSpeaker}})
-		p.Sleep(time.Millisecond) // streams opened at one instant are neither the older
-		b.SetRoute(p, Route{Stream: 100, Outputs: []Output{OutSpeaker}})
-		a.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100}})
-		b.StartMic(p, 1)
-		a.StartMic(p, 1)
-		var seen uint64
-		for {
-			p.Sleep(time.Millisecond)
-			if n := b.swStats.FullDrops[bufSpeaker]; n != seen {
-				seen, lastDrop = n, p.Now()
-			}
-		}
-	})
-	run(t, rt, stallTo+1500*time.Millisecond)
+	for _, tc := range []struct {
+		name          string
+		first, second uint32        // the streams in the order their routes are set
+		gap           time.Duration // between the two
+		older         uint32
+	}{
+		{"1 ms apart", 1, 100, time.Millisecond, 1},
+		{"one instant", 100, 1, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := occam.NewRuntime()
+			defer rt.Shutdown()
+			reg := obs.New(rt)
+			a, b, _ := twoBoxes(rt,
+				Config{Mic: workload.NewTone(400, 12000)},
+				Config{Mic: workload.NewTone(300, 9000), Obs: reg,
+					SinkStalls: map[string][]faultinject.Window{"speaker": {{From: stallFrom, To: stallTo}}}},
+				100)
+			var lastDrop occam.Time // when b's speaker last refused a segment, to the ms
+			rt.Go("control", nil, occam.High, func(p *occam.Proc) {
+				b.SetRoute(p, Route{Stream: tc.first, Outputs: []Output{OutSpeaker}})
+				p.Sleep(tc.gap)
+				b.SetRoute(p, Route{Stream: tc.second, Outputs: []Output{OutSpeaker}})
+				a.SetRoute(p, Route{Stream: 1, Outputs: []Output{OutNetwork}, NetVCIs: []uint32{100}})
+				b.StartMic(p, 1)
+				a.StartMic(p, 1)
+				var seen uint64
+				for {
+					p.Sleep(time.Millisecond)
+					if n := b.swStats.FullDrops[bufSpeaker]; n != seen {
+						seen, lastDrop = n, p.Now()
+					}
+				}
+			})
+			run(t, rt, stallTo+1500*time.Millisecond)
 
-	if tr := reg.Tracer(); tr.Total() > uint64(tr.Cap()) {
-		t.Fatalf("the trace ring overflowed: %d events", tr.Total())
-	}
-	if lastDrop == 0 {
-		t.Fatal("the stalled speaker never refused a segment")
-	}
-	var degraded int
-	var recovered []occam.Time
-	for _, e := range reports(reg, "b.switch") {
-		switch e.Kind {
-		case obs.EvOverload:
-			degraded++
-			if e.Detail != "output speaker full, degrading 1 oldest" {
-				t.Errorf("at %v: %q; of two streams the switch degrades the older alone", e.At, e.Detail)
+			if tr := reg.Tracer(); tr.Total() > uint64(tr.Cap()) {
+				t.Fatalf("the trace ring overflowed: %d events", tr.Total())
 			}
-		case obs.EvRecover:
-			recovered = append(recovered, e.At)
-		}
-	}
-	if degraded == 0 {
-		t.Fatal("the switch never degraded the speaker's older stream")
-	}
-	if len(recovered) != 1 {
-		t.Fatalf("output speaker recovered at %v, want once", recovered)
-	}
-	// The relax step fires at the first segment switched more than
-	// 500 ms after the last forced drop; segments come every few ms.
-	if after := recovered[0].Sub(lastDrop); after <= 499*time.Millisecond || after > 520*time.Millisecond {
-		t.Errorf("output speaker recovered %v after the last forced drop, want one 500 ms relax step", after)
+			if lastDrop == 0 {
+				t.Fatal("the stalled speaker never refused a segment")
+			}
+			var degraded int
+			var recovered []occam.Time
+			ageDrops := map[uint32]uint64{}
+			for _, e := range reports(reg, "b.switch") {
+				switch e.Kind {
+				case obs.EvOverload:
+					degraded++
+					if e.Detail != "output speaker full, degrading 1 oldest" {
+						t.Errorf("at %v: %q; of two streams the switch degrades the older alone", e.At, e.Detail)
+					}
+				case obs.EvDrop:
+					if e.Detail == "age-degrade speaker" {
+						ageDrops[e.Stream]++
+					}
+				case obs.EvRecover:
+					recovered = append(recovered, e.At)
+				}
+			}
+			if degraded == 0 {
+				t.Fatal("the switch never degraded the speaker's older stream")
+			}
+			// Each drop at the speaker is one stream's, full or by age.
+			st := b.swStats
+			if ages := st.AgeDrops[bufSpeaker]; ageDrops[tc.older] != ages || len(ageDrops) != 1 ||
+				b.StreamDrops(1)+b.StreamDrops(100) != ages+st.FullDrops[bufSpeaker] {
+				t.Errorf("age drops by stream %v, want all %d stream %d's; streams dropped %d and %d of %d full and %d age drops",
+					ageDrops, ages, tc.older, b.StreamDrops(1), b.StreamDrops(100), st.FullDrops[bufSpeaker], ages)
+			}
+			if len(recovered) != 1 {
+				t.Fatalf("output speaker recovered at %v, want once", recovered)
+			}
+			// The relax step fires at the first segment switched more
+			// than 500 ms after the last forced drop; segments come
+			// every few ms.
+			if after := recovered[0].Sub(lastDrop); after <= 499*time.Millisecond || after > 520*time.Millisecond {
+				t.Errorf("output speaker recovered %v after the last forced drop, want one 500 ms relax step", after)
+			}
+		})
 	}
 }

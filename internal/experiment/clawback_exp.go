@@ -299,8 +299,8 @@ at 0s audio cam -> lon as main
 `)
 	defer r.Close()
 	st := r.Streams["main"]
-	m := r.Sys.Box("lon").Mixer().Stats(st.VCIs["lon"])
-	lat := r.Sys.Box("lon").PlayoutLatency(st.VCIs["lon"])
+	mx := r.Sys.Box("lon").Mixer()
+	m, lat := mx.Stats(st.VCIs["lon"]), mx.Playout(st.VCIs["lon"])
 	t.Add("segments delivered", fmt.Sprintf("%d", m.Segments))
 	t.Add("segments lost in the network", fmt.Sprintf("%d", m.LostSegments))
 	t.Add("silence insertions", fmt.Sprintf("%d (%s of playback)", m.Clawback.SilenceInserted,

@@ -486,6 +486,7 @@ at 0s video a -> b rect=0,0,256,128 rate=1/1
 `, flags))
 	defer r.Close()
 	st := r.Streams["main"]
-	m := r.Sys.Box("b").Mixer().Stats(st.VCIs["b"])
-	return r.Sys.Box("b").PlayoutLatency(st.VCIs["b"]).Jitter(), m.Clawback.SilenceInserted, m.LostSegments
+	mx := r.Sys.Box("b").Mixer()
+	m := mx.Stats(st.VCIs["b"])
+	return mx.Playout(st.VCIs["b"]).Jitter(), m.Clawback.SilenceInserted, m.LostSegments
 }

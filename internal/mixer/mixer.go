@@ -22,6 +22,7 @@ package mixer
 import (
 	"slices"
 	"strconv"
+	"time"
 
 	"repro/internal/clawback"
 	"repro/internal/mulaw"
@@ -93,6 +94,7 @@ type stream struct {
 	retired   bool // its route has closed: Retire
 	digest    uint64
 	c         streamCounters
+	playout   *obs.Histogram // its blocks' capture→playout latencies; nil until one plays
 }
 
 // Mixer mixes any number of incoming audio streams into one outgoing
@@ -132,15 +134,9 @@ type Mixer struct {
 	// until the next Tick.
 	out [segment.BlockSamples]byte
 
-	// OnPlayout, if set, is called for every block played with the
-	// stream id, the block's source timestamp and the playout time
-	// (both nanoseconds of stream time) — the end-to-end latency
-	// instrument for experiment E3.
-	OnPlayout func(stream uint32, stamp, now int64)
-
-	// Clock, if set, reads stream time (nanoseconds): how far Ticks counts
-	// the ticks of a parked grid. A mixer that is parked needs it.
-	Clock func() int64
+	// playout is every stream's capture→playout latencies together:
+	// the union of the streams' histograms (PlayoutAll).
+	playout obs.Histogram
 }
 
 // New returns a mixer with the given configuration.
@@ -165,7 +161,8 @@ var mixerTable = obs.NewTable(
 	obs.GaugeOf("clawback_pool_capacity", func(m *Mixer) float64 { return float64(m.pool.Capacity()) }),
 	obs.CounterOf("clawback_pool_exhausted_total", func(m *Mixer) uint64 { return m.pool.Exhausted }),
 	obs.GaugeOf("mixer_active_streams", func(m *Mixer) float64 { return float64(m.ActiveStreams()) }),
-	obs.CounterOf("mixer_ticks_total", (*Mixer).Ticks),
+	// A mixer's registry reads its box's runtime.
+	obs.CounterOf("mixer_ticks_total", func(m *Mixer) uint64 { return m.Ticks(int64(m.cfg.Obs.Now())) }),
 )
 
 // streamTable is one incoming stream's reception counts.
@@ -383,9 +380,7 @@ func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 				sum[i] += int32(mulaw.Decode(in[i]))
 			}
 		}
-		if m.OnPlayout != nil {
-			m.OnPlayout(s.id, it.Stamp, now)
-		}
+		m.observe(s, it.Stamp, now)
 		it.W.Release() // the sample data has been mixed out
 		mixed++
 	}
@@ -404,6 +399,39 @@ func (m *Mixer) Tick(now int64) (block []byte, mixed int) {
 	}
 	return out[:], mixed
 }
+
+// observe records a block of s stamped stamp played at now, in s's
+// histogram and the mixer's. The paper's one-way figure runs
+// microphone input to speaker output, so it adds the codec output fifo
+// ("2ms in the buffering from the codec", §4.2) after the mixing pop.
+// Concealment replays carry synthetic stamps near zero early on, and a
+// stamp at or before zero is not observed.
+func (m *Mixer) observe(s *stream, stamp, now int64) {
+	if stamp <= 0 {
+		return
+	}
+	if s.playout == nil {
+		s.playout = obs.NewHistogram()
+	}
+	lat := time.Duration(now-stamp) + segment.BlockDuration
+	s.playout.Observe(lat)
+	m.playout.Observe(lat)
+}
+
+// Playout returns the capture→playout latencies of stream id's played
+// blocks, which persist across deactivations; empty for a stream that
+// has never played. Per stream it is unregistered: the registry
+// carries PlayoutAll.
+func (m *Mixer) Playout(id uint32) *obs.Histogram {
+	if s, _, ok := m.find(id); ok && s.playout != nil {
+		return s.playout
+	}
+	return obs.NewHistogram()
+}
+
+// PlayoutAll returns the capture→playout latencies of every block
+// played, whatever its stream.
+func (m *Mixer) PlayoutAll() *obs.Histogram { return &m.playout }
 
 // SetShed suspends (or, with shed=false, resumes) mixing of stream id
 // on the overload controller's orders. Shedding drains the stream's
@@ -454,14 +482,9 @@ func (m *Mixer) Retire(id uint32) {
 	}
 }
 
-// Ticks returns how many mixing ticks have run, those a parked grid
-// skips counted as their instants pass.
-func (m *Mixer) Ticks() uint64 {
-	if !m.parked {
-		return m.ticks
-	}
-	return m.ticks + m.pending(m.Clock())
-}
+// Ticks returns how many mixing ticks have run by instant now, those a
+// parked grid skips counted as their instants pass.
+func (m *Mixer) Ticks(now int64) uint64 { return m.ticks + m.pending(now) }
 
 // Park stops the tick grid at instant next, with no stream playing: until
 // the next Tick the board runs none, for each would only mix silence

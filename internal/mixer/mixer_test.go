@@ -1,7 +1,9 @@
 package mixer
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/clawback"
 	"repro/internal/mulaw"
@@ -365,8 +367,8 @@ func TestMixedCountTracksConsumption(t *testing.T) {
 	if _, mixed := m.Tick(0); mixed != 1 { // stream 2 empty now
 		t.Fatal("tick 2")
 	}
-	if m.Ticks() != 2 {
-		t.Fatalf("Ticks = %d", m.Ticks())
+	if m.Ticks(0) != 2 {
+		t.Fatalf("Ticks = %d", m.Ticks(0))
 	}
 }
 
@@ -375,16 +377,13 @@ func TestParkedGridCountsTicksAsTheirInstantsPass(t *testing.T) {
 	// each skipped tick from its instant on. Parking again at 10 ms counts
 	// the two before it, and the tick at 14 ms the two after.
 	const bd = int64(segment.BlockDuration)
-	var now int64
 	m := New(Config{})
-	m.Clock = func() int64 { return now }
 	m.Tick(bd)
 	m.Tick(2 * bd)
 	m.Park(3 * bd)
 	check := func(at int64, ticks, skippedBy uint64) {
 		t.Helper()
-		now = at
-		if got, skipped := m.Ticks(), m.Skipped(at); got != ticks || skipped != skippedBy {
+		if got, skipped := m.Ticks(at), m.Skipped(at); got != ticks || skipped != skippedBy {
 			t.Fatalf("at %d: Ticks = %d, Skipped = %d; want %d, %d", at, got, skipped, ticks, skippedBy)
 		}
 	}
@@ -406,31 +405,61 @@ func TestParkedGridCountsTicksAsTheirInstantsPass(t *testing.T) {
 }
 
 func TestStreamsMixInIDOrderWhateverOrderTheyArrivedIn(t *testing.T) {
+	// A tick mixes the streams in m.playing, in its order, and keeps
+	// every one that had a block to play.
 	m := New(Config{})
 	var order []uint32
-	m.OnPlayout = func(id uint32, _, _ int64) { order = append(order, id) }
+	mix := func() {
+		m.Tick(0)
+		for _, s := range m.playing {
+			order = append(order, s.id)
+		}
+	}
 	for _, id := range []uint32{30, 10, 40, 20} {
 		m.Deliver(id, seg(0, 1000, 2))
 	}
-	m.Tick(0)
+	mix()
 	m.Deliver(5, seg(0, 1000, 1)) // a newcomer sorts ahead of the rest
-	m.Tick(0)
-	want := []uint32{10, 20, 30, 40, 5, 10, 20, 30, 40}
-	if len(order) != len(want) {
+	mix()
+	if want := []uint32{10, 20, 30, 40, 5, 10, 20, 30, 40}; !slices.Equal(order, want) {
 		t.Fatalf("played %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("played %v, want %v", order, want)
-		}
 	}
 	// The order is kept, not rebuilt: a tick over empty buffers (the
 	// streams deactivate, and stay so) allocates nothing.
-	m.OnPlayout = nil
 	m.Tick(0)
 	m.Tick(0)
 	if allocs := testing.AllocsPerRun(100, func() { m.Tick(0) }); allocs != 0 {
 		t.Errorf("a tick allocates %.1f objects", allocs)
+	}
+}
+
+func TestPlayoutAllIsTheUnionOfItsStreams(t *testing.T) {
+	// Streams 1–3 play two blocks each, each stream at its own latency;
+	// stream 4's first block is stamped 0 and is not observed. The
+	// mixer's histogram holds what its streams' hold: the counts sum,
+	// and so do the latencies. A stream never played reads empty, and
+	// reading it stores nothing.
+	const bd = int64(segment.BlockDuration)
+	const stamp = int64(10 * segment.TimestampTick)
+	m := New(Config{})
+	for id := uint32(1); id <= 4; id++ {
+		op{id: id, data: make([]byte, 2*segment.BlockSamples), now: int64(4-id) * stamp}.deliver(m)
+	}
+	for tick := int64(10); tick <= 12; tick++ {
+		m.Tick(tick * bd)
+	}
+	n, sum := 0, time.Duration(0)
+	for id := uint32(1); id <= 4; id++ {
+		h := m.Playout(id)
+		n += h.Count()
+		sum += h.Mean() * time.Duration(h.Count())
+	}
+	if all := m.PlayoutAll(); n != 7 || all.Count() != n || all.Mean() != sum/7 {
+		t.Fatalf("streams played %d blocks, mean %v; the mixer %d, mean %v; want 7 and equal",
+			n, sum/time.Duration(max(n, 1)), all.Count(), all.Mean())
+	}
+	if h := m.Playout(99); h.Count() != 0 || len(m.streams) != 4 {
+		t.Fatalf("a stream never heard reads %d blocks, and the mixer holds %d streams", h.Count(), len(m.streams))
 	}
 }
 

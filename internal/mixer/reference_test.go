@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/mulaw"
 	"repro/internal/obs"
@@ -29,9 +30,12 @@ func bitScanEncode(sample int16) byte {
 
 // referenceTick is the per-sample mixer Tick replaced: it scans every
 // stream ever seen, sums all that play in int32, clips, and re-encodes
-// each sample by a bit scan, whatever the number of streams. It then
-// rebuilds m.playing from the active flags, so Deliver and
-// ActiveStreams read the reference's own state.
+// each sample by a bit scan, whatever the number of streams. It records
+// each played block's latency by the rule written out here: a block
+// stamped after 0 took now − stamp to the mixing pop and a block more
+// in the codec's output fifo. It then rebuilds m.playing from the
+// active flags, so Deliver and ActiveStreams read the reference's own
+// state.
 func referenceTick(m *Mixer, now int64) ([]byte, int) {
 	m.ticks++
 	var sum [segment.BlockSamples]int32
@@ -43,15 +47,24 @@ func referenceTick(m *Mixer, now int64) ([]byte, int) {
 		it, ok := s.buf.PopItem()
 		if !ok {
 			s.active = false
-			s.buf.Drain()
+			if s.retired {
+				s.buf.Free()
+			} else {
+				s.buf.Drain()
+			}
 			m.cfg.Obs.Tracer().Emit(obs.EvStreamClose, m.source, s.id, "stream deactivated")
 			continue
 		}
 		for i := range sum {
 			sum[i] += int32(mulaw.Decode(it.Data[i]))
 		}
-		if m.OnPlayout != nil {
-			m.OnPlayout(s.id, it.Stamp, now)
+		if it.Stamp > 0 {
+			if s.playout == nil {
+				s.playout = obs.NewHistogram()
+			}
+			lat := time.Duration(now-it.Stamp) + segment.BlockDuration
+			s.playout.Observe(lat)
+			m.playout.Observe(lat)
 		}
 		it.W.Release()
 		mixed++
@@ -81,7 +94,8 @@ var fuzzIDs = [8]uint32{1, 2, 3, 17, 64, 65, 1000, 1 << 31}
 // c; a delivery follows it with one byte a and 1–16 bytes of samples,
 // repeated to fill each block of the segment:
 //
-//	c&3     0, 1: deliver; 2: shed (c&0x20) or restore; 3: tick
+//	c&3     0, 1: deliver; 2: retire (c&0x40), else shed (c&0x20)
+//	        or restore; 3: tick
 //	c>>2&7  the stream, an index into fuzzIDs
 //	c>>5    delivery sequence: 0–4 next in order, 5 a gap of one,
 //	        6 a late duplicate, 7 a gap of three
@@ -124,6 +138,10 @@ func fuzzSchedule(data []byte) []op {
 			}
 			ops = append(ops, op{kind: opDeliver, id: id, seq: seq, data: samples, now: now})
 		case 2:
+			if c&0x40 != 0 {
+				ops = append(ops, op{kind: opRetire, id: id})
+				break
+			}
 			ops = append(ops, op{kind: opShed, id: id, shed: c&0x20 != 0})
 		case 3:
 			now += int64(segment.BlockDuration)
@@ -133,16 +151,20 @@ func fuzzSchedule(data []byte) []op {
 	return ops
 }
 
-// playout is one OnPlayout call.
-type playout struct {
-	id         uint32
-	stamp, now int64
+// latencies summarises a playout histogram for comparison: its count,
+// extremes, mean and three percentiles.
+func latencies(h *obs.Histogram) [7]time.Duration {
+	return [7]time.Duration{time.Duration(h.Count()), h.Min(), h.Max(), h.Mean(),
+		h.Percentile(10), h.Percentile(50), h.Percentile(90)}
 }
 
 // FuzzMixerTick runs one schedule into two mixers, one ticked by Tick
 // and one by referenceTick, and requires the same bytes, the same
-// count, the same OnPlayout calls in the same order, the same active
-// streams, the same trace and the same statistics for every stream.
+// count, the same playout histograms for every stream and the mixer
+// after every tick, the same active streams, the same trace and the
+// same statistics for every stream. The mixer's histogram must count
+// what its streams' do together, and a retire must leave a stream's
+// statistics and histogram as they were.
 func FuzzMixerTick(f *testing.F) {
 	loud := bytes.Repeat([]byte{0x80}, segment.BlockSamples)
 	edges := []byte{0x00, 0x7F, 0x80, 0xFF}
@@ -165,15 +187,19 @@ func FuzzMixerTick(f *testing.F) {
 	churn = append(churn, 2|1<<2|0x20, 3, 2|1<<2)     // shed, tick, restore
 	churn = append(churn, deliver(1, 0, 3, []byte{0x7F})...)
 	churn = append(churn, bytes.Repeat(tick, 7)...)
-	for _, seed := range [][]byte{saturate, alone, churn} {
+	// Retire a stream while it plays, again once it is dry, then a
+	// straggler grows its freed buffer anew.
+	retire := append(deliver(2, 0, 2, loud), 2|2<<2|0x40)
+	retire = append(retire, bytes.Repeat(tick, 3)...)
+	retire = append(retire, 2|2<<2|0x40)
+	retire = append(retire, deliver(2, 0, 1, edges)...)
+	retire = append(retire, bytes.Repeat(tick, 2)...)
+	for _, seed := range [][]byte{saturate, alone, churn, retire} {
 		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got, want []playout
 		fast, ref := New(Config{Obs: obs.New(nil)}), New(Config{Obs: obs.New(nil)})
-		fast.OnPlayout = func(id uint32, stamp, now int64) { got = append(got, playout{id, stamp, now}) }
-		ref.OnPlayout = func(id uint32, stamp, now int64) { want = append(want, playout{id, stamp, now}) }
 		for step, o := range fuzzSchedule(data) {
 			switch o.kind {
 			case opDeliver:
@@ -182,16 +208,31 @@ func FuzzMixerTick(f *testing.F) {
 			case opShed:
 				fast.SetShed(o.id, o.shed)
 				ref.SetShed(o.id, o.shed)
+			case opRetire:
+				stats, lat := fast.Stats(o.id), latencies(fast.Playout(o.id))
+				fast.Retire(o.id)
+				ref.Retire(o.id)
+				if a, b := fast.Stats(o.id), latencies(fast.Playout(o.id)); a != stats || b != lat {
+					t.Fatalf("step %d: retiring stream %d moved its stats %+v to %+v, playout %v to %v", step, o.id, stats, a, lat, b)
+				}
 			case opTick:
 				blk, mixed := fast.Tick(o.now)
 				wantBlk, wantMixed := referenceTick(ref, o.now)
 				if !bytes.Equal(blk, wantBlk) || mixed != wantMixed {
 					t.Fatalf("step %d: Tick gave % x mixing %d, reference % x mixing %d", step, blk, mixed, wantBlk, wantMixed)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d: played %v, reference %v", step, got, want)
+				n := 0
+				for _, id := range fuzzIDs {
+					a, b := latencies(fast.Playout(id)), latencies(ref.Playout(id))
+					if a != b {
+						t.Fatalf("step %d: stream %d played latencies %v, reference %v", step, id, a, b)
+					}
+					n += int(a[0])
 				}
-				got, want = got[:0], want[:0]
+				a, b := latencies(fast.PlayoutAll()), latencies(ref.PlayoutAll())
+				if a != b || int(a[0]) != n {
+					t.Fatalf("step %d: mixer played latencies %v, reference %v, its streams %d", step, a, b, n)
+				}
 			}
 			if a, b := fast.ActiveStreams(), ref.ActiveStreams(); a != b {
 				t.Fatalf("step %d: %d active streams, reference %d", step, a, b)
@@ -214,7 +255,6 @@ func TestTickAllocatesNothingWhateverItMixes(t *testing.T) {
 	const ticks = 40
 	for streams := 1; streams <= 3; streams++ {
 		m := New(Config{})
-		m.OnPlayout = func(uint32, int64, int64) {}
 		blocks := bytes.Repeat([]byte{0x80}, 2*segment.BlockSamples)
 		for seq := uint32(0); seq <= ticks/2; seq++ {
 			for id := uint32(1); id <= uint32(streams); id++ {

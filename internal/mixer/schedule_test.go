@@ -13,11 +13,12 @@ const (
 	opDeliver = iota
 	opShed
 	opTick
+	opRetire
 )
 
 // op is one step of a mixer schedule: a delivery of whole blocks of
-// µ-law samples for stream id, a shed order (shed, or restore), or a
-// mixing tick at stream time now.
+// µ-law samples for stream id, a shed order (shed, or restore), a
+// mixing tick at stream time now, or a retire of stream id.
 type op struct {
 	kind byte
 	id   uint32

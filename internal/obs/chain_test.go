@@ -3,15 +3,18 @@ package obs
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
 )
 
-// TestRowFitsTheSixtyFourByteClass: a row — table, object, labels and
-// chain link — is what a registered object costs the registry beyond
-// its labels, a pointer in the row list and a map slot.
+// TestRowFitsTheSixtyFourByteClass: a row — table, object, labels,
+// identity hash and chain link — is what a registered object costs the
+// registry beyond its labels, a pointer in the row list and its share
+// of the hash table.
 func TestRowFitsTheSixtyFourByteClass(t *testing.T) {
 	if n := unsafe.Sizeof(row{}); n > 64 {
 		t.Errorf("row is %d bytes, want at most 64", n)
@@ -74,10 +77,17 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 		tab.Register(r, first, lb)
 		tab.Register(r, &chainObj{n: 99, g: 99, h: NewHistogram()}, lb)
 	}
-	// Each chain holds the real row, then the planted one.
+	// Under each hash the chain holds the real row, then the planted
+	// one; other hashes may share the bucket.
 	for _, name := range names {
-		w := r.byHash[hashKey(name, []Label{lb})]
-		if w == nil || w.tab.cols[0].name != name || w.next == nil || w.next.obj != planted[name] || w.next.next != nil {
+		h := hashKey(name, []Label{lb})
+		var under []*row
+		for w := *r.chain(h); w != nil; w = w.next {
+			if w.hash == h {
+				under = append(under, w)
+			}
+		}
+		if len(under) != 2 || under[0].tab.cols[0].name != name || under[1].obj != planted[name] {
 			t.Errorf("the chain under %s's hash is not [%s, planted_%s]", name, name, name)
 		}
 	}
@@ -110,9 +120,7 @@ func TestHashChainKeepsCollidingIdentitiesApart(t *testing.T) {
 func plant(r *Registry, h uint64, name string, c *Counter, labels ...Label) {
 	t := single(name)
 	r.families[name] = t
-	w := &row{tab: t, obj: c, labels: labels, next: r.byHash[h]}
-	r.byHash[h] = w
-	r.rows = append(r.rows, w)
+	r.link(&row{tab: t, obj: c, labels: labels, hash: h})
 	r.samples++
 }
 
@@ -154,4 +162,76 @@ func TestReRegistrationAsAnotherKindPanicsNamingTheKey(t *testing.T) {
 			tc.again(r)
 		})
 	}
+}
+
+// TestRegistrationAllocationsRepeat registers the same 5 000 rows into
+// fresh registries, and counts from the exact heap profile what the
+// registry's own code allocates in each window of 250: the same every
+// time. A Go map keyed by identity would not, for its tables split as
+// its per-process hash seed spreads the keys, so which window, like a
+// run's timed one, takes a split would vary. Registering each row again
+// after the table has doubled finds the first.
+func TestRegistrationAllocationsRepeat(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	tab := NewTable(CounterOf("repeat_total", func(o *chainObj) uint64 { return o.n }))
+	labels := make([][]Label, 5000)
+	for i := range labels {
+		labels[i] = []Label{L("box", fmt.Sprint(i))}
+	}
+	obj := &chainObj{}
+	var first []int64
+	var r *Registry
+	for run := 0; run < 8; run++ {
+		r = New(nil)
+		var windows []int64
+		for w := 0; w < len(labels); w += 250 {
+			before := registryAllocs()
+			for _, lb := range labels[w : w+250] {
+				tab.Register(r, obj, lb...)
+			}
+			windows = append(windows, registryAllocs()-before)
+		}
+		if run == 0 {
+			first = windows
+		} else if !slices.Equal(windows, first) {
+			t.Fatalf("registry %d allocated %v objects a window of 250 rows, the first %v", run, windows, first)
+		}
+	}
+	for _, lb := range labels {
+		tab.Register(r, &chainObj{n: 1}, lb...)
+	}
+	if snap := r.Snapshot(); len(snap.Samples) != len(labels) || snap.Total("repeat_total") != 0 {
+		t.Errorf("registering every row again left %d samples totalling %v, want %d reading the first objects, 0",
+			len(snap.Samples), snap.Total("repeat_total"), len(labels))
+	}
+}
+
+// registryAllocs returns how many objects have been allocated under a
+// Registry method, as the heap profile of the last collection has them.
+func registryAllocs() int64 {
+	runtime.GC()
+	recs := make([]runtime.MemProfileRecord, 64)
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	var n int64
+	for _, rec := range recs {
+		frames := runtime.CallersFrames(rec.Stack())
+		for f, more := frames.Next(); ; f, more = frames.Next() {
+			if strings.HasPrefix(f.Function, "repro/internal/obs.(*Registry)") {
+				n += rec.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return n
 }

@@ -232,7 +232,7 @@ func TestHistogramSlotCountSaturates(t *testing.T) {
 	}
 }
 
-// playoutSamples draws latencies shaped like box.recordPlayout's: an
+// playoutSamples draws latencies shaped like the mixer's playout: an
 // 8 ms floor plus whole blocks and sub-millisecond jitter, with a rare
 // late burst — values whose millisecond form is not exact in a float.
 func playoutSamples(seed int64) []time.Duration {

@@ -44,8 +44,8 @@ func (r *Runner) report(sum *Summary, digests bool) string {
 				continue
 			}
 			vci := st.VCIs[dst]
-			m := s.Box(dst).Mixer().Stats(vci)
-			lat := s.Box(dst).PlayoutLatency(vci)
+			mx := s.Box(dst).Mixer()
+			m, lat := mx.Stats(vci), mx.Playout(vci)
 			fmt.Fprintf(&sb, "%s → %s: %6d segs, lost %4d, concealed %4d, silences %4d, latency mean %6.2fms p99 %6.2fms",
 				st.From, dst, m.Segments, m.LostSegments, m.Concealed, m.Clawback.SilenceInserted,
 				float64(lat.Mean())/1e6, float64(lat.Percentile(99))/1e6)
