@@ -53,16 +53,18 @@ type Config struct {
 // reads from the stream's row.
 type StreamStats struct {
 	Segments       uint64 // segments delivered
-	Blocks         uint64 // blocks delivered
+	Blocks         uint64 // blocks offered to the clawback buffer, refused ones included
 	LostSegments   uint64 // detected by sequence-number gaps
 	Concealed      uint64 // blocks filled by replaying the last block
 	LateDuplicates uint64 // late or duplicate segments thrown away (§3.8)
 	Reactivations  uint64 // times the stream was re-created after idle
 	// Digest is an FNV-1a hash over every delivered segment's sequence
-	// number and sample bytes, in arrival order — the stream's delivery
-	// set as one comparable word. Two runs delivered byte-identical
-	// audio for this stream iff their digests and Segments counts match
-	// (the scenario layer's "survivors byte-identical" assertion).
+	// number and the sample bytes of its blocks offered to the stream's
+	// clawback buffer, refused ones included, in arrival order. Two runs
+	// offered byte-identical audio to this stream's buffer iff their
+	// digests and Segments counts match (the scenario layer's "survivors
+	// byte-identical" assertion); what the buffer then refused, and so
+	// what was played, may differ (ROADMAP item 16(a)).
 	Digest   uint64
 	Clawback clawback.Stats
 }

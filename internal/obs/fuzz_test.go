@@ -2,7 +2,8 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -32,68 +33,90 @@ var (
 	fuzzLabels = [][]Label{nil, {L("box", "a")}, {L("box", "b")}, {L("box", "a"), L("output", "o")}}
 )
 
-// registryModel is the reference the fuzzer checks a Registry against,
-// keyed by strings: which table owns each family, every counter
-// registered alone by key(name, labels), and every table row by table
-// and labels.
+// fuzzLabelSet returns the labels an op's byte b names: one of
+// fuzzLabels, then, from b = len(fuzzLabels) up, a numbered label i, so
+// that one input can register hundreds of identities.
+func fuzzLabelSet(b byte) []Label {
+	labels := fuzzLabels[int(b)%len(fuzzLabels)]
+	if n := int(b) / len(fuzzLabels); n > 0 {
+		labels = append(labels[:len(labels):len(labels)], L("i", strconv.Itoa(n)))
+	}
+	return labels
+}
+
+// registryModel is the reference the fuzzer checks a Registry against:
+// which table owns each family, and every row by its identity.
 type registryModel struct {
-	owner   map[string]string // family → "counter" (lone counters), "A" or "B"
-	singles map[string]uint64
-	rows    map[string]int // table name + "|" + key("", labels) → object index
-	objs    [4]uint64
-	planted map[string]float64 // rows planted as collisions, by key(name, labels)
+	owner map[string]string    // family → "counter" (lone counters), "A" or "B"
+	rows  map[string]*modelRow // by table, or "counter" and family, and labels
+	objs  [4]uint64
+}
+
+// modelRow is one registered row: a lone counter's family and count, or
+// a table row's object.
+type modelRow struct {
+	tab    string // "counter", "A" or "B"
+	name   string // the lone counter's family
+	labels []Label
+	n      uint64 // the lone counter's count
+	obj    int    // the table row's object
+}
+
+// modelLine is one sample the model expects: its ID and how
+// snapshotLines renders it.
+type modelLine struct{ id, text string }
+
+// lines renders w's samples.
+func (m *registryModel) lines(w *modelRow) []modelLine {
+	var out []modelLine
+	add := func(name string, labels []Label, kind Kind, v float64) {
+		id := Sample{Name: name, Labels: labels}.ID()
+		out = append(out, modelLine{id, fmt.Sprintf("%s %v %g", id, kind, v)})
+	}
+	lb := func(extra ...Label) []Label { return append(append([]Label(nil), w.labels...), extra...) }
+	n := float64(m.objs[w.obj])
+	switch w.tab {
+	case "counter":
+		add(w.name, w.labels, KindCounter, float64(w.n))
+	case "A":
+		add("a_total", w.labels, KindCounter, n)
+		add("a_half", w.labels, KindGauge, n/2)
+		add("a_split_total", lb(L("part", "x")), KindCounter, n+1)
+		add("a_split_total", lb(L("part", "y")), KindCounter, n+2)
+	default:
+		add("b_total", w.labels, KindCounter, 3*n)
+		add("b_level", w.labels, KindGauge, -n)
+	}
+	return out
+}
+
+// add records w, returning "", or, if its identity is registered
+// already, leaves the model as it is and returns the ID the next
+// snapshot must name: the first of w's samples in ID order.
+func (m *registryModel) add(w *modelRow) string {
+	k := w.tab + " " + Sample{Name: w.name, Labels: w.labels}.ID()
+	if _, had := m.rows[k]; !had {
+		m.rows[k] = w
+		return ""
+	}
+	lines := m.lines(w)
+	slices.SortFunc(lines, func(a, b modelLine) int { return strings.Compare(a.id, b.id) })
+	return lines[0].id
 }
 
 // samples renders the model's expected snapshot, one line per sample in
 // ID order.
 func (m *registryModel) samples() []string {
-	type line struct{ id, text string }
-	var out []line
-	add := func(name string, labels []Label, kind Kind, text string) {
-		id := Sample{Name: name, Labels: labels}.ID()
-		out = append(out, line{id, fmt.Sprintf("%s %v %s", id, kind, text)})
+	var all []modelLine
+	for _, w := range m.rows {
+		all = append(all, m.lines(w)...)
 	}
-	for k, v := range m.singles {
-		name, labels := parseKey(k)
-		add(name, labels, KindCounter, fmt.Sprintf("%d", v))
+	slices.SortFunc(all, func(a, b modelLine) int { return strings.Compare(a.id, b.id) })
+	out := make([]string, len(all))
+	for i, l := range all {
+		out[i] = l.text
 	}
-	for k, i := range m.rows {
-		tab, rest, _ := strings.Cut(k, "|")
-		_, labels := parseKey(rest)
-		n := m.objs[i]
-		lb := func(extra ...Label) []Label { return append(append([]Label(nil), labels...), extra...) }
-		if tab == "A" {
-			add("a_total", labels, KindCounter, fmt.Sprintf("%g", float64(n)))
-			add("a_half", labels, KindGauge, fmt.Sprintf("%g", float64(n)/2))
-			add("a_split_total", lb(L("part", "x")), KindCounter, fmt.Sprintf("%g", float64(n+1)))
-			add("a_split_total", lb(L("part", "y")), KindCounter, fmt.Sprintf("%g", float64(n+2)))
-		} else {
-			add("b_total", labels, KindCounter, fmt.Sprintf("%g", float64(3*n)))
-			add("b_level", labels, KindGauge, fmt.Sprintf("%g", -float64(n)))
-		}
-	}
-	for k, v := range m.planted {
-		name, labels := parseKey(k)
-		add(name, labels, KindCounter, fmt.Sprintf("%g", v))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	lines := make([]string, len(out))
-	for i, l := range out {
-		lines[i] = l.text
-	}
-	return lines
-}
-
-// parseKey inverts key for the fuzzer's names and labels, which hold no
-// '|' or '='.
-func parseKey(k string) (string, []Label) {
-	parts := strings.Split(k, "|")
-	var labels []Label
-	for _, p := range parts[1:] {
-		key, value, _ := strings.Cut(p, "=")
-		labels = append(labels, L(key, value))
-	}
-	return parts[0], labels
+	return out
 }
 
 // snapshotLines renders a registry snapshot as the model renders its
@@ -118,44 +141,47 @@ func panics(fn func()) (msg string) {
 }
 
 // FuzzRegistry drives random interleavings of lone counters
-// (Registry.Counter), table rows, changes to the objects rows read, and
-// rows planted under another identity's hash as a collision would be.
+// (Registry.Counter), table rows and changes to the objects rows read.
 // After every step the registry's snapshot must equal the model's, a
-// call the model says must panic must panic naming the key, and one it
-// says must not, must not.
+// call the model says must panic must panic naming the sample ID, and
+// one it says must not, must not. A second registration under an
+// identity must make the next snapshot panic naming the ID, which ends
+// the input.
 func FuzzRegistry(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 5, 0, 1, 1, 2, 1, 0, 1, 0, 2, 0, 0, 9, 0, 1, 1, 4})
-	f.Add([]byte{1, 3, 2, 1, 1, 4, 2, 1, 0, 3, 1, 1, 0, 4, 2, 2, 3, 0, 1, 0, 0, 3, 1, 7})
-	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 3, 2, 0, 1, 3, 2, 0, 2, 2, 9, 0, 2, 2, 3, 3, 2, 2, 0, 0, 2, 2, 1})
+	f.Add([]byte{1, 3, 2, 1, 1, 4, 2, 1, 0, 3, 1, 1, 0, 4, 2, 2, 2, 0, 1, 0, 0, 3, 1, 7})
+	f.Add([]byte{1, 0, 1, 0, 2, 0, 0, 3, 1, 2, 1, 1})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 4, 1, 0, 1, 8, 2, 1, 1, 9, 2, 0, 2, 13, 9, 1, 2, 13, 3, 2, 2, 2, 0, 1, 2, 9, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		r := New(nil)
-		m := &registryModel{owner: map[string]string{}, singles: map[string]uint64{}, rows: map[string]int{}, planted: map[string]float64{}}
+		m := &registryModel{owner: map[string]string{}, rows: map[string]*modelRow{}}
 		var objs [4]*fuzzObj
 		for i := range objs {
 			objs[i] = &fuzzObj{}
 		}
-		for step := 0; len(ops) >= 4 && step < 64; step, ops = step+1, ops[4:] {
-			op, name, labels, v := ops[0]%4, fuzzNames[int(ops[1])%len(fuzzNames)], fuzzLabels[int(ops[2])%len(fuzzLabels)], ops[3]
-			k := key(name, labels)
+		for step := 0; len(ops) >= 4; step, ops = step+1, ops[4:] {
+			op, name, labels, v := ops[0]%3, fuzzNames[int(ops[1])%len(fuzzNames)], fuzzLabelSet(ops[2]), ops[3]
+			id := Sample{Name: name, Labels: labels}.ID()
 			what := ""    // the call, for failure messages
 			want := ""    // the panic the model expects, "" for none
+			twice := ""   // the ID the next snapshot must name as registered twice
 			var do func() // the call on the registry
 			switch op {
 			case 0:
-				what = fmt.Sprintf("Counter(%s).Add(%d)", k, v)
+				what = fmt.Sprintf("Counter(%s).Add(%d)", id, v)
 				do = func() { r.Counter(name, labels...).Add(uint64(v)) }
 				switch owner, had := m.owner[name]; {
 				case had && owner != "counter" && m.tableKind(owner, name) != KindCounter:
-					want = fmt.Sprintf("%s re-registered as counter, was %v", k, m.tableKind(owner, name))
+					want = fmt.Sprintf("%s re-registered as counter, was %v", id, m.tableKind(owner, name))
 				case had && owner != "counter":
-					want = k + " is read by two tables"
+					want = id + " is read by two tables"
 				default:
 					m.owner[name] = "counter"
-					m.singles[k] += uint64(v)
+					twice = m.add(&modelRow{tab: "counter", name: name, labels: labels, n: uint64(v)})
 				}
 			case 1:
 				tab, obj := fuzzTables[int(ops[1])%2], int(v)%len(objs)
-				what = fmt.Sprintf("table %s Register(obj %d, %s)", tab.name, obj, key("", labels))
+				what = fmt.Sprintf("table %s Register(obj %d, %s)", tab.name, obj, Sample{Labels: labels}.ID())
 				do = func() { tab.t.Register(r, objs[obj], labels...) }
 				if c, ok := m.conflict(tab.name, labels); ok {
 					want = c
@@ -163,31 +189,13 @@ func FuzzRegistry(f *testing.F) {
 					for _, f := range m.families(tab.name) {
 						m.owner[f] = tab.name
 					}
-					if _, had := m.rows[tab.name+"|"+key("", labels)]; !had {
-						m.rows[tab.name+"|"+key("", labels)] = obj
-					}
+					twice = m.add(&modelRow{tab: tab.name, labels: labels, obj: obj})
 				}
 			case 2:
 				obj := int(ops[1]) % len(objs)
 				what = fmt.Sprintf("obj %d += %d", obj, v)
 				do = func() { objs[obj].n += uint64(v) }
 				m.objs[obj] += uint64(v)
-			case 3:
-				// Plant a row of a fresh family, labelled alike, under the hash
-				// of name+labels or of a table's row under labels, as a
-				// collision would put it.
-				planted := fmt.Sprintf("planted_%d", step)
-				h := hashKey(name, labels)
-				if v%2 == 1 {
-					h = hashKey(fuzzTables[int(ops[1])%2].t.cols[0].name, labels)
-				}
-				what = fmt.Sprintf("plant %s under the hash of %s", planted, k)
-				do = func() {
-					c := NewCounter()
-					c.Add(uint64(v))
-					plant(r, h, planted, c, labels...)
-				}
-				m.planted[key(planted, labels)] = float64(v)
 			}
 			got := panics(do)
 			switch {
@@ -195,6 +203,12 @@ func FuzzRegistry(f *testing.F) {
 				t.Fatalf("step %d: %s panicked: %s", step, what, got)
 			case want != "" && !strings.Contains(got, want):
 				t.Fatalf("step %d: %s panicked with %q, want %q", step, what, got, want)
+			}
+			if twice != "" {
+				if got, want := panics(func() { r.Snapshot() }), "obs: "+twice+" registered twice"; got != want {
+					t.Fatalf("step %d: after %s the snapshot panicked with %q, want %q", step, what, got, want)
+				}
+				return
 			}
 			if g, w := snapshotLines(r), m.samples(); strings.Join(g, "\n") != strings.Join(w, "\n") {
 				t.Fatalf("step %d: after %s the snapshot reads\n%s\nwant\n%s", step, what, strings.Join(g, "\n"), strings.Join(w, "\n"))
@@ -228,7 +242,7 @@ func (m *registryModel) conflict(tab string, labels []Label) (string, bool) {
 		if !had || owner == tab {
 			continue
 		}
-		id := key(f, labels)
+		id := Sample{Name: f, Labels: labels}.ID()
 		if kind := m.tableKind(tab, f); owner != kind.String() {
 			return fmt.Sprintf("%s re-registered as %v, was %s", id, kind, owner), true
 		}

@@ -34,19 +34,18 @@
 // HistogramOf). Registering an object adds one row: the table, the
 // object and the object's label values. A snapshot reads every column
 // of every row. A family name belongs to exactly one table, and a row's
-// identity is its table and labels, so registering it again is a
-// no-op. Counter registers one counter as a row of a one-column table
-// the registry makes for its family.
+// identity is its table and labels. An object is registered once:
+// nothing looks a row up, and a second row under one identity makes
+// the next snapshot, which sorts every sample by ID anyway, panic
+// naming it. Counter registers a new counter as a row of the
+// one-column table the registry makes for its family.
 //
-// A row costs what it holds: 64 bytes (table, object, labels, the
-// 64-bit FNV-1a hash of its identity and a chain link), a pointer in the
-// row list and one or two in the hash table, however many families its
-// table has. No key string is built or kept; identities whose hashes
-// land in one bucket are chained through their rows and told apart by
-// table and labels. The table doubles at a row count, where a Go map
-// grows as its per-process hash seed spreads the keys: a run allocates
-// the same objects every time. A histogram makes its multiset at its
-// first fold, so one nothing has observed into holds none.
+// A row costs what it holds: 48 bytes (table, object, labels) and a
+// pointer in the row list, however many families its table has. No key
+// string is built or kept. The list grows at a row count, so a run
+// allocates the same objects every time. A histogram makes its
+// multiset at its first fold, so one nothing has observed into holds
+// none.
 //
 // Snapshots can be rendered as a human table (Table) or as
 // Prometheus-style text lines (Prometheus).
@@ -367,10 +366,11 @@ func NewTable[T any](cols ...Column[T]) *Table[T] {
 }
 
 // Register adds obj to reg as one row carrying labels; every family of
-// the table reads it from then on. Registering a row again under the
-// same labels is a no-op: the first object stays. No-op on a nil
-// registry. The row keeps labels, so the caller must not change it
-// afterwards; objects registered under one label set can share it.
+// the table reads it from then on. An object is registered once: a
+// second row of the table under the same labels makes the next
+// Snapshot panic. No-op on a nil registry. The row keeps labels, so the
+// caller must not change it afterwards; objects registered under one
+// label set can share it.
 func (t *Table[T]) Register(reg *Registry, obj T, labels ...Label) {
 	if reg == nil {
 		return
@@ -385,15 +385,12 @@ func single(name string) *table {
 		read: func(obj any, sm *Sample) { sm.Value = float64(obj.(*Counter).v) }}}}
 }
 
-// row is one registered object, in 64 bytes: its table, the object its
-// columns read, its labels, and next, the row registered before it
-// whose identity hashes alike.
+// row is one registered object, in 48 bytes: its table, the object its
+// columns read and its labels.
 type row struct {
 	tab    *table
 	obj    any
 	labels []Label
-	hash   uint64 // hashKey of its identity
-	next   *row
 }
 
 // Registry holds every registered row plus the event tracer. All
@@ -403,11 +400,6 @@ type row struct {
 type Registry struct {
 	clock Clock
 	rows  []*row
-	// buckets holds, per identity hash (hashKey of the table's first
-	// family and the row's labels) modulo its length, a power of two,
-	// the chain of rows whose identities land there, newest first. It
-	// doubles when the rows outnumber it.
-	buckets []*row
 	// families maps each family name to the table that reads it.
 	families map[string]*table
 	samples  int // columns over all rows: a snapshot's length
@@ -419,7 +411,6 @@ type Registry struct {
 func New(clock Clock) *Registry {
 	return &Registry{
 		clock:    clock,
-		buckets:  make([]*row, 64),
 		families: make(map[string]*table),
 		tracer:   newTracer(clock, DefaultTraceCap),
 	}
@@ -443,98 +434,25 @@ func (r *Registry) Tracer() *Tracer {
 	return r.tracer
 }
 
-func key(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range labels {
-		b.WriteByte('|')
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	return b.String()
-}
-
-// FNV-1a, 64-bit.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return h
-}
-
-// hashKey is the FNV-1a of key(name, labels), computed without building
-// the string.
-func hashKey(name string, labels []Label) uint64 {
-	h := fnvString(fnvOffset, name)
-	for _, l := range labels {
-		h = fnvString((h^'|')*fnvPrime, l.Key)
-		h = fnvString((h^'=')*fnvPrime, l.Value)
-	}
-	return h
-}
-
-// find returns t's row registered under labels, or nil.
-func (r *Registry) find(t *table, labels []Label) *row {
-	for w := *r.chain(hashKey(t.cols[0].name, labels)); w != nil; w = w.next {
-		if w.tab == t && slices.Equal(w.labels, labels) {
-			return w
-		}
-	}
-	return nil
-}
-
-// chain returns the head of the chain that identity hash h lands in.
-func (r *Registry) chain(h uint64) **row { return &r.buckets[h&uint64(len(r.buckets)-1)] }
-
-// link adds w to the rows and to the head of its chain, doubling the
-// hash table first if w would outnumber it.
-func (r *Registry) link(w *row) {
-	if len(r.rows) >= len(r.buckets) {
-		// Rechain oldest first, so each chain stays newest first.
-		r.buckets = make([]*row, 2*len(r.buckets))
-		for _, v := range r.rows {
-			head := r.chain(v.hash)
-			v.next, *head = *head, v
-		}
-	}
-	head := r.chain(w.hash)
-	w.next, *head = *head, w
-	r.rows = append(r.rows, w)
-}
-
-// add returns t's row registered under labels, adding one that holds
-// obj if there is none, after t has claimed its families.
-func (r *Registry) add(t *table, obj any, labels []Label) *row {
+// add appends a row of t holding obj under labels, after t has claimed
+// its families.
+func (r *Registry) add(t *table, obj any, labels []Label) {
 	if r.families[t.cols[0].name] != t {
 		r.claim(t, labels)
 	}
-	if w := r.find(t, labels); w != nil {
-		return w
-	}
-	w := &row{tab: t, obj: obj, labels: labels, hash: hashKey(t.cols[0].name, labels)}
-	r.link(w)
+	r.rows = append(r.rows, &row{tab: t, obj: obj, labels: labels})
 	r.samples += len(t.cols)
-	return w
 }
 
 // claim makes t the table of each of its families, panicking, with the
-// key of the row being registered, if another table has one.
+// ID of the row's sample being registered, if another table has one.
 func (r *Registry) claim(t *table, labels []Label) {
 	for _, c := range t.cols {
 		was, ok := r.families[c.name]
 		if !ok || was == t {
 			continue
 		}
-		id := key(c.name, append(labels[:len(labels):len(labels)], c.labels...))
+		id := Sample{Name: c.name, Labels: append(labels[:len(labels):len(labels)], c.labels...)}.ID()
 		if k := was.kindOf(c.name); k != c.kind {
 			panic(fmt.Sprintf("obs: %s re-registered as %v, was %v", id, c.kind, k))
 		}
@@ -555,9 +473,10 @@ func (t *table) kindOf(name string) Kind {
 	return 0
 }
 
-// Counter returns the counter registered under name+labels, creating
-// it if needed. On a nil registry it returns a fresh unregistered
-// counter. Naming a family a table reads panics.
+// Counter registers a new counter under name+labels and returns it. On
+// a nil registry it returns a fresh unregistered counter. Naming a
+// family a table reads panics, and calling it twice under one
+// name+labels makes the next Snapshot panic.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return NewCounter()
@@ -566,7 +485,9 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if t == nil || !t.cols[0].single {
 		t = single(name)
 	}
-	return r.add(t, NewCounter(), labels).obj.(*Counter)
+	c := NewCounter()
+	r.add(t, c, labels)
+	return c
 }
 
 // Sample is one instrument's state at snapshot time.
@@ -630,7 +551,10 @@ type Snapshot struct {
 
 // Snapshot reads every instrument. Safe to call whenever no simulation
 // process is mid-step (between RunFor calls, or from a control
-// process). A nil registry yields an empty snapshot.
+// process). A nil registry yields an empty snapshot. It panics, naming
+// the sample ID, if two rows share an identity: a sample ID is its
+// row's table and labels, for a family belongs to one table, so equal
+// IDs mean an object registered twice.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
@@ -652,6 +576,11 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	sort.Sort(&byID{s.Samples, ids})
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			panic("obs: " + ids[i] + " registered twice")
+		}
+	}
 	return s
 }
 
@@ -674,9 +603,8 @@ func (b *byID) Swap(i, j int) {
 
 // Get returns the sample with the exact name and labels.
 func (s Snapshot) Get(name string, labels ...Label) (Sample, bool) {
-	want := key(name, labels)
 	for _, sm := range s.Samples {
-		if key(sm.Name, sm.Labels) == want {
+		if sm.Name == name && slices.Equal(sm.Labels, labels) {
 			return sm, true
 		}
 	}

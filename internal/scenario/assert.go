@@ -99,7 +99,8 @@ func (r *Runner) CleanTwin() (*Runner, error) {
 
 // Survivors compares the run with its fault-free twin clean, delivery by
 // delivery (named audio stream × destination, mixer digest and segment
-// count). A delivery is excluded when it goes into a box of skip, or
+// count): the blocks offered to the stream's clawback buffer, refused
+// ones included, not the audio played (ROADMAP item 16(a)). A delivery is excluded when it goes into a box of skip, or
 // when it touched a crashed box: the source or destination crashed, or
 // the destination ever sat — before a repair re-homed it — in a tree
 // subtree under a crashed relay, and so lost cells while the relay was

@@ -19,7 +19,7 @@ import (
 // each histogram's multiset, every map and the trace ring's events are
 // built on first use, and the muting tables are one pair a process, so
 // an idle box holds none of them.
-const idleBoxBytes = 12_400
+const idleBoxBytes = 11_267
 
 // streamBytes is what one received audio stream adds to the live heap
 // (linux/amd64, go1.24) once it has played for 100 ms: the mixer's
@@ -28,7 +28,7 @@ const idleBoxBytes = 12_400
 // the switch tables' entries at both ends, the speaker ring's storage
 // and the stream's trace events. Its close gives back the clawback ring
 // and the plan, and keeps the figures (closedCallBytes).
-const streamBytes = 3_390
+const streamBytes = 2_718
 
 // liveGrowth builds spec, runs it for d and returns how much the live
 // heap grew.
@@ -99,7 +99,7 @@ func TestStreamFootprint(t *testing.T) {
 // the per-stream registry rows the digest reads, without the clawback
 // ring, and the playout histogram — and the rest the spec's two events,
 // the Runner's refs and the call's share of the trace ring.
-const closedCallBytes = 4_610
+const closedCallBytes = 3_947
 
 // callRounds is ten boxes with microphones on one fabric, paired into
 // five calls a round for rounds rounds: round k opens its calls at
