@@ -70,8 +70,6 @@ type vciMux struct {
 	sendErrs uint64
 }
 
-func (m *vciMux) TransportName() string { return "udpmux" }
-
 func (m *vciMux) Send(p *occam.Proc, msg atm.Message) error {
 	peers := m.routes[msg.VCI]
 	if len(peers) == 0 {

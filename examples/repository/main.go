@@ -37,7 +37,7 @@ func main() {
 		panic(err)
 	}
 
-	recording := sys.Repository("archive").Recording(rec.VCIs["archive"])
+	recording := sys.Repository("archive").Recording(rec.VCI("archive"))
 	fmt.Printf("recorded %v of audio in %d live segments (%d bytes, %.0f%% headers)\n",
 		recording.Duration(), len(recording.Segments),
 		recording.StoredBytes(), recording.HeaderOverhead()*100)

@@ -94,15 +94,11 @@ type port interface {
 type Transport interface {
 	// Send conveys m toward its destination.
 	Send(p *occam.Proc, m Message) error
-	// TransportName identifies the backend in diagnostics.
-	TransportName() string
 }
 
 // chanTransport is the default in-process backend: the host's circuit
 // table plus store-and-forward links, all on one runtime.
 type chanTransport struct{ h *Host }
-
-func (t chanTransport) TransportName() string { return "chan" }
 
 func (t chanTransport) Send(p *occam.Proc, m Message) error {
 	c, ok := t.h.circuits[m.VCI]
@@ -444,6 +440,12 @@ func (h *Host) SetTransport(t Transport) {
 
 // Transport returns the host's current outgoing backend.
 func (h *Host) Transport() Transport { return h.trans }
+
+// HasCircuit reports whether a circuit for vci is open from the host.
+func (h *Host) HasCircuit(vci uint32) bool {
+	_, ok := h.circuits[vci]
+	return ok
+}
 
 // Send transmits a message from this host. It hands the message to
 // the transport backend — for the default backend, the first link of

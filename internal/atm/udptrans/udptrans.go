@@ -145,9 +145,6 @@ func Dial(addr string) (*Transport, error) {
 	return &Transport{conn: conn, peer: addr}, nil
 }
 
-// TransportName implements atm.Transport.
-func (t *Transport) TransportName() string { return "udp:" + t.peer }
-
 // Send implements atm.Transport: one datagram per message. On success
 // the message's wire reference is released — the bytes have crossed
 // the process boundary; on error it stays with the caller.

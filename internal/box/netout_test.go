@@ -26,8 +26,6 @@ type sendLog struct {
 	lines []string
 }
 
-func (l *sendLog) TransportName() string { return "log+" + l.inner.TransportName() }
-
 func (l *sendLog) Send(p *occam.Proc, m atm.Message) error {
 	kind := "audio"
 	if m.W.Type() == segment.TypeVideo {

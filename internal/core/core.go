@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/atm"
@@ -46,8 +47,8 @@ import (
 // readers ask of its plan (EverUnder, FeederBoxes, the tree row).
 type Stream struct {
 	From  string
-	Local uint32            // stream number at the source box
-	VCIs  map[string]uint32 // destination name → VCI (= stream number there)
+	Local uint32 // stream number at the source box
+	Dests []Dest // sorted by name
 	Video bool
 	// Tree is the stream's distribution plan while it is open: who feeds
 	// whom. Streams opened by SendAudio/SendVideo carry the flat plan
@@ -56,6 +57,13 @@ type Stream struct {
 	// real replication trees. Close releases it: nil once closed.
 	Tree *TreePlan
 	kept *keptPlan // what Close kept of a tree's plan; nil for a flat one
+}
+
+// Dest is one destination of a stream and the VCI it hears the stream
+// on: the stream number its own box allocated (§1.1).
+type Dest struct {
+	Name string
+	VCI  uint32
 }
 
 // keptPlan is what a closed stream keeps of a tree's plan: the figures
@@ -69,8 +77,20 @@ type keptPlan struct {
 	repairs                uint64
 }
 
-// Dsts returns the stream's destinations, sorted.
-func (st *Stream) Dsts() []string { return slices.Sorted(maps.Keys(st.VCIs)) }
+// find returns where dst sits in Dests, or would be inserted, and
+// whether it is there.
+func (st *Stream) find(dst string) (int, bool) {
+	return slices.BinarySearchFunc(st.Dests, dst, func(d Dest, name string) int { return strings.Compare(d.Name, name) })
+}
+
+// VCI returns the VCI dst hears the stream on; 0 when dst is no
+// destination.
+func (st *Stream) VCI(dst string) uint32 {
+	if i, ok := st.find(dst); ok {
+		return st.Dests[i].VCI
+	}
+	return 0
+}
 
 // Closed reports whether Close has run on the stream.
 func (st *Stream) Closed() bool { return st.Tree == nil }
@@ -80,7 +100,7 @@ func (st *Stream) EverUnder(dst, box string) bool {
 	if st.Tree != nil {
 		return st.Tree.EverUnder(dst, box)
 	}
-	_, member := st.VCIs[dst]
+	_, member := st.find(dst)
 	return member && (box == st.From || st.kept != nil && slices.Contains(st.kept.under[dst], box))
 }
 
@@ -92,7 +112,7 @@ func (st *Stream) FeederBoxes() int {
 	case st.kept != nil:
 		return st.kept.feeders
 	}
-	return min(1, len(st.VCIs)) // a flat plan: the source fed them all
+	return min(1, len(st.Dests)) // a flat plan: the source fed them all
 }
 
 // System is a collection of boxes and repositories on one network.
@@ -122,11 +142,9 @@ type node struct {
 	repo *repository.Repository // nil for a box
 	host *atm.Host
 
-	// Set by AttachFabric: the node's fabric, its port there, and the
-	// mux that steers bridge VCIs past the port onto links.
+	// Set by AttachFabric: the node's fabric and its port there.
 	fab  *fabric.Fabric
 	port *fabric.Port
-	mux  *bridgeMux
 
 	links      map[string][]*atm.Link // peer name → the directional path to it
 	nextStream uint32                 // last source-local stream number handed out
@@ -287,26 +305,23 @@ func (s *System) AttachFabric(fabricName, name string) *fabric.Port {
 	}
 	prev := n.host.Transport()
 	n.fab, n.port = f, f.Attach(n.host)
-	n.mux = &bridgeMux{port: n.port, links: prev, bridge: make(map[uint32]bool)}
-	n.host.SetTransport(n.mux)
+	n.host.SetTransport(&bridgeMux{host: n.host, port: n.port, links: prev})
 	return n.port
 }
 
 // bridgeMux lets a fabric-attached node also drive point-to-point
-// bridge links toward other fabrics: VCIs registered as bridges go out
-// over the host's circuit table, everything else through the
-// fabric port. Registration happens in openCircuit/closeCircuit, on
-// the control plane; the data path is one map lookup.
+// bridge links toward other fabrics: a VCI the host has a circuit for
+// goes out over the links, everything else through the fabric port.
+// openCircuit opens a bridge's circuit on the control plane; the data
+// path is one lookup in the host's circuit table.
 type bridgeMux struct {
-	port   atm.Transport
-	links  atm.Transport
-	bridge map[uint32]bool
+	host  *atm.Host
+	port  atm.Transport
+	links atm.Transport
 }
 
-func (m *bridgeMux) TransportName() string { return "bridge+" + m.port.TransportName() }
-
 func (m *bridgeMux) Send(p *occam.Proc, msg atm.Message) error {
-	if m.bridge[msg.VCI] {
+	if m.host.HasCircuit(msg.VCI) {
 		return m.links.Send(p, msg)
 	}
 	return m.port.Send(p, msg)
@@ -569,16 +584,13 @@ func (s *System) sameRoute(a, b, to *node) bool {
 // openCircuit installs the data path for one VCI along the from→to
 // edge: into the fabric routing table (toward the destination's port),
 // or as a classic point-to-point circuit over the link path — bridge
-// links between fabric-attached nodes included, which register the VCI
-// in the sender's bridge mux.
+// links between fabric-attached nodes included, whose circuit the
+// sender's bridge mux then finds.
 func (s *System) openCircuit(p *occam.Proc, vci uint32, from, to *node, video bool) {
 	e := s.mustEdge(from, to)
 	if e.fab != nil {
 		e.fab.Route(p.Now(), vci, to.port, video)
 		return
-	}
-	if from.mux != nil {
-		from.mux.bridge[vci] = true
 	}
 	s.Net.OpenCircuit(vci, from.host, to.host, e.links...)
 }
@@ -609,9 +621,6 @@ func (s *System) closeCircuit(vci uint32, from, to *node) {
 	if e.fab != nil {
 		e.fab.Unroute(vci)
 		return
-	}
-	if from.mux != nil {
-		delete(from.mux.bridge, vci)
 	}
 	s.Net.CloseCircuit(vci, from.host, e.links...)
 }

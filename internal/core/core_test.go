@@ -36,10 +36,10 @@ func TestCallBothDirections(t *testing.T) {
 	if err := s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Box("b").Mixer().Stats(ab.VCIs["b"]); got.Segments < 200 {
+	if got := s.Box("b").Mixer().Stats(ab.VCI("b")); got.Segments < 200 {
 		t.Fatalf("a→b delivered %d segments", got.Segments)
 	}
-	if got := s.Box("a").Mixer().Stats(ba.VCIs["a"]); got.Segments < 200 {
+	if got := s.Box("a").Mixer().Stats(ba.VCI("a")); got.Segments < 200 {
 		t.Fatalf("b→a delivered %d segments", got.Segments)
 	}
 }
@@ -80,7 +80,7 @@ func TestTannoySplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []string{"d1", "d2", "d3"} {
-		if got := s.Box(n).Mixer().Stats(st.VCIs[n]); got.Segments < 200 {
+		if got := s.Box(n).Mixer().Stats(st.VCI(n)); got.Segments < 200 {
 			t.Fatalf("%s got %d segments", n, got.Segments)
 		}
 	}
@@ -128,7 +128,7 @@ func TestSplitAndRemoveDestinationContinuity(t *testing.T) {
 	if err := s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	keep := s.Box("keep").Mixer().Stats(st.VCIs["keep"])
+	keep := s.Box("keep").Mixer().Stats(st.VCI("keep"))
 	if keep.LostSegments != 0 {
 		t.Fatalf("reconfiguration cost the kept copy %d segments", keep.LostSegments)
 	}
@@ -152,11 +152,11 @@ func TestCloseStopsFlow(t *testing.T) {
 	if err := s.RunFor(600 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Box("b").Mixer().Stats(st.VCIs["b"]).Segments
+	after := s.Box("b").Mixer().Stats(st.VCI("b")).Segments
 	if err := s.RunFor(400 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	later := s.Box("b").Mixer().Stats(st.VCIs["b"]).Segments
+	later := s.Box("b").Mixer().Stats(st.VCI("b")).Segments
 	if later > after+2 {
 		t.Fatalf("segments still flowing after Close: %d -> %d", after, later)
 	}
@@ -175,7 +175,7 @@ func TestRecordAndPlayback(t *testing.T) {
 	if err := s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rec := s.Repository("repo").Recording(st.VCIs["repo"])
+	rec := s.Repository("repo").Recording(st.VCI("repo"))
 	if rec == nil || rec.Duration() < 900*time.Millisecond {
 		t.Fatalf("recording %v", rec)
 	}
@@ -208,7 +208,7 @@ func TestMultiHopPathWorks(t *testing.T) {
 	if err := s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Box("lon").Mixer().Stats(st.VCIs["lon"]); got.Segments < 200 {
+	if got := s.Box("lon").Mixer().Stats(st.VCI("lon")); got.Segments < 200 {
 		t.Fatalf("multi-hop delivered %d segments", got.Segments)
 	}
 }
@@ -246,13 +246,13 @@ func TestRecordingIsAPlannedStream(t *testing.T) {
 	if err := s.RunFor(300 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Tree.Members(); len(got) != 1 || got[0] != "repo" {
-		t.Fatalf("plan members %v, want [repo]", got)
+	if got := st.Dests; len(got) != 1 || got[0].Name != "repo" || len(st.Tree.order) != 1 {
+		t.Fatalf("destinations %v, want [repo]", got)
 	}
 	if got := st.Tree.SourceCopies(); got != 1 {
 		t.Fatalf("source sends %d copies, want 1", got)
 	}
-	recorded := func() int { return len(s.Repository("repo").Recording(st.VCIs["repo"]).Segments) }
+	recorded := func() int { return len(s.Repository("repo").Recording(st.VCI("repo")).Segments) }
 	step := func(what string, ctl func(p *occam.Proc)) {
 		t.Helper()
 		before := recorded()
@@ -265,16 +265,16 @@ func TestRecordingIsAPlannedStream(t *testing.T) {
 		}
 	}
 	step("pull b", func(p *occam.Proc) { s.Pull(p, st, "b") })
-	heard := s.Box("b").Mixer().Stats(st.VCIs["b"]).Segments
+	heard := s.Box("b").Mixer().Stats(st.VCI("b")).Segments
 	if heard < 70 {
 		t.Fatalf("b heard %d segments while it was a destination", heard)
 	}
 	step("drop b", func(p *occam.Proc) { s.RemoveDestination(p, st, "b") })
-	if lost := s.Repository("repo").Recording(st.VCIs["repo"]).LostSegments; lost != 0 {
+	if lost := s.Repository("repo").Recording(st.VCI("repo")).LostSegments; lost != 0 {
 		t.Fatalf("reconfiguration cost the recording %d segments", lost)
 	}
-	if got := st.Tree.Members(); len(got) != 1 || got[0] != "repo" {
-		t.Fatalf("plan members %v after the drop, want [repo]", got)
+	if got := st.Dests; len(got) != 1 || got[0].Name != "repo" || len(st.Tree.order) != 1 {
+		t.Fatalf("destinations %v after the drop, want [repo]", got)
 	}
 
 	s.Control(func(p *occam.Proc) { s.Close(p, st) })
@@ -329,7 +329,7 @@ func TestRemoveDestinationKeepsPlacementOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Shutdown()
-		want := []uint32{st.VCIs["d1"], st.VCIs["d3"]}
+		want := []uint32{st.VCI("d1"), st.VCI("d3")}
 		if len(log.vcis) < 40 {
 			t.Fatalf("run %d: only %d messages after the drop", run, len(log.vcis))
 		}

@@ -52,20 +52,26 @@ func fuzzSystem() (*System, []string) {
 // checkPlan is the plan algebra every tree verb must leave intact.
 func checkPlan(s *System, st *Stream, k int) error {
 	plan := st.Tree
-	members := plan.Members()
-	if len(members) != len(st.VCIs) {
-		return fmt.Errorf("%d members but %d VCIs", len(members), len(st.VCIs))
+	// With as many destinations as members, strictly name-sorted, and a
+	// non-zero VCI found for each member below, the two are one list.
+	if len(plan.order) != len(st.Dests) {
+		return fmt.Errorf("%d members but %d destinations", len(plan.order), len(st.Dests))
+	}
+	for i := 1; i < len(st.Dests); i++ {
+		if st.Dests[i-1].Name >= st.Dests[i].Name {
+			return fmt.Errorf("destinations out of name order, or listed twice: %v", st.Dests)
+		}
 	}
 	seen := map[string]bool{}
-	for _, m := range members {
-		n := plan.members[m]
-		if n == nil || seen[m] || st.VCIs[m] == 0 {
+	for _, n := range plan.order {
+		m := n.name
+		if plan.members[m] != n || seen[m] || st.VCI(m) == 0 {
 			return fmt.Errorf("member %s: listed twice, unknown to the plan, or without a VCI", m)
 		}
 		seen[m] = true
 		hops := 0
 		for c := n; c != plan.root; c = c.parent {
-			if c.parent == nil || !slices.Contains(c.parent.children, c) || hops > len(members) {
+			if c.parent == nil || !slices.Contains(c.parent.children, c) || hops > len(plan.order) {
 				return fmt.Errorf("member %s is not reachable from the source (broken at %s)", m, c.name)
 			}
 			if !s.Connectable(c.parent.name, c.name) {
@@ -88,13 +94,13 @@ func checkPlan(s *System, st *Stream, k int) error {
 	var rootFed []uint32
 	for _, n := range plan.order {
 		if n.parent == plan.root {
-			rootFed = append(rootFed, st.VCIs[n.name])
+			rootFed = append(rootFed, st.VCI(n.name))
 		}
 		var want []uint32
 		for _, c := range n.children {
-			want = append(want, st.VCIs[c.name])
+			want = append(want, st.VCI(c.name))
 		}
-		if got := s.Box(n.name).NetCopies(st.VCIs[n.name]); !slices.Equal(got, want) {
+		if got := s.Box(n.name).NetCopies(st.VCI(n.name)); !slices.Equal(got, want) {
 			return fmt.Errorf("%s sends on %v, its children are %v", n.name, got, want)
 		}
 	}
@@ -107,24 +113,35 @@ func checkPlan(s *System, st *Stream, k int) error {
 // snapshot renders what a refused verb must leave as it was: the plan
 // with its history and cursor, every box's fan-out of the stream, and
 // the open circuits as far as core can see them — the VCI allocator
-// every new circuit draws from, the bridge VCIs each node steers onto
-// links, and the trace, which every circuit closed or opened over links
-// and every move writes to.
+// every new circuit draws from, the VCIs each fabric-attached node's
+// host keeps a circuit for — which its bridge mux steers onto links —
+// and the trace, which every circuit closed or opened over links and
+// every move writes to.
 func snapshot(s *System, st *Stream) string {
 	plan := st.Tree
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "next %d repairs %d vci %d trace %d src %v\n", plan.next, plan.repairs, s.nextVCI,
 		s.Obs.Tracer().Total(), s.Box(st.From).NetCopies(st.Local))
 	for _, n := range plan.order {
-		fmt.Fprintf(&sb, "%s tree %d vci %d parent %s sends %v former", n.name, n.tree, st.VCIs[n.name], n.parent.name, s.Box(n.name).NetCopies(st.VCIs[n.name]))
+		fmt.Fprintf(&sb, "%s tree %d vci %d parent %s sends %v former", n.name, n.tree, st.VCI(n.name), n.parent.name, s.Box(n.name).NetCopies(st.VCI(n.name)))
 		for _, f := range n.former {
 			sb.WriteString(" " + f.name)
 		}
 		sb.WriteString("\n")
 	}
 	for _, name := range slices.Sorted(maps.Keys(s.nodes)) {
-		if mux := s.nodes[name].mux; mux != nil && len(mux.bridge) > 0 {
-			fmt.Fprintf(&sb, "%s bridges %v\n", name, slices.Sorted(maps.Keys(mux.bridge)))
+		n := s.nodes[name]
+		if n.fab == nil {
+			continue
+		}
+		var bridges []uint32
+		for vci := uint32(1); vci <= s.nextVCI; vci++ {
+			if n.host.HasCircuit(vci) {
+				bridges = append(bridges, vci)
+			}
+		}
+		if len(bridges) > 0 {
+			fmt.Fprintf(&sb, "%s bridges %v\n", name, bridges)
 		}
 	}
 	return sb.String()

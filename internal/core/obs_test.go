@@ -87,7 +87,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if sam, _ := snap.Get("atm_link_forwarded_total", obs.L("link", "alice-bob.0")); uint64(sam.Value) != st.Forwarded {
 		t.Errorf("link stats %d diverge from registry %v", st.Forwarded, sam.Value)
 	}
-	m := s.Box("bob").Mixer().Stats(ab.VCIs["bob"])
+	m := s.Box("bob").Mixer().Stats(ab.VCI("bob"))
 	if sam, _ := snap.Get("mixer_segments_total",
 		obs.L("box", "bob"), obs.L("stream", "1001")); uint64(sam.Value) != m.Segments {
 		t.Errorf("mixer stats %d diverge from registry %v", m.Segments, sam.Value)

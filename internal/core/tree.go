@@ -111,15 +111,6 @@ func NewTreePlan(topo Topology, src string, cfg TreeConfig) *TreePlan {
 // Config returns the plan's tree parameters (defaults applied).
 func (t *TreePlan) Config() TreeConfig { return t.cfg }
 
-// Members returns every destination in placement order.
-func (t *TreePlan) Members() []string {
-	out := make([]string, len(t.order))
-	for i, n := range t.order {
-		out[i] = n.name
-	}
-	return out
-}
-
 // Parent returns who currently feeds dst — the source's name for a
 // tree root — or "" when dst is not a member.
 func (t *TreePlan) Parent(dst string) string {
@@ -396,7 +387,7 @@ func (s *System) install(p *occam.Proc, st *Stream, n *member, reinstall bool, p
 	if b == nil {
 		return // repositories take delivery straight off the circuit
 	}
-	r := box.Route{Stream: st.VCIs[n.name], Video: st.Video}
+	r := box.Route{Stream: st.VCI(n.name), Video: st.Video}
 	kids, local := n.children, box.OutSpeaker
 	if n == st.Tree.root {
 		r.Stream, kids = st.Local, st.Tree.order
@@ -405,7 +396,7 @@ func (s *System) install(p *occam.Proc, st *Stream, n *member, reinstall bool, p
 	}
 	for _, c := range kids {
 		if c.parent == n && !slices.Contains(pending, c) {
-			r.NetVCIs = append(r.NetVCIs, st.VCIs[c.name])
+			r.NetVCIs = append(r.NetVCIs, st.VCI(c.name))
 		}
 	}
 	switch {
@@ -433,8 +424,9 @@ func (s *System) attach(p *occam.Proc, st *Stream, dst string) (*member, error) 
 		return nil, err
 	}
 	n := st.Tree.members[dst]
-	st.VCIs[dst] = s.allocVCI()
-	s.openCircuit(p, st.VCIs[dst], s.node(n.parent.name), s.node(dst), st.Video)
+	i, _ := st.find(dst)
+	st.Dests = slices.Insert(st.Dests, i, Dest{dst, s.allocVCI()})
+	s.openCircuit(p, st.Dests[i].VCI, s.node(n.parent.name), s.node(dst), st.Video)
 	return n, nil
 }
 
@@ -456,7 +448,7 @@ func (s *System) sendTree(p *occam.Proc, cfg TreeConfig, from string, cs box.Cam
 	src := s.node(from)
 	src.nextStream++
 	plan := NewTreePlan(s, from, cfg)
-	st := &Stream{From: from, Local: src.nextStream, Video: video, VCIs: make(map[string]uint32), Tree: plan}
+	st := &Stream{From: from, Local: src.nextStream, Video: video, Dests: make([]Dest, 0, len(to)), Tree: plan}
 	var first error
 	for _, dst := range to {
 		if _, err := s.attach(p, st, dst); first == nil {
@@ -540,7 +532,7 @@ func (s *System) rehome(p *occam.Proc, st *Stream, relay, why string) (int, erro
 	s.install(p, st, from, true, nil)
 	old := s.node(from.name)
 	for i, o := range orphans {
-		if to, vci := s.node(o.parent.name), st.VCIs[o.name]; !s.sameRoute(old, to, s.node(o.name)) {
+		if to, vci := s.node(o.parent.name), st.VCI(o.name); !s.sameRoute(old, to, s.node(o.name)) {
 			s.closeCircuit(vci, old, s.node(o.name))
 			s.openCircuit(p, vci, to, s.node(o.name), st.Video)
 		}
@@ -590,7 +582,7 @@ func (s *System) Close(p *occam.Proc, st *Stream) {
 	}
 	src.CloseRoute(p, st.Local)
 	for _, n := range st.Tree.order {
-		s.disconnect(p, n, st.VCIs[n.name])
+		s.disconnect(p, n, st.VCI(n.name))
 	}
 	st.kept, st.Tree = st.Tree.keep(), nil
 }
@@ -618,33 +610,10 @@ func (s *System) RemoveDestination(p *occam.Proc, st *Stream, dst string) error 
 		return err
 	}
 	st.Tree.Remove(dst, nil) // a leaf now: nothing moves
-	vci := st.VCIs[dst]
-	forget(st, dst)
+	i, _ := st.find(dst)
+	vci := st.Dests[i].VCI
+	st.Dests = slices.Delete(st.Dests, i, i+1)
 	s.install(p, st, n.parent, true, nil)
 	s.disconnect(p, n, vci)
 	return nil
-}
-
-// forget removes dst from the stream's VCIs. A Go map that deletes from
-// a full group leaves a tombstone there, after which it grows at points
-// its random hash seed picks, so a run's allocations would not repeat.
-// Clearing the map and refilling it keeps its capacity and leaves none.
-// The entries wait on the stack; a tree of more than 64 members spills
-// them to the heap.
-func forget(st *Stream, dst string) {
-	type entry struct {
-		dst string
-		vci uint32
-	}
-	var buf [64]entry
-	kept := buf[:0]
-	for d, vci := range st.VCIs {
-		if d != dst {
-			kept = append(kept, entry{d, vci})
-		}
-	}
-	clear(st.VCIs)
-	for _, e := range kept {
-		st.VCIs[e.dst] = e.vci
-	}
 }

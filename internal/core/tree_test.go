@@ -50,14 +50,14 @@ func TestTreePlanInvariants(t *testing.T) {
 	if got := plan.MaxInteriorCopies(); got > 3 {
 		t.Fatalf("a box forwards %d copies, k=3", got)
 	}
-	if got := len(plan.Members()); got != 20 {
+	if got := len(plan.order); got != 20 {
 		t.Fatalf("%d members, want 20", got)
 	}
 	if plan.Depth() < 3 {
 		t.Fatalf("depth %d — 10 viewers per tree at fanout 3 need interior relays", plan.Depth())
 	}
 	for _, v := range viewers {
-		if got := s.Box(v).Mixer().Stats(st.VCIs[v]); got.Segments < 80 {
+		if got := s.Box(v).Mixer().Stats(st.VCI(v)); got.Segments < 80 {
 			t.Fatalf("%s got %d segments", v, got.Segments)
 		}
 	}
@@ -88,7 +88,7 @@ func TestTreeFlatMatchesSendAudio(t *testing.T) {
 		}
 		out := make(map[string]uint64)
 		for _, v := range viewers {
-			m := s.Box(v).Mixer().Stats(st.VCIs[v])
+			m := s.Box(v).Mixer().Stats(st.VCI(v))
 			if m.Segments == 0 {
 				t.Fatalf("%s silent", v)
 			}
@@ -128,7 +128,7 @@ func TestTreePullGraft(t *testing.T) {
 		t.Fatalf("source sends %d copies after pulls, want 1", got)
 	}
 	for _, v := range viewers[3:] {
-		if got := s.Box(v).Mixer().Stats(st.VCIs[v]); got.Segments < 30 {
+		if got := s.Box(v).Mixer().Stats(st.VCI(v)); got.Segments < 30 {
 			t.Fatalf("late joiner %s got %d segments", v, got.Segments)
 		}
 		if st.Tree.Parent(v) == "src" {
@@ -173,7 +173,7 @@ func TestTreeRepairRehomes(t *testing.T) {
 		if st.Tree.Parent(v) == root {
 			t.Fatalf("%s still fed by the failed root", v)
 		}
-		segsBefore := s.Box(v).Mixer().Stats(st.VCIs[v]).Segments
+		segsBefore := s.Box(v).Mixer().Stats(st.VCI(v)).Segments
 		if segsBefore == 0 {
 			t.Fatalf("%s silent after repair", v)
 		}
@@ -186,11 +186,11 @@ func TestTreeRepairRehomes(t *testing.T) {
 	}
 	// Audio still flows to a re-homed viewer after the repair.
 	moved := st.Tree.RehomedFrom(root)[0]
-	before := s.Box(moved).Mixer().Stats(st.VCIs[moved]).Segments
+	before := s.Box(moved).Mixer().Stats(st.VCI(moved)).Segments
 	if err := s.RunFor(300 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if after := s.Box(moved).Mixer().Stats(st.VCIs[moved]).Segments; after <= before {
+	if after := s.Box(moved).Mixer().Stats(st.VCI(moved)).Segments; after <= before {
 		t.Fatalf("re-homed %s stalled: %d → %d segments", moved, before, after)
 	}
 }
@@ -225,12 +225,12 @@ func TestTreeChurnRepairRace(t *testing.T) {
 	if err := s.RunFor(500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(st.Tree.Members()); got != 15 {
+	if got := len(st.Tree.order); got != 15 {
 		t.Fatalf("%d members after churn, want 15", got)
 	}
-	for v, vci := range st.VCIs {
-		if got := s.Box(v).Mixer().Stats(vci); got.Segments == 0 {
-			t.Fatalf("%s silent after churn", v)
+	for _, d := range st.Dests {
+		if got := s.Box(d.Name).Mixer().Stats(d.VCI); got.Segments == 0 {
+			t.Fatalf("%s silent after churn", d.Name)
 		}
 	}
 }
@@ -295,17 +295,17 @@ func TestTreeRemoveInteriorDestination(t *testing.T) {
 	if err := s.RunFor(300 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, open := st.VCIs[root]; open {
+	if st.VCI(root) != 0 {
 		t.Fatalf("%s still has a circuit after removal", root)
 	}
-	if got := len(st.Tree.Members()); got != 9 {
+	if got := len(st.Tree.order); got != 9 {
 		t.Fatalf("%d members after removal, want 9", got)
 	}
 	if got := st.Tree.Repairs(); got != 0 {
 		t.Fatalf("a departure was booked as %d repairs; nothing failed", got)
 	}
 	for _, v := range viewers[1:] {
-		before := s.Box(v).Mixer().Stats(st.VCIs[v]).Segments
+		before := s.Box(v).Mixer().Stats(st.VCI(v)).Segments
 		if before == 0 {
 			t.Fatalf("%s silent after interior removal", v)
 		}
@@ -323,11 +323,11 @@ func TestTreeMemberAttachedOnce(t *testing.T) {
 	var vci uint32
 	s.Control(func(p *occam.Proc) {
 		st = must(s.SendAudioTree(p, TreeConfig{Fanout: 2}, "src", viewers...))
-		vci = st.VCIs[a]
+		vci = st.VCI(a)
 		p.Sleep(100 * time.Millisecond)
 		s.Pull(p, st, a)
-		if got := st.VCIs[a]; got != vci || len(st.Tree.Members()) != 2 {
-			t.Errorf("second attach of %s: VCI %d → %d, members %v", a, vci, got, st.Tree.Members())
+		if got := st.VCI(a); got != vci || len(st.Dests) != 2 || len(st.Tree.order) != 2 {
+			t.Errorf("second attach of %s: VCI %d → %d, destinations %v", a, vci, got, st.Dests)
 		}
 		p.Sleep(100 * time.Millisecond)
 		s.RemoveDestination(p, st, a)
@@ -335,11 +335,11 @@ func TestTreeMemberAttachedOnce(t *testing.T) {
 	if err := s.RunFor(300 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, open := st.VCIs[a]; open || len(st.VCIs) != 1 {
-		t.Fatalf("VCIs after drop: %v, want only %s", st.VCIs, viewers[1])
+	if got := st.Dests; len(got) != 1 || got[0].Name != viewers[1] {
+		t.Fatalf("destinations after drop: %v, want only %s", got, viewers[1])
 	}
-	if got := st.Tree.Members(); len(got) != 1 || got[0] != viewers[1] {
-		t.Fatalf("members after drop: %v, want [%s]", got, viewers[1])
+	if got := st.Tree.order; len(got) != 1 || got[0].name != viewers[1] {
+		t.Fatalf("%d members after drop, want only %s", len(got), viewers[1])
 	}
 	before := s.Box(a).Mixer().Stats(vci).Segments
 	if before == 0 {
@@ -414,16 +414,17 @@ func TestTreeMoveAcrossBridge(t *testing.T) {
 		t.Fatalf("plan after repair: b0←%s b1←%s, want b1 (fabric B) and src (its bridge)",
 			plan.Parent("b0"), plan.Parent("b1"))
 	}
-	for _, m := range plan.Members() {
-		if !s.Connectable(plan.Parent(m), m) {
-			t.Fatalf("%s is fed by %s, which cannot reach it", m, plan.Parent(m))
+	for _, n := range plan.order {
+		if !s.Connectable(n.parent.name, n.name) {
+			t.Fatalf("%s is fed by %s, which cannot reach it", n.name, n.parent.name)
 		}
 	}
-	// r's bridge circuits are gone: its mux no longer steers either VCI
-	// onto a link, and the links forward neither.
+	// r's bridge circuits are gone: its host has no circuit for either
+	// VCI, so its mux steers neither onto a link, and the links forward
+	// neither.
 	for _, name := range far[:2] {
-		vci := st.VCIs[name]
-		if s.node("r").mux.bridge[vci] {
+		vci := st.VCI(name)
+		if s.node("r").host.HasCircuit(vci) {
 			t.Fatalf("r still bridges VCI %d to %s", vci, name)
 		}
 		before := s.Path("r", name)[0].Stats().Forwarded
@@ -440,11 +441,11 @@ func TestTreeMoveAcrossBridge(t *testing.T) {
 		}
 	}
 	for _, name := range far {
-		before := s.Box(name).Mixer().Stats(st.VCIs[name]).Segments
+		before := s.Box(name).Mixer().Stats(st.VCI(name)).Segments
 		if err := s.RunFor(100 * time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		if after := s.Box(name).Mixer().Stats(st.VCIs[name]).Segments; after < before+20 {
+		if after := s.Box(name).Mixer().Stats(st.VCI(name)).Segments; after < before+20 {
 			t.Fatalf("%s stalled after the repair: %d → %d segments", name, before, after)
 		}
 	}

@@ -154,7 +154,7 @@ at 0s audio a -> b as main
 `)
 	defer r.Close()
 	st := r.Streams["main"]
-	lat := r.Sys.Box("b").Mixer().Playout(st.VCIs["b"])
+	lat := r.Sys.Box("b").Mixer().Playout(st.VCI("b"))
 	t.Add("best", fmt.Sprintf("%.2fms", float64(lat.Min())/1e6), "8ms")
 	t.Add("mean", fmt.Sprintf("%.2fms", float64(lat.Mean())/1e6), "-")
 	t.Add("p99", fmt.Sprintf("%.2fms", float64(lat.Percentile(99))/1e6), "-")
@@ -207,7 +207,7 @@ link a b bw=100M
 at 0s audio a -> b as main
 %s`, flags, vid))
 	defer r.Close()
-	lat := r.Sys.Box("b").Mixer().Playout(r.Streams["main"].VCIs["b"])
+	lat := r.Sys.Box("b").Mixer().Playout(r.Streams["main"].VCI("b"))
 	return lat.Jitter(), lat.Mean()
 }
 
@@ -273,7 +273,7 @@ link a b bw=100M
 at 0s audio a -> b as main
 `, blocksPerSeg))
 	defer r.Close()
-	lat := r.Sys.Box("b").Mixer().Playout(r.Streams["main"].VCIs["b"])
+	lat := r.Sys.Box("b").Mixer().Playout(r.Streams["main"].VCI("b"))
 	return lat.Min(), lat.Mean()
 }
 
@@ -323,7 +323,7 @@ at 0s audio a -> b as main
 `, loss))
 	defer r.Close()
 	st := r.Streams["main"]
-	m := r.Sys.Box("b").Mixer().Stats(st.VCIs["b"])
+	m := r.Sys.Box("b").Mixer().Stats(st.VCI("b"))
 	return e9Stats{
 		blocks:    m.Blocks,
 		lost:      m.LostSegments,

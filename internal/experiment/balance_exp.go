@@ -84,12 +84,13 @@ func E24Balance(seed uint64) (*Table, *BalanceResult) {
 	fl := e24Run(seed)
 	defer fl.Close()
 	clean := must(fl.CleanTwin())
-	plan := fl.Streams["t"].Tree
+	st := fl.Streams["t"]
+	plan := st.Tree
 	migs, cleanMigs := fl.Bal.Migrations(), clean.Bal.Migrations()
 
 	res := &BalanceResult{
 		Boxes:        len(fl.Spec.Boxes),
-		Viewers:      len(plan.Members()),
+		Viewers:      len(st.Dests),
 		Budget:       fl.Spec.Balance.Budget,
 		Admitted:     fl.Bal.Admitted(),
 		Rejected:     fl.Bal.Rejected(),

@@ -300,7 +300,7 @@ at 0s audio cam -> lon as main
 	defer r.Close()
 	st := r.Streams["main"]
 	mx := r.Sys.Box("lon").Mixer()
-	m, lat := mx.Stats(st.VCIs["lon"]), mx.Playout(st.VCIs["lon"])
+	m, lat := mx.Stats(st.VCI("lon")), mx.Playout(st.VCI("lon"))
 	t.Add("segments delivered", fmt.Sprintf("%d", m.Segments))
 	t.Add("segments lost in the network", fmt.Sprintf("%d", m.LostSegments))
 	t.Add("silence insertions", fmt.Sprintf("%d (%s of playback)", m.Clawback.SilenceInserted,

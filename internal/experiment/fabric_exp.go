@@ -103,7 +103,7 @@ func E22Fabric(seed uint64) (*Table, *FabricResult) {
 	res.AudioShed, _, _ = fl.Sheds()
 	_, res.VideoShed, res.Restores = fl.Sheds(e22Port)
 	res.ShedOrder, res.OldestFirst = fl.ShedLadder(e22Port)
-	if len(res.ShedOrder) == 0 || res.ShedOrder[0] != fl.Streams["v0"].VCIs[e22Sink] {
+	if len(res.ShedOrder) == 0 || res.ShedOrder[0] != fl.Streams["v0"].VCI(e22Sink) {
 		res.OldestFirst = false
 	}
 

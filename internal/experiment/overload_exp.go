@@ -77,7 +77,7 @@ at 800ms video a -> b rect=0,128,256,64 rate=1/1 as v2
 	}
 
 	// Audio quality at the destination.
-	m := s.Box("b").Mixer().Stats(audio.VCIs["b"])
+	m := s.Box("b").Mixer().Stats(audio.VCI("b"))
 	res.AudioLost = m.LostSegments
 	if m.Blocks > 0 {
 		res.SilencePct = 100 * float64(m.Clawback.SilenceInserted) / float64(m.Blocks)

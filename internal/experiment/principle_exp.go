@@ -99,7 +99,7 @@ at 0s audio dst -> sink as out
 		st := r.Streams["out"]
 		a := r.Sys.Box("dst").AudioStats()
 		incomingDegraded := a.LateTicks > 0
-		outgoingClean := a.MicDrops == 0 && r.Sys.Box("sink").Mixer().Stats(st.VCIs["sink"]).Segments > 500
+		outgoingClean := a.MicDrops == 0 && r.Sys.Box("sink").Mixer().Stats(st.VCI("sink")).Segments > 500
 		t.Add("P1 outgoing priority",
 			fmt.Sprintf("late mix ticks=%d, mic drops=%d", a.LateTicks, a.MicDrops),
 			yes(incomingDegraded && outgoingClean))
@@ -120,7 +120,7 @@ at 0s video a -> b rect=0,0,256,128 rate=1/1
 `)
 		st := r.Streams["main"]
 		sw := r.Sys.Box("a").SwitchStats()
-		audioLost := r.Sys.Box("b").Mixer().Stats(st.VCIs["b"]).LostSegments
+		audioLost := r.Sys.Box("b").Mixer().Stats(st.VCI("b")).LostSegments
 		videoDropped := sw.FullDrops[2] + sw.AgeDrops[2] // bufNetVideo slot
 		t.Add("P2 audio priority",
 			fmt.Sprintf("video drops=%d, audio lost=%d", videoDropped, audioLost),
@@ -180,8 +180,8 @@ at 0s audio src -> fast,slow as main
 `)
 	defer r.Close()
 	st := r.Streams["main"]
-	fast := r.Sys.Box("fast").Mixer().Stats(st.VCIs["fast"])
-	slow := r.Sys.Box("slow").Mixer().Stats(st.VCIs["slow"])
+	fast := r.Sys.Box("fast").Mixer().Stats(st.VCI("fast"))
+	slow := r.Sys.Box("slow").Mixer().Stats(st.VCI("slow"))
 	t.Add("fast", "100 Mbit/s", fmt.Sprintf("%d", fast.Segments), fmt.Sprintf("%d", fast.LostSegments))
 	t.Add("slow", "64 kbit/s", fmt.Sprintf("%d", slow.Segments), fmt.Sprintf("%d", slow.LostSegments))
 	t.Remark("fast copy complete (%s loss) while the slow path sheds most segments", pct(fast.LostSegments, fast.Segments+fast.LostSegments))
@@ -215,7 +215,7 @@ at 2s drop main extra
 			panic(err)
 		}
 		st := r.Streams["main"]
-		t.Add(phase, fmt.Sprintf("%d", r.Sys.Box("keep").Mixer().Stats(st.VCIs["keep"]).LostSegments))
+		t.Add(phase, fmt.Sprintf("%d", r.Sys.Box("keep").Mixer().Stats(st.VCI("keep")).LostSegments))
 	}
 	check("single destination", time.Second)
 	check("after split to second destination", time.Second)
@@ -487,6 +487,6 @@ at 0s video a -> b rect=0,0,256,128 rate=1/1
 	defer r.Close()
 	st := r.Streams["main"]
 	mx := r.Sys.Box("b").Mixer()
-	m := mx.Stats(st.VCIs["b"])
-	return mx.Playout(st.VCIs["b"]).Jitter(), m.Clawback.SilenceInserted, m.LostSegments
+	m := mx.Stats(st.VCI("b"))
+	return mx.Playout(st.VCI("b")).Jitter(), m.Clawback.SilenceInserted, m.LostSegments
 }

@@ -97,7 +97,7 @@ func E23Tree(seed uint64) (*Table, *TreeResult) {
 
 	res := &TreeResult{
 		Boxes:        len(fl.Spec.Boxes),
-		Viewers:      len(plan.Members()),
+		Viewers:      len(st.Dests),
 		Trees:        cfg.Trees,
 		Fanout:       cfg.Fanout,
 		Depth:        plan.Depth(),
@@ -111,8 +111,8 @@ func E23Tree(seed uint64) (*Table, *TreeResult) {
 	// fabric port ingressed over the whole run, beside the box layer's
 	// own high-water of simultaneous forwarded copies.
 	treeVCI := map[uint32]bool{st.Local: true}
-	for _, vci := range st.VCIs {
-		treeVCI[vci] = true
+	for _, d := range st.Dests {
+		treeVCI[d.VCI] = true
 	}
 	res.PerHopOK = true
 	for _, b := range fl.Spec.Boxes {

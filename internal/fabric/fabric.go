@@ -421,9 +421,6 @@ var portTable = obs.NewTable(append([]obs.Column[*Port]{
 	obs.GaugeOf("fabric_port_queue_limit", func(pt *Port) float64 { return float64(pt.fab.cfg.EgressCellLimit) }),
 }, atm.FaultColumns("fabric_port_fault_", func(pt *Port) *atm.FaultGate { return pt.fault })...)...)
 
-// TransportName implements atm.Transport.
-func (pt *Port) TransportName() string { return "fabric:" + pt.nm }
-
 // crossDur returns how long m occupies this port's crossbar shard.
 func (pt *Port) crossDur(m atm.Message) time.Duration {
 	bw := pt.fab.cfg.PortBandwidth * xbarSpeedup

@@ -114,7 +114,8 @@ func (r *Runner) Survivors(clean *Runner, skip ...string) (checked, mismatched, 
 			continue
 		}
 		cst := clean.Streams[ref]
-		for _, dst := range st.Dsts() {
+		for _, d := range st.Dests {
+			dst := d.Name
 			touched := crashed[st.From] || crashed[dst] || slices.Contains(skip, dst)
 			for box := range crashed {
 				touched = touched || st.EverUnder(dst, box)
@@ -124,8 +125,8 @@ func (r *Runner) Survivors(clean *Runner, skip ...string) (checked, mismatched, 
 				continue
 			}
 			checked++
-			m := r.Sys.Box(dst).Mixer().Stats(st.VCIs[dst])
-			cm := clean.Sys.Box(dst).Mixer().Stats(cst.VCIs[dst])
+			m := r.Sys.Box(dst).Mixer().Stats(d.VCI)
+			cm := clean.Sys.Box(dst).Mixer().Stats(cst.VCI(dst))
 			if m.Digest != cm.Digest || m.Segments != cm.Segments {
 				mismatched++
 			}
@@ -262,7 +263,7 @@ func (r *Runner) check(a Assert, clean *Runner) (bool, string) {
 		n := 0
 		for _, ref := range r.streamRefs() {
 			if st := r.Streams[ref]; st.From == a.Arg {
-				n += len(st.VCIs)
+				n += len(st.Dests)
 			}
 		}
 		if a.HasValue {
@@ -307,19 +308,18 @@ func (r *Runner) perDest(a Assert, extreme, verb string, fig func(mixer.StreamSt
 	if extreme == "min" {
 		sign = -1
 	}
-	dsts := st.Dsts()
 	pass, worst := true, 0.0
 	var parts []string
-	for i, dst := range dsts {
-		v := fig(r.Sys.Box(dst).Mixer().Stats(st.VCIs[dst]))
+	for i, d := range st.Dests {
+		v := fig(r.Sys.Box(d.Name).Mixer().Stats(d.VCI))
 		pass = pass && sign*v <= sign*a.Value
 		if i == 0 || sign*v > sign*worst {
 			worst = v
 		}
-		parts = append(parts, dst+"="+fmt.Sprintf(verb, v))
+		parts = append(parts, d.Name+"="+fmt.Sprintf(verb, v))
 	}
-	if len(dsts) > 8 {
-		parts = []string{fmt.Sprintf("%d dests, %s=%s", len(dsts), extreme, fmt.Sprintf(verb, worst))}
+	if len(st.Dests) > 8 {
+		parts = []string{fmt.Sprintf("%d dests, %s=%s", len(st.Dests), extreme, fmt.Sprintf(verb, worst))}
 	}
 	return pass, fmt.Sprintf("%s (limit %g)", strings.Join(parts, " "), a.Value)
 }

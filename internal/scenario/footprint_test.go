@@ -19,7 +19,7 @@ import (
 // each histogram's multiset, every map and the trace ring's events are
 // built on first use, and the muting tables are one pair a process, so
 // an idle box holds none of them.
-const idleBoxBytes = 11_267
+const idleBoxBytes = 11_193
 
 // streamBytes is what one received audio stream adds to the live heap
 // (linux/amd64, go1.24) once it has played for 100 ms: the mixer's
@@ -28,7 +28,7 @@ const idleBoxBytes = 11_267
 // the switch tables' entries at both ends, the speaker ring's storage
 // and the stream's trace events. Its close gives back the clawback ring
 // and the plan, and keeps the figures (closedCallBytes).
-const streamBytes = 2_718
+const streamBytes = 2_709
 
 // liveGrowth builds spec, runs it for d and returns how much the live
 // heap grew.
@@ -93,13 +93,13 @@ func TestStreamFootprint(t *testing.T) {
 
 // closedCallBytes is what one further closed call between the same
 // two boxes keeps on the live heap (linux/amd64, go1.24) once it has run
-// dry: a closed stream keeps its figures, not its state. About 2.9 kB
-// are the two streams' figures — core's record (source, VCI map, what
-// it keeps of its plan), the mixer stream and clawback buffer behind
+// dry: a closed stream keeps its figures, not its state. About 2.5 kB
+// are the two streams' figures — core's record (source, destinations,
+// what it keeps of its plan), the mixer stream and clawback buffer behind
 // the per-stream registry rows the digest reads, without the clawback
 // ring, and the playout histogram — and the rest the spec's two events,
 // the Runner's refs and the call's share of the trace ring.
-const closedCallBytes = 3_947
+const closedCallBytes = 3_515
 
 // callRounds is ten boxes with microphones on one fabric, paired into
 // five calls a round for rounds rounds: round k opens its calls at

@@ -36,18 +36,17 @@ func (r *Runner) report(sum *Summary, digests bool) string {
 	s := r.Sys
 	for _, ref := range r.streamRefs() {
 		st := r.Streams[ref]
-		for _, dst := range st.Dsts() {
+		for _, d := range st.Dests {
 			if st.Video {
-				d := s.Box(dst).DisplayStats()
+				ds := s.Box(d.Name).DisplayStats()
 				fmt.Fprintf(&sb, "video %s → %s: %d frames, %d decode errors, frame latency mean %v\n",
-					st.From, dst, d.Frames, d.DecodeErrs, d.FrameLat.Mean())
+					st.From, d.Name, ds.Frames, ds.DecodeErrs, ds.FrameLat.Mean())
 				continue
 			}
-			vci := st.VCIs[dst]
-			mx := s.Box(dst).Mixer()
-			m, lat := mx.Stats(vci), mx.Playout(vci)
+			mx := s.Box(d.Name).Mixer()
+			m, lat := mx.Stats(d.VCI), mx.Playout(d.VCI)
 			fmt.Fprintf(&sb, "%s → %s: %6d segs, lost %4d, concealed %4d, silences %4d, latency mean %6.2fms p99 %6.2fms",
-				st.From, dst, m.Segments, m.LostSegments, m.Concealed, m.Clawback.SilenceInserted,
+				st.From, d.Name, m.Segments, m.LostSegments, m.Concealed, m.Clawback.SilenceInserted,
 				float64(lat.Mean())/1e6, float64(lat.Percentile(99))/1e6)
 			if digests {
 				fmt.Fprintf(&sb, ", digest %016x", m.Digest)

@@ -461,7 +461,11 @@ assert spread a 1
 	} {
 		st := r.Streams[ref]
 		var under []string
-		for _, d := range append(st.Dsts(), "s", "u", "x") {
+		names := []string{}
+		for _, d := range st.Dests {
+			names = append(names, d.Name)
+		}
+		for _, d := range append(names, "s", "u", "x") {
 			for _, b := range []string{"s", "u", "r1", "v1", "v2", "v3"} {
 				if st.EverUnder(d, b) {
 					under = append(under, d+"<"+b)

@@ -332,7 +332,7 @@ at 100ms audio b -> a as second
 	if r.Streams["first"] == nil || r.Streams["second"] == nil {
 		t.Fatalf("streams not recorded: %v", r.Streams)
 	}
-	m := r.Sys.Box("b").Mixer().Stats(r.Streams["first"].VCIs["b"])
+	m := r.Sys.Box("b").Mixer().Stats(r.Streams["first"].VCI("b"))
 	if m.Segments == 0 {
 		t.Fatal("no audio delivered")
 	}

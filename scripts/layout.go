@@ -1,10 +1,12 @@
 //go:build ignore
 
 // layout prints where named functions start in a built Go binary: each
-// function's entry address and that address mod 64, the offset within
-// a cache line. Hot loops run measurably faster or slower with where
-// they fall, so two builds compared on speed should be compared on
-// this too. Run from the repository root on an ELF binary:
+// function's entry address, that address mod 64, the offset within a
+// cache line, and mod 4 096, the offset within a page. Hot loops run
+// measurably faster or slower with where they fall, and builds whose
+// functions sit at the same offsets mod 64 but not mod 4 096 have run
+// at different speeds, so two builds compared on speed should be
+// compared on both. Run from the repository root on an ELF binary:
 //
 //	go build -o /tmp/bench ./bench
 //	go run scripts/layout.go /tmp/bench video.dpcmLines 'occam.(*Runtime).pick'
@@ -42,7 +44,7 @@ func main() {
 		found := false
 		for _, s := range syms {
 			if elf.ST_TYPE(s.Info) == elf.STT_FUNC && (s.Name == name || strings.HasSuffix(s.Name, "/"+name)) {
-				fmt.Printf("%-32s %#x  mod 64 = %2d\n", name, s.Value, s.Value%64)
+				fmt.Printf("%-32s %#x  mod 64 = %2d  mod 4096 = %4d\n", name, s.Value, s.Value%64, s.Value%4096)
 				found = true
 			}
 		}
